@@ -7,7 +7,8 @@
 //!
 //! 1. **1-D stab**: HINT's bottom-level stabbing is nearly comparison-free,
 //!    so it should beat every paper variant by a wide margin on pure
-//!    stabbing workloads. `--check` asserts ≥ 2× over the *best* variant.
+//!    stabbing workloads. `--check` asserts ≥ 1.3× over the *best* variant
+//!    (see [`STAB_GATE`]).
 //! 2. **Router overhead**: on genuinely 2-D windows the [`HybridIndex`]
 //!    routes to its SR-Tree; the routing test must cost ≈ nothing.
 //!    `--check` asserts ≤ 5% overhead vs querying the SR-Tree directly.
@@ -30,6 +31,15 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+/// Floor on HINT's 1-D stab speedup over the best paper variant. It guards
+/// the router's premise — HINT is decisively the faster engine for the
+/// stabs `HybridIndex` sends it — not a fixed distance to the trees: PR 12's
+/// one-block nodes and prefetching traversal made every tree variant ~30%
+/// faster on this bench (best variant 2,740 → ~2,000 ns/op) while HINT is
+/// unchanged (~1,250 ns/op), so the ratio moved from 2.26× to 1.57–1.64×
+/// over three runs. 1.3 sits ~17% under the lowest of those.
+const STAB_GATE: f64 = 1.3;
 
 struct Args {
     records: usize,
@@ -447,9 +457,9 @@ fn main() -> ExitCode {
     // ---- Acceptance gates ----------------------------------------------
     if args.check {
         let mut problems = Vec::new();
-        if stab_speedup < 2.0 {
+        if stab_speedup < STAB_GATE {
             problems.push(format!(
-                "1-D stab speedup {:.2}x vs {} is below the 2x gate",
+                "1-D stab speedup {:.2}x vs {} is below the {STAB_GATE}x gate",
                 stab_speedup, best_variant.0
             ));
         }
@@ -466,7 +476,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!(
-            "hint_bench: checks passed (stab {:.2}x >= 2x, router overhead {:+.1}% <= 5%)",
+            "hint_bench: checks passed (stab {:.2}x >= {STAB_GATE}x, router overhead {:+.1}% <= 5%)",
             stab_speedup,
             overhead * 100.0
         );

@@ -64,7 +64,7 @@ fn pack<const D: usize>(config: IndexConfig, items: Vec<(Rect<D>, RecordId)>) ->
     let mut level_nodes: Vec<(Rect<D>, NodeId)> = chunks
         .into_iter()
         .map(|chunk| {
-            let mut leaf = Node::leaf();
+            let mut leaf = Node::leaf(0);
             *leaf.entries_mut() = chunk
                 .into_iter()
                 .map(|(rect, record)| LeafEntry { rect, record })
@@ -82,7 +82,7 @@ fn pack<const D: usize>(config: IndexConfig, items: Vec<(Rect<D>, RecordId)>) ->
         level_nodes = chunks
             .into_iter()
             .map(|chunk| {
-                let mut node = Node::internal(level);
+                let mut node = Node::internal(level, 0);
                 *node.branches_mut() = chunk
                     .iter()
                     .map(|(rect, child)| Branch {

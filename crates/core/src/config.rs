@@ -148,6 +148,13 @@ impl IndexConfig {
         (self.node_bytes(level) / self.entry_bytes).max(4)
     }
 
+    /// Entry slots a node's block at `level` is allocated with: the
+    /// capacity plus the one overflowing entry whose arrival triggers the
+    /// split, so a node's block is allocated exactly once.
+    pub(crate) fn node_slots(&self, level: u32) -> usize {
+        self.capacity(level) + 1
+    }
+
     /// Maximum number of branch entries at `level` (non-leaf). In segment
     /// mode this is `branch_fraction × capacity`, reserving the remainder
     /// for spanning index records; otherwise the full capacity.

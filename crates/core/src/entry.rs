@@ -2,16 +2,22 @@
 //! plus the structure-of-arrays stores that hold them inside nodes.
 //!
 //! Nodes do **not** store `Vec<LeafEntry>` etc. directly. Each store keeps
-//! the entry rectangles as per-dimension `lo`/`hi` coordinate planes
-//! (see [`RectSoA`]) alongside parallel payload arrays, so the search hot
-//! loops can hand contiguous `&[f64]` planes straight to the branchless
-//! scan kernels in `segidx_geom`. The entry structs ([`LeafEntry`],
-//! [`Branch`], [`SpanningEntry`]) survive as *views*: mutation paths and
-//! invariant logic work with whole entries reconstructed on demand, which
-//! keeps them readable while the layout stays scan-friendly.
+//! its entries in **one contiguous block** (the private `Block` type): the
+//! rectangles as per-dimension `lo`/`hi` coordinate planes followed by the
+//! payload columns, all at one fixed stride inside a single allocation. The
+//! search hot loops hand the planes as contiguous `&[f64]` slices straight
+//! to the branchless scan kernels in `segidx_geom`, a traversal can prefetch
+//! a child's whole contents through one pointer, and copying a node under a
+//! live snapshot is one allocation and one `memcpy`. The entry structs
+//! ([`LeafEntry`], [`Branch`], [`SpanningEntry`]) survive as *views*:
+//! mutation paths and invariant logic work with whole entries reconstructed
+//! on demand, which keeps them readable while the layout stays
+//! scan-friendly.
 
 use crate::id::{NodeId, RecordId};
+use crate::prefetch::prefetch_range;
 use segidx_geom::{Coord, Rect};
+use std::fmt;
 
 /// An external index record on a leaf node: a rectangle plus the id of the
 /// data record it describes.
@@ -58,188 +64,275 @@ pub struct SpanningEntry<const D: usize> {
     pub linked_child: NodeId,
 }
 
-/// Rectangles stored as structure-of-arrays coordinate planes: entry
-/// `i`'s bounds in dimension `d` are `los[d][i]` / `his[d][i]`, each
-/// plane a contiguous `Vec<f64>`. Intersection-style scans touch only
-/// the planes they test, never the payload they don't.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RectSoA<const D: usize> {
-    los: [Vec<Coord>; D],
-    his: [Vec<Coord>; D],
+/// A payload value that rides in a [`Block`] column. Ids are stored as
+/// `f64` *bit patterns* so coordinates and payload share one `[f64]`
+/// allocation in safe code, with no pointer cast; they are never used as
+/// numbers, and loads, stores and copies of an `f64` preserve every bit
+/// (NaN payloads included) on the targets this crate supports.
+trait Slot: Copy {
+    fn to_slot(self) -> Coord;
+    fn from_slot(slot: Coord) -> Self;
 }
 
-impl<const D: usize> RectSoA<D> {
-    /// An empty plane set.
-    pub fn new() -> Self {
+impl Slot for RecordId {
+    #[inline]
+    fn to_slot(self) -> Coord {
+        Coord::from_bits(self.0)
+    }
+    #[inline]
+    fn from_slot(slot: Coord) -> Self {
+        RecordId(slot.to_bits())
+    }
+}
+
+impl Slot for NodeId {
+    #[inline]
+    fn to_slot(self) -> Coord {
+        Coord::from_bits(u64::from(self.0))
+    }
+    #[inline]
+    fn from_slot(slot: Coord) -> Self {
+        // Only ever written by `to_slot`, so the high half is zero.
+        NodeId(slot.to_bits() as u32)
+    }
+}
+
+/// One store's single heap block: `cols` columns of `stride` slots each,
+/// column `c` occupying `buf[c * stride..][..stride]` with its first `len`
+/// slots live.
+///
+/// ```text
+///          ┌──────── stride ────────┐
+/// buf ───▶ │ lo[0]  ▮▮▮▮▮▮▮▮▮░░░░░░ │  coordinate planes: lo[0..D], hi[0..D]
+///          │ lo[1]  ▮▮▮▮▮▮▮▮▮░░░░░░ │
+///          │ hi[0]  ▮▮▮▮▮▮▮▮▮░░░░░░ │  ▮ live (`len`)   ░ dead capacity
+///          │ hi[1]  ▮▮▮▮▮▮▮▮▮░░░░░░ │
+///          │ record ▮▮▮▮▮▮▮▮▮░░░░░░ │  payload columns (ids as bit patterns)
+///          └────────────────────────┘
+/// ```
+///
+/// Columns `0..D` are the `lo` planes, `D..2D` the `hi` planes, the rest
+/// payload. The stride is fixed when the block is allocated — the tree
+/// sizes it from the level's node capacity, so a node's block is allocated
+/// once — and doubles only when a push finds the block full (elastic
+/// overflow, stores built without a capacity).
+#[derive(Clone)]
+struct Block<const D: usize> {
+    buf: Box<[Coord]>,
+    len: u32,
+    stride: u32,
+}
+
+impl<const D: usize> Block<D> {
+    fn with_stride(stride: usize, cols: usize) -> Self {
         Self {
-            los: std::array::from_fn(|_| Vec::new()),
-            his: std::array::from_fn(|_| Vec::new()),
+            buf: vec![0.0; stride * cols].into_boxed_slice(),
+            len: 0,
+            stride: u32::try_from(stride).expect("store capacity fits u32"),
         }
     }
 
-    /// Number of rectangles stored.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.los[0].len()
+    fn len(&self) -> usize {
+        self.len as usize
     }
 
-    /// Whether no rectangles are stored.
+    /// The live slots of column `c`.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.los[0].is_empty()
+    fn col(&self, c: usize) -> &[Coord] {
+        let start = c * self.stride as usize;
+        &self.buf[start..start + self.len as usize]
     }
 
-    /// Reconstructs rectangle `i` from the planes.
     #[inline]
-    pub fn get(&self, i: usize) -> Rect<D> {
+    fn col_mut(&mut self, c: usize) -> &mut [Coord] {
+        let start = c * self.stride as usize;
+        &mut self.buf[start..start + self.len as usize]
+    }
+
+    #[inline]
+    fn rect(&self, i: usize) -> Rect<D> {
         Rect::new(
-            std::array::from_fn(|d| self.los[d][i]),
-            std::array::from_fn(|d| self.his[d][i]),
+            std::array::from_fn(|d| self.col(d)[i]),
+            std::array::from_fn(|d| self.col(D + d)[i]),
         )
     }
 
-    /// Appends a rectangle.
     #[inline]
-    pub fn push(&mut self, rect: &Rect<D>) {
+    fn set_rect(&mut self, i: usize, rect: &Rect<D>) {
         for d in 0..D {
-            self.los[d].push(rect.lo(d));
-            self.his[d].push(rect.hi(d));
+            self.col_mut(d)[i] = rect.lo(d);
+            self.col_mut(D + d)[i] = rect.hi(d);
         }
     }
 
-    /// Overwrites rectangle `i`.
+    /// Opens slot `len` for writing, growing the block first when full.
     #[inline]
-    pub fn set(&mut self, i: usize, rect: &Rect<D>) {
-        for d in 0..D {
-            self.los[d][i] = rect.lo(d);
-            self.his[d][i] = rect.hi(d);
+    fn push_slot(&mut self, cols: usize) -> usize {
+        if self.len == self.stride {
+            self.grow(cols);
         }
+        self.len += 1;
+        self.len as usize - 1
     }
 
-    /// Removes rectangle `i` by swapping in the last one.
-    #[inline]
-    pub fn swap_remove(&mut self, i: usize) -> Rect<D> {
-        Rect::new(
-            std::array::from_fn(|d| self.los[d].swap_remove(i)),
-            std::array::from_fn(|d| self.his[d].swap_remove(i)),
-        )
-    }
-
-    /// Drops all rectangles, keeping allocations.
-    pub fn clear(&mut self) {
-        for d in 0..D {
-            self.los[d].clear();
-            self.his[d].clear();
+    /// Re-strides into a block of twice the capacity: one allocation, one
+    /// copy per column.
+    #[cold]
+    fn grow(&mut self, cols: usize) {
+        let mut wider = Self::with_stride((self.stride as usize * 2).max(4), cols);
+        wider.len = self.len;
+        for c in 0..cols {
+            wider.col_mut(c).copy_from_slice(self.col(c));
         }
+        *self = wider;
     }
 
-    /// The `(lo, hi)` planes, ready for the `segidx_geom` scan kernels.
+    /// Moves the last entry into slot `i` and drops the last slot.
     #[inline]
-    pub fn planes(&self) -> ([&[Coord]; D], [&[Coord]; D]) {
+    fn swap_remove(&mut self, i: usize, cols: usize) {
+        let last = self.len() - 1;
+        for c in 0..cols {
+            let col = self.col_mut(c);
+            col[i] = col[last];
+        }
+        self.len -= 1;
+    }
+
+    #[inline]
+    fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(u32::try_from(len).unwrap_or(u32::MAX));
+    }
+
+    #[inline]
+    fn planes(&self) -> ([&[Coord]; D], [&[Coord]; D]) {
         (
-            std::array::from_fn(|d| self.los[d].as_slice()),
-            std::array::from_fn(|d| self.his[d].as_slice()),
+            std::array::from_fn(|d| self.col(d)),
+            std::array::from_fn(|d| self.col(D + d)),
         )
     }
 
-    /// Union of all stored rectangles, `None` when empty.
-    pub fn union_all(&self) -> Option<Rect<D>> {
-        if self.is_empty() {
+    fn union_all(&self) -> Option<Rect<D>> {
+        if self.len == 0 {
             return None;
         }
-        let lo = std::array::from_fn(|d| self.los[d].iter().copied().fold(f64::INFINITY, f64::min));
+        let lo = std::array::from_fn(|d| self.col(d).iter().copied().fold(f64::INFINITY, f64::min));
         let hi = std::array::from_fn(|d| {
-            self.his[d]
+            self.col(D + d)
                 .iter()
                 .copied()
                 .fold(f64::NEG_INFINITY, f64::max)
         });
         Some(Rect::new(lo, hi))
     }
-}
 
-impl<const D: usize> Default for RectSoA<D> {
-    fn default() -> Self {
-        Self::new()
+    /// Prefetches the block up to the last live slot of column `cols - 1`:
+    /// everything a scan plus a gather of its matches can touch.
+    #[inline]
+    fn prefetch(&self, cols: usize) {
+        if self.len > 0 {
+            let slots = (cols - 1) * self.stride as usize + self.len as usize;
+            prefetch_range(self.buf.as_ptr(), slots * std::mem::size_of::<Coord>());
+        }
     }
 }
 
 /// Generates the shared Vec-like entry-view API for one store type. Each
-/// store pairs a [`RectSoA`] with parallel payload columns; the macro
-/// wires the entry struct (the *view*) to the columns so mutation code
-/// reads like it did when nodes held `Vec<Entry>`.
+/// store is one [`Block`] whose payload columns follow the coordinate
+/// planes; the macro wires the entry struct (the *view*) to the columns so
+/// mutation code reads like it did when nodes held `Vec<Entry>`.
 macro_rules! soa_store {
     (
         $(#[$doc:meta])*
         $store:ident, $entry:ident, $rect_field:ident,
-        { $( $(#[$fdoc:meta])* $field:ident : $fty:ty ),+ $(,)? }
+        { $( $field:ident : $fty:ty = $col:expr ),+ $(,)? }
     ) => {
         $(#[$doc])*
-        #[derive(Clone, Debug, Default, PartialEq)]
+        #[derive(Clone)]
         pub struct $store<const D: usize> {
-            rects: RectSoA<D>,
-            $( $field: Vec<$fty>, )+
+            block: Block<D>,
         }
 
         impl<const D: usize> $store<D> {
-            /// An empty store.
+            /// Columns per block: the coordinate planes plus the payload.
+            const COLS: usize = 2 * D + [$( $col ),+].len();
+
+            /// An empty store; allocates nothing until the first push.
             pub fn new() -> Self {
-                Self::default()
+                Self::with_capacity(0)
+            }
+
+            /// An empty store whose block already holds `slots` entries.
+            pub fn with_capacity(slots: usize) -> Self {
+                Self {
+                    block: Block::with_stride(slots, Self::COLS),
+                }
             }
 
             /// Number of entries.
             #[inline]
             pub fn len(&self) -> usize {
-                self.rects.len()
+                self.block.len()
             }
 
             /// Whether the store is empty.
             #[inline]
             pub fn is_empty(&self) -> bool {
-                self.rects.is_empty()
+                self.block.len == 0
+            }
+
+            /// Entries the block holds before it must grow.
+            #[inline]
+            pub fn capacity(&self) -> usize {
+                self.block.stride as usize
             }
 
             /// Entry `i` as a by-value view.
             #[inline]
             pub fn get(&self, i: usize) -> $entry<D> {
                 $entry {
-                    $rect_field: self.rects.get(i),
-                    $( $field: self.$field[i], )+
+                    $rect_field: self.block.rect(i),
+                    $( $field: <$fty>::from_slot(self.block.col(2 * D + $col)[i]), )+
                 }
             }
 
             /// Rectangle of entry `i` (no payload gather).
             #[inline]
             pub fn rect(&self, i: usize) -> Rect<D> {
-                self.rects.get(i)
+                self.block.rect(i)
             }
 
             /// Overwrites the rectangle of entry `i`.
             #[inline]
             pub fn set_rect(&mut self, i: usize, rect: &Rect<D>) {
-                self.rects.set(i, rect);
+                self.block.set_rect(i, rect);
+            }
+
+            /// Overwrites entry `i`.
+            #[inline]
+            fn set(&mut self, i: usize, e: &$entry<D>) {
+                self.block.set_rect(i, &e.$rect_field);
+                $( self.block.col_mut(2 * D + $col)[i] = e.$field.to_slot(); )+
             }
 
             /// Appends an entry.
             #[inline]
             pub fn push(&mut self, e: $entry<D>) {
-                self.rects.push(&e.$rect_field);
-                $( self.$field.push(e.$field); )+
+                let i = self.block.push_slot(Self::COLS);
+                self.set(i, &e);
             }
 
             /// Removes entry `i` by swapping in the last one.
             #[inline]
             pub fn swap_remove(&mut self, i: usize) -> $entry<D> {
-                $entry {
-                    $rect_field: self.rects.swap_remove(i),
-                    $( $field: self.$field.swap_remove(i), )+
-                }
+                let e = self.get(i);
+                self.block.swap_remove(i, Self::COLS);
+                e
             }
 
-            /// Drops all entries, keeping allocations.
+            /// Drops all entries, keeping the block.
             pub fn clear(&mut self) {
-                self.rects.clear();
-                $( self.$field.clear(); )+
+                self.block.truncate(0);
             }
 
             /// Iterates entry views in storage order.
@@ -254,8 +347,7 @@ macro_rules! soa_store {
                     let e = self.get(i);
                     if pred(&e) {
                         if kept != i {
-                            self.rects.set(kept, &e.$rect_field);
-                            $( self.$field[kept] = e.$field; )+
+                            self.set(kept, &e);
                         }
                         kept += 1;
                     }
@@ -265,17 +357,12 @@ macro_rules! soa_store {
 
             /// Shortens the store to `len` entries.
             pub fn truncate(&mut self, len: usize) {
-                for d in 0..D {
-                    let (los, his) = self.rects.planes_mut_internal();
-                    los[d].truncate(len);
-                    his[d].truncate(len);
-                }
-                $( self.$field.truncate(len); )+
+                self.block.truncate(len);
             }
 
             /// Moves all entries out into a `Vec` of views (for
             /// redistribution algorithms that shuffle whole entries),
-            /// leaving the store empty with capacity intact.
+            /// leaving the store empty with its block intact.
             pub fn take_vec(&mut self) -> Vec<$entry<D>> {
                 let out: Vec<$entry<D>> = self.iter().collect();
                 self.clear();
@@ -288,15 +375,42 @@ macro_rules! soa_store {
                 self.extend(entries);
             }
 
-            /// The `(lo, hi)` coordinate planes for scan kernels.
+            /// The `(lo, hi)` coordinate planes for scan kernels: `2 * D`
+            /// slices of exactly [`len`](Self::len) elements each.
             #[inline]
             pub fn planes(&self) -> ([&[Coord]; D], [&[Coord]; D]) {
-                self.rects.planes()
+                self.block.planes()
             }
 
             /// Union of all entry rectangles, `None` when empty.
             pub fn union_all(&self) -> Option<Rect<D>> {
-                self.rects.union_all()
+                self.block.union_all()
+            }
+
+            /// Prefetches the live part of the block.
+            #[inline]
+            pub(crate) fn prefetch(&self) {
+                self.block.prefetch(Self::COLS);
+            }
+        }
+
+        impl<const D: usize> Default for $store<D> {
+            fn default() -> Self {
+                Self::new()
+            }
+        }
+
+        /// Equality is over the live entries; capacity and whatever dead
+        /// slots hold do not take part.
+        impl<const D: usize> PartialEq for $store<D> {
+            fn eq(&self, other: &Self) -> bool {
+                self.len() == other.len() && self.iter().eq(other.iter())
+            }
+        }
+
+        impl<const D: usize> fmt::Debug for $store<D> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.iter()).finish()
             }
         }
 
@@ -308,9 +422,12 @@ macro_rules! soa_store {
             }
         }
 
+        /// Collects into a block sized by the iterator's lower size bound —
+        /// exact for the bulk loader's chunks.
         impl<const D: usize> FromIterator<$entry<D>> for $store<D> {
             fn from_iter<I: IntoIterator<Item = $entry<D>>>(iter: I) -> Self {
-                let mut s = Self::new();
+                let iter = iter.into_iter();
+                let mut s = Self::with_capacity(iter.size_hint().0);
                 s.extend(iter);
                 s
             }
@@ -318,73 +435,66 @@ macro_rules! soa_store {
     };
 }
 
-impl<const D: usize> RectSoA<D> {
-    /// Internal mutable plane access for the store macro.
-    #[inline]
-    fn planes_mut_internal(&mut self) -> (&mut [Vec<Coord>; D], &mut [Vec<Coord>; D]) {
-        (&mut self.los, &mut self.his)
-    }
-}
-
 soa_store!(
     /// SoA store of a leaf's index records: coordinate planes plus the
-    /// parallel record-id column.
+    /// record-id column, in one block.
     LeafStore, LeafEntry, rect,
     {
-        record: RecordId,
+        record: RecordId = 0,
     }
 );
 
 soa_store!(
     /// SoA store of an internal node's branches: coordinate planes plus
-    /// the parallel child-id column.
+    /// the child-id column, in one block.
     BranchStore, Branch, rect,
     {
-        child: NodeId,
+        child: NodeId = 0,
     }
 );
 
 soa_store!(
     /// SoA store of an internal node's spanning records: coordinate
-    /// planes plus record-id and linked-child columns.
+    /// planes plus record-id and linked-child columns, in one block.
     SpanningStore, SpanningEntry, rect,
     {
-        record: RecordId,
-        linked_child: NodeId,
+        record: RecordId = 0,
+        linked_child: NodeId = 1,
     }
 );
 
 impl<const D: usize> LeafStore<D> {
-    /// The record-id payload column.
-    #[inline]
-    pub fn records(&self) -> &[RecordId] {
-        &self.record
+    /// The record ids in storage order.
+    pub fn records(&self) -> impl Iterator<Item = RecordId> + '_ {
+        self.block
+            .col(2 * D)
+            .iter()
+            .map(|&s| RecordId::from_slot(s))
     }
 
     /// Record id of entry `i`.
     #[inline]
     pub fn record(&self, i: usize) -> RecordId {
-        self.record[i]
+        RecordId::from_slot(self.block.col(2 * D)[i])
     }
 }
 
 impl<const D: usize> BranchStore<D> {
-    /// The child-id payload column.
-    #[inline]
-    pub fn children(&self) -> &[NodeId] {
-        &self.child
+    /// The child ids in storage order.
+    pub fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.block.col(2 * D).iter().map(|&s| NodeId::from_slot(s))
     }
 
     /// Child id of branch `i`.
     #[inline]
     pub fn child(&self, i: usize) -> NodeId {
-        self.child[i]
+        NodeId::from_slot(self.block.col(2 * D)[i])
     }
 
     /// Index of the branch pointing at `child`, if present.
     #[inline]
     pub fn position_of_child(&self, child: NodeId) -> Option<usize> {
-        self.child.iter().position(|&c| c == child)
+        self.children().position(|c| c == child)
     }
 }
 
@@ -392,19 +502,19 @@ impl<const D: usize> SpanningStore<D> {
     /// Record id of entry `i`.
     #[inline]
     pub fn record(&self, i: usize) -> RecordId {
-        self.record[i]
+        RecordId::from_slot(self.block.col(2 * D)[i])
     }
 
     /// Linked child of entry `i`.
     #[inline]
     pub fn linked_child(&self, i: usize) -> NodeId {
-        self.linked_child[i]
+        NodeId::from_slot(self.block.col(2 * D + 1)[i])
     }
 
     /// Relinks entry `i` to another branch's child.
     #[inline]
     pub fn set_linked_child(&mut self, i: usize, child: NodeId) {
-        self.linked_child[i] = child;
+        self.block.col_mut(2 * D + 1)[i] = child.to_slot();
     }
 }
 
@@ -426,6 +536,40 @@ mod tests {
             rect: Rect::new([x0, 0.0], [x1, 1.0]),
             record: RecordId(id),
         }
+    }
+
+    #[test]
+    fn ids_survive_the_block_bit_for_bit() {
+        // Payload ids ride as f64 bit patterns: every pattern must come
+        // back unchanged, the NaN-shaped ones (quiet, signalling, negative)
+        // and the subnormal-shaped node ids included.
+        let patterns = [
+            0,
+            1,
+            u64::from(u32::MAX),
+            0x7FF0_0000_0000_0001, // signalling NaN
+            0x7FF8_0000_0000_0000, // quiet NaN
+            0xFFF0_0000_0000_0000, // -inf
+            0x8000_0000_0000_0000, // -0.0
+            u64::MAX,
+        ];
+        let mut s: SpanningStore<2> = SpanningStore::new();
+        for (i, &bits) in patterns.iter().enumerate() {
+            s.push(SpanningEntry {
+                rect: Rect::new([0.0, 0.0], [1.0, 1.0]),
+                record: RecordId(bits),
+                linked_child: NodeId(bits as u32 ^ i as u32),
+            });
+        }
+        // Survives growth (4 -> 8), a clone, and a swap_remove shuffle.
+        let mut t = s.clone();
+        for (i, &bits) in patterns.iter().enumerate() {
+            assert_eq!(s.record(i), RecordId(bits));
+            assert_eq!(s.linked_child(i), NodeId(bits as u32 ^ i as u32));
+        }
+        assert_eq!(t.swap_remove(0).record, RecordId(0));
+        assert_eq!(t.record(0), RecordId(u64::MAX));
+        assert_eq!(s, s.clone());
     }
 
     #[test]
@@ -453,7 +597,7 @@ mod tests {
         assert_eq!(his[0], &[4.0, 6.0]);
         assert_eq!(los[1], &[0.0, 0.0]);
         assert_eq!(his[1], &[1.0, 1.0]);
-        assert_eq!(s.records(), &[RecordId(1), RecordId(2)]);
+        assert_eq!(s.records().collect::<Vec<_>>(), [RecordId(1), RecordId(2)]);
     }
 
     #[test]

@@ -56,24 +56,10 @@
 //! (`R_aft` everywhere, plus one-sided tests for the rest) make reporting
 //! almost comparison-free — the HINT result this engine reproduces.
 
+use crate::prefetch::prefetch;
 use segidx_geom::{scan_hi_ge, scan_intersects, scan_lo_le, Rect};
 use segidx_obs::trace::{self, Dim};
 use std::sync::Arc;
-
-/// Best-effort read prefetch. The per-level walk touches one partition per
-/// level at addresses that are all computable up front, so issuing the
-/// loads early overlaps what would otherwise be a serial cache-miss chain
-/// — the dominant cost of a stab. No-op on non-x86_64 targets.
-#[inline(always)]
-pub(crate) fn prefetch<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; it never faults, even on bad addresses.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
 
 /// Largest bottom-level resolution: `2^16 = 65536` cells.
 pub(crate) const MAX_LEVEL_BITS: u32 = 16;
@@ -552,7 +538,7 @@ impl Hint1D {
         out: &mut Vec<u32>,
         scratch: &mut Vec<u32>,
     ) -> u64 {
-        // Monomorphized tracing split (see `Tree::search_kernel`): one
+        // Monomorphized tracing split (see `Tree::traverse`): one
         // `trace::active()` check per query; the untraced instantiation is
         // bit-identical to the uninstrumented walk.
         if trace::active() {

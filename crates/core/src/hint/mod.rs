@@ -433,7 +433,7 @@ impl<const D: usize> HintIndex<D> {
     /// physically — so the liveness gather is skipped entirely.
     fn ids_of(&self, handles: &[u32]) -> Vec<RecordId> {
         for &h in handles {
-            hint1d::prefetch(&self.entries.records[h as usize]);
+            crate::prefetch::prefetch(&self.entries.records[h as usize]);
         }
         let mut ids: Vec<RecordId> = if self.entries.deferred.is_empty() {
             handles

@@ -2,13 +2,16 @@
 
 use crate::entry::{BranchStore, LeafStore, SpanningStore};
 use crate::id::NodeId;
+use crate::prefetch::prefetch_range;
 use segidx_geom::Rect;
 use std::sync::Arc;
 
 /// The level-dependent contents of a node. Entries live in
-/// structure-of-arrays stores (see [`crate::entry`]): per-dimension
-/// coordinate planes plus parallel payload columns, so search scans run
-/// over contiguous `&[f64]` slices via the `segidx_geom` kernels.
+/// structure-of-arrays stores (see [`crate::entry`]), one contiguous block
+/// per store: per-dimension coordinate planes followed by the payload
+/// columns, so search scans run over contiguous `&[f64]` slices via the
+/// `segidx_geom` kernels and a node is its header plus one block (two for
+/// an internal node that holds spanning records).
 #[derive(Clone, Debug)]
 pub enum NodeKind<const D: usize> {
     /// A leaf holds external index records only.
@@ -41,26 +44,29 @@ pub struct Node<const D: usize> {
 }
 
 impl<const D: usize> Node<D> {
-    /// Creates an empty leaf.
-    pub fn leaf() -> Self {
+    /// Creates an empty leaf whose block holds `slots` entries before it
+    /// must grow (0 defers the allocation to the first push).
+    pub fn leaf(slots: usize) -> Self {
         Self {
             level: 0,
             parent: None,
             kind: NodeKind::Leaf {
-                entries: LeafStore::new(),
+                entries: LeafStore::with_capacity(slots),
             },
             mod_count: 0,
         }
     }
 
-    /// Creates an empty internal node at `level ≥ 1`.
-    pub fn internal(level: u32) -> Self {
+    /// Creates an empty internal node at `level ≥ 1` whose branch block
+    /// holds `branch_slots` entries. The spanning block is allocated on
+    /// first use: most internal nodes of an R-Tree never hold one.
+    pub fn internal(level: u32, branch_slots: usize) -> Self {
         debug_assert!(level >= 1);
         Self {
             level,
             parent: None,
             kind: NodeKind::Internal {
-                branches: BranchStore::new(),
+                branches: BranchStore::with_capacity(branch_slots),
                 spanning: SpanningStore::new(),
             },
             mod_count: 0,
@@ -153,6 +159,19 @@ impl<const D: usize> Node<D> {
     pub fn touch_modified(&mut self) {
         self.mod_count += 1;
     }
+
+    /// Prefetches the node's entry blocks. Reads the header, so call it
+    /// after [`Arena::prefetch_header`] has had time to land.
+    #[inline]
+    pub(crate) fn prefetch_contents(&self) {
+        match &self.kind {
+            NodeKind::Leaf { entries } => entries.prefetch(),
+            NodeKind::Internal { branches, spanning } => {
+                spanning.prefetch();
+                branches.prefetch();
+            }
+        }
+    }
 }
 
 /// A slab arena of nodes with id stability and slot reuse.
@@ -190,16 +209,14 @@ impl<const D: usize> Arena<D> {
         }
     }
 
-    /// Removes a node, freeing its slot.
-    pub fn dealloc(&mut self, id: NodeId) -> Node<D> {
-        let node = self.slots[id.index()]
+    /// Removes a node, freeing its slot. A snapshot that still shares the
+    /// node keeps it alive; this arena only drops its reference.
+    pub fn dealloc(&mut self, id: NodeId) {
+        self.slots[id.index()]
             .take()
             .expect("dealloc of free arena slot");
         self.free.push(id);
         self.live -= 1;
-        // A snapshot may still share this node; in that case detach a copy
-        // and leave the snapshot's Arc untouched.
-        Arc::try_unwrap(node).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Shared access.
@@ -208,8 +225,18 @@ impl<const D: usize> Arena<D> {
         self.slots[id.index()].as_ref().expect("use of freed node")
     }
 
+    /// Prefetches the header of node `id` (the `Arc`'s payload: level,
+    /// kind tag, block pointers and lengths) without reading it.
+    #[inline]
+    pub(crate) fn prefetch_header(&self, id: NodeId) {
+        if let Some(Some(node)) = self.slots.get(id.index()) {
+            prefetch_range(Arc::as_ptr(node), std::mem::size_of::<Node<D>>());
+        }
+    }
+
     /// Exclusive access. Copy-on-write: if the node is shared with a
-    /// snapshot, it is cloned once and the arena points at the copy.
+    /// snapshot, it is cloned once — header plus one block per store — and
+    /// the arena points at the copy.
     #[inline]
     pub fn get_mut(&mut self, id: NodeId) -> &mut Node<D> {
         Arc::make_mut(self.slots[id.index()].as_mut().expect("use of freed node"))
@@ -259,12 +286,12 @@ mod tests {
     #[test]
     fn arena_alloc_dealloc_reuses_slots() {
         let mut arena: Arena<2> = Arena::new();
-        let a = arena.alloc(Node::leaf());
-        let b = arena.alloc(Node::leaf());
+        let a = arena.alloc(Node::leaf(0));
+        let b = arena.alloc(Node::leaf(0));
         assert_eq!(arena.len(), 2);
         arena.dealloc(a);
         assert_eq!(arena.len(), 1);
-        let c = arena.alloc(Node::internal(1));
+        let c = arena.alloc(Node::internal(1, 0));
         assert_eq!(c, a, "slot reused");
         assert_eq!(arena.len(), 2);
         assert!(!arena.get(c).is_leaf());
@@ -277,14 +304,14 @@ mod tests {
     #[should_panic]
     fn use_after_free_panics() {
         let mut arena: Arena<2> = Arena::new();
-        let a = arena.alloc(Node::leaf());
+        let a = arena.alloc(Node::leaf(0));
         arena.dealloc(a);
         let _ = arena.get(a);
     }
 
     #[test]
     fn occupancy_counts_branches_and_spanning() {
-        let mut n: Node<2> = Node::internal(1);
+        let mut n: Node<2> = Node::internal(1, 0);
         n.branches_mut().push(Branch {
             rect: rect(0.0, 1.0),
             child: NodeId(5),
@@ -306,7 +333,7 @@ mod tests {
 
     #[test]
     fn content_mbr_ignores_spanning() {
-        let mut n: Node<2> = Node::internal(1);
+        let mut n: Node<2> = Node::internal(1, 0);
         n.branches_mut().push(Branch {
             rect: rect(0.0, 1.0),
             child: NodeId(1),
@@ -325,9 +352,9 @@ mod tests {
 
     #[test]
     fn empty_node_has_no_mbr() {
-        let n: Node<2> = Node::leaf();
+        let n: Node<2> = Node::leaf(0);
         assert!(n.content_mbr().is_none());
-        let n: Node<2> = Node::internal(1);
+        let n: Node<2> = Node::internal(1, 0);
         assert!(n.content_mbr().is_none());
     }
 }

@@ -352,7 +352,9 @@ fn load_node<const D: usize>(
     let mod_count = r.get_u64()?;
     let id = if is_leaf {
         let count = r.get_u32()? as usize;
-        let mut node = Node::leaf();
+        // Size the block from the page (an entry is 2·D coordinates and an
+        // id there), never past what the page can hold.
+        let mut node = Node::leaf(count.min(r.remaining() / (16 * D + 8)));
         node.level = level;
         node.mod_count = mod_count;
         for _ in 0..count {
@@ -377,7 +379,7 @@ fn load_node<const D: usize>(
             let linked_page = PageId(r.get_u64()?);
             spans.push((rect, record, linked_page));
         }
-        let mut node = Node::internal(level.max(1));
+        let mut node = Node::internal(level.max(1), branches.len());
         node.level = level;
         node.mod_count = mod_count;
         let id = arena.alloc(node);

@@ -135,7 +135,7 @@ pub fn build_skeleton<const D: usize>(config: IndexConfig, spec: &SkeletonSpec<D
     let mut current: Vec<([usize; D], NodeId, Rect<D>)> = Vec::new();
     for coord in grid_coords::<D>(leaf_side) {
         let tile = tile_of(&cuts, &coord);
-        let id = arena.alloc(Node::leaf());
+        let id = arena.alloc(Node::leaf(config.node_slots(0)));
         current.push((coord, id, tile));
     }
 
@@ -146,7 +146,7 @@ pub fn build_skeleton<const D: usize>(config: IndexConfig, spec: &SkeletonSpec<D
         let chunk_of = |c: usize| -> usize { c * side / side_below };
         let mut parents: Vec<([usize; D], NodeId, Rect<D>)> = Vec::new();
         for pcoord in grid_coords::<D>(side) {
-            let node_id = arena.alloc(Node::internal(level));
+            let node_id = arena.alloc(Node::internal(level, config.node_slots(level)));
             parents.push((pcoord, node_id, spec.domain));
         }
         for (ccoord, cid, ctile) in &current {

@@ -88,7 +88,7 @@ impl<const D: usize> Tree<D> {
     {
         let workers = workers.clamp(1, len.max(1));
         if workers == 1 {
-            let mut cursor = SearchCursor::with_capacity(self.stats.hits_estimate());
+            let mut cursor = self.cursor();
             return (0..len).map(|i| run(&mut cursor, i)).collect();
         }
         let block = (len / (workers * 8)).clamp(1, MAX_CLAIM_BLOCK);
@@ -102,7 +102,7 @@ impl<const D: usize> Tree<D> {
                 .map(|_| {
                     let next = &next;
                     scope.spawn(move || {
-                        let mut cursor = SearchCursor::with_capacity(self.stats.hits_estimate());
+                        let mut cursor = self.cursor();
                         let mut local: Vec<(usize, Vec<RecordId>)> = Vec::new();
                         loop {
                             let start = next.fetch_add(block, Ordering::Relaxed);

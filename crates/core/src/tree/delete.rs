@@ -157,7 +157,7 @@ impl<const D: usize> Tree<D> {
                 // Empty internal root: reset to an empty leaf.
                 let root = self.root;
                 self.arena.dealloc(root);
-                let new_root = self.arena.alloc(crate::node::Node::leaf());
+                let new_root = self.arena.alloc(self.new_leaf());
                 self.root = new_root;
             }
         }

@@ -115,7 +115,7 @@ impl<const D: usize> Tree<D> {
             .validate()
             .unwrap_or_else(|e| panic!("invalid index config: {e}"));
         let mut arena = Arena::new();
-        let root = arena.alloc(Node::leaf());
+        let root = arena.alloc(Node::leaf(config.node_slots(0)));
         Self {
             arena,
             root,
@@ -241,6 +241,16 @@ impl<const D: usize> Tree<D> {
                 obs.emit(kind, u64::from(node.raw()), level, 0);
             }
         }
+    }
+
+    /// An empty leaf with its block sized for this tree's leaf capacity.
+    pub(crate) fn new_leaf(&self) -> Node<D> {
+        Node::leaf(self.config.node_slots(0))
+    }
+
+    /// An empty internal node with its branch block sized for `level`.
+    pub(crate) fn new_internal(&self, level: u32) -> Node<D> {
+        Node::internal(level, self.config.node_slots(level))
     }
 
     #[inline]

@@ -60,10 +60,7 @@ impl<const D: usize> PartialOrd for HeapItem<D> {
 impl<const D: usize> Ord for HeapItem<D> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we want nearest first.
-        other
-            .dist_sqr()
-            .partial_cmp(&self.dist_sqr())
-            .unwrap_or(Ordering::Equal)
+        other.dist_sqr().total_cmp(&self.dist_sqr())
     }
 }
 
@@ -145,10 +142,16 @@ impl<const D: usize> Tree<D> {
                             let (los, his) = branches.planes();
                             scan_min_dist_sqr(p, los, his, &mut dists);
                             for (i, &d) in dists.iter().enumerate() {
-                                heap.push(HeapItem::Node {
-                                    id: branches.child(i),
-                                    dist_sqr: d,
-                                });
+                                let id = branches.child(i);
+                                if d == 0.0 {
+                                    self.arena.prefetch_header(id);
+                                }
+                                heap.push(HeapItem::Node { id, dist_sqr: d });
+                            }
+                            for (i, &d) in dists.iter().enumerate() {
+                                if d == 0.0 {
+                                    self.node(branches.child(i)).prefetch_contents();
+                                }
                             }
                         }
                     }
@@ -266,6 +269,35 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), got.len(), "no duplicate ids in kNN result");
+    }
+
+    #[test]
+    fn heap_order_is_total_with_nan_distances() {
+        // `partial_cmp(..).unwrap_or(Equal)` made NaN equal to everything
+        // while 0.5 < 2.0 still held — not an order, so the heap could pop
+        // finite distances out of sequence. `total_cmp` sorts NaN last.
+        use super::HeapItem;
+        use std::collections::BinaryHeap;
+        let dists = [2.0, f64::NAN, 0.5, 8.0, f64::NAN, 1.0, 0.0, 4.0];
+        for rotation in 0..dists.len() {
+            let mut heap: BinaryHeap<HeapItem<2>> = BinaryHeap::new();
+            for i in 0..dists.len() {
+                heap.push(HeapItem::Record {
+                    record: RecordId(i as u64),
+                    rect: Rect::new([0.0, 0.0], [1.0, 1.0]),
+                    dist_sqr: dists[(i + rotation) % dists.len()],
+                });
+            }
+            let popped: Vec<f64> = std::iter::from_fn(|| heap.pop())
+                .map(|item| item.dist_sqr())
+                .collect();
+            assert_eq!(
+                popped[..6],
+                [0.0, 0.5, 1.0, 2.0, 4.0, 8.0],
+                "rotation {rotation}"
+            );
+            assert!(popped[6].is_nan() && popped[7].is_nan());
+        }
     }
 
     #[test]

@@ -16,11 +16,23 @@
 //! readers never ping-pong the shared counter cache line inside the
 //! traversal loop. The batched, parallel entry points built on these
 //! kernels live in [`batch`](super::batch).
+//!
+//! ## Prefetch schedule
+//!
+//! A probe over a tree larger than the cache is bound by memory latency,
+//! not by the scans: visiting a node means following `Arc` → header →
+//! block, each a dependent miss, and a plain DFS takes those chains one
+//! child after another. The kernel therefore issues a node's misses as soon
+//! as it knows them: once a branch scan has matched children it prefetches
+//! **every** matched child's header first, then — the headers now in
+//! flight together — reads each one for its block pointer and prefetches
+//! the block, next-to-be-popped child first. Sibling misses overlap instead
+//! of serialising; the traversal order, and so every count, is unchanged.
 
 use super::Tree;
 use crate::id::{NodeId, RecordId};
 use crate::node::NodeKind;
-use segidx_geom::{scan_intersects, scan_stab, Point, Rect};
+use segidx_geom::{scan_intersects, scan_stab, Coord, Point, Rect};
 use segidx_obs::trace::{self, Dim, MAX_LEVELS};
 
 /// Reusable scratch state for the search kernels.
@@ -48,11 +60,14 @@ use segidx_obs::trace::{self, Dim, MAX_LEVELS};
 pub struct SearchCursor<const D: usize> {
     /// DFS stack of nodes still to visit.
     stack: Vec<NodeId>,
-    /// Raw matching index records of the latest query.
+    /// Raw matching index records of the latest query; filled only by the
+    /// entry points that return rectangles.
     entries: Vec<(Rect<D>, RecordId)>,
-    /// Sorted (and, in segment mode, deduplicated) ids of the latest query.
+    /// Ids of the latest query: raw out of the kernel, then sorted (and, in
+    /// segment mode, deduplicated).
     ids: Vec<RecordId>,
-    /// Per-node scratch: indexes matched by the plane-scan kernels.
+    /// Per-node scratch: indexes matched by the plane-scan kernels. Never
+    /// holds more than one node's matches.
     matches: Vec<u32>,
 }
 
@@ -62,60 +77,99 @@ impl<const D: usize> SearchCursor<D> {
         Self::default()
     }
 
-    /// A cursor whose result buffers are pre-sized for `expected_hits`
-    /// matches per query (e.g. from a selectivity estimate).
+    /// A cursor whose id buffer is pre-sized for `expected_hits` matches
+    /// per query (e.g. from a selectivity estimate).
     pub fn with_capacity(expected_hits: usize) -> Self {
         Self {
             stack: Vec::with_capacity(16),
-            entries: Vec::with_capacity(expected_hits),
+            entries: Vec::new(),
             ids: Vec::with_capacity(expected_hits),
-            matches: Vec::with_capacity(expected_hits),
+            matches: Vec::new(),
         }
     }
 }
 
+/// What a traversal tests each node's coordinate planes with: a window
+/// ([`scan_intersects`]) or a point ([`scan_stab`], which materializes no
+/// rectangle and tests each plane against a single coordinate).
+trait Probe<const D: usize> {
+    fn scan(&self, los: [&[Coord]; D], his: [&[Coord]; D], out: &mut Vec<u32>);
+}
+
+impl<const D: usize> Probe<D> for Rect<D> {
+    #[inline]
+    fn scan(&self, los: [&[Coord]; D], his: [&[Coord]; D], out: &mut Vec<u32>) {
+        scan_intersects(self, los, his, out);
+    }
+}
+
+impl<const D: usize> Probe<D> for Point<D> {
+    #[inline]
+    fn scan(&self, los: [&[Coord]; D], his: [&[Coord]; D], out: &mut Vec<u32>) {
+        scan_stab(self, los, his, out);
+    }
+}
+
 impl<const D: usize> Tree<D> {
-    /// The traversal kernel shared by every search entry point: fills
-    /// `cursor.entries` with the raw matching index records and returns the
-    /// number of nodes accessed. Performs no allocation beyond growing the
-    /// cursor's buffers and touches no shared state.
+    /// A cursor sized for this tree: ids from the running selectivity
+    /// estimate, per-node scratch from the root's capacity (the largest
+    /// node a traversal meets).
+    pub(crate) fn cursor(&self) -> SearchCursor<D> {
+        let mut cursor = SearchCursor::with_capacity(self.stats.hits_estimate());
+        cursor
+            .matches
+            .reserve(self.config.node_slots(self.node(self.root).level));
+        cursor
+    }
+
+    /// The traversal kernel shared by every search entry point: collects
+    /// the raw matches of `probe` — `(rect, id)` pairs into `cursor.entries`
+    /// when `RECTS`, bare ids into `cursor.ids` otherwise — and returns
+    /// `(nodes accessed, raw matches)`. Performs no allocation beyond growing
+    /// the cursor's buffers and touches no shared state.
     ///
-    /// Each node is tested with [`scan_intersects`] over its contiguous
-    /// coordinate planes — one branchless pass per store — and only the
-    /// matching indexes gather rectangles and payloads afterwards.
+    /// Each node is tested with one branchless scan per store over its
+    /// contiguous coordinate planes, and only the matching indexes gather
+    /// payloads afterwards. Matched children are prefetched as they are
+    /// pushed (see the module docs).
     ///
     /// Tracing is monomorphized out: one [`trace::active`] check per call
     /// dispatches to a `TRACED = false` instantiation that is bit-identical
     /// to the uninstrumented kernel, so untraced searches pay no per-node
     /// cost (the PR 3 "one null check" contract, extended to traces).
-    pub(crate) fn search_kernel(&self, query: &Rect<D>, cursor: &mut SearchCursor<D>) -> u64 {
+    fn kernel<const RECTS: bool>(
+        &self,
+        probe: &impl Probe<D>,
+        cursor: &mut SearchCursor<D>,
+    ) -> (u64, u64) {
         if trace::active() {
-            self.search_kernel_impl::<true>(query, cursor)
+            self.traverse::<true, RECTS>(probe, cursor)
         } else {
-            self.search_kernel_impl::<false>(query, cursor)
+            self.traverse::<false, RECTS>(probe, cursor)
         }
     }
 
-    /// The uninstrumented kernel instantiation, exposed for the
-    /// `trace_profile` overhead gate's no-telemetry baseline.
-    #[doc(hidden)]
-    pub fn search_kernel_untraced(&self, query: &Rect<D>, cursor: &mut SearchCursor<D>) -> u64 {
-        self.search_kernel_impl::<false>(query, cursor)
-    }
-
-    fn search_kernel_impl<const TRACED: bool>(
+    /// The kernel proper; see [`Tree::kernel`].
+    fn traverse<const TRACED: bool, const RECTS: bool>(
         &self,
-        query: &Rect<D>,
+        probe: &impl Probe<D>,
         cursor: &mut SearchCursor<D>,
-    ) -> u64 {
-        cursor.entries.clear();
-        cursor.stack.clear();
-        cursor.stack.push(self.root);
+    ) -> (u64, u64) {
+        let SearchCursor {
+            stack,
+            entries: out_entries,
+            ids,
+            matches,
+        } = cursor;
+        out_entries.clear();
+        ids.clear();
+        stack.clear();
+        stack.push(self.root);
         let mut accesses: u64 = 0;
         let mut level_visits = [0u64; MAX_LEVELS];
         let mut kernel_calls: u64 = 0;
         let mut scanned: u64 = 0;
-        while let Some(n) = cursor.stack.pop() {
+        while let Some(n) = stack.pop() {
             accesses += 1;
             let node = self.node(n);
             if TRACED {
@@ -123,35 +177,49 @@ impl<const D: usize> Tree<D> {
             }
             match &node.kind {
                 NodeKind::Leaf { entries } => {
-                    cursor.matches.clear();
+                    matches.clear();
                     let (los, his) = entries.planes();
-                    scan_intersects(query, los, his, &mut cursor.matches);
+                    probe.scan(los, his, matches);
                     if TRACED {
                         kernel_calls += 1;
                         scanned += entries.len() as u64;
                     }
-                    for &i in &cursor.matches {
+                    for &i in matches.iter() {
                         let i = i as usize;
-                        cursor.entries.push((entries.rect(i), entries.record(i)));
+                        if RECTS {
+                            out_entries.push((entries.rect(i), entries.record(i)));
+                        } else {
+                            ids.push(entries.record(i));
+                        }
                     }
                 }
                 NodeKind::Internal { branches, spanning } => {
-                    cursor.matches.clear();
+                    matches.clear();
                     let (los, his) = spanning.planes();
-                    scan_intersects(query, los, his, &mut cursor.matches);
-                    for &i in &cursor.matches {
+                    probe.scan(los, his, matches);
+                    for &i in matches.iter() {
                         let i = i as usize;
-                        cursor.entries.push((spanning.rect(i), spanning.record(i)));
+                        if RECTS {
+                            out_entries.push((spanning.rect(i), spanning.record(i)));
+                        } else {
+                            ids.push(spanning.record(i));
+                        }
                     }
-                    cursor.matches.clear();
+                    matches.clear();
                     let (los, his) = branches.planes();
-                    scan_intersects(query, los, his, &mut cursor.matches);
+                    probe.scan(los, his, matches);
                     if TRACED {
                         kernel_calls += 2;
                         scanned += (spanning.len() + branches.len()) as u64;
                     }
-                    for &i in &cursor.matches {
-                        cursor.stack.push(branches.child(i as usize));
+                    let first = stack.len();
+                    for &i in matches.iter() {
+                        let child = branches.child(i as usize);
+                        self.arena.prefetch_header(child);
+                        stack.push(child);
+                    }
+                    for &child in stack[first..].iter().rev() {
+                        self.node(child).prefetch_contents();
                     }
                 }
             }
@@ -161,100 +229,26 @@ impl<const D: usize> Tree<D> {
             trace::add(Dim::KernelInvocations, kernel_calls);
             trace::add(Dim::KernelEntriesScanned, scanned);
         }
-        accesses
+        let raw = if RECTS { out_entries.len() } else { ids.len() };
+        (accesses, raw as u64)
     }
 
-    /// Stabbing-query kernel: like [`Tree::search_kernel`] with the
-    /// degenerate rectangle at `p`, but driven by [`scan_stab`] so no
-    /// rectangle is materialized and each plane is tested against a single
-    /// coordinate. Same monomorphized tracing split as the search kernel.
-    pub(crate) fn stab_kernel(&self, p: &Point<D>, cursor: &mut SearchCursor<D>) -> u64 {
-        if trace::active() {
-            self.stab_kernel_impl::<true>(p, cursor)
-        } else {
-            self.stab_kernel_impl::<false>(p, cursor)
-        }
+    /// Runs the id-collecting kernel for `probe`, flushes the search
+    /// counters, and finishes the ids.
+    fn collect_ids(&self, probe: &impl Probe<D>, cursor: &mut SearchCursor<D>) {
+        let (accesses, raw) = self.kernel::<false>(probe, cursor);
+        self.stats.flush_search(accesses, raw);
+        self.finish_ids(cursor);
     }
 
-    /// The uninstrumented stab kernel, exposed for the `trace_profile`
-    /// overhead gate's no-telemetry baseline.
-    #[doc(hidden)]
-    pub fn stab_kernel_untraced(&self, p: &Point<D>, cursor: &mut SearchCursor<D>) -> u64 {
-        self.stab_kernel_impl::<false>(p, cursor)
-    }
-
-    fn stab_kernel_impl<const TRACED: bool>(
-        &self,
-        p: &Point<D>,
-        cursor: &mut SearchCursor<D>,
-    ) -> u64 {
-        cursor.entries.clear();
-        cursor.stack.clear();
-        cursor.stack.push(self.root);
-        let mut accesses: u64 = 0;
-        let mut level_visits = [0u64; MAX_LEVELS];
-        let mut kernel_calls: u64 = 0;
-        let mut scanned: u64 = 0;
-        while let Some(n) = cursor.stack.pop() {
-            accesses += 1;
-            let node = self.node(n);
-            if TRACED {
-                level_visits[(node.level as usize).min(MAX_LEVELS - 1)] += 1;
-            }
-            match &node.kind {
-                NodeKind::Leaf { entries } => {
-                    cursor.matches.clear();
-                    let (los, his) = entries.planes();
-                    scan_stab(p, los, his, &mut cursor.matches);
-                    if TRACED {
-                        kernel_calls += 1;
-                        scanned += entries.len() as u64;
-                    }
-                    for &i in &cursor.matches {
-                        let i = i as usize;
-                        cursor.entries.push((entries.rect(i), entries.record(i)));
-                    }
-                }
-                NodeKind::Internal { branches, spanning } => {
-                    cursor.matches.clear();
-                    let (los, his) = spanning.planes();
-                    scan_stab(p, los, his, &mut cursor.matches);
-                    for &i in &cursor.matches {
-                        let i = i as usize;
-                        cursor.entries.push((spanning.rect(i), spanning.record(i)));
-                    }
-                    cursor.matches.clear();
-                    let (los, his) = branches.planes();
-                    scan_stab(p, los, his, &mut cursor.matches);
-                    if TRACED {
-                        kernel_calls += 2;
-                        scanned += (spanning.len() + branches.len()) as u64;
-                    }
-                    for &i in &cursor.matches {
-                        cursor.stack.push(branches.child(i as usize));
-                    }
-                }
-            }
-        }
-        if TRACED {
-            trace::level_visits(&level_visits);
-            trace::add(Dim::KernelInvocations, kernel_calls);
-            trace::add(Dim::KernelEntriesScanned, scanned);
-        }
-        accesses
-    }
-
-    /// Extracts sorted ids from the kernel's raw entries. The `dedup` pass
-    /// runs only in segment mode: without cutting, every logical record is
-    /// stored exactly once, so duplicates are impossible.
-    fn finish_ids<'c>(&self, cursor: &'c mut SearchCursor<D>) -> &'c [RecordId] {
-        cursor.ids.clear();
-        cursor.ids.extend(cursor.entries.iter().map(|(_, r)| *r));
+    /// Sorts the kernel's raw ids. The `dedup` pass runs only in segment
+    /// mode: without cutting, every logical record is stored exactly once,
+    /// so duplicates are impossible.
+    fn finish_ids(&self, cursor: &mut SearchCursor<D>) {
         cursor.ids.sort_unstable();
         if self.config.segment {
             cursor.ids.dedup();
         }
-        &cursor.ids
     }
 
     /// Returns the ids of all records whose geometry intersects `query`.
@@ -275,8 +269,9 @@ impl<const D: usize> Tree<D> {
     /// performance metric — accumulated locally and flushed to the shared
     /// counters once per search.
     pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        let mut cursor = SearchCursor::with_capacity(self.stats.hits_estimate());
-        self.search_with(&mut cursor, query).to_vec()
+        let mut cursor = self.cursor();
+        self.search_with(&mut cursor, query);
+        cursor.ids
     }
 
     /// Like [`Tree::search`], but reuses `cursor`'s buffers and returns a
@@ -289,15 +284,12 @@ impl<const D: usize> Tree<D> {
     ) -> &'c [RecordId] {
         let t0 = self.obs_start();
         let sp = trace::span("tree.search");
-        let accesses = self.search_kernel(query, cursor);
-        self.stats
-            .flush_search(accesses, cursor.entries.len() as u64);
-        let ids = self.finish_ids(cursor);
-        sp.items(ids.len() as u64);
-        trace::add(Dim::ResultRecords, ids.len() as u64);
+        self.collect_ids(query, cursor);
+        sp.items(cursor.ids.len() as u64);
+        trace::add(Dim::ResultRecords, cursor.ids.len() as u64);
         drop(sp);
         self.obs_record(|o| &o.search, t0);
-        ids
+        &cursor.ids
     }
 
     /// [`Tree::search_with`] minus every telemetry touch point — the
@@ -309,17 +301,18 @@ impl<const D: usize> Tree<D> {
         cursor: &'c mut SearchCursor<D>,
         query: &Rect<D>,
     ) -> &'c [RecordId] {
-        let accesses = self.search_kernel_untraced(query, cursor);
-        self.stats
-            .flush_search(accesses, cursor.entries.len() as u64);
-        self.finish_ids(cursor)
+        let (accesses, raw) = self.traverse::<false, false>(query, cursor);
+        self.stats.flush_search(accesses, raw);
+        self.finish_ids(cursor);
+        &cursor.ids
     }
 
     /// Like [`Tree::search`], but returns the raw matching index records
     /// (portion rectangles included, no deduplication, unspecified order).
     pub fn search_entries(&self, query: &Rect<D>) -> Vec<(Rect<D>, RecordId)> {
-        let mut cursor = SearchCursor::with_capacity(self.stats.hits_estimate());
-        self.search_entries_with(&mut cursor, query).to_vec()
+        let mut cursor = self.cursor();
+        self.search_entries_with(&mut cursor, query);
+        cursor.entries
     }
 
     /// Like [`Tree::search_entries`], but reuses `cursor`'s buffers and
@@ -332,10 +325,9 @@ impl<const D: usize> Tree<D> {
     ) -> &'c [(Rect<D>, RecordId)] {
         let t0 = self.obs_start();
         let sp = trace::span("tree.search_entries");
-        let accesses = self.search_kernel(query, cursor);
-        self.stats
-            .flush_search(accesses, cursor.entries.len() as u64);
-        sp.items(cursor.entries.len() as u64);
+        let (accesses, raw) = self.kernel::<true>(query, cursor);
+        self.stats.flush_search(accesses, raw);
+        sp.items(raw);
         drop(sp);
         self.obs_record(|o| &o.search, t0);
         &cursor.entries
@@ -345,8 +337,9 @@ impl<const D: usize> Tree<D> {
     /// query" central to interval indexing (e.g. "which salary periods were
     /// in effect at time t?").
     pub fn stab(&self, p: &Point<D>) -> Vec<RecordId> {
-        let mut cursor = SearchCursor::with_capacity(self.stats.hits_estimate());
-        self.stab_with(&mut cursor, p).to_vec()
+        let mut cursor = self.cursor();
+        self.stab_with(&mut cursor, p);
+        cursor.ids
     }
 
     /// Like [`Tree::stab`], but reuses `cursor`'s buffers — zero heap
@@ -354,29 +347,12 @@ impl<const D: usize> Tree<D> {
     pub fn stab_with<'c>(&self, cursor: &'c mut SearchCursor<D>, p: &Point<D>) -> &'c [RecordId] {
         let t0 = self.obs_start();
         let sp = trace::span("tree.stab");
-        let accesses = self.stab_kernel(p, cursor);
-        self.stats
-            .flush_search(accesses, cursor.entries.len() as u64);
-        let ids = self.finish_ids(cursor);
-        sp.items(ids.len() as u64);
-        trace::add(Dim::ResultRecords, ids.len() as u64);
+        self.collect_ids(p, cursor);
+        sp.items(cursor.ids.len() as u64);
+        trace::add(Dim::ResultRecords, cursor.ids.len() as u64);
         drop(sp);
         self.obs_record(|o| &o.stab, t0);
-        ids
-    }
-
-    /// [`Tree::stab_with`] minus every telemetry touch point (see
-    /// [`Tree::bench_search_untraced`]).
-    #[doc(hidden)]
-    pub fn bench_stab_untraced<'c>(
-        &self,
-        cursor: &'c mut SearchCursor<D>,
-        p: &Point<D>,
-    ) -> &'c [RecordId] {
-        let accesses = self.stab_kernel_untraced(p, cursor);
-        self.stats
-            .flush_search(accesses, cursor.entries.len() as u64);
-        self.finish_ids(cursor)
+        &cursor.ids
     }
 
     /// Number of index nodes a search for `query` accesses, without
@@ -386,11 +362,10 @@ impl<const D: usize> Tree<D> {
     /// directly, so a concurrent search on another thread cannot corrupt
     /// it (it is *not* derived by diffing the shared counter).
     pub fn count_search_accesses(&self, query: &Rect<D>) -> u64 {
-        let mut cursor = SearchCursor::with_capacity(self.stats.hits_estimate());
+        let mut cursor = self.cursor();
         let t0 = self.obs_start();
-        let accesses = self.search_kernel(query, &mut cursor);
-        self.stats
-            .flush_search(accesses, cursor.entries.len() as u64);
+        let (accesses, raw) = self.kernel::<false>(query, &mut cursor);
+        self.stats.flush_search(accesses, raw);
         self.obs_record(|o| &o.search, t0);
         accesses
     }

@@ -6,7 +6,6 @@ use super::Tree;
 use crate::config::SplitAlgorithm;
 use crate::entry::Branch;
 use crate::id::NodeId;
-use crate::node::Node;
 use segidx_geom::Rect;
 
 impl<const D: usize> Tree<D> {
@@ -222,7 +221,7 @@ impl<const D: usize> Tree<D> {
                 .max(1);
             let (g1, g2) = split_items(entries, |e| e.rect, min_fill, self.config.split);
             self.node_mut(n).entries_mut().assign(g1);
-            let mut sib = Node::leaf();
+            let mut sib = self.new_leaf();
             sib.entries_mut().assign(g2);
             self.stats.leaf_splits += 1;
             self.emit(segidx_obs::EventKind::LeafSplit, n);
@@ -248,7 +247,7 @@ impl<const D: usize> Tree<D> {
                 .partition(|s| moved.contains(&s.linked_child));
             self.node_mut(n).branches_mut().assign(b1);
             self.node_mut(n).spanning_mut().assign(s1);
-            let mut sib = Node::internal(level);
+            let mut sib = self.new_internal(level);
             sib.branches_mut().assign(b2);
             sib.spanning_mut().assign(s2);
             self.stats.internal_splits += 1;
@@ -260,7 +259,7 @@ impl<const D: usize> Tree<D> {
         self.node_mut(n).touch_modified();
         // Children moved to the sibling need their parent pointers updated.
         if !is_leaf {
-            let children: Vec<NodeId> = self.node(sibling_id).branches().children().to_vec();
+            let children: Vec<NodeId> = self.node(sibling_id).branches().children().collect();
             for c in children {
                 self.node_mut(c).parent = Some(sibling_id);
             }
@@ -290,7 +289,7 @@ impl<const D: usize> Tree<D> {
             }
             None => {
                 // Root split: the tree grows a level (Guttman's I4).
-                let mut root = Node::internal(level + 1);
+                let mut root = self.new_internal(level + 1);
                 root.branches_mut().push(Branch { rect: r1, child: n });
                 root.branches_mut().push(Branch {
                     rect: r2,

@@ -1,0 +1,383 @@
+//! Model-based property tests for the one-block entry stores: every
+//! `LeafStore` / `BranchStore` / `SpanningStore` operation is mirrored on a
+//! plain `Vec<Entry>` and the store must agree with it after each step —
+//! through its entry views, through the coordinate planes the scan kernels
+//! read, and through `union_all` / `PartialEq`, whatever the block's
+//! stride and however much dead capacity earlier operations left behind.
+//! Plus the store-level copy-on-write contract of the node arena.
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+use segidx_core::entry::{Branch, BranchStore, LeafEntry, LeafStore, SpanningEntry, SpanningStore};
+use segidx_core::node::{Arena, Node};
+use segidx_core::{NodeId, RecordId};
+use segidx_geom::Rect;
+
+/// Store-independent entry material: a rectangle, a record id (any bit
+/// pattern, NaN-shaped ones included) and an index into the node-id pool.
+#[derive(Clone, Copy, Debug)]
+struct Raw {
+    rect: Rect<2>,
+    id: u64,
+    node: usize,
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    Push(Raw),
+    SwapRemove(usize),
+    /// Keep entries whose key is not `residue` modulo `modulus`.
+    Retain {
+        modulus: u64,
+        residue: u64,
+    },
+    Truncate(usize),
+    TakeVec,
+    Assign(Vec<Raw>),
+    SetRect(usize, Rect<2>),
+    Extend(Vec<Raw>),
+}
+
+fn rect_strategy() -> impl Strategy<Value = Rect<2>> {
+    (
+        -500.0..500.0f64,
+        -500.0..500.0f64,
+        0.0..300.0f64,
+        0.0..300.0f64,
+    )
+        .prop_map(|(x, y, w, h)| Rect::new([x, y], [x + w, y + h]))
+}
+
+fn raw_strategy() -> impl Strategy<Value = Raw> {
+    (rect_strategy(), any::<u64>(), 0usize..POOL).prop_map(|(rect, id, node)| Raw {
+        rect,
+        id,
+        node,
+    })
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        8 => raw_strategy().prop_map(Op::Push),
+        3 => any::<usize>().prop_map(Op::SwapRemove),
+        1 => (2u64..5, 0u64..5).prop_map(|(modulus, residue)| Op::Retain { modulus, residue }),
+        1 => (0usize..40).prop_map(Op::Truncate),
+        1 => Just(Op::TakeVec),
+        1 => vec(raw_strategy(), 0..40).prop_map(Op::Assign),
+        2 => (any::<usize>(), rect_strategy()).prop_map(|(i, r)| Op::SetRect(i, r)),
+        2 => vec(raw_strategy(), 0..20).prop_map(Op::Extend),
+    ]
+}
+
+/// Node ids can only be minted by an arena; the pool gives the tests a
+/// fixed set of distinct ones.
+const POOL: usize = 16;
+
+fn node_pool() -> Vec<NodeId> {
+    let mut arena: Arena<2> = Arena::new();
+    (0..POOL).map(|_| arena.alloc(Node::leaf(0))).collect()
+}
+
+/// The surface shared by the three macro-generated stores, so one model
+/// loop drives them all.
+trait Store:
+    Clone + PartialEq + std::fmt::Debug + FromIterator<Self::Entry> + Extend<Self::Entry>
+{
+    type Entry: Copy + PartialEq + std::fmt::Debug;
+    fn entry(raw: &Raw, pool: &[NodeId]) -> Self::Entry;
+    fn rect_of(e: &Self::Entry) -> Rect<2>;
+    fn set_entry_rect(e: &mut Self::Entry, rect: Rect<2>);
+    /// What `Retain` filters on.
+    fn key(e: &Self::Entry) -> u64;
+    fn with_capacity(slots: usize) -> Self;
+    fn len(&self) -> usize;
+    fn capacity(&self) -> usize;
+    fn to_vec(&self) -> Vec<Self::Entry>;
+    fn push(&mut self, e: Self::Entry);
+    fn swap_remove(&mut self, i: usize) -> Self::Entry;
+    fn retain(&mut self, pred: impl FnMut(&Self::Entry) -> bool);
+    fn truncate(&mut self, len: usize);
+    fn take_vec(&mut self) -> Vec<Self::Entry>;
+    fn assign(&mut self, entries: Vec<Self::Entry>);
+    fn set_rect(&mut self, i: usize, rect: &Rect<2>);
+    fn planes(&self) -> ([&[f64]; 2], [&[f64]; 2]);
+    fn union_all(&self) -> Option<Rect<2>>;
+}
+
+macro_rules! impl_store {
+    ($store:ident, $entry:ident, |$raw:ident, $pool:ident| $make:expr, |$e:ident| $key:expr) => {
+        impl Store for $store<2> {
+            type Entry = $entry<2>;
+            fn entry($raw: &Raw, $pool: &[NodeId]) -> Self::Entry {
+                $make
+            }
+            fn rect_of(e: &Self::Entry) -> Rect<2> {
+                e.rect
+            }
+            fn set_entry_rect(e: &mut Self::Entry, rect: Rect<2>) {
+                e.rect = rect;
+            }
+            fn key($e: &Self::Entry) -> u64 {
+                $key
+            }
+            fn with_capacity(slots: usize) -> Self {
+                $store::with_capacity(slots)
+            }
+            fn len(&self) -> usize {
+                $store::len(self)
+            }
+            fn capacity(&self) -> usize {
+                $store::capacity(self)
+            }
+            fn to_vec(&self) -> Vec<Self::Entry> {
+                self.iter().collect()
+            }
+            fn push(&mut self, e: Self::Entry) {
+                $store::push(self, e)
+            }
+            fn swap_remove(&mut self, i: usize) -> Self::Entry {
+                $store::swap_remove(self, i)
+            }
+            fn retain(&mut self, pred: impl FnMut(&Self::Entry) -> bool) {
+                $store::retain(self, pred)
+            }
+            fn truncate(&mut self, len: usize) {
+                $store::truncate(self, len)
+            }
+            fn take_vec(&mut self) -> Vec<Self::Entry> {
+                $store::take_vec(self)
+            }
+            fn assign(&mut self, entries: Vec<Self::Entry>) {
+                $store::assign(self, entries)
+            }
+            fn set_rect(&mut self, i: usize, rect: &Rect<2>) {
+                $store::set_rect(self, i, rect)
+            }
+            fn planes(&self) -> ([&[f64]; 2], [&[f64]; 2]) {
+                $store::planes(self)
+            }
+            fn union_all(&self) -> Option<Rect<2>> {
+                $store::union_all(self)
+            }
+        }
+    };
+}
+
+impl_store!(
+    LeafStore,
+    LeafEntry,
+    |raw, _pool| LeafEntry {
+        rect: raw.rect,
+        record: RecordId(raw.id),
+    },
+    |e| e.record.raw()
+);
+impl_store!(
+    BranchStore,
+    Branch,
+    |raw, pool| Branch {
+        rect: raw.rect,
+        child: pool[raw.node],
+    },
+    |e| u64::from(e.child.raw())
+);
+impl_store!(
+    SpanningStore,
+    SpanningEntry,
+    |raw, pool| SpanningEntry {
+        rect: raw.rect,
+        record: RecordId(raw.id),
+        linked_child: pool[raw.node],
+    },
+    |e| e.record.raw() ^ u64::from(e.linked_child.raw())
+);
+
+/// Everything the store exposes must equal the model, and nothing it
+/// exposes may come from a slot past `len`.
+fn check<S: Store>(store: &S, model: &[S::Entry], step: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(store.len(), model.len(), "len at step {}", step);
+    prop_assert!(store.capacity() >= store.len(), "capacity at step {}", step);
+    prop_assert_eq!(store.to_vec(), model.to_vec(), "views at step {}", step);
+
+    let (los, his) = store.planes();
+    for d in 0..2 {
+        prop_assert_eq!(
+            los[d].len(),
+            model.len(),
+            "lo plane {} length, step {}",
+            d,
+            step
+        );
+        prop_assert_eq!(
+            his[d].len(),
+            model.len(),
+            "hi plane {} length, step {}",
+            d,
+            step
+        );
+        for (i, e) in model.iter().enumerate() {
+            let r = S::rect_of(e);
+            prop_assert_eq!(los[d][i], r.lo(d), "lo[{}][{}] at step {}", d, i, step);
+            prop_assert_eq!(his[d][i], r.hi(d), "hi[{}][{}] at step {}", d, i, step);
+        }
+    }
+
+    let union = model.iter().map(S::rect_of).reduce(|a, b| a.union(&b));
+    prop_assert_eq!(store.union_all(), union, "union_all at step {}", step);
+
+    // A store rebuilt from the model has an exact-fit block and no history;
+    // equality must not see the difference.
+    let fresh: S = model.iter().copied().collect();
+    prop_assert_eq!(store, &fresh, "PartialEq at step {}", step);
+    prop_assert_eq!(&fresh, store, "PartialEq (reversed) at step {}", step);
+    Ok(())
+}
+
+fn run<S: Store>(initial_slots: usize, ops: &[Op], pool: &[NodeId]) -> Result<(), TestCaseError> {
+    let mut store = S::with_capacity(initial_slots);
+    let mut model: Vec<S::Entry> = Vec::new();
+    let entries =
+        |raws: &[Raw]| -> Vec<S::Entry> { raws.iter().map(|r| S::entry(r, pool)).collect() };
+    check(&store, &model, 0)?;
+    for (step, op) in ops.iter().enumerate() {
+        match op {
+            Op::Push(raw) => {
+                let e = S::entry(raw, pool);
+                store.push(e);
+                model.push(e);
+            }
+            Op::SwapRemove(i) => {
+                if model.is_empty() {
+                    continue;
+                }
+                let i = i % model.len();
+                prop_assert_eq!(store.swap_remove(i), model.swap_remove(i));
+            }
+            Op::Retain { modulus, residue } => {
+                store.retain(|e| S::key(e) % modulus != *residue);
+                model.retain(|e| S::key(e) % modulus != *residue);
+            }
+            Op::Truncate(len) => {
+                store.truncate(*len);
+                model.truncate(*len);
+            }
+            Op::TakeVec => {
+                prop_assert_eq!(store.take_vec(), std::mem::take(&mut model));
+            }
+            Op::Assign(raws) => {
+                model = entries(raws);
+                store.assign(model.clone());
+            }
+            Op::SetRect(i, rect) => {
+                if model.is_empty() {
+                    continue;
+                }
+                let i = i % model.len();
+                store.set_rect(i, rect);
+                S::set_entry_rect(&mut model[i], *rect);
+            }
+            Op::Extend(raws) => {
+                let more = entries(raws);
+                store.extend(more.iter().copied());
+                model.extend(more);
+            }
+        }
+        check(&store, &model, step + 1)?;
+    }
+    // A clone is an independent block: mutating it leaves the original be.
+    let mut copy = store.clone();
+    copy.truncate(model.len() / 2);
+    copy.push(S::entry(
+        &Raw {
+            rect: Rect::new([9.0, 9.0], [9.0, 9.0]),
+            id: u64::MAX,
+            node: 0,
+        },
+        pool,
+    ));
+    check(&store, &model, usize::MAX)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        ..ProptestConfig::default()
+    })]
+
+    /// Initial strides 0..=5 straddle the first-allocation floor of 4 and
+    /// put growth boundaries at different operation counts per case.
+    #[test]
+    fn stores_match_vec_model(slots in 0usize..6, ops in vec(op_strategy(), 1..120)) {
+        let pool = node_pool();
+        run::<LeafStore<2>>(slots, &ops, &pool)?;
+        run::<BranchStore<2>>(slots, &ops, &pool)?;
+        run::<SpanningStore<2>>(slots, &ops, &pool)?;
+    }
+}
+
+fn leaf(x: f64, id: u64) -> LeafEntry<2> {
+    LeafEntry {
+        rect: Rect::new([x, 0.0], [x + 1.0, 1.0]),
+        record: RecordId(id),
+    }
+}
+
+#[test]
+#[should_panic]
+fn rect_past_len_panics_even_inside_the_block() {
+    let mut s: LeafStore<2> = (0..8).map(|i| leaf(i as f64, i)).collect();
+    s.truncate(3);
+    assert!(s.capacity() >= 8, "slot 5 is still inside the block");
+    let _ = s.rect(5);
+}
+
+#[test]
+#[should_panic]
+fn payload_past_len_panics_even_inside_the_block() {
+    let mut s: LeafStore<2> = (0..8).map(|i| leaf(i as f64, i)).collect();
+    s.swap_remove(0);
+    let _ = s.record(7);
+}
+
+#[test]
+fn arena_copy_on_write_is_per_node_and_leaves_the_snapshot_alone() {
+    let mut arena: Arena<2> = Arena::new();
+    let ids: Vec<NodeId> = (0..4)
+        .map(|n| {
+            let mut node = Node::leaf(4);
+            for i in 0..3 {
+                node.entries_mut()
+                    .push(leaf((10 * n + i) as f64, (10 * n + i) as u64));
+            }
+            arena.alloc(node)
+        })
+        .collect();
+    assert_eq!(arena.shared_nodes(), 0);
+
+    let snapshot = arena.clone();
+    assert_eq!(arena.shared_nodes(), 4);
+    let planes_before: Vec<Vec<f64>> = {
+        let (los, his) = snapshot.get(ids[1]).entries().planes();
+        los.iter().chain(his.iter()).map(|p| p.to_vec()).collect()
+    };
+
+    // Mutating one node through `get_mut` copies that node alone…
+    let entries = arena.get_mut(ids[1]).entries_mut();
+    entries.set_rect(0, &Rect::new([-7.0, -7.0], [-6.0, -6.0]));
+    entries.push(leaf(99.0, 99));
+    entries.swap_remove(1);
+    assert_eq!(arena.shared_nodes(), 3);
+    assert_eq!(snapshot.shared_nodes(), 3);
+
+    // …and the snapshot still reads the planes it read before.
+    let (los, his) = snapshot.get(ids[1]).entries().planes();
+    let planes_after: Vec<Vec<f64>> = los.iter().chain(his.iter()).map(|p| p.to_vec()).collect();
+    assert_eq!(planes_after, planes_before);
+    assert_eq!(snapshot.get(ids[1]).entries().len(), 3);
+    assert_eq!(arena.get(ids[1]).entries().rect(0).lo(0), -7.0);
+
+    // Freeing a shared node drops the writer's reference only.
+    arena.dealloc(ids[2]);
+    assert_eq!(snapshot.shared_nodes(), 2);
+    assert_eq!(snapshot.get(ids[2]).entries().len(), 3);
+}
