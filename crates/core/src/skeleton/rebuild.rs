@@ -17,7 +17,8 @@ impl<const D: usize> Tree<D> {
     ///
     /// A record cut into portions (paper §3.1.1) is restored by uniting its
     /// portions — they tile the original rectangle exactly, so the union is
-    /// the original geometry. Returned in unspecified order.
+    /// the original geometry. Returned sorted by record id, so everything
+    /// built from it (a skeleton rebuild) is a pure function of the tree.
     pub fn logical_records(&self) -> Vec<(Rect<D>, crate::id::RecordId)> {
         let mut merged: HashMap<crate::id::RecordId, Rect<D>> = HashMap::with_capacity(self.len());
         for (rect, record) in self.iter_entries() {
@@ -26,7 +27,9 @@ impl<const D: usize> Tree<D> {
                 .and_modify(|r| r.expand_to_cover(&rect))
                 .or_insert(rect);
         }
-        merged.into_iter().map(|(id, r)| (r, id)).collect()
+        let mut records: Vec<_> = merged.into_iter().map(|(id, r)| (r, id)).collect();
+        records.sort_unstable_by_key(|&(_, id)| id);
+        records
     }
 
     /// Builds a fresh Skeleton index over this tree's current contents,
@@ -106,8 +109,7 @@ mod tests {
             originals.push((r, RecordId(i)));
         }
         assert!(t.stats().cuts > 0, "cut records present");
-        let mut restored = t.logical_records();
-        restored.sort_by_key(|(_, id)| *id);
+        let restored = t.logical_records();
         originals.sort_by_key(|(_, id)| *id);
         assert_eq!(restored, originals, "unions restore the original rects");
     }

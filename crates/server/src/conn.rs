@@ -19,7 +19,7 @@
 //! which stops draining the socket and lets TCP push back on the client.
 
 use crate::backend::DIMS;
-use crate::frame::{encode_response, FrameDecoder, Mode};
+use crate::frame::{begin_response, finish_response, FrameDecoder, Mode};
 use crate::parser::{parse, Statement};
 use crate::server::Shared;
 use crate::telemetry::ConnStats;
@@ -27,8 +27,9 @@ use segidx_concurrent::{IndexOp, SubmitError};
 use segidx_core::RecordId;
 use segidx_geom::{Interval, Point, Rect};
 use segidx_obs::OpClass;
+use segidx_temporal::{PinnedQuery, TemporalError, TemporalTable, Version, VersionId};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -236,38 +237,71 @@ fn prepare(text: &str, stats: &ConnStats) -> Prepared {
     validated.unwrap_or_else(|msg| Prepared::Reply(format!("ERR exec {msg}")))
 }
 
-/// `ROWS <n> <id>…` with ids sorted ascending, so responses depend only
-/// on index *contents*, never on tree shape — the property the load
-/// generator's serial model replay checks bit-for-bit.
-fn rows_response(mut ids: Vec<RecordId>) -> String {
-    ids.sort_unstable_by_key(|r| r.0);
-    let mut out = format!("ROWS {}", ids.len());
-    for id in ids {
-        out.push(' ');
-        out.push_str(&id.0.to_string());
-    }
-    out
-}
-
-/// `VERS <n> <id>:<key>=<value>…` with versions sorted by id — like
-/// [`rows_response`], the reply depends only on table contents, never on
-/// the backing tier layout.
-fn vers_response(
-    mut versions: Vec<(segidx_temporal::VersionId, segidx_temporal::Version)>,
-) -> String {
-    versions.sort_unstable_by_key(|(id, _)| id.0);
-    let mut out = format!("VERS {}", versions.len());
-    for (id, v) in versions {
-        out.push(' ');
-        out.push_str(&format!("{}:{}={:?}", id.0, v.key, v.value));
-    }
-    out
+/// Renders one reply straight into its frame and completes slot `seq`:
+/// `render` writes the payload into a buffer sized for `size_hint` bytes,
+/// which becomes the response as is — one allocation, no copy.
+fn fill_with(
+    outbox: &Outbox,
+    seq: u64,
+    mode: Mode,
+    size_hint: usize,
+    render: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) {
+    let mut buf = Vec::with_capacity(size_hint + 5);
+    let start = begin_response(mode, &mut buf);
+    render(&mut buf).expect("writing to a Vec cannot fail");
+    finish_response(mode, &mut buf, start);
+    outbox.fill(seq, buf);
 }
 
 fn fill_reply(outbox: &Outbox, seq: u64, mode: Mode, text: &str) {
-    let mut buf = Vec::new();
-    encode_response(mode, text, &mut buf);
-    outbox.fill(seq, buf);
+    fill_with(outbox, seq, mode, text.len(), |buf| {
+        buf.write_all(text.as_bytes())
+    });
+}
+
+/// `ROWS <n> <id>…` with ids sorted ascending, so responses depend only
+/// on index *contents*, never on tree shape — the property the load
+/// generator's serial model replay checks bit-for-bit.
+fn fill_rows(outbox: &Outbox, seq: u64, mode: Mode, mut ids: Vec<RecordId>) {
+    ids.sort_unstable_by_key(|r| r.0);
+    fill_with(outbox, seq, mode, 16 + 12 * ids.len(), |buf| {
+        write!(buf, "ROWS {}", ids.len())?;
+        ids.iter().try_for_each(|id| write!(buf, " {}", id.0))
+    });
+}
+
+/// `VERS <n> <id>:<key>=<value>…` over versions sorted by id (as
+/// [`TemporalTable::resolve`] returns them) — like [`fill_rows`], the
+/// reply depends only on table contents, never on the backing tier layout.
+fn fill_vers(outbox: &Outbox, seq: u64, mode: Mode, versions: &[(VersionId, Version)]) {
+    fill_with(outbox, seq, mode, 16 + 32 * versions.len(), |buf| {
+        write!(buf, "VERS {}", versions.len())?;
+        versions
+            .iter()
+            .try_for_each(|(id, v)| write!(buf, " {}:{}={:?}", id.0, v.key, v.value))
+    });
+}
+
+/// `AS OF` / `WITHIN`: the table's lock is taken twice, briefly — to pin
+/// and to resolve — and is not held while the pinned tiers are searched or
+/// the reply is rendered, so readers on other connections overlap and a
+/// `RECORD` never queues behind either (protocol: [`PinnedQuery`]).
+fn temporal_read(
+    shared: &Shared,
+    outbox: &Outbox,
+    item: &Pending,
+    pin: impl FnOnce(&TemporalTable) -> Result<PinnedQuery, TemporalError>,
+) {
+    let pinned = pin(&shared.temporal_read());
+    match pinned {
+        Ok(pinned) => {
+            let searched = pinned.search();
+            let versions = shared.temporal_read().resolve(searched);
+            fill_vers(outbox, item.seq, item.mode, &versions);
+        }
+        Err(e) => fill_reply(outbox, item.seq, item.mode, &format!("ERR exec {e}")),
+    }
 }
 
 /// Executes one batch of decoded frames. Consecutive searches, stabs, and
@@ -294,7 +328,7 @@ fn execute_batch(
                 let _trace = shared.tracer.start(OpClass::Search, "server.search_batch");
                 let results = shared.backend.search_many(&queries);
                 for (item, ids) in items[i..j].iter().zip(results) {
-                    fill_reply(outbox, item.seq, item.mode, &rows_response(ids));
+                    fill_rows(outbox, item.seq, item.mode, ids);
                     stats.read_latency.record_duration(item.t0.elapsed());
                 }
                 i = j;
@@ -312,7 +346,7 @@ fn execute_batch(
                 let _trace = shared.tracer.start(OpClass::Stab, "server.stab_batch");
                 let results = shared.backend.stab_many(&points);
                 for (item, ids) in items[i..j].iter().zip(results) {
-                    fill_reply(outbox, item.seq, item.mode, &rows_response(ids));
+                    fill_rows(outbox, item.seq, item.mode, ids);
                     stats.read_latency.record_duration(item.t0.elapsed());
                 }
                 i = j;
@@ -369,48 +403,38 @@ fn execute_batch(
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.0 .0.cmp(&b.0 .0))
                 });
-                let mut text = format!("NEAR {}", hits.len());
-                for (id, dist) in hits {
-                    text.push(' ');
-                    text.push_str(&format!("{}={dist:?}", id.0));
-                }
-                fill_reply(outbox, items[i].seq, items[i].mode, &text);
-                stats.read_latency.record_duration(items[i].t0.elapsed());
+                let item = &items[i];
+                fill_with(outbox, item.seq, item.mode, 32 * hits.len(), |buf| {
+                    write!(buf, "NEAR {}", hits.len())?;
+                    hits.iter()
+                        .try_for_each(|(id, dist)| write!(buf, " {}={dist:?}", id.0))
+                });
+                stats.read_latency.record_duration(item.t0.elapsed());
                 i += 1;
             }
             Prepared::Record { key, value, at } => {
-                let text = match shared
-                    .temporal
-                    .lock()
-                    .unwrap()
-                    .try_insert(*key, *value, *at)
-                {
-                    Ok(id) => format!("OK version={}", id.0),
-                    Err(e) => format!("ERR exec {e}"),
+                // A writer that panicked under the lock may have left the
+                // table half-written: refuse to write on top of that.
+                let text = match shared.temporal.lock() {
+                    Ok(mut table) => match table.try_insert(*key, *value, *at) {
+                        Ok(id) => format!("OK version={}", id.0),
+                        Err(e) => format!("ERR exec {e}"),
+                    },
+                    Err(_) => "ERR exec temporal table poisoned by a panicked writer".to_string(),
                 };
                 fill_reply(outbox, items[i].seq, items[i].mode, &text);
                 stats.write_latency.record_duration(items[i].t0.elapsed());
                 i += 1;
             }
             Prepared::AsOf(t) => {
-                let text = match shared.temporal.lock().unwrap().try_as_of(*t) {
-                    Ok(versions) => vers_response(versions),
-                    Err(e) => format!("ERR exec {e}"),
-                };
-                fill_reply(outbox, items[i].seq, items[i].mode, &text);
+                temporal_read(shared, outbox, &items[i], |table| table.pin_as_of(*t));
                 stats.read_latency.record_duration(items[i].t0.elapsed());
                 i += 1;
             }
             Prepared::Within { t1, t2, lo, hi } => {
-                let text = match shared.temporal.lock().unwrap().try_within(
-                    Interval::new(*t1, *t2),
-                    *lo,
-                    *hi,
-                ) {
-                    Ok(versions) => vers_response(versions),
-                    Err(e) => format!("ERR exec {e}"),
-                };
-                fill_reply(outbox, items[i].seq, items[i].mode, &text);
+                temporal_read(shared, outbox, &items[i], |table| {
+                    table.pin_within(Interval::new(*t1, *t2), *lo, *hi)
+                });
                 stats.read_latency.record_duration(items[i].t0.elapsed());
                 i += 1;
             }

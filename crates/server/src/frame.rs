@@ -212,20 +212,36 @@ impl Default for FrameDecoder {
 /// Line-mode payloads must not contain `\n`; the encoder replaces any
 /// with spaces to keep the stream framed.
 pub fn encode_response(mode: Mode, payload: &str, out: &mut Vec<u8>) {
+    let start = begin_response(mode, out);
+    out.extend_from_slice(payload.as_bytes());
+    finish_response(mode, out, start);
+}
+
+/// Opens a response frame at the end of `out` so its payload can be
+/// rendered in place; returns where the frame starts. Append the payload's
+/// UTF-8 bytes, then call [`finish_response`] with the same `mode` and the
+/// returned start.
+pub(crate) fn begin_response(mode: Mode, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    if mode == Mode::Binary {
+        out.extend_from_slice(&[0; 4]); // the length, known at the end
+    }
+    start
+}
+
+/// Closes the frame [`begin_response`] opened at `start`.
+pub(crate) fn finish_response(mode: Mode, out: &mut Vec<u8>, start: usize) {
     match mode {
         Mode::Binary => {
-            out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            out.extend_from_slice(payload.as_bytes());
+            let len = (out.len() - start - 4) as u32;
+            out[start..start + 4].copy_from_slice(&len.to_be_bytes());
         }
         Mode::Line => {
-            if payload.as_bytes().contains(&b'\n') {
-                let flat: String = payload
-                    .chars()
-                    .map(|c| if c == '\n' { ' ' } else { c })
-                    .collect();
-                out.extend_from_slice(flat.as_bytes());
-            } else {
-                out.extend_from_slice(payload.as_bytes());
+            // `\n` is ASCII, so it is never part of a longer UTF-8 sequence.
+            for b in &mut out[start..] {
+                if *b == b'\n' {
+                    *b = b' ';
+                }
             }
             out.push(b'\n');
         }

@@ -10,7 +10,7 @@ use segidx_temporal::{TemporalBackend, TemporalConfig, TemporalTable, TieredConf
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Everything a connection needs, shared by reference.
@@ -26,10 +26,22 @@ pub(crate) struct Shared {
     /// Per-connection inbound frame-size cap.
     pub max_frame: usize,
     /// The temporal table behind `RECORD` / `AS OF` / `WITHIN`, backed by
-    /// the append-optimized tiered index. Statements execute inline under
+    /// the append-optimized tiered index. `RECORD` executes inline under
     /// this lock (temporal writes are not routed through the commit
-    /// queue — the tiered memtable absorbs them directly).
+    /// queue — the tiered memtable absorbs them directly); reads hold it
+    /// only to pin and to resolve (`conn::temporal_read`).
     pub temporal: Mutex<TemporalTable>,
+}
+
+impl Shared {
+    /// The temporal table for a read section (pin or resolve). Those take
+    /// `&TemporalTable`, so they cannot leave it half-written, and a
+    /// writer that panicked mid-update leaves every id the index or the
+    /// live set names in the catalog — so a poisoned lock is recovered,
+    /// not propagated to every later reader on every connection.
+    pub fn temporal_read(&self) -> MutexGuard<'_, TemporalTable> {
+        self.temporal.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Construction parameters for [`Server::start`].
@@ -238,6 +250,42 @@ mod tests {
         c.write_all(b"RECORD 3 VALUE 1 AT 1e308\n").unwrap();
         assert!(read_line(&mut c).starts_with("ERR exec"));
         drop(c);
+        server.shutdown();
+    }
+
+    #[test]
+    fn poisoned_temporal_lock_still_answers_reads() {
+        // Regression: every temporal arm used to `lock().unwrap()`, so one
+        // panic under the lock made every later temporal statement, on
+        // every connection, panic its connection thread.
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let mut c = TcpStream::connect(server.local_addr()).unwrap();
+        c.write_all(b"RECORD 1 VALUE 5 AT 10\nRECORD 1 VALUE 6 AT 20\n")
+            .unwrap();
+        assert_eq!(read_line(&mut c), "OK version=0");
+        assert_eq!(read_line(&mut c), "OK version=1");
+
+        let shared = Arc::clone(&server.shared);
+        let panicked = std::thread::spawn(move || {
+            let _held = shared.temporal.lock().unwrap();
+            panic!("poisoning the temporal lock on purpose");
+        })
+        .join();
+        assert!(panicked.is_err() && server.shared.temporal.is_poisoned());
+
+        let mut fresh = TcpStream::connect(server.local_addr()).unwrap();
+        fresh.write_all(b"AS OF 12\n").unwrap();
+        assert_eq!(read_line(&mut fresh), "VERS 1 0:1=5.0");
+        fresh.write_all(b"WITHIN (0, 30) DURATION 0 10\n").unwrap();
+        assert_eq!(read_line(&mut fresh), "VERS 1 0:1=5.0");
+        // A write is refused, not executed on a maybe half-written table —
+        // and refusing it does not take the connection down.
+        fresh.write_all(b"RECORD 2 VALUE 1 AT 30\n").unwrap();
+        assert!(read_line(&mut fresh).starts_with("ERR exec temporal table poisoned"));
+        fresh.write_all(b"PING\n").unwrap();
+        assert_eq!(read_line(&mut fresh), "PONG");
+        c.write_all(b"AS OF 25\n").unwrap();
+        assert_eq!(read_line(&mut c), "VERS 1 1:1=6.0");
         server.shutdown();
     }
 

@@ -10,13 +10,14 @@
 //!
 //! * [`TemporalTable::insert`] opens a new version of a key, automatically
 //!   closing the previous one — building exactly the paper's Figure 1 data;
-//! * open (current) versions are indexed up to a configurable time horizon
-//!   and re-indexed when closed;
+//! * only closed versions are indexed, once, with their real end time;
+//!   the open (current) versions, at most one per key, form a small live
+//!   set every query scans beside the index;
 //! * [`TemporalTable::as_of`] is the temporal stab query, and
 //!   [`TemporalTable::range`] the (time window × attribute window) rectangle
 //!   query that the paper's experiments measure;
 //! * the underlying index is the SR-Tree, whose spanning records hold the
-//!   long-lived versions ("employees who seldom received raises");
+//!   long-lived closed versions ("employees who seldom received raises");
 //! * for append-heavy streams, [`TemporalBackend::Tiered`] swaps the flat
 //!   tree for the [`lsm`] module's LSM of packed trees: a memtable sealed
 //!   into immutable bulk-loaded tiers with crash-consistent checkpoints
@@ -45,7 +46,9 @@
 pub mod lsm;
 mod table;
 
-pub use lsm::{MergeMode, TierSnapshot, TieredConfig, TieredTelemetry, TieredTemporalIndex};
+pub use lsm::{
+    MergeMode, PinnedSearch, TierSnapshot, TieredConfig, TieredTelemetry, TieredTemporalIndex,
+};
 pub use table::{
-    TemporalBackend, TemporalConfig, TemporalError, TemporalTable, Version, VersionId,
+    PinnedQuery, TemporalBackend, TemporalConfig, TemporalError, TemporalTable, Version, VersionId,
 };

@@ -116,20 +116,15 @@ impl<const D: usize> Memtable<D> {
         }
     }
 
-    /// Record ids intersecting `query`, sorted ascending and deduped — the
-    /// same contract as [`Tree::search`].
+    /// Record ids intersecting `query`, each once, in no particular order:
+    /// the owning index sorts them together with the tiers' hits.
     pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
         match &self.stage {
-            Stage::Buffer(buf) => {
-                let mut out: Vec<RecordId> = buf
-                    .iter()
-                    .filter(|(r, _)| r.intersects(query))
-                    .map(|&(_, id)| id)
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
+            Stage::Buffer(buf) => buf
+                .iter()
+                .filter(|(r, _)| r.intersects(query))
+                .map(|&(_, id)| id)
+                .collect(),
             Stage::Tree(tree) => tree.search(query),
         }
     }

@@ -20,19 +20,24 @@
 //!   doubles as online backup: it exports to a separate [`DiskManager`]
 //!   while the writer keeps going.
 //!
-//! Queries scatter across the memtable and every tier, drop shadowed
-//! copies by sequence precedence, and merge record-sorted — bit-identical
+//! Queries scatter across the memtable and every tier, drop the copies a
+//! newer tombstone shadows, and merge record-sorted — bit-identical
 //! to a flat single-tree model holding only the live entries.
 //!
 //! ## Precedence
 //!
-//! Record ids must be unique among *live* entries (the temporal table
-//! guarantees this). Updating a record means deleting its old rectangle
-//! and inserting the new one; if the old copy is already sealed, the
-//! delete becomes a *tombstone* stamped with the next sequence number.
-//! A copy of record `r` in tier sequence `S` is stale iff the memtable
-//! holds `r`, a tier with sequence `> S` holds `r`, or a tombstone for `r`
-//! carries a sequence `> S`. The memtable is always newest.
+//! **Contract: record ids are unique among *live* entries** (the temporal
+//! table guarantees this — a version id is indexed once, when it closes).
+//! Re-using an id means deleting the old entry first; if the old copy is
+//! already sealed, the delete becomes a *tombstone* stamped with the next
+//! sequence number. Under that contract a sealed copy of record `r` in
+//! tier sequence `S` is stale iff a tombstone for `r` carries a sequence
+//! `> S`: a second copy can only exist after a delete, a delete of a
+//! sealed copy always leaves a tombstone newer than that copy's tier, and
+//! a tombstone is pruned only once no older tier holds the record. So a
+//! search filters its hits through the tombstone map alone — nothing per
+//! hit when the map is empty — and never asks another tier, or the
+//! memtable, whether it holds the record too.
 
 mod memtable;
 mod merge;
@@ -183,8 +188,8 @@ impl<const D: usize> TieredTemporalIndex<D> {
         let manifest = tier::read_manifest(&disk, root, D)?;
         let tiers: Vec<Tier<D>> = tier::load_tiers(&disk, &manifest)?;
         let mut idx = Self::new(config);
-        idx.len = Self::live_count(&tiers, &manifest.tombstones);
         idx.tombstones = manifest.tombstones.into_iter().collect();
+        idx.len = Self::live_ids(&tiers, &idx.tombstones).count();
         idx.next_seq = manifest.next_seq;
         idx.tiers = tiers;
         idx.disk = Some(disk);
@@ -193,21 +198,16 @@ impl<const D: usize> TieredTemporalIndex<D> {
         Ok(idx)
     }
 
-    /// Counts live (unshadowed, untombstoned) entries across `tiers`.
-    fn live_count(tiers: &[Tier<D>], tombstones: &[(RecordId, u64)]) -> usize {
-        let tombs: HashMap<RecordId, u64> = tombstones.iter().copied().collect();
-        let mut live = 0usize;
-        for (i, t) in tiers.iter().enumerate() {
-            let newer = &tiers[i + 1..];
-            for &r in t.ids.iter() {
-                let dead = tombs.get(&r).is_some_and(|&ts| ts > t.seq)
-                    || newer.iter().any(|n| n.contains(r));
-                if !dead {
-                    live += 1;
-                }
-            }
-        }
-        live
+    /// Live (untombstoned) sealed ids, tier by tier — the staleness rule of
+    /// [`scatter`] applied to every entry instead of a query's hits.
+    fn live_ids<'a>(
+        tiers: &'a [Tier<D>],
+        tombstones: &'a HashMap<RecordId, u64>,
+    ) -> impl Iterator<Item = RecordId> + 'a {
+        tiers.iter().flat_map(move |t| {
+            let live = move |r: &RecordId| !tombstones.get(r).is_some_and(|&ts| ts > t.seq);
+            t.ids.iter().copied().filter(live)
+        })
     }
 
     /// Installs telemetry (shared with the merge worker's outcomes).
@@ -265,7 +265,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
         if self.memtable.len() >= self.config.seal_threshold {
             self.seal()?;
         } else {
-            self.refresh_gauges();
+            self.gauge_memtable();
         }
         Ok(())
     }
@@ -279,7 +279,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
     pub fn delete(&mut self, rect: &Rect<D>, record: RecordId) -> Result<bool> {
         if self.memtable.delete(rect, record) {
             self.len -= 1;
-            self.refresh_gauges();
+            self.gauge_memtable();
             return Ok(true);
         }
         // Newest sealed copy, if it is still visible.
@@ -300,33 +300,42 @@ impl<const D: usize> TieredTemporalIndex<D> {
         self.len -= 1;
         if self.tombstones.len() > self.config.tombstone_limit && !self.tiers.is_empty() {
             self.compact()?;
+        } else if let Some(t) = &self.telemetry {
+            t.tombstones
+                .store(self.tombstones.len() as u64, Ordering::Relaxed);
         }
-        self.refresh_gauges();
         Ok(true)
     }
 
     /// Record ids intersecting `query`: scattered across memtable and
-    /// every tier, stale copies dropped, merged sorted ascending and
+    /// every tier, tombstoned copies dropped, merged sorted ascending and
     /// deduped — the same contract (and bit-identical results) as
     /// [`Tree::search`] on a flat tree of the live entries.
     ///
     /// [`Tree::search`]: segidx_core::Tree::search
     pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        let mut out = self.memtable.search(query);
-        for (i, t) in self.tiers.iter().enumerate() {
-            let newer = &self.tiers[i + 1..];
-            for r in t.tree.search(query) {
-                let stale = self.memtable.contains(r)
-                    || self.tombstones.get(&r).is_some_and(|&ts| ts > t.seq)
-                    || newer.iter().any(|n| n.contains(r));
-                if !stale {
-                    out.push(r);
-                }
-            }
+        scatter(
+            &self.tiers,
+            &self.tombstones,
+            query,
+            self.memtable.search(query),
+        )
+    }
+
+    /// Starts a search that finishes without the index: scans the memtable
+    /// now and pins the sealed tier set (a reference count per tier) for
+    /// [`PinnedSearch::finish`], which returns exactly what [`search`]
+    /// would have returned at this moment however much is inserted,
+    /// sealed or merged in between. A caller that guards the index with a
+    /// lock holds it for the pin only, not for the tree searches.
+    ///
+    /// [`search`]: TieredTemporalIndex::search
+    pub fn pin(&self, query: &Rect<D>) -> PinnedSearch<D> {
+        PinnedSearch {
+            query: *query,
+            hits: self.memtable.search(query),
+            sealed: self.snapshot(),
         }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Seals the memtable into an immutable level-0 tier, runs the merge
@@ -566,12 +575,20 @@ impl<const D: usize> TieredTemporalIndex<D> {
             .retain(|&r, &mut ts| tiers.iter().any(|t| t.seq < ts && t.contains(r)));
     }
 
+    fn gauge_memtable(&self) {
+        if let Some(t) = &self.telemetry {
+            t.memtable_entries
+                .store(self.memtable.len() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Re-derives every gauge; called where the tier set changes (seal,
+    /// merge application, compaction, open), not per operation.
     fn refresh_gauges(&self) {
+        self.gauge_memtable();
         if let Some(t) = &self.telemetry {
             t.tier_count
                 .store(self.tiers.len() as u64, Ordering::Relaxed);
-            t.memtable_entries
-                .store(self.memtable.len() as u64, Ordering::Relaxed);
             t.sealed_entries.store(
                 self.tiers.iter().map(|x| x.entry_count() as u64).sum(),
                 Ordering::Relaxed,
@@ -592,27 +609,16 @@ impl<const D: usize> TieredTemporalIndex<D> {
         for t in &self.tiers {
             assert!(t.seq < self.next_seq);
         }
-        let tombs: Vec<(RecordId, u64)> = self.tombstones.iter().map(|(&r, &s)| (r, s)).collect();
-        let sealed_live = Self::live_count(&self.tiers, &tombs);
-        let mem_live = self.memtable.len();
-        // Memtable ids may shadow sealed copies; recount precisely.
-        let shadowed: usize = self
-            .tiers
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let newer = &self.tiers[i + 1..];
-                t.ids
-                    .iter()
-                    .filter(|&&r| {
-                        self.memtable.contains(r)
-                            && !newer.iter().any(|n| n.contains(r))
-                            && !self.tombstones.get(&r).is_some_and(|&ts| ts > t.seq)
-                    })
-                    .count()
-            })
-            .sum();
-        assert_eq!(self.len, sealed_live + mem_live - shadowed, "live count");
+        // The contract the search's staleness rule rests on: no record id
+        // is live twice, in two tiers or in a tier and the memtable.
+        let mut live: Vec<RecordId> = Self::live_ids(&self.tiers, &self.tombstones).collect();
+        assert_eq!(self.len, live.len() + self.memtable.len(), "live count");
+        assert!(
+            !live.iter().any(|&r| self.memtable.contains(r)),
+            "a live sealed id is also in the memtable"
+        );
+        live.sort_unstable();
+        assert!(live.windows(2).all(|w| w[0] != w[1]), "an id is live twice");
     }
 }
 
@@ -624,6 +630,51 @@ impl<const D: usize> std::fmt::Debug for TieredTemporalIndex<D> {
             .field("tiers", &self.tier_profile())
             .field("tombstones", &self.tombstones.len())
             .finish()
+    }
+}
+
+/// Appends every tier's hits for `query` to `out`, dropping the copies a
+/// newer tombstone shadows (see the module docs for why that is the whole
+/// staleness rule), then sorts and dedups.
+fn scatter<const D: usize>(
+    tiers: &[Tier<D>],
+    tombstones: &HashMap<RecordId, u64>,
+    query: &Rect<D>,
+    mut out: Vec<RecordId>,
+) -> Vec<RecordId> {
+    for t in tiers {
+        let hits = t.tree.search(query);
+        if tombstones.is_empty() {
+            out.extend(hits);
+        } else {
+            let live = |r: &RecordId| !tombstones.get(r).is_some_and(|&ts| ts > t.seq);
+            out.extend(hits.into_iter().filter(live));
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// A search begun by [`TieredTemporalIndex::pin`]: the memtable's hits and
+/// the sealed tiers still to be searched.
+#[derive(Debug)]
+pub struct PinnedSearch<const D: usize> {
+    query: Rect<D>,
+    hits: Vec<RecordId>,
+    sealed: TierSnapshot<D>,
+}
+
+impl<const D: usize> PinnedSearch<D> {
+    /// Searches the pinned tiers and returns the record ids, sorted
+    /// ascending and deduped.
+    pub fn finish(self) -> Vec<RecordId> {
+        scatter(
+            &self.sealed.tiers,
+            &self.sealed.tombstones,
+            &self.query,
+            self.hits,
+        )
     }
 }
 
@@ -658,20 +709,7 @@ impl<const D: usize> TierSnapshot<D> {
     /// Searches the pinned tier set (no memtable: a snapshot covers the
     /// sealed, durable half only). Sorted ascending, deduped.
     pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        let mut out = Vec::new();
-        for (i, t) in self.tiers.iter().enumerate() {
-            let newer = &self.tiers[i + 1..];
-            for r in t.tree.search(query) {
-                let stale = self.tombstones.get(&r).is_some_and(|&ts| ts > t.seq)
-                    || newer.iter().any(|n| n.contains(r));
-                if !stale {
-                    out.push(r);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        scatter(&self.tiers, &self.tombstones, query, Vec::new())
     }
 
     /// Writes the pinned tier set to `disk` as a committed manifest — an

@@ -1,11 +1,13 @@
 //! Sealed tiers and the on-disk manifest.
 //!
 //! A [`Tier`] is an immutable packed tree plus the bookkeeping the tiered
-//! index needs for precedence checks: its sequence number (newer sequences
-//! shadow older copies of the same record) and a sorted id table for O(log
-//! n) membership tests. The [`Manifest`] is the single page the disk
-//! manager's committed-root pointer names; committing it is the atomic
-//! boundary of every seal and merge.
+//! index needs for precedence checks: its sequence number (a tombstone or,
+//! in a merge, a tier with a newer sequence shadows older copies of the same
+//! record) and a sorted id table for the O(log n) membership tests that
+//! deletes, merges and tombstone pruning make (searches make none). The
+//! [`Manifest`] is the single page the disk manager's committed-root
+//! pointer names; committing it is the atomic boundary of every seal and
+//! merge.
 
 use segidx_core::{persist, RecordId, Tree};
 use segidx_geom::Rect;
@@ -25,7 +27,7 @@ pub struct Tier<const D: usize> {
     /// snapshots and the background merge worker read it without copying.
     pub tree: Arc<Tree<D>>,
     /// Record ids present in this tier, sorted ascending. Built once at
-    /// seal/merge/load; used for shadowing checks.
+    /// seal/merge/load; used by deletes, merges and tombstone pruning.
     pub ids: Arc<Vec<RecordId>>,
     /// Monotone sequence: a record copy in a higher-sequence tier (or the
     /// memtable) shadows copies in lower-sequence tiers.

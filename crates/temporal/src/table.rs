@@ -1,6 +1,6 @@
 //! The temporal table.
 
-use crate::lsm::{TieredConfig, TieredTemporalIndex};
+use crate::lsm::{PinnedSearch, TieredConfig, TieredTemporalIndex};
 use segidx_core::{IndexConfig, RecordId, StatsSnapshot, Tree};
 use segidx_geom::{Interval, Rect};
 use segidx_storage::StorageError;
@@ -55,10 +55,11 @@ pub enum TemporalBackend {
 /// Configuration for a [`TemporalTable`].
 #[derive(Clone, Debug)]
 pub struct TemporalConfig {
-    /// Upper bound used to index open (current) versions. Writes and
-    /// queries at or beyond the horizon are rejected with
-    /// [`TemporalError::BeyondHorizon`], so pick it past any timestamp
-    /// you will use.
+    /// Upper bound on timestamps. Writes and queries at or beyond the
+    /// horizon are rejected with [`TemporalError::BeyondHorizon`], and
+    /// `WITHIN` measures a still-open version's lifetime up to it, so pick
+    /// it past any timestamp you will use. It shapes nothing in the index:
+    /// open versions are not indexed at all.
     pub time_horizon: f64,
     /// Configuration of the underlying index; defaults to the paper's
     /// SR-Tree (spanning records hold the long-lived versions). Ignored by
@@ -81,9 +82,7 @@ impl Default for TemporalConfig {
 /// Typed failures of temporal operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TemporalError {
-    /// A timestamp fell at or beyond the table's time horizon. Open
-    /// versions are indexed only up to the horizon, so such a query would
-    /// silently see no open versions — rejected instead.
+    /// A timestamp fell at or beyond the table's time horizon.
     BeyondHorizon {
         /// The offending timestamp.
         t: f64,
@@ -157,10 +156,76 @@ impl IndexBackend {
         }
     }
 
-    fn search(&self, query: &Rect<2>) -> Vec<RecordId> {
+    fn pin(&self, query: &Rect<2>) -> IndexPin {
         match self {
-            IndexBackend::Flat(tree) => tree.search(query),
-            IndexBackend::Tiered(t) => t.search(query),
+            IndexBackend::Flat(tree) => IndexPin::Found(tree.search(query)),
+            IndexBackend::Tiered(t) => IndexPin::Tiered(t.pin(query)),
+        }
+    }
+}
+
+/// What a pin leaves to do: nothing for the flat tree (one mutable tree
+/// cannot be pinned, so it is searched during the pin), the sealed tiers'
+/// searches for the tiered index.
+#[derive(Debug)]
+enum IndexPin {
+    Found(Vec<RecordId>),
+    Tiered(PinnedSearch<2>),
+}
+
+impl IndexPin {
+    fn finish(self) -> Vec<RecordId> {
+        match self {
+            IndexPin::Found(ids) => ids,
+            IndexPin::Tiered(pinned) => pinned.finish(),
+        }
+    }
+}
+
+/// Which of the rows a query's rectangle selects are part of its answer.
+#[derive(Clone, Copy, Debug)]
+enum Keep {
+    /// Every row the rectangle selects.
+    All,
+    /// Rows valid at `t`: the index is closed-interval, the table's
+    /// versions are closed-open `[from, to)`.
+    ValidAt(f64),
+    /// Rows whose lifetime — to the horizon while open — lies in the band.
+    Lifetime { lo: f64, hi: f64 },
+}
+
+/// A query pinned by [`TemporalTable::pin_as_of`] or [`pin_within`]: the
+/// first of three steps, of which only the first and the last read the
+/// table.
+///
+/// 1. **pin** (`&TemporalTable`): validate, copy the matching *open*
+///    versions out of the live set, scan the memtable, and take a
+///    reference to every sealed tier. This is the query's linearisation
+///    point: its answer is the table's state at the pin.
+/// 2. **[`search`]** (no table): search the pinned tiers.
+/// 3. **[`TemporalTable::resolve`]** (`&TemporalTable`): look the closed
+///    versions' rows up by id — closed rows never change — and merge in
+///    the open rows copied at the pin.
+///
+/// A server that guards the table with a lock takes it for 1 and 3 only.
+///
+/// [`pin_within`]: TemporalTable::pin_within
+/// [`search`]: PinnedQuery::search
+#[derive(Debug)]
+pub struct PinnedQuery {
+    /// Closed versions, by id once searched.
+    index: IndexPin,
+    /// Open versions, by value as they were at the pin.
+    open: Vec<(VersionId, Version)>,
+    keep: Keep,
+}
+
+impl PinnedQuery {
+    /// Searches the pinned tiers. Reads nothing of the table.
+    pub fn search(self) -> Self {
+        Self {
+            index: IndexPin::Found(self.index.finish()),
+            ..self
         }
     }
 }
@@ -174,7 +239,11 @@ impl IndexBackend {
 /// need to support insertion and search operations", §3.1.1 — though
 /// [`TemporalTable::expire`] is provided for retention trimming).
 ///
-/// The version index is either one flat tree or the tiered LSM backend
+/// Only *closed* versions are indexed: a version enters the index once,
+/// with its real end time, when its successor (or a delete) closes it, and
+/// never moves again. Open versions — at most one per key — live in the
+/// live set (`current`), which every query scans beside the index. The
+/// version index is either one flat tree or the tiered LSM backend
 /// ([`TemporalBackend`]); every query behaves identically on both.
 #[derive(Debug)]
 pub struct TemporalTable {
@@ -228,9 +297,11 @@ impl TemporalTable {
     }
 
     /// Records that `key` took `value` at time `at`, closing the key's
-    /// previous version (if any). Returns the new version's id, or a typed
-    /// error if `at` is at/beyond the horizon or precedes the key's
-    /// current version start (history must be appended in order per key).
+    /// previous version (if any) — which is then indexed, the statement's
+    /// one index operation; the new version joins the live set. Returns
+    /// the new version's id, or a typed error if `at` is at/beyond the
+    /// horizon or precedes the key's current version start (history must
+    /// be appended in order per key).
     pub fn try_insert(
         &mut self,
         key: u64,
@@ -261,7 +332,6 @@ impl TemporalTable {
             from: at,
             to: None,
         });
-        self.index.insert(self.rect_of(id), id.record())?;
         self.current.insert(key, id);
         Ok(id)
     }
@@ -299,25 +369,18 @@ impl TemporalTable {
         removed
     }
 
+    /// Closes an open version and indexes it — its only index operation.
     fn close_version(&mut self, id: VersionId, at: f64) -> Result<(), TemporalError> {
-        let old_rect = self.rect_of(id);
         let v = &mut self.versions[id.0 as usize];
         debug_assert!(v.to.is_none());
         v.to = Some(at.max(v.from));
-        let new_rect = {
-            let v = self.versions[id.0 as usize];
-            Rect::new([v.from, v.value], [v.to.unwrap(), v.value])
-        };
-        // Re-index with the real end time.
-        let deleted = self.index.delete(&old_rect, id.record())?;
-        debug_assert!(deleted, "open version was indexed");
-        self.index.insert(new_rect, id.record())?;
-        Ok(())
+        self.index.insert(self.rect_of(id), id.record())
     }
 
+    /// The indexed rectangle of a closed version.
     fn rect_of(&self, id: VersionId) -> Rect<2> {
         let v = self.versions[id.0 as usize];
-        let to = v.to.unwrap_or(self.horizon);
+        let to = v.to.expect("only closed versions are indexed");
         Rect::new([v.from, v.value], [to, v.value])
     }
 
@@ -342,8 +405,8 @@ impl TemporalTable {
     /// ("what did the world look like at t?").
     ///
     /// # Panics
-    /// Panics if `t` is at or beyond the horizon (where open versions are
-    /// not indexed); use [`try_as_of`] for the typed error.
+    /// Panics if `t` is at or beyond the horizon; use [`try_as_of`] for
+    /// the typed error.
     ///
     /// [`try_as_of`]: TemporalTable::try_as_of
     pub fn as_of(&self, t: f64) -> Vec<(VersionId, Version)> {
@@ -351,27 +414,9 @@ impl TemporalTable {
     }
 
     /// All versions valid at time `t`, or [`TemporalError::BeyondHorizon`]
-    /// if `t >= time_horizon` — the query would otherwise silently miss
-    /// every open version.
+    /// if `t >= time_horizon`.
     pub fn try_as_of(&self, t: f64) -> Result<Vec<(VersionId, Version)>, TemporalError> {
-        if t >= self.horizon {
-            return Err(TemporalError::BeyondHorizon {
-                t,
-                horizon: self.horizon,
-            });
-        }
-        let probe = Rect::new([t, f64::MIN / 2.0], [t, f64::MAX / 2.0]);
-        let mut out: Vec<(VersionId, Version)> = self
-            .index
-            .search(&probe)
-            .into_iter()
-            .map(|r| (VersionId(r.raw()), self.versions[r.raw() as usize]))
-            // The index is closed-interval; enforce the table's
-            // closed-open semantics at version ends.
-            .filter(|(_, v)| v.valid_at(t))
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
-        Ok(out)
+        Ok(self.resolve(self.pin_as_of(t)?))
     }
 
     /// All versions whose validity overlaps `time` and whose value lies in
@@ -389,28 +434,14 @@ impl TemporalTable {
 
     /// All versions whose validity overlaps `time` and whose value lies in
     /// `value`, or [`TemporalError::BeyondHorizon`] if the whole time
-    /// window lies at/beyond the horizon (open versions are not indexed
-    /// there, so such a window silently drops them).
+    /// window lies at/beyond the horizon.
     pub fn try_range(
         &self,
         time: Interval,
         value: Interval,
     ) -> Result<Vec<(VersionId, Version)>, TemporalError> {
-        if time.lo() >= self.horizon {
-            return Err(TemporalError::BeyondHorizon {
-                t: time.lo(),
-                horizon: self.horizon,
-            });
-        }
         let query = Rect::from_intervals([time, value]);
-        let mut out: Vec<(VersionId, Version)> = self
-            .index
-            .search(&query)
-            .into_iter()
-            .map(|r| (VersionId(r.raw()), self.versions[r.raw() as usize]))
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
-        Ok(out)
+        Ok(self.resolve(self.pin(query, Keep::All)?))
     }
 
     /// Range × duration query (the streaming shape of the range-duration
@@ -423,14 +454,72 @@ impl TemporalTable {
         dur_lo: f64,
         dur_hi: f64,
     ) -> Result<Vec<(VersionId, Version)>, TemporalError> {
-        let all = self.try_range(time, Interval::new(f64::MIN / 2.0, f64::MAX / 2.0))?;
-        Ok(all
-            .into_iter()
+        Ok(self.resolve(self.pin_within(time, dur_lo, dur_hi)?))
+    }
+
+    /// Pins [`try_as_of`](Self::try_as_of); see [`PinnedQuery`].
+    pub fn pin_as_of(&self, t: f64) -> Result<PinnedQuery, TemporalError> {
+        let probe = Rect::new([t, f64::MIN / 2.0], [t, f64::MAX / 2.0]);
+        self.pin(probe, Keep::ValidAt(t))
+    }
+
+    /// Pins [`try_within`](Self::try_within); see [`PinnedQuery`].
+    pub fn pin_within(
+        &self,
+        time: Interval,
+        dur_lo: f64,
+        dur_hi: f64,
+    ) -> Result<PinnedQuery, TemporalError> {
+        let everything = Interval::new(f64::MIN / 2.0, f64::MAX / 2.0);
+        let keep = Keep::Lifetime {
+            lo: dur_lo,
+            hi: dur_hi,
+        };
+        self.pin(Rect::from_intervals([time, everything]), keep)
+    }
+
+    fn pin(&self, query: Rect<2>, keep: Keep) -> Result<PinnedQuery, TemporalError> {
+        if query.lo(0) >= self.horizon {
+            return Err(TemporalError::BeyondHorizon {
+                t: query.lo(0),
+                horizon: self.horizon,
+            });
+        }
+        // An open version lasts from its start to the horizon, which the
+        // window was just checked to start before.
+        let open = self
+            .current
+            .values()
+            .map(|&id| (id, self.versions[id.0 as usize]))
             .filter(|(_, v)| {
-                let dur = v.to.unwrap_or(self.horizon) - v.from;
-                dur >= dur_lo && dur <= dur_hi
+                v.from <= query.hi(0) && query.lo(1) <= v.value && v.value <= query.hi(1)
             })
-            .collect())
+            .collect();
+        let index = self.index.pin(&query);
+        Ok(PinnedQuery { index, open, keep })
+    }
+
+    /// Turns a pinned query into rows, sorted by version id: the last step
+    /// of a [`PinnedQuery`] (searching it first if the caller has not). A
+    /// version expired since the pin is left out.
+    pub fn resolve(&self, pinned: PinnedQuery) -> Vec<(VersionId, Version)> {
+        let PinnedQuery { index, open, keep } = pinned;
+        let mut out: Vec<(VersionId, Version)> = index
+            .finish()
+            .into_iter()
+            .map(|r| (VersionId(r.raw()), self.versions[r.raw() as usize]))
+            .chain(open)
+            .filter(|(_, v)| match keep {
+                Keep::All => !v.from.is_nan(),
+                Keep::ValidAt(t) => v.valid_at(t),
+                Keep::Lifetime { lo, hi } => {
+                    let dur = v.to.unwrap_or(self.horizon) - v.from;
+                    dur >= lo && dur <= hi
+                }
+            })
+            .collect();
+        out.sort_by_key(|(id, _)| *id);
+        out
     }
 
     /// The full history of one key, oldest first.
@@ -651,7 +740,7 @@ mod tests {
         // Regression: queries at or past the horizon used to silently see
         // no open versions; they are now rejected with BeyondHorizon.
         let mut t = table();
-        t.insert(1, 5.0, 100.0); // open version, indexed to the horizon
+        t.insert(1, 5.0, 100.0); // open version: in the live set only
         assert_eq!(t.try_as_of(9_999.9).unwrap().len(), 1);
         let err = t.try_as_of(10_000.0).unwrap_err();
         assert_eq!(
@@ -693,25 +782,44 @@ mod tests {
     }
 
     #[test]
-    fn long_lived_versions_become_spanning_records() {
+    fn long_lived_closed_versions_become_spanning_records() {
         let mut t = table();
-        // Many short-lived keys plus a few ancient open versions: the
-        // paper's skew. Spanning records should appear in the SR-Tree.
+        // Many short-lived versions plus a few that lasted a hundred times
+        // longer before they closed: the paper's skew. Once closed, the
+        // long ones should sit in the SR-Tree as spanning records.
         for key in 0..2_000u64 {
             let at = (key % 100) as f64 * 10.0;
             t.insert(key, (key % 500) as f64, at);
-            if key % 3 != 0 {
+            if key % 40 == 0 {
+                t.insert(key, (key % 500) as f64 + 1.0, at + 5_000.0);
+            } else {
                 t.insert(key, (key % 500) as f64 + 1.0, at + 2.0);
                 t.insert(key, (key % 500) as f64 + 2.0, at + 4.0);
             }
-            // key % 3 == 0 stays open: a segment to the horizon.
         }
         let stats = t.index_stats();
-        assert!(stats.spanning_stores > 0, "open versions span node regions");
+        assert!(stats.spanning_stores > 0, "long closed versions span nodes");
         assert!(t.index().check_invariants().is_empty());
-        // Consistency: every open version is visible at a late time.
+        // Open versions are in no tree: the index holds the closed ones.
+        assert_eq!(t.index().len(), t.version_count() - t.key_count());
+        // Yet every open version is visible at a late time.
         let late = t.as_of(9_999.0);
         assert_eq!(late.len(), t.key_count());
+        assert!(late.iter().all(|(_, v)| v.to.is_none()));
+    }
+
+    #[test]
+    fn an_update_is_one_index_insert_and_no_delete() {
+        let mut t = tiered_table(16);
+        for i in 0..400u64 {
+            t.insert(i % 8, i as f64, i as f64);
+        }
+        let index = t.tiered_index().unwrap();
+        index.assert_invariants();
+        assert!(index.tier_count() > 1, "several seals: {index:?}");
+        assert_eq!(index.tombstone_count(), 0, "nothing was ever deleted");
+        assert_eq!(index.len(), 400 - 8, "the closed versions, once each");
+        assert_eq!(t.as_of(399.0).len(), 8);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! Seals and merges are forced mid-stream (tiny thresholds plus explicit
 //! `seal`/`compact` ops) so every query races the full tier lifecycle:
 //! memtable-only, freshly sealed, mid-merge shadowing, post-compaction.
+//! One test re-uses record ids, the case the tombstone-only staleness rule
+//! of the search has to get right.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -96,6 +98,63 @@ proptest! {
         }
         // Full-domain sweep is the strongest equality check.
         let all = Rect::new([-10.0, -10.0], [2_000.0, 2_000.0]);
+        prop_assert_eq!(tiered.search(&all), flat.search(&all));
+    }
+
+    /// Record ids *re-used*: a small pool of ids is deleted and reinserted
+    /// with new rectangles while seals, merges (inline or background) and
+    /// compactions are forced in between, so stale copies of an id sit in
+    /// old tiers below its live copy. The search drops them by the
+    /// tombstone rule alone — it never asks a newer tier whether it holds
+    /// the id too — and must stay bit-identical to the flat tree after
+    /// every step, with tombstones kept long (high limit) or collected
+    /// early (low limit).
+    #[test]
+    fn reused_ids_stay_shadowed_by_tombstones_alone(
+        ops in vec((0u64..12, 0.0..900.0f64, 1.0..80.0f64, 0u8..12), 1..160),
+        seal_threshold in 2usize..9,
+        background in any::<bool>(),
+        keep_tombstones in any::<bool>(),
+    ) {
+        let mode = if background { MergeMode::Background } else { MergeMode::Inline };
+        let mut config = tiered_config(seal_threshold, mode);
+        config.tombstone_limit = if keep_tombstones { 1 << 20 } else { 3 };
+        let mut tiered = TieredTemporalIndex::<2>::new(config);
+        let mut flat: Tree<2> = Tree::new(IndexConfig::srtree());
+        let mut live: std::collections::HashMap<u64, Rect<2>> = Default::default();
+        let all = Rect::new([-10.0, -10.0], [2_000.0, 2_000.0]);
+        for &(id, start, len, kind) in &ops {
+            let record = RecordId(id);
+            match kind {
+                0 => tiered.seal().unwrap(),
+                1 => tiered.compact().unwrap(),
+                2 => tiered.flush_merges().unwrap(),
+                3 | 4 => {
+                    let was = live.remove(&id);
+                    let rect = was.unwrap_or(all);
+                    prop_assert_eq!(tiered.delete(&rect, record).unwrap(), was.is_some());
+                    prop_assert_eq!(flat.delete(&rect, record), was.is_some());
+                }
+                _ => {
+                    // Delete-then-reinsert under the same id: the update
+                    // pattern whose old copy may already be sealed.
+                    let rect = Rect::new([start, len], [start + len, len]);
+                    if let Some(was) = live.insert(id, rect) {
+                        prop_assert!(tiered.delete(&was, record).unwrap());
+                        prop_assert!(flat.delete(&was, record));
+                    }
+                    tiered.insert(rect, record).unwrap();
+                    flat.insert(rect, record);
+                }
+            }
+            prop_assert_eq!(tiered.len(), flat.len());
+            prop_assert_eq!(tiered.search(&all), flat.search(&all));
+            let q = Rect::new([start, 0.0], [start + len, 100.0]);
+            prop_assert_eq!(tiered.search(&q), flat.search(&q));
+            prop_assert_eq!(tiered.pin(&q).finish(), flat.search(&q));
+        }
+        tiered.flush_merges().unwrap();
+        tiered.assert_invariants();
         prop_assert_eq!(tiered.search(&all), flat.search(&all));
     }
 
