@@ -8,14 +8,24 @@
 //! a fixed reader/submitter population and records the write-throughput
 //! scaling baseline in `results/BENCH_sharded.json`.
 //!
+//! `--check` runs neither sweep. It serves a 20 k- and a 200 k-record tree
+//! in turn, drives each with the 35 %-write mix of the `serve-mixed`
+//! benchmark, and fails unless the mean publish phase of a group commit
+//! (snapshot clone + retire + reclaim) at 200 k stays within 4× of the one
+//! at 20 k: a commit costs what it touches, not what the tree holds.
+//!
 //! Usage:
 //!   concurrent_bench [--millis N] [--records N] [--out FILE]
 //!                    [--sharded-out FILE]
+//!   concurrent_bench --check
 
-use segidx_concurrent::{ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter};
+use segidx_concurrent::{
+    CommitTicket, ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter,
+};
 use segidx_core::{IntervalIndex, RecordId, SRTree};
-use segidx_geom::Rect;
+use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution, DOMAIN_MAX};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,6 +37,7 @@ struct Args {
     records: usize,
     out: PathBuf,
     sharded_out: PathBuf,
+    check: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -35,6 +46,7 @@ fn parse_args() -> Result<Args, String> {
         records: 10_000,
         out: PathBuf::from("results/concurrent.json"),
         sharded_out: PathBuf::from("results/BENCH_sharded.json"),
+        check: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -46,10 +58,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--sharded-out" => args.sharded_out = PathBuf::from(value("--sharded-out")?),
+            "--check" => args.check = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: concurrent_bench [--millis N] [--records N] [--out FILE] \
-                     [--sharded-out FILE]"
+                     [--sharded-out FILE] | --check"
                         .into(),
                 )
             }
@@ -306,6 +319,107 @@ fn run_sharded_cell(
     cell
 }
 
+/// Publish at 200 k records may cost at most this many times publish at
+/// 20 k. Derived from measurement, not guessed: with the per-node arena the
+/// ratio was 6.1–7.0× over three runs (publish follows the node count),
+/// with the chunked one 1.9–3.1× over twenty single rounds and 2.4–2.9×
+/// best-of-three (what is left is the walk over N/16 chunk refcounts); the
+/// gate sits at the geometric middle, a third away from either.
+const PUBLISH_GATE: f64 = 4.0;
+
+/// Mean `publish_nanos` per group commit while one closed-loop client (32
+/// writes in flight) drives a served `records`-record SR-Tree of `R2`
+/// rectangles with `ops` operations of the `serve-mixed` mix: 40 % search,
+/// 20 % stab, 5 % nearest, 20 % insert, 15 % delete-oldest.
+fn mean_publish_nanos(records: usize, ops: usize) -> f64 {
+    const MIX: &[u8; 20] = b"sipsdsipsdsinsdpsips";
+    let dataset = DataDistribution::R2.generate(records + ops, 7);
+    let (mut oldest, mut fresh) = (0, records);
+    let mut seed = SRTree::<2>::new();
+    for (r, id) in &dataset.records[..records] {
+        seed.insert(*r, *id);
+    }
+    let index = ConcurrentIndex::builder(seed.into_tree())
+        .start()
+        .expect("memory-only start cannot fail");
+    let windows = queries_for_qar(1.0, 64, 3).queries;
+
+    // Tickets of one commit share its phases: count each epoch once.
+    let (mut commits, mut publish_nanos, mut last_epoch) = (0u64, 0u64, 0u64);
+    let mut in_flight = VecDeque::new();
+    let mut settle = |ticket: CommitTicket| {
+        let receipt = ticket.wait().expect("memory-only commit cannot fail");
+        if receipt.epoch != last_epoch {
+            last_epoch = receipt.epoch;
+            commits += 1;
+            publish_nanos += ticket.phases().map_or(0, |p| p.publish_nanos);
+        }
+    };
+    for i in 0..ops {
+        let write = match MIX[i % MIX.len()] {
+            b'i' => {
+                let (rect, record) = dataset.records[fresh];
+                fresh += 1;
+                IndexOp::Insert { rect, record }
+            }
+            b'd' => {
+                let (rect, record) = dataset.records[oldest];
+                oldest += 1;
+                IndexOp::Delete { rect, record }
+            }
+            read => {
+                let window = &windows[i % windows.len()];
+                let p = Point::new([window.lo(0), window.lo(1)]);
+                let snap = index.snapshot();
+                std::hint::black_box(match read {
+                    b's' => snap.search(window).len(),
+                    b'p' => snap.stab(&p).len(),
+                    _ => snap.nearest(&p, 4).len(),
+                });
+                continue;
+            }
+        };
+        in_flight.push_back(index.submit(write).expect("32 in flight fit the queue"));
+        if in_flight.len() > 32 {
+            settle(in_flight.pop_front().unwrap());
+        }
+    }
+    in_flight.into_iter().for_each(&mut settle);
+    index.shutdown();
+    publish_nanos as f64 / commits.max(1) as f64
+}
+
+/// The `--check` gate; see the module docs. Three alternating rounds, the
+/// cheapest mean per size: on a shared box the scheduler only ever adds
+/// time, and a single round moved the ratio by ±25 %.
+fn check_publish_scaling() -> ExitCode {
+    const SIZES: [usize; 2] = [20_000, 200_000];
+    let mut best = [f64::INFINITY; 2];
+    for round in 1..=3 {
+        for (records, best) in SIZES.into_iter().zip(&mut best) {
+            let publish = mean_publish_nanos(records, 40_000);
+            println!(
+                "concurrent_bench: round {round}, {records} records: publish {:.1} us per commit",
+                publish / 1e3,
+            );
+            *best = best.min(publish);
+        }
+    }
+    let ratio = best[1] / best[0];
+    println!(
+        "concurrent_bench: mean publish per commit {:.1} us at 20k records, {:.1} us at 200k \
+         ({ratio:.2}x, gate {PUBLISH_GATE}x)",
+        best[0] / 1e3,
+        best[1] / 1e3,
+    );
+    if ratio > PUBLISH_GATE {
+        eprintln!("concurrent_bench: CHECK FAILED: publish cost follows tree size ({ratio:.2}x)");
+        return ExitCode::FAILURE;
+    }
+    println!("concurrent_bench: check passed");
+    ExitCode::SUCCESS
+}
+
 /// Days-since-epoch → (year, month, day), proleptic Gregorian.
 fn civil_from_days(mut z: i64) -> (i64, u32, u32) {
     z += 719_468;
@@ -337,6 +451,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if args.check {
+        return check_publish_scaling();
+    }
     let dataset = DataDistribution::I3.generate(args.records, 7);
     let probes: Vec<Rect<2>> = [0.01, 1.0, 500.0]
         .iter()

@@ -20,8 +20,9 @@
 //! `search_batch`/`stab_batch` — against a tree no one will ever mutate.
 //! The writer's private tree shares all untouched nodes with the published
 //! snapshots (see `Arena` in `segidx-core`), so publishing epoch *n+1*
-//! costs one `Arc` bump per node plus copies of only the nodes the batch
-//! touched.
+//! costs one `Arc` bump per 16-slot chunk of the node table, and the batch
+//! before it copied only the chunks and nodes it changed; retiring a
+//! snapshot walks the chunk table once more and frees what it owned alone.
 //!
 //! # Durability = visibility
 //!
@@ -49,7 +50,7 @@ use segidx_obs::{
 use segidx_storage::{DiskManager, StorageError};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -194,6 +195,14 @@ impl<const D: usize, E> Shared<D, E> {
         }
     }
 
+    /// The retired list, poisoned or not. `reclaim` runs on reader threads
+    /// and calls the user's sink under this lock; the list holds plain
+    /// `(ptr, epoch)` pairs a panic cannot leave half-written, so a
+    /// poisoned lock is recovered rather than allowed to kill the writer.
+    fn retired(&self) -> MutexGuard<'_, Vec<Retired<D, E>>> {
+        self.retired.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Frees every retired snapshot no reader slot still protects. Runs on
     /// the writer after each publish *and* on the reader unpin path, so a
     /// long-pinned reader's backlog is released the moment it lets go
@@ -201,7 +210,7 @@ impl<const D: usize, E> Shared<D, E> {
     /// retired-list critical section — see `epoch.rs` for why that
     /// ordering makes the free safe.
     fn reclaim(&self) {
-        let mut retired = self.retired.lock().unwrap();
+        let mut retired = self.retired();
         let mut i = 0;
         while i < retired.len() {
             if !self.epochs.protects(retired[i].1) {
@@ -225,7 +234,7 @@ impl<const D: usize, E> Shared<D, E> {
         // SAFETY: `old` was just swapped out of `published`; the list now
         // owns its reference and keeps it alive.
         let old_epoch = unsafe { (*old).epoch };
-        let mut retired = self.retired.lock().unwrap();
+        let mut retired = self.retired();
         retired.push(Retired(old, old_epoch));
         let depth = retired.len();
         self.retired_count.store(depth, SeqCst);
@@ -249,7 +258,7 @@ impl<const D: usize, E> Drop for Shared<D, E> {
         // SAFETY: sole owner at drop time; the pointer came from
         // `Arc::into_raw` and this drops the published reference.
         unsafe { drop(Arc::from_raw(published)) };
-        for Retired(ptr, _) in self.retired.lock().unwrap().drain(..) {
+        for Retired(ptr, _) in self.retired().drain(..) {
             // SAFETY: retired references are owned by the list.
             unsafe { drop(Arc::from_raw(ptr)) };
         }

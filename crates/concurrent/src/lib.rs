@@ -241,6 +241,54 @@ mod tests {
     }
 
     #[test]
+    fn a_sink_panic_on_the_unpin_path_does_not_kill_the_writer() {
+        use segidx_obs::{Event, EventKind, ObsSink};
+
+        /// Panics inside the first `EpochReclaimed`, i.e. under the
+        /// retired-list lock, and behaves from then on.
+        #[derive(Debug, Default)]
+        struct PanicsOnce(AtomicBool);
+        impl ObsSink for PanicsOnce {
+            fn event(&self, event: Event) {
+                if event.kind == EventKind::EpochReclaimed && !self.0.swap(true, Ordering::SeqCst) {
+                    panic!("sink failure injected by the test");
+                }
+            }
+        }
+        let insert = |index: &ConcurrentIndex<2>, i: u64| {
+            let op = IndexOp::Insert {
+                rect: rect(i),
+                record: RecordId(i),
+            };
+            // Bounded wait: with the writer dead a ticket never completes.
+            let ticket = index.submit(op).unwrap();
+            ticket.wait_timeout(std::time::Duration::from_secs(10))
+        };
+
+        let index = ConcurrentIndex::builder(Tree::new(IndexConfig::srtree()))
+            .sink(Arc::new(PanicsOnce::default()))
+            .start()
+            .unwrap();
+        let pinned = index.snapshot();
+        // Retires epoch 0 while `pinned` protects it: nothing reclaimed
+        // yet, so the first `EpochReclaimed` fires on this thread's unpin.
+        insert(&index, 0).unwrap().unwrap();
+        assert_eq!(index.retired_snapshots(), 1);
+        let unpin = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(pinned)));
+        assert!(unpin.is_err(), "the unpin path ran the panicking sink");
+
+        // The lock is poisoned now; publishing must go on regardless.
+        for i in 1..5 {
+            insert(&index, i)
+                .expect("writer survived the poisoned lock")
+                .unwrap();
+        }
+        assert_eq!(index.snapshot().len(), 5);
+        assert_eq!(index.retired_snapshots(), 0);
+        assert_eq!(index.active_readers(), 0);
+    }
+
+    #[test]
     fn batch_submission_commits_in_order_with_callbacks() {
         let index = start_empty();
         let ops: Vec<IndexOp<2>> = (0..64u64)

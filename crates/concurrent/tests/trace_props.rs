@@ -129,20 +129,22 @@ proptest! {
 
         let done = Arc::new(AtomicBool::new(false));
         std::thread::scope(|scope| {
-            // Readers: traced scatter/gather searches until the writer is done.
+            // Readers: traced scatter/gather searches until the writer is
+            // done — at least one pass each, however late they are scheduled.
             for _ in 0..2 {
                 let handle = index.handle();
                 let tracer = Arc::clone(&tracer);
                 let done = Arc::clone(&done);
                 let windows = windows.clone();
-                scope.spawn(move || {
-                    while !done.load(Ordering::Relaxed) {
-                        for (x, y, extent) in &windows {
-                            let _g = tracer.force(OpClass::Search, "prop_window");
-                            let snap = handle.snapshot();
-                            let q = Rect::new([*x, *y], [*x + *extent, *y + *extent]);
-                            let _ = snap.search_batch(std::slice::from_ref(&q));
-                        }
+                scope.spawn(move || loop {
+                    for (x, y, extent) in &windows {
+                        let _g = tracer.force(OpClass::Search, "prop_window");
+                        let snap = handle.snapshot();
+                        let q = Rect::new([*x, *y], [*x + *extent, *y + *extent]);
+                        let _ = snap.search_batch(std::slice::from_ref(&q));
+                    }
+                    if done.load(Ordering::Relaxed) {
+                        break;
                     }
                 });
             }

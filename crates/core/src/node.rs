@@ -174,18 +174,34 @@ impl<const D: usize> Node<D> {
     }
 }
 
+/// Slots per chunk of the arena's slot table: 16 pointers, two cache
+/// lines. A constant, not a knob — see DESIGN "Copy-on-write structural
+/// sharing" for the cost model behind the value.
+const CHUNK: usize = 16;
+
+/// One refcounted run of [`CHUNK`] consecutive slots.
+type Chunk<const D: usize> = Arc<[Option<Arc<Node<D>>>; CHUNK]>;
+
 /// A slab arena of nodes with id stability and slot reuse.
 ///
-/// Slots hold `Arc<Node>` so an arena clone is a *structural-sharing
-/// snapshot*: cloning copies one refcounted pointer per node (no entry
-/// data), and subsequent mutation through [`Arena::get_mut`] copies only
-/// the nodes it actually touches (copy-on-write via [`Arc::make_mut`]).
-/// While an arena is uniquely owned — the common case, with no snapshot
-/// outstanding — `get_mut` degrades to a refcount check and mutates in
-/// place, so the single-owner write path stays allocation-free.
+/// The slot table is two-level and persistent: refcounted chunks of
+/// `CHUNK` = 16 slots, each slot an `Arc<Node>`. An arena clone is a
+/// *structural-sharing snapshot* that bumps one refcount per **chunk** —
+/// N/`CHUNK` operations, no node header or entry data touched — and
+/// dropping a clone walks the chunks again, descending only into those it
+/// owns alone. Mutation through [`Arena::get_mut`] (and `alloc`/`dealloc`)
+/// is copy-on-write at both levels via [`Arc::make_mut`]: a chunk still
+/// shared with a snapshot is copied once (`CHUNK` pointer bumps), then the
+/// node itself if it is shared. Per node, a writer pays only for the ones
+/// it changes; what follows the size of the tree is the chunk walk of each
+/// clone and drop. While an arena is uniquely owned — no snapshot
+/// outstanding — `get_mut` degrades to two refcount checks and mutates in
+/// place: the single-owner write path stays allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct Arena<const D: usize> {
-    slots: Vec<Option<Arc<Node<D>>>>,
+    /// Slot `i` is `chunks[i / CHUNK][i % CHUNK]`; every slot below the
+    /// high-water mark `live + free.len()` is live or on the free list.
+    chunks: Vec<Chunk<D>>,
     free: Vec<NodeId>,
     live: usize,
 }
@@ -196,23 +212,33 @@ impl<const D: usize> Arena<D> {
         Self::default()
     }
 
+    #[inline]
+    fn slot(&self, id: NodeId) -> Option<&Arc<Node<D>>> {
+        self.chunks.get(id.index() / CHUNK)?[id.index() % CHUNK].as_ref()
+    }
+
+    /// Exclusive access to a slot, unsharing its chunk first.
+    #[inline]
+    fn slot_mut(&mut self, id: NodeId) -> &mut Option<Arc<Node<D>>> {
+        &mut Arc::make_mut(&mut self.chunks[id.index() / CHUNK])[id.index() % CHUNK]
+    }
+
     /// Inserts a node, returning its id.
     pub fn alloc(&mut self, node: Node<D>) -> NodeId {
-        self.live += 1;
-        if let Some(id) = self.free.pop() {
-            self.slots[id.index()] = Some(Arc::new(node));
-            id
-        } else {
-            let id = NodeId(self.slots.len() as u32);
-            self.slots.push(Some(Arc::new(node)));
-            id
+        // With an empty free list the high-water mark is `live`.
+        let id = self.free.pop().unwrap_or(NodeId(self.live as u32));
+        if id.index() == self.chunks.len() * CHUNK {
+            self.chunks.push(Arc::new(std::array::from_fn(|_| None)));
         }
+        *self.slot_mut(id) = Some(Arc::new(node));
+        self.live += 1;
+        id
     }
 
     /// Removes a node, freeing its slot. A snapshot that still shares the
     /// node keeps it alive; this arena only drops its reference.
     pub fn dealloc(&mut self, id: NodeId) {
-        self.slots[id.index()]
+        self.slot_mut(id)
             .take()
             .expect("dealloc of free arena slot");
         self.free.push(id);
@@ -222,14 +248,14 @@ impl<const D: usize> Arena<D> {
     /// Shared access.
     #[inline]
     pub fn get(&self, id: NodeId) -> &Node<D> {
-        self.slots[id.index()].as_ref().expect("use of freed node")
+        self.slot(id).expect("use of freed node")
     }
 
     /// Prefetches the header of node `id` (the `Arc`'s payload: level,
     /// kind tag, block pointers and lengths) without reading it.
     #[inline]
     pub(crate) fn prefetch_header(&self, id: NodeId) {
-        if let Some(Some(node)) = self.slots.get(id.index()) {
+        if let Some(node) = self.slot(id) {
             prefetch_range(Arc::as_ptr(node), std::mem::size_of::<Node<D>>());
         }
     }
@@ -239,7 +265,7 @@ impl<const D: usize> Arena<D> {
     /// the arena points at the copy.
     #[inline]
     pub fn get_mut(&mut self, id: NodeId) -> &mut Node<D> {
-        Arc::make_mut(self.slots[id.index()].as_mut().expect("use of freed node"))
+        Arc::make_mut(self.slot_mut(id).as_mut().expect("use of freed node"))
     }
 
     /// Number of live nodes.
@@ -256,20 +282,28 @@ impl<const D: usize> Arena<D> {
 
     /// Iterates over live `(id, node)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Node<D>)> {
-        self.slots
+        self.chunks
             .iter()
+            .flat_map(|chunk| chunk.iter())
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|n| (NodeId(i as u32), n.as_ref())))
     }
 
-    /// Number of live nodes whose storage is shared with another arena
-    /// clone (refcount > 1). Zero when no snapshot is outstanding.
+    /// Number of live nodes another arena clone can reach through the same
+    /// allocation: the node's chunk or the node itself has a strong count
+    /// above one. Zero when no snapshot is outstanding.
     pub fn shared_nodes(&self) -> usize {
-        self.slots
+        self.chunks
             .iter()
-            .flatten()
-            .filter(|n| Arc::strong_count(n) > 1)
-            .count()
+            .map(|chunk| {
+                let chunk_shared = Arc::strong_count(chunk) > 1;
+                chunk
+                    .iter()
+                    .flatten()
+                    .filter(|n| chunk_shared || Arc::strong_count(n) > 1)
+                    .count()
+            })
+            .sum()
     }
 }
 
@@ -298,6 +332,37 @@ mod tests {
         let ids: Vec<_> = arena.iter().map(|(id, _)| id).collect();
         assert_eq!(ids.len(), 2);
         let _ = b;
+    }
+
+    #[test]
+    fn clone_bumps_chunk_refcounts_not_node_refcounts() {
+        let mut arena: Arena<2> = Arena::new();
+        let ids: Vec<NodeId> = (0..2 * CHUNK + 3)
+            .map(|_| arena.alloc(Node::leaf(0)))
+            .collect();
+        assert_eq!(arena.chunks.len(), 3);
+        let snap = arena.clone();
+        for &id in &ids {
+            let (ours, theirs) = (arena.slot(id).unwrap(), snap.slot(id).unwrap());
+            assert!(Arc::ptr_eq(ours, theirs));
+            assert_eq!(Arc::strong_count(ours), 1, "no per-node bump");
+        }
+        assert!(arena.chunks.iter().all(|c| Arc::strong_count(c) == 2));
+        assert_eq!(arena.shared_nodes(), ids.len());
+
+        // A write unshares its chunk (CHUNK pointer bumps) and its node;
+        // the other chunks stay shared as wholes.
+        arena.get_mut(ids[CHUNK]).touch_modified();
+        assert_eq!(snap.get(ids[CHUNK]).mod_count, 0);
+        let counts =
+            |a: &Arena<2>| -> Vec<usize> { a.chunks.iter().map(Arc::strong_count).collect() };
+        assert_eq!(counts(&arena), [2, 1, 2]);
+        assert_eq!(Arc::strong_count(arena.slot(ids[CHUNK]).unwrap()), 1);
+        assert_eq!(Arc::strong_count(arena.slot(ids[CHUNK + 1]).unwrap()), 2);
+        assert_eq!(arena.shared_nodes(), ids.len() - 1);
+
+        drop(snap);
+        assert_eq!(arena.shared_nodes(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use super::Tree;
 use crate::id::{NodeId, RecordId};
 use crate::node::NodeKind;
-use segidx_geom::Rect;
+use segidx_geom::{scan_intersects, Rect};
 
 impl<const D: usize> Tree<D> {
     /// Removes the record `record`, whose original geometry was `rect`.
@@ -32,37 +32,42 @@ impl<const D: usize> Tree<D> {
 
         // Constrained traversal: every portion of `record` lies inside
         // `rect`, and stored regions cover their contents, so it suffices to
-        // descend branches intersecting `rect`.
+        // descend branches intersecting `rect`. It reads through `node()`
+        // and takes `node_mut()` only on a node holding a portion: under a
+        // published snapshot `node_mut` copies the node, and most visited
+        // nodes hold nothing to remove.
         let mut stack = vec![self.root];
+        let mut hits: Vec<u32> = Vec::new();
         while let Some(n) = stack.pop() {
             self.touch_maintenance(n);
+            let holds_portion = match &self.node(n).kind {
+                NodeKind::Leaf { entries } => entries.records().any(|r| r == record),
+                NodeKind::Internal { branches, spanning } => {
+                    hits.clear();
+                    let (los, his) = branches.planes();
+                    scan_intersects(rect, los, his, &mut hits);
+                    stack.extend(hits.iter().map(|&i| branches.child(i as usize)));
+                    (0..spanning.len()).any(|i| spanning.record(i) == record)
+                }
+            };
+            if !holds_portion {
+                continue;
+            }
             let node = self.node_mut(n);
-            match &mut node.kind {
+            node.mod_count += 1;
+            removed += match &mut node.kind {
                 NodeKind::Leaf { entries } => {
+                    touched_leaves.push(n);
                     let before = entries.len();
                     entries.retain(|e| e.record != record);
-                    let taken = before - entries.len();
-                    if taken > 0 {
-                        node.mod_count += 1;
-                        removed += taken;
-                        touched_leaves.push(n);
-                    }
+                    before - entries.len()
                 }
-                NodeKind::Internal { branches, spanning } => {
+                NodeKind::Internal { spanning, .. } => {
                     let before = spanning.len();
                     spanning.retain(|s| s.record != record);
-                    let taken = before - spanning.len();
-                    if taken > 0 {
-                        node.mod_count += 1;
-                        removed += taken;
-                    }
-                    for b in branches.iter() {
-                        if b.rect.intersects(rect) {
-                            stack.push(b.child);
-                        }
-                    }
+                    before - spanning.len()
                 }
-            }
+            };
         }
         if removed == 0 {
             self.obs_record(|o| &o.delete, t0);
@@ -172,8 +177,9 @@ impl<const D: usize> Tree<D> {
                 return;
             }
             // Spanning records on the root move down with the collapse only
-            // if they still make sense; otherwise reinsert them.
-            let spanning = self.node_mut(root).spanning_mut().take_vec();
+            // if they still make sense; otherwise reinsert them. The root
+            // is freed below, so its store is read, not taken.
+            let spanning: Vec<_> = self.node(root).spanning().iter().collect();
             self.entry_count -= spanning.len();
             for s in spanning {
                 self.queue_reinsert(s.rect, s.record);

@@ -82,12 +82,15 @@ pub struct Tree<const D: usize> {
 }
 
 /// Cloning a tree is a *snapshot*: the arena shares every node with the
-/// original by refcount (see [`crate::node::Arena`]), so the cost is one
-/// `Arc` clone per node — no entry data is copied. Mutating either copy
-/// afterwards copies only the nodes that mutation touches (copy-on-write),
-/// which is what makes epoch-published snapshots in `segidx-concurrent`
-/// cheap: a group commit that touched *k* of *n* nodes pays O(k) node
-/// copies, not O(n).
+/// original through refcounted chunks of its slot table (see
+/// [`crate::node::Arena`]), so the cost is one `Arc` clone per 16 node
+/// slots — no node header and no entry data is touched — and dropping a
+/// clone costs the same walk plus whatever it owned alone. Mutating either
+/// copy afterwards copies only the chunks and nodes that mutation writes
+/// (copy-on-write), which is what makes epoch-published snapshots in
+/// `segidx-concurrent` cheap: a group commit that changed *k* of *n* nodes
+/// pays O(k) copies plus O(n/16) refcount operations to publish and retire,
+/// provided the write path takes `node_mut` only where it writes.
 impl<const D: usize> Clone for Tree<D> {
     fn clone(&self) -> Self {
         Self {

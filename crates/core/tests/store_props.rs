@@ -4,7 +4,9 @@
 //! through its entry views, through the coordinate planes the scan kernels
 //! read, and through `union_all` / `PartialEq`, whatever the block's
 //! stride and however much dead capacity earlier operations left behind.
-//! Plus the store-level copy-on-write contract of the node arena.
+//! Plus the copy-on-write contract of the node arena: a fixed example at
+//! store level, and a model-based test of its chunked slot table under
+//! interleaved snapshots.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -380,4 +382,149 @@ fn arena_copy_on_write_is_per_node_and_leaves_the_snapshot_alone() {
     arena.dealloc(ids[2]);
     assert_eq!(snapshot.shared_nodes(), 2);
     assert_eq!(snapshot.get(ids[2]).entries().len(), 3);
+}
+
+/// Slots per chunk of the arena's slot table (a private constant of
+/// `node.rs`); the model test below starts from sizes that straddle it.
+const K: usize = 16;
+const START_SIZES: [usize; 6] = [0, 1, K - 1, K, K + 1, 3 * K + 2];
+
+#[derive(Clone, Debug)]
+enum ArenaOp {
+    Alloc,
+    Dealloc(usize),
+    GetMut(usize),
+    Snapshot,
+    DropSnapshot,
+}
+
+fn arena_op_strategy() -> impl Strategy<Value = (usize, ArenaOp)> {
+    let op = prop_oneof![
+        4 => Just(ArenaOp::Alloc),
+        3 => any::<usize>().prop_map(ArenaOp::Dealloc),
+        4 => any::<usize>().prop_map(ArenaOp::GetMut),
+        2 => Just(ArenaOp::Snapshot),
+        1 => Just(ArenaOp::DropSnapshot),
+    ];
+    (any::<usize>(), op)
+}
+
+/// The flat slot vector the arena used to be: ids are slot indexes, a
+/// freed slot goes on a LIFO free list, a fresh id is the vector's length.
+#[derive(Clone, Default)]
+struct ArenaModel {
+    slots: Vec<Option<Node<2>>>,
+    free: Vec<usize>,
+}
+
+impl ArenaModel {
+    fn live(&self) -> Vec<usize> {
+        (0..self.slots.len())
+            .filter(|&i| self.slots[i].is_some())
+            .collect()
+    }
+}
+
+/// A leaf that no other step of the run produces.
+fn stamped(stamp: u64) -> Node<2> {
+    let mut node = Node::leaf(0);
+    node.mod_count = stamp;
+    node.entries_mut().push(leaf(stamp as f64, stamp));
+    node
+}
+
+fn same_node(a: &Node<2>, b: &Node<2>) -> bool {
+    a.mod_count == b.mod_count && a.parent == b.parent && a.entries() == b.entries()
+}
+
+fn check_arena(arena: &Arena<2>, model: &ArenaModel, what: &str) -> Result<(), TestCaseError> {
+    let live = model.live();
+    prop_assert_eq!(arena.len(), live.len(), "len, {}", what);
+    prop_assert_eq!(arena.is_empty(), live.is_empty(), "is_empty, {}", what);
+    let seen: Vec<usize> = arena.iter().map(|(id, _)| id.raw() as usize).collect();
+    prop_assert_eq!(&seen, &live, "iter order, {}", what);
+    for (id, node) in arena.iter() {
+        let expect = model.slots[id.raw() as usize].as_ref().unwrap();
+        prop_assert!(same_node(node, expect), "iter node {:?}, {}", id, what);
+        prop_assert!(same_node(arena.get(id), expect), "get {:?}, {}", id, what);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 96,
+        ..ProptestConfig::default()
+    })]
+
+    /// Up to four arenas that are clones of one another, each mutated on
+    /// its own, each mirrored by its own flat-vector model: ids and slot
+    /// reuse order are those of the flat vector, and no arena ever
+    /// observes what another did after they parted.
+    #[test]
+    fn arena_matches_flat_vector_model_under_snapshots(
+        start in 0usize..START_SIZES.len(),
+        ops in vec(arena_op_strategy(), 1..160),
+    ) {
+        let mut stamp = 0u64;
+        let mut arenas: Vec<(Arena<2>, ArenaModel)> = vec![Default::default()];
+        for _ in 0..START_SIZES[start] {
+            stamp += 1;
+            let id = arenas[0].0.alloc(stamped(stamp));
+            prop_assert_eq!(id.raw() as usize, arenas[0].1.slots.len());
+            arenas[0].1.slots.push(Some(stamped(stamp)));
+        }
+        for (step, (which, op)) in ops.iter().enumerate() {
+            let which = which % arenas.len();
+            let (arena, model) = &mut arenas[which];
+            stamp += 1;
+            match op {
+                ArenaOp::Alloc => {
+                    let expect = model.free.pop().unwrap_or(model.slots.len());
+                    if expect == model.slots.len() {
+                        model.slots.push(None);
+                    }
+                    model.slots[expect] = Some(stamped(stamp));
+                    let id = arena.alloc(stamped(stamp));
+                    prop_assert_eq!(id.raw() as usize, expect, "alloc id at step {}", step);
+                }
+                ArenaOp::Dealloc(pick) | ArenaOp::GetMut(pick) => {
+                    let live = model.live();
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let slot = live[pick % live.len()];
+                    let id = arena.iter().nth(pick % live.len()).unwrap().0;
+                    prop_assert_eq!(id.raw() as usize, slot);
+                    if matches!(op, ArenaOp::Dealloc(_)) {
+                        arena.dealloc(id);
+                        model.slots[slot] = None;
+                        model.free.push(slot);
+                    } else {
+                        for node in [arena.get_mut(id), model.slots[slot].as_mut().unwrap()] {
+                            node.mod_count = stamp;
+                            node.entries_mut().push(leaf(-(stamp as f64), stamp));
+                        }
+                    }
+                }
+                ArenaOp::Snapshot => {
+                    if arenas.len() < 4 {
+                        let copy = arenas[which].clone();
+                        arenas.push(copy);
+                    }
+                }
+                ArenaOp::DropSnapshot => {
+                    if arenas.len() > 1 {
+                        arenas.swap_remove(which);
+                    }
+                }
+            }
+            for (i, (arena, model)) in arenas.iter().enumerate() {
+                check_arena(arena, model, &format!("arena {i} after step {step}"))?;
+            }
+        }
+        // Alone again, nothing is shared whatever the others left behind.
+        arenas.truncate(1);
+        prop_assert_eq!(arenas[0].0.shared_nodes(), 0);
+    }
 }
