@@ -51,7 +51,7 @@ pub mod id;
 pub mod node;
 pub mod paged;
 pub mod persist;
-mod prefetch;
+pub mod prefetch;
 pub mod skeleton;
 pub mod stats;
 pub mod telemetry;

@@ -1,6 +1,27 @@
 //! Per-connection machinery: a reader thread that decodes, parses, and
-//! executes pipelined frames, and a flusher thread that writes responses
-//! back in request order.
+//! executes pipelined frames, and a flusher thread that writes the
+//! responses of commits back in request order.
+//!
+//! # Who writes to the socket
+//!
+//! Two threads may, never at once. The [`Outbox`] — ordered response slots
+//! — is the only ordering authority; the rule that keeps the reader inside
+//! it is one flag under the outbox's lock:
+//!
+//! * **Idle rule.** The outbox is *idle* when no slot is reserved and the
+//!   flusher is not in the middle of a write. Only the reader reserves
+//!   slots and the flusher writes only slots, so an outbox the reader has
+//!   seen idle stays idle until the reader itself reserves. While it is,
+//!   every earlier reply is already on the wire, and the reader renders the
+//!   synchronous replies of a burst (searches, temporal statements, `PING`,
+//!   errors — everything it can answer itself) into one per-connection
+//!   buffer and writes it with one `write_all`: no slot, no wake-up, no
+//!   second copy.
+//! * **Flush before reserve.** A write's reply comes later, from the index
+//!   writer thread, so it needs a slot. Before reserving the first one of a
+//!   burst the reader writes out what it has rendered; from there to the
+//!   end of the burst replies go through slots — each run of consecutive
+//!   synchronous replies as *one* slot — and the flusher sends them.
 //!
 //! # Why no thread parks per in-flight write
 //!
@@ -17,26 +38,34 @@
 //! `BUSY depth=…` when the writer is behind (admission control), and the
 //! outbox caps reserved-but-unflushed responses, suspending the reader —
 //! which stops draining the socket and lets TCP push back on the client.
+//! A reader writing its own replies is pushed back on by TCP directly.
+//!
+//! [`Backend::submit_batch`]: crate::backend::Backend::submit_batch
 
-use crate::backend::DIMS;
-use crate::frame::{begin_response, finish_response, FrameDecoder, Mode};
+use crate::backend::{NearHit, DIMS};
+use crate::frame::{begin_response, finish_response, put_f64, put_u64, FrameDecoder, Mode};
 use crate::parser::{parse, Statement};
 use crate::server::Shared;
 use crate::telemetry::ConnStats;
-use segidx_concurrent::{IndexOp, SubmitError};
+use segidx_concurrent::{CommitTicket, IndexOp, SubmitError};
 use segidx_core::RecordId;
 use segidx_geom::{Interval, Point, Rect};
 use segidx_obs::OpClass;
 use segidx_temporal::{PinnedQuery, TemporalError, TemporalTable, Version, VersionId};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Cap on reserved-but-unflushed responses per connection. Hitting it
 /// suspends the reader (TCP backpressure), it does not drop anything.
 const OUTBOX_CAPACITY: usize = 64 * 1024;
+
+/// Rendered bytes past which the reader writes out without waiting for the
+/// end of the burst, so one read of small statements with large answers
+/// holds a bounded buffer, as the flusher streaming slots used to.
+const DIRECT_WRITE_BYTES: usize = 256 * 1024;
 
 /// Ordered response slots shared by the reader, the flusher, and commit
 /// callbacks. `reserve` hands out sequence numbers in request order;
@@ -60,6 +89,8 @@ struct OutboxInner {
     closed: bool,
     /// Socket is dead; discard instead of buffering.
     aborted: bool,
+    /// The flusher holds a chunk it has not finished writing.
+    writing: bool,
 }
 
 impl Outbox {
@@ -71,28 +102,44 @@ impl Outbox {
                 next: 0,
                 closed: false,
                 aborted: false,
+                writing: false,
             }),
             ready: Condvar::new(),
             space: Condvar::new(),
         }
     }
 
-    /// Reserves the next in-order response slot, blocking while the
-    /// outbox is at capacity.
-    fn reserve(&self) -> u64 {
-        let mut g = self.inner.lock().unwrap();
-        while g.slots.len() >= OUTBOX_CAPACITY && !g.aborted {
-            g = self.space.wait(g).unwrap();
+    /// The lock, poisoned or not. `fill` runs on the index writer thread,
+    /// which every connection shares: a connection thread that panicked
+    /// under its own outbox's lock must not take the writer down with it.
+    /// Recovering is sound because no step under the lock can panic part
+    /// way through an update — slots and their counters move together.
+    fn lock(&self) -> MutexGuard<'_, OutboxInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether every earlier reply is on the wire: nothing reserved, and
+    /// the flusher not mid-write. Never true once the socket is dead.
+    fn idle(&self) -> bool {
+        let g = self.lock();
+        g.slots.is_empty() && !g.writing && !g.aborted
+    }
+
+    /// Reserves the next `n` in-order response slots, blocking while the
+    /// outbox is at capacity; returns the first one's sequence number.
+    fn reserve(&self, n: usize) -> u64 {
+        let mut g = self.wait_for_space();
+        let first = g.next;
+        if !g.aborted {
+            g.slots.extend((0..n).map(|_| None));
+            g.next += n as u64;
         }
-        g.slots.push_back(None);
-        let seq = g.next;
-        g.next += 1;
-        seq
+        first
     }
 
     /// Completes slot `seq`. Safe from any thread, in any order.
     fn fill(&self, seq: u64, bytes: Vec<u8>) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         if g.aborted {
             return;
         }
@@ -103,16 +150,38 @@ impl Outbox {
         }
     }
 
+    /// Reserves the next slot and completes it at once: replies the reader
+    /// rendered itself while earlier slots were still open.
+    fn push(&self, bytes: Vec<u8>) {
+        let mut g = self.wait_for_space();
+        if g.aborted {
+            return;
+        }
+        g.slots.push_back(Some(bytes));
+        g.next += 1;
+        if g.slots.len() == 1 {
+            self.ready.notify_one();
+        }
+    }
+
+    fn wait_for_space(&self) -> MutexGuard<'_, OutboxInner> {
+        let mut g = self.lock();
+        while g.slots.len() >= OUTBOX_CAPACITY && !g.aborted {
+            g = self.space.wait(g).unwrap_or_else(PoisonError::into_inner);
+        }
+        g
+    }
+
     /// Marks that no further reservations will be made; the flusher exits
     /// once everything reserved has been filled and sent.
     fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.lock().closed = true;
         self.ready.notify_one();
     }
 
     /// Drops all pending output (socket died) and unblocks both sides.
     fn abort(&self) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         g.aborted = true;
         g.slots.clear();
         self.ready.notify_one();
@@ -121,27 +190,35 @@ impl Outbox {
 
     /// Blocks until at least one in-order response is ready, then returns
     /// the whole contiguous ready prefix as one buffer. `None` means the
-    /// connection is finished (closed and drained, or aborted).
+    /// connection is finished (closed and drained, or aborted). Only the
+    /// flusher calls this, each time having written the chunk before.
     fn next_chunk(&self) -> Option<Vec<u8>> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
+        g.writing = false;
         loop {
             if g.aborted {
                 return None;
             }
-            if matches!(g.slots.front(), Some(Some(_))) {
-                let mut buf = Vec::new();
-                while matches!(g.slots.front(), Some(Some(_))) {
-                    let bytes = g.slots.pop_front().unwrap().unwrap();
-                    g.base += 1;
-                    buf.extend_from_slice(&bytes);
+            // The first ready response is the chunk; any behind it are
+            // appended, so the common single one is sent without a copy.
+            let mut chunk: Option<Vec<u8>> = None;
+            while matches!(g.slots.front(), Some(Some(_))) {
+                let bytes = g.slots.pop_front().flatten().expect("front is filled");
+                g.base += 1;
+                match &mut chunk {
+                    None => chunk = Some(bytes),
+                    Some(buf) => buf.extend_from_slice(&bytes),
                 }
+            }
+            if chunk.is_some() {
+                g.writing = true;
                 self.space.notify_all();
-                return Some(buf);
+                return chunk;
             }
             if g.closed && g.slots.is_empty() {
                 return None;
             }
-            g = self.ready.wait(g).unwrap();
+            g = self.ready.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -170,13 +247,6 @@ enum Prepared {
     Metrics,
     /// Response already decided: PONG, parse errors, validation errors.
     Reply(String),
-}
-
-struct Pending {
-    seq: u64,
-    mode: Mode,
-    t0: Instant,
-    prepared: Prepared,
 }
 
 fn point2(p: &[f64]) -> Result<Point<DIMS>, String> {
@@ -237,50 +307,158 @@ fn prepare(text: &str, stats: &ConnStats) -> Prepared {
     validated.unwrap_or_else(|msg| Prepared::Reply(format!("ERR exec {msg}")))
 }
 
-/// Renders one reply straight into its frame and completes slot `seq`:
-/// `render` writes the payload into a buffer sized for `size_hint` bytes,
-/// which becomes the response as is — one allocation, no copy.
-fn fill_with(
-    outbox: &Outbox,
-    seq: u64,
+struct Pending {
     mode: Mode,
-    size_hint: usize,
-    render: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
-) {
-    let mut buf = Vec::with_capacity(size_hint + 5);
-    let start = begin_response(mode, &mut buf);
-    render(&mut buf).expect("writing to a Vec cannot fail");
-    finish_response(mode, &mut buf, start);
+    t0: Instant,
+    prepared: Prepared,
+}
+
+/// The reader's end of reply ordering (see the module docs): where the
+/// replies it renders itself go, and the one place slots are reserved.
+struct Replies<'a> {
+    outbox: &'a Outbox,
+    socket: &'a TcpStream,
+    stats: &'a ConnStats,
+    /// Rendered replies not yet handed on. Allocated once per connection.
+    buf: Vec<u8>,
+    /// `buf` goes straight to the socket (the outbox was idle when the
+    /// burst began and nothing has been reserved since); otherwise it is
+    /// the next slot in the making.
+    direct: bool,
+}
+
+impl Replies<'_> {
+    fn begin_burst(&mut self) {
+        self.direct = self.outbox.idle();
+    }
+
+    /// Renders one synchronous reply, in its frame, behind those before it.
+    fn put(&mut self, mode: Mode, render: impl FnOnce(&mut Vec<u8>)) {
+        framed(&mut self.buf, mode, render);
+        if self.direct && self.buf.len() >= DIRECT_WRITE_BYTES {
+            self.hand_on();
+        }
+    }
+
+    fn put_text(&mut self, mode: Mode, text: &str) {
+        self.put(mode, |buf| buf.extend_from_slice(text.as_bytes()));
+    }
+
+    /// Reserves `n` slots for replies that come later, in order behind
+    /// everything rendered so far; returns the first one's sequence number.
+    fn reserve(&mut self, n: usize) -> u64 {
+        self.hand_on();
+        self.direct = false;
+        self.outbox.reserve(n)
+    }
+
+    /// Hands on what has been rendered — to the socket, or to the outbox
+    /// as one slot. Called at the end of every burst.
+    fn hand_on(&mut self) {
+        if self.buf.is_empty() {
+            return;
+        }
+        if self.direct {
+            let mut socket = self.socket; // `&TcpStream` is `Write`
+            if socket.write_all(&self.buf).is_ok() {
+                self.stats.add_bytes_written(self.buf.len() as u64);
+            } else {
+                // As when the flusher's write fails: drop what is pending,
+                // let the flusher shut the socket down, discard from here.
+                self.outbox.abort();
+                self.direct = false;
+            }
+        } else {
+            self.outbox.push(self.buf.as_slice().to_vec());
+        }
+        self.buf.clear();
+    }
+}
+
+/// Appends one reply to `buf`: what `render` writes, in `mode`'s frame.
+fn framed(buf: &mut Vec<u8>, mode: Mode, render: impl FnOnce(&mut Vec<u8>)) {
+    let start = begin_response(mode, buf);
+    render(buf);
+    finish_response(mode, buf, start);
+}
+
+/// Completes slot `seq` with one reply rendered into its frame.
+fn fill_with(outbox: &Outbox, seq: u64, mode: Mode, render: impl FnOnce(&mut Vec<u8>)) {
+    let mut buf = Vec::with_capacity(32);
+    framed(&mut buf, mode, render);
     outbox.fill(seq, buf);
 }
 
-fn fill_reply(outbox: &Outbox, seq: u64, mode: Mode, text: &str) {
-    fill_with(outbox, seq, mode, text.len(), |buf| {
-        buf.write_all(text.as_bytes())
+/// Has `ticket`'s outcome fill slot `seq` when it is known. That happens on
+/// the index writer thread; nothing on this connection parks waiting.
+fn answer_commit(
+    ticket: CommitTicket,
+    outbox: Arc<Outbox>,
+    stats: Arc<ConnStats>,
+    seq: u64,
+    mode: Mode,
+    t0: Instant,
+) {
+    ticket.on_complete(move |result| {
+        stats.write_latency.record_duration(t0.elapsed());
+        fill_with(&outbox, seq, mode, |buf| match result {
+            Ok(receipt) => render_epoch(buf, receipt.epoch),
+            Err(e) => buf.extend_from_slice(format!("ERR commit {e}").as_bytes()),
+        });
     });
+}
+
+fn render_epoch(buf: &mut Vec<u8>, epoch: u64) {
+    buf.extend_from_slice(b"OK epoch=");
+    put_u64(buf, epoch);
 }
 
 /// `ROWS <n> <id>…` with ids sorted ascending, so responses depend only
 /// on index *contents*, never on tree shape — the property the load
 /// generator's serial model replay checks bit-for-bit.
-fn fill_rows(outbox: &Outbox, seq: u64, mode: Mode, mut ids: Vec<RecordId>) {
+fn render_rows(buf: &mut Vec<u8>, mut ids: Vec<RecordId>) {
     ids.sort_unstable_by_key(|r| r.0);
-    fill_with(outbox, seq, mode, 16 + 12 * ids.len(), |buf| {
-        write!(buf, "ROWS {}", ids.len())?;
-        ids.iter().try_for_each(|id| write!(buf, " {}", id.0))
-    });
+    buf.extend_from_slice(b"ROWS ");
+    put_u64(buf, ids.len() as u64);
+    for id in ids {
+        buf.push(b' ');
+        put_u64(buf, id.0);
+    }
 }
 
 /// `VERS <n> <id>:<key>=<value>…` over versions sorted by id (as
-/// [`TemporalTable::resolve`] returns them) — like [`fill_rows`], the
+/// [`TemporalTable::resolve`] returns them) — like [`render_rows`], the
 /// reply depends only on table contents, never on the backing tier layout.
-fn fill_vers(outbox: &Outbox, seq: u64, mode: Mode, versions: &[(VersionId, Version)]) {
-    fill_with(outbox, seq, mode, 16 + 32 * versions.len(), |buf| {
-        write!(buf, "VERS {}", versions.len())?;
-        versions
-            .iter()
-            .try_for_each(|(id, v)| write!(buf, " {}:{}={:?}", id.0, v.key, v.value))
-    });
+fn render_vers(buf: &mut Vec<u8>, versions: &[(VersionId, Version)]) {
+    buf.extend_from_slice(b"VERS ");
+    put_u64(buf, versions.len() as u64);
+    for (id, v) in versions {
+        buf.push(b' ');
+        put_u64(buf, id.0);
+        buf.push(b':');
+        put_u64(buf, v.key);
+        buf.push(b'=');
+        put_f64(buf, v.value);
+    }
+}
+
+/// Nearest first; equal distances by id, and NaN (after every number, by
+/// `f64::total_cmp`) wherever it appears — a total order, so the reply does
+/// not depend on the order the index found the hits in.
+fn sort_nearest(hits: &mut [NearHit]) {
+    hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0 .0.cmp(&b.0 .0)));
+}
+
+/// `NEAR <n> <id>=<distance>…`, nearest first.
+fn render_near(buf: &mut Vec<u8>, hits: &[NearHit]) {
+    buf.extend_from_slice(b"NEAR ");
+    put_u64(buf, hits.len() as u64);
+    for (id, dist) in hits {
+        buf.push(b' ');
+        put_u64(buf, id.0);
+        buf.push(b'=');
+        put_f64(buf, *dist);
+    }
 }
 
 /// `AS OF` / `WITHIN`: the table's lock is taken twice, briefly — to pin
@@ -289,8 +467,8 @@ fn fill_vers(outbox: &Outbox, seq: u64, mode: Mode, versions: &[(VersionId, Vers
 /// `RECORD` never queues behind either (protocol: [`PinnedQuery`]).
 fn temporal_read(
     shared: &Shared,
-    outbox: &Outbox,
-    item: &Pending,
+    replies: &mut Replies<'_>,
+    mode: Mode,
     pin: impl FnOnce(&TemporalTable) -> Result<PinnedQuery, TemporalError>,
 ) {
     let pinned = pin(&shared.temporal_read());
@@ -298,178 +476,157 @@ fn temporal_read(
         Ok(pinned) => {
             let searched = pinned.search();
             let versions = shared.temporal_read().resolve(searched);
-            fill_vers(outbox, item.seq, item.mode, &versions);
+            replies.put(mode, |buf| render_vers(buf, &versions));
         }
-        Err(e) => fill_reply(outbox, item.seq, item.mode, &format!("ERR exec {e}")),
+        Err(e) => replies.put_text(mode, &format!("ERR exec {e}")),
     }
 }
 
-/// Executes one batch of decoded frames. Consecutive searches, stabs, and
+/// The maximal run of `items` from `i` on that `pick` accepts, and the
+/// index just past it.
+fn run_of<T>(
+    items: &[Pending],
+    i: usize,
+    pick: impl Fn(&Prepared) -> Option<T>,
+) -> (Vec<T>, usize) {
+    let run: Vec<T> = items[i..]
+        .iter()
+        .map_while(|item| pick(&item.prepared))
+        .collect();
+    let end = i + run.len();
+    (run, end)
+}
+
+/// Executes one burst of decoded frames. Consecutive searches, stabs, and
 /// writes are executed as single batched calls into the index.
 fn execute_batch(
     shared: &Shared,
     stats: &Arc<ConnStats>,
     outbox: &Arc<Outbox>,
-    items: Vec<Pending>,
+    replies: &mut Replies<'_>,
+    items: &[Pending],
 ) {
     let mut i = 0;
     while i < items.len() {
-        match &items[i].prepared {
+        let item = &items[i];
+        let mode = item.mode;
+        match &item.prepared {
             Prepared::Search(_) => {
-                let mut j = i;
-                let mut queries = Vec::new();
-                while j < items.len() {
-                    match &items[j].prepared {
-                        Prepared::Search(r) => queries.push(*r),
-                        _ => break,
-                    }
-                    j += 1;
-                }
+                let (queries, j) = run_of(items, i, |p| match p {
+                    Prepared::Search(r) => Some(*r),
+                    _ => None,
+                });
                 let _trace = shared.tracer.start(OpClass::Search, "server.search_batch");
                 let results = shared.backend.search_many(&queries);
                 for (item, ids) in items[i..j].iter().zip(results) {
-                    fill_rows(outbox, item.seq, item.mode, ids);
+                    replies.put(item.mode, |buf| render_rows(buf, ids));
                     stats.read_latency.record_duration(item.t0.elapsed());
                 }
                 i = j;
+                continue;
             }
             Prepared::Stab(_) => {
-                let mut j = i;
-                let mut points = Vec::new();
-                while j < items.len() {
-                    match &items[j].prepared {
-                        Prepared::Stab(p) => points.push(*p),
-                        _ => break,
-                    }
-                    j += 1;
-                }
+                let (points, j) = run_of(items, i, |p| match p {
+                    Prepared::Stab(p) => Some(*p),
+                    _ => None,
+                });
                 let _trace = shared.tracer.start(OpClass::Stab, "server.stab_batch");
                 let results = shared.backend.stab_many(&points);
                 for (item, ids) in items[i..j].iter().zip(results) {
-                    fill_rows(outbox, item.seq, item.mode, ids);
+                    replies.put(item.mode, |buf| render_rows(buf, ids));
                     stats.read_latency.record_duration(item.t0.elapsed());
                 }
                 i = j;
+                continue;
             }
             Prepared::Write(_) => {
-                let mut j = i;
-                let mut ops = Vec::new();
-                while j < items.len() {
-                    match &items[j].prepared {
-                        Prepared::Write(op) => ops.push(*op),
-                        _ => break,
-                    }
-                    j += 1;
-                }
+                let (ops, j) = run_of(items, i, |p| match p {
+                    Prepared::Write(op) => Some(*op),
+                    _ => None,
+                });
+                let first = replies.reserve(ops.len());
                 let submitted = shared.backend.submit_batch(ops);
-                for (item, res) in items[i..j].iter().zip(submitted) {
+                for ((item, res), seq) in items[i..j].iter().zip(submitted).zip(first..) {
                     match res {
                         Ok(ticket) => {
-                            let outbox = Arc::clone(outbox);
-                            let stats = Arc::clone(stats);
-                            let (seq, mode, t0) = (item.seq, item.mode, item.t0);
-                            // Completion runs on the index writer thread;
-                            // nothing on this connection parks waiting.
-                            ticket.on_complete(move |result| {
-                                let text = match result {
-                                    Ok(receipt) => format!("OK epoch={}", receipt.epoch),
-                                    Err(e) => format!("ERR commit {e}"),
-                                };
-                                stats.write_latency.record_duration(t0.elapsed());
-                                fill_reply(&outbox, seq, mode, &text);
-                            });
+                            let (outbox, stats) = (Arc::clone(outbox), Arc::clone(stats));
+                            answer_commit(ticket, outbox, stats, seq, item.mode, item.t0);
                         }
                         Err(SubmitError::Overloaded { depth }) => {
                             stats.count_busy();
-                            fill_reply(outbox, item.seq, item.mode, &format!("BUSY depth={depth}"));
+                            fill_with(outbox, seq, item.mode, |buf| {
+                                buf.extend_from_slice(b"BUSY depth=");
+                                put_u64(buf, depth as u64);
+                            });
                         }
                         Err(SubmitError::Closed) => {
-                            fill_reply(
-                                outbox,
-                                item.seq,
-                                item.mode,
-                                "ERR commit submission queue closed",
-                            );
+                            fill_with(outbox, seq, item.mode, |buf| {
+                                buf.extend_from_slice(b"ERR commit submission queue closed")
+                            });
                         }
                     }
                 }
                 i = j;
+                continue;
             }
             Prepared::Nearest(p, k) => {
                 let _trace = shared.tracer.start(OpClass::Nearest, "server.nearest");
                 let mut hits = shared.backend.nearest(p, *k);
-                hits.sort_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0 .0.cmp(&b.0 .0))
-                });
-                let item = &items[i];
-                fill_with(outbox, item.seq, item.mode, 32 * hits.len(), |buf| {
-                    write!(buf, "NEAR {}", hits.len())?;
-                    hits.iter()
-                        .try_for_each(|(id, dist)| write!(buf, " {}={dist:?}", id.0))
-                });
-                stats.read_latency.record_duration(item.t0.elapsed());
-                i += 1;
+                sort_nearest(&mut hits);
+                replies.put(mode, |buf| render_near(buf, &hits));
             }
             Prepared::Record { key, value, at } => {
                 // A writer that panicked under the lock may have left the
                 // table half-written: refuse to write on top of that.
-                let text = match shared.temporal.lock() {
-                    Ok(mut table) => match table.try_insert(*key, *value, *at) {
-                        Ok(id) => format!("OK version={}", id.0),
-                        Err(e) => format!("ERR exec {e}"),
-                    },
-                    Err(_) => "ERR exec temporal table poisoned by a panicked writer".to_string(),
+                let recorded = match shared.temporal.lock() {
+                    Ok(mut table) => Some(table.try_insert(*key, *value, *at)),
+                    Err(_) => None,
                 };
-                fill_reply(outbox, items[i].seq, items[i].mode, &text);
-                stats.write_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
+                match recorded {
+                    Some(Ok(id)) => replies.put(mode, |buf| {
+                        buf.extend_from_slice(b"OK version=");
+                        put_u64(buf, id.0);
+                    }),
+                    Some(Err(e)) => replies.put_text(mode, &format!("ERR exec {e}")),
+                    None => replies.put_text(
+                        mode,
+                        "ERR exec temporal table poisoned by a panicked writer",
+                    ),
+                }
             }
             Prepared::AsOf(t) => {
-                temporal_read(shared, outbox, &items[i], |table| table.pin_as_of(*t));
-                stats.read_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
+                temporal_read(shared, replies, mode, |table| table.pin_as_of(*t));
             }
             Prepared::Within { t1, t2, lo, hi } => {
-                temporal_read(shared, outbox, &items[i], |table| {
+                temporal_read(shared, replies, mode, |table| {
                     table.pin_within(Interval::new(*t1, *t2), *lo, *hi)
                 });
-                stats.read_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
             }
-            Prepared::Flush => {
-                let text = match shared.backend.flush() {
-                    Ok(epoch) => format!("OK epoch={epoch}"),
-                    Err(e) => format!("ERR commit {e}"),
-                };
-                fill_reply(outbox, items[i].seq, items[i].mode, &text);
-                stats.read_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
-            }
-            Prepared::Stats => {
-                let text = format!(
-                    "STATS {} records={} epoch={}",
-                    shared.stats.summary_line(),
-                    shared.backend.len(),
-                    shared.backend.epoch(),
-                );
-                fill_reply(outbox, items[i].seq, items[i].mode, &text);
-                stats.read_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
-            }
+            Prepared::Flush => match shared.backend.flush() {
+                Ok(epoch) => replies.put(mode, |buf| render_epoch(buf, epoch)),
+                Err(e) => replies.put_text(mode, &format!("ERR commit {e}")),
+            },
+            Prepared::Stats => replies.put(mode, |buf| {
+                buf.extend_from_slice(b"STATS ");
+                buf.extend_from_slice(shared.stats.summary_line().as_bytes());
+                buf.extend_from_slice(b" records=");
+                put_u64(buf, shared.backend.len() as u64);
+                buf.extend_from_slice(b" epoch=");
+                put_u64(buf, shared.backend.epoch());
+            }),
             Prepared::Metrics => {
-                let json = shared.registry.snapshot().to_json();
-                fill_reply(outbox, items[i].seq, items[i].mode, &json);
-                stats.read_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
+                replies.put_text(mode, &shared.registry.snapshot().to_json());
             }
-            Prepared::Reply(text) => {
-                fill_reply(outbox, items[i].seq, items[i].mode, text);
-                stats.read_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
-            }
+            Prepared::Reply(text) => replies.put_text(mode, text),
         }
+        // The single-statement arms end here (the batched ones have timed
+        // their items and moved `i` themselves).
+        let latency = match item.prepared {
+            Prepared::Record { .. } => &stats.write_latency,
+            _ => &stats.read_latency,
+        };
+        latency.record_duration(item.t0.elapsed());
+        i += 1;
     }
 }
 
@@ -502,10 +659,18 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
         })
     };
 
-    let mut read_half = stream;
+    let mut read_half = &stream;
+    let mut replies = Replies {
+        outbox: &outbox,
+        socket: &stream,
+        stats: &stats,
+        buf: Vec::new(),
+        direct: false,
+    };
     let mut decoder = FrameDecoder::with_max_frame(shared.max_frame);
     let mut buf = vec![0u8; 64 * 1024];
-    'conn: loop {
+    let mut items = Vec::new();
+    loop {
         let n = match read_half.read(&mut buf) {
             Ok(0) | Err(_) => break,
             Ok(n) => n,
@@ -515,41 +680,203 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
 
         // Drain every complete frame from this read before executing, so
         // pipelined requests batch into single index calls.
-        let mut items = Vec::new();
-        let mut fatal = None;
-        loop {
+        items.clear();
+        let fatal = loop {
             match decoder.next_frame() {
                 Ok(Some(frame)) => {
                     stats.count_frame(frame.mode);
                     let t0 = Instant::now();
                     let prepared = prepare(&frame.text, &stats);
-                    let seq = outbox.reserve();
                     items.push(Pending {
-                        seq,
                         mode: frame.mode,
                         t0,
                         prepared,
                     });
                 }
-                Ok(None) => break,
+                Ok(None) => break None,
                 Err(e) => {
                     stats.count_protocol_error();
-                    fatal = Some(e);
-                    break;
+                    break Some(e);
                 }
             }
-        }
-        let fatal_seq = fatal.as_ref().map(|_| outbox.reserve());
-        execute_batch(&shared, &stats, &outbox, items);
-        if let (Some(e), Some(seq)) = (fatal, fatal_seq) {
+        };
+        replies.begin_burst();
+        execute_batch(&shared, &stats, &outbox, &mut replies, &items);
+        if let Some(e) = &fatal {
             // The stream is undecodable from here: answer in line mode
             // (readable either way) and drop the connection.
-            fill_reply(&outbox, seq, Mode::Line, &format!("ERR protocol {e}"));
-            break 'conn;
+            replies.put_text(Mode::Line, &format!("ERR protocol {e}"));
+        }
+        replies.hand_on();
+        if fatal.is_some() {
+            break;
         }
     }
 
     outbox.close();
     let _ = flusher.join();
     shared.stats.close_connection(&stats);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{Server, ServerConfig};
+    use std::time::Duration;
+
+    /// A line-mode client that fails, not hangs, when no reply comes.
+    struct Client(TcpStream);
+
+    impl Client {
+        fn connect(server: &Server) -> Self {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            Self(stream)
+        }
+
+        fn send(&mut self, statements: &str) {
+            self.0.write_all(statements.as_bytes()).unwrap();
+        }
+
+        fn line(&mut self) -> String {
+            let mut line = Vec::new();
+            let mut byte = [0u8; 1];
+            loop {
+                let n = self.0.read(&mut byte).expect("a reply within the timeout");
+                assert!(n > 0, "server closed before newline");
+                if byte[0] == b'\n' {
+                    return String::from_utf8(line).unwrap();
+                }
+                line.push(byte[0]);
+            }
+        }
+
+        fn ask(&mut self, statement: &str) -> String {
+            self.send(statement);
+            self.line()
+        }
+    }
+
+    #[test]
+    fn a_poisoned_outbox_does_not_take_the_index_writer_down() {
+        // Regression: the outbox's lock sites were `.lock().unwrap()`, and
+        // `fill` runs on the index writer thread. A connection thread that
+        // panicked under its own outbox's lock therefore panicked the
+        // writer at that connection's next commit — and no write on any
+        // connection was applied or answered again.
+        let server = Server::start(ServerConfig::default()).unwrap();
+
+        // Connection A's outbox with one write in flight, wired as `serve`
+        // and `execute_batch` wire it, then poisoned from "A's thread".
+        let outbox = Arc::new(Outbox::new());
+        let stats = Arc::new(ConnStats::new());
+        let seq = outbox.reserve(1);
+        let held = Arc::clone(&outbox);
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.inner.lock().unwrap();
+            panic!("poisoning connection A's outbox on purpose");
+        })
+        .join();
+        assert!(panicked.is_err() && outbox.inner.is_poisoned());
+        let insert = IndexOp::Insert {
+            rect: Rect::new([1.0, 1.0], [2.0, 2.0]),
+            record: RecordId(7),
+        };
+        let ticket = server
+            .shared()
+            .backend
+            .submit_batch(vec![insert])
+            .remove(0)
+            .expect("queue has room");
+        answer_commit(
+            ticket,
+            Arc::clone(&outbox),
+            stats,
+            seq,
+            Mode::Line,
+            Instant::now(),
+        );
+
+        // The writer thread filled A's slot through the poisoned lock...
+        let reply = outbox.next_chunk().expect("A's commit is answered");
+        assert!(reply.starts_with(b"OK epoch="), "{reply:?}");
+        // ...and is alive for connection B, whose writes commit and answer.
+        let mut b = Client::connect(&server);
+        assert!(b
+            .ask("INSERT RECT (1, 1) (2, 2) ID 8\n")
+            .starts_with("OK epoch="));
+        assert!(b.ask("FLUSH\n").starts_with("OK epoch="));
+        assert_eq!(b.ask("SEARCH WINDOW (0, 0) (3, 3)\n"), "ROWS 2 7 8");
+        // The rest of A's outbox works through the poison too.
+        assert!(!outbox.idle(), "the flusher holds A's reply");
+        outbox.push(b"PONG\n".to_vec());
+        outbox.close();
+        assert_eq!(outbox.next_chunk().as_deref(), Some(&b"PONG\n"[..]));
+        assert_eq!(outbox.next_chunk(), None);
+        server.shutdown();
+    }
+
+    #[test]
+    fn nearest_order_is_total_under_ties_and_nan() {
+        let hit = |id: u64, d: f64| (RecordId(id), d);
+        let mut hits = vec![
+            hit(9, f64::NAN),
+            hit(4, 2.0),
+            hit(7, 0.5),
+            hit(2, 2.0),
+            hit(5, f64::NAN),
+            hit(3, 2.0),
+            hit(1, f64::INFINITY),
+            hit(8, 0.0),
+            hit(6, -0.0),
+        ];
+        let mut other_way = hits.clone();
+        other_way.reverse();
+        sort_nearest(&mut hits);
+        sort_nearest(&mut other_way);
+        let ids = |hits: &[NearHit]| hits.iter().map(|h| h.0 .0).collect::<Vec<_>>();
+        // -0.0 before 0.0, ties by id, infinity then NaN (by id) last —
+        // whatever order the index produced them in.
+        assert_eq!(ids(&hits), [6, 8, 7, 2, 3, 4, 1, 5, 9]);
+        assert_eq!(ids(&other_way), ids(&hits));
+        let mut buf = Vec::new();
+        render_near(&mut buf, &hits[..4]);
+        assert_eq!(buf, b"NEAR 4 6=-0.0 8=0.0 7=0.5 2=2.0");
+    }
+
+    #[test]
+    fn a_burst_past_the_direct_write_threshold_arrives_whole_and_counted() {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let mut c = Client::connect(&server);
+        let mut received = 0;
+        for key in 0..200 {
+            let reply = c.ask(&format!("RECORD {key} VALUE {key}.5 AT {key}\n"));
+            assert_eq!(reply, format!("OK version={key}"));
+            received += reply.len() + 1;
+        }
+        let expected = c.ask("AS OF 1000\n");
+        assert!(
+            expected.starts_with("VERS 200 0:0=0.5 1:1=1.5 "),
+            "{expected}"
+        );
+        received += expected.len() + 1;
+
+        // One write of small statements whose answers add up to several
+        // times the threshold: the reader writes out part way through the
+        // burst, more than once, and every byte is counted.
+        let burst = 4 * DIRECT_WRITE_BYTES / expected.len();
+        c.send(&"AS OF 1000\n".repeat(burst));
+        for i in 0..burst {
+            assert_eq!(c.line(), expected, "reply {i} of {burst}");
+        }
+        received += burst * (expected.len() + 1);
+        let stats = c.ask("STATS\n");
+        assert!(
+            stats.contains(&format!(" bytes_out={received} ")),
+            "{received} bytes received, but {stats}"
+        );
+        server.shutdown();
+    }
 }

@@ -19,8 +19,16 @@
 //! Both modes pipeline: a client may write any number of back-to-back
 //! frames before reading a single response, and the decoder yields them
 //! one by one regardless of how the bytes were chunked by the transport.
+//!
+//! # Reply kernel
+//!
+//! A reply is mostly numbers — an `AS OF` answer is three per row — and
+//! `core::fmt` costs several times what the digits do. [`put_u64`] and
+//! [`put_f64`] append exactly the bytes `{}` and `{:?}` would, without
+//! `fmt`, and every number a successful reply carries goes through them.
 
 use std::fmt;
+use std::io::Write;
 
 /// Default inbound frame-size cap: 1 MiB of statement text.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
@@ -248,6 +256,54 @@ pub(crate) fn finish_response(mode: Mode, out: &mut Vec<u8>, start: usize) {
     }
 }
 
+/// `00`, `01`, … `99`: two digits per division in [`put_u64`].
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal: the bytes of `v.to_string()`.
+pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20
+    let mut at = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `x` as `{:?}` prints it — the shortest decimal that parses back
+/// to the same bits. A whole number below 1e16 in magnitude (where `{:?}`
+/// turns to exponents) is its integer digits and `.0`, sign kept for
+/// `-0.0`: every such `f64` is an exact integer, so the shortest digits
+/// that round-trip are the integer's own. Everything else — fractions,
+/// huge values, infinities, NaN — is left to `fmt`.
+pub fn put_f64(out: &mut Vec<u8>, x: f64) {
+    let mag = x.abs();
+    if mag < 1e16 && mag == mag.trunc() {
+        if x.is_sign_negative() {
+            out.push(b'-');
+        }
+        put_u64(out, mag as u64);
+        out.extend_from_slice(b".0");
+    } else {
+        write!(out, "{x:?}").expect("writing to a Vec cannot fail");
+    }
+}
+
 /// Encodes one request frame in binary mode (the client-side helper the
 /// load generator and tests use).
 pub fn encode_request(payload: &str, out: &mut Vec<u8>) {
@@ -351,6 +407,52 @@ mod tests {
         dec.feed(b"STATS\r\nPING\n");
         assert_eq!(dec.next_frame().unwrap().unwrap().text, "STATS");
         assert_eq!(dec.next_frame().unwrap().unwrap().text, "PING");
+    }
+
+    #[test]
+    fn kernel_prints_what_fmt_prints() {
+        fn u(v: u64) -> String {
+            let mut out = Vec::new();
+            put_u64(&mut out, v);
+            String::from_utf8(out).unwrap()
+        }
+        fn f(x: f64) -> String {
+            let mut out = Vec::new();
+            put_f64(&mut out, x);
+            String::from_utf8(out).unwrap()
+        }
+        for v in [0, 7, 10, 99, 100, 101, 12_345, u64::MAX, u64::MAX - 1] {
+            assert_eq!(u(v), v.to_string());
+        }
+        for p in 0..20 {
+            let v = 10u64.pow(p);
+            assert_eq!(u(v), v.to_string());
+            assert_eq!(u(v - 1), (v - 1).to_string());
+        }
+        let two53 = 9_007_199_254_740_992.0f64;
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            30_000.0,
+            0.5,
+            -41_000.25,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            1e16,
+            9_999_999_999_999_998.0,
+            1e-4,
+            9.9e-5,
+            5e-324,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(f(x), format!("{x:?}"));
+        }
     }
 
     #[test]

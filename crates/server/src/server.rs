@@ -140,6 +140,12 @@ impl Server {
         self.addr
     }
 
+    /// What connections share, for tests that wire one up by hand.
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Arc<Shared> {
+        &self.shared
+    }
+
     /// Server-lifetime telemetry (shared with live connections).
     pub fn stats(&self) -> &Arc<ServerStats> {
         &self.shared.stats

@@ -1,12 +1,19 @@
 //! Property tests for the wire layer: the query language's canonical
 //! print form must re-parse to an equal statement for *arbitrary*
-//! statements (exact f64 round-tripping included), and the frame codec
-//! must reassemble arbitrary pipelines under arbitrary chunking.
+//! statements (exact f64 round-tripping included), the frame codec must
+//! reassemble arbitrary pipelines under arbitrary chunking, the reply
+//! kernel must print what `fmt` prints, and — over a real socket — a
+//! pipeline's replies must come back in request order whichever of the
+//! connection's two threads wrote each one.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use segidx_server::frame::{encode_request, encode_response, FrameDecoder, Mode};
+use segidx_server::frame::{encode_request, encode_response, put_f64, put_u64, FrameDecoder, Mode};
 use segidx_server::parser::{parse, Statement};
+use segidx_server::{Server, ServerConfig};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::OnceLock;
 
 /// Finite, non-NaN coordinates across the full exponent range so the
 /// shortest-round-trip printing (`{:?}`) is genuinely exercised.
@@ -70,7 +77,174 @@ fn text(max_len: usize) -> impl Strategy<Value = String> {
     vec(0x20u8..0x7f, 1..max_len).prop_map(|bytes| String::from_utf8(bytes).unwrap())
 }
 
+/// Every bit pattern there is: NaNs with payloads, subnormals, both zeros.
+fn any_bits() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(f64::from_bits)
+}
+
+/// Whole numbers and the values around the kernel's two boundaries — 1e16,
+/// where `{:?}` turns to exponents, and 2^53, where not every integer is an
+/// `f64` any more — plus the small end (1e-4, subnormals) it must leave to
+/// `fmt`. `nudge` steps to a neighbouring `f64`, `negate` flips the sign.
+fn integral_heavy() -> impl Strategy<Value = f64> {
+    const TWO53: f64 = 9_007_199_254_740_992.0;
+    let base = prop_oneof![
+        4 => any::<u32>().prop_map(f64::from),
+        4 => (0u64..10_000_000_000_000_000).prop_map(|v| v as f64),
+        2 => (0u64..200_000).prop_map(|v| v as f64 / 2.0),
+        1 => Just(0.0),
+        1 => Just(TWO53),
+        1 => Just(1e16),
+        1 => Just(1e15),
+        1 => Just(1e-4),
+        1 => Just(f64::MIN_POSITIVE),
+        1 => Just(f64::from_bits(1)),
+        1 => Just(f64::MAX),
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NAN),
+    ];
+    (base, 0u64..3, any::<bool>()).prop_map(|(x, nudge, negate)| {
+        let x = match nudge {
+            1 if x.is_finite() => f64::from_bits(x.to_bits() + 1),
+            2 if x.is_finite() && x != 0.0 => f64::from_bits(x.to_bits() - 1),
+            _ => x,
+        };
+        if negate {
+            -x
+        } else {
+            x
+        }
+    })
+}
+
+/// A server every case of the wire-ordering property shares, preloaded
+/// with what the property's reads see: records in `[0, 100]^2` (its writes
+/// all land beyond `x = 1000`) and forty closed temporal versions. Nothing
+/// a case does changes the answer to any read, so a case's two sessions —
+/// and cases running before or after it — cannot disturb each other.
+fn shared_server() -> SocketAddr {
+    static SERVER: OnceLock<SocketAddr> = OnceLock::new();
+    *SERVER.get_or_init(|| {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut setup = Vec::new();
+        for i in 0..60u32 {
+            let (x, y) = (f64::from(i % 10) * 10.0, f64::from(i / 10) * 15.0);
+            setup.push(format!(
+                "INSERT RECT ({x:?}, {y:?}) ({:?}, {:?}) ID {i}",
+                x + 12.5,
+                y + 4.0
+            ));
+        }
+        setup.push("FLUSH".to_string());
+        for i in 0..48u32 {
+            setup.push(format!("RECORD {} VALUE {}.5 AT {}", i % 8, i * 3, i * 10));
+        }
+        let mut conn = TcpStream::connect(addr).unwrap();
+        for statement in &setup {
+            let reply = converse(&mut conn, &mut FrameDecoder::new(), statement, Mode::Binary);
+            assert!(reply.starts_with("OK "), "{statement} -> {reply}");
+        }
+        // Leaked on purpose: the listener serves until the process exits.
+        std::mem::forget(server);
+        addr
+    })
+}
+
+/// Appends one request in `mode`.
+fn encode(statement: &str, mode: Mode, wire: &mut Vec<u8>) {
+    match mode {
+        Mode::Binary => encode_request(statement, wire),
+        Mode::Line => {
+            wire.extend_from_slice(statement.as_bytes());
+            wire.push(b'\n');
+        }
+    }
+}
+
+/// Reads until `decoder` yields `n` replies.
+fn read_replies(conn: &mut TcpStream, decoder: &mut FrameDecoder, n: usize) -> Vec<(Mode, String)> {
+    let mut replies = Vec::with_capacity(n);
+    let mut buf = [0u8; 4096];
+    while replies.len() < n {
+        while let Some(frame) = decoder.next_frame().unwrap() {
+            replies.push((frame.mode, frame.text));
+        }
+        if replies.len() < n {
+            let got = conn.read(&mut buf).unwrap();
+            assert!(
+                got > 0,
+                "server closed with {} of {n} replies sent",
+                replies.len()
+            );
+            decoder.feed(&buf[..got]);
+        }
+    }
+    replies
+}
+
+/// One statement, one reply: the session a pipeline must be equal to.
+fn converse(
+    conn: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    statement: &str,
+    mode: Mode,
+) -> String {
+    let mut wire = Vec::new();
+    encode(statement, mode, &mut wire);
+    conn.write_all(&wire).unwrap();
+    let (got, text) = read_replies(conn, decoder, 1).remove(0);
+    assert_eq!(got, mode, "a reply mirrors its request's framing");
+    text
+}
+
+/// A statement of the wire-ordering property and whether the reader thread
+/// can answer it itself (`true`) or its reply waits for a commit.
+fn wire_statement() -> impl Strategy<Value = (String, bool)> {
+    let coord = || (0u32..400).prop_map(|v| f64::from(v) / 4.0);
+    prop_oneof![
+        3 => (coord(), coord(), coord(), coord()).prop_map(|(a, b, c, d)| {
+            let text = format!(
+                "SEARCH WINDOW ({:?}, {:?}) ({:?}, {:?})",
+                a.min(c), b.min(d), a.max(c), b.max(d)
+            );
+            (text, true)
+        }),
+        2 => (coord(), coord()).prop_map(|(x, y)| (format!("STAB POINT ({x:?}, {y:?})"), true)),
+        3 => (0u32..1_000).prop_map(|t| (format!("AS OF {}.25", t / 2), true)),
+        1 => Just(("PING".to_string(), true)),
+        1 => Just(("AS OF 1e308".to_string(), true)), // a typed error, answered in place
+        4 => (0u64..64, coord()).prop_map(|(id, y)| {
+            (format!("INSERT RECT (1000, {y:?}) (1001, {:?}) ID {}", y + 1.0, 10_000 + id), false)
+        }),
+        2 => (0u64..64, coord()).prop_map(|(id, y)| {
+            (format!("DELETE ID {} RECT (1000, {y:?}) (1001, {:?})", 10_000 + id, y + 1.0), false)
+        }),
+    ]
+}
+
 proptest! {
+    /// The kernel's digits are `fmt`'s, for every `u64`.
+    #[test]
+    fn put_u64_is_to_string(v in any::<u64>(), shift in 0u32..64) {
+        for v in [v, v >> shift] {
+            let mut out = Vec::new();
+            put_u64(&mut out, v);
+            prop_assert_eq!(String::from_utf8(out).unwrap(), v.to_string());
+        }
+    }
+
+    /// `put_f64(x)` is `format!("{x:?}")` — for arbitrary bit patterns, and
+    /// for the whole numbers and boundary values the fast path decides on.
+    #[test]
+    fn put_f64_is_debug(a in any_bits(), b in integral_heavy()) {
+        for x in [a, b] {
+            let mut out = Vec::new();
+            put_f64(&mut out, x);
+            prop_assert_eq!(String::from_utf8(out).unwrap(), format!("{x:?}"), "bits {:#x}", x.to_bits());
+        }
+    }
+
     /// Display prints a canonical form that parses back to an equal
     /// statement — including every f64 bit pattern the strategy produces
     /// (`{:?}` prints the shortest exactly-round-tripping decimal).
@@ -117,6 +291,56 @@ proptest! {
             dec.feed(&wire);
             let f = dec.next_frame().unwrap().unwrap();
             prop_assert_eq!(&f.text, &payload);
+        }
+    }
+
+    /// Replies come back in request order, and are the replies of a session
+    /// that sends one statement at a time, whatever mix of statements the
+    /// reader thread answers itself (`SEARCH`/`STAB`/`AS OF`/`PING`) and
+    /// statements whose reply waits for a commit (`INSERT`/`DELETE`) is
+    /// pipelined, in whatever framing, however the bytes are chunked — so
+    /// whichever of the reader and the flusher wrote each one. A commit's
+    /// epoch depends on how writes were grouped, so those replies are
+    /// compared up to the number; everything else byte for byte.
+    #[test]
+    fn pipelined_replies_equal_a_serial_session(
+        statements in vec((wire_statement(), any::<bool>()), 1..48),
+        chunk in 1usize..200,
+    ) {
+        let addr = shared_server();
+        let statements: Vec<(String, bool, Mode)> = statements
+            .into_iter()
+            .map(|((text, sync), line)| (text, sync, if line { Mode::Line } else { Mode::Binary }))
+            .collect();
+
+        let mut serial = TcpStream::connect(addr).unwrap();
+        let mut decoder = FrameDecoder::new();
+        let expected: Vec<String> = statements
+            .iter()
+            .map(|(text, _, mode)| converse(&mut serial, &mut decoder, text, *mode))
+            .collect();
+
+        let mut wire = Vec::new();
+        for (text, _, mode) in &statements {
+            encode(text, *mode, &mut wire);
+        }
+        let mut pipelined = TcpStream::connect(addr).unwrap();
+        pipelined.set_nodelay(true).unwrap();
+        for piece in wire.chunks(chunk) {
+            pipelined.write_all(piece).unwrap();
+        }
+        let got = read_replies(&mut pipelined, &mut FrameDecoder::new(), statements.len());
+
+        for (((text, sync, mode), expected), (got_mode, got)) in
+            statements.iter().zip(&expected).zip(&got)
+        {
+            prop_assert_eq!(got_mode, mode, "framing of the reply to `{}`", text);
+            if *sync {
+                prop_assert_eq!(got, expected, "reply to `{}`", text);
+            } else {
+                prop_assert!(expected.starts_with("OK epoch="), "`{}` -> {}", text, expected);
+                prop_assert!(got.starts_with("OK epoch="), "`{}` -> {}", text, got);
+            }
         }
     }
 }

@@ -38,6 +38,10 @@ pub struct Memtable<const D: usize> {
     sample_target: usize,
     stage: Stage<D>,
     ids: HashSet<RecordId>,
+    /// Bounding box of every entry inserted since the last drain (`None`
+    /// when there has been none). Deletes leave it as it is: a box that is
+    /// too large costs a scan, one that is too small loses an answer.
+    fence: Option<Rect<D>>,
 }
 
 impl<const D: usize> Memtable<D> {
@@ -51,6 +55,7 @@ impl<const D: usize> Memtable<D> {
             sample_target,
             stage: Stage::Buffer(Vec::with_capacity(sample_target)),
             ids: HashSet::new(),
+            fence: None,
         }
     }
 
@@ -75,6 +80,7 @@ impl<const D: usize> Memtable<D> {
     pub fn insert(&mut self, rect: Rect<D>, record: RecordId) {
         debug_assert!(!self.ids.contains(&record), "duplicate live record id");
         self.ids.insert(record);
+        self.fence = Some(self.fence.map_or(rect, |f| f.union(&rect)));
         match &mut self.stage {
             Stage::Buffer(buf) => {
                 buf.push((rect, record));
@@ -117,8 +123,12 @@ impl<const D: usize> Memtable<D> {
     }
 
     /// Record ids intersecting `query`, each once, in no particular order:
-    /// the owning index sorts them together with the tiers' hits.
+    /// the owning index sorts them together with the tiers' hits. A query
+    /// that misses the fence is answered without looking at an entry.
     pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
+        if !self.fence.is_some_and(|f| f.intersects(query)) {
+            return Vec::new();
+        }
         match &self.stage {
             Stage::Buffer(buf) => buf
                 .iter()
@@ -132,6 +142,7 @@ impl<const D: usize> Memtable<D> {
     /// Takes every entry out, resetting the memtable to its buffer stage.
     pub fn drain(&mut self) -> Vec<(Rect<D>, RecordId)> {
         self.ids.clear();
+        self.fence = None;
         let stage = std::mem::replace(
             &mut self.stage,
             Stage::Buffer(Vec::with_capacity(self.sample_target)),
@@ -177,5 +188,36 @@ impl<const D: usize> Memtable<D> {
             tree.insert(rect, record);
         }
         self.stage = Stage::Tree(Box::new(tree));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fence_grows_on_insert_stays_on_delete_resets_on_drain() {
+        let mut m = Memtable::<2>::new(IndexConfig::srtree(), 64, 64);
+        assert_eq!(m.fence, None);
+        let a = Rect::new([0.0, 0.0], [1.0, 0.0]);
+        let b = Rect::new([10.0, 5.0], [12.0, 5.0]);
+        m.insert(a, RecordId(1));
+        m.insert(b, RecordId(2));
+        assert_eq!(m.fence, Some(Rect::new([0.0, 0.0], [12.0, 5.0])));
+        let beside = Rect::new([12.5, 0.0], [13.0, 5.0]);
+        assert!(m.search(&beside).is_empty());
+        assert_eq!(
+            m.search(&Rect::new([12.0, 5.0], [13.0, 6.0])),
+            [RecordId(2)]
+        );
+
+        // Conservative: the box may outlive the entry that stretched it.
+        assert!(m.delete(&b, RecordId(2)));
+        assert_eq!(m.fence, Some(Rect::new([0.0, 0.0], [12.0, 5.0])));
+        assert!(m.search(&b).is_empty());
+
+        assert_eq!(m.drain(), [(a, RecordId(1))]);
+        assert_eq!(m.fence, None);
+        assert!(m.search(&a).is_empty());
     }
 }

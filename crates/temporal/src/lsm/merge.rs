@@ -18,7 +18,7 @@ use super::tier::{gather, Tier};
 use segidx_core::{bulk, IndexConfig, RecordId};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -47,7 +47,7 @@ pub(crate) struct MergeJob<const D: usize> {
     pub tiers: Vec<Tier<D>>,
     /// Tombstone snapshot. Tombstones created after dispatch carry higher
     /// sequences than the merged tier and still shadow it at query time.
-    pub tombstones: HashMap<RecordId, u64>,
+    pub tombstones: Arc<HashMap<RecordId, u64>>,
     /// Level of the output tier.
     pub level: u32,
     pub config: IndexConfig,

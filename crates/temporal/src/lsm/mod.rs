@@ -20,7 +20,8 @@
 //!   doubles as online backup: it exports to a separate [`DiskManager`]
 //!   while the writer keeps going.
 //!
-//! Queries scatter across the memtable and every tier, drop the copies a
+//! Queries scatter across the memtable and every tier whose *fence* — the
+//! bounding box of what it holds — meets the query, drop the copies a
 //! newer tombstone shadows, and merge record-sorted — bit-identical
 //! to a flat single-tree model holding only the live entries.
 //!
@@ -120,7 +121,9 @@ pub struct TieredTemporalIndex<const D: usize> {
     memtable: Memtable<D>,
     /// Oldest first (ascending `seq`); levels monotone non-increasing.
     tiers: Vec<Tier<D>>,
-    tombstones: HashMap<RecordId, u64>,
+    /// Shared with every pin, snapshot and merge job taken since the last
+    /// delete or prune, which copy it on write.
+    tombstones: Arc<HashMap<RecordId, u64>>,
     next_seq: u64,
     /// Live entries (inserts minus deletes) — the flat model's length.
     len: usize,
@@ -151,7 +154,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
             config,
             memtable,
             tiers: Vec::new(),
-            tombstones: HashMap::new(),
+            tombstones: Arc::default(),
             next_seq: 0,
             len: 0,
             disk: None,
@@ -188,7 +191,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
         let manifest = tier::read_manifest(&disk, root, D)?;
         let tiers: Vec<Tier<D>> = tier::load_tiers(&disk, &manifest)?;
         let mut idx = Self::new(config);
-        idx.tombstones = manifest.tombstones.into_iter().collect();
+        idx.tombstones = Arc::new(manifest.tombstones.into_iter().collect());
         idx.len = Self::live_ids(&tiers, &idx.tombstones).count();
         idx.next_seq = manifest.next_seq;
         idx.tiers = tiers;
@@ -295,7 +298,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
         if self.tombstones.get(&record).is_some_and(|&ts| ts > seq) {
             return Ok(false); // already deleted
         }
-        self.tombstones.insert(record, self.next_seq);
+        Arc::make_mut(&mut self.tombstones).insert(record, self.next_seq);
         self.next_seq += 1;
         self.len -= 1;
         if self.tombstones.len() > self.config.tombstone_limit && !self.tiers.is_empty() {
@@ -315,7 +318,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
     /// [`Tree::search`]: segidx_core::Tree::search
     pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
         scatter(
-            &self.tiers,
+            fenced(&self.tiers, query),
             &self.tombstones,
             query,
             self.memtable.search(query),
@@ -323,18 +326,21 @@ impl<const D: usize> TieredTemporalIndex<D> {
     }
 
     /// Starts a search that finishes without the index: scans the memtable
-    /// now and pins the sealed tier set (a reference count per tier) for
-    /// [`PinnedSearch::finish`], which returns exactly what [`search`]
-    /// would have returned at this moment however much is inserted,
-    /// sealed or merged in between. A caller that guards the index with a
-    /// lock holds it for the pin only, not for the tree searches.
+    /// now (if its fence meets the query) and pins the sealed tiers whose
+    /// fences do — a reference count per such tier, and one for the
+    /// tombstone map — for [`PinnedSearch::finish`], which returns exactly
+    /// what [`search`] would have returned at this moment however much is
+    /// inserted, sealed or merged in between. A caller that guards the
+    /// index with a lock holds it for the pin only, not for the tree
+    /// searches.
     ///
     /// [`search`]: TieredTemporalIndex::search
     pub fn pin(&self, query: &Rect<D>) -> PinnedSearch<D> {
         PinnedSearch {
             query: *query,
             hits: self.memtable.search(query),
-            sealed: self.snapshot(),
+            tiers: fenced(&self.tiers, query).cloned().collect(),
+            tombstones: Arc::clone(&self.tombstones),
         }
     }
 
@@ -453,7 +459,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
     pub fn snapshot(&self) -> TierSnapshot<D> {
         TierSnapshot {
             tiers: self.tiers.clone(),
-            tombstones: self.tombstones.clone(),
+            tombstones: Arc::clone(&self.tombstones),
             next_seq: self.next_seq,
             telemetry: self.telemetry.clone(),
             sink: self.sink.clone(),
@@ -511,7 +517,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
     fn make_job(&self, range: std::ops::Range<usize>, level: u32) -> MergeJob<D> {
         MergeJob {
             tiers: self.tiers[range].to_vec(),
-            tombstones: self.tombstones.clone(),
+            tombstones: Arc::clone(&self.tombstones),
             level,
             config: self.config.index.clone(),
         }
@@ -571,8 +577,13 @@ impl<const D: usize> TieredTemporalIndex<D> {
     /// copies and seals get fresh, higher sequences — so it is dead weight.
     fn prune_tombstones(&mut self) {
         let tiers = &self.tiers;
-        self.tombstones
-            .retain(|&r, &mut ts| tiers.iter().any(|t| t.seq < ts && t.contains(r)));
+        let shadows = |r: RecordId, ts: u64| tiers.iter().any(|t| t.seq < ts && t.contains(r));
+        // Un-share the map only if something is to go: every seal comes
+        // through here, most with nothing to prune.
+        if self.tombstones.iter().all(|(&r, &ts)| shadows(r, ts)) {
+            return;
+        }
+        Arc::make_mut(&mut self.tombstones).retain(|&r, &mut ts| shadows(r, ts));
     }
 
     fn gauge_memtable(&self) {
@@ -633,11 +644,23 @@ impl<const D: usize> std::fmt::Debug for TieredTemporalIndex<D> {
     }
 }
 
-/// Appends every tier's hits for `query` to `out`, dropping the copies a
-/// newer tombstone shadows (see the module docs for why that is the whole
-/// staleness rule), then sorts and dedups.
-fn scatter<const D: usize>(
-    tiers: &[Tier<D>],
+/// The tiers `query` can have a hit in: those whose fence it meets. A fence
+/// is a bounding box, right whatever order entries arrived in. Tiers do
+/// *not* cover disjoint time bands — end times are monotone per key only,
+/// and every writer runs its own clock — so no tier is skipped for where
+/// it sits in the list, only for what its box says.
+fn fenced<'a, const D: usize>(
+    tiers: &'a [Tier<D>],
+    query: &'a Rect<D>,
+) -> impl Iterator<Item = &'a Tier<D>> {
+    tiers.iter().filter(move |t| t.may_intersect(query))
+}
+
+/// Appends the hits for `query` of each of `tiers` to `out`, dropping the
+/// copies a newer tombstone shadows (see the module docs for why that is
+/// the whole staleness rule), then sorts and dedups.
+fn scatter<'a, const D: usize>(
+    tiers: impl IntoIterator<Item = &'a Tier<D>>,
     tombstones: &HashMap<RecordId, u64>,
     query: &Rect<D>,
     mut out: Vec<RecordId>,
@@ -657,24 +680,21 @@ fn scatter<const D: usize>(
 }
 
 /// A search begun by [`TieredTemporalIndex::pin`]: the memtable's hits and
-/// the sealed tiers still to be searched.
+/// the sealed tiers still to be searched — those the query can have a hit
+/// in, no others.
 #[derive(Debug)]
 pub struct PinnedSearch<const D: usize> {
     query: Rect<D>,
     hits: Vec<RecordId>,
-    sealed: TierSnapshot<D>,
+    tiers: Vec<Tier<D>>,
+    tombstones: Arc<HashMap<RecordId, u64>>,
 }
 
 impl<const D: usize> PinnedSearch<D> {
     /// Searches the pinned tiers and returns the record ids, sorted
     /// ascending and deduped.
     pub fn finish(self) -> Vec<RecordId> {
-        scatter(
-            &self.sealed.tiers,
-            &self.sealed.tombstones,
-            &self.query,
-            self.hits,
-        )
+        scatter(&self.tiers, &self.tombstones, &self.query, self.hits)
     }
 }
 
@@ -689,7 +709,7 @@ impl<const D: usize> PinnedSearch<D> {
 /// [`export_to`]: TierSnapshot::export_to
 pub struct TierSnapshot<const D: usize> {
     tiers: Vec<Tier<D>>,
-    tombstones: HashMap<RecordId, u64>,
+    tombstones: Arc<HashMap<RecordId, u64>>,
     next_seq: u64,
     telemetry: Option<Arc<TieredTelemetry>>,
     sink: Option<Arc<dyn ObsSink>>,
@@ -709,7 +729,12 @@ impl<const D: usize> TierSnapshot<D> {
     /// Searches the pinned tier set (no memtable: a snapshot covers the
     /// sealed, durable half only). Sorted ascending, deduped.
     pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        scatter(&self.tiers, &self.tombstones, query, Vec::new())
+        scatter(
+            fenced(&self.tiers, query),
+            &self.tombstones,
+            query,
+            Vec::new(),
+        )
     }
 
     /// Writes the pinned tier set to `disk` as a committed manifest — an
@@ -848,6 +873,71 @@ mod tests {
         // re-inserted).
         let gone = Rect::new([2.0, 2.0], [2.0 + 1.0 + 2.0 % 37.0, 2.0]);
         assert!(!tiered.delete(&gone, RecordId(2)).unwrap());
+    }
+
+    #[test]
+    fn pins_share_the_tombstone_map_until_a_delete() {
+        // Regression: every pin used to deep-clone the map — O(tombstones)
+        // per read, under the caller's lock, once anything had expired.
+        let mut config = cfg(16);
+        config.tombstone_limit = 1 << 20;
+        let mut tiered = TieredTemporalIndex::<2>::new(config);
+        let items: Vec<_> = stream(96).collect();
+        for &(rect, record) in &items {
+            tiered.insert(rect, record).unwrap();
+        }
+        for &(rect, record) in items.iter().take(40) {
+            assert!(tiered.delete(&rect, record).unwrap());
+        }
+        assert_eq!(tiered.tombstone_count(), 40);
+        let all = Rect::new([0.0, 0.0], [1_000.0, 1_000.0]);
+        let (a, b) = (tiered.pin(&all), tiered.pin(&all));
+        assert!(Arc::ptr_eq(&a.tombstones, &b.tombstones));
+        assert!(Arc::ptr_eq(&a.tombstones, &tiered.snapshot().tombstones));
+
+        // A delete writes its own copy; the pins keep the map they took.
+        let (rect, record) = items[40];
+        assert!(tiered.delete(&rect, record).unwrap());
+        let c = tiered.pin(&all);
+        assert!(!Arc::ptr_eq(&a.tombstones, &c.tombstones));
+        assert_eq!((a.tombstones.len(), c.tombstones.len()), (40, 41));
+        assert_eq!(a.finish().len(), 56, "as of its pin");
+        assert_eq!(b.finish().len(), 56);
+        assert_eq!(c.finish().len(), 55);
+        assert_eq!(tiered.search(&all).len(), 55);
+
+        // A seal with nothing to prune leaves the shared map alone.
+        let d = tiered.pin(&all);
+        tiered
+            .insert(Rect::new([500.0, 0.0], [501.0, 0.0]), RecordId(500))
+            .unwrap();
+        tiered.seal().unwrap();
+        assert!(Arc::ptr_eq(&d.tombstones, &tiered.pin(&all).tombstones));
+    }
+
+    #[test]
+    fn a_pin_takes_only_what_its_query_can_hit() {
+        // fanout 64: no merges, so eight tiers of 32, each its own band
+        // of start times (with tails: lengths go up to 37).
+        let mut config = cfg(32);
+        config.level_fanout = 64;
+        let mut tiered = TieredTemporalIndex::<2>::new(config);
+        for (rect, record) in stream(256 + 10) {
+            tiered.insert(rect, record).unwrap();
+        }
+        assert_eq!((tiered.tier_count(), tiered.memtable_len()), (8, 10));
+        let early = Rect::new([3.0, 0.0], [3.5, 100.0]);
+        let pinned = tiered.pin(&early);
+        assert_eq!(pinned.tiers.len(), 1, "only the first tier reaches t = 3");
+        assert_eq!(pinned.finish(), tiered.search(&early));
+        let late = Rect::new([260.0, 0.0], [261.0, 100.0]);
+        let pinned = tiered.pin(&late);
+        assert!(pinned.tiers.len() <= 1, "at most the last tier's tail");
+        assert!(!pinned.hits.is_empty(), "the memtable is scanned");
+        let nowhere = Rect::new([0.0, 500.0], [1_000.0, 600.0]);
+        let pinned = tiered.pin(&nowhere);
+        assert!(pinned.tiers.is_empty() && pinned.hits.is_empty());
+        assert!(pinned.finish().is_empty());
     }
 
     #[test]

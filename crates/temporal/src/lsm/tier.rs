@@ -38,21 +38,41 @@ pub struct Tier<const D: usize> {
     /// Metadata page of the persisted tree, once written. `None` until the
     /// tier's first manifest commit (and always `None` in-memory).
     pub meta: Option<PageId>,
+    /// Bounding box of everything in the tree (`None` for an empty one):
+    /// a query that misses it has no hit here, so the tier is neither
+    /// pinned nor searched. Derived from the tree at [`Tier::new`], which
+    /// loading goes through too — the manifest does not know it exists.
+    fence: Option<Rect<D>>,
 }
 
 impl<const D: usize> Tier<D> {
-    /// Wraps a freshly packed tree into a tier, deriving its id table.
+    /// Wraps a freshly packed (or loaded) tree into a tier, deriving its id
+    /// table and its fence.
     pub fn new(tree: Tree<D>, seq: u64, level: u32) -> Self {
-        let mut ids: Vec<RecordId> = tree.iter_entries().map(|(_, r)| r).collect();
+        // One pass for both. The fence is folded from the entries, not
+        // read off `Tree::root_region`: that box leaves out spanning
+        // records held in the root, which nothing keeps inside it.
+        let mut fence: Option<Rect<D>> = None;
+        let mut ids = Vec::with_capacity(tree.entry_count());
+        for (rect, record) in tree.iter_entries() {
+            fence = Some(fence.map_or(rect, |f| f.union(&rect)));
+            ids.push(record);
+        }
         ids.sort_unstable();
         ids.dedup();
         Self {
+            fence,
             tree: Arc::new(tree),
             ids: Arc::new(ids),
             seq,
             level,
             meta: None,
         }
+    }
+
+    /// Whether `query` can have a hit in this tier.
+    pub fn may_intersect(&self, query: &Rect<D>) -> bool {
+        self.fence.is_some_and(|f| f.intersects(query))
     }
 
     /// Whether this tier holds a copy of `record`.

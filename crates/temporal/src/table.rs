@@ -1,6 +1,7 @@
 //! The temporal table.
 
 use crate::lsm::{PinnedSearch, TieredConfig, TieredTemporalIndex};
+use segidx_core::prefetch::prefetch_slot;
 use segidx_core::{IndexConfig, RecordId, StatsSnapshot, Tree};
 use segidx_geom::{Interval, Rect};
 use segidx_storage::StorageError;
@@ -199,13 +200,14 @@ enum Keep {
 /// table.
 ///
 /// 1. **pin** (`&TemporalTable`): validate, copy the matching *open*
-///    versions out of the live set, scan the memtable, and take a
-///    reference to every sealed tier. This is the query's linearisation
-///    point: its answer is the table's state at the pin.
+///    versions out of the live set, and — each only if its fence, the
+///    bounding box of what it holds, meets the query — scan the memtable
+///    and take a reference to a sealed tier. This is the query's
+///    linearisation point: its answer is the table's state at the pin.
 /// 2. **[`search`]** (no table): search the pinned tiers.
-/// 3. **[`TemporalTable::resolve`]** (`&TemporalTable`): look the closed
-///    versions' rows up by id — closed rows never change — and merge in
-///    the open rows copied at the pin.
+/// 3. **[`TemporalTable::resolve`]** (`&TemporalTable`): prefetch, then
+///    read, the closed versions' rows by id — closed rows never change —
+///    and merge in the open rows copied at the pin.
 ///
 /// A server that guards the table with a lock takes it for 1 and 3 only.
 ///
@@ -503,22 +505,44 @@ impl TemporalTable {
     /// of a [`PinnedQuery`] (searching it first if the caller has not). A
     /// version expired since the pin is left out.
     pub fn resolve(&self, pinned: PinnedQuery) -> Vec<(VersionId, Version)> {
-        let PinnedQuery { index, open, keep } = pinned;
-        let mut out: Vec<(VersionId, Version)> = index
-            .finish()
-            .into_iter()
-            .map(|r| (VersionId(r.raw()), self.versions[r.raw() as usize]))
-            .chain(open)
-            .filter(|(_, v)| match keep {
-                Keep::All => !v.from.is_nan(),
-                Keep::ValidAt(t) => v.valid_at(t),
-                Keep::Lifetime { lo, hi } => {
-                    let dur = v.to.unwrap_or(self.horizon) - v.from;
-                    dur >= lo && dur <= hi
-                }
-            })
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
+        let PinnedQuery {
+            index,
+            mut open,
+            keep,
+        } = pinned;
+        let kept = |v: &Version| match keep {
+            Keep::All => !v.from.is_nan(),
+            Keep::ValidAt(t) => v.valid_at(t),
+            Keep::Lifetime { lo, hi } => {
+                let dur = v.to.unwrap_or(self.horizon) - v.from;
+                dur >= lo && dur <= hi
+            }
+        };
+        // The hits name rows scattered over the whole catalog: ask for all
+        // of them before reading the first, so the misses overlap.
+        let closed = index.finish();
+        for r in &closed {
+            prefetch_slot(&self.versions, r.raw() as usize);
+        }
+        // Closed ids come sorted from the index; the open rows (few: one
+        // per key at most, copied out of a hash map) are sorted here and
+        // merged in. No id is in both — a version is open or indexed.
+        debug_assert!(closed.windows(2).all(|w| w[0] < w[1]));
+        open.retain(|(_, v)| kept(v));
+        open.sort_unstable_by_key(|(id, _)| *id);
+        let mut open = open.into_iter().peekable();
+        let mut out = Vec::with_capacity(closed.len() + open.len());
+        for r in closed {
+            let id = VersionId(r.raw());
+            while let Some(row) = open.next_if(|(o, _)| *o < id) {
+                out.push(row);
+            }
+            let v = self.versions[r.raw() as usize];
+            if kept(&v) {
+                out.push((id, v));
+            }
+        }
+        out.extend(open);
         out
     }
 

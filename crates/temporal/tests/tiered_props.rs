@@ -5,17 +5,43 @@
 //! `seal`/`compact` ops) so every query races the full tier lifecycle:
 //! memtable-only, freshly sealed, mid-merge shadowing, post-compaction.
 //! One test re-uses record ids, the case the tombstone-only staleness rule
-//! of the search has to get right.
+//! of the search has to get right; one aims every query at the edge of a
+//! fence, where skipping a tier or the memtable is one comparison from
+//! losing an answer.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::{Interval, Rect};
+use segidx_storage::DiskManager;
 use segidx_temporal::{
     MergeMode, TemporalBackend, TemporalConfig, TemporalTable, TieredConfig, TieredTemporalIndex,
 };
 
 const HORIZON: f64 = 1_000.0;
+
+/// The next `f64` above a positive `x`.
+fn just_above(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() + 1)
+}
+
+/// Queries that touch `r` exactly — sharing one edge, or one corner, and
+/// nothing more — and queries that miss it by one `f64`. A fence is a union
+/// of such rectangles, so its own edges are among theirs.
+fn edge_queries(r: &Rect<2>) -> [Rect<2>; 6] {
+    let (lo, hi) = (r.lo(1) - 5.0, r.hi(1) + 5.0);
+    [
+        Rect::new([r.hi(0), lo], [r.hi(0) + 40.0, hi]), // starts where `r` ends
+        Rect::new([just_above(r.hi(0)), lo], [r.hi(0) + 40.0, hi]),
+        Rect::new([r.lo(0) - 40.0, lo], [r.lo(0), hi]), // ends where `r` starts
+        Rect::new([r.hi(0), r.hi(1)], [r.hi(0), r.hi(1)]), // the corner, as a point
+        Rect::new([r.lo(0) - 40.0, r.hi(1)], [r.hi(0) + 40.0, hi]), // top edge
+        Rect::new(
+            [r.lo(0) - 40.0, just_above(r.hi(1))],
+            [r.hi(0) + 40.0, hi + 1.0],
+        ),
+    ]
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -212,5 +238,73 @@ proptest! {
         }
         prop_assert_eq!(flat.current(), tiered.current());
         prop_assert_eq!(flat.version_count(), tiered.version_count());
+    }
+
+    /// Fenced search ≡ the flat model where fences are decided: on queries
+    /// that share exactly an edge or a corner with a rectangle that is, or
+    /// was, in the index — after deletes out of the memtable (its fence
+    /// may stay too large, never too small), after seals and merges (a
+    /// merged tier's fence is its inputs' union), and after the index is
+    /// sealed, dropped and opened from disk (fences are derived at load;
+    /// the manifest does not hold them).
+    #[test]
+    fn fenced_search_matches_flat_tree_on_fence_edges(
+        ops in vec((0.0..900.0f64, 1.0..80.0f64, 1.0..200.0f64, 0u8..10), 1..120),
+        seal_threshold in 3usize..12,
+    ) {
+        let dir = std::env::temp_dir().join(format!("segidx-fence-props-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{:?}.db", std::thread::current().id()));
+        let _ = std::fs::remove_file(&path);
+        let config = tiered_config(seal_threshold, MergeMode::Inline);
+        let disk = std::sync::Arc::new(DiskManager::create(&path).unwrap());
+        let mut tiered = TieredTemporalIndex::<2>::create(config.clone(), disk).unwrap();
+        let mut flat: Tree<2> = Tree::new(IndexConfig::srtree());
+        let mut live: Vec<(Rect<2>, RecordId)> = Vec::new();
+        let mut seen: Vec<Rect<2>> = Vec::new();
+        for (i, &(start, len, value, kind)) in ops.iter().enumerate() {
+            match kind {
+                // Newest first: a delete that finds its entry still in the
+                // memtable, which shrinks while its fence does not.
+                0 | 1 if !live.is_empty() => {
+                    let at = if kind == 0 { live.len() - 1 } else { i % live.len() };
+                    let (rect, record) = live.swap_remove(at);
+                    prop_assert!(tiered.delete(&rect, record).unwrap());
+                    prop_assert!(flat.delete(&rect, record));
+                }
+                2 => tiered.seal().unwrap(),
+                _ => {
+                    let rect = Rect::new([start, value], [start + len, value]);
+                    let record = RecordId(i as u64);
+                    tiered.insert(rect, record).unwrap();
+                    flat.insert(rect, record);
+                    live.push((rect, record));
+                    seen.push(rect);
+                }
+            }
+        }
+        tiered.assert_invariants();
+        for q in seen.iter().flat_map(edge_queries) {
+            let expected = flat.search(&q);
+            prop_assert_eq!(tiered.search(&q), expected.clone(), "search {:?}", q);
+            prop_assert_eq!(tiered.pin(&q).finish(), expected, "pin {:?}", q);
+        }
+
+        // A seal makes the memtable durable and a checkpoint the tombstones
+        // written since: after both the disk holds exactly what is live,
+        // and a reopened index has to fence it the same.
+        tiered.seal().unwrap();
+        tiered.checkpoint().unwrap();
+        drop(tiered);
+        let disk = std::sync::Arc::new(DiskManager::open(&path).unwrap());
+        let reopened = TieredTemporalIndex::<2>::open(config, disk).unwrap();
+        reopened.assert_invariants();
+        prop_assert_eq!(reopened.len(), flat.len());
+        for q in seen.iter().flat_map(edge_queries) {
+            prop_assert_eq!(reopened.search(&q), flat.search(&q), "reopened {:?}", q);
+            prop_assert_eq!(reopened.snapshot().search(&q), flat.search(&q), "snapshot {:?}", q);
+        }
+        drop(reopened);
+        let _ = std::fs::remove_file(&path);
     }
 }
