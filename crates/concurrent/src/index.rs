@@ -675,10 +675,11 @@ impl<const D: usize, E> IndexHandle<D, E> {
     /// [`Overloaded`](SubmitError::Overloaded) op does not prevent later
     /// ops in the run from being admitted.
     ///
-    /// Combined with [`CommitTicket::on_complete`] this is the
-    /// backpressure-aware path a pipelined front-end uses: one lock and
-    /// one writer wakeup per pipeline flush, zero parked threads per
-    /// in-flight write.
+    /// This is the backpressure-aware path a pipelined front-end uses:
+    /// one lock and one writer wakeup for everything a client sent at
+    /// once, after which the submitter goes on with other work and
+    /// [`wait`](CommitTicket::wait)s on the tickets when it needs the
+    /// outcomes — typically to find them already resolved.
     pub fn submit_batch(&self, ops: Vec<IndexOp<D>>) -> Vec<Result<CommitTicket, SubmitError>> {
         self.shared.submit_batch(ops)
     }
@@ -834,6 +835,44 @@ impl<const D: usize, E> std::fmt::Debug for IndexHandle<D, E> {
     }
 }
 
+/// The batch the writer has drained and not yet answered. Nothing else can
+/// reach these tickets any more, so a writer that unwinds while holding them
+/// (a panicking [`CommitHook`], a bug in an engine's `apply_*`) would leave
+/// `FLUSH`, [`CommitTicket::wait`] and every connection waiting on one
+/// parked forever. Dropped during a panic, this answers them — and whatever
+/// is still queued — with [`CommitError::WriterExited`] and closes the
+/// queue; dropped normally it does nothing.
+struct Drained<'a, const D: usize, E> {
+    shared: &'a Shared<D, E>,
+    batch: Vec<QueueItem<D>>,
+}
+
+impl<const D: usize, E> Drained<'_, D, E> {
+    fn tickets(&self) -> impl Iterator<Item = &Arc<TicketState>> {
+        self.batch.iter().map(|item| match item {
+            QueueItem::Op { ticket, .. } | QueueItem::Barrier(ticket) => ticket,
+        })
+    }
+
+    /// Fails the batch and everything queued behind it; the writer is
+    /// about to exit and nothing submitted can commit any more.
+    fn fail(&self, err: &CommitError) {
+        self.shared.queue.close();
+        for ticket in self.tickets() {
+            ticket.complete(Err(err.clone()));
+        }
+        self.shared.queue.fail_remaining(err);
+    }
+}
+
+impl<const D: usize, E> Drop for Drained<'_, D, E> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.fail(&CommitError::WriterExited);
+        }
+    }
+}
+
 /// The single writer: drain → apply → checkpoint → publish → reclaim.
 fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
     shared: Arc<Shared<D, E>>,
@@ -851,30 +890,30 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             }
             continue;
         }
+        let drained = Drained {
+            shared: &shared,
+            batch,
+        };
         let commit_start = Instant::now();
         // Each ticket keeps its own queue wait; the apply/checkpoint/
         // publish phases below are shared by the whole group commit.
-        let mut tickets: Vec<(Arc<TicketState>, u64)> = Vec::new();
+        let mut queue_waits: Vec<u64> = Vec::with_capacity(drained.batch.len());
         let mut applied = 0usize;
-        for item in batch {
+        for item in &drained.batch {
             match item {
-                QueueItem::Op {
-                    op,
-                    ticket,
-                    enqueued,
-                } => {
+                QueueItem::Op { op, enqueued, .. } => {
                     let waited = enqueued.elapsed();
                     shared.telemetry.queue_wait.record_duration(waited);
-                    match op {
+                    match *op {
                         IndexOp::Insert { rect, record } => tree.apply_insert(rect, record),
                         IndexOp::Delete { rect, record } => {
                             tree.apply_delete(&rect, record);
                         }
                     }
                     applied += 1;
-                    tickets.push((ticket, waited.as_nanos() as u64));
+                    queue_waits.push(waited.as_nanos() as u64);
                 }
-                QueueItem::Barrier(ticket) => tickets.push((ticket, 0)),
+                QueueItem::Barrier(_) => queue_waits.push(0),
             }
         }
         let apply_nanos = commit_start.elapsed().as_nanos() as u64;
@@ -886,8 +925,8 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
                 durable_epoch: shared.published_durable_epoch(),
                 ops_in_commit: 0,
             });
-            for (t, _) in tickets {
-                t.complete(receipt.clone());
+            for ticket in drained.tickets() {
+                ticket.complete(receipt.clone());
             }
             continue;
         }
@@ -904,12 +943,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
                     // break the durability == visibility invariant. Fail
                     // everything and stop: the published snapshot stays at
                     // the last durable epoch.
-                    let failure = CommitError::Storage(err.to_string());
-                    shared.queue.close();
-                    for (t, _) in tickets {
-                        t.complete(Err(failure.clone()));
-                    }
-                    shared.queue.fail_remaining(&failure);
+                    drained.fail(&CommitError::Storage(err.to_string()));
                     return;
                 }
             },
@@ -957,14 +991,14 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             ops_in_commit: applied,
         });
         let publish_nanos = publish_start.elapsed().as_nanos() as u64;
-        for (t, queue_wait_nanos) in tickets {
-            t.set_phases(CommitPhases {
+        for (ticket, queue_wait_nanos) in drained.tickets().zip(queue_waits) {
+            ticket.set_phases(CommitPhases {
                 queue_wait_nanos,
                 apply_nanos,
                 checkpoint_nanos,
                 publish_nanos,
             });
-            t.complete(receipt.clone());
+            ticket.complete(receipt.clone());
         }
     }
 }

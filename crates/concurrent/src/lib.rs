@@ -289,7 +289,44 @@ mod tests {
     }
 
     #[test]
-    fn batch_submission_commits_in_order_with_callbacks() {
+    fn a_writer_that_dies_mid_commit_answers_instead_of_hanging() {
+        // Regression: a writer that panicked after `drain` dropped its
+        // batch's tickets un-completed, so their waiters — and `flush` —
+        // parked forever. Bounded waits throughout: a hang is a failure.
+        let wait = std::time::Duration::from_secs(10);
+        let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
+            .commit_hook(Box::new(|epoch| {
+                assert!(epoch < 2, "commit hook failure injected by the test");
+            }))
+            .start()
+            .unwrap();
+        let insert = |i: u64| IndexOp::Insert {
+            rect: rect(i),
+            record: RecordId(i),
+        };
+        let first = index.submit(insert(0)).unwrap();
+        assert_eq!(
+            first.wait_timeout(wait).map(|r| r.map(|r| r.epoch)),
+            Some(Ok(1))
+        );
+
+        let doomed = index.submit(insert(1)).unwrap();
+        assert_eq!(
+            doomed.wait_timeout(wait),
+            Some(Err(CommitError::WriterExited)),
+            "the dying writer answered the batch it had drained"
+        );
+        // The queue closed behind it: nothing is admitted to wait on a
+        // writer that is gone, and a flush says so instead of parking.
+        assert_eq!(index.submit(insert(2)).unwrap_err(), SubmitError::Closed);
+        assert_eq!(index.flush(), Err(CommitError::WriterExited));
+        // Readers never needed the writer.
+        let snap = index.snapshot();
+        assert_eq!((snap.epoch(), snap.len()), (1, 1));
+    }
+
+    #[test]
+    fn batch_submission_commits_in_order() {
         let index = start_empty();
         let ops: Vec<IndexOp<2>> = (0..64u64)
             .map(|i| IndexOp::Insert {
@@ -299,31 +336,17 @@ mod tests {
             .collect();
         let results = index.submit_batch(ops);
         assert_eq!(results.len(), 64);
-        let completions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        for r in &results {
-            let done = Arc::clone(&completions);
-            r.as_ref()
-                .expect("queue capacity 1024 admits the whole batch")
-                .on_complete(move |outcome| {
-                    assert!(outcome.is_ok());
-                    done.fetch_add(1, Ordering::SeqCst);
-                });
-        }
-        index.flush().unwrap();
-        assert_eq!(
-            completions.load(Ordering::SeqCst),
-            64,
-            "every ticket's callback fired without any thread parking on it"
-        );
-        let snap = index.snapshot();
-        assert_eq!(snap.len(), 64);
         // Epochs across the batch's tickets are monotone in input order.
         let mut last = 0;
         for r in results {
-            let epoch = r.unwrap().try_receipt().unwrap().unwrap().epoch;
+            let ticket = r.expect("queue capacity 1024 admits the whole batch");
+            let epoch = ticket.wait().unwrap().epoch;
             assert!(epoch >= last);
             last = epoch;
+            assert_eq!(ticket.try_receipt().unwrap().unwrap().epoch, epoch);
         }
+        assert!(index.snapshot().epoch() >= last);
+        assert_eq!(index.snapshot().len(), 64);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use segidx_core::RecordId;
@@ -130,42 +130,19 @@ impl CommitPhases {
     }
 }
 
-/// A completion callback registered on a pending ticket; runs exactly once
-/// on the writer thread when the commit resolves (see
-/// [`CommitTicket::on_complete`]).
-type CompletionFn = Box<dyn FnOnce(&Result<CommitReceipt, CommitError>) + Send>;
-
-/// Something waiting for a ticket to resolve without parking a thread.
-enum Waiter {
-    /// Run a closure with the outcome.
-    Callback(CompletionFn),
-    /// Wake a task so it re-polls ([`CommitTicket::register_waker`] /
-    /// the ticket's `Future` impl).
-    Waker(std::task::Waker),
-}
-
-impl Waiter {
-    fn fire(self, result: &Result<CommitReceipt, CommitError>) {
-        match self {
-            Waiter::Callback(f) => f(result),
-            Waiter::Waker(w) => w.wake(),
-        }
-    }
-}
-
-/// The result slot plus everything waiting on it. One mutex guards both so
-/// a waiter registered concurrently with `complete` either sees the result
-/// (and fires inline) or is drained by `complete` — never lost.
-#[derive(Default)]
-struct Completion {
-    result: Option<Result<CommitReceipt, CommitError>>,
-    waiters: Vec<Waiter>,
+/// The lock, poisoned or not. Every connection thread and the writer share
+/// these mutexes, and each critical section below moves its fields together
+/// and cannot panic part-way, so a thread that died holding one left
+/// nothing half-written: recover the guard rather than take every other
+/// submitter — or the writer — down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Shared completion state behind a [`CommitTicket`].
 #[derive(Default)]
 pub(crate) struct TicketState {
-    completion: Mutex<Completion>,
+    result: Mutex<Option<Result<CommitReceipt, CommitError>>>,
     done: Condvar,
     /// Phase breakdown, set by the writer just before `complete`. A side
     /// channel rather than receipt fields so [`CommitReceipt`] stays a
@@ -175,76 +152,34 @@ pub(crate) struct TicketState {
 
 impl std::fmt::Debug for TicketState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let c = self.completion.lock().unwrap();
         f.debug_struct("TicketState")
-            .field("result", &c.result)
-            .field("waiters", &c.waiters.len())
+            .field("result", &*lock(&self.result))
             .finish()
     }
 }
 
 impl TicketState {
+    /// Resolves the ticket; the first outcome wins, later ones are ignored.
     pub(crate) fn complete(&self, result: Result<CommitReceipt, CommitError>) {
-        let waiters = {
-            let mut c = self.completion.lock().unwrap();
-            if c.result.is_some() {
-                return;
-            }
-            c.result = Some(result.clone());
+        let mut slot = lock(&self.result);
+        if slot.is_none() {
+            *slot = Some(result);
             self.done.notify_all();
-            std::mem::take(&mut c.waiters)
-        };
-        // Callbacks run outside the lock: they may clone the ticket and
-        // inspect it (try_receipt / phases) without deadlocking.
-        for w in waiters {
-            w.fire(&result);
         }
     }
 
     pub(crate) fn set_phases(&self, phases: CommitPhases) {
-        *self.phases.lock().unwrap() = Some(phases);
-    }
-
-    fn on_complete(&self, f: CompletionFn) {
-        let ready = {
-            let mut c = self.completion.lock().unwrap();
-            match &c.result {
-                Some(r) => r.clone(),
-                None => {
-                    c.waiters.push(Waiter::Callback(f));
-                    return;
-                }
-            }
-        };
-        f(&ready);
-    }
-
-    /// Registers `waker` unless the result is already known; returns
-    /// `true` if the ticket is ready (caller should read the result now).
-    fn register_waker(&self, waker: &std::task::Waker) -> bool {
-        let mut c = self.completion.lock().unwrap();
-        if c.result.is_some() {
-            return true;
-        }
-        // A task re-polling with the same waker keeps its single entry;
-        // distinct tasks polling clones of one ticket each get their own
-        // (replacing another task's waker would lose its wakeup).
-        let registered = c
-            .waiters
-            .iter()
-            .any(|w| matches!(w, Waiter::Waker(e) if e.will_wake(waker)));
-        if !registered {
-            c.waiters.push(Waiter::Waker(waker.clone()));
-        }
-        false
+        *lock(&self.phases) = Some(phases);
     }
 
     fn wait(&self) -> Result<CommitReceipt, CommitError> {
-        let mut c = self.completion.lock().unwrap();
-        while c.result.is_none() {
-            c = self.done.wait(c).unwrap();
+        let mut slot = lock(&self.result);
+        loop {
+            if let Some(result) = slot.as_ref() {
+                return result.clone();
+            }
+            slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
-        c.result.clone().unwrap()
     }
 
     fn wait_timeout(&self, timeout: Duration) -> Option<Result<CommitReceipt, CommitError>> {
@@ -253,8 +188,8 @@ impl TicketState {
         let Some(deadline) = Instant::now().checked_add(timeout) else {
             return Some(self.wait());
         };
-        let mut c = self.completion.lock().unwrap();
-        while c.result.is_none() {
+        let mut slot = lock(&self.result);
+        while slot.is_none() {
             // Recompute the remaining budget from the *absolute* deadline
             // on every pass, so spurious condvar wakeups near the deadline
             // never extend the wait (each wakeup re-waits only for what is
@@ -263,17 +198,20 @@ impl TicketState {
             if remaining.is_zero() {
                 return None;
             }
-            let (next, timed_out) = self.done.wait_timeout(c, remaining).unwrap();
-            c = next;
-            if timed_out.timed_out() && c.result.is_none() {
+            let (next, timed_out) = self
+                .done
+                .wait_timeout(slot, remaining)
+                .unwrap_or_else(PoisonError::into_inner);
+            slot = next;
+            if timed_out.timed_out() && slot.is_none() {
                 return None;
             }
         }
-        c.result.clone()
+        slot.clone()
     }
 
     fn peek(&self) -> Option<Result<CommitReceipt, CommitError>> {
-        self.completion.lock().unwrap().result.clone()
+        lock(&self.result).clone()
     }
 }
 
@@ -332,39 +270,9 @@ impl CommitTicket {
         self.state.peek()
     }
 
-    /// Registers `f` to run exactly once with the commit outcome, without
-    /// parking any thread.
-    ///
-    /// If the commit has already resolved, `f` runs inline on the calling
-    /// thread. Otherwise it runs **on the writer thread** during the
-    /// completion of this operation's group commit, so it must be quick
-    /// and must not block — hand the result off (fill a slot, push to a
-    /// queue, wake a reactor) rather than doing work in place. This is
-    /// the completion surface a server event loop uses to keep thousands
-    /// of writes in flight with zero parked threads.
-    pub fn on_complete(
-        &self,
-        f: impl FnOnce(&Result<CommitReceipt, CommitError>) + Send + 'static,
-    ) {
-        self.state.on_complete(Box::new(f));
-    }
-
-    /// Registers a [`std::task::Waker`] to be woken when the commit
-    /// resolves. Returns `true` if the result is already available (the
-    /// caller should read it via [`try_receipt`](Self::try_receipt) now
-    /// instead of sleeping). Tickets also implement [`Future`](std::future::Future), which is
-    /// built on this.
-    ///
-    /// Distinct tasks polling clones of one ticket are all woken;
-    /// re-registering a waker that [`will_wake`](std::task::Waker::will_wake)
-    /// an already-registered one is a no-op.
-    pub fn register_waker(&self, waker: &std::task::Waker) -> bool {
-        self.state.register_waker(waker)
-    }
-
     /// The commit's phase breakdown, if the writer has completed it.
     pub fn phases(&self) -> Option<CommitPhases> {
-        *self.state.phases.lock().unwrap()
+        *lock(&self.state.phases)
     }
 
     /// Attributes the completed commit's phases to the active trace: one
@@ -390,31 +298,6 @@ impl CommitTicket {
                 ctx.record_interval(name, t, t.saturating_add(dur), 0);
             }
             t = t.saturating_add(dur);
-        }
-    }
-}
-
-/// `CommitTicket` is a future: polling returns the commit outcome, waking
-/// the task when the writer resolves it. The ticket stays usable after
-/// completion — re-polling (or a clone's poll) yields the same result, so
-/// a ticket can back both an async wait and a later synchronous
-/// [`try_receipt`](CommitTicket::try_receipt).
-impl std::future::Future for CommitTicket {
-    type Output = Result<CommitReceipt, CommitError>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        // Register first, then read: if completion raced between the
-        // registration and the peek, `register_waker` returned `true` and
-        // the result is guaranteed visible.
-        if self.state.register_waker(cx.waker()) {
-            return std::task::Poll::Ready(self.state.peek().expect("ready ticket has a result"));
-        }
-        match self.state.peek() {
-            Some(result) => std::task::Poll::Ready(result),
-            None => std::task::Poll::Pending,
         }
     }
 }
@@ -475,7 +358,7 @@ impl<const D: usize> SubmissionQueue<D> {
         op: IndexOp<D>,
         ticket: Arc<TicketState>,
     ) -> Result<(), SubmitError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return Err(SubmitError::Closed);
         }
@@ -505,7 +388,7 @@ impl<const D: usize> SubmissionQueue<D> {
         &self,
         ops: impl IntoIterator<Item = IndexOp<D>>,
     ) -> Vec<Result<Arc<TicketState>, SubmitError>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let now = Instant::now();
         let mut admitted = 0usize;
         let out: Vec<Result<Arc<TicketState>, SubmitError>> = ops
@@ -538,7 +421,7 @@ impl<const D: usize> SubmissionQueue<D> {
 
     /// Enqueues a flush barrier (not subject to the capacity limit).
     pub(crate) fn push_barrier(&self, ticket: Arc<TicketState>) -> Result<(), SubmitError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return Err(SubmitError::Closed);
         }
@@ -552,32 +435,33 @@ impl<const D: usize> SubmissionQueue<D> {
     /// `max_batch` items. Returns `(batch, closed)`; an empty batch with
     /// `closed == true` means the queue drained after shutdown — exit.
     pub(crate) fn drain(&self, max_batch: usize) -> (Vec<QueueItem<D>>, bool) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         loop {
             if !inner.items.is_empty() {
                 let take = inner.items.len().min(max_batch.max(1));
-                let mut batch = Vec::with_capacity(take);
-                for _ in 0..take {
-                    let item = inner.items.pop_front().unwrap();
-                    if matches!(item, QueueItem::Op { .. }) {
-                        inner.ops -= 1;
-                    }
-                    batch.push(item);
-                }
+                let batch: Vec<QueueItem<D>> = inner.items.drain(..take).collect();
+                let ops = batch
+                    .iter()
+                    .filter(|item| matches!(item, QueueItem::Op { .. }))
+                    .count();
+                inner.ops -= ops;
                 self.depth.store(inner.ops, SeqCst);
                 return (batch, false);
             }
             if inner.closed {
                 return (Vec::new(), true);
             }
-            inner = self.nonempty.wait(inner).unwrap();
+            inner = self
+                .nonempty
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Closes the queue: future submissions fail with [`SubmitError::Closed`];
     /// already-queued items still drain (graceful shutdown flushes).
     pub(crate) fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.closed = true;
         drop(inner);
         self.nonempty.notify_all();
@@ -588,7 +472,7 @@ impl<const D: usize> SubmissionQueue<D> {
     /// commit.
     pub(crate) fn fail_remaining(&self, err: &CommitError) {
         let drained: Vec<QueueItem<D>> = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = lock(&self.inner);
             inner.ops = 0;
             self.depth.store(0, SeqCst);
             inner.items.drain(..).collect()
@@ -790,87 +674,55 @@ mod tests {
     }
 
     #[test]
-    fn on_complete_fires_on_completion_and_inline_when_late() {
+    fn a_poisoned_queue_and_ticket_keep_working() {
+        // Every connection thread and the writer share these two mutexes;
+        // their lock sites were `.lock().unwrap()`, so one thread dying
+        // under either made every later submit, drain, complete and wait
+        // panic in turn.
+        let q: Arc<SubmissionQueue<2>> = Arc::new(SubmissionQueue::new(8));
         let state = Arc::new(TicketState::default());
+        let (held_q, held_t) = (Arc::clone(&q), Arc::clone(&state));
+        let panicked = std::thread::spawn(move || {
+            let _queue = held_q.inner.lock().unwrap();
+            let _ticket = held_t.result.lock().unwrap();
+            panic!("poisoning the queue and a ticket on purpose");
+        })
+        .join();
+        assert!(panicked.is_err() && q.inner.is_poisoned() && state.result.is_poisoned());
+
+        assert!(q.push_ops((0..2).map(op)).iter().all(Result::is_ok));
+        q.push_op(op(2), Arc::clone(&state)).unwrap();
+        q.push_barrier(Arc::new(TicketState::default())).unwrap();
+        assert_eq!(q.depth(), 3);
+        let (batch, closed) = q.drain(16);
+        assert_eq!((batch.len(), closed), (4, false));
+
         let ticket = CommitTicket {
             state: Arc::clone(&state),
         };
-        let fired = Arc::new(AtomicUsize::new(0));
-        let early = Arc::clone(&fired);
-        ticket.on_complete(move |r| {
-            assert!(r.is_ok());
-            early.fetch_add(1, SeqCst);
-        });
-        assert_eq!(fired.load(SeqCst), 0, "pending ticket defers callbacks");
+        assert_eq!(ticket.wait_timeout(Duration::from_millis(10)), None);
+        let waiting = ticket.clone();
+        let waiter = std::thread::spawn(move || waiting.wait_timeout(Duration::from_secs(30)));
         let receipt = CommitReceipt {
-            epoch: 2,
+            epoch: 4,
             durable_epoch: None,
-            ops_in_commit: 1,
+            ops_in_commit: 3,
         };
         state.complete(Ok(receipt.clone()));
-        assert_eq!(fired.load(SeqCst), 1, "completion fires the callback");
-        // A second complete is ignored and re-fires nothing.
-        state.complete(Err(CommitError::WriterExited));
-        assert_eq!(fired.load(SeqCst), 1);
-        // Late registration runs inline with the known result.
-        let late = Arc::clone(&fired);
-        ticket.on_complete(move |r| {
-            assert_eq!(r, &Ok(receipt.clone()));
-            late.fetch_add(1, SeqCst);
-        });
-        assert_eq!(fired.load(SeqCst), 2);
-    }
+        assert_eq!(waiter.join().unwrap(), Some(Ok(receipt.clone())));
+        assert_eq!(ticket.wait(), Ok(receipt.clone()));
+        assert_eq!(ticket.try_receipt(), Some(Ok(receipt)));
 
-    #[test]
-    fn ticket_future_wakes_and_resolves() {
-        use std::future::Future;
-        use std::pin::Pin;
-        use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
-
-        // A waker that counts wakes through an Arc<AtomicUsize>.
-        fn counting_waker(count: Arc<AtomicUsize>) -> Waker {
-            unsafe fn clone(data: *const ()) -> RawWaker {
-                let arc = unsafe { Arc::from_raw(data as *const AtomicUsize) };
-                let cloned = Arc::clone(&arc);
-                std::mem::forget(arc);
-                RawWaker::new(Arc::into_raw(cloned) as *const (), &VTABLE)
-            }
-            unsafe fn wake(data: *const ()) {
-                let arc = unsafe { Arc::from_raw(data as *const AtomicUsize) };
-                arc.fetch_add(1, SeqCst);
-            }
-            unsafe fn wake_by_ref(data: *const ()) {
-                unsafe { (*(data as *const AtomicUsize)).fetch_add(1, SeqCst) };
-            }
-            unsafe fn drop_raw(data: *const ()) {
-                drop(unsafe { Arc::from_raw(data as *const AtomicUsize) });
-            }
-            static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake_by_ref, drop_raw);
-            let raw = RawWaker::new(Arc::into_raw(count) as *const (), &VTABLE);
-            unsafe { Waker::from_raw(raw) }
-        }
-
-        let state = Arc::new(TicketState::default());
-        let mut ticket = CommitTicket {
-            state: Arc::clone(&state),
-        };
-        let wakes = Arc::new(AtomicUsize::new(0));
-        let waker = counting_waker(Arc::clone(&wakes));
-        let mut cx = Context::from_waker(&waker);
-        assert!(Pin::new(&mut ticket).poll(&mut cx).is_pending());
-        // Re-polling with the same waker does not double-register.
-        assert!(Pin::new(&mut ticket).poll(&mut cx).is_pending());
-        let receipt = CommitReceipt {
-            epoch: 5,
-            durable_epoch: None,
-            ops_in_commit: 2,
-        };
-        state.complete(Ok(receipt.clone()));
-        assert_eq!(wakes.load(SeqCst), 1, "completion woke the task once");
-        match Pin::new(&mut ticket).poll(&mut cx) {
-            Poll::Ready(r) => assert_eq!(r, Ok(receipt)),
-            Poll::Pending => panic!("completed ticket still pending"),
-        }
+        // The shutdown path goes through the same lock.
+        let last = Arc::new(TicketState::default());
+        q.push_op(op(3), Arc::clone(&last)).unwrap();
+        q.close();
+        q.fail_remaining(&CommitError::WriterExited);
+        assert_eq!(
+            CommitTicket { state: last }.wait(),
+            Err(CommitError::WriterExited)
+        );
+        assert!(q.drain(16).1, "closed and drained");
     }
 
     #[test]

@@ -2,10 +2,16 @@
 //! writer, epoch-snapshot readers) or a [`ShardedIndex`] (Z-order-routed
 //! multi-writer). The server is written against this enum so `--shards 1`
 //! avoids the routing layer entirely while `--shards N` scales writers.
+//!
+//! Reads go through a pin: [`Backend::pin`] returns the one [`Pinned`]
+//! snapshot a connection answers a whole burst segment from, taken before
+//! the segment's writes are submitted ([`Backend::submit_batch`]). There
+//! is no unpinned read — a read that pinned for itself could see writes
+//! the reads around it did not.
 
 use segidx_concurrent::{
-    CommitError, CommitTicket, ConcurrentIndex, IndexOp, ShardedIndex, SnapshotEngine, SubmitError,
-    ZOrderRouter,
+    CommitError, CommitTicket, ConcurrentIndex, GlobalSnapshotGuard, IndexOp, ShardedIndex,
+    SnapshotEngine, SnapshotGuard, SubmitError, ZOrderRouter,
 };
 use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::{Point, Rect};
@@ -102,30 +108,13 @@ impl Backend {
         }
     }
 
-    /// Runs a batch of window queries against one consistent snapshot,
-    /// reusing the engine's `SearchCursor` across queries.
-    pub fn search_many(&self, queries: &[Rect<DIMS>]) -> Vec<Vec<RecordId>> {
+    /// Pins the published snapshot: what every read of one burst segment
+    /// is answered from. Never blocks; hold it no longer than the segment.
+    pub fn pin(&self) -> Pinned {
         match self {
-            Backend::Concurrent(ix) => ix.snapshot().search_many(queries),
-            Backend::Sharded(ix) => ix.snapshot().search_batch(queries),
+            Backend::Concurrent(ix) => Pinned::Concurrent(ix.snapshot()),
+            Backend::Sharded(ix) => Pinned::Sharded(ix.snapshot()),
         }
-    }
-
-    /// Runs a batch of stabbing queries against one consistent snapshot.
-    pub fn stab_many(&self, points: &[Point<DIMS>]) -> Vec<Vec<RecordId>> {
-        match self {
-            Backend::Concurrent(ix) => ix.snapshot().stab_many(points),
-            Backend::Sharded(ix) => ix.snapshot().stab_batch(points),
-        }
-    }
-
-    /// `k` nearest neighbours to `p` with their distances.
-    pub fn nearest(&self, p: &Point<DIMS>, k: usize) -> Vec<NearHit> {
-        let hits = match self {
-            Backend::Concurrent(ix) => ix.snapshot().nearest(p, k),
-            Backend::Sharded(ix) => ix.snapshot().nearest(p, k),
-        };
-        hits.into_iter().map(|n| (n.record, n.distance)).collect()
     }
 
     /// Blocks until every previously admitted write is committed; returns
@@ -177,5 +166,43 @@ impl Backend {
                 ix.register_metrics(registry, &l);
             }
         }
+    }
+}
+
+/// One pinned, immutable snapshot of the index — of every shard at one
+/// global epoch, when sharded. Writes submitted after the pin was taken
+/// are invisible through it, however soon they commit.
+pub enum Pinned {
+    /// The unsharded engine's snapshot.
+    Concurrent(SnapshotGuard<DIMS>),
+    /// One consistent cross-shard snapshot.
+    Sharded(GlobalSnapshotGuard<DIMS>),
+}
+
+impl Pinned {
+    /// Runs a batch of window queries, reusing the engine's `SearchCursor`
+    /// across queries.
+    pub fn search_many(&self, queries: &[Rect<DIMS>]) -> Vec<Vec<RecordId>> {
+        match self {
+            Pinned::Concurrent(snap) => snap.search_many(queries),
+            Pinned::Sharded(snap) => snap.search_batch(queries),
+        }
+    }
+
+    /// Runs a batch of stabbing queries.
+    pub fn stab_many(&self, points: &[Point<DIMS>]) -> Vec<Vec<RecordId>> {
+        match self {
+            Pinned::Concurrent(snap) => snap.stab_many(points),
+            Pinned::Sharded(snap) => snap.stab_batch(points),
+        }
+    }
+
+    /// `k` nearest neighbours to `p` with their distances.
+    pub fn nearest(&self, p: &Point<DIMS>, k: usize) -> Vec<NearHit> {
+        let hits = match self {
+            Pinned::Concurrent(snap) => snap.nearest(p, k),
+            Pinned::Sharded(snap) => snap.nearest(p, k),
+        };
+        hits.into_iter().map(|n| (n.record, n.distance)).collect()
     }
 }

@@ -1,45 +1,47 @@
-//! Per-connection machinery: a reader thread that decodes, parses, and
-//! executes pipelined frames, and a flusher thread that writes the
-//! responses of commits back in request order.
+//! Per-connection machinery: one thread that decodes, parses and executes
+//! pipelined frames a *burst* at a time, and writes every reply itself.
 //!
-//! # Who writes to the socket
+//! # A burst is one pin, one submission, one write
 //!
-//! Two threads may, never at once. The [`Outbox`] — ordered response slots
-//! — is the only ordering authority; the rule that keeps the reader inside
-//! it is one flag under the outbox's lock:
+//! A burst is what one `read` returned: every complete frame in it is
+//! decoded and parsed before anything executes. It is cut into *segments*
+//! after each `FLUSH`, and a segment runs in four steps:
 //!
-//! * **Idle rule.** The outbox is *idle* when no slot is reserved and the
-//!   flusher is not in the middle of a write. Only the reader reserves
-//!   slots and the flusher writes only slots, so an outbox the reader has
-//!   seen idle stays idle until the reader itself reserves. While it is,
-//!   every earlier reply is already on the wire, and the reader renders the
-//!   synchronous replies of a burst (searches, temporal statements, `PING`,
-//!   errors — everything it can answer itself) into one per-connection
-//!   buffer and writes it with one `write_all`: no slot, no wake-up, no
-//!   second copy.
-//! * **Flush before reserve.** A write's reply comes later, from the index
-//!   writer thread, so it needs a slot. Before reserving the first one of a
-//!   burst the reader writes out what it has rendered; from there to the
-//!   end of the burst replies go through slots — each run of consecutive
-//!   synchronous replies as *one* slot — and the flusher sends them.
+//! 1. **Pin.** If the segment holds a `SEARCH`/`STAB`/`NEAREST`, one
+//!    snapshot is pinned ([`Backend::pin`]) and every one of them is
+//!    answered from it.
+//! 2. **Submit.** All of its `INSERT`/`DELETE` go to
+//!    [`Backend::submit_batch`] as one call, in request order: one queue
+//!    lock, one writer wake-up, and — unless the writer was already busy —
+//!    one group commit.
+//! 3. **Read.** The statements execute in request order. Each reply the
+//!    thread can render goes into the per-connection buffer; a write leaves
+//!    a [`Hole`] (where its reply belongs, and its ticket), or, if it was
+//!    refused, its `BUSY depth=`/`ERR commit` text in place. The group
+//!    commit runs on the writer thread meanwhile.
+//! 4. **Settle**, once per burst (earlier only past
+//!    [`DIRECT_WRITE_BYTES`]): wait on each hole's ticket in order — they
+//!    have usually resolved — splice `OK epoch=…` in, and send the lot with
+//!    one `write_all`.
 //!
-//! # Why no thread parks per in-flight write
+//! The pin comes *before* the submission so that what a pipelined read sees
+//! does not depend on how fast the writer is: none of the writes sharing
+//! its segment, earlier or later. What a client may rely on:
 //!
-//! Writes are submitted in batches ([`Backend::submit_batch`]) and their
-//! responses are produced by `CommitTicket::on_complete` callbacks that
-//! run on the index writer thread. The reader thread never blocks on a
-//! commit: it reserves an ordered response slot in the [`Outbox`] and
-//! moves on to the next frame. The flusher wakes only when the *next*
-//! response in order is ready, packs every contiguous ready response into
-//! one socket write, and sleeps again — so a connection with hundreds of
-//! in-flight writes costs two parked threads total, not one per write.
+//! * replies arrive in request order;
+//! * a statement sent after a write's `OK epoch=` was *received* sees that
+//!   write (the reply is sent only after the commit published);
+//! * everything after a `FLUSH` sees everything before it, pipelined in
+//!   one packet or not (`FLUSH` ends its segment; the next one pins and
+//!   submits afresh);
+//! * a pipelined read sees none of the writes of its own segment.
 //!
-//! Backpressure is two-layered: the submission queue rejects writes with
-//! `BUSY depth=…` when the writer is behind (admission control), and the
-//! outbox caps reserved-but-unflushed responses, suspending the reader —
-//! which stops draining the socket and lets TCP push back on the client.
-//! A reader writing its own replies is pushed back on by TCP directly.
+//! Backpressure is the submission queue's (`BUSY depth=…` when the writer
+//! is behind) and TCP's: a thread waiting on a commit or blocked in
+//! `write_all` is not draining its socket. The writer thread runs no
+//! connection code; it completes tickets and nothing else.
 //!
+//! [`Backend::pin`]: crate::backend::Backend::pin
 //! [`Backend::submit_batch`]: crate::backend::Backend::submit_batch
 
 use crate::backend::{NearHit, DIMS};
@@ -47,181 +49,20 @@ use crate::frame::{begin_response, finish_response, put_f64, put_u64, FrameDecod
 use crate::parser::{parse, Statement};
 use crate::server::Shared;
 use crate::telemetry::ConnStats;
-use segidx_concurrent::{CommitTicket, IndexOp, SubmitError};
+use segidx_concurrent::{CommitError, CommitTicket, IndexOp, SubmitError};
 use segidx_core::RecordId;
 use segidx_geom::{Interval, Point, Rect};
 use segidx_obs::OpClass;
 use segidx_temporal::{PinnedQuery, TemporalError, TemporalTable, Version, VersionId};
-use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Cap on reserved-but-unflushed responses per connection. Hitting it
-/// suspends the reader (TCP backpressure), it does not drop anything.
-const OUTBOX_CAPACITY: usize = 64 * 1024;
-
-/// Rendered bytes past which the reader writes out without waiting for the
-/// end of the burst, so one read of small statements with large answers
-/// holds a bounded buffer, as the flusher streaming slots used to.
+/// Rendered bytes past which the thread settles and writes out without
+/// waiting for the end of the burst, so one read of small statements with
+/// large answers holds a bounded buffer. A bound, not a knob.
 const DIRECT_WRITE_BYTES: usize = 256 * 1024;
-
-/// Ordered response slots shared by the reader, the flusher, and commit
-/// callbacks. `reserve` hands out sequence numbers in request order;
-/// `fill` may complete them in any order; the flusher only ever sends the
-/// contiguous filled prefix.
-pub(crate) struct Outbox {
-    inner: Mutex<OutboxInner>,
-    /// Signals the flusher: front slot filled, closed, or aborted.
-    ready: Condvar,
-    /// Signals the reader: capacity freed.
-    space: Condvar,
-}
-
-struct OutboxInner {
-    slots: VecDeque<Option<Vec<u8>>>,
-    /// Sequence number of `slots[0]`.
-    base: u64,
-    /// Next sequence number to hand out.
-    next: u64,
-    /// No more reservations will arrive (reader is done).
-    closed: bool,
-    /// Socket is dead; discard instead of buffering.
-    aborted: bool,
-    /// The flusher holds a chunk it has not finished writing.
-    writing: bool,
-}
-
-impl Outbox {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(OutboxInner {
-                slots: VecDeque::new(),
-                base: 0,
-                next: 0,
-                closed: false,
-                aborted: false,
-                writing: false,
-            }),
-            ready: Condvar::new(),
-            space: Condvar::new(),
-        }
-    }
-
-    /// The lock, poisoned or not. `fill` runs on the index writer thread,
-    /// which every connection shares: a connection thread that panicked
-    /// under its own outbox's lock must not take the writer down with it.
-    /// Recovering is sound because no step under the lock can panic part
-    /// way through an update — slots and their counters move together.
-    fn lock(&self) -> MutexGuard<'_, OutboxInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Whether every earlier reply is on the wire: nothing reserved, and
-    /// the flusher not mid-write. Never true once the socket is dead.
-    fn idle(&self) -> bool {
-        let g = self.lock();
-        g.slots.is_empty() && !g.writing && !g.aborted
-    }
-
-    /// Reserves the next `n` in-order response slots, blocking while the
-    /// outbox is at capacity; returns the first one's sequence number.
-    fn reserve(&self, n: usize) -> u64 {
-        let mut g = self.wait_for_space();
-        let first = g.next;
-        if !g.aborted {
-            g.slots.extend((0..n).map(|_| None));
-            g.next += n as u64;
-        }
-        first
-    }
-
-    /// Completes slot `seq`. Safe from any thread, in any order.
-    fn fill(&self, seq: u64, bytes: Vec<u8>) {
-        let mut g = self.lock();
-        if g.aborted {
-            return;
-        }
-        let idx = (seq - g.base) as usize;
-        g.slots[idx] = Some(bytes);
-        if idx == 0 {
-            self.ready.notify_one();
-        }
-    }
-
-    /// Reserves the next slot and completes it at once: replies the reader
-    /// rendered itself while earlier slots were still open.
-    fn push(&self, bytes: Vec<u8>) {
-        let mut g = self.wait_for_space();
-        if g.aborted {
-            return;
-        }
-        g.slots.push_back(Some(bytes));
-        g.next += 1;
-        if g.slots.len() == 1 {
-            self.ready.notify_one();
-        }
-    }
-
-    fn wait_for_space(&self) -> MutexGuard<'_, OutboxInner> {
-        let mut g = self.lock();
-        while g.slots.len() >= OUTBOX_CAPACITY && !g.aborted {
-            g = self.space.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-        g
-    }
-
-    /// Marks that no further reservations will be made; the flusher exits
-    /// once everything reserved has been filled and sent.
-    fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_one();
-    }
-
-    /// Drops all pending output (socket died) and unblocks both sides.
-    fn abort(&self) {
-        let mut g = self.lock();
-        g.aborted = true;
-        g.slots.clear();
-        self.ready.notify_one();
-        self.space.notify_all();
-    }
-
-    /// Blocks until at least one in-order response is ready, then returns
-    /// the whole contiguous ready prefix as one buffer. `None` means the
-    /// connection is finished (closed and drained, or aborted). Only the
-    /// flusher calls this, each time having written the chunk before.
-    fn next_chunk(&self) -> Option<Vec<u8>> {
-        let mut g = self.lock();
-        g.writing = false;
-        loop {
-            if g.aborted {
-                return None;
-            }
-            // The first ready response is the chunk; any behind it are
-            // appended, so the common single one is sent without a copy.
-            let mut chunk: Option<Vec<u8>> = None;
-            while matches!(g.slots.front(), Some(Some(_))) {
-                let bytes = g.slots.pop_front().flatten().expect("front is filled");
-                g.base += 1;
-                match &mut chunk {
-                    None => chunk = Some(bytes),
-                    Some(buf) => buf.extend_from_slice(&bytes),
-                }
-            }
-            if chunk.is_some() {
-                g.writing = true;
-                self.space.notify_all();
-                return chunk;
-            }
-            if g.closed && g.slots.is_empty() {
-                return None;
-            }
-            g = self.ready.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
 
 /// A statement validated against the index dimensionality, ready to
 /// execute (or an error response ready to send).
@@ -313,30 +154,37 @@ struct Pending {
     prepared: Prepared,
 }
 
-/// The reader's end of reply ordering (see the module docs): where the
-/// replies it renders itself go, and the one place slots are reserved.
+/// Where an admitted write's reply goes once its commit is known.
+struct Hole {
+    /// Offset in [`Replies::buf`] the reply is spliced in at.
+    at: usize,
+    mode: Mode,
+    t0: Instant,
+    ticket: CommitTicket,
+}
+
+/// The replies of the burst in progress, in request order (see the module
+/// docs). Everything here is allocated once per connection.
 struct Replies<'a> {
-    outbox: &'a Outbox,
     socket: &'a TcpStream,
     stats: &'a ConnStats,
-    /// Rendered replies not yet handed on. Allocated once per connection.
+    /// Every reply rendered so far, back to back, bar the holes.
     buf: Vec<u8>,
-    /// `buf` goes straight to the socket (the outbox was idle when the
-    /// burst began and nothing has been reserved since); otherwise it is
-    /// the next slot in the making.
-    direct: bool,
+    /// The writes still to be answered, ascending by `at`.
+    holes: Vec<Hole>,
+    /// `buf` with its holes filled, when it has any.
+    spliced: Vec<u8>,
+    /// A write to the socket failed: discard from here, the connection
+    /// ends with this burst.
+    dead: bool,
 }
 
 impl Replies<'_> {
-    fn begin_burst(&mut self) {
-        self.direct = self.outbox.idle();
-    }
-
-    /// Renders one synchronous reply, in its frame, behind those before it.
+    /// Renders one reply, in its frame, behind those before it.
     fn put(&mut self, mode: Mode, render: impl FnOnce(&mut Vec<u8>)) {
         framed(&mut self.buf, mode, render);
-        if self.direct && self.buf.len() >= DIRECT_WRITE_BYTES {
-            self.hand_on();
+        if self.buf.len() >= DIRECT_WRITE_BYTES {
+            self.settle();
         }
     }
 
@@ -344,34 +192,47 @@ impl Replies<'_> {
         self.put(mode, |buf| buf.extend_from_slice(text.as_bytes()));
     }
 
-    /// Reserves `n` slots for replies that come later, in order behind
-    /// everything rendered so far; returns the first one's sequence number.
-    fn reserve(&mut self, n: usize) -> u64 {
-        self.hand_on();
-        self.direct = false;
-        self.outbox.reserve(n)
+    /// Leaves a hole behind everything rendered so far for the reply to an
+    /// admitted write.
+    fn hole(&mut self, mode: Mode, t0: Instant, ticket: CommitTicket) {
+        let at = self.buf.len();
+        self.holes.push(Hole {
+            at,
+            mode,
+            t0,
+            ticket,
+        });
     }
 
-    /// Hands on what has been rendered — to the socket, or to the outbox
-    /// as one slot. Called at the end of every burst.
-    fn hand_on(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        if self.direct {
-            let mut socket = self.socket; // `&TcpStream` is `Write`
-            if socket.write_all(&self.buf).is_ok() {
-                self.stats.add_bytes_written(self.buf.len() as u64);
-            } else {
-                // As when the flusher's write fails: drop what is pending,
-                // let the flusher shut the socket down, discard from here.
-                self.outbox.abort();
-                self.direct = false;
+    /// Waits for the commits outstanding, fills their holes, and sends
+    /// everything rendered with one write. Called at the end of every burst.
+    fn settle(&mut self) {
+        let mut bytes = &self.buf;
+        if !self.holes.is_empty() {
+            let mut from = 0;
+            for hole in self.holes.drain(..) {
+                self.spliced.extend_from_slice(&self.buf[from..hole.at]);
+                from = hole.at;
+                let result = hole.ticket.wait();
+                self.stats.write_latency.record_duration(hole.t0.elapsed());
+                let epoch = result.map(|receipt| receipt.epoch);
+                framed(&mut self.spliced, hole.mode, |buf| {
+                    render_commit(buf, epoch)
+                });
             }
-        } else {
-            self.outbox.push(self.buf.as_slice().to_vec());
+            self.spliced.extend_from_slice(&self.buf[from..]);
+            bytes = &self.spliced;
+        }
+        if !self.dead && !bytes.is_empty() {
+            let mut socket = self.socket; // `&TcpStream` is `Write`
+            if socket.write_all(bytes).is_ok() {
+                self.stats.add_bytes_written(bytes.len() as u64);
+            } else {
+                self.dead = true;
+            }
         }
         self.buf.clear();
+        self.spliced.clear();
     }
 }
 
@@ -382,35 +243,16 @@ fn framed(buf: &mut Vec<u8>, mode: Mode, render: impl FnOnce(&mut Vec<u8>)) {
     finish_response(mode, buf, start);
 }
 
-/// Completes slot `seq` with one reply rendered into its frame.
-fn fill_with(outbox: &Outbox, seq: u64, mode: Mode, render: impl FnOnce(&mut Vec<u8>)) {
-    let mut buf = Vec::with_capacity(32);
-    framed(&mut buf, mode, render);
-    outbox.fill(seq, buf);
-}
-
-/// Has `ticket`'s outcome fill slot `seq` when it is known. That happens on
-/// the index writer thread; nothing on this connection parks waiting.
-fn answer_commit(
-    ticket: CommitTicket,
-    outbox: Arc<Outbox>,
-    stats: Arc<ConnStats>,
-    seq: u64,
-    mode: Mode,
-    t0: Instant,
-) {
-    ticket.on_complete(move |result| {
-        stats.write_latency.record_duration(t0.elapsed());
-        fill_with(&outbox, seq, mode, |buf| match result {
-            Ok(receipt) => render_epoch(buf, receipt.epoch),
-            Err(e) => buf.extend_from_slice(format!("ERR commit {e}").as_bytes()),
-        });
-    });
-}
-
-fn render_epoch(buf: &mut Vec<u8>, epoch: u64) {
-    buf.extend_from_slice(b"OK epoch=");
-    put_u64(buf, epoch);
+/// `OK epoch=<e>` for a commit (or a flush) that happened, or why it never
+/// will.
+fn render_commit(buf: &mut Vec<u8>, epoch: Result<u64, CommitError>) {
+    match epoch {
+        Ok(epoch) => {
+            buf.extend_from_slice(b"OK epoch=");
+            put_u64(buf, epoch);
+        }
+        Err(e) => buf.extend_from_slice(format!("ERR commit {e}").as_bytes()),
+    }
 }
 
 /// `ROWS <n> <id>…` with ids sorted ascending, so responses depend only
@@ -497,15 +339,37 @@ fn run_of<T>(
     (run, end)
 }
 
-/// Executes one burst of decoded frames. Consecutive searches, stabs, and
-/// writes are executed as single batched calls into the index.
-fn execute_batch(
+/// Executes one segment of a burst — no `FLUSH` but, possibly, its last
+/// statement — as the module docs lay out: pin, submit, read.
+fn execute_segment(
     shared: &Shared,
-    stats: &Arc<ConnStats>,
-    outbox: &Arc<Outbox>,
+    stats: &ConnStats,
     replies: &mut Replies<'_>,
     items: &[Pending],
 ) {
+    let reads_index = |item: &Pending| {
+        matches!(
+            item.prepared,
+            Prepared::Search(_) | Prepared::Stab(_) | Prepared::Nearest(..)
+        )
+    };
+    let pin = items.iter().any(reads_index).then(|| shared.backend.pin());
+    let pinned = || pin.as_ref().expect("a segment with index reads is pinned");
+
+    let writes: Vec<IndexOp<DIMS>> = items
+        .iter()
+        .filter_map(|item| match item.prepared {
+            Prepared::Write(op) => Some(op),
+            _ => None,
+        })
+        .collect();
+    let mut submitted = if writes.is_empty() {
+        Vec::new() // not worth the queue's lock
+    } else {
+        shared.backend.submit_batch(writes)
+    }
+    .into_iter();
+
     let mut i = 0;
     while i < items.len() {
         let item = &items[i];
@@ -517,7 +381,7 @@ fn execute_batch(
                     _ => None,
                 });
                 let _trace = shared.tracer.start(OpClass::Search, "server.search_batch");
-                let results = shared.backend.search_many(&queries);
+                let results = pinned().search_many(&queries);
                 for (item, ids) in items[i..j].iter().zip(results) {
                     replies.put(item.mode, |buf| render_rows(buf, ids));
                     stats.read_latency.record_duration(item.t0.elapsed());
@@ -531,7 +395,7 @@ fn execute_batch(
                     _ => None,
                 });
                 let _trace = shared.tracer.start(OpClass::Stab, "server.stab_batch");
-                let results = shared.backend.stab_many(&points);
+                let results = pinned().stab_many(&points);
                 for (item, ids) in items[i..j].iter().zip(results) {
                     replies.put(item.mode, |buf| render_rows(buf, ids));
                     stats.read_latency.record_duration(item.t0.elapsed());
@@ -540,38 +404,26 @@ fn execute_batch(
                 continue;
             }
             Prepared::Write(_) => {
-                let (ops, j) = run_of(items, i, |p| match p {
-                    Prepared::Write(op) => Some(*op),
-                    _ => None,
-                });
-                let first = replies.reserve(ops.len());
-                let submitted = shared.backend.submit_batch(ops);
-                for ((item, res), seq) in items[i..j].iter().zip(submitted).zip(first..) {
-                    match res {
-                        Ok(ticket) => {
-                            let (outbox, stats) = (Arc::clone(outbox), Arc::clone(stats));
-                            answer_commit(ticket, outbox, stats, seq, item.mode, item.t0);
-                        }
-                        Err(SubmitError::Overloaded { depth }) => {
-                            stats.count_busy();
-                            fill_with(outbox, seq, item.mode, |buf| {
-                                buf.extend_from_slice(b"BUSY depth=");
-                                put_u64(buf, depth as u64);
-                            });
-                        }
-                        Err(SubmitError::Closed) => {
-                            fill_with(outbox, seq, item.mode, |buf| {
-                                buf.extend_from_slice(b"ERR commit submission queue closed")
-                            });
-                        }
+                // Its latency is taken when the commit is observed.
+                match submitted.next().expect("one outcome per write") {
+                    Ok(ticket) => replies.hole(mode, item.t0, ticket),
+                    Err(SubmitError::Overloaded { depth }) => {
+                        stats.count_busy();
+                        replies.put(mode, |buf| {
+                            buf.extend_from_slice(b"BUSY depth=");
+                            put_u64(buf, depth as u64);
+                        });
+                    }
+                    Err(SubmitError::Closed) => {
+                        replies.put_text(mode, "ERR commit submission queue closed");
                     }
                 }
-                i = j;
+                i += 1;
                 continue;
             }
             Prepared::Nearest(p, k) => {
                 let _trace = shared.tracer.start(OpClass::Nearest, "server.nearest");
-                let mut hits = shared.backend.nearest(p, *k);
+                let mut hits = pinned().nearest(p, *k);
                 sort_nearest(&mut hits);
                 replies.put(mode, |buf| render_near(buf, &hits));
             }
@@ -602,10 +454,10 @@ fn execute_batch(
                     table.pin_within(Interval::new(*t1, *t2), *lo, *hi)
                 });
             }
-            Prepared::Flush => match shared.backend.flush() {
-                Ok(epoch) => replies.put(mode, |buf| render_epoch(buf, epoch)),
-                Err(e) => replies.put_text(mode, &format!("ERR commit {e}")),
-            },
+            Prepared::Flush => {
+                let epoch = shared.backend.flush();
+                replies.put(mode, |buf| render_commit(buf, epoch));
+            }
             Prepared::Stats => replies.put(mode, |buf| {
                 buf.extend_from_slice(b"STATS ");
                 buf.extend_from_slice(shared.stats.summary_line().as_bytes());
@@ -619,8 +471,8 @@ fn execute_batch(
             }
             Prepared::Reply(text) => replies.put_text(mode, text),
         }
-        // The single-statement arms end here (the batched ones have timed
-        // their items and moved `i` themselves).
+        // The single-statement arms end here (the others have timed their
+        // items, or left that to `settle`, and moved `i` themselves).
         let latency = match item.prepared {
             Prepared::Record { .. } => &stats.write_latency,
             _ => &stats.read_latency,
@@ -630,42 +482,19 @@ fn execute_batch(
     }
 }
 
-/// Serves one accepted connection to completion. Called on the dedicated
-/// reader thread; spawns (and joins) the flusher thread itself.
+/// Serves one accepted connection to completion, on the connection's one
+/// thread.
 pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let stats = shared.stats.open_connection();
-    let outbox = Arc::new(Outbox::new());
-
-    let flusher = {
-        let mut write_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                shared.stats.close_connection(&stats);
-                return;
-            }
-        };
-        let outbox = Arc::clone(&outbox);
-        let stats = Arc::clone(&stats);
-        std::thread::spawn(move || {
-            while let Some(chunk) = outbox.next_chunk() {
-                if write_half.write_all(&chunk).is_err() {
-                    outbox.abort();
-                    break;
-                }
-                stats.add_bytes_written(chunk.len() as u64);
-            }
-            let _ = write_half.shutdown(Shutdown::Write);
-        })
-    };
-
     let mut read_half = &stream;
     let mut replies = Replies {
-        outbox: &outbox,
         socket: &stream,
         stats: &stats,
         buf: Vec::new(),
-        direct: false,
+        holes: Vec::new(),
+        spliced: Vec::new(),
+        dead: false,
     };
     let mut decoder = FrameDecoder::with_max_frame(shared.max_frame);
     let mut buf = vec![0u8; 64 * 1024];
@@ -678,8 +507,8 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
         stats.add_bytes_read(n as u64);
         decoder.feed(&buf[..n]);
 
-        // Drain every complete frame from this read before executing, so
-        // pipelined requests batch into single index calls.
+        // Drain every complete frame from this read before executing: the
+        // burst is the unit of pinning, submission and socket writes.
         items.clear();
         let fatal = loop {
             match decoder.next_frame() {
@@ -700,28 +529,29 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
                 }
             }
         };
-        replies.begin_burst();
-        execute_batch(&shared, &stats, &outbox, &mut replies, &items);
+        for segment in items.split_inclusive(|item| matches!(item.prepared, Prepared::Flush)) {
+            execute_segment(&shared, &stats, &mut replies, segment);
+        }
         if let Some(e) = &fatal {
             // The stream is undecodable from here: answer in line mode
             // (readable either way) and drop the connection.
             replies.put_text(Mode::Line, &format!("ERR protocol {e}"));
         }
-        replies.hand_on();
-        if fatal.is_some() {
+        replies.settle();
+        if fatal.is_some() || replies.dead {
             break;
         }
     }
-
-    outbox.close();
-    let _ = flusher.join();
     shared.stats.close_connection(&stats);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::server::{Server, ServerConfig};
+    use segidx_concurrent::ConcurrentIndex;
+    use segidx_core::{IndexConfig, Tree};
     use std::time::Duration;
 
     /// A line-mode client that fails, not hangs, when no reply comes.
@@ -760,61 +590,36 @@ mod tests {
     }
 
     #[test]
-    fn a_poisoned_outbox_does_not_take_the_index_writer_down() {
-        // Regression: the outbox's lock sites were `.lock().unwrap()`, and
-        // `fill` runs on the index writer thread. A connection thread that
-        // panicked under its own outbox's lock therefore panicked the
-        // writer at that connection's next commit — and no write on any
-        // connection was applied or answered again.
-        let server = Server::start(ServerConfig::default()).unwrap();
-
-        // Connection A's outbox with one write in flight, wired as `serve`
-        // and `execute_batch` wire it, then poisoned from "A's thread".
-        let outbox = Arc::new(Outbox::new());
-        let stats = Arc::new(ConnStats::new());
-        let seq = outbox.reserve(1);
-        let held = Arc::clone(&outbox);
-        let panicked = std::thread::spawn(move || {
-            let _guard = held.inner.lock().unwrap();
-            panic!("poisoning connection A's outbox on purpose");
+    fn a_dead_index_writer_answers_its_connection_and_spares_the_others() {
+        // Regression: a writer that panicked mid-commit dropped the tickets
+        // it had drained, and a connection thread waiting on one — or on
+        // `FLUSH`'s barrier — parked forever. The client's read timeout
+        // turns a hang into a failure.
+        let server = Server::start_with(ServerConfig::default(), |_, _, _| {
+            let index = ConcurrentIndex::builder(Tree::new(IndexConfig::srtree()))
+                .commit_hook(Box::new(|epoch| {
+                    assert!(epoch < 2, "commit hook failure injected by the test");
+                }))
+                .start()
+                .map_err(|e| std::io::Error::other(format!("{e:?}")))?;
+            Ok(Backend::Concurrent(index))
         })
-        .join();
-        assert!(panicked.is_err() && outbox.inner.is_poisoned());
-        let insert = IndexOp::Insert {
-            rect: Rect::new([1.0, 1.0], [2.0, 2.0]),
-            record: RecordId(7),
-        };
-        let ticket = server
-            .shared()
-            .backend
-            .submit_batch(vec![insert])
-            .remove(0)
-            .expect("queue has room");
-        answer_commit(
-            ticket,
-            Arc::clone(&outbox),
-            stats,
-            seq,
-            Mode::Line,
-            Instant::now(),
+        .unwrap();
+        let mut a = Client::connect(&server);
+        assert_eq!(a.ask("INSERT RECT (1, 1) (2, 2) ID 7\n"), "OK epoch=1");
+        assert_eq!(
+            a.ask("INSERT RECT (1, 1) (2, 2) ID 8\n"),
+            "ERR commit writer exited before commit"
         );
-
-        // The writer thread filled A's slot through the poisoned lock...
-        let reply = outbox.next_chunk().expect("A's commit is answered");
-        assert!(reply.starts_with(b"OK epoch="), "{reply:?}");
-        // ...and is alive for connection B, whose writes commit and answer.
+        assert_eq!(
+            a.ask("INSERT RECT (1, 1) (2, 2) ID 9\n"),
+            "ERR commit submission queue closed"
+        );
+        assert_eq!(a.ask("FLUSH\n"), "ERR commit writer exited before commit");
+        // Reads never needed the writer: on another connection and on this.
         let mut b = Client::connect(&server);
-        assert!(b
-            .ask("INSERT RECT (1, 1) (2, 2) ID 8\n")
-            .starts_with("OK epoch="));
-        assert!(b.ask("FLUSH\n").starts_with("OK epoch="));
-        assert_eq!(b.ask("SEARCH WINDOW (0, 0) (3, 3)\n"), "ROWS 2 7 8");
-        // The rest of A's outbox works through the poison too.
-        assert!(!outbox.idle(), "the flusher holds A's reply");
-        outbox.push(b"PONG\n".to_vec());
-        outbox.close();
-        assert_eq!(outbox.next_chunk().as_deref(), Some(&b"PONG\n"[..]));
-        assert_eq!(outbox.next_chunk(), None);
+        assert_eq!(b.ask("SEARCH WINDOW (0, 0) (3, 3)\n"), "ROWS 1 7");
+        assert_eq!(a.ask("STAB POINT (1.5, 1.5)\n"), "ROWS 1 7");
         server.shutdown();
     }
 

@@ -9,15 +9,19 @@
 //! `METRICS`) carried in length-prefixed binary frames — or bare
 //! newline-terminated lines, so a human with `netcat` can drive it.
 //!
-//! The design goal is *pipelining without parked threads*: reads run in
-//! batches against one epoch snapshot, and writes are admitted in batches
-//! whose responses are produced by [`CommitTicket::on_complete`] callbacks
-//! firing on the index writer thread. A connection with thousands of
-//! in-flight writes costs exactly two threads (reader + response flusher),
-//! never one per write. See the `conn` module for the ordered-outbox machinery and
-//! [`frame`] for the wire format.
+//! The design goal is *pipelining at the cost of the index calls*: a
+//! connection is one thread, and its unit of work is the burst — what one
+//! `read` returned. Per burst segment it pins one snapshot, submits every
+//! write as one batch, answers the reads from the pin while the group
+//! commit runs on the index writer thread, then waits on the commit
+//! tickets ([`CommitTicket::wait`]), splices `OK epoch=…` into the holes
+//! the writes left, and sends every reply with one `write`. A connection
+//! with thousands of in-flight writes is still one thread, never one per
+//! write, and the writer thread runs no connection code. See the `conn`
+//! module for the burst rule and what a client may rely on, and [`frame`]
+//! for the wire format.
 //!
-//! [`CommitTicket::on_complete`]: segidx_concurrent::CommitTicket::on_complete
+//! [`CommitTicket::wait`]: segidx_concurrent::CommitTicket::wait
 //!
 //! ```no_run
 //! use segidx_server::{Server, ServerConfig};

@@ -70,9 +70,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running server: an accept loop plus two threads per live connection
-/// (reader and response flusher). Dropping the handle does **not** stop
-/// the server; call [`shutdown`](Self::shutdown).
+/// A running server: an accept loop plus one thread per live connection.
+/// Dropping the handle does **not** stop the server; call
+/// [`shutdown`](Self::shutdown).
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
@@ -85,12 +85,22 @@ impl Server {
     /// every metric family (server, index service, tracer, event ring) on
     /// one registry, and spawns the accept loop.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
+        Self::start_with(config, Backend::start)
+    }
+
+    /// [`start`](Self::start) over whatever `backend` builds from the
+    /// backend configuration, the tracer and the event ring — how a test
+    /// serves an index it has rigged to fail.
+    pub(crate) fn start_with(
+        config: ServerConfig,
+        backend: impl FnOnce(&BackendConfig, Arc<Tracer>, Arc<RingBufferSink>) -> io::Result<Backend>,
+    ) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
         let tracer = Arc::new(Tracer::with_config(config.trace_sample, 8, 4096));
         let ring = Arc::new(RingBufferSink::new(4096));
-        let backend = Backend::start(&config.backend, Arc::clone(&tracer), Arc::clone(&ring))?;
+        let backend = backend(&config.backend, Arc::clone(&tracer), Arc::clone(&ring))?;
 
         let registry = MetricsRegistry::new();
         let stats = Arc::new(ServerStats::new());
@@ -138,12 +148,6 @@ impl Server {
     /// The bound address (resolves port `0`).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// What connections share, for tests that wire one up by hand.
-    #[cfg(test)]
-    pub(crate) fn shared(&self) -> &Arc<Shared> {
-        &self.shared
     }
 
     /// Server-lifetime telemetry (shared with live connections).

@@ -2,18 +2,22 @@
 //! print form must re-parse to an equal statement for *arbitrary*
 //! statements (exact f64 round-tripping included), the frame codec must
 //! reassemble arbitrary pipelines under arbitrary chunking, the reply
-//! kernel must print what `fmt` prints, and — over a real socket — a
-//! pipeline's replies must come back in request order whichever of the
-//! connection's two threads wrote each one.
+//! kernel must print what `fmt` prints, and — over real sockets — a
+//! pipeline's replies must come back in request order and show exactly
+//! what the burst rule promises a client (module docs of `conn.rs`): in
+//! either framing, however the bytes are chunked, with the queue full, and
+//! with a neighbour that hangs up mid-pipeline.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use segidx_server::frame::{encode_request, encode_response, put_f64, put_u64, FrameDecoder, Mode};
 use segidx_server::parser::{parse, Statement};
-use segidx_server::{Server, ServerConfig};
+use segidx_server::{BackendConfig, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Finite, non-NaN coordinates across the full exponent range so the
 /// shortest-round-trip printing (`{:?}`) is genuinely exercised.
@@ -223,6 +227,235 @@ fn wire_statement() -> impl Strategy<Value = (String, bool)> {
     ]
 }
 
+/// One step of the visibility property's program, over eight record
+/// slots laid side by side in a strip of the plane no other case touches.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// `INSERT` the slot's record if the program has it absent here,
+    /// `DELETE` it if present — so the serial model is never ambiguous.
+    Toggle(usize),
+    /// `SEARCH` the strip between two offsets: a window writes land inside.
+    Search(u32, u32),
+    /// `STAB` the strip at one offset.
+    Stab(u32),
+    Flush,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        5 => (0usize..8).prop_map(Step::Toggle),
+        4 => (0u32..80, 0u32..80).prop_map(|(a, b)| Step::Search(a.min(b), a.max(b))),
+        2 => (0u32..80).prop_map(Step::Stab),
+        1 => Just(Step::Flush),
+    ]
+}
+
+/// A strip of the shared server's plane, and the ids that live there.
+struct Strip {
+    x0: f64,
+    id0: u64,
+}
+
+impl Strip {
+    /// A strip no other case, session or test has used.
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        Strip {
+            x0: 10_000.0 + 100.0 * n as f64,
+            id0: 1_000_000 + 8 * n,
+        }
+    }
+
+    /// Slot `k` occupies `[10k, 10k + 8]` of the strip's 80 units.
+    fn span(k: usize) -> (u32, u32) {
+        (10 * k as u32, 10 * k as u32 + 8)
+    }
+
+    /// The statement for `step` when the serial model holds `present`.
+    fn text(&self, step: Step, present: &[bool; 8]) -> String {
+        let x = |offset: u32| self.x0 + f64::from(offset);
+        match step {
+            Step::Toggle(k) => {
+                let (lo, hi) = (x(Self::span(k).0), x(Self::span(k).1));
+                let id = self.id0 + k as u64;
+                if present[k] {
+                    format!("DELETE ID {id} RECT ({lo:?}, 0) ({hi:?}, 8)")
+                } else {
+                    format!("INSERT RECT ({lo:?}, 0) ({hi:?}, 8) ID {id}")
+                }
+            }
+            Step::Search(a, b) => format!("SEARCH WINDOW ({:?}, 2) ({:?}, 6)", x(a), x(b)),
+            Step::Stab(a) => format!("STAB POINT ({:?}, 4)", x(a)),
+            Step::Flush => "FLUSH".to_string(),
+        }
+    }
+
+    /// What the serial model answers a read with when it holds `present`,
+    /// in slot numbers.
+    fn rows(step: Step, present: &[bool; 8]) -> String {
+        let (a, b) = match step {
+            Step::Search(a, b) => (a, b),
+            Step::Stab(a) => (a, a),
+            _ => unreachable!("only reads have rows"),
+        };
+        let slots: Vec<String> = (0..8)
+            .filter(|&k| present[k] && Self::span(k).0 <= b && a <= Self::span(k).1)
+            .map(|k| format!(" {k}"))
+            .collect();
+        format!("ROWS {}{}", slots.len(), slots.concat())
+    }
+
+    /// A `ROWS` reply over this strip with its ids turned to slot numbers.
+    fn slots(&self, reply: &str) -> String {
+        let mut words = reply.split(' ');
+        let mut out: Vec<String> = words.by_ref().take(2).map(str::to_string).collect();
+        out.extend(words.map(|id| (id.parse::<u64>().unwrap() - self.id0).to_string()));
+        out.join(" ")
+    }
+}
+
+/// The serial model's state before each step of `program`, and after all.
+fn serial_states(program: &[Step]) -> Vec<[bool; 8]> {
+    let mut present = [false; 8];
+    let mut states = vec![present];
+    for step in program {
+        if let Step::Toggle(k) = *step {
+            present[k] = !present[k];
+        }
+        states.push(present);
+    }
+    states
+}
+
+/// Polls `probe` until it holds, for at most ten seconds.
+fn eventually(what: &str, probe: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !probe() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// With four queue slots and 64 writes in one packet, most are refused:
+/// every reply still comes back in its place — `PONG`s mark every fifth —
+/// and once `FLUSH`ed the index holds the acknowledged writes and no other.
+#[test]
+fn a_full_queue_answers_busy_in_place_and_applies_what_it_acknowledged() {
+    let server = Server::start(ServerConfig {
+        backend: BackendConfig {
+            queue_capacity: 4,
+            ..BackendConfig::default()
+        },
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut packet = Vec::new();
+    let mut sent = Vec::new();
+    for i in 0..64u64 {
+        let mode = if i % 3 == 0 { Mode::Line } else { Mode::Binary };
+        encode(
+            &format!("INSERT RECT ({i}, 0) ({i}.5, 1) ID {i}"),
+            mode,
+            &mut packet,
+        );
+        sent.push(Some(i));
+        if i % 4 == 3 {
+            encode("PING", mode, &mut packet);
+            sent.push(None);
+        }
+    }
+    encode("FLUSH", Mode::Binary, &mut packet);
+    encode("SEARCH WINDOW (0, 0) (100, 1)", Mode::Binary, &mut packet);
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    conn.write_all(&packet).unwrap();
+    let replies = read_replies(&mut conn, &mut FrameDecoder::new(), sent.len() + 2);
+
+    let mut acknowledged = Vec::new();
+    let mut refused = 0;
+    for (what, (_, reply)) in sent.iter().zip(&replies) {
+        match what {
+            None => assert_eq!(reply, "PONG"),
+            Some(id) if reply.starts_with("OK epoch=") => acknowledged.push(*id),
+            Some(id) => {
+                assert!(reply.starts_with("BUSY depth="), "INSERT {id} -> {reply}");
+                refused += 1;
+            }
+        }
+    }
+    assert!(
+        refused > 0 && !acknowledged.is_empty(),
+        "{refused} refused of 64"
+    );
+    assert!(replies[sent.len()].1.starts_with("OK epoch="));
+    let ids: Vec<String> = acknowledged.iter().map(|id| format!(" {id}")).collect();
+    assert_eq!(
+        replies[sent.len() + 1].1,
+        format!("ROWS {}{}", ids.len(), ids.concat())
+    );
+    let summary = server.stats().summary_line();
+    assert!(summary.contains(&format!(" busy={refused} ")), "{summary}");
+    server.shutdown();
+}
+
+/// A client that hangs up on a pipeline it never read the replies of: its
+/// connection thread exits, what the server had read of it commits — a
+/// prefix, in order — and a neighbour's replies are what they always were.
+#[test]
+fn a_client_that_hangs_up_mid_pipeline_takes_nothing_else_down() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut neighbour = TcpStream::connect(server.local_addr()).unwrap();
+    neighbour
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut decoder = FrameDecoder::new();
+    let mut ask = |statement: &str| converse(&mut neighbour, &mut decoder, statement, Mode::Binary);
+    assert!(ask("INSERT RECT (500, 500) (501, 501) ID 999999").starts_with("OK epoch="));
+
+    // Several reads' worth of writes; the replies pile up unread, so the
+    // hang-up reaches the server as a reset with writes still in flight.
+    const WRITES: u64 = 5_000;
+    let mut pipeline = Vec::new();
+    for i in 0..WRITES {
+        encode_request(
+            &format!("INSERT RECT ({i}, 0) ({i}.5, 1) ID {i}"),
+            &mut pipeline,
+        );
+    }
+    let stats = std::sync::Arc::clone(server.stats());
+    let mut rude = TcpStream::connect(server.local_addr()).unwrap();
+    rude.write_all(&pipeline).unwrap();
+    assert_eq!(ask("STAB POINT (500.5, 500.5)"), "ROWS 1 999999");
+    eventually("the pipeline is being served", || {
+        stats.connections_total() == 2
+    });
+    drop(rude);
+
+    eventually("only the neighbour is connected", || {
+        stats.connections_active() == 1
+    });
+    assert_eq!(ask("STAB POINT (500.5, 500.5)"), "ROWS 1 999999");
+    assert!(ask("FLUSH").starts_with("OK epoch="));
+    let rows = ask(&format!("SEARCH WINDOW (0, 0) ({WRITES}, 1)"));
+    let committed: Vec<u64> = rows
+        .split(' ')
+        .skip(2)
+        .map(|id| id.parse().unwrap())
+        .collect();
+    assert!(!committed.is_empty(), "{rows}");
+    assert!(
+        committed.iter().copied().eq(0..committed.len() as u64),
+        "not a prefix of the pipeline: {rows:.200}"
+    );
+    drop(neighbour);
+    eventually("nobody is connected", || stats.connections_active() == 0);
+    let summary = stats.summary_line();
+    assert!(summary.contains(" protocol_errors=0 "), "{summary}");
+    server.shutdown();
+}
+
 proptest! {
     /// The kernel's digits are `fmt`'s, for every `u64`.
     #[test]
@@ -296,12 +529,12 @@ proptest! {
 
     /// Replies come back in request order, and are the replies of a session
     /// that sends one statement at a time, whatever mix of statements the
-    /// reader thread answers itself (`SEARCH`/`STAB`/`AS OF`/`PING`) and
-    /// statements whose reply waits for a commit (`INSERT`/`DELETE`) is
+    /// connection thread renders at once (`SEARCH`/`STAB`/`AS OF`/`PING`)
+    /// and statements whose reply waits for a commit (`INSERT`/`DELETE`) is
     /// pipelined, in whatever framing, however the bytes are chunked — so
-    /// whichever of the reader and the flusher wrote each one. A commit's
-    /// epoch depends on how writes were grouped, so those replies are
-    /// compared up to the number; everything else byte for byte.
+    /// wherever the bursts and their holes fall. A commit's epoch depends on
+    /// how writes were grouped, so those replies are compared up to the
+    /// number; everything else byte for byte.
     #[test]
     fn pipelined_replies_equal_a_serial_session(
         statements in vec((wire_statement(), any::<bool>()), 1..48),
@@ -340,6 +573,103 @@ proptest! {
             } else {
                 prop_assert!(expected.starts_with("OK epoch="), "`{}` -> {}", text, expected);
                 prop_assert!(got.starts_with("OK epoch="), "`{}` -> {}", text, got);
+            }
+        }
+    }
+
+    /// What a pipelined read may see. A read is answered from the snapshot
+    /// pinned when its segment began — somewhere between the last `FLUSH`
+    /// before it (or the start) and itself, depending on how the bytes fell
+    /// into bursts — so its reply is the serial model's at one of those
+    /// points: never a record whose `INSERT` follows it, never short of one
+    /// whose `DELETE` follows it, and exactly the model's right behind a
+    /// `FLUSH`; the pins of successive reads never go backwards. Sent as one
+    /// packet the program is one burst, and every read sees the model as it
+    /// stood right behind the last `FLUSH`: none of its own segment's
+    /// writes, earlier or later. Sent one statement at a time, it equals
+    /// the model at every step.
+    #[test]
+    fn a_pipelined_read_sees_the_model_at_its_segments_start(
+        program in vec((step(), any::<bool>()), 1..40),
+        chunk in 1usize..160,
+    ) {
+        let addr = shared_server();
+        let modes: Vec<Mode> = program
+            .iter()
+            .map(|(_, line)| if *line { Mode::Line } else { Mode::Binary })
+            .collect();
+        let program: Vec<Step> = program.into_iter().map(|(step, _)| step).collect();
+        let states = serial_states(&program);
+        // The replies to the program sent over a fresh strip, `chunk` bytes
+        // to a write, with every write acknowledged.
+        let pipeline = |chunk: usize| -> Result<Vec<String>, TestCaseError> {
+            let strip = Strip::fresh();
+            let mut wire = Vec::new();
+            for ((step, mode), present) in program.iter().zip(&modes).zip(&states) {
+                encode(&strip.text(*step, present), *mode, &mut wire);
+            }
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.set_nodelay(true).unwrap();
+            for piece in wire.chunks(chunk) {
+                conn.write_all(piece).unwrap();
+            }
+            let got = read_replies(&mut conn, &mut FrameDecoder::new(), program.len());
+            let mut replies = Vec::with_capacity(got.len());
+            for (i, ((step, mode), (got_mode, reply))) in program.iter().zip(&modes).zip(got).enumerate() {
+                prop_assert_eq!(got_mode, *mode, "framing of the reply to step {}", i);
+                replies.push(match step {
+                    Step::Toggle(_) | Step::Flush => {
+                        prop_assert!(reply.starts_with("OK epoch="), "step {} {:?} -> {}", i, step, reply);
+                        reply
+                    }
+                    // Reads come back in the strip's own ids: make them the
+                    // model's slot numbers.
+                    Step::Search(..) | Step::Stab(_) => strip.slots(&reply),
+                });
+            }
+            Ok(replies)
+        };
+        let model = |step: Step, at: usize| Strip::rows(step, &states[at]);
+        let is_read = |step: &Step| matches!(step, Step::Search(..) | Step::Stab(_));
+
+        // Arbitrary chunking: each read at some point of its window.
+        let mut floor = 0;
+        for (i, (step, reply)) in program.iter().zip(pipeline(chunk)?).enumerate() {
+            if matches!(step, Step::Flush) {
+                floor = i + 1;
+            } else if is_read(step) {
+                let pin = (floor..=i).find(|&at| reply == model(*step, at));
+                prop_assert!(
+                    pin.is_some(),
+                    "step {} {:?} -> {}: the model says {} at step {} and {} at this one",
+                    i, step, reply, model(*step, floor), floor, model(*step, i)
+                );
+                // One reply can match several states: keep the earliest.
+                floor = pin.unwrap();
+            }
+        }
+
+        // One packet: each read at the start of its segment.
+        let mut segment = 0;
+        for (i, (step, reply)) in program.iter().zip(pipeline(usize::MAX)?).enumerate() {
+            if matches!(step, Step::Flush) {
+                segment = i + 1;
+            } else if is_read(step) {
+                prop_assert_eq!(reply, model(*step, segment), "step {} {:?}, segment from {}", i, step, segment);
+            }
+        }
+
+        // One statement at a time (a one-byte chunk would still pipeline):
+        // each read exactly where it stands.
+        let strip = Strip::fresh();
+        let mut serial = TcpStream::connect(addr).unwrap();
+        let mut decoder = FrameDecoder::new();
+        for (i, ((step, mode), present)) in program.iter().zip(&modes).zip(&states).enumerate() {
+            let reply = converse(&mut serial, &mut decoder, &strip.text(*step, present), *mode);
+            if is_read(step) {
+                prop_assert_eq!(strip.slots(&reply), model(*step, i), "step {} {:?}", i, step);
+            } else {
+                prop_assert!(reply.starts_with("OK epoch="), "step {} {:?} -> {}", i, step, reply);
             }
         }
     }
