@@ -1,36 +1,36 @@
-//! HINT engine microbenches: stabbing and slab queries against the
-//! SR-Tree, plus routed queries through the hybrid index. The full
-//! crossover sweep with JSON output lives in the `hint_bench` binary;
-//! these are the criterion-tracked spot checks.
+//! HINT engine microbench: 1-D stabbing against the SR-Tree. The gated
+//! comparison against all four variants, with JSON output, lives in the
+//! `hint_bench` binary; this is the criterion-tracked spot check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use segidx_core::{HintIndex, HybridIndex, IntervalIndex, SRTree};
+use segidx_core::{HintIndex, IntervalIndex, RecordId, SRTree};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{DataDistribution, DOMAIN_MAX};
 use std::hint::black_box;
 
 const N: usize = 20_000;
 
-fn bench_stab_2d(c: &mut Criterion) {
+fn bench_stab_1d(c: &mut Criterion) {
     let mut group = c.benchmark_group("hint_stab");
     group
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2));
 
-    let dataset = DataDistribution::I3.generate(N, 7);
-    let mut hint = HintIndex::<2>::new();
-    hint.bulk_load(dataset.records.clone());
-    let mut tree = SRTree::<2>::new();
-    for (r, id) in &dataset.records {
+    // The x-intervals of the paper's I3 data (exponential lengths).
+    let intervals: Vec<(Rect<1>, RecordId)> = DataDistribution::I3
+        .generate(N, 7)
+        .records
+        .iter()
+        .map(|(r, id)| (Rect::new([r.lo(0)], [r.hi(0)]), *id))
+        .collect();
+    let mut hint = HintIndex::new();
+    hint.bulk_load(intervals.clone());
+    let mut tree = SRTree::<1>::new();
+    for (r, id) in &intervals {
         tree.insert(*r, *id);
     }
-    let points: Vec<Point<2>> = (0..50u64)
-        .map(|i| {
-            Point::new([
-                (i * 1_999 % 100_000) as f64 / 100_000.0 * DOMAIN_MAX,
-                (i * 733 % 100_000) as f64 / 100_000.0 * DOMAIN_MAX,
-            ])
-        })
+    let points: Vec<Point<1>> = (0..50u64)
+        .map(|i| Point::new([(i * 1_999 % 100_000) as f64 / 100_000.0 * DOMAIN_MAX]))
         .collect();
 
     group.bench_function(BenchmarkId::new("stab", "hint"), |b| {
@@ -54,42 +54,5 @@ fn bench_stab_2d(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_routed_queries(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hint_routing");
-    group
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(2));
-
-    let dataset = DataDistribution::I3.generate(N, 7);
-    let mut hybrid = HybridIndex::<2>::new();
-    hybrid.bulk_load(dataset.records.clone());
-
-    // Slabs (degenerate in y) route to HINT; windows route to the tree.
-    let slabs: Vec<Rect<2>> = (0..50u64)
-        .map(|i| {
-            let x = (i * 1_999 % 90_000) as f64 / 100_000.0 * DOMAIN_MAX;
-            let y = (i * 733 % 90_000) as f64 / 100_000.0 * DOMAIN_MAX;
-            Rect::new([x, y], [x + DOMAIN_MAX * 0.02, y])
-        })
-        .collect();
-    let windows: Vec<Rect<2>> = slabs
-        .iter()
-        .map(|r| Rect::new([r.lo(0), r.lo(1)], [r.hi(0), r.lo(1) + DOMAIN_MAX * 0.02]))
-        .collect();
-
-    for (label, queries) in [("slab_to_hint", &slabs), ("window_to_tree", &windows)] {
-        group.bench_function(BenchmarkId::new("routed", label), |b| {
-            b.iter(|| {
-                let mut found = 0;
-                for q in queries {
-                    found += hybrid.search(black_box(q)).len();
-                }
-                black_box(found)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_stab_2d, bench_routed_queries);
+criterion_group!(benches, bench_stab_1d);
 criterion_main!(benches);

@@ -19,6 +19,7 @@
 //!                    [--sharded-out FILE]
 //!   concurrent_bench --check
 
+use segidx_bench::{hardware_note, today};
 use segidx_concurrent::{
     CommitTicket, ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter,
 };
@@ -30,7 +31,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
 struct Args {
     millis: u64,
@@ -420,29 +421,6 @@ fn check_publish_scaling() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Days-since-epoch → (year, month, day), proleptic Gregorian.
-fn civil_from_days(mut z: i64) -> (i64, u32, u32) {
-    z += 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-fn today() -> String {
-    let days = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64 / 86_400)
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days(days);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -502,9 +480,12 @@ fn main() -> ExitCode {
          snapshot-read threads and submitter threads for a fixed wall-clock window\",\n",
     );
     json.push_str(&format!(
-        "  \"hardware_note\": \"container run (available_parallelism = {cores}); with a single \
-         core, reader/submitter scaling interleaves on one CPU - absolute numbers need \
-         multi-core hardware\",\n"
+        "  \"hardware_note\": \"{}\",\n",
+        hardware_note(
+            cores,
+            "with a single core, reader/submitter scaling interleaves on one CPU - absolute \
+             numbers need multi-core hardware"
+        )
     ));
     json.push_str(&format!("  \"n_records\": {},\n", args.records));
     json.push_str(&format!("  \"window_millis\": {},\n", args.millis));
@@ -563,10 +544,15 @@ fn main() -> ExitCode {
          while only the shard count changes\",\n",
     );
     json.push_str(&format!(
-        "  \"hardware_note\": \"container run (available_parallelism = {cores}); shard writer \
-         threads interleave on {cores} core(s), so write-throughput scaling with shard count \
-         needs a multi-core runner to materialize - single-core numbers chiefly validate \
-         that sharding adds no regression\",\n"
+        "  \"hardware_note\": \"{}\",\n",
+        hardware_note(
+            cores,
+            &format!(
+                "shard writer threads interleave on {cores} core(s), so write-throughput \
+                 scaling with shard count needs a multi-core runner to materialize - \
+                 single-core numbers chiefly validate that sharding adds no regression"
+            )
+        )
     ));
     json.push_str(&format!("  \"n_records\": {},\n", args.records));
     json.push_str(&format!("  \"window_millis\": {},\n", args.millis));

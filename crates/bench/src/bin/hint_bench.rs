@@ -1,40 +1,28 @@
-//! HINT vs the paper variants: the 1-D stabbing microbench, the hybrid
-//! router's multi-dimensional overhead, and the per-dimension-intersection
-//! crossover sweep. Results land in `results/BENCH_hint.json` (same
-//! `hardware_note` convention as `results/BENCH_sharded.json`).
+//! HINT vs the paper variants: the 1-D stabbing microbench. Results land
+//! in `results/BENCH_hint.json` (same `hardware_note` convention as
+//! `results/BENCH_sharded.json`).
 //!
-//! Three measurements:
-//!
-//! 1. **1-D stab**: HINT's bottom-level stabbing is nearly comparison-free,
-//!    so it should beat every paper variant by a wide margin on pure
-//!    stabbing workloads. `--check` asserts ≥ 1.3× over the *best* variant
-//!    (see [`STAB_GATE`]).
-//! 2. **Router overhead**: on genuinely 2-D windows the [`HybridIndex`]
-//!    routes to its SR-Tree; the routing test must cost ≈ nothing.
-//!    `--check` asserts ≤ 5% overhead vs querying the SR-Tree directly.
-//! 3. **Crossover**: HINT answers a D-dimensional window by intersecting
-//!    per-dimension sorted candidate sets, so its cost tracks the widest
-//!    dimension's candidate count. The sweep holds the query degenerate in
-//!    y (a slab, the shape the router sends to HINT) and widens the x
-//!    extent from a pure stab outward, recording where the SR-Tree takes
-//!    over — the boundary behind the router's shape rule.
+//! HINT's bottom-level stabbing is nearly comparison-free, so it should
+//! beat every paper variant by a wide margin on pure stabbing workloads.
+//! `--check` asserts ≥ 1.3× over the *best* variant (see [`STAB_GATE`]) —
+//! the measurement that justifies keeping a second engine for `D = 1`.
 //!
 //! Usage:
 //!   hint_bench [--records N] [--stabs N] [--rounds N] [--out FILE] [--check]
 
-use segidx_core::{
-    HintIndex, HybridIndex, IntervalIndex, RTree, SRTree, SkeletonRTree, SkeletonSRTree,
-};
+use segidx_bench::crash::SplitMix64;
+use segidx_bench::{hardware_note, median, median_ratio, today};
+use segidx_core::{HintIndex, IntervalIndex, RTree, SRTree, SkeletonRTree, SkeletonSRTree};
 use segidx_geom::{Point, Rect};
-use segidx_workloads::{DataDistribution, DOMAIN_MAX};
+use segidx_workloads::DOMAIN_MAX;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 /// Floor on HINT's 1-D stab speedup over the best paper variant. It guards
-/// the router's premise — HINT is decisively the faster engine for the
-/// stabs `HybridIndex` sends it — not a fixed distance to the trees: PR 12's
+/// the premise of a 1-D engine — HINT is decisively faster there — not a
+/// fixed distance to the trees: PR 12's
 /// one-block nodes and prefetching traversal made every tree variant ~30%
 /// faster on this bench (best variant 2,740 → ~2,000 ns/op) while HINT is
 /// unchanged (~1,250 ns/op), so the ratio moved from 2.26× to 1.57–1.64×
@@ -82,28 +70,13 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Deterministic splitmix64 stream (no external RNG deps).
-struct Rng(u64);
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// 1-D interval data in the spirit of the HINT paper's real workloads
 /// (BOOKS/TAXIS): overwhelmingly short intervals with a sparse long tail,
 /// uniform placement over `[0, DOMAIN_MAX)`. Stab results stay small
 /// (≈ a dozen ids), so the measurement compares index traversal cost
 /// rather than result materialisation, which every engine pays alike.
 fn intervals_1d(n: usize, seed: u64) -> Vec<(Rect<1>, segidx_core::RecordId)> {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..n as u64)
         .map(|i| {
             let x = rng.next_f64() * DOMAIN_MAX;
@@ -118,7 +91,7 @@ fn intervals_1d(n: usize, seed: u64) -> Vec<(Rect<1>, segidx_core::RecordId)> {
 }
 
 fn stab_points_1d(n: usize, seed: u64) -> Vec<Point<1>> {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..n)
         .map(|_| Point::new([rng.next_f64() * DOMAIN_MAX]))
         .collect()
@@ -130,10 +103,10 @@ fn stab_points_1d(n: usize, seed: u64) -> Vec<Point<1>> {
 /// ran second. Callers compare the sides through per-round *ratios*
 /// (adjacent rounds see near-identical machine conditions, so the noise
 /// cancels) and report latencies as per-side medians.
-fn time_stabs_rounds<const D: usize>(
-    a: &dyn IntervalIndex<D>,
-    b: &dyn IntervalIndex<D>,
-    points: &[Point<D>],
+fn time_stabs_rounds(
+    a: &dyn IntervalIndex<1>,
+    b: &dyn IntervalIndex<1>,
+    points: &[Point<1>],
     rounds: usize,
 ) -> (Vec<u64>, Vec<u64>) {
     let (mut rounds_a, mut rounds_b) = (Vec::new(), Vec::new());
@@ -149,49 +122,6 @@ fn time_stabs_rounds<const D: usize>(
         }
     }
     (rounds_a, rounds_b)
-}
-
-/// Median of the per-round ratios `b_i / a_i` — the noise-cancelling
-/// comparison statistic for interleaved round times.
-fn median_ratio(a: &[u64], b: &[u64]) -> f64 {
-    let mut ratios: Vec<f64> = a
-        .iter()
-        .zip(b)
-        .map(|(&a, &b)| b as f64 / a as f64)
-        .collect();
-    ratios.sort_unstable_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
-}
-
-fn median(xs: &mut [u64]) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
-}
-
-/// Interleaved median-of-`rounds` for two search closures (see
-/// [`time_stabs_rounds`] for why interleaving and the median matter).
-fn time_searches_pair<const D: usize>(
-    a: impl Fn(&Rect<D>) -> usize,
-    b: impl Fn(&Rect<D>) -> usize,
-    queries: &[Rect<D>],
-    rounds: usize,
-) -> (u64, u64) {
-    let (mut rounds_a, mut rounds_b) = (Vec::new(), Vec::new());
-    for _ in 0..rounds {
-        for (search, out) in [
-            (&a as &dyn Fn(&Rect<D>) -> usize, &mut rounds_a),
-            (&b as &dyn Fn(&Rect<D>) -> usize, &mut rounds_b),
-        ] {
-            let start = Instant::now();
-            let mut found = 0usize;
-            for q in queries {
-                found += search(q);
-            }
-            black_box(found);
-            out.push(start.elapsed().as_nanos() as u64);
-        }
-    }
-    (median(&mut rounds_a), median(&mut rounds_b))
 }
 
 /// Builds each 1-D paper variant over `records`.
@@ -221,29 +151,6 @@ fn paper_variants_1d(
     out
 }
 
-/// Days-since-epoch → (year, month, day), proleptic Gregorian.
-fn civil_from_days(mut z: i64) -> (i64, u32, u32) {
-    z += 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-fn today() -> String {
-    let days = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64 / 86_400)
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days(days);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -254,10 +161,9 @@ fn main() -> ExitCode {
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // ---- 1. 1-D stabbing microbench -----------------------------------
     let records_1d = intervals_1d(args.records, 7);
     let points = stab_points_1d(args.stabs, 11);
-    let mut hint_1d = HintIndex::<1>::new();
+    let mut hint_1d = HintIndex::new();
     hint_1d.bulk_load(records_1d.clone());
     println!(
         "1-D stab over {} intervals, {} probes:",
@@ -272,7 +178,7 @@ fn main() -> ExitCode {
     let mut variant_stabs: Vec<(&'static str, u64, f64)> = Vec::new();
     for (name, index) in paper_variants_1d(&records_1d) {
         let (h, mut v) = time_stabs_rounds(&hint_1d, index.as_ref(), &points, args.rounds);
-        let ratio = median_ratio(&h, &v);
+        let ratio = median_ratio(&v, &h);
         let nanos = median(&mut v);
         println!(
             "  {:<18} {:>10.0} ns/op  ({:.2}x HINT)",
@@ -300,85 +206,6 @@ fn main() -> ExitCode {
         best_variant.0, stab_speedup
     );
 
-    // ---- 2. Router overhead on genuinely 2-D windows ------------------
-    // The routed path and the direct path must hit the *same* tree, so the
-    // comparison isolates pure routing cost (shape test + counter) rather
-    // than differences in tree construction.
-    let dataset = DataDistribution::I3.generate(args.records.min(50_000), 7);
-    let mut hybrid = HybridIndex::<2>::new();
-    hybrid.bulk_load(dataset.records.clone());
-    let mut rng = Rng(23);
-    let windows: Vec<Rect<2>> = (0..500)
-        .map(|_| {
-            let x = rng.next_f64() * DOMAIN_MAX * 0.9;
-            let y = rng.next_f64() * DOMAIN_MAX * 0.9;
-            let w = DOMAIN_MAX * (0.002 + rng.next_f64() * 0.05);
-            let h = DOMAIN_MAX * (0.002 + rng.next_f64() * 0.05);
-            Rect::new([x, y], [x + w, y + h])
-        })
-        .collect();
-    let (tree_nanos, hybrid_nanos) = time_searches_pair(
-        |q| hybrid.tree().search(q).len(),
-        |q| hybrid.search(q).len(),
-        &windows,
-        args.rounds,
-    );
-    let overhead = hybrid_nanos as f64 / tree_nanos as f64 - 1.0;
-    println!(
-        "2-D windows: SR-Tree {:.0} ns/op, routed {:.0} ns/op, overhead {:+.1}%",
-        tree_nanos as f64 / windows.len() as f64,
-        hybrid_nanos as f64 / windows.len() as f64,
-        overhead * 100.0
-    );
-    let (to_hint, to_tree) = hybrid.routed_counts();
-    assert!(
-        to_tree > to_hint,
-        "genuinely 2-D windows must route to the tree ({to_hint} vs {to_tree})"
-    );
-
-    // ---- 3. Crossover sweep: widen the one extended dimension ---------
-    // Slabs (degenerate in y) are the shape the router sends to HINT; the
-    // sweep widens their x extent from a pure 2-D stab outward against the
-    // same bulk-loaded SR-Tree the hybrid holds.
-    let hint_2d = hybrid.hint();
-    let fractions = [0.0f64, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05];
-    let mut cells = Vec::new();
-    let mut crossover: Option<f64> = None;
-    println!("crossover sweep (y degenerate, x-extent widening):");
-    for &f in &fractions {
-        let mut rng = Rng(31);
-        let queries: Vec<Rect<2>> = (0..300)
-            .map(|_| {
-                let x = rng.next_f64() * DOMAIN_MAX * (1.0 - f).max(0.1);
-                let y = rng.next_f64() * DOMAIN_MAX * 0.9;
-                Rect::new([x, y], [x + DOMAIN_MAX * f, y])
-            })
-            .collect();
-        let (hint_nanos, tree_nanos) = time_searches_pair(
-            |q| hint_2d.search(q).len(),
-            |q| hybrid.tree().search(q).len(),
-            &queries,
-            args.rounds,
-        );
-        let ratio = hint_nanos as f64 / tree_nanos as f64;
-        if crossover.is_none() && ratio > 1.0 {
-            crossover = Some(f);
-        }
-        println!(
-            "  y-extent {:>5.1}%: HINT {:>9.0} ns/op, SR-Tree {:>9.0} ns/op, ratio {:.2}",
-            f * 100.0,
-            hint_nanos as f64 / queries.len() as f64,
-            tree_nanos as f64 / queries.len() as f64,
-            ratio
-        );
-        cells.push((
-            f,
-            hint_nanos / queries.len() as u64,
-            tree_nanos / queries.len() as u64,
-            ratio,
-        ));
-    }
-
     // ---- JSON ----------------------------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
@@ -387,19 +214,21 @@ fn main() -> ExitCode {
     );
     json.push_str(&format!("  \"date\": \"{}\",\n", today()));
     json.push_str(
-        "  \"method\": \"crates/bench/src/bin/hint_bench.rs; (1) 1-D stabbing over a \
+        "  \"method\": \"crates/bench/src/bin/hint_bench.rs; 1-D stabbing over a \
          long-tail interval set, HINT vs all four paper variants, interleaved rounds scored by the \
-         median per-round ratio; \
-         (2) routed 2-D windows through HybridIndex vs the same bulk-loaded SR-Tree \
-         directly; (3) slab queries (degenerate y) widening the x extent until \
-         per-dimension intersection loses to one tree traversal\",\n",
+         median per-round ratio\",\n",
     );
     json.push_str(&format!(
-        "  \"hardware_note\": \"container run (available_parallelism = {cores}); \
-         single-threaded microbenches, {} interleaved rounds (median of paired \
-         per-round ratios) - relative ratios are the \
-         signal, absolute latencies vary with the runner\",\n",
-        args.rounds
+        "  \"hardware_note\": \"{}\",\n",
+        hardware_note(
+            cores,
+            &format!(
+                "single-threaded microbench, {} interleaved rounds (median of paired \
+                 per-round ratios) - relative ratios are the signal, absolute latencies \
+                 vary with the runner",
+                args.rounds
+            )
+        )
     ));
     json.push_str(&format!("  \"n_records\": {},\n", args.records));
     json.push_str(&format!("  \"stab_probes\": {},\n", args.stabs));
@@ -423,63 +252,25 @@ fn main() -> ExitCode {
     }
     json.push_str("    ],\n");
     json.push_str(&format!(
-        "    \"best_variant\": \"{}\",\n    \"speedup_vs_best_variant\": {:.2}\n  }},\n",
+        "    \"best_variant\": \"{}\",\n    \"speedup_vs_best_variant\": {:.2}\n  }}\n}}\n",
         best_variant.0, stab_speedup
     ));
-    json.push_str("  \"router_2d_windows\": {\n");
-    json.push_str(&format!(
-        "    \"srtree_nanos_per_op\": {},\n    \"hybrid_nanos_per_op\": {},\n    \
-         \"overhead_fraction\": {:.4}\n  }},\n",
-        tree_nanos / windows.len() as u64,
-        hybrid_nanos / windows.len() as u64,
-        overhead
-    ));
-    json.push_str("  \"crossover\": {\n    \"y_extent_fraction\": 0.0,\n    \"cells\": [\n");
-    for (i, (f, hint, tree, ratio)) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{ \"x_extent_fraction\": {f}, \"hint_nanos_per_op\": {hint}, \
-             \"srtree_nanos_per_op\": {tree}, \"hint_over_srtree\": {ratio:.2} }}{}\n",
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("    ],\n");
-    match crossover {
-        Some(f) => json.push_str(&format!("    \"crossover_x_extent_fraction\": {f}\n  }}\n")),
-        None => json.push_str("    \"crossover_x_extent_fraction\": null\n  }\n"),
-    }
-    json.push_str("}\n");
     if let Some(dir) = args.out.parent() {
         std::fs::create_dir_all(dir).expect("create output dir");
     }
     std::fs::write(&args.out, json).expect("write results");
     println!("hint_bench: wrote {}", args.out.display());
 
-    // ---- Acceptance gates ----------------------------------------------
     if args.check {
-        let mut problems = Vec::new();
         if stab_speedup < STAB_GATE {
-            problems.push(format!(
-                "1-D stab speedup {:.2}x vs {} is below the {STAB_GATE}x gate",
-                stab_speedup, best_variant.0
-            ));
-        }
-        if overhead > 0.05 {
-            problems.push(format!(
-                "router overhead {:.1}% on 2-D windows exceeds the 5% gate",
-                overhead * 100.0
-            ));
-        }
-        if !problems.is_empty() {
-            for p in &problems {
-                eprintln!("hint_bench: CHECK FAILED: {p}");
-            }
+            eprintln!(
+                "hint_bench: CHECK FAILED: 1-D stab speedup {stab_speedup:.2}x vs {} is below \
+                 the {STAB_GATE}x gate",
+                best_variant.0
+            );
             return ExitCode::FAILURE;
         }
-        println!(
-            "hint_bench: checks passed (stab {:.2}x >= {STAB_GATE}x, router overhead {:+.1}% <= 5%)",
-            stab_speedup,
-            overhead * 100.0
-        );
+        println!("hint_bench: check passed (stab {stab_speedup:.2}x >= {STAB_GATE}x)");
     }
     ExitCode::SUCCESS
 }

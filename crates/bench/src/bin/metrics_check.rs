@@ -2,12 +2,11 @@
 //!
 //! CI runs this after the smoke reproduction to guarantee the exported
 //! metrics are well-formed: the file parses, is non-empty, every graph
-//! carries all five engine labels (the paper's four variants plus
-//! `variant="HINT"`), and every (graph, variant) pair carries
-//! search/insert latency percentiles, the logical node-access counters,
-//! and a buffer-pool hit rate. Metrics
-//! carrying a `component` label instead are service families and are
-//! validated separately:
+//! carries the paper's four variant labels, and every (graph, variant)
+//! pair carries search/insert latency percentiles, the logical
+//! node-access counters, and a buffer-pool hit rate. Metrics carrying a
+//! `component` label instead are service families and are validated
+//! separately:
 //!
 //! * `component="concurrent"` — the unsharded index service must export
 //!   the epoch/queue-depth/retired-snapshot/retired-highwater gauges,
@@ -18,8 +17,6 @@
 //!   and a `shard="all"` aggregate rollup must be present alongside the
 //!   sharded-only families (shard count, global epoch, retired epoch
 //!   vectors, routing imbalance, routed-op counters).
-//! * `component="hybrid"` — the router's `segidx_hybrid_routed_total`
-//!   must cover the full engine × query-shape matrix (zeros included).
 //! * `component="trace"` — the tracer's health families
 //!   (`segidx_trace_*` counters and gauges) must all be present.
 //!
@@ -92,15 +89,8 @@ const REQUIRED_COUNTERS: [&str; 3] = [
 ];
 const REQUIRED_GAUGES: [&str; 1] = ["segidx_buffer_pool_hit_rate"];
 
-/// Engine labels every graph must export: the paper's four variants plus
-/// the HINT baseline the harness runs alongside them.
-const EXPECTED_VARIANTS: [&str; 5] = [
-    "R-Tree",
-    "SR-Tree",
-    "Skeleton R-Tree",
-    "Skeleton SR-Tree",
-    "HINT",
-];
+/// Variant labels every graph must export: the paper's four.
+const EXPECTED_VARIANTS: [&str; 4] = ["R-Tree", "SR-Tree", "Skeleton R-Tree", "Skeleton SR-Tree"];
 
 /// The index-service family every service scope (the unsharded service,
 /// each shard, and the sharded rollup) must export.
@@ -147,11 +137,6 @@ const TRACE_COUNTERS: [&str; 3] = [
     "segidx_trace_spans_dropped_total",
 ];
 const TRACE_GAUGES: [&str; 2] = ["segidx_trace_spans_dropped", "segidx_trace_flight_retained"];
-
-/// The hybrid router's engine × shape matrix, required under
-/// `component="hybrid"`.
-const HYBRID_ENGINES: [&str; 2] = ["hint", "tree"];
-const HYBRID_SHAPES: [&str; 5] = ["one_d", "stab", "slab", "window", "nearest"];
 
 /// The per-connection server families (`--server` mode), all labeled
 /// `component="server"`.
@@ -207,7 +192,6 @@ fn is_counter(name: &str) -> bool {
         || EVENT_COUNTERS.contains(&name)
         || SHARDED_COUNTERS.contains(&name)
         || TRACE_COUNTERS.contains(&name)
-        || name == "segidx_hybrid_routed_total"
 }
 
 fn check(path: &str) -> Result<String, String> {
@@ -229,7 +213,6 @@ fn check(path: &str) -> Result<String, String> {
     let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
     let mut components: BTreeSet<String> = BTreeSet::new();
     let mut component_seen: BTreeSet<(String, String, String)> = BTreeSet::new();
-    let mut hybrid_seen: BTreeSet<(String, String)> = BTreeSet::new();
     for m in metrics {
         let name = m
             .get("name")
@@ -240,14 +223,6 @@ fn check(path: &str) -> Result<String, String> {
             let shard = labels.get("shard").and_then(Value::as_str).unwrap_or("");
             if component == "sharded" && shard.is_empty() {
                 return Err(format!("{name} (sharded): missing shard label"));
-            }
-            if name == "segidx_hybrid_routed_total" {
-                let engine = labels.get("engine").and_then(Value::as_str).unwrap_or("");
-                let shape = labels.get("shape").and_then(Value::as_str).unwrap_or("");
-                if engine.is_empty() || shape.is_empty() {
-                    return Err(format!("{name}: missing engine/shape labels"));
-                }
-                hybrid_seen.insert((engine.to_string(), shape.to_string()));
             }
             validate_component_metric(name, component, m)?;
             components.insert(component.to_string());
@@ -270,7 +245,7 @@ fn check(path: &str) -> Result<String, String> {
             if !pairs.contains(&(graph.clone(), v.to_string())) {
                 return Err(format!(
                     "graph {graph}: missing variant \"{v}\" \
-                     (expected the four paper variants plus HINT)"
+                     (expected the four paper variants)"
                 ));
             }
         }
@@ -290,7 +265,6 @@ fn check(path: &str) -> Result<String, String> {
     check_concurrent(&components, &component_seen)?;
     let shard_scopes = check_sharded(&components, &component_seen)?;
     check_trace(&components, &component_seen)?;
-    check_hybrid(&components, &hybrid_seen)?;
     let flight_classes = check_flight_recorder(&value)?;
 
     Ok(format!(
@@ -542,27 +516,6 @@ fn check_trace(
     for name in TRACE_COUNTERS.iter().chain(&TRACE_GAUGES) {
         if !component_seen.contains(&("trace".to_string(), String::new(), name.to_string())) {
             return Err(format!("component trace: missing {name}"));
-        }
-    }
-    Ok(())
-}
-
-/// The hybrid router's full engine × shape matrix.
-fn check_hybrid(
-    components: &BTreeSet<String>,
-    hybrid_seen: &BTreeSet<(String, String)>,
-) -> Result<(), String> {
-    if !components.contains("hybrid") {
-        return Err("missing component=\"hybrid\" router metrics".into());
-    }
-    for engine in HYBRID_ENGINES {
-        for shape in HYBRID_SHAPES {
-            if !hybrid_seen.contains(&(engine.to_string(), shape.to_string())) {
-                return Err(format!(
-                    "segidx_hybrid_routed_total: missing engine=\"{engine}\" shape=\"{shape}\" \
-                     (the full matrix must be exported, zeros included)"
-                ));
-            }
         }
     }
     Ok(())

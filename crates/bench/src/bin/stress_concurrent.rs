@@ -1,8 +1,7 @@
 //! Deterministic interleaving stress driver for the concurrent index
-//! service: for each seed, run every engine (the four paper variants plus
-//! HINT) under concurrent readers + a single group-commit writer and
-//! validate every reader observation against a serial model of the
-//! committed operation prefix.
+//! service: for each seed, run the four paper variants under concurrent
+//! readers + a single group-commit writer and validate every reader
+//! observation against a serial model of the committed operation prefix.
 //!
 //! CI runs `stress_concurrent --seeds 32` in release mode; a failing seed
 //! writes a replayable report (seed, variant, detail) under `--out` so the
@@ -136,7 +135,7 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "stress_concurrent: {} seeds x 5 engines x {} modes, {} observations, {} epochs, \
+        "stress_concurrent: {} seeds x 4 variants x {} modes, {} observations, {} epochs, \
          {} failing seeds",
         seeds.len(),
         modes.len(),

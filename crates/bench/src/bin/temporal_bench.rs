@@ -23,6 +23,8 @@
 //!   temporal_bench [--records N] [--queries N] [--out FILE]
 //!                  [--metrics-out FILE] [--check]
 
+use segidx_bench::crash::SplitMix64;
+use segidx_bench::{hardware_note, today};
 use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::Rect;
 use segidx_obs::MetricsRegistry;
@@ -30,7 +32,7 @@ use segidx_temporal::{TieredConfig, TieredTelemetry, TieredTemporalIndex};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 struct Args {
     records: usize,
@@ -77,28 +79,13 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Deterministic splitmix64 stream (no external RNG deps).
-struct Rng(u64);
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// A monotone end-time version stream: record `i` closes at time `i`
 /// (versions retire in clock order), having lived a mostly-short duration
 /// with a sparse long tail — the paper's I-series shape stretched along
 /// the time axis. Dimension 0 is the version's `[from, to]` lifetime,
 /// dimension 1 its duration (the axis `WITHIN ... DURATION` bands query).
 fn version_stream(n: usize, seed: u64) -> Vec<(Rect<2>, RecordId)> {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..n as u64)
         .map(|i| {
             let end = i as f64;
@@ -114,7 +101,7 @@ fn version_stream(n: usize, seed: u64) -> Vec<(Rect<2>, RecordId)> {
 
 /// Time-window × duration-band probes spread over the occupied domain.
 fn probe_windows(n: usize, horizon: f64, seed: u64) -> Vec<Rect<2>> {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..n)
         .map(|_| {
             let t = rng.next_f64() * horizon * 0.95;
@@ -124,28 +111,6 @@ fn probe_windows(n: usize, horizon: f64, seed: u64) -> Vec<Rect<2>> {
             Rect::new([t, lo], [t + w, hi])
         })
         .collect()
-}
-
-fn civil_from_days(mut z: i64) -> (i64, u32, u32) {
-    z += 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-fn today() -> String {
-    let days = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64 / 86_400)
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days(days);
-    format!("{y:04}-{m:02}-{d:02}")
 }
 
 fn main() -> ExitCode {
@@ -239,9 +204,12 @@ fn main() -> ExitCode {
          then a window-query probe set compared for bit-identical id sets\",\n",
     );
     json.push_str(&format!(
-        "  \"hardware_note\": \"container run (available_parallelism = {cores}); \
-         single-threaded ingest passes - the speedup ratio is the signal, absolute \
-         latencies vary with the runner\",\n"
+        "  \"hardware_note\": \"{}\",\n",
+        hardware_note(
+            cores,
+            "single-threaded ingest passes - the speedup ratio is the signal, absolute \
+             latencies vary with the runner"
+        )
     ));
     json.push_str(&format!("  \"n_records\": {},\n", args.records));
     json.push_str(&format!("  \"cores\": {cores},\n"));

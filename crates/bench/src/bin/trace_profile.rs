@@ -3,10 +3,10 @@
 //! Two jobs:
 //!
 //! 1. **Example trace**: forces one sampled 2-D window search against a
-//!    4-shard [`ShardedIndex`] of [`HybridIndex`] engines plus a persisted
-//!    replica read through a deliberately small [`BufferPool`], so a single
-//!    trace spans router decision → per-shard scatter → per-level node
-//!    visits → buffer-pool / page I/O. The trace is printed as a text tree
+//!    4-shard [`ShardedIndex`] of SR-Trees (what the server runs) plus a
+//!    persisted replica read through a deliberately small [`BufferPool`],
+//!    so a single trace spans per-shard scatter → per-level node visits →
+//!    buffer-pool / page I/O. The trace is printed as a text tree
 //!    and exported as Chrome `trace_event` JSON (`results/trace_example.json`
 //!    by default, loadable in `chrome://tracing` / Perfetto).
 //! 2. **Overhead**: the tracing hooks cost one thread-local branch per span
@@ -23,9 +23,11 @@
 //!   trace_profile [--records N] [--queries N] [--rounds N] [--out FILE]
 //!                 [--trace-out FILE] [--check]
 
+use segidx_bench::crash::SplitMix64;
+use segidx_bench::{hardware_note, median, median_ratio, today};
 use segidx_concurrent::{IndexOp, ShardedIndex, SubmitError, ZOrderRouter};
 use segidx_core::tree::Tree;
-use segidx_core::{persist, HybridIndex, IndexConfig, PagedSearcher, SearchCursor};
+use segidx_core::{persist, IndexConfig, PagedSearcher, SearchCursor};
 use segidx_geom::Rect;
 use segidx_obs::json::{self, Value};
 use segidx_obs::trace::{chrome_trace_json, CompletedTrace, Dim, OpClass, Tracer};
@@ -35,7 +37,7 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 /// Untraced-vs-baseline overhead gate, as a ratio (1.05 = +5%).
 ///
@@ -93,46 +95,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Deterministic splitmix64 stream (no external RNG deps).
-struct Rng(u64);
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// Days-since-epoch → (year, month, day), proleptic Gregorian.
-fn civil_from_days(mut z: i64) -> (i64, u32, u32) {
-    z += 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-fn today() -> String {
-    let days = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64 / 86_400)
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days(days);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 /// Forces one fully-instrumented 2-D window search and returns the trace:
-/// a 4-shard service over hybrid engines answers the window via threaded
+/// a 4-shard service over SR-Trees answers the window via threaded
 /// scatter/gather, then a persisted replica of the same data answers it
 /// again through a cold 64 KB buffer pool, all inside one trace guard.
 fn record_example_trace() -> Result<CompletedTrace, String> {
@@ -140,15 +104,12 @@ fn record_example_trace() -> Result<CompletedTrace, String> {
     let dataset = DataDistribution::I3.generate(n, 7);
     let domain = Rect::new([0.0, 0.0], [DOMAIN_MAX * 1.05, DOMAIN_MAX * 1.05]);
 
-    // The sharded service: 4 hybrid engines behind a Z-order router.
+    // The sharded service: 4 SR-Trees behind a Z-order router.
     let tracer = Arc::new(Tracer::with_config(1, 2, 4096));
-    let engines = vec![
-        HybridIndex::<2>::new(),
-        HybridIndex::<2>::new(),
-        HybridIndex::<2>::new(),
-        HybridIndex::<2>::new(),
-    ];
-    let index = ShardedIndex::builder(ZOrderRouter::new(domain, 4), engines)
+    let trees = (0..4)
+        .map(|_| Tree::<2>::new(IndexConfig::srtree()))
+        .collect();
+    let index = ShardedIndex::builder(ZOrderRouter::new(domain, 4), trees)
         .max_batch(512)
         .tracer(Arc::clone(&tracer))
         .start()
@@ -230,7 +191,7 @@ fn record_example_trace() -> Result<CompletedTrace, String> {
     }
 
     // The acceptance shape: one trace covering every layer of the stack.
-    for required in ["sharded.scatter", "router", "tree.search", "paged.search"] {
+    for required in ["sharded.scatter", "tree.search", "paged.search"] {
         if !trace.spans.iter().any(|s| s.name == required) {
             return Err(format!("trace is missing a \"{required}\" span"));
         }
@@ -283,22 +244,6 @@ fn time_overhead_rounds(
     (instrumented, baseline)
 }
 
-/// Median of the per-round ratios `instrumented_i / baseline_i`.
-fn median_ratio(instrumented: &[u64], baseline: &[u64]) -> f64 {
-    let mut ratios: Vec<f64> = instrumented
-        .iter()
-        .zip(baseline)
-        .map(|(&i, &b)| i as f64 / b as f64)
-        .collect();
-    ratios.sort_unstable_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
-}
-
-fn median(xs: &mut [u64]) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -344,7 +289,7 @@ fn main() -> ExitCode {
     for (rect, record) in &dataset.records {
         tree.insert(*rect, *record);
     }
-    let mut rng = Rng(23);
+    let mut rng = SplitMix64::new(23);
     let queries: Vec<Rect<2>> = (0..args.queries)
         .map(|_| {
             let x = rng.next_f64() * DOMAIN_MAX * 0.9;
@@ -383,7 +328,7 @@ fn main() -> ExitCode {
             "method".to_string(),
             Value::Str(
                 "crates/bench/src/bin/trace_profile.rs; (1) one forced trace of a 2-D window \
-                 search over a 4-shard hybrid service plus a persisted replica behind a 64 KB \
+                 search over a 4-shard SR-Tree service plus a persisted replica behind a 64 KB \
                  buffer pool, checked well-formed and exported as Chrome trace_event JSON; \
                  (2) interleaved paired rounds of Tree::search_with (tracing inactive) vs \
                  Tree::bench_search_untraced, scored by the median per-round ratio"
@@ -392,11 +337,14 @@ fn main() -> ExitCode {
         ),
         (
             "hardware_note".to_string(),
-            Value::Str(format!(
-                "container run (available_parallelism = {cores}); single-threaded \
-                 microbench, {} interleaved rounds (median of paired per-round ratios) - \
-                 relative ratios are the signal, absolute latencies vary with the runner",
-                args.rounds.max(3)
+            Value::Str(hardware_note(
+                cores,
+                &format!(
+                    "single-threaded microbench, {} interleaved rounds (median of paired \
+                     per-round ratios) - relative ratios are the signal, absolute latencies \
+                     vary with the runner",
+                    args.rounds.max(3)
+                ),
             )),
         ),
         ("n_records".to_string(), Value::Int(args.records as i64)),

@@ -1,6 +1,6 @@
 //! Experiment descriptors: which graph, which distribution, which variants.
 
-use segidx_core::{HintIndex, IntervalIndex, RTree, SRTree, SkeletonRTree, SkeletonSRTree};
+use segidx_core::{IntervalIndex, RTree, SRTree, SkeletonRTree, SkeletonSRTree};
 use segidx_workloads::{domain, DataDistribution, Dataset};
 
 /// The paper buffers the first 10,000 tuples for distribution prediction
@@ -97,8 +97,7 @@ impl Graph {
     }
 }
 
-/// The four index variants compared throughout the paper, plus the modern
-/// HINT baseline ([`HintIndex`]) the harness measures them against.
+/// The four index variants compared throughout the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Variant {
     /// Guttman's R-Tree (baseline).
@@ -109,28 +108,15 @@ pub enum Variant {
     SkeletonRTree,
     /// The Skeleton SR-Tree of paper §4 — the paper's overall winner.
     SkeletonSRTree,
-    /// The hierarchical interval engine (HINT), a modern main-memory
-    /// baseline run alongside the paper's four variants.
-    Hint,
 }
 
 impl Variant {
     /// The paper's four variants, in the paper's presentation order.
-    /// Shape claims (Graphs 1–6) quantify over exactly these.
     pub const ALL: [Variant; 4] = [
         Variant::RTree,
         Variant::SRTree,
         Variant::SkeletonRTree,
         Variant::SkeletonSRTree,
-    ];
-
-    /// Every variant the harness runs: the paper's four plus HINT.
-    pub const WITH_HINT: [Variant; 5] = [
-        Variant::RTree,
-        Variant::SRTree,
-        Variant::SkeletonRTree,
-        Variant::SkeletonSRTree,
-        Variant::Hint,
     ];
 
     /// Display name matching the paper.
@@ -140,7 +126,6 @@ impl Variant {
             Variant::SRTree => "SR-Tree",
             Variant::SkeletonRTree => "Skeleton R-Tree",
             Variant::SkeletonSRTree => "Skeleton SR-Tree",
-            Variant::Hint => "HINT",
         }
     }
 
@@ -152,12 +137,6 @@ impl Variant {
     /// Whether this variant uses the segment extensions.
     pub fn is_segment(&self) -> bool {
         matches!(self, Variant::SRTree | Variant::SkeletonSRTree)
-    }
-
-    /// Whether this is one of the paper's four variants (as opposed to the
-    /// modern HINT baseline).
-    pub fn is_paper(&self) -> bool {
-        Variant::ALL.contains(self)
     }
 
     /// Builds an empty index of this variant with the paper's parameters,
@@ -177,7 +156,6 @@ impl Variant {
                 expected_tuples,
                 buffer,
             )),
-            Variant::Hint => Box::new(HintIndex::<2>::with_domain(domain())),
         }
     }
 }
@@ -253,7 +231,7 @@ mod tests {
 
     #[test]
     fn variants_build_and_accept_data() {
-        for v in Variant::WITH_HINT {
+        for v in Variant::ALL {
             let mut idx = v.build_index(1_000);
             let ds = DataDistribution::I3.generate(1_000, 1);
             for (r, id) in &ds.records {

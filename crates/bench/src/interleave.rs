@@ -23,18 +23,14 @@
 //! reader saw a half-applied batch, a stale epoch after a newer one, or a
 //! reclaimed snapshot), not a flaky schedule. All four paper variants are
 //! exercised, since each has distinct node layouts and split/coalesce
-//! machinery behind the same `Tree` engine — plus the HINT engine, which
-//! runs the same service through a completely different copy-on-write
-//! structure (flat partition arrays instead of a paged tree).
+//! machinery behind the same `Tree` engine.
 
 use crate::crash::SplitMix64;
 use segidx_concurrent::{
-    CommitTicket, ConcurrentIndex, IndexOp, ShardedIndex, SnapshotEngine, SubmitError, ZOrderRouter,
+    CommitTicket, ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter,
 };
 use segidx_core::tree::Tree;
-use segidx_core::{
-    HintIndex, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
-};
+use segidx_core::{IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree};
 use segidx_geom::Rect;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,15 +38,6 @@ use std::sync::Arc;
 
 /// The four paper variants the harness drives.
 pub const VARIANTS: [&str; 4] = ["R-Tree", "SR-Tree", "Skeleton R-Tree", "Skeleton SR-Tree"];
-
-/// Every engine the harness drives: the paper variants plus HINT.
-pub const ENGINES: [&str; 5] = [
-    "R-Tree",
-    "SR-Tree",
-    "Skeleton R-Tree",
-    "Skeleton SR-Tree",
-    "HINT",
-];
 
 /// Shape of one stress run (per seed, per variant).
 #[derive(Debug, Clone, Copy)]
@@ -94,7 +81,7 @@ pub struct StressFailure {
     pub detail: String,
 }
 
-/// Outcome of one seed across every engine.
+/// Outcome of one seed across every variant.
 #[derive(Debug, Default)]
 pub struct SeedOutcome {
     /// Reader observations validated against the serial model.
@@ -215,35 +202,12 @@ struct Observation {
     results: BTreeSet<RecordId>,
 }
 
-/// Runs one seed against one engine; returns observations validated plus
-/// any failures. `variant` dispatches between the four paper variants
-/// (each unwrapped to a bare [`Tree`]) and `"HINT"`.
+/// Runs one seed against one paper variant (unwrapped to a bare [`Tree`]);
+/// returns observations validated plus any failures.
 fn stress_variant(
     seed: u64,
     variant: &'static str,
     cfg: &StressConfig,
-) -> (u64, u64, Vec<StressFailure>) {
-    if variant == "HINT" {
-        stress_engine(seed, variant, cfg, |initial| {
-            let mut h = HintIndex::<2>::new();
-            h.bulk_load(initial.to_vec());
-            h
-        })
-    } else {
-        stress_engine(seed, variant, cfg, |initial| {
-            build_variant(variant, initial)
-        })
-    }
-}
-
-/// The engine-generic body of [`stress_variant`]: the same service, the
-/// same streams, the same post-hoc differential validation, for any
-/// [`SnapshotEngine`].
-fn stress_engine<E: SnapshotEngine<2>>(
-    seed: u64,
-    variant: &'static str,
-    cfg: &StressConfig,
-    build: impl FnOnce(&[(Rect<2>, RecordId)]) -> E,
 ) -> (u64, u64, Vec<StressFailure>) {
     let mut failures = Vec::new();
     let fail = |detail: String| StressFailure {
@@ -255,7 +219,7 @@ fn stress_engine<E: SnapshotEngine<2>>(
     let initial = initial_records(seed, cfg.initial);
     let ops = mutation_stream(seed, cfg, &initial);
     let probes = probe_rects(seed, cfg.probes);
-    let tree = build(&initial);
+    let tree = build_variant(variant, &initial);
 
     // Batching parameters vary with the seed so different seeds exercise
     // different commit groupings.
@@ -420,10 +384,10 @@ fn stress_engine<E: SnapshotEngine<2>>(
     (checked, published_epochs, failures)
 }
 
-/// Runs one seed across every engine (the four paper variants plus HINT).
+/// Runs one seed across the four paper variants.
 pub fn stress_seed(seed: u64, cfg: &StressConfig) -> SeedOutcome {
     let mut outcome = SeedOutcome::default();
-    for variant in ENGINES {
+    for variant in VARIANTS {
         let (checked, epochs, failures) = stress_variant(seed, variant, cfg);
         outcome.observations += checked;
         outcome.epochs += epochs;
@@ -453,27 +417,6 @@ fn stress_variant_sharded(
     cfg: &StressConfig,
     shards: usize,
 ) -> (u64, u64, Vec<StressFailure>) {
-    if variant == "HINT" {
-        stress_engine_sharded(seed, variant, cfg, shards, |part| {
-            let mut h = HintIndex::<2>::new();
-            h.bulk_load(part.to_vec());
-            h
-        })
-    } else {
-        stress_engine_sharded(seed, variant, cfg, shards, |part| {
-            build_variant(variant, part)
-        })
-    }
-}
-
-/// The engine-generic body of [`stress_variant_sharded`].
-fn stress_engine_sharded<E: SnapshotEngine<2>>(
-    seed: u64,
-    variant: &'static str,
-    cfg: &StressConfig,
-    shards: usize,
-    build: impl Fn(&[(Rect<2>, RecordId)]) -> E,
-) -> (u64, u64, Vec<StressFailure>) {
     let mut failures = Vec::new();
     let fail = |detail: String| StressFailure {
         seed,
@@ -489,7 +432,7 @@ fn stress_engine_sharded<E: SnapshotEngine<2>>(
     let trees = router
         .partition(&initial)
         .iter()
-        .map(|part| build(part))
+        .map(|part| build_variant(variant, part))
         .collect();
 
     let max_batch = 8 + (seed as usize % 5) * 24;
@@ -682,10 +625,10 @@ fn stress_engine_sharded<E: SnapshotEngine<2>>(
     (checked, published_epochs, failures)
 }
 
-/// Runs one seed across every engine against a sharded index.
+/// Runs one seed across the four paper variants against a sharded index.
 pub fn stress_seed_sharded(seed: u64, cfg: &StressConfig, shards: usize) -> SeedOutcome {
     let mut outcome = SeedOutcome::default();
-    for variant in ENGINES {
+    for variant in VARIANTS {
         let (checked, epochs, failures) = stress_variant_sharded(seed, variant, cfg, shards);
         outcome.observations += checked;
         outcome.epochs += epochs;
@@ -723,7 +666,7 @@ mod tests {
             outcome.failures
         );
         assert!(outcome.observations > 0, "readers must observe something");
-        assert!(outcome.epochs >= 5, "each engine publishes epochs");
+        assert!(outcome.epochs >= 5, "each variant publishes epochs");
     }
 
     #[test]
@@ -742,7 +685,7 @@ mod tests {
                 outcome.failures
             );
             assert!(outcome.observations > 0, "readers must observe something");
-            assert!(outcome.epochs >= 5, "each engine publishes global epochs");
+            assert!(outcome.epochs >= 5, "each variant publishes global epochs");
         }
     }
 }

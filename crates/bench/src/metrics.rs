@@ -9,9 +9,8 @@
 
 use crate::runner::GraphResult;
 use segidx_concurrent::{ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter};
-use segidx_core::hint::HybridIndex;
-use segidx_core::{IndexConfig, IntervalIndex, RecordId, Tree};
-use segidx_geom::{Point, Rect};
+use segidx_core::{IndexConfig, RecordId, Tree};
+use segidx_geom::Rect;
 use segidx_obs::json::{self, Value};
 use segidx_obs::trace::{OpClass, Tracer};
 use segidx_obs::{Metric, MetricsRegistry, MetricsSnapshot, RingBufferSink};
@@ -195,30 +194,7 @@ pub fn sharded_service_metrics() -> Vec<Metric> {
     metrics
 }
 
-/// Exercises the [`HybridIndex`] router across every query shape and
-/// returns its per-shape routing counters
-/// (`segidx_hybrid_routed_total{engine, shape}`) under
-/// `component="hybrid"`. The full engine × shape matrix is exported,
-/// zeros included, so dashboards see stable series.
-pub fn hybrid_router_metrics() -> Vec<Metric> {
-    let registry = MetricsRegistry::new();
-    let mut hybrid = HybridIndex::<2>::new();
-    for i in 0..300u64 {
-        let x = ((i * 37) % 900) as f64;
-        let y = ((i * 113) % 900) as f64;
-        hybrid.insert(Rect::new([x, y], [x + 25.0, y]), RecordId(i));
-    }
-    hybrid.register_metrics(&registry, &[("component", "hybrid")]);
-    // One of each shape the router distinguishes in 2-D: stab, slab
-    // (one extended dimension), window (two), and nearest.
-    let _ = hybrid.stab(&Point::new([450.0, 450.0]));
-    let _ = hybrid.search(&Rect::new([100.0, 300.0], [700.0, 300.0]));
-    let _ = hybrid.search(&Rect::new([100.0, 100.0], [400.0, 400.0]));
-    let _ = hybrid.nearest(&Point::new([450.0, 450.0]), 5);
-    registry.snapshot().metrics
-}
-
-/// Exercises a two-shard hybrid-engine service under forced tracing and
+/// Exercises a two-shard SR-Tree service under forced tracing and
 /// returns the tracer's metric families (`segidx_trace_*` under
 /// `component="trace"`) together with the flight recorder's summary —
 /// the slowest retained trace per op class, each carrying its span tree
@@ -229,8 +205,11 @@ pub fn traced_service_metrics() -> (Vec<Metric>, Value) {
     let registry = MetricsRegistry::new();
     let domain = Rect::new([0.0, 0.0], [1_000.0, 1_000.0]);
     let router = ZOrderRouter::new(domain, 2);
-    let engines = vec![HybridIndex::<2>::new(), HybridIndex::<2>::new()];
-    let index = ShardedIndex::builder(router, engines)
+    let trees = vec![
+        Tree::<2>::new(IndexConfig::srtree()),
+        Tree::<2>::new(IndexConfig::srtree()),
+    ];
+    let index = ShardedIndex::builder(router, trees)
         .max_batch(8)
         .tracer(Arc::clone(&tracer))
         .start()
@@ -269,8 +248,7 @@ pub fn traced_service_metrics() -> (Vec<Metric>, Value) {
 /// directories as needed. The export also carries the concurrent index
 /// service's metric families (see [`concurrent_service_metrics`]), the
 /// sharded service's per-shard + rollup families (see
-/// [`sharded_service_metrics`]), the hybrid router's per-shape counters
-/// (see [`hybrid_router_metrics`]), the tracer health families, and a
+/// [`sharded_service_metrics`]), the tracer health families, and a
 /// top-level `flight_recorder` object with the slowest retained trace per
 /// op class (see [`traced_service_metrics`]).
 pub fn write_metrics_json(results: &[GraphResult], path: &Path) -> std::io::Result<()> {
@@ -282,7 +260,6 @@ pub fn write_metrics_json(results: &[GraphResult], path: &Path) -> std::io::Resu
     let mut snapshot = metrics_snapshot(results);
     snapshot.metrics.extend(concurrent_service_metrics());
     snapshot.metrics.extend(sharded_service_metrics());
-    snapshot.metrics.extend(hybrid_router_metrics());
     let (trace_metrics, flight) = traced_service_metrics();
     snapshot.metrics.extend(trace_metrics);
     // Splice the flight-recorder summary in as a sibling of "metrics".
@@ -451,40 +428,6 @@ mod tests {
         match &snap.get("segidx_sharded_shards", all).unwrap().value {
             segidx_obs::MetricValue::Gauge(v) => assert_eq!(*v, 2.0),
             other => panic!("expected gauge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn hybrid_router_metrics_cover_the_shape_matrix() {
-        let metrics = hybrid_router_metrics();
-        let snap = MetricsSnapshot { metrics };
-        for engine in ["hint", "tree"] {
-            for shape in ["one_d", "stab", "slab", "window", "nearest"] {
-                let labels: &[(&str, &str)] = &[
-                    ("component", "hybrid"),
-                    ("engine", engine),
-                    ("shape", shape),
-                ];
-                assert!(
-                    snap.get("segidx_hybrid_routed_total", labels).is_some(),
-                    "missing {engine}/{shape}"
-                );
-            }
-        }
-        // The exercise actually routed: stab went to HINT, nearest to tree.
-        let stab = snap
-            .get(
-                "segidx_hybrid_routed_total",
-                &[
-                    ("component", "hybrid"),
-                    ("engine", "hint"),
-                    ("shape", "stab"),
-                ],
-            )
-            .unwrap();
-        match &stab.value {
-            segidx_obs::MetricValue::Counter(v) => assert!(*v > 0),
-            other => panic!("expected counter, got {other:?}"),
         }
     }
 

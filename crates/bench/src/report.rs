@@ -1,8 +1,54 @@
-//! Rendering results: paper-style tables and CSV files.
+//! Rendering results: paper-style tables and CSV files, plus what the
+//! timing binaries share when they write a `results/BENCH_*.json`.
 
 use crate::runner::GraphResult;
 use std::io::Write;
 use std::path::Path;
+use std::time::{SystemTime, UNIX_EPOCH};
+
+/// Median of the per-round ratios `numer_i / denom_i` — the
+/// noise-cancelling comparison statistic for interleaved round times
+/// (adjacent rounds see near-identical machine conditions).
+pub fn median_ratio(numer: &[u64], denom: &[u64]) -> f64 {
+    let mut ratios: Vec<f64> = numer
+        .iter()
+        .zip(denom)
+        .map(|(&n, &d)| n as f64 / d as f64)
+        .collect();
+    ratios.sort_unstable_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
+/// Median of `xs` (the upper one of an even count); sorts in place.
+pub fn median(xs: &mut [u64]) -> u64 {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
+}
+
+/// The `hardware_note` of a `results/BENCH_*.json`: where it ran, then
+/// `reading` — how this bench's numbers are to be read there.
+pub fn hardware_note(cores: usize, reading: &str) -> String {
+    format!("container run (available_parallelism = {cores}); {reading}")
+}
+
+/// Today's date (UTC) as `YYYY-MM-DD`, for a result file's `date`.
+pub fn today() -> String {
+    // Days-since-epoch → (year, month, day), proleptic Gregorian.
+    let mut z = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map(|d| d.as_secs() as i64 / 86_400)
+        .unwrap_or(0);
+    z += 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097);
+    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let d = doy - (153 * mp + 2) / 5 + 1;
+    let m = if mp < 10 { mp + 3 } else { mp - 9 };
+    let y = yoe + era * 400 + i64::from(m <= 2);
+    format!("{y:04}-{m:02}-{d:02}")
+}
 
 /// Renders a graph's series as the table the paper plots: one row per QAR,
 /// one column per index variant, values = average nodes accessed per search.
@@ -146,6 +192,18 @@ mod tests {
                 })
                 .collect(),
         }
+    }
+
+    #[test]
+    fn medians_take_the_upper_middle_and_ratios_pair_by_round() {
+        assert_eq!(median(&mut [9, 1, 5]), 5);
+        assert_eq!(median(&mut [4, 1, 3, 2]), 3);
+        // Rounds 1:2, 3:2, 4:1 → ratios 0.5, 1.5, 4.0.
+        assert_eq!(median_ratio(&[1, 3, 4], &[2, 2, 1]), 1.5);
+        assert_eq!(
+            hardware_note(2, "ratios are the signal"),
+            "container run (available_parallelism = 2); ratios are the signal"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Experiment execution: build all variants (the paper's four plus the
-//! HINT baseline), sweep the QAR range, collect the paper's metric.
+//! Experiment execution: build the paper's four variants, sweep the QAR
+//! range, collect the paper's metric.
 
 use crate::experiment::{Experiment, Graph, Variant};
 use segidx_core::{IntervalIndex, StatsSnapshot, TreeTelemetry};
@@ -86,12 +86,12 @@ impl Series {
     }
 }
 
-/// All series for one graph (paper variants plus HINT).
+/// All series for one graph.
 #[derive(Clone, Debug)]
 pub struct GraphResult {
     /// The experiment that produced this result.
     pub experiment: Experiment,
-    /// One series per variant, in [`Variant::WITH_HINT`] order.
+    /// One series per variant, in [`Variant::ALL`] order.
     pub series: Vec<Series>,
 }
 
@@ -115,11 +115,11 @@ impl GraphResult {
 /// indexes over the same input).
 pub fn run_experiment(experiment: &Experiment) -> GraphResult {
     let dataset = experiment.dataset();
-    let mut series: Vec<Option<Series>> = vec![None; Variant::WITH_HINT.len()];
+    let mut series: Vec<Option<Series>> = vec![None; Variant::ALL.len()];
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for variant in Variant::WITH_HINT {
+        for variant in Variant::ALL {
             let records = &dataset.records;
             let exp = *experiment;
             handles.push(scope.spawn(move || run_variant(variant, records, &exp)));
@@ -209,7 +209,7 @@ pub fn inspect_variants(experiment: &Experiment) -> Vec<String> {
     let buffer = crate::experiment::PAPER_PREDICTION_BUFFER.min((experiment.tuples / 10).max(1));
     let domain = segidx_workloads::domain();
 
-    Variant::WITH_HINT
+    Variant::ALL
         .iter()
         .map(|variant| {
             let report = match variant {
@@ -249,20 +249,6 @@ pub fn inspect_variants(experiment: &Experiment) -> Vec<String> {
                         .report()
                         .to_string()
                 }
-                Variant::Hint => {
-                    let mut t = segidx_core::HintIndex::<2>::with_domain(domain);
-                    for (r, id) in &dataset.records {
-                        t.insert(*r, *id);
-                    }
-                    format!(
-                        "resolution 2^{} per dimension, {} populated partitions, \
-                         {} stored copies of {} records",
-                        t.resolution_bits().unwrap_or(0),
-                        segidx_core::IntervalIndex::node_count(&t) - 1,
-                        segidx_core::IntervalIndex::entry_count(&t),
-                        t.len(),
-                    )
-                }
             };
             format!("structure of {}:\n{report}", variant.name())
         })
@@ -281,7 +267,16 @@ mod tests {
             ..Experiment::paper(Graph::G3)
         };
         let result = run_experiment(&exp);
-        assert_eq!(result.series.len(), 5, "four paper variants + HINT");
+        assert_eq!(
+            result.series.iter().map(|s| s.variant).collect::<Vec<_>>(),
+            [
+                Variant::RTree,
+                Variant::SRTree,
+                Variant::SkeletonRTree,
+                Variant::SkeletonSRTree
+            ],
+            "exactly the paper's four variants, in paper order"
+        );
         for s in &result.series {
             assert_eq!(s.points.len(), 13, "{}", s.variant.name());
             assert!(

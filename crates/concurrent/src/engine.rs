@@ -5,21 +5,17 @@
 //! copy-on-write structure and apply mutations on a single writer thread.
 //! Nothing in that machinery is specific to the paper's [`Tree`]: any
 //! engine that clones cheaply (structural sharing) and answers the read
-//! surface can serve. [`SnapshotEngine`] captures that contract, and both
-//! [`Tree`] and the HINT engine ([`HintIndex`]) implement it — so the
-//! modern main-memory baseline runs under exactly the same epoch snapshot /
-//! group-commit service as the four paper variants.
+//! surface can serve. [`SnapshotEngine`] captures that contract. [`Tree`]
+//! is the one engine served today (the four paper variants are four
+//! configurations of it); the trait stays because the temporal tier is to
+//! ride the same service (ROADMAP item 2).
 //!
-//! The one asymmetry is durability: [`checkpoint`](SnapshotEngine::checkpoint)
-//! writes the engine to a [`DiskManager`] before a snapshot is published.
-//! `Tree` checkpoints via [`persist::commit`]; `HintIndex` is main-memory
-//! only and returns [`StorageError::Unsupported`], which a durable builder
-//! surfaces at `start()` time (typed, not a panic).
+//! [`checkpoint`](SnapshotEngine::checkpoint) writes the engine to a
+//! [`DiskManager`] before a snapshot is published; `Tree` checkpoints via
+//! [`persist::commit`].
 
-use segidx_core::hint::{HintIndex, HybridIndex};
 use segidx_core::persist;
 use segidx_core::tree::{Neighbor, SearchCursor, Tree};
-use segidx_core::IntervalIndex;
 use segidx_core::RecordId;
 use segidx_geom::{Point, Rect};
 use segidx_storage::{DiskManager, StorageError};
@@ -69,15 +65,11 @@ pub trait SnapshotEngine<const D: usize>: Clone + Send + Sync + 'static {
     }
 
     /// Writes the engine durably to `disk` (called before the snapshot of
-    /// this state is published). Main-memory-only engines return
-    /// [`StorageError::Unsupported`].
+    /// this state is published).
     fn checkpoint(&self, disk: &DiskManager) -> Result<(), StorageError>;
 
     /// Structural invariant check (empty = consistent).
     fn check_invariants(&self) -> Vec<String>;
-
-    /// Short engine name for diagnostics and metrics labels.
-    fn engine_name(&self) -> &'static str;
 }
 
 impl<const D: usize> SnapshotEngine<D> for Tree<D> {
@@ -128,102 +120,6 @@ impl<const D: usize> SnapshotEngine<D> for Tree<D> {
     fn check_invariants(&self) -> Vec<String> {
         Tree::check_invariants(self)
     }
-
-    fn engine_name(&self) -> &'static str {
-        "tree"
-    }
-}
-
-impl<const D: usize> SnapshotEngine<D> for HintIndex<D> {
-    fn apply_insert(&mut self, rect: Rect<D>, record: RecordId) {
-        self.insert(rect, record);
-    }
-
-    fn apply_delete(&mut self, rect: &Rect<D>, record: RecordId) -> bool {
-        self.delete(rect, record)
-    }
-
-    fn len(&self) -> usize {
-        HintIndex::len(self)
-    }
-
-    fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        HintIndex::search(self, query)
-    }
-
-    fn stab(&self, p: &Point<D>) -> Vec<RecordId> {
-        HintIndex::stab(self, p)
-    }
-
-    fn nearest(&self, p: &Point<D>, k: usize) -> Vec<Neighbor<D>> {
-        HintIndex::nearest(self, p, k)
-    }
-
-    fn checkpoint(&self, _disk: &DiskManager) -> Result<(), StorageError> {
-        Err(StorageError::Unsupported(
-            "HINT is a main-memory engine with no on-disk checkpoint format; \
-             build the concurrent index without durable()"
-                .into(),
-        ))
-    }
-
-    fn check_invariants(&self) -> Vec<String> {
-        HintIndex::check_invariants(self)
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "hint"
-    }
-}
-
-impl<const D: usize> SnapshotEngine<D> for HybridIndex<D> {
-    fn apply_insert(&mut self, rect: Rect<D>, record: RecordId) {
-        self.insert(rect, record);
-    }
-
-    fn apply_delete(&mut self, rect: &Rect<D>, record: RecordId) -> bool {
-        self.delete(rect, record)
-    }
-
-    fn len(&self) -> usize {
-        IntervalIndex::len(self)
-    }
-
-    fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        IntervalIndex::search(self, query)
-    }
-
-    fn stab(&self, p: &Point<D>) -> Vec<RecordId> {
-        IntervalIndex::stab(self, p)
-    }
-
-    fn nearest(&self, p: &Point<D>, k: usize) -> Vec<Neighbor<D>> {
-        IntervalIndex::nearest(self, p, k)
-    }
-
-    fn search_many(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
-        self.search_batch(queries)
-    }
-
-    fn stab_many(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
-        self.stab_batch(points)
-    }
-
-    fn checkpoint(&self, _disk: &DiskManager) -> Result<(), StorageError> {
-        Err(StorageError::Unsupported(
-            "the hybrid router pairs the tree with main-memory HINT and has \
-             no combined checkpoint format; build without durable()"
-                .into(),
-        ))
-    }
-
-    fn check_invariants(&self) -> Vec<String> {
-        IntervalIndex::check_invariants(self)
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "hybrid"
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +127,9 @@ mod tests {
     use super::*;
     use segidx_core::IndexConfig;
 
-    fn drive<E: SnapshotEngine<2>>(mut engine: E) {
+    #[test]
+    fn tree_satisfies_the_engine_contract() {
+        let mut engine = Tree::<2>::new(IndexConfig::srtree());
         for i in 0..300u64 {
             let x = (i * 37 % 900) as f64;
             engine.apply_insert(Rect::new([x, x], [x + 20.0, x]), RecordId(i));
@@ -248,23 +146,5 @@ mod tests {
         engine.apply_delete(&Rect::new([0.0, 0.0], [20.0, 0.0]), RecordId(0));
         assert_eq!(snap.len(), 300);
         assert_eq!(engine.len(), 299);
-    }
-
-    #[test]
-    fn tree_and_hint_satisfy_the_engine_contract() {
-        drive(Tree::<2>::new(IndexConfig::srtree()));
-        drive(HintIndex::<2>::new());
-        drive(HybridIndex::<2>::new());
-    }
-
-    #[test]
-    fn hint_checkpoint_is_a_typed_error() {
-        let dir = std::env::temp_dir().join(format!("segidx-hint-ckpt-{}", std::process::id()));
-        let disk = DiskManager::create(&dir).unwrap();
-        let hint = HintIndex::<2>::new();
-        let err = hint.checkpoint(&disk).unwrap_err();
-        assert!(matches!(err, StorageError::Unsupported(_)), "{err}");
-        drop(disk);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

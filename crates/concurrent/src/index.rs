@@ -534,7 +534,7 @@ pub struct ConcurrentIndex<const D: usize, E = Tree<D>> {
 
 impl<const D: usize, E> ConcurrentIndex<D, E> {
     /// A builder over the engine's current contents (any
-    /// [`SnapshotEngine`]: a [`Tree`], a `HintIndex`, ...).
+    /// [`SnapshotEngine`]; a [`Tree`] today).
     pub fn builder(tree: E) -> Builder<D, E> {
         Builder {
             tree,

@@ -1168,36 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_runs_the_hint_engine() {
-        use segidx_core::hint::HintIndex;
-        let r = router(4);
-        let engines = (0..4).map(|_| HintIndex::<2>::new()).collect();
-        let index = ShardedIndex::builder(r, engines).start().unwrap();
-        for i in 0..400u64 {
-            let x = ((i * 131) % 950) as f64;
-            let y = ((i * 67) % 950) as f64;
-            index
-                .submit(IndexOp::Insert {
-                    rect: Rect::new([x, y], [x + 20.0, y + 4.0]),
-                    record: RecordId(i),
-                })
-                .unwrap();
-        }
-        index.flush().unwrap();
-        let snap = index.snapshot();
-        assert_eq!(snap.len(), 400);
-        snap.assert_invariants();
-        let everything = snap.search(&Rect::new([0.0, 0.0], [1_000.0, 1_000.0]));
-        assert_eq!(everything.len(), 400);
-        assert!(everything.windows(2).all(|w| w[0] < w[1]), "record order");
-        let q = Rect::new([100.0, 0.0], [300.0, 1_000.0]);
-        assert_eq!(snap.search_batch(&[q]), vec![snap.search(&q)]);
-        let p = Point::new([200.0, 268.0]);
-        assert_eq!(snap.stab_batch(&[p]), vec![snap.stab(&p)]);
-        index.shutdown();
-    }
-
-    #[test]
     fn traced_read_and_commit_span_the_whole_stack() {
         use segidx_obs::trace::OpClass;
 

@@ -6,8 +6,8 @@
 //! Two angles:
 //!
 //! 1. **Every engine**: random op sequences against all four paper
-//!    variants plus HINT and the hybrid router, each query forced through
-//!    a fresh trace.
+//!    variants, and HINT on the same data's x-intervals, each query forced
+//!    through a fresh trace.
 //! 2. **The sharded service under concurrent load**: reader threads run
 //!    traced scatter/gather searches while a writer streams traced
 //!    inserts; every trace the flight recorder retained must still be
@@ -17,7 +17,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use segidx_concurrent::{IndexOp, ShardedIndex, SubmitError, ZOrderRouter};
 use segidx_core::{
-    HintIndex, HybridIndex, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
+    HintIndex, IndexConfig, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
+    Tree,
 };
 use segidx_geom::{Point, Rect};
 use segidx_obs::trace::{OpClass, Tracer};
@@ -26,7 +27,7 @@ use std::sync::Arc;
 
 const DOMAIN: f64 = 1000.0;
 
-/// Every query engine in the workspace, empty, as trait objects. The bool
+/// Every two-dimensional query engine, empty, as trait objects. The bool
 /// says whether a query always emits an engine span — the skeletons
 /// linear-scan a plain buffer until their build threshold, so small
 /// sequences legitimately record only the root.
@@ -45,9 +46,38 @@ fn engines_2d() -> Vec<(&'static str, bool, Box<dyn IntervalIndex<2>>)> {
             false,
             Box::new(SkeletonSRTree::<2>::with_prediction(domain, 256, 32)),
         ),
-        ("hint", true, Box::new(HintIndex::<2>::new())),
-        ("hybrid", true, Box::new(HybridIndex::<2>::new())),
     ]
+}
+
+/// Forces one search and one stab per query through a fresh trace and
+/// checks each is a well-formed tree (with an engine span under the root
+/// where `always_spans`).
+fn check_traces<const D: usize>(
+    tracer: &Arc<Tracer>,
+    name: &str,
+    always_spans: bool,
+    engine: &dyn IntervalIndex<D>,
+    queries: &[Rect<D>],
+) -> Result<(), TestCaseError> {
+    for q in queries {
+        for class in [OpClass::Search, OpClass::Stab] {
+            {
+                let _g = tracer.force(class, "prop_query");
+                let _ = match class {
+                    OpClass::Search => engine.search(q),
+                    _ => engine.stab(&Point::new(*q.lo_coords())),
+                };
+            }
+            let t = tracer.last_completed().expect("trace completed");
+            let problems = t.check_well_formed();
+            prop_assert!(problems.is_empty(), "{name} {class:?}: {problems:?}");
+            prop_assert!(
+                !always_spans || t.spans.len() >= 2,
+                "{name} {class:?} recorded no engine span"
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -65,6 +95,10 @@ proptest! {
         queries in vec((0.0..DOMAIN, 0.0..DOMAIN, 0.0..150.0f64, 0.0..150.0f64), 1..8),
     ) {
         let tracer = Arc::new(Tracer::with_config(1, 4, 4096));
+        let windows: Vec<Rect<2>> = queries
+            .iter()
+            .map(|(x, y, w, h)| Rect::new([*x, *y], [*x + *w, *y + *h]))
+            .collect();
         for (name, always_spans, mut engine) in engines_2d() {
             for (i, (x, y, w, h)) in items.iter().enumerate() {
                 engine.insert(
@@ -72,33 +106,17 @@ proptest! {
                     RecordId(i as u64),
                 );
             }
-            for (x, y, w, h) in &queries {
-                let q = Rect::new([*x, *y], [*x + *w, *y + *h]);
-                {
-                    let _g = tracer.force(OpClass::Search, "prop_search");
-                    let _ = engine.search(&q);
-                }
-                let t = tracer.last_completed().expect("search trace completed");
-                let problems = t.check_well_formed();
-                prop_assert!(problems.is_empty(), "{name} search: {problems:?}");
-                prop_assert!(
-                    !always_spans || t.spans.len() >= 2,
-                    "{name} search recorded no engine span"
-                );
-
-                {
-                    let _g = tracer.force(OpClass::Stab, "prop_stab");
-                    let _ = engine.stab(&Point::new([*x, *y]));
-                }
-                let t = tracer.last_completed().expect("stab trace completed");
-                let problems = t.check_well_formed();
-                prop_assert!(problems.is_empty(), "{name} stab: {problems:?}");
-                prop_assert!(
-                    !always_spans || t.spans.len() >= 2,
-                    "{name} stab recorded no engine span"
-                );
-            }
+            check_traces(&tracer, name, always_spans, &*engine, &windows)?;
         }
+        let mut hint = HintIndex::new();
+        for (i, (x, _, w, _)) in items.iter().enumerate() {
+            hint.insert(Rect::new([*x], [*x + *w]), RecordId(i as u64));
+        }
+        let ranges: Vec<Rect<1>> = queries
+            .iter()
+            .map(|(x, _, w, _)| Rect::new([*x], [*x + *w]))
+            .collect();
+        check_traces(&tracer, "hint", true, &hint, &ranges)?;
         prop_assert_eq!(tracer.sampled(), tracer.completed());
     }
 }
@@ -120,8 +138,8 @@ proptest! {
     ) {
         let tracer = Arc::new(Tracer::with_config(1, 16, 4096));
         let domain = Rect::new([-10.0, -10.0], [DOMAIN * 1.6, DOMAIN * 1.6]);
-        let engines = vec![HybridIndex::<2>::new(), HybridIndex::<2>::new()];
-        let index = ShardedIndex::builder(ZOrderRouter::new(domain, 2), engines)
+        let trees = vec![Tree::new(IndexConfig::srtree()), Tree::new(IndexConfig::srtree())];
+        let index = ShardedIndex::builder(ZOrderRouter::new(domain, 2), trees)
             .max_batch(16)
             .tracer(Arc::clone(&tracer))
             .start()

@@ -38,8 +38,8 @@
 //!   per level instead of chasing a per-partition heap object.
 //! * a **delta**: the original per-partition [`Partition`] objects, holding
 //!   only copies inserted *after* the last freeze. Copy-on-write via
-//!   [`Arc::make_mut`], so post-freeze mutation stays cheap under the
-//!   concurrent snapshot service. A per-level copy counter lets queries
+//!   [`Arc::make_mut`], so post-freeze mutation of a clone stays cheap.
+//!   A per-level copy counter lets queries
 //!   skip the delta entirely for untouched levels — the common case on a
 //!   bulk-loaded index.
 //!
@@ -259,13 +259,11 @@ impl BaseLevel {
     }
 }
 
-/// The 1-D HINT structure for one dimension of a
-/// [`HintIndex`](super::HintIndex).
+/// The HINT hierarchy behind a [`HintIndex`](super::HintIndex).
 ///
 /// Cloning costs one `Arc` bump for the whole frozen base plus one per
-/// delta partition (copy-on-write via [`Arc::make_mut`]), so an engine
-/// snapshot under the concurrent service shares all untouched storage with
-/// its predecessor.
+/// delta partition (copy-on-write via [`Arc::make_mut`]), so a clone
+/// shares all untouched storage with its original.
 #[derive(Clone, Debug)]
 pub(crate) struct Hint1D {
     lo: f64,
@@ -546,19 +544,6 @@ impl Hint1D {
         } else {
             self.query_impl::<false>(qs, qe, out, scratch)
         }
-    }
-
-    /// The uninstrumented query instantiation, for the `trace_profile`
-    /// overhead gate's no-telemetry baseline.
-    #[allow(dead_code)]
-    pub(crate) fn query_untraced(
-        &self,
-        qs: f64,
-        qe: f64,
-        out: &mut Vec<u32>,
-        scratch: &mut Vec<u32>,
-    ) -> u64 {
-        self.query_impl::<false>(qs, qe, out, scratch)
     }
 
     fn query_impl<const TRACED: bool>(

@@ -1,5 +1,5 @@
 //! HINT: a hierarchical main-memory interval engine with comparison-free
-//! stabbing, plus a hybrid router that pairs it with the SR-Tree.
+//! stabbing — the one-dimensional engine.
 //!
 //! This module implements the fifth engine behind
 //! [`IntervalIndex`](crate::api::IntervalIndex) — a flat-array adaptation of
@@ -12,12 +12,12 @@
 //! **without comparing coordinates at all** (see `hint1d` for the class
 //! table and its soundness argument).
 //!
-//! A [`HintIndex`] keeps one `Hint1D` hierarchy per
-//! dimension and answers a `D`-dimensional window query by intersecting the
-//! per-dimension handle sets — exact, because rectangle intersection is the
-//! conjunction of per-dimension interval overlaps. One-dimensional data
-//! (`D = 1`) and stabbing queries skip the intersection entirely, which is
-//! the fast path the [`HybridIndex`] router exploits.
+//! HINT indexes intervals, so [`HintIndex`] is one-dimensional: the number
+//! of dimensions picks the engine, `HintIndex` for `D = 1` and
+//! [`Tree`](crate::tree::Tree) for everything else. (One hierarchy per
+//! dimension plus handle intersection was measured 19×–51× slower than
+//! the SR-Tree on 2-D data at every query extent; EXPERIMENTS.md, "Retired:
+//! hybrid routing".)
 //!
 //! The domain is discovered automatically: the first
 //! [`auto-build threshold`](HintIndex::AUTO_BUILD_AT) inserts are buffered
@@ -28,9 +28,6 @@
 //! selectivity.
 
 mod hint1d;
-mod router;
-
-pub use router::{query_shape, HybridIndex, QueryShape, RoutingCounters, QUERY_SHAPES};
 
 use crate::id::RecordId;
 use crate::stats::{StatsSnapshot, TreeStats};
@@ -45,14 +42,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Slot-allocated storage for the logical entries: the single source of
-/// truth the per-dimension hierarchies point into via `u32` handles.
-#[derive(Clone, Debug)]
-struct EntryTable<const D: usize> {
-    rects: Vec<Rect<D>>,
+/// truth the hierarchy points into via `u32` handles.
+#[derive(Clone, Debug, Default)]
+struct EntryTable {
+    rects: Vec<Rect<1>>,
     records: Vec<RecordId>,
     live: Vec<bool>,
-    /// Homed in the frozen base of every hierarchy (set at build time).
-    /// Entries inserted after the last build live in the deltas instead.
+    /// Homed in the hierarchy's frozen base (set at build time). Entries
+    /// inserted after the last build live in the delta instead.
     in_base: Vec<bool>,
     free: Vec<u32>,
     /// Tombstoned handles: deleted, but their copies are still frozen in
@@ -62,22 +59,8 @@ struct EntryTable<const D: usize> {
     live_count: usize,
 }
 
-impl<const D: usize> Default for EntryTable<D> {
-    fn default() -> Self {
-        Self {
-            rects: Vec::new(),
-            records: Vec::new(),
-            live: Vec::new(),
-            in_base: Vec::new(),
-            free: Vec::new(),
-            deferred: Vec::new(),
-            live_count: 0,
-        }
-    }
-}
-
-impl<const D: usize> EntryTable<D> {
-    fn alloc(&mut self, rect: Rect<D>, record: RecordId) -> u32 {
+impl EntryTable {
+    fn alloc(&mut self, rect: Rect<1>, record: RecordId) -> u32 {
         self.live_count += 1;
         match self.free.pop() {
             Some(h) => {
@@ -115,7 +98,7 @@ impl<const D: usize> EntryTable<D> {
         self.live_count -= 1;
     }
 
-    fn iter_live(&self) -> impl Iterator<Item = (u32, &Rect<D>, RecordId)> + '_ {
+    fn iter_live(&self) -> impl Iterator<Item = (u32, &Rect<1>, RecordId)> + '_ {
         self.rects
             .iter()
             .enumerate()
@@ -124,27 +107,25 @@ impl<const D: usize> EntryTable<D> {
     }
 }
 
-/// The HINT engine: one `hint1d` hierarchy per dimension over a
-/// self-discovered domain, implementing the full
-/// [`IntervalIndex`](crate::api::IntervalIndex) surface.
+/// The HINT engine: one `hint1d` hierarchy over a self-discovered domain,
+/// implementing the full [`IntervalIndex<1>`](crate::api::IntervalIndex)
+/// surface.
 ///
-/// Cloning is cheap (copy-on-write partitions), making the engine usable as
-/// a snapshot under the concurrent index service.
+/// Cloning is cheap (copy-on-write partitions).
 #[derive(Clone, Debug)]
-pub struct HintIndex<const D: usize> {
-    entries: EntryTable<D>,
+pub struct HintIndex {
+    entries: EntryTable,
     /// `None` until the first build: entries are un-homed and scanned
-    /// linearly. `Some` afterwards: every live entry is homed in all `D`
-    /// hierarchies.
-    dims: Option<[Hint1D; D]>,
-    /// Running union of every inserted rectangle (never shrinks).
-    bbox: Option<Rect<D>>,
-    /// The domain the current hierarchies were built over.
-    built_bbox: Option<Rect<D>>,
+    /// linearly. `Some` afterwards: every live entry is homed in it.
+    hier: Option<Hint1D>,
+    /// Running union of every inserted interval (never shrinks).
+    bbox: Option<Rect<1>>,
+    /// The domain the current hierarchy was built over.
+    built_bbox: Option<Rect<1>>,
     /// Live count at the last (re)build; growth past 4× triggers a rebuild
     /// at a finer resolution.
     built_for: usize,
-    /// Inserts since the last build whose rectangle escapes `built_bbox`.
+    /// Inserts since the last build whose interval escapes `built_bbox`.
     /// They are clamped into boundary cells (correct but less selective);
     /// enough of them triggers a rebuild over the widened bbox.
     out_of_domain: usize,
@@ -152,7 +133,7 @@ pub struct HintIndex<const D: usize> {
     obs: Option<Arc<TreeTelemetry>>,
 }
 
-impl<const D: usize> Default for HintIndex<D> {
+impl Default for HintIndex {
     fn default() -> Self {
         Self::new()
     }
@@ -167,7 +148,7 @@ fn bits_for(n: usize) -> u32 {
     bits
 }
 
-impl<const D: usize> HintIndex<D> {
+impl HintIndex {
     /// Un-homed inserts tolerated before the first automatic build.
     pub const AUTO_BUILD_AT: usize = 64;
 
@@ -178,7 +159,7 @@ impl<const D: usize> HintIndex<D> {
     pub fn new() -> Self {
         Self {
             entries: EntryTable::default(),
-            dims: None,
+            hier: None,
             bbox: None,
             built_bbox: None,
             built_for: 0,
@@ -190,7 +171,7 @@ impl<const D: usize> HintIndex<D> {
 
     /// An empty index built immediately over a known `domain`, so every
     /// insert is homed directly (no buffering phase).
-    pub fn with_domain(domain: Rect<D>) -> Self {
+    pub fn with_domain(domain: Rect<1>) -> Self {
         let mut idx = Self::new();
         idx.bbox = Some(domain);
         idx.build(MIN_LEVEL_BITS);
@@ -198,9 +179,9 @@ impl<const D: usize> HintIndex<D> {
     }
 
     /// The bottom-level resolution `ℓ` (the finest level has `2^ℓ`
-    /// partitions per dimension), or `None` before the first build.
+    /// partitions), or `None` before the first build.
     pub fn resolution_bits(&self) -> Option<u32> {
-        self.dims.as_ref().map(|d| d[0].bits())
+        self.hier.as_ref().map(Hint1D::bits)
     }
 
     /// Number of logical records.
@@ -233,7 +214,7 @@ impl<const D: usize> HintIndex<D> {
         }
     }
 
-    /// (Re)builds the hierarchies at resolution `bits` over the exact
+    /// (Re)builds the hierarchy at resolution `bits` over the exact
     /// bounding box of the live entries (falling back to the running bbox
     /// when empty), homing every live entry.
     fn build(&mut self, bits: u32) {
@@ -245,16 +226,12 @@ impl<const D: usize> HintIndex<D> {
         let Some(domain) = exact.or(self.bbox) else {
             return;
         };
-        let mut dims = core::array::from_fn(|d| Hint1D::new(domain.lo(d), domain.hi(d), bits));
+        let mut hier = Hint1D::new(domain.lo(0), domain.hi(0), bits);
         let mut copies = 0u64;
         for (h, rect, _) in self.entries.iter_live() {
-            for (d, hier) in dims.iter_mut().enumerate() {
-                copies += hier.insert(rect.lo(d), rect.hi(d), h);
-            }
+            copies += hier.insert(rect.lo(0), rect.hi(0), h);
         }
-        for hier in dims.iter_mut() {
-            hier.freeze();
-        }
+        hier.freeze();
         // The fresh base holds exactly the live entries: tombstoned slots
         // are physically gone and become reusable, and every live handle is
         // now base-resident.
@@ -265,7 +242,7 @@ impl<const D: usize> HintIndex<D> {
             self.entries.in_base[h] = self.entries.live[h];
         }
         self.stats.maintenance_node_accesses += copies;
-        self.dims = Some(dims);
+        self.hier = Some(hier);
         self.built_bbox = Some(domain);
         self.built_for = self.entries.live_count.max(16);
         self.out_of_domain = 0;
@@ -274,15 +251,15 @@ impl<const D: usize> HintIndex<D> {
     /// Rebuild policy, checked after every insert.
     fn maybe_rebuild(&mut self) {
         let live = self.entries.live_count;
-        match &self.dims {
+        match &self.hier {
             None => {
                 if live >= Self::AUTO_BUILD_AT {
                     self.build(bits_for(live));
                 }
             }
-            Some(dims) => {
+            Some(hier) => {
                 let stale_domain = self.out_of_domain > (live / 4).max(128);
-                let outgrown = live > self.built_for * 4 && dims[0].bits() < MAX_LEVEL_BITS;
+                let outgrown = live > self.built_for * 4 && hier.bits() < MAX_LEVEL_BITS;
                 let zombies = self.entries.deferred.len() > (live / 4).max(128);
                 if stale_domain || outgrown || zombies {
                     self.build(bits_for(live));
@@ -292,19 +269,12 @@ impl<const D: usize> HintIndex<D> {
     }
 
     /// Inserts a record.
-    pub fn insert(&mut self, rect: Rect<D>, record: RecordId) {
+    pub fn insert(&mut self, rect: Rect<1>, record: RecordId) {
         let start = self.obs_start();
         let handle = self.entries.alloc(rect, record);
-        self.bbox = Some(match self.bbox {
-            Some(b) => b.union(&rect),
-            None => rect,
-        });
-        if let Some(dims) = &mut self.dims {
-            let mut copies = 0u64;
-            for (d, hier) in dims.iter_mut().enumerate() {
-                copies += hier.insert(rect.lo(d), rect.hi(d), handle);
-            }
-            self.stats.maintenance_node_accesses += copies;
+        self.bbox = Some(self.bbox.map_or(rect, |b| b.union(&rect)));
+        if let Some(hier) = &mut self.hier {
+            self.stats.maintenance_node_accesses += hier.insert(rect.lo(0), rect.hi(0), handle);
             if !self
                 .built_bbox
                 .as_ref()
@@ -319,10 +289,10 @@ impl<const D: usize> HintIndex<D> {
         self.obs_record(|t| &t.insert, start);
     }
 
-    /// Removes a record by its original rectangle and id. Matches on exact
-    /// rectangle equality (the stored rectangle is what locates the copies
-    /// in every hierarchy).
-    pub fn delete(&mut self, rect: &Rect<D>, record: RecordId) -> bool {
+    /// Removes a record by its original interval and id. Matches on exact
+    /// equality (the stored interval is what locates the copies in the
+    /// hierarchy).
+    pub fn delete(&mut self, rect: &Rect<1>, record: RecordId) -> bool {
         let start = self.obs_start();
         let found = self
             .entries
@@ -342,12 +312,9 @@ impl<const D: usize> HintIndex<D> {
             self.stats.maintenance_node_accesses += 1;
             self.maybe_rebuild();
         } else {
-            if let Some(dims) = &mut self.dims {
-                let mut removed = 0u64;
-                for (d, hier) in dims.iter_mut().enumerate() {
-                    removed += hier.remove(stored.lo(d), stored.hi(d), handle);
-                }
-                self.stats.maintenance_node_accesses += removed;
+            if let Some(hier) = &mut self.hier {
+                self.stats.maintenance_node_accesses +=
+                    hier.remove(stored.lo(0), stored.hi(0), handle);
             } else {
                 self.stats.maintenance_node_accesses += 1;
             }
@@ -359,14 +326,11 @@ impl<const D: usize> HintIndex<D> {
 
     /// Bulk-loads `items` into an index, rebuilding once at the end — the
     /// cheapest way to construct a large HINT.
-    pub fn bulk_load(&mut self, items: Vec<(Rect<D>, RecordId)>) {
+    pub fn bulk_load(&mut self, items: Vec<(Rect<1>, RecordId)>) {
         let start = self.obs_start();
         for (rect, record) in items {
             self.entries.alloc(rect, record);
-            self.bbox = Some(match self.bbox {
-                Some(b) => b.union(&rect),
-                None => rect,
-            });
+            self.bbox = Some(self.bbox.map_or(rect, |b| b.union(&rect)));
         }
         self.build(bits_for(self.entries.live_count));
         self.obs_record(|t| &t.bulk_load, start);
@@ -376,54 +340,20 @@ impl<const D: usize> HintIndex<D> {
     /// intersecting `query` and returns the access count (non-empty
     /// partitions touched, plus one for the entry-table / un-homed scan).
     /// Runs on caller-provided scratch so the hot read path performs no
-    /// heap allocation besides the final id vector.
-    fn query_handles(&self, query: &Rect<D>, s: &mut QueryScratch) -> u64 {
+    /// heap allocation besides the final id vector. Handles come out in
+    /// hierarchy order: the caller sorts by record id anyway.
+    fn query_handles(&self, query: &Rect<1>, s: &mut QueryScratch) -> u64 {
         s.acc.clear();
-        let mut accesses = 1u64;
-        let Some(dims) = &self.dims else {
+        let Some(hier) = &self.hier else {
             s.acc.extend(
                 self.entries
                     .iter_live()
                     .filter(|(_, r, _)| r.intersects(query))
                     .map(|(h, _, _)| h),
             );
-            return accesses;
+            return 1;
         };
-        // Static names so per-dimension spans stay allocation-free.
-        const DIM_SPANS: [&str; 8] = [
-            "hint.dim0",
-            "hint.dim1",
-            "hint.dim2",
-            "hint.dim3",
-            "hint.dim4",
-            "hint.dim5",
-            "hint.dim6",
-            "hint.dim7",
-        ];
-        for (d, hier) in dims.iter().enumerate() {
-            let sp = trace::span(DIM_SPANS[d.min(DIM_SPANS.len() - 1)]);
-            s.out.clear();
-            accesses += hier.query(query.lo(d), query.hi(d), &mut s.out, &mut s.scratch);
-            sp.items(s.out.len() as u64);
-            drop(sp);
-            if D == 1 {
-                // Single dimension: nothing to intersect, so the candidate
-                // set needs no handle-order sort (the caller sorts by
-                // record id anyway).
-                std::mem::swap(&mut s.acc, &mut s.out);
-                break;
-            }
-            s.out.sort_unstable();
-            if d == 0 {
-                std::mem::swap(&mut s.acc, &mut s.out);
-            } else {
-                s.acc = intersect_sorted(&s.acc, &s.out);
-            }
-            if s.acc.is_empty() {
-                break;
-            }
-        }
-        accesses
+        1 + hier.query(query.lo(0), query.hi(0), &mut s.acc, &mut s.scratch)
     }
 
     /// Resolves handles to record ids, dropping tombstoned entries (whose
@@ -451,10 +381,17 @@ impl<const D: usize> HintIndex<D> {
         ids
     }
 
-    /// All records intersecting `query`, sorted by id.
-    pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
+    /// The one read path behind [`search`](Self::search) and
+    /// [`stab`](Self::stab), which differ in the span and the histogram
+    /// they report under.
+    fn answer(
+        &self,
+        query: &Rect<1>,
+        span: &'static str,
+        pick: fn(&TreeTelemetry) -> &LatencyHistogram,
+    ) -> Vec<RecordId> {
         let start = self.obs_start();
-        let sp = trace::span("hint.search");
+        let sp = trace::span(span);
         let (ids, accesses) = with_query_scratch(|s| {
             let accesses = self.query_handles(query, s);
             (self.ids_of(&s.acc), accesses)
@@ -463,39 +400,32 @@ impl<const D: usize> HintIndex<D> {
         sp.items(ids.len() as u64);
         trace::add(trace::Dim::ResultRecords, ids.len() as u64);
         drop(sp);
-        self.obs_record(|t| &t.search, start);
+        self.obs_record(pick, start);
         ids
+    }
+
+    /// All records intersecting `query`, sorted by id.
+    pub fn search(&self, query: &Rect<1>) -> Vec<RecordId> {
+        self.answer(query, "hint.search", |t| &t.search)
     }
 
     /// All records containing point `p`, sorted by id — the degenerate
     /// window query, which the hierarchy answers almost comparison-free.
-    pub fn stab(&self, p: &Point<D>) -> Vec<RecordId> {
-        let start = self.obs_start();
-        let sp = trace::span("hint.stab");
-        let query = Rect::from_point(*p);
-        let (ids, accesses) = with_query_scratch(|s| {
-            let accesses = self.query_handles(&query, s);
-            (self.ids_of(&s.acc), accesses)
-        });
-        self.stats.flush_search(accesses, ids.len() as u64);
-        sp.items(ids.len() as u64);
-        trace::add(trace::Dim::ResultRecords, ids.len() as u64);
-        drop(sp);
-        self.obs_record(|t| &t.stab, start);
-        ids
+    pub fn stab(&self, p: &Point<1>) -> Vec<RecordId> {
+        self.answer(&Rect::from_point(*p), "hint.stab", |t| &t.stab)
     }
 
     /// Index accesses a search for `query` performs (the paper's metric,
     /// counted as non-empty partitions touched), without recording stats.
-    pub fn count_search_accesses(&self, query: &Rect<D>) -> u64 {
+    pub fn count_search_accesses(&self, query: &Rect<1>) -> u64 {
         with_query_scratch(|s| self.query_handles(query, s))
     }
 
-    /// The `k` records nearest to `p` by minimum rectangle distance,
+    /// The `k` records nearest to `p` by minimum interval distance,
     /// ascending (ties broken by record id).
-    pub fn nearest(&self, p: &Point<D>, k: usize) -> Vec<Neighbor<D>> {
+    pub fn nearest(&self, p: &Point<1>, k: usize) -> Vec<Neighbor<1>> {
         let start = self.obs_start();
-        let mut all: Vec<(f64, RecordId, Rect<D>)> = self
+        let mut all: Vec<(f64, RecordId, Rect<1>)> = self
             .entries
             .iter_live()
             .map(|(_, r, id)| (r.min_dist_sqr(p), id, *r))
@@ -562,13 +492,13 @@ impl<const D: usize> HintIndex<D> {
 
     /// Per-query results for `queries` in input order, identical to calling
     /// [`search`](Self::search) per query, fanned out across threads.
-    pub fn search_batch(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
+    pub fn search_batch(&self, queries: &[Rect<1>]) -> Vec<Vec<RecordId>> {
         self.run_batch(queries, |q| self.search(q))
     }
 
     /// Per-point results for `points` in input order, identical to calling
     /// [`stab`](Self::stab) per point, fanned out across threads.
-    pub fn stab_batch(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
+    pub fn stab_batch(&self, points: &[Point<1>]) -> Vec<Vec<RecordId>> {
         self.run_batch(points, |p| self.stab(p))
     }
 
@@ -582,36 +512,29 @@ impl<const D: usize> HintIndex<D> {
         self.stats.reset_search_counters();
     }
 
-    /// Number of physical index records: every stored copy in every
-    /// per-dimension hierarchy (an interval has at least `D` copies once
-    /// homed), or the live count while still buffering.
+    /// Number of physical index records: every stored copy in the
+    /// hierarchy (an interval has at least one once homed), or the live
+    /// count while still buffering.
     pub fn entry_count(&self) -> usize {
-        match &self.dims {
-            Some(dims) => dims.iter().map(|h| h.total_copies()).sum(),
+        match &self.hier {
+            Some(hier) => hier.total_copies(),
             None => self.entries.live_count,
         }
     }
 
-    /// Number of "nodes": non-empty partitions across all hierarchies,
-    /// plus one for the entry table.
+    /// Number of "nodes": non-empty partitions, plus one for the entry
+    /// table.
     pub fn node_count(&self) -> usize {
-        1 + self
-            .dims
-            .as_ref()
-            .map(|dims| dims.iter().map(|h| h.populated_partitions()).sum())
-            .unwrap_or(0)
+        1 + self.hier.as_ref().map_or(0, Hint1D::populated_partitions)
     }
 
     /// Hierarchy height: `ℓ + 1` levels once built, 1 while buffering.
     pub fn height(&self) -> u32 {
-        match &self.dims {
-            Some(dims) => dims[0].bits() + 1,
-            None => 1,
-        }
+        self.hier.as_ref().map_or(1, |hier| hier.bits() + 1)
     }
 
     /// Structural invariant check (empty = consistent): every live entry is
-    /// homed on exactly its canonical cover in every dimension, every
+    /// homed on exactly its canonical cover, every
     /// tombstoned entry still carries exactly its frozen cover (its slot is
     /// parked on the deferred list, not reusable), and no other dead handle
     /// lingers anywhere.
@@ -629,49 +552,44 @@ impl<const D: usize> HintIndex<D> {
                 problems.push(format!("tombstoned handle {h} is still live"));
             }
         }
-        let Some(dims) = &self.dims else {
+        let Some(hier) = &self.hier else {
             if !self.entries.deferred.is_empty() {
                 problems.push("tombstones exist with no hierarchy".into());
             }
             return problems;
         };
-        for (d, hier) in dims.iter().enumerate() {
-            let mut counts: HashMap<u32, usize> = HashMap::new();
-            hier.for_each_handle(&mut |h| *counts.entry(h).or_default() += 1);
-            for (h, rect, _) in self.entries.iter_live() {
-                let expect = hier.cover_size(rect.lo(d), rect.hi(d));
-                let got = counts.remove(&h).unwrap_or(0);
-                if got != expect {
-                    problems.push(format!(
-                        "dim {d}: handle {h} stored {got} times, cover is {expect}"
-                    ));
-                }
+        let mut counts: HashMap<u32, usize> = HashMap::new();
+        hier.for_each_handle(&mut |h| *counts.entry(h).or_default() += 1);
+        for (h, rect, _) in self.entries.iter_live() {
+            let expect = hier.cover_size(rect.lo(0), rect.hi(0));
+            let got = counts.remove(&h).unwrap_or(0);
+            if got != expect {
+                problems.push(format!("handle {h} stored {got} times, cover is {expect}"));
             }
-            for &h in &self.entries.deferred {
-                let rect = &self.entries.rects[h as usize];
-                let expect = hier.cover_size(rect.lo(d), rect.hi(d));
-                let got = counts.remove(&h).unwrap_or(0);
-                if got != expect {
-                    problems.push(format!(
-                        "dim {d}: tombstoned handle {h} stored {got} times, frozen cover is {expect}"
-                    ));
-                }
+        }
+        for &h in &self.entries.deferred {
+            let rect = &self.entries.rects[h as usize];
+            let expect = hier.cover_size(rect.lo(0), rect.hi(0));
+            let got = counts.remove(&h).unwrap_or(0);
+            if got != expect {
+                problems.push(format!(
+                    "tombstoned handle {h} stored {got} times, frozen cover is {expect}"
+                ));
             }
-            for (h, n) in counts {
-                problems.push(format!("dim {d}: dead handle {h} stored {n} times"));
-            }
+        }
+        for (h, n) in counts {
+            problems.push(format!("dead handle {h} stored {n} times"));
         }
         problems
     }
 }
 
-/// Reusable per-thread buffers for the read path: candidate accumulator,
-/// per-dimension output, and kernel scratch. Each query clears but never
-/// frees them, so steady-state reads allocate only their result vector.
+/// Reusable per-thread buffers for the read path: candidate accumulator
+/// and kernel scratch. Each query clears but never frees them, so
+/// steady-state reads allocate only their result vector.
 #[derive(Default)]
 struct QueryScratch {
     acc: Vec<u32>,
-    out: Vec<u32>,
     scratch: Vec<u32>,
 }
 
@@ -683,50 +601,32 @@ fn with_query_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
     SCRATCH.with(|c| f(&mut c.borrow_mut()))
 }
 
-/// Two-pointer intersection of ascending `u32` slices.
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-impl<const D: usize> crate::api::IntervalIndex<D> for HintIndex<D> {
-    fn insert(&mut self, rect: Rect<D>, record: RecordId) {
+impl crate::api::IntervalIndex<1> for HintIndex {
+    fn insert(&mut self, rect: Rect<1>, record: RecordId) {
         HintIndex::insert(self, rect, record);
     }
-    fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
+    fn search(&self, query: &Rect<1>) -> Vec<RecordId> {
         HintIndex::search(self, query)
     }
-    fn search_batch(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
+    fn search_batch(&self, queries: &[Rect<1>]) -> Vec<Vec<RecordId>> {
         HintIndex::search_batch(self, queries)
     }
-    fn stab(&self, p: &Point<D>) -> Vec<RecordId> {
+    fn stab(&self, p: &Point<1>) -> Vec<RecordId> {
         HintIndex::stab(self, p)
     }
-    fn stab_batch(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
+    fn stab_batch(&self, points: &[Point<1>]) -> Vec<Vec<RecordId>> {
         HintIndex::stab_batch(self, points)
     }
-    fn nearest(&self, p: &Point<D>, k: usize) -> Vec<Neighbor<D>> {
+    fn nearest(&self, p: &Point<1>, k: usize) -> Vec<Neighbor<1>> {
         HintIndex::nearest(self, p, k)
     }
-    fn bulk_load(&mut self, items: Vec<(Rect<D>, RecordId)>) {
+    fn bulk_load(&mut self, items: Vec<(Rect<1>, RecordId)>) {
         HintIndex::bulk_load(self, items);
     }
-    fn count_search_accesses(&self, query: &Rect<D>) -> u64 {
+    fn count_search_accesses(&self, query: &Rect<1>) -> u64 {
         HintIndex::count_search_accesses(self, query)
     }
-    fn delete(&mut self, rect: &Rect<D>, record: RecordId) -> bool {
+    fn delete(&mut self, rect: &Rect<1>, record: RecordId) -> bool {
         HintIndex::delete(self, rect, record)
     }
     fn len(&self) -> usize {
@@ -765,21 +665,17 @@ impl<const D: usize> crate::api::IntervalIndex<D> for HintIndex<D> {
 mod tests {
     use super::*;
 
-    fn dataset_2d(n: u64) -> Vec<(Rect<2>, RecordId)> {
+    fn dataset(n: u64) -> Vec<(Rect<1>, RecordId)> {
         (0..n)
             .map(|i| {
                 let x = ((i * 37) % 90_000) as f64;
-                let y = ((i * 113) % 90_000) as f64;
                 let len = if i % 13 == 0 { 15_000.0 } else { 60.0 };
-                (
-                    Rect::new([x, y], [(x + len).min(100_000.0), y]),
-                    RecordId(i),
-                )
+                (Rect::new([x], [(x + len).min(100_000.0)]), RecordId(i))
             })
             .collect()
     }
 
-    fn brute(data: &[(Rect<2>, RecordId)], q: &Rect<2>) -> Vec<RecordId> {
+    fn brute(data: &[(Rect<1>, RecordId)], q: &Rect<1>) -> Vec<RecordId> {
         let mut ids: Vec<RecordId> = data
             .iter()
             .filter(|(r, _)| r.intersects(q))
@@ -791,9 +687,9 @@ mod tests {
 
     #[test]
     fn incremental_build_matches_brute_force_across_the_rebuild() {
-        let data = dataset_2d(2_000);
-        let mut idx = HintIndex::<2>::new();
-        let q = Rect::new([10_000.0, 10_000.0], [30_000.0, 40_000.0]);
+        let data = dataset(2_000);
+        let mut idx = HintIndex::new();
+        let q = Rect::new([10_000.0], [30_000.0]);
         for (i, (rect, id)) in data.iter().enumerate() {
             idx.insert(*rect, *id);
             // Spot-check right around the automatic build and afterwards.
@@ -812,16 +708,16 @@ mod tests {
 
     #[test]
     fn bulk_load_matches_incremental() {
-        let data = dataset_2d(3_000);
-        let mut bulk = HintIndex::<2>::new();
+        let data = dataset(3_000);
+        let mut bulk = HintIndex::new();
         bulk.bulk_load(data.clone());
-        let mut inc = HintIndex::<2>::new();
+        let mut inc = HintIndex::new();
         for (r, id) in &data {
             inc.insert(*r, *id);
         }
         for qi in 0..20u64 {
             let x = ((qi * 7919) % 80_000) as f64;
-            let q = Rect::new([x, 0.0], [x + 9_000.0, 90_000.0]);
+            let q = Rect::new([x], [x + 9_000.0]);
             assert_eq!(bulk.search(&q), inc.search(&q), "query {qi}");
             assert_eq!(bulk.search(&q), brute(&data, &q));
         }
@@ -829,8 +725,8 @@ mod tests {
 
     #[test]
     fn delete_then_search_and_invariants() {
-        let data = dataset_2d(800);
-        let mut idx = HintIndex::<2>::new();
+        let data = dataset(800);
+        let mut idx = HintIndex::new();
         idx.bulk_load(data.clone());
         for (r, id) in data.iter().filter(|(_, id)| id.0 % 3 == 0) {
             assert!(idx.delete(r, *id), "delete {id:?}");
@@ -841,7 +737,7 @@ mod tests {
             .filter(|(_, id)| id.0 % 3 != 0)
             .cloned()
             .collect();
-        let q = Rect::new([0.0, 0.0], [100_000.0, 100_000.0]);
+        let q = Rect::new([0.0], [100_000.0]);
         assert_eq!(idx.search(&q), brute(&survivors, &q));
         assert!(
             idx.check_invariants().is_empty(),
@@ -851,13 +747,42 @@ mod tests {
         assert_eq!(idx.len(), survivors.len());
     }
 
+    /// Every bulk-loaded entry is base-resident, so the deletes are
+    /// tombstones; once they outnumber `max(live / 4, 128)` the rebuild
+    /// retires them and their slots become reusable.
+    #[test]
+    fn tombstones_are_retired_at_the_rebuild_they_trigger() {
+        let data = dataset(600);
+        let mut idx = HintIndex::new();
+        idx.bulk_load(data.clone());
+        for (r, id) in &data[..128] {
+            assert!(idx.delete(r, *id));
+        }
+        assert_eq!(idx.entries.deferred.len(), 128, "tombstoned, not freed");
+        assert!(idx.entries.free.is_empty());
+        assert!(idx.delete(&data[128].0, data[128].1));
+        assert!(idx.entries.deferred.is_empty(), "the 129th rebuilt");
+        assert_eq!(idx.entries.free.len(), 129);
+        assert!(
+            idx.check_invariants().is_empty(),
+            "{:?}",
+            idx.check_invariants()
+        );
+        let q = Rect::new([0.0], [100_000.0]);
+        assert_eq!(idx.search(&q), brute(&data[129..], &q));
+        // A freed slot is reused, and its new tenant is a delta entry.
+        idx.insert(Rect::new([5.0], [6.0]), RecordId(9_999));
+        assert_eq!(idx.entries.free.len(), 128);
+        assert_eq!(idx.stab(&Point::new([5.5])).last(), Some(&RecordId(9_999)));
+    }
+
     #[test]
     fn stab_matches_degenerate_search() {
-        let data = dataset_2d(1_500);
-        let mut idx = HintIndex::<2>::new();
+        let data = dataset(1_500);
+        let mut idx = HintIndex::new();
         idx.bulk_load(data);
         for i in 0..60u64 {
-            let p = Point::new([((i * 997) % 95_000) as f64, ((i * 113) % 90_000) as f64]);
+            let p = Point::new([((i * 997) % 95_000) as f64]);
             let degenerate = Rect::from_point(p);
             assert_eq!(idx.stab(&p), idx.search(&degenerate), "stab {i}");
         }
@@ -865,35 +790,38 @@ mod tests {
 
     #[test]
     fn batch_is_bit_identical_to_serial() {
-        let data = dataset_2d(1_200);
-        let mut idx = HintIndex::<2>::new();
+        let data = dataset(1_200);
+        let mut idx = HintIndex::new();
         idx.bulk_load(data);
-        let queries: Vec<Rect<2>> = (0..100u64)
+        let queries: Vec<Rect<1>> = (0..100u64)
             .map(|i| {
                 let x = ((i * 7_001) % 85_000) as f64;
-                let y = ((i * 131) % 85_000) as f64;
-                Rect::new([x, y], [x + 5_000.0, y + 5_000.0])
+                Rect::new([x], [x + 5_000.0])
             })
             .collect();
         let serial: Vec<Vec<RecordId>> = queries.iter().map(|q| idx.search(q)).collect();
         assert_eq!(idx.search_batch(&queries), serial);
-        let points: Vec<Point<2>> = queries.iter().map(|q| q.center()).collect();
+        let points: Vec<Point<1>> = queries.iter().map(|q| q.center()).collect();
         let serial_stab: Vec<Vec<RecordId>> = points.iter().map(|p| idx.stab(p)).collect();
         assert_eq!(idx.stab_batch(&points), serial_stab);
     }
 
     #[test]
     fn out_of_domain_inserts_stay_correct_and_eventually_rebuild() {
-        let mut idx = HintIndex::<2>::with_domain(Rect::new([0.0, 0.0], [100.0, 100.0]));
+        let mut idx = HintIndex::with_domain(Rect::new([0.0], [100.0]));
         for i in 0..200u64 {
             // Every entry lands far outside the initial domain.
             let x = 10_000.0 + i as f64;
-            idx.insert(Rect::new([x, x], [x + 5.0, x]), RecordId(i));
+            idx.insert(Rect::new([x], [x + 5.0]), RecordId(i));
+            if i == 50 {
+                // Still clamped into the last cell: found all the same
+                // (monotone cell mapping).
+                assert_eq!(idx.built_bbox.unwrap().hi(0), 100.0);
+                assert_eq!(idx.search(&Rect::new([10_020.0], [10_030.0])).len(), 16);
+            }
         }
-        // Clamped entries are still found (monotone cell mapping).
-        let q = Rect::new([10_050.0, 0.0], [10_060.0, 20_000.0]);
-        let hits = idx.search(&q);
-        assert_eq!(hits.len(), 16, "entries 45..=60 overlap in x");
+        let hits = idx.search(&Rect::new([10_050.0], [10_060.0]));
+        assert_eq!(hits.len(), 16, "entries 45..=60 overlap");
         // The domain-staleness trigger fired at some point and re-homed
         // everything over the widened bbox.
         assert!(idx.check_invariants().is_empty());
@@ -905,19 +833,16 @@ mod tests {
 
     #[test]
     fn accesses_and_shape_metrics_are_sane() {
-        let mut idx = HintIndex::<2>::new();
-        assert_eq!(
-            idx.count_search_accesses(&Rect::new([0.0, 0.0], [1.0, 1.0])),
-            1
-        );
-        idx.bulk_load(dataset_2d(1_000));
-        assert!(idx.count_search_accesses(&Rect::new([0.0, 0.0], [1.0, 1.0])) >= 1);
+        let mut idx = HintIndex::new();
+        assert_eq!(idx.count_search_accesses(&Rect::new([0.0], [1.0])), 1);
+        idx.bulk_load(dataset(1_000));
+        assert!(idx.count_search_accesses(&Rect::new([0.0], [1.0])) >= 1);
         assert!(idx.node_count() > 1);
         assert!(idx.height() > MIN_LEVEL_BITS);
-        assert!(idx.entry_count() >= 2 * idx.len(), "≥ D copies per entry");
+        assert!(idx.entry_count() >= idx.len(), "≥ one copy per entry");
         let snap = idx.stats();
         assert!(snap.maintenance_node_accesses > 0);
-        idx.search(&Rect::new([0.0, 0.0], [50_000.0, 50_000.0]));
+        idx.search(&Rect::new([0.0], [50_000.0]));
         let snap = idx.stats();
         assert_eq!(snap.searches, 1);
         assert!(snap.avg_nodes_per_search().unwrap() >= 1.0);
@@ -925,10 +850,10 @@ mod tests {
 
     #[test]
     fn nearest_matches_brute_force_ordering() {
-        let data = dataset_2d(500);
-        let mut idx = HintIndex::<2>::new();
+        let data = dataset(500);
+        let mut idx = HintIndex::new();
         idx.bulk_load(data.clone());
-        let p = Point::new([40_000.0, 40_000.0]);
+        let p = Point::new([40_000.0]);
         let got = idx.nearest(&p, 10);
         assert_eq!(got.len(), 10);
         let dists: Vec<f64> = got.iter().map(|n| n.distance).collect();

@@ -59,7 +59,7 @@ pub mod tree;
 
 pub use api::{IntervalIndex, RTree, SRTree, SkeletonRTree, SkeletonSRTree};
 pub use config::{CoalesceConfig, IndexConfig, SplitAlgorithm};
-pub use hint::{HintIndex, HybridIndex, QueryShape};
+pub use hint::HintIndex;
 pub use id::{NodeId, RecordId};
 pub use paged::PagedSearcher;
 pub use skeleton::{build_skeleton, DistributionPredictor, Histogram, SkeletonSpec};

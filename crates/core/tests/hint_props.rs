@@ -32,22 +32,6 @@ fn variants_1d() -> Vec<(&'static str, Box<dyn IntervalIndex<1>>)> {
     ]
 }
 
-fn variants_2d() -> Vec<(&'static str, Box<dyn IntervalIndex<2>>)> {
-    let domain = Rect::new([-10.0, -10.0], [DOMAIN * 1.6, DOMAIN * 1.6]);
-    vec![
-        ("r-tree", Box::new(RTree::<2>::new())),
-        ("sr-tree", Box::new(SRTree::<2>::new())),
-        (
-            "skeleton-r-tree",
-            Box::new(SkeletonRTree::<2>::with_prediction(domain, 256, 32)),
-        ),
-        (
-            "skeleton-sr-tree",
-            Box::new(SkeletonSRTree::<2>::with_prediction(domain, 256, 32)),
-        ),
-    ]
-}
-
 #[derive(Clone, Debug)]
 enum Op {
     Insert { lo: f64, len: f64 },
@@ -75,7 +59,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Applies `ops` to a HINT index and all four variants in lockstep,
 /// asserting identical query results throughout.
 fn run_differential(ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut hint = HintIndex::<1>::new();
+    let mut hint = HintIndex::new();
     let mut variants = variants_1d();
     let mut live: Vec<(Rect<1>, RecordId)> = Vec::new();
     let mut seq = 0u64;
@@ -159,7 +143,7 @@ proptest! {
                 (Rect::new([lo], [lo + len]), RecordId(i as u64))
             })
             .collect();
-        let mut hint = HintIndex::<1>::new();
+        let mut hint = HintIndex::new();
         hint.bulk_load(items.clone());
         let mut variants = variants_1d();
         for (_, v) in &mut variants {
@@ -194,7 +178,7 @@ proptest! {
         ops in vec(op_strategy(), 1..120),
         queries in vec((0.0..DOMAIN, 0.0..60.0f64), 1..12),
     ) {
-        let mut hint = HintIndex::<1>::new();
+        let mut hint = HintIndex::new();
         let mut live: Vec<(Rect<1>, RecordId)> = Vec::new();
         let mut seq = 0u64;
         for op in &ops {
@@ -221,51 +205,5 @@ proptest! {
         prop_assert_eq!(hint.search_batch(&rects), serial_search);
         let serial_stab: Vec<Vec<RecordId>> = points.iter().map(|p| hint.stab(p)).collect();
         prop_assert_eq!(hint.stab_batch(&points), serial_stab);
-    }
-
-    /// 2-D: the per-dimension hierarchies plus handle intersection must
-    /// still agree with every variant, including after deletes.
-    #[test]
-    fn hint_matches_variants_in_2d(
-        items in vec((0.0..DOMAIN, 0.0..DOMAIN, 0.0..80.0f64, 0.0..80.0f64), 1..120),
-        kill in vec(any::<usize>(), 0..20),
-        windows in vec((0.0..DOMAIN, 0.0..DOMAIN, 0.0..120.0f64, 0.0..120.0f64), 6..7),
-    ) {
-        let records: Vec<(Rect<2>, RecordId)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, (x, y, w, h))| {
-                (Rect::new([*x, *y], [*x + *w, *y + *h]), RecordId(i as u64))
-            })
-            .collect();
-        let mut hint = HintIndex::<2>::new();
-        hint.bulk_load(records.clone());
-        let mut variants = variants_2d();
-        for (_, v) in &mut variants {
-            v.bulk_load(records.clone());
-        }
-        let mut live = records;
-        for k in kill {
-            if live.is_empty() {
-                break;
-            }
-            let (rect, rid) = live.swap_remove(k % live.len());
-            prop_assert!(hint.delete(&rect, rid));
-            for (_, v) in &mut variants {
-                prop_assert!(v.delete(&rect, rid));
-            }
-        }
-        for (x, y, w, h) in windows {
-            let q = Rect::new([x, y], [x + w, y + h]);
-            let got = hint.search(&q);
-            for (name, v) in &variants {
-                prop_assert_eq!(&got, &v.search(&q), "hint vs {} search", name);
-            }
-            let p = Point::new([x, y]);
-            let got = hint.stab(&p);
-            for (name, v) in &variants {
-                prop_assert_eq!(&got, &v.stab(&p), "hint vs {} stab", name);
-            }
-        }
     }
 }

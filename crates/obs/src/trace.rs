@@ -17,7 +17,7 @@
 //!   trace's shared buffer once per thread per trace.
 //! * Scatter/gather workers adopt the parent trace with
 //!   [`TraceContext::enter`], so a sharded query yields **one** tree that
-//!   spans router → per-shard scatter → node visits → page I/O.
+//!   spans per-shard scatter → node visits → page I/O.
 //! * Completed traces ([`CompletedTrace`]) carry the span tree plus a
 //!   [`QueryProfile`] and are offered to the tracer's [`FlightRecorder`],
 //!   which keeps the N slowest per [`OpClass`] (a slow-op log).
@@ -110,34 +110,30 @@ pub enum Dim {
     /// HINT results emitted comparison-free (middle partitions / covered
     /// delta partitions).
     HintElidedCmp = 3,
-    /// Hybrid router decisions that chose HINT.
-    RoutedHint = 4,
-    /// Hybrid router decisions that chose the tree.
-    RoutedTree = 5,
     /// Shards fanned out to by a scatter/gather read.
-    ShardFanout = 6,
+    ShardFanout = 4,
     /// Buffer-pool hits.
-    BufferPoolHits = 7,
+    BufferPoolHits = 5,
     /// Buffer-pool misses (each implies a page read).
-    BufferPoolMisses = 8,
+    BufferPoolMisses = 6,
     /// Pages read from disk.
-    PageReads = 9,
+    PageReads = 7,
     /// Pages written to disk.
-    PageWrites = 10,
+    PageWrites = 8,
     /// Nanoseconds this op waited in the submission queue.
-    QueueWaitNanos = 11,
+    QueueWaitNanos = 9,
     /// Nanoseconds the writer spent applying the op's commit batch.
-    ApplyNanos = 12,
+    ApplyNanos = 10,
     /// Nanoseconds the writer spent checkpointing the batch (durable mode).
-    CheckpointNanos = 13,
+    CheckpointNanos = 11,
     /// Nanoseconds the writer spent publishing the new snapshot.
-    PublishNanos = 14,
+    PublishNanos = 12,
     /// Result records produced.
-    ResultRecords = 15,
+    ResultRecords = 13,
 }
 
 /// Number of [`Dim`] counters.
-pub const DIMS: usize = 16;
+pub const DIMS: usize = 14;
 
 /// Stable export names, indexed by `Dim as usize`.
 pub const DIM_NAMES: [&str; DIMS] = [
@@ -145,8 +141,6 @@ pub const DIM_NAMES: [&str; DIMS] = [
     "kernel_entries_scanned",
     "hint_level_walks",
     "hint_elided_cmp",
-    "routed_hint",
-    "routed_tree",
     "shard_fanout",
     "buffer_pool_hits",
     "buffer_pool_misses",
@@ -330,7 +324,6 @@ impl CompletedTrace {
     /// ```text
     /// trace #12 search "sharded.search" 184.3µs (14 spans)
     /// └─ sharded.search 184.3µs
-    ///    ├─ router 0.2µs
     ///    ├─ shard0.scatter 80.1µs [items=31]
     ///    ...
     /// ```
@@ -1356,19 +1349,19 @@ mod tests {
     #[test]
     fn exporters_produce_tree_and_valid_chrome_json() {
         let t = traced(|| {
-            let router = span("router");
-            drop(router);
+            let pin = span("pin");
+            drop(pin);
             let scatter = span("scatter");
             let _k = span("kernel");
             drop(_k);
             drop(scatter);
-            add(Dim::RoutedTree, 1);
+            add(Dim::ShardFanout, 1);
         });
         let text = t.render_text_tree();
         assert!(text.contains("trace #"), "{text}");
-        assert!(text.contains("router"), "{text}");
+        assert!(text.contains("pin"), "{text}");
         assert!(text.contains("└─") || text.contains("├─"), "{text}");
-        assert!(text.contains("routed_tree=1"), "{text}");
+        assert!(text.contains("shard_fanout=1"), "{text}");
 
         let json = chrome_trace_json(&[t]);
         let parsed = crate::json::parse(&json).unwrap();

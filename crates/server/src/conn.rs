@@ -542,7 +542,6 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
             break;
         }
     }
-    shared.stats.close_connection(&stats);
 }
 
 #[cfg(test)]

@@ -185,13 +185,17 @@ impl FrameDecoder {
 
     fn next_line(&mut self) -> Result<Option<Frame>, FrameError> {
         let pending = &self.buf[self.start..];
-        let Some(nl) = pending.iter().position(|&b| b == b'\n') else {
-            if pending.len() > self.max_frame {
-                return Err(FrameError::TooLarge {
-                    len: pending.len(),
-                    max: self.max_frame,
-                });
-            }
+        let nl = pending.iter().position(|&b| b == b'\n');
+        // The cap holds for the line so far, whether or not its newline has
+        // arrived: one that came in the same read is no excuse.
+        let len = nl.unwrap_or(pending.len());
+        if len > self.max_frame {
+            return Err(FrameError::TooLarge {
+                len,
+                max: self.max_frame,
+            });
+        }
+        let Some(nl) = nl else {
             return Ok(None);
         };
         let mut line = &pending[..nl];
@@ -380,13 +384,22 @@ mod tests {
     }
 
     #[test]
-    fn oversized_line_is_rejected() {
+    fn oversized_line_is_rejected_with_or_without_its_newline() {
+        for terminator in ["", "\n"] {
+            let mut dec = FrameDecoder::with_max_frame(64);
+            dec.feed(&[b'A'; 80]);
+            dec.feed(terminator.as_bytes());
+            assert_eq!(
+                dec.next_frame(),
+                Err(FrameError::TooLarge { len: 80, max: 64 }),
+                "terminator {terminator:?}"
+            );
+        }
+        // At the cap exactly, the line is a frame.
         let mut dec = FrameDecoder::with_max_frame(64);
-        dec.feed(&[b'A'; 80]);
-        assert!(matches!(
-            dec.next_frame(),
-            Err(FrameError::TooLarge { len: 80, max: 64 })
-        ));
+        dec.feed(&[b'A'; 64]);
+        dec.feed(b"\n");
+        assert_eq!(dec.next_frame().unwrap().unwrap().text.len(), 64);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! [`LatencyHistogram`]s). The server keeps weak references to live
 //! connections and folds the counters of closed connections into a
 //! retired accumulator, so the exported families always cover the full
-//! lifetime of the server: `live + retired`.
+//! lifetime of the server: `live + retired`. A connection closes when its
+//! [`OpenConnection`] drops, so one whose thread unwinds is folded in like
+//! any other and no counter ever goes backwards.
 
 use segidx_obs::{HistogramSnapshot, LatencyHistogram, Metric, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// Operations counted in `segidx_server_requests_total{op=…}`, in export
 /// order.
@@ -121,8 +123,43 @@ impl Totals {
 #[derive(Debug, Default)]
 pub struct ServerStats {
     connections_total: AtomicU64,
+    /// Taken before `retired` wherever both are held.
     live: Mutex<Vec<Weak<ConnStats>>>,
     retired: Mutex<Totals>,
+}
+
+/// Locks `m` whether or not a thread panicked holding it: every section
+/// under these locks is one `push` / `retain` / `absorb` / `clone`, which
+/// moves its fields together, so a poisoned value is still consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// An open connection's stats handle. Dropping it — at the connection
+/// thread's normal exit or while that thread unwinds — folds the
+/// connection into the server's retired totals.
+#[derive(Debug)]
+pub struct OpenConnection {
+    server: Arc<ServerStats>,
+    stats: Arc<ConnStats>,
+}
+
+impl std::ops::Deref for OpenConnection {
+    type Target = ConnStats;
+    fn deref(&self) -> &ConnStats {
+        &self.stats
+    }
+}
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        // Both locks at once: a concurrent `totals` sees the connection
+        // live or retired, never both and never neither.
+        let mut live = lock(&self.server.live);
+        lock(&self.server.retired).absorb(&self.stats);
+        let ptr = Arc::as_ptr(&self.stats);
+        live.retain(|w| !std::ptr::eq(w.as_ptr(), ptr));
+    }
 }
 
 impl ServerStats {
@@ -131,24 +168,16 @@ impl ServerStats {
         Self::default()
     }
 
-    /// Registers a new connection and returns its stats handle.
-    pub fn open_connection(self: &Arc<Self>) -> Arc<ConnStats> {
+    /// Registers a new connection and returns its stats handle, which
+    /// closes the connection when dropped.
+    pub fn open_connection(self: &Arc<Self>) -> OpenConnection {
         self.connections_total.fetch_add(1, Relaxed);
         let stats = Arc::new(ConnStats::new());
-        self.live.lock().unwrap().push(Arc::downgrade(&stats));
-        stats
-    }
-
-    /// Folds a closed connection into the retired totals. The caller must
-    /// drop its `Arc<ConnStats>` afterwards (the weak registry entry is
-    /// pruned on the next export).
-    pub fn close_connection(&self, stats: &Arc<ConnStats>) {
-        self.retired.lock().unwrap().absorb(stats);
-        let ptr = Arc::as_ptr(stats);
-        self.live
-            .lock()
-            .unwrap()
-            .retain(|w| !std::ptr::eq(w.as_ptr(), ptr) && w.strong_count() > 0);
+        lock(&self.live).push(Arc::downgrade(&stats));
+        OpenConnection {
+            server: Arc::clone(self),
+            stats,
+        }
     }
 
     /// Connections accepted over the server's lifetime.
@@ -158,26 +187,15 @@ impl ServerStats {
 
     /// Currently open connections.
     pub fn connections_active(&self) -> usize {
-        self.live
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|w| w.strong_count() > 0)
-            .count()
+        lock(&self.live).len()
     }
 
     /// `live + retired` totals across every connection ever opened.
     fn totals(&self) -> Totals {
-        let mut t = self.retired.lock().unwrap().clone();
-        let live: Vec<Arc<ConnStats>> = self
-            .live
-            .lock()
-            .unwrap()
-            .iter()
-            .filter_map(Weak::upgrade)
-            .collect();
-        for stats in &live {
-            t.absorb(stats);
+        let live = lock(&self.live);
+        let mut t = lock(&self.retired).clone();
+        for stats in live.iter().filter_map(Weak::upgrade) {
+            t.absorb(&stats);
         }
         t
     }
@@ -280,7 +298,6 @@ mod tests {
         a.count_request("insert");
         a.count_frame(Mode::Binary);
         a.read_latency.record(1_000);
-        server.close_connection(&a);
         drop(a);
 
         let b = server.open_connection();
@@ -337,5 +354,38 @@ mod tests {
             other => panic!("expected histogram, got {other:?}"),
         }
         assert!(server.summary_line().contains("requests=3"));
+    }
+
+    #[test]
+    fn a_connection_whose_thread_panics_is_retired_not_lost() {
+        let server = Arc::new(ServerStats::new());
+        let crashed = std::thread::spawn({
+            let server = Arc::clone(&server);
+            move || {
+                let conn = server.open_connection();
+                conn.count_request("search");
+                conn.count_request("insert");
+                conn.add_bytes_read(100);
+                panic!("an index bug on the connection thread");
+            }
+        })
+        .join();
+        assert!(crashed.is_err());
+        assert_eq!(server.connections_active(), 0);
+        let line = server.summary_line();
+        assert!(
+            line.contains("connections=1 active=0 requests=2 ") && line.contains(" bytes_in=100 "),
+            "{line}"
+        );
+
+        let next = server.open_connection();
+        next.count_request("ping");
+        assert_eq!(server.connections_active(), 1);
+        drop(next);
+        let line = server.summary_line();
+        assert!(
+            line.contains("connections=2 active=0 requests=3 "),
+            "{line}"
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! Property tests for the wire layer: the query language's canonical
 //! print form must re-parse to an equal statement for *arbitrary*
 //! statements (exact f64 round-tripping included), the frame codec must
-//! reassemble arbitrary pipelines under arbitrary chunking, the reply
+//! reassemble arbitrary pipelines under arbitrary chunking and answer
+//! malformed bytes with a typed error inside its frame cap, the reply
 //! kernel must print what `fmt` prints, and — over real sockets — a
 //! pipeline's replies must come back in request order and show exactly
 //! what the burst rule promises a client (module docs of `conn.rs`): in
@@ -10,7 +11,9 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use segidx_server::frame::{encode_request, encode_response, put_f64, put_u64, FrameDecoder, Mode};
+use segidx_server::frame::{
+    encode_request, encode_response, put_f64, put_u64, FrameDecoder, FrameError, Mode,
+};
 use segidx_server::parser::{parse, Statement};
 use segidx_server::{BackendConfig, Server, ServerConfig};
 use std::io::{Read, Write};
@@ -79,6 +82,48 @@ fn statement() -> impl Strategy<Value = Statement> {
 /// the codec never inspects it beyond the line terminator).
 fn text(max_len: usize) -> impl Strategy<Value = String> {
     vec(0x20u8..0x7f, 1..max_len).prop_map(|bytes| String::from_utf8(bytes).unwrap())
+}
+
+/// The frame cap of the untrusted-edge properties.
+const CAP: usize = 256;
+
+/// Feeds `pieces` to a decoder capped at [`CAP`], draining it after each,
+/// until the bytes run out or the decoder gives the stream up — checking on
+/// the way what no byte stream may break: nothing panics (the parser
+/// included, on whatever does decode), no more is buffered than one frame
+/// and the piece just fed, and no frame is longer than the cap. Returns the
+/// frames decoded and the error that ended the stream, if one did.
+fn drive_capped<'a>(
+    pieces: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<(Vec<String>, Option<FrameError>), TestCaseError> {
+    let mut dec = FrameDecoder::with_max_frame(CAP);
+    let mut texts = Vec::new();
+    for piece in pieces {
+        dec.feed(piece);
+        prop_assert!(
+            dec.buffered() <= dec.max_frame() + 4 + piece.len(),
+            "{} bytes buffered after a {}-byte piece",
+            dec.buffered(),
+            piece.len()
+        );
+        loop {
+            match dec.next_frame() {
+                Ok(Some(frame)) => {
+                    prop_assert!(
+                        frame.text.len() <= CAP,
+                        "a {}-byte {:?} frame under a {CAP}-byte cap",
+                        frame.text.len(),
+                        frame.mode
+                    );
+                    let _ = parse(&frame.text);
+                    texts.push(frame.text);
+                }
+                Ok(None) => break,
+                Err(e) => return Ok((texts, Some(e))),
+            }
+        }
+    }
+    Ok((texts, None))
 }
 
 /// Every bit pattern there is: NaNs with payloads, subnormals, both zeros.
@@ -524,6 +569,70 @@ proptest! {
             dec.feed(&wire);
             let f = dec.next_frame().unwrap().unwrap();
             prop_assert_eq!(&f.text, &payload);
+        }
+    }
+
+    /// Bytes no client library produced: runs of printable text (some
+    /// longer than the cap), runs of anything, newlines and the zeros a
+    /// small length prefix starts with — so both framings, over-long lines
+    /// and prefixes of every size all occur.
+    #[test]
+    fn arbitrary_bytes_meet_a_typed_error_or_a_capped_frame(
+        runs in vec(
+            prop_oneof![
+                3 => vec(0x20u8..0x7f, 0..400),
+                2 => vec(any::<u8>(), 0..12),
+                2 => Just(vec![b'\n']),
+                1 => Just(vec![0u8, 0]),
+            ],
+            0..12,
+        ),
+        chunk in 1usize..300,
+    ) {
+        drive_capped(runs.concat().chunks(chunk))?;
+    }
+
+    /// A well-formed pipeline of both framings, damaged the ways a hostile
+    /// or broken peer damages one — bits flipped, the tail cut off, a length
+    /// prefix over the cap — and split in two at every offset. The prefix is
+    /// refused from its four bytes alone: nothing follows it here, and
+    /// everything before it still decodes.
+    #[test]
+    fn damaged_pipelines_are_refused_in_bounds_at_every_split(
+        frames in vec((text(200), any::<bool>()), 1..8),
+        flips in vec((any::<usize>(), 0u32..8), 0..4),
+        cut in any::<usize>(),
+        bad_at in any::<usize>(),
+        bad_len in (CAP as u32 + 1)..0x2000_0000,
+    ) {
+        let bad_at = bad_at % (frames.len() + 1);
+        let encoded = |frames: &[(String, bool)]| {
+            let mut wire = Vec::new();
+            for (text, line) in frames {
+                encode(text, if *line { Mode::Line } else { Mode::Binary }, &mut wire);
+            }
+            wire
+        };
+        let mut wire = encoded(&frames);
+        let mut refused = encoded(&frames[..bad_at]);
+        refused.extend_from_slice(&bad_len.to_be_bytes());
+        for (at, bit) in flips {
+            let at = at % wire.len();
+            wire[at] ^= 1 << bit;
+        }
+        wire.truncate(cut % (wire.len() + 1));
+
+        for split in 0..=wire.len() {
+            drive_capped([&wire[..split], &wire[split..]])?;
+        }
+        for split in 0..=refused.len() {
+            let (texts, error) = drive_capped([&refused[..split], &refused[split..]])?;
+            prop_assert_eq!(
+                error,
+                Some(FrameError::TooLarge { len: bad_len as usize, max: CAP }),
+                "split at {}", split
+            );
+            prop_assert!(texts.iter().eq(frames[..bad_at].iter().map(|(text, _)| text)));
         }
     }
 

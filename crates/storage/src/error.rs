@@ -36,9 +36,6 @@ pub enum StorageError {
     PoolExhausted,
     /// A decoding operation ran past the end of its input.
     Decode(String),
-    /// The operation is not supported by this engine (e.g. checkpointing a
-    /// main-memory-only index).
-    Unsupported(String),
 }
 
 impl StorageError {
@@ -81,7 +78,6 @@ impl fmt::Display for StorageError {
             StorageError::BadMeta(msg) => write!(f, "bad metadata: {msg}"),
             StorageError::PoolExhausted => write!(f, "buffer pool exhausted (all pages pinned)"),
             StorageError::Decode(msg) => write!(f, "decode error: {msg}"),
-            StorageError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
         }
     }
 }

@@ -6,9 +6,8 @@
 //! R-Tree splits wasted work. [`TieredTemporalIndex`] exploits that:
 //!
 //! * **Memtable** — recent intervals accumulate in a bounded mutable
-//!   staging area: a flat O(1)-append buffer by default, or a small tree
-//!   built through the paper's skeleton path when configured for
-//!   query-heavy loads ([`memtable`]).
+//!   staging area: a flat O(1)-append buffer, scanned linearly
+//!   ([`memtable`]).
 //! * **Seal** — at a size threshold (or on demand) the memtable is packed
 //!   into an immutable Sort-Tile-Recursive tree and appended as a level-0
 //!   tier. With a disk attached, every seal commits a manifest page under
@@ -63,19 +62,10 @@ use tier::Tier;
 /// Tuning for a [`TieredTemporalIndex`].
 #[derive(Clone, Debug)]
 pub struct TieredConfig {
-    /// Index configuration for the memtable skeleton and packed tiers.
+    /// Index configuration for the packed tiers.
     pub index: IndexConfig,
     /// Memtable entries that trigger a seal.
     pub seal_threshold: usize,
-    /// Fraction of `seal_threshold` buffered flat before the memtable
-    /// builds its skeleton tree (the paper's prediction buffer `T`).
-    ///
-    /// `1.0` (the default) keeps the memtable a flat append buffer for its
-    /// whole life — O(1) inserts, linear-scan queries bounded by the seal
-    /// threshold — leaving all structuring to the seal's bulk loader.
-    /// Fractions below one trade per-insert tree maintenance for
-    /// tree-speed memtable queries (query-heavy deployments).
-    pub sample_fraction: f64,
     /// Number of equal-level tiers that triggers a merge into the next
     /// level.
     pub level_fanout: usize,
@@ -91,7 +81,6 @@ impl Default for TieredConfig {
         Self {
             index: IndexConfig::srtree(),
             seal_threshold: 8_192,
-            sample_fraction: 1.0,
             level_fanout: 4,
             tombstone_limit: 4_096,
             merge_mode: MergeMode::Inline,
@@ -103,15 +92,6 @@ impl TieredConfig {
     fn validate(&self) {
         assert!(self.seal_threshold > 0, "seal_threshold must be positive");
         assert!(self.level_fanout >= 2, "level_fanout must be at least 2");
-        assert!(
-            self.sample_fraction > 0.0 && self.sample_fraction <= 1.0,
-            "sample_fraction must be in (0, 1]"
-        );
-    }
-
-    fn sample_target(&self) -> usize {
-        ((self.seal_threshold as f64 * self.sample_fraction).round() as usize)
-            .clamp(1, self.seal_threshold)
     }
 }
 
@@ -141,11 +121,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
     /// Creates an in-memory tiered index (no durability).
     pub fn new(config: TieredConfig) -> Self {
         config.validate();
-        let memtable = Memtable::new(
-            config.index.clone(),
-            config.seal_threshold,
-            config.sample_target(),
-        );
+        let memtable = Memtable::new(config.seal_threshold);
         let worker = match config.merge_mode {
             MergeMode::Inline => None,
             MergeMode::Background => Some(MergeWorker::spawn()),
