@@ -8,11 +8,12 @@
 //! a fixed reader/submitter population and records the write-throughput
 //! scaling baseline in `results/BENCH_sharded.json`.
 //!
-//! `--check` runs neither sweep. It serves a 20 k- and a 200 k-record tree
-//! in turn, drives each with the 35 %-write mix of the `serve-mixed`
-//! benchmark, and fails unless the mean publish phase of a group commit
-//! (snapshot clone + retire + reclaim) at 200 k stays within 4× of the one
-//! at 20 k: a commit costs what it touches, not what the tree holds.
+//! `--check` runs neither sweep. It times `tree.clone()` + drop of the
+//! clone on a 200 k-record tree, then serves that tree, drives it with the
+//! 35 %-write mix of the `serve-mixed` benchmark, and fails unless the mean
+//! publish phase of a group commit (snapshot clone + swap + drop of the
+//! replaced snapshot) stays within [`PUBLISH_GATE`]× of the isolated
+//! figure: publishing costs the clone it cannot avoid, and little else.
 //!
 //! Usage:
 //!   concurrent_bench [--millis N] [--records N] [--out FILE]
@@ -23,6 +24,7 @@ use segidx_bench::{hardware_note, today};
 use segidx_concurrent::{
     CommitTicket, ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter,
 };
+use segidx_core::tree::Tree;
 use segidx_core::{IntervalIndex, RecordId, SRTree};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution, DOMAIN_MAX};
@@ -31,7 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Args {
     millis: u64,
@@ -320,27 +322,55 @@ fn run_sharded_cell(
     cell
 }
 
-/// Publish at 200 k records may cost at most this many times publish at
-/// 20 k. Derived from measurement, not guessed: with the per-node arena the
-/// ratio was 6.1–7.0× over three runs (publish follows the node count),
-/// with the chunked one 1.9–3.1× over twenty single rounds and 2.4–2.9×
-/// best-of-three (what is left is the walk over N/16 chunk refcounts); the
-/// gate sits at the geometric middle, a third away from either.
+/// Publish on a served 200 k-record tree may cost at most this many times
+/// the isolated `clone()` + drop of that tree, measured in the same
+/// process. Derived from measurement, not guessed: twenty-four runs on the
+/// 2-vCPU reference box, ten of them alternating with the parent commit's
+/// binary while another tenant loaded the machine and ten consecutive,
+/// read 1.13–2.64× (median 1.41×, all but one at most 1.85×; isolated
+/// 8.4–12.1 µs, publish 11.6–22.2 µs — the served figure carries the cold
+/// chunk table and the free of what the commit copied). The gate sits
+/// 1.5× above the worst of them. The ratio it replaces, publish at 200 k over publish at 20 k,
+/// read 2.13–8.14× in the same alternation: its denominator is 1.9 µs on
+/// a quiet box and 9.8 µs on a busy one.
+///
+/// What trips it is work added to the publish path itself — a second walk
+/// of the tree, a scan, a convoy on the snapshot lock. A slower
+/// `Tree::clone` moves both sides and is segbench's `concurrent.publish_ns`
+/// to catch.
 const PUBLISH_GATE: f64 = 4.0;
 
-/// Mean `publish_nanos` per group commit while one closed-loop client (32
-/// writes in flight) drives a served `records`-record SR-Tree of `R2`
-/// rectangles with `ops` operations of the `serve-mixed` mix: 40 % search,
-/// 20 % stab, 5 % nearest, 20 % insert, 15 % delete-oldest.
-fn mean_publish_nanos(records: usize, ops: usize) -> f64 {
+/// Records in the gated tree.
+const CHECK_RECORDS: usize = 200_000;
+
+/// Mean nanoseconds of `tree.clone()` plus the drop of the clone — what a
+/// publish pays whatever else it does: one `Arc` bump, then one release,
+/// per 16-slot chunk of the node table.
+fn clone_drop_nanos(tree: &Tree<2>) -> f64 {
+    const ROUNDS: u32 = 2_000;
+    let start = Instant::now();
+    for _ in 0..ROUNDS {
+        drop(std::hint::black_box(tree.clone()));
+    }
+    start.elapsed().as_nanos() as f64 / ROUNDS as f64
+}
+
+/// Builds a `CHECK_RECORDS`-record SR-Tree of `R2` rectangles and returns
+/// its isolated [`clone_drop_nanos`] next to the mean `publish_nanos` per
+/// group commit while one closed-loop client (32 writes in flight) drives
+/// the served tree with `ops` operations of the `serve-mixed` mix: 40 %
+/// search, 20 % stab, 5 % nearest, 20 % insert, 15 % delete-oldest.
+fn isolated_and_served_publish_nanos(ops: usize) -> (f64, f64) {
     const MIX: &[u8; 20] = b"sipsdsipsdsinsdpsips";
-    let dataset = DataDistribution::R2.generate(records + ops, 7);
-    let (mut oldest, mut fresh) = (0, records);
+    let dataset = DataDistribution::R2.generate(CHECK_RECORDS + ops, 7);
+    let (mut oldest, mut fresh) = (0, CHECK_RECORDS);
     let mut seed = SRTree::<2>::new();
-    for (r, id) in &dataset.records[..records] {
+    for (r, id) in &dataset.records[..CHECK_RECORDS] {
         seed.insert(*r, *id);
     }
-    let index = ConcurrentIndex::builder(seed.into_tree())
+    let tree = seed.into_tree();
+    let isolated = clone_drop_nanos(&tree);
+    let index = ConcurrentIndex::builder(tree)
         .start()
         .expect("memory-only start cannot fail");
     let windows = queries_for_qar(1.0, 64, 3).queries;
@@ -387,34 +417,34 @@ fn mean_publish_nanos(records: usize, ops: usize) -> f64 {
     }
     in_flight.into_iter().for_each(&mut settle);
     index.shutdown();
-    publish_nanos as f64 / commits.max(1) as f64
+    (isolated, publish_nanos as f64 / commits.max(1) as f64)
 }
 
-/// The `--check` gate; see the module docs. Three alternating rounds, the
-/// cheapest mean per size: on a shared box the scheduler only ever adds
-/// time, and a single round moved the ratio by ±25 %.
-fn check_publish_scaling() -> ExitCode {
-    const SIZES: [usize; 2] = [20_000, 200_000];
-    let mut best = [f64::INFINITY; 2];
+/// The `--check` gate; see the module docs. Three rounds, the cheapest
+/// mean of each figure: on a shared box the scheduler only ever adds time.
+fn check_publish_cost() -> ExitCode {
+    let mut best = (f64::INFINITY, f64::INFINITY);
     for round in 1..=3 {
-        for (records, best) in SIZES.into_iter().zip(&mut best) {
-            let publish = mean_publish_nanos(records, 40_000);
-            println!(
-                "concurrent_bench: round {round}, {records} records: publish {:.1} us per commit",
-                publish / 1e3,
-            );
-            *best = best.min(publish);
-        }
+        let (isolated, publish) = isolated_and_served_publish_nanos(40_000);
+        println!(
+            "concurrent_bench: round {round}, {CHECK_RECORDS} records: clone + drop {:.1} us, \
+             publish {:.1} us per commit",
+            isolated / 1e3,
+            publish / 1e3,
+        );
+        best = (best.0.min(isolated), best.1.min(publish));
     }
-    let ratio = best[1] / best[0];
+    let ratio = best.1 / best.0;
     println!(
-        "concurrent_bench: mean publish per commit {:.1} us at 20k records, {:.1} us at 200k \
+        "concurrent_bench: isolated clone + drop {:.1} us, mean publish per commit {:.1} us \
          ({ratio:.2}x, gate {PUBLISH_GATE}x)",
-        best[0] / 1e3,
-        best[1] / 1e3,
+        best.0 / 1e3,
+        best.1 / 1e3,
     );
     if ratio > PUBLISH_GATE {
-        eprintln!("concurrent_bench: CHECK FAILED: publish cost follows tree size ({ratio:.2}x)");
+        eprintln!(
+            "concurrent_bench: CHECK FAILED: publish costs {ratio:.2}x the clone it cannot avoid"
+        );
         return ExitCode::FAILURE;
     }
     println!("concurrent_bench: check passed");
@@ -430,7 +460,7 @@ fn main() -> ExitCode {
         }
     };
     if args.check {
-        return check_publish_scaling();
+        return check_publish_cost();
     }
     let dataset = DataDistribution::I3.generate(args.records, 7);
     let probes: Vec<Rect<2>> = [0.01, 1.0, 500.0]

@@ -9,14 +9,14 @@
 //! separately:
 //!
 //! * `component="concurrent"` — the unsharded index service must export
-//!   the epoch/queue-depth/retired-snapshot/retired-highwater gauges,
+//!   the epoch/queue-depth/retired-snapshot gauges,
 //!   commit counters and latency histograms, and the event-ring health
 //!   pair (`segidx_events_dropped_total` / `segidx_events_buffered`).
 //! * `component="sharded"` — every metric must carry a `shard` label;
 //!   each numeric shard id must export the full per-shard service family,
 //!   and a `shard="all"` aggregate rollup must be present alongside the
-//!   sharded-only families (shard count, global epoch, retired epoch
-//!   vectors, routing imbalance, routed-op counters).
+//!   sharded-only families (shard count, global epoch, routing
+//!   imbalance, routed-op counters).
 //! * `component="trace"` — the tracer's health families
 //!   (`segidx_trace_*` counters and gauges) must all be present.
 //!
@@ -94,18 +94,15 @@ const EXPECTED_VARIANTS: [&str; 4] = ["R-Tree", "SR-Tree", "Skeleton R-Tree", "S
 
 /// The index-service family every service scope (the unsharded service,
 /// each shard, and the sharded rollup) must export.
-const SERVICE_GAUGES: [&str; 5] = [
+const SERVICE_GAUGES: [&str; 3] = [
     "segidx_concurrent_epoch",
     "segidx_concurrent_queue_depth",
     "segidx_concurrent_retired_snapshots",
-    "segidx_concurrent_retired_highwater",
-    "segidx_concurrent_active_readers",
 ];
-const SERVICE_COUNTERS: [&str; 4] = [
+const SERVICE_COUNTERS: [&str; 3] = [
     "segidx_concurrent_commits_total",
     "segidx_concurrent_ops_applied_total",
     "segidx_concurrent_overloads_total",
-    "segidx_concurrent_reclaimed_total",
 ];
 const SERVICE_HISTOGRAMS: [&str; 2] = [
     "segidx_concurrent_queue_wait_nanos",
@@ -118,11 +115,9 @@ const EVENT_GAUGES: [&str; 1] = ["segidx_events_buffered"];
 const EVENT_COUNTERS: [&str; 1] = ["segidx_events_dropped_total"];
 
 /// Sharded-only families on the `shard="all"` rollup.
-const SHARDED_ROLLUP_GAUGES: [&str; 5] = [
+const SHARDED_ROLLUP_GAUGES: [&str; 3] = [
     "segidx_sharded_shards",
     "segidx_sharded_global_epoch",
-    "segidx_sharded_retired_vectors",
-    "segidx_sharded_retired_vector_highwater",
     "segidx_sharded_routing_imbalance",
 ];
 const SHARDED_COUNTERS: [&str; 2] = [

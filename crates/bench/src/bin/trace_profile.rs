@@ -96,8 +96,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Forces one fully-instrumented 2-D window search and returns the trace:
-/// a 4-shard service over SR-Trees answers the window via threaded
-/// scatter/gather, then a persisted replica of the same data answers it
+/// a 4-shard service over SR-Trees answers the window shard by shard and
+/// gathers, then a persisted replica of the same data answers it
 /// again through a cold 64 KB buffer pool, all inside one trace guard.
 fn record_example_trace() -> Result<CompletedTrace, String> {
     let n = 20_000;

@@ -20,8 +20,8 @@
 //!    testing, same model as [`crate::crash`]).
 //!
 //! A failure therefore means a real snapshot-isolation violation (a
-//! reader saw a half-applied batch, a stale epoch after a newer one, or a
-//! reclaimed snapshot), not a flaky schedule. All four paper variants are
+//! reader saw a half-applied batch or a stale epoch after a newer one),
+//! not a flaky schedule. All four paper variants are
 //! exercised, since each has distinct node layouts and split/coalesce
 //! machinery behind the same `Tree` engine.
 

@@ -154,9 +154,9 @@ pub fn concurrent_service_metrics() -> Vec<Metric> {
 /// `shard="all"` aggregate (summed counters, merged histograms) plus the
 /// sharded-only families (`segidx_sharded_shards`,
 /// `segidx_sharded_global_epoch`, `segidx_sharded_routed_ops_total`,
-/// routing imbalance, retired-vector gauges). The write stream alternates
-/// between the two halves of the domain so both shards commit and every
-/// per-shard histogram is non-empty.
+/// routing imbalance). The write stream alternates between the two halves
+/// of the domain so both shards commit and every per-shard histogram is
+/// non-empty.
 pub fn sharded_service_metrics() -> Vec<Metric> {
     let registry = MetricsRegistry::new();
     let domain = Rect::new([0.0, 0.0], [1_000.0, 1_000.0]);
@@ -339,7 +339,6 @@ mod tests {
             "segidx_concurrent_epoch",
             "segidx_concurrent_queue_depth",
             "segidx_concurrent_retired_snapshots",
-            "segidx_concurrent_active_readers",
             "segidx_events_buffered",
         ] {
             assert!(snap.get(name, labels).is_some(), "missing gauge {name}");
@@ -380,8 +379,6 @@ mod tests {
                 "segidx_concurrent_epoch",
                 "segidx_concurrent_queue_depth",
                 "segidx_concurrent_retired_snapshots",
-                "segidx_concurrent_retired_highwater",
-                "segidx_concurrent_active_readers",
             ] {
                 assert!(
                     snap.get(name, labels).is_some(),
@@ -418,8 +415,6 @@ mod tests {
         for name in [
             "segidx_sharded_shards",
             "segidx_sharded_global_epoch",
-            "segidx_sharded_retired_vectors",
-            "segidx_sharded_retired_vector_highwater",
             "segidx_sharded_routing_imbalance",
             "segidx_sharded_global_publishes_total",
         ] {

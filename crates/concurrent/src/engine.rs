@@ -52,8 +52,7 @@ pub trait SnapshotEngine<const D: usize>: Clone + Send + Sync + 'static {
     fn nearest(&self, p: &Point<D>, k: usize) -> Vec<Neighbor<D>>;
 
     /// Runs many searches on this snapshot, serially, in input order —
-    /// the scatter half of a sharded scatter/gather, where the fan-out
-    /// across shards already provides the parallelism. Engines override to
+    /// the per-shard half of a sharded batch read. Engines override to
     /// reuse per-call scratch state.
     fn search_many(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
         queries.iter().map(|q| self.search(q)).collect()

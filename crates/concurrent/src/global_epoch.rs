@@ -1,7 +1,6 @@
 //! The cross-shard epoch protocol: a vector of per-shard snapshots
-//! published through **one** atomic pointer swap, RCU-style, so a
-//! multi-shard read pins one consistent global snapshot even while shards
-//! commit independently.
+//! published as **one** `Arc`, so a multi-shard read pins one consistent
+//! global snapshot even while shards commit independently.
 //!
 //! # Why a vector, not per-shard pins
 //!
@@ -11,32 +10,22 @@
 //! wall-clock instant. Instead, every shard commit republishes an
 //! immutable [`GlobalVector`] — global epoch `g+1`, the committing
 //! shard's slot replaced, every other slot carried over by `Arc` clone —
-//! and swaps it in with a single `AtomicPtr` store. A reader that loads
-//! the pointer once therefore holds a vector some *single* global epoch
-//! produced; there is no interleaving in which it sees shard `i` at its
-//! epoch `e_i + 1` while the vector says `e_i`.
+//! and swaps it into the published slot. A reader that clones that `Arc`
+//! once therefore holds a vector some *single* global epoch produced;
+//! there is no interleaving in which it sees shard `i` at its epoch
+//! `e_i + 1` while the vector says `e_i`.
 //!
 //! Per-shard snapshots inside the vector are the very `Arc`s the shards
 //! publish locally (`SnapshotInner`), so republication costs `N` `Arc`
-//! bumps and one small allocation — no tree is cloned.
-//!
-//! # Reclamation
-//!
-//! Vector lifetimes use the same refined-slot registry as the per-shard
-//! snapshots ([`EpochRegistry`]): a reader pins the global epoch, loads
-//! the vector, refines its slot to the vector's exact epoch, and unpins on
-//! drop. Retired vectors are freed when no slot protects them — on the
-//! publish path *and* the reader unpin path, so a long-pinned cross-shard
-//! reader holds exactly one vector (and, through it, one snapshot per
-//! shard) while later vectors retire and free around it. Dropping a
-//! vector drops its `Arc` references; a shard's old tree is freed when
-//! the last vector and the shard's own retired list both let go.
+//! bumps and one small allocation — no tree is cloned — and a vector's
+//! lifetime is its reference count, exactly like a shard snapshot's (see
+//! `index.rs`): a long-pinned cross-shard reader holds one vector and,
+//! through it, one snapshot per shard, while later vectors are dropped as
+//! they are replaced.
 
-use crate::epoch::EpochRegistry;
 use crate::index::SnapshotInner;
+use crate::queue::lock;
 use segidx_core::tree::Tree;
-use segidx_obs::{Event, EventKind, ObsSink};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
 /// One immutable published state of the whole sharded index: the global
@@ -46,13 +35,6 @@ pub(crate) struct GlobalVector<const D: usize, E = Tree<D>> {
     pub(crate) shards: Box<[Arc<SnapshotInner<D, E>>]>,
 }
 
-/// A retired vector tagged with its own epoch.
-struct RetiredVector<const D: usize, E = Tree<D>>(*mut GlobalVector<D, E>, u64);
-
-// SAFETY: the pointee is a heap allocation whose ownership moves with the
-// `RetiredVector` value; its contents are `Send + Sync`.
-unsafe impl<const D: usize, E: Send + Sync> Send for RetiredVector<D, E> {}
-
 /// Ties one shard's writer thread to the publisher: on every local
 /// publish, the writer also installs its fresh snapshot globally.
 pub(crate) struct GlobalLink<const D: usize, E = Tree<D>> {
@@ -61,215 +43,87 @@ pub(crate) struct GlobalLink<const D: usize, E = Tree<D>> {
 }
 
 /// The single swap point every shard publishes through and every
-/// cross-shard reader pins against.
+/// cross-shard reader pins against. Both mutexes guard state no panic can
+/// leave half-written (one `Arc`; nothing at all) and are taken through
+/// [`lock`]: a thread that died holding one stops no one.
 pub(crate) struct GlobalPublisher<const D: usize, E = Tree<D>> {
-    published: AtomicPtr<GlobalVector<D, E>>,
-    pub(crate) registry: EpochRegistry,
-    /// Serializes vector construction + swap across shard writers. Held
-    /// only for the N `Arc` bumps and the swap — readers never touch it.
+    /// The current vector. Held only to clone or swap the `Arc`.
+    published: Mutex<Arc<GlobalVector<D, E>>>,
+    /// Serializes shard writers from reading the current vector to
+    /// swapping in its successor, so the successor is built without the
+    /// lock readers take.
     publish_lock: Mutex<()>,
-    retired: Mutex<Vec<RetiredVector<D, E>>>,
-    retired_count: AtomicUsize,
-    retired_highwater: AtomicUsize,
-    reclaimed: AtomicU64,
-    publishes: AtomicU64,
-    sink: Option<Arc<dyn ObsSink>>,
 }
 
 impl<const D: usize, E> GlobalPublisher<D, E> {
     /// A publisher whose epoch-0 vector holds every shard's initial
     /// snapshot. Must be created before any shard writer starts.
-    pub(crate) fn new(
-        initial: Vec<Arc<SnapshotInner<D, E>>>,
-        sink: Option<Arc<dyn ObsSink>>,
-    ) -> Self {
-        let vector = Box::into_raw(Box::new(GlobalVector {
-            epoch: 0,
-            shards: initial.into_boxed_slice(),
-        }));
+    pub(crate) fn new(initial: Vec<Arc<SnapshotInner<D, E>>>) -> Self {
         Self {
-            published: AtomicPtr::new(vector),
-            registry: EpochRegistry::new(),
+            published: Mutex::new(Arc::new(GlobalVector {
+                epoch: 0,
+                shards: initial.into_boxed_slice(),
+            })),
             publish_lock: Mutex::new(()),
-            retired: Mutex::new(Vec::new()),
-            retired_count: AtomicUsize::new(0),
-            retired_highwater: AtomicUsize::new(0),
-            reclaimed: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
-            sink,
         }
     }
 
     /// Installs `snapshot` as shard `shard`'s entry: builds the successor
-    /// vector, swaps it in atomically, retires the old one.
-    pub(crate) fn publish(&self, shard: usize, snapshot: &Arc<SnapshotInner<D, E>>) {
-        let _guard = self.publish_lock.lock().unwrap();
-        let current = self.published.load(SeqCst);
-        // SAFETY: `published` always points at a live vector; the publish
-        // lock keeps it from being replaced (and thus retired) under us.
-        let (next_epoch, shards) = unsafe {
-            let cur = &*current;
-            let mut shards = cur.shards.clone();
-            shards[shard] = Arc::clone(snapshot);
-            (cur.epoch + 1, shards)
+    /// vector, swaps it in, and drops the replaced one with no lock held.
+    pub(crate) fn publish(&self, shard: usize, snapshot: Arc<SnapshotInner<D, E>>) {
+        let replaced = {
+            let _writers = lock(&self.publish_lock);
+            let current = self.acquire();
+            let mut shards = current.shards.clone();
+            shards[shard] = snapshot;
+            let fresh = Arc::new(GlobalVector {
+                epoch: current.epoch + 1,
+                shards,
+            });
+            std::mem::replace(&mut *lock(&self.published), fresh)
         };
-        let fresh = Box::into_raw(Box::new(GlobalVector {
-            epoch: next_epoch,
-            shards,
-        }));
-        let old = self.published.swap(fresh, SeqCst);
-        self.registry.advance(next_epoch);
-        self.publishes.fetch_add(1, SeqCst);
-        {
-            let mut retired = self.retired.lock().unwrap();
-            // SAFETY: `old` was just swapped out; the list owns it now.
-            let old_epoch = unsafe { (*old).epoch };
-            retired.push(RetiredVector(old, old_epoch));
-            let depth = retired.len();
-            self.retired_count.store(depth, SeqCst);
-            self.retired_highwater.fetch_max(depth, SeqCst);
-        }
-        self.reclaim();
+        drop(replaced);
     }
 
-    /// Pins a slot, acquires the current vector, and refines the slot to
-    /// the vector's exact epoch. The caller owns the (slot, pointer) pair
-    /// and must [`release`](Self::release) it.
-    pub(crate) fn acquire(&self) -> (usize, *const GlobalVector<D, E>) {
-        let slot = self.registry.pin();
-        let ptr = self.published.load(SeqCst);
-        // SAFETY: the unrefined pin keeps `ptr` alive until refinement.
-        let epoch = unsafe { (*ptr).epoch };
-        self.registry.refine(slot, epoch);
-        (slot, ptr)
+    /// The current vector: one `Arc` clone under the lock.
+    pub(crate) fn acquire(&self) -> Arc<GlobalVector<D, E>> {
+        Arc::clone(&lock(&self.published))
     }
 
-    /// Unpins `slot` and reclaims whatever that reader was the last one
-    /// holding (amortized reclamation on the unpin path).
-    pub(crate) fn release(&self, slot: usize) {
-        self.registry.unpin(slot);
-        if self.retired_count.load(SeqCst) > 0 {
-            self.reclaim();
-        }
-    }
-
-    /// Frees every retired vector no reader slot still protects. Same
-    /// ordering argument as the per-shard reclaim: the slot scan runs
-    /// inside the retired-list critical section.
-    fn reclaim(&self) {
-        let mut retired = self.retired.lock().unwrap();
-        let mut i = 0;
-        while i < retired.len() {
-            if !self.registry.protects(retired[i].1) {
-                let RetiredVector(ptr, epoch) = retired.swap_remove(i);
-                // SAFETY: the list owns `ptr`; `protects` proved no reader
-                // slot can still reach it.
-                unsafe { drop(Box::from_raw(ptr)) };
-                self.reclaimed.fetch_add(1, SeqCst);
-                if let Some(sink) = &self.sink {
-                    sink.event(Event::new(EventKind::EpochReclaimed).node(epoch));
-                }
-            } else {
-                i += 1;
-            }
-        }
-        self.retired_count.store(retired.len(), SeqCst);
-    }
-
-    /// The current global epoch (one per shard commit, any shard).
+    /// The current global epoch: one tick per shard commit, any shard, so
+    /// it is also the number of vectors published after the initial one.
     pub(crate) fn epoch(&self) -> u64 {
-        self.registry.global()
-    }
-
-    /// Retired global vectors not yet reclaimed.
-    pub(crate) fn retired_vectors(&self) -> usize {
-        self.retired_count.load(SeqCst)
-    }
-
-    /// The largest retired-vector backlog ever observed.
-    pub(crate) fn retired_highwater(&self) -> usize {
-        self.retired_highwater.load(SeqCst)
-    }
-
-    /// Global vectors reclaimed so far.
-    pub(crate) fn reclaimed(&self) -> u64 {
-        self.reclaimed.load(SeqCst)
-    }
-
-    /// Global vector publications (equals the sum of shard commits).
-    pub(crate) fn publishes(&self) -> u64 {
-        self.publishes.load(SeqCst)
-    }
-
-    /// Currently pinned cross-shard readers.
-    pub(crate) fn active_readers(&self) -> usize {
-        self.registry.active_readers()
+        lock(&self.published).epoch
     }
 }
-
-impl<const D: usize, E> Drop for GlobalPublisher<D, E> {
-    fn drop(&mut self) {
-        // No reader or shard writer can exist anymore: guards and links
-        // hold an `Arc<GlobalPublisher>`.
-        let published = self.published.load(SeqCst);
-        // SAFETY: sole owner at drop time.
-        unsafe { drop(Box::from_raw(published)) };
-        for RetiredVector(ptr, _) in self.retired.lock().unwrap().drain(..) {
-            // SAFETY: retired vectors are uniquely owned by the list.
-            unsafe { drop(Box::from_raw(ptr)) };
-        }
-    }
-}
-
-// SAFETY: all interior state is atomics, mutex-protected lists, and
-// `Arc`s of `Send + Sync` payloads; the raw pointers are managed under
-// the EBR protocol documented above.
-unsafe impl<const D: usize, E: Send + Sync> Send for GlobalPublisher<D, E> {}
-unsafe impl<const D: usize, E: Send + Sync> Sync for GlobalPublisher<D, E> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use segidx_core::IndexConfig;
-
-    fn snap(epoch: u64) -> Arc<SnapshotInner<2>> {
-        Arc::new(SnapshotInner {
-            epoch,
-            durable_epoch: None,
-            tree: Tree::new(IndexConfig::rtree()),
-        })
-    }
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn publish_bumps_only_the_committing_shard() {
-        let publisher = GlobalPublisher::new(vec![snap(0), snap(0)], None);
-        assert_eq!(publisher.epoch(), 0);
-        publisher.publish(1, &snap(1));
-        let (slot, ptr) = publisher.acquire();
-        // SAFETY: acquired under the pin.
-        let vector = unsafe { &*ptr };
-        assert_eq!(vector.epoch, 1);
+    fn a_thread_that_dies_holding_both_locks_stops_no_one() {
+        let live = Arc::new(AtomicUsize::new(0));
+        let snap = |epoch| -> Arc<SnapshotInner<2>> {
+            let tree = Tree::new(IndexConfig::rtree());
+            Arc::new(SnapshotInner::new(epoch, None, tree, &live))
+        };
+        let publisher = Arc::new(GlobalPublisher::new(vec![snap(0), snap(0)]));
+        let held = Arc::clone(&publisher);
+        let reader = std::thread::spawn(move || {
+            let _guard = held.acquire();
+            let _writers = held.publish_lock.lock().unwrap();
+            let _published = held.published.lock().unwrap();
+            panic!("failure injected by the test");
+        });
+        assert!(reader.join().is_err());
+        assert!(publisher.publish_lock.is_poisoned() && publisher.published.is_poisoned());
+
+        publisher.publish(1, snap(1));
+        let vector = publisher.acquire();
+        assert_eq!((vector.epoch, publisher.epoch()), (1, 1));
         assert_eq!((vector.shards[0].epoch, vector.shards[1].epoch), (0, 1));
-        publisher.release(slot);
-    }
-
-    #[test]
-    fn pinned_reader_keeps_its_vector_while_later_ones_reclaim() {
-        let publisher = GlobalPublisher::new(vec![snap(0)], None);
-        let (slot, ptr) = publisher.acquire(); // vector at epoch 0
-        for e in 1..=10 {
-            publisher.publish(0, &snap(e));
-        }
-        // The refined pin holds exactly the epoch-0 vector; vectors 1..=9
-        // retired and were freed despite the active reader.
-        assert_eq!(publisher.retired_vectors(), 1);
-        assert!(publisher.reclaimed() >= 9);
-        // SAFETY: still pinned.
-        let vector = unsafe { &*ptr };
-        assert_eq!(vector.epoch, 0);
-        assert_eq!(vector.shards[0].epoch, 0);
-        publisher.release(slot);
-        assert_eq!(publisher.retired_vectors(), 0, "unpin path reclaimed");
-        assert_eq!(publisher.reclaimed(), 10);
     }
 }

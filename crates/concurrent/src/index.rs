@@ -1,4 +1,4 @@
-//! The concurrent index service: epoch-published snapshots over a
+//! The concurrent index service: `Arc`-published snapshots over a
 //! copy-on-write [`Tree`], fed by a single writer thread running group
 //! commits.
 //!
@@ -7,21 +7,30 @@
 //! ```text
 //!  readers                    writer thread
 //!  ───────                    ─────────────
-//!  snapshot() ──pin epoch──►  drain ≤ max_batch ops from the queue
+//!  snapshot() ──Arc::clone──►  drain ≤ max_batch ops from the queue
 //!  search / stab on an        apply them to the private tree
 //!  immutable Tree             (durable: persist::commit + sync)
-//!  drop guard ──unpin──►      publish: swap root ptr, bump epoch
-//!                             retire old snapshot, reclaim safe ones
+//!  drop guard ──Arc drop──►   publish: swap the Arc under the lock,
+//!                             drop the replaced one outside it
 //!                             complete tickets with the commit epoch
 //! ```
 //!
-//! Readers never block and never observe a half-applied batch: they pin the
-//! published [`SnapshotGuard`] and run any read — including
+//! The published snapshot is a `Mutex<Arc<SnapshotInner>>`. A reader locks,
+//! clones the `Arc` and unlocks; the writer locks, swaps in the successor
+//! and unlocks, and only then drops the `Arc` it replaced. Nothing but
+//! those two pointer operations ever runs under the lock — no tree drop,
+//! no allocation, no sink call — so a reader waits for at most one of them,
+//! and any number of guards can be alive at once. Whoever drops the last
+//! reference frees the tree: the writer when no reader held the replaced
+//! snapshot, otherwise the last reader to let go, on its own thread.
+//!
+//! Readers never observe a half-applied batch: they hold a
+//! [`SnapshotGuard`] and run any read — including
 //! `search_batch`/`stab_batch` — against a tree no one will ever mutate.
 //! The writer's private tree shares all untouched nodes with the published
 //! snapshots (see `Arena` in `segidx-core`), so publishing epoch *n+1*
 //! costs one `Arc` bump per 16-slot chunk of the node table, and the batch
-//! before it copied only the chunks and nodes it changed; retiring a
+//! before it copied only the chunks and nodes it changed; dropping a
 //! snapshot walks the chunk table once more and frees what it owned alone.
 //!
 //! # Durability = visibility
@@ -34,11 +43,10 @@
 //! reader could have seen.
 
 use crate::engine::SnapshotEngine;
-use crate::epoch::EpochRegistry;
 use crate::global_epoch::GlobalLink;
 use crate::queue::{
-    CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, QueueItem, SubmissionQueue,
-    SubmitError, TicketState,
+    lock, CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, QueueItem,
+    SubmissionQueue, SubmitError, TicketState,
 };
 use segidx_core::tree::Tree;
 use segidx_core::RecordId;
@@ -49,8 +57,8 @@ use segidx_obs::{
 };
 use segidx_storage::{DiskManager, StorageError};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -66,7 +74,6 @@ pub struct ConcurrentTelemetry {
     commits: AtomicU64,
     ops_applied: AtomicU64,
     overloads: AtomicU64,
-    reclaimed: AtomicU64,
 }
 
 impl ConcurrentTelemetry {
@@ -84,15 +91,10 @@ impl ConcurrentTelemetry {
     pub fn overloads(&self) -> u64 {
         self.overloads.load(SeqCst)
     }
-
-    /// Retired snapshots whose memory has been reclaimed.
-    pub fn reclaimed(&self) -> u64 {
-        self.reclaimed.load(SeqCst)
-    }
 }
 
 /// One published, immutable snapshot: the tree plus its epoch identity.
-/// `Arc`-shared so a cross-shard [`GlobalEpochVector`](crate::global_epoch)
+/// `Arc`-shared so a cross-shard [`GlobalVector`](crate::global_epoch)
 /// can reference the same snapshot the shard publishes locally without
 /// re-cloning the tree.
 pub(crate) struct SnapshotInner<const D: usize, E = Tree<D>> {
@@ -100,27 +102,43 @@ pub(crate) struct SnapshotInner<const D: usize, E = Tree<D>> {
     pub(crate) durable_epoch: Option<u64>,
     /// The frozen engine (historically a [`Tree`]; any [`SnapshotEngine`]).
     pub(crate) tree: E,
+    /// Snapshots of this index not yet dropped, this one included.
+    live: Arc<AtomicUsize>,
 }
 
-/// A retired snapshot reference tagged with the snapshot's *own* epoch;
-/// freeable once no reader slot [`protects`](EpochRegistry::protects) that
-/// epoch. The pointer came from `Arc::into_raw`, so "freeing" drops this
-/// holder's reference — the tree lives on if a global epoch vector still
-/// shares it.
-struct Retired<const D: usize, E = Tree<D>>(*const SnapshotInner<D, E>, u64);
+impl<const D: usize, E> SnapshotInner<D, E> {
+    pub(crate) fn new(
+        epoch: u64,
+        durable_epoch: Option<u64>,
+        tree: E,
+        live: &Arc<AtomicUsize>,
+    ) -> Self {
+        live.fetch_add(1, SeqCst);
+        Self {
+            epoch,
+            durable_epoch,
+            tree,
+            live: Arc::clone(live),
+        }
+    }
+}
 
-// SAFETY: the pointee is a heap allocation whose ownership moves with the
-// `Retired` value; the engine itself is `Send`.
-unsafe impl<const D: usize, E: Send> Send for Retired<D, E> {}
+impl<const D: usize, E> Drop for SnapshotInner<D, E> {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, SeqCst);
+    }
+}
 
 /// State shared by the writer thread, the owner, and every handle.
 struct Shared<const D: usize, E = Tree<D>> {
-    published: AtomicPtr<SnapshotInner<D, E>>,
-    epochs: EpochRegistry,
+    /// The current snapshot. Held only to clone or swap the `Arc`, which
+    /// no panic can leave half-written: every site takes it through
+    /// [`lock`], so a thread that died holding it stops no one.
+    published: Mutex<Arc<SnapshotInner<D, E>>>,
+    /// Feeds `retired_snapshots`: the published snapshot is always live,
+    /// every other live one was replaced and is kept by a reader.
+    live_snapshots: Arc<AtomicUsize>,
     queue: SubmissionQueue<D>,
-    retired: Mutex<Vec<Retired<D, E>>>,
-    retired_count: AtomicUsize,
-    retired_highwater: AtomicUsize,
     telemetry: Arc<ConcurrentTelemetry>,
     sink: Option<Arc<dyn ObsSink>>,
     /// Concrete handle to the ring sink (when the sink *is* one), so
@@ -138,20 +156,18 @@ impl<const D: usize, E> Shared<D, E> {
         }
     }
 
-    fn snapshot(self: &Arc<Self>) -> SnapshotGuard<D, E> {
-        let slot = self.epochs.pin();
-        let ptr = self.published.load(SeqCst);
-        // SAFETY: the unrefined pin keeps `ptr` alive until the slot is
-        // refined or released.
-        let epoch = unsafe { (*ptr).epoch };
-        // Narrow the slot to the snapshot actually acquired, so retired
-        // snapshots published later are not held hostage by this guard.
-        self.epochs.refine(slot, epoch);
+    fn snapshot(&self) -> SnapshotGuard<D, E> {
         SnapshotGuard {
-            shared: Arc::clone(self),
-            ptr,
-            slot,
+            inner: Arc::clone(&lock(&self.published)),
         }
+    }
+
+    fn epoch(&self) -> u64 {
+        lock(&self.published).epoch
+    }
+
+    fn retired_snapshots(&self) -> usize {
+        self.live_snapshots.load(SeqCst) - 1
     }
 
     fn submit(&self, op: IndexOp<D>) -> Result<CommitTicket, SubmitError> {
@@ -194,102 +210,29 @@ impl<const D: usize, E> Shared<D, E> {
             Err(_) => Err(CommitError::WriterExited),
         }
     }
-
-    /// The retired list, poisoned or not. `reclaim` runs on reader threads
-    /// and calls the user's sink under this lock; the list holds plain
-    /// `(ptr, epoch)` pairs a panic cannot leave half-written, so a
-    /// poisoned lock is recovered rather than allowed to kill the writer.
-    fn retired(&self) -> MutexGuard<'_, Vec<Retired<D, E>>> {
-        self.retired.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Frees every retired snapshot no reader slot still protects. Runs on
-    /// the writer after each publish *and* on the reader unpin path, so a
-    /// long-pinned reader's backlog is released the moment it lets go
-    /// rather than at the next commit. The slot scan happens inside the
-    /// retired-list critical section — see `epoch.rs` for why that
-    /// ordering makes the free safe.
-    fn reclaim(&self) {
-        let mut retired = self.retired();
-        let mut i = 0;
-        while i < retired.len() {
-            if !self.epochs.protects(retired[i].1) {
-                let Retired(ptr, epoch) = retired.swap_remove(i);
-                // SAFETY: the pointer came from `Arc::into_raw` and this
-                // list owns that reference; the `protects` check proves no
-                // reader slot can still reach it.
-                unsafe { drop(Arc::from_raw(ptr)) };
-                self.telemetry.reclaimed.fetch_add(1, SeqCst);
-                self.emit(Event::new(EventKind::EpochReclaimed).node(epoch));
-            } else {
-                i += 1;
-            }
-        }
-        self.retired_count.store(retired.len(), SeqCst);
-    }
-
-    /// Moves the replaced snapshot onto the retired list, tagged with its
-    /// own epoch, and tracks the backlog high-water mark.
-    fn retire(&self, old: *const SnapshotInner<D, E>) {
-        // SAFETY: `old` was just swapped out of `published`; the list now
-        // owns its reference and keeps it alive.
-        let old_epoch = unsafe { (*old).epoch };
-        let mut retired = self.retired();
-        retired.push(Retired(old, old_epoch));
-        let depth = retired.len();
-        self.retired_count.store(depth, SeqCst);
-        self.retired_highwater.fetch_max(depth, SeqCst);
-    }
-
-    /// The published snapshot's durable epoch. Writer-thread / owner use;
-    /// safe because the published snapshot is only freed after it has been
-    /// retired *and* replaced.
-    fn published_durable_epoch(&self) -> Option<u64> {
-        // SAFETY: `published` always points at a live snapshot.
-        unsafe { (*self.published.load(SeqCst)).durable_epoch }
-    }
-}
-
-impl<const D: usize, E> Drop for Shared<D, E> {
-    fn drop(&mut self) {
-        // No readers or writer can exist anymore: every guard and handle
-        // holds an `Arc<Shared>`.
-        let published = self.published.load(SeqCst);
-        // SAFETY: sole owner at drop time; the pointer came from
-        // `Arc::into_raw` and this drops the published reference.
-        unsafe { drop(Arc::from_raw(published)) };
-        for Retired(ptr, _) in self.retired().drain(..) {
-            // SAFETY: retired references are owned by the list.
-            unsafe { drop(Arc::from_raw(ptr)) };
-        }
-    }
 }
 
 /// A pinned, immutable view of one published snapshot.
 ///
 /// Dereferences to the snapshot's [`Tree`], so every read-side method —
 /// `search`, `stab`, `search_batch`, `nearest`, `validate` — works
-/// unchanged. Holding a guard keeps its snapshot's memory alive; drop it
-/// promptly so retired epochs can be reclaimed.
+/// unchanged. A guard is one `Arc` reference: holding it keeps exactly its
+/// own snapshot's memory alive, and dropping the last one frees it.
 pub struct SnapshotGuard<const D: usize, E = Tree<D>> {
-    shared: Arc<Shared<D, E>>,
-    ptr: *const SnapshotInner<D, E>,
-    slot: usize,
+    inner: Arc<SnapshotInner<D, E>>,
 }
 
 impl<const D: usize, E> SnapshotGuard<D, E> {
     /// The epoch this snapshot was published at. Monotone across
     /// re-pins: a later `snapshot()` call never observes a smaller epoch.
     pub fn epoch(&self) -> u64 {
-        // SAFETY: the pin taken in `Shared::snapshot` keeps `ptr` alive.
-        unsafe { (*self.ptr).epoch }
+        self.inner.epoch
     }
 
     /// The storage meta-commit epoch this snapshot was checkpointed under
     /// (`None` for a memory-only index).
     pub fn durable_epoch(&self) -> Option<u64> {
-        // SAFETY: as in `epoch`.
-        unsafe { (*self.ptr).durable_epoch }
+        self.inner.durable_epoch
     }
 }
 
@@ -297,22 +240,7 @@ impl<const D: usize, E> Deref for SnapshotGuard<D, E> {
     type Target = E;
 
     fn deref(&self) -> &E {
-        // SAFETY: the pin taken in `Shared::snapshot` keeps `ptr` alive,
-        // and published trees are never mutated.
-        unsafe { &(*self.ptr).tree }
-    }
-}
-
-impl<const D: usize, E> Drop for SnapshotGuard<D, E> {
-    fn drop(&mut self) {
-        self.shared.epochs.unpin(self.slot);
-        // Amortized reclamation: whatever this reader was the last one
-        // holding is freed here, on the unpin path, instead of waiting for
-        // the writer's next publish (which may never come on an idle
-        // index). Cheap when nothing is retired — one atomic load.
-        if self.shared.retired_count.load(SeqCst) > 0 {
-            self.shared.reclaim();
-        }
+        &self.inner.tree
     }
 }
 
@@ -364,8 +292,8 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
         self
     }
 
-    /// Receives [`EventKind::SnapshotPublished`], [`EventKind::EpochReclaimed`],
-    /// and [`EventKind::WriterStalled`] events.
+    /// Receives [`EventKind::SnapshotPublished`] and
+    /// [`EventKind::WriterStalled`] events.
     pub fn sink(mut self, sink: Arc<dyn ObsSink>) -> Self {
         self.sink = Some(sink);
         self
@@ -425,19 +353,12 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
             }
             None => None,
         };
-        let initial = Arc::new(SnapshotInner {
-            epoch: 0,
-            durable_epoch,
-            tree: tree.clone(),
-        });
-        let published = Arc::into_raw(Arc::clone(&initial)) as *mut SnapshotInner<D, E>;
+        let live_snapshots = Arc::new(AtomicUsize::new(0));
+        let initial = SnapshotInner::new(0, durable_epoch, tree.clone(), &live_snapshots);
         let shared = Arc::new(Shared {
-            published: AtomicPtr::new(published),
-            epochs: EpochRegistry::new(),
+            published: Mutex::new(Arc::new(initial)),
+            live_snapshots,
             queue: SubmissionQueue::new(queue_capacity),
-            retired: Mutex::new(Vec::new()),
-            retired_count: AtomicUsize::new(0),
-            retired_highwater: AtomicUsize::new(0),
             telemetry: Arc::new(ConcurrentTelemetry::default()),
             sink,
             ring,
@@ -449,7 +370,6 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
             disk,
             max_batch,
             commit_hook,
-            initial,
         })
     }
 }
@@ -462,13 +382,12 @@ pub(crate) struct Prepared<const D: usize, E = Tree<D>> {
     disk: Option<Arc<DiskManager>>,
     max_batch: usize,
     commit_hook: Option<CommitHook>,
-    initial: Arc<SnapshotInner<D, E>>,
 }
 
 impl<const D: usize, E: SnapshotEngine<D>> Prepared<D, E> {
     /// The epoch-0 snapshot, for seeding a global epoch vector.
-    pub(crate) fn initial(&self) -> &Arc<SnapshotInner<D, E>> {
-        &self.initial
+    pub(crate) fn initial(&self) -> Arc<SnapshotInner<D, E>> {
+        self.shared.snapshot().inner
     }
 
     /// Spawns the writer thread. With a `global` link, every publish also
@@ -480,7 +399,6 @@ impl<const D: usize, E: SnapshotEngine<D>> Prepared<D, E> {
             disk,
             max_batch,
             commit_hook,
-            initial: _,
         } = self;
         let writer_shared = Arc::clone(&shared);
         let name = match &global {
@@ -555,7 +473,8 @@ impl<const D: usize, E> ConcurrentIndex<D, E> {
         }
     }
 
-    /// Pins and returns the current published snapshot. Never blocks.
+    /// Pins and returns the current published snapshot: one `Arc` clone
+    /// under a lock nothing holds for longer than a pointer operation.
     pub fn snapshot(&self) -> SnapshotGuard<D, E> {
         self.shared.snapshot()
     }
@@ -584,7 +503,7 @@ impl<const D: usize, E> ConcurrentIndex<D, E> {
 
     /// The latest published epoch.
     pub fn epoch(&self) -> u64 {
-        self.shared.epochs.global()
+        self.shared.epoch()
     }
 
     /// Operations currently queued for the writer.
@@ -592,20 +511,11 @@ impl<const D: usize, E> ConcurrentIndex<D, E> {
         self.shared.queue.depth()
     }
 
-    /// Retired snapshots not yet reclaimed (readers still pin them).
+    /// Snapshots that were replaced by a later commit but are still held
+    /// by a reader — the alerting signal for a reader pinning snapshots
+    /// longer than it should.
     pub fn retired_snapshots(&self) -> usize {
-        self.shared.retired_count.load(SeqCst)
-    }
-
-    /// The largest retired-snapshot backlog ever observed — the alerting
-    /// signal for a reader pinning snapshots longer than it should.
-    pub fn retired_highwater(&self) -> usize {
-        self.shared.retired_highwater.load(SeqCst)
-    }
-
-    /// Currently pinned snapshot guards.
-    pub fn active_readers(&self) -> usize {
-        self.shared.epochs.active_readers()
+        self.shared.retired_snapshots()
     }
 
     /// Shuts down gracefully: already-queued operations still commit, then
@@ -657,7 +567,8 @@ impl<const D: usize, E> Clone for IndexHandle<D, E> {
 }
 
 impl<const D: usize, E> IndexHandle<D, E> {
-    /// Pins and returns the current published snapshot. Never blocks.
+    /// Pins and returns the current published snapshot: one `Arc` clone
+    /// under a lock nothing holds for longer than a pointer operation.
     pub fn snapshot(&self) -> SnapshotGuard<D, E> {
         self.shared.snapshot()
     }
@@ -701,7 +612,7 @@ impl<const D: usize, E> IndexHandle<D, E> {
 
     /// The latest published epoch.
     pub fn epoch(&self) -> u64 {
-        self.shared.epochs.global()
+        self.shared.epoch()
     }
 
     /// Operations currently queued for the writer.
@@ -714,14 +625,10 @@ impl<const D: usize, E> IndexHandle<D, E> {
         self.shared.queue.capacity()
     }
 
-    /// Retired snapshots not yet reclaimed.
+    /// Replaced snapshots a reader still holds (see
+    /// [`ConcurrentIndex::retired_snapshots`]).
     pub fn retired_snapshots(&self) -> usize {
-        self.shared.retired_count.load(SeqCst)
-    }
-
-    /// The largest retired-snapshot backlog ever observed.
-    pub fn retired_highwater(&self) -> usize {
-        self.shared.retired_highwater.load(SeqCst)
+        self.shared.retired_snapshots()
     }
 
     /// Writer-side telemetry.
@@ -733,13 +640,10 @@ impl<const D: usize, E> IndexHandle<D, E> {
     /// under the given labels (add e.g. `("component", "concurrent")`):
     ///
     /// * `segidx_concurrent_epoch`, `segidx_concurrent_queue_depth`,
-    ///   `segidx_concurrent_retired_snapshots`,
-    ///   `segidx_concurrent_retired_highwater`,
-    ///   `segidx_concurrent_active_readers` — gauges;
+    ///   `segidx_concurrent_retired_snapshots` — gauges;
     /// * `segidx_concurrent_commits_total`,
     ///   `segidx_concurrent_ops_applied_total`,
-    ///   `segidx_concurrent_overloads_total`,
-    ///   `segidx_concurrent_reclaimed_total` — counters;
+    ///   `segidx_concurrent_overloads_total` — counters;
     /// * `segidx_concurrent_queue_wait_nanos`,
     ///   `segidx_concurrent_commit_latency_nanos` — histograms.
     ///
@@ -770,7 +674,7 @@ impl<const D: usize, E> IndexHandle<D, E> {
             out.push(Metric::gauge(
                 "segidx_concurrent_epoch",
                 &l,
-                shared.epochs.global() as f64,
+                shared.epoch() as f64,
             ));
             out.push(Metric::gauge(
                 "segidx_concurrent_queue_depth",
@@ -780,17 +684,7 @@ impl<const D: usize, E> IndexHandle<D, E> {
             out.push(Metric::gauge(
                 "segidx_concurrent_retired_snapshots",
                 &l,
-                shared.retired_count.load(SeqCst) as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_concurrent_retired_highwater",
-                &l,
-                shared.retired_highwater.load(SeqCst) as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_concurrent_active_readers",
-                &l,
-                shared.epochs.active_readers() as f64,
+                shared.retired_snapshots() as f64,
             ));
             out.push(Metric::counter(
                 "segidx_concurrent_commits_total",
@@ -806,11 +700,6 @@ impl<const D: usize, E> IndexHandle<D, E> {
                 "segidx_concurrent_overloads_total",
                 &l,
                 t.overloads(),
-            ));
-            out.push(Metric::counter(
-                "segidx_concurrent_reclaimed_total",
-                &l,
-                t.reclaimed(),
             ));
             out.push(Metric::histogram(
                 "segidx_concurrent_queue_wait_nanos",
@@ -873,7 +762,7 @@ impl<const D: usize, E> Drop for Drained<'_, D, E> {
     }
 }
 
-/// The single writer: drain → apply → checkpoint → publish → reclaim.
+/// The single writer: drain → apply → checkpoint → publish.
 fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
     shared: Arc<Shared<D, E>>,
     mut tree: E,
@@ -920,17 +809,20 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
         if applied == 0 {
             // Barrier-only batch: the published snapshot already covers
             // everything submitted before it.
-            let receipt = Ok(CommitReceipt {
-                epoch: shared.epochs.global(),
-                durable_epoch: shared.published_durable_epoch(),
-                ops_in_commit: 0,
-            });
+            let receipt = {
+                let current = lock(&shared.published);
+                Ok(CommitReceipt {
+                    epoch: current.epoch,
+                    durable_epoch: current.durable_epoch,
+                    ops_in_commit: 0,
+                })
+            };
             for ticket in drained.tickets() {
                 ticket.complete(receipt.clone());
             }
             continue;
         }
-        let next_epoch = shared.epochs.global() + 1;
+        let next_epoch = shared.epoch() + 1;
         if let Some(hook) = hook.as_mut() {
             hook(next_epoch);
         }
@@ -955,22 +847,21 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             0
         };
         let publish_start = Instant::now();
-        let fresh = Arc::new(SnapshotInner {
-            epoch: next_epoch,
+        let fresh = Arc::new(SnapshotInner::new(
+            next_epoch,
             durable_epoch,
-            tree: tree.clone(),
-        });
-        let fresh_ptr = Arc::into_raw(Arc::clone(&fresh)) as *mut SnapshotInner<D, E>;
-        let old = shared.published.swap(fresh_ptr, SeqCst);
-        shared.epochs.advance(next_epoch);
+            tree.clone(),
+            &shared.live_snapshots,
+        ));
+        let replaced = std::mem::replace(&mut *lock(&shared.published), Arc::clone(&fresh));
         // Cross-shard visibility: install this shard's new snapshot into
-        // the global epoch vector (one pointer swap over there) before
-        // retiring the old one locally.
+        // the global epoch vector (one more swap over there).
         if let Some(link) = &global {
-            link.publisher.publish(link.shard, &fresh);
+            link.publisher.publish(link.shard, fresh);
         }
-        shared.retire(old);
-        shared.reclaim();
+        // Dropped with no lock held: when no reader kept the replaced
+        // snapshot this frees its tree, and no reader waits while it does.
+        drop(replaced);
         shared
             .telemetry
             .commit_latency
@@ -1000,5 +891,41 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             });
             ticket.complete(receipt.clone());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use segidx_core::IndexConfig;
+
+    #[test]
+    fn a_reader_that_dies_holding_a_guard_and_the_lock_stops_no_one() {
+        let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
+            .start()
+            .unwrap();
+        let handle = index.handle();
+        let reader = std::thread::spawn(move || {
+            let _guard = handle.snapshot();
+            let _held = handle.shared.published.lock().unwrap();
+            panic!("reader failure injected by the test");
+        });
+        assert!(reader.join().is_err());
+        assert!(index.shared.published.is_poisoned());
+
+        assert_eq!(index.snapshot().epoch(), 0);
+        let ticket = index
+            .submit(IndexOp::Insert {
+                rect: Rect::new([1.0, 1.0], [2.0, 2.0]),
+                record: RecordId(1),
+            })
+            .unwrap();
+        // Bounded wait: with the writer dead a ticket never completes.
+        let receipt = ticket.wait_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(receipt.map(|r| r.map(|r| r.epoch)), Some(Ok(1)));
+        assert_eq!(index.flush().map(|r| r.epoch), Ok(1));
+        let snap = index.snapshot();
+        assert_eq!((snap.epoch(), snap.len(), index.epoch()), (1, 1, 1));
+        assert_eq!(index.retired_snapshots(), 0);
     }
 }

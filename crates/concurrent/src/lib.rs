@@ -5,12 +5,14 @@
 //! into a shared service with two properties the single-threaded API cannot
 //! offer:
 //!
-//! * **Readers never block and never see partial mutations.** Reads run
-//!   against an immutable published *snapshot*, pinned through hand-rolled
-//!   epoch-based reclamation ([`MAX_READERS`] concurrent pins, zero
-//!   dependencies). Pinning is a couple of `SeqCst` atomics; the snapshot
-//!   itself is a copy-on-write [`Tree`](segidx_core::tree::Tree) clone that
-//!   shares all untouched nodes with its predecessor.
+//! * **Readers never see partial mutations and never wait on the
+//!   writer's work.** Reads run against an immutable published *snapshot*
+//!   held as an `Arc`: pinning is one `Arc::clone` under a mutex that is
+//!   only ever held for a pointer clone or swap, any number of guards can
+//!   be alive at once, and whoever drops the last reference frees the
+//!   snapshot. The snapshot itself is a copy-on-write
+//!   [`Tree`](segidx_core::tree::Tree) clone that shares all untouched
+//!   nodes with its predecessor.
 //! * **Writes are batched into group commits with admission control.**
 //!   A single writer thread drains a bounded submission queue; a full
 //!   queue rejects new work immediately with the typed
@@ -24,9 +26,9 @@
 //!   the key space by a Z-order prefix of each rectangle's centroid into N
 //!   independent [`ConcurrentIndex`] shards — one bounded queue and writer
 //!   thread each — while cross-shard reads pin one consistent
-//!   [`GlobalSnapshotGuard`] through an atomically published per-shard
-//!   epoch vector, and merged results stay bit-identical to the unsharded
-//!   service.
+//!   [`GlobalSnapshotGuard`] — the same `Arc` mechanism over a vector of
+//!   per-shard snapshots replaced as a whole — and merged results stay
+//!   bit-identical to the unsharded service.
 //!
 //! Start from any built tree (use `into_tree()` on the `segidx-core` API
 //! wrappers), then talk to the service through [`ConcurrentIndex`] or its
@@ -46,7 +48,7 @@
 //!
 //! let handle = index.handle();
 //! let reader = std::thread::spawn(move || {
-//!     let snap = handle.snapshot(); // never blocks
+//!     let snap = handle.snapshot(); // one Arc clone
 //!     snap.search(&Rect::new([0.0, 0.0], [100.0, 100.0])).len()
 //! });
 //!
@@ -62,18 +64,17 @@
 //! assert_eq!(index.snapshot().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 mod engine;
-mod epoch;
 mod global_epoch;
 mod index;
 mod queue;
 mod shard;
 
 pub use engine::SnapshotEngine;
-pub use epoch::MAX_READERS;
 pub use index::{
     Builder, CommitHook, ConcurrentIndex, ConcurrentTelemetry, IndexHandle, SnapshotGuard,
 };
@@ -205,87 +206,6 @@ mod tests {
         assert!(index.telemetry().overloads() >= 1);
         release.store(true, Ordering::SeqCst);
         index.flush().unwrap();
-    }
-
-    #[test]
-    fn long_pinned_reader_bounds_retired_snapshots() {
-        let index = start_empty();
-        let pinned = index.snapshot(); // refined pin on exactly epoch 0
-        for round in 0..10u64 {
-            index
-                .submit(IndexOp::Insert {
-                    rect: rect(round),
-                    record: RecordId(round),
-                })
-                .unwrap();
-            index.flush().unwrap();
-        }
-        assert_eq!(pinned.epoch(), 0);
-        assert_eq!(pinned.len(), 0, "pinned snapshot is frozen");
-        // The refined slot protects only epoch 0: snapshots 1..=9 were
-        // retired *and freed* while the reader stayed pinned. The backlog
-        // is bounded by what the reader actually holds, it does not grow
-        // with writer progress.
-        assert_eq!(
-            index.retired_snapshots(),
-            1,
-            "only the pinned epoch-0 snapshot stays retired"
-        );
-        assert!(index.retired_highwater() <= 2, "backlog never ballooned");
-        assert!(index.telemetry().reclaimed() >= 9);
-        // Dropping the guard reclaims on the unpin path — no further
-        // commit is needed for the backlog to drain.
-        drop(pinned);
-        assert_eq!(index.retired_snapshots(), 0);
-        assert!(index.telemetry().reclaimed() >= 10);
-    }
-
-    #[test]
-    fn a_sink_panic_on_the_unpin_path_does_not_kill_the_writer() {
-        use segidx_obs::{Event, EventKind, ObsSink};
-
-        /// Panics inside the first `EpochReclaimed`, i.e. under the
-        /// retired-list lock, and behaves from then on.
-        #[derive(Debug, Default)]
-        struct PanicsOnce(AtomicBool);
-        impl ObsSink for PanicsOnce {
-            fn event(&self, event: Event) {
-                if event.kind == EventKind::EpochReclaimed && !self.0.swap(true, Ordering::SeqCst) {
-                    panic!("sink failure injected by the test");
-                }
-            }
-        }
-        let insert = |index: &ConcurrentIndex<2>, i: u64| {
-            let op = IndexOp::Insert {
-                rect: rect(i),
-                record: RecordId(i),
-            };
-            // Bounded wait: with the writer dead a ticket never completes.
-            let ticket = index.submit(op).unwrap();
-            ticket.wait_timeout(std::time::Duration::from_secs(10))
-        };
-
-        let index = ConcurrentIndex::builder(Tree::new(IndexConfig::srtree()))
-            .sink(Arc::new(PanicsOnce::default()))
-            .start()
-            .unwrap();
-        let pinned = index.snapshot();
-        // Retires epoch 0 while `pinned` protects it: nothing reclaimed
-        // yet, so the first `EpochReclaimed` fires on this thread's unpin.
-        insert(&index, 0).unwrap().unwrap();
-        assert_eq!(index.retired_snapshots(), 1);
-        let unpin = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(pinned)));
-        assert!(unpin.is_err(), "the unpin path ran the panicking sink");
-
-        // The lock is poisoned now; publishing must go on regardless.
-        for i in 1..5 {
-            insert(&index, i)
-                .expect("writer survived the poisoned lock")
-                .unwrap();
-        }
-        assert_eq!(index.snapshot().len(), 5);
-        assert_eq!(index.retired_snapshots(), 0);
-        assert_eq!(index.active_readers(), 0);
     }
 
     #[test]

@@ -131,11 +131,13 @@ impl CommitPhases {
 }
 
 /// The lock, poisoned or not. Every connection thread and the writer share
-/// these mutexes, and each critical section below moves its fields together
-/// and cannot panic part-way, so a thread that died holding one left
-/// nothing half-written: recover the guard rather than take every other
-/// submitter — or the writer — down with it.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// this crate's mutexes, and each critical section — the queue's and the
+/// tickets' below, the published snapshot's in `index.rs` and
+/// `global_epoch.rs` — moves its fields together and cannot panic
+/// part-way, so a thread that died holding one left nothing half-written:
+/// recover the guard rather than take every other submitter, reader — or
+/// the writer — down with it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

