@@ -39,7 +39,7 @@
 //! With `--temporal`, the file is a registry snapshot from an ingest
 //! run (`temporal_bench --metrics-out`): the full `segidx_temporal_*`
 //! family must be present and typed — the four tier-state gauges, the
-//! six lifecycle counters, and non-empty seal *and* merge latency
+//! eight lifecycle and search counters, and non-empty seal *and* merge latency
 //! histograms (the ingest is sized so both fire).
 //!
 //! Usage: `metrics_check <path/to/metrics.json>`,
@@ -162,13 +162,15 @@ const TEMPORAL_GAUGES: [&str; 4] = [
     "segidx_temporal_sealed_entries",
     "segidx_temporal_tombstones",
 ];
-const TEMPORAL_COUNTERS: [&str; 6] = [
+const TEMPORAL_COUNTERS: [&str; 8] = [
     "segidx_temporal_seals_total",
     "segidx_temporal_merges_total",
     "segidx_temporal_sealed_entries_total",
     "segidx_temporal_merged_entries_total",
     "segidx_temporal_merge_dropped_total",
     "segidx_temporal_exports_total",
+    "segidx_temporal_pins_total",
+    "segidx_temporal_tiers_pinned_total",
 ];
 const TEMPORAL_HISTOGRAMS: [&str; 2] = [
     "segidx_temporal_seal_latency_nanos",
@@ -494,9 +496,12 @@ fn check_temporal_file(path: &str) -> Result<String, String> {
     }
 
     Ok(format!(
-        "ok: {} metrics, {} temporal families (4 gauges, 6 counters, 2 non-empty histograms)",
+        "ok: {} metrics, {} temporal families ({} gauges, {} counters, {} non-empty histograms)",
         metrics.len(),
-        seen.len()
+        seen.len(),
+        TEMPORAL_GAUGES.len(),
+        TEMPORAL_COUNTERS.len(),
+        TEMPORAL_HISTOGRAMS.len()
     ))
 }
 

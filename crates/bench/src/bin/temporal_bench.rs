@@ -16,6 +16,16 @@
 //!    bit-identical id sets from both indexes — speed must not change
 //!    answers.
 //!
+//! 3. **What an `AS OF` costs, tier by tier**: for every sealed tier the
+//!    run ends with, its entries and the mean nodes a line query at `t`
+//!    reads in it (exact counts, no timing). Tiers are runs of end times,
+//!    packed as such, so once a tier is longer than the versions in it
+//!    live the count must stop growing with the tier: `--check` fails when
+//!    the largest tier reads more than 1.5× what the smallest tier of at
+//!    least [`LONGEST_LIFETIME`] versions does. (A shorter tier reads
+//!    fewer nodes only because it ends before the long versions that
+//!    reach back into it do.)
+//!
 //! With `--metrics-out FILE` the run also snapshots the
 //! `segidx_temporal_*` telemetry family for `metrics_check --temporal`.
 //!
@@ -79,6 +89,10 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The longest a version of [`version_stream`] lives, in ticks — and, one
+/// version closing per tick, in versions.
+const LONGEST_LIFETIME: f64 = 10_000.0;
+
 /// A monotone end-time version stream: record `i` closes at time `i`
 /// (versions retire in clock order), having lived a mostly-short duration
 /// with a sparse long tail — the paper's I-series shape stretched along
@@ -90,13 +104,37 @@ fn version_stream(n: usize, seed: u64) -> Vec<(Rect<2>, RecordId)> {
         .map(|i| {
             let end = i as f64;
             let dur = if rng.next_u64() & 63 == 0 {
-                1_000.0 + rng.next_f64() * 9_000.0
+                1_000.0 + rng.next_f64() * (LONGEST_LIFETIME - 1_000.0)
             } else {
                 1.0 + rng.next_f64() * 100.0
             };
             (Rect::new([end - dur, dur], [end, dur]), RecordId(i))
         })
         .collect()
+}
+
+/// One sealed tier and what an `AS OF` costs in it.
+struct TierCost {
+    seq: u64,
+    level: u32,
+    entries: usize,
+    nodes_per_as_of: f64,
+}
+
+/// `AS OF` probes per tier for the node counts.
+const AS_OF_PROBES: usize = 256;
+
+/// Mean nodes an `AS OF` reads in `tree`: line queries across dimension 1
+/// at [`AS_OF_PROBES`] evenly spaced times of the span the tree covers.
+fn nodes_per_as_of(tree: &Tree<2>) -> f64 {
+    let span = tree.root_region().expect("a sealed tier is not empty");
+    let accesses: u64 = (0..AS_OF_PROBES)
+        .map(|i| {
+            let t = span.lo(0) + span.extent(0) * (i as f64 + 0.5) / AS_OF_PROBES as f64;
+            tree.count_search_accesses(&Rect::new([t, f64::MIN / 2.0], [t, f64::MAX / 2.0]))
+        })
+        .sum();
+    accesses as f64 / AS_OF_PROBES as f64
 }
 
 /// Time-window × duration-band probes spread over the occupied domain.
@@ -181,6 +219,35 @@ fn main() -> ExitCode {
         args.queries, total_hits, mismatches
     );
 
+    // ---- 4. AS OF cost per sealed tier (exact node counts) --------------
+    let tier_costs: Vec<TierCost> = tiered
+        .tier_profile()
+        .into_iter()
+        .zip(tiered.tier_trees())
+        .map(|((seq, level, entries), tree)| TierCost {
+            seq,
+            level,
+            entries,
+            nodes_per_as_of: nodes_per_as_of(tree),
+        })
+        .collect();
+    for t in &tier_costs {
+        println!(
+            "  tier seq {:>3} level {}: {:>7} entries, {:.1} nodes per AS OF",
+            t.seq, t.level, t.entries, t.nodes_per_as_of
+        );
+    }
+    // One version closes per tick, so a tier's entries are its span of
+    // end times.
+    let cost_of = |tier: Option<&TierCost>| tier.map_or(0.0, |t| t.nodes_per_as_of);
+    let largest = cost_of(tier_costs.iter().max_by_key(|t| t.entries));
+    let baseline = cost_of(
+        tier_costs
+            .iter()
+            .filter(|t| t.entries as f64 >= LONGEST_LIFETIME)
+            .min_by_key(|t| t.entries),
+    );
+
     if let Some(path) = &args.metrics_out {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).expect("create metrics dir");
@@ -236,6 +303,18 @@ fn main() -> ExitCode {
         args.records as f64 * 1e9 / flat_nanos as f64
     ));
     json.push_str(&format!("  \"speedup\": {speedup:.2},\n"));
+    json.push_str(&format!(
+        "  \"as_of_probes_per_tier\": {AS_OF_PROBES},\n  \"sealed_tiers\": [\n"
+    ));
+    for (i, t) in tier_costs.iter().enumerate() {
+        let comma = if i + 1 < tier_costs.len() { "," } else { "" };
+        json.push_str(&format!(
+            "    {{\"seq\": {}, \"level\": {}, \"entries\": {}, \
+             \"nodes_per_as_of\": {:.2}}}{comma}\n",
+            t.seq, t.level, t.entries, t.nodes_per_as_of
+        ));
+    }
+    json.push_str("  ],\n");
     json.push_str("  \"query_verification\": {\n");
     json.push_str(&format!("    \"probes\": {},\n", args.queries));
     json.push_str(&format!("    \"total_hits\": {total_hits},\n"));
@@ -261,6 +340,12 @@ fn main() -> ExitCode {
                 "tiered ingest speedup {speedup:.2}x is below the 3x gate"
             ));
         }
+        if largest > 1.5 * baseline {
+            problems.push(format!(
+                "the largest tier reads {largest:.1} nodes per AS OF, more than 1.5x the \
+                 {baseline:.1} of the smallest tier longer than a lifetime"
+            ));
+        }
         if mismatches > 0 {
             problems.push(format!(
                 "{mismatches} of {} probe queries returned different id sets",
@@ -274,7 +359,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!(
-            "temporal_bench: checks passed (ingest {speedup:.2}x >= 3x, {} probes bit-identical)",
+            "temporal_bench: checks passed (ingest {speedup:.2}x >= 3x, {} probes bit-identical, \
+             AS OF {largest:.1} nodes on the largest tier <= 1.5x {baseline:.1})",
             args.queries
         );
     }

@@ -151,6 +151,53 @@ fn run_ops(name: &str, mut tree: Tree<2>, ops: &[Op]) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// Packs `items` with both bulk loaders under every configuration and
+/// checks each tree against the brute-force model: length, structural
+/// invariants, three windows and a stab.
+fn check_packers(items: &[(Rect<2>, RecordId)]) -> Result<(), TestCaseError> {
+    use segidx_core::bulk::{bulk_load, bulk_load_run};
+    type Packer = fn(IndexConfig, Vec<(Rect<2>, RecordId)>) -> Tree<2>;
+    let packers: [(&str, Packer); 2] = [("str", bulk_load), ("run", bulk_load_run)];
+    let queries = [
+        Rect::new([0.0, 0.0], [1400.0, 1400.0]),
+        Rect::new([200.0, 100.0], [450.0, 350.0]),
+        Rect::new([990.0, 990.0], [1000.0, 1000.0]),
+    ];
+    for (packer, pack) in packers {
+        for (name, config) in configs() {
+            let tree = pack(config, items.to_vec());
+            prop_assert_eq!(tree.len(), items.len(), "{} {}: len", packer, name);
+            let issues = tree.check_invariants();
+            prop_assert!(issues.is_empty(), "{packer} {name}: {issues:?}");
+            for q in &queries {
+                let mut expected: Vec<RecordId> = items
+                    .iter()
+                    .filter(|(r, _)| r.intersects(q))
+                    .map(|(_, id)| *id)
+                    .collect();
+                expected.sort_unstable();
+                prop_assert_eq!(
+                    tree.search(q),
+                    expected,
+                    "{} {}: search {:?}",
+                    packer,
+                    name,
+                    q
+                );
+            }
+            let p = Point::new([500.0, 500.0]);
+            let mut expected: Vec<RecordId> = items
+                .iter()
+                .filter(|(r, _)| r.contains_point(&p))
+                .map(|(_, id)| *id)
+                .collect();
+            expected.sort_unstable();
+            prop_assert_eq!(tree.stab(&p), expected, "{} {}: stab", packer, name);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -183,42 +230,43 @@ proptest! {
 
     #[test]
     fn bulk_load_matches_model(records in vec(rect_strategy(), 1..250)) {
-        // STR bulk load over every configuration must agree with the
+        // Both packers over every configuration must agree with the
         // brute-force model on search, stab, and structural invariants —
-        // pins the SoA rewrite of the packing path.
+        // pins the SoA rewrite of the packing path. This input has no
+        // order at all: the run tiler owes it the same answers.
         let items: Vec<(Rect<2>, RecordId)> = records
             .iter()
             .enumerate()
             .map(|(i, r)| (*r, RecordId(i as u64)))
             .collect();
-        let queries = [
-            Rect::new([0.0, 0.0], [1400.0, 1400.0]),
-            Rect::new([200.0, 100.0], [450.0, 350.0]),
-            Rect::new([990.0, 990.0], [1000.0, 1000.0]),
-        ];
-        for (name, config) in configs() {
-            let tree = segidx_core::bulk::bulk_load(config, items.clone());
-            prop_assert_eq!(tree.len(), items.len(), "{}: len", name);
-            let issues = tree.check_invariants();
-            prop_assert!(issues.is_empty(), "{name}: {issues:?}");
-            for q in &queries {
-                let mut expected: Vec<RecordId> = items
-                    .iter()
-                    .filter(|(r, _)| r.intersects(q))
-                    .map(|(_, id)| *id)
-                    .collect();
-                expected.sort_unstable();
-                prop_assert_eq!(tree.search(q), expected, "{}: search {:?}", name, q);
-            }
-            let p = Point::new([500.0, 500.0]);
-            let mut expected: Vec<RecordId> = items
-                .iter()
-                .filter(|(r, _)| r.contains_point(&p))
-                .map(|(_, id)| *id)
-                .collect();
-            expected.sort_unstable();
-            prop_assert_eq!(tree.stab(&p), expected, "{}: stab", name);
+        check_packers(&items)?;
+    }
+
+    #[test]
+    fn run_packing_matches_model_on_runs_with_ties(
+        versions in vec((0u32..24, 0.0..90.0f64, 0.0..1000.0f64), 1..300),
+        swaps in vec((any::<usize>(), any::<usize>()), 0..300),
+    ) {
+        // What a tier is built from: end times that ascend, here drawn
+        // from 24 values so equal `hi(0)` sits on every cut between
+        // pieces and leaves. In order, shuffled by `swaps`, and cut down
+        // to what fits one leaf (capacity 8 in every configuration).
+        let mut items: Vec<(Rect<2>, RecordId)> = versions
+            .iter()
+            .enumerate()
+            .map(|(i, &(end, life, y))| {
+                let end = 40.0 * f64::from(end);
+                (Rect::new([end - life, y], [end, y]), RecordId(i as u64))
+            })
+            .collect();
+        items.sort_by(|a, b| a.0.hi(0).total_cmp(&b.0.hi(0)));
+        check_packers(&items)?;
+        check_packers(&items[..items.len().min(8)])?;
+        let n = items.len();
+        for &(a, b) in &swaps {
+            items.swap(a % n, b % n);
         }
+        check_packers(&items)?;
     }
 
     #[test]

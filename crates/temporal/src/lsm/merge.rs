@@ -84,7 +84,7 @@ pub(crate) fn run_merge<const D: usize>(job: MergeJob<D>) -> MergeOutcome<D> {
             }
         }
     }
-    let tree = bulk::bulk_load(job.config, items);
+    let tree = bulk::bulk_load_run(job.config, items);
     let tier = Tier::new(tree, max_seq, job.level);
     MergeOutcome {
         input_seqs,

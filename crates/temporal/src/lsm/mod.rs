@@ -9,10 +9,13 @@
 //!   staging area: a flat O(1)-append buffer, scanned linearly
 //!   ([`memtable`]).
 //! * **Seal** — at a size threshold (or on demand) the memtable is packed
-//!   into an immutable Sort-Tile-Recursive tree and appended as a level-0
-//!   tier. With a disk attached, every seal commits a manifest page under
-//!   the storage layer's atomic root-pointer flip, so each seal is a
-//!   crash-consistent checkpoint.
+//!   into an immutable tree and appended as a level-0 tier. Entries reach
+//!   a tier in end-time order, so seals and merges pack it as the run it
+//!   is ([`bulk::bulk_load_run`]): every node above the leaves is a band
+//!   of end times, and what an `AS OF` reads in a tier does not grow with
+//!   the tier. With a disk attached, every seal commits a manifest page
+//!   under the storage layer's atomic root-pointer flip, so each seal is
+//!   a crash-consistent checkpoint.
 //! * **Merge** — a leveled policy folds runs of equal-level tiers into one
 //!   tier a level up, inline or on a background worker ([`merge`]).
 //! * **Snapshot** — a pinned [`TierSnapshot`] over the sealed tiers
@@ -49,7 +52,7 @@ pub use telemetry::TieredTelemetry;
 
 use memtable::Memtable;
 use merge::{plan_run, run_merge, MergeJob, MergeOutcome, MergeWorker};
-use segidx_core::{bulk, persist, IndexConfig, RecordId};
+use segidx_core::{bulk, persist, IndexConfig, RecordId, SearchCursor, Tree};
 use segidx_geom::Rect;
 use segidx_obs::{Event, EventKind, ObsSink};
 use segidx_storage::{DiskManager, PageId, Result, StorageError};
@@ -233,6 +236,15 @@ impl<const D: usize> TieredTemporalIndex<D> {
             .collect()
     }
 
+    /// The packed tree of each tier, oldest first like [`tier_profile`]
+    /// (diagnostics: what a search costs tier by tier is read off
+    /// [`Tree::count_search_accesses`] and [`Tree::stats`]).
+    ///
+    /// [`tier_profile`]: TieredTemporalIndex::tier_profile
+    pub fn tier_trees(&self) -> impl Iterator<Item = &Tree<D>> + '_ {
+        self.tiers.iter().map(|t| &*t.tree)
+    }
+
     /// Inserts an entry, sealing the memtable if it reaches the threshold.
     /// Record ids must be unique among live entries.
     ///
@@ -293,12 +305,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
     ///
     /// [`Tree::search`]: segidx_core::Tree::search
     pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        scatter(
-            fenced(&self.tiers, query),
-            &self.tombstones,
-            query,
-            self.memtable.search(query),
-        )
+        self.pin(query).finish()
     }
 
     /// Starts a search that finishes without the index: scans the memtable
@@ -312,10 +319,16 @@ impl<const D: usize> TieredTemporalIndex<D> {
     ///
     /// [`search`]: TieredTemporalIndex::search
     pub fn pin(&self, query: &Rect<D>) -> PinnedSearch<D> {
+        let tiers: Vec<Tier<D>> = fenced(&self.tiers, query).cloned().collect();
+        if let Some(t) = &self.telemetry {
+            t.pins_total.fetch_add(1, Ordering::Relaxed);
+            t.tiers_pinned_total
+                .fetch_add(tiers.len() as u64, Ordering::Relaxed);
+        }
         PinnedSearch {
             query: *query,
             hits: self.memtable.search(query),
-            tiers: fenced(&self.tiers, query).cloned().collect(),
+            tiers,
             tombstones: Arc::clone(&self.tombstones),
         }
     }
@@ -332,7 +345,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
         let sealed = entries.len();
         let seq = self.next_seq;
         self.next_seq += 1;
-        let tree = bulk::bulk_load(self.config.index.clone(), entries);
+        let tree = bulk::bulk_load_run(self.config.index.clone(), entries);
         self.tiers.push(Tier::new(tree, seq, 0));
         self.prune_tombstones();
         self.run_merge_policy()?;
@@ -634,20 +647,22 @@ fn fenced<'a, const D: usize>(
 
 /// Appends the hits for `query` of each of `tiers` to `out`, dropping the
 /// copies a newer tombstone shadows (see the module docs for why that is
-/// the whole staleness rule), then sorts and dedups.
+/// the whole staleness rule), then sorts and dedups. One cursor serves
+/// every tier: its stack and id buffer are allocated once per search.
 fn scatter<'a, const D: usize>(
     tiers: impl IntoIterator<Item = &'a Tier<D>>,
     tombstones: &HashMap<RecordId, u64>,
     query: &Rect<D>,
     mut out: Vec<RecordId>,
 ) -> Vec<RecordId> {
+    let mut cursor = SearchCursor::new();
     for t in tiers {
-        let hits = t.tree.search(query);
+        let hits = t.tree.search_with(&mut cursor, query);
         if tombstones.is_empty() {
-            out.extend(hits);
+            out.extend_from_slice(hits);
         } else {
             let live = |r: &RecordId| !tombstones.get(r).is_some_and(|&ts| ts > t.seq);
-            out.extend(hits.into_iter().filter(live));
+            out.extend(hits.iter().copied().filter(live));
         }
     }
     out.sort_unstable();
@@ -763,7 +778,6 @@ impl<const D: usize> std::fmt::Debug for TierSnapshot<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segidx_core::Tree;
     use segidx_obs::RingBufferSink;
     use segidx_storage::{DiskManagerConfig, ScriptedFault};
     use std::path::PathBuf;
@@ -898,6 +912,8 @@ mod tests {
         let mut config = cfg(32);
         config.level_fanout = 64;
         let mut tiered = TieredTemporalIndex::<2>::new(config);
+        let telemetry = Arc::new(TieredTelemetry::new());
+        tiered.set_telemetry(Some(telemetry.clone()));
         for (rect, record) in stream(256 + 10) {
             tiered.insert(rect, record).unwrap();
         }
@@ -914,6 +930,86 @@ mod tests {
         let pinned = tiered.pin(&nowhere);
         assert!(pinned.tiers.is_empty() && pinned.hits.is_empty());
         assert!(pinned.finish().is_empty());
+        // Three pins and the search `early` was compared with: both
+        // `early` ones took a tier, `late` at most one, `nowhere` none.
+        assert_eq!(telemetry.pins_total.load(Ordering::Relaxed), 4);
+        let pinned = telemetry.tiers_pinned_total.load(Ordering::Relaxed);
+        assert!((2..=3).contains(&pinned), "{pinned} tiers pinned of 4 x 8");
+    }
+
+    /// Closed versions of 256 keys updated at exponential gaps (the shape
+    /// of `serve-temporal`'s `RECORD` stream), in the order they close:
+    /// end times ascend, lifetimes are exponential around 256 gaps.
+    fn closing_versions(n: usize) -> Vec<(Rect<2>, RecordId)> {
+        let mut state = 1u64;
+        let mut next = move || {
+            // splitmix64, inline so the stream cannot drift with a shim.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut open: HashMap<u64, (f64, f64)> = HashMap::new();
+        let mut out = Vec::with_capacity(n);
+        let mut t = 0.0;
+        while out.len() < n {
+            let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            t += (-10.0 * (1.0 - unit).ln()).max(1e-3);
+            let key = next() % 256;
+            let value = (next() % 100_000) as f64;
+            if let Some((from, v)) = open.insert(key, (t, value)) {
+                let id = RecordId(out.len() as u64);
+                out.push((Rect::new([from, v], [t, v]), id));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn as_of_cost_on_a_tier_does_not_grow_with_the_tier() {
+        // Default config: 32 768 entries have merged into one level-1
+        // tier, 131 072 into one level-2 tier. Node accesses are exact
+        // counts, so the bounds cannot flake; both fail if the tier
+        // builders go back to tiling the whole input (`bulk_load`), whose
+        // count doubles from the first tier to the second.
+        let versions = closing_versions(131_072);
+        let nodes_per_as_of = |tree: &Tree<2>, entries: usize| {
+            let horizon = versions[entries - 1].0.hi(0);
+            let probes = 512;
+            let total: u64 = (0..probes)
+                .map(|i| {
+                    let t = horizon * (i as f64 + 0.5) / probes as f64;
+                    let line = Rect::new([t, f64::MIN / 2.0], [t, f64::MAX / 2.0]);
+                    tree.count_search_accesses(&line)
+                })
+                .sum();
+            total as f64 / probes as f64
+        };
+        let mut tiered = TieredTemporalIndex::<2>::new(TieredConfig::default());
+        let mut small = 0.0;
+        for (i, (rect, record)) in versions.iter().enumerate() {
+            tiered.insert(*rect, *record).unwrap();
+            if i + 1 == 32_768 {
+                assert_eq!(tiered.tier_profile(), [(3, 1, 32_768)]);
+                small = nodes_per_as_of(tiered.tier_trees().next().unwrap(), 32_768);
+            }
+        }
+        assert_eq!(tiered.tier_count(), 1);
+        let tier = tiered.tier_trees().next().unwrap();
+        assert_eq!(tier.entry_count(), 131_072);
+        tier.assert_invariants();
+        let large = nodes_per_as_of(tier, 131_072);
+        let global = bulk::bulk_load(IndexConfig::srtree(), versions.clone());
+        let tiled = nodes_per_as_of(&global, 131_072);
+        assert!(
+            large <= 1.5 * small,
+            "{large} nodes per AS OF at 128 k entries, {small} at 32 k"
+        );
+        assert!(
+            large <= 0.6 * tiled,
+            "{large} nodes per AS OF run-packed, {tiled} tiled as a whole"
+        );
     }
 
     #[test]

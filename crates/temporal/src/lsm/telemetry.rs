@@ -32,6 +32,15 @@ pub struct TieredTelemetry {
     pub merge_dropped_total: AtomicU64,
     /// Counter: snapshot exports completed.
     pub exports_total: AtomicU64,
+    /// Counter: searches begun ([`pin`] or [`search`]).
+    ///
+    /// [`pin`]: super::TieredTemporalIndex::pin
+    /// [`search`]: super::TieredTemporalIndex::search
+    pub pins_total: AtomicU64,
+    /// Counter: sealed tiers those searches had to look into — the ones
+    /// whose fence met the query. Per pin, against the `tier_count` gauge,
+    /// this is what the fences save.
+    pub tiers_pinned_total: AtomicU64,
     /// Seal wall time (pack + commit), nanoseconds.
     pub seal_latency: LatencyHistogram,
     /// Merge wall time (gather + filter + pack), nanoseconds.
@@ -108,6 +117,16 @@ impl TieredTelemetry {
                 "segidx_temporal_exports_total",
                 &l,
                 t.exports_total.load(Ordering::Relaxed),
+            ));
+            out.push(Metric::counter(
+                "segidx_temporal_pins_total",
+                &l,
+                t.pins_total.load(Ordering::Relaxed),
+            ));
+            out.push(Metric::counter(
+                "segidx_temporal_tiers_pinned_total",
+                &l,
+                t.tiers_pinned_total.load(Ordering::Relaxed),
             ));
             out.push(Metric::histogram(
                 "segidx_temporal_seal_latency_nanos",
