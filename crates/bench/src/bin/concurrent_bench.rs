@@ -4,11 +4,7 @@
 //! and the sweep emits a hand-rolled `results/concurrent.json` in the same
 //! style as `results/throughput.json`, plus a summary table.
 //!
-//! A second sweep drives the *sharded* service across 1/2/4/8 shards with
-//! a fixed reader/submitter population and records the write-throughput
-//! scaling baseline in `results/BENCH_sharded.json`.
-//!
-//! `--check` runs neither sweep. It times `tree.clone()` + drop of the
+//! `--check` does not run the sweep. It times `tree.clone()` + drop of the
 //! clone on a 200 k-record tree, then serves that tree, drives it with the
 //! 35 %-write mix of the `serve-mixed` benchmark, and fails unless the mean
 //! publish phase of a group commit (snapshot clone + swap + drop of the
@@ -17,17 +13,14 @@
 //!
 //! Usage:
 //!   concurrent_bench [--millis N] [--records N] [--out FILE]
-//!                    [--sharded-out FILE]
 //!   concurrent_bench --check
 
 use segidx_bench::{hardware_note, today};
-use segidx_concurrent::{
-    CommitTicket, ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter,
-};
+use segidx_concurrent::{CommitTicket, ConcurrentIndex, IndexOp, SubmitError};
 use segidx_core::tree::Tree;
 use segidx_core::{IntervalIndex, RecordId, SRTree};
 use segidx_geom::{Point, Rect};
-use segidx_workloads::{queries_for_qar, DataDistribution, DOMAIN_MAX};
+use segidx_workloads::{queries_for_qar, DataDistribution};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -39,7 +32,6 @@ struct Args {
     millis: u64,
     records: usize,
     out: PathBuf,
-    sharded_out: PathBuf,
     check: bool,
 }
 
@@ -48,7 +40,6 @@ fn parse_args() -> Result<Args, String> {
         millis: 400,
         records: 10_000,
         out: PathBuf::from("results/concurrent.json"),
-        sharded_out: PathBuf::from("results/BENCH_sharded.json"),
         check: false,
     };
     let mut it = std::env::args().skip(1);
@@ -60,12 +51,10 @@ fn parse_args() -> Result<Args, String> {
                 args.records = value("--records")?.parse().map_err(|e| format!("{e}"))?
             }
             "--out" => args.out = PathBuf::from(value("--out")?),
-            "--sharded-out" => args.sharded_out = PathBuf::from(value("--sharded-out")?),
             "--check" => args.check = true,
             "--help" | "-h" => {
                 return Err(
-                    "usage: concurrent_bench [--millis N] [--records N] [--out FILE] \
-                     [--sharded-out FILE] | --check"
+                    "usage: concurrent_bench [--millis N] [--records N] [--out FILE] | --check"
                         .into(),
                 )
             }
@@ -185,138 +174,6 @@ fn run_cell(
             applied as f64 / commits as f64
         },
         overloads: telemetry.overloads(),
-    };
-    index.shutdown();
-    cell
-}
-
-struct ShardedCell {
-    shards: usize,
-    read_qps: u64,
-    write_ops_per_sec: u64,
-    commits_per_sec: u64,
-    mean_commit_batch: f64,
-    overloads: u64,
-    imbalance: f64,
-    global_epochs: u64,
-}
-
-/// A write op spread across the whole domain (decorrelated x/y so Z-order
-/// routing reaches every shard), cycling insert/insert/delete like the
-/// unsharded cell.
-fn sharded_op(id: u64, step: u64) -> IndexOp<2> {
-    let x = ((id * 6_151) % 99_000) as f64;
-    let y = ((id * 14_741) % 99_000) as f64;
-    let rect = Rect::new([x, y], [x + 400.0, y + 40.0]);
-    if step % 3 == 2 {
-        IndexOp::Delete {
-            rect,
-            record: RecordId(id),
-        }
-    } else {
-        IndexOp::Insert {
-            rect,
-            record: RecordId(id),
-        }
-    }
-}
-
-/// One sharded sweep point: a fixed reader/submitter population against
-/// `shards` group-commit writers behind Z-order routing.
-fn run_sharded_cell(
-    records: &[(Rect<2>, RecordId)],
-    probes: &[Rect<2>],
-    shards: usize,
-    readers: usize,
-    submitters: usize,
-    max_batch: usize,
-    duration: Duration,
-) -> ShardedCell {
-    let router = ZOrderRouter::new(Rect::new([0.0, 0.0], [DOMAIN_MAX, DOMAIN_MAX]), shards);
-    let trees = router
-        .partition(records)
-        .iter()
-        .map(|part| {
-            let mut seed = SRTree::<2>::new();
-            for (r, id) in part {
-                seed.insert(*r, *id);
-            }
-            seed.into_tree()
-        })
-        .collect();
-    let index = ShardedIndex::builder(router, trees)
-        .queue_capacity(4 * max_batch.max(256))
-        .max_batch(max_batch)
-        .start()
-        .expect("memory-only start cannot fail");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads = Arc::new(AtomicU64::new(0));
-    let writes = Arc::new(AtomicU64::new(0));
-    std::thread::scope(|scope| {
-        for reader_id in 0..readers {
-            let handle = index.handle();
-            let stop = Arc::clone(&stop);
-            let reads = Arc::clone(&reads);
-            scope.spawn(move || {
-                let mut local = 0u64;
-                let mut it = reader_id;
-                while !stop.load(Ordering::Relaxed) {
-                    let snap = handle.snapshot();
-                    std::hint::black_box(snap.search(&probes[it % probes.len()]));
-                    it += 1;
-                    local += 1;
-                }
-                reads.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-        for sub_id in 0..submitters {
-            let handle = index.handle();
-            let stop = Arc::clone(&stop);
-            let writes = Arc::clone(&writes);
-            let base = records.len() as u64 * (sub_id as u64 + 2);
-            scope.spawn(move || {
-                let mut local = 0u64;
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    match handle.submit(sharded_op(base + i, i)) {
-                        Ok(_) => {
-                            local += 1;
-                            i += 1;
-                        }
-                        Err(SubmitError::Overloaded { .. }) => std::thread::yield_now(),
-                        Err(SubmitError::Closed) => break,
-                    }
-                }
-                writes.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-    });
-    index.flush().expect("memory-only flush cannot fail");
-
-    let (mut commits, mut applied, mut overloads) = (0u64, 0u64, 0u64);
-    for shard in 0..shards {
-        let t = index.shard_telemetry(shard);
-        commits += t.commits();
-        applied += t.ops_applied();
-        overloads += t.overloads();
-    }
-    let secs = duration.as_secs_f64();
-    let cell = ShardedCell {
-        shards,
-        read_qps: (reads.load(Ordering::Relaxed) as f64 / secs) as u64,
-        write_ops_per_sec: (writes.load(Ordering::Relaxed) as f64 / secs) as u64,
-        commits_per_sec: (commits as f64 / secs) as u64,
-        mean_commit_batch: if commits == 0 {
-            0.0
-        } else {
-            applied as f64 / commits as f64
-        },
-        overloads,
-        imbalance: index.routing_stats().imbalance(),
-        global_epochs: index.global_epoch(),
     };
     index.shutdown();
     cell
@@ -543,75 +400,5 @@ fn main() -> ExitCode {
     }
     std::fs::write(&args.out, json).expect("write results");
     println!("concurrent_bench: wrote {}", args.out.display());
-
-    // Sharded scaling sweep: same reader/submitter population, shard count
-    // doubling 1 → 8.
-    println!();
-    println!(" shards  read_qps  write_ops/s  commits/s  mean_batch  imbalance");
-    let mut sharded = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let cell = run_sharded_cell(&dataset.records, &probes, shards, 2, 4, 128, duration);
-        println!(
-            "{:>7}  {:>8}  {:>11}  {:>9}  {:>10.1}  {:>9.2}",
-            cell.shards,
-            cell.read_qps,
-            cell.write_ops_per_sec,
-            cell.commits_per_sec,
-            cell.mean_commit_batch,
-            cell.imbalance,
-        );
-        sharded.push(cell);
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"sharded multi-writer scaling (Z-order routed shards, cross-shard epoch snapshots)\",\n");
-    json.push_str(&format!("  \"date\": \"{}\",\n", today()));
-    json.push_str(
-        "  \"method\": \"crates/bench/src/bin/concurrent_bench.rs; SRTree shards over an \
-         I3 dataset partitioned by ZOrderRouter, 60 mixed-QAR probes; every cell runs 2 \
-         global-snapshot reader threads and 4 routed submitter threads for a fixed window \
-         while only the shard count changes\",\n",
-    );
-    json.push_str(&format!(
-        "  \"hardware_note\": \"{}\",\n",
-        hardware_note(
-            cores,
-            &format!(
-                "shard writer threads interleave on {cores} core(s), so write-throughput \
-                 scaling with shard count needs a multi-core runner to materialize - \
-                 single-core numbers chiefly validate that sharding adds no regression"
-            )
-        )
-    ));
-    json.push_str(&format!("  \"n_records\": {},\n", args.records));
-    json.push_str(&format!("  \"window_millis\": {},\n", args.millis));
-    json.push_str(&format!("  \"cores\": {cores},\n"));
-    json.push_str("  \"readers\": 2,\n");
-    json.push_str("  \"submitters\": 4,\n");
-    json.push_str("  \"max_batch\": 128,\n");
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in sharded.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"shards\": {}, \"read_qps\": {}, \"write_ops_per_sec\": {}, \
-             \"commits_per_sec\": {}, \"mean_commit_batch\": {:.1}, \"overloads\": {}, \
-             \"routing_imbalance\": {:.3}, \"global_epochs\": {} }}{}\n",
-            c.shards,
-            c.read_qps,
-            c.write_ops_per_sec,
-            c.commits_per_sec,
-            c.mean_commit_batch,
-            c.overloads,
-            c.imbalance,
-            c.global_epochs,
-            if i + 1 == sharded.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Some(dir) = args.sharded_out.parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&args.sharded_out, json).expect("write sharded results");
-    println!("concurrent_bench: wrote {}", args.sharded_out.display());
     ExitCode::SUCCESS
 }

@@ -1,6 +1,6 @@
 //! HINT vs the paper variants: the 1-D stabbing microbench. Results land
 //! in `results/BENCH_hint.json` (same `hardware_note` convention as
-//! `results/BENCH_sharded.json`).
+//! `results/BENCH_trace.json`).
 //!
 //! HINT's bottom-level stabbing is nearly comparison-free, so it should
 //! beat every paper variant by a wide margin on pure stabbing workloads.

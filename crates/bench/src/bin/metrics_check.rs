@@ -8,15 +8,10 @@
 //! `component` label instead are service families and are validated
 //! separately:
 //!
-//! * `component="concurrent"` — the unsharded index service must export
+//! * `component="concurrent"` — the index service must export
 //!   the epoch/queue-depth/retired-snapshot gauges,
 //!   commit counters and latency histograms, and the event-ring health
 //!   pair (`segidx_events_dropped_total` / `segidx_events_buffered`).
-//! * `component="sharded"` — every metric must carry a `shard` label;
-//!   each numeric shard id must export the full per-shard service family,
-//!   and a `shard="all"` aggregate rollup must be present alongside the
-//!   sharded-only families (shard count, global epoch, routing
-//!   imbalance, routed-op counters).
 //! * `component="trace"` — the tracer's health families
 //!   (`segidx_trace_*` counters and gauges) must all be present.
 //!
@@ -31,8 +26,8 @@
 //! `requests_total` across all twelve statement forms, `frames_total`
 //! for both framing modes, the connection/error/byte counters, and
 //! non-empty read *and* write latency histograms — alongside the full
-//! index-service family of the backend it fronts
-//! (`component="concurrent"` or `"sharded"`) and the temporal tier's
+//! index-service family of the index it fronts
+//! (`component="concurrent"`) and the temporal tier's
 //! gauges/counters (`component="temporal"`, which the server registers
 //! for its `RECORD`/`AS OF`/`WITHIN` table).
 //!
@@ -92,8 +87,7 @@ const REQUIRED_GAUGES: [&str; 1] = ["segidx_buffer_pool_hit_rate"];
 /// Variant labels every graph must export: the paper's four.
 const EXPECTED_VARIANTS: [&str; 4] = ["R-Tree", "SR-Tree", "Skeleton R-Tree", "Skeleton SR-Tree"];
 
-/// The index-service family every service scope (the unsharded service,
-/// each shard, and the sharded rollup) must export.
+/// The index-service family.
 const SERVICE_GAUGES: [&str; 3] = [
     "segidx_concurrent_epoch",
     "segidx_concurrent_queue_depth",
@@ -109,21 +103,9 @@ const SERVICE_HISTOGRAMS: [&str; 2] = [
     "segidx_concurrent_commit_latency_nanos",
 ];
 
-/// Event-sink health metrics, required for `component="concurrent"` only
-/// (the sharded exercise runs without a ring sink).
+/// Event-sink health metrics, required for `component="concurrent"`.
 const EVENT_GAUGES: [&str; 1] = ["segidx_events_buffered"];
 const EVENT_COUNTERS: [&str; 1] = ["segidx_events_dropped_total"];
-
-/// Sharded-only families on the `shard="all"` rollup.
-const SHARDED_ROLLUP_GAUGES: [&str; 3] = [
-    "segidx_sharded_shards",
-    "segidx_sharded_global_epoch",
-    "segidx_sharded_routing_imbalance",
-];
-const SHARDED_COUNTERS: [&str; 2] = [
-    "segidx_sharded_routed_ops_total",
-    "segidx_sharded_global_publishes_total",
-];
 
 /// Tracer health families, required under `component="trace"`.
 const TRACE_COUNTERS: [&str; 3] = [
@@ -178,16 +160,12 @@ const TEMPORAL_HISTOGRAMS: [&str; 2] = [
 ];
 
 fn is_gauge(name: &str) -> bool {
-    SERVICE_GAUGES.contains(&name)
-        || EVENT_GAUGES.contains(&name)
-        || SHARDED_ROLLUP_GAUGES.contains(&name)
-        || TRACE_GAUGES.contains(&name)
+    SERVICE_GAUGES.contains(&name) || EVENT_GAUGES.contains(&name) || TRACE_GAUGES.contains(&name)
 }
 
 fn is_counter(name: &str) -> bool {
     SERVICE_COUNTERS.contains(&name)
         || EVENT_COUNTERS.contains(&name)
-        || SHARDED_COUNTERS.contains(&name)
         || TRACE_COUNTERS.contains(&name)
 }
 
@@ -204,12 +182,11 @@ fn check(path: &str) -> Result<String, String> {
 
     // Group by (graph, variant), remembering which names each pair exported.
     // Metrics labeled with `component` instead belong to a service family
-    // and are keyed by (component, shard, name) with shard defaulting to
-    // "" when the label is absent.
+    // and are keyed by (component, name).
     let mut pairs: BTreeSet<(String, String)> = BTreeSet::new();
     let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
     let mut components: BTreeSet<String> = BTreeSet::new();
-    let mut component_seen: BTreeSet<(String, String, String)> = BTreeSet::new();
+    let mut component_seen: BTreeSet<(String, String)> = BTreeSet::new();
     for m in metrics {
         let name = m
             .get("name")
@@ -217,13 +194,9 @@ fn check(path: &str) -> Result<String, String> {
             .ok_or("metric without a \"name\"")?;
         let labels = m.get("labels").ok_or("metric without \"labels\"")?;
         if let Some(component) = labels.get("component").and_then(Value::as_str) {
-            let shard = labels.get("shard").and_then(Value::as_str).unwrap_or("");
-            if component == "sharded" && shard.is_empty() {
-                return Err(format!("{name} (sharded): missing shard label"));
-            }
             validate_component_metric(name, component, m)?;
             components.insert(component.to_string());
-            component_seen.insert((component.to_string(), shard.to_string(), name.to_string()));
+            component_seen.insert((component.to_string(), name.to_string()));
             continue;
         }
         let graph = labels.get("graph").and_then(Value::as_str).unwrap_or("");
@@ -260,17 +233,15 @@ fn check(path: &str) -> Result<String, String> {
     }
 
     check_concurrent(&components, &component_seen)?;
-    let shard_scopes = check_sharded(&components, &component_seen)?;
     check_trace(&components, &component_seen)?;
     let flight_classes = check_flight_recorder(&value)?;
 
     Ok(format!(
         "ok: {} metrics across {} (graph, variant) pairs + {} service component(s), \
-         {} shard scope(s), {} flight-recorder class(es)",
+         {} flight-recorder class(es)",
         metrics.len(),
         pairs.len(),
         components.len(),
-        shard_scopes,
         flight_classes
     ))
 }
@@ -295,8 +266,7 @@ fn check_server_file(path: &str) -> Result<String, String> {
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut ops: BTreeSet<String> = BTreeSet::new();
     let mut modes: BTreeSet<String> = BTreeSet::new();
-    let mut components: BTreeSet<String> = BTreeSet::new();
-    let mut service_seen: BTreeSet<(String, String)> = BTreeSet::new();
+    let mut service_seen: BTreeSet<String> = BTreeSet::new();
     let mut temporal_seen: BTreeSet<String> = BTreeSet::new();
     for m in metrics {
         let name = m
@@ -308,7 +278,6 @@ fn check_server_file(path: &str) -> Result<String, String> {
             .get("component")
             .and_then(Value::as_str)
             .unwrap_or("");
-        components.insert(component.to_string());
         if name.starts_with("segidx_server_") {
             if component != "server" {
                 return Err(format!("{name}: expected component=\"server\" label"));
@@ -349,9 +318,8 @@ fn check_server_file(path: &str) -> Result<String, String> {
                 _ => {}
             }
             seen.insert(name.to_string());
-        } else if component == "concurrent" || component == "sharded" {
-            let shard = labels.get("shard").and_then(Value::as_str).unwrap_or("");
-            service_seen.insert((shard.to_string(), name.to_string()));
+        } else if component == "concurrent" {
+            service_seen.insert(name.to_string());
         } else if component == "temporal" {
             temporal_seen.insert(name.to_string());
         }
@@ -382,21 +350,13 @@ fn check_server_file(path: &str) -> Result<String, String> {
         }
     }
 
-    // The backend's own service family must ride along in the same
-    // snapshot (the rollup scope for sharded backends, unlabeled for the
-    // unsharded one).
-    let (backend, scope) = if components.contains("sharded") {
-        ("sharded", "all")
-    } else if components.contains("concurrent") {
-        ("concurrent", "")
-    } else {
-        return Err(
-            "missing index-service metrics (component=\"concurrent\" or \"sharded\")".into(),
-        );
-    };
+    // The index's own service family must ride along in the same
+    // snapshot.
     for name in SERVICE_GAUGES.iter().chain(&SERVICE_COUNTERS) {
-        if !service_seen.contains(&(scope.to_string(), name.to_string())) {
-            return Err(format!("backend {backend}: missing {name}"));
+        if !service_seen.contains(*name) {
+            return Err(format!(
+                "missing index-service metric {name} (component=\"concurrent\")"
+            ));
         }
     }
 
@@ -416,7 +376,7 @@ fn check_server_file(path: &str) -> Result<String, String> {
     }
 
     Ok(format!(
-        "ok: {} metrics, {} server families, {} ops, backend \"{backend}\"",
+        "ok: {} metrics, {} server families, {} ops, index service present",
         metrics.len(),
         seen.len() + 2,
         ops.len()
@@ -508,13 +468,13 @@ fn check_temporal_file(path: &str) -> Result<String, String> {
 /// The tracer's health families under `component="trace"`.
 fn check_trace(
     components: &BTreeSet<String>,
-    component_seen: &BTreeSet<(String, String, String)>,
+    component_seen: &BTreeSet<(String, String)>,
 ) -> Result<(), String> {
     if !components.contains("trace") {
         return Err("missing component=\"trace\" tracer metrics".into());
     }
     for name in TRACE_COUNTERS.iter().chain(&TRACE_GAUGES) {
-        if !component_seen.contains(&("trace".to_string(), String::new(), name.to_string())) {
+        if !component_seen.contains(&("trace".to_string(), name.to_string())) {
             return Err(format!("component trace: missing {name}"));
         }
     }
@@ -561,11 +521,10 @@ fn check_flight_recorder(value: &Value) -> Result<usize, String> {
     Ok(classes.len())
 }
 
-/// The unsharded service: full service family plus event-sink health, all
-/// without a `shard` label.
+/// The index service: full service family plus event-sink health.
 fn check_concurrent(
     components: &BTreeSet<String>,
-    component_seen: &BTreeSet<(String, String, String)>,
+    component_seen: &BTreeSet<(String, String)>,
 ) -> Result<(), String> {
     if !components.contains("concurrent") {
         return Err("missing component=\"concurrent\" service metrics".into());
@@ -577,74 +536,11 @@ fn check_concurrent(
         .chain(&EVENT_GAUGES)
         .chain(&EVENT_COUNTERS)
     {
-        if !component_seen.contains(&("concurrent".to_string(), String::new(), name.to_string())) {
+        if !component_seen.contains(&("concurrent".to_string(), name.to_string())) {
             return Err(format!("component concurrent: missing {name}"));
         }
     }
     Ok(())
-}
-
-/// The sharded service: per-shard service families under numeric shard
-/// ids, a `shard="all"` rollup carrying the same family, and the
-/// sharded-only rollup gauges/counters. Returns the number of shard
-/// scopes validated (numeric ids + the rollup).
-fn check_sharded(
-    components: &BTreeSet<String>,
-    component_seen: &BTreeSet<(String, String, String)>,
-) -> Result<usize, String> {
-    if !components.contains("sharded") {
-        return Err("missing component=\"sharded\" service metrics".into());
-    }
-    let shards: BTreeSet<&str> = component_seen
-        .iter()
-        .filter(|(c, _, _)| c == "sharded")
-        .map(|(_, s, _)| s.as_str())
-        .collect();
-    if !shards.contains("all") {
-        return Err("component sharded: missing shard=\"all\" aggregate rollup".into());
-    }
-    let numeric: Vec<&str> = shards
-        .iter()
-        .copied()
-        .filter(|s| s.chars().all(|c| c.is_ascii_digit()) && !s.is_empty())
-        .collect();
-    if numeric.is_empty() {
-        return Err("component sharded: no per-shard (numeric shard id) metrics".into());
-    }
-    // Every shard scope — each numeric id and the rollup — must carry the
-    // full service family plus its routed-op counter.
-    for shard in numeric.iter().copied().chain(["all"]) {
-        for name in SERVICE_GAUGES
-            .iter()
-            .chain(&SERVICE_COUNTERS)
-            .chain(&SERVICE_HISTOGRAMS)
-        {
-            if !component_seen.contains(&(
-                "sharded".to_string(),
-                shard.to_string(),
-                name.to_string(),
-            )) {
-                return Err(format!("component sharded, shard {shard}: missing {name}"));
-            }
-        }
-        if !component_seen.contains(&(
-            "sharded".to_string(),
-            shard.to_string(),
-            "segidx_sharded_routed_ops_total".to_string(),
-        )) {
-            return Err(format!(
-                "component sharded, shard {shard}: missing segidx_sharded_routed_ops_total"
-            ));
-        }
-    }
-    for name in SHARDED_ROLLUP_GAUGES.iter().chain(&SHARDED_COUNTERS) {
-        if !component_seen.contains(&("sharded".to_string(), "all".to_string(), name.to_string())) {
-            return Err(format!(
-                "component sharded: missing rollup metric {name} (shard=\"all\")"
-            ));
-        }
-    }
-    Ok(numeric.len() + 1)
 }
 
 fn validate_component_metric(name: &str, component: &str, m: &Value) -> Result<(), String> {

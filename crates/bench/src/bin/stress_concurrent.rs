@@ -8,16 +8,11 @@
 //! artifact upload carries everything needed to reproduce with
 //! `--seed <n>`.
 //!
-//! With `--shards N[,M...]` the same seeds/streams run against the
-//! *sharded* service instead (one run per listed shard count), validating
-//! cross-shard snapshot consistency with the per-shard-replay serial
-//! model; CI runs `--seeds 8 --shards 2,4`.
-//!
 //! Usage:
 //!   stress_concurrent [--seeds N] [--seed S] [--ops N] [--readers N]
-//!                     [--initial N] [--shards N[,M...]] [--out DIR]
+//!                     [--initial N] [--out DIR]
 
-use segidx_bench::interleave::{stress_seed, stress_seed_sharded, StressConfig, StressFailure};
+use segidx_bench::interleave::{stress_seed, StressConfig, StressFailure};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -25,8 +20,6 @@ struct Args {
     seeds: u64,
     single_seed: Option<u64>,
     cfg: StressConfig,
-    /// Empty = unsharded service; otherwise one sharded run per count.
-    shards: Vec<usize>,
     out: PathBuf,
 }
 
@@ -35,7 +28,6 @@ fn parse_args() -> Result<Args, String> {
         seeds: 8,
         single_seed: None,
         cfg: StressConfig::default(),
-        shards: Vec::new(),
         out: PathBuf::from("results/concurrent_stress"),
     };
     let mut it = std::env::args().skip(1);
@@ -53,16 +45,10 @@ fn parse_args() -> Result<Args, String> {
             "--initial" => {
                 args.cfg.initial = value("--initial")?.parse().map_err(|e| format!("{e}"))?
             }
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().map_err(|e| format!("{e}")))
-                    .collect::<Result<Vec<_>, _>>()?
-            }
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--help" | "-h" => {
                 return Err("usage: stress_concurrent [--seeds N] [--seed S] [--ops N] \
-                     [--readers N] [--initial N] [--shards N[,M...]] [--out DIR]"
+                     [--readers N] [--initial N] [--out DIR]"
                     .into())
             }
             other => return Err(format!("unknown flag {other}")),
@@ -98,47 +84,31 @@ fn main() -> ExitCode {
         Some(s) => vec![s],
         None => (0..args.seeds).collect(),
     };
-    // Unsharded by default; with --shards, one sharded pass per count.
-    let modes: Vec<Option<usize>> = if args.shards.is_empty() {
-        vec![None]
-    } else {
-        args.shards.iter().copied().map(Some).collect()
-    };
     let mut total_observations = 0u64;
     let mut total_epochs = 0u64;
     let mut failed_seeds = 0u64;
-    for &mode in &modes {
-        for &seed in &seeds {
-            let outcome = match mode {
-                None => stress_seed(seed, &args.cfg),
-                Some(shards) => stress_seed_sharded(seed, &args.cfg, shards),
-            };
-            let tag = match mode {
-                None => String::new(),
-                Some(shards) => format!(" [{shards} shards]"),
-            };
-            total_observations += outcome.observations;
-            total_epochs += outcome.epochs;
-            if outcome.failures.is_empty() {
-                println!(
-                    "seed {seed:>3}{tag}: ok ({} observations validated, {} epochs published)",
-                    outcome.observations, outcome.epochs
-                );
-            } else {
-                failed_seeds += 1;
-                report_failures(&args.out, seed, &outcome.failures);
-                println!(
-                    "seed {seed:>3}{tag}: FAILED ({} violations)",
-                    outcome.failures.len()
-                );
-            }
+    for &seed in &seeds {
+        let outcome = stress_seed(seed, &args.cfg);
+        total_observations += outcome.observations;
+        total_epochs += outcome.epochs;
+        if outcome.failures.is_empty() {
+            println!(
+                "seed {seed:>3}: ok ({} observations validated, {} epochs published)",
+                outcome.observations, outcome.epochs
+            );
+        } else {
+            failed_seeds += 1;
+            report_failures(&args.out, seed, &outcome.failures);
+            println!(
+                "seed {seed:>3}: FAILED ({} violations)",
+                outcome.failures.len()
+            );
         }
     }
     println!(
-        "stress_concurrent: {} seeds x 4 variants x {} modes, {} observations, {} epochs, \
+        "stress_concurrent: {} seeds x 4 variants, {} observations, {} epochs, \
          {} failing seeds",
         seeds.len(),
-        modes.len(),
         total_observations,
         total_epochs,
         failed_seeds

@@ -3,9 +3,9 @@
 //! Two jobs:
 //!
 //! 1. **Example trace**: forces one sampled 2-D window search against a
-//!    4-shard [`ShardedIndex`] of SR-Trees (what the server runs) plus a
-//!    persisted replica read through a deliberately small [`BufferPool`],
-//!    so a single trace spans per-shard scatter → per-level node visits →
+//!    pinned [`ConcurrentIndex`] snapshot of an SR-Tree (what the server
+//!    runs) plus a persisted replica read through a deliberately small
+//!    [`BufferPool`], so a single trace spans per-level node visits →
 //!    buffer-pool / page I/O. The trace is printed as a text tree
 //!    and exported as Chrome `trace_event` JSON (`results/trace_example.json`
 //!    by default, loadable in `chrome://tracing` / Perfetto).
@@ -25,7 +25,7 @@
 
 use segidx_bench::crash::SplitMix64;
 use segidx_bench::{hardware_note, median, median_ratio, today};
-use segidx_concurrent::{IndexOp, ShardedIndex, SubmitError, ZOrderRouter};
+use segidx_concurrent::{ConcurrentIndex, IndexOp, SnapshotEngine, SubmitError};
 use segidx_core::tree::Tree;
 use segidx_core::{persist, IndexConfig, PagedSearcher, SearchCursor};
 use segidx_geom::Rect;
@@ -96,24 +96,19 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Forces one fully-instrumented 2-D window search and returns the trace:
-/// a 4-shard service over SR-Trees answers the window shard by shard and
-/// gathers, then a persisted replica of the same data answers it
-/// again through a cold 64 KB buffer pool, all inside one trace guard.
+/// a pinned snapshot of the index service answers the window, then a
+/// persisted replica of the same data answers it again through a cold
+/// 64 KB buffer pool, all inside one trace guard.
 fn record_example_trace() -> Result<CompletedTrace, String> {
     let n = 20_000;
     let dataset = DataDistribution::I3.generate(n, 7);
-    let domain = Rect::new([0.0, 0.0], [DOMAIN_MAX * 1.05, DOMAIN_MAX * 1.05]);
 
-    // The sharded service: 4 SR-Trees behind a Z-order router.
+    // The index service: one SR-Tree behind a group-commit writer.
     let tracer = Arc::new(Tracer::with_config(1, 2, 4096));
-    let trees = (0..4)
-        .map(|_| Tree::<2>::new(IndexConfig::srtree()))
-        .collect();
-    let index = ShardedIndex::builder(ZOrderRouter::new(domain, 4), trees)
+    let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
         .max_batch(512)
-        .tracer(Arc::clone(&tracer))
         .start()
-        .map_err(|e| format!("sharded start: {e}"))?;
+        .map_err(|e| format!("index start: {e}"))?;
     for (rect, record) in &dataset.records {
         loop {
             match index.submit(IndexOp::Insert {
@@ -151,7 +146,7 @@ fn record_example_trace() -> Result<CompletedTrace, String> {
         [DOMAIN_MAX * 0.1, DOMAIN_MAX * 0.1],
         [DOMAIN_MAX * 0.9, DOMAIN_MAX * 0.9],
     );
-    let (sharded_hits, paged_hits) = {
+    let (served_hits, paged_hits) = {
         let paged: PagedSearcher<2> =
             PagedSearcher::open(&pool, meta).map_err(|e| format!("paged open: {e}"))?;
 
@@ -165,12 +160,12 @@ fn record_example_trace() -> Result<CompletedTrace, String> {
             .force(OpClass::Search, "window_2d")
             .expect("no other trace is active on this thread");
         let snap = index.snapshot();
-        let sharded_hits = snap.search_batch(&[window])[0].len();
+        let served_hits = snap.search_many(&[window])[0].len();
         let paged_hits = paged
             .search(&window)
             .map_err(|e| format!("paged search: {e}"))?
             .len();
-        (sharded_hits, paged_hits)
+        (served_hits, paged_hits)
     };
     index.shutdown();
     drop(pool);
@@ -184,26 +179,17 @@ fn record_example_trace() -> Result<CompletedTrace, String> {
     if !problems.is_empty() {
         return Err(format!("trace is malformed: {problems:?}"));
     }
-    if sharded_hits != paged_hits {
+    if served_hits != paged_hits {
         return Err(format!(
-            "sharded ({sharded_hits}) and paged ({paged_hits}) disagree on the window"
+            "served ({served_hits}) and paged ({paged_hits}) disagree on the window"
         ));
     }
 
     // The acceptance shape: one trace covering every layer of the stack.
-    for required in ["sharded.scatter", "tree.search", "paged.search"] {
+    for required in ["tree.search", "paged.search"] {
         if !trace.spans.iter().any(|s| s.name == required) {
             return Err(format!("trace is missing a \"{required}\" span"));
         }
-    }
-    if !trace.spans.iter().any(|s| s.name.starts_with("shard.")) {
-        return Err("trace has no per-shard scatter span".into());
-    }
-    if trace.profile.dim(Dim::ShardFanout) != 4 {
-        return Err(format!(
-            "expected fanout 4, got {}",
-            trace.profile.dim(Dim::ShardFanout)
-        ));
     }
     if trace.profile.total_node_visits() == 0 {
         return Err("profile recorded no per-level node visits".into());
@@ -328,7 +314,7 @@ fn main() -> ExitCode {
             "method".to_string(),
             Value::Str(
                 "crates/bench/src/bin/trace_profile.rs; (1) one forced trace of a 2-D window \
-                 search over a 4-shard SR-Tree service plus a persisted replica behind a 64 KB \
+                 search over an SR-Tree index service plus a persisted replica behind a 64 KB \
                  buffer pool, checked well-formed and exported as Chrome trace_event JSON; \
                  (2) interleaved paired rounds of Tree::search_with (tracing inactive) vs \
                  Tree::bench_search_untraced, scored by the median per-round ratio"

@@ -26,9 +26,7 @@
 //! machinery behind the same `Tree` engine.
 
 use crate::crash::SplitMix64;
-use segidx_concurrent::{
-    CommitTicket, ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter,
-};
+use segidx_concurrent::{CommitTicket, ConcurrentIndex, IndexOp, SubmitError};
 use segidx_core::tree::Tree;
 use segidx_core::{IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree};
 use segidx_geom::Rect;
@@ -396,247 +394,6 @@ pub fn stress_seed(seed: u64, cfg: &StressConfig) -> SeedOutcome {
     outcome
 }
 
-/// One reader observation against a pinned cross-shard snapshot: the full
-/// per-shard epoch vector, plus one probe's result set.
-struct ShardedObservation {
-    global_epoch: u64,
-    shard_epochs: Vec<u64>,
-    probe: usize,
-    results: BTreeSet<RecordId>,
-}
-
-/// Runs one seed against one variant, sharded `shards` ways. Same streams
-/// as [`stress_variant`]; validation replays each shard's committed prefix
-/// (per-shard receipts give local commit epochs, the pinned vector gives
-/// the cut) — plus the vector-consistency invariant that the per-shard
-/// epochs of every observed snapshot sum to its global epoch, which any
-/// torn (non-atomic) publication would violate.
-fn stress_variant_sharded(
-    seed: u64,
-    variant: &'static str,
-    cfg: &StressConfig,
-    shards: usize,
-) -> (u64, u64, Vec<StressFailure>) {
-    let mut failures = Vec::new();
-    let fail = |detail: String| StressFailure {
-        seed,
-        variant,
-        detail,
-    };
-
-    let initial = initial_records(seed, cfg.initial);
-    let ops = mutation_stream(seed, cfg, &initial);
-    let probes = probe_rects(seed, cfg.probes);
-    let domain = Rect::new([0.0, 0.0], [7_000.0, 7_000.0]);
-    let router = ZOrderRouter::new(domain, shards);
-    let trees = router
-        .partition(&initial)
-        .iter()
-        .map(|part| build_variant(variant, part))
-        .collect();
-
-    let max_batch = 8 + (seed as usize % 5) * 24;
-    let index = ShardedIndex::builder(router, trees)
-        .queue_capacity(256)
-        .max_batch(max_batch)
-        .start()
-        .expect("memory-only start cannot fail");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut readers = Vec::new();
-    for reader_id in 0..cfg.readers {
-        let handle = index.handle();
-        let stop = Arc::clone(&stop);
-        let probes = probes.clone();
-        let max_obs = cfg.max_observations;
-        readers.push(std::thread::spawn(move || {
-            let mut observations: Vec<ShardedObservation> = Vec::new();
-            let mut errors: Vec<String> = Vec::new();
-            let mut last_epoch = 0u64;
-            let mut it = reader_id;
-            while !stop.load(Ordering::Relaxed) {
-                let snap = handle.snapshot();
-                let global_epoch = snap.global_epoch();
-                if global_epoch < last_epoch {
-                    errors.push(format!(
-                        "reader {reader_id}: global epoch went backwards \
-                         {last_epoch} -> {global_epoch}"
-                    ));
-                    break;
-                }
-                last_epoch = global_epoch;
-                let shard_epochs: Vec<u64> = (0..snap.shard_count())
-                    .map(|s| snap.shard_epoch(s))
-                    .collect();
-                // A torn vector — one not produced by a single atomic
-                // publication — cannot satisfy this accounting identity.
-                if shard_epochs.iter().sum::<u64>() != global_epoch {
-                    errors.push(format!(
-                        "reader {reader_id}: torn vector at global epoch \
-                         {global_epoch}: shard epochs {shard_epochs:?}"
-                    ));
-                    break;
-                }
-                let probe = it % probes.len();
-                it += 1;
-                let results: BTreeSet<RecordId> = snap.search(&probes[probe]).into_iter().collect();
-                if it % 97 == 0 {
-                    let errs = snap.check_invariants();
-                    if !errs.is_empty() {
-                        errors.push(format!(
-                            "reader {reader_id}: invariants at global epoch \
-                             {global_epoch}: {errs:?}"
-                        ));
-                        break;
-                    }
-                }
-                if observations.len() < max_obs {
-                    observations.push(ShardedObservation {
-                        global_epoch,
-                        shard_epochs,
-                        probe,
-                        results,
-                    });
-                }
-            }
-            (observations, errors)
-        }));
-    }
-
-    // Submit the stream, recording each op's shard; per-shard receipts
-    // are resolved through the bounded `wait_timeout` so a poisoned shard
-    // fails the run instead of parking it forever.
-    let mut routed: Vec<(usize, CommitTicket)> = Vec::with_capacity(ops.len());
-    for op in &ops {
-        loop {
-            match index.submit(*op) {
-                Ok(t) => {
-                    routed.push((index.route(op), t));
-                    break;
-                }
-                Err(SubmitError::Overloaded { .. }) => std::thread::yield_now(),
-                Err(SubmitError::Closed) => panic!("a shard writer died mid-stress"),
-            }
-        }
-    }
-    index.flush().expect("memory-only flush cannot fail");
-    stop.store(true, Ordering::Relaxed);
-
-    let mut observations: Vec<ShardedObservation> = Vec::new();
-    for r in readers {
-        let (obs, errs) = r.join().expect("reader thread");
-        observations.extend(obs);
-        failures.extend(errs.into_iter().map(&fail));
-    }
-
-    // Group ops by shard in submission order, tagged with their local
-    // commit epoch. Per shard the epochs must be nondecreasing.
-    let mut per_shard_ops: Vec<Vec<(IndexOp<2>, u64)>> = vec![Vec::new(); shards];
-    for (i, ((shard, ticket), op)) in routed.iter().zip(&ops).enumerate() {
-        match ticket.wait_timeout(std::time::Duration::from_secs(30)) {
-            Some(Ok(receipt)) => per_shard_ops[*shard].push((*op, receipt.epoch)),
-            other => failures.push(fail(format!("op {i}: ticket unresolved/failed: {other:?}"))),
-        }
-    }
-    for (shard, shard_ops) in per_shard_ops.iter().enumerate() {
-        if shard_ops.windows(2).any(|w| w[0].1 > w[1].1) {
-            failures.push(fail(format!(
-                "shard {shard}: commit epochs decreased across submission order"
-            )));
-        }
-    }
-    let published_epochs = index.global_epoch();
-
-    // Differential validation: shard streams are independent (a delete
-    // routes to its insert's shard and record ids are disjoint), so the
-    // state at a pinned vector is the union of per-shard serial replays up
-    // to each shard's local epoch. Observed vectors are componentwise
-    // monotone, so sorting by global epoch lets the cursors only advance.
-    observations.sort_by_key(|o| o.global_epoch);
-    let mut alive: Vec<(Rect<2>, RecordId)> = initial.clone();
-    let mut cursors = vec![0usize; shards];
-    let mut checked = 0u64;
-    for obs in &observations {
-        for (shard, cursor) in cursors.iter_mut().enumerate() {
-            let shard_ops = &per_shard_ops[shard];
-            while *cursor < shard_ops.len() && shard_ops[*cursor].1 <= obs.shard_epochs[shard] {
-                match shard_ops[*cursor].0 {
-                    IndexOp::Insert { rect, record } => alive.push((rect, record)),
-                    IndexOp::Delete { record, .. } => alive.retain(|(_, r)| *r != record),
-                }
-                *cursor += 1;
-            }
-        }
-        let expect: BTreeSet<RecordId> = alive
-            .iter()
-            .filter(|(rect, _)| rect.intersects(&probes[obs.probe]))
-            .map(|(_, r)| *r)
-            .collect();
-        if obs.results != expect {
-            let missing = expect.difference(&obs.results).count();
-            let phantom = obs.results.difference(&expect).count();
-            failures.push(fail(format!(
-                "global epoch {} probe {}: sharded snapshot not prefix-consistent \
-                 ({missing} missing, {phantom} phantom of {} expected)",
-                obs.global_epoch,
-                obs.probe,
-                expect.len()
-            )));
-            if failures.len() > 8 {
-                break;
-            }
-        }
-        checked += 1;
-    }
-
-    // Final state must equal the full serial model, and the merged search
-    // must come back in ascending record order (the bit-identity contract).
-    for (shard, cursor) in cursors.iter_mut().enumerate() {
-        let shard_ops = &per_shard_ops[shard];
-        while *cursor < shard_ops.len() {
-            match shard_ops[*cursor].0 {
-                IndexOp::Insert { rect, record } => alive.push((rect, record)),
-                IndexOp::Delete { record, .. } => alive.retain(|(_, r)| *r != record),
-            }
-            *cursor += 1;
-        }
-    }
-    let snap = index.snapshot();
-    let whole = Rect::new([0.0, 0.0], [7_000.0, 7_000.0]);
-    let got_sorted = snap.search(&whole);
-    if got_sorted.windows(2).any(|w| w[0] >= w[1]) {
-        failures.push(fail("merged search results not in record order".into()));
-    }
-    let got: BTreeSet<RecordId> = got_sorted.into_iter().collect();
-    let expect: BTreeSet<RecordId> = alive.iter().map(|(_, r)| *r).collect();
-    if got != expect {
-        failures.push(fail(format!(
-            "final sharded snapshot diverged from serial model ({} vs {} records)",
-            got.len(),
-            expect.len()
-        )));
-    }
-    let errs = snap.check_invariants();
-    if !errs.is_empty() {
-        failures.push(fail(format!("final sharded snapshot invariants: {errs:?}")));
-    }
-    drop(snap);
-    index.shutdown();
-    (checked, published_epochs, failures)
-}
-
-/// Runs one seed across the four paper variants against a sharded index.
-pub fn stress_seed_sharded(seed: u64, cfg: &StressConfig, shards: usize) -> SeedOutcome {
-    let mut outcome = SeedOutcome::default();
-    for variant in VARIANTS {
-        let (checked, epochs, failures) = stress_variant_sharded(seed, variant, cfg, shards);
-        outcome.observations += checked;
-        outcome.epochs += epochs;
-        outcome.failures.extend(failures);
-    }
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,25 +424,5 @@ mod tests {
         );
         assert!(outcome.observations > 0, "readers must observe something");
         assert!(outcome.epochs >= 5, "each variant publishes epochs");
-    }
-
-    #[test]
-    fn stress_one_seed_sharded() {
-        let cfg = StressConfig {
-            initial: 150,
-            ops: 250,
-            readers: 2,
-            ..StressConfig::default()
-        };
-        for shards in [2usize, 4] {
-            let outcome = stress_seed_sharded(5, &cfg, shards);
-            assert!(
-                outcome.failures.is_empty(),
-                "{shards}-shard violations: {:?}",
-                outcome.failures
-            );
-            assert!(outcome.observations > 0, "readers must observe something");
-            assert!(outcome.epochs >= 5, "each variant publishes global epochs");
-        }
     }
 }

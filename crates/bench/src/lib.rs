@@ -32,8 +32,8 @@ pub mod temporal_crash;
 
 pub use experiment::{Experiment, Graph, Variant, PAPER_PREDICTION_BUFFER};
 pub use metrics::{
-    concurrent_service_metrics, metrics_registry, metrics_snapshot, sharded_service_metrics,
-    traced_service_metrics, write_metrics_json,
+    concurrent_service_metrics, metrics_registry, metrics_snapshot, traced_service_metrics,
+    write_metrics_json,
 };
 pub use report::{hardware_note, median, median_ratio, render_table, today, write_csv};
 pub use runner::{inspect_variants, run_experiment, BuildInfo, GraphResult, Series, SweepPoint};

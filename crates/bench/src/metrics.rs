@@ -8,7 +8,7 @@
 //! JSON (written by `reproduce --metrics-out`) and Prometheus text.
 
 use crate::runner::GraphResult;
-use segidx_concurrent::{ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter};
+use segidx_concurrent::{ConcurrentIndex, IndexOp, SnapshotEngine, SubmitError};
 use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::Rect;
 use segidx_obs::json::{self, Value};
@@ -148,53 +148,7 @@ pub fn concurrent_service_metrics() -> Vec<Metric> {
     metrics
 }
 
-/// Exercises a two-shard [`ShardedIndex`] briefly and returns its metric
-/// families under `component="sharded"`. Each shard's service metrics
-/// carry a `shard="<id>"` label, and the rollup collector adds a
-/// `shard="all"` aggregate (summed counters, merged histograms) plus the
-/// sharded-only families (`segidx_sharded_shards`,
-/// `segidx_sharded_global_epoch`, `segidx_sharded_routed_ops_total`,
-/// routing imbalance). The write stream alternates between the two halves
-/// of the domain so both shards commit and every per-shard histogram is
-/// non-empty.
-pub fn sharded_service_metrics() -> Vec<Metric> {
-    let registry = MetricsRegistry::new();
-    let domain = Rect::new([0.0, 0.0], [1_000.0, 1_000.0]);
-    let router = ZOrderRouter::new(domain, 2);
-    let trees = vec![
-        Tree::<2>::new(IndexConfig::srtree()),
-        Tree::<2>::new(IndexConfig::srtree()),
-    ];
-    let index = ShardedIndex::builder(router, trees)
-        .max_batch(8)
-        .start()
-        .expect("memory-only start cannot fail");
-    index.register_metrics(&registry, &[("component", "sharded")]);
-
-    for i in 0..200u64 {
-        // Even records land in the left half (shard 0), odd in the right
-        // (shard 1), so both writers commit real batches.
-        let x = (i % 50) as f64 * 8.0 + if i % 2 == 0 { 0.0 } else { 500.0 };
-        let y = (i % 80) as f64 * 12.0;
-        let op = IndexOp::Insert {
-            rect: Rect::new([x, y], [x + 4.0, y + 4.0]),
-            record: RecordId(i),
-        };
-        loop {
-            match index.submit(op) {
-                Ok(_) => break,
-                Err(SubmitError::Overloaded { .. }) => std::thread::yield_now(),
-                Err(e) => panic!("unexpected submit error: {e}"),
-            }
-        }
-    }
-    index.flush().expect("memory-only flush cannot fail");
-    let metrics = registry.snapshot().metrics;
-    index.shutdown();
-    metrics
-}
-
-/// Exercises a two-shard SR-Tree service under forced tracing and
+/// Exercises an SR-Tree index service under forced tracing and
 /// returns the tracer's metric families (`segidx_trace_*` under
 /// `component="trace"`) together with the flight recorder's summary —
 /// the slowest retained trace per op class, each carrying its span tree
@@ -203,18 +157,14 @@ pub fn sharded_service_metrics() -> Vec<Metric> {
 pub fn traced_service_metrics() -> (Vec<Metric>, Value) {
     let tracer = Arc::new(Tracer::with_config(1, 2, 4096));
     let registry = MetricsRegistry::new();
-    let domain = Rect::new([0.0, 0.0], [1_000.0, 1_000.0]);
-    let router = ZOrderRouter::new(domain, 2);
-    let trees = vec![
-        Tree::<2>::new(IndexConfig::srtree()),
-        Tree::<2>::new(IndexConfig::srtree()),
-    ];
-    let index = ShardedIndex::builder(router, trees)
+    let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
         .max_batch(8)
         .tracer(Arc::clone(&tracer))
         .start()
         .expect("memory-only start cannot fail");
-    index.register_metrics(&registry, &[("component", "trace")]);
+    index
+        .handle()
+        .register_metrics(&registry, &[("component", "trace")]);
 
     // Traced writes: each ticket wait pulls the writer's queue-wait /
     // apply / publish phases into the submitting trace.
@@ -231,12 +181,12 @@ pub fn traced_service_metrics() -> (Vec<Metric>, Value) {
             .wait()
             .expect("memory-only commit cannot fail");
     }
-    // Traced reads: scatter/gather window searches spanning both shards.
+    // Traced reads: batch window searches on a pinned snapshot.
     for i in 0..8u64 {
         let _g = tracer.force(OpClass::Search, "metrics_search");
         let snap = index.snapshot();
         let q = Rect::new([0.0, (i * 10) as f64], [1_000.0, 1_000.0]);
-        let _ = snap.search_batch(&[q]);
+        let _ = snap.search_many(&[q]);
     }
     let metrics = registry.snapshot().metrics;
     let flight = tracer.flight().summary_json();
@@ -247,8 +197,7 @@ pub fn traced_service_metrics() -> (Vec<Metric>, Value) {
 /// Writes the metrics for `results` as JSON to `path`, creating parent
 /// directories as needed. The export also carries the concurrent index
 /// service's metric families (see [`concurrent_service_metrics`]), the
-/// sharded service's per-shard + rollup families (see
-/// [`sharded_service_metrics`]), the tracer health families, and a
+/// tracer health families, and a
 /// top-level `flight_recorder` object with the slowest retained trace per
 /// op class (see [`traced_service_metrics`]).
 pub fn write_metrics_json(results: &[GraphResult], path: &Path) -> std::io::Result<()> {
@@ -259,7 +208,6 @@ pub fn write_metrics_json(results: &[GraphResult], path: &Path) -> std::io::Resu
     }
     let mut snapshot = metrics_snapshot(results);
     snapshot.metrics.extend(concurrent_service_metrics());
-    snapshot.metrics.extend(sharded_service_metrics());
     let (trace_metrics, flight) = traced_service_metrics();
     snapshot.metrics.extend(trace_metrics);
     // Splice the flight-recorder summary in as a sibling of "metrics".
@@ -365,64 +313,6 @@ mod tests {
         {
             segidx_obs::MetricValue::Histogram(h) => assert!(h.count > 0),
             other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sharded_service_metrics_cover_every_shard_and_the_rollup() {
-        let metrics = sharded_service_metrics();
-        let snap = MetricsSnapshot { metrics };
-        // Every shard id and the rollup export the full service family.
-        for shard in ["0", "1", "all"] {
-            let labels: &[(&str, &str)] = &[("component", "sharded"), ("shard", shard)];
-            for name in [
-                "segidx_concurrent_epoch",
-                "segidx_concurrent_queue_depth",
-                "segidx_concurrent_retired_snapshots",
-            ] {
-                assert!(
-                    snap.get(name, labels).is_some(),
-                    "missing gauge {name} for shard {shard}"
-                );
-            }
-            let commits = snap
-                .get("segidx_concurrent_commits_total", labels)
-                .unwrap_or_else(|| panic!("missing commits counter for shard {shard}"));
-            match &commits.value {
-                segidx_obs::MetricValue::Counter(v) => {
-                    assert!(*v > 0, "shard {shard} committed")
-                }
-                other => panic!("expected counter, got {other:?}"),
-            }
-            match &snap
-                .get("segidx_concurrent_commit_latency_nanos", labels)
-                .unwrap()
-                .value
-            {
-                segidx_obs::MetricValue::Histogram(h) => {
-                    assert!(h.count > 0, "shard {shard} histogram populated")
-                }
-                other => panic!("expected histogram, got {other:?}"),
-            }
-            assert!(
-                snap.get("segidx_sharded_routed_ops_total", labels)
-                    .is_some(),
-                "missing routed-ops counter for shard {shard}"
-            );
-        }
-        // Sharded-only rollup families.
-        let all: &[(&str, &str)] = &[("component", "sharded"), ("shard", "all")];
-        for name in [
-            "segidx_sharded_shards",
-            "segidx_sharded_global_epoch",
-            "segidx_sharded_routing_imbalance",
-            "segidx_sharded_global_publishes_total",
-        ] {
-            assert!(snap.get(name, all).is_some(), "missing rollup {name}");
-        }
-        match &snap.get("segidx_sharded_shards", all).unwrap().value {
-            segidx_obs::MetricValue::Gauge(v) => assert_eq!(*v, 2.0),
-            other => panic!("expected gauge, got {other:?}"),
         }
     }
 

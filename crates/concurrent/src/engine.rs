@@ -1,14 +1,14 @@
 //! The engine abstraction behind the concurrent index service.
 //!
-//! [`ConcurrentIndex`](crate::ConcurrentIndex) and
-//! [`ShardedIndex`](crate::ShardedIndex) publish immutable snapshots of a
-//! copy-on-write structure and apply mutations on a single writer thread.
+//! [`ConcurrentIndex`](crate::ConcurrentIndex) publishes immutable
+//! snapshots of a copy-on-write structure and applies mutations on a
+//! single writer thread.
 //! Nothing in that machinery is specific to the paper's [`Tree`]: any
 //! engine that clones cheaply (structural sharing) and answers the read
 //! surface can serve. [`SnapshotEngine`] captures that contract. [`Tree`]
 //! is the one engine served today (the four paper variants are four
 //! configurations of it); the trait stays because the temporal tier is to
-//! ride the same service (ROADMAP item 2).
+//! ride the same service (ROADMAP item 3).
 //!
 //! [`checkpoint`](SnapshotEngine::checkpoint) writes the engine to a
 //! [`DiskManager`] before a snapshot is published; `Tree` checkpoints via
@@ -52,8 +52,8 @@ pub trait SnapshotEngine<const D: usize>: Clone + Send + Sync + 'static {
     fn nearest(&self, p: &Point<D>, k: usize) -> Vec<Neighbor<D>>;
 
     /// Runs many searches on this snapshot, serially, in input order —
-    /// the per-shard half of a sharded batch read. Engines override to
-    /// reuse per-call scratch state.
+    /// how the server answers a run of consecutive reads in a burst.
+    /// Engines override to reuse per-call scratch state.
     fn search_many(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
         queries.iter().map(|q| self.search(q)).collect()
     }

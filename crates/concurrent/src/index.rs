@@ -43,7 +43,6 @@
 //! reader could have seen.
 
 use crate::engine::SnapshotEngine;
-use crate::global_epoch::GlobalLink;
 use crate::queue::{
     lock, CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, QueueItem,
     SubmissionQueue, SubmitError, TicketState,
@@ -94,25 +93,17 @@ impl ConcurrentTelemetry {
 }
 
 /// One published, immutable snapshot: the tree plus its epoch identity.
-/// `Arc`-shared so a cross-shard [`GlobalVector`](crate::global_epoch)
-/// can reference the same snapshot the shard publishes locally without
-/// re-cloning the tree.
-pub(crate) struct SnapshotInner<const D: usize, E = Tree<D>> {
-    pub(crate) epoch: u64,
-    pub(crate) durable_epoch: Option<u64>,
+struct SnapshotInner<const D: usize, E = Tree<D>> {
+    epoch: u64,
+    durable_epoch: Option<u64>,
     /// The frozen engine (historically a [`Tree`]; any [`SnapshotEngine`]).
-    pub(crate) tree: E,
+    tree: E,
     /// Snapshots of this index not yet dropped, this one included.
     live: Arc<AtomicUsize>,
 }
 
 impl<const D: usize, E> SnapshotInner<D, E> {
-    pub(crate) fn new(
-        epoch: u64,
-        durable_epoch: Option<u64>,
-        tree: E,
-        live: &Arc<AtomicUsize>,
-    ) -> Self {
+    fn new(epoch: u64, durable_epoch: Option<u64>, tree: E, live: &Arc<AtomicUsize>) -> Self {
         live.fetch_add(1, SeqCst);
         Self {
             epoch,
@@ -328,14 +319,6 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
     /// even epoch 0 is recoverable; that checkpoint is the only way this
     /// returns an error.
     pub fn start(self) -> Result<ConcurrentIndex<D, E>, StorageError> {
-        Ok(self.prepare()?.launch(None))
-    }
-
-    /// Builds the shared state and initial snapshot without spawning the
-    /// writer. [`ShardedIndex`](crate::ShardedIndex) uses this two-phase
-    /// start so every shard's epoch-0 snapshot can be gathered into the
-    /// initial global epoch vector *before* any writer can publish.
-    pub(crate) fn prepare(self) -> Result<Prepared<D, E>, StorageError> {
         let Builder {
             tree,
             disk,
@@ -364,55 +347,15 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
             ring,
             tracer,
         });
-        Ok(Prepared {
-            shared,
-            tree,
-            disk,
-            max_batch,
-            commit_hook,
-        })
-    }
-}
-
-/// A fully built but not yet serving index: the writer thread has not been
-/// spawned, so nothing can commit or publish past epoch 0.
-pub(crate) struct Prepared<const D: usize, E = Tree<D>> {
-    shared: Arc<Shared<D, E>>,
-    tree: E,
-    disk: Option<Arc<DiskManager>>,
-    max_batch: usize,
-    commit_hook: Option<CommitHook>,
-}
-
-impl<const D: usize, E: SnapshotEngine<D>> Prepared<D, E> {
-    /// The epoch-0 snapshot, for seeding a global epoch vector.
-    pub(crate) fn initial(&self) -> Arc<SnapshotInner<D, E>> {
-        self.shared.snapshot().inner
-    }
-
-    /// Spawns the writer thread. With a `global` link, every publish also
-    /// installs the shard's new snapshot into the global epoch vector.
-    pub(crate) fn launch(self, global: Option<GlobalLink<D, E>>) -> ConcurrentIndex<D, E> {
-        let Prepared {
-            shared,
-            tree,
-            disk,
-            max_batch,
-            commit_hook,
-        } = self;
         let writer_shared = Arc::clone(&shared);
-        let name = match &global {
-            Some(link) => format!("segidx-writer-{}", link.shard),
-            None => "segidx-writer".into(),
-        };
         let writer = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || writer_loop(writer_shared, tree, disk, max_batch, commit_hook, global))
+            .name("segidx-writer".into())
+            .spawn(move || writer_loop(writer_shared, tree, disk, max_batch, commit_hook))
             .expect("spawn writer thread");
-        ConcurrentIndex {
+        Ok(ConcurrentIndex {
             shared,
             writer: Some(writer),
-        }
+        })
     }
 }
 
@@ -769,7 +712,6 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
     disk: Option<Arc<DiskManager>>,
     max_batch: usize,
     mut hook: Option<CommitHook>,
-    global: Option<GlobalLink<D, E>>,
 ) {
     loop {
         let (batch, closed) = shared.queue.drain(max_batch);
@@ -853,12 +795,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             tree.clone(),
             &shared.live_snapshots,
         ));
-        let replaced = std::mem::replace(&mut *lock(&shared.published), Arc::clone(&fresh));
-        // Cross-shard visibility: install this shard's new snapshot into
-        // the global epoch vector (one more swap over there).
-        if let Some(link) = &global {
-            link.publisher.publish(link.shard, fresh);
-        }
+        let replaced = std::mem::replace(&mut *lock(&shared.published), fresh);
         // Dropped with no lock held: when no reader kept the replaced
         // snapshot this frees its tree, and no reader waits while it does.
         drop(replaced);

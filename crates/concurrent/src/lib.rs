@@ -22,13 +22,6 @@
 //!   published, so the published epoch chain maps 1:1 onto the durable
 //!   checkpoint chain — a crash recovers exactly the last epoch any reader
 //!   could have observed.
-//! * **Write throughput scales across shards.** [`ShardedIndex`] partitions
-//!   the key space by a Z-order prefix of each rectangle's centroid into N
-//!   independent [`ConcurrentIndex`] shards — one bounded queue and writer
-//!   thread each — while cross-shard reads pin one consistent
-//!   [`GlobalSnapshotGuard`] — the same `Arc` mechanism over a vector of
-//!   per-shard snapshots replaced as a whole — and merged results stay
-//!   bit-identical to the unsharded service.
 //!
 //! Start from any built tree (use `into_tree()` on the `segidx-core` API
 //! wrappers), then talk to the service through [`ConcurrentIndex`] or its
@@ -69,19 +62,14 @@
 #![warn(clippy::all)]
 
 mod engine;
-mod global_epoch;
 mod index;
 mod queue;
-mod shard;
 
 pub use engine::SnapshotEngine;
 pub use index::{
     Builder, CommitHook, ConcurrentIndex, ConcurrentTelemetry, IndexHandle, SnapshotGuard,
 };
 pub use queue::{CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, SubmitError};
-pub use shard::{
-    GlobalSnapshotGuard, RoutingStats, ShardedBuilder, ShardedHandle, ShardedIndex, ZOrderRouter,
-};
 
 #[cfg(test)]
 mod tests {
@@ -267,28 +255,6 @@ mod tests {
         }
         assert!(index.snapshot().epoch() >= last);
         assert_eq!(index.snapshot().len(), 64);
-    }
-
-    #[test]
-    fn sharded_batch_submission_routes_and_commits() {
-        use segidx_geom::Rect as GRect;
-        let domain = GRect::new([0.0, 0.0], [2_000.0, 2_000.0]);
-        let router = ZOrderRouter::new(domain, 4);
-        let trees: Vec<Tree<2>> = (0..4).map(|_| Tree::new(IndexConfig::srtree())).collect();
-        let index = ShardedIndex::builder(router, trees).start().unwrap();
-        let ops: Vec<IndexOp<2>> = (0..256u64)
-            .map(|i| IndexOp::Insert {
-                rect: rect(i),
-                record: RecordId(i),
-            })
-            .collect();
-        let results = index.submit_batch(ops);
-        assert!(results.iter().all(Result::is_ok));
-        index.flush().unwrap();
-        assert_eq!(index.snapshot().len(), 256);
-        let stats = index.routing_stats();
-        assert_eq!(stats.total, 256, "routed counters cover the whole batch");
-        index.shutdown();
     }
 
     #[test]

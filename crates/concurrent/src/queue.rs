@@ -250,8 +250,8 @@ impl CommitTicket {
     /// Blocks for at most `timeout`, returning `None` if the commit is
     /// still pending when it elapses. The ticket stays valid: callers can
     /// keep polling or fall back to [`wait`](Self::wait). This is how
-    /// harnesses avoid parking forever on a poisoned shard — bound the
-    /// wait, then inspect the shard instead of hanging.
+    /// harnesses avoid parking forever on a dead writer — bound the
+    /// wait, then inspect the index instead of hanging.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<CommitReceipt, CommitError>> {
         if !trace::active() {
             return self.state.wait_timeout(timeout);

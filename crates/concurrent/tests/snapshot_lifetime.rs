@@ -3,7 +3,7 @@
 //! holds it, and the thread that drops the last reference frees it — no
 //! slot table to fill up, no backlog waiting for the next commit.
 
-use segidx_concurrent::{ConcurrentIndex, IndexOp, ShardedIndex, SnapshotEngine, ZOrderRouter};
+use segidx_concurrent::{ConcurrentIndex, IndexOp, SnapshotEngine};
 use segidx_core::tree::Neighbor;
 use segidx_core::RecordId;
 use segidx_geom::{Point, Rect};
@@ -14,13 +14,9 @@ use std::sync::Arc;
 /// More than the 128 reservation slots `snapshot()` once spun on.
 const GUARDS: usize = 300;
 
-/// An insert whose rectangle sits in the left (`side` 0) or right half of
-/// the 1000 × 1000 domain: the two halves route to different shards of a
-/// 2-way split.
-fn insert(side: u64, id: u64) -> IndexOp<2> {
-    let x = 100.0 + 700.0 * side as f64;
+fn insert(id: u64) -> IndexOp<2> {
     IndexOp::Insert {
-        rect: Rect::new([x, 400.0], [x + 20.0, 410.0]),
+        rect: Rect::new([100.0, 400.0], [120.0, 410.0]),
         record: RecordId(id),
     }
 }
@@ -92,7 +88,7 @@ fn pinned_guards_keep_their_snapshot_and_nothing_else() {
     let pinned: Vec<_> = (0..GUARDS).map(|_| index.snapshot()).collect();
     for commit in 1..=10u64 {
         // A ticket completes after its commit dropped what it replaced.
-        let receipt = index.submit(insert(0, commit)).unwrap().wait().unwrap();
+        let receipt = index.submit(insert(commit)).unwrap().wait().unwrap();
         assert_eq!(receipt.epoch, commit);
         assert_eq!(snapshots(), 2, "pinned epoch 0 + current {commit}");
         assert_eq!(index.retired_snapshots(), 1);
@@ -103,38 +99,5 @@ fn pinned_guards_keep_their_snapshot_and_nothing_else() {
     // The writer is idle: this thread frees epoch 0, here.
     drop(pinned);
     assert_eq!(snapshots(), 1);
-    assert_eq!(index.retired_snapshots(), 0);
-}
-
-#[test]
-fn pinned_global_guards_keep_their_vector_and_nothing_else() {
-    let live = Arc::new(AtomicUsize::new(0));
-    let snapshots = || live.load(SeqCst) - 2; // minus the two writers' copies
-    let engines = (0..2).map(|_| Counted::new(0, &live)).collect();
-    let domain = Rect::new([0.0, 0.0], [1_000.0, 1_000.0]);
-    let index = ShardedIndex::builder(ZOrderRouter::new(domain, 2), engines)
-        .start()
-        .unwrap();
-    let pinned: Vec<_> = (0..GUARDS).map(|_| index.snapshot()).collect();
-    for commit in 1..=10u64 {
-        let op = insert(commit % 2, commit);
-        let shard = index.route(&op);
-        index.submit(op).unwrap().wait().unwrap();
-        // Only the committing shard's entry was replaced.
-        let fresh = index.snapshot();
-        assert_eq!(fresh.global_epoch(), commit);
-        assert_eq!(fresh.shard_epoch(shard), commit.div_ceil(2));
-        assert_eq!(fresh.shard_epoch(1 - shard), commit / 2);
-        drop(fresh);
-        // The pinned vector's two snapshots plus each committed shard's
-        // current one; every vector between went as it was replaced, or
-        // the snapshots it referenced would still be counted.
-        let held = 2 + commit.min(2) as usize;
-        assert_eq!(snapshots(), held, "after commit {commit}");
-        assert_eq!(index.retired_snapshots(), held - 2);
-    }
-    assert!(pinned.iter().all(|g| (g.global_epoch(), g.len()) == (0, 0)));
-    drop(pinned);
-    assert_eq!(snapshots(), 2);
     assert_eq!(index.retired_snapshots(), 0);
 }

@@ -8,14 +8,14 @@
 //! 1. **Every engine**: random op sequences against all four paper
 //!    variants, and HINT on the same data's x-intervals, each query forced
 //!    through a fresh trace.
-//! 2. **The sharded service under concurrent load**: reader threads run
-//!    traced scatter/gather searches while a writer streams traced
-//!    inserts; every trace the flight recorder retained must still be
-//!    well-formed even though worker threads appended spans concurrently.
+//! 2. **The index service under concurrent load**: reader threads run
+//!    traced batch searches on pinned snapshots while a writer streams
+//!    traced inserts, each waiting on its group commit; every trace the
+//!    flight recorder retained must still be well-formed.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use segidx_concurrent::{IndexOp, ShardedIndex, SubmitError, ZOrderRouter};
+use segidx_concurrent::{ConcurrentIndex, IndexOp, SnapshotEngine, SubmitError};
 use segidx_core::{
     HintIndex, IndexConfig, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
     Tree,
@@ -127,19 +127,17 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Traces recorded while reader threads scatter across shards and the
-    /// writers stream group commits stay well-formed: cross-thread span
-    /// adoption never produces orphans, duplicate ids, or children that
+    /// Traces recorded while reader threads search pinned snapshots and
+    /// the writer streams group commits stay well-formed: traces racing on
+    /// one tracer never produce orphans, duplicate ids, or children that
     /// escape their parents.
     #[test]
-    fn sharded_service_traces_survive_concurrent_load(
+    fn index_service_traces_survive_concurrent_load(
         inserts in vec((0.0..DOMAIN, 0.0..DOMAIN), 40..120),
         windows in vec((0.0..DOMAIN, 0.0..DOMAIN, 20.0..400.0f64), 2..6),
     ) {
         let tracer = Arc::new(Tracer::with_config(1, 16, 4096));
-        let domain = Rect::new([-10.0, -10.0], [DOMAIN * 1.6, DOMAIN * 1.6]);
-        let trees = vec![Tree::new(IndexConfig::srtree()), Tree::new(IndexConfig::srtree())];
-        let index = ShardedIndex::builder(ZOrderRouter::new(domain, 2), trees)
+        let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
             .max_batch(16)
             .tracer(Arc::clone(&tracer))
             .start()
@@ -147,7 +145,7 @@ proptest! {
 
         let done = Arc::new(AtomicBool::new(false));
         std::thread::scope(|scope| {
-            // Readers: traced scatter/gather searches until the writer is
+            // Readers: traced batch searches until the writer is
             // done — at least one pass each, however late they are scheduled.
             for _ in 0..2 {
                 let handle = index.handle();
@@ -159,7 +157,7 @@ proptest! {
                         let _g = tracer.force(OpClass::Search, "prop_window");
                         let snap = handle.snapshot();
                         let q = Rect::new([*x, *y], [*x + *extent, *y + *extent]);
-                        let _ = snap.search_batch(std::slice::from_ref(&q));
+                        let _ = snap.search_many(std::slice::from_ref(&q));
                     }
                     if done.load(Ordering::Relaxed) {
                         break;
@@ -201,8 +199,8 @@ proptest! {
                 OpClass::Search => {
                     saw_search = true;
                     prop_assert!(
-                        t.spans.iter().any(|s| s.name.starts_with("sharded.")),
-                        "search trace #{} never crossed the sharded layer",
+                        t.spans.iter().any(|s| s.name == "tree.search"),
+                        "search trace #{} never reached the tree",
                         t.id
                     );
                 }

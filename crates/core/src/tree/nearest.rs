@@ -71,7 +71,8 @@ impl<const D: usize> Tree<D> {
     pub fn nearest(&self, p: &Point<D>, k: usize) -> Vec<Neighbor<D>> {
         let t0 = self.obs_start();
         let sp = segidx_obs::trace::span("tree.nearest");
-        let mut out: Vec<Neighbor<D>> = Vec::with_capacity(k);
+        // `k` can come straight off the wire: size for what exists.
+        let mut out: Vec<Neighbor<D>> = Vec::with_capacity(k.min(self.len()));
         if k == 0 {
             self.stats.flush_search(0, 0);
             self.obs_record(|o| &o.nearest, t0);

@@ -14,10 +14,7 @@
 //!   closes on drop, and [`add`] / [`level_visit`] bump profile counters.
 //!   Recording is buffered: spans append to a thread-local scratch vector
 //!   (no locks, no allocation after warm-up) and are flushed into the
-//!   trace's shared buffer once per thread per trace.
-//! * Scatter/gather workers adopt the parent trace with
-//!   [`TraceContext::enter`], so a sharded query yields **one** tree that
-//!   spans per-shard scatter → node visits → page I/O.
+//!   trace's shared buffer when the trace finishes.
 //! * Completed traces ([`CompletedTrace`]) carry the span tree plus a
 //!   [`QueryProfile`] and are offered to the tracer's [`FlightRecorder`],
 //!   which keeps the N slowest per [`OpClass`] (a slow-op log).
@@ -110,30 +107,28 @@ pub enum Dim {
     /// HINT results emitted comparison-free (middle partitions / covered
     /// delta partitions).
     HintElidedCmp = 3,
-    /// Shards fanned out to by a scatter/gather read.
-    ShardFanout = 4,
     /// Buffer-pool hits.
-    BufferPoolHits = 5,
+    BufferPoolHits = 4,
     /// Buffer-pool misses (each implies a page read).
-    BufferPoolMisses = 6,
+    BufferPoolMisses = 5,
     /// Pages read from disk.
-    PageReads = 7,
+    PageReads = 6,
     /// Pages written to disk.
-    PageWrites = 8,
+    PageWrites = 7,
     /// Nanoseconds this op waited in the submission queue.
-    QueueWaitNanos = 9,
+    QueueWaitNanos = 8,
     /// Nanoseconds the writer spent applying the op's commit batch.
-    ApplyNanos = 10,
+    ApplyNanos = 9,
     /// Nanoseconds the writer spent checkpointing the batch (durable mode).
-    CheckpointNanos = 11,
+    CheckpointNanos = 10,
     /// Nanoseconds the writer spent publishing the new snapshot.
-    PublishNanos = 12,
+    PublishNanos = 11,
     /// Result records produced.
-    ResultRecords = 13,
+    ResultRecords = 12,
 }
 
 /// Number of [`Dim`] counters.
-pub const DIMS: usize = 14;
+pub const DIMS: usize = 13;
 
 /// Stable export names, indexed by `Dim as usize`.
 pub const DIM_NAMES: [&str; DIMS] = [
@@ -141,7 +136,6 @@ pub const DIM_NAMES: [&str; DIMS] = [
     "kernel_entries_scanned",
     "hint_level_walks",
     "hint_elided_cmp",
-    "shard_fanout",
     "buffer_pool_hits",
     "buffer_pool_misses",
     "page_reads",
@@ -168,8 +162,6 @@ pub struct SpanRecord {
     pub end_nanos: u64,
     /// Optional item count (results merged, pages read, …).
     pub items: u64,
-    /// Arbitrary thread tag (shard id for workers, 0 for the root thread).
-    pub thread: u64,
 }
 
 /// Aggregated per-trace counters: the paper-style access breakdown.
@@ -221,7 +213,7 @@ pub struct CompletedTrace {
     pub id: u64,
     /// Operation class (flight-recorder bucketing key).
     pub class: OpClass,
-    /// Root span name, e.g. `"sharded.search"`.
+    /// Root span name, e.g. `"server.search_batch"`.
     pub name: &'static str,
     /// Total wall-clock duration, nanoseconds.
     pub duration_nanos: u64,
@@ -322,9 +314,9 @@ impl CompletedTrace {
     /// and the profile summary — the human-facing slow-op view.
     ///
     /// ```text
-    /// trace #12 search "sharded.search" 184.3µs (14 spans)
-    /// └─ sharded.search 184.3µs
-    ///    ├─ shard0.scatter 80.1µs [items=31]
+    /// trace #12 search "server.search_batch" 184.3µs (14 spans)
+    /// └─ server.search_batch 184.3µs
+    ///    ├─ tree.search 80.1µs [items=31]
     ///    ...
     /// ```
     pub fn render_text_tree(&self) -> String {
@@ -418,14 +410,9 @@ fn render_node(
     } else {
         String::new()
     };
-    let thread = if s.thread > 0 {
-        format!(" (t{})", s.thread)
-    } else {
-        String::new()
-    };
     let _ = writeln!(
         out,
-        "{prefix}{branch}{} {}{items}{thread}",
+        "{prefix}{branch}{} {}{items}",
         s.name,
         fmt_nanos(s.end_nanos.saturating_sub(s.start_nanos))
     );
@@ -454,7 +441,8 @@ fn fmt_nanos(n: u64) -> String {
 /// `chrome://tracing` and [Perfetto](https://ui.perfetto.dev).
 ///
 /// Each span becomes a complete (`"ph":"X"`) event; `pid` is the trace id
-/// (so multiple traces load side by side) and `tid` the recording thread.
+/// (so multiple traces load side by side) and `tid` is constant: a trace
+/// is recorded by the one thread that started it.
 /// Timestamps are microseconds as Chrome requires; sub-microsecond spans
 /// keep a fractional part.
 pub fn chrome_trace_json(traces: &[CompletedTrace]) -> String {
@@ -481,7 +469,7 @@ pub fn chrome_trace_json(traces: &[CompletedTrace]) -> String {
                     Value::Float(s.end_nanos.saturating_sub(s.start_nanos) as f64 / 1e3),
                 ),
                 ("pid".to_string(), Value::Int(t.id as i64)),
-                ("tid".to_string(), Value::Int(s.thread as i64)),
+                ("tid".to_string(), Value::Int(0)),
                 ("args".to_string(), Value::Object(args)),
             ]));
         }
@@ -497,7 +485,7 @@ pub fn chrome_trace_json(traces: &[CompletedTrace]) -> String {
 // Recording machinery
 // ---------------------------------------------------------------------------
 
-/// State shared by every thread participating in one live trace.
+/// One live trace: what the recording thread and its [`TraceContext`]s share.
 struct TraceShared {
     id: u64,
     class: OpClass,
@@ -574,10 +562,9 @@ struct OpenSpan {
     items: u64,
 }
 
-/// Per-thread recording state for the currently adopted trace.
+/// Per-thread recording state for the trace this thread started.
 struct ThreadTrace {
     shared: Arc<TraceShared>,
-    thread_tag: u64,
     stack: Vec<OpenSpan>,
     scratch: Vec<SpanRecord>,
 }
@@ -706,7 +693,6 @@ impl Drop for SpanScope {
                         start_nanos: open.start_nanos,
                         end_nanos,
                         items: open.items,
-                        thread: t.thread_tag,
                     });
                 }
             }
@@ -714,12 +700,11 @@ impl Drop for SpanScope {
     }
 }
 
-/// A handle to the live trace, cloneable across threads so scatter/gather
-/// workers can record spans into the same tree.
-#[derive(Clone)]
+/// A handle to the thread's live trace, for recording intervals that were
+/// measured elsewhere under the span open when it was taken.
 pub struct TraceContext {
     shared: Arc<TraceShared>,
-    /// The span the adopting thread's spans will hang under.
+    /// The span recorded intervals will hang under.
     parent: u64,
     /// When that span opened, for clamping synthetic intervals into it.
     parent_start: u64,
@@ -734,8 +719,8 @@ impl std::fmt::Debug for TraceContext {
     }
 }
 
-/// The current thread's live trace, for handing to worker threads.
-/// Spans those workers record become children of the span open here now.
+/// The current thread's live trace. Intervals recorded through it become
+/// children of the span open here now.
 pub fn current() -> Option<TraceContext> {
     if !active() {
         return None;
@@ -750,37 +735,6 @@ pub fn current() -> Option<TraceContext> {
 }
 
 impl TraceContext {
-    /// Adopts the trace on the calling thread and opens a span named
-    /// `name` under the context's parent span. The returned guard closes
-    /// the span and flushes the thread's records on drop.
-    ///
-    /// `thread_tag` labels the spans (shard id; rendered as `tid` in the
-    /// Chrome export). Returns `None` if this thread already records a
-    /// trace (adoption would corrupt its stack).
-    pub fn enter(&self, name: &'static str, thread_tag: u64) -> Option<WorkerGuard> {
-        if active() {
-            return None;
-        }
-        let id = self.shared.next_span.fetch_add(1, Ordering::Relaxed);
-        let start_nanos = self.shared.now_nanos();
-        CURRENT.with(|c| {
-            *c.borrow_mut() = Some(ThreadTrace {
-                shared: Arc::clone(&self.shared),
-                thread_tag,
-                stack: vec![OpenSpan {
-                    id,
-                    parent: self.parent,
-                    name,
-                    start_nanos,
-                    items: 0,
-                }],
-                scratch: Vec::new(),
-            });
-        });
-        ACTIVE.with(|a| a.set(true));
-        Some(WorkerGuard)
-    }
-
     /// Records an already-measured interval as a closed child span of the
     /// context's parent — used when the measuring thread is not the traced
     /// thread (e.g. the writer measuring commit phases for a submitter).
@@ -803,7 +757,6 @@ impl TraceContext {
             start_nanos: start,
             end_nanos: end,
             items,
-            thread: 0,
         }];
         self.shared.flush(&mut one);
     }
@@ -811,33 +764,6 @@ impl TraceContext {
     /// Nanoseconds since the trace root started.
     pub fn now_nanos(&self) -> u64 {
         self.shared.now_nanos()
-    }
-}
-
-/// Closes a worker's adoption span and flushes its records on drop.
-pub struct WorkerGuard;
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        let taken = CURRENT.with(|c| c.borrow_mut().take());
-        ACTIVE.with(|a| a.set(false));
-        if let Some(mut t) = taken {
-            // Close every span still open on this thread (normally just the
-            // adoption span).
-            while let Some(open) = t.stack.pop() {
-                let end_nanos = t.shared.now_nanos();
-                t.scratch.push(SpanRecord {
-                    id: open.id,
-                    parent: open.parent,
-                    name: open.name,
-                    start_nanos: open.start_nanos,
-                    end_nanos,
-                    items: open.items,
-                    thread: t.thread_tag,
-                });
-            }
-            t.shared.flush(&mut t.scratch);
-        }
     }
 }
 
@@ -1023,7 +949,6 @@ impl Tracer {
         CURRENT.with(|c| {
             *c.borrow_mut() = Some(ThreadTrace {
                 shared: Arc::clone(&shared),
-                thread_tag: 0,
                 stack: vec![OpenSpan {
                     id: 0,
                     parent: 0,
@@ -1085,7 +1010,6 @@ impl Tracer {
                     start_nanos: open.start_nanos,
                     end_nanos,
                     items: open.items,
-                    thread: t.thread_tag,
                 });
             }
             t.shared.flush(&mut t.scratch);
@@ -1148,7 +1072,6 @@ impl Drop for TraceGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     fn traced<F: FnOnce()>(f: F) -> CompletedTrace {
         let tracer = Arc::new(Tracer::with_config(1, 4, DEFAULT_MAX_SPANS));
@@ -1230,43 +1153,6 @@ mod tests {
         assert_eq!(t.profile.level_visits[3], 1);
         assert_eq!(t.profile.level_visits[MAX_LEVELS - 1], 5);
         assert_eq!(t.profile.total_node_visits(), 11);
-    }
-
-    #[test]
-    fn workers_record_into_the_same_tree() {
-        let t = traced(|| {
-            let scatter = span("scatter");
-            let ctx = current().unwrap();
-            thread::scope(|s| {
-                for shard in 0..3u64 {
-                    let ctx = ctx.clone();
-                    s.spawn(move || {
-                        let _g = ctx.enter("shard.scatter", shard).unwrap();
-                        let inner = span("kernel");
-                        inner.items(shard + 1);
-                        add(Dim::ShardFanout, 1);
-                    });
-                }
-            });
-            drop(scatter);
-        });
-        assert!(
-            t.check_well_formed().is_empty(),
-            "{:?}",
-            t.check_well_formed()
-        );
-        let scatter = t.spans.iter().find(|s| s.name == "scatter").unwrap();
-        let workers: Vec<_> = t
-            .spans
-            .iter()
-            .filter(|s| s.name == "shard.scatter")
-            .collect();
-        assert_eq!(workers.len(), 3);
-        for w in &workers {
-            assert_eq!(w.parent, scatter.id);
-        }
-        assert_eq!(t.spans.iter().filter(|s| s.name == "kernel").count(), 3);
-        assert_eq!(t.profile.dim(Dim::ShardFanout), 3);
     }
 
     #[test]
@@ -1355,13 +1241,13 @@ mod tests {
             let _k = span("kernel");
             drop(_k);
             drop(scatter);
-            add(Dim::ShardFanout, 1);
+            add(Dim::PageReads, 1);
         });
         let text = t.render_text_tree();
         assert!(text.contains("trace #"), "{text}");
         assert!(text.contains("pin"), "{text}");
         assert!(text.contains("└─") || text.contains("├─"), "{text}");
-        assert!(text.contains("shard_fanout=1"), "{text}");
+        assert!(text.contains("page_reads=1"), "{text}");
 
         let json = chrome_trace_json(&[t]);
         let parsed = crate::json::parse(&json).unwrap();
@@ -1384,7 +1270,6 @@ mod tests {
             start_nanos: s,
             end_nanos: e,
             items: 0,
-            thread: 0,
         };
         let bad = CompletedTrace {
             id: 1,

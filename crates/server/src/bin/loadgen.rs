@@ -17,7 +17,6 @@
 //!         [--ops N]               measured statements per connection (100000)
 //!         [--preload N]           warm-up inserts per connection (2000)
 //!         [--seed N]              workload seed (1)
-//!         [--shards N]            self-hosted server shard count (1)
 //!         [--out PATH]            results JSON (results/BENCH_server.json)
 //!         [--metrics-out PATH]    save the server's METRICS snapshot
 //!         [--check]               gate on floors/ceilings (CI mode)
@@ -40,8 +39,7 @@ use std::time::Instant;
 
 const DIMS: usize = segidx_server::DIMS;
 
-/// Coordinate domain the workload draws from; matches the self-hosted
-/// server's default routing domain so sharding spreads evenly.
+/// Coordinate domain the workload draws from.
 const DOMAIN: [f64; 2] = [1_000_000.0, 1_000_000.0];
 
 struct Args {
@@ -51,7 +49,6 @@ struct Args {
     ops: usize,
     preload: usize,
     seed: u64,
-    shards: usize,
     out: String,
     metrics_out: Option<String>,
     check: bool,
@@ -68,7 +65,6 @@ impl Default for Args {
             ops: 100_000,
             preload: 2_000,
             seed: 1,
-            shards: 1,
             out: "results/BENCH_server.json".to_string(),
             metrics_out: None,
             check: false,
@@ -95,7 +91,6 @@ fn parse_args() -> Result<Args, String> {
             "--ops" => args.ops = value.parse().map_err(|e| bad(&e))?,
             "--preload" => args.preload = value.parse().map_err(|e| bad(&e))?,
             "--seed" => args.seed = value.parse().map_err(|e| bad(&e))?,
-            "--shards" => args.shards = value.parse().map_err(|e| bad(&e))?,
             "--out" => args.out = value,
             "--metrics-out" => args.metrics_out = Some(value),
             "--min-qps" => args.min_qps = value.parse().map_err(|e| bad(&e))?,
@@ -543,14 +538,7 @@ fn main() -> ExitCode {
     // Self-host unless pointed at a live server. The self-hosted server
     // still goes through real TCP sockets — same code path CI smokes.
     let hosted = if args.addr.is_none() {
-        let config = ServerConfig {
-            backend: segidx_server::BackendConfig {
-                shards: args.shards,
-                ..Default::default()
-            },
-            ..ServerConfig::default()
-        };
-        match Server::start(config) {
+        match Server::start(ServerConfig::default()) {
             Ok(s) => Some(s),
             Err(e) => {
                 eprintln!("loadgen: self-host failed: {e}");
@@ -650,7 +638,6 @@ fn main() -> ExitCode {
             Value::Object(vec![
                 ("addr".into(), Value::Str(addr.clone())),
                 ("self_hosted".into(), Value::Bool(hosted.is_some())),
-                ("shards".into(), Value::Int(args.shards as i64)),
                 ("connections".into(), Value::Int(args.connections as i64)),
                 ("pipeline".into(), Value::Int(args.pipeline as i64)),
                 ("ops_per_connection".into(), Value::Int(args.ops as i64)),

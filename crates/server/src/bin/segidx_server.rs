@@ -1,7 +1,7 @@
 //! The server binary: bind, print `READY <addr>`, serve until killed.
 //!
 //! ```text
-//! segidx_server [--addr HOST:PORT] [--shards N] [--queue-capacity N]
+//! segidx_server [--addr HOST:PORT] [--queue-capacity N]
 //!               [--max-frame BYTES] [--trace-sample N]
 //! ```
 //!
@@ -14,8 +14,8 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: segidx_server [--addr HOST:PORT] [--shards N] \
-         [--queue-capacity N] [--max-frame BYTES] [--trace-sample N]"
+        "usage: segidx_server [--addr HOST:PORT] [--queue-capacity N] \
+         [--max-frame BYTES] [--trace-sample N]"
     );
     ExitCode::from(2)
 }
@@ -35,8 +35,7 @@ fn main() -> ExitCode {
                 config.addr = value;
                 Ok(())
             }
-            "--shards" => value.parse().map(|v| config.backend.shards = v),
-            "--queue-capacity" => value.parse().map(|v| config.backend.queue_capacity = v),
+            "--queue-capacity" => value.parse().map(|v| config.queue_capacity = v),
             "--max-frame" => value.parse().map(|v| config.max_frame = v),
             "--trace-sample" => value.parse().map(|v| config.trace_sample = v),
             _ => return usage(),

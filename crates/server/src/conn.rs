@@ -8,12 +8,13 @@
 //! after each `FLUSH`, and a segment runs in four steps:
 //!
 //! 1. **Pin.** If the segment holds a `SEARCH`/`STAB`/`NEAREST`, one
-//!    snapshot is pinned ([`Backend::pin`]) and every one of them is
-//!    answered from it.
+//!    snapshot is pinned ([`ConcurrentIndex::snapshot`]) and every one of
+//!    them is answered from it. There is no unpinned read — a read that
+//!    pinned for itself could see writes the reads around it did not.
 //! 2. **Submit.** All of its `INSERT`/`DELETE` go to
-//!    [`Backend::submit_batch`] as one call, in request order: one queue
-//!    lock, one writer wake-up, and — unless the writer was already busy —
-//!    one group commit.
+//!    [`ConcurrentIndex::submit_batch`] as one call, in request order: one
+//!    queue lock, one writer wake-up, and — unless the writer was already
+//!    busy — one group commit.
 //! 3. **Read.** The statements execute in request order. Each reply the
 //!    thread can render goes into the per-connection buffer; a write leaves
 //!    a [`Hole`] (where its reply belongs, and its ticket), or, if it was
@@ -41,15 +42,14 @@
 //! `write_all` is not draining its socket. The writer thread runs no
 //! connection code; it completes tickets and nothing else.
 //!
-//! [`Backend::pin`]: crate::backend::Backend::pin
-//! [`Backend::submit_batch`]: crate::backend::Backend::submit_batch
+//! [`ConcurrentIndex::snapshot`]: segidx_concurrent::ConcurrentIndex::snapshot
+//! [`ConcurrentIndex::submit_batch`]: segidx_concurrent::ConcurrentIndex::submit_batch
 
-use crate::backend::{NearHit, DIMS};
 use crate::frame::{begin_response, finish_response, put_f64, put_u64, FrameDecoder, Mode};
 use crate::parser::{parse, Statement};
-use crate::server::Shared;
+use crate::server::{Shared, DIMS};
 use crate::telemetry::ConnStats;
-use segidx_concurrent::{CommitError, CommitTicket, IndexOp, SubmitError};
+use segidx_concurrent::{CommitError, CommitTicket, IndexOp, SnapshotEngine, SubmitError};
 use segidx_core::RecordId;
 use segidx_geom::{Interval, Point, Rect};
 use segidx_obs::OpClass;
@@ -58,6 +58,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// One `k`-nearest result row: record id + distance.
+type NearHit = (RecordId, f64);
 
 /// Rendered bytes past which the thread settles and writes out without
 /// waiting for the end of the burst, so one read of small statements with
@@ -353,7 +356,10 @@ fn execute_segment(
             Prepared::Search(_) | Prepared::Stab(_) | Prepared::Nearest(..)
         )
     };
-    let pin = items.iter().any(reads_index).then(|| shared.backend.pin());
+    let pin = items
+        .iter()
+        .any(reads_index)
+        .then(|| shared.index.snapshot());
     let pinned = || pin.as_ref().expect("a segment with index reads is pinned");
 
     let writes: Vec<IndexOp<DIMS>> = items
@@ -366,7 +372,7 @@ fn execute_segment(
     let mut submitted = if writes.is_empty() {
         Vec::new() // not worth the queue's lock
     } else {
-        shared.backend.submit_batch(writes)
+        shared.index.submit_batch(writes)
     }
     .into_iter();
 
@@ -423,7 +429,11 @@ fn execute_segment(
             }
             Prepared::Nearest(p, k) => {
                 let _trace = shared.tracer.start(OpClass::Nearest, "server.nearest");
-                let mut hits = pinned().nearest(p, *k);
+                let mut hits: Vec<NearHit> = pinned()
+                    .nearest(p, *k)
+                    .into_iter()
+                    .map(|n| (n.record, n.distance))
+                    .collect();
                 sort_nearest(&mut hits);
                 replies.put(mode, |buf| render_near(buf, &hits));
             }
@@ -455,16 +465,16 @@ fn execute_segment(
                 });
             }
             Prepared::Flush => {
-                let epoch = shared.backend.flush();
+                let epoch = shared.index.flush().map(|r| r.epoch);
                 replies.put(mode, |buf| render_commit(buf, epoch));
             }
             Prepared::Stats => replies.put(mode, |buf| {
                 buf.extend_from_slice(b"STATS ");
                 buf.extend_from_slice(shared.stats.summary_line().as_bytes());
                 buf.extend_from_slice(b" records=");
-                put_u64(buf, shared.backend.len() as u64);
+                put_u64(buf, shared.index.snapshot().len() as u64);
                 buf.extend_from_slice(b" epoch=");
-                put_u64(buf, shared.backend.epoch());
+                put_u64(buf, shared.index.epoch());
             }),
             Prepared::Metrics => {
                 replies.put_text(mode, &shared.registry.snapshot().to_json());
@@ -547,10 +557,7 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Backend;
     use crate::server::{Server, ServerConfig};
-    use segidx_concurrent::ConcurrentIndex;
-    use segidx_core::{IndexConfig, Tree};
     use std::time::Duration;
 
     /// A line-mode client that fails, not hangs, when no reply comes.
@@ -594,14 +601,10 @@ mod tests {
         // it had drained, and a connection thread waiting on one — or on
         // `FLUSH`'s barrier — parked forever. The client's read timeout
         // turns a hang into a failure.
-        let server = Server::start_with(ServerConfig::default(), |_, _, _| {
-            let index = ConcurrentIndex::builder(Tree::new(IndexConfig::srtree()))
-                .commit_hook(Box::new(|epoch| {
-                    assert!(epoch < 2, "commit hook failure injected by the test");
-                }))
-                .start()
-                .map_err(|e| std::io::Error::other(format!("{e:?}")))?;
-            Ok(Backend::Concurrent(index))
+        let server = Server::start_with(ServerConfig::default(), |index| {
+            index.commit_hook(Box::new(|epoch| {
+                assert!(epoch < 2, "commit hook failure injected by the test");
+            }))
         })
         .unwrap();
         let mut a = Client::connect(&server);

@@ -32,7 +32,6 @@
 //! server.shutdown();
 //! ```
 
-pub mod backend;
 pub(crate) mod conn;
 pub mod frame;
 pub mod lexer;
@@ -40,10 +39,9 @@ pub mod parser;
 pub mod server;
 pub mod telemetry;
 
-pub use backend::{Backend, BackendConfig, DIMS};
 pub use frame::{
     encode_request, encode_response, Frame, FrameDecoder, FrameError, Mode, DEFAULT_MAX_FRAME,
 };
 pub use parser::{parse, ParseError, Statement};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, DIMS};
 pub use telemetry::{ConnStats, ServerStats};

@@ -1,10 +1,11 @@
 //! The listener: binds TCP, accepts connections, and owns everything the
-//! connections share (backend, telemetry, metrics registry, tracer).
+//! connections share (index, telemetry, metrics registry, tracer).
 
-use crate::backend::{Backend, BackendConfig};
 use crate::conn;
 use crate::frame::DEFAULT_MAX_FRAME;
 use crate::telemetry::ServerStats;
+use segidx_concurrent::{Builder, ConcurrentIndex};
+use segidx_core::{IndexConfig, Tree};
 use segidx_obs::{MetricsRegistry, RingBufferSink, Tracer};
 use segidx_temporal::{TemporalBackend, TemporalConfig, TemporalTable, TieredConfig};
 use std::io;
@@ -13,10 +14,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
+/// The server's index dimensionality. The wire grammar is
+/// dimension-agnostic; execution validates point arity against this.
+pub const DIMS: usize = 2;
+
 /// Everything a connection needs, shared by reference.
 pub(crate) struct Shared {
-    /// The index service behind the wire.
-    pub backend: Backend,
+    /// The index service behind the wire: one writer, snapshot readers.
+    pub index: ConcurrentIndex<DIMS>,
     /// Server-lifetime connection telemetry.
     pub stats: Arc<ServerStats>,
     /// The registry `METRICS` snapshots (server + index + tracer families).
@@ -50,8 +55,8 @@ pub struct ServerConfig {
     /// Address to bind; port `0` picks a free one (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Backend sizing (shard count, queue capacity, routing domain).
-    pub backend: BackendConfig,
+    /// Submission-queue capacity (admission-control depth).
+    pub queue_capacity: usize,
     /// Inbound frame-size cap per connection.
     pub max_frame: usize,
     /// Trace 1-in-N operations into the flight recorder (`0` disables
@@ -63,7 +68,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            backend: BackendConfig::default(),
+            queue_capacity: 4096,
             max_frame: DEFAULT_MAX_FRAME,
             trace_sample: 0,
         }
@@ -81,31 +86,41 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `config.addr`, starts the backend writer thread(s), registers
+    /// Binds `config.addr`, starts the index writer thread, registers
     /// every metric family (server, index service, tracer, event ring) on
     /// one registry, and spawns the accept loop.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        Self::start_with(config, Backend::start)
+        Self::start_with(config, |index| index)
     }
 
-    /// [`start`](Self::start) over whatever `backend` builds from the
-    /// backend configuration, the tracer and the event ring — how a test
-    /// serves an index it has rigged to fail.
+    /// [`start`](Self::start) with a last word on the index builder — how
+    /// a test serves an index it has rigged to fail.
     pub(crate) fn start_with(
         config: ServerConfig,
-        backend: impl FnOnce(&BackendConfig, Arc<Tracer>, Arc<RingBufferSink>) -> io::Result<Backend>,
+        rig: impl FnOnce(Builder<DIMS>) -> Builder<DIMS>,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
+        // The tracer and event ring ride the index builder so slow
+        // commits land in the flight recorder.
         let tracer = Arc::new(Tracer::with_config(config.trace_sample, 8, 4096));
         let ring = Arc::new(RingBufferSink::new(4096));
-        let backend = backend(&config.backend, Arc::clone(&tracer), Arc::clone(&ring))?;
+        let index = rig(ConcurrentIndex::builder(Tree::new(IndexConfig::srtree()))
+            .queue_capacity(config.queue_capacity)
+            .tracer(Arc::clone(&tracer))
+            .ring_sink(Arc::clone(&ring)))
+        .start()
+        .map_err(|e| io::Error::other(format!("index start failed: {e:?}")))?;
 
         let registry = MetricsRegistry::new();
         let stats = Arc::new(ServerStats::new());
         stats.register_metrics(&registry, &[]);
-        backend.register_metrics(&registry, &[]);
+        // The `component` label is what the workspace's metrics tooling
+        // keys the index service's families on.
+        index
+            .handle()
+            .register_metrics(&registry, &[("component", "concurrent")]);
 
         // The temporal table rides the append-optimized tiered index; its
         // seal/merge telemetry joins the same registry and event ring.
@@ -120,7 +135,7 @@ impl Server {
         tiered.set_sink(Some(ring));
 
         let shared = Arc::new(Shared {
-            backend,
+            index,
             stats,
             registry,
             tracer,
@@ -162,7 +177,7 @@ impl Server {
 
     /// Stops accepting new connections and joins the accept loop. Live
     /// connections keep being served until their clients hang up; the
-    /// backend writer threads stay up for them (they are detached with the
+    /// index writer thread stays up for them (it is detached with the
     /// process, exactly like a real server draining on SIGTERM).
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);

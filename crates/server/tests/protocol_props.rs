@@ -15,7 +15,7 @@ use segidx_server::frame::{
     encode_request, encode_response, put_f64, put_u64, FrameDecoder, FrameError, Mode,
 };
 use segidx_server::parser::{parse, Statement};
-use segidx_server::{BackendConfig, Server, ServerConfig};
+use segidx_server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -388,10 +388,7 @@ fn eventually(what: &str, probe: impl Fn() -> bool) {
 #[test]
 fn a_full_queue_answers_busy_in_place_and_applies_what_it_acknowledged() {
     let server = Server::start(ServerConfig {
-        backend: BackendConfig {
-            queue_capacity: 4,
-            ..BackendConfig::default()
-        },
+        queue_capacity: 4,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -634,6 +631,31 @@ proptest! {
             );
             prop_assert!(texts.iter().eq(frames[..bad_at].iter().map(|(text, _)| text)));
         }
+    }
+
+    /// `K` is the client's number, not a size the server may allocate: any
+    /// `u64` is answered with the neighbours that exist (once, `K` of ten
+    /// trillion aborted the process on a failed allocation and `u64::MAX`
+    /// panicked the connection thread), and the server goes on serving.
+    #[test]
+    fn nearest_with_any_k_answers_with_what_exists(
+        k in prop_oneof![
+            2 => any::<u64>(),
+            1 => 0u64..100,
+            1 => Just(10_000_000_000_000u64),
+            1 => Just(u64::MAX),
+        ],
+    ) {
+        let addr = shared_server();
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let statement = format!("NEAREST POINT (0, 0) K {k}");
+        let reply = converse(&mut conn, &mut FrameDecoder::new(), &statement, Mode::Line);
+        prop_assert!(reply.starts_with("NEAR "), "`{}` -> {}", statement, reply);
+        let found: u64 = reply.split(' ').nth(1).unwrap().parse().unwrap();
+        prop_assert!(found <= k, "`{}` -> {}", statement, reply);
+        let mut other = TcpStream::connect(addr).unwrap();
+        let pong = converse(&mut other, &mut FrameDecoder::new(), "PING", Mode::Line);
+        prop_assert_eq!(pong, "PONG");
     }
 
     /// Replies come back in request order, and are the replies of a session
