@@ -1,9 +1,6 @@
 //! Batched query throughput: serial `search` vs the allocation-free cursor
-//! kernel vs `search_batch_threads` at 1/2/4 workers, in queries per second
-//! (criterion `Throughput::Elements`).
-//!
-//! The single-worker batched case isolates the cursor-reuse gain (no thread
-//! overhead); multi-worker scaling beyond that requires real cores.
+//! kernel vs `search_batch` (the cursor loop plus one result vector per
+//! query), in queries per second (criterion `Throughput::Elements`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use segidx_core::{IndexConfig, SearchCursor, Tree};
@@ -67,13 +64,9 @@ fn bench_throughput(c: &mut Criterion) {
             })
         });
 
-        // Batch engine at fixed worker counts.
-        for workers in [1usize, 2, 4] {
-            group.bench_function(
-                BenchmarkId::new(format!("batch_{workers}_threads"), name),
-                |b| b.iter(|| black_box(tree.search_batch_threads(black_box(&queries), workers))),
-            );
-        }
+        group.bench_function(BenchmarkId::new("search_batch", name), |b| {
+            b.iter(|| black_box(tree.search_batch(black_box(&queries))))
+        });
     }
     group.finish();
 }

@@ -25,7 +25,7 @@
 
 use segidx_bench::crash::SplitMix64;
 use segidx_bench::{hardware_note, median, median_ratio, today};
-use segidx_concurrent::{ConcurrentIndex, IndexOp, SnapshotEngine, SubmitError};
+use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
 use segidx_core::tree::Tree;
 use segidx_core::{persist, IndexConfig, PagedSearcher, SearchCursor};
 use segidx_geom::Rect;
@@ -160,7 +160,7 @@ fn record_example_trace() -> Result<CompletedTrace, String> {
             .force(OpClass::Search, "window_2d")
             .expect("no other trace is active on this thread");
         let snap = index.snapshot();
-        let served_hits = snap.search_many(&[window])[0].len();
+        let served_hits = snap.search_batch(&[window])[0].len();
         let paged_hits = paged
             .search(&window)
             .map_err(|e| format!("paged search: {e}"))?

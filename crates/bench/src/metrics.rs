@@ -8,7 +8,7 @@
 //! JSON (written by `reproduce --metrics-out`) and Prometheus text.
 
 use crate::runner::GraphResult;
-use segidx_concurrent::{ConcurrentIndex, IndexOp, SnapshotEngine, SubmitError};
+use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
 use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::Rect;
 use segidx_obs::json::{self, Value};
@@ -186,7 +186,7 @@ pub fn traced_service_metrics() -> (Vec<Metric>, Value) {
         let _g = tracer.force(OpClass::Search, "metrics_search");
         let snap = index.snapshot();
         let q = Rect::new([0.0, (i * 10) as f64], [1_000.0, 1_000.0]);
-        let _ = snap.search_many(&[q]);
+        let _ = snap.search_batch(&[q]);
     }
     let metrics = registry.snapshot().metrics;
     let flight = tracer.flight().summary_json();

@@ -15,7 +15,7 @@
 //! [`persist::commit`].
 
 use segidx_core::persist;
-use segidx_core::tree::{Neighbor, SearchCursor, Tree};
+use segidx_core::tree::{Neighbor, Tree};
 use segidx_core::RecordId;
 use segidx_geom::{Point, Rect};
 use segidx_storage::{DiskManager, StorageError};
@@ -54,12 +54,12 @@ pub trait SnapshotEngine<const D: usize>: Clone + Send + Sync + 'static {
     /// Runs many searches on this snapshot, serially, in input order —
     /// how the server answers a run of consecutive reads in a burst.
     /// Engines override to reuse per-call scratch state.
-    fn search_many(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
+    fn search_batch(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
         queries.iter().map(|q| self.search(q)).collect()
     }
 
     /// Runs many stabs on this snapshot, serially, in input order.
-    fn stab_many(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
+    fn stab_batch(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
         points.iter().map(|p| self.stab(p)).collect()
     }
 
@@ -96,20 +96,12 @@ impl<const D: usize> SnapshotEngine<D> for Tree<D> {
         Tree::nearest(self, p, k)
     }
 
-    fn search_many(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
-        let mut cursor = SearchCursor::new();
-        queries
-            .iter()
-            .map(|q| self.search_with(&mut cursor, q).to_vec())
-            .collect()
+    fn search_batch(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
+        Tree::search_batch(self, queries)
     }
 
-    fn stab_many(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
-        let mut cursor = SearchCursor::new();
-        points
-            .iter()
-            .map(|p| self.stab_with(&mut cursor, p).to_vec())
-            .collect()
+    fn stab_batch(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
+        Tree::stab_batch(self, points)
     }
 
     fn checkpoint(&self, disk: &DiskManager) -> Result<(), StorageError> {
@@ -136,9 +128,9 @@ mod tests {
         let snap = engine.clone();
         assert_eq!(snap.len(), 300);
         let q = Rect::new([100.0, 0.0], [200.0, 900.0]);
-        assert_eq!(snap.search_many(&[q]), vec![snap.search(&q)]);
+        assert_eq!(snap.search_batch(&[q]), vec![snap.search(&q)]);
         let p = Point::new([150.0, 150.0]);
-        assert_eq!(snap.stab_many(&[p]), vec![snap.stab(&p)]);
+        assert_eq!(snap.stab_batch(&[p]), vec![snap.stab(&p)]);
         assert!(!snap.nearest(&p, 3).is_empty());
         assert!(snap.check_invariants().is_empty());
         // Mutations after the clone do not leak into the snapshot.

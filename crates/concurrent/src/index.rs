@@ -284,15 +284,9 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
     }
 
     /// Receives [`EventKind::SnapshotPublished`] and
-    /// [`EventKind::WriterStalled`] events.
-    pub fn sink(mut self, sink: Arc<dyn ObsSink>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Like [`sink`](Self::sink), but keeps the concrete ring-buffer
-    /// handle so [`IndexHandle::register_metrics`] also exports the
-    /// sink's `segidx_events_dropped_total` / `segidx_events_buffered`
+    /// [`EventKind::WriterStalled`] events; the concrete ring-buffer
+    /// handle is kept so [`IndexHandle::register_metrics`] also exports
+    /// the sink's `segidx_events_dropped_total` / `segidx_events_buffered`
     /// series — lost observability is itself observable.
     pub fn ring_sink(mut self, sink: Arc<RingBufferSink>) -> Self {
         self.ring = Some(Arc::clone(&sink));

@@ -15,7 +15,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use segidx_concurrent::{ConcurrentIndex, IndexOp, SnapshotEngine, SubmitError};
+use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
 use segidx_core::{
     HintIndex, IndexConfig, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
     Tree,
@@ -157,7 +157,7 @@ proptest! {
                         let _g = tracer.force(OpClass::Search, "prop_window");
                         let snap = handle.snapshot();
                         let q = Rect::new([*x, *y], [*x + *extent, *y + *extent]);
-                        let _ = snap.search_many(std::slice::from_ref(&q));
+                        let _ = snap.search_batch(std::slice::from_ref(&q));
                     }
                     if done.load(Ordering::Relaxed) {
                         break;

@@ -25,8 +25,8 @@ pub trait IntervalIndex<const D: usize> {
     fn search(&self, query: &Rect<D>) -> Vec<RecordId>;
     /// Runs every query in `queries` and returns per-query results in input
     /// order, bit-identical to calling [`search`](Self::search) per query.
-    /// Tree-backed variants fan the batch out across worker threads (see
-    /// [`Tree::search_batch`]); the default runs the queries serially.
+    /// Tree-backed variants reuse one cursor across the batch (see
+    /// [`Tree::search_batch`]); the default is the plain loop.
     fn search_batch(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
         queries.iter().map(|q| self.search(q)).collect()
     }
@@ -34,8 +34,7 @@ pub trait IntervalIndex<const D: usize> {
     /// the degenerate window query.
     fn stab(&self, p: &Point<D>) -> Vec<RecordId>;
     /// Runs every stab in `points` and returns per-point results in input
-    /// order, bit-identical to calling [`stab`](Self::stab) per point. The
-    /// default runs the stabs serially.
+    /// order, bit-identical to calling [`stab`](Self::stab) per point.
     fn stab_batch(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
         points.iter().map(|p| self.stab(p)).collect()
     }
@@ -511,7 +510,7 @@ macro_rules! skeleton_variant {
             fn search_batch(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
                 match self.0.tree() {
                     Some(t) => t.search_batch(queries),
-                    // Buffering phase: linear scans are cheap; run serially.
+                    // Buffering phase: no tree yet, linear scans.
                     None => queries.iter().map(|q| self.0.search(q)).collect(),
                 }
             }
@@ -521,7 +520,7 @@ macro_rules! skeleton_variant {
             fn stab_batch(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
                 match self.0.tree() {
                     Some(t) => t.stab_batch(points),
-                    // Buffering phase: linear scans are cheap; run serially.
+                    // Buffering phase: no tree yet, linear scans.
                     None => points.iter().map(|p| self.0.stab(p)).collect(),
                 }
             }

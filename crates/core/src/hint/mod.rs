@@ -37,7 +37,6 @@ use hint1d::{Hint1D, MAX_LEVEL_BITS, MIN_LEVEL_BITS};
 use segidx_geom::{Point, Rect};
 use segidx_obs::{trace, LatencyHistogram};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -444,64 +443,6 @@ impl HintIndex {
         out
     }
 
-    /// Fans `items` out across worker threads, preserving input order.
-    /// Results are bit-identical to the serial loop: each item is evaluated
-    /// independently against the same immutable structure.
-    fn run_batch<T: Sync>(
-        &self,
-        items: &[T],
-        eval: impl Fn(&T) -> Vec<RecordId> + Sync,
-    ) -> Vec<Vec<RecordId>> {
-        let n = items.len();
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n);
-        if workers <= 1 {
-            return items.iter().map(eval).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Vec<RecordId>> = Vec::with_capacity(n);
-        results.resize_with(n, Vec::new);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let eval = &eval;
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, eval(&items[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("batch worker panicked") {
-                    results[i] = r;
-                }
-            }
-        });
-        results
-    }
-
-    /// Per-query results for `queries` in input order, identical to calling
-    /// [`search`](Self::search) per query, fanned out across threads.
-    pub fn search_batch(&self, queries: &[Rect<1>]) -> Vec<Vec<RecordId>> {
-        self.run_batch(queries, |q| self.search(q))
-    }
-
-    /// Per-point results for `points` in input order, identical to calling
-    /// [`stab`](Self::stab) per point, fanned out across threads.
-    pub fn stab_batch(&self, points: &[Point<1>]) -> Vec<Vec<RecordId>> {
-        self.run_batch(points, |p| self.stab(p))
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
@@ -608,14 +549,8 @@ impl crate::api::IntervalIndex<1> for HintIndex {
     fn search(&self, query: &Rect<1>) -> Vec<RecordId> {
         HintIndex::search(self, query)
     }
-    fn search_batch(&self, queries: &[Rect<1>]) -> Vec<Vec<RecordId>> {
-        HintIndex::search_batch(self, queries)
-    }
     fn stab(&self, p: &Point<1>) -> Vec<RecordId> {
         HintIndex::stab(self, p)
-    }
-    fn stab_batch(&self, points: &[Point<1>]) -> Vec<Vec<RecordId>> {
-        HintIndex::stab_batch(self, points)
     }
     fn nearest(&self, p: &Point<1>, k: usize) -> Vec<Neighbor<1>> {
         HintIndex::nearest(self, p, k)
@@ -786,24 +721,6 @@ mod tests {
             let degenerate = Rect::from_point(p);
             assert_eq!(idx.stab(&p), idx.search(&degenerate), "stab {i}");
         }
-    }
-
-    #[test]
-    fn batch_is_bit_identical_to_serial() {
-        let data = dataset(1_200);
-        let mut idx = HintIndex::new();
-        idx.bulk_load(data);
-        let queries: Vec<Rect<1>> = (0..100u64)
-            .map(|i| {
-                let x = ((i * 7_001) % 85_000) as f64;
-                Rect::new([x], [x + 5_000.0])
-            })
-            .collect();
-        let serial: Vec<Vec<RecordId>> = queries.iter().map(|q| idx.search(q)).collect();
-        assert_eq!(idx.search_batch(&queries), serial);
-        let points: Vec<Point<1>> = queries.iter().map(|q| q.center()).collect();
-        let serial_stab: Vec<Vec<RecordId>> = points.iter().map(|p| idx.stab(p)).collect();
-        assert_eq!(idx.stab_batch(&points), serial_stab);
     }
 
     #[test]

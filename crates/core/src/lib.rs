@@ -42,7 +42,6 @@
 #![warn(clippy::all)]
 
 pub mod api;
-pub mod baseline;
 pub mod bulk;
 pub mod config;
 pub mod entry;

@@ -10,22 +10,12 @@
 //! the paper's variable node sizes were designed around.
 
 use crate::id::RecordId;
+use crate::persist::{decode_node, NodeImageKind};
 use segidx_geom::{Point, Rect};
 use segidx_storage::{BufferPool, ByteReader, PageId, Result, StorageError};
 use std::cell::Cell;
 
 const TREE_MAGIC: u32 = 0x5347_5452; // must match persist.rs
-
-/// Decoded, borrowed view of one on-page node.
-struct PagedNode<const D: usize> {
-    is_leaf: bool,
-    /// Leaf entries (leaf nodes).
-    entries: Vec<(Rect<D>, RecordId)>,
-    /// Branch regions and child pages (internal nodes).
-    branches: Vec<(Rect<D>, PageId)>,
-    /// Spanning index records (internal nodes).
-    spanning: Vec<(Rect<D>, RecordId)>,
-}
 
 /// A read-only search engine over a persisted index.
 #[derive(Debug)]
@@ -97,22 +87,24 @@ impl<'a, const D: usize> PagedSearcher<'a, D> {
         while let Some(page_id) = stack.pop() {
             self.logical_accesses.set(self.logical_accesses.get() + 1);
             visited += 1;
-            let node = self.read_node(page_id)?;
-            if node.is_leaf {
-                for (rect, record) in &node.entries {
-                    if rect.intersects(query) {
-                        out.push(*record);
+            match self.read_node(page_id)? {
+                NodeImageKind::Leaf(entries) => {
+                    for (rect, record) in &entries {
+                        if rect.intersects(query) {
+                            out.push(*record);
+                        }
                     }
                 }
-            } else {
-                for (rect, record) in &node.spanning {
-                    if rect.intersects(query) {
-                        out.push(*record);
+                NodeImageKind::Internal { branches, spanning } => {
+                    for (rect, record, _) in &spanning {
+                        if rect.intersects(query) {
+                            out.push(*record);
+                        }
                     }
-                }
-                for (rect, child) in &node.branches {
-                    if rect.intersects(query) {
-                        stack.push(*child);
+                    for (rect, child) in &branches {
+                        if rect.intersects(query) {
+                            stack.push(*child);
+                        }
                     }
                 }
             }
@@ -128,62 +120,11 @@ impl<'a, const D: usize> PagedSearcher<'a, D> {
         self.search(&Rect::from_point(*p))
     }
 
-    fn read_node(&self, page_id: PageId) -> Result<PagedNode<D>> {
+    fn read_node(&self, page_id: PageId) -> Result<NodeImageKind<D>> {
         self.pool
-            .with_page(page_id, |page| -> Result<PagedNode<D>> {
-                let mut r = ByteReader::new(page.payload());
-                let _level = r.get_u32()?;
-                let is_leaf = r.get_u8()? == 1;
-                let _mod_count = r.get_u64()?;
-                if is_leaf {
-                    let count = r.get_u32()? as usize;
-                    let mut entries = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let rect = read_rect::<D>(&mut r)?;
-                        entries.push((rect, RecordId(r.get_u64()?)));
-                    }
-                    Ok(PagedNode {
-                        is_leaf,
-                        entries,
-                        branches: Vec::new(),
-                        spanning: Vec::new(),
-                    })
-                } else {
-                    let branch_count = r.get_u32()? as usize;
-                    let span_count = r.get_u32()? as usize;
-                    let mut branches = Vec::with_capacity(branch_count);
-                    for _ in 0..branch_count {
-                        let rect = read_rect::<D>(&mut r)?;
-                        branches.push((rect, PageId(r.get_u64()?)));
-                    }
-                    let mut spanning = Vec::with_capacity(span_count);
-                    for _ in 0..span_count {
-                        let rect = read_rect::<D>(&mut r)?;
-                        let record = RecordId(r.get_u64()?);
-                        let _linked = r.get_u64()?;
-                        spanning.push((rect, record));
-                    }
-                    Ok(PagedNode {
-                        is_leaf,
-                        entries: Vec::new(),
-                        branches,
-                        spanning,
-                    })
-                }
-            })?
+            .with_page(page_id, |page| decode_node::<D>(page.payload()))?
+            .map(|image| image.kind)
     }
-}
-
-fn read_rect<const D: usize>(r: &mut ByteReader<'_>) -> Result<Rect<D>> {
-    let mut lo = [0.0; D];
-    let mut hi = [0.0; D];
-    for v in lo.iter_mut() {
-        *v = r.get_f64()?;
-    }
-    for v in hi.iter_mut() {
-        *v = r.get_f64()?;
-    }
-    Rect::checked(lo, hi).ok_or_else(|| StorageError::Decode("invalid rect bounds".into()))
 }
 
 #[cfg(test)]

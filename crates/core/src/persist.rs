@@ -246,47 +246,18 @@ fn load_config(disk: &DiskManager, meta: PageId) -> Option<IndexConfig> {
     decode_config(&mut r).ok()
 }
 
-/// If `payload` parses fully as a level/leaf node image of dimensionality
-/// `D`, appends its directly-held entries (leaf entries, or an internal
-/// node's spanning records) to `out`. Tree metadata pages and nodes of
-/// other dimensionalities fail the strict-parse check and contribute
+/// If `payload` parses fully as a node image of dimensionality `D`
+/// ([`decode_node`] is strict), appends its directly-held entries (leaf
+/// entries, or an internal node's spanning records) to `out`. Tree metadata
+/// pages and nodes of other dimensionalities fail the parse and contribute
 /// nothing.
 fn salvage_node<const D: usize>(payload: &[u8], out: &mut Vec<(Rect<D>, RecordId)>) {
-    let mut r = ByteReader::new(payload);
-    let mut found: Vec<(Rect<D>, RecordId)> = Vec::new();
-    let ok = (|| -> Result<()> {
-        let _level = r.get_u32()?;
-        let is_leaf = r.get_u8()?;
-        let _mod_count = r.get_u64()?;
-        if is_leaf == 1 {
-            let count = r.get_u32()? as usize;
-            for _ in 0..count {
-                let rect = read_rect::<D>(&mut r)?;
-                found.push((rect, RecordId(r.get_u64()?)));
-            }
-        } else if is_leaf == 0 {
-            let branch_count = r.get_u32()? as usize;
-            let span_count = r.get_u32()? as usize;
-            for _ in 0..branch_count {
-                let _rect = read_rect::<D>(&mut r)?;
-                let _child = r.get_u64()?;
-            }
-            for _ in 0..span_count {
-                let rect = read_rect::<D>(&mut r)?;
-                let record = RecordId(r.get_u64()?);
-                let _linked = r.get_u64()?;
-                found.push((rect, record));
-            }
-        } else {
-            return Err(StorageError::Decode("not a node image".into()));
+    match decode_node::<D>(payload).map(|image| image.kind) {
+        Ok(NodeImageKind::Leaf(entries)) => out.extend(entries),
+        Ok(NodeImageKind::Internal { spanning, .. }) => {
+            out.extend(spanning.into_iter().map(|(rect, record, _)| (rect, record)));
         }
-        if !r.is_exhausted() {
-            return Err(StorageError::Decode("trailing bytes".into()));
-        }
-        Ok(())
-    })();
-    if ok.is_ok() {
-        out.append(&mut found);
+        Err(_) => {}
     }
 }
 
@@ -346,65 +317,50 @@ fn load_node<const D: usize>(
     node_of: &mut HashMap<PageId, NodeId>,
 ) -> Result<NodeId> {
     let page = disk.read_page(page_id)?;
-    let mut r = ByteReader::new(page.payload());
-    let level = r.get_u32()?;
-    let is_leaf = r.get_u8()? == 1;
-    let mod_count = r.get_u64()?;
-    let id = if is_leaf {
-        let count = r.get_u32()? as usize;
-        // Size the block from the page (an entry is 2·D coordinates and an
-        // id there), never past what the page can hold.
-        let mut node = Node::leaf(count.min(r.remaining() / (16 * D + 8)));
-        node.level = level;
-        node.mod_count = mod_count;
-        for _ in 0..count {
-            let rect = read_rect::<D>(&mut r)?;
-            let record = RecordId(r.get_u64()?);
-            node.entries_mut().push(LeafEntry { rect, record });
+    let NodeImage {
+        level,
+        mod_count,
+        kind,
+    } = decode_node::<D>(page.payload())?;
+    let id = match kind {
+        NodeImageKind::Leaf(entries) => {
+            let mut node = Node::leaf(entries.len());
+            node.level = level;
+            node.mod_count = mod_count;
+            for (rect, record) in entries {
+                node.entries_mut().push(LeafEntry { rect, record });
+            }
+            arena.alloc(node)
         }
-        arena.alloc(node)
-    } else {
-        let branch_count = r.get_u32()? as usize;
-        let span_count = r.get_u32()? as usize;
-        let mut branches = Vec::with_capacity(branch_count);
-        for _ in 0..branch_count {
-            let rect = read_rect::<D>(&mut r)?;
-            let child_page = PageId(r.get_u64()?);
-            branches.push((rect, child_page));
+        NodeImageKind::Internal { branches, spanning } => {
+            let mut node = Node::internal(level.max(1), branches.len());
+            node.level = level;
+            node.mod_count = mod_count;
+            let id = arena.alloc(node);
+            for (rect, child_page) in branches {
+                let child = load_node(disk, child_page, arena, node_of)?;
+                arena.get_mut(child).parent = Some(id);
+                arena
+                    .get_mut(id)
+                    .branches_mut()
+                    .push(Branch { rect, child });
+            }
+            for (rect, record, linked_page) in spanning {
+                let linked_child =
+                    *node_of
+                        .get(&linked_page)
+                        .ok_or_else(|| StorageError::Corrupt {
+                            page: page_id,
+                            reason: "spanning record linked to unknown child page".into(),
+                        })?;
+                arena.get_mut(id).spanning_mut().push(SpanningEntry {
+                    rect,
+                    record,
+                    linked_child,
+                });
+            }
+            id
         }
-        let mut spans = Vec::with_capacity(span_count);
-        for _ in 0..span_count {
-            let rect = read_rect::<D>(&mut r)?;
-            let record = RecordId(r.get_u64()?);
-            let linked_page = PageId(r.get_u64()?);
-            spans.push((rect, record, linked_page));
-        }
-        let mut node = Node::internal(level.max(1), branches.len());
-        node.level = level;
-        node.mod_count = mod_count;
-        let id = arena.alloc(node);
-        for (rect, child_page) in branches {
-            let child = load_node(disk, child_page, arena, node_of)?;
-            arena.get_mut(child).parent = Some(id);
-            arena
-                .get_mut(id)
-                .branches_mut()
-                .push(Branch { rect, child });
-        }
-        for (rect, record, linked_page) in spans {
-            let linked_child = *node_of
-                .get(&linked_page)
-                .ok_or_else(|| StorageError::Corrupt {
-                    page: page_id,
-                    reason: "spanning record linked to unknown child page".into(),
-                })?;
-            arena.get_mut(id).spanning_mut().push(SpanningEntry {
-                rect,
-                record,
-                linked_child,
-            });
-        }
-        id
     };
     node_of.insert(page_id, id);
     Ok(id)
@@ -453,6 +409,71 @@ fn encode_node_inner<const D: usize>(
         }
     }
     w.into_bytes()
+}
+
+/// One decoded node page: what [`encode_node_inner`] wrote.
+pub(crate) struct NodeImage<const D: usize> {
+    pub(crate) level: u32,
+    pub(crate) mod_count: u64,
+    pub(crate) kind: NodeImageKind<D>,
+}
+
+/// The entries of a [`NodeImage`], child and linked nodes by page id.
+pub(crate) enum NodeImageKind<const D: usize> {
+    Leaf(Vec<(Rect<D>, RecordId)>),
+    Internal {
+        branches: Vec<(Rect<D>, PageId)>,
+        /// `(rect, record, linked child page)`.
+        spanning: Vec<(Rect<D>, RecordId, PageId)>,
+    },
+}
+
+/// The one parser of the node page image. Strict: the payload must be
+/// exactly one node of dimensionality `D` — a leaf flag other than 0/1, an
+/// invalid rectangle or trailing bytes is an error, which is how
+/// [`recover`]'s salvage tells node pages from everything else. Buffers are
+/// sized from the payload, never past what it can hold.
+pub(crate) fn decode_node<const D: usize>(payload: &[u8]) -> Result<NodeImage<D>> {
+    let mut r = ByteReader::new(payload);
+    let level = r.get_u32()?;
+    let is_leaf = r.get_u8()?;
+    let mod_count = r.get_u64()?;
+    let kind = match is_leaf {
+        1 => {
+            let count = r.get_u32()? as usize;
+            let mut entries = Vec::with_capacity(count.min(r.remaining() / (16 * D + 8)));
+            for _ in 0..count {
+                let rect = read_rect::<D>(&mut r)?;
+                entries.push((rect, RecordId(r.get_u64()?)));
+            }
+            NodeImageKind::Leaf(entries)
+        }
+        0 => {
+            let branch_count = r.get_u32()? as usize;
+            let span_count = r.get_u32()? as usize;
+            let mut branches = Vec::with_capacity(branch_count.min(r.remaining() / (16 * D + 8)));
+            for _ in 0..branch_count {
+                let rect = read_rect::<D>(&mut r)?;
+                branches.push((rect, PageId(r.get_u64()?)));
+            }
+            let mut spanning = Vec::with_capacity(span_count.min(r.remaining() / (16 * D + 16)));
+            for _ in 0..span_count {
+                let rect = read_rect::<D>(&mut r)?;
+                let record = RecordId(r.get_u64()?);
+                spanning.push((rect, record, PageId(r.get_u64()?)));
+            }
+            NodeImageKind::Internal { branches, spanning }
+        }
+        _ => return Err(StorageError::Decode("not a node image".into())),
+    };
+    if !r.is_exhausted() {
+        return Err(StorageError::Decode("trailing bytes".into()));
+    }
+    Ok(NodeImage {
+        level,
+        mod_count,
+        kind,
+    })
 }
 
 fn write_rect<const D: usize>(w: &mut ByteWriter, rect: &Rect<D>) {

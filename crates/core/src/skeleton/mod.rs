@@ -11,7 +11,6 @@ mod build;
 mod coalesce;
 mod histogram;
 mod predict;
-mod rebuild;
 
 pub use build::{build_skeleton, SkeletonSpec};
 pub use histogram::Histogram;

@@ -1,4 +1,4 @@
-//! Structural inspection: per-level statistics and Graphviz export.
+//! Structural inspection: per-level statistics.
 //!
 //! The paper's analysis of Graphs 1–6 reasons about node *shapes* —
 //! "mostly horizontal node regions", "a high degree of overlap", aspect
@@ -9,7 +9,6 @@ use super::Tree;
 use crate::node::NodeKind;
 use segidx_geom::Rect;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Statistics for one level of the tree.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -134,35 +133,6 @@ impl<const D: usize> Tree<D> {
         }
         TreeReport { levels }
     }
-
-    /// Renders the tree as a Graphviz `dot` digraph (node regions and entry
-    /// counts; spanning records annotate their host). Intended for small
-    /// trees during debugging.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph segidx {\n  node [shape=box, fontsize=9];\n");
-        for (id, node) in self.arena.iter() {
-            let label = match &node.kind {
-                NodeKind::Leaf { entries } => {
-                    format!("leaf {:?}\\n{} entries", id, entries.len())
-                }
-                NodeKind::Internal { branches, spanning } => format!(
-                    "L{} {:?}\\n{} branches, {} spanning",
-                    node.level,
-                    id,
-                    branches.len(),
-                    spanning.len()
-                ),
-            };
-            let _ = writeln!(out, "  n{} [label=\"{}\"];", id.raw(), label);
-            if let NodeKind::Internal { branches, .. } = &node.kind {
-                for b in branches.iter() {
-                    let _ = writeln!(out, "  n{} -> n{};", id.raw(), b.child.raw());
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -213,28 +183,5 @@ mod tests {
                 l.overlap_factor
             );
         }
-    }
-
-    #[test]
-    fn dot_export_contains_all_nodes() {
-        let mut t: Tree<2> = Tree::new(IndexConfig::rtree());
-        for i in 0..60u64 {
-            t.insert(
-                Rect::new([i as f64, 0.0], [i as f64 + 1.0, 1.0]),
-                RecordId(i),
-            );
-        }
-        let dot = t.to_dot();
-        assert!(dot.starts_with("digraph"));
-        assert_eq!(
-            dot.matches("label=").count(),
-            t.node_count(),
-            "one labeled node per tree node"
-        );
-        assert_eq!(
-            dot.matches(" -> ").count(),
-            t.node_count() - 1,
-            "tree edges"
-        );
     }
 }

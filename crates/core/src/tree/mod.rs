@@ -18,7 +18,6 @@
 //! | Skeleton R-Tree    | no        | yes                    |
 //! | Skeleton SR-Tree   | yes       | yes                    |
 
-mod batch;
 mod delete;
 mod insert;
 mod inspect;

@@ -14,8 +14,8 @@
 //! mark. Node accesses are accumulated in a local counter and flushed to
 //! [`TreeStats`](crate::stats::TreeStats) once per search — concurrent
 //! readers never ping-pong the shared counter cache line inside the
-//! traversal loop. The batched, parallel entry points built on these
-//! kernels live in [`batch`](super::batch).
+//! traversal loop. [`Tree::search_batch`] / [`Tree::stab_batch`] answer a
+//! list of queries with one cursor, in input order.
 //!
 //! ## Prefetch schedule
 //!
@@ -38,10 +38,8 @@ use segidx_obs::trace::{self, Dim, MAX_LEVELS};
 /// Reusable scratch state for the search kernels.
 ///
 /// Holds the traversal stack and result buffers so repeated
-/// [`Tree::search_with`] / [`Tree::stab_with`] /
-/// [`Tree::search_entries_with`] calls on one thread do no heap allocation
-/// after warm-up. One cursor serves one thread; the batch engine creates one
-/// cursor per worker.
+/// [`Tree::search_with`] / [`Tree::stab_with`] calls on one thread do no
+/// heap allocation after warm-up. One cursor serves one thread.
 ///
 /// ```
 /// use segidx_core::{IndexConfig, RecordId, SearchCursor, Tree};
@@ -60,9 +58,6 @@ use segidx_obs::trace::{self, Dim, MAX_LEVELS};
 pub struct SearchCursor<const D: usize> {
     /// DFS stack of nodes still to visit.
     stack: Vec<NodeId>,
-    /// Raw matching index records of the latest query; filled only by the
-    /// entry points that return rectangles.
-    entries: Vec<(Rect<D>, RecordId)>,
     /// Ids of the latest query: raw out of the kernel, then sorted (and, in
     /// segment mode, deduplicated).
     ids: Vec<RecordId>,
@@ -82,7 +77,6 @@ impl<const D: usize> SearchCursor<D> {
     pub fn with_capacity(expected_hits: usize) -> Self {
         Self {
             stack: Vec::with_capacity(16),
-            entries: Vec::new(),
             ids: Vec::with_capacity(expected_hits),
             matches: Vec::new(),
         }
@@ -123,8 +117,7 @@ impl<const D: usize> Tree<D> {
     }
 
     /// The traversal kernel shared by every search entry point: collects
-    /// the raw matches of `probe` — `(rect, id)` pairs into `cursor.entries`
-    /// when `RECTS`, bare ids into `cursor.ids` otherwise — and returns
+    /// the raw matching ids of `probe` into `cursor.ids` and returns
     /// `(nodes accessed, raw matches)`. Performs no allocation beyond growing
     /// the cursor's buffers and touches no shared state.
     ///
@@ -137,31 +130,25 @@ impl<const D: usize> Tree<D> {
     /// dispatches to a `TRACED = false` instantiation that is bit-identical
     /// to the uninstrumented kernel, so untraced searches pay no per-node
     /// cost (the PR 3 "one null check" contract, extended to traces).
-    fn kernel<const RECTS: bool>(
-        &self,
-        probe: &impl Probe<D>,
-        cursor: &mut SearchCursor<D>,
-    ) -> (u64, u64) {
+    fn kernel(&self, probe: &impl Probe<D>, cursor: &mut SearchCursor<D>) -> (u64, u64) {
         if trace::active() {
-            self.traverse::<true, RECTS>(probe, cursor)
+            self.traverse::<true>(probe, cursor)
         } else {
-            self.traverse::<false, RECTS>(probe, cursor)
+            self.traverse::<false>(probe, cursor)
         }
     }
 
     /// The kernel proper; see [`Tree::kernel`].
-    fn traverse<const TRACED: bool, const RECTS: bool>(
+    fn traverse<const TRACED: bool>(
         &self,
         probe: &impl Probe<D>,
         cursor: &mut SearchCursor<D>,
     ) -> (u64, u64) {
         let SearchCursor {
             stack,
-            entries: out_entries,
             ids,
             matches,
         } = cursor;
-        out_entries.clear();
         ids.clear();
         stack.clear();
         stack.push(self.root);
@@ -186,11 +173,7 @@ impl<const D: usize> Tree<D> {
                     }
                     for &i in matches.iter() {
                         let i = i as usize;
-                        if RECTS {
-                            out_entries.push((entries.rect(i), entries.record(i)));
-                        } else {
-                            ids.push(entries.record(i));
-                        }
+                        ids.push(entries.record(i));
                     }
                 }
                 NodeKind::Internal { branches, spanning } => {
@@ -199,11 +182,7 @@ impl<const D: usize> Tree<D> {
                     probe.scan(los, his, matches);
                     for &i in matches.iter() {
                         let i = i as usize;
-                        if RECTS {
-                            out_entries.push((spanning.rect(i), spanning.record(i)));
-                        } else {
-                            ids.push(spanning.record(i));
-                        }
+                        ids.push(spanning.record(i));
                     }
                     matches.clear();
                     let (los, his) = branches.planes();
@@ -229,14 +208,13 @@ impl<const D: usize> Tree<D> {
             trace::add(Dim::KernelInvocations, kernel_calls);
             trace::add(Dim::KernelEntriesScanned, scanned);
         }
-        let raw = if RECTS { out_entries.len() } else { ids.len() };
-        (accesses, raw as u64)
+        (accesses, ids.len() as u64)
     }
 
     /// Runs the id-collecting kernel for `probe`, flushes the search
     /// counters, and finishes the ids.
     fn collect_ids(&self, probe: &impl Probe<D>, cursor: &mut SearchCursor<D>) {
-        let (accesses, raw) = self.kernel::<false>(probe, cursor);
+        let (accesses, raw) = self.kernel(probe, cursor);
         self.stats.flush_search(accesses, raw);
         self.finish_ids(cursor);
     }
@@ -301,36 +279,10 @@ impl<const D: usize> Tree<D> {
         cursor: &'c mut SearchCursor<D>,
         query: &Rect<D>,
     ) -> &'c [RecordId] {
-        let (accesses, raw) = self.traverse::<false, false>(query, cursor);
+        let (accesses, raw) = self.traverse::<false>(query, cursor);
         self.stats.flush_search(accesses, raw);
         self.finish_ids(cursor);
         &cursor.ids
-    }
-
-    /// Like [`Tree::search`], but returns the raw matching index records
-    /// (portion rectangles included, no deduplication, unspecified order).
-    pub fn search_entries(&self, query: &Rect<D>) -> Vec<(Rect<D>, RecordId)> {
-        let mut cursor = self.cursor();
-        self.search_entries_with(&mut cursor, query);
-        cursor.entries
-    }
-
-    /// Like [`Tree::search_entries`], but reuses `cursor`'s buffers and
-    /// returns a slice borrowed from it — zero heap allocation after
-    /// warm-up.
-    pub fn search_entries_with<'c>(
-        &self,
-        cursor: &'c mut SearchCursor<D>,
-        query: &Rect<D>,
-    ) -> &'c [(Rect<D>, RecordId)] {
-        let t0 = self.obs_start();
-        let sp = trace::span("tree.search_entries");
-        let (accesses, raw) = self.kernel::<true>(query, cursor);
-        self.stats.flush_search(accesses, raw);
-        sp.items(raw);
-        drop(sp);
-        self.obs_record(|o| &o.search, t0);
-        &cursor.entries
     }
 
     /// All records whose geometry contains the point `p` — the "stabbing
@@ -355,6 +307,48 @@ impl<const D: usize> Tree<D> {
         &cursor.ids
     }
 
+    /// Runs every query in `queries` on the calling thread with one reused
+    /// cursor and returns the per-query results in input order.
+    ///
+    /// Results are bit-identical to calling [`Tree::search`] per query:
+    /// sorted by id, deduplicated in segment mode; each search flushes its
+    /// counters once, so statistics aggregate the same way too.
+    ///
+    /// ```
+    /// use segidx_core::{IndexConfig, RecordId, Tree};
+    /// use segidx_geom::Rect;
+    ///
+    /// let mut t: Tree<2> = Tree::new(IndexConfig::srtree());
+    /// for i in 0..100u64 {
+    ///     t.insert(Rect::new([i as f64, 0.0], [i as f64 + 5.0, 0.0]), RecordId(i));
+    /// }
+    /// let queries: Vec<Rect<2>> = (0..10)
+    ///     .map(|i| Rect::new([i as f64 * 10.0, -1.0], [i as f64 * 10.0 + 2.0, 1.0]))
+    ///     .collect();
+    /// let batched = t.search_batch(&queries);
+    /// for (q, ids) in queries.iter().zip(&batched) {
+    ///     assert_eq!(ids, &t.search(q), "input order, identical results");
+    /// }
+    /// ```
+    pub fn search_batch(&self, queries: &[Rect<D>]) -> Vec<Vec<RecordId>> {
+        let mut cursor = SearchCursor::new();
+        queries
+            .iter()
+            .map(|q| self.search_with(&mut cursor, q).to_vec())
+            .collect()
+    }
+
+    /// Runs every stabbing query in `points` with one reused cursor and
+    /// returns the per-point results in input order, bit-identical to
+    /// calling [`Tree::stab`] per point.
+    pub fn stab_batch(&self, points: &[Point<D>]) -> Vec<Vec<RecordId>> {
+        let mut cursor = SearchCursor::new();
+        points
+            .iter()
+            .map(|p| self.stab_with(&mut cursor, p).to_vec())
+            .collect()
+    }
+
     /// Number of index nodes a search for `query` accesses, without
     /// disturbing the cumulative statistics beyond recording the search.
     ///
@@ -364,7 +358,7 @@ impl<const D: usize> Tree<D> {
     pub fn count_search_accesses(&self, query: &Rect<D>) -> u64 {
         let mut cursor = self.cursor();
         let t0 = self.obs_start();
-        let (accesses, raw) = self.kernel::<false>(query, &mut cursor);
+        let (accesses, raw) = self.kernel(query, &mut cursor);
         self.stats.flush_search(accesses, raw);
         self.obs_record(|o| &o.search, t0);
         accesses
@@ -445,15 +439,11 @@ mod tests {
         }
         assert_eq!(t.stats().cuts, 0, "no cutting outside segment mode");
         let everything = Rect::new([-1.0, -1.0], [1_000.0, 1_000.0]);
-        // The raw entries — before any sort/dedup — already carry unique ids.
-        let entries = t.search_entries(&everything);
-        let mut raw_ids: Vec<RecordId> = entries.iter().map(|(_, r)| *r).collect();
-        let raw_len = raw_ids.len();
-        raw_ids.sort_unstable();
-        raw_ids.dedup();
-        assert_eq!(raw_ids.len(), raw_len, "raw R-Tree entries are unique");
-        // And the public result equals them, sorted.
-        assert_eq!(t.search(&everything), raw_ids);
+        // `search` only sorts here (no dedup pass in R-Tree mode), so a
+        // record stored twice would surface twice.
+        let hits = t.search(&everything);
+        assert_eq!(hits.len(), 2_000);
+        assert!(hits.windows(2).all(|w| w[0] < w[1]), "sorted and unique");
     }
 
     #[test]
@@ -488,5 +478,82 @@ mod tests {
         let snap = t.stats();
         assert_eq!(snap.searches, 1);
         assert_eq!(snap.search_node_accesses, a1);
+    }
+
+    fn build(segment: bool, n: u64) -> Tree<2> {
+        let config = if segment {
+            IndexConfig::srtree()
+        } else {
+            IndexConfig::rtree()
+        };
+        let mut t: Tree<2> = Tree::new(config);
+        for i in 0..n {
+            let x = (i % 60) as f64 * 9.0;
+            let y = (i / 60) as f64 * 7.0;
+            let len = if i % 11 == 0 { 350.0 } else { 6.0 };
+            t.insert(Rect::new([x, y], [x + len, y]), RecordId(i));
+        }
+        t
+    }
+
+    fn queries(count: u64) -> Vec<Rect<2>> {
+        (0..count)
+            .map(|i| {
+                let x = ((i * 71) % 500) as f64;
+                let y = ((i * 37) % 200) as f64;
+                Rect::new([x, y], [x + 60.0, y + 25.0])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_matches_serial_in_input_order() {
+        for segment in [false, true] {
+            let t = build(segment, 2_500);
+            let qs = queries(103);
+            let serial: Vec<Vec<RecordId>> = qs.iter().map(|q| t.search(q)).collect();
+            assert_eq!(t.search_batch(&qs), serial, "segment={segment}");
+        }
+    }
+
+    #[test]
+    fn stab_batch_matches_serial() {
+        let t = build(true, 2_000);
+        let points: Vec<Point<2>> = (0..57)
+            .map(|i| Point::new([((i * 97) % 540) as f64, ((i * 13) % 230) as f64]))
+            .collect();
+        let serial: Vec<Vec<RecordId>> = points.iter().map(|p| t.stab(p)).collect();
+        assert_eq!(t.stab_batch(&points), serial);
+    }
+
+    #[test]
+    fn batch_stats_aggregate_like_serial() {
+        let t = build(true, 1_500);
+        let qs = queries(40);
+        t.reset_search_stats();
+        let serial: Vec<Vec<RecordId>> = qs.iter().map(|q| t.search(q)).collect();
+        let serial_snap = t.stats();
+        assert_eq!(serial_snap.searches, 40);
+
+        t.reset_search_stats();
+        let batched = t.search_batch(&qs);
+        let batch_snap = t.stats();
+        assert_eq!(batched, serial);
+        assert_eq!(batch_snap.searches, serial_snap.searches);
+        assert_eq!(
+            batch_snap.search_node_accesses,
+            serial_snap.search_node_accesses
+        );
+        assert_eq!(batch_snap.search_results, serial_snap.search_results);
+    }
+
+    #[test]
+    fn empty_batches_and_empty_tree() {
+        let t = build(false, 100);
+        assert!(t.search_batch(&[]).is_empty());
+        assert!(t.stab_batch(&[]).is_empty());
+        let empty: Tree<2> = Tree::new(IndexConfig::rtree());
+        let qs = queries(5);
+        assert_eq!(empty.search_batch(&qs), vec![Vec::new(); 5]);
     }
 }

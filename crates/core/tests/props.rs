@@ -275,9 +275,9 @@ proptest! {
         queries in vec(rect_strategy(), 1..24),
         probes in vec((0.0..1200.0f64, 0.0..1200.0f64), 1..24),
     ) {
-        // PR 1's guarantee, re-pinned on the SoA layout: batched (and
-        // threaded) execution returns exactly the serial results, in
-        // input order, for every configuration.
+        // PR 1's guarantee, re-pinned on the SoA layout: batched
+        // execution returns exactly the serial results, in input order,
+        // for every configuration.
         let points: Vec<Point<2>> = probes.iter().map(|&(x, y)| Point::new([x, y])).collect();
         for (name, config) in configs() {
             let mut tree: Tree<2> = Tree::new(config);
@@ -286,20 +286,8 @@ proptest! {
             }
             let serial: Vec<Vec<RecordId>> = queries.iter().map(|q| tree.search(q)).collect();
             prop_assert_eq!(&tree.search_batch(&queries), &serial, "{}: search_batch", name);
-            prop_assert_eq!(
-                &tree.search_batch_threads(&queries, 3),
-                &serial,
-                "{}: search_batch_threads",
-                name
-            );
             let stab_serial: Vec<Vec<RecordId>> = points.iter().map(|p| tree.stab(p)).collect();
             prop_assert_eq!(&tree.stab_batch(&points), &stab_serial, "{}: stab_batch", name);
-            prop_assert_eq!(
-                &tree.stab_batch_threads(&points, 3),
-                &stab_serial,
-                "{}: stab_batch_threads",
-                name
-            );
         }
     }
 

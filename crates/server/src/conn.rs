@@ -49,7 +49,7 @@ use crate::frame::{begin_response, finish_response, put_f64, put_u64, FrameDecod
 use crate::parser::{parse, Statement};
 use crate::server::{Shared, DIMS};
 use crate::telemetry::ConnStats;
-use segidx_concurrent::{CommitError, CommitTicket, IndexOp, SnapshotEngine, SubmitError};
+use segidx_concurrent::{CommitError, CommitTicket, IndexOp, SubmitError};
 use segidx_core::RecordId;
 use segidx_geom::{Interval, Point, Rect};
 use segidx_obs::OpClass;
@@ -387,7 +387,7 @@ fn execute_segment(
                     _ => None,
                 });
                 let _trace = shared.tracer.start(OpClass::Search, "server.search_batch");
-                let results = pinned().search_many(&queries);
+                let results = pinned().search_batch(&queries);
                 for (item, ids) in items[i..j].iter().zip(results) {
                     replies.put(item.mode, |buf| render_rows(buf, ids));
                     stats.read_latency.record_duration(item.t0.elapsed());
@@ -401,7 +401,7 @@ fn execute_segment(
                     _ => None,
                 });
                 let _trace = shared.tracer.start(OpClass::Stab, "server.stab_batch");
-                let results = pinned().stab_many(&points);
+                let results = pinned().stab_batch(&points);
                 for (item, ids) in items[i..j].iter().zip(results) {
                     replies.put(item.mode, |buf| render_rows(buf, ids));
                     stats.read_latency.record_duration(item.t0.elapsed());

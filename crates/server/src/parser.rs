@@ -285,11 +285,14 @@ impl<'a> Parser<'a> {
         // The token value is an f64, which loses precision above 2^53;
         // plain decimal literals re-parse from the raw digits so every
         // u64 id round-trips exactly. Exponent/decimal forms (`1e3`,
-        // `5.0`) fall through to the f64 path.
+        // `5.0`) fall through to the f64 path, which stops at 2^53: above
+        // it the f64 has already rounded to a neighbouring integer, and
+        // from 2^64 up `as u64` saturates — either way the statement
+        // would name a different id than the client wrote.
         if let Ok(exact) = self.src[span.start..span.end].parse::<u64>() {
             return Ok(exact);
         }
-        if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
+        if v < 0.0 || v.fract() != 0.0 || v >= 9_007_199_254_740_992.0 {
             return Err(ParseError {
                 span,
                 message: format!("expected non-negative integer for {what}, found `{v}`"),
@@ -605,6 +608,51 @@ mod tests {
                 k: 1000
             }
         );
+    }
+
+    #[test]
+    fn integers_an_f64_cannot_hold_exactly_are_refused_not_rounded() {
+        // 2^64 (`u64::MAX as f64` is 2^64 too, so `>` let it through and
+        // `as u64` saturated it onto the real id `u64::MAX`), the same
+        // value in exponent form, and 2^53 + 1 written so that only the
+        // f64 path can read it (it would come back as 2^53).
+        for literal in [
+            "18446744073709551616",
+            "1.8446744073709552e19",
+            "9007199254740993.0",
+            "9007199254740992.0",
+        ] {
+            for text in [
+                format!("INSERT RECT (0) (1) ID {literal}"),
+                format!("DELETE ID {literal} RECT (0) (1)"),
+                format!("RECORD {literal} VALUE 1 AT 11"),
+                format!("NEAREST POINT (0) K {literal}"),
+            ] {
+                let err = parse(&text).unwrap_err();
+                assert!(
+                    err.message.contains("expected non-negative integer"),
+                    "{text}: {}",
+                    err.message
+                );
+            }
+        }
+        // What the f64 path does hold exactly still parses, as does every
+        // plain decimal literal up to `u64::MAX`.
+        for (literal, id) in [
+            ("9007199254740991.0", (1u64 << 53) - 1),
+            ("9007199254740993", (1u64 << 53) + 1),
+            ("18446744073709551615", u64::MAX),
+            ("1e3", 1000),
+        ] {
+            assert_eq!(
+                parse(&format!("RECORD {literal} VALUE 1 AT 11")).unwrap(),
+                Statement::Record {
+                    key: id,
+                    value: 1.0,
+                    at: 11.0
+                }
+            );
+        }
     }
 
     #[test]

@@ -442,6 +442,58 @@ fn a_full_queue_answers_busy_in_place_and_applies_what_it_acknowledged() {
     server.shutdown();
 }
 
+/// An id, key or `K` the statement's number cannot carry exactly is a
+/// parse error, never a write to the integer it rounds or saturates to:
+/// `2^64` used to close the open version of the real key `u64::MAX`.
+#[test]
+fn an_integer_out_of_range_is_refused_not_written_to_its_neighbour() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut decoder = FrameDecoder::new();
+    let mut ask = |statement: &str| converse(&mut conn, &mut decoder, statement, Mode::Line);
+
+    assert!(ask("RECORD 18446744073709551615 VALUE 1 AT 10").starts_with("OK version="));
+    for literal in [
+        "18446744073709551616",
+        "1.8446744073709552e19",
+        "9007199254740993.0",
+    ] {
+        for statement in [
+            format!("INSERT RECT (0, 0) (1, 1) ID {literal}"),
+            format!("RECORD {literal} VALUE 2 AT 11"),
+            format!("NEAREST POINT (0, 0) K {literal}"),
+        ] {
+            let reply = ask(&statement);
+            assert!(
+                reply.starts_with("ERR parse") && reply.contains("expected non-negative integer"),
+                "{statement} -> {reply}"
+            );
+        }
+    }
+    for (literal, at) in [("9007199254740993", 2.0), ("1e3", 4.0)] {
+        let reply = ask(&format!(
+            "INSERT RECT ({at:?}, {at:?}) ({:?}, {:?}) ID {literal}",
+            at + 1.0,
+            at + 1.0
+        ));
+        assert!(reply.starts_with("OK epoch="), "ID {literal} -> {reply}");
+    }
+    assert!(ask("INSERT RECT (0, 0) (1, 1) ID 18446744073709551615").starts_with("OK epoch="));
+    assert!(ask("FLUSH").starts_with("OK epoch="));
+    assert_eq!(
+        ask("SEARCH WINDOW (0, 0) (5, 5)"),
+        "ROWS 3 1000 9007199254740993 18446744073709551615"
+    );
+    // The refused `RECORD`s closed nothing: the version opened first is
+    // still the only one, and still open.
+    assert_eq!(ask("AS OF 12"), "VERS 1 0:18446744073709551615=1.0");
+    let summary = server.stats().summary_line();
+    assert!(summary.contains(" parse_errors=9 "), "{summary}");
+    server.shutdown();
+}
+
 /// A client that hangs up on a pipeline it never read the replies of: its
 /// connection thread exits, what the server had read of it commits — a
 /// prefix, in order — and a neighbour's replies are what they always were.

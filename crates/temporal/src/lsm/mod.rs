@@ -7,7 +7,7 @@
 //!
 //! * **Memtable** — recent intervals accumulate in a bounded mutable
 //!   staging area: a flat O(1)-append buffer, scanned linearly
-//!   ([`memtable`]).
+//!   (`memtable`).
 //! * **Seal** — at a size threshold (or on demand) the memtable is packed
 //!   into an immutable tree and appended as a level-0 tier. Entries reach
 //!   a tier in end-time order, so seals and merges pack it as the run it
@@ -17,7 +17,7 @@
 //!   under the storage layer's atomic root-pointer flip, so each seal is
 //!   a crash-consistent checkpoint.
 //! * **Merge** — a leveled policy folds runs of equal-level tiers into one
-//!   tier a level up, inline or on a background worker ([`merge`]).
+//!   tier a level up, inline or on a background worker (`merge`).
 //! * **Snapshot** — a pinned [`TierSnapshot`] over the sealed tiers
 //!   doubles as online backup: it exports to a separate [`DiskManager`]
 //!   while the writer keeps going.

@@ -1,7 +1,7 @@
 //! Concurrent read access: `Tree` is `Sync`, so any number of threads may
 //! search one index simultaneously while another (immutable) index is
-//! joined against it — and the batch engine fans one query list out across
-//! worker threads with results identical to serial execution.
+//! joined against it — and a batch of queries on one thread returns what
+//! the serial loop does, counters included.
 
 use segidx_core::{
     IndexConfig, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree, Tree,
@@ -63,8 +63,8 @@ fn parallel_searches_agree_with_serial() {
 #[test]
 fn search_batch_equals_serial_search_for_all_variants() {
     // Property: `search_batch` ≡ per-query `search` — same ids, same order —
-    // for every paper variant and worker count, and the stats counters
-    // aggregate to the same totals without tearing.
+    // for every paper variant, and the stats counters aggregate to the same
+    // totals as the serial loop's.
     let n = 10_000;
     let dataset = DataDistribution::I3.generate(n, 13);
     let domain = Rect::new([0.0, 0.0], [DOMAIN_MAX, DOMAIN_MAX]);
@@ -94,40 +94,32 @@ fn search_batch_equals_serial_search_for_all_variants() {
         ("Skeleton SR-Tree", sk_sr.tree().expect("finalized")),
     ];
     for (name, tree) in trees {
+        tree.reset_search_stats();
         let serial: Vec<Vec<RecordId>> = queries.iter().map(|q| tree.search(q)).collect();
+        let serial_snap = tree.stats();
         assert!(
             serial.iter().any(|ids| !ids.is_empty()),
             "{name}: degenerate workload"
         );
         tree.reset_search_stats();
-        let mut batch_runs = 0u64;
-        for workers in [1usize, 2, 6] {
-            assert_eq!(
-                tree.search_batch_threads(&queries, workers),
-                serial,
-                "{name}: workers={workers}"
-            );
-            batch_runs += 1;
-        }
+        assert_eq!(tree.search_batch(&queries), serial, "{name}");
         let snap = tree.stats();
         assert_eq!(
             snap.searches,
-            batch_runs * queries.len() as u64,
-            "{name}: searches counter aggregates without tearing"
+            queries.len() as u64,
+            "{name}: one flush per query"
         );
         assert_eq!(
-            snap.search_node_accesses % batch_runs,
-            0,
-            "{name}: identical batches flush identical access totals"
+            snap.search_node_accesses, serial_snap.search_node_accesses,
+            "{name}: the batch flushes the serial loop's access total"
         );
         assert_eq!(
-            snap.search_results % batch_runs,
-            0,
-            "{name}: identical batches flush identical result totals"
+            snap.search_results, serial_snap.search_results,
+            "{name}: the batch flushes the serial loop's result total"
         );
     }
 
-    // The object-safe trait surface batches too (default worker count).
+    // The object-safe trait surface batches too.
     let boxed: Vec<Box<dyn IntervalIndex<2>>> = vec![
         Box::new(rtree),
         Box::new(srtree),
@@ -146,7 +138,7 @@ fn search_batch_equals_serial_search_for_all_variants() {
 }
 
 #[test]
-fn tree_level_batch_threads_and_stab_batch_match_serial() {
+fn tree_level_batches_match_serial() {
     let dataset = DataDistribution::I3.generate(10_000, 29);
     for config in [IndexConfig::rtree(), IndexConfig::srtree()] {
         let mut tree: Tree<2> = Tree::new(config);
@@ -159,20 +151,13 @@ fn tree_level_batch_threads_and_stab_batch_match_serial() {
             .collect();
         let serial: Vec<Vec<RecordId>> = queries.iter().map(|q| tree.search(q)).collect();
         tree.reset_search_stats();
-        for workers in [1usize, 2, 6] {
-            assert_eq!(tree.search_batch_threads(&queries, workers), serial);
-        }
-        let snap = tree.stats();
-        assert_eq!(snap.searches, 3 * queries.len() as u64);
+        assert_eq!(tree.search_batch(&queries), serial);
+        assert_eq!(tree.stats().searches, queries.len() as u64);
 
         let points: Vec<Point<2>> = (0..60)
             .map(|i| Point::new([((i * 1_999) % 100_000) as f64, ((i * 733) % 100_000) as f64]))
             .collect();
         let stab_serial: Vec<Vec<RecordId>> = points.iter().map(|p| tree.stab(p)).collect();
-        for workers in [1usize, 2, 6] {
-            assert_eq!(tree.stab_batch_threads(&points, workers), stab_serial);
-        }
-        assert_eq!(tree.search_batch(&queries), serial);
         assert_eq!(tree.stab_batch(&points), stab_serial);
     }
 }
