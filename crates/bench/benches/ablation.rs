@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use segidx_core::bulk::bulk_load;
 use segidx_core::{
-    build_skeleton, IndexConfig, SkeletonSRTree, SkeletonSpec, SplitAlgorithm, Tree,
+    build_skeleton, IndexConfig, IntervalIndex, Skeleton, SkeletonSpec, SplitAlgorithm, Tree,
 };
 use segidx_geom::Rect;
 use segidx_workloads::{domain, queries_for_qar, DataDistribution};
@@ -85,20 +85,22 @@ fn a2_branch_fraction(c: &mut Criterion) {
     let queries = mixed_queries();
 
     for (name, fraction) in [("1/2", 0.5), ("2/3", 2.0 / 3.0), ("3/4", 0.75)] {
-        let mut config = SkeletonSRTree::<2>::paper_config();
-        config.branch_fraction = fraction;
-        let mut index = SkeletonSRTree::<2>::with_prediction_config(config, domain(), N, N / 10);
+        let config = IndexConfig {
+            branch_fraction: fraction,
+            ..IndexConfig::skeleton_srtree()
+        };
+        let mut index = Skeleton::<2>::new(config, domain(), N, N / 10);
         for (r, id) in &dataset.records {
-            segidx_core::IntervalIndex::insert(&mut index, *r, *id);
+            index.insert(*r, *id);
         }
-        if let Some(tree) = index.tree() {
+        if let Skeleton::Built(tree) = &index {
             report_accesses(&format!("branch_fraction={name}"), tree, &queries);
         }
         group.bench_function(BenchmarkId::new("search", name), |b| {
             b.iter(|| {
                 let mut found = 0;
                 for q in &queries {
-                    found += segidx_core::IntervalIndex::search(&index, black_box(q)).len();
+                    found += index.search(black_box(q)).len();
                 }
                 black_box(found)
             })

@@ -3,7 +3,7 @@
 //! `hint_bench` binary; this is the criterion-tracked spot check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use segidx_core::{HintIndex, IntervalIndex, RecordId, SRTree};
+use segidx_core::{HintIndex, IndexConfig, RecordId, Tree};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{DataDistribution, DOMAIN_MAX};
 use std::hint::black_box;
@@ -25,7 +25,7 @@ fn bench_stab_1d(c: &mut Criterion) {
         .collect();
     let mut hint = HintIndex::new();
     hint.bulk_load(intervals.clone());
-    let mut tree = SRTree::<1>::new();
+    let mut tree = Tree::<1>::new(IndexConfig::srtree());
     for (r, id) in &intervals {
         tree.insert(*r, *id);
     }

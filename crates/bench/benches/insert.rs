@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use segidx_bench::Variant;
+use segidx_core::IntervalIndex;
 use segidx_workloads::DataDistribution;
 use std::hint::black_box;
 

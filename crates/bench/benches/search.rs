@@ -3,14 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use segidx_bench::Variant;
-use segidx_core::IntervalIndex;
+use segidx_core::{IntervalIndex, Skeleton};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution};
 use std::hint::black_box;
 
 const N: usize = 20_000;
 
-fn build(variant: Variant, dist: DataDistribution) -> Box<dyn IntervalIndex<2> + Send> {
+fn build(variant: Variant, dist: DataDistribution) -> Skeleton<2> {
     let dataset = dist.generate(N, 7);
     let mut index = variant.build_index(N);
     for (rect, id) in &dataset.records {

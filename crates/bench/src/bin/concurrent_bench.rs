@@ -18,7 +18,7 @@
 use segidx_bench::{hardware_note, today};
 use segidx_concurrent::{CommitTicket, ConcurrentIndex, IndexOp, SubmitError};
 use segidx_core::tree::Tree;
-use segidx_core::{IntervalIndex, RecordId, SRTree};
+use segidx_core::{IndexConfig, RecordId};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution};
 use std::collections::VecDeque;
@@ -85,11 +85,11 @@ fn run_cell(
     max_batch: usize,
     duration: Duration,
 ) -> Cell {
-    let mut seed = SRTree::<2>::new();
+    let mut seed = Tree::<2>::new(IndexConfig::srtree());
     for (r, id) in records {
         seed.insert(*r, *id);
     }
-    let index = ConcurrentIndex::builder(seed.into_tree())
+    let index = ConcurrentIndex::builder(seed)
         .queue_capacity(4 * max_batch.max(256))
         .max_batch(max_batch)
         .start()
@@ -221,11 +221,10 @@ fn isolated_and_served_publish_nanos(ops: usize) -> (f64, f64) {
     const MIX: &[u8; 20] = b"sipsdsipsdsinsdpsips";
     let dataset = DataDistribution::R2.generate(CHECK_RECORDS + ops, 7);
     let (mut oldest, mut fresh) = (0, CHECK_RECORDS);
-    let mut seed = SRTree::<2>::new();
+    let mut tree = Tree::<2>::new(IndexConfig::srtree());
     for (r, id) in &dataset.records[..CHECK_RECORDS] {
-        seed.insert(*r, *id);
+        tree.insert(*r, *id);
     }
-    let tree = seed.into_tree();
     let isolated = clone_drop_nanos(&tree);
     let index = ConcurrentIndex::builder(tree)
         .start()

@@ -12,7 +12,7 @@
 
 use segidx_bench::crash::SplitMix64;
 use segidx_bench::{hardware_note, median, median_ratio, today};
-use segidx_core::{HintIndex, IntervalIndex, RTree, SRTree, SkeletonRTree, SkeletonSRTree};
+use segidx_core::{HintIndex, IndexConfig, IntervalIndex, Skeleton, Tree};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::DOMAIN_MAX;
 use std::hint::black_box;
@@ -131,24 +131,21 @@ fn paper_variants_1d(
     let n = records.len();
     let domain = Rect::new([0.0], [DOMAIN_MAX * 1.05]);
     let buffer = (n / 10).max(1);
-    let mut out: Vec<(&'static str, Box<dyn IntervalIndex<1>>)> = vec![
-        ("R-Tree", Box::new(RTree::<1>::new())),
-        ("SR-Tree", Box::new(SRTree::<1>::new())),
-        (
-            "Skeleton R-Tree",
-            Box::new(SkeletonRTree::<1>::with_prediction(domain, n, buffer)),
-        ),
-        (
-            "Skeleton SR-Tree",
-            Box::new(SkeletonSRTree::<1>::with_prediction(domain, n, buffer)),
-        ),
+    let skeleton = |config| Box::new(Skeleton::<1>::new(config, domain, n, buffer));
+    let mut out: Vec<Box<dyn IntervalIndex<1>>> = vec![
+        Box::new(Tree::<1>::new(IndexConfig::rtree())),
+        Box::new(Tree::<1>::new(IndexConfig::srtree())),
+        skeleton(IndexConfig::skeleton_rtree()),
+        skeleton(IndexConfig::skeleton_srtree()),
     ];
-    for (_, index) in &mut out {
+    for index in &mut out {
         for (r, id) in records {
             index.insert(*r, *id);
         }
     }
-    out
+    out.into_iter()
+        .map(|index| (index.variant_name(), index))
+        .collect()
 }
 
 fn main() -> ExitCode {

@@ -172,10 +172,10 @@ fn main() -> ExitCode {
         if let Some(dir) = &args.csv_dir {
             let path = dir.join(format!("graph{}.csv", graph.number()));
             if let Err(e) = write_csv(&result, &path) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
+                eprintln!("error: could not write {}: {e}", path.display());
+                return ExitCode::FAILURE;
             }
+            eprintln!("wrote {}", path.display());
         }
         results.push(result);
     }

@@ -5,7 +5,7 @@
 //! land in `results/BENCH_temporal.json` (same `hardware_note` convention
 //! as `results/BENCH_hint.json`).
 //!
-//! Two measurements:
+//! Four measurements:
 //!
 //! 1. **Ingest throughput**: wall-clock over the full stream. The tiered
 //!    index absorbs writes into a bounded memtable and turns them into
@@ -26,6 +26,13 @@
 //!    fewer nodes only because it ends before the long versions that
 //!    reach back into it do.)
 //!
+//! 4. **HINT beside each sealed tier** (reported, not gated on speed): on a
+//!    stream shaped like `serve-temporal`'s, each sealed tier's tree
+//!    answers `AS OF` and `WITHIN` next to a [`HintIndex`] built over the
+//!    same versions' lifetimes — ns per query, the tree-to-HINT ratio, and
+//!    HINT's stored copies per interval. `--check` fails on any id the two
+//!    disagree on.
+//!
 //! With `--metrics-out FILE` the run also snapshots the
 //! `segidx_temporal_*` telemetry family for `metrics_check --temporal`.
 //!
@@ -34,9 +41,9 @@
 //!                  [--metrics-out FILE] [--check]
 
 use segidx_bench::crash::SplitMix64;
-use segidx_bench::{hardware_note, today};
-use segidx_core::{IndexConfig, RecordId, Tree};
-use segidx_geom::Rect;
+use segidx_bench::{hardware_note, median, median_ratio, today};
+use segidx_core::{HintIndex, IndexConfig, RecordId, SearchCursor, Tree};
+use segidx_geom::{Point, Rect};
 use segidx_obs::MetricsRegistry;
 use segidx_temporal::{TieredConfig, TieredTelemetry, TieredTemporalIndex};
 use std::path::PathBuf;
@@ -151,6 +158,134 @@ fn probe_windows(n: usize, horizon: f64, seed: u64) -> Vec<Rect<2>> {
         .collect()
 }
 
+/// Keys, mean gap between records and versions of [`served_versions`]:
+/// `serve-temporal`'s preload shape, long enough that the default 8 192-entry
+/// seals and fanout-4 merges leave one tier on each level, 8 192 to 524 288
+/// entries.
+const SERVED_KEYS: usize = 256;
+const SERVED_MEAN_GAP: f64 = 10.0;
+const SERVED_VERSIONS: usize = 700_000;
+/// Width of a served `WITHIN` window: 200 mean gaps.
+const WITHIN_WIDTH: f64 = 200.0 * SERVED_MEAN_GAP;
+/// `AS OF` and `WITHIN` probes per tier, and interleaved timing rounds.
+const HINT_PROBES: usize = 2_000;
+const HINT_ROUNDS: usize = 5;
+
+/// The closed versions of a `serve-temporal`-shaped `RECORD` stream, in
+/// closing order: each step advances the clock by an exponential gap,
+/// records a random value for one of [`SERVED_KEYS`] keys, and closes that
+/// key's previous version. A version is indexed as a temporal table does:
+/// `[from, value] × [to, value]`.
+fn served_versions(n: usize, seed: u64) -> Vec<(Rect<2>, RecordId)> {
+    let mut rng = SplitMix64::new(seed);
+    let mut open: Vec<Option<(f64, f64)>> = vec![None; SERVED_KEYS];
+    let mut out = Vec::with_capacity(n);
+    let mut t = 0.0;
+    while out.len() < n {
+        t += (-SERVED_MEAN_GAP * (1.0 - rng.next_f64()).ln()).max(1e-3);
+        let key = (rng.next_u64() % SERVED_KEYS as u64) as usize;
+        let value = (rng.next_u64() % 100_000) as f64;
+        if let Some((from, v)) = open[key].replace((t, value)) {
+            out.push((Rect::new([from, v], [t, v]), RecordId(out.len() as u64)));
+        }
+    }
+    out
+}
+
+/// One sealed tier's tree against HINT over the same versions.
+struct HintRow {
+    entries: usize,
+    copies_per_interval: f64,
+    /// `(tree ns, HINT ns, median per-round tree/HINT ratio)` per query.
+    as_of: (f64, f64, f64),
+    within: (f64, f64, f64),
+}
+
+/// Times `tree` against `hint` over `probes`, in [`HINT_ROUNDS`]
+/// interleaved rounds, and counts the probes whose ids differ.
+fn race(
+    probes: &[(Rect<2>, Rect<1>)],
+    tree: impl Fn(&Rect<2>) -> Vec<RecordId>,
+    hint: impl Fn(&Rect<1>) -> Vec<RecordId>,
+) -> ((f64, f64, f64), usize) {
+    let mismatches = probes.iter().filter(|(t, h)| tree(t) != hint(h)).count();
+    let (mut tree_rounds, mut hint_rounds) = (Vec::new(), Vec::new());
+    for _ in 0..HINT_ROUNDS {
+        let start = Instant::now();
+        let hits: usize = probes.iter().map(|(t, _)| tree(t).len()).sum();
+        tree_rounds.push(start.elapsed().as_nanos() as u64);
+        let start = Instant::now();
+        let hint_hits: usize = probes.iter().map(|(_, h)| hint(h).len()).sum();
+        hint_rounds.push(start.elapsed().as_nanos() as u64);
+        std::hint::black_box((hits, hint_hits));
+    }
+    let ratio = median_ratio(&tree_rounds, &hint_rounds);
+    let per_query = |rounds: &mut [u64]| median(rounds) as f64 / probes.len() as f64;
+    (
+        (
+            per_query(&mut tree_rounds),
+            per_query(&mut hint_rounds),
+            ratio,
+        ),
+        mismatches,
+    )
+}
+
+/// Ingests [`served_versions`] into a default tiered index, then races
+/// every sealed tier's tree against a HINT over its versions' lifetimes on
+/// `AS OF` (a line at `t` across every value, as `pin_as_of` probes; HINT
+/// stabs `t`) and a [`WITHIN_WIDTH`] `WITHIN` (`pin_within`'s window
+/// across every value; HINT searches it). Returns one row per tier and the
+/// probes whose ids differed.
+fn hint_beside_tiers() -> (Vec<HintRow>, usize) {
+    let mut tiered = TieredTemporalIndex::<2>::new(TieredConfig::default());
+    for (rect, id) in served_versions(SERVED_VERSIONS, 41) {
+        tiered.insert(rect, id).expect("tiered insert");
+    }
+    let everything = (f64::MIN / 2.0, f64::MAX / 2.0);
+    let mut mismatches = 0;
+    let mut rows = Vec::new();
+    for tree in tiered.tier_trees() {
+        let mut hint = HintIndex::new();
+        hint.bulk_load(
+            tree.iter_entries()
+                .map(|(r, id)| (Rect::new([r.lo(0)], [r.hi(0)]), id))
+                .collect(),
+        );
+        let span = tree.root_region().expect("a sealed tier is not empty");
+        let mut rng = SplitMix64::new(tree.len() as u64);
+        let times: Vec<f64> = (0..HINT_PROBES)
+            .map(|_| span.lo(0) + rng.next_f64() * span.extent(0))
+            .collect();
+        let as_of: Vec<(Rect<2>, Rect<1>)> = times
+            .iter()
+            .map(|&t| {
+                let line = Rect::new([t, everything.0], [t, everything.1]);
+                (line, Rect::new([t], [t]))
+            })
+            .collect();
+        let within: Vec<(Rect<2>, Rect<1>)> = times
+            .iter()
+            .map(|&t| {
+                let window = Rect::new([t, everything.0], [t + WITHIN_WIDTH, everything.1]);
+                (window, Rect::new([t], [t + WITHIN_WIDTH]))
+            })
+            .collect();
+        let cursor = std::cell::RefCell::new(SearchCursor::new());
+        let tree_search = |q: &Rect<2>| tree.search_with(&mut cursor.borrow_mut(), q).to_vec();
+        let (as_of, bad_as_of) = race(&as_of, tree_search, |q| hint.stab(&Point::new([q.lo(0)])));
+        let (within, bad_within) = race(&within, tree_search, |q| hint.search(q));
+        mismatches += bad_as_of + bad_within;
+        rows.push(HintRow {
+            entries: tree.entry_count(),
+            copies_per_interval: hint.entry_count() as f64 / hint.len() as f64,
+            as_of,
+            within,
+        });
+    }
+    (rows, mismatches)
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -248,6 +383,30 @@ fn main() -> ExitCode {
             .min_by_key(|t| t.entries),
     );
 
+    // ---- 5. HINT beside each sealed tier (reported, ids gated) ----------
+    let (hint_rows, hint_mismatches) = hint_beside_tiers();
+    println!(
+        "  HINT beside the sealed tiers of a {SERVED_VERSIONS}-version serve-temporal stream:"
+    );
+    for r in &hint_rows {
+        println!(
+            "  tier {:>7} entries: AS OF tree {:>6.0} ns, HINT {:>6.0} ns ({:.2}x); \
+             WITHIN tree {:>6.0} ns, HINT {:>6.0} ns ({:.2}x); {:.2} HINT copies per interval",
+            r.entries,
+            r.as_of.0,
+            r.as_of.1,
+            r.as_of.2,
+            r.within.0,
+            r.within.1,
+            r.within.2,
+            r.copies_per_interval
+        );
+    }
+    println!(
+        "  HINT: {} probes per tier and query, {hint_mismatches} id mismatches",
+        HINT_PROBES
+    );
+
     if let Some(path) = &args.metrics_out {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).expect("create metrics dir");
@@ -315,6 +474,30 @@ fn main() -> ExitCode {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"hint_beside_tiers\": {{\n    \"stream\": \"serve-temporal shape: {SERVED_KEYS} keys, \
+         exponential gaps of mean {SERVED_MEAN_GAP}, a version closes at its key's next record\",\n    \
+         \"versions\": {SERVED_VERSIONS},\n    \"probes_per_tier\": {HINT_PROBES},\n    \
+         \"within_width\": {WITHIN_WIDTH},\n    \"id_mismatches\": {hint_mismatches},\n    \
+         \"tiers\": [\n"
+    ));
+    for (i, r) in hint_rows.iter().enumerate() {
+        let comma = if i + 1 < hint_rows.len() { "," } else { "" };
+        json.push_str(&format!(
+            "      {{\"entries\": {}, \"as_of_tree_ns\": {:.0}, \"as_of_hint_ns\": {:.0}, \
+             \"as_of_ratio\": {:.2}, \"within_tree_ns\": {:.0}, \"within_hint_ns\": {:.0}, \
+             \"within_ratio\": {:.2}, \"hint_copies_per_interval\": {:.3}}}{comma}\n",
+            r.entries,
+            r.as_of.0,
+            r.as_of.1,
+            r.as_of.2,
+            r.within.0,
+            r.within.1,
+            r.within.2,
+            r.copies_per_interval
+        ));
+    }
+    json.push_str("    ]\n  },\n");
     json.push_str("  \"query_verification\": {\n");
     json.push_str(&format!("    \"probes\": {},\n", args.queries));
     json.push_str(&format!("    \"total_hits\": {total_hits},\n"));
@@ -352,6 +535,12 @@ fn main() -> ExitCode {
                 args.queries
             ));
         }
+        if hint_mismatches > 0 {
+            problems.push(format!(
+                "{hint_mismatches} AS OF / WITHIN probes got different ids from HINT than \
+                 from their tier's tree"
+            ));
+        }
         if !problems.is_empty() {
             for p in &problems {
                 eprintln!("temporal_bench: CHECK FAILED: {p}");
@@ -360,8 +549,10 @@ fn main() -> ExitCode {
         }
         println!(
             "temporal_bench: checks passed (ingest {speedup:.2}x >= 3x, {} probes bit-identical, \
-             AS OF {largest:.1} nodes on the largest tier <= 1.5x {baseline:.1})",
-            args.queries
+             AS OF {largest:.1} nodes on the largest tier <= 1.5x {baseline:.1}, HINT ids equal \
+             the tiers' on {} probes)",
+            args.queries,
+            2 * HINT_PROBES * hint_rows.len()
         );
     }
     ExitCode::SUCCESS

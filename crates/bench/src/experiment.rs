@@ -1,6 +1,7 @@
 //! Experiment descriptors: which graph, which distribution, which variants.
 
-use segidx_core::{IntervalIndex, RTree, SRTree, SkeletonRTree, SkeletonSRTree};
+use segidx_core::{IndexConfig, Skeleton, Tree};
+use segidx_geom::Rect;
 use segidx_workloads::{domain, DataDistribution, Dataset};
 
 /// The paper buffers the first 10,000 tuples for distribution prediction
@@ -119,43 +120,40 @@ impl Variant {
         Variant::SkeletonSRTree,
     ];
 
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
+    /// The paper's configuration of this variant.
+    pub fn config(&self) -> IndexConfig {
         match self {
-            Variant::RTree => "R-Tree",
-            Variant::SRTree => "SR-Tree",
-            Variant::SkeletonRTree => "Skeleton R-Tree",
-            Variant::SkeletonSRTree => "Skeleton SR-Tree",
+            Variant::RTree => IndexConfig::rtree(),
+            Variant::SRTree => IndexConfig::srtree(),
+            Variant::SkeletonRTree => IndexConfig::skeleton_rtree(),
+            Variant::SkeletonSRTree => IndexConfig::skeleton_srtree(),
         }
     }
 
-    /// Whether this is a Skeleton (pre-constructed) variant.
-    pub fn is_skeleton(&self) -> bool {
-        matches!(self, Variant::SkeletonRTree | Variant::SkeletonSRTree)
+    /// Display name matching the paper.
+    pub fn name(&self) -> &'static str {
+        self.config().variant_name()
     }
 
-    /// Whether this variant uses the segment extensions.
-    pub fn is_segment(&self) -> bool {
-        matches!(self, Variant::SRTree | Variant::SkeletonSRTree)
-    }
-
-    /// Builds an empty index of this variant with the paper's parameters,
-    /// sized for `expected_tuples`.
-    pub fn build_index(&self, expected_tuples: usize) -> Box<dyn IntervalIndex<2> + Send> {
+    /// An empty index of this variant with the paper's parameters, sized
+    /// for `expected_tuples` over the paper's domain: the skeletons predict
+    /// theirs from the first `min(10 000, expected_tuples / 10)` tuples.
+    pub fn build_index(&self, expected_tuples: usize) -> Skeleton<2> {
         let buffer = PAPER_PREDICTION_BUFFER.min((expected_tuples / 10).max(1));
-        match self {
-            Variant::RTree => Box::new(RTree::<2>::new()),
-            Variant::SRTree => Box::new(SRTree::<2>::new()),
-            Variant::SkeletonRTree => Box::new(SkeletonRTree::<2>::with_prediction(
-                domain(),
-                expected_tuples,
-                buffer,
-            )),
-            Variant::SkeletonSRTree => Box::new(SkeletonSRTree::<2>::with_prediction(
-                domain(),
-                expected_tuples,
-                buffer,
-            )),
+        self.index(domain(), expected_tuples, buffer)
+    }
+
+    /// An empty index of this variant, one type for all four so that
+    /// whatever sweeps them can also serve them: a skeleton variant
+    /// predicted from the first `buffer` tuples and sized for
+    /// `expected_tuples` over `domain`, a dynamic one built from the start
+    /// (`Skeleton::Built` around an empty tree).
+    pub fn index(&self, domain: Rect<2>, expected_tuples: usize, buffer: usize) -> Skeleton<2> {
+        let config = self.config();
+        if config.coalesce.is_some() {
+            Skeleton::new(config, domain, expected_tuples, buffer)
+        } else {
+            Skeleton::Built(Tree::new(config))
         }
     }
 }
@@ -212,6 +210,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use segidx_core::IntervalIndex;
 
     #[test]
     fn graph_numbering_roundtrips() {

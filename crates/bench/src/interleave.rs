@@ -23,19 +23,17 @@
 //! reader saw a half-applied batch or a stale epoch after a newer one),
 //! not a flaky schedule. All four paper variants are
 //! exercised, since each has distinct node layouts and split/coalesce
-//! machinery behind the same `Tree` engine.
+//! machinery behind the same `Tree` engine; each is served as the
+//! experiment harness builds it ([`Variant::index`]).
 
 use crate::crash::SplitMix64;
+use crate::experiment::Variant;
 use segidx_concurrent::{CommitTicket, ConcurrentIndex, IndexOp, SubmitError};
-use segidx_core::tree::Tree;
-use segidx_core::{IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree};
+use segidx_core::{IntervalIndex, RecordId, Skeleton};
 use segidx_geom::Rect;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// The four paper variants the harness drives.
-pub const VARIANTS: [&str; 4] = ["R-Tree", "SR-Tree", "Skeleton R-Tree", "Skeleton SR-Tree"];
 
 /// Shape of one stress run (per seed, per variant).
 #[derive(Debug, Clone, Copy)]
@@ -155,41 +153,16 @@ pub fn probe_rects(seed: u64, count: usize) -> Vec<Rect<2>> {
         .collect()
 }
 
-/// Builds one paper variant over `records` and unwraps it to a bare tree.
-pub fn build_variant(variant: &str, records: &[(Rect<2>, RecordId)]) -> Tree<2> {
+/// Builds one paper variant over `records`, sized for them over the
+/// generator's domain.
+fn build_variant(variant: Variant, records: &[(Rect<2>, RecordId)]) -> Skeleton<2> {
     let n = records.len().max(1);
     let domain = Rect::new([0.0, 0.0], [7_000.0, 7_000.0]);
-    match variant {
-        "R-Tree" => {
-            let mut t = RTree::<2>::new();
-            for (r, id) in records {
-                t.insert(*r, *id);
-            }
-            t.into_tree()
-        }
-        "SR-Tree" => {
-            let mut t = SRTree::<2>::new();
-            for (r, id) in records {
-                t.insert(*r, *id);
-            }
-            t.into_tree()
-        }
-        "Skeleton R-Tree" => {
-            let mut t = SkeletonRTree::<2>::with_prediction(domain, n, n / 10 + 1);
-            for (r, id) in records {
-                t.insert(*r, *id);
-            }
-            t.into_tree()
-        }
-        "Skeleton SR-Tree" => {
-            let mut t = SkeletonSRTree::<2>::with_prediction(domain, n, n / 10 + 1);
-            for (r, id) in records {
-                t.insert(*r, *id);
-            }
-            t.into_tree()
-        }
-        other => panic!("unknown variant {other}"),
+    let mut index = variant.index(domain, n, n / 10 + 1);
+    for (r, id) in records {
+        index.insert(*r, *id);
     }
+    index
 }
 
 /// One reader observation: at pinned epoch `epoch`, probe `probe` returned
@@ -200,29 +173,29 @@ struct Observation {
     results: BTreeSet<RecordId>,
 }
 
-/// Runs one seed against one paper variant (unwrapped to a bare [`Tree`]);
-/// returns observations validated plus any failures.
+/// Runs one seed against one paper variant; returns observations
+/// validated plus any failures.
 fn stress_variant(
     seed: u64,
-    variant: &'static str,
+    variant: Variant,
     cfg: &StressConfig,
 ) -> (u64, u64, Vec<StressFailure>) {
     let mut failures = Vec::new();
     let fail = |detail: String| StressFailure {
         seed,
-        variant,
+        variant: variant.name(),
         detail,
     };
 
     let initial = initial_records(seed, cfg.initial);
     let ops = mutation_stream(seed, cfg, &initial);
     let probes = probe_rects(seed, cfg.probes);
-    let tree = build_variant(variant, &initial);
+    let engine = build_variant(variant, &initial);
 
     // Batching parameters vary with the seed so different seeds exercise
     // different commit groupings.
     let max_batch = 8 + (seed as usize % 5) * 24;
-    let index = ConcurrentIndex::builder(tree)
+    let index = ConcurrentIndex::builder(engine)
         .queue_capacity(256)
         .max_batch(max_batch)
         .start()
@@ -385,7 +358,7 @@ fn stress_variant(
 /// Runs one seed across the four paper variants.
 pub fn stress_seed(seed: u64, cfg: &StressConfig) -> SeedOutcome {
     let mut outcome = SeedOutcome::default();
-    for variant in VARIANTS {
+    for variant in Variant::ALL {
         let (checked, epochs, failures) = stress_variant(seed, variant, cfg);
         outcome.observations += checked;
         outcome.epochs += epochs;

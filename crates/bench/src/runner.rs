@@ -2,7 +2,7 @@
 //! range, collect the paper's metric.
 
 use crate::experiment::{Experiment, Graph, Variant};
-use segidx_core::{IntervalIndex, StatsSnapshot, TreeTelemetry};
+use segidx_core::{IntervalIndex, Skeleton, StatsSnapshot, TreeTelemetry};
 use segidx_obs::HistogramSnapshot;
 use segidx_storage::IoStatsSnapshot;
 use segidx_workloads::{paper_query_sweep, queries_for_qar};
@@ -150,7 +150,7 @@ pub fn run_variant(
     }
     let build_ms = start.elapsed().as_millis() as u64;
     let insert_latency = telemetry.snapshot().insert;
-    let points = sweep(index.as_ref(), experiment);
+    let points = sweep(&index, experiment);
     let snap = index.stats();
     Series {
         variant,
@@ -204,53 +204,18 @@ pub fn sweep(index: &dyn IntervalIndex<2>, experiment: &Experiment) -> Vec<Sweep
 /// Builds each variant over the experiment's dataset and renders its
 /// per-level structure report (`reproduce --inspect`).
 pub fn inspect_variants(experiment: &Experiment) -> Vec<String> {
-    use segidx_core::{RTree, SRTree, SkeletonRTree, SkeletonSRTree};
     let dataset = experiment.dataset();
-    let buffer = crate::experiment::PAPER_PREDICTION_BUFFER.min((experiment.tuples / 10).max(1));
-    let domain = segidx_workloads::domain();
-
     Variant::ALL
         .iter()
         .map(|variant| {
-            let report = match variant {
-                Variant::RTree => {
-                    let mut t = RTree::<2>::new();
-                    for (r, id) in &dataset.records {
-                        t.tree_mut().insert(*r, *id);
-                    }
-                    t.tree().report().to_string()
-                }
-                Variant::SRTree => {
-                    let mut t = SRTree::<2>::new();
-                    for (r, id) in &dataset.records {
-                        t.tree_mut().insert(*r, *id);
-                    }
-                    t.tree().report().to_string()
-                }
-                Variant::SkeletonRTree => {
-                    let mut t =
-                        SkeletonRTree::<2>::with_prediction(domain, experiment.tuples, buffer);
-                    for (r, id) in &dataset.records {
-                        segidx_core::IntervalIndex::insert(&mut t, *r, *id);
-                    }
-                    t.tree()
-                        .expect("built after prediction")
-                        .report()
-                        .to_string()
-                }
-                Variant::SkeletonSRTree => {
-                    let mut t =
-                        SkeletonSRTree::<2>::with_prediction(domain, experiment.tuples, buffer);
-                    for (r, id) in &dataset.records {
-                        segidx_core::IntervalIndex::insert(&mut t, *r, *id);
-                    }
-                    t.tree()
-                        .expect("built after prediction")
-                        .report()
-                        .to_string()
-                }
+            let mut index = variant.build_index(experiment.tuples);
+            for (r, id) in &dataset.records {
+                index.insert(*r, *id);
+            }
+            let Skeleton::Built(tree) = index else {
+                panic!("{}: prediction buffer never filled", variant.name());
             };
-            format!("structure of {}:\n{report}", variant.name())
+            format!("structure of {}:\n{}", variant.name(), tree.report())
         })
         .collect()
 }

@@ -1,6 +1,7 @@
 //! The concurrent index service: `Arc`-published snapshots over a
-//! copy-on-write [`Tree`], fed by a single writer thread running group
-//! commits.
+//! copy-on-write engine — a [`Tree`], a [`Skeleton`], any
+//! [`IntervalIndex`] whose clone is a cheap snapshot — fed by a single
+//! writer thread running group commits.
 //!
 //! # Architecture
 //!
@@ -8,8 +9,8 @@
 //!  readers                    writer thread
 //!  ───────                    ─────────────
 //!  snapshot() ──Arc::clone──►  drain ≤ max_batch ops from the queue
-//!  search / stab on an        apply them to the private tree
-//!  immutable Tree             (durable: persist::commit + sync)
+//!  search / stab on an        apply them to the private engine
+//!  immutable engine           (durable: persist::commit + sync)
 //!  drop guard ──Arc drop──►   publish: swap the Arc under the lock,
 //!                             drop the replaced one outside it
 //!                             complete tickets with the commit epoch
@@ -26,29 +27,32 @@
 //!
 //! Readers never observe a half-applied batch: they hold a
 //! [`SnapshotGuard`] and run any read — including
-//! `search_batch`/`stab_batch` — against a tree no one will ever mutate.
-//! The writer's private tree shares all untouched nodes with the published
+//! `search_batch`/`stab_batch` — against an engine no one will ever mutate.
+//! A [`Tree`]'s private copy shares all untouched nodes with the published
 //! snapshots (see `Arena` in `segidx-core`), so publishing epoch *n+1*
 //! costs one `Arc` bump per 16-slot chunk of the node table, and the batch
 //! before it copied only the chunks and nodes it changed; dropping a
 //! snapshot walks the chunk table once more and frees what it owned alone.
+//! A [`Skeleton`] still filling its prediction buffer copies the buffer
+//! instead; the commit that fills it builds the tree.
 //!
 //! # Durability = visibility
 //!
-//! When built over a [`DiskManager`], every group commit runs
-//! [`persist::commit`] **before** the snapshot is published. A snapshot can
-//! therefore never be observed that is not already durable: the chain of
-//! published epochs maps 1:1 onto the chain of durable checkpoints, and a
-//! crash at any point recovers exactly the tree of the last epoch any
-//! reader could have seen.
+//! When a `Tree` is served over a [`DiskManager`] ([`Builder::durable`]),
+//! every group commit runs [`persist::commit`] **before** the snapshot is
+//! published. A snapshot can therefore never be observed that is not
+//! already durable: the chain of published epochs maps 1:1 onto the chain
+//! of durable checkpoints, and a crash at any point recovers exactly the
+//! tree of the last epoch any reader could have seen.
+//!
+//! [`Skeleton`]: segidx_core::Skeleton
 
-use crate::engine::SnapshotEngine;
 use crate::queue::{
     lock, CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, QueueItem,
     SubmissionQueue, SubmitError, TicketState,
 };
 use segidx_core::tree::Tree;
-use segidx_core::RecordId;
+use segidx_core::{persist, IntervalIndex, RecordId};
 use segidx_geom::Rect;
 use segidx_obs::trace::{self, Tracer};
 use segidx_obs::{
@@ -92,11 +96,11 @@ impl ConcurrentTelemetry {
     }
 }
 
-/// One published, immutable snapshot: the tree plus its epoch identity.
+/// One published, immutable snapshot: the engine plus its epoch identity.
 struct SnapshotInner<const D: usize, E = Tree<D>> {
     epoch: u64,
     durable_epoch: Option<u64>,
-    /// The frozen engine (historically a [`Tree`]; any [`SnapshotEngine`]).
+    /// The frozen engine.
     tree: E,
     /// Snapshots of this index not yet dropped, this one included.
     live: Arc<AtomicUsize>,
@@ -205,8 +209,9 @@ impl<const D: usize, E> Shared<D, E> {
 
 /// A pinned, immutable view of one published snapshot.
 ///
-/// Dereferences to the snapshot's [`Tree`], so every read-side method —
-/// `search`, `stab`, `search_batch`, `nearest`, `validate` — works
+/// Dereferences to the snapshot's engine, so every read-side method —
+/// a [`Tree`]'s `search`, `stab`, `search_batch`, `nearest`,
+/// `assert_invariants`, or any engine's [`IntervalIndex`] surface — works
 /// unchanged. A guard is one `Arc` reference: holding it keeps exactly its
 /// own snapshot's memory alive, and dropping the last one frees it.
 pub struct SnapshotGuard<const D: usize, E = Tree<D>> {
@@ -235,7 +240,7 @@ impl<const D: usize, E> Deref for SnapshotGuard<D, E> {
     }
 }
 
-impl<const D: usize, E: SnapshotEngine<D>> std::fmt::Debug for SnapshotGuard<D, E> {
+impl<const D: usize, E: IntervalIndex<D>> std::fmt::Debug for SnapshotGuard<D, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotGuard")
             .field("epoch", &self.epoch())
@@ -250,10 +255,28 @@ impl<const D: usize, E: SnapshotEngine<D>> std::fmt::Debug for SnapshotGuard<D, 
 /// seam: lets a test hold a commit "in flight" deterministically.
 pub type CommitHook = Box<dyn FnMut(u64) + Send>;
 
+/// Where a durable index checkpoints, and how. Only
+/// [`Builder::durable`] sets one, and only for a [`Tree`], so no engine
+/// needs a checkpoint it cannot keep.
+struct Durability<E> {
+    disk: Arc<DiskManager>,
+    checkpoint: fn(&E, &DiskManager) -> Result<(), StorageError>,
+}
+
 /// Configures and starts a [`ConcurrentIndex`].
+///
+/// The engine `E` is any [`IntervalIndex`] that is `Clone + Send + Sync`,
+/// and its clone must be cheap and structurally sharing: the writer clones
+/// its private engine once per group commit to publish a frozen snapshot,
+/// and readers run every query against such clones, from any thread. A
+/// [`Tree`] clones in one `Arc` bump per 16 node slots; a [`Skeleton`]
+/// clones its tree once built, and copies its prediction buffer (at most
+/// the buffer size it was given) while filling it.
+///
+/// [`Skeleton`]: segidx_core::Skeleton
 pub struct Builder<const D: usize, E = Tree<D>> {
     tree: E,
-    disk: Option<Arc<DiskManager>>,
+    durability: Option<Durability<E>>,
     queue_capacity: usize,
     max_batch: usize,
     sink: Option<Arc<dyn ObsSink>>,
@@ -262,14 +285,20 @@ pub struct Builder<const D: usize, E = Tree<D>> {
     commit_hook: Option<CommitHook>,
 }
 
-impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
+impl<const D: usize> Builder<D, Tree<D>> {
     /// Backs the index with `disk`: every group commit is checkpointed via
-    /// `persist::commit` before its snapshot is published.
+    /// `persist::commit` before its snapshot is published. Durability is a
+    /// `Tree`'s alone; other engines serve from memory.
     pub fn durable(mut self, disk: Arc<DiskManager>) -> Self {
-        self.disk = Some(disk);
+        self.durability = Some(Durability {
+            disk,
+            checkpoint: |tree, disk| persist::commit(tree, disk).map(|_| ()),
+        });
         self
     }
+}
 
+impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builder<D, E> {
     /// Maximum queued (unapplied) operations before submissions are
     /// rejected with [`SubmitError::Overloaded`]. Default 1024.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
@@ -315,7 +344,7 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
     pub fn start(self) -> Result<ConcurrentIndex<D, E>, StorageError> {
         let Builder {
             tree,
-            disk,
+            durability,
             queue_capacity,
             max_batch,
             sink,
@@ -323,10 +352,10 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
             tracer,
             commit_hook,
         } = self;
-        let durable_epoch = match &disk {
-            Some(disk) => {
-                tree.checkpoint(disk)?;
-                Some(disk.epoch())
+        let durable_epoch = match &durability {
+            Some(d) => {
+                (d.checkpoint)(&tree, &d.disk)?;
+                Some(d.disk.epoch())
             }
             None => None,
         };
@@ -344,7 +373,7 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
         let writer_shared = Arc::clone(&shared);
         let writer = std::thread::Builder::new()
             .name("segidx-writer".into())
-            .spawn(move || writer_loop(writer_shared, tree, disk, max_batch, commit_hook))
+            .spawn(move || writer_loop(writer_shared, tree, durability, max_batch, commit_hook))
             .expect("spawn writer thread");
         Ok(ConcurrentIndex {
             shared,
@@ -356,8 +385,9 @@ impl<const D: usize, E: SnapshotEngine<D>> Builder<D, E> {
 /// An index served concurrently: any number of snapshot readers, one
 /// writer thread applying submitted mutations in group commits.
 ///
-/// Construct with [`ConcurrentIndex::builder`] from any [`Tree`] — use
-/// `into_tree()` on the four paper-variant wrappers. Cheap cloneable
+/// Construct with [`ConcurrentIndex::builder`] from any engine the
+/// [`Builder`] accepts: a [`Tree`] of any of the four paper
+/// configurations, or a predicted `Skeleton` still buffering. Cheap cloneable
 /// [`IndexHandle`]s (from [`handle`](Self::handle)) give other threads the
 /// same read/submit API.
 ///
@@ -388,12 +418,11 @@ pub struct ConcurrentIndex<const D: usize, E = Tree<D>> {
 }
 
 impl<const D: usize, E> ConcurrentIndex<D, E> {
-    /// A builder over the engine's current contents (any
-    /// [`SnapshotEngine`]; a [`Tree`] today).
+    /// A builder over the engine's current contents.
     pub fn builder(tree: E) -> Builder<D, E> {
         Builder {
             tree,
-            disk: None,
+            durability: None,
             queue_capacity: 1024,
             max_batch: 128,
             sink: None,
@@ -663,7 +692,7 @@ impl<const D: usize, E> std::fmt::Debug for IndexHandle<D, E> {
 
 /// The batch the writer has drained and not yet answered. Nothing else can
 /// reach these tickets any more, so a writer that unwinds while holding them
-/// (a panicking [`CommitHook`], a bug in an engine's `apply_*`) would leave
+/// (a panicking [`CommitHook`], a bug in an engine's `insert`) would leave
 /// `FLUSH`, [`CommitTicket::wait`] and every connection waiting on one
 /// parked forever. Dropped during a panic, this answers them — and whatever
 /// is still queued — with [`CommitError::WriterExited`] and closes the
@@ -700,10 +729,10 @@ impl<const D: usize, E> Drop for Drained<'_, D, E> {
 }
 
 /// The single writer: drain → apply → checkpoint → publish.
-fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
+fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
     shared: Arc<Shared<D, E>>,
     mut tree: E,
-    disk: Option<Arc<DiskManager>>,
+    durability: Option<Durability<E>>,
     max_batch: usize,
     mut hook: Option<CommitHook>,
 ) {
@@ -730,9 +759,9 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
                     let waited = enqueued.elapsed();
                     shared.telemetry.queue_wait.record_duration(waited);
                     match *op {
-                        IndexOp::Insert { rect, record } => tree.apply_insert(rect, record),
+                        IndexOp::Insert { rect, record } => tree.insert(rect, record),
                         IndexOp::Delete { rect, record } => {
-                            tree.apply_delete(&rect, record);
+                            tree.delete(&rect, record);
                         }
                     }
                     applied += 1;
@@ -763,9 +792,9 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             hook(next_epoch);
         }
         let checkpoint_start = Instant::now();
-        let durable_epoch = match &disk {
-            Some(disk) => match tree.checkpoint(disk) {
-                Ok(()) => Some(disk.epoch()),
+        let durable_epoch = match &durability {
+            Some(d) => match (d.checkpoint)(&tree, &d.disk) {
+                Ok(()) => Some(d.disk.epoch()),
                 Err(err) => {
                     // Cannot make this batch durable; publishing it would
                     // break the durability == visibility invariant. Fail
@@ -777,7 +806,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             },
             None => None,
         };
-        let checkpoint_nanos = if disk.is_some() {
+        let checkpoint_nanos = if durability.is_some() {
             checkpoint_start.elapsed().as_nanos() as u64
         } else {
             0

@@ -1,7 +1,8 @@
 //! Concurrent index service for segment indexes.
 //!
 //! The paper's index variants (`segidx-core`) are single-threaded data
-//! structures: mutation requires `&mut Tree`. This crate turns any of them
+//! structures: mutation requires `&mut`. This crate turns any of them — a
+//! `Tree` of any of the four configurations, or a predicted `Skeleton` —
 //! into a shared service with two properties the single-threaded API cannot
 //! offer:
 //!
@@ -10,22 +11,22 @@
 //!   held as an `Arc`: pinning is one `Arc::clone` under a mutex that is
 //!   only ever held for a pointer clone or swap, any number of guards can
 //!   be alive at once, and whoever drops the last reference frees the
-//!   snapshot. The snapshot itself is a copy-on-write
-//!   [`Tree`](segidx_core::tree::Tree) clone that shares all untouched
-//!   nodes with its predecessor.
+//!   snapshot. The snapshot itself is a copy-on-write clone of the engine;
+//!   a [`Tree`](segidx_core::tree::Tree)'s shares all untouched nodes with
+//!   its predecessor.
 //! * **Writes are batched into group commits with admission control.**
 //!   A single writer thread drains a bounded submission queue; a full
 //!   queue rejects new work immediately with the typed
 //!   [`SubmitError::Overloaded`] instead of blocking the submitter. When
-//!   the index is backed by a `DiskManager`, every group commit is
+//!   a `Tree` is served over a `DiskManager`, every group commit is
 //!   checkpointed through `persist::commit` *before* its snapshot is
 //!   published, so the published epoch chain maps 1:1 onto the durable
 //!   checkpoint chain — a crash recovers exactly the last epoch any reader
 //!   could have observed.
 //!
-//! Start from any built tree (use `into_tree()` on the `segidx-core` API
-//! wrappers), then talk to the service through [`ConcurrentIndex`] or its
-//! cloneable [`IndexHandle`]s:
+//! Start from any engine's current contents (see [`Builder`] for what an
+//! engine has to be), then talk to the service through [`ConcurrentIndex`]
+//! or its cloneable [`IndexHandle`]s:
 //!
 //! ```
 //! use segidx_concurrent::{ConcurrentIndex, IndexOp};
@@ -61,11 +62,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod engine;
 mod index;
 mod queue;
 
-pub use engine::SnapshotEngine;
 pub use index::{
     Builder, CommitHook, ConcurrentIndex, ConcurrentTelemetry, IndexHandle, SnapshotGuard,
 };

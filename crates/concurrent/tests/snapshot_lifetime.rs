@@ -3,11 +3,9 @@
 //! holds it, and the thread that drops the last reference frees it — no
 //! slot table to fill up, no backlog waiting for the next commit.
 
-use segidx_concurrent::{ConcurrentIndex, IndexOp, SnapshotEngine};
-use segidx_core::tree::Neighbor;
-use segidx_core::RecordId;
+use segidx_concurrent::{ConcurrentIndex, IndexOp};
+use segidx_core::{IntervalIndex, RecordId, StatsSnapshot, TreeTelemetry};
 use segidx_geom::{Point, Rect};
-use segidx_storage::{DiskManager, StorageError};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
@@ -50,16 +48,14 @@ impl Drop for Counted {
     }
 }
 
-impl SnapshotEngine<2> for Counted {
-    fn apply_insert(&mut self, _: Rect<2>, _: RecordId) {
+/// Indexes nothing: only `len` and the clone count are observed.
+impl IntervalIndex<2> for Counted {
+    fn insert(&mut self, _: Rect<2>, _: RecordId) {
         self.len += 1;
     }
-    fn apply_delete(&mut self, _: &Rect<2>, _: RecordId) -> bool {
+    fn delete(&mut self, _: &Rect<2>, _: RecordId) -> bool {
         self.len -= 1;
         true
-    }
-    fn len(&self) -> usize {
-        self.len
     }
     fn search(&self, _: &Rect<2>) -> Vec<RecordId> {
         Vec::new()
@@ -67,15 +63,31 @@ impl SnapshotEngine<2> for Counted {
     fn stab(&self, _: &Point<2>) -> Vec<RecordId> {
         Vec::new()
     }
-    fn nearest(&self, _: &Point<2>, _: usize) -> Vec<Neighbor<2>> {
-        Vec::new()
+    fn count_search_accesses(&self, _: &Rect<2>) -> u64 {
+        0
     }
-    fn checkpoint(&self, _: &DiskManager) -> Result<(), StorageError> {
-        Ok(())
+    fn len(&self) -> usize {
+        self.len
+    }
+    fn entry_count(&self) -> usize {
+        self.len
+    }
+    fn stats(&self) -> StatsSnapshot {
+        StatsSnapshot::default()
+    }
+    fn node_count(&self) -> usize {
+        0
+    }
+    fn height(&self) -> u32 {
+        0
     }
     fn check_invariants(&self) -> Vec<String> {
         Vec::new()
     }
+    fn variant_name(&self) -> &'static str {
+        "counted"
+    }
+    fn set_telemetry(&mut self, _: Option<Arc<TreeTelemetry>>) {}
 }
 
 #[test]

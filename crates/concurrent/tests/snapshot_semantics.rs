@@ -1,43 +1,52 @@
 //! Snapshot semantics: a reader pinned at epoch *N* continues to observe
-//! exactly epoch *N*'s tree — same results, same invariants — no matter
+//! exactly epoch *N*'s index — same results, same invariants — no matter
 //! how many later epochs the writer publishes, for all four paper
-//! variants, including delete-heavy streams.
+//! variants, including delete-heavy streams. The two skeletons are served
+//! while still filling their prediction buffer, so one of the later
+//! commits builds them under the pinned reader.
 
 use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
 use segidx_core::tree::Tree;
-use segidx_core::{IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree};
+use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton};
 use segidx_geom::Rect;
-use segidx_workloads::{queries_for_qar, DataDistribution, DOMAIN_MAX};
+use segidx_workloads::{queries_for_qar, DataDistribution, Dataset, DOMAIN_MAX};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const N: usize = 4_000;
 
-/// Each paper variant, pre-loaded with the first half of `dataset`, as a
-/// bare `Tree` ready for concurrent serving.
-fn variant_trees(dataset: &segidx_workloads::Dataset) -> Vec<(&'static str, Tree<2>)> {
-    let half = &dataset.records[..N / 2];
-    let domain = Rect::new([0.0, 0.0], [DOMAIN_MAX, DOMAIN_MAX]);
-    let mut rtree = RTree::<2>::new();
-    let mut srtree = SRTree::<2>::new();
-    let mut sk_r = SkeletonRTree::<2>::with_prediction(domain, N, N / 10);
-    let mut sk_sr = SkeletonSRTree::<2>::with_prediction(domain, N, N / 10);
-    for (r, id) in half {
-        rtree.insert(*r, *id);
-        srtree.insert(*r, *id);
-        sk_r.insert(*r, *id);
-        sk_sr.insert(*r, *id);
+/// `engine` with the first half of `dataset` loaded.
+fn preload<E: IntervalIndex<2>>(mut engine: E, dataset: &Dataset) -> E {
+    for (r, id) in &dataset.records[..N / 2] {
+        engine.insert(*r, *id);
     }
-    vec![
-        ("R-Tree", rtree.into_tree()),
-        ("SR-Tree", srtree.into_tree()),
-        ("Skeleton R-Tree", sk_r.into_tree()),
-        ("Skeleton SR-Tree", sk_sr.into_tree()),
+    engine
+}
+
+/// The two dynamic variants, served as `Tree`s.
+fn trees(dataset: &Dataset) -> [(&'static str, Tree<2>); 2] {
+    [
+        ("R-Tree", preload(Tree::new(IndexConfig::rtree()), dataset)),
+        (
+            "SR-Tree",
+            preload(Tree::new(IndexConfig::srtree()), dataset),
+        ),
     ]
 }
 
-fn submit_all(index: &ConcurrentIndex<2>, ops: impl IntoIterator<Item = IndexOp<2>>) {
+/// The two skeleton variants, served as `Skeleton`s whose 3N/4 prediction
+/// buffer outlasts the N/2 preload: they start serving while buffering.
+fn skeletons(dataset: &Dataset) -> [(&'static str, Skeleton<2>); 2] {
+    let domain = Rect::new([0.0, 0.0], [DOMAIN_MAX, DOMAIN_MAX]);
+    let skeleton = |config| preload(Skeleton::new(config, domain, N, 3 * N / 4), dataset);
+    [
+        ("Skeleton R-Tree", skeleton(IndexConfig::skeleton_rtree())),
+        ("Skeleton SR-Tree", skeleton(IndexConfig::skeleton_srtree())),
+    ]
+}
+
+fn submit_all<E>(index: &ConcurrentIndex<2, E>, ops: impl IntoIterator<Item = IndexOp<2>>) {
     for op in ops {
         loop {
             match index.submit(op) {
@@ -56,98 +65,132 @@ fn pinned_snapshot_is_immutable_across_later_epochs_all_variants() {
         .iter()
         .flat_map(|&q| queries_for_qar(q, 10, 7).queries)
         .collect();
-
-    for (name, tree) in variant_trees(&dataset) {
-        let index = ConcurrentIndex::builder(tree).start().unwrap();
-
-        // Pin epoch N and record everything it answers.
-        let pinned = index.snapshot();
-        let pinned_epoch = pinned.epoch();
-        let pinned_len = pinned.len();
-        let pinned_results: Vec<Vec<RecordId>> = queries.iter().map(|q| pinned.search(q)).collect();
-
-        // Publish N+1: the second half of the dataset.
-        submit_all(
-            &index,
-            dataset.records[N / 2..]
-                .iter()
-                .map(|(r, id)| IndexOp::Insert {
-                    rect: *r,
-                    record: *id,
-                }),
-        );
-        index.flush().unwrap();
-        assert!(index.epoch() > pinned_epoch, "{name}: N+1 published");
-
-        // Publish N+2 (and beyond): delete a third of the original half.
-        submit_all(
-            &index,
-            dataset.records[..N / 6]
-                .iter()
-                .map(|(r, id)| IndexOp::Delete {
-                    rect: *r,
-                    record: *id,
-                }),
-        );
-        index.flush().unwrap();
-        assert!(index.epoch() >= pinned_epoch + 2, "{name}: N+2 published");
-
-        // The pinned reader still sees exactly epoch N.
-        assert_eq!(pinned.epoch(), pinned_epoch, "{name}");
-        assert_eq!(pinned.len(), pinned_len, "{name}: len frozen");
-        for (q, expect) in queries.iter().zip(&pinned_results) {
-            assert_eq!(&pinned.search(q), expect, "{name}: results frozen");
-        }
-        pinned.assert_invariants();
-
-        // A fresh snapshot sees the new world, also valid.
-        let fresh = index.snapshot();
-        assert_eq!(fresh.len(), N - N / 6, "{name}");
-        fresh.assert_invariants();
-        drop(pinned);
-        drop(fresh);
-
-        // The last guard on a replaced snapshot freed it as it dropped.
-        assert_eq!(index.retired_snapshots(), 0, "{name}");
+    for (name, tree) in trees(&dataset) {
+        pinned_sees_epoch_n(name, tree, &dataset, &queries, false);
     }
+    for (name, skeleton) in skeletons(&dataset) {
+        pinned_sees_epoch_n(name, skeleton, &dataset, &queries, true);
+    }
+}
+
+/// Serves `engine`, pins epoch N, publishes N+1 (the second half of the
+/// dataset) and N+2 (deletes of a third of the first half), and checks the
+/// pinned reader still sees exactly epoch N. A `buffering` engine has no
+/// nodes at N; the inserts of N+1 fill its buffer and build it.
+fn pinned_sees_epoch_n<E>(
+    name: &str,
+    engine: E,
+    dataset: &Dataset,
+    queries: &[Rect<2>],
+    buffering: bool,
+) where
+    E: IntervalIndex<2> + Clone + Send + Sync + 'static,
+{
+    let index = ConcurrentIndex::builder(engine).start().unwrap();
+
+    // Pin epoch N and record everything it answers.
+    let pinned = index.snapshot();
+    let pinned_epoch = pinned.epoch();
+    let pinned_len = pinned.len();
+    let pinned_results: Vec<Vec<RecordId>> = queries.iter().map(|q| pinned.search(q)).collect();
+
+    // Publish N+1: the second half of the dataset.
+    submit_all(
+        &index,
+        dataset.records[N / 2..]
+            .iter()
+            .map(|(r, id)| IndexOp::Insert {
+                rect: *r,
+                record: *id,
+            }),
+    );
+    index.flush().unwrap();
+    assert!(index.epoch() > pinned_epoch, "{name}: N+1 published");
+
+    // Publish N+2 (and beyond): delete a third of the original half.
+    submit_all(
+        &index,
+        dataset.records[..N / 6]
+            .iter()
+            .map(|(r, id)| IndexOp::Delete {
+                rect: *r,
+                record: *id,
+            }),
+    );
+    index.flush().unwrap();
+    assert!(index.epoch() >= pinned_epoch + 2, "{name}: N+2 published");
+
+    // The pinned reader still sees exactly epoch N.
+    assert_eq!(pinned.epoch(), pinned_epoch, "{name}");
+    assert_eq!(pinned.len(), pinned_len, "{name}: len frozen");
+    for (q, expect) in queries.iter().zip(&pinned_results) {
+        assert_eq!(&pinned.search(q), expect, "{name}: results frozen");
+    }
+    assert_eq!(pinned.check_invariants(), Vec::<String>::new(), "{name}");
+
+    // A fresh snapshot sees the new world, also valid.
+    let fresh = index.snapshot();
+    assert_eq!(fresh.len(), N - N / 6, "{name}");
+    assert_eq!(fresh.check_invariants(), Vec::<String>::new(), "{name}");
+    // A skeleton served while buffering was built by a group commit the
+    // pinned reader never saw: the fresh snapshot has nodes, the pinned
+    // one still has none.
+    assert!(fresh.node_count() > 0, "{name}: fresh snapshot is built");
+    assert_eq!(pinned.node_count() == 0, buffering, "{name}: pinned state");
+    drop(pinned);
+    drop(fresh);
+
+    // The last guard on a replaced snapshot freed it as it dropped.
+    assert_eq!(index.retired_snapshots(), 0, "{name}");
 }
 
 #[test]
 fn delete_heavy_stream_keeps_pinned_snapshot_intact() {
     let dataset = DataDistribution::R1.generate(N, 5);
-    for (name, tree) in variant_trees(&dataset) {
-        let index = ConcurrentIndex::builder(tree)
-            .max_batch(64)
-            .start()
-            .unwrap();
-        let whole = Rect::new([0.0, 0.0], [DOMAIN_MAX, DOMAIN_MAX]);
-
-        let pinned = index.snapshot();
-        let before: BTreeSet<RecordId> = pinned.search(&whole).into_iter().collect();
-        assert_eq!(before.len(), N / 2, "{name}: pinned sees the full load");
-
-        // Delete *everything* the index currently holds, across several
-        // group commits.
-        submit_all(
-            &index,
-            dataset.records[..N / 2]
-                .iter()
-                .map(|(r, id)| IndexOp::Delete {
-                    rect: *r,
-                    record: *id,
-                }),
-        );
-        index.flush().unwrap();
-
-        let empty = index.snapshot();
-        assert_eq!(empty.len(), 0, "{name}: live tree fully drained");
-        empty.assert_invariants();
-
-        // The pinned snapshot still answers with every deleted record.
-        let after: BTreeSet<RecordId> = pinned.search(&whole).into_iter().collect();
-        assert_eq!(before, after, "{name}: deletes invisible at pinned epoch");
-        pinned.assert_invariants();
+    for (name, tree) in trees(&dataset) {
+        pinned_survives_deleting_everything(name, tree, &dataset);
     }
+    // These never fill their buffer: every delete lands in it.
+    for (name, skeleton) in skeletons(&dataset) {
+        pinned_survives_deleting_everything(name, skeleton, &dataset);
+    }
+}
+
+/// Serves `engine`, pins it, deletes everything it holds across several
+/// group commits, and checks the pinned snapshot still answers with every
+/// deleted record.
+fn pinned_survives_deleting_everything<E>(name: &str, engine: E, dataset: &Dataset)
+where
+    E: IntervalIndex<2> + Clone + Send + Sync + 'static,
+{
+    let index = ConcurrentIndex::builder(engine)
+        .max_batch(64)
+        .start()
+        .unwrap();
+    let whole = Rect::new([0.0, 0.0], [DOMAIN_MAX, DOMAIN_MAX]);
+
+    let pinned = index.snapshot();
+    let before: BTreeSet<RecordId> = pinned.search(&whole).into_iter().collect();
+    assert_eq!(before.len(), N / 2, "{name}: pinned sees the full load");
+
+    submit_all(
+        &index,
+        dataset.records[..N / 2]
+            .iter()
+            .map(|(r, id)| IndexOp::Delete {
+                rect: *r,
+                record: *id,
+            }),
+    );
+    index.flush().unwrap();
+
+    let empty = index.snapshot();
+    assert_eq!(empty.len(), 0, "{name}: live index fully drained");
+    assert_eq!(empty.check_invariants(), Vec::<String>::new(), "{name}");
+
+    let after: BTreeSet<RecordId> = pinned.search(&whole).into_iter().collect();
+    assert_eq!(before, after, "{name}: deletes invisible at pinned epoch");
+    assert_eq!(pinned.check_invariants(), Vec::<String>::new(), "{name}");
 }
 
 #[test]
@@ -160,11 +203,11 @@ fn readers_make_progress_while_commit_is_in_flight() {
     let (hook_flag, release_flag) = (Arc::clone(&in_hook), Arc::clone(&release));
 
     let dataset = DataDistribution::I3.generate(1_000, 3);
-    let mut seed = SRTree::<2>::new();
+    let mut seed = Tree::<2>::new(IndexConfig::srtree());
     for (r, id) in &dataset.records {
         seed.insert(*r, *id);
     }
-    let index = ConcurrentIndex::builder(seed.into_tree())
+    let index = ConcurrentIndex::builder(seed)
         .commit_hook(Box::new(move |_epoch| {
             hook_flag.store(true, Ordering::SeqCst);
             while !release_flag.load(Ordering::SeqCst) {

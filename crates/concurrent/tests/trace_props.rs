@@ -16,10 +16,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
-use segidx_core::{
-    HintIndex, IndexConfig, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
-    Tree,
-};
+use segidx_core::{HintIndex, IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
 use segidx_geom::{Point, Rect};
 use segidx_obs::trace::{OpClass, Tracer};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,18 +30,27 @@ const DOMAIN: f64 = 1000.0;
 /// sequences legitimately record only the root.
 fn engines_2d() -> Vec<(&'static str, bool, Box<dyn IntervalIndex<2>>)> {
     let domain = Rect::new([-10.0, -10.0], [DOMAIN * 1.6, DOMAIN * 1.6]);
+    let skeleton = |config| Box::new(Skeleton::<2>::new(config, domain, 256, 32));
     vec![
-        ("r-tree", true, Box::new(RTree::<2>::new())),
-        ("sr-tree", true, Box::new(SRTree::<2>::new())),
+        (
+            "r-tree",
+            true,
+            Box::new(Tree::<2>::new(IndexConfig::rtree())),
+        ),
+        (
+            "sr-tree",
+            true,
+            Box::new(Tree::<2>::new(IndexConfig::srtree())),
+        ),
         (
             "skeleton-r-tree",
             false,
-            Box::new(SkeletonRTree::<2>::with_prediction(domain, 256, 32)),
+            skeleton(IndexConfig::skeleton_rtree()),
         ),
         (
             "skeleton-sr-tree",
             false,
-            Box::new(SkeletonSRTree::<2>::with_prediction(domain, 256, 32)),
+            skeleton(IndexConfig::skeleton_srtree()),
         ),
     ]
 }

@@ -9,8 +9,8 @@
 //! * [`bulk_load`] assumes **nothing**. It sorts by centre and tiles the
 //!   whole input √P × √P, level by level — the baseline the paper's
 //!   dynamic structures are measured against, and the loader for input and
-//!   queries of any shape ([`IntervalIndex::bulk_load`], the differential
-//!   tests). A query that spans all of one dimension, whichever, crosses a
+//!   queries of any shape (the differential tests, segbench's `core.bulk`
+//!   rows). A query that spans all of one dimension, whichever, crosses a
 //!   whole slab: ~√N nodes.
 //! * [`bulk_load_run`] is for input that is a **run along dimension 0** —
 //!   records that arrive ordered by `hi(0)`, as the closed versions of a
@@ -26,8 +26,6 @@
 //! wide and a twentieth of the values high reads 14 nodes against 10, and
 //! one value band over a whole 524 k tier 4 175 against 389. The caller
 //! knows its input and its queries; nothing here guesses.
-//!
-//! [`IntervalIndex::bulk_load`]: crate::IntervalIndex::bulk_load
 
 use crate::config::IndexConfig;
 use crate::entry::{Branch, LeafEntry};

@@ -121,6 +121,39 @@ impl IndexConfig {
         }
     }
 
+    /// The paper's Skeleton R-Tree configuration: the R-Tree's, plus
+    /// coalescing every 1,000 insertions among the 10
+    /// least-frequently-modified nodes (§4, §5). Build it with
+    /// [`build_skeleton`](crate::build_skeleton) or
+    /// [`Skeleton::new`](crate::Skeleton::new).
+    pub fn skeleton_rtree() -> Self {
+        Self {
+            coalesce: Some(CoalesceConfig::default()),
+            ..Self::rtree()
+        }
+    }
+
+    /// The paper's Skeleton SR-Tree configuration: the SR-Tree's, plus the
+    /// Skeleton's coalescing.
+    pub fn skeleton_srtree() -> Self {
+        Self {
+            coalesce: Some(CoalesceConfig::default()),
+            ..Self::srtree()
+        }
+    }
+
+    /// The paper's name for the variant this configuration builds, read off
+    /// its two switches: `segment`, and `coalesce` (which only Skeleton
+    /// indexes set).
+    pub fn variant_name(&self) -> &'static str {
+        match (self.segment, self.coalesce.is_some()) {
+            (false, false) => "R-Tree",
+            (true, false) => "SR-Tree",
+            (false, true) => "Skeleton R-Tree",
+            (true, true) => "Skeleton SR-Tree",
+        }
+    }
+
     /// An R\*-Tree configuration (Beckmann et al. 1990): topological split,
     /// overlap-aware ChooseSubtree, 30% forced reinsertion. A stronger
     /// modern baseline than the paper's R-Tree, provided for ablations.

@@ -32,7 +32,6 @@ mod hint1d;
 use crate::id::RecordId;
 use crate::stats::{StatsSnapshot, TreeStats};
 use crate::telemetry::TreeTelemetry;
-use crate::tree::Neighbor;
 use hint1d::{Hint1D, MAX_LEVEL_BITS, MIN_LEVEL_BITS};
 use segidx_geom::{Point, Rect};
 use segidx_obs::{trace, LatencyHistogram};
@@ -196,11 +195,6 @@ impl HintIndex {
     /// Installs (or clears) wall-clock telemetry.
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<TreeTelemetry>>) {
         self.obs = telemetry;
-    }
-
-    /// The installed telemetry, if any.
-    pub fn telemetry(&self) -> Option<&Arc<TreeTelemetry>> {
-        self.obs.as_ref()
     }
 
     fn obs_start(&self) -> Option<Instant> {
@@ -420,37 +414,9 @@ impl HintIndex {
         with_query_scratch(|s| self.query_handles(query, s))
     }
 
-    /// The `k` records nearest to `p` by minimum interval distance,
-    /// ascending (ties broken by record id).
-    pub fn nearest(&self, p: &Point<1>, k: usize) -> Vec<Neighbor<1>> {
-        let start = self.obs_start();
-        let mut all: Vec<(f64, RecordId, Rect<1>)> = self
-            .entries
-            .iter_live()
-            .map(|(_, r, id)| (r.min_dist_sqr(p), id, *r))
-            .collect();
-        all.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        all.truncate(k);
-        let out = all
-            .into_iter()
-            .map(|(d2, record, rect)| Neighbor {
-                record,
-                rect,
-                distance: d2.sqrt(),
-            })
-            .collect();
-        self.obs_record(|t| &t.nearest, start);
-        out
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// Resets the search-side statistics.
-    pub fn reset_search_stats(&self) {
-        self.stats.reset_search_counters();
     }
 
     /// Number of physical index records: every stored copy in the
@@ -552,12 +518,6 @@ impl crate::api::IntervalIndex<1> for HintIndex {
     fn stab(&self, p: &Point<1>) -> Vec<RecordId> {
         HintIndex::stab(self, p)
     }
-    fn nearest(&self, p: &Point<1>, k: usize) -> Vec<Neighbor<1>> {
-        HintIndex::nearest(self, p, k)
-    }
-    fn bulk_load(&mut self, items: Vec<(Rect<1>, RecordId)>) {
-        HintIndex::bulk_load(self, items);
-    }
     fn count_search_accesses(&self, query: &Rect<1>) -> u64 {
         HintIndex::count_search_accesses(self, query)
     }
@@ -573,9 +533,6 @@ impl crate::api::IntervalIndex<1> for HintIndex {
     fn stats(&self) -> StatsSnapshot {
         HintIndex::stats(self)
     }
-    fn reset_search_stats(&self) {
-        HintIndex::reset_search_stats(self);
-    }
     fn node_count(&self) -> usize {
         HintIndex::node_count(self)
     }
@@ -590,9 +547,6 @@ impl crate::api::IntervalIndex<1> for HintIndex {
     }
     fn set_telemetry(&mut self, telemetry: Option<Arc<TreeTelemetry>>) {
         HintIndex::set_telemetry(self, telemetry);
-    }
-    fn telemetry(&self) -> Option<Arc<TreeTelemetry>> {
-        HintIndex::telemetry(self).cloned()
     }
 }
 
@@ -763,25 +717,5 @@ mod tests {
         let snap = idx.stats();
         assert_eq!(snap.searches, 1);
         assert!(snap.avg_nodes_per_search().unwrap() >= 1.0);
-    }
-
-    #[test]
-    fn nearest_matches_brute_force_ordering() {
-        let data = dataset(500);
-        let mut idx = HintIndex::new();
-        idx.bulk_load(data.clone());
-        let p = Point::new([40_000.0]);
-        let got = idx.nearest(&p, 10);
-        assert_eq!(got.len(), 10);
-        let dists: Vec<f64> = got.iter().map(|n| n.distance).collect();
-        let mut sorted = dists.clone();
-        sorted.sort_by(f64::total_cmp);
-        assert_eq!(dists, sorted, "ascending by distance");
-        // The first result really is the global minimum.
-        let best = data
-            .iter()
-            .map(|(r, _)| r.min_dist_sqr(&p).sqrt())
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(got[0].distance, best);
     }
 }

@@ -18,24 +18,31 @@
 //!    size and distribution (possibly *predicted* from a buffered prefix of
 //!    the input) and then adapts by splitting and coalescing (§4).
 //!
-//! The four index variants evaluated in the paper are all here, sharing one
-//! engine:
+//! The four index variants evaluated in the paper are all here, as
+//! configurations of one engine, [`Tree`], plus the predicted-skeleton
+//! wrapper [`Skeleton`]:
 //!
 //! ```
-//! use segidx_core::{RTree, SRTree, SkeletonSRTree, IntervalIndex, RecordId};
+//! use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
 //! use segidx_geom::Rect;
 //!
-//! let mut index = SRTree::<2>::new();
+//! let mut index = Tree::<2>::new(IndexConfig::srtree());
 //! // A salary history: horizontal segments in (time, salary) space.
 //! index.insert(Rect::new([1985.0, 30_000.0], [1991.0, 30_000.0]), RecordId(1));
 //! index.insert(Rect::new([1986.0, 55_000.0], [1988.5, 55_000.0]), RecordId(2));
 //!
 //! // Who earned between 50K and 60K during 1987?
-//! let hits = index.search(&Rect::new([1987.0, 50_000.0], [1988.0, 60_000.0]));
-//! assert_eq!(hits, vec![RecordId(2)]);
+//! let window = Rect::new([1987.0, 50_000.0], [1988.0, 60_000.0]);
+//! assert_eq!(index.search(&window), vec![RecordId(2)]);
+//!
+//! // The paper's winner predicts its skeleton from the first tuples.
+//! let domain = Rect::new([1900.0, 0.0], [2100.0, 1e6]);
+//! let mut winner = Skeleton::<2>::new(IndexConfig::skeleton_srtree(), domain, 1_000, 100);
+//! winner.insert(Rect::new([1986.0, 55_000.0], [1988.5, 55_000.0]), RecordId(2));
+//! assert_eq!(winner.search(&window), vec![RecordId(2)]);
 //! ```
 //!
-//! See [`api`] for the variant types, [`tree`] for the engine, and
+//! See [`api`] for the one index trait, [`tree`] for the engine, and
 //! [`skeleton`] for pre-construction, prediction, and coalescing.
 
 #![warn(missing_docs)]
@@ -56,12 +63,12 @@ pub mod stats;
 pub mod telemetry;
 pub mod tree;
 
-pub use api::{IntervalIndex, RTree, SRTree, SkeletonRTree, SkeletonSRTree};
+pub use api::IntervalIndex;
 pub use config::{CoalesceConfig, IndexConfig, SplitAlgorithm};
 pub use hint::HintIndex;
 pub use id::{NodeId, RecordId};
 pub use paged::PagedSearcher;
-pub use skeleton::{build_skeleton, DistributionPredictor, Histogram, SkeletonSpec};
+pub use skeleton::{build_skeleton, Histogram, Skeleton, SkeletonSpec};
 pub use stats::StatsSnapshot;
 pub use telemetry::{TreeTelemetry, TreeTelemetrySnapshot};
 pub use tree::{SearchCursor, Tree};

@@ -54,8 +54,10 @@ pub(crate) struct PendingInsert<const D: usize> {
 /// A paged, multi-way, dynamic index over `D`-dimensional interval data.
 ///
 /// See the [module documentation](self) for how configuration flags map to
-/// the paper's index variants; most users should construct trees through the
-/// wrappers in [`crate::api`].
+/// the paper's index variants: `Tree::new(IndexConfig::srtree())` is an
+/// SR-Tree, [`build_skeleton`](crate::build_skeleton) pre-constructs a
+/// Skeleton tree, and [`Skeleton`](crate::Skeleton) predicts one from a
+/// buffered prefix.
 #[derive(Debug)]
 pub struct Tree<const D: usize> {
     pub(crate) arena: Arena<D>,

@@ -8,9 +8,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use segidx_core::{
-    HintIndex, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
-};
+use segidx_core::{HintIndex, IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
 use segidx_geom::{Point, Rect};
 
 const DOMAIN: f64 = 1000.0;
@@ -18,17 +16,12 @@ const DOMAIN: f64 = 1000.0;
 /// The four paper variants, empty, as trait objects.
 fn variants_1d() -> Vec<(&'static str, Box<dyn IntervalIndex<1>>)> {
     let domain = Rect::new([-10.0], [DOMAIN * 1.6]);
+    let skeleton = |config| Box::new(Skeleton::<1>::new(config, domain, 256, 32));
     vec![
-        ("r-tree", Box::new(RTree::<1>::new())),
-        ("sr-tree", Box::new(SRTree::<1>::new())),
-        (
-            "skeleton-r-tree",
-            Box::new(SkeletonRTree::<1>::with_prediction(domain, 256, 32)),
-        ),
-        (
-            "skeleton-sr-tree",
-            Box::new(SkeletonSRTree::<1>::with_prediction(domain, 256, 32)),
-        ),
+        ("r-tree", Box::new(Tree::<1>::new(IndexConfig::rtree()))),
+        ("sr-tree", Box::new(Tree::<1>::new(IndexConfig::srtree()))),
+        ("skeleton-r-tree", skeleton(IndexConfig::skeleton_rtree())),
+        ("skeleton-sr-tree", skeleton(IndexConfig::skeleton_srtree())),
     ]
 }
 
@@ -147,7 +140,9 @@ proptest! {
         hint.bulk_load(items.clone());
         let mut variants = variants_1d();
         for (_, v) in &mut variants {
-            v.bulk_load(items.clone());
+            for (rect, rid) in &items {
+                v.insert(*rect, *rid);
+            }
         }
         let mut live = items;
         for k in kill {

@@ -3,8 +3,8 @@
 //! default records nothing.
 
 use segidx_core::{
-    bulk::bulk_load_with_telemetry, IndexConfig, IntervalIndex, RecordId, SRTree, SkeletonSRTree,
-    Tree, TreeTelemetry,
+    bulk::bulk_load_with_telemetry, IndexConfig, IntervalIndex, RecordId, Skeleton, Tree,
+    TreeTelemetry,
 };
 use segidx_geom::{Point, Rect};
 use segidx_obs::{EventKind, RingBufferSink};
@@ -107,7 +107,7 @@ fn disabled_telemetry_records_nothing() {
 
 #[test]
 fn trait_objects_install_and_expose_telemetry() {
-    let mut index: Box<dyn IntervalIndex<2>> = Box::new(SRTree::new());
+    let mut index: Box<dyn IntervalIndex<2>> = Box::new(Tree::new(IndexConfig::srtree()));
     let telemetry = Arc::new(TreeTelemetry::new());
     index.set_telemetry(Some(Arc::clone(&telemetry)));
     index.insert(seg(0.0, 5.0, 1.0), RecordId(1));
@@ -115,13 +115,12 @@ fn trait_objects_install_and_expose_telemetry() {
     let snap = telemetry.snapshot();
     assert_eq!(snap.insert.count, 1);
     assert_eq!(snap.search.count, 1);
-    assert!(index.telemetry().is_some());
 }
 
 #[test]
 fn skeleton_carries_telemetry_through_the_buffering_phase() {
     let domain = Rect::new([0.0, 0.0], [1_000.0, 1_000.0]);
-    let mut s = SkeletonSRTree::<2>::with_prediction(domain, 2_000, 200);
+    let mut s = Skeleton::<2>::new(IndexConfig::skeleton_srtree(), domain, 2_000, 200);
     let telemetry = Arc::new(TreeTelemetry::new());
     // Install while still buffering: inserts into the buffer are not index
     // operations, so nothing records yet.
@@ -136,12 +135,20 @@ fn skeleton_carries_telemetry_through_the_buffering_phase() {
             RecordId(i),
         );
     }
-    assert!(s.tree().is_none(), "still buffering");
-    assert!(s.telemetry().is_some(), "telemetry held while buffering");
+    assert!(
+        matches!(
+            s,
+            Skeleton::Buffering {
+                telemetry: Some(_),
+                ..
+            }
+        ),
+        "telemetry held while buffering"
+    );
     assert_eq!(telemetry.snapshot().insert.count, 0);
     // Construction replays the buffer through real inserts.
     s.finalize();
-    assert!(s.tree().is_some());
+    assert!(matches!(&s, Skeleton::Built(t) if t.telemetry().is_some()));
     assert_eq!(telemetry.snapshot().insert.count, 150);
 }
 

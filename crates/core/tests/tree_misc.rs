@@ -1,7 +1,7 @@
 //! Coverage for the smaller public APIs: entry iteration, level profiles,
-//! region accessors, and the variant wrappers' engine access.
+//! and region accessors.
 
-use segidx_core::{IndexConfig, IntervalIndex, RTree, RecordId, SRTree, Tree};
+use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::Rect;
 
 fn seg(x0: f64, x1: f64, y: f64) -> Rect<2> {
@@ -54,24 +54,6 @@ fn root_region_tracks_contents() {
     let region = t.root_region().unwrap();
     assert!(region.contains_rect(&seg(10.0, 20.0, 5.0)));
     assert!(region.contains_rect(&seg(100.0, 250.0, 80.0)));
-}
-
-#[test]
-fn wrapper_engine_access_round_trips() {
-    let mut r: RTree<2> = RTree::new();
-    r.insert(seg(0.0, 1.0, 0.0), RecordId(1));
-    // Engine-level APIs reachable through the wrapper.
-    assert_eq!(r.tree().len(), 1);
-    r.tree_mut().insert(seg(2.0, 3.0, 0.0), RecordId(2));
-    assert_eq!(IntervalIndex::len(&r), 2);
-
-    let mut sr: SRTree<2> = SRTree::with_config(IndexConfig {
-        leaf_node_bytes: 512,
-        ..IndexConfig::default()
-    });
-    assert!(sr.tree().config().segment, "with_config forces segment on");
-    sr.insert(seg(0.0, 5.0, 0.0), RecordId(9));
-    assert_eq!(sr.search(&seg(0.0, 10.0, 0.0)), vec![RecordId(9)]);
 }
 
 #[test]

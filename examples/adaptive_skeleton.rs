@@ -10,7 +10,9 @@
 //! cargo run --release --example adaptive_skeleton
 //! ```
 
-use segment_indexes::core::{Histogram, IntervalIndex, SkeletonSRTree, SkeletonSpec};
+use segment_indexes::core::{
+    build_skeleton, Histogram, IndexConfig, IntervalIndex, Skeleton, SkeletonSpec,
+};
 use segment_indexes::geom::Rect;
 use segment_indexes::workloads::{queries_for_qar, DataDistribution};
 
@@ -26,25 +28,29 @@ fn main() {
     let true_y: Vec<f64> = dataset.records.iter().map(|(r, _)| r.center()[1]).collect();
     let true_x: Vec<f64> = dataset.records.iter().map(|(r, _)| r.center()[0]).collect();
 
-    let mut variants: Vec<(&str, SkeletonSRTree<2>)> = vec![
+    let config = IndexConfig::skeleton_srtree;
+    let mut variants: Vec<(&str, Box<dyn IntervalIndex<2>>)> = vec![
         (
             "uniform assumption",
-            SkeletonSRTree::from_spec(&SkeletonSpec::uniform(domain, N)),
+            Box::new(build_skeleton(config(), &SkeletonSpec::uniform(domain, N))),
         ),
         (
             "true histogram",
-            SkeletonSRTree::from_spec(&SkeletonSpec {
-                domain,
-                expected_tuples: N,
-                histograms: vec![
-                    Histogram::equi_depth(true_x, domain.interval(0), 64),
-                    Histogram::equi_depth(true_y, domain.interval(1), 64),
-                ],
-            }),
+            Box::new(build_skeleton(
+                config(),
+                &SkeletonSpec {
+                    domain,
+                    expected_tuples: N,
+                    histograms: vec![
+                        Histogram::equi_depth(true_x, domain.interval(0), 64),
+                        Histogram::equi_depth(true_y, domain.interval(1), 64),
+                    ],
+                },
+            )),
         ),
         (
             "distribution prediction (5%)",
-            SkeletonSRTree::with_prediction(domain, N, N / 20),
+            Box::new(Skeleton::<2>::new(config(), domain, N, N / 20)),
         ),
     ];
 
@@ -66,7 +72,6 @@ fn main() {
         "skeleton construction", "nodes", "height", "coalesces", "spanning", "avg accesses"
     );
     for (name, index) in &variants {
-        index.reset_search_stats();
         let mut total = 0u64;
         for q in &queries {
             total += index.count_search_accesses(q);

@@ -4,23 +4,32 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use segment_indexes::core::{
-    IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
-};
+use segment_indexes::core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
 use segment_indexes::geom::Rect;
 
 fn main() {
     // The domain: time on the X axis (years), measurement on the Y axis.
     let domain = Rect::new([1900.0, 0.0], [2100.0, 1000.0]);
 
-    // The four index variants of the paper share one trait.
+    // The four index variants of the paper share one trait: two
+    // configurations of the tree, and two Skeletons, which pre-construct
+    // the index — here from the first 50 tuples, buffered for
+    // distribution prediction (paper §4).
     let mut indexes: Vec<Box<dyn IntervalIndex<2>>> = vec![
-        Box::new(RTree::<2>::new()),
-        Box::new(SRTree::<2>::new()),
-        // Skeleton variants pre-construct the index; here we buffer the
-        // first 50 tuples for distribution prediction (paper §4).
-        Box::new(SkeletonRTree::<2>::with_prediction(domain, 1_000, 50)),
-        Box::new(SkeletonSRTree::<2>::with_prediction(domain, 1_000, 50)),
+        Box::new(Tree::<2>::new(IndexConfig::rtree())),
+        Box::new(Tree::<2>::new(IndexConfig::srtree())),
+        Box::new(Skeleton::<2>::new(
+            IndexConfig::skeleton_rtree(),
+            domain,
+            1_000,
+            50,
+        )),
+        Box::new(Skeleton::<2>::new(
+            IndexConfig::skeleton_srtree(),
+            domain,
+            1_000,
+            50,
+        )),
     ];
 
     // Historical interval data: horizontal segments — a value that held

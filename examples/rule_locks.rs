@@ -9,7 +9,7 @@
 //! cargo run --release --example rule_locks
 //! ```
 
-use segment_indexes::core::{IntervalIndex, RecordId, SRTree};
+use segment_indexes::core::{IndexConfig, RecordId, Tree};
 use segment_indexes::geom::{Interval, Rect};
 
 /// A rule predicate over the salary domain.
@@ -49,7 +49,7 @@ fn main() {
     // Long predicates (rule-4) become spanning records high in the index;
     // point predicates live in leaves — both in the same structure, which
     // is exactly the mixed interval/event requirement of §2.2.
-    let mut index = SRTree::<1>::new();
+    let mut index = Tree::<1>::new(IndexConfig::srtree());
     for (i, rule) in rules.iter().enumerate() {
         index.insert(Rect::from_intervals([rule.predicate]), RecordId(i as u64));
     }
@@ -68,7 +68,7 @@ fn main() {
     }
 
     // Scale check: 100,000 rules with mixed interval/point predicates.
-    let mut big = SRTree::<1>::new();
+    let mut big = Tree::<1>::new(IndexConfig::srtree());
     for i in 0..100_000u64 {
         let lo = (i % 97_000) as f64;
         let len = match i % 13 {

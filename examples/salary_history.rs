@@ -9,7 +9,7 @@
 //! cargo run --release --example salary_history
 //! ```
 
-use segment_indexes::core::{IntervalIndex, RecordId, SRTree, SkeletonSRTree};
+use segment_indexes::core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
 use segment_indexes::geom::{Point, Rect};
 
 /// One salary period of one employee.
@@ -99,7 +99,7 @@ fn main() {
     ];
 
     // An SR-Tree over the history; ids are offsets into `history`.
-    let mut index = SRTree::<2>::new();
+    let mut index = Tree::<2>::new(IndexConfig::srtree());
     for (i, p) in history.iter().enumerate() {
         index.insert(p.rect(), RecordId(i as u64));
     }
@@ -130,7 +130,7 @@ fn main() {
     // skewed duration distribution, indexed by a Skeleton SR-Tree with
     // distribution prediction.
     let domain = Rect::new([1970.0, 15_000.0], [2026.0, 250_000.0]);
-    let mut big = SkeletonSRTree::<2>::with_prediction(domain, 50_000, 2_500);
+    let mut big = Skeleton::<2>::new(IndexConfig::skeleton_srtree(), domain, 50_000, 2_500);
     let mut periods = 0u64;
     for emp in 0..5_000u64 {
         let mut year = 1970.0 + (emp % 30) as f64;

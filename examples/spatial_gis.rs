@@ -9,9 +9,7 @@
 //! cargo run --release --example spatial_gis
 //! ```
 
-use segment_indexes::core::{
-    IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
-};
+use segment_indexes::core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
 use segment_indexes::geom::Rect;
 
 /// Deterministic pseudo-random stream (keeps the example dependency-free).
@@ -60,15 +58,12 @@ fn main() {
         })
         .collect();
 
+    let skeleton = |config| Box::new(Skeleton::<2>::new(config, domain, N as usize, 2_000));
     let mut indexes: Vec<Box<dyn IntervalIndex<2>>> = vec![
-        Box::new(RTree::<2>::new()),
-        Box::new(SRTree::<2>::new()),
-        Box::new(SkeletonRTree::<2>::with_prediction(
-            domain, N as usize, 2_000,
-        )),
-        Box::new(SkeletonSRTree::<2>::with_prediction(
-            domain, N as usize, 2_000,
-        )),
+        Box::new(Tree::<2>::new(IndexConfig::rtree())),
+        Box::new(Tree::<2>::new(IndexConfig::srtree())),
+        skeleton(IndexConfig::skeleton_rtree()),
+        skeleton(IndexConfig::skeleton_srtree()),
     ];
     for index in indexes.iter_mut() {
         for (rect, id) in &features {

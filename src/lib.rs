@@ -7,10 +7,10 @@
 //! evaluation.
 //!
 //! ```
-//! use segment_indexes::core::{IntervalIndex, SRTree, RecordId};
+//! use segment_indexes::core::{IndexConfig, RecordId, Tree};
 //! use segment_indexes::geom::Rect;
 //!
-//! let mut index = SRTree::<2>::new();
+//! let mut index = Tree::<2>::new(IndexConfig::srtree());
 //! index.insert(Rect::new([1985.0, 30_000.0], [1991.0, 30_000.0]), RecordId(1));
 //! assert_eq!(
 //!     index.search(&Rect::new([1987.0, 20_000.0], [1988.0, 40_000.0])),

@@ -3,9 +3,7 @@
 //! joined against it — and a batch of queries on one thread returns what
 //! the serial loop does, counters included.
 
-use segidx_core::{
-    IndexConfig, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree, Tree,
-};
+use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution, DOMAIN_MAX};
 use std::sync::Arc;
@@ -60,6 +58,14 @@ fn parallel_searches_agree_with_serial() {
     assert_eq!(snap.searches, 90 + 6 * 91);
 }
 
+/// The tree a skeleton built once its prediction buffer filled.
+fn built(skeleton: &Skeleton<2>) -> &Tree<2> {
+    match skeleton {
+        Skeleton::Built(tree) => tree,
+        Skeleton::Buffering { .. } => panic!("the buffer fills at n / 10"),
+    }
+}
+
 #[test]
 fn search_batch_equals_serial_search_for_all_variants() {
     // Property: `search_batch` ≡ per-query `search` — same ids, same order —
@@ -69,18 +75,16 @@ fn search_batch_equals_serial_search_for_all_variants() {
     let dataset = DataDistribution::I3.generate(n, 13);
     let domain = Rect::new([0.0, 0.0], [DOMAIN_MAX, DOMAIN_MAX]);
 
-    let mut rtree = RTree::<2>::new();
-    let mut srtree = SRTree::<2>::new();
-    let mut sk_r = SkeletonRTree::<2>::with_prediction(domain, n, n / 10);
-    let mut sk_sr = SkeletonSRTree::<2>::with_prediction(domain, n, n / 10);
+    let mut rtree = Tree::<2>::new(IndexConfig::rtree());
+    let mut srtree = Tree::<2>::new(IndexConfig::srtree());
+    let mut sk_r = Skeleton::<2>::new(IndexConfig::skeleton_rtree(), domain, n, n / 10);
+    let mut sk_sr = Skeleton::<2>::new(IndexConfig::skeleton_srtree(), domain, n, n / 10);
     for (r, id) in &dataset.records {
         rtree.insert(*r, *id);
         srtree.insert(*r, *id);
         sk_r.insert(*r, *id);
         sk_sr.insert(*r, *id);
     }
-    sk_r.finalize();
-    sk_sr.finalize();
 
     let queries: Vec<Rect<2>> = [0.001, 1.0, 1000.0]
         .iter()
@@ -88,10 +92,10 @@ fn search_batch_equals_serial_search_for_all_variants() {
         .collect();
 
     let trees: Vec<(&str, &Tree<2>)> = vec![
-        ("R-Tree", rtree.tree()),
-        ("SR-Tree", srtree.tree()),
-        ("Skeleton R-Tree", sk_r.tree().expect("finalized")),
-        ("Skeleton SR-Tree", sk_sr.tree().expect("finalized")),
+        ("R-Tree", &rtree),
+        ("SR-Tree", &srtree),
+        ("Skeleton R-Tree", built(&sk_r)),
+        ("Skeleton SR-Tree", built(&sk_sr)),
     ];
     for (name, tree) in trees {
         tree.reset_search_stats();

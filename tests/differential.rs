@@ -4,7 +4,7 @@
 
 use segidx_bench::Variant;
 use segidx_core::bulk::bulk_load;
-use segidx_core::{IndexConfig, RecordId};
+use segidx_core::{IndexConfig, IntervalIndex, RecordId};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution};
 

@@ -1,7 +1,7 @@
 //! The engine across dimensionalities: the 1-D rule-lock special case of
 //! paper §2.2 and 3-D boxes, differentially tested against brute force.
 
-use segidx_core::{IndexConfig, IntervalIndex, RTree, RecordId, SRTree, Tree};
+use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::{Interval, Rect};
 
 #[test]
@@ -22,8 +22,8 @@ fn one_dimensional_interval_index() {
         ));
     }
 
-    let mut r: RTree<1> = RTree::new();
-    let mut sr: SRTree<1> = SRTree::new();
+    let mut r: Tree<1> = Tree::new(IndexConfig::rtree());
+    let mut sr: Tree<1> = Tree::new(IndexConfig::srtree());
     for (rect, id) in &records {
         r.insert(*rect, *id);
         sr.insert(*rect, *id);
@@ -114,9 +114,7 @@ fn three_dimensional_skeleton_and_bulk() {
 
     // Skeleton build in 3-D.
     let spec = segidx_core::SkeletonSpec::uniform(domain, records.len());
-    let mut config = IndexConfig::srtree();
-    config.coalesce = Some(Default::default());
-    let mut skel = segidx_core::build_skeleton(config, &spec);
+    let mut skel = segidx_core::build_skeleton(IndexConfig::skeleton_srtree(), &spec);
     for (rect, id) in &records {
         skel.insert(*rect, *id);
     }
