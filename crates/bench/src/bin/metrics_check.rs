@@ -34,7 +34,7 @@
 //! With `--temporal`, the file is a registry snapshot from an ingest
 //! run (`temporal_bench --metrics-out`): the full `segidx_temporal_*`
 //! family must be present and typed — the four tier-state gauges, the
-//! eight lifecycle and search counters, and non-empty seal *and* merge latency
+//! seven lifecycle and search counters, and non-empty seal *and* merge latency
 //! histograms (the ingest is sized so both fire).
 //!
 //! Usage: `metrics_check <path/to/metrics.json>`,
@@ -144,13 +144,12 @@ const TEMPORAL_GAUGES: [&str; 4] = [
     "segidx_temporal_sealed_entries",
     "segidx_temporal_tombstones",
 ];
-const TEMPORAL_COUNTERS: [&str; 8] = [
+const TEMPORAL_COUNTERS: [&str; 7] = [
     "segidx_temporal_seals_total",
     "segidx_temporal_merges_total",
     "segidx_temporal_sealed_entries_total",
     "segidx_temporal_merged_entries_total",
     "segidx_temporal_merge_dropped_total",
-    "segidx_temporal_exports_total",
     "segidx_temporal_pins_total",
     "segidx_temporal_tiers_pinned_total",
 ];

@@ -11,10 +11,11 @@
 //! * the **seal is the durability boundary** — a recovered index answers
 //!   for every operation up to the last completed seal, and memtable
 //!   contents past it are gone by design (never partially visible);
-//! * a pure power cut anywhere inside a seal — including mid-merge, since
-//!   the inline policy merges before the manifest flip — reopens cleanly
-//!   on the *previous* tier set (freed extents are quarantined until the
-//!   next durable commit, so the old manifest's pages are intact);
+//! * a pure power cut anywhere inside a seal — including while it saves
+//!   the merged tier it spliced in from the worker before the manifest
+//!   flip — reopens cleanly on the *previous* tier set (freed extents are
+//!   quarantined until the next durable commit, so the old manifest's
+//!   pages are intact);
 //! * a commit that reported success is never rolled back.
 
 use crate::crash::{SplitMix64, SweepFailure};

@@ -65,18 +65,6 @@ pub enum EventKind {
     /// rejected with a typed overload error (`detail` = queue depth at
     /// rejection).
     WriterStalled,
-    /// A temporal memtable sealed into an immutable packed tier (`node` =
-    /// tier sequence number, `level` = tier level, `detail` = entries
-    /// sealed).
-    TierSealed,
-    /// A run of sealed tiers was merged into one tier a level up (`node` =
-    /// the merged tier's sequence number, `level` = its level, `detail` =
-    /// surviving entries).
-    TierMerged,
-    /// A pinned tier-set snapshot was exported to a separate disk manager
-    /// (`node` = manifest commit epoch on the export target, `detail` =
-    /// entries exported).
-    TierExported,
 }
 
 impl EventKind {
@@ -101,9 +89,6 @@ impl EventKind {
             EventKind::WriteBackError => "write_back_error",
             EventKind::SnapshotPublished => "snapshot_published",
             EventKind::WriterStalled => "writer_stalled",
-            EventKind::TierSealed => "tier_sealed",
-            EventKind::TierMerged => "tier_merged",
-            EventKind::TierExported => "tier_exported",
         }
     }
 }

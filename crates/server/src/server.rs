@@ -105,11 +105,10 @@ impl Server {
         // The tracer and event ring ride the index builder so slow
         // commits land in the flight recorder.
         let tracer = Arc::new(Tracer::with_config(config.trace_sample, 8, 4096));
-        let ring = Arc::new(RingBufferSink::new(4096));
         let index = rig(ConcurrentIndex::builder(Tree::new(IndexConfig::srtree()))
             .queue_capacity(config.queue_capacity)
             .tracer(Arc::clone(&tracer))
-            .ring_sink(Arc::clone(&ring)))
+            .ring_sink(Arc::new(RingBufferSink::new(4096))))
         .start()
         .map_err(|e| io::Error::other(format!("index start failed: {e:?}")))?;
 
@@ -123,16 +122,17 @@ impl Server {
             .register_metrics(&registry, &[("component", "concurrent")]);
 
         // The temporal table rides the append-optimized tiered index; its
-        // seal/merge telemetry joins the same registry and event ring.
+        // seal/merge telemetry joins the same registry.
         let mut table = TemporalTable::new(TemporalConfig {
             backend: TemporalBackend::Tiered(TieredConfig::default()),
             ..TemporalConfig::default()
         });
         let temporal_telemetry = Arc::new(segidx_temporal::TieredTelemetry::new());
         temporal_telemetry.register(&registry, &[]);
-        let tiered = table.tiered_index_mut().expect("tiered backend");
-        tiered.set_telemetry(Some(Arc::clone(&temporal_telemetry)));
-        tiered.set_sink(Some(ring));
+        table
+            .tiered_index_mut()
+            .expect("tiered backend")
+            .set_telemetry(Some(temporal_telemetry));
 
         let shared = Arc::new(Shared {
             index,

@@ -17,7 +17,9 @@ use std::sync::Barrier;
 
 const KEYS: u64 = 64;
 const PRELOAD: u64 = 12_000;
-const PER_WRITER: u64 = 12_000;
+/// With the preload, five 8 192-version seals: the 4th hands a merge to
+/// the worker and the 5th splices it in while the readers race.
+const PER_WRITER: u64 = 16_000;
 /// Lifetimes `WITHIN` asks for; the writers start further than this past
 /// the frozen prefix, so a version they close never falls inside the band.
 const BAND: f64 = 100.0;

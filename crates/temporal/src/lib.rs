@@ -20,9 +20,9 @@
 //!   long-lived closed versions ("employees who seldom received raises");
 //! * for append-heavy streams, [`TemporalBackend::Tiered`] swaps the flat
 //!   tree for the [`lsm`] module's LSM of packed trees: a memtable sealed
-//!   into immutable bulk-loaded tiers with crash-consistent checkpoints
-//!   and leveled background merging, answering the same queries
-//!   bit-identically.
+//!   into immutable bulk-loaded tiers with crash-consistent checkpoints,
+//!   leveled merges running on a worker thread while the next seal fills,
+//!   answering the same queries bit-identically.
 //!
 //! ```
 //! use segidx_temporal::{TemporalTable, TemporalConfig};
@@ -46,9 +46,7 @@
 pub mod lsm;
 mod table;
 
-pub use lsm::{
-    MergeMode, PinnedSearch, TierSnapshot, TieredConfig, TieredTelemetry, TieredTemporalIndex,
-};
+pub use lsm::{PinnedSearch, TieredConfig, TieredTelemetry, TieredTemporalIndex};
 pub use table::{
     PinnedQuery, TemporalBackend, TemporalConfig, TemporalError, TemporalTable, Version, VersionId,
 };

@@ -1,4 +1,4 @@
-//! Leveled merge policy and the background merge worker.
+//! Leveled merge policy and the merge worker.
 //!
 //! Tiers are kept oldest-first (ascending sequence) with levels monotone
 //! non-increasing toward the tail: seals append level-0 tiers at the tail,
@@ -8,11 +8,11 @@
 //! contiguous and the planner only has to scan for them.
 //!
 //! A merge is a pure function of its inputs (immutable trees + a tombstone
-//! snapshot), which is what makes the background mode safe: the worker
-//! packs the surviving entries into a new tree while the foreground keeps
-//! sealing, and the result is spliced in afterwards. Entries dropped here
-//! are exactly those a query would have filtered as shadowed, so merging
-//! never changes query results.
+//! snapshot), so it runs on the worker while the foreground keeps
+//! inserting: a seal hands off at most one job, and the next seal waits
+//! for it and splices the result in. Entries dropped here are exactly
+//! those a query would have filtered as shadowed, so merging never changes
+//! query results.
 
 use super::tier::{gather, Tier};
 use segidx_core::{bulk, IndexConfig, RecordId};
@@ -21,24 +21,6 @@ use std::ops::Range;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// When merges run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MergeMode {
-    /// Merges run synchronously inside [`seal`]. Deterministic; the mode
-    /// the differential and crash harnesses use.
-    ///
-    /// [`seal`]: super::TieredTemporalIndex::seal
-    #[default]
-    Inline,
-    /// Merges run on a dedicated worker thread; results are spliced in by
-    /// [`poll_merges`]/[`flush_merges`] or opportunistically at the next
-    /// seal.
-    ///
-    /// [`poll_merges`]: super::TieredTemporalIndex::poll_merges
-    /// [`flush_merges`]: super::TieredTemporalIndex::flush_merges
-    Background,
-}
 
 /// Everything a merge needs, snapshotted at dispatch time.
 pub(crate) struct MergeJob<const D: usize> {
@@ -66,7 +48,7 @@ pub(crate) struct MergeOutcome<const D: usize> {
 }
 
 /// Runs a merge to completion: gather, filter stale copies, pack.
-pub(crate) fn run_merge<const D: usize>(job: MergeJob<D>) -> MergeOutcome<D> {
+fn run_merge<const D: usize>(job: MergeJob<D>) -> MergeOutcome<D> {
     let t0 = Instant::now();
     let input_seqs: Vec<u64> = job.tiers.iter().map(|t| t.seq).collect();
     let max_seq = *input_seqs.last().expect("merge of at least one tier");
@@ -121,7 +103,7 @@ pub(crate) fn plan_run<const D: usize>(
     None
 }
 
-/// The single background merge worker. At most one job is in flight.
+/// The single merge worker. At most one job is in flight.
 pub(crate) struct MergeWorker<const D: usize> {
     job_tx: Option<mpsc::Sender<MergeJob<D>>>,
     result_rx: mpsc::Receiver<MergeOutcome<D>>,
@@ -151,10 +133,6 @@ impl<const D: usize> MergeWorker<D> {
         }
     }
 
-    pub fn in_flight(&self) -> bool {
-        self.in_flight
-    }
-
     /// Submits a job. Callers must ensure nothing is in flight.
     pub fn submit(&mut self, job: MergeJob<D>) {
         assert!(!self.in_flight, "one merge in flight at a time");
@@ -164,20 +142,6 @@ impl<const D: usize> MergeWorker<D> {
             .send(job)
             .expect("merge worker alive");
         self.in_flight = true;
-    }
-
-    /// Takes the result if the in-flight merge has finished.
-    pub fn try_take(&mut self) -> Option<MergeOutcome<D>> {
-        if !self.in_flight {
-            return None;
-        }
-        match self.result_rx.try_recv() {
-            Ok(out) => {
-                self.in_flight = false;
-                Some(out)
-            }
-            Err(_) => None,
-        }
     }
 
     /// Blocks until the in-flight merge (if any) finishes.

@@ -17,10 +17,11 @@
 //!   under the storage layer's atomic root-pointer flip, so each seal is
 //!   a crash-consistent checkpoint.
 //! * **Merge** — a leveled policy folds runs of equal-level tiers into one
-//!   tier a level up, inline or on a background worker (`merge`).
-//! * **Snapshot** — a pinned [`TierSnapshot`] over the sealed tiers
-//!   doubles as online backup: it exports to a separate [`DiskManager`]
-//!   while the writer keeps going.
+//!   tier a level up, on the merge worker (`merge`) while the next seal
+//!   fills. A seal packs its tier, splices in the merge the previous seal
+//!   handed off (waiting only if it is still running), hands the worker at
+//!   most one new job, then checkpoints — so what each checkpoint holds
+//!   does not depend on timing.
 //!
 //! Queries scatter across the memtable and every tier whose *fence* — the
 //! bounding box of what it holds — meets the query, drop the copies a
@@ -47,14 +48,12 @@ mod merge;
 mod telemetry;
 mod tier;
 
-pub use merge::MergeMode;
 pub use telemetry::TieredTelemetry;
 
 use memtable::Memtable;
-use merge::{plan_run, run_merge, MergeJob, MergeOutcome, MergeWorker};
+use merge::{plan_run, MergeJob, MergeOutcome, MergeWorker};
 use segidx_core::{bulk, persist, IndexConfig, RecordId, SearchCursor, Tree};
 use segidx_geom::Rect;
-use segidx_obs::{Event, EventKind, ObsSink};
 use segidx_storage::{DiskManager, PageId, Result, StorageError};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -75,8 +74,6 @@ pub struct TieredConfig {
     /// Tombstone count that triggers a full compaction (merge of every
     /// tier), clearing collected tombstones.
     pub tombstone_limit: usize,
-    /// Whether merges run inline or on the background worker.
-    pub merge_mode: MergeMode,
 }
 
 impl Default for TieredConfig {
@@ -86,7 +83,6 @@ impl Default for TieredConfig {
             seal_threshold: 8_192,
             level_fanout: 4,
             tombstone_limit: 4_096,
-            merge_mode: MergeMode::Inline,
         }
     }
 }
@@ -104,8 +100,8 @@ pub struct TieredTemporalIndex<const D: usize> {
     memtable: Memtable<D>,
     /// Oldest first (ascending `seq`); levels monotone non-increasing.
     tiers: Vec<Tier<D>>,
-    /// Shared with every pin, snapshot and merge job taken since the last
-    /// delete or prune, which copy it on write.
+    /// Shared with every pin and merge job taken since the last delete or
+    /// prune, which copy it on write.
     tombstones: Arc<HashMap<RecordId, u64>>,
     next_seq: u64,
     /// Live entries (inserts minus deletes) — the flat model's length.
@@ -115,9 +111,8 @@ pub struct TieredTemporalIndex<const D: usize> {
     /// Tree metadata pages of tiers consumed by merges, freed at the next
     /// checkpoint.
     pending_free: Vec<PageId>,
-    worker: Option<MergeWorker<D>>,
+    worker: MergeWorker<D>,
     telemetry: Option<Arc<TieredTelemetry>>,
-    sink: Option<Arc<dyn ObsSink>>,
 }
 
 impl<const D: usize> TieredTemporalIndex<D> {
@@ -125,10 +120,6 @@ impl<const D: usize> TieredTemporalIndex<D> {
     pub fn new(config: TieredConfig) -> Self {
         config.validate();
         let memtable = Memtable::new(config.seal_threshold);
-        let worker = match config.merge_mode {
-            MergeMode::Inline => None,
-            MergeMode::Background => Some(MergeWorker::spawn()),
-        };
         Self {
             config,
             memtable,
@@ -139,9 +130,8 @@ impl<const D: usize> TieredTemporalIndex<D> {
             disk: None,
             manifest_page: None,
             pending_free: Vec::new(),
-            worker,
+            worker: MergeWorker::spawn(),
             telemetry: None,
-            sink: None,
         }
     }
 
@@ -181,7 +171,8 @@ impl<const D: usize> TieredTemporalIndex<D> {
     }
 
     /// Live (untombstoned) sealed ids, tier by tier — the staleness rule of
-    /// [`scatter`] applied to every entry instead of a query's hits.
+    /// [`PinnedSearch::finish`] applied to every entry instead of a query's
+    /// hits.
     fn live_ids<'a>(
         tiers: &'a [Tier<D>],
         tombstones: &'a HashMap<RecordId, u64>,
@@ -192,15 +183,10 @@ impl<const D: usize> TieredTemporalIndex<D> {
         })
     }
 
-    /// Installs telemetry (shared with the merge worker's outcomes).
+    /// Installs telemetry: seal, merge and pin counters, tier gauges.
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<TieredTelemetry>>) {
         self.telemetry = telemetry;
         self.refresh_gauges();
-    }
-
-    /// Installs an event sink for seal/merge/export events.
-    pub fn set_sink(&mut self, sink: Option<Arc<dyn ObsSink>>) {
-        self.sink = sink;
     }
 
     /// Live entries — what a flat single-tree model would hold.
@@ -317,9 +303,19 @@ impl<const D: usize> TieredTemporalIndex<D> {
     /// index with a lock holds it for the pin only, not for the tree
     /// searches.
     ///
+    /// A fence is a bounding box, right whatever order entries arrived in.
+    /// Tiers do *not* cover disjoint time bands — end times are monotone
+    /// per key only, and every writer runs its own clock — so no tier is
+    /// skipped for where it sits in the list, only for what its box says.
+    ///
     /// [`search`]: TieredTemporalIndex::search
     pub fn pin(&self, query: &Rect<D>) -> PinnedSearch<D> {
-        let tiers: Vec<Tier<D>> = fenced(&self.tiers, query).cloned().collect();
+        let tiers: Vec<Tier<D>> = self
+            .tiers
+            .iter()
+            .filter(|t| t.may_intersect(query))
+            .cloned()
+            .collect();
         if let Some(t) = &self.telemetry {
             t.pins_total.fetch_add(1, Ordering::Relaxed);
             t.tiers_pinned_total
@@ -333,9 +329,11 @@ impl<const D: usize> TieredTemporalIndex<D> {
         }
     }
 
-    /// Seals the memtable into an immutable level-0 tier, runs the merge
-    /// policy, and (disk-backed) commits the new tier set atomically.
-    /// A no-op when the memtable is empty.
+    /// Seals the memtable into an immutable level-0 tier, splices in the
+    /// merge the previous seal handed to the worker (waiting for it if it
+    /// is still running), hands the worker the policy's next merge, and
+    /// (disk-backed) commits the new tier set atomically. A no-op when the
+    /// memtable is empty.
     pub fn seal(&mut self) -> Result<()> {
         if self.memtable.is_empty() {
             return Ok(());
@@ -348,20 +346,14 @@ impl<const D: usize> TieredTemporalIndex<D> {
         let tree = bulk::bulk_load_run(self.config.index.clone(), entries);
         self.tiers.push(Tier::new(tree, seq, 0));
         self.prune_tombstones();
-        self.run_merge_policy()?;
+        self.finish_in_flight();
+        self.dispatch_merge();
         self.checkpoint()?;
         if let Some(t) = &self.telemetry {
             t.seals_total.fetch_add(1, Ordering::Relaxed);
             t.sealed_entries_total
                 .fetch_add(sealed as u64, Ordering::Relaxed);
             t.seal_latency.record_duration(t0.elapsed());
-        }
-        if let Some(sink) = &self.sink {
-            sink.event(
-                Event::new(EventKind::TierSealed)
-                    .node(seq)
-                    .detail(sealed as u64),
-            );
         }
         self.refresh_gauges();
         Ok(())
@@ -371,11 +363,10 @@ impl<const D: usize> TieredTemporalIndex<D> {
     /// clears the tombstones the merge collected. Compacting a single
     /// tier rewrites it without its tombstoned copies.
     pub fn compact(&mut self) -> Result<()> {
-        self.finish_in_flight()?;
+        self.finish_in_flight();
         if !self.tiers.is_empty() {
-            let level = self.tiers.iter().map(|t| t.level).max().unwrap_or(0) + 1;
-            let outcome = run_merge(self.make_job(0..self.tiers.len(), level));
-            self.apply_merge(outcome);
+            self.worker.submit(self.make_full_job());
+            self.finish_in_flight();
         }
         self.prune_tombstones();
         self.checkpoint()?;
@@ -383,29 +374,15 @@ impl<const D: usize> TieredTemporalIndex<D> {
         Ok(())
     }
 
-    /// Applies any finished background merge without blocking. Returns
-    /// whether one was applied (and committed, when disk-backed).
-    pub fn poll_merges(&mut self) -> Result<bool> {
-        let Some(outcome) = self.worker.as_mut().and_then(|w| w.try_take()) else {
-            return Ok(false);
-        };
-        self.apply_merge(outcome);
-        self.run_merge_policy()?; // cascade: the splice may enable a run
-        self.checkpoint()?;
-        self.refresh_gauges();
-        Ok(true)
-    }
-
-    /// Drives background merging to quiescence: waits for the in-flight
-    /// merge (if any), applies it, and repeats until the policy finds no
-    /// run. Inline mode is already quiescent after every seal.
+    /// Drives merging to quiescence: waits for the in-flight merge (if
+    /// any), applies it, and repeats until the policy finds no run, then
+    /// commits the result.
     pub fn flush_merges(&mut self) -> Result<()> {
         loop {
-            let Some(outcome) = self.worker.as_mut().and_then(|w| w.wait_take()) else {
+            self.finish_in_flight();
+            if !self.dispatch_merge() {
                 break;
-            };
-            self.apply_merge(outcome);
-            self.run_merge_policy()?;
+            }
         }
         self.checkpoint()?;
         self.refresh_gauges();
@@ -416,7 +393,8 @@ impl<const D: usize> TieredTemporalIndex<D> {
     /// table) to the attached disk under one atomic root-pointer flip.
     /// Returns the manifest page, or `None` for in-memory indexes.
     ///
-    /// Runs automatically on seal and merge application; call directly to
+    /// Runs automatically at the end of `seal`, `flush_merges` and
+    /// `compact`, the only places a merge is spliced in; call directly to
     /// make tombstones created since the last seal durable.
     pub fn checkpoint(&mut self) -> Result<Option<PageId>> {
         let Some(disk) = self.disk.clone() else {
@@ -443,64 +421,27 @@ impl<const D: usize> TieredTemporalIndex<D> {
         Ok(Some(page))
     }
 
-    /// Pins the current sealed tier set for reading or export. The writer
-    /// is not paused: tiers are immutable and shared by reference.
-    pub fn snapshot(&self) -> TierSnapshot<D> {
-        TierSnapshot {
-            tiers: self.tiers.clone(),
-            tombstones: Arc::clone(&self.tombstones),
-            next_seq: self.next_seq,
-            telemetry: self.telemetry.clone(),
-            sink: self.sink.clone(),
-        }
+    /// Runs the leveled policy with nothing in flight: hands the worker
+    /// the next run — or every tier, under tombstone pressure — and
+    /// returns whether there was one.
+    fn dispatch_merge(&mut self) -> bool {
+        let job = if self.tombstones.len() > self.config.tombstone_limit && !self.tiers.is_empty() {
+            self.make_full_job()
+        } else if let Some((range, level)) = plan_run(&self.tiers, self.config.level_fanout) {
+            self.make_job(range, level)
+        } else {
+            return false;
+        };
+        self.worker.submit(job);
+        true
     }
 
-    /// Runs the leveled policy: inline mode merges until quiescent;
-    /// background mode applies a finished merge and keeps at most one job
-    /// in flight.
-    fn run_merge_policy(&mut self) -> Result<()> {
-        if let Some(w) = self.worker.as_mut() {
-            if let Some(outcome) = w.try_take() {
-                self.apply_merge(outcome);
-            }
-        }
-        loop {
-            let full =
-                self.tombstones.len() > self.config.tombstone_limit && !self.tiers.is_empty();
-            let plan = if full {
-                let level = self.tiers.iter().map(|t| t.level).max().unwrap_or(0) + 1;
-                Some((0..self.tiers.len(), level))
-            } else {
-                plan_run(&self.tiers, self.config.level_fanout)
-            };
-            let Some((range, level)) = plan else { break };
-            // Move the worker out while building the job so the borrow
-            // checker lets `make_job` read `self.tiers`.
-            match self.worker.take() {
-                None => {
-                    let outcome = run_merge(self.make_job(range, level));
-                    self.apply_merge(outcome);
-                }
-                Some(mut worker) => {
-                    if !worker.in_flight() {
-                        let job = self.make_job(range, level);
-                        worker.submit(job);
-                    }
-                    self.worker = Some(worker);
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Blocks until no background merge is in flight (applying its
-    /// result), without dispatching new work.
-    fn finish_in_flight(&mut self) -> Result<()> {
-        if let Some(outcome) = self.worker.as_mut().and_then(|w| w.wait_take()) {
+    /// Blocks until no merge is in flight, applying its result, without
+    /// dispatching new work.
+    fn finish_in_flight(&mut self) {
+        if let Some(outcome) = self.worker.wait_take() {
             self.apply_merge(outcome);
         }
-        Ok(())
     }
 
     fn make_job(&self, range: std::ops::Range<usize>, level: u32) -> MergeJob<D> {
@@ -510,6 +451,12 @@ impl<const D: usize> TieredTemporalIndex<D> {
             level,
             config: self.config.index.clone(),
         }
+    }
+
+    /// A merge of every tier into one a level above the highest.
+    fn make_full_job(&self) -> MergeJob<D> {
+        let level = self.tiers.iter().map(|t| t.level).max().unwrap_or(0) + 1;
+        self.make_job(0..self.tiers.len(), level)
     }
 
     /// Splices a merge result into the tier list, replacing its inputs
@@ -538,8 +485,6 @@ impl<const D: usize> TieredTemporalIndex<D> {
             }
         }
         let merged_entries = tier.entry_count() as u64;
-        let seq = tier.seq;
-        let level = tier.level;
         self.tiers.insert(start, tier);
         self.prune_tombstones();
         if let Some(t) = &self.telemetry {
@@ -548,14 +493,6 @@ impl<const D: usize> TieredTemporalIndex<D> {
                 .fetch_add(merged_entries, Ordering::Relaxed);
             t.merge_dropped_total.fetch_add(dropped, Ordering::Relaxed);
             t.merge_latency.record(nanos);
-        }
-        if let Some(sink) = &self.sink {
-            sink.event(
-                Event::new(EventKind::TierMerged)
-                    .node(seq)
-                    .level(level)
-                    .detail(merged_entries),
-            );
         }
     }
 
@@ -633,43 +570,6 @@ impl<const D: usize> std::fmt::Debug for TieredTemporalIndex<D> {
     }
 }
 
-/// The tiers `query` can have a hit in: those whose fence it meets. A fence
-/// is a bounding box, right whatever order entries arrived in. Tiers do
-/// *not* cover disjoint time bands — end times are monotone per key only,
-/// and every writer runs its own clock — so no tier is skipped for where
-/// it sits in the list, only for what its box says.
-fn fenced<'a, const D: usize>(
-    tiers: &'a [Tier<D>],
-    query: &'a Rect<D>,
-) -> impl Iterator<Item = &'a Tier<D>> {
-    tiers.iter().filter(move |t| t.may_intersect(query))
-}
-
-/// Appends the hits for `query` of each of `tiers` to `out`, dropping the
-/// copies a newer tombstone shadows (see the module docs for why that is
-/// the whole staleness rule), then sorts and dedups. One cursor serves
-/// every tier: its stack and id buffer are allocated once per search.
-fn scatter<'a, const D: usize>(
-    tiers: impl IntoIterator<Item = &'a Tier<D>>,
-    tombstones: &HashMap<RecordId, u64>,
-    query: &Rect<D>,
-    mut out: Vec<RecordId>,
-) -> Vec<RecordId> {
-    let mut cursor = SearchCursor::new();
-    for t in tiers {
-        let hits = t.tree.search_with(&mut cursor, query);
-        if tombstones.is_empty() {
-            out.extend_from_slice(hits);
-        } else {
-            let live = |r: &RecordId| !tombstones.get(r).is_some_and(|&ts| ts > t.seq);
-            out.extend(hits.iter().copied().filter(live));
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 /// A search begun by [`TieredTemporalIndex::pin`]: the memtable's hits and
 /// the sealed tiers still to be searched — those the query can have a hit
 /// in, no others.
@@ -683,102 +583,36 @@ pub struct PinnedSearch<const D: usize> {
 
 impl<const D: usize> PinnedSearch<D> {
     /// Searches the pinned tiers and returns the record ids, sorted
-    /// ascending and deduped.
+    /// ascending and deduped. A hit is dropped when a newer tombstone
+    /// shadows it (see the module docs for why that is the whole staleness
+    /// rule). One cursor serves every tier: its stack and id buffer are
+    /// allocated once per search.
     pub fn finish(self) -> Vec<RecordId> {
-        scatter(&self.tiers, &self.tombstones, &self.query, self.hits)
-    }
-}
-
-/// A pinned, immutable view of the sealed tier set at some moment.
-///
-/// Holding one costs a reference count per tier; the writer continues
-/// sealing and merging underneath. [`export_to`] turns it into an online
-/// backup: the pinned set is checkpointed onto a separate disk in the same
-/// format the live index commits, so [`TieredTemporalIndex::open`] reads
-/// the copy back directly.
-///
-/// [`export_to`]: TierSnapshot::export_to
-pub struct TierSnapshot<const D: usize> {
-    tiers: Vec<Tier<D>>,
-    tombstones: Arc<HashMap<RecordId, u64>>,
-    next_seq: u64,
-    telemetry: Option<Arc<TieredTelemetry>>,
-    sink: Option<Arc<dyn ObsSink>>,
-}
-
-impl<const D: usize> TierSnapshot<D> {
-    /// Sealed tiers pinned by this snapshot.
-    pub fn tier_count(&self) -> usize {
-        self.tiers.len()
-    }
-
-    /// Entries across the pinned tiers (stale copies included).
-    pub fn entry_count(&self) -> usize {
-        self.tiers.iter().map(|t| t.entry_count()).sum()
-    }
-
-    /// Searches the pinned tier set (no memtable: a snapshot covers the
-    /// sealed, durable half only). Sorted ascending, deduped.
-    pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        scatter(
-            fenced(&self.tiers, query),
-            &self.tombstones,
+        let Self {
             query,
-            Vec::new(),
-        )
-    }
-
-    /// Writes the pinned tier set to `disk` as a committed manifest — an
-    /// online backup taken without pausing the writer. The target disk
-    /// should be fresh (its previous committed state, if any, is
-    /// replaced). Returns the manifest page on the target.
-    pub fn export_to(&self, disk: &DiskManager) -> Result<PageId> {
-        if let Some(old) = disk.root() {
-            // Replacing a previous export: drop its manifest and trees.
-            if let Ok(manifest) = tier::read_manifest(disk, old, D) {
-                for (meta, _, _) in manifest.tiers {
-                    persist::free_tree(disk, meta);
-                }
+            hits: mut out,
+            tiers,
+            tombstones,
+        } = self;
+        let mut cursor = SearchCursor::new();
+        for t in &tiers {
+            let hits = t.tree.search_with(&mut cursor, &query);
+            if tombstones.is_empty() {
+                out.extend_from_slice(hits);
+            } else {
+                let live = |r: &RecordId| !tombstones.get(r).is_some_and(|&ts| ts > t.seq);
+                out.extend(hits.iter().copied().filter(live));
             }
-            let _ = disk.free(old);
-            disk.set_root(None);
         }
-        let mut exported = Vec::with_capacity(self.tiers.len());
-        for t in &self.tiers {
-            let mut copy = t.clone();
-            copy.meta = Some(persist::save(&t.tree, disk)?);
-            exported.push(copy);
-        }
-        let page = tier::write_manifest(disk, &exported, &self.tombstones, self.next_seq)?;
-        disk.set_root(Some(page));
-        disk.sync()?;
-        if let Some(t) = &self.telemetry {
-            t.exports_total.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(sink) = &self.sink {
-            sink.event(
-                Event::new(EventKind::TierExported)
-                    .node(disk.epoch())
-                    .detail(self.entry_count() as u64),
-            );
-        }
-        Ok(page)
-    }
-}
-
-impl<const D: usize> std::fmt::Debug for TierSnapshot<D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TierSnapshot")
-            .field("tiers", &self.tiers.len())
-            .field("entries", &self.entry_count())
-            .finish()
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segidx_obs::RingBufferSink;
     use segidx_storage::{DiskManagerConfig, ScriptedFault};
     use std::path::PathBuf;
 
@@ -883,7 +717,6 @@ mod tests {
         let all = Rect::new([0.0, 0.0], [1_000.0, 1_000.0]);
         let (a, b) = (tiered.pin(&all), tiered.pin(&all));
         assert!(Arc::ptr_eq(&a.tombstones, &b.tombstones));
-        assert!(Arc::ptr_eq(&a.tombstones, &tiered.snapshot().tombstones));
 
         // A delete writes its own copy; the pins keep the map they took.
         let (rect, record) = items[40];
@@ -968,8 +801,8 @@ mod tests {
 
     #[test]
     fn as_of_cost_on_a_tier_does_not_grow_with_the_tier() {
-        // Default config: 32 768 entries have merged into one level-1
-        // tier, 131 072 into one level-2 tier. Node accesses are exact
+        // Default config: once merges are flushed, 32 768 entries are one
+        // level-1 tier, 131 072 one level-2 tier. Node accesses are exact
         // counts, so the bounds cannot flake; both fail if the tier
         // builders go back to tiling the whole input (`bulk_load`), whose
         // count doubles from the first tier to the second.
@@ -991,10 +824,12 @@ mod tests {
         for (i, (rect, record)) in versions.iter().enumerate() {
             tiered.insert(*rect, *record).unwrap();
             if i + 1 == 32_768 {
+                tiered.flush_merges().unwrap();
                 assert_eq!(tiered.tier_profile(), [(3, 1, 32_768)]);
                 small = nodes_per_as_of(tiered.tier_trees().next().unwrap(), 32_768);
             }
         }
+        tiered.flush_merges().unwrap();
         assert_eq!(tiered.tier_count(), 1);
         let tier = tiered.tier_trees().next().unwrap();
         assert_eq!(tier.entry_count(), 131_072);
@@ -1053,26 +888,55 @@ mod tests {
     }
 
     #[test]
-    fn background_mode_matches_inline() {
-        let mut inline = TieredTemporalIndex::<2>::new(cfg(32));
-        let mut config = cfg(32);
-        config.merge_mode = MergeMode::Background;
-        let mut bg = TieredTemporalIndex::<2>::new(config);
-        for (rect, record) in stream(2_000) {
-            inline.insert(rect, record).unwrap();
-            bg.insert(rect, record).unwrap();
-            // Queries are correct at any moment, merges applied or not.
-            if record.raw() % 509 == 0 {
-                let q = Rect::new([0.0, 0.0], [2_500.0, 100.0]);
-                assert_eq!(bg.search(&q), inline.search(&q));
+    fn a_seal_hands_its_merge_to_the_worker() {
+        // Fanout 4: the 4th seal hands the four level-0 tiers to the
+        // worker and returns without waiting; the 5th splices the result.
+        const N: usize = 64;
+        let config = TieredConfig {
+            seal_threshold: N,
+            ..TieredConfig::default()
+        };
+        let items: Vec<_> = stream(5 * N as u64).collect();
+        let level0: Vec<_> = (0..4).map(|seq| (seq, 0, N)).collect();
+        let all = Rect::new([0.0, 0.0], [1_000.0, 100.0]);
+        let mut flat: Tree<2> = Tree::new(IndexConfig::srtree());
+        let four_seals = |path: &PathBuf| {
+            let disk = Arc::new(DiskManager::create(path).unwrap());
+            let mut tiered = TieredTemporalIndex::<2>::create(config.clone(), disk).unwrap();
+            for &(rect, record) in &items[..4 * N] {
+                tiered.insert(rect, record).unwrap();
+            }
+            tiered
+        };
+
+        let mut tiered = four_seals(&temp("handoff.db"));
+        let telemetry = Arc::new(TieredTelemetry::new());
+        tiered.set_telemetry(Some(telemetry.clone()));
+        assert_eq!(tiered.tier_profile(), level0);
+        assert_eq!(telemetry.merges_total.load(Ordering::Relaxed), 0);
+        for &(rect, record) in &items {
+            flat.insert(rect, record);
+            if record.raw() >= 4 * N as u64 {
+                tiered.insert(rect, record).unwrap();
             }
         }
-        bg.flush_merges().unwrap();
-        bg.assert_invariants();
-        inline.assert_invariants();
-        let q = Rect::new([0.0, 0.0], [2_500.0, 100.0]);
-        assert_eq!(bg.search(&q), inline.search(&q));
-        assert_eq!(bg.len(), inline.len());
+        assert_eq!(tiered.tier_profile(), [(3, 1, 4 * N), (4, 0, N)]);
+        assert_eq!(telemetry.merges_total.load(Ordering::Relaxed), 1);
+        tiered.assert_invariants();
+        assert_eq!(tiered.search(&all), flat.search(&all));
+
+        // Dropped with the merge in flight, the index reopens on the tier
+        // set the 4th seal committed: four unmerged tiers.
+        let path = temp("handoff-drop.db");
+        drop(four_seals(&path));
+        let disk = Arc::new(DiskManager::open(&path).unwrap());
+        let back = TieredTemporalIndex::<2>::open(config.clone(), disk).unwrap();
+        back.assert_invariants();
+        assert_eq!(back.tier_profile(), level0);
+        for &(rect, record) in &items[4 * N..] {
+            assert!(flat.delete(&rect, record));
+        }
+        assert_eq!(back.search(&all), flat.search(&all));
     }
 
     #[test]
@@ -1168,44 +1032,6 @@ mod tests {
         assert_eq!(back.len(), expected_sealed, "last committed tier set");
         let q = Rect::new([0.0, 0.0], [500.0, 100.0]);
         assert_eq!(back.search(&q).len(), expected_sealed);
-    }
-
-    #[test]
-    fn snapshot_export_is_an_online_backup() {
-        let mut tiered = TieredTemporalIndex::<2>::new(cfg(32));
-        let sink = Arc::new(RingBufferSink::new(64));
-        tiered.set_sink(Some(sink.clone() as Arc<dyn ObsSink>));
-        for (rect, record) in stream(160) {
-            tiered.insert(rect, record).unwrap();
-        }
-        let snap = tiered.snapshot();
-        let sealed = snap.entry_count();
-        assert_eq!(sealed, 160, "five seals of 32");
-
-        // Writer keeps going while the snapshot is pinned...
-        for (rect, record) in (200..400).map(|i| {
-            (
-                Rect::new([i as f64, 0.0], [i as f64 + 1.0, 0.0]),
-                RecordId(i),
-            )
-        }) {
-            tiered.insert(rect, record).unwrap();
-        }
-        // ...and the pinned view still answers for its moment.
-        let q = Rect::new([0.0, 0.0], [1_000.0, 100.0]);
-        assert_eq!(snap.search(&q).len(), 160);
-
-        // Export to a separate disk and read it back as a full index.
-        let path = temp("export.db");
-        let target = DiskManager::create(&path).unwrap();
-        snap.export_to(&target).unwrap();
-        drop(target);
-        let disk = Arc::new(DiskManager::open(&path).unwrap());
-        let back = TieredTemporalIndex::<2>::open(cfg(32), disk).unwrap();
-        back.assert_invariants();
-        assert_eq!(back.search(&q), snap.search(&q));
-        assert_eq!(sink.events_of(EventKind::TierExported).len(), 1);
-        assert!(!sink.events_of(EventKind::TierSealed).is_empty());
     }
 
     #[test]

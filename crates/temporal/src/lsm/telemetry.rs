@@ -1,7 +1,7 @@
 //! Observability for the tiered temporal index.
 //!
-//! One [`TieredTelemetry`] is shared between the foreground index and the
-//! background merge worker; [`TieredTelemetry::register`] exports it as the
+//! One [`TieredTelemetry`] is shared by the index and every reader of its
+//! registry; [`TieredTelemetry::register`] exports it as the
 //! `segidx_temporal_*` metric family (labelled `component="temporal"`), the
 //! same registry scheme the concurrent service and server use.
 
@@ -30,8 +30,6 @@ pub struct TieredTelemetry {
     pub merged_entries_total: AtomicU64,
     /// Counter: entries dropped by merges as stale (shadowed or tombstoned).
     pub merge_dropped_total: AtomicU64,
-    /// Counter: snapshot exports completed.
-    pub exports_total: AtomicU64,
     /// Counter: searches begun ([`pin`] or [`search`]).
     ///
     /// [`pin`]: super::TieredTemporalIndex::pin
@@ -112,11 +110,6 @@ impl TieredTelemetry {
                 "segidx_temporal_merge_dropped_total",
                 &l,
                 t.merge_dropped_total.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "segidx_temporal_exports_total",
-                &l,
-                t.exports_total.load(Ordering::Relaxed),
             ));
             out.push(Metric::counter(
                 "segidx_temporal_pins_total",

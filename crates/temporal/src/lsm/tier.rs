@@ -24,7 +24,7 @@ const MANIFEST_VERSION: u32 = 1;
 #[derive(Clone)]
 pub struct Tier<const D: usize> {
     /// The packed tree holding this tier's entries. Shared so pinned
-    /// snapshots and the background merge worker read it without copying.
+    /// searches and the merge worker read it without copying.
     pub tree: Arc<Tree<D>>,
     /// Record ids present in this tier, sorted ascending. Built once at
     /// seal/merge/load; used by deletes, merges and tombstone pruning.

@@ -619,7 +619,7 @@ impl TemporalTable {
     }
 
     /// Mutable access to the tiered index (sealing, merge draining,
-    /// snapshot export), when the table uses the tiered backend.
+    /// telemetry), when the table uses the tiered backend.
     pub fn tiered_index_mut(&mut self) -> Option<&mut TieredTemporalIndex<2>> {
         match &mut self.index {
             IndexBackend::Tiered(t) => Some(t),
