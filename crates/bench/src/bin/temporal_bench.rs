@@ -1,5 +1,5 @@
-//! Append-optimized temporal ingest: the tiered LSM-of-packed-trees index
-//! against in-place inserts into one flat SR-Tree, on a monotone
+//! Append-optimized temporal ingest: the tiered LSM index (sealed tiers are
+//! record-sorted runs plus a frozen HINT over time) against in-place inserts into one flat SR-Tree, on a monotone
 //! end-time version stream (the shape a temporal table's archive tier
 //! sees: every closed version's end time is the current clock). Results
 //! land in `results/BENCH_temporal.json` (same `hardware_note` convention
@@ -9,7 +9,7 @@
 //!
 //! 1. **Ingest throughput**: wall-clock over the full stream. The tiered
 //!    index absorbs writes into a bounded memtable and turns them into
-//!    packed immutable tiers via the bulk loader, so its per-insert cost
+//!    immutable tiers with one HINT build each, so its per-insert cost
 //!    stays flat while the in-place tree pays ever-deeper traversals and
 //!    node splits. `--check` asserts ≥ 3× at ≥ 1M intervals.
 //! 2. **Query equivalence**: a window-query probe set must return
@@ -17,21 +17,21 @@
 //!    answers.
 //!
 //! 3. **What an `AS OF` costs, tier by tier**: for every sealed tier the
-//!    run ends with, its entries and the mean nodes a line query at `t`
-//!    reads in it (exact counts, no timing). Tiers are runs of end times,
-//!    packed as such, so once a tier is longer than the versions in it
-//!    live the count must stop growing with the tier: `--check` fails when
-//!    the largest tier reads more than 1.5× what the smallest tier of at
-//!    least [`LONGEST_LIFETIME`] versions does. (A shorter tier reads
-//!    fewer nodes only because it ends before the long versions that
-//!    reach back into it do.)
+//!    run ends with, its entries, the mean HINT partitions a stab at `t`
+//!    touches in it (exact counts, no timing) and the bytes it holds in
+//!    memory per entry. A stab touches at most one partition per level,
+//!    so the count may grow with the levels, not with the entries:
+//!    `--check` fails when the largest tier touches more than 1.5× what
+//!    the smallest tier of at least [`LONGEST_LIFETIME`] versions does, or
+//!    when any tier holds more than [`RESIDENT_BYTES_GATE`] bytes per
+//!    entry (what guards the served process's peak RSS).
 //!
-//! 4. **HINT beside each sealed tier** (reported, not gated on speed): on a
-//!    stream shaped like `serve-temporal`'s, each sealed tier's tree
-//!    answers `AS OF` and `WITHIN` next to a [`HintIndex`] built over the
-//!    same versions' lifetimes — ns per query, the tree-to-HINT ratio, and
-//!    HINT's stored copies per interval. `--check` fails on any id the two
-//!    disagree on.
+//! 4. **Each sealed tier against a tree** (reported, not gated on speed): on
+//!    a stream shaped like `serve-temporal`'s, each sealed tier answers
+//!    `AS OF` and `WITHIN` through its HINT next to a `bulk_load_run` tree
+//!    packed from the same entries — ns per query, the tree-to-HINT ratio,
+//!    each one's build cost per entry, and HINT's stored copies per
+//!    interval. `--check` fails on any id the two disagree on.
 //!
 //! With `--metrics-out FILE` the run also snapshots the
 //! `segidx_temporal_*` telemetry family for `metrics_check --temporal`.
@@ -42,9 +42,11 @@
 
 use segidx_bench::crash::SplitMix64;
 use segidx_bench::{hardware_note, median, median_ratio, today};
-use segidx_core::{HintIndex, IndexConfig, RecordId, SearchCursor, Tree};
-use segidx_geom::{Point, Rect};
+use segidx_core::hint::FrozenHint;
+use segidx_core::{bulk, IndexConfig, RecordId, SearchCursor, Tree};
+use segidx_geom::Rect;
 use segidx_obs::MetricsRegistry;
+use segidx_temporal::lsm::Tier;
 use segidx_temporal::{TieredConfig, TieredTelemetry, TieredTemporalIndex};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -125,20 +127,25 @@ struct TierCost {
     seq: u64,
     level: u32,
     entries: usize,
-    nodes_per_as_of: f64,
+    partitions_per_as_of: f64,
+    resident_bytes_per_entry: f64,
 }
 
-/// `AS OF` probes per tier for the node counts.
+/// `AS OF` probes per tier for the partition counts.
 const AS_OF_PROBES: usize = 256;
 
-/// Mean nodes an `AS OF` reads in `tree`: line queries across dimension 1
-/// at [`AS_OF_PROBES`] evenly spaced times of the span the tree covers.
-fn nodes_per_as_of(tree: &Tree<2>) -> f64 {
-    let span = tree.root_region().expect("a sealed tier is not empty");
+/// Most heap bytes a sealed tier may hold per entry: its id and rectangle
+/// columns (40 B at `D = 2`) plus its HINT.
+const RESIDENT_BYTES_GATE: f64 = 100.0;
+
+/// Mean HINT partitions an `AS OF` touches in `tier`: stabs at
+/// [`AS_OF_PROBES`] evenly spaced times of the span the tier covers.
+fn partitions_per_as_of(tier: &Tier<2>) -> f64 {
+    let span = tier.fence().expect("a sealed tier is not empty");
     let accesses: u64 = (0..AS_OF_PROBES)
         .map(|i| {
             let t = span.lo(0) + span.extent(0) * (i as f64 + 0.5) / AS_OF_PROBES as f64;
-            tree.count_search_accesses(&Rect::new([t, f64::MIN / 2.0], [t, f64::MAX / 2.0]))
+            tier.hint().count_accesses(t, t)
         })
         .sum();
     accesses as f64 / AS_OF_PROBES as f64
@@ -192,30 +199,32 @@ fn served_versions(n: usize, seed: u64) -> Vec<(Rect<2>, RecordId)> {
     out
 }
 
-/// One sealed tier's tree against HINT over the same versions.
+/// One sealed tier's HINT against a tree packed from its entries.
 struct HintRow {
     entries: usize,
     copies_per_interval: f64,
     /// `(tree ns, HINT ns, median per-round tree/HINT ratio)` per query.
     as_of: (f64, f64, f64),
     within: (f64, f64, f64),
+    /// Build ns per entry: `bulk_load_run`, and the tier's HINT.
+    build: (f64, f64),
 }
 
 /// Times `tree` against `hint` over `probes`, in [`HINT_ROUNDS`]
 /// interleaved rounds, and counts the probes whose ids differ.
 fn race(
-    probes: &[(Rect<2>, Rect<1>)],
+    probes: &[Rect<2>],
     tree: impl Fn(&Rect<2>) -> Vec<RecordId>,
-    hint: impl Fn(&Rect<1>) -> Vec<RecordId>,
+    hint: impl Fn(&Rect<2>) -> Vec<RecordId>,
 ) -> ((f64, f64, f64), usize) {
-    let mismatches = probes.iter().filter(|(t, h)| tree(t) != hint(h)).count();
+    let mismatches = probes.iter().filter(|q| tree(q) != hint(q)).count();
     let (mut tree_rounds, mut hint_rounds) = (Vec::new(), Vec::new());
     for _ in 0..HINT_ROUNDS {
         let start = Instant::now();
-        let hits: usize = probes.iter().map(|(t, _)| tree(t).len()).sum();
+        let hits: usize = probes.iter().map(|q| tree(q).len()).sum();
         tree_rounds.push(start.elapsed().as_nanos() as u64);
         let start = Instant::now();
-        let hint_hits: usize = probes.iter().map(|(_, h)| hint(h).len()).sum();
+        let hint_hits: usize = probes.iter().map(|q| hint(q).len()).sum();
         hint_rounds.push(start.elapsed().as_nanos() as u64);
         std::hint::black_box((hits, hint_hits));
     }
@@ -231,13 +240,25 @@ fn race(
     )
 }
 
+/// Median wall time per entry of [`HINT_ROUNDS`] runs of `build`.
+fn build_ns_per_entry<T>(entries: usize, build: impl Fn() -> T) -> f64 {
+    let mut rounds: Vec<u64> = (0..HINT_ROUNDS)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(build());
+            start.elapsed().as_nanos() as u64
+        })
+        .collect();
+    median(&mut rounds) as f64 / entries as f64
+}
+
 /// Ingests [`served_versions`] into a default tiered index, then races
-/// every sealed tier's tree against a HINT over its versions' lifetimes on
-/// `AS OF` (a line at `t` across every value, as `pin_as_of` probes; HINT
-/// stabs `t`) and a [`WITHIN_WIDTH`] `WITHIN` (`pin_within`'s window
-/// across every value; HINT searches it). Returns one row per tier and the
-/// probes whose ids differed.
-fn hint_beside_tiers() -> (Vec<HintRow>, usize) {
+/// every sealed tier's search — its HINT over time, as a pinned search
+/// asks it — against a `bulk_load_run` tree packed from the same entries
+/// on `AS OF` (a line at `t` across every value, as `pin_as_of` probes) and
+/// a [`WITHIN_WIDTH`] `WITHIN` (`pin_within`'s window across every value).
+/// Returns one row per tier and the probes whose ids differed.
+fn tiers_against_trees() -> (Vec<HintRow>, usize) {
     let mut tiered = TieredTemporalIndex::<2>::new(TieredConfig::default());
     for (rect, id) in served_versions(SERVED_VERSIONS, 41) {
         tiered.insert(rect, id).expect("tiered insert");
@@ -246,42 +267,40 @@ fn hint_beside_tiers() -> (Vec<HintRow>, usize) {
     let everything = (f64::MIN / 2.0, f64::MAX / 2.0);
     let mut mismatches = 0;
     let mut rows = Vec::new();
-    for tree in tiered.tier_trees() {
-        let mut hint = HintIndex::new();
-        hint.bulk_load(
-            tree.iter_entries()
-                .map(|(r, id)| (Rect::new([r.lo(0)], [r.hi(0)]), id))
-                .collect(),
-        );
-        let span = tree.root_region().expect("a sealed tier is not empty");
-        let mut rng = SplitMix64::new(tree.len() as u64);
+    for tier in tiered.tiers() {
+        let entries: Vec<(Rect<2>, RecordId)> = tier.entries().collect();
+        let pack = || bulk::bulk_load_run(IndexConfig::srtree(), entries.clone());
+        let tree = pack();
+        let span = tier.fence().expect("a sealed tier is not empty");
+        let mut rng = SplitMix64::new(entries.len() as u64);
         let times: Vec<f64> = (0..HINT_PROBES)
             .map(|_| span.lo(0) + rng.next_f64() * span.extent(0))
             .collect();
-        let as_of: Vec<(Rect<2>, Rect<1>)> = times
+        let as_of: Vec<Rect<2>> = times
             .iter()
-            .map(|&t| {
-                let line = Rect::new([t, everything.0], [t, everything.1]);
-                (line, Rect::new([t], [t]))
-            })
+            .map(|&t| Rect::new([t, everything.0], [t, everything.1]))
             .collect();
-        let within: Vec<(Rect<2>, Rect<1>)> = times
+        let within: Vec<Rect<2>> = times
             .iter()
-            .map(|&t| {
-                let window = Rect::new([t, everything.0], [t + WITHIN_WIDTH, everything.1]);
-                (window, Rect::new([t], [t + WITHIN_WIDTH]))
-            })
+            .map(|&t| Rect::new([t, everything.0], [t + WITHIN_WIDTH, everything.1]))
             .collect();
         let cursor = std::cell::RefCell::new(SearchCursor::new());
         let tree_search = |q: &Rect<2>| tree.search_with(&mut cursor.borrow_mut(), q).to_vec();
-        let (as_of, bad_as_of) = race(&as_of, tree_search, |q| hint.stab(&Point::new([q.lo(0)])));
-        let (within, bad_within) = race(&within, tree_search, |q| hint.search(q));
+        let (as_of, bad_as_of) = race(&as_of, tree_search, |q| tier.search(q));
+        let (within, bad_within) = race(&within, tree_search, |q| tier.search(q));
         mismatches += bad_as_of + bad_within;
+        let build = (
+            build_ns_per_entry(entries.len(), pack),
+            build_ns_per_entry(entries.len(), || {
+                FrozenHint::over_starts(entries.len(), |i| (entries[i].0.lo(0), entries[i].0.hi(0)))
+            }),
+        );
         rows.push(HintRow {
-            entries: tree.entry_count(),
-            copies_per_interval: hint.entry_count() as f64 / hint.len() as f64,
+            entries: entries.len(),
+            copies_per_interval: tier.hint().copies() as f64 / entries.len() as f64,
             as_of,
             within,
+            build,
         });
     }
     (rows, mismatches)
@@ -358,27 +377,27 @@ fn main() -> ExitCode {
         args.queries, total_hits, mismatches
     );
 
-    // ---- 4. AS OF cost per sealed tier (exact node counts) --------------
+    // ---- 4. AS OF cost per sealed tier (exact partition counts) ---------
     let tier_costs: Vec<TierCost> = tiered
-        .tier_profile()
-        .into_iter()
-        .zip(tiered.tier_trees())
-        .map(|((seq, level, entries), tree)| TierCost {
-            seq,
-            level,
-            entries,
-            nodes_per_as_of: nodes_per_as_of(tree),
+        .tiers()
+        .map(|t| TierCost {
+            seq: t.seq,
+            level: t.level,
+            entries: t.entry_count(),
+            partitions_per_as_of: partitions_per_as_of(t),
+            resident_bytes_per_entry: t.resident_bytes() as f64 / t.entry_count() as f64,
         })
         .collect();
     for t in &tier_costs {
         println!(
-            "  tier seq {:>3} level {}: {:>7} entries, {:.1} nodes per AS OF",
-            t.seq, t.level, t.entries, t.nodes_per_as_of
+            "  tier seq {:>3} level {}: {:>7} entries, {:.1} HINT partitions per AS OF, \
+             {:.1} B per entry",
+            t.seq, t.level, t.entries, t.partitions_per_as_of, t.resident_bytes_per_entry
         );
     }
     // One version closes per tick, so a tier's entries are its span of
     // end times.
-    let cost_of = |tier: Option<&TierCost>| tier.map_or(0.0, |t| t.nodes_per_as_of);
+    let cost_of = |tier: Option<&TierCost>| tier.map_or(0.0, |t| t.partitions_per_as_of);
     let largest = cost_of(tier_costs.iter().max_by_key(|t| t.entries));
     let baseline = cost_of(
         tier_costs
@@ -387,15 +406,22 @@ fn main() -> ExitCode {
             .min_by_key(|t| t.entries),
     );
 
-    // ---- 5. HINT beside each sealed tier (reported, ids gated) ----------
-    let (hint_rows, hint_mismatches) = hint_beside_tiers();
+    let bytes_per_entry = tier_costs
+        .iter()
+        .map(|t| t.resident_bytes_per_entry)
+        .fold(0.0, f64::max);
+
+    // ---- 5. Each sealed tier against a tree (reported, ids gated) -------
+    let (hint_rows, hint_mismatches) = tiers_against_trees();
     println!(
-        "  HINT beside the sealed tiers of a {SERVED_VERSIONS}-version serve-temporal stream:"
+        "  sealed tiers of a {SERVED_VERSIONS}-version serve-temporal stream against \
+         bulk_load_run trees of the same entries:"
     );
     for r in &hint_rows {
         println!(
             "  tier {:>7} entries: AS OF tree {:>6.0} ns, HINT {:>6.0} ns ({:.2}x); \
-             WITHIN tree {:>6.0} ns, HINT {:>6.0} ns ({:.2}x); {:.2} HINT copies per interval",
+             WITHIN tree {:>6.0} ns, HINT {:>6.0} ns ({:.2}x); build tree {:.0} ns, \
+             HINT {:.0} ns per entry; {:.2} HINT copies per interval",
             r.entries,
             r.as_of.0,
             r.as_of.1,
@@ -403,6 +429,8 @@ fn main() -> ExitCode {
             r.within.0,
             r.within.1,
             r.within.2,
+            r.build.0,
+            r.build.1,
             r.copies_per_interval
         );
     }
@@ -429,8 +457,9 @@ fn main() -> ExitCode {
     json.push_str(
         "  \"method\": \"crates/bench/src/bin/temporal_bench.rs; one monotone end-time \
          version stream (short durations, sparse long tail) inserted once into the tiered \
-         LSM index (default config: 8192-entry seals, fanout-4 leveled merges on the merge \
-         worker, flushed before the clock stops) and once into a flat SR-Tree via in-place \
+         LSM index (default config: 8192-entry seals into record-sorted runs plus a frozen \
+         HINT, fanout-4 leveled merges on the merge worker, flushed before the clock stops) \
+         and once into a flat SR-Tree via in-place \
          inserts; wall-clock over each full pass, then a window-query probe set compared \
          for bit-identical id sets\",\n",
     );
@@ -474,13 +503,13 @@ fn main() -> ExitCode {
         let comma = if i + 1 < tier_costs.len() { "," } else { "" };
         json.push_str(&format!(
             "    {{\"seq\": {}, \"level\": {}, \"entries\": {}, \
-             \"nodes_per_as_of\": {:.2}}}{comma}\n",
-            t.seq, t.level, t.entries, t.nodes_per_as_of
+             \"hint_partitions_per_as_of\": {:.2}, \"resident_bytes_per_entry\": {:.1}}}{comma}\n",
+            t.seq, t.level, t.entries, t.partitions_per_as_of, t.resident_bytes_per_entry
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"hint_beside_tiers\": {{\n    \"stream\": \"serve-temporal shape: {SERVED_KEYS} keys, \
+        "  \"tiers_against_trees\": {{\n    \"stream\": \"serve-temporal shape: {SERVED_KEYS} keys, \
          exponential gaps of mean {SERVED_MEAN_GAP}, a version closes at its key's next record\",\n    \
          \"versions\": {SERVED_VERSIONS},\n    \"probes_per_tier\": {HINT_PROBES},\n    \
          \"within_width\": {WITHIN_WIDTH},\n    \"id_mismatches\": {hint_mismatches},\n    \
@@ -491,7 +520,8 @@ fn main() -> ExitCode {
         json.push_str(&format!(
             "      {{\"entries\": {}, \"as_of_tree_ns\": {:.0}, \"as_of_hint_ns\": {:.0}, \
              \"as_of_ratio\": {:.2}, \"within_tree_ns\": {:.0}, \"within_hint_ns\": {:.0}, \
-             \"within_ratio\": {:.2}, \"hint_copies_per_interval\": {:.3}}}{comma}\n",
+             \"within_ratio\": {:.2}, \"tree_build_ns_per_entry\": {:.0}, \
+             \"hint_build_ns_per_entry\": {:.0}, \"hint_copies_per_interval\": {:.3}}}{comma}\n",
             r.entries,
             r.as_of.0,
             r.as_of.1,
@@ -499,6 +529,8 @@ fn main() -> ExitCode {
             r.within.0,
             r.within.1,
             r.within.2,
+            r.build.0,
+            r.build.1,
             r.copies_per_interval
         ));
     }
@@ -530,8 +562,14 @@ fn main() -> ExitCode {
         }
         if largest > 1.5 * baseline {
             problems.push(format!(
-                "the largest tier reads {largest:.1} nodes per AS OF, more than 1.5x the \
-                 {baseline:.1} of the smallest tier longer than a lifetime"
+                "the largest tier touches {largest:.1} HINT partitions per AS OF, more than \
+                 1.5x the {baseline:.1} of the smallest tier longer than a lifetime"
+            ));
+        }
+        if bytes_per_entry > RESIDENT_BYTES_GATE {
+            problems.push(format!(
+                "a sealed tier holds {bytes_per_entry:.1} B per entry, more than \
+                 {RESIDENT_BYTES_GATE} B"
             ));
         }
         if mismatches > 0 {
@@ -542,8 +580,8 @@ fn main() -> ExitCode {
         }
         if hint_mismatches > 0 {
             problems.push(format!(
-                "{hint_mismatches} AS OF / WITHIN probes got different ids from HINT than \
-                 from their tier's tree"
+                "{hint_mismatches} AS OF / WITHIN probes got different ids from a tier's \
+                 HINT than from a tree of the same entries"
             ));
         }
         if !problems.is_empty() {
@@ -554,8 +592,9 @@ fn main() -> ExitCode {
         }
         println!(
             "temporal_bench: checks passed (ingest {speedup:.2}x >= 3x, {} probes bit-identical, \
-             AS OF {largest:.1} nodes on the largest tier <= 1.5x {baseline:.1}, HINT ids equal \
-             the tiers' on {} probes)",
+             AS OF {largest:.1} HINT partitions on the largest tier <= 1.5x {baseline:.1}, \
+             {bytes_per_entry:.1} B per tier entry <= {RESIDENT_BYTES_GATE}, HINT ids equal \
+             the trees' on {} probes)",
             args.queries,
             2 * HINT_PROBES * hint_rows.len()
         );

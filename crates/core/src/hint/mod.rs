@@ -27,12 +27,16 @@
 //! only trigger a rebuild when they accumulate enough to hurt partition
 //! selectivity.
 
+pub mod frozen;
 mod hint1d;
+
+pub use frozen::FrozenHint;
 
 use crate::id::RecordId;
 use crate::stats::{StatsSnapshot, TreeStats};
 use crate::telemetry::TreeTelemetry;
-use hint1d::{Hint1D, MAX_LEVEL_BITS, MIN_LEVEL_BITS};
+use frozen::{bits_for, MAX_LEVEL_BITS, MIN_LEVEL_BITS};
+use hint1d::Hint1D;
 use segidx_geom::{Point, Rect};
 use segidx_obs::{trace, LatencyHistogram};
 use std::collections::HashMap;
@@ -137,15 +141,6 @@ impl Default for HintIndex {
     }
 }
 
-/// Smallest bottom level such that the mean bottom cell holds ≈ 8 entries.
-fn bits_for(n: usize) -> u32 {
-    let mut bits = MIN_LEVEL_BITS;
-    while bits < MAX_LEVEL_BITS && (1usize << bits) < n / 8 {
-        bits += 1;
-    }
-    bits
-}
-
 impl HintIndex {
     /// Un-homed inserts tolerated before the first automatic build.
     pub const AUTO_BUILD_AT: usize = 64;
@@ -219,12 +214,12 @@ impl HintIndex {
         let Some(domain) = exact.or(self.bbox) else {
             return;
         };
-        let mut hier = Hint1D::new(domain.lo(0), domain.hi(0), bits);
-        let mut copies = 0u64;
-        for (h, rect, _) in self.entries.iter_live() {
-            copies += hier.insert(rect.lo(0), rect.hi(0), h);
-        }
-        hier.freeze();
+        let entries = &self.entries;
+        let hier = Hint1D::build(domain.lo(0), domain.hi(0), bits, || {
+            entries
+                .iter_live()
+                .map(|(h, rect, _)| (h, rect.lo(0), rect.hi(0)))
+        });
         // The fresh base holds exactly the live entries: tombstoned slots
         // are physically gone and become reusable, and every live handle is
         // now base-resident.
@@ -234,7 +229,7 @@ impl HintIndex {
         for h in 0..self.entries.live.len() {
             self.entries.in_base[h] = self.entries.live[h];
         }
-        self.stats.maintenance_node_accesses += copies;
+        self.stats.maintenance_node_accesses += hier.total_copies() as u64;
         self.hier = Some(hier);
         self.built_bbox = Some(domain);
         self.built_for = self.entries.live_count.max(16);
@@ -352,7 +347,7 @@ impl HintIndex {
     /// Resolves handles to record ids, dropping tombstoned entries (whose
     /// copies linger in the frozen base until the next rebuild). With no
     /// tombstones outstanding every emitted handle is live by construction
-    /// — base handles were live at freeze time, delta handles are removed
+    /// — base handles were live at build time, delta handles are removed
     /// physically — so the liveness gather is skipped entirely.
     fn ids_of(&self, handles: &[u32]) -> Vec<RecordId> {
         for &h in handles {

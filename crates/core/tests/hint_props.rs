@@ -3,7 +3,7 @@
 //! contract sorts results by record id, so `search`/`stab`/batch outputs
 //! must agree element-for-element. Sequences interleave inserts and
 //! deletes so the comparisons cross every storage regime of the engine:
-//! the frozen base produced by a (re)build, the post-freeze delta, and
+//! the frozen base produced by a (re)build, the post-build delta, and
 //! the tombstone path a delete of a base-resident entry takes.
 
 use proptest::collection::vec;

@@ -19,10 +19,11 @@
 //! * the underlying index is the SR-Tree, whose spanning records hold the
 //!   long-lived closed versions ("employees who seldom received raises");
 //! * for append-heavy streams, [`TemporalBackend::Tiered`] swaps the flat
-//!   tree for the [`lsm`] module's LSM of packed trees: a memtable sealed
-//!   into immutable bulk-loaded tiers with crash-consistent checkpoints,
-//!   leveled merges running on a worker thread while the next seal fills,
-//!   answering the same queries bit-identically.
+//!   tree for the [`lsm`] module's LSM: a memtable sealed into immutable
+//!   tiers — record-sorted columns plus a frozen HINT over time — with
+//!   crash-consistent checkpoints, leveled merges running on a worker
+//!   thread while the next seal fills, answering the same queries
+//!   bit-identically.
 //!
 //! ```
 //! use segidx_temporal::{TemporalTable, TemporalConfig};

@@ -7,15 +7,16 @@
 //! operations preserve the invariant, so equal-level runs are always
 //! contiguous and the planner only has to scan for them.
 //!
-//! A merge is a pure function of its inputs (immutable trees + a tombstone
+//! A merge is a pure function of its inputs (immutable tiers + a tombstone
 //! snapshot), so it runs on the worker while the foreground keeps
 //! inserting: a seal hands off at most one job, and the next seal waits
-//! for it and splices the result in. Entries dropped here are exactly
-//! those a query would have filtered as shadowed, so merging never changes
-//! query results.
+//! for it and splices the result in. Every input is sorted by record id,
+//! so a merge is one linear k-way pass followed by one HINT build — no
+//! gather, no sort, no pack. Entries dropped here are exactly those a query
+//! would have filtered as shadowed, so merging never changes query results.
 
-use super::tier::{gather, Tier};
-use segidx_core::{bulk, IndexConfig, RecordId};
+use super::tier::Tier;
+use segidx_core::RecordId;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{mpsc, Arc};
@@ -32,7 +33,6 @@ pub(crate) struct MergeJob<const D: usize> {
     pub tombstones: Arc<HashMap<RecordId, u64>>,
     /// Level of the output tier.
     pub level: u32,
-    pub config: IndexConfig,
 }
 
 /// A finished merge, ready to splice into the tier list.
@@ -47,27 +47,43 @@ pub(crate) struct MergeOutcome<const D: usize> {
     pub nanos: u64,
 }
 
-/// Runs a merge to completion: gather, filter stale copies, pack.
+/// Runs a merge to completion: walk the inputs in record-id order, keep the
+/// newest copy of each id unless a tombstone newer than its tier shadows
+/// it, and build the output tier's HINT once.
 fn run_merge<const D: usize>(job: MergeJob<D>) -> MergeOutcome<D> {
     let t0 = Instant::now();
     let input_seqs: Vec<u64> = job.tiers.iter().map(|t| t.seq).collect();
     let max_seq = *input_seqs.last().expect("merge of at least one tier");
-    let mut items = Vec::new();
+    let total: usize = job.tiers.iter().map(Tier::entry_count).sum();
+    let (mut ids, mut rects) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    let mut heads = vec![0usize; job.tiers.len()];
     let mut dropped = 0u64;
-    for (i, tier) in job.tiers.iter().enumerate() {
-        let newer = &job.tiers[i + 1..];
-        for (rect, record) in gather(&tier.tree) {
-            let tombstoned = job.tombstones.get(&record).is_some_and(|&ts| ts > tier.seq);
-            let shadowed = tombstoned || newer.iter().any(|t| t.contains(record));
-            if shadowed {
-                dropped += 1;
-            } else {
-                items.push((rect, record));
+    loop {
+        // The smallest id at any head, and the newest input holding it.
+        let mut next: Option<(RecordId, usize)> = None;
+        for (i, t) in job.tiers.iter().enumerate() {
+            if let Some(&r) = t.ids().get(heads[i]) {
+                if next.map_or(true, |(m, _)| r <= m) {
+                    next = Some((r, i));
+                }
             }
         }
+        let Some((record, newest)) = next else { break };
+        for (i, t) in job.tiers.iter().enumerate() {
+            if t.ids().get(heads[i]) == Some(&record) {
+                heads[i] += 1;
+                dropped += u64::from(i != newest);
+            }
+        }
+        let tier = &job.tiers[newest];
+        if job.tombstones.get(&record).is_some_and(|&ts| ts > tier.seq) {
+            dropped += 1;
+        } else {
+            ids.push(record);
+            rects.push(tier.rect_at(heads[newest] - 1));
+        }
     }
-    let tree = bulk::bulk_load_run(job.config, items);
-    let tier = Tier::new(tree, max_seq, job.level);
+    let tier = Tier::from_sorted(ids, rects, max_seq, job.level);
     MergeOutcome {
         input_seqs,
         tier,

@@ -1,4 +1,4 @@
-//! Append-optimized tiered storage: an LSM of packed trees.
+//! Append-optimized tiered storage: an LSM of frozen HINTs.
 //!
 //! The paper observes that historical interval data is append-only
 //! ("historical data indexes only need to support insertion and search
@@ -8,25 +8,29 @@
 //! * **Memtable** — recent intervals accumulate in a bounded mutable
 //!   staging area: a flat O(1)-append buffer, scanned linearly
 //!   (`memtable`).
-//! * **Seal** — at a size threshold (or on demand) the memtable is packed
-//!   into an immutable tree and appended as a level-0 tier. Entries reach
-//!   a tier in end-time order, so seals and merges pack it as the run it
-//!   is ([`bulk::bulk_load_run`]): every node above the leaves is a band
-//!   of end times, and what an `AS OF` reads in a tier does not grow with
-//!   the tier. With a disk attached, every seal commits a manifest page
-//!   under the storage layer's atomic root-pointer flip, so each seal is
-//!   a crash-consistent checkpoint.
+//! * **Seal** — at a size threshold (or on demand) the memtable becomes an
+//!   immutable level-0 [`Tier`]: its entries sorted by record id, plus a
+//!   frozen HINT over their dimension-0 (time) intervals built in two
+//!   passes. Every served time query — `AS OF`, `WITHIN` — is a
+//!   one-dimensional question over immutable data, HINT's frozen case.
+//!   With a disk attached, every seal commits a manifest page under the
+//!   storage layer's atomic root-pointer flip, so each seal is a
+//!   crash-consistent checkpoint; on disk a tier is the packed tree
+//!   [`bulk_load_run`](segidx_core::bulk::bulk_load_run) writes, a page
+//!   format and nothing more.
 //! * **Merge** — a leveled policy folds runs of equal-level tiers into one
 //!   tier a level up, on the merge worker (`merge`) while the next seal
-//!   fills. A seal packs its tier, splices in the merge the previous seal
+//!   fills: a linear k-way merge of record-sorted inputs and one HINT
+//!   build. A seal builds its tier, splices in the merge the previous seal
 //!   handed off (waiting only if it is still running), hands the worker at
 //!   most one new job, then checkpoints — so what each checkpoint holds
 //!   does not depend on timing.
 //!
 //! Queries scatter across the memtable and every tier whose *fence* — the
 //! bounding box of what it holds — meets the query, drop the copies a
-//! newer tombstone shadows, and merge record-sorted — bit-identical
-//! to a flat single-tree model holding only the live entries.
+//! newer tombstone shadows, and merge the per-tier runs, each already
+//! record-sorted — bit-identical to a flat single-tree model holding only
+//! the live entries.
 //!
 //! ## Precedence
 //!
@@ -52,19 +56,20 @@ pub use telemetry::TieredTelemetry;
 
 use memtable::Memtable;
 use merge::{plan_run, MergeJob, MergeOutcome, MergeWorker};
-use segidx_core::{bulk, persist, IndexConfig, RecordId, SearchCursor, Tree};
+use segidx_core::{persist, IndexConfig, RecordId};
 use segidx_geom::Rect;
 use segidx_storage::{DiskManager, PageId, Result, StorageError};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-use tier::Tier;
+pub use tier::Tier;
 
 /// Tuning for a [`TieredTemporalIndex`].
 #[derive(Clone, Debug)]
 pub struct TieredConfig {
-    /// Index configuration for the packed tiers.
+    /// Configuration of the packed tree a checkpoint writes each tier as
+    /// (its page format on disk; in memory a tier is a HINT).
     pub index: IndexConfig,
     /// Memtable entries that trigger a seal.
     pub seal_threshold: usize,
@@ -94,7 +99,8 @@ impl TieredConfig {
     }
 }
 
-/// An LSM of packed segment-index trees. See the [module docs](self).
+/// An LSM of sealed tiers, each answering time through a frozen HINT. See
+/// the [module docs](self).
 pub struct TieredTemporalIndex<const D: usize> {
     config: TieredConfig,
     memtable: Memtable<D>,
@@ -179,7 +185,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
     ) -> impl Iterator<Item = RecordId> + 'a {
         tiers.iter().flat_map(move |t| {
             let live = move |r: &RecordId| !tombstones.get(r).is_some_and(|&ts| ts > t.seq);
-            t.ids.iter().copied().filter(live)
+            t.ids().iter().copied().filter(live)
         })
     }
 
@@ -222,13 +228,13 @@ impl<const D: usize> TieredTemporalIndex<D> {
             .collect()
     }
 
-    /// The packed tree of each tier, oldest first like [`tier_profile`]
-    /// (diagnostics: what a search costs tier by tier is read off
-    /// [`Tree::count_search_accesses`] and [`Tree::stats`]).
+    /// The sealed tiers, oldest first like [`tier_profile`] (diagnostics:
+    /// what a time query costs tier by tier is read off
+    /// [`Tier::hint`]).
     ///
     /// [`tier_profile`]: TieredTemporalIndex::tier_profile
-    pub fn tier_trees(&self) -> impl Iterator<Item = &Tree<D>> + '_ {
-        self.tiers.iter().map(|t| &*t.tree)
+    pub fn tiers(&self) -> impl Iterator<Item = &Tier<D>> + '_ {
+        self.tiers.iter()
     }
 
     /// Inserts an entry, sealing the memtable if it reaches the threshold.
@@ -343,8 +349,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
         let sealed = entries.len();
         let seq = self.next_seq;
         self.next_seq += 1;
-        let tree = bulk::bulk_load_run(self.config.index.clone(), entries);
-        self.tiers.push(Tier::new(tree, seq, 0));
+        self.tiers.push(Tier::new(entries, seq, 0));
         self.prune_tombstones();
         self.finish_in_flight();
         self.dispatch_merge();
@@ -390,8 +395,9 @@ impl<const D: usize> TieredTemporalIndex<D> {
     }
 
     /// Commits the current sealed state (tier trees + manifest + tombstone
-    /// table) to the attached disk under one atomic root-pointer flip.
-    /// Returns the manifest page, or `None` for in-memory indexes.
+    /// table) to the attached disk under one atomic root-pointer flip: a
+    /// tier not yet on disk is packed into its page-format tree, saved and
+    /// dropped. Returns the manifest page, or `None` for in-memory indexes.
     ///
     /// Runs automatically at the end of `seal`, `flush_merges` and
     /// `compact`, the only places a merge is spliced in; call directly to
@@ -411,7 +417,8 @@ impl<const D: usize> TieredTemporalIndex<D> {
         }
         for t in &mut self.tiers {
             if t.meta.is_none() {
-                t.meta = Some(persist::save(&t.tree, &disk)?);
+                let tree = t.pack(self.config.index.clone());
+                t.meta = Some(persist::save(&tree, &disk)?);
             }
         }
         let page = tier::write_manifest(&disk, &self.tiers, &self.tombstones, self.next_seq)?;
@@ -449,7 +456,6 @@ impl<const D: usize> TieredTemporalIndex<D> {
             tiers: self.tiers[range].to_vec(),
             tombstones: Arc::clone(&self.tombstones),
             level,
-            config: self.config.index.clone(),
         }
     }
 
@@ -536,7 +542,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
     }
 
     /// Internal consistency checks (tests): sequence order, level
-    /// monotonicity, live count.
+    /// monotonicity, ids strictly ascending within each tier, live count.
     #[doc(hidden)]
     pub fn assert_invariants(&self) {
         for w in self.tiers.windows(2) {
@@ -545,6 +551,13 @@ impl<const D: usize> TieredTemporalIndex<D> {
         }
         for t in &self.tiers {
             assert!(t.seq < self.next_seq);
+            // Handles are positions and merges walk ids in order: both rest
+            // on each id being in a tier once.
+            assert!(
+                t.ids().windows(2).all(|w| w[0] < w[1]),
+                "tier {} ids not strictly ascending",
+                t.seq
+            );
         }
         // The contract the search's staleness rule rests on: no record id
         // is live twice, in two tiers or in a tier and the memtable.
@@ -585,34 +598,75 @@ impl<const D: usize> PinnedSearch<D> {
     /// Searches the pinned tiers and returns the record ids, sorted
     /// ascending and deduped. A hit is dropped when a newer tombstone
     /// shadows it (see the module docs for why that is the whole staleness
-    /// rule). One cursor serves every tier: its stack and id buffer are
-    /// allocated once per search.
+    /// rule). Each tier answers with a run already sorted by id, so the
+    /// runs are merged, not sorted again.
     pub fn finish(self) -> Vec<RecordId> {
         let Self {
             query,
-            hits: mut out,
+            mut hits,
             tiers,
             tombstones,
         } = self;
-        let mut cursor = SearchCursor::new();
+        hits.sort_unstable();
+        let mut bounds = Vec::with_capacity(tiers.len() + 2);
+        bounds.extend([0, hits.len()]);
         for t in &tiers {
-            let hits = t.tree.search_with(&mut cursor, &query);
-            if tombstones.is_empty() {
-                out.extend_from_slice(hits);
-            } else {
-                let live = |r: &RecordId| !tombstones.get(r).is_some_and(|&ts| ts > t.seq);
-                out.extend(hits.iter().copied().filter(live));
-            }
+            t.search_into(&query, &tombstones, &mut hits);
+            bounds.push(hits.len());
         }
-        out.sort_unstable();
+        let mut out = merge_runs(hits, bounds);
         out.dedup();
         out
     }
 }
 
+/// Merges the ascending runs `ids[bounds[i]..bounds[i + 1]]` into one
+/// ascending vector, neighbouring runs pairwise per pass, so each id moves
+/// once per halving of the run count.
+fn merge_runs(mut ids: Vec<RecordId>, mut bounds: Vec<usize>) -> Vec<RecordId> {
+    bounds.dedup(); // drops empty runs
+    if bounds.len() <= 2 {
+        return ids;
+    }
+    let mut merged = Vec::with_capacity(ids.len());
+    while bounds.len() > 2 {
+        merged.clear();
+        let mut next = vec![0];
+        for w in bounds.windows(3).step_by(2) {
+            merge_two(&ids[w[0]..w[1]], &ids[w[1]..w[2]], &mut merged);
+            next.push(merged.len());
+        }
+        if bounds.len() % 2 == 0 {
+            // An odd run count: the last run has no partner this pass.
+            let last = bounds[bounds.len() - 2];
+            merged.extend_from_slice(&ids[last..]);
+            next.push(merged.len());
+        }
+        std::mem::swap(&mut ids, &mut merged);
+        bounds = next;
+    }
+    ids
+}
+
+/// Appends the merge of two ascending slices to `out`.
+fn merge_two(mut a: &[RecordId], mut b: &[RecordId], out: &mut Vec<RecordId>) {
+    while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+        if x <= y {
+            out.push(x);
+            a = &a[1..];
+        } else {
+            out.push(y);
+            b = &b[1..];
+        }
+    }
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use segidx_core::Tree;
     use segidx_storage::{DiskManagerConfig, ScriptedFault};
     use std::path::PathBuf;
 
@@ -799,26 +853,28 @@ mod tests {
         out
     }
 
+    /// Mean HINT partitions an `AS OF` touches in `tier`, over 512 times
+    /// evenly spread across `[0, horizon]`.
+    fn partitions_per_as_of(tier: &Tier<2>, horizon: f64) -> f64 {
+        let probes = 512;
+        let total: u64 = (0..probes)
+            .map(|i| {
+                let t = horizon * (i as f64 + 0.5) / probes as f64;
+                tier.hint().count_accesses(t, t)
+            })
+            .sum();
+        total as f64 / probes as f64
+    }
+
     #[test]
     fn as_of_cost_on_a_tier_does_not_grow_with_the_tier() {
         // Default config: once merges are flushed, 32 768 entries are one
-        // level-1 tier, 131 072 one level-2 tier. Node accesses are exact
-        // counts, so the bounds cannot flake; both fail if the tier
-        // builders go back to tiling the whole input (`bulk_load`), whose
-        // count doubles from the first tier to the second.
+        // level-1 tier, 131 072 one level-2 tier. Partitions touched are
+        // exact counts, so the bound cannot flake. A stab touches at most
+        // one partition per level, and a tier four times larger has two
+        // levels more; the count must not grow faster than that.
         let versions = closing_versions(131_072);
-        let nodes_per_as_of = |tree: &Tree<2>, entries: usize| {
-            let horizon = versions[entries - 1].0.hi(0);
-            let probes = 512;
-            let total: u64 = (0..probes)
-                .map(|i| {
-                    let t = horizon * (i as f64 + 0.5) / probes as f64;
-                    let line = Rect::new([t, f64::MIN / 2.0], [t, f64::MAX / 2.0]);
-                    tree.count_search_accesses(&line)
-                })
-                .sum();
-            total as f64 / probes as f64
-        };
+        let horizon = |entries: usize| versions[entries - 1].0.hi(0);
         let mut tiered = TieredTemporalIndex::<2>::new(TieredConfig::default());
         let mut small = 0.0;
         for (i, (rect, record)) in versions.iter().enumerate() {
@@ -826,25 +882,48 @@ mod tests {
             if i + 1 == 32_768 {
                 tiered.flush_merges().unwrap();
                 assert_eq!(tiered.tier_profile(), [(3, 1, 32_768)]);
-                small = nodes_per_as_of(tiered.tier_trees().next().unwrap(), 32_768);
+                small = partitions_per_as_of(tiered.tiers().next().unwrap(), horizon(32_768));
             }
         }
         tiered.flush_merges().unwrap();
-        assert_eq!(tiered.tier_count(), 1);
-        let tier = tiered.tier_trees().next().unwrap();
-        assert_eq!(tier.entry_count(), 131_072);
-        tier.assert_invariants();
-        let large = nodes_per_as_of(tier, 131_072);
-        let global = bulk::bulk_load(IndexConfig::srtree(), versions.clone());
-        let tiled = nodes_per_as_of(&global, 131_072);
+        tiered.assert_invariants();
+        assert_eq!(tiered.tier_profile(), [(15, 2, 131_072)]);
+        let tier = tiered.tiers().next().unwrap();
+        let large = partitions_per_as_of(tier, horizon(131_072));
         assert!(
             large <= 1.5 * small,
-            "{large} nodes per AS OF at 128 k entries, {small} at 32 k"
+            "{large} partitions per AS OF at 128 k entries, {small} at 32 k"
+        );
+    }
+
+    #[test]
+    fn one_open_ended_entry_leaves_the_cells_alone() {
+        // The shape segbench's replica seals: a version still open at the
+        // seal is indexed to `f64::MAX / 2`. The cells span the start
+        // times, so that end clamps into the last cell; spanning the ends
+        // would put every other entry into the first.
+        let versions = closing_versions(32_768);
+        let horizon = versions.last().unwrap().0.hi(0);
+        let closed = Tier::new(versions.clone(), 0, 0);
+        let mut with_open = versions.clone();
+        let from = versions[versions.len() / 2].0.lo(0);
+        let open = Rect::new([from, 1.0], [f64::MAX / 2.0, 1.0]);
+        with_open.push((open, RecordId(versions.len() as u64)));
+        let open_tier = Tier::new(with_open, 0, 0);
+        assert_eq!(open_tier.hint().bits(), closed.hint().bits());
+        assert_eq!(open_tier.hint().domain(), closed.hint().domain());
+        let (base, raised) = (
+            partitions_per_as_of(&closed, horizon),
+            partitions_per_as_of(&open_tier, horizon),
         );
         assert!(
-            large <= 0.6 * tiled,
-            "{large} nodes per AS OF run-packed, {tiled} tiled as a whole"
+            raised <= 1.2 * base,
+            "{raised} partitions per AS OF with one open-ended entry, {base} without"
         );
+        let q = Rect::new([horizon, 0.0], [horizon, 2.0]);
+        assert!(open_tier
+            .search(&q)
+            .contains(&RecordId(versions.len() as u64)));
     }
 
     #[test]

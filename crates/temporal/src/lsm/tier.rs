@@ -1,15 +1,22 @@
 //! Sealed tiers and the on-disk manifest.
 //!
-//! A [`Tier`] is an immutable packed tree plus the bookkeeping the tiered
-//! index needs for precedence checks: its sequence number (a tombstone or,
-//! in a merge, a tier with a newer sequence shadows older copies of the same
-//! record) and a sorted id table for the O(log n) membership tests that
-//! deletes, merges and tombstone pruning make (searches make none). The
-//! [`Manifest`] is the single page the disk manager's committed-root
-//! pointer names; committing it is the atomic boundary of every seal and
-//! merge.
+//! A [`Tier`] is an immutable run of entries sorted by record id plus a
+//! frozen HINT ([`FrozenHint`]) over their dimension-0 intervals, whose
+//! handles are the entries' positions in the run — so handles sorted are
+//! ids sorted. Beside that it keeps the bookkeeping the tiered index needs
+//! for precedence checks: its sequence number (a tombstone or, in a merge,
+//! a tier with a newer sequence shadows older copies of the same record)
+//! and its fence. The sorted ids serve the O(log n) membership tests that
+//! deletes and tombstone pruning make, and merges walk them in order.
+//!
+//! On disk a tier is a packed tree: the page format the storage layer
+//! already commits atomically. [`Tier::pack`] writes it from the run, and
+//! [`load_tiers`] reads it back into a run. The [`Manifest`] is the single
+//! page the disk manager's committed-root pointer names; committing it is
+//! the atomic boundary of every seal and merge.
 
-use segidx_core::{persist, RecordId, Tree};
+use segidx_core::hint::FrozenHint;
+use segidx_core::{bulk, persist, IndexConfig, RecordId, Tree};
 use segidx_geom::Rect;
 use segidx_storage::{
     ByteReader, ByteWriter, DiskManager, PageId, Result, SizeClass, StorageError,
@@ -20,15 +27,36 @@ use std::sync::Arc;
 const MANIFEST_MAGIC: u32 = 0x5347_544D; // "SGTM"
 const MANIFEST_VERSION: u32 = 1;
 
+/// A tier's entries, ascending by record id, and the HINT over their
+/// dimension-0 intervals, whose handle `i` is entry `i`.
+struct Run<const D: usize> {
+    ids: Vec<RecordId>,
+    rects: Vec<Rect<D>>,
+    hint: FrozenHint,
+}
+
+/// Per-thread buffers for [`Tier::search_into`]: the HINT's handles and
+/// its scan kernels' scratch, cleared by each search but never freed, so a
+/// steady-state search allocates only what it returns.
+#[derive(Default)]
+struct Scratch {
+    handles: Vec<u32>,
+    kernel: Vec<u32>,
+}
+
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
+    }
+    SCRATCH.with(|c| f(&mut c.borrow_mut()))
+}
+
 /// One immutable sealed tier.
 #[derive(Clone)]
 pub struct Tier<const D: usize> {
-    /// The packed tree holding this tier's entries. Shared so pinned
-    /// searches and the merge worker read it without copying.
-    pub tree: Arc<Tree<D>>,
-    /// Record ids present in this tier, sorted ascending. Built once at
-    /// seal/merge/load; used by deletes, merges and tombstone pruning.
-    pub ids: Arc<Vec<RecordId>>,
+    /// Shared so pinned searches and the merge worker read it without
+    /// copying.
+    run: Arc<Run<D>>,
     /// Monotone sequence: a record copy in a higher-sequence tier (or the
     /// memtable) shadows copies in lower-sequence tiers.
     pub seq: u64,
@@ -37,53 +65,136 @@ pub struct Tier<const D: usize> {
     pub level: u32,
     /// Metadata page of the persisted tree, once written. `None` until the
     /// tier's first manifest commit (and always `None` in-memory).
-    pub meta: Option<PageId>,
-    /// Bounding box of everything in the tree (`None` for an empty one):
-    /// a query that misses it has no hit here, so the tier is neither
-    /// pinned nor searched. Derived from the tree at [`Tier::new`], which
-    /// loading goes through too — the manifest does not know it exists.
+    pub(crate) meta: Option<PageId>,
+    /// Bounding box of every entry (`None` for an empty tier): a query
+    /// that misses it has no hit here, so the tier is neither pinned nor
+    /// searched. Derived from the entries at construction, which loading
+    /// goes through too — the manifest does not know it exists.
     fence: Option<Rect<D>>,
 }
 
 impl<const D: usize> Tier<D> {
-    /// Wraps a freshly packed (or loaded) tree into a tier, deriving its id
-    /// table and its fence.
-    pub fn new(tree: Tree<D>, seq: u64, level: u32) -> Self {
-        // One pass for both. The fence is folded from the entries, not
-        // read off `Tree::root_region`: that box leaves out spanning
-        // records held in the root, which nothing keeps inside it.
-        let mut fence: Option<Rect<D>> = None;
-        let mut ids = Vec::with_capacity(tree.entry_count());
-        for (rect, record) in tree.iter_entries() {
-            fence = Some(fence.map_or(rect, |f| f.union(&rect)));
-            ids.push(record);
-        }
-        ids.sort_unstable();
-        ids.dedup();
+    /// A tier of `entries`, in any order.
+    pub(crate) fn new(mut entries: Vec<(Rect<D>, RecordId)>, seq: u64, level: u32) -> Self {
+        entries.sort_unstable_by_key(|&(_, id)| id);
+        let (rects, ids) = entries.into_iter().unzip();
+        Self::from_sorted(ids, rects, seq, level)
+    }
+
+    /// A tier of the entries `(rects[i], ids[i])`, `ids` ascending.
+    pub(crate) fn from_sorted(
+        ids: Vec<RecordId>,
+        rects: Vec<Rect<D>>,
+        seq: u64,
+        level: u32,
+    ) -> Self {
+        debug_assert_eq!(ids.len(), rects.len());
+        let fence = rects.iter().copied().reduce(|a, b| a.union(&b));
+        let hint = FrozenHint::over_starts(rects.len(), |i| (rects[i].lo(0), rects[i].hi(0)));
         Self {
-            fence,
-            tree: Arc::new(tree),
-            ids: Arc::new(ids),
+            run: Arc::new(Run { ids, rects, hint }),
             seq,
             level,
             meta: None,
+            fence,
         }
     }
 
     /// Whether `query` can have a hit in this tier.
-    pub fn may_intersect(&self, query: &Rect<D>) -> bool {
+    pub(crate) fn may_intersect(&self, query: &Rect<D>) -> bool {
         self.fence.is_some_and(|f| f.intersects(query))
     }
 
+    /// Bounding box of every entry, `None` for an empty tier.
+    pub fn fence(&self) -> Option<Rect<D>> {
+        self.fence
+    }
+
     /// Whether this tier holds a copy of `record`.
-    pub fn contains(&self, record: RecordId) -> bool {
-        self.ids.binary_search(&record).is_ok()
+    pub(crate) fn contains(&self, record: RecordId) -> bool {
+        self.run.ids.binary_search(&record).is_ok()
     }
 
     /// Entries stored in this tier (including copies shadowed by newer
     /// tiers).
     pub fn entry_count(&self) -> usize {
-        self.tree.entry_count()
+        self.run.ids.len()
+    }
+
+    /// Record ids of the entries, ascending.
+    pub(crate) fn ids(&self) -> &[RecordId] {
+        &self.run.ids
+    }
+
+    /// The rectangle of the entry at position `i` (the `i`-th smallest id).
+    pub(crate) fn rect_at(&self, i: usize) -> Rect<D> {
+        self.run.rects[i]
+    }
+
+    /// Every entry, ascending by record id.
+    pub fn entries(&self) -> impl Iterator<Item = (Rect<D>, RecordId)> + '_ {
+        self.run
+            .rects
+            .iter()
+            .copied()
+            .zip(self.run.ids.iter().copied())
+    }
+
+    /// The HINT over the entries' dimension-0 intervals (diagnostics: what
+    /// a time query costs is [`FrozenHint::count_accesses`]).
+    pub fn hint(&self) -> &FrozenHint {
+        &self.run.hint
+    }
+
+    /// Heap bytes the tier holds in memory: columns plus HINT.
+    pub fn resident_bytes(&self) -> usize {
+        let run = &self.run;
+        run.ids.capacity() * std::mem::size_of::<RecordId>()
+            + run.rects.capacity() * std::mem::size_of::<Rect<D>>()
+            + run.hint.heap_bytes()
+    }
+
+    /// The page-format tree of this tier's entries (what a checkpoint
+    /// persists).
+    pub(crate) fn pack(&self, config: IndexConfig) -> Tree<D> {
+        bulk::bulk_load_run(config, self.entries().collect())
+    }
+
+    /// Record ids of every entry intersecting `query`, ascending.
+    pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
+        let mut out = Vec::new();
+        self.search_into(query, &HashMap::new(), &mut out);
+        out
+    }
+
+    /// Appends to `out`, ascending, the ids of every entry intersecting
+    /// `query` that no tombstone newer than this tier shadows. The HINT
+    /// answers dimension 0; the other dimensions are tested only when the
+    /// query does not cover the fence there (an `AS OF` or `WITHIN` spans
+    /// every value, a `range` need not).
+    pub(crate) fn search_into(
+        &self,
+        query: &Rect<D>,
+        tombstones: &HashMap<RecordId, u64>,
+        out: &mut Vec<RecordId>,
+    ) {
+        let Some(fence) = self.fence else { return };
+        let run = &self.run;
+        with_scratch(|Scratch { handles, kernel }| {
+            handles.clear();
+            run.hint.query(query.lo(0), query.hi(0), handles, kernel);
+            let covered = (1..D).all(|d| query.lo(d) <= fence.lo(d) && fence.hi(d) <= query.hi(d));
+            if !covered {
+                handles.retain(|&h| run.rects[h as usize].intersects(query));
+            }
+            handles.sort_unstable();
+            let ids = handles.iter().map(|&h| run.ids[h as usize]);
+            if tombstones.is_empty() {
+                out.extend(ids);
+            } else {
+                out.extend(ids.filter(|r| !tombstones.get(r).is_some_and(|&ts| ts > self.seq)));
+            }
+        });
     }
 }
 
@@ -197,19 +308,15 @@ pub fn read_manifest(disk: &DiskManager, page: PageId, dims: usize) -> Result<Ma
     })
 }
 
-/// Loads every tier named by `manifest` back into memory.
+/// Loads every tier named by `manifest` back into memory: each persisted
+/// tree is read, turned into a run and dropped.
 pub fn load_tiers<const D: usize>(disk: &DiskManager, manifest: &Manifest) -> Result<Vec<Tier<D>>> {
     let mut tiers = Vec::with_capacity(manifest.tiers.len());
     for &(meta, seq, level) in &manifest.tiers {
         let tree: Tree<D> = persist::load(disk, meta)?;
-        let mut tier = Tier::new(tree, seq, level);
+        let mut tier = Tier::new(tree.iter_entries().collect(), seq, level);
         tier.meta = Some(meta);
         tiers.push(tier);
     }
     Ok(tiers)
-}
-
-/// Gathers every entry of `tree` (leaf entries and spanning records alike).
-pub fn gather<const D: usize>(tree: &Tree<D>) -> Vec<(Rect<D>, RecordId)> {
-    tree.iter_entries().collect()
 }

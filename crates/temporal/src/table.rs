@@ -44,9 +44,9 @@ pub enum TemporalBackend {
     /// One flat in-place tree — the paper's dynamic SR-Tree.
     #[default]
     Flat,
-    /// The append-optimized LSM of packed trees
-    /// ([`TieredTemporalIndex`]): memtable inserts, sealed immutable
-    /// tiers, leveled merging. Queries are bit-identical to [`Flat`].
+    /// The append-optimized LSM ([`TieredTemporalIndex`]): memtable
+    /// inserts, sealed immutable tiers answering time through a frozen
+    /// HINT, leveled merging. Queries are bit-identical to [`Flat`].
     /// The `index` field of the tiered configuration is used as-is.
     ///
     /// [`Flat`]: TemporalBackend::Flat

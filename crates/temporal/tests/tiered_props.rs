@@ -7,7 +7,9 @@
 //! One test re-uses record ids, the case the tombstone-only staleness rule
 //! of the search has to get right; one aims every query at the edge of a
 //! fence, where skipping a tier or the memtable is one comparison from
-//! losing an answer.
+//! losing an answer; one aims them at the cell and partition edges of each
+//! tier's HINT, where an elided comparison is one cell from a wrong
+//! answer.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -23,6 +25,16 @@ const HORIZON: f64 = 1_000.0;
 /// The next `f64` above a positive `x`.
 fn just_above(x: f64) -> f64 {
     f64::from_bits(x.to_bits() + 1)
+}
+
+/// The `f64` one ulp from a non-negative `x`, upward or downward.
+fn ulp_from(x: f64, up: bool) -> f64 {
+    match (x == 0.0, up) {
+        (true, true) => f64::from_bits(1),
+        (true, false) => -f64::from_bits(1),
+        (false, true) => just_above(x),
+        (false, false) => f64::from_bits(x.to_bits() - 1),
+    }
 }
 
 /// Queries that touch `r` exactly — sharing one edge, or one corner, and
@@ -169,6 +181,7 @@ proptest! {
                     flat.insert(rect, record);
                 }
             }
+            tiered.assert_invariants();
             prop_assert_eq!(tiered.len(), flat.len());
             prop_assert_eq!(tiered.search(&all), flat.search(&all));
             let q = Rect::new([start, 0.0], [start + len, 100.0]);
@@ -299,5 +312,82 @@ proptest! {
         }
         drop(reopened);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// HINT's own edges, each bit-identical to the flat tree: entries
+    /// ending at `f64::MAX / 2` (the open-ended versions segbench's replica
+    /// seals), zero-length intervals and duplicate start times in every
+    /// tier, then stabs and windows on the cell and partition edges of each
+    /// tier's HINT and one ulp either side, windows one ulp past each
+    /// fence, and value bands that do and do not cover a fence.
+    #[test]
+    fn hint_edges_match_flat_tree(
+        ops in vec((0u8..10, 0u32..48, 0u8..4, 0.0..100.0f64), 1..220),
+        edges in vec((any::<u32>(), 0u32..17), 1..10),
+        seal_threshold in 3usize..40,
+    ) {
+        let mut tiered = TieredTemporalIndex::<2>::new(tiered_config(seal_threshold));
+        let mut flat: Tree<2> = Tree::new(IndexConfig::srtree());
+        let mut live: Vec<(Rect<2>, RecordId)> = Vec::new();
+        for (i, &(kind, slot, shape, value)) in ops.iter().enumerate() {
+            match kind {
+                0 if !live.is_empty() => {
+                    let (rect, record) = live.swap_remove(slot as usize % live.len());
+                    prop_assert!(tiered.delete(&rect, record).unwrap());
+                    prop_assert!(flat.delete(&rect, record));
+                }
+                1 => tiered.seal().unwrap(),
+                2 => tiered.flush_merges().unwrap(),
+                _ => {
+                    // 48 distinct start times: duplicates in every tier.
+                    let start = f64::from(slot) * 7.5;
+                    let end = match shape {
+                        0 => start,
+                        1 => f64::MAX / 2.0,
+                        2 => start + 1.0 + value / 10.0,
+                        _ => start + 200.0,
+                    };
+                    let rect = Rect::new([start, value], [end, value]);
+                    let record = RecordId(i as u64);
+                    tiered.insert(rect, record).unwrap();
+                    flat.insert(rect, record);
+                    live.push((rect, record));
+                }
+            }
+        }
+        tiered.seal().unwrap();
+        tiered.assert_invariants();
+        let everything = (f64::MIN / 2.0, f64::MAX / 2.0);
+        let mut probes: Vec<f64> = Vec::new();
+        let mut windows: Vec<Rect<2>> = Vec::new();
+        for tier in tiered.tiers() {
+            let (lo, hi) = tier.hint().domain();
+            let cells = 1u64 << tier.hint().bits();
+            for &(pick, level) in &edges {
+                // A partition edge at `level` (cell edges at the bottom).
+                let stride = cells >> level.min(tier.hint().bits());
+                let j = (u64::from(pick) % (cells / stride + 1)) * stride;
+                let x = lo + (hi - lo) * j as f64 / cells as f64;
+                probes.extend([x, ulp_from(x, true), ulp_from(x, false)]);
+                let next = lo + (hi - lo) * (j + stride) as f64 / cells as f64;
+                windows.push(Rect::new([x, everything.0], [next, everything.1]));
+                windows.push(Rect::new([ulp_from(x, true), 20.0], [next, 60.0]));
+            }
+            let fence = tier.fence().expect("a sealed tier is not empty");
+            let (above, below) = (ulp_from(fence.hi(0), true), ulp_from(fence.lo(0), false));
+            windows.push(Rect::new([above, everything.0], [above + 30.0, everything.1]));
+            windows.push(Rect::new([below - 30.0, everything.0], [below, everything.1]));
+            let over = ulp_from(fence.hi(1), true);
+            windows.push(Rect::new([fence.lo(0), over], [fence.hi(0), 200.0]));
+        }
+        for t in probes {
+            let line = Rect::new([t, everything.0], [t, everything.1]);
+            prop_assert_eq!(tiered.search(&line), flat.search(&line), "AS OF {}", t);
+            let band = Rect::new([t, 10.0], [t, 50.0]);
+            prop_assert_eq!(tiered.search(&band), flat.search(&band), "band at {}", t);
+        }
+        for q in windows {
+            prop_assert_eq!(tiered.search(&q), flat.search(&q), "window {:?}", q);
+        }
     }
 }
