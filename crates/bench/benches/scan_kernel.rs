@@ -4,7 +4,11 @@
 //! this node intersect the query?" — and compares the pre-PR-2 layout
 //! (array of `LeafEntry` structs, one `Rect::intersects` per entry) against
 //! the structure-of-arrays layout scanned by
-//! [`segidx_geom::scan_intersects`]. Run with `CRITERION_JSON` set to
+//! [`segidx_geom::scan_intersects`]. Widths 25, 34 and 103 are the ones a
+//! paper-sized tree scans (a 1 KB leaf, a level-1 branch block, a level-2
+//! one), so they exercise the kernel's path for the remainder under one
+//! 64-entry word; 64–4 096 are long planes. Run with `CRITERION_JSON` set
+//! to an absolute path (the bench runs from its package directory) to
 //! capture the numbers behind `results/scan_kernel.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -40,7 +44,7 @@ fn bench_leaf_scan(c: &mut Criterion) {
         .sample_size(40)
         .measurement_time(std::time::Duration::from_secs(2));
 
-    for n in [64u64, 256, 1_024, 4_096] {
+    for n in [25u64, 34, 64, 103, 256, 1_024, 4_096] {
         let entries = dataset(n);
         let store: LeafStore<2> = entries.iter().copied().collect();
         let q = query();

@@ -138,11 +138,13 @@ fn part_index(k: u32, p: u64) -> usize {
     (1usize << k) - 1 + p as usize
 }
 
-/// An immutable one-dimensional HINT over `u32` handles. See the
+/// An immutable one-dimensional HINT whose copies carry a payload of type
+/// `T`: a `u32` handle into the caller's columns by default, or the record
+/// id itself when the caller has no columns to resolve it through. See the
 /// [module docs](self) for the layout and [`query`](Self::query) for the
 /// class table.
 #[derive(Debug)]
-pub struct FrozenHint {
+pub struct FrozenHint<T = u32> {
     lo: f64,
     hi: f64,
     /// Bottom cells per unit of the domain.
@@ -156,30 +158,33 @@ pub struct FrozenHint {
     parts: Vec<Part>,
     starts: Vec<f64>,
     ends: Vec<f64>,
-    handles: Vec<u32>,
+    handles: Vec<T>,
     /// Levels holding at least one copy, ascending.
     active: Vec<u32>,
 }
 
-impl FrozenHint {
+impl<T: Copy> FrozenHint<T> {
     /// Builds the hierarchy over `[lo, hi]` with `2^bits` bottom cells (a
     /// degenerate domain is widened so the cell width stays positive) from
-    /// `items()`, which yields `(handle, start, end)` per interval and must
+    /// `items()`, which yields `(payload, start, end)` per interval and must
     /// yield the same sequence both times it is called: once to count
     /// copies, once to place them. Handles come out of a query in the
     /// order their class scan meets them, ascending within each class of a
     /// partition when `items()` yields them ascending.
     pub(crate) fn build<I>(lo: f64, hi: f64, bits: u32, items: impl Fn() -> I) -> Self
     where
-        I: Iterator<Item = (u32, f64, f64)>,
+        I: Iterator<Item = (T, f64, f64)>,
     {
         let bits = bits.clamp(MIN_LEVEL_BITS, MAX_LEVEL_BITS);
         let hi = if hi > lo { hi } else { lo + 1.0 };
         let scale = (1u64 << bits) as f64 / (hi - lo);
         let cell = |x| cell(lo, scale, bits, x);
-        // Pass 1: copies per (partition, class).
+        // Pass 1: copies per (partition, class), and any payload to fill
+        // the handle plane with until pass 2 overwrites every slot.
         let mut cursor = vec![[0u32; 4]; part_index(bits + 1, 0)];
-        for (_, start, end) in items() {
+        let mut fill = None;
+        for (payload, start, end) in items() {
+            fill.get_or_insert(payload);
             let (sa, sb) = (cell(start), cell(end));
             for_each_cover(bits, sa, sb, |level, part| {
                 let class = class_of(bits, level, part, sa, sb);
@@ -210,7 +215,7 @@ impl FrozenHint {
             parts,
             starts: vec![0.0; s as usize],
             ends: vec![0.0; e as usize],
-            handles: vec![0; h as usize],
+            handles: fill.map_or_else(Vec::new, |fill| vec![fill; h as usize]),
             active,
         };
         // Pass 2: each copy straight into its slot. A partition's originals
@@ -236,26 +241,6 @@ impl FrozenHint {
         hint
     }
 
-    /// Builds the hierarchy over handles `0..n`, interval `i` being
-    /// `interval(i)`, with about eight intervals per bottom cell. The cell
-    /// domain spans the start times only: an end past the last start
-    /// clamps into the last cell, which stays correct by monotonicity, so
-    /// one open-ended interval cannot stretch the cells over the rest.
-    pub fn over_starts(n: usize, interval: impl Fn(usize) -> (f64, f64)) -> Self {
-        let (lo, hi) = (0..n)
-            .map(|i| interval(i).0)
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), s| {
-                (lo.min(s), hi.max(s))
-            });
-        let (lo, hi) = if n == 0 { (0.0, 1.0) } else { (lo, hi) };
-        Self::build(lo, hi, bits_for(n), || {
-            (0..n).map(|i| {
-                let (start, end) = interval(i);
-                (i as u32, start, end)
-            })
-        })
-    }
-
     /// ℓ: the bottom level has `2^ℓ` cells.
     pub fn bits(&self) -> u32 {
         self.bits
@@ -276,7 +261,7 @@ impl FrozenHint {
     pub fn heap_bytes(&self) -> usize {
         self.parts.capacity() * std::mem::size_of::<Part>()
             + (self.starts.capacity() + self.ends.capacity()) * 8
-            + self.handles.capacity() * 4
+            + self.handles.capacity() * std::mem::size_of::<T>()
             + self.active.capacity() * 4
     }
 
@@ -304,8 +289,8 @@ impl FrozenHint {
             .count()
     }
 
-    /// Calls `f` once per stored copy with its handle.
-    pub(crate) fn for_each_handle(&self, f: &mut impl FnMut(u32)) {
+    /// Calls `f` once per stored copy with its payload.
+    pub(crate) fn for_each_handle(&self, f: &mut impl FnMut(T)) {
         for &h in &self.handles {
             f(h);
         }
@@ -317,7 +302,7 @@ impl FrozenHint {
         self.query(qs, qe, &mut Vec::new(), &mut Vec::new())
     }
 
-    /// Appends to `out` the handle of every stored interval intersecting
+    /// Appends to `out` the payload of every stored interval intersecting
     /// `[qs, qe]` (each exactly once) and returns the number of non-empty
     /// partitions inspected. `scratch` is kernel scratch, cleared here.
     ///
@@ -340,7 +325,7 @@ impl FrozenHint {
     /// Replicas are skipped outside the first partition because the unique
     /// cover tile containing `cell(qs)` is the only place a left-reaching
     /// interval can be found without duplication.
-    pub fn query(&self, qs: f64, qe: f64, out: &mut Vec<u32>, scratch: &mut Vec<u32>) -> u64 {
+    pub fn query(&self, qs: f64, qe: f64, out: &mut Vec<T>, scratch: &mut Vec<u32>) -> u64 {
         // Monomorphized tracing split (see `Tree::traverse`): one
         // `trace::active()` check per query; the untraced instantiation is
         // bit-identical to the uninstrumented walk.
@@ -355,7 +340,7 @@ impl FrozenHint {
         &self,
         qs: f64,
         qe: f64,
-        out: &mut Vec<u32>,
+        out: &mut Vec<T>,
         scratch: &mut Vec<u32>,
     ) -> u64 {
         let (qa, qb) = (self.cell(qs), self.cell(qe));
@@ -365,7 +350,9 @@ impl FrozenHint {
         // dependence chain down the hierarchy.
         for &k in &self.active {
             let shift = self.bits - k;
-            prefetch(&self.parts[part_index(k, qa >> shift)]);
+            let a = part_index(k, qa >> shift);
+            prefetch(&self.parts[a]);
+            prefetch(&self.parts[a + 1].e);
             if qb != qa {
                 prefetch(&self.parts[part_index(k, qb >> shift)]);
             }
@@ -425,7 +412,7 @@ impl FrozenHint {
         i: usize,
         qs: f64,
         qe: f64,
-        out: &mut Vec<u32>,
+        out: &mut Vec<T>,
         scratch: &mut Vec<u32>,
     ) -> bool {
         if self.is_empty(i) {
@@ -463,7 +450,7 @@ impl FrozenHint {
 
     /// First partition of a multi-partition scan: `e ≥ qs` on the `in`
     /// classes (one run), `aft` classes free.
-    fn emit_first(&self, i: usize, qs: f64, out: &mut Vec<u32>, scratch: &mut Vec<u32>) -> bool {
+    fn emit_first(&self, i: usize, qs: f64, out: &mut Vec<T>, scratch: &mut Vec<u32>) -> bool {
         if self.is_empty(i) {
             return false;
         }
@@ -481,7 +468,7 @@ impl FrozenHint {
     }
 
     /// Middle partition: originals comparison-free, replicas skipped.
-    fn emit_middle(&self, i: usize, out: &mut Vec<u32>) -> bool {
+    fn emit_middle(&self, i: usize, out: &mut Vec<T>) -> bool {
         if self.originals_empty(i) {
             return false;
         }
@@ -492,7 +479,7 @@ impl FrozenHint {
 
     /// Last partition: `s ≤ qe` on the originals (one run), replicas
     /// skipped.
-    fn emit_last(&self, i: usize, qe: f64, out: &mut Vec<u32>, scratch: &mut Vec<u32>) -> bool {
+    fn emit_last(&self, i: usize, qe: f64, out: &mut Vec<T>, scratch: &mut Vec<u32>) -> bool {
         if self.originals_empty(i) {
             return false;
         }
@@ -505,6 +492,28 @@ impl FrozenHint {
             scratch,
         );
         true
+    }
+}
+
+impl FrozenHint {
+    /// Builds the hierarchy over handles `0..n`, interval `i` being
+    /// `interval(i)`, with about eight intervals per bottom cell. The cell
+    /// domain spans the start times only: an end past the last start
+    /// clamps into the last cell, which stays correct by monotonicity, so
+    /// one open-ended interval cannot stretch the cells over the rest.
+    pub fn over_starts(n: usize, interval: impl Fn(usize) -> (f64, f64)) -> Self {
+        let (lo, hi) = (0..n)
+            .map(|i| interval(i).0)
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), s| {
+                (lo.min(s), hi.max(s))
+            });
+        let (lo, hi) = if n == 0 { (0.0, 1.0) } else { (lo, hi) };
+        Self::build(lo, hi, bits_for(n), || {
+            (0..n).map(|i| {
+                let (start, end) = interval(i);
+                (i as u32, start, end)
+            })
+        })
     }
 }
 
@@ -527,13 +536,13 @@ fn cell(lo: f64, scale: f64, bits: u32, x: f64) -> u64 {
 const KERNEL_MIN: usize = 96;
 
 /// Full overlap test `start ≤ qe ∧ end ≥ qs` over parallel planes.
-pub(crate) fn emit_both(
+pub(crate) fn emit_both<T: Copy>(
     starts: &[f64],
     ends: &[f64],
-    handles: &[u32],
+    handles: &[T],
     qs: f64,
     qe: f64,
-    out: &mut Vec<u32>,
+    out: &mut Vec<T>,
     scratch: &mut Vec<u32>,
 ) {
     if handles.len() < KERNEL_MIN {
@@ -550,11 +559,11 @@ pub(crate) fn emit_both(
 }
 
 /// One-sided `start ≤ qe` over parallel planes.
-pub(crate) fn emit_le(
+pub(crate) fn emit_le<T: Copy>(
     starts: &[f64],
-    handles: &[u32],
+    handles: &[T],
     qe: f64,
-    out: &mut Vec<u32>,
+    out: &mut Vec<T>,
     scratch: &mut Vec<u32>,
 ) {
     if handles.len() < KERNEL_MIN {
@@ -571,11 +580,11 @@ pub(crate) fn emit_le(
 }
 
 /// One-sided `end ≥ qs` over parallel planes.
-pub(crate) fn emit_ge(
+pub(crate) fn emit_ge<T: Copy>(
     ends: &[f64],
-    handles: &[u32],
+    handles: &[T],
     qs: f64,
-    out: &mut Vec<u32>,
+    out: &mut Vec<T>,
     scratch: &mut Vec<u32>,
 ) {
     if handles.len() < KERNEL_MIN {

@@ -2,13 +2,15 @@
 //! a [`FrozenHint`] base plus a delta for what was inserted since.
 //!
 //! * The **base** is built in two passes at every index (re)build
-//!   ([`Hint1D::build`]) and shared across clones by a single `Arc`.
-//! * The **delta** holds copies inserted *after* the last build, as
-//!   per-partition class arrays on the base's cells and levels.
-//!   Copy-on-write via [`Arc::make_mut`], so post-build mutation of a clone
-//!   stays cheap. A per-level copy counter lets queries skip the delta
-//!   entirely for untouched levels — the common case on a bulk-loaded
-//!   index.
+//!   ([`Hint1D::build`]) and shared across clones by a single `Arc`. Its
+//!   copies carry record ids, so a query reads its answer straight out of
+//!   the planes instead of resolving each copy through the entry table.
+//! * The **delta** holds entry-table handles of copies inserted *after*
+//!   the last build, as per-partition class arrays on the base's cells
+//!   and levels. Copy-on-write via [`Arc::make_mut`], so post-build
+//!   mutation of a clone stays cheap. A per-level copy counter lets
+//!   queries skip the delta entirely for untouched levels — the common
+//!   case on a bulk-loaded index.
 //!
 //! [`Hint1D::remove`] only edits the delta; base-resident copies are
 //! retired by the owning [`HintIndex`](super::HintIndex) via tombstones and
@@ -18,6 +20,7 @@
 use super::frozen::{
     class_of, emit_both, emit_ge, emit_le, for_each_cover, FrozenHint, O_AFT, O_IN, R_AFT, R_IN,
 };
+use crate::id::RecordId;
 use segidx_obs::trace::{self, Dim};
 use std::sync::Arc;
 
@@ -75,7 +78,7 @@ impl Partition {
 #[derive(Clone, Debug)]
 pub(crate) struct Hint1D {
     /// Everything homed at the last build; immutable.
-    base: Arc<FrozenHint>,
+    base: Arc<FrozenHint<RecordId>>,
     /// `levels[k]` holds the `2^k` delta partitions of level `k`,
     /// `k ∈ 0..=ℓ`. Untouched (empty) partitions all share one allocation.
     levels: Vec<Vec<Arc<Partition>>>,
@@ -92,7 +95,7 @@ impl Hint1D {
     /// empty.
     pub(crate) fn build<I>(lo: f64, hi: f64, bits: u32, items: impl Fn() -> I) -> Self
     where
-        I: Iterator<Item = (u32, f64, f64)>,
+        I: Iterator<Item = (RecordId, f64, f64)>,
     {
         let base = FrozenHint::build(lo, hi, bits, items);
         let levels = (0..=base.bits())
@@ -156,22 +159,23 @@ impl Hint1D {
         self.base.cover_size(start, end)
     }
 
-    /// Appends to `out` the handle of every stored interval intersecting
-    /// `[qs, qe]` (each exactly once, base and delta copies combined) and
-    /// returns the number of non-empty partitions inspected, base and
-    /// delta counted apart. `scratch` is kernel scratch.
+    /// Appends every stored interval intersecting `[qs, qe]` (each exactly
+    /// once): the base's record ids to `ids`, the delta's handles to
+    /// `handles`. Returns the number of non-empty partitions inspected,
+    /// base and delta counted apart. `scratch` is kernel scratch.
     pub(crate) fn query(
         &self,
         qs: f64,
         qe: f64,
-        out: &mut Vec<u32>,
+        ids: &mut Vec<RecordId>,
+        handles: &mut Vec<u32>,
         scratch: &mut Vec<u32>,
     ) -> u64 {
-        let touched = self.base.query(qs, qe, out, scratch);
+        let touched = self.base.query(qs, qe, ids, scratch);
         if self.delta_total == 0 {
             return touched;
         }
-        touched + self.query_delta(qs, qe, out, scratch)
+        touched + self.query_delta(qs, qe, handles, scratch)
     }
 
     /// The delta's half of [`query`](Self::query): the same class tests as
@@ -248,13 +252,18 @@ impl Hint1D {
         self.base.copies() + self.delta_total as usize
     }
 
-    /// Calls `f` once per stored copy (base and delta) with its handle.
-    pub(crate) fn for_each_handle(&self, f: &mut impl FnMut(u32)) {
-        self.base.for_each_handle(f);
+    /// Calls `base` once per base copy with its record id and `delta`
+    /// once per delta copy with its handle.
+    pub(crate) fn for_each_copy(
+        &self,
+        base: &mut impl FnMut(RecordId),
+        delta: &mut impl FnMut(u32),
+    ) {
+        self.base.for_each_handle(base);
         for p in self.levels.iter().flatten() {
             for class in &p.classes {
                 for &h in &class.handles {
-                    f(h);
+                    delta(h);
                 }
             }
         }
@@ -285,10 +294,13 @@ mod tests {
             .collect()
     }
 
-    /// Everything in the base, built in two passes.
+    /// Everything in the base, built in two passes; interval `i` carries
+    /// `RecordId(i)`.
     fn built(data: &[(f64, f64)]) -> Hint1D {
         Hint1D::build(0.0, 1000.0, 6, || {
-            data.iter().enumerate().map(|(i, &(s, e))| (i as u32, s, e))
+            data.iter()
+                .enumerate()
+                .map(|(i, &(s, e))| (RecordId(i as u64), s, e))
         })
     }
 
@@ -301,11 +313,18 @@ mod tests {
         h
     }
 
+    /// Base ids and delta handles of one query, as one sorted list (the
+    /// tests give interval `i` id `i` and handle `i` alike).
     fn query_sorted(h: &Hint1D, qs: f64, qe: f64) -> Vec<u32> {
-        let (mut out, mut scratch) = (Vec::new(), Vec::new());
-        h.query(qs, qe, &mut out, &mut scratch);
+        let (mut ids, mut out) = (Vec::new(), Vec::new());
+        h.query(qs, qe, &mut ids, &mut out, &mut Vec::new());
+        out.extend(ids.iter().map(|id| id.0 as u32));
         out.sort_unstable();
         out
+    }
+
+    fn accesses(h: &Hint1D, qs: f64, qe: f64) -> u64 {
+        h.query(qs, qe, &mut Vec::new(), &mut Vec::new(), &mut Vec::new())
     }
 
     fn brute(data: &[(f64, f64)], qs: f64, qe: f64) -> Vec<u32> {
@@ -367,8 +386,8 @@ mod tests {
                 "[{qs}, {qe}]"
             );
             assert_eq!(
-                frozen.query(qs, qe, &mut Vec::new(), &mut Vec::new()),
-                delta_only.query(qs, qe, &mut Vec::new(), &mut Vec::new()),
+                accesses(&frozen, qs, qe),
+                accesses(&delta_only, qs, qe),
                 "access counts [{qs}, {qe}]"
             );
         }

@@ -35,16 +35,18 @@ pub use frozen::FrozenHint;
 use crate::id::RecordId;
 use crate::stats::{StatsSnapshot, TreeStats};
 use crate::telemetry::TreeTelemetry;
+use crate::tree::finish_ids;
 use frozen::{bits_for, MAX_LEVEL_BITS, MIN_LEVEL_BITS};
 use hint1d::Hint1D;
 use segidx_geom::{Point, Rect};
 use segidx_obs::{trace, LatencyHistogram};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Slot-allocated storage for the logical entries: the single source of
-/// truth the hierarchy points into via `u32` handles.
+/// truth. The hierarchy's delta points into it via `u32` handles; its base
+/// carries the record ids themselves.
 #[derive(Clone, Debug, Default)]
 struct EntryTable {
     rects: Vec<Rect<1>>,
@@ -56,8 +58,12 @@ struct EntryTable {
     free: Vec<u32>,
     /// Tombstoned handles: deleted, but their copies are still frozen in
     /// the base, so the slot stays unusable until the next rebuild retires
-    /// them. Queries filter on `live`.
+    /// them.
     deferred: Vec<u32>,
+    /// The record ids of `deferred`, which is what queries filter on: base
+    /// copies carry ids, not handles. No live base entry shares one of
+    /// these ids (see [`HintIndex::delete`]).
+    tombstoned: HashSet<RecordId>,
     live_count: usize,
 }
 
@@ -97,6 +103,7 @@ impl EntryTable {
         debug_assert!(self.live[handle as usize] && self.in_base[handle as usize]);
         self.live[handle as usize] = false;
         self.deferred.push(handle);
+        self.tombstoned.insert(self.records[handle as usize]);
         self.live_count -= 1;
     }
 
@@ -218,7 +225,7 @@ impl HintIndex {
         let hier = Hint1D::build(domain.lo(0), domain.hi(0), bits, || {
             entries
                 .iter_live()
-                .map(|(h, rect, _)| (h, rect.lo(0), rect.hi(0)))
+                .map(|(_, rect, id)| (id, rect.lo(0), rect.hi(0)))
         });
         // The fresh base holds exactly the live entries: tombstoned slots
         // are physically gone and become reusable, and every live handle is
@@ -226,6 +233,7 @@ impl HintIndex {
         while let Some(h) = self.entries.deferred.pop() {
             self.entries.free.push(h);
         }
+        self.entries.tombstoned.clear();
         for h in 0..self.entries.live.len() {
             self.entries.in_base[h] = self.entries.live[h];
         }
@@ -292,13 +300,23 @@ impl HintIndex {
             return false;
         };
         if self.entries.in_base[handle as usize] {
-            // The copies are frozen in the base: tombstone the entry (it
-            // disappears from results immediately via the liveness filter)
-            // and let the next rebuild retire the physical copies. Enough
-            // tombstones trigger that rebuild on their own.
+            // The copies are frozen in the base: tombstone the entry (its
+            // id disappears from results immediately via the tombstone
+            // filter) and let the next rebuild retire the physical copies.
+            // Enough tombstones trigger that rebuild on their own. Base
+            // copies carry only the id, so when another base entry shares
+            // it the filter would hide both: rebuild now instead.
             self.entries.tombstone(handle);
             self.stats.maintenance_node_accesses += 1;
-            self.maybe_rebuild();
+            let shared = self
+                .entries
+                .iter_live()
+                .any(|(h, _, id)| id == record && self.entries.in_base[h as usize]);
+            if shared {
+                self.build(bits_for(self.entries.live_count));
+            } else {
+                self.maybe_rebuild();
+            }
         } else {
             if let Some(hier) = &mut self.hier {
                 self.stats.maintenance_node_accesses +=
@@ -324,49 +342,47 @@ impl HintIndex {
         self.obs_record(|t| &t.bulk_load, start);
     }
 
-    /// Core query: collects into `s.acc` the handle of every live entry
-    /// intersecting `query` and returns the access count (non-empty
-    /// partitions touched, plus one for the entry-table / un-homed scan).
-    /// Runs on caller-provided scratch so the hot read path performs no
-    /// heap allocation besides the final id vector. Handles come out in
-    /// hierarchy order: the caller sorts by record id anyway.
-    fn query_handles(&self, query: &Rect<1>, s: &mut QueryScratch) -> u64 {
+    /// Core query: collects into `s.ids` the id of every base or un-homed
+    /// entry intersecting `query`, tombstoned ones included, and into
+    /// `s.acc` the handle of every such delta entry. Returns the access
+    /// count (non-empty partitions touched, plus one for the entry-table /
+    /// un-homed scan). Runs on caller-provided scratch so the hot read path
+    /// performs no heap allocation besides the final id vector.
+    fn collect(&self, query: &Rect<1>, s: &mut QueryScratch) -> u64 {
+        s.ids.clear();
         s.acc.clear();
         let Some(hier) = &self.hier else {
-            s.acc.extend(
+            s.ids.extend(
                 self.entries
                     .iter_live()
                     .filter(|(_, r, _)| r.intersects(query))
-                    .map(|(h, _, _)| h),
+                    .map(|(_, _, id)| id),
             );
             return 1;
         };
-        1 + hier.query(query.lo(0), query.hi(0), &mut s.acc, &mut s.scratch)
+        1 + hier.query(
+            query.lo(0),
+            query.hi(0),
+            &mut s.ids,
+            &mut s.acc,
+            &mut s.scratch,
+        )
     }
 
-    /// Resolves handles to record ids, dropping tombstoned entries (whose
-    /// copies linger in the frozen base until the next rebuild). With no
-    /// tombstones outstanding every emitted handle is live by construction
-    /// — base handles were live at build time, delta handles are removed
-    /// physically — so the liveness gather is skipped entirely.
-    fn ids_of(&self, handles: &[u32]) -> Vec<RecordId> {
-        for &h in handles {
-            crate::prefetch::prefetch(&self.entries.records[h as usize]);
+    /// Turns [`collect`](Self::collect)'s output into the answer: drops
+    /// tombstoned base ids (their copies linger in the frozen base until
+    /// the next rebuild), resolves the delta's handles — delta entries are
+    /// removed physically, so every one is live — and sorts. With no
+    /// tombstones outstanding the base ids need no check at all.
+    fn resolve(&self, s: &mut QueryScratch) -> Vec<RecordId> {
+        let tombstoned = &self.entries.tombstoned;
+        if !tombstoned.is_empty() {
+            s.ids.retain(|id| !tombstoned.contains(id));
         }
-        let mut ids: Vec<RecordId> = if self.entries.deferred.is_empty() {
-            handles
-                .iter()
-                .map(|&h| self.entries.records[h as usize])
-                .collect()
-        } else {
-            handles
-                .iter()
-                .filter(|&&h| self.entries.live[h as usize])
-                .map(|&h| self.entries.records[h as usize])
-                .collect()
-        };
-        ids.sort_unstable();
-        ids
+        s.ids
+            .extend(s.acc.iter().map(|&h| self.entries.records[h as usize]));
+        finish_ids(&mut s.ids, &mut s.spare, false);
+        s.ids.clone()
     }
 
     /// The one read path behind [`search`](Self::search) and
@@ -381,8 +397,8 @@ impl HintIndex {
         let start = self.obs_start();
         let sp = trace::span(span);
         let (ids, accesses) = with_query_scratch(|s| {
-            let accesses = self.query_handles(query, s);
-            (self.ids_of(&s.acc), accesses)
+            let accesses = self.collect(query, s);
+            (self.resolve(s), accesses)
         });
         self.stats.flush_search(accesses, ids.len() as u64);
         sp.items(ids.len() as u64);
@@ -406,7 +422,7 @@ impl HintIndex {
     /// Index accesses a search for `query` performs (the paper's metric,
     /// counted as non-empty partitions touched), without recording stats.
     pub fn count_search_accesses(&self, query: &Rect<1>) -> u64 {
-        with_query_scratch(|s| self.query_handles(query, s))
+        with_query_scratch(|s| self.collect(query, s))
     }
 
     /// Statistics snapshot.
@@ -436,10 +452,11 @@ impl HintIndex {
     }
 
     /// Structural invariant check (empty = consistent): every live entry is
-    /// homed on exactly its canonical cover, every
-    /// tombstoned entry still carries exactly its frozen cover (its slot is
-    /// parked on the deferred list, not reusable), and no other dead handle
-    /// lingers anywhere.
+    /// homed on exactly its canonical cover (base copies counted per record
+    /// id, delta copies per handle), every tombstoned entry still carries
+    /// exactly its frozen cover (its slot is parked on the deferred list,
+    /// not reusable) and shares its id with no live base entry, and no
+    /// other copy lingers anywhere.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut problems = Vec::new();
         let live_bits = self.entries.live.iter().filter(|&&l| l).count();
@@ -454,43 +471,74 @@ impl HintIndex {
                 problems.push(format!("tombstoned handle {h} is still live"));
             }
         }
+        let tombstoned: HashSet<RecordId> = self
+            .entries
+            .deferred
+            .iter()
+            .map(|&h| self.entries.records[h as usize])
+            .collect();
+        if tombstoned != self.entries.tombstoned {
+            problems.push("tombstoned ids do not match the deferred handles".into());
+        }
         let Some(hier) = &self.hier else {
             if !self.entries.deferred.is_empty() {
                 problems.push("tombstones exist with no hierarchy".into());
             }
             return problems;
         };
-        let mut counts: HashMap<u32, usize> = HashMap::new();
-        hier.for_each_handle(&mut |h| *counts.entry(h).or_default() += 1);
-        for (h, rect, _) in self.entries.iter_live() {
-            let expect = hier.cover_size(rect.lo(0), rect.hi(0));
-            let got = counts.remove(&h).unwrap_or(0);
-            if got != expect {
-                problems.push(format!("handle {h} stored {got} times, cover is {expect}"));
+        let mut by_id: HashMap<RecordId, usize> = HashMap::new();
+        let mut by_handle: HashMap<u32, usize> = HashMap::new();
+        hier.for_each_copy(&mut |id| *by_id.entry(id).or_default() += 1, &mut |h| {
+            *by_handle.entry(h).or_default() += 1
+        });
+        // Base copies are expected per id: the covers of every
+        // base-resident entry with that id, live or tombstoned.
+        let mut base: HashMap<RecordId, usize> = HashMap::new();
+        for (h, rect, id) in self.entries.iter_live() {
+            let cover = hier.cover_size(rect.lo(0), rect.hi(0));
+            if !self.entries.in_base[h as usize] {
+                let got = by_handle.remove(&h).unwrap_or(0);
+                if got != cover {
+                    problems.push(format!("handle {h} stored {got} times, cover is {cover}"));
+                }
+                continue;
             }
+            if tombstoned.contains(&id) {
+                problems.push(format!("live base entry {h} shares tombstoned id {id:?}"));
+            }
+            *base.entry(id).or_default() += cover;
         }
         for &h in &self.entries.deferred {
             let rect = &self.entries.rects[h as usize];
-            let expect = hier.cover_size(rect.lo(0), rect.hi(0));
-            let got = counts.remove(&h).unwrap_or(0);
+            *base.entry(self.entries.records[h as usize]).or_default() +=
+                hier.cover_size(rect.lo(0), rect.hi(0));
+        }
+        for (id, expect) in base {
+            let got = by_id.remove(&id).unwrap_or(0);
             if got != expect {
                 problems.push(format!(
-                    "tombstoned handle {h} stored {got} times, frozen cover is {expect}"
+                    "id {id:?} stored {got} times in the base, covers sum to {expect}"
                 ));
             }
         }
-        for (h, n) in counts {
-            problems.push(format!("dead handle {h} stored {n} times"));
+        for (id, n) in by_id {
+            problems.push(format!("dead id {id:?} stored {n} times in the base"));
+        }
+        for (h, n) in by_handle {
+            problems.push(format!("dead handle {h} stored {n} times in the delta"));
         }
         problems
     }
 }
 
-/// Reusable per-thread buffers for the read path: candidate accumulator
-/// and kernel scratch. Each query clears but never frees them, so
-/// steady-state reads allocate only their result vector.
+/// Reusable per-thread buffers for the read path: the ids being gathered
+/// and their sort's second buffer, the delta's handles, and kernel scratch.
+/// Each query clears but never frees them, so steady-state reads allocate
+/// only their result vector.
 #[derive(Default)]
 struct QueryScratch {
+    ids: Vec<RecordId>,
+    spare: Vec<RecordId>,
     acc: Vec<u32>,
     scratch: Vec<u32>,
 }
@@ -658,6 +706,43 @@ mod tests {
         idx.insert(Rect::new([5.0], [6.0]), RecordId(9_999));
         assert_eq!(idx.entries.free.len(), 128);
         assert_eq!(idx.stab(&Point::new([5.5])).last(), Some(&RecordId(9_999)));
+    }
+
+    /// Base copies carry ids, so a tombstone hides an id. Deleting one of
+    /// two base entries sharing an id rebuilds instead; a tombstoned id
+    /// inserted again lands in the delta, which the filter never checks.
+    #[test]
+    fn tombstones_hide_ids_and_shared_ids_rebuild() {
+        let mut data = dataset(300);
+        data.push((Rect::new([10.0], [20.0]), RecordId(7)));
+        let mut idx = HintIndex::new();
+        idx.bulk_load(data.clone());
+        let everything = Rect::new([0.0], [100_000.0]);
+        let twice = |idx: &HintIndex| {
+            let hits = idx.search(&everything);
+            hits.iter().filter(|&&id| id == RecordId(7)).count()
+        };
+        assert_eq!(twice(&idx), 2, "both entries of id 7");
+        assert!(idx.delete(&data[300].0, RecordId(7)));
+        assert!(idx.entries.deferred.is_empty(), "a shared id rebuilt");
+        assert_eq!(twice(&idx), 1);
+        assert!(idx.delete(&data[7].0, RecordId(7)));
+        assert_eq!(idx.entries.deferred, [7], "a lone id is tombstoned");
+        assert_eq!(twice(&idx), 0);
+        idx.insert(Rect::new([50.0], [60.0]), RecordId(7));
+        assert!(idx.stab(&Point::new([55.0])).contains(&RecordId(7)));
+        assert!(idx
+            .stab(&Point::new([data[7].0.lo(0)]))
+            .iter()
+            .all(|&id| id != RecordId(7)));
+        assert!(
+            idx.check_invariants().is_empty(),
+            "{:?}",
+            idx.check_invariants()
+        );
+        data.swap_remove(300);
+        data[7] = (Rect::new([50.0], [60.0]), RecordId(7));
+        assert_eq!(idx.search(&everything), brute(&data, &everything));
     }
 
     #[test]

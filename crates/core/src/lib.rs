@@ -45,6 +45,7 @@
 //! See [`api`] for the one index trait, [`tree`] for the engine, and
 //! [`skeleton`] for pre-construction, prediction, and coalescing.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -11,6 +11,7 @@
 
 use crate::id::RecordId;
 use crate::persist::{decode_node, NodeImageKind};
+use crate::tree::finish_ids;
 use segidx_geom::{Point, Rect};
 use segidx_storage::{BufferPool, ByteReader, PageId, Result, StorageError};
 use std::cell::Cell;
@@ -109,8 +110,7 @@ impl<'a, const D: usize> PagedSearcher<'a, D> {
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
+        finish_ids(&mut out, &mut Vec::new(), true);
         sp.items(visited);
         Ok(out)
     }

@@ -6,7 +6,10 @@
 //! loads early overlaps what would otherwise be a serial chain of cache
 //! misses. Both engines prefetch through this module, so the intrinsic is
 //! called from exactly one place; callers outside the crate get the one
-//! safe, bounds-checked form, [`prefetch_slot`].
+//! safe, bounds-checked form, [`prefetch_slot`]. It is the one module the
+//! crate-level `deny(unsafe_code)` lets through.
+
+#![allow(unsafe_code)]
 
 /// Bytes per cache line on every target this crate tunes for.
 pub(crate) const CACHE_LINE: usize = 64;

@@ -16,7 +16,7 @@
 use super::Tree;
 use crate::id::{NodeId, RecordId};
 use crate::node::NodeKind;
-use segidx_geom::{scan_intersects, Rect};
+use segidx_geom::{for_each_hit, Rect};
 
 impl<const D: usize> Tree<D> {
     /// Removes the record `record`, whose original geometry was `rect`.
@@ -37,16 +37,15 @@ impl<const D: usize> Tree<D> {
         // published snapshot `node_mut` copies the node, and most visited
         // nodes hold nothing to remove.
         let mut stack = vec![self.root];
-        let mut hits: Vec<u32> = Vec::new();
         while let Some(n) = stack.pop() {
             self.touch_maintenance(n);
             let holds_portion = match &self.node(n).kind {
                 NodeKind::Leaf { entries } => entries.records().any(|r| r == record),
                 NodeKind::Internal { branches, spanning } => {
-                    hits.clear();
                     let (los, his) = branches.planes();
-                    scan_intersects(rect, los, his, &mut hits);
-                    stack.extend(hits.iter().map(|&i| branches.child(i as usize)));
+                    for_each_hit(rect.lo_coords(), rect.hi_coords(), los, his, |i| {
+                        stack.push(branches.child(i))
+                    });
                     (0..spanning.len()).any(|i| spanning.record(i) == record)
                 }
             };

@@ -9,7 +9,7 @@
 use super::Tree;
 use crate::id::{NodeId, RecordId};
 use crate::node::NodeKind;
-use segidx_geom::{scan_intersects, Rect};
+use segidx_geom::{for_each_hit, Rect};
 use std::collections::HashSet;
 
 impl<const D: usize> Tree<D> {
@@ -99,7 +99,7 @@ impl<const D: usize> Tree<D> {
     /// Pairs one record against every matching record in a subtree.
     /// `swap = true` means the fixed record belongs to the *right* tree.
     ///
-    /// The descent runs [`scan_intersects`] over each node's coordinate
+    /// The descent runs [`for_each_hit`] over each node's coordinate
     /// planes — the same branchless kernel as the search hot loop.
     fn join_record_vs_subtree(
         &self,
@@ -111,7 +111,7 @@ impl<const D: usize> Tree<D> {
         out: &mut Vec<(RecordId, RecordId)>,
     ) {
         let mut stack = vec![root];
-        let mut matches: Vec<u32> = Vec::new();
+        let (lo, hi) = (rect.lo_coords(), rect.hi_coords());
         let mut emit = |other_id: RecordId| {
             if swap {
                 out.push((other_id, id));
@@ -123,26 +123,14 @@ impl<const D: usize> Tree<D> {
             let node = tree.node(n);
             match &node.kind {
                 NodeKind::Leaf { entries } => {
-                    matches.clear();
                     let (los, his) = entries.planes();
-                    scan_intersects(&rect, los, his, &mut matches);
-                    for &i in &matches {
-                        emit(entries.record(i as usize));
-                    }
+                    for_each_hit(lo, hi, los, his, |i| emit(entries.record(i)));
                 }
                 NodeKind::Internal { branches, spanning } => {
-                    matches.clear();
                     let (los, his) = spanning.planes();
-                    scan_intersects(&rect, los, his, &mut matches);
-                    for &i in &matches {
-                        emit(spanning.record(i as usize));
-                    }
-                    matches.clear();
+                    for_each_hit(lo, hi, los, his, |i| emit(spanning.record(i)));
                     let (los, his) = branches.planes();
-                    scan_intersects(&rect, los, his, &mut matches);
-                    for &i in &matches {
-                        stack.push(branches.child(i as usize));
-                    }
+                    for_each_hit(lo, hi, los, his, |i| stack.push(branches.child(i)));
                 }
             }
         }

@@ -29,6 +29,7 @@ mod validate;
 
 pub use inspect::{LevelReport, TreeReport};
 pub use nearest::Neighbor;
+pub(crate) use search::finish_ids;
 pub use search::SearchCursor;
 
 use crate::config::IndexConfig;

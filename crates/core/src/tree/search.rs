@@ -32,7 +32,7 @@
 use super::Tree;
 use crate::id::{NodeId, RecordId};
 use crate::node::NodeKind;
-use segidx_geom::{scan_intersects, scan_stab, Coord, Point, Rect};
+use segidx_geom::{for_each_hit, Coord, Point, Rect};
 use segidx_obs::trace::{self, Dim, MAX_LEVELS};
 
 /// Reusable scratch state for the search kernels.
@@ -61,9 +61,9 @@ pub struct SearchCursor<const D: usize> {
     /// Ids of the latest query: raw out of the kernel, then sorted (and, in
     /// segment mode, deduplicated).
     ids: Vec<RecordId>,
-    /// Per-node scratch: indexes matched by the plane-scan kernels. Never
-    /// holds more than one node's matches.
-    matches: Vec<u32>,
+    /// The radix sort's second buffer: each digit pass scatters `ids` into
+    /// it and the two swap.
+    spare: Vec<RecordId>,
 }
 
 impl<const D: usize> SearchCursor<D> {
@@ -78,77 +78,100 @@ impl<const D: usize> SearchCursor<D> {
         Self {
             stack: Vec::with_capacity(16),
             ids: Vec::with_capacity(expected_hits),
-            matches: Vec::new(),
+            spare: Vec::new(),
         }
     }
 }
 
-/// What a traversal tests each node's coordinate planes with: a window
-/// ([`scan_intersects`]) or a point ([`scan_stab`], which materializes no
-/// rectangle and tests each plane against a single coordinate).
-trait Probe<const D: usize> {
-    fn scan(&self, los: [&[Coord]; D], his: [&[Coord]; D], out: &mut Vec<u32>);
-}
+/// Below this many raw ids, [`finish_ids`] sorts with `sort_unstable`: a
+/// radix pass pays a 256-bucket histogram per digit whatever the length.
+const RADIX_MIN: usize = 96;
 
-impl<const D: usize> Probe<D> for Rect<D> {
-    #[inline]
-    fn scan(&self, los: [&[Coord]; D], his: [&[Coord]; D], out: &mut Vec<u32>) {
-        scan_intersects(self, los, his, out);
+/// Most digit passes [`finish_ids`] runs. Ids more than 2²⁴ apart take
+/// `sort_unstable`: four differing bytes already lose to it at 96 ids, and
+/// eight lose at 96–400 ids and are no faster up to 3 000.
+const RADIX_MAX_PASSES: usize = 3;
+
+/// Sorts `ids` ascending and, when `dedup` is set, drops repeats — the one
+/// finish every search result goes through, in memory and paged.
+///
+/// Long runs are sorted by an LSD radix sort on 8-bit digits, scattering
+/// into `spare` and swapping the two buffers after each pass. A digit that
+/// every id shares cannot change the order, so its pass is skipped: a
+/// 200 000-record tree's ids differ in their low three bytes only.
+pub(crate) fn finish_ids(ids: &mut Vec<RecordId>, spare: &mut Vec<RecordId>, dedup: bool) {
+    let first = ids.first().map_or(0, |r| r.0);
+    let differ = ids.iter().fold(0u64, |acc, r| acc | (r.0 ^ first));
+    let shifts = (0..u64::BITS)
+        .step_by(8)
+        .filter(move |&shift| (differ >> shift) & 0xff != 0);
+    if ids.len() < RADIX_MIN || shifts.clone().count() > RADIX_MAX_PASSES {
+        ids.sort_unstable();
+    } else {
+        spare.truncate(ids.len());
+        spare.resize(ids.len(), RecordId(0));
+        for shift in shifts {
+            let digit = |r: &RecordId| ((r.0 >> shift) & 0xff) as usize;
+            let mut next = [0u32; 256];
+            for r in ids.iter() {
+                next[digit(r)] += 1;
+            }
+            let mut sum = 0;
+            for slot in next.iter_mut() {
+                (*slot, sum) = (sum, sum + *slot);
+            }
+            for &r in ids.iter() {
+                let slot = &mut next[digit(&r)];
+                spare[*slot as usize] = r;
+                *slot += 1;
+            }
+            std::mem::swap(ids, spare);
+        }
     }
-}
-
-impl<const D: usize> Probe<D> for Point<D> {
-    #[inline]
-    fn scan(&self, los: [&[Coord]; D], his: [&[Coord]; D], out: &mut Vec<u32>) {
-        scan_stab(self, los, his, out);
+    if dedup {
+        ids.dedup();
     }
 }
 
 impl<const D: usize> Tree<D> {
     /// A cursor sized for this tree: ids from the running selectivity
-    /// estimate, per-node scratch from the root's capacity (the largest
-    /// node a traversal meets).
+    /// estimate.
     pub(crate) fn cursor(&self) -> SearchCursor<D> {
-        let mut cursor = SearchCursor::with_capacity(self.stats.hits_estimate());
-        cursor
-            .matches
-            .reserve(self.config.node_slots(self.node(self.root).level));
-        cursor
+        SearchCursor::with_capacity(self.stats.hits_estimate())
     }
 
     /// The traversal kernel shared by every search entry point: collects
-    /// the raw matching ids of `probe` into `cursor.ids` and returns
+    /// the raw ids of every record meeting the closed box `[lo, hi]` (a
+    /// stab is the box with `lo == hi`) into `cursor.ids` and returns
     /// `(nodes accessed, raw matches)`. Performs no allocation beyond growing
     /// the cursor's buffers and touches no shared state.
     ///
     /// Each node is tested with one branchless scan per store over its
-    /// contiguous coordinate planes, and only the matching indexes gather
-    /// payloads afterwards. Matched children are prefetched as they are
-    /// pushed (see the module docs).
+    /// contiguous coordinate planes, and each hit is consumed as the scan
+    /// hands it over: a leaf or spanning hit pushes its record id, a branch
+    /// hit prefetches the child's header and pushes it (see the module
+    /// docs).
     ///
     /// Tracing is monomorphized out: one [`trace::active`] check per call
     /// dispatches to a `TRACED = false` instantiation that is bit-identical
     /// to the uninstrumented kernel, so untraced searches pay no per-node
     /// cost (the PR 3 "one null check" contract, extended to traces).
-    fn kernel(&self, probe: &impl Probe<D>, cursor: &mut SearchCursor<D>) -> (u64, u64) {
+    fn kernel(&self, lo: &[Coord; D], hi: &[Coord; D], cursor: &mut SearchCursor<D>) -> (u64, u64) {
         if trace::active() {
-            self.traverse::<true>(probe, cursor)
+            self.traverse::<true>(lo, hi, cursor)
         } else {
-            self.traverse::<false>(probe, cursor)
+            self.traverse::<false>(lo, hi, cursor)
         }
     }
 
     /// The kernel proper; see [`Tree::kernel`].
     fn traverse<const TRACED: bool>(
         &self,
-        probe: &impl Probe<D>,
+        lo: &[Coord; D],
+        hi: &[Coord; D],
         cursor: &mut SearchCursor<D>,
     ) -> (u64, u64) {
-        let SearchCursor {
-            stack,
-            ids,
-            matches,
-        } = cursor;
+        let SearchCursor { stack, ids, .. } = cursor;
         ids.clear();
         stack.clear();
         stack.push(self.root);
@@ -164,38 +187,26 @@ impl<const D: usize> Tree<D> {
             }
             match &node.kind {
                 NodeKind::Leaf { entries } => {
-                    matches.clear();
                     let (los, his) = entries.planes();
-                    probe.scan(los, his, matches);
+                    for_each_hit(lo, hi, los, his, |i| ids.push(entries.record(i)));
                     if TRACED {
                         kernel_calls += 1;
                         scanned += entries.len() as u64;
                     }
-                    for &i in matches.iter() {
-                        let i = i as usize;
-                        ids.push(entries.record(i));
-                    }
                 }
                 NodeKind::Internal { branches, spanning } => {
-                    matches.clear();
                     let (los, his) = spanning.planes();
-                    probe.scan(los, his, matches);
-                    for &i in matches.iter() {
-                        let i = i as usize;
-                        ids.push(spanning.record(i));
-                    }
-                    matches.clear();
+                    for_each_hit(lo, hi, los, his, |i| ids.push(spanning.record(i)));
+                    let first = stack.len();
                     let (los, his) = branches.planes();
-                    probe.scan(los, his, matches);
+                    for_each_hit(lo, hi, los, his, |i| {
+                        let child = branches.child(i);
+                        self.arena.prefetch_header(child);
+                        stack.push(child);
+                    });
                     if TRACED {
                         kernel_calls += 2;
                         scanned += (spanning.len() + branches.len()) as u64;
-                    }
-                    let first = stack.len();
-                    for &i in matches.iter() {
-                        let child = branches.child(i as usize);
-                        self.arena.prefetch_header(child);
-                        stack.push(child);
                     }
                     for &child in stack[first..].iter().rev() {
                         self.node(child).prefetch_contents();
@@ -211,22 +222,19 @@ impl<const D: usize> Tree<D> {
         (accesses, ids.len() as u64)
     }
 
-    /// Runs the id-collecting kernel for `probe`, flushes the search
-    /// counters, and finishes the ids.
-    fn collect_ids(&self, probe: &impl Probe<D>, cursor: &mut SearchCursor<D>) {
-        let (accesses, raw) = self.kernel(probe, cursor);
+    /// Runs the id-collecting kernel for the box `[lo, hi]`, flushes the
+    /// search counters, and finishes the ids.
+    fn collect_ids(&self, lo: &[Coord; D], hi: &[Coord; D], cursor: &mut SearchCursor<D>) {
+        let (accesses, raw) = self.kernel(lo, hi, cursor);
         self.stats.flush_search(accesses, raw);
-        self.finish_ids(cursor);
+        self.finish(cursor);
     }
 
     /// Sorts the kernel's raw ids. The `dedup` pass runs only in segment
     /// mode: without cutting, every logical record is stored exactly once,
     /// so duplicates are impossible.
-    fn finish_ids(&self, cursor: &mut SearchCursor<D>) {
-        cursor.ids.sort_unstable();
-        if self.config.segment {
-            cursor.ids.dedup();
-        }
+    fn finish(&self, cursor: &mut SearchCursor<D>) {
+        finish_ids(&mut cursor.ids, &mut cursor.spare, self.config.segment);
     }
 
     /// Returns the ids of all records whose geometry intersects `query`.
@@ -262,7 +270,7 @@ impl<const D: usize> Tree<D> {
     ) -> &'c [RecordId] {
         let t0 = self.obs_start();
         let sp = trace::span("tree.search");
-        self.collect_ids(query, cursor);
+        self.collect_ids(query.lo_coords(), query.hi_coords(), cursor);
         sp.items(cursor.ids.len() as u64);
         trace::add(Dim::ResultRecords, cursor.ids.len() as u64);
         drop(sp);
@@ -279,9 +287,9 @@ impl<const D: usize> Tree<D> {
         cursor: &'c mut SearchCursor<D>,
         query: &Rect<D>,
     ) -> &'c [RecordId] {
-        let (accesses, raw) = self.traverse::<false>(query, cursor);
+        let (accesses, raw) = self.traverse::<false>(query.lo_coords(), query.hi_coords(), cursor);
         self.stats.flush_search(accesses, raw);
-        self.finish_ids(cursor);
+        self.finish(cursor);
         &cursor.ids
     }
 
@@ -299,7 +307,7 @@ impl<const D: usize> Tree<D> {
     pub fn stab_with<'c>(&self, cursor: &'c mut SearchCursor<D>, p: &Point<D>) -> &'c [RecordId] {
         let t0 = self.obs_start();
         let sp = trace::span("tree.stab");
-        self.collect_ids(p, cursor);
+        self.collect_ids(p.coords(), p.coords(), cursor);
         sp.items(cursor.ids.len() as u64);
         trace::add(Dim::ResultRecords, cursor.ids.len() as u64);
         drop(sp);
@@ -358,7 +366,7 @@ impl<const D: usize> Tree<D> {
     pub fn count_search_accesses(&self, query: &Rect<D>) -> u64 {
         let mut cursor = self.cursor();
         let t0 = self.obs_start();
-        let (accesses, raw) = self.kernel(query, &mut cursor);
+        let (accesses, raw) = self.kernel(query.lo_coords(), query.hi_coords(), &mut cursor);
         self.stats.flush_search(accesses, raw);
         self.obs_record(|o| &o.search, t0);
         accesses
@@ -367,7 +375,7 @@ impl<const D: usize> Tree<D> {
 
 #[cfg(test)]
 mod tests {
-    use super::SearchCursor;
+    use super::{finish_ids, SearchCursor, RADIX_MIN};
     use crate::config::IndexConfig;
     use crate::id::RecordId;
     use crate::tree::Tree;
@@ -555,5 +563,58 @@ mod tests {
         let empty: Tree<2> = Tree::new(IndexConfig::rtree());
         let qs = queries(5);
         assert_eq!(empty.search_batch(&qs), vec![Vec::new(); 5]);
+    }
+
+    /// The radix finish against `sort_unstable` + `dedup`, on both sides of
+    /// the fallback threshold, with one reused spare buffer.
+    #[test]
+    fn radix_finish_matches_sort_and_dedup() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Each id shape differs in different digits, so a pass skipped by
+        // mistake changes the order; the last two span more than
+        // `RADIX_MAX_PASSES` digits and take the fallback at every length.
+        let shapes: [&dyn Fn(u64) -> u64; 9] = [
+            &|r| r % 200_000,
+            &|r| r % 7,
+            &|_| 42,
+            &|r| (1 << 32) + (r % 3) * (1 << 40) + r % 1_000,
+            &|r| {
+                if r % 3 == 0 {
+                    u64::MAX
+                } else {
+                    u64::MAX - r % 300
+                }
+            },
+            // Every differing digit differs in its top bit only.
+            &|r| r & 0x80_8080,
+            &|r| ((r % 2) << 63) | (r % 5),
+            &|r| r % (1 << 32),
+            &|r| r,
+        ];
+        let mut spare = Vec::new();
+        let lengths = (0..4)
+            .chain(RADIX_MIN - 3..RADIX_MIN + 4)
+            .chain([257, 1_000]);
+        for n in lengths {
+            for (k, shape) in shapes.iter().enumerate() {
+                let raw: Vec<RecordId> = (0..n).map(|_| RecordId(shape(next()))).collect();
+                for dedup in [false, true] {
+                    let mut want = raw.clone();
+                    want.sort_unstable();
+                    if dedup {
+                        want.dedup();
+                    }
+                    let mut got = raw.clone();
+                    finish_ids(&mut got, &mut spare, dedup);
+                    assert_eq!(got, want, "n={n}, shape {k}, dedup={dedup}");
+                }
+            }
+        }
     }
 }

@@ -3,21 +3,132 @@
 //! A node that stores its entry rectangles as per-dimension `lo`/`hi`
 //! planes (contiguous `&[f64]` per dimension) can test every entry
 //! against a query with straight-line arithmetic: one comparison pair per
-//! dimension, accumulated into a byte mask, no data-dependent branches
-//! inside the loop. The loops are written over fixed-width chunks so the
-//! compiler auto-vectorizes them (the predicate `lo ≤ q.hi && hi ≥ q.lo`
-//! becomes two SIMD compares and an AND per plane).
+//! dimension, no data-dependent branches inside the loop. The loops are
+//! written over fixed-width windows so the compiler auto-vectorizes them
+//! (the predicate `lo ≤ q.hi && hi ≥ q.lo` becomes two SIMD compares and
+//! an AND per plane).
 //!
-//! Matching indexes are emitted in ascending order, so callers that need
-//! entry payloads (record ids, child pointers) gather them afterwards
-//! with sequential access into the parallel payload arrays.
+//! One body serves every kernel. It tests 64 entries at a time into one
+//! `u64` word of hit bits and hands the set bits to the caller in
+//! ascending order, so a caller consumes hits in place — pushing a record
+//! id, or a child to descend into — with no index buffer in between. The
+//! remainder under 64 entries — all of a 25-entry leaf or a 34-entry
+//! branch block, so every node of a paper-sized tree — is tested in fixed
+//! 8-wide groups plus a one-entry tail that write the last word's bits.
 
 use crate::{Coord, Point, Rect};
 
-/// Entries processed per mask accumulation block. 64 keeps the mask
-/// buffer in one or two cache lines while giving the vectorizer long
-/// straight-line runs.
-const CHUNK: usize = 64;
+/// Entries per word of hit bits.
+const WORD: usize = 64;
+
+/// Entries per fixed-width group of a word's remainder.
+const GROUP: usize = 8;
+
+/// The kernel body: calls `hit(i)`, in ascending `i`, for every entry `i`
+/// with `le[k][i] <= le_bound[k]` for every `k` and `ge[k][i] >=
+/// ge_bound[k]` for every `k` — a conjunction of one-sided plane tests.
+/// All planes must have equal lengths.
+#[inline(always)]
+fn for_each_lane<const L: usize, const H: usize>(
+    le: [&[Coord]; L],
+    le_bound: [Coord; L],
+    ge: [&[Coord]; H],
+    ge_bound: [Coord; H],
+    mut hit: impl FnMut(usize),
+) {
+    let n = le.first().or(ge.first()).map_or(0, |p| p.len());
+    debug_assert!(
+        le.iter().chain(&ge).all(|p| p.len() == n),
+        "coordinate planes must have equal lengths"
+    );
+    let mut base = 0;
+    while n - base >= WORD {
+        emit(
+            word::<WORD, L, H>(&le, &le_bound, &ge, &ge_bound, base),
+            base,
+            &mut hit,
+        );
+        base += WORD;
+    }
+    if base == n {
+        return;
+    }
+    let mut bits = 0u64;
+    let mut at = base;
+    while n - at >= GROUP {
+        bits |= word::<GROUP, L, H>(&le, &le_bound, &ge, &ge_bound, at) << (at - base);
+        at += GROUP;
+    }
+    for i in at..n {
+        bits |= word::<1, L, H>(&le, &le_bound, &ge, &ge_bound, i) << (i - base);
+    }
+    emit(bits, base, &mut hit);
+}
+
+/// Hit bits of the `W` entries at `at`, in the word's low `W` bits. The
+/// compare loop sees a compile-time trip count (the `&[Coord; W]`
+/// windows), which is what lets LLVM vectorize it.
+#[inline(always)]
+fn word<const W: usize, const L: usize, const H: usize>(
+    le: &[&[Coord]; L],
+    le_bound: &[Coord; L],
+    ge: &[&[Coord]; H],
+    ge_bound: &[Coord; H],
+    at: usize,
+) -> u64 {
+    let le: [&[Coord; W]; L] = std::array::from_fn(|k| le[k][at..at + W].try_into().unwrap());
+    let ge: [&[Coord; W]; H] = std::array::from_fn(|k| ge[k][at..at + W].try_into().unwrap());
+    let mut bits = 0u64;
+    for i in 0..W {
+        let mut pass = true;
+        for k in 0..L {
+            pass &= le[k][i] <= le_bound[k];
+        }
+        for k in 0..H {
+            pass &= ge[k][i] >= ge_bound[k];
+        }
+        bits |= u64::from(pass) << i;
+    }
+    bits
+}
+
+/// Calls `hit(base + i)` for every set bit `i` of `bits`, ascending: the
+/// cost scales with the hit count, not the word width.
+#[inline(always)]
+fn emit(mut bits: u64, base: usize, hit: &mut impl FnMut(usize)) {
+    while bits != 0 {
+        hit(base + bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
+/// Calls `hit(i)`, in ascending `i`, for every entry whose rectangle
+/// intersects the closed box `[lo, hi]` — the search kernel, consumed in
+/// place.
+///
+/// `los[d][i]` / `his[d][i]` are entry `i`'s bounds in dimension `d`; all
+/// planes must have equal lengths. A stabbing query is the box with
+/// `lo == hi`. [`scan_intersects`] and [`scan_stab`] collect the same
+/// indexes into a buffer.
+///
+/// ```
+/// use segidx_geom::for_each_hit;
+///
+/// let (los_x, his_x) = ([0.0, 10.0, 20.0], [5.0, 15.0, 25.0]);
+/// let mut hits = Vec::new();
+/// for_each_hit(&[4.0], &[12.0], [&los_x], [&his_x], |i| hits.push(i));
+/// assert_eq!(hits, vec![0, 1]);
+/// ```
+#[inline]
+pub fn for_each_hit<const D: usize>(
+    lo: &[Coord; D],
+    hi: &[Coord; D],
+    los: [&[Coord]; D],
+    his: [&[Coord]; D],
+    hit: impl FnMut(usize),
+) {
+    for_each_lane(los, *hi, his, *lo, hit);
+}
 
 /// Appends to `out` the index of every entry whose rectangle intersects
 /// `query`, scanning per-dimension coordinate planes.
@@ -44,74 +155,9 @@ pub fn scan_intersects<const D: usize>(
     his: [&[Coord]; D],
     out: &mut Vec<u32>,
 ) {
-    let n = los[0].len();
-    debug_assert!(
-        los.iter().all(|p| p.len() == n) && his.iter().all(|p| p.len() == n),
-        "coordinate planes must have equal lengths"
-    );
-    let mut mask = [0u64; CHUNK];
-    let mut base = 0;
-    // Full chunks see a compile-time trip count (the `&[Coord; CHUNK]`
-    // windows below), which is what lets LLVM vectorize the compares.
-    while n - base >= CHUNK {
-        for d in 0..D {
-            let (q_lo, q_hi) = (query.lo(d), query.hi(d));
-            let lo_p: &[Coord; CHUNK] = los[d][base..base + CHUNK].try_into().unwrap();
-            let hi_p: &[Coord; CHUNK] = his[d][base..base + CHUNK].try_into().unwrap();
-            if d == 0 {
-                for i in 0..CHUNK {
-                    mask[i] = u64::from(lo_p[i] <= q_hi) & u64::from(hi_p[i] >= q_lo);
-                }
-            } else {
-                for i in 0..CHUNK {
-                    mask[i] &= u64::from(lo_p[i] <= q_hi) & u64::from(hi_p[i] >= q_lo);
-                }
-            }
-        }
-        emit_hits(&mask, CHUNK, base, out);
-        base += CHUNK;
-    }
-    // Variable-length tail.
-    let m = n - base;
-    if m > 0 {
-        for d in 0..D {
-            let (q_lo, q_hi) = (query.lo(d), query.hi(d));
-            let (lo_p, hi_p) = (&los[d][base..], &his[d][base..]);
-            if d == 0 {
-                for i in 0..m {
-                    mask[i] = u64::from(lo_p[i] <= q_hi) & u64::from(hi_p[i] >= q_lo);
-                }
-            } else {
-                for i in 0..m {
-                    mask[i] &= u64::from(lo_p[i] <= q_hi) & u64::from(hi_p[i] >= q_lo);
-                }
-            }
-        }
-        emit_hits(&mask, m, base, out);
-    }
-}
-
-/// Pushes `base + i` for every set lane of `mask[..m]`. The lanes are
-/// first compressed into one `u64` bit set (a vectorizable reduction),
-/// then only the set bits are visited via `trailing_zeros`, so emission
-/// cost scales with the hit count rather than the chunk width.
-#[inline]
-fn emit_hits(mask: &[u64; CHUNK], m: usize, base: usize, out: &mut Vec<u32>) {
-    let mut bits = 0u64;
-    if m == CHUNK {
-        for (i, &hit) in mask.iter().enumerate() {
-            bits |= (hit & 1) << i;
-        }
-    } else {
-        for (i, &hit) in mask[..m].iter().enumerate() {
-            bits |= (hit & 1) << i;
-        }
-    }
-    while bits != 0 {
-        let i = bits.trailing_zeros() as usize;
-        out.push((base + i) as u32);
-        bits &= bits - 1;
-    }
+    for_each_hit(query.lo_coords(), query.hi_coords(), los, his, |i| {
+        out.push(i as u32)
+    });
 }
 
 /// Appends to `out` the index of every entry whose rectangle contains the
@@ -124,44 +170,7 @@ pub fn scan_stab<const D: usize>(
     his: [&[Coord]; D],
     out: &mut Vec<u32>,
 ) {
-    let n = los[0].len();
-    let mut mask = [0u64; CHUNK];
-    let mut base = 0;
-    while n - base >= CHUNK {
-        for d in 0..D {
-            let c = p.coord(d);
-            let lo_p: &[Coord; CHUNK] = los[d][base..base + CHUNK].try_into().unwrap();
-            let hi_p: &[Coord; CHUNK] = his[d][base..base + CHUNK].try_into().unwrap();
-            if d == 0 {
-                for i in 0..CHUNK {
-                    mask[i] = u64::from(lo_p[i] <= c) & u64::from(hi_p[i] >= c);
-                }
-            } else {
-                for i in 0..CHUNK {
-                    mask[i] &= u64::from(lo_p[i] <= c) & u64::from(hi_p[i] >= c);
-                }
-            }
-        }
-        emit_hits(&mask, CHUNK, base, out);
-        base += CHUNK;
-    }
-    let m = n - base;
-    if m > 0 {
-        for d in 0..D {
-            let c = p.coord(d);
-            let (lo_p, hi_p) = (&los[d][base..], &his[d][base..]);
-            if d == 0 {
-                for i in 0..m {
-                    mask[i] = u64::from(lo_p[i] <= c) & u64::from(hi_p[i] >= c);
-                }
-            } else {
-                for i in 0..m {
-                    mask[i] &= u64::from(lo_p[i] <= c) & u64::from(hi_p[i] >= c);
-                }
-            }
-        }
-        emit_hits(&mask, m, base, out);
-    }
+    for_each_hit(p.coords(), p.coords(), los, his, |i| out.push(i as u32));
 }
 
 /// Appends to `out` the index of every entry whose `lo` coordinate is at
@@ -172,50 +181,14 @@ pub fn scan_stab<const D: usize>(
 /// `start ≤ query.hi` side remains. Same contract as [`scan_intersects`]:
 /// ascending indexes, `out` not cleared.
 pub fn scan_lo_le(los: &[Coord], bound: Coord, out: &mut Vec<u32>) {
-    let n = los.len();
-    let mut mask = [0u64; CHUNK];
-    let mut base = 0;
-    while n - base >= CHUNK {
-        let lo_p: &[Coord; CHUNK] = los[base..base + CHUNK].try_into().unwrap();
-        for i in 0..CHUNK {
-            mask[i] = u64::from(lo_p[i] <= bound);
-        }
-        emit_hits(&mask, CHUNK, base, out);
-        base += CHUNK;
-    }
-    let m = n - base;
-    if m > 0 {
-        let lo_p = &los[base..];
-        for i in 0..m {
-            mask[i] = u64::from(lo_p[i] <= bound);
-        }
-        emit_hits(&mask, m, base, out);
-    }
+    for_each_lane([los], [bound], [], [], |i| out.push(i as u32));
 }
 
 /// Appends to `out` the index of every entry whose `hi` coordinate is at
 /// least `bound` — the other one-sided half of the intersection
 /// predicate (`end ≥ query.lo`). Same contract as [`scan_lo_le`].
 pub fn scan_hi_ge(his: &[Coord], bound: Coord, out: &mut Vec<u32>) {
-    let n = his.len();
-    let mut mask = [0u64; CHUNK];
-    let mut base = 0;
-    while n - base >= CHUNK {
-        let hi_p: &[Coord; CHUNK] = his[base..base + CHUNK].try_into().unwrap();
-        for i in 0..CHUNK {
-            mask[i] = u64::from(hi_p[i] >= bound);
-        }
-        emit_hits(&mask, CHUNK, base, out);
-        base += CHUNK;
-    }
-    let m = n - base;
-    if m > 0 {
-        let hi_p = &his[base..];
-        for i in 0..m {
-            mask[i] = u64::from(hi_p[i] >= bound);
-        }
-        emit_hits(&mask, m, base, out);
-    }
+    for_each_lane([], [], [his], [bound], |i| out.push(i as u32));
 }
 
 /// Writes into `dists` the squared Euclidean `MINDIST` from `p` to every
@@ -304,7 +277,7 @@ mod tests {
 
     #[test]
     fn matches_rect_intersects_exactly() {
-        let rects = dataset(257); // deliberately not a multiple of CHUNK
+        let rects = dataset(257); // deliberately not a multiple of WORD
         let (los, his) = planes_of(&rects);
         let queries = [
             Rect::new([0.0, 0.0], [60.0, 40.0]),
@@ -401,7 +374,7 @@ mod tests {
 
     #[test]
     fn one_sided_kernels_match_filters() {
-        let rects = dataset(193); // crosses one CHUNK boundary with a tail
+        let rects = dataset(193); // crosses one WORD boundary with a tail
         let (los, his) = planes_of(&rects);
         for bound in [-10.0, 0.0, 123.0, 480.0, 10_000.0] {
             let mut got = Vec::new();

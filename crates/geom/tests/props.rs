@@ -1,7 +1,9 @@
 //! Property-based tests for the geometry substrate.
 
 use proptest::prelude::*;
-use segidx_geom::{Interval, Point, Rect};
+use segidx_geom::{
+    for_each_hit, scan_hi_ge, scan_intersects, scan_lo_le, scan_stab, Interval, Point, Rect,
+};
 
 fn interval_strategy() -> impl Strategy<Value = Interval> {
     (-1.0e6..1.0e6f64, 0.0..1.0e5f64).prop_map(|(lo, len)| Interval::new(lo, lo + len))
@@ -130,4 +132,131 @@ proptest! {
         let p = Point::new([x, y]);
         prop_assert_eq!(a.contains_point(&p), a.contains_rect(&Rect::from_point(p)));
     }
+}
+
+/// A deterministic xorshift stream, so every plane length below gets the
+/// same cases on every run.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[(self.next() % from.len() as u64) as usize]
+    }
+}
+
+/// Coordinates a plane is drawn from: the query's own bounds (a hit on
+/// equality is a hit), values just past them, signed zeros, infinities
+/// and the huge finite ends the temporal tier uses for open lifetimes.
+const EDGES: [f64; 12] = [
+    -10.0,
+    10.0,
+    -10.5,
+    10.5,
+    3.0,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::MAX / 2.0,
+    -f64::MAX / 2.0,
+    -9.5,
+];
+
+/// Query bounds: the `EDGES` window `[-10, 10]`, zero-width boxes at the
+/// signed zeros, the whole line, and a box ending at `f64::MAX / 2`.
+const QUERIES: [(f64, f64); 6] = [
+    (-10.0, 10.0),
+    (0.0, 0.0),
+    (-0.0, -0.0),
+    (f64::NEG_INFINITY, f64::INFINITY),
+    (3.0, f64::MAX / 2.0),
+    (10.5, 10.5),
+];
+
+/// `n` entries per dimension with `lo <= hi`, both drawn from `EDGES`.
+fn planes<const D: usize>(s: &mut Stream, n: usize) -> ([Vec<f64>; D], [Vec<f64>; D]) {
+    let mut los: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
+    let mut his: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
+    for _ in 0..n {
+        for d in 0..D {
+            let (a, b) = (s.pick(&EDGES), s.pick(&EDGES));
+            los[d].push(a.min(b));
+            his[d].push(a.max(b));
+        }
+    }
+    (los, his)
+}
+
+/// Every kernel built on the one scan body against a brute-force filter,
+/// at every plane length 0..=200: empty planes, each remainder 1..=63,
+/// multiples of 8 and of 64, and 64 + remainder.
+fn kernels_match_brute_force<const D: usize>() {
+    let mut s = Stream(0x9E37_79B9_7F4A_7C15 ^ D as u64);
+    for n in 0..=200 {
+        let (los, his) = planes::<D>(&mut s, n);
+        let lr: [&[f64]; D] = std::array::from_fn(|d| los[d].as_slice());
+        let hr: [&[f64]; D] = std::array::from_fn(|d| his[d].as_slice());
+        for _ in 0..4 {
+            let lo: [f64; D] = std::array::from_fn(|_| s.pick(&QUERIES).0);
+            let hi: [f64; D] = std::array::from_fn(|d| s.pick(&QUERIES).1.max(lo[d]));
+            let want: Vec<u32> = (0..n)
+                .filter(|&i| (0..D).all(|d| los[d][i] <= hi[d] && his[d][i] >= lo[d]))
+                .map(|i| i as u32)
+                .collect();
+            let mut got = Vec::new();
+            for_each_hit(&lo, &hi, lr, hr, |i| got.push(i as u32));
+            assert_eq!(got, want, "for_each_hit, D={D}, n={n}, {lo:?}..{hi:?}");
+            let mut got = vec![u32::MAX];
+            scan_intersects(&Rect::new(lo, hi), lr, hr, &mut got);
+            assert_eq!(got[0], u32::MAX, "appends, never clears");
+            assert_eq!(got[1..], want, "scan_intersects, D={D}, n={n}");
+
+            let p: [f64; D] = std::array::from_fn(|_| s.pick(&EDGES));
+            let want: Vec<u32> = (0..n)
+                .filter(|&i| (0..D).all(|d| los[d][i] <= p[d] && his[d][i] >= p[d]))
+                .map(|i| i as u32)
+                .collect();
+            let mut got = Vec::new();
+            scan_stab(&Point::new(p), lr, hr, &mut got);
+            assert_eq!(got, want, "scan_stab, D={D}, n={n}, {p:?}");
+
+            let bound = s.pick(&EDGES);
+            let mut got = Vec::new();
+            scan_lo_le(lr[0], bound, &mut got);
+            let want: Vec<u32> = (0..n)
+                .filter(|&i| los[0][i] <= bound)
+                .map(|i| i as u32)
+                .collect();
+            assert_eq!(got, want, "scan_lo_le, n={n}, {bound}");
+            let mut got = Vec::new();
+            scan_hi_ge(hr[0], bound, &mut got);
+            let want: Vec<u32> = (0..n)
+                .filter(|&i| his[0][i] >= bound)
+                .map(|i| i as u32)
+                .collect();
+            assert_eq!(got, want, "scan_hi_ge, n={n}, {bound}");
+        }
+    }
+}
+
+#[test]
+fn scan_kernels_match_brute_force_at_every_length_1d() {
+    kernels_match_brute_force::<1>();
+}
+
+#[test]
+fn scan_kernels_match_brute_force_at_every_length_2d() {
+    kernels_match_brute_force::<2>();
+}
+
+#[test]
+fn scan_kernels_match_brute_force_at_every_length_3d() {
+    kernels_match_brute_force::<3>();
 }

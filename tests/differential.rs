@@ -4,7 +4,7 @@
 
 use segidx_bench::Variant;
 use segidx_core::bulk::bulk_load;
-use segidx_core::{IndexConfig, IntervalIndex, RecordId};
+use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution};
 
@@ -66,6 +66,102 @@ fn variants_match_brute_force_on_all_distributions() {
             }
         }
     }
+}
+
+/// The scan kernel tests 64 entries per word and a node's remainder in
+/// 8-wide groups plus a one-entry tail; paper-sized nodes (6-entry leaves at
+/// 256 bytes, 25 at 1 KB, their branch blocks) are almost all remainder.
+/// Every variant at both widths, checked after each insertion from 1 to
+/// 300 records, so every fill of every node width is met.
+#[test]
+fn variants_agree_at_paper_node_widths() {
+    let mut records = DataDistribution::I3.generate(300, 91).records;
+    // Long segments arriving once the trees have split, so the SR
+    // variants hold spanning records.
+    for (i, (r, _)) in records.iter_mut().enumerate().skip(150).step_by(5) {
+        let y = r.lo(1);
+        let x = (i as f64 * 311.0) % 40_000.0;
+        *r = Rect::new([x, y], [x + 60_000.0, y]);
+    }
+    let queries = query_mix(8);
+    let points: Vec<Point<2>> = queries
+        .iter()
+        .map(|q| q.center())
+        .chain(
+            records
+                .iter()
+                .step_by(17)
+                .map(|(r, _)| Point::new([r.hi(0), r.lo(1)])),
+        )
+        .collect();
+    for leaf_node_bytes in [256, 1024] {
+        let mut indexes: Vec<Skeleton<2>> = Variant::ALL
+            .iter()
+            .map(|v| {
+                let config = IndexConfig {
+                    leaf_node_bytes,
+                    ..v.config()
+                };
+                if config.coalesce.is_some() {
+                    Skeleton::new(config, domain(), records.len(), 30)
+                } else {
+                    Skeleton::Built(Tree::new(config))
+                }
+            })
+            .collect();
+        for n in 1..=records.len() {
+            let live = &records[..n];
+            let expected: Vec<Vec<RecordId>> =
+                queries.iter().map(|q| brute_force(live, q)).collect();
+            let expected_stabs: Vec<Vec<RecordId>> = points
+                .iter()
+                .map(|p| brute_force(live, &Rect::from_point(*p)))
+                .collect();
+            for index in indexes.iter_mut() {
+                let (r, id) = live[n - 1];
+                index.insert(r, id);
+                let name = index.variant_name();
+                let at = format!("{name}, {leaf_node_bytes} B leaves, {n} records");
+                let searched: Vec<Vec<RecordId>> =
+                    queries.iter().map(|q| index.search(q)).collect();
+                assert_eq!(searched, expected, "search: {at}");
+                assert_eq!(index.search_batch(&queries), expected, "search_batch: {at}");
+                let stabbed: Vec<Vec<RecordId>> = points.iter().map(|p| index.stab(p)).collect();
+                assert_eq!(stabbed, expected_stabs, "stab: {at}");
+                for q in &queries {
+                    let before = index.stats().search_node_accesses;
+                    index.search(q);
+                    let by_search = index.stats().search_node_accesses - before;
+                    let counted = index.count_search_accesses(q);
+                    assert_eq!(counted, by_search, "accesses: {at}, {q:?}");
+                    assert!(counted <= index.node_count() as u64, "accesses: {at}");
+                }
+            }
+        }
+        for index in &indexes {
+            assert!(
+                index.check_invariants().is_empty(),
+                "{}",
+                index.variant_name()
+            );
+            let accesses: Vec<u64> = queries
+                .iter()
+                .map(|q| index.count_search_accesses(q))
+                .collect();
+            assert!(accesses.iter().all(|&a| a >= 1), "{}", index.variant_name());
+        }
+        for sr in [&indexes[1], &indexes[3]] {
+            assert!(
+                sr.stats().spanning_stores > 0,
+                "{} at {leaf_node_bytes} B stores no spanning record",
+                sr.variant_name()
+            );
+        }
+    }
+}
+
+fn domain() -> Rect<2> {
+    Rect::new([0.0, 0.0], [100_000.0, 100_000.0])
 }
 
 #[test]
