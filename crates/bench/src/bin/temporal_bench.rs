@@ -2,8 +2,8 @@
 //! record-sorted runs plus a frozen HINT over time) against in-place inserts into one flat SR-Tree, on a monotone
 //! end-time version stream (the shape a temporal table's archive tier
 //! sees: every closed version's end time is the current clock). Results
-//! land in `results/BENCH_temporal.json` (same `hardware_note` convention
-//! as `results/BENCH_hint.json`).
+//! land in `results/BENCH_temporal.json`, stamped with
+//! [`segidx_bench::hardware_note`].
 //!
 //! Four measurements:
 //!

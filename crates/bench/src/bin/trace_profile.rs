@@ -16,8 +16,8 @@
 //!    no-telemetry kernel instantiation); `--check` gates the median
 //!    per-round ratio at ≤ 1.05.
 //!
-//! Results land in `results/BENCH_trace.json` (same `hardware_note`
-//! convention as `results/BENCH_hint.json`).
+//! Results land in `results/BENCH_trace.json`, stamped with
+//! [`segidx_bench::hardware_note`].
 //!
 //! Usage:
 //!   trace_profile [--records N] [--queries N] [--rounds N] [--out FILE]

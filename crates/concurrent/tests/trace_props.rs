@@ -6,8 +6,7 @@
 //! Two angles:
 //!
 //! 1. **Every engine**: random op sequences against all four paper
-//!    variants, and HINT on the same data's x-intervals, each query forced
-//!    through a fresh trace.
+//!    variants, each query forced through a fresh trace.
 //! 2. **The index service under concurrent load**: reader threads run
 //!    traced batch searches on pinned snapshots while a writer streams
 //!    traced inserts, each waiting on its group commit; every trace the
@@ -16,7 +15,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
-use segidx_core::{HintIndex, IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
+use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
 use segidx_geom::{Point, Rect};
 use segidx_obs::trace::{OpClass, Tracer};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,7 +23,7 @@ use std::sync::Arc;
 
 const DOMAIN: f64 = 1000.0;
 
-/// Every two-dimensional query engine, empty, as trait objects. The bool
+/// Every query engine, empty, as trait objects. The bool
 /// says whether a query always emits an engine span — the skeletons
 /// linear-scan a plain buffer until their build threshold, so small
 /// sequences legitimately record only the root.
@@ -58,12 +57,12 @@ fn engines_2d() -> Vec<(&'static str, bool, Box<dyn IntervalIndex<2>>)> {
 /// Forces one search and one stab per query through a fresh trace and
 /// checks each is a well-formed tree (with an engine span under the root
 /// where `always_spans`).
-fn check_traces<const D: usize>(
+fn check_traces(
     tracer: &Arc<Tracer>,
     name: &str,
     always_spans: bool,
-    engine: &dyn IntervalIndex<D>,
-    queries: &[Rect<D>],
+    engine: &dyn IntervalIndex<2>,
+    queries: &[Rect<2>],
 ) -> Result<(), TestCaseError> {
     for q in queries {
         for class in [OpClass::Search, OpClass::Stab] {
@@ -114,15 +113,6 @@ proptest! {
             }
             check_traces(&tracer, name, always_spans, &*engine, &windows)?;
         }
-        let mut hint = HintIndex::new();
-        for (i, (x, _, w, _)) in items.iter().enumerate() {
-            hint.insert(Rect::new([*x], [*x + *w]), RecordId(i as u64));
-        }
-        let ranges: Vec<Rect<1>> = queries
-            .iter()
-            .map(|(x, _, w, _)| Rect::new([*x], [*x + *w]))
-            .collect();
-        check_traces(&tracer, "hint", true, &hint, &ranges)?;
         prop_assert_eq!(tracer.sampled(), tracer.completed());
     }
 }

@@ -24,9 +24,8 @@ use crate::tree::Tree;
 use segidx_geom::{Point, Rect};
 use std::sync::Arc;
 
-/// An index over `D`-dimensional interval data: the paper's four variants
-/// ([`Tree`] and [`Skeleton`](crate::Skeleton)) and
-/// [`HintIndex`](crate::HintIndex).
+/// An index over `D`-dimensional interval data: the paper's four variants,
+/// [`Tree`] and [`Skeleton`](crate::Skeleton).
 pub trait IntervalIndex<const D: usize> {
     /// Inserts a record.
     fn insert(&mut self, rect: Rect<D>, record: RecordId);
@@ -126,7 +125,7 @@ impl<const D: usize> IntervalIndex<D> for Tree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HintIndex, IndexConfig, Skeleton};
+    use crate::{IndexConfig, Skeleton};
 
     fn domain() -> Rect<2> {
         Rect::new([0.0, 0.0], [100_000.0, 100_000.0])
@@ -194,6 +193,5 @@ mod tests {
         assert_eq!(name(IndexConfig::skeleton_srtree()), "Skeleton SR-Tree");
         let buffering = Skeleton::<2>::new(IndexConfig::skeleton_srtree(), domain(), 10, 5);
         assert_eq!(buffering.variant_name(), "Skeleton SR-Tree");
-        assert_eq!(HintIndex::new().variant_name(), "HINT");
     }
 }

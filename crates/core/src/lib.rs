@@ -66,7 +66,6 @@ pub mod tree;
 
 pub use api::IntervalIndex;
 pub use config::{CoalesceConfig, IndexConfig, SplitAlgorithm};
-pub use hint::HintIndex;
 pub use id::{NodeId, RecordId};
 pub use paged::PagedSearcher;
 pub use skeleton::{build_skeleton, Histogram, Skeleton, SkeletonSpec};

@@ -1,9 +1,11 @@
 //! Model-based property tests: random operation sequences applied to every
 //! index configuration, checked against a flat-vector model after each
-//! batch, with structural invariants verified throughout.
+//! batch, with structural invariants verified throughout; and the sealed
+//! tier's frozen HINT against a brute-force filter.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use segidx_core::hint::FrozenHint;
 use segidx_core::{build_skeleton, CoalesceConfig, IndexConfig, RecordId, SkeletonSpec, Tree};
 use segidx_geom::{Point, Rect};
 
@@ -347,6 +349,44 @@ proptest! {
         for (n, d) in got.iter().zip(dists.iter()) {
             prop_assert!((n.distance - d).abs() < 1e-9,
                 "rank distance mismatch: {} vs {}", n.distance, d);
+        }
+    }
+
+    /// Points, short intervals, long spans and open ends past every start,
+    /// with starts below the others: copies on many levels, coordinates
+    /// clamped into both boundary cells. Every range and stab, inside the
+    /// domain and outside it, and every query bound equal to an interval's
+    /// start or end reports each hit once, and the access count is the one
+    /// the query returns.
+    #[test]
+    fn frozen_hint_matches_brute_force(
+        intervals in vec((-20.0..1000.0f64, prop_oneof![
+            Just(0.0),
+            0.0..5.0f64,
+            0.0..400.0f64,
+            Just(f64::MAX / 2.0),
+        ]), 0..300),
+        queries in vec((-50.0..1200.0f64, prop_oneof![Just(0.0), 0.0..60.0f64]), 1..24),
+    ) {
+        let data: Vec<(f64, f64)> = intervals
+            .iter()
+            .map(|&(start, len)| (start, (start + len).min(f64::MAX / 2.0)))
+            .collect();
+        let hint = FrozenHint::over_starts(data.len(), |i| data[i]);
+        let everything = (f64::MIN / 2.0, f64::MAX / 2.0);
+        let ranges = queries.iter().map(|&(start, len)| (start, start + len));
+        let touching = data
+            .iter()
+            .flat_map(|&(s, e)| [(s, s), (e, e), (s - 10.0, s), (e, e + 10.0)]);
+        for (qs, qe) in ranges.chain(touching).chain([everything]) {
+            let (mut got, mut scratch) = (Vec::new(), Vec::new());
+            let accesses = hint.query(qs, qe, &mut got, &mut scratch);
+            got.sort_unstable();
+            let expected: Vec<u32> = (0..data.len() as u32)
+                .filter(|&i| data[i as usize].0 <= qe && data[i as usize].1 >= qs)
+                .collect();
+            prop_assert_eq!(got, expected, "[{}, {}]", qs, qe);
+            prop_assert_eq!(hint.count_accesses(qs, qe), accesses);
         }
     }
 }
