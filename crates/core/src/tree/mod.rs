@@ -29,8 +29,7 @@ mod validate;
 
 pub use inspect::{LevelReport, TreeReport};
 pub use nearest::Neighbor;
-pub(crate) use search::finish_ids;
-pub use search::SearchCursor;
+pub use search::{finish_ids, RadixId, SearchCursor};
 
 use crate::config::IndexConfig;
 use crate::id::{NodeId, RecordId};

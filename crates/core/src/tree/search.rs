@@ -92,16 +92,46 @@ const RADIX_MIN: usize = 96;
 /// eight lose at 96–400 ids and are no faster up to 3 000.
 const RADIX_MAX_PASSES: usize = 3;
 
+/// An id [`finish_ids`] sorts: an unsigned integer of at most 64 bits, whose
+/// order is the order of [`RadixId::radix`].
+pub trait RadixId: Copy + Ord {
+    /// The id as a 64-bit digit string.
+    fn radix(self) -> u64;
+}
+
+impl RadixId for RecordId {
+    #[inline]
+    fn radix(self) -> u64 {
+        self.0
+    }
+}
+
+/// Positions into a run, such as the handles a tier's HINT returns.
+impl RadixId for u32 {
+    #[inline]
+    fn radix(self) -> u64 {
+        u64::from(self)
+    }
+}
+
 /// Sorts `ids` ascending and, when `dedup` is set, drops repeats — the one
-/// finish every search result goes through, in memory and paged.
+/// finish every search result goes through: a tree's ids, in memory and
+/// paged, and a sealed tier's handles.
 ///
 /// Long runs are sorted by an LSD radix sort on 8-bit digits, scattering
 /// into `spare` and swapping the two buffers after each pass. A digit that
 /// every id shares cannot change the order, so its pass is skipped: a
-/// 200 000-record tree's ids differ in their low three bytes only.
-pub(crate) fn finish_ids(ids: &mut Vec<RecordId>, spare: &mut Vec<RecordId>, dedup: bool) {
-    let first = ids.first().map_or(0, |r| r.0);
-    let differ = ids.iter().fold(0u64, |acc, r| acc | (r.0 ^ first));
+/// 200 000-record tree's ids differ in their low three bytes only, and a
+/// narrower id's high digits are never visited.
+///
+/// Kept out of line, one copy per id width: a generic body is instantiated
+/// in every codegen unit that calls it, and copies inlined into the
+/// tree's search entry points would change their code for a function that
+/// runs once per query.
+#[inline(never)]
+pub fn finish_ids<T: RadixId>(ids: &mut Vec<T>, spare: &mut Vec<T>, dedup: bool) {
+    let first = ids.first().map_or(0, |r| r.radix());
+    let differ = ids.iter().fold(0u64, |acc, r| acc | (r.radix() ^ first));
     let shifts = (0..u64::BITS)
         .step_by(8)
         .filter(move |&shift| (differ >> shift) & 0xff != 0);
@@ -109,9 +139,9 @@ pub(crate) fn finish_ids(ids: &mut Vec<RecordId>, spare: &mut Vec<RecordId>, ded
         ids.sort_unstable();
     } else {
         spare.truncate(ids.len());
-        spare.resize(ids.len(), RecordId(0));
+        spare.resize(ids.len(), ids[0]);
         for shift in shifts {
-            let digit = |r: &RecordId| ((r.0 >> shift) & 0xff) as usize;
+            let digit = |r: &T| ((r.radix() >> shift) & 0xff) as usize;
             let mut next = [0u32; 256];
             for r in ids.iter() {
                 next[digit(r)] += 1;
@@ -566,7 +596,7 @@ mod tests {
     }
 
     /// The radix finish against `sort_unstable` + `dedup`, on both sides of
-    /// the fallback threshold, with one reused spare buffer.
+    /// the fallback threshold, with one reused spare buffer per id width.
     #[test]
     fn radix_finish_matches_sort_and_dedup() {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -597,7 +627,7 @@ mod tests {
             &|r| r % (1 << 32),
             &|r| r,
         ];
-        let mut spare = Vec::new();
+        let (mut spare, mut narrow) = (Vec::new(), Vec::new());
         let lengths = (0..4)
             .chain(RADIX_MIN - 3..RADIX_MIN + 4)
             .chain([257, 1_000]);
@@ -613,6 +643,16 @@ mod tests {
                     let mut got = raw.clone();
                     finish_ids(&mut got, &mut spare, dedup);
                     assert_eq!(got, want, "n={n}, shape {k}, dedup={dedup}");
+                    // The same ids cut to a tier handle's width.
+                    let handle = |ids: &[RecordId]| ids.iter().map(|r| r.0 as u32).collect();
+                    let mut want: Vec<u32> = handle(&raw);
+                    want.sort_unstable();
+                    if dedup {
+                        want.dedup();
+                    }
+                    let mut got: Vec<u32> = handle(&raw);
+                    finish_ids(&mut got, &mut narrow, dedup);
+                    assert_eq!(got, want, "u32: n={n}, shape {k}, dedup={dedup}");
                 }
             }
         }

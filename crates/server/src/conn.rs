@@ -45,7 +45,9 @@
 //! [`ConcurrentIndex::snapshot`]: segidx_concurrent::ConcurrentIndex::snapshot
 //! [`ConcurrentIndex::submit_batch`]: segidx_concurrent::ConcurrentIndex::submit_batch
 
-use crate::frame::{begin_response, finish_response, put_f64, put_u64, FrameDecoder, Mode};
+use crate::frame::{
+    begin_response, finish_response, put_f64, put_u64, put_vers_row, FrameDecoder, Mode,
+};
 use crate::parser::{parse, Statement};
 use crate::server::{Shared, DIMS};
 use crate::telemetry::ConnStats;
@@ -272,18 +274,14 @@ fn render_rows(buf: &mut Vec<u8>, mut ids: Vec<RecordId>) {
 }
 
 /// `VERS <n> <id>:<key>=<value>…` over versions sorted by id (as
-/// [`TemporalTable::resolve`] returns them) — like [`render_rows`], the
-/// reply depends only on table contents, never on the backing tier layout.
+/// [`PinnedQuery::finish`] returns them) — like [`render_rows`], the reply
+/// depends only on table contents, never on the backing tier layout. Each
+/// row is formatted whole and appended once ([`put_vers_row`]).
 fn render_vers(buf: &mut Vec<u8>, versions: &[(VersionId, Version)]) {
     buf.extend_from_slice(b"VERS ");
     put_u64(buf, versions.len() as u64);
     for (id, v) in versions {
-        buf.push(b' ');
-        put_u64(buf, id.0);
-        buf.push(b':');
-        put_u64(buf, v.key);
-        buf.push(b'=');
-        put_f64(buf, v.value);
+        put_vers_row(buf, id.0, v.key, v.value);
     }
 }
 
@@ -306,10 +304,10 @@ fn render_near(buf: &mut Vec<u8>, hits: &[NearHit]) {
     }
 }
 
-/// `AS OF` / `WITHIN`: the table's lock is taken twice, briefly — to pin
-/// and to resolve — and is not held while the pinned tiers are searched or
-/// the reply is rendered, so readers on other connections overlap and a
-/// `RECORD` never queues behind either (protocol: [`PinnedQuery`]).
+/// `AS OF` / `WITHIN`: the table's lock is taken once, briefly, to pin,
+/// and is not held while the pinned tiers are searched or the reply is
+/// rendered, so readers on other connections overlap and a `RECORD` never
+/// queues behind either (protocol: [`PinnedQuery`]).
 fn temporal_read(
     shared: &Shared,
     replies: &mut Replies<'_>,
@@ -319,8 +317,7 @@ fn temporal_read(
     let pinned = pin(&shared.temporal_read());
     match pinned {
         Ok(pinned) => {
-            let searched = pinned.search();
-            let versions = shared.temporal_read().resolve(searched);
+            let versions = pinned.finish();
             replies.put(mode, |buf| render_vers(buf, &versions));
         }
         Err(e) => replies.put_text(mode, &format!("ERR exec {e}")),

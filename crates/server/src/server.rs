@@ -7,7 +7,7 @@ use crate::telemetry::ServerStats;
 use segidx_concurrent::{Builder, ConcurrentIndex};
 use segidx_core::{IndexConfig, Tree};
 use segidx_obs::{MetricsRegistry, RingBufferSink, Tracer};
-use segidx_temporal::{TemporalBackend, TemporalConfig, TemporalTable, TieredConfig};
+use segidx_temporal::{TemporalConfig, TemporalTable};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,17 +33,18 @@ pub(crate) struct Shared {
     /// The temporal table behind `RECORD` / `AS OF` / `WITHIN`, backed by
     /// the append-optimized tiered index. `RECORD` executes inline under
     /// this lock (temporal writes are not routed through the commit
-    /// queue — the tiered memtable absorbs them directly); reads hold it
-    /// only to pin and to resolve (`conn::temporal_read`).
+    /// queue — the tiered memtable absorbs them directly); a read holds it
+    /// only to pin (`conn::temporal_read`).
     pub temporal: Mutex<TemporalTable>,
 }
 
 impl Shared {
-    /// The temporal table for a read section (pin or resolve). Those take
-    /// `&TemporalTable`, so they cannot leave it half-written, and a
-    /// writer that panicked mid-update leaves every id the index or the
-    /// live set names in the catalog — so a poisoned lock is recovered,
-    /// not propagated to every later reader on every connection.
+    /// The temporal table for a read's pin. A pin takes `&TemporalTable`,
+    /// so it cannot leave it half-written, and a writer that panicked
+    /// mid-update leaves rows that were fully written — at worst a version
+    /// both closed in the index and still in the live set — so a poisoned
+    /// lock is recovered, not propagated to every later reader on every
+    /// connection.
     pub fn temporal_read(&self) -> MutexGuard<'_, TemporalTable> {
         self.temporal.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -123,15 +124,11 @@ impl Server {
 
         // The temporal table rides the append-optimized tiered index; its
         // seal/merge telemetry joins the same registry.
-        let mut table = TemporalTable::new(TemporalConfig {
-            backend: TemporalBackend::Tiered(TieredConfig::default()),
-            ..TemporalConfig::default()
-        });
+        let mut table = TemporalTable::new(TemporalConfig::default());
         let temporal_telemetry = Arc::new(segidx_temporal::TieredTelemetry::new());
         temporal_telemetry.register(&registry, &[]);
         table
             .tiered_index_mut()
-            .expect("tiered backend")
             .set_telemetry(Some(temporal_telemetry));
 
         let shared = Arc::new(Shared {

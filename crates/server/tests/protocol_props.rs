@@ -12,7 +12,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use segidx_server::frame::{
-    encode_request, encode_response, put_f64, put_u64, FrameDecoder, FrameError, Mode,
+    encode_request, encode_response, put_f64, put_u64, put_vers_row, FrameDecoder, FrameError, Mode,
 };
 use segidx_server::parser::{parse, Statement};
 use segidx_server::{Server, ServerConfig};
@@ -164,6 +164,43 @@ fn integral_heavy() -> impl Strategy<Value = f64> {
             x
         }
     })
+}
+
+/// Ids and keys at the edges of a digit count (and `u64::MAX`), or
+/// anywhere.
+fn edge_u64() -> impl Strategy<Value = u64> {
+    const EDGES: [u64; 6] = [0, 9, 10, 99, 100, u64::MAX];
+    prop_oneof![
+        1 => (0..EDGES.len()).prop_map(|i| EDGES[i]),
+        1 => any::<u64>(),
+    ]
+}
+
+/// What a `VERS` row's value must print right: `-0.0`, negatives,
+/// fractions, both sides of 1e16 and past 2^53, subnormals, infinities
+/// and NaN — or any boundary value, or any bits.
+fn vers_value() -> impl Strategy<Value = f64> {
+    const EDGES: [f64; 14] = [
+        -0.0,
+        -1.0,
+        -73_512.0,
+        0.5,
+        -1234.0625,
+        1e16 - 2.0,
+        1e16,
+        9_007_199_254_740_994.0, // 2^53 + 2
+        f64::MIN_POSITIVE / 4.0,
+        -5e-324, // the smallest subnormal
+        5e-324,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    prop_oneof![
+        2 => (0..EDGES.len()).prop_map(|i| EDGES[i]),
+        1 => integral_heavy(),
+        1 => any_bits(),
+    ]
 }
 
 /// A server every case of the wire-ordering property shares, preloaded
@@ -570,6 +607,27 @@ proptest! {
             put_f64(&mut out, x);
             prop_assert_eq!(String::from_utf8(out).unwrap(), format!("{x:?}"), "bits {:#x}", x.to_bits());
         }
+    }
+
+    /// A `VERS` row formatted whole on the stack is the bytes the
+    /// field-by-field kernel writes — and `fmt`'s.
+    #[test]
+    fn put_vers_row_is_put_u64_and_put_f64(
+        rows in vec((edge_u64(), edge_u64(), vers_value()), 1..8),
+    ) {
+        let (mut whole, mut by_field) = (Vec::new(), Vec::new());
+        for &(id, key, value) in &rows {
+            put_vers_row(&mut whole, id, key, value);
+            by_field.push(b' ');
+            put_u64(&mut by_field, id);
+            by_field.push(b':');
+            put_u64(&mut by_field, key);
+            by_field.push(b'=');
+            put_f64(&mut by_field, value);
+        }
+        prop_assert_eq!(&whole, &by_field);
+        let printed: String = rows.iter().map(|(id, key, v)| format!(" {id}:{key}={v:?}")).collect();
+        prop_assert_eq!(String::from_utf8(whole).unwrap(), printed);
     }
 
     /// Display prints a canonical form that parses back to an equal

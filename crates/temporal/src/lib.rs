@@ -10,20 +10,18 @@
 //!
 //! * [`TemporalTable::insert`] opens a new version of a key, automatically
 //!   closing the previous one — building exactly the paper's Figure 1 data;
-//! * only closed versions are indexed, once, with their real end time;
-//!   the open (current) versions, at most one per key, form a small live
-//!   set every query scans beside the index;
+//! * only closed versions are indexed, once, as keyed rows of the
+//!   [`lsm`] module's LSM: a memtable sealed into immutable tiers —
+//!   id-sorted rows plus a frozen HINT over time — with crash-consistent
+//!   checkpoints and leveled merges running on a worker thread while the
+//!   next seal fills;
+//! * the open (current) versions, at most one per key, form a small live
+//!   set every query scans beside the index; the rows and the live set are
+//!   the whole table — there is no version catalog;
 //! * [`TemporalTable::as_of`] is the temporal stab query, and
 //!   [`TemporalTable::range`] the (time window × attribute window) rectangle
-//!   query that the paper's experiments measure;
-//! * the underlying index is the SR-Tree, whose spanning records hold the
-//!   long-lived closed versions ("employees who seldom received raises");
-//! * for append-heavy streams, [`TemporalBackend::Tiered`] swaps the flat
-//!   tree for the [`lsm`] module's LSM: a memtable sealed into immutable
-//!   tiers — record-sorted columns plus a frozen HINT over time — with
-//!   crash-consistent checkpoints, leveled merges running on a worker
-//!   thread while the next seal fills, answering the same queries
-//!   bit-identically.
+//!   query that the paper's experiments measure; a tier answers both from
+//!   its rows, the query's predicate tested before anything is sorted.
 //!
 //! ```
 //! use segidx_temporal::{TemporalTable, TemporalConfig};
@@ -47,7 +45,5 @@
 pub mod lsm;
 mod table;
 
-pub use lsm::{PinnedSearch, TieredConfig, TieredTelemetry, TieredTemporalIndex};
-pub use table::{
-    PinnedQuery, TemporalBackend, TemporalConfig, TemporalError, TemporalTable, Version, VersionId,
-};
+pub use lsm::{Payload, PinnedSearch, Row, TieredConfig, TieredTelemetry, TieredTemporalIndex};
+pub use table::{PinnedQuery, TemporalConfig, TemporalError, TemporalTable, Version, VersionId};

@@ -16,6 +16,7 @@
 //! would have filtered as shadowed, so merging never changes query results.
 
 use super::tier::Tier;
+use super::Payload;
 use segidx_core::RecordId;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -24,10 +25,10 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Everything a merge needs, snapshotted at dispatch time.
-pub(crate) struct MergeJob<const D: usize> {
+pub(crate) struct MergeJob<const D: usize, P> {
     /// Input tiers (cheap `Arc` clones), ascending sequence, contiguous in
     /// the owner's tier list.
-    pub tiers: Vec<Tier<D>>,
+    pub tiers: Vec<Tier<D, P>>,
     /// Tombstone snapshot. Tombstones created after dispatch carry higher
     /// sequences than the merged tier and still shadow it at query time.
     pub tombstones: Arc<HashMap<RecordId, u64>>,
@@ -36,11 +37,11 @@ pub(crate) struct MergeJob<const D: usize> {
 }
 
 /// A finished merge, ready to splice into the tier list.
-pub(crate) struct MergeOutcome<const D: usize> {
+pub(crate) struct MergeOutcome<const D: usize, P> {
     /// Sequences of the tiers this merge consumed.
     pub input_seqs: Vec<u64>,
     /// The replacement tier (sequence = max input sequence).
-    pub tier: Tier<D>,
+    pub tier: Tier<D, P>,
     /// Entries dropped as shadowed or tombstoned.
     pub dropped: u64,
     /// Merge wall time in nanoseconds.
@@ -50,27 +51,27 @@ pub(crate) struct MergeOutcome<const D: usize> {
 /// Runs a merge to completion: walk the inputs in record-id order, keep the
 /// newest copy of each id unless a tombstone newer than its tier shadows
 /// it, and build the output tier's HINT once.
-fn run_merge<const D: usize>(job: MergeJob<D>) -> MergeOutcome<D> {
+fn run_merge<const D: usize, P: Payload>(job: MergeJob<D, P>) -> MergeOutcome<D, P> {
     let t0 = Instant::now();
     let input_seqs: Vec<u64> = job.tiers.iter().map(|t| t.seq).collect();
     let max_seq = *input_seqs.last().expect("merge of at least one tier");
     let total: usize = job.tiers.iter().map(Tier::entry_count).sum();
-    let (mut ids, mut rects) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    let mut rows = Vec::with_capacity(total);
     let mut heads = vec![0usize; job.tiers.len()];
     let mut dropped = 0u64;
     loop {
         // The smallest id at any head, and the newest input holding it.
         let mut next: Option<(RecordId, usize)> = None;
         for (i, t) in job.tiers.iter().enumerate() {
-            if let Some(&r) = t.ids().get(heads[i]) {
-                if next.map_or(true, |(m, _)| r <= m) {
-                    next = Some((r, i));
+            if let Some(r) = t.rows().get(heads[i]) {
+                if next.map_or(true, |(m, _)| r.id <= m) {
+                    next = Some((r.id, i));
                 }
             }
         }
         let Some((record, newest)) = next else { break };
         for (i, t) in job.tiers.iter().enumerate() {
-            if t.ids().get(heads[i]) == Some(&record) {
+            if t.rows().get(heads[i]).is_some_and(|r| r.id == record) {
                 heads[i] += 1;
                 dropped += u64::from(i != newest);
             }
@@ -79,11 +80,10 @@ fn run_merge<const D: usize>(job: MergeJob<D>) -> MergeOutcome<D> {
         if job.tombstones.get(&record).is_some_and(|&ts| ts > tier.seq) {
             dropped += 1;
         } else {
-            ids.push(record);
-            rects.push(tier.rect_at(heads[newest] - 1));
+            rows.push(tier.rows()[heads[newest] - 1]);
         }
     }
-    let tier = Tier::from_sorted(ids, rects, max_seq, job.level);
+    let tier = Tier::from_sorted(rows, max_seq, job.level);
     MergeOutcome {
         input_seqs,
         tier,
@@ -95,8 +95,8 @@ fn run_merge<const D: usize>(job: MergeJob<D>) -> MergeOutcome<D> {
 /// Picks the next run to merge: the lowest-level (newest) maximal run of
 /// equal-level tiers at least `fanout` long. Returns the run's index range
 /// and the output level.
-pub(crate) fn plan_run<const D: usize>(
-    tiers: &[Tier<D>],
+pub(crate) fn plan_run<const D: usize, P>(
+    tiers: &[Tier<D, P>],
     fanout: usize,
 ) -> Option<(Range<usize>, u32)> {
     if tiers.len() < fanout {
@@ -120,17 +120,17 @@ pub(crate) fn plan_run<const D: usize>(
 }
 
 /// The single merge worker. At most one job is in flight.
-pub(crate) struct MergeWorker<const D: usize> {
-    job_tx: Option<mpsc::Sender<MergeJob<D>>>,
-    result_rx: mpsc::Receiver<MergeOutcome<D>>,
+pub(crate) struct MergeWorker<const D: usize, P> {
+    job_tx: Option<mpsc::Sender<MergeJob<D, P>>>,
+    result_rx: mpsc::Receiver<MergeOutcome<D, P>>,
     handle: Option<JoinHandle<()>>,
     in_flight: bool,
 }
 
-impl<const D: usize> MergeWorker<D> {
+impl<const D: usize, P: Payload> MergeWorker<D, P> {
     pub fn spawn() -> Self {
-        let (job_tx, job_rx) = mpsc::channel::<MergeJob<D>>();
-        let (result_tx, result_rx) = mpsc::channel::<MergeOutcome<D>>();
+        let (job_tx, job_rx) = mpsc::channel::<MergeJob<D, P>>();
+        let (result_tx, result_rx) = mpsc::channel::<MergeOutcome<D, P>>();
         let handle = std::thread::Builder::new()
             .name("segidx-tier-merge".into())
             .spawn(move || {
@@ -150,7 +150,7 @@ impl<const D: usize> MergeWorker<D> {
     }
 
     /// Submits a job. Callers must ensure nothing is in flight.
-    pub fn submit(&mut self, job: MergeJob<D>) {
+    pub fn submit(&mut self, job: MergeJob<D, P>) {
         assert!(!self.in_flight, "one merge in flight at a time");
         self.job_tx
             .as_ref()
@@ -161,7 +161,7 @@ impl<const D: usize> MergeWorker<D> {
     }
 
     /// Blocks until the in-flight merge (if any) finishes.
-    pub fn wait_take(&mut self) -> Option<MergeOutcome<D>> {
+    pub fn wait_take(&mut self) -> Option<MergeOutcome<D, P>> {
         if !self.in_flight {
             return None;
         }
@@ -170,7 +170,7 @@ impl<const D: usize> MergeWorker<D> {
     }
 }
 
-impl<const D: usize> Drop for MergeWorker<D> {
+impl<const D: usize, P> Drop for MergeWorker<D, P> {
     fn drop(&mut self) {
         self.job_tx.take(); // hang up: the worker loop exits
         if let Some(handle) = self.handle.take() {

@@ -1,21 +1,13 @@
 //! The temporal table.
 
-use crate::lsm::{PinnedSearch, TieredConfig, TieredTemporalIndex};
-use segidx_core::prefetch::prefetch_slot;
-use segidx_core::{IndexConfig, RecordId, StatsSnapshot, Tree};
+use crate::lsm::{PinnedSearch, Row, TieredConfig, TieredTemporalIndex};
+use segidx_core::RecordId;
 use segidx_geom::{Interval, Rect};
-use segidx_storage::StorageError;
 use std::collections::HashMap;
 
 /// Identifier of one version of one key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct VersionId(pub u64);
-
-impl VersionId {
-    fn record(self) -> RecordId {
-        RecordId(self.0)
-    }
-}
 
 /// One version of a key: an attribute value valid over a time interval.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -30,27 +22,18 @@ pub struct Version {
     pub to: Option<f64>,
 }
 
-impl Version {
-    /// Whether the version is valid at `t` (closed-open interval
-    /// `[from, to)`, current versions open-ended).
-    pub fn valid_at(&self, t: f64) -> bool {
-        t >= self.from && self.to.map_or(true, |to| t < to)
-    }
-}
+/// A closed version as the index holds it: `[from, to] × value`, keyed.
+type VersionRow = Row<2, u64>;
 
-/// Which index structure backs a [`TemporalTable`].
-#[derive(Clone, Debug, Default)]
-pub enum TemporalBackend {
-    /// One flat in-place tree — the paper's dynamic SR-Tree.
-    #[default]
-    Flat,
-    /// The append-optimized LSM ([`TieredTemporalIndex`]): memtable
-    /// inserts, sealed immutable tiers answering time through a frozen
-    /// HINT, leveled merging. Queries are bit-identical to [`Flat`].
-    /// The `index` field of the tiered configuration is used as-is.
-    ///
-    /// [`Flat`]: TemporalBackend::Flat
-    Tiered(TieredConfig),
+/// The row of a closed version, as a table row.
+fn closed_version(row: &VersionRow) -> (VersionId, Version) {
+    let version = Version {
+        key: row.payload,
+        value: row.rect.lo(1),
+        from: row.rect.lo(0),
+        to: Some(row.rect.hi(0)),
+    };
+    (VersionId(row.id.raw()), version)
 }
 
 /// Configuration for a [`TemporalTable`].
@@ -62,20 +45,15 @@ pub struct TemporalConfig {
     /// it past any timestamp you will use. It shapes nothing in the index:
     /// open versions are not indexed at all.
     pub time_horizon: f64,
-    /// Configuration of the underlying index; defaults to the paper's
-    /// SR-Tree (spanning records hold the long-lived versions). Ignored by
-    /// the tiered backend, which carries its own index configuration.
-    pub index: IndexConfig,
-    /// The index structure versions are stored in.
-    pub backend: TemporalBackend,
+    /// Configuration of the tiered index the closed versions live in.
+    pub tiers: TieredConfig,
 }
 
 impl Default for TemporalConfig {
     fn default() -> Self {
         Self {
             time_horizon: f64::MAX / 2.0,
-            index: IndexConfig::srtree(),
-            backend: TemporalBackend::Flat,
+            tiers: TieredConfig::default(),
         }
     }
 }
@@ -99,8 +77,6 @@ pub enum TemporalError {
         /// Start of the key's current version.
         current_start: f64,
     },
-    /// The tiered backend failed to persist a seal or checkpoint.
-    Storage(String),
 }
 
 impl std::fmt::Display for TemporalError {
@@ -117,70 +93,18 @@ impl std::fmt::Display for TemporalError {
                 f,
                 "out-of-order update for key {key}: {at} < {current_start}"
             ),
-            TemporalError::Storage(e) => write!(f, "storage: {e}"),
         }
     }
 }
 
 impl std::error::Error for TemporalError {}
 
-impl From<StorageError> for TemporalError {
-    fn from(e: StorageError) -> Self {
-        TemporalError::Storage(e.to_string())
-    }
-}
-
-#[derive(Debug)]
-// Both variants boxed: a `Tree` header is ~336 bytes and the tiered
-// index (memtable + tier vec + merge worker + telemetry) is larger
-// still, so inline storage would bloat every `TemporalTable`.
-enum IndexBackend {
-    Flat(Box<Tree<2>>),
-    Tiered(Box<TieredTemporalIndex<2>>),
-}
-
-impl IndexBackend {
-    fn insert(&mut self, rect: Rect<2>, record: RecordId) -> Result<(), TemporalError> {
-        match self {
-            IndexBackend::Flat(tree) => {
-                tree.insert(rect, record);
-                Ok(())
-            }
-            IndexBackend::Tiered(t) => t.insert(rect, record).map_err(Into::into),
-        }
-    }
-
-    fn delete(&mut self, rect: &Rect<2>, record: RecordId) -> Result<bool, TemporalError> {
-        match self {
-            IndexBackend::Flat(tree) => Ok(tree.delete(rect, record)),
-            IndexBackend::Tiered(t) => t.delete(rect, record).map_err(Into::into),
-        }
-    }
-
-    fn pin(&self, query: &Rect<2>) -> IndexPin {
-        match self {
-            IndexBackend::Flat(tree) => IndexPin::Found(tree.search(query)),
-            IndexBackend::Tiered(t) => IndexPin::Tiered(t.pin(query)),
-        }
-    }
-}
-
-/// What a pin leaves to do: nothing for the flat tree (one mutable tree
-/// cannot be pinned, so it is searched during the pin), the sealed tiers'
-/// searches for the tiered index.
-#[derive(Debug)]
-enum IndexPin {
-    Found(Vec<RecordId>),
-    Tiered(PinnedSearch<2>),
-}
-
-impl IndexPin {
-    fn finish(self) -> Vec<RecordId> {
-        match self {
-            IndexPin::Found(ids) => ids,
-            IndexPin::Tiered(pinned) => pinned.finish(),
-        }
-    }
+/// A key's open version, as the live set holds it.
+#[derive(Clone, Copy, Debug)]
+struct Open {
+    id: VersionId,
+    value: f64,
+    from: f64,
 }
 
 /// Which of the rows a query's rectangle selects are part of its answer.
@@ -195,40 +119,57 @@ enum Keep {
     Lifetime { lo: f64, hi: f64 },
 }
 
-/// A query pinned by [`TemporalTable::pin_as_of`] or [`pin_within`]: the
-/// first of three steps, of which only the first and the last read the
-/// table.
+impl Keep {
+    /// Whether a version valid over `[from, to)` is kept (`to` is the
+    /// horizon for an open version).
+    fn keeps(self, from: f64, to: f64) -> bool {
+        match self {
+            Keep::All => true,
+            Keep::ValidAt(t) => from <= t && t < to,
+            Keep::Lifetime { lo, hi } => to - from >= lo && to - from <= hi,
+        }
+    }
+}
+
+/// A query pinned by [`TemporalTable::pin_as_of`] or [`pin_within`]: two
+/// steps, of which only the first reads the table.
 ///
 /// 1. **pin** (`&TemporalTable`): validate, copy the matching *open*
 ///    versions out of the live set, and — each only if its fence, the
 ///    bounding box of what it holds, meets the query — scan the memtable
-///    and take a reference to a sealed tier. This is the query's
-///    linearisation point: its answer is the table's state at the pin.
-/// 2. **[`search`]** (no table): search the pinned tiers.
-/// 3. **[`TemporalTable::resolve`]** (`&TemporalTable`): prefetch, then
-///    read, the closed versions' rows by id — closed rows never change —
-///    and merge in the open rows copied at the pin.
+///    and take a reference to a sealed tier. This is the query's only
+///    linearisation point: its answer is the table's state at the pin,
+///    whatever is recorded, sealed, merged or expired after it.
+/// 2. **[`finish`]** (no table): each pinned tier answers from its HINT,
+///    tests the query's predicate on its rows before sorting them, and
+///    hands back keyed rows; the runs and the open rows are merged by id.
 ///
-/// A server that guards the table with a lock takes it for 1 and 3 only.
+/// A server that guards the table with a lock takes it for the pin only.
 ///
 /// [`pin_within`]: TemporalTable::pin_within
-/// [`search`]: PinnedQuery::search
+/// [`finish`]: PinnedQuery::finish
 #[derive(Debug)]
 pub struct PinnedQuery {
-    /// Closed versions, by id once searched.
-    index: IndexPin,
-    /// Open versions, by value as they were at the pin.
+    /// Closed versions: the pinned tiers and the memtable's hits.
+    closed: PinnedSearch<2, u64>,
+    /// Open versions the query keeps, by value as they were at the pin.
     open: Vec<(VersionId, Version)>,
     keep: Keep,
 }
 
 impl PinnedQuery {
-    /// Searches the pinned tiers. Reads nothing of the table.
-    pub fn search(self) -> Self {
-        Self {
-            index: IndexPin::Found(self.index.finish()),
-            ..self
+    /// The query's rows, sorted by version id. Reads nothing of the table.
+    pub fn finish(self) -> Vec<(VersionId, Version)> {
+        let Self { closed, open, keep } = self;
+        let closed = closed.finish(|row| keep.keeps(row.rect.lo(0), row.rect.hi(0)));
+        // A row and a table row are the same size: this reuses the buffer.
+        let mut out: Vec<_> = closed.into_iter().map(|r| closed_version(&r)).collect();
+        if !open.is_empty() {
+            // No id is in both: a version is open or indexed.
+            out.extend(open);
+            out.sort_unstable_by_key(|(id, _)| *id);
         }
+        out
     }
 }
 
@@ -241,17 +182,18 @@ impl PinnedQuery {
 /// need to support insertion and search operations", §3.1.1 — though
 /// [`TemporalTable::expire`] is provided for retention trimming).
 ///
-/// Only *closed* versions are indexed: a version enters the index once,
-/// with its real end time, when its successor (or a delete) closes it, and
-/// never moves again. Open versions — at most one per key — live in the
-/// live set (`current`), which every query scans beside the index. The
-/// version index is either one flat tree or the tiered LSM backend
-/// ([`TemporalBackend`]); every query behaves identically on both.
+/// Only *closed* versions are indexed: a version enters the tiered index
+/// once, as a row keyed by its key, with its real end time, when its
+/// successor (or a delete) closes it, and never moves again. Open
+/// versions — at most one per key — live in the live set, which every
+/// query scans beside the index. There is no other copy of a version: the
+/// index rows and the live set are the table.
 #[derive(Debug)]
 pub struct TemporalTable {
-    index: IndexBackend,
-    versions: Vec<Version>,
-    current: HashMap<u64, VersionId>,
+    index: TieredTemporalIndex<2, u64>,
+    /// `key → its open version`.
+    live: HashMap<u64, Open>,
+    next_id: u64,
     horizon: f64,
 }
 
@@ -259,23 +201,17 @@ impl TemporalTable {
     /// Creates an empty table.
     ///
     /// # Panics
-    /// Panics if the horizon is not finite-positive or the index
+    /// Panics if the horizon is not finite-positive or the tier
     /// configuration is invalid.
     pub fn new(config: TemporalConfig) -> Self {
         assert!(
             config.time_horizon.is_finite() && config.time_horizon > 0.0,
             "time_horizon must be finite and positive"
         );
-        let index = match config.backend {
-            TemporalBackend::Flat => IndexBackend::Flat(Box::new(Tree::new(config.index))),
-            TemporalBackend::Tiered(tiered) => {
-                IndexBackend::Tiered(Box::new(TieredTemporalIndex::new(tiered)))
-            }
-        };
         Self {
-            index,
-            versions: Vec::new(),
-            current: HashMap::new(),
+            index: TieredTemporalIndex::new(config.tiers),
+            live: HashMap::new(),
+            next_id: 0,
             horizon: config.time_horizon,
         }
     }
@@ -289,13 +225,8 @@ impl TemporalTable {
     ///
     /// [`try_insert`]: TemporalTable::try_insert
     pub fn insert(&mut self, key: u64, value: f64, at: f64) -> VersionId {
-        match self.try_insert(key, value, at) {
-            Ok(id) => id,
-            Err(TemporalError::BeyondHorizon { t, .. }) => {
-                panic!("timestamp {t} beyond horizon")
-            }
-            Err(e) => panic!("{e}"),
-        }
+        self.try_insert(key, value, at)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Records that `key` took `value` at time `at`, closing the key's
@@ -310,97 +241,97 @@ impl TemporalTable {
         value: f64,
         at: f64,
     ) -> Result<VersionId, TemporalError> {
+        if let Some(open) = self.check_close(key, at)? {
+            self.close_version(key, open, at);
+        }
+        let id = VersionId(self.next_id);
+        self.next_id += 1;
+        self.live.insert(
+            key,
+            Open {
+                id,
+                value,
+                from: at,
+            },
+        );
+        Ok(id)
+    }
+
+    /// Deletes `key` at time `at`: closes its current version without
+    /// opening a new one. Returns `false` if the key has no open version.
+    ///
+    /// # Panics
+    /// Panics on any [`TemporalError`], as [`insert`](Self::insert) does —
+    /// see [`try_delete_key`](Self::try_delete_key).
+    pub fn delete_key(&mut self, key: u64, at: f64) -> bool {
+        self.try_delete_key(key, at)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Deletes `key` at time `at`, or fails as [`try_insert`] would: at or
+    /// beyond the horizon, or before the key's open version started.
+    /// Returns `false` if the key has no open version.
+    ///
+    /// [`try_insert`]: TemporalTable::try_insert
+    pub fn try_delete_key(&mut self, key: u64, at: f64) -> Result<bool, TemporalError> {
+        let Some(open) = self.check_close(key, at)? else {
+            return Ok(false);
+        };
+        self.live.remove(&key);
+        self.close_version(key, open, at);
+        Ok(true)
+    }
+
+    /// The checks a write at `at` to `key` makes, and the open version it
+    /// would close.
+    fn check_close(&self, key: u64, at: f64) -> Result<Option<Open>, TemporalError> {
         if at >= self.horizon {
             return Err(TemporalError::BeyondHorizon {
                 t: at,
                 horizon: self.horizon,
             });
         }
-        if let Some(&open) = self.current.get(&key) {
-            let prev = self.versions[open.0 as usize];
-            if at < prev.from {
-                return Err(TemporalError::OutOfOrder {
-                    key,
-                    at,
-                    current_start: prev.from,
-                });
-            }
-            self.close_version(open, at)?;
-        }
-        let id = VersionId(self.versions.len() as u64);
-        self.versions.push(Version {
-            key,
-            value,
-            from: at,
-            to: None,
-        });
-        self.current.insert(key, id);
-        Ok(id)
-    }
-
-    /// Deletes `key` at time `at`: closes its current version without
-    /// opening a new one. Returns `false` if the key has no open version.
-    pub fn delete_key(&mut self, key: u64, at: f64) -> bool {
-        match self.current.remove(&key) {
-            Some(open) => {
-                self.close_version(open, at).expect("close version");
-                true
-            }
-            None => false,
+        let open = self.live.get(&key).copied();
+        match open {
+            Some(open) if at < open.from => Err(TemporalError::OutOfOrder {
+                key,
+                at,
+                current_start: open.from,
+            }),
+            _ => Ok(open),
         }
     }
 
-    /// Physically removes a closed version from the index and catalog slot
-    /// (retention trimming). Current versions cannot be expired. Returns
-    /// `false` if the version is open or was already expired.
+    /// Indexes a version closing at `at` — its only index operation. The
+    /// table's tiers have no disk, so a seal cannot fail.
+    fn close_version(&mut self, key: u64, open: Open, at: f64) {
+        let rect = Rect::new([open.from, open.value], [at, open.value]);
+        let row = Row::new(RecordId(open.id.0), rect, key);
+        self.index.insert_row(row).expect("an in-memory seal");
+    }
+
+    /// Physically removes a closed version from the index (retention
+    /// trimming). Current versions cannot be expired. Returns `false` if
+    /// the version is open or was already expired.
     pub fn expire(&mut self, id: VersionId) -> bool {
-        let Some(v) = self.versions.get(id.0 as usize).copied() else {
+        let Some(row) = self.index.get(RecordId(id.0)) else {
             return false;
         };
-        if v.to.is_none() || v.from.is_nan() {
-            return false;
-        }
-        let removed = self
-            .index
-            .delete(&self.rect_of(id), id.record())
-            .expect("expire");
-        if removed {
-            // Tombstone the catalog entry.
-            self.versions[id.0 as usize].from = f64::NAN;
-        }
-        removed
-    }
-
-    /// Closes an open version and indexes it — its only index operation.
-    fn close_version(&mut self, id: VersionId, at: f64) -> Result<(), TemporalError> {
-        let v = &mut self.versions[id.0 as usize];
-        debug_assert!(v.to.is_none());
-        v.to = Some(at.max(v.from));
-        self.index.insert(self.rect_of(id), id.record())
-    }
-
-    /// The indexed rectangle of a closed version.
-    fn rect_of(&self, id: VersionId) -> Rect<2> {
-        let v = self.versions[id.0 as usize];
-        let to = v.to.expect("only closed versions are indexed");
-        Rect::new([v.from, v.value], [to, v.value])
+        self.index.delete(&row.rect, row.id).expect("expire")
     }
 
     /// Looks up a version.
     pub fn version(&self, id: VersionId) -> Option<Version> {
-        let v = *self.versions.get(id.0 as usize)?;
-        if v.from.is_nan() {
-            None // expired
-        } else {
-            Some(v)
+        if let Some(row) = self.index.get(RecordId(id.0)) {
+            return Some(closed_version(&row).1);
         }
+        let (&key, open) = self.live.iter().find(|(_, o)| o.id == id)?;
+        Some(open_version(key, open).1)
     }
 
     /// The key's current (open) value, if any.
     pub fn current_value(&self, key: u64) -> Option<f64> {
-        self.current
-            .get(&key)
-            .map(|id| self.versions[id.0 as usize].value)
+        self.live.get(&key).map(|o| o.value)
     }
 
     /// All versions valid at time `t` — the temporal stab query
@@ -418,7 +349,7 @@ impl TemporalTable {
     /// All versions valid at time `t`, or [`TemporalError::BeyondHorizon`]
     /// if `t >= time_horizon`.
     pub fn try_as_of(&self, t: f64) -> Result<Vec<(VersionId, Version)>, TemporalError> {
-        Ok(self.resolve(self.pin_as_of(t)?))
+        Ok(self.pin_as_of(t)?.finish())
     }
 
     /// All versions whose validity overlaps `time` and whose value lies in
@@ -443,7 +374,7 @@ impl TemporalTable {
         value: Interval,
     ) -> Result<Vec<(VersionId, Version)>, TemporalError> {
         let query = Rect::from_intervals([time, value]);
-        Ok(self.resolve(self.pin(query, Keep::All)?))
+        Ok(self.pin(query, Keep::All)?.finish())
     }
 
     /// Range × duration query (the streaming shape of the range-duration
@@ -456,7 +387,7 @@ impl TemporalTable {
         dur_lo: f64,
         dur_hi: f64,
     ) -> Result<Vec<(VersionId, Version)>, TemporalError> {
-        Ok(self.resolve(self.pin_within(time, dur_lo, dur_hi)?))
+        Ok(self.pin_within(time, dur_lo, dur_hi)?.finish())
     }
 
     /// Pins [`try_as_of`](Self::try_as_of); see [`PinnedQuery`].
@@ -490,94 +421,46 @@ impl TemporalTable {
         // An open version lasts from its start to the horizon, which the
         // window was just checked to start before.
         let open = self
-            .current
-            .values()
-            .map(|&id| (id, self.versions[id.0 as usize]))
-            .filter(|(_, v)| {
-                v.from <= query.hi(0) && query.lo(1) <= v.value && v.value <= query.hi(1)
+            .live
+            .iter()
+            .filter(|(_, o)| {
+                o.from <= query.hi(0)
+                    && query.lo(1) <= o.value
+                    && o.value <= query.hi(1)
+                    && keep.keeps(o.from, self.horizon)
             })
+            .map(|(&key, o)| open_version(key, o))
             .collect();
-        let index = self.index.pin(&query);
-        Ok(PinnedQuery { index, open, keep })
-    }
-
-    /// Turns a pinned query into rows, sorted by version id: the last step
-    /// of a [`PinnedQuery`] (searching it first if the caller has not). A
-    /// version expired since the pin is left out.
-    pub fn resolve(&self, pinned: PinnedQuery) -> Vec<(VersionId, Version)> {
-        let PinnedQuery {
-            index,
-            mut open,
-            keep,
-        } = pinned;
-        let kept = |v: &Version| match keep {
-            Keep::All => !v.from.is_nan(),
-            Keep::ValidAt(t) => v.valid_at(t),
-            Keep::Lifetime { lo, hi } => {
-                let dur = v.to.unwrap_or(self.horizon) - v.from;
-                dur >= lo && dur <= hi
-            }
-        };
-        // The hits name rows scattered over the whole catalog: ask for all
-        // of them before reading the first, so the misses overlap.
-        let closed = index.finish();
-        for r in &closed {
-            prefetch_slot(&self.versions, r.raw() as usize);
-        }
-        // Closed ids come sorted from the index; the open rows (few: one
-        // per key at most, copied out of a hash map) are sorted here and
-        // merged in. No id is in both — a version is open or indexed.
-        debug_assert!(closed.windows(2).all(|w| w[0] < w[1]));
-        open.retain(|(_, v)| kept(v));
-        open.sort_unstable_by_key(|(id, _)| *id);
-        let mut open = open.into_iter().peekable();
-        let mut out = Vec::with_capacity(closed.len() + open.len());
-        for r in closed {
-            let id = VersionId(r.raw());
-            while let Some(row) = open.next_if(|(o, _)| *o < id) {
-                out.push(row);
-            }
-            let v = self.versions[r.raw() as usize];
-            if kept(&v) {
-                out.push((id, v));
-            }
-        }
-        out.extend(open);
-        out
+        let closed = self.index.pin(&query);
+        Ok(PinnedQuery { closed, open, keep })
     }
 
     /// The full history of one key, oldest first.
     pub fn history_of(&self, key: u64) -> Vec<(VersionId, Version)> {
-        let mut out: Vec<(VersionId, Version)> = self
-            .versions
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.key == key && !v.from.is_nan())
-            .map(|(i, v)| (VersionId(i as u64), *v))
-            .collect();
-        out.sort_by(|a, b| a.1.from.partial_cmp(&b.1.from).unwrap());
+        let closed = self.index.rows().filter(|r| r.payload == key);
+        let mut out: Vec<_> = closed.map(closed_version).collect();
+        out.extend(self.live.get(&key).map(|o| open_version(key, o)));
+        // A key's versions start in id order: history is appended in time
+        // order per key.
+        out.sort_unstable_by_key(|(id, _)| *id);
         out
     }
 
     /// All currently open versions, sorted by key.
     pub fn current(&self) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = self
-            .current
-            .iter()
-            .map(|(&k, id)| (k, self.versions[id.0 as usize].value))
-            .collect();
+        let mut out: Vec<(u64, f64)> = self.live.iter().map(|(&k, o)| (k, o.value)).collect();
         out.sort_by_key(|(k, _)| *k);
         out
     }
 
-    /// Total versions recorded (including expired slots).
+    /// Total versions recorded (including expired ones).
     pub fn version_count(&self) -> usize {
-        self.versions.len()
+        self.next_id as usize
     }
 
     /// Number of keys with an open version.
     pub fn key_count(&self) -> usize {
-        self.current.len()
+        self.live.len()
     }
 
     /// The configured time horizon.
@@ -585,47 +468,28 @@ impl TemporalTable {
         self.horizon
     }
 
-    /// Index statistics (the paper's node-access counters).
-    ///
-    /// # Panics
-    /// Panics on the tiered backend, which has no single tree to report.
-    pub fn index_stats(&self) -> StatsSnapshot {
-        match &self.index {
-            IndexBackend::Flat(tree) => tree.stats(),
-            IndexBackend::Tiered(_) => panic!("index_stats: tiered backend"),
-        }
-    }
-
-    /// The underlying flat index, for inspection.
-    ///
-    /// # Panics
-    /// Panics on the tiered backend; use [`tiered_index`].
-    ///
-    /// [`tiered_index`]: TemporalTable::tiered_index
-    pub fn index(&self) -> &Tree<2> {
-        match &self.index {
-            IndexBackend::Flat(tree) => tree,
-            IndexBackend::Tiered(_) => panic!("index(): tiered backend"),
-        }
-    }
-
-    /// The underlying tiered index, when the table uses the tiered
-    /// backend.
-    pub fn tiered_index(&self) -> Option<&TieredTemporalIndex<2>> {
-        match &self.index {
-            IndexBackend::Tiered(t) => Some(t),
-            IndexBackend::Flat(_) => None,
-        }
+    /// The tiered index holding the closed versions (inspection: tier
+    /// profile, invariants).
+    pub fn tiered_index(&self) -> &TieredTemporalIndex<2, u64> {
+        &self.index
     }
 
     /// Mutable access to the tiered index (sealing, merge draining,
-    /// telemetry), when the table uses the tiered backend.
-    pub fn tiered_index_mut(&mut self) -> Option<&mut TieredTemporalIndex<2>> {
-        match &mut self.index {
-            IndexBackend::Tiered(t) => Some(t),
-            IndexBackend::Flat(_) => None,
-        }
+    /// telemetry).
+    pub fn tiered_index_mut(&mut self) -> &mut TieredTemporalIndex<2, u64> {
+        &mut self.index
     }
+}
+
+/// An open version, as a table row.
+fn open_version(key: u64, open: &Open) -> (VersionId, Version) {
+    let version = Version {
+        key,
+        value: open.value,
+        from: open.from,
+        to: None,
+    };
+    (open.id, version)
 }
 
 #[cfg(test)]
@@ -642,12 +506,11 @@ mod tests {
     fn tiered_table(seal_threshold: usize) -> TemporalTable {
         TemporalTable::new(TemporalConfig {
             time_horizon: 10_000.0,
-            backend: TemporalBackend::Tiered(TieredConfig {
+            tiers: TieredConfig {
                 seal_threshold,
                 level_fanout: 2,
                 ..TieredConfig::default()
-            }),
-            ..TemporalConfig::default()
+            },
         })
     }
 
@@ -719,9 +582,13 @@ mod tests {
             let end = v.to.unwrap_or(10_000.0);
             assert!(v.from <= time.hi() && end >= time.lo());
         }
-        // Differential check against the catalog.
-        let expected = t
-            .versions
+        // Differential check against every key's history.
+        let all: Vec<Version> = (0..200)
+            .flat_map(|k| t.history_of(k))
+            .map(|(_, v)| v)
+            .collect();
+        assert_eq!(all.len(), 1_000);
+        let expected = all
             .iter()
             .filter(|v| {
                 let end = v.to.unwrap_or(10_000.0);
@@ -742,6 +609,65 @@ mod tests {
         assert!(t.version(v1).is_none());
         assert!(t.as_of(5.0).is_empty(), "expired version gone from index");
         assert_eq!(t.as_of(12.0).len(), 1);
+    }
+
+    #[test]
+    fn a_delete_makes_the_checks_an_insert_makes() {
+        // Regression: a delete before the open version's start used to
+        // record a zero-length version at the start, and one at or past
+        // the horizon was accepted.
+        let mut t = table();
+        t.insert(1, 5.0, 100.0);
+        let early = t.try_delete_key(1, 50.0);
+        assert!(matches!(early, Err(TemporalError::OutOfOrder { at, .. }) if at == 50.0));
+        let late = t.try_delete_key(1, 10_000.0);
+        assert!(matches!(late, Err(TemporalError::BeyondHorizon { .. })));
+        assert!(
+            t.try_delete_key(2, 10_001.0).is_err(),
+            "even with no open version"
+        );
+        // Nothing was closed or recorded by the refusals.
+        assert_eq!(t.current_value(1), Some(5.0));
+        assert_eq!(t.history_of(1).len(), 1);
+        assert_eq!(t.tiered_index().len(), 0);
+        assert_eq!(
+            t.try_delete_key(1, 100.0),
+            Ok(true),
+            "at the start is in order"
+        );
+        assert_eq!(t.history_of(1)[0].1.to, Some(100.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-order")]
+    fn out_of_order_delete_panics() {
+        let mut t = table();
+        t.insert(1, 5.0, 100.0);
+        t.delete_key(1, 99.0);
+    }
+
+    #[test]
+    fn a_read_answers_as_of_its_pin() {
+        // The pin is the only linearisation point: what is recorded,
+        // sealed, merged or expired after it does not reach the answer.
+        let mut t = tiered_table(4);
+        let mut ids = Vec::new();
+        for i in 0..12u64 {
+            ids.push(t.insert(i, i as f64, 0.0));
+            t.delete_key(i, 10.0 + i as f64);
+        }
+        let pinned = t.pin_as_of(5.0).unwrap();
+        let within = t.pin_within(Interval::new(0.0, 50.0), 0.0, 100.0).unwrap();
+        let before = t.as_of(5.0);
+        assert_eq!(before.len(), 12);
+        for id in &ids[..6] {
+            assert!(t.expire(*id));
+        }
+        t.insert(100, 1.0, 2.0);
+        t.tiered_index_mut().compact().unwrap();
+        assert_eq!(t.as_of(5.0).len(), 7, "the table moved on");
+        assert_eq!(pinned.finish(), before, "the pinned read did not");
+        assert_eq!(within.finish().len(), 12);
     }
 
     #[test]
@@ -806,39 +732,12 @@ mod tests {
     }
 
     #[test]
-    fn long_lived_closed_versions_become_spanning_records() {
-        let mut t = table();
-        // Many short-lived versions plus a few that lasted a hundred times
-        // longer before they closed: the paper's skew. Once closed, the
-        // long ones should sit in the SR-Tree as spanning records.
-        for key in 0..2_000u64 {
-            let at = (key % 100) as f64 * 10.0;
-            t.insert(key, (key % 500) as f64, at);
-            if key % 40 == 0 {
-                t.insert(key, (key % 500) as f64 + 1.0, at + 5_000.0);
-            } else {
-                t.insert(key, (key % 500) as f64 + 1.0, at + 2.0);
-                t.insert(key, (key % 500) as f64 + 2.0, at + 4.0);
-            }
-        }
-        let stats = t.index_stats();
-        assert!(stats.spanning_stores > 0, "long closed versions span nodes");
-        assert!(t.index().check_invariants().is_empty());
-        // Open versions are in no tree: the index holds the closed ones.
-        assert_eq!(t.index().len(), t.version_count() - t.key_count());
-        // Yet every open version is visible at a late time.
-        let late = t.as_of(9_999.0);
-        assert_eq!(late.len(), t.key_count());
-        assert!(late.iter().all(|(_, v)| v.to.is_none()));
-    }
-
-    #[test]
     fn an_update_is_one_index_insert_and_no_delete() {
         let mut t = tiered_table(16);
         for i in 0..400u64 {
             t.insert(i % 8, i as f64, i as f64);
         }
-        let index = t.tiered_index().unwrap();
+        let index = t.tiered_index();
         index.assert_invariants();
         assert!(index.tier_count() > 1, "several seals: {index:?}");
         assert_eq!(index.tombstone_count(), 0, "nothing was ever deleted");
@@ -847,8 +746,8 @@ mod tests {
     }
 
     #[test]
-    fn index_and_catalog_stay_consistent_under_churn() {
-        let mut t = table();
+    fn index_and_live_set_stay_consistent_under_churn() {
+        let mut t = tiered_table(64);
         for round in 0..50u64 {
             for key in 0..40u64 {
                 t.insert(key, (round * 40 + key) as f64, round as f64 * 10.0);
@@ -861,48 +760,17 @@ mod tests {
             let w = t.as_of(probe);
             assert_eq!(w.len(), 40, "every key valid at {probe}");
         }
-        assert!(t.index().check_invariants().is_empty());
+        t.tiered_index().assert_invariants();
+        assert_eq!(t.tiered_index().len(), 2_000 - 40);
+        let history = t.history_of(7);
+        assert_eq!(history.len(), 50);
+        assert!(history.windows(2).all(|w| w[0].1.to == Some(w[1].1.from)));
+        assert_eq!(t.version(history[3].0), Some(history[3].1));
+        assert_eq!(t.version(history[49].0), Some(history[49].1), "open");
     }
 
     #[test]
-    fn tiered_backend_answers_identically_under_churn() {
-        let mut flat = table();
-        let mut tiered = tiered_table(64); // force many seals and merges
-        for round in 0..30u64 {
-            for key in 0..25u64 {
-                let value = ((round * 25 + key) % 97) as f64;
-                let at = round as f64 * 10.0 + (key % 5) as f64;
-                flat.insert(key, value, at);
-                tiered.insert(key, value, at);
-            }
-            if round % 7 == 3 {
-                let key = round % 25;
-                let at = round as f64 * 10.0 + 6.0;
-                assert_eq!(flat.delete_key(key, at), tiered.delete_key(key, at));
-            }
-        }
-        tiered
-            .tiered_index()
-            .expect("tiered backend")
-            .assert_invariants();
-        assert!(tiered.tiered_index().unwrap().tier_count() > 1);
-        for probe in [5.0, 42.0, 123.0, 250.0, 299.0] {
-            assert_eq!(flat.as_of(probe), tiered.as_of(probe), "as_of {probe}");
-        }
-        for (lo, hi) in [(0.0, 300.0), (50.0, 60.0), (120.0, 180.0)] {
-            let time = Interval::new(lo, hi);
-            let value = Interval::new(10.0, 80.0);
-            assert_eq!(flat.range(time, value), tiered.range(time, value));
-            assert_eq!(
-                flat.try_within(time, 2.0, 40.0).unwrap(),
-                tiered.try_within(time, 2.0, 40.0).unwrap()
-            );
-        }
-        assert_eq!(flat.current(), tiered.current());
-    }
-
-    #[test]
-    fn tiered_backend_supports_expire() {
+    fn expire_reaches_sealed_versions() {
         let mut t = tiered_table(8);
         let mut ids = Vec::new();
         for i in 0..40u64 {

@@ -1,5 +1,5 @@
-//! Property tests: the temporal table, on both backends, against a naive
-//! version log.
+//! Property tests: the temporal table, at two tier shapes, against a naive
+//! version log (`model/`).
 //!
 //! Only closed versions are indexed; open ones are answered from the live
 //! set. The model knows nothing of that split, so every query here checks
@@ -9,9 +9,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use segidx_geom::Interval;
-use segidx_temporal::{
-    TemporalBackend, TemporalConfig, TemporalTable, TieredConfig, Version, VersionId,
-};
+use segidx_temporal::{TemporalConfig, TemporalTable, TieredConfig, VersionId};
+
+mod model;
+use model::Model;
 
 const HORIZON: f64 = 10_000.0;
 /// A key no generated op touches: its only version stays open throughout.
@@ -42,82 +43,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Naive model: every version ever recorded, by id, and which are expired.
-#[derive(Default)]
-struct Model {
-    versions: Vec<Version>,
-    expired: Vec<bool>,
-    open: std::collections::BTreeMap<u64, usize>,
-    clock: std::collections::HashMap<u64, f64>,
-}
-
-impl Model {
-    fn tick(&mut self, key: u64, advance: f64) -> f64 {
-        let t = self.clock.get(&key).copied().unwrap_or(0.0) + advance;
-        self.clock.insert(key, t);
-        t
-    }
-
-    fn close(&mut self, slot: usize, at: f64) {
-        let v = &mut self.versions[slot];
-        v.to = Some(at.max(v.from));
-    }
-
-    fn update(&mut self, key: u64, value: f64, at: f64) {
-        if let Some(slot) = self.open.insert(key, self.versions.len()) {
-            self.close(slot, at);
-        }
-        self.versions.push(Version {
-            key,
-            value,
-            from: at,
-            to: None,
-        });
-        self.expired.push(false);
-    }
-
-    fn select(&self, keep: impl Fn(&Version) -> bool) -> Vec<(VersionId, Version)> {
-        self.versions
-            .iter()
-            .enumerate()
-            .filter(|&(slot, v)| !self.expired[slot] && keep(v))
-            .map(|(slot, v)| (VersionId(slot as u64), *v))
-            .collect()
-    }
-
-    fn as_of(&self, t: f64) -> Vec<(VersionId, Version)> {
-        self.select(|v| t >= v.from && v.to.map_or(true, |to| t < to))
-    }
-
-    /// Closed-interval overlap, open versions lasting to the horizon.
-    fn range(&self, time: Interval, value: Interval) -> Vec<(VersionId, Version)> {
-        self.select(|v| {
-            v.from <= time.hi() && v.to.unwrap_or(HORIZON) >= time.lo() && value.contains(v.value)
-        })
-    }
-
-    fn within(&self, time: Interval, lo: f64, hi: f64) -> Vec<(VersionId, Version)> {
-        let everything = Interval::new(f64::MIN / 2.0, f64::MAX / 2.0);
-        let mut out = self.range(time, everything);
-        out.retain(|(_, v)| {
-            let dur = v.to.unwrap_or(HORIZON) - v.from;
-            dur >= lo && dur <= hi
-        });
-        out
-    }
-}
-
-fn backends() -> [TemporalBackend; 2] {
+/// Tier shapes: the default, where a case never fills the memtable, and
+/// tiny tiers, where the stream crosses many seals and merges and expiries
+/// meet sealed copies (tombstones) as well as buffered ones.
+fn tier_configs() -> [TieredConfig; 2] {
     [
-        TemporalBackend::Flat,
-        // Tiny tiers: the stream crosses many seals and merges, and
-        // expiries meet sealed copies (tombstones) as well as buffered ones.
-        TemporalBackend::Tiered(TieredConfig {
+        TieredConfig::default(),
+        TieredConfig {
             seal_threshold: 6,
             level_fanout: 2,
             tombstone_limit: 8,
             ..TieredConfig::default()
-        }),
+        },
     ]
 }
 
@@ -129,13 +66,12 @@ proptest! {
         ops in vec(op_strategy(), 1..140),
         probes in vec(0.0..600.0f64, 1..8),
     ) {
-        for backend in backends() {
+        for tiers in tier_configs() {
             let mut table = TemporalTable::new(TemporalConfig {
                 time_horizon: HORIZON,
-                backend,
-                ..TemporalConfig::default()
+                tiers,
             });
-            let mut model = Model::default();
+            let mut model = Model::new(HORIZON);
             model.update(LONER, 7.0, 3.0);
             table.insert(LONER, 7.0, 3.0);
 
@@ -149,20 +85,15 @@ proptest! {
                     }
                     Op::Delete { key, advance } => {
                         let t = model.clock.get(&key).copied().unwrap_or(0.0) + advance;
-                        let open = model.open.remove(&key);
-                        prop_assert_eq!(table.delete_key(key, t), open.is_some());
-                        if let Some(slot) = open {
+                        let closed = model.delete(key, t);
+                        prop_assert_eq!(table.delete_key(key, t), closed);
+                        if closed {
                             model.tick(key, advance);
-                            model.close(slot, t);
                         }
                     }
                     Op::Expire { slot } => {
-                        let can = model.versions.get(slot).is_some_and(|v| v.to.is_some())
-                            && !model.expired[slot];
-                        prop_assert_eq!(table.expire(VersionId(slot as u64)), can);
-                        if can {
-                            model.expired[slot] = true;
-                        }
+                        let id = VersionId(slot as u64);
+                        prop_assert_eq!(table.expire(id), model.expire(id));
                     }
                 }
             }
@@ -192,35 +123,38 @@ proptest! {
                     "open lifetimes from {}", t
                 );
             }
-            // The key whose only version is open is in no tree, and seen.
+            // Bands that are one lifetime wide, at its start: both edges of
+            // the band hold exactly that lifetime, closed or open.
+            for v in &model.versions {
+                let dur = v.to.unwrap_or(HORIZON) - v.from;
+                let at = Interval::new(v.from, v.from);
+                prop_assert_eq!(
+                    table.try_within(at, dur, dur).unwrap(),
+                    model.within(at, dur, dur),
+                    "lifetime band [{}, {}] at {}", dur, dur, v.from
+                );
+            }
+            // The key whose only version is open is in no tier, and seen.
             prop_assert!(table.as_of(3.0).iter().any(|(_, v)| v.key == LONER));
             prop_assert!(!table.as_of(2.9).iter().any(|(_, v)| v.key == LONER));
 
-            let current: Vec<(u64, f64)> = model
-                .open
-                .iter()
-                .map(|(&key, &slot)| (key, model.versions[slot].value))
-                .collect();
-            prop_assert_eq!(table.current(), current);
+            prop_assert_eq!(table.current(), model.current());
             prop_assert_eq!(table.key_count(), model.open.len());
             prop_assert_eq!(table.version_count(), model.versions.len());
             for (slot, &expired) in model.expired.iter().enumerate() {
-                prop_assert_eq!(table.version(VersionId(slot as u64)).is_none(), expired);
+                let id = VersionId(slot as u64);
+                let want = (!expired).then_some(model.versions[slot]);
+                prop_assert_eq!(table.version(id), want, "version {}", slot);
+            }
+            for key in (0..20).chain([LONER]) {
+                let history = model.select(|v| v.key == key);
+                prop_assert_eq!(table.history_of(key), history, "history {}", key);
             }
 
             // Structure stays sound, and holds the closed versions only.
-            let closed = model.select(|v| v.to.is_some()).len();
-            match table.tiered_index() {
-                Some(tiered) => {
-                    tiered.assert_invariants();
-                    prop_assert_eq!(tiered.len(), closed);
-                }
-                None => {
-                    let issues = table.index().check_invariants();
-                    prop_assert!(issues.is_empty(), "{issues:?}");
-                    prop_assert_eq!(table.index().len(), closed);
-                }
-            }
+            let tiered = table.tiered_index();
+            tiered.assert_invariants();
+            prop_assert_eq!(tiered.len(), model.select(|v| v.to.is_some()).len());
         }
     }
 }

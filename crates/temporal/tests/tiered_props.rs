@@ -1,5 +1,6 @@
 //! Differential property tests: the tiered LSM index against the flat
-//! single-tree model, and the tiered-backend table against the flat table.
+//! single-tree model, and the table on small tiers against the brute-force
+//! version log (`model/`).
 //!
 //! Seals and merges are forced mid-stream (tiny thresholds plus explicit
 //! `seal`/`compact` ops) so every query races the full tier lifecycle:
@@ -17,8 +18,11 @@ use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::{Interval, Rect};
 use segidx_storage::DiskManager;
 use segidx_temporal::{
-    TemporalBackend, TemporalConfig, TemporalTable, TieredConfig, TieredTemporalIndex,
+    TemporalConfig, TemporalTable, TieredConfig, TieredTemporalIndex, VersionId,
 };
+
+mod model;
+use model::Model;
 
 const HORIZON: f64 = 1_000.0;
 
@@ -186,65 +190,66 @@ proptest! {
             prop_assert_eq!(tiered.search(&all), flat.search(&all));
             let q = Rect::new([start, 0.0], [start + len, 100.0]);
             prop_assert_eq!(tiered.search(&q), flat.search(&q));
-            prop_assert_eq!(tiered.pin(&q).finish(), flat.search(&q));
+            let rows = tiered.pin(&q).finish(|_| true);
+            let ids: Vec<RecordId> = rows.iter().map(|r| r.id).collect();
+            prop_assert_eq!(ids, flat.search(&q));
+            // A predicate tested in each tier before the sort keeps exactly
+            // the rows it accepts, in the same order.
+            let short = |r: &Rect<2>| r.hi(0) - r.lo(0) < 40.0;
+            let kept = tiered.pin(&q).finish(|r| short(&r.rect));
+            let want: Vec<_> = rows.into_iter().filter(|r| short(&r.rect)).collect();
+            prop_assert_eq!(kept, want);
         }
         tiered.flush_merges().unwrap();
         tiered.assert_invariants();
         prop_assert_eq!(tiered.search(&all), flat.search(&all));
     }
 
-    /// The tiered-backend table answers `as_of`/`range`/`within` exactly
-    /// like the flat-backend table under version churn, expiry, and forced
-    /// seals/compactions.
+    /// The table on small tiers answers `as_of`/`range`/`within` exactly
+    /// like the brute-force version log under version churn, expiry, and
+    /// forced seals/compactions.
     #[test]
-    fn tiered_table_matches_flat_table(
+    fn tiered_table_matches_model(
         ops in vec(op_strategy(), 1..150),
         probes in vec(0.0..HORIZON, 1..8),
     ) {
-        let mut flat = TemporalTable::new(TemporalConfig {
+        let mut table = TemporalTable::new(TemporalConfig {
             time_horizon: HORIZON * 10.0,
-            ..TemporalConfig::default()
+            tiers: tiered_config(8),
         });
-        let mut tiered = TemporalTable::new(TemporalConfig {
-            time_horizon: HORIZON * 10.0,
-            backend: TemporalBackend::Tiered(tiered_config(8)),
-            ..TemporalConfig::default()
-        });
-        let mut clock: std::collections::HashMap<u64, f64> = Default::default();
+        let mut model = Model::new(HORIZON * 10.0);
         for op in &ops {
-            match op {
+            match *op {
                 Op::Update { key, value, advance } => {
-                    let t = clock.get(key).copied().unwrap_or(0.0) + advance;
-                    clock.insert(*key, t);
-                    flat.insert(*key, *value, t);
-                    tiered.insert(*key, *value, t);
+                    let t = model.tick(key, advance);
+                    table.insert(key, value, t);
+                    model.update(key, value, t);
                 }
                 Op::Delete { key, advance } => {
-                    let t = clock.get(key).copied().unwrap_or(0.0) + advance;
-                    clock.insert(*key, t);
-                    prop_assert_eq!(flat.delete_key(*key, t), tiered.delete_key(*key, t));
+                    let t = model.tick(key, advance);
+                    prop_assert_eq!(table.delete_key(key, t), model.delete(key, t));
                 }
                 Op::Expire { slot } => {
-                    let id = segidx_temporal::VersionId(*slot as u64);
-                    prop_assert_eq!(flat.expire(id), tiered.expire(id));
+                    let id = VersionId(slot as u64);
+                    prop_assert_eq!(table.expire(id), model.expire(id));
                 }
-                Op::Seal => tiered.tiered_index_mut().unwrap().seal().unwrap(),
-                Op::Compact => tiered.tiered_index_mut().unwrap().compact().unwrap(),
+                Op::Seal => table.tiered_index_mut().seal().unwrap(),
+                Op::Compact => table.tiered_index_mut().compact().unwrap(),
             }
         }
-        tiered.tiered_index().unwrap().assert_invariants();
+        table.tiered_index().assert_invariants();
         for &t in &probes {
-            prop_assert_eq!(flat.as_of(t), tiered.as_of(t), "as_of({})", t);
+            prop_assert_eq!(table.as_of(t), model.as_of(t), "as_of({})", t);
             let window = Interval::new(t, t + 120.0);
             let band = Interval::new(-200.0, 200.0);
-            prop_assert_eq!(flat.range(window, band), tiered.range(window, band));
+            prop_assert_eq!(table.range(window, band), model.range(window, band));
             prop_assert_eq!(
-                flat.try_within(window, 5.0, 60.0).unwrap(),
-                tiered.try_within(window, 5.0, 60.0).unwrap()
+                table.try_within(window, 5.0, 60.0).unwrap(),
+                model.within(window, 5.0, 60.0)
             );
         }
-        prop_assert_eq!(flat.current(), tiered.current());
-        prop_assert_eq!(flat.version_count(), tiered.version_count());
+        prop_assert_eq!(table.current(), model.current());
+        prop_assert_eq!(table.version_count(), model.versions.len());
     }
 
     /// Fenced search ≡ the flat model where fences are decided: on queries
@@ -292,9 +297,8 @@ proptest! {
         }
         tiered.assert_invariants();
         for q in seen.iter().flat_map(edge_queries) {
-            let expected = flat.search(&q);
-            prop_assert_eq!(tiered.search(&q), expected.clone(), "search {:?}", q);
-            prop_assert_eq!(tiered.pin(&q).finish(), expected, "pin {:?}", q);
+            // `search` is `pin` then `finish`: the fences are decided at the pin.
+            prop_assert_eq!(tiered.search(&q), flat.search(&q), "search {:?}", q);
         }
 
         // A seal makes the memtable durable and a checkpoint the tombstones

@@ -84,16 +84,19 @@ fn main() {
         println!("  … {} more", trail.len() - 5);
     }
 
-    // The skew shows up in the index: long-lived versions are spanning
-    // records on non-leaf nodes.
-    let stats = fleet.index_stats();
+    // The index holds the closed versions as keyed rows: a memtable sealed
+    // into immutable tiers, merged level by level, each answering time
+    // through a frozen HINT. The open versions are in none of them.
+    let index = fleet.tiered_index();
     println!(
-        "\nindex: {} nodes, {} spanning records stored, {} node accesses/search (avg over run)",
-        fleet.index().node_count(),
-        stats.spanning_stores,
-        stats
-            .avg_nodes_per_search()
-            .map_or("n/a".into(), |v| format!("{v:.1}")),
+        "\nindex: {} closed versions in {} tiers, {} in the memtable",
+        index.len(),
+        index.tier_count(),
+        index.memtable_len()
     );
-    assert!(fleet.index().check_invariants().is_empty());
+    for (seq, level, entries) in index.tier_profile() {
+        println!("  tier {seq:>3}: level {level}, {entries:>6} rows");
+    }
+    assert_eq!(index.len() + fleet.key_count(), fleet.version_count());
+    index.assert_invariants();
 }
