@@ -5,9 +5,8 @@
 //! R-Tree node's matched children) well before it reads them. Issuing those
 //! loads early overlaps what would otherwise be a serial chain of cache
 //! misses. Both engines prefetch through this module, so the intrinsic is
-//! called from exactly one place; callers outside the crate get the one
-//! safe, bounds-checked form, [`prefetch_slot`]. It is the one module the
-//! crate-level `deny(unsafe_code)` lets through.
+//! called from exactly one place. It is the one module the crate-level
+//! `deny(unsafe_code)` lets through.
 
 #![allow(unsafe_code)]
 
@@ -39,15 +38,5 @@ pub(crate) fn prefetch_range<T>(p: *const T, bytes: usize) {
     let lead = start as usize & (CACHE_LINE - 1);
     for off in (0..lead + bytes).step_by(CACHE_LINE) {
         prefetch(start.wrapping_sub(lead).wrapping_add(off));
-    }
-}
-
-/// Prefetches the cache lines of `slots[i]`, ahead of a read the caller
-/// knows is coming (a table row named by an index hit). An `i` out of
-/// bounds prefetches nothing, so no address outside the slice is formed.
-#[inline]
-pub fn prefetch_slot<T>(slots: &[T], i: usize) {
-    if let Some(slot) = slots.get(i) {
-        prefetch_range(slot as *const T, std::mem::size_of::<T>());
     }
 }
