@@ -7,14 +7,22 @@
 //! [`segidx_geom::scan_intersects`]. Widths 25, 34 and 103 are the ones a
 //! paper-sized tree scans (a 1 KB leaf, a level-1 branch block, a level-2
 //! one), so they exercise the kernel's path for the remainder under one
-//! 64-entry word; 64–4 096 are long planes. Run with `CRITERION_JSON` set
-//! to an absolute path (the bench runs from its package directory) to
-//! capture the numbers behind `results/scan_kernel.json`.
+//! 64-entry word; 64–4 096 are long planes.
+//!
+//! The insert descent's two kernels, [`segidx_geom::scan_first_spanned`]
+//! and [`segidx_geom::scan_min_enlargement`], are timed on branch blocks
+//! of the widths a paper-sized tree's internal nodes hold (7, 25, 34, 60,
+//! 103) with a short record that spans no branch — the common step of a
+//! descent, which scans the whole block.
+//!
+//! Run with `CRITERION_JSON` set to an absolute path (the bench runs from
+//! its package directory) to capture the numbers behind
+//! `results/scan_kernel.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use segidx_core::entry::{LeafEntry, LeafStore};
 use segidx_core::RecordId;
-use segidx_geom::{scan_intersects, Rect};
+use segidx_geom::{scan_first_spanned, scan_intersects, scan_min_enlargement, Rect};
 use std::hint::black_box;
 
 /// Synthetic leaf contents: short segments plus a sprinkling of long ones,
@@ -79,5 +87,36 @@ fn bench_leaf_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_leaf_scan);
+fn bench_descent_scans(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scan_kernel");
+    group
+        .sample_size(40)
+        .measurement_time(std::time::Duration::from_secs(2));
+
+    // A short segment: it meets some branches and spans none.
+    let record = Rect::new([2_500.0, 1_510.0], [2_510.0, 1_510.0]);
+    for n in [7u64, 25, 34, 60, 103] {
+        // The kernels read only the planes, which a leaf store lays out as
+        // a branch store does.
+        let branches: LeafStore<2> = dataset(n).into_iter().collect();
+        group.throughput(Throughput::Elements(n));
+
+        group.bench_function(BenchmarkId::new("first_spanned", n), |b| {
+            b.iter(|| {
+                let (los, his) = branches.planes();
+                black_box(scan_first_spanned(black_box(&record), los, his))
+            })
+        });
+
+        group.bench_function(BenchmarkId::new("min_enlargement", n), |b| {
+            b.iter(|| {
+                let (los, his) = branches.planes();
+                black_box(scan_min_enlargement(black_box(&record), los, his))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_leaf_scan, bench_descent_scans);
 criterion_main!(benches);

@@ -511,6 +511,16 @@ impl<const D: usize> SpanningStore<D> {
         NodeId::from_slot(self.block.col(2 * D + 1)[i])
     }
 
+    /// Whether any entry is linked to `child` (reads the linked-child
+    /// column only).
+    #[inline]
+    pub(crate) fn links_to(&self, child: NodeId) -> bool {
+        self.block
+            .col(2 * D + 1)
+            .iter()
+            .any(|&s| NodeId::from_slot(s) == child)
+    }
+
     /// Relinks entry `i` to another branch's child.
     #[inline]
     pub fn set_linked_child(&mut self, i: usize, child: NodeId) {
@@ -656,8 +666,10 @@ mod tests {
             record: RecordId(3),
             linked_child: NodeId(1),
         });
+        assert!(s.links_to(NodeId(1)));
         s.set_linked_child(0, NodeId(4));
         assert_eq!(s.linked_child(0), NodeId(4));
+        assert!(s.links_to(NodeId(4)) && !s.links_to(NodeId(1)));
         assert_eq!(s.record(0), RecordId(3));
     }
 }

@@ -116,37 +116,7 @@ impl<const D: usize> Tree<D> {
 
         // Spanning records linked to the removed branch are relinked to
         // another branch they span, or demoted.
-        let branch_rects: Vec<(NodeId, Rect<D>)> = self
-            .node(parent)
-            .branches()
-            .iter()
-            .map(|b| (b.child, b.rect))
-            .collect();
-        let mut i = 0;
-        while i < self.node(parent).spanning().len() {
-            let s = self.node(parent).spanning().get(i);
-            if s.linked_child != child {
-                i += 1;
-                continue;
-            }
-            match branch_rects.iter().find(|(_, r)| s.rect.spans_any_dim(r)) {
-                Some((new_child, _)) => {
-                    self.node_mut(parent)
-                        .spanning_mut()
-                        .set_linked_child(i, *new_child);
-                    self.stats.relinks += 1;
-                    self.emit(segidx_obs::EventKind::Relink, parent);
-                    i += 1;
-                }
-                None => {
-                    self.node_mut(parent).spanning_mut().swap_remove(i);
-                    self.entry_count -= 1;
-                    self.stats.demotions += 1;
-                    self.emit(segidx_obs::EventKind::Demotion, parent);
-                    self.queue_reinsert(s.rect, s.record);
-                }
-            }
-        }
+        self.relink_spanning(parent, child, |_| false);
 
         if self.node(parent).branches().is_empty() {
             // Queue any stranded spanning records and remove the node.

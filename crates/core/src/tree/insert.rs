@@ -4,7 +4,7 @@
 use super::Tree;
 use crate::entry::{LeafEntry, SpanningEntry};
 use crate::id::{NodeId, RecordId};
-use segidx_geom::{scan_min_enlargement, Rect};
+use segidx_geom::{scan_first_spanned, scan_min_enlargement, Rect};
 
 impl<const D: usize> Tree<D> {
     /// Inserts a record.
@@ -73,10 +73,11 @@ impl<const D: usize> Tree<D> {
     }
 
     /// The first branch of `n` whose region the record spans (intersects
-    /// and covers in at least one dimension).
+    /// and covers in at least one dimension), found by
+    /// [`scan_first_spanned`] on the branch planes.
     fn find_spanned_branch(&self, n: NodeId, rect: &Rect<D>) -> Option<usize> {
-        let branches = self.node(n).branches();
-        (0..branches.len()).find(|&i| rect.spans_any_dim(&branches.rect(i)))
+        let (los, his) = self.node(n).branches().planes();
+        scan_first_spanned(rect, los, his)
     }
 
     /// Whether node `n` should accept `rect` as a spanning record: it has a
@@ -228,37 +229,54 @@ impl<const D: usize> Tree<D> {
     /// Re-checks spanning records linked to the just-expanded branch
     /// (pointing at `expanded_child`) on node `parent`. Records that no
     /// longer span it are relinked to another branch they still span, or
-    /// removed and queued for reinsertion (demotion).
+    /// removed and queued for reinsertion (demotion). Returns before
+    /// reading any branch when no spanning record links `expanded_child` —
+    /// the common case: most regions grow under no spanning record.
     pub(crate) fn recheck_spanning_links(&mut self, parent: NodeId, expanded_child: NodeId) {
-        let branch_rects: Vec<(NodeId, Rect<D>)> = self
-            .node(parent)
-            .branches()
-            .iter()
-            .map(|b| (b.child, b.rect))
-            .collect();
-        let expanded_rect = branch_rects
-            .iter()
-            .find(|(c, _)| *c == expanded_child)
-            .expect("expanded branch present")
-            .1;
+        let node = self.node(parent);
+        if !node.spanning().links_to(expanded_child) {
+            return;
+        }
+        let bi = node
+            .branch_index_of(expanded_child)
+            .expect("expanded branch present");
+        let expanded = node.branches().rect(bi);
+        if self.relink_spanning(parent, expanded_child, |r| r.spans_any_dim(&expanded)) {
+            self.node_mut(parent).touch_modified();
+        }
+    }
 
+    /// Moves every spanning record on `parent` linked to `child` that
+    /// `stays` rejects: relinked to the first branch it spans
+    /// ([`scan_first_spanned`] on the branch planes), or, spanning none,
+    /// removed and queued for reinsertion. Returns whether any record was
+    /// demoted. The scan covers every branch and needs no exclusion of
+    /// `child`'s: a caller rejects only records that no longer span it, or
+    /// has removed it.
+    pub(crate) fn relink_spanning(
+        &mut self,
+        parent: NodeId,
+        child: NodeId,
+        stays: impl Fn(&Rect<D>) -> bool,
+    ) -> bool {
+        let mut demoted = false;
         let mut i = 0;
-        let mut modified = false;
         while i < self.node(parent).spanning().len() {
-            let s = self.node(parent).spanning().get(i);
-            if s.linked_child != expanded_child || s.rect.spans_any_dim(&expanded_rect) {
+            let node = self.node(parent);
+            if node.spanning().linked_child(i) != child {
                 i += 1;
                 continue;
             }
-            // Former spanning record: try to relink before demoting.
-            let relink = branch_rects
-                .iter()
-                .find(|(c, r)| *c != expanded_child && s.rect.spans_any_dim(r));
-            match relink {
-                Some((child, _)) => {
-                    self.node_mut(parent)
-                        .spanning_mut()
-                        .set_linked_child(i, *child);
+            let s = node.spanning().get(i);
+            if stays(&s.rect) {
+                i += 1;
+                continue;
+            }
+            let branches = node.branches();
+            let (los, his) = branches.planes();
+            match scan_first_spanned(&s.rect, los, his).map(|j| branches.child(j)) {
+                Some(to) => {
+                    self.node_mut(parent).spanning_mut().set_linked_child(i, to);
                     self.stats.relinks += 1;
                     self.emit(segidx_obs::EventKind::Relink, parent);
                     i += 1;
@@ -269,12 +287,10 @@ impl<const D: usize> Tree<D> {
                     self.stats.demotions += 1;
                     self.emit(segidx_obs::EventKind::Demotion, parent);
                     self.queue_reinsert(s.rect, s.record);
-                    modified = true;
+                    demoted = true;
                 }
             }
         }
-        if modified {
-            self.node_mut(parent).touch_modified();
-        }
+        demoted
     }
 }

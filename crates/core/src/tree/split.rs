@@ -121,7 +121,7 @@ impl<const D: usize> Tree<D> {
         // Best (sibling, entry) pair: the move that enlarges the sibling's
         // region least.
         let mut best: Option<(NodeId, usize, usize, f64)> = None;
-        for b in self.node(parent).branches().iter() {
+        for (bi, b) in self.node(parent).branches().iter().enumerate() {
             if b.child == n {
                 continue;
             }
@@ -132,10 +132,6 @@ impl<const D: usize> Tree<D> {
             for (ei, e) in self.node(n).entries().iter().enumerate() {
                 let enlargement = b.rect.enlargement(&e.rect);
                 if best.as_ref().map_or(true, |(.., d)| enlargement < *d) {
-                    let bi = self
-                        .node(parent)
-                        .branch_index_of(b.child)
-                        .expect("branch present");
                     best = Some((b.child, bi, ei, enlargement));
                 }
             }

@@ -53,8 +53,8 @@ pub use point::Point;
 pub use qar::{qar_of, rect_from_area_qar, QarSweep, PAPER_QAR_SWEEP};
 pub use rect::{CutResult, Rect};
 pub use scan::{
-    for_each_hit, scan_hi_ge, scan_intersects, scan_lo_le, scan_min_dist_sqr, scan_min_enlargement,
-    scan_stab,
+    for_each_hit, scan_first_spanned, scan_hi_ge, scan_intersects, scan_lo_le, scan_min_dist_sqr,
+    scan_min_enlargement, scan_stab,
 };
 
 /// Coordinate scalar used throughout the crate.

@@ -15,6 +15,12 @@
 //! remainder under 64 entries — all of a 25-entry leaf or a 34-entry
 //! branch block, so every node of a paper-sized tree — is tested in fixed
 //! 8-wide groups plus a one-entry tail that write the last word's bits.
+//!
+//! The insert descent has two kernels of its own. [`scan_first_spanned`]
+//! tests the same 8-wide groups and stops at the first with a hit.
+//! [`scan_min_enlargement`] vectorizes the arithmetic over 64-entry
+//! windows and keeps the select sequential, so ties and NaNs resolve
+//! exactly as in an entry-by-entry loop.
 
 use crate::{Coord, Point, Rect};
 
@@ -216,34 +222,125 @@ pub fn scan_min_dist_sqr<const D: usize>(
     }
 }
 
+/// Index of the first entry that `rect` spans — intersects, and covers in
+/// at least one dimension: the paper's spanning predicate
+/// ([`Rect::spans_any_dim`], §3.1.1) — or `None`. The insert descent's
+/// "is this record a spanning record here?" test, run on a node's branch
+/// planes.
+///
+/// Tests eight entries at a time into a hit word (one byte per entry:
+/// covered in some dimension and met in every one) and returns the first
+/// non-empty group's lowest set lane, so the answer equals
+/// `(0..n).find(|&i| rect.spans_any_dim(&rect_i))`.
+///
+/// ```
+/// use segidx_geom::{scan_first_spanned, Rect};
+///
+/// // Branches [0, 5], [10, 15], [20, 25] on the x-axis, all y ∈ [0, 1].
+/// let (los_x, his_x) = ([0.0, 10.0, 20.0], [5.0, 15.0, 25.0]);
+/// let (los_y, his_y) = ([0.0; 3], [1.0; 3]);
+/// let planes = ([&los_x[..], &los_y[..]], [&his_x[..], &his_y[..]]);
+/// let long = Rect::new([8.0, 0.5], [30.0, 0.5]);
+/// assert_eq!(scan_first_spanned(&long, planes.0, planes.1), Some(1));
+/// let short = Rect::new([11.0, 0.5], [12.0, 0.5]);
+/// assert_eq!(scan_first_spanned(&short, planes.0, planes.1), None);
+/// ```
+pub fn scan_first_spanned<const D: usize>(
+    rect: &Rect<D>,
+    los: [&[Coord]; D],
+    his: [&[Coord]; D],
+) -> Option<usize> {
+    let n = los.first().map_or(0, |p| p.len());
+    let mut at = 0;
+    while n - at >= GROUP {
+        let hits = u64::from_le_bytes(spanned::<GROUP, D>(rect, &los, &his, at));
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += GROUP;
+    }
+    (at..n).find(|&i| spanned::<1, D>(rect, &los, &his, i)[0] != 0)
+}
+
+/// One byte per entry of the `W` at `at`, 1 where `rect` spans the entry:
+/// covers it in some dimension (`rect.lo ≤ lo` and `hi ≤ rect.hi` there)
+/// and meets it in every one. Dimensions outside, entries inside and byte
+/// lanes, so LLVM compiles a group to one vector compare per plane test
+/// and a mask.
+#[inline(always)]
+fn spanned<const W: usize, const D: usize>(
+    rect: &Rect<D>,
+    los: &[&[Coord]; D],
+    his: &[&[Coord]; D],
+    at: usize,
+) -> [u8; W] {
+    let mut meets = [1u8; W];
+    let mut covers = [0u8; W];
+    for d in 0..D {
+        let lo: &[Coord; W] = los[d][at..at + W].try_into().expect("W-entry window");
+        let hi: &[Coord; W] = his[d][at..at + W].try_into().expect("W-entry window");
+        let (q_lo, q_hi) = (rect.lo(d), rect.hi(d));
+        for i in 0..W {
+            meets[i] &= u8::from(lo[i] <= q_hi) & u8::from(hi[i] >= q_lo);
+        }
+        for i in 0..W {
+            covers[i] |= u8::from(lo[i] >= q_lo) & u8::from(hi[i] <= q_hi);
+        }
+    }
+    std::array::from_fn(|i| meets[i] & covers[i])
+}
+
 /// Returns `(index, enlargement, area)` of the entry needing the least
 /// area enlargement to cover `query`, ties broken by smaller area — the
-/// Guttman ChooseLeaf criterion — or `None` for empty planes. One
-/// branch-free arithmetic pass over the planes replaces per-entry `Rect`
-/// reconstruction in the insert descent.
+/// Guttman ChooseLeaf criterion — or `None` for empty planes.
+///
+/// Two passes per window of up to 64 entries (one hit word's width).
+/// Straight-line arithmetic computes every entry's area and the area of
+/// its union with `query` into stack buffers, one loop per dimension,
+/// multiplying in dimension order as [`Rect::area`] does. Then a
+/// sequential select forms each enlargement (`union − area`, as
+/// [`Rect::enlargement`]) and keeps an entry when `e < best || (e == best
+/// && a < best_area)`. The first entry is the initial best and an equal
+/// later one never displaces it, so the lowest index wins a tie, and
+/// `-0.0` ties `0.0`.
+///
+/// **NaN rule.** An enlargement is NaN when the planes hold infinite
+/// coordinates (`∞ − ∞`). Every comparison with NaN is false, so a NaN
+/// entry is never selected over a best — except entry 0, which is the
+/// initial best: if it is NaN, no later entry can displace it and it is
+/// returned.
 pub fn scan_min_enlargement<const D: usize>(
     query: &Rect<D>,
     los: [&[Coord]; D],
     his: [&[Coord]; D],
 ) -> Option<(usize, f64, f64)> {
-    let n = los[0].len();
-    let mut best: Option<(usize, f64, f64)> = None;
-    for i in 0..n {
-        let mut area = 1.0f64;
-        let mut union_area = 1.0f64;
+    let n = los.first().map_or(0, |p| p.len());
+    let mut best = None;
+    let (mut union_area, mut area) = ([0.0; WORD], [0.0; WORD]);
+    for at in (0..n).step_by(WORD) {
+        let len = (n - at).min(WORD);
+        let (u, a) = (&mut union_area[..len], &mut area[..len]);
+        // The arithmetic: a loop whose trip count is not a constant, so
+        // LLVM's loop vectorizer takes it wherever the kernel is inlined.
+        u.fill(1.0);
+        a.fill(1.0);
         for d in 0..D {
-            let (lo, hi) = (los[d][i], his[d][i]);
-            area *= hi - lo;
-            union_area *= hi.max(query.hi(d)) - lo.min(query.lo(d));
+            let (lo, hi) = (&los[d][at..at + len], &his[d][at..at + len]);
+            let (q_lo, q_hi) = (query.lo(d), query.hi(d));
+            for i in 0..len {
+                a[i] *= hi[i] - lo[i];
+                u[i] *= hi[i].max(q_hi) - lo[i].min(q_lo);
+            }
         }
-        let enlargement = union_area - area;
-        let better = match best {
-            None => true,
-            Some((_, be, ba)) => enlargement < be || (enlargement == be && area < ba),
-        };
-        if better {
-            best = Some((i, enlargement, area));
+        // The select, entry by entry.
+        let (mut bi, mut be, mut ba) = best.unwrap_or((at, u[0] - a[0], a[0]));
+        for i in 0..len {
+            let e = u[i] - a[i];
+            if e < be || (e == be && a[i] < ba) {
+                (bi, be, ba) = (at + i, e, a[i]);
+            }
         }
+        best = Some((bi, be, ba));
     }
     best
 }

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use segidx_geom::{
-    for_each_hit, scan_hi_ge, scan_intersects, scan_lo_le, scan_stab, Interval, Point, Rect,
+    for_each_hit, scan_first_spanned, scan_hi_ge, scan_intersects, scan_lo_le,
+    scan_min_enlargement, scan_stab, Interval, Point, Rect,
 };
 
 fn interval_strategy() -> impl Strategy<Value = Interval> {
@@ -182,11 +183,20 @@ const QUERIES: [(f64, f64); 6] = [
 
 /// `n` entries per dimension with `lo <= hi`, both drawn from `EDGES`.
 fn planes<const D: usize>(s: &mut Stream, n: usize) -> ([Vec<f64>; D], [Vec<f64>; D]) {
+    planes_from(s, n, &EDGES)
+}
+
+/// `n` entries per dimension with `lo <= hi`, both drawn from `grid`.
+fn planes_from<const D: usize>(
+    s: &mut Stream,
+    n: usize,
+    grid: &[f64],
+) -> ([Vec<f64>; D], [Vec<f64>; D]) {
     let mut los: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
     let mut his: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(n));
     for _ in 0..n {
         for d in 0..D {
-            let (a, b) = (s.pick(&EDGES), s.pick(&EDGES));
+            let (a, b) = (s.pick(grid), s.pick(grid));
             los[d].push(a.min(b));
             his[d].push(a.max(b));
         }
@@ -259,4 +269,137 @@ fn scan_kernels_match_brute_force_at_every_length_2d() {
 #[test]
 fn scan_kernels_match_brute_force_at_every_length_3d() {
     kernels_match_brute_force::<3>();
+}
+
+/// A small grid for the write-path kernels: few values, so equal
+/// enlargements, equal areas and bound-equal spans occur often; signed
+/// zeros included.
+const GRID: [f64; 7] = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0];
+
+/// [`GRID`] with both infinities: enlargements of `∞ − ∞` are NaN.
+const GRID_INF: [f64; 9] = [
+    -2.0,
+    -1.0,
+    -0.0,
+    0.0,
+    1.0,
+    3.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::INFINITY,
+];
+
+/// `scan_min_enlargement` as one scalar loop with an `Option` compare per
+/// entry — the kernel before it split into an arithmetic pass and a
+/// select, kept verbatim as the oracle.
+fn min_enlargement_oracle<const D: usize>(
+    query: &Rect<D>,
+    los: [&[f64]; D],
+    his: [&[f64]; D],
+) -> Option<(usize, f64, f64)> {
+    let n = los[0].len();
+    let mut best: Option<(usize, f64, f64)> = None;
+    for i in 0..n {
+        let mut area = 1.0f64;
+        let mut union_area = 1.0f64;
+        for d in 0..D {
+            let (lo, hi) = (los[d][i], his[d][i]);
+            area *= hi - lo;
+            union_area *= hi.max(query.hi(d)) - lo.min(query.lo(d));
+        }
+        let enlargement = union_area - area;
+        let better = match best {
+            None => true,
+            Some((_, be, ba)) => enlargement < be || (enlargement == be && area < ba),
+        };
+        if better {
+            best = Some((i, enlargement, area));
+        }
+    }
+    best
+}
+
+/// The insert descent's two kernels against their oracles at every plane
+/// length 0..=130 (empty, each 8-wide group count with every tail, and
+/// the widths of a paper tree's nodes), results compared bit for bit.
+fn write_kernels_match_oracles<const D: usize>() {
+    let mut s = Stream(0xD1B5_4A32_D192_ED03 ^ D as u64);
+    for n in 0..=130 {
+        for case in 0..6 {
+            let grid: &[f64] = if case < 4 { &GRID } else { &GRID_INF };
+            let (los, his) = planes_from::<D>(&mut s, n, grid);
+            let lr: [&[f64]; D] = std::array::from_fn(|d| los[d].as_slice());
+            let hr: [&[f64]; D] = std::array::from_fn(|d| his[d].as_slice());
+            let q = {
+                let (a, b): ([f64; D], [f64; D]) = (
+                    std::array::from_fn(|_| s.pick(grid)),
+                    std::array::from_fn(|_| s.pick(grid)),
+                );
+                Rect::new(
+                    std::array::from_fn(|d| a[d].min(b[d])),
+                    std::array::from_fn(|d| a[d].max(b[d])),
+                )
+            };
+
+            let want = (0..n).find(|&i| {
+                let r = Rect::new(
+                    std::array::from_fn(|d| los[d][i]),
+                    std::array::from_fn(|d| his[d][i]),
+                );
+                q.spans_any_dim(&r)
+            });
+            assert_eq!(
+                scan_first_spanned(&q, lr, hr),
+                want,
+                "scan_first_spanned, D={D}, n={n}, {q:?}"
+            );
+
+            let bits =
+                |r: Option<(usize, f64, f64)>| r.map(|(i, e, a)| (i, e.to_bits(), a.to_bits()));
+            assert_eq!(
+                bits(scan_min_enlargement(&q, lr, hr)),
+                bits(min_enlargement_oracle(&q, lr, hr)),
+                "scan_min_enlargement, D={D}, n={n}, {q:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn write_kernels_match_oracles_at_every_length_1d() {
+    write_kernels_match_oracles::<1>();
+}
+
+#[test]
+fn write_kernels_match_oracles_at_every_length_2d() {
+    write_kernels_match_oracles::<2>();
+}
+
+#[test]
+fn write_kernels_match_oracles_at_every_length_3d() {
+    write_kernels_match_oracles::<3>();
+}
+
+/// The select's edge rules, pinned on hand-made planes: the lowest index
+/// wins an exact tie, `-0.0` ties `0.0`, and a NaN entry 0 (`∞ − ∞`) is
+/// kept while a later NaN never displaces a best.
+#[test]
+fn min_enlargement_ties_signed_zeros_and_nan() {
+    let q = Rect::new([0.0], [1.0]);
+    // Two entries covering q exactly: enlargement 0, area 1 — the first.
+    assert_eq!(
+        scan_min_enlargement(&q, [&[0.0, 0.0]], [&[1.0, 1.0]]),
+        Some((0, 0.0, 1.0))
+    );
+    // -0.0 and 0.0 enlargements tie, so the smaller area decides.
+    let got = scan_min_enlargement(&q, [&[-0.0, 0.0, 0.0]], [&[2.0, 1.0, 1.0]]).unwrap();
+    assert_eq!(got.0, 1);
+    // A NaN entry 0 is kept...
+    let inf = f64::INFINITY;
+    let got = scan_min_enlargement(&q, [&[-inf, 0.0]], [&[inf, 1.0]]).unwrap();
+    assert_eq!(got.0, 0);
+    assert!(got.1.is_nan());
+    // ...and a NaN after the first entry is never chosen.
+    let got = scan_min_enlargement(&q, [&[2.0, -inf]], [&[3.0, inf]]).unwrap();
+    assert_eq!(got, (0, 2.0, 1.0));
 }

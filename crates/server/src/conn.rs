@@ -262,9 +262,14 @@ fn render_commit(buf: &mut Vec<u8>, epoch: Result<u64, CommitError>) {
 
 /// `ROWS <n> <id>…` with ids sorted ascending, so responses depend only
 /// on index *contents*, never on tree shape — the property the load
-/// generator's serial model replay checks bit-for-bit.
-fn render_rows(buf: &mut Vec<u8>, mut ids: Vec<RecordId>) {
-    ids.sort_unstable_by_key(|r| r.0);
+/// generator's serial model replay checks bit-for-bit. The ids come from
+/// `search_batch`/`stab_batch`, which return them sorted and deduplicated
+/// (the [`IntervalIndex`](segidx_core::IntervalIndex) contract).
+fn render_rows(buf: &mut Vec<u8>, ids: Vec<RecordId>) {
+    debug_assert!(
+        ids.windows(2).all(|w| w[0].0 < w[1].0),
+        "search results arrive sorted and deduplicated"
+    );
     buf.extend_from_slice(b"ROWS ");
     put_u64(buf, ids.len() as u64);
     for id in ids {
