@@ -9,9 +9,8 @@
 //! separately:
 //!
 //! * `component="concurrent"` — the index service must export
-//!   the epoch/queue-depth/retired-snapshot gauges,
-//!   commit counters and latency histograms, and the event-ring health
-//!   pair (`segidx_events_dropped_total` / `segidx_events_buffered`).
+//!   the epoch/queue-depth/retired-snapshot gauges, commit counters,
+//!   and non-empty queue-wait and commit latency histograms.
 //! * `component="trace"` — the tracer's health families
 //!   (`segidx_trace_*` counters and gauges) must all be present.
 //!
@@ -27,7 +26,8 @@
 //! for both framing modes, the connection/error/byte counters, and
 //! non-empty read *and* write latency histograms — alongside the full
 //! index-service family of the index it fronts
-//! (`component="concurrent"`) and the temporal tier's
+//! (`component="concurrent"`, checked as in the default mode, histograms
+//! non-empty) and the temporal tier's
 //! gauges/counters (`component="temporal"`, which the server registers
 //! for its `RECORD`/`AS OF`/`WITHIN` table).
 //!
@@ -103,10 +103,6 @@ const SERVICE_HISTOGRAMS: [&str; 2] = [
     "segidx_concurrent_commit_latency_nanos",
 ];
 
-/// Event-sink health metrics, required for `component="concurrent"`.
-const EVENT_GAUGES: [&str; 1] = ["segidx_events_buffered"];
-const EVENT_COUNTERS: [&str; 1] = ["segidx_events_dropped_total"];
-
 /// Tracer health families, required under `component="trace"`.
 const TRACE_COUNTERS: [&str; 3] = [
     "segidx_trace_started_total",
@@ -159,13 +155,11 @@ const TEMPORAL_HISTOGRAMS: [&str; 2] = [
 ];
 
 fn is_gauge(name: &str) -> bool {
-    SERVICE_GAUGES.contains(&name) || EVENT_GAUGES.contains(&name) || TRACE_GAUGES.contains(&name)
+    SERVICE_GAUGES.contains(&name) || TRACE_GAUGES.contains(&name)
 }
 
 fn is_counter(name: &str) -> bool {
-    SERVICE_COUNTERS.contains(&name)
-        || EVENT_COUNTERS.contains(&name)
-        || TRACE_COUNTERS.contains(&name)
+    SERVICE_COUNTERS.contains(&name) || TRACE_COUNTERS.contains(&name)
 }
 
 fn check(path: &str) -> Result<String, String> {
@@ -231,7 +225,12 @@ fn check(path: &str) -> Result<String, String> {
         }
     }
 
-    check_concurrent(&components, &component_seen)?;
+    let concurrent: BTreeSet<String> = component_seen
+        .iter()
+        .filter(|(component, _)| component == "concurrent")
+        .map(|(_, name)| name.clone())
+        .collect();
+    check_concurrent(&concurrent)?;
     check_trace(&components, &component_seen)?;
     let flight_classes = check_flight_recorder(&value)?;
 
@@ -247,10 +246,11 @@ fn check(path: &str) -> Result<String, String> {
 
 /// `--server` mode: a `segidx_server` `METRICS` snapshot. Every
 /// per-connection family must be present and typed correctly, the
-/// request counter must cover all nine ops and the frame counter both
-/// framing modes, both latency histograms must be non-empty (the smoke
-/// workload always performs reads *and* writes), and the index service
-/// behind the wire must have exported its own family.
+/// request counter must cover all twelve statement forms and the frame
+/// counter both framing modes, both latency histograms must be non-empty
+/// (the smoke workload always performs reads *and* writes), and the index
+/// service behind the wire must have exported its own family, its
+/// queue-wait and commit histograms non-empty (the writes fill both).
 fn check_server_file(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let value = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -318,6 +318,7 @@ fn check_server_file(path: &str) -> Result<String, String> {
             }
             seen.insert(name.to_string());
         } else if component == "concurrent" {
+            validate_component_metric(name, component, m)?;
             service_seen.insert(name.to_string());
         } else if component == "temporal" {
             temporal_seen.insert(name.to_string());
@@ -351,13 +352,7 @@ fn check_server_file(path: &str) -> Result<String, String> {
 
     // The index's own service family must ride along in the same
     // snapshot.
-    for name in SERVICE_GAUGES.iter().chain(&SERVICE_COUNTERS) {
-        if !service_seen.contains(*name) {
-            return Err(format!(
-                "missing index-service metric {name} (component=\"concurrent\")"
-            ));
-        }
-    }
+    check_concurrent(&service_seen)?;
 
     // The temporal tier behind RECORD/AS OF/WITHIN registers its family on
     // the same registry; histograms may be empty (a smoke workload need
@@ -377,7 +372,7 @@ fn check_server_file(path: &str) -> Result<String, String> {
     Ok(format!(
         "ok: {} metrics, {} server families, {} ops, index service present",
         metrics.len(),
-        seen.len() + 2,
+        seen.len(),
         ops.len()
     ))
 }
@@ -520,22 +515,19 @@ fn check_flight_recorder(value: &Value) -> Result<usize, String> {
     Ok(classes.len())
 }
 
-/// The index service: full service family plus event-sink health.
-fn check_concurrent(
-    components: &BTreeSet<String>,
-    component_seen: &BTreeSet<(String, String)>,
-) -> Result<(), String> {
-    if !components.contains("concurrent") {
+/// The index service's full family, given the names exported under
+/// `component="concurrent"` (each already type-checked, histograms
+/// non-empty, by [`validate_component_metric`]).
+fn check_concurrent(seen: &BTreeSet<String>) -> Result<(), String> {
+    if seen.is_empty() {
         return Err("missing component=\"concurrent\" service metrics".into());
     }
     for name in SERVICE_GAUGES
         .iter()
         .chain(&SERVICE_COUNTERS)
         .chain(&SERVICE_HISTOGRAMS)
-        .chain(&EVENT_GAUGES)
-        .chain(&EVENT_COUNTERS)
     {
-        if !component_seen.contains(&("concurrent".to_string(), name.to_string())) {
+        if !seen.contains(*name) {
             return Err(format!("component concurrent: missing {name}"));
         }
     }

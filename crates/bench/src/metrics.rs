@@ -13,7 +13,7 @@ use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::Rect;
 use segidx_obs::json::{self, Value};
 use segidx_obs::trace::{OpClass, Tracer};
-use segidx_obs::{Metric, MetricsRegistry, MetricsSnapshot, RingBufferSink};
+use segidx_obs::{Metric, MetricsRegistry, MetricsSnapshot};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -104,20 +104,12 @@ fn collect(results: &[GraphResult], out: &mut Vec<Metric>) {
 /// Exercises the concurrent index service briefly and returns its metric
 /// families — the epoch/queue-depth/retired-snapshot gauges, commit
 /// counters and latency histograms from
-/// [`IndexHandle::register_metrics`](segidx_concurrent::IndexHandle::register_metrics),
-/// plus the event-sink health metrics (`segidx_events_dropped_total`,
-/// `segidx_events_buffered`) from a deliberately tiny ring buffer so
-/// overflow accounting is visible in the export. All carry a
-/// `component="concurrent"` label instead of `graph`/`variant`.
+/// [`IndexHandle::register_metrics`](segidx_concurrent::IndexHandle::register_metrics).
+/// All carry a `component="concurrent"` label instead of `graph`/`variant`.
 pub fn concurrent_service_metrics() -> Vec<Metric> {
-    let sink = Arc::new(RingBufferSink::new(4));
     let registry = MetricsRegistry::new();
-
-    // `ring_sink` (not `sink`) keeps the concrete handle, so
-    // `register_metrics` exports the ring's dropped/buffered series too.
     let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
         .max_batch(8)
-        .ring_sink(Arc::clone(&sink))
         .start()
         .expect("memory-only start cannot fail");
     index
@@ -125,7 +117,7 @@ pub fn concurrent_service_metrics() -> Vec<Metric> {
         .register_metrics(&registry, &[("component", "concurrent")]);
 
     // A few hundred commits with a pinned reader: enough traffic to fill
-    // every histogram, retire snapshots, and overflow the 4-slot ring.
+    // every histogram and retire snapshots.
     let pinned = index.snapshot();
     for i in 0..400u64 {
         let x = (i % 100) as f64 * 10.0;
@@ -279,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_service_metrics_cover_gauges_counters_and_drops() {
+    fn concurrent_service_metrics_cover_gauges_counters_and_histograms() {
         let metrics = concurrent_service_metrics();
         let snap = MetricsSnapshot { metrics };
         let labels: &[(&str, &str)] = &[("component", "concurrent")];
@@ -287,7 +279,6 @@ mod tests {
             "segidx_concurrent_epoch",
             "segidx_concurrent_queue_depth",
             "segidx_concurrent_retired_snapshots",
-            "segidx_events_buffered",
         ] {
             assert!(snap.get(name, labels).is_some(), "missing gauge {name}");
         }
@@ -296,23 +287,14 @@ mod tests {
             segidx_obs::MetricValue::Counter(v) => assert!(*v > 0, "service committed"),
             other => panic!("expected counter, got {other:?}"),
         }
-        let dropped = snap.get("segidx_events_dropped_total", labels).unwrap();
-        match &dropped.value {
-            segidx_obs::MetricValue::Counter(v) => {
-                assert!(
-                    *v > 0,
-                    "4-slot ring must overflow under hundreds of commits"
-                )
+        for name in [
+            "segidx_concurrent_queue_wait_nanos",
+            "segidx_concurrent_commit_latency_nanos",
+        ] {
+            match &snap.get(name, labels).unwrap().value {
+                segidx_obs::MetricValue::Histogram(h) => assert!(h.count > 0, "{name} empty"),
+                other => panic!("expected histogram, got {other:?}"),
             }
-            other => panic!("expected counter, got {other:?}"),
-        }
-        match &snap
-            .get("segidx_concurrent_commit_latency_nanos", labels)
-            .unwrap()
-            .value
-        {
-            segidx_obs::MetricValue::Histogram(h) => assert!(h.count > 0),
-            other => panic!("expected histogram, got {other:?}"),
         }
     }
 

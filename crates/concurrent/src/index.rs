@@ -20,7 +20,7 @@
 //! clones the `Arc` and unlocks; the writer locks, swaps in the successor
 //! and unlocks, and only then drops the `Arc` it replaced. Nothing but
 //! those two pointer operations ever runs under the lock — no tree drop,
-//! no allocation, no sink call — so a reader waits for at most one of them,
+//! no allocation — so a reader waits for at most one of them,
 //! and any number of guards can be alive at once. Whoever drops the last
 //! reference frees the tree: the writer when no reader held the replaced
 //! snapshot, otherwise the last reader to let go, on its own thread.
@@ -55,9 +55,7 @@ use segidx_core::tree::Tree;
 use segidx_core::{persist, IntervalIndex, RecordId};
 use segidx_geom::Rect;
 use segidx_obs::trace::{self, Tracer};
-use segidx_obs::{
-    Event, EventKind, LatencyHistogram, Metric, MetricsRegistry, ObsSink, RingBufferSink,
-};
+use segidx_obs::{LatencyHistogram, Metric, MetricsRegistry};
 use segidx_storage::{DiskManager, StorageError};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -135,22 +133,12 @@ struct Shared<const D: usize, E = Tree<D>> {
     live_snapshots: Arc<AtomicUsize>,
     queue: SubmissionQueue<D>,
     telemetry: Arc<ConcurrentTelemetry>,
-    sink: Option<Arc<dyn ObsSink>>,
-    /// Concrete handle to the ring sink (when the sink *is* one), so
-    /// `register_metrics` can export its dropped/buffered gauges.
-    ring: Option<Arc<RingBufferSink>>,
     /// Tracer whose flight recorder / drop counters this index's metrics
     /// should carry.
     tracer: Option<Arc<Tracer>>,
 }
 
 impl<const D: usize, E> Shared<D, E> {
-    fn emit(&self, event: Event) {
-        if let Some(sink) = &self.sink {
-            sink.event(event);
-        }
-    }
-
     fn snapshot(&self) -> SnapshotGuard<D, E> {
         SnapshotGuard {
             inner: Arc::clone(&lock(&self.published)),
@@ -171,9 +159,8 @@ impl<const D: usize, E> Shared<D, E> {
         match self.queue.push_op(op, Arc::clone(&state)) {
             Ok(()) => Ok(CommitTicket { state }),
             Err(err) => {
-                if let SubmitError::Overloaded { depth } = err {
+                if let SubmitError::Overloaded { .. } = err {
                     self.telemetry.overloads.fetch_add(1, SeqCst);
-                    self.emit(Event::new(EventKind::WriterStalled).detail(depth as u64));
                 }
                 Err(err)
             }
@@ -188,9 +175,8 @@ impl<const D: usize, E> Shared<D, E> {
             .map(|r| match r {
                 Ok(state) => Ok(CommitTicket { state }),
                 Err(err) => {
-                    if let SubmitError::Overloaded { depth } = &err {
+                    if let SubmitError::Overloaded { .. } = err {
                         self.telemetry.overloads.fetch_add(1, SeqCst);
-                        self.emit(Event::new(EventKind::WriterStalled).detail(*depth as u64));
                     }
                     Err(err)
                 }
@@ -279,8 +265,6 @@ pub struct Builder<const D: usize, E = Tree<D>> {
     durability: Option<Durability<E>>,
     queue_capacity: usize,
     max_batch: usize,
-    sink: Option<Arc<dyn ObsSink>>,
-    ring: Option<Arc<RingBufferSink>>,
     tracer: Option<Arc<Tracer>>,
     commit_hook: Option<CommitHook>,
 }
@@ -312,17 +296,6 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
         self
     }
 
-    /// Receives [`EventKind::SnapshotPublished`] and
-    /// [`EventKind::WriterStalled`] events; the concrete ring-buffer
-    /// handle is kept so [`IndexHandle::register_metrics`] also exports
-    /// the sink's `segidx_events_dropped_total` / `segidx_events_buffered`
-    /// series — lost observability is itself observable.
-    pub fn ring_sink(mut self, sink: Arc<RingBufferSink>) -> Self {
-        self.ring = Some(Arc::clone(&sink));
-        self.sink = Some(sink);
-        self
-    }
-
     /// Associates a [`Tracer`] with this index: its sampling counters,
     /// trace-buffer drop counter, and flight-recorder depth ride along in
     /// [`IndexHandle::register_metrics`].
@@ -347,8 +320,6 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
             durability,
             queue_capacity,
             max_batch,
-            sink,
-            ring,
             tracer,
             commit_hook,
         } = self;
@@ -366,8 +337,6 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
             live_snapshots,
             queue: SubmissionQueue::new(queue_capacity),
             telemetry: Arc::new(ConcurrentTelemetry::default()),
-            sink,
-            ring,
             tracer,
         });
         let writer_shared = Arc::clone(&shared);
@@ -425,8 +394,6 @@ impl<const D: usize, E> ConcurrentIndex<D, E> {
             durability: None,
             queue_capacity: 1024,
             max_batch: 128,
-            sink: None,
-            ring: None,
             tracer: None,
             commit_hook: None,
         }
@@ -613,16 +580,12 @@ impl<const D: usize, E> IndexHandle<D, E> {
     /// * `segidx_concurrent_queue_wait_nanos`,
     ///   `segidx_concurrent_commit_latency_nanos` — histograms.
     ///
-    /// When the index was built with [`Builder::ring_sink`] or
-    /// [`Builder::tracer`], the sink's `segidx_events_*` and the tracer's
+    /// When the index was built with [`Builder::tracer`], the tracer's
     /// `segidx_trace_*` series are registered under the same labels.
     pub fn register_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)])
     where
         E: Send + Sync + 'static,
     {
-        if let Some(ring) = &self.shared.ring {
-            registry.register_ring_sink(ring, labels);
-        }
         if let Some(tracer) = &self.shared.tracer {
             registry.register_tracer(tracer, labels);
         }
@@ -831,11 +794,6 @@ fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
             .telemetry
             .ops_applied
             .fetch_add(applied as u64, SeqCst);
-        shared.emit(
-            Event::new(EventKind::SnapshotPublished)
-                .node(next_epoch)
-                .detail(applied as u64),
-        );
         let receipt = Ok(CommitReceipt {
             epoch: next_epoch,
             durable_epoch,

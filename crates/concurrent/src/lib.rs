@@ -159,27 +159,44 @@ mod tests {
     fn overload_rejection_is_typed_and_counted() {
         // A hook that blocks the writer keeps the queue full deterministically.
         let release = Arc::new(AtomicBool::new(false));
-        let gate = Arc::clone(&release);
+        let entered = Arc::new(AtomicBool::new(false));
+        let (released, in_hook) = (Arc::clone(&release), Arc::clone(&entered));
         let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::rtree()))
             .queue_capacity(4)
             .max_batch(1)
             .commit_hook(Box::new(move |_| {
-                while !gate.load(Ordering::SeqCst) {
+                in_hook.store(true, Ordering::SeqCst);
+                while !released.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
             }))
             .start()
             .unwrap();
-        // One op occupies the writer (blocked in the hook); fill the queue.
+        // Declared after `index`, so dropped before it: a failed assert
+        // below unblocks the writer instead of hanging the index's drop.
+        struct OpenOnDrop(Arc<AtomicBool>);
+        impl Drop for OpenOnDrop {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let gate = OpenOnDrop(release);
+        let insert = |i: u64| IndexOp::Insert {
+            rect: rect(i),
+            record: RecordId(i),
+        };
+        // One op occupies the writer (blocked in the hook, so nothing more
+        // drains); then fill the queue.
+        index.submit(insert(0)).unwrap();
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
         let mut overloaded = false;
-        for i in 0..64u64 {
-            match index.submit(IndexOp::Insert {
-                rect: rect(i),
-                record: RecordId(i),
-            }) {
+        for i in 1..64u64 {
+            match index.submit(insert(i)) {
                 Ok(_) => {}
                 Err(SubmitError::Overloaded { depth }) => {
-                    assert!(depth >= 4);
+                    assert_eq!(depth, 4);
                     overloaded = true;
                     break;
                 }
@@ -190,8 +207,16 @@ mod tests {
             overloaded,
             "bounded queue must reject under a stalled writer"
         );
-        assert!(index.telemetry().overloads() >= 1);
-        release.store(true, Ordering::SeqCst);
+        assert_eq!(index.telemetry().overloads(), 1);
+        // The batch path (the only one the server uses) rejects every op of
+        // a batch into the full queue, and counts each one.
+        let batch = index.submit_batch((100..105).map(insert).collect());
+        assert_eq!(batch.len(), 5);
+        for r in &batch {
+            assert!(matches!(r, Err(SubmitError::Overloaded { depth: 4 })));
+        }
+        assert_eq!(index.telemetry().overloads(), 1 + 5);
+        drop(gate);
         index.flush().unwrap();
     }
 

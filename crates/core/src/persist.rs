@@ -23,12 +23,11 @@ use crate::id::{NodeId, RecordId};
 use crate::node::{Arena, Node, NodeKind};
 use crate::tree::Tree;
 use segidx_geom::Rect;
-use segidx_obs::{Event, EventKind, ObsSink};
 use segidx_storage::{
     ByteReader, ByteWriter, DiskManager, PageId, RepairReport, Result, SizeClass, StorageError,
 };
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::convert::Infallible;
 
 const TREE_MAGIC: u32 = 0x5347_5452; // "SGTR"
 const FORMAT_VERSION: u32 = 1;
@@ -151,14 +150,15 @@ pub fn commit<const D: usize>(tree: &Tree<D>, disk: &DiskManager) -> Result<Page
 /// (using the on-disk config when the tree metadata page survived), the old
 /// pages are freed, and the rebuild is committed so the next open is clean.
 ///
-/// Fires [`EventKind::SubtreeLost`] per quarantined page and
-/// [`EventKind::RecoveryRebuild`] (detail = entries recovered) on `sink`.
+/// The third argument is always `None`: it keeps the call's shape for
+/// existing callers, and what a recovery finds (whether it rebuilt, the
+/// entries recovered, the pages lost) is in the returned [`RecoveryReport`].
 ///
 /// Returns [`StorageError::BadMeta`] if the disk has no committed tree.
 pub fn recover<const D: usize>(
     disk: &DiskManager,
     repair: &RepairReport,
-    sink: Option<&Arc<dyn ObsSink>>,
+    _none: Option<Infallible>,
 ) -> Result<(Tree<D>, RecoveryReport)> {
     let root = disk
         .root()
@@ -191,11 +191,6 @@ pub fn recover<const D: usize>(
             },
         ));
     }
-    for (page, _) in &repair.quarantined {
-        if let Some(sink) = sink {
-            sink.event(Event::new(EventKind::SubtreeLost).node(page.raw()));
-        }
-    }
     // Salvage: collect (rect, record) pairs from every page that still
     // parses as a node of this dimensionality, then rebuild.
     let config = load_config(disk, root).unwrap_or_else(IndexConfig::srtree);
@@ -209,9 +204,6 @@ pub fn recover<const D: usize>(
     let mut tree: Tree<D> = Tree::new(config);
     for (rect, record) in &salvaged {
         tree.insert(*rect, *record);
-    }
-    if let Some(sink) = sink {
-        sink.event(Event::new(EventKind::RecoveryRebuild).detail(salvaged.len() as u64));
     }
     // Drop every old page (extents recycle only after the commit below is
     // durable) and commit the rebuild.
@@ -710,6 +702,7 @@ mod tests {
     #[test]
     fn crash_between_commits_reopens_on_previous_tree() {
         use segidx_storage::{DiskManagerConfig, ScriptedFault};
+        use std::sync::Arc;
         let path = temp("crash-commit.db");
         let small = build_tree(true, 200);
         let observe = Arc::new(ScriptedFault::observer());
@@ -750,7 +743,6 @@ mod tests {
 
     #[test]
     fn recover_rebuilds_from_surviving_pages_after_corruption() {
-        use segidx_obs::{EventKind, RingBufferSink};
         use segidx_storage::DiskManagerConfig;
         use std::io::{Seek, SeekFrom, Write};
 
@@ -766,13 +758,10 @@ mod tests {
             f.seek(SeekFrom::Start(5 * 1024 + 40)).unwrap();
             f.write_all(&[0x5A; 16]).unwrap();
         }
-        let sink = Arc::new(RingBufferSink::new(64));
-        let obs_sink: Arc<dyn ObsSink> = sink.clone();
         let (disk, report) =
-            DiskManager::open_repair(&path, DiskManagerConfig::default(), Some(sink.clone()))
-                .unwrap();
+            DiskManager::open_repair(&path, DiskManagerConfig::default(), None).unwrap();
         assert_eq!(report.quarantined.len(), 1);
-        let (back, rr) = recover::<2>(&disk, &report, Some(&obs_sink)).unwrap();
+        let (back, rr) = recover::<2>(&disk, &report, None).unwrap();
         assert!(rr.rebuilt);
         assert_eq!(rr.pages_lost, 1);
         back.assert_invariants();
@@ -786,8 +775,6 @@ mod tests {
         let full: std::collections::BTreeSet<_> = tree.search(&q).into_iter().collect();
         let got: std::collections::BTreeSet<_> = back.search(&q).into_iter().collect();
         assert!(got.is_subset(&full), "no fabricated results");
-        assert_eq!(sink.events_of(EventKind::SubtreeLost).len(), 1);
-        assert_eq!(sink.events_of(EventKind::RecoveryRebuild).len(), 1);
         // Recovery committed the rebuild: a clean reopen sees it.
         drop(disk);
         let disk = DiskManager::open(&path).unwrap();

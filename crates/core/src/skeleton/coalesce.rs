@@ -104,7 +104,6 @@ impl<const D: usize> Tree<D> {
         //    that pointed at its branch).
         self.unlink_child(leaf);
         self.stats.coalesces += 1;
-        self.emit(segidx_obs::EventKind::Coalesce, sibling);
         true
     }
 }

@@ -1,12 +1,11 @@
 //! Opt-in wall-clock telemetry for the index engine.
 //!
-//! The paper's metric — logical node accesses — is always counted by
-//! [`TreeStats`](crate::stats::TreeStats). Wall-clock latency and structural
-//! event tracing cost `Instant` reads and (for events) dynamic dispatch, so
-//! they are **opt-in**: a [`Tree`](crate::Tree) holds
+//! The paper's metric — logical node accesses — and every structural
+//! change (splits, cuts, promotions, demotions, coalesces) are always
+//! counted by [`TreeStats`](crate::stats::TreeStats). Wall-clock latency
+//! costs `Instant` reads, so it is **opt-in**: a [`Tree`](crate::Tree) holds
 //! `Option<Arc<TreeTelemetry>>` defaulting to `None`, and a disabled tree
-//! pays exactly one null check per operation — no clock reads, no virtual
-//! calls.
+//! pays exactly one null check per operation and no clock reads.
 //!
 //! Enable with [`Tree::set_telemetry`](crate::Tree::set_telemetry) (or the
 //! [`IntervalIndex`](crate::api::IntervalIndex) method of the same name):
@@ -14,11 +13,9 @@
 //! ```
 //! use segidx_core::{IndexConfig, RecordId, Tree, TreeTelemetry};
 //! use segidx_geom::Rect;
-//! use segidx_obs::{EventKind, RingBufferSink};
 //! use std::sync::Arc;
 //!
-//! let sink = Arc::new(RingBufferSink::new(1024));
-//! let telemetry = Arc::new(TreeTelemetry::with_sink(sink.clone()));
+//! let telemetry = Arc::new(TreeTelemetry::new());
 //! let mut tree: Tree<1> = Tree::new(IndexConfig::rtree());
 //! tree.set_telemetry(Some(Arc::clone(&telemetry)));
 //!
@@ -31,13 +28,12 @@
 //! let snap = telemetry.snapshot();
 //! assert_eq!(snap.insert.count, 200);
 //! assert_eq!(snap.search.count, 1);
-//! assert!(!sink.events_of(EventKind::LeafSplit).is_empty());
+//! assert!(tree.stats().leaf_splits > 0);
 //! ```
 
-use segidx_obs::{Event, EventKind, HistogramSnapshot, LatencyHistogram, ObsSink};
-use std::sync::Arc;
+use segidx_obs::{HistogramSnapshot, LatencyHistogram};
 
-/// Per-operation latency histograms plus an optional structural event sink.
+/// Per-operation latency histograms.
 ///
 /// One `TreeTelemetry` may be shared by any number of trees (the bench
 /// harness gives each variant its own so latencies stay attributable).
@@ -56,35 +52,12 @@ pub struct TreeTelemetry {
     pub delete: LatencyHistogram,
     /// Bulk-load latency (one observation per `bulk_load` call).
     pub bulk_load: LatencyHistogram,
-    /// Structural event sink; `None` skips event construction entirely.
-    sink: Option<Arc<dyn ObsSink>>,
 }
 
 impl TreeTelemetry {
-    /// Latency histograms only; structural events are dropped.
+    /// Empty latency histograms.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Latency histograms plus a structural event sink.
-    pub fn with_sink(sink: Arc<dyn ObsSink>) -> Self {
-        Self {
-            sink: Some(sink),
-            ..Self::default()
-        }
-    }
-
-    /// The installed event sink, if any.
-    pub fn sink(&self) -> Option<&Arc<dyn ObsSink>> {
-        self.sink.as_ref()
-    }
-
-    /// Forwards a structural event to the sink, if one is installed.
-    #[inline]
-    pub(crate) fn emit(&self, kind: EventKind, node: u64, level: u32, detail: u64) {
-        if let Some(sink) = &self.sink {
-            sink.event(Event::new(kind).node(node).level(level).detail(detail));
-        }
     }
 
     /// A point-in-time copy of every histogram.
@@ -134,7 +107,6 @@ impl TreeTelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segidx_obs::RingBufferSink;
 
     #[test]
     fn snapshot_and_diff_cover_every_operation() {
@@ -151,24 +123,5 @@ mod tests {
         assert_eq!(d.search.count, 1);
         assert_eq!(d.search.sum, 1_000);
         assert_eq!(d.insert.count, 0);
-    }
-
-    #[test]
-    fn emit_without_sink_is_a_no_op() {
-        let t = TreeTelemetry::new();
-        t.emit(EventKind::LeafSplit, 1, 0, 0);
-        assert!(t.sink().is_none());
-    }
-
-    #[test]
-    fn emit_reaches_the_sink() {
-        let sink = Arc::new(RingBufferSink::new(8));
-        let t = TreeTelemetry::with_sink(sink.clone());
-        t.emit(EventKind::Promotion, 42, 3, 7);
-        let events = sink.events_of(EventKind::Promotion);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].node, 42);
-        assert_eq!(events[0].level, 3);
-        assert_eq!(events[0].detail, 7);
     }
 }

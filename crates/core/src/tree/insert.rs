@@ -155,7 +155,6 @@ impl<const D: usize> Tree<D> {
                 // reinserted from the root (paper Figure 3).
                 let cut = rect.cut(&region);
                 self.stats.cuts += 1;
-                self.emit(segidx_obs::EventKind::Cut, n);
                 // Remnants are reinserted at the leaf level, as in the
                 // paper's Figure 3 (the remnant portion "is stored in leaf
                 // node E"). Letting remnants re-enter spanning placement
@@ -278,14 +277,12 @@ impl<const D: usize> Tree<D> {
                 Some(to) => {
                     self.node_mut(parent).spanning_mut().set_linked_child(i, to);
                     self.stats.relinks += 1;
-                    self.emit(segidx_obs::EventKind::Relink, parent);
                     i += 1;
                 }
                 None => {
                     self.node_mut(parent).spanning_mut().swap_remove(i);
                     self.entry_count -= 1;
                     self.stats.demotions += 1;
-                    self.emit(segidx_obs::EventKind::Demotion, parent);
                     self.queue_reinsert(s.rect, s.record);
                     demoted = true;
                 }

@@ -37,7 +37,7 @@ use crate::node::{Arena, Node};
 use crate::stats::{StatsSnapshot, TreeStats};
 use crate::telemetry::TreeTelemetry;
 use segidx_geom::Rect;
-use segidx_obs::{EventKind, LatencyHistogram};
+use segidx_obs::LatencyHistogram;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,7 +78,7 @@ pub struct Tree<const D: usize> {
     pub(crate) reinsert_armed: bool,
     pub(crate) stats: TreeStats,
     /// Opt-in wall-clock telemetry; `None` (the default) costs one null
-    /// check per operation and skips all clock reads and event dispatch.
+    /// check per operation and skips all clock reads.
     pub(crate) obs: Option<Arc<TreeTelemetry>>,
 }
 
@@ -232,18 +232,6 @@ impl<const D: usize> Tree<D> {
     ) {
         if let (Some(obs), Some(t0)) = (&self.obs, start) {
             pick(obs).record_duration(t0.elapsed());
-        }
-    }
-
-    /// Fires a structural event for `node` iff telemetry with a sink is
-    /// installed. Call *after* bumping the matching [`TreeStats`] counter.
-    #[inline]
-    pub(crate) fn emit(&self, kind: EventKind, node: NodeId) {
-        if let Some(obs) = &self.obs {
-            if obs.sink().is_some() {
-                let level = self.arena.get(node).level;
-                obs.emit(kind, u64::from(node.raw()), level, 0);
-            }
         }
     }
 

@@ -52,7 +52,6 @@ impl<const D: usize> Tree<D> {
                 Some(parent) => self.handle_overflow(parent),
                 None => {
                     self.stats.elastic_overflows += 1;
-                    self.emit(segidx_obs::EventKind::ElasticOverflow, n);
                     return;
                 }
             }
@@ -94,7 +93,6 @@ impl<const D: usize> Tree<D> {
             let e = self.node_mut(n).entries_mut().swap_remove(i);
             self.entry_count -= 1;
             self.stats.forced_reinserts += 1;
-            self.emit(segidx_obs::EventKind::ForcedReinsert, n);
             self.queue_reinsert(e.rect, e.record);
         }
         self.node_mut(n).touch_modified();
@@ -152,7 +150,6 @@ impl<const D: usize> Tree<D> {
         sib_node.entries_mut().push(entry);
         sib_node.touch_modified();
         self.stats.redistributions += 1;
-        self.emit(segidx_obs::EventKind::Redistribution, n);
         // Expand the sibling's stored regions (and recheck spanning links)
         // up the path.
         self.adjust_upward(sibling, &entry.rect);
@@ -191,7 +188,6 @@ impl<const D: usize> Tree<D> {
         self.node_mut(n).touch_modified();
         self.entry_count -= 1;
         self.stats.spanning_evictions += 1;
-        self.emit(segidx_obs::EventKind::SpanningEviction, n);
         self.queue_leaf_reinsert(s.rect, s.record);
         true
     }
@@ -220,7 +216,6 @@ impl<const D: usize> Tree<D> {
             let mut sib = self.new_leaf();
             sib.entries_mut().assign(g2);
             self.stats.leaf_splits += 1;
-            self.emit(segidx_obs::EventKind::LeafSplit, n);
             sib
         } else {
             let branches = self.node_mut(n).branches_mut().take_vec();
@@ -247,7 +242,6 @@ impl<const D: usize> Tree<D> {
             sib.branches_mut().assign(b2);
             sib.spanning_mut().assign(s2);
             self.stats.internal_splits += 1;
-            self.emit(segidx_obs::EventKind::InternalSplit, n);
             sib
         };
 
@@ -343,7 +337,6 @@ impl<const D: usize> Tree<D> {
                         self.node_mut(parent).spanning_mut().push(entry);
                         self.node_mut(parent).touch_modified();
                         self.stats.promotions += 1;
-                        self.emit(segidx_obs::EventKind::Promotion, parent);
                     }
                     None => i += 1,
                 }
@@ -367,7 +360,6 @@ impl<const D: usize> Tree<D> {
             }
             let cut = s.rect.cut(&region);
             self.stats.cuts += 1;
-            self.emit(segidx_obs::EventKind::Cut, node);
             // Split-time remnants reinsert at the leaf level only: letting
             // them re-enter spanning placement lets a shrink-cut-readmit
             // loop amplify one record into thousands of portions.
@@ -391,7 +383,6 @@ impl<const D: usize> Tree<D> {
                     self.node_mut(node).spanning_mut().swap_remove(i);
                     self.entry_count -= 1;
                     self.stats.demotions += 1;
-                    self.emit(segidx_obs::EventKind::Demotion, node);
                     if let Some(clipped) = cut.spanning {
                         self.queue_leaf_reinsert(clipped, s.record);
                     }

@@ -1,13 +1,11 @@
 //! End-to-end telemetry tests: latency histograms fill for every timed
-//! operation, structural events reach an installed sink, and the disabled
-//! default records nothing.
+//! operation, and the disabled default records nothing.
 
 use segidx_core::{
     bulk::bulk_load_with_telemetry, IndexConfig, IntervalIndex, RecordId, Skeleton, Tree,
     TreeTelemetry,
 };
 use segidx_geom::{Point, Rect};
-use segidx_obs::{EventKind, RingBufferSink};
 use std::sync::Arc;
 
 fn seg(x0: f64, x1: f64, y: f64) -> Rect<2> {
@@ -42,57 +40,6 @@ fn histograms_fill_for_every_operation() {
     assert_eq!(snap.delete.count, 1);
     assert!(snap.insert.p99().is_some());
     assert!(snap.insert.max >= snap.insert.p50().unwrap_or(0));
-}
-
-#[test]
-fn structural_events_reach_the_sink() {
-    let sink = Arc::new(RingBufferSink::new(1 << 16));
-    let telemetry = Arc::new(TreeTelemetry::with_sink(sink.clone()));
-    // Tiny nodes with mixed segment lengths: every segment-index mechanism
-    // fires (same workload as the paper-figures tests).
-    let mut t: Tree<2> = Tree::new(IndexConfig {
-        leaf_node_bytes: 160,
-        segment: true,
-        ..IndexConfig::default()
-    });
-    t.set_telemetry(Some(telemetry));
-    for i in 0..3_000u64 {
-        let x = ((i * 97) % 2_000) as f64;
-        let y = ((i * 41) % 500) as f64;
-        let len = if i % 31 == 0 {
-            700.0
-        } else if i % 7 == 0 {
-            90.0
-        } else {
-            3.0
-        };
-        t.insert(seg(x, x + len, y), RecordId(i));
-    }
-
-    let stats = t.stats();
-    // Event counts mirror the stats counters exactly (nothing dropped with
-    // a large ring).
-    assert_eq!(sink.dropped(), 0);
-    assert_eq!(
-        sink.events_of(EventKind::LeafSplit).len() as u64,
-        stats.leaf_splits
-    );
-    assert_eq!(sink.events_of(EventKind::Cut).len() as u64, stats.cuts);
-    assert_eq!(
-        sink.events_of(EventKind::Promotion).len() as u64,
-        stats.promotions
-    );
-    assert_eq!(
-        sink.events_of(EventKind::Demotion).len() as u64,
-        stats.demotions
-    );
-    assert!(stats.leaf_splits > 0, "workload must split leaves");
-    assert!(stats.cuts > 0, "workload must cut long segments");
-    // Split events carry the level of the node that split.
-    assert!(sink
-        .events_of(EventKind::LeafSplit)
-        .iter()
-        .all(|e| e.level == 0));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's sole performance metric is *average nodes accessed per
 //! search*; a production index also needs wall-clock tail latency and a
-//! record of *why* the tree changed shape. This crate provides the three
+//! profile of where a slow query went. This crate provides the three
 //! zero-dependency building blocks the other crates thread through their
 //! layers:
 //!
@@ -10,20 +10,20 @@
 //!    with `p50`/`p95`/`p99`/`max` extraction, recorded per operation
 //!    (`search`, `stab`, `nearest`, `insert`, `delete`, `bulk_load`) and
 //!    per physical page read/write.
-//! 2. [`ObsSink`] — a structural event trait fired on splits, promotions,
-//!    demotions, cuts, coalesces, and buffer-pool evictions, with a bounded
-//!    [`RingBufferSink`] recorder for tests/debugging and a [`NullSink`].
-//!    Layers hold `Option<Arc<dyn ObsSink>>`; `None` (the default) costs one
-//!    null check and no dynamic dispatch.
-//! 3. [`MetricsRegistry`] — collector-based aggregation of every counter
+//! 2. [`MetricsRegistry`] — collector-based aggregation of every counter
 //!    and histogram behind one [`MetricsRegistry::snapshot`] /
 //!    [`MetricsSnapshot::diff`] API, exporting pretty text, JSON, and
 //!    Prometheus text exposition format.
-//! 4. [`trace`] — sampled hierarchical query traces: RAII spans with
+//! 3. [`trace`] — sampled hierarchical query traces: RAII spans with
 //!    parent ids, a per-trace [`QueryProfile`] access breakdown, a
 //!    [`FlightRecorder`] slow-op log, and exporters to text trees and
 //!    Chrome `trace_event` JSON. Sampling defaults to off; untraced paths
 //!    cost one thread-local boolean check.
+//!
+//! Why a tree changed shape (splits, promotions, demotions, cuts,
+//! coalesces) is counted, not streamed: the index's `TreeStats` counters,
+//! the storage layer's `IoStats`, and the repair reports returned by
+//! `open_repair`/`recover` carry each structural fact once.
 //!
 //! Because the workspace builds offline against compile-only serde shims,
 //! the [`json`] module carries its own small JSON renderer/parser used by
@@ -35,12 +35,10 @@
 mod hist;
 pub mod json;
 mod registry;
-mod sink;
 pub mod trace;
 
 pub use hist::{bucket_index, bucket_upper_bound, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use registry::{Collector, Metric, MetricValue, MetricsRegistry, MetricsSnapshot};
-pub use sink::{Event, EventKind, NullSink, ObsSink, RingBufferSink, Span};
 pub use trace::{
     chrome_trace_json, CompletedTrace, FlightRecorder, OpClass, QueryProfile, SpanRecord,
     TraceContext, TraceGuard, Tracer,

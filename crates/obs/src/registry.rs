@@ -137,36 +137,6 @@ impl MetricsRegistry {
         self.collectors.lock().unwrap().len()
     }
 
-    /// Registers a collector exposing a [`RingBufferSink`](crate::RingBufferSink)'s health: how
-    /// many events it currently retains (`segidx_events_buffered` gauge)
-    /// and how many it has had to drop because the ring was full
-    /// (`segidx_events_dropped_total` counter). Lets overload show up in
-    /// the JSON/Prometheus exports instead of vanishing silently.
-    pub fn register_ring_sink(
-        &self,
-        sink: &std::sync::Arc<crate::RingBufferSink>,
-        labels: &[(&str, &str)],
-    ) {
-        let sink = std::sync::Arc::clone(sink);
-        let labels = own_labels(labels);
-        self.register(Box::new(move |out| {
-            let borrowed: Vec<(&str, &str)> = labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            out.push(Metric::counter(
-                "segidx_events_dropped_total",
-                &borrowed,
-                sink.dropped(),
-            ));
-            out.push(Metric::gauge(
-                "segidx_events_buffered",
-                &borrowed,
-                sink.len() as f64,
-            ));
-        }));
-    }
-
     /// Registers a collector exposing a [`Tracer`](crate::Tracer)'s health:
     /// operations offered / traces recorded and completed (counters), spans
     /// dropped to the per-trace buffer cap (counter **and** gauge, so the
@@ -522,31 +492,6 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.metrics.len(), 2);
         assert!(snap.get("b", &[("x", "y")]).is_some());
-    }
-
-    #[test]
-    fn ring_sink_registration_exposes_drops() {
-        use crate::{Event, EventKind, ObsSink, RingBufferSink};
-        use std::sync::Arc;
-        let sink = Arc::new(RingBufferSink::new(2));
-        let registry = MetricsRegistry::new();
-        registry.register_ring_sink(&sink, &[("component", "writer")]);
-        for i in 0..5u64 {
-            sink.event(Event::new(EventKind::SnapshotPublished).node(i));
-        }
-        let snap = registry.snapshot();
-        let labels: &[(&str, &str)] = &[("component", "writer")];
-        assert_eq!(
-            snap.get("segidx_events_dropped_total", labels)
-                .unwrap()
-                .value,
-            MetricValue::Counter(3)
-        );
-        assert_eq!(
-            snap.get("segidx_events_buffered", labels).unwrap().value,
-            MetricValue::Gauge(2.0)
-        );
-        assert!(snap.to_prometheus().contains("segidx_events_dropped_total"));
     }
 
     #[test]

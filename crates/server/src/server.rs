@@ -6,7 +6,7 @@ use crate::frame::DEFAULT_MAX_FRAME;
 use crate::telemetry::ServerStats;
 use segidx_concurrent::{Builder, ConcurrentIndex};
 use segidx_core::{IndexConfig, Tree};
-use segidx_obs::{MetricsRegistry, RingBufferSink, Tracer};
+use segidx_obs::{MetricsRegistry, Tracer};
 use segidx_temporal::{TemporalConfig, TemporalTable};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -88,7 +88,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `config.addr`, starts the index writer thread, registers
-    /// every metric family (server, index service, tracer, event ring) on
+    /// every metric family (server, index service, tracer, temporal tier) on
     /// one registry, and spawns the accept loop.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         Self::start_with(config, |index| index)
@@ -103,13 +103,12 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
-        // The tracer and event ring ride the index builder so slow
-        // commits land in the flight recorder.
+        // The tracer rides the index builder so slow commits land in the
+        // flight recorder.
         let tracer = Arc::new(Tracer::with_config(config.trace_sample, 8, 4096));
         let index = rig(ConcurrentIndex::builder(Tree::new(IndexConfig::srtree()))
             .queue_capacity(config.queue_capacity)
-            .tracer(Arc::clone(&tracer))
-            .ring_sink(Arc::new(RingBufferSink::new(4096))))
+            .tracer(Arc::clone(&tracer)))
         .start()
         .map_err(|e| io::Error::other(format!("index start failed: {e:?}")))?;
 

@@ -5,7 +5,6 @@ use crate::error::{Result, StorageError};
 use crate::page::{Page, PageId, SizeClass};
 use crate::stats::{IoLatency, IoStats};
 use parking_lot::Mutex;
-use segidx_obs::{Event, EventKind, ObsSink};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -52,7 +51,6 @@ pub struct BufferPool {
     config: BufferPoolConfig,
     inner: Mutex<PoolInner>,
     stats: Arc<IoStats>,
-    sink: Mutex<Option<Arc<dyn ObsSink>>>,
 }
 
 impl BufferPool {
@@ -73,7 +71,6 @@ impl BufferPool {
                 clock: 0,
             }),
             stats,
-            sink: Mutex::new(None),
         }
     }
 
@@ -91,13 +88,6 @@ impl BufferPool {
     /// manager's).
     pub fn latency(&self) -> Arc<IoLatency> {
         self.disk.latency()
-    }
-
-    /// Installs (or clears) an observability sink; each eviction then fires
-    /// an [`EventKind::BufferEviction`] event carrying the page id, size
-    /// class, and evicted byte count.
-    pub fn set_sink(&self, sink: Option<Arc<dyn ObsSink>>) {
-        *self.sink.lock() = sink;
     }
 
     /// Bytes currently cached.
@@ -207,16 +197,11 @@ impl BufferPool {
         self.disk.sync()
     }
 
-    /// Records a failed write-back in the shared counters, fires an
-    /// [`EventKind::WriteBackError`] event, and logs to stderr — the error
-    /// is *reported* through every channel even when (as in `Drop`) it
-    /// cannot be returned.
+    /// Records a failed write-back in the shared counters and logs it to
+    /// stderr — the error is *reported* even when (as in `Drop`) it cannot
+    /// be returned.
     fn report_write_error(&self, id: PageId, e: &StorageError) {
         self.stats.record_write_error();
-        let sink = self.sink.lock().clone();
-        if let Some(sink) = sink {
-            sink.event(Event::new(EventKind::WriteBackError).node(id.raw()));
-        }
         eprintln!("segidx-storage: write-back of page {id:?} failed: {e}");
     }
 
@@ -302,30 +287,12 @@ impl BufferPool {
                 };
                 self.disk.write_page(&page)?;
             }
-            let evicted = {
-                let mut inner = self.inner.lock();
-                match inner.frames.get(&id) {
-                    Some(fr) if fr.pins == 0 => {
-                        let class = fr.page.size_class();
-                        let size = class.page_size();
-                        inner.frames.remove(&id);
-                        inner.cached_bytes -= size;
-                        self.stats.record_eviction();
-                        Some((class, size))
-                    }
-                    _ => None,
-                }
-            };
-            if let Some((class, size)) = evicted {
-                let sink = self.sink.lock().clone();
-                if let Some(sink) = sink {
-                    sink.event(
-                        Event::new(EventKind::BufferEviction)
-                            .node(id.raw())
-                            .level(class.raw() as u32)
-                            .detail(size as u64),
-                    );
-                }
+            let mut inner = self.inner.lock();
+            if let Some(fr) = inner.frames.get(&id).filter(|fr| fr.pins == 0) {
+                let size = fr.page.size_class().page_size();
+                inner.frames.remove(&id);
+                inner.cached_bytes -= size;
+                self.stats.record_eviction();
             }
         }
     }
@@ -334,8 +301,8 @@ impl BufferPool {
 /// Dropping the pool writes dirty pages back and syncs, so an index that
 /// goes out of scope without an explicit [`BufferPool::flush_all`] is not
 /// silently lost. Failures cannot be returned from `Drop`; they are
-/// *reported* instead — counted in [`IoStats`] `write_errors`, fired as
-/// [`EventKind::WriteBackError`] events, and logged to stderr. Callers that
+/// *reported* instead — counted in [`IoStats`] `write_errors` and logged
+/// to stderr. Callers that
 /// need failures as errors must call [`BufferPool::flush_all`] themselves.
 impl Drop for BufferPool {
     fn drop(&mut self) {
@@ -481,35 +448,6 @@ mod tests {
         pool.free(id).unwrap();
         assert_eq!(pool.cached_pages(), 0);
         assert!(pool.with_page(id, |_| ()).is_err());
-    }
-
-    #[test]
-    fn evictions_fire_sink_events() {
-        use segidx_obs::RingBufferSink;
-        let pool = pool("evsink.db", 2 * 1024);
-        let sink = Arc::new(RingBufferSink::new(16));
-        pool.set_sink(Some(sink.clone()));
-        for i in 0..3 {
-            let id = pool.allocate(SizeClass::new(0)).unwrap();
-            pool.with_page_mut(id, |p| p.set_payload(&[i as u8; 64]).unwrap())
-                .unwrap();
-        }
-        let events = sink.events_of(EventKind::BufferEviction);
-        assert!(
-            !events.is_empty(),
-            "third 1 KB page overflows a 2 KB budget"
-        );
-        for e in &events {
-            assert_eq!(e.level, 0, "leaf size class");
-            assert_eq!(e.detail, 1024, "evicted bytes");
-        }
-        // Clearing the sink stops event delivery.
-        pool.set_sink(None);
-        let before = sink.len();
-        let id = pool.allocate(SizeClass::new(0)).unwrap();
-        pool.with_page_mut(id, |p| p.set_payload(b"q").unwrap())
-            .unwrap();
-        assert_eq!(sink.len(), before);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use crate::fault::{injected_error, FaultInjector, SyncFault, SyncKind, WriteFaul
 use crate::page::{Page, PageId, SizeClass, BASE_PAGE_SIZE, MAX_SIZE_CLASS};
 use crate::stats::{IoLatency, IoStats};
 use parking_lot::Mutex;
-use segidx_obs::{Event, EventKind, ObsSink};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -191,35 +191,27 @@ impl DiskManager {
     /// Quarantined extents are deliberately not recycled (their contents
     /// are unknown); [`DiskManager::compact`] reclaims them offline.
     ///
-    /// Each quarantined page fires an [`EventKind::PageQuarantined`] event
-    /// on `sink` (node = page id, level = size class, detail = slot). The
-    /// quarantine takes effect durably at the next [`DiskManager::sync`].
+    /// Each quarantined page is listed, with the reason, in the returned
+    /// [`RepairReport`]; the third argument is always `None` and only keeps
+    /// the call's shape for existing callers. The quarantine takes effect
+    /// durably at the next [`DiskManager::sync`].
     pub fn open_repair(
         path: impl AsRef<Path>,
         config: DiskManagerConfig,
-        sink: Option<Arc<dyn ObsSink>>,
+        _none: Option<Infallible>,
     ) -> Result<(Self, RepairReport)> {
         let mgr = Self::open_with(path, config)?;
         let mut report = RepairReport {
             epoch: mgr.epoch(),
             ..RepairReport::default()
         };
-        for (id, class) in mgr.pages() {
+        for (id, _) in mgr.pages() {
             report.pages_checked += 1;
             if let Err(e) = mgr.read_page(id) {
-                let slot = {
+                {
                     let mut inner = mgr.inner.lock();
-                    let loc = inner.directory.remove(&id);
+                    inner.directory.remove(&id);
                     inner.dirty_meta = true;
-                    loc.map(|l| l.slot).unwrap_or(u64::MAX)
-                };
-                if let Some(sink) = &sink {
-                    sink.event(
-                        Event::new(EventKind::PageQuarantined)
-                            .node(id.raw())
-                            .level(u32::from(class.raw()))
-                            .detail(slot),
-                    );
                 }
                 report.quarantined.push((id, e.to_string()));
             }
@@ -1015,7 +1007,6 @@ mod tests {
 
     #[test]
     fn open_repair_quarantines_corrupt_pages() {
-        use segidx_obs::RingBufferSink;
         let path = tempdir().join("repair.db");
         let (good, bad);
         {
@@ -1035,10 +1026,8 @@ mod tests {
             f.seek(SeekFrom::Start(BASE_PAGE_SIZE as u64 + 25)).unwrap();
             f.write_all(&[0xEE; 8]).unwrap();
         }
-        let sink = Arc::new(RingBufferSink::new(8));
         let (dm, report) =
-            DiskManager::open_repair(&path, DiskManagerConfig::default(), Some(sink.clone()))
-                .unwrap();
+            DiskManager::open_repair(&path, DiskManagerConfig::default(), None).unwrap();
         assert_eq!(report.pages_checked, 2);
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].0, bad);
@@ -1049,9 +1038,6 @@ mod tests {
             Err(StorageError::PageNotFound(_))
         ));
         assert_eq!(dm.read_page(good).unwrap().payload(), b"good");
-        let events = sink.events_of(EventKind::PageQuarantined);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].node, bad.raw());
         // The quarantine becomes durable at the next sync.
         dm.sync().unwrap();
         drop(dm);
