@@ -1,6 +1,7 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
 //!
-//! * A1 — split algorithm: quadratic vs linear (Guttman offers both);
+//! * A1 — split algorithm: Guttman's quadratic vs the R\*-Tree split
+//!   ([BECK90]);
 //! * A2 — branch reservation fraction for Skeleton fanout sizing
 //!   (paper §4 suggests 1/2, 2/3, 3/4);
 //! * A3 — construction strategy: dynamic insertion vs Skeleton
@@ -54,7 +55,7 @@ fn a1_split_algorithm(c: &mut Criterion) {
 
     for (name, algo) in [
         ("quadratic", SplitAlgorithm::Quadratic),
-        ("linear", SplitAlgorithm::Linear),
+        ("rstar", SplitAlgorithm::RStar),
     ] {
         let mut config = IndexConfig::rtree();
         config.split = algo;

@@ -2,6 +2,19 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Bytes per index entry, from which a node's capacity follows from its
+/// size: a 2-D rectangle (four `f64`) plus an 8-byte id.
+pub(crate) const ENTRY_BYTES: usize = 40;
+
+/// Minimum fill of a split half, as a fraction of the node's capacity
+/// (Guttman's `m ≤ M/2`; 0.4 is the common choice).
+pub(crate) const MIN_FILL_RATIO: f64 = 0.4;
+
+/// Cap on the size-doubling ladder: levels at or above this use the same
+/// node size. Ten doublings of a 1 KB leaf = 1 MB, far beyond any realistic
+/// root.
+pub(crate) const MAX_SIZE_DOUBLINGS: u8 = 10;
+
 /// Which node-splitting algorithm to use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum SplitAlgorithm {
@@ -10,13 +23,12 @@ pub enum SplitAlgorithm {
     /// default and the paper's setting.
     #[default]
     Quadratic,
-    /// Guttman's linear-cost split: seeds chosen by greatest normalized
-    /// separation, remaining entries assigned by least enlargement.
-    Linear,
     /// The R\*-Tree topological split (Beckmann et al. 1990, cited by the
     /// paper as \[BECK90\]): choose the split axis by minimum margin sum,
-    /// then the distribution by minimum overlap. Provided as a
-    /// stronger-baseline ablation beyond the paper's R-Tree.
+    /// then the distribution by minimum overlap. Beyond the paper: on an
+    /// SR-Tree with forced reinsertion it reads 17–75 % fewer nodes than the
+    /// quadratic split on the paper's six distributions, for 1.2–1.9× the
+    /// insert cost (EXPERIMENTS.md, "IndexConfig keeps only what is used").
     RStar,
 }
 
@@ -47,25 +59,18 @@ impl Default for CoalesceConfig {
 /// Configuration shared by all four index variants.
 ///
 /// The defaults reproduce the paper's experimental setup (§5): 1 KB leaf
-/// nodes whose size doubles at each higher level, 40-byte entries, and — for
-/// segment (SR) variants — 2/3 of non-leaf entries reserved for branches.
+/// nodes whose size doubles at each higher level (up to ten doublings), and
+/// — for segment (SR) variants — 2/3 of non-leaf entries reserved for
+/// branches. Entries are 40 bytes and a split leaves each half at least 40 %
+/// full; both are fixed, not configured.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct IndexConfig {
     /// Leaf node size in bytes (paper: 1 KB).
     pub leaf_node_bytes: usize,
     /// Whether node size doubles at each successively higher level
-    /// (paper §2.1.2). When `false` every level uses `leaf_node_bytes`.
+    /// (paper §2.1.2), capped at ten doublings. When `false` every level
+    /// uses `leaf_node_bytes`.
     pub vary_node_size: bool,
-    /// Cap on the size-doubling ladder: levels at or above this use the same
-    /// node size. Ten doublings of a 1 KB leaf = 1 MB, far beyond any
-    /// realistic root.
-    pub max_size_doublings: u8,
-    /// Bytes per index entry used to derive node capacity from node size.
-    /// 40 bytes = a 2-D rectangle (four `f64`) plus an 8-byte id.
-    pub entry_bytes: usize,
-    /// Minimum fill factor applied to node splits, as a fraction of the
-    /// relevant capacity (Guttman's `m ≤ M/2`; 0.4 is the common choice).
-    pub min_fill_ratio: f64,
     /// Fraction of a non-leaf node's entries reserved for branches in
     /// segment (SR) mode; the remainder holds spanning index records.
     /// The paper's experiments use 2/3 (§5).
@@ -93,9 +98,6 @@ impl Default for IndexConfig {
         Self {
             leaf_node_bytes: 1024,
             vary_node_size: true,
-            max_size_doublings: 10,
-            entry_bytes: 40,
-            min_fill_ratio: 0.4,
             branch_fraction: 2.0 / 3.0,
             segment: false,
             split: SplitAlgorithm::Quadratic,
@@ -155,8 +157,10 @@ impl IndexConfig {
     }
 
     /// An R\*-Tree configuration (Beckmann et al. 1990): topological split,
-    /// overlap-aware ChooseSubtree, 30% forced reinsertion. A stronger
-    /// modern baseline than the paper's R-Tree, provided for ablations.
+    /// overlap-aware ChooseSubtree, 30% forced reinsertion, on the paper's
+    /// node sizes. A stronger modern baseline than the paper's R-Tree, for
+    /// ablations; set `segment` on it for the segment tactic on the R\*
+    /// split.
     pub fn rstar() -> Self {
         Self {
             split: SplitAlgorithm::RStar,
@@ -166,19 +170,25 @@ impl IndexConfig {
         }
     }
 
+    /// How many times the leaf size doubles to give the node size at
+    /// `level`: the paper's ladder (§2.1.2), the same step for a node's
+    /// capacity and for the page it is persisted on.
+    pub(crate) fn size_doublings(&self, level: u32) -> u32 {
+        if self.vary_node_size {
+            level.min(u32::from(MAX_SIZE_DOUBLINGS))
+        } else {
+            0
+        }
+    }
+
     /// Node size in bytes at `level` (level 0 = leaves).
     pub fn node_bytes(&self, level: u32) -> usize {
-        if self.vary_node_size {
-            let doublings = level.min(u32::from(self.max_size_doublings));
-            self.leaf_node_bytes << doublings
-        } else {
-            self.leaf_node_bytes
-        }
+        self.leaf_node_bytes << self.size_doublings(level)
     }
 
     /// Total entry capacity of a node at `level`.
     pub fn capacity(&self, level: u32) -> usize {
-        (self.node_bytes(level) / self.entry_bytes).max(4)
+        (self.node_bytes(level) / ENTRY_BYTES).max(4)
     }
 
     /// Entry slots a node's block at `level` is allocated with: the
@@ -201,33 +211,23 @@ impl IndexConfig {
     }
 
     /// Minimum fill for split distribution at `level`, relative to the
-    /// total node capacity (Guttman's `m`). The `leaf` flag is accepted for
-    /// future tuning but both node kinds use the same rule — the
-    /// `branch_fraction` reservation affects Skeleton fanout sizing only,
-    /// so an SR-Tree with no spanning records splits identically to an
-    /// R-Tree (paper §5: "both of the non-Skeleton Indexes had identical
-    /// performance").
-    pub fn min_fill(&self, level: u32, _leaf: bool) -> usize {
+    /// total node capacity (Guttman's `m`). Leaves and internal nodes use
+    /// the same rule — the `branch_fraction` reservation affects Skeleton
+    /// fanout sizing only, so an SR-Tree with no spanning records splits
+    /// identically to an R-Tree (paper §5: "both of the non-Skeleton
+    /// Indexes had identical performance").
+    pub fn min_fill(&self, level: u32) -> usize {
         let cap = self.capacity(level);
-        (((cap as f64) * self.min_fill_ratio).floor() as usize).max(2)
+        (((cap as f64) * MIN_FILL_RATIO).floor() as usize).max(2)
     }
 
     /// Validates the configuration, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.leaf_node_bytes < 4 * self.entry_bytes {
+        if self.leaf_node_bytes < 4 * ENTRY_BYTES {
             return Err(format!(
-                "leaf node of {} bytes holds fewer than 4 entries of {} bytes",
-                self.leaf_node_bytes, self.entry_bytes
-            ));
-        }
-        if self.entry_bytes == 0 {
-            return Err("entry_bytes must be positive".into());
-        }
-        if !(0.0..=0.5).contains(&self.min_fill_ratio) {
-            return Err(format!(
-                "min_fill_ratio {} outside [0, 0.5]",
-                self.min_fill_ratio
+                "leaf node of {} bytes holds fewer than 4 entries of {ENTRY_BYTES} bytes",
+                self.leaf_node_bytes
             ));
         }
         if !(0.0..=1.0).contains(&self.branch_fraction) {
@@ -278,12 +278,9 @@ mod tests {
 
     #[test]
     fn size_doubling_caps() {
-        let c = IndexConfig {
-            max_size_doublings: 2,
-            ..IndexConfig::default()
-        };
-        assert_eq!(c.node_bytes(2), 4096);
-        assert_eq!(c.node_bytes(9), 4096);
+        let c = IndexConfig::default();
+        assert_eq!(c.node_bytes(10), 1024 << 10);
+        assert_eq!(c.node_bytes(15), 1024 << 10);
     }
 
     #[test]
@@ -297,11 +294,13 @@ mod tests {
 
     #[test]
     fn min_fill_at_least_two() {
+        assert_eq!(IndexConfig::default().min_fill(0), 10); // floor(25 * 0.4)
         let c = IndexConfig {
-            min_fill_ratio: 0.0,
+            leaf_node_bytes: 4 * ENTRY_BYTES,
             ..IndexConfig::default()
         };
-        assert_eq!(c.min_fill(0, true), 2);
+        c.validate().unwrap();
+        assert_eq!(c.min_fill(0), 2); // floor(4 * 0.4) = 1, raised to 2
     }
 
     #[test]
@@ -332,12 +331,6 @@ mod tests {
     fn validation_rejects_bad_configs() {
         let c = IndexConfig {
             leaf_node_bytes: 64,
-            ..IndexConfig::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = IndexConfig {
-            min_fill_ratio: 0.9,
             ..IndexConfig::default()
         };
         assert!(c.validate().is_err());

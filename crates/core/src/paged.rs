@@ -10,13 +10,11 @@
 //! the paper's variable node sizes were designed around.
 
 use crate::id::RecordId;
-use crate::persist::{decode_node, NodeImageKind};
+use crate::persist::{decode_node, NodeImageKind, TreeMeta};
 use crate::tree::finish_ids;
 use segidx_geom::{Point, Rect};
-use segidx_storage::{BufferPool, ByteReader, PageId, Result, StorageError};
+use segidx_storage::{BufferPool, PageId, Result};
 use std::cell::Cell;
-
-const TREE_MAGIC: u32 = 0x5347_5452; // must match persist.rs
 
 /// A read-only search engine over a persisted index.
 #[derive(Debug)]
@@ -31,32 +29,11 @@ impl<'a, const D: usize> PagedSearcher<'a, D> {
     /// Opens the index whose metadata page is `meta` (as returned by
     /// [`crate::persist::save`]).
     pub fn open(pool: &'a BufferPool, meta: PageId) -> Result<Self> {
-        let (root, len) = pool.with_page(meta, |page| -> Result<(PageId, usize)> {
-            let mut r = ByteReader::new(page.payload());
-            let magic = r.get_u32()?;
-            if magic != TREE_MAGIC {
-                return Err(StorageError::BadMeta(format!("bad tree magic {magic:#x}")));
-            }
-            let version = r.get_u32()?;
-            if version != 1 {
-                return Err(StorageError::BadMeta(format!(
-                    "unsupported tree format {version}"
-                )));
-            }
-            let dims = r.get_u32()? as usize;
-            if dims != D {
-                return Err(StorageError::BadMeta(format!(
-                    "tree has {dims} dimensions, expected {D}"
-                )));
-            }
-            let root = PageId(r.get_u64()?);
-            let len = r.get_u64()? as usize;
-            Ok((root, len))
-        })??;
+        let meta = pool.with_page(meta, |page| TreeMeta::decode(page.payload(), Some(D)))??;
         Ok(Self {
             pool,
-            root,
-            len,
+            root: meta.root,
+            len: meta.len,
             logical_accesses: Cell::new(0),
         })
     }

@@ -17,7 +17,9 @@
 //!   rebuilds a fresh tree from every surviving node page (leaf entries and
 //!   spanning records alike are re-inserted) and commits the rebuild.
 
-use crate::config::{CoalesceConfig, IndexConfig, SplitAlgorithm};
+use crate::config::{
+    CoalesceConfig, IndexConfig, SplitAlgorithm, ENTRY_BYTES, MAX_SIZE_DOUBLINGS, MIN_FILL_RATIO,
+};
 use crate::entry::{Branch, LeafEntry, SpanningEntry};
 use crate::id::{NodeId, RecordId};
 use crate::node::{Arena, Node, NodeKind};
@@ -39,7 +41,8 @@ pub fn save<const D: usize>(tree: &Tree<D>, disk: &DiskManager) -> Result<PageId
     let mut page_of: HashMap<NodeId, PageId> = HashMap::with_capacity(tree.node_count());
     let mut order: Vec<NodeId> = Vec::with_capacity(tree.node_count());
     for (id, node) in tree.arena.iter() {
-        let payload_len = encode_node(node).len();
+        // Child page ids are fixed-width, so a placeholder sizes the page.
+        let payload_len = encode_node(node, |_| PageId(0)).len();
         let class = size_class_for(&tree.config, node.level, payload_len)?;
         let page = disk.allocate(class)?;
         page_of.insert(id, page);
@@ -47,7 +50,7 @@ pub fn save<const D: usize>(tree: &Tree<D>, disk: &DiskManager) -> Result<PageId
     }
     for id in order {
         let node = tree.arena.get(id);
-        let payload = encode_node_with_children(node, &page_of);
+        let payload = encode_node(node, |child| page_of[&child]);
         let page_id = page_of[&id];
         let class = disk.size_class_of(page_id)?;
         let mut page = segidx_storage::Page::new(page_id, class);
@@ -76,36 +79,59 @@ pub fn save<const D: usize>(tree: &Tree<D>, disk: &DiskManager) -> Result<PageId
 
 /// Reads a tree back from `disk` given its metadata page id.
 pub fn load<const D: usize>(disk: &DiskManager, meta: PageId) -> Result<Tree<D>> {
-    let meta_page = disk.read_page(meta)?;
-    let mut r = ByteReader::new(meta_page.payload());
-    let magic = r.get_u32()?;
-    if magic != TREE_MAGIC {
-        return Err(StorageError::BadMeta(format!("bad tree magic {magic:#x}")));
-    }
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(StorageError::BadMeta(format!(
-            "unsupported tree format {version}"
-        )));
-    }
-    let dims = r.get_u32()? as usize;
-    if dims != D {
-        return Err(StorageError::BadMeta(format!(
-            "tree has {dims} dimensions, expected {D}"
-        )));
-    }
-    let root_page = PageId(r.get_u64()?);
-    let len = r.get_u64()? as usize;
-    let entry_count = r.get_u64()? as usize;
-    let config = decode_config(&mut r)?;
-
+    let meta = TreeMeta::decode(disk.read_page(meta)?.payload(), Some(D))?;
     let mut arena: Arena<D> = Arena::new();
     let mut node_of: HashMap<PageId, NodeId> = HashMap::new();
-    let root = load_node(disk, root_page, &mut arena, &mut node_of)?;
-    let mut tree = Tree::from_parts(config, arena, root);
-    tree.len = len;
-    tree.entry_count = entry_count;
+    let root = load_node(disk, meta.root, &mut arena, &mut node_of)?;
+    let mut tree = Tree::from_parts(meta.config, arena, root);
+    tree.len = meta.len;
+    tree.entry_count = meta.entry_count;
     Ok(tree)
+}
+
+/// A decoded tree metadata page: everything [`save`] writes after the node
+/// pages.
+pub(crate) struct TreeMeta {
+    pub(crate) dims: usize,
+    pub(crate) root: PageId,
+    pub(crate) len: usize,
+    pub(crate) entry_count: usize,
+    pub(crate) config: IndexConfig,
+}
+
+impl TreeMeta {
+    /// The one parser of the tree metadata page: magic, format version,
+    /// dimensionality (which must be `dims`, if given), root page, logical
+    /// length, entry count and the config, which must pass
+    /// [`IndexConfig::validate`]. [`load`], the salvage in [`recover`],
+    /// [`free_tree`] and [`PagedSearcher::open`](crate::PagedSearcher::open)
+    /// all read the page through it.
+    pub(crate) fn decode(payload: &[u8], dims: Option<usize>) -> Result<Self> {
+        let mut r = ByteReader::new(payload);
+        let magic = r.get_u32()?;
+        if magic != TREE_MAGIC {
+            return Err(StorageError::BadMeta(format!("bad tree magic {magic:#x}")));
+        }
+        let version = r.get_u32()?;
+        if version != FORMAT_VERSION {
+            return Err(StorageError::BadMeta(format!(
+                "unsupported tree format {version}"
+            )));
+        }
+        let found = r.get_u32()? as usize;
+        if let Some(want) = dims.filter(|&want| want != found) {
+            return Err(StorageError::BadMeta(format!(
+                "tree has {found} dimensions, expected {want}"
+            )));
+        }
+        Ok(Self {
+            dims: found,
+            root: PageId(r.get_u64()?),
+            len: r.get_u64()? as usize,
+            entry_count: r.get_u64()? as usize,
+            config: decode_config(&mut r)?,
+        })
+    }
 }
 
 /// What [`recover`] did to bring the index back after a crash.
@@ -193,7 +219,10 @@ pub fn recover<const D: usize>(
     }
     // Salvage: collect (rect, record) pairs from every page that still
     // parses as a node of this dimensionality, then rebuild.
-    let config = load_config(disk, root).unwrap_or_else(IndexConfig::srtree);
+    let config = disk
+        .read_page(root)
+        .and_then(|page| TreeMeta::decode(page.payload(), None))
+        .map_or_else(|_| IndexConfig::srtree(), |meta| meta.config);
     let mut salvaged: Vec<(Rect<D>, RecordId)> = Vec::new();
     let pages = disk.pages();
     for (id, _) in &pages {
@@ -222,20 +251,6 @@ pub fn recover<const D: usize>(
             pages_lost: repair.quarantined.len(),
         },
     ))
-}
-
-/// Reads just the [`IndexConfig`] out of a tree metadata page.
-fn load_config(disk: &DiskManager, meta: PageId) -> Option<IndexConfig> {
-    let page = disk.read_page(meta).ok()?;
-    let mut r = ByteReader::new(page.payload());
-    if r.get_u32().ok()? != TREE_MAGIC || r.get_u32().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    let _dims = r.get_u32().ok()?;
-    let _root = r.get_u64().ok()?;
-    let _len = r.get_u64().ok()?;
-    let _entries = r.get_u64().ok()?;
-    decode_config(&mut r).ok()
 }
 
 /// If `payload` parses fully as a node image of dimensionality `D`
@@ -287,16 +302,10 @@ pub fn free_tree(disk: &DiskManager, meta: PageId) {
         let _ = disk.free(page_id);
     }
 
-    let root_and_dims = disk.read_page(meta).ok().and_then(|page| {
-        let mut r = ByteReader::new(page.payload());
-        if r.get_u32().ok()? != TREE_MAGIC || r.get_u32().ok()? != FORMAT_VERSION {
-            return None;
-        }
-        let dims = r.get_u32().ok()? as usize;
-        let root = PageId(r.get_u64().ok()?);
-        Some((root, dims))
-    });
-    if let Some((root, dims)) = root_and_dims {
+    let decoded = disk
+        .read_page(meta)
+        .and_then(|page| TreeMeta::decode(page.payload(), None));
+    if let Ok(TreeMeta { root, dims, .. }) = decoded {
         free_node(disk, root, dims);
     }
     let _ = disk.free(meta);
@@ -358,22 +367,9 @@ fn load_node<const D: usize>(
     Ok(id)
 }
 
-/// Encodes a node without resolved child pages (used only for sizing).
-fn encode_node<const D: usize>(node: &Node<D>) -> Vec<u8> {
-    encode_node_inner(node, |_| PageId(0))
-}
-
-fn encode_node_with_children<const D: usize>(
-    node: &Node<D>,
-    page_of: &HashMap<NodeId, PageId>,
-) -> Vec<u8> {
-    encode_node_inner(node, |id| page_of[&id])
-}
-
-fn encode_node_inner<const D: usize>(
-    node: &Node<D>,
-    resolve: impl Fn(NodeId) -> PageId,
-) -> Vec<u8> {
+/// The node page image, child and linked nodes written as `resolve` maps
+/// them to pages.
+fn encode_node<const D: usize>(node: &Node<D>, resolve: impl Fn(NodeId) -> PageId) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(64 + node.occupancy() * (16 * D + 16));
     w.put_u32(node.level);
     w.put_u8(u8::from(node.is_leaf()));
@@ -403,7 +399,7 @@ fn encode_node_inner<const D: usize>(
     w.into_bytes()
 }
 
-/// One decoded node page: what [`encode_node_inner`] wrote.
+/// One decoded node page: what [`encode_node`] wrote.
 pub(crate) struct NodeImage<const D: usize> {
     pub(crate) level: u32,
     pub(crate) mod_count: u64,
@@ -492,11 +488,7 @@ fn read_rect<const D: usize>(r: &mut ByteReader<'_>) -> Result<Rect<D>> {
 /// The page size class for a node at `level`: the paper's ladder, enlarged
 /// if an elastic overflow made the payload bigger.
 fn size_class_for(config: &IndexConfig, level: u32, payload_len: usize) -> Result<SizeClass> {
-    let base = if config.vary_node_size {
-        level.min(u32::from(config.max_size_doublings)) as u8
-    } else {
-        0
-    };
+    let base = config.size_doublings(level) as u8;
     let mut class =
         SizeClass::checked(base).unwrap_or(SizeClass::new(segidx_storage::MAX_SIZE_CLASS));
     while class.payload_capacity() < payload_len {
@@ -510,18 +502,20 @@ fn size_class_for(config: &IndexConfig, level: u32, payload_len: usize) -> Resul
     Ok(class)
 }
 
+/// Writes the config in the format-1 layout. The entry size, minimum fill
+/// ratio and size-doubling cap are constants, still written in their slots
+/// so the layout keeps its bytes and older readers keep reading it.
 fn encode_config(w: &mut ByteWriter, c: &IndexConfig) {
     w.put_u64(c.leaf_node_bytes as u64);
     w.put_u8(u8::from(c.vary_node_size));
-    w.put_u8(c.max_size_doublings);
-    w.put_u64(c.entry_bytes as u64);
-    w.put_f64(c.min_fill_ratio);
+    w.put_u8(MAX_SIZE_DOUBLINGS);
+    w.put_u64(ENTRY_BYTES as u64);
+    w.put_f64(MIN_FILL_RATIO);
     w.put_f64(c.branch_fraction);
     w.put_u8(u8::from(c.segment));
     w.put_u8(match c.split {
         SplitAlgorithm::Quadratic => 0,
-        SplitAlgorithm::Linear => 1,
-        SplitAlgorithm::RStar => 2,
+        SplitAlgorithm::RStar => 2, // 1 was Guttman's linear split
     });
     match &c.coalesce {
         None => w.put_u8(0),
@@ -541,17 +535,31 @@ fn encode_config(w: &mut ByteWriter, c: &IndexConfig) {
     }
 }
 
+/// Reads what [`encode_config`] wrote, and validates it. A folded slot
+/// holding anything but its constant, an unknown split tag (1, the deleted
+/// linear split, included) or a config [`IndexConfig::validate`] rejects is
+/// a [`StorageError::Decode`]: this build cannot honour the tree's layout.
 fn decode_config(r: &mut ByteReader<'_>) -> Result<IndexConfig> {
     let leaf_node_bytes = r.get_u64()? as usize;
     let vary_node_size = r.get_u8()? == 1;
-    let max_size_doublings = r.get_u8()?;
-    let entry_bytes = r.get_u64()? as usize;
-    let min_fill_ratio = r.get_f64()?;
+    let folded = [
+        (
+            "max_size_doublings",
+            f64::from(r.get_u8()?),
+            MAX_SIZE_DOUBLINGS.into(),
+        ),
+        ("entry_bytes", r.get_u64()? as f64, ENTRY_BYTES as f64),
+        ("min_fill_ratio", r.get_f64()?, MIN_FILL_RATIO),
+    ];
+    if let Some((name, got, want)) = folded.into_iter().find(|(_, got, want)| got != want) {
+        return Err(StorageError::Decode(format!(
+            "tree config has {name} {got}, this format fixes it at {want}"
+        )));
+    }
     let branch_fraction = r.get_f64()?;
     let segment = r.get_u8()? == 1;
     let split = match r.get_u8()? {
         0 => SplitAlgorithm::Quadratic,
-        1 => SplitAlgorithm::Linear,
         2 => SplitAlgorithm::RStar,
         other => {
             return Err(StorageError::Decode(format!(
@@ -571,19 +579,20 @@ fn decode_config(r: &mut ByteReader<'_>) -> Result<IndexConfig> {
         0 => None,
         _ => Some(r.get_f64()?),
     };
-    Ok(IndexConfig {
+    let config = IndexConfig {
         leaf_node_bytes,
         vary_node_size,
-        max_size_doublings,
-        entry_bytes,
-        min_fill_ratio,
         branch_fraction,
         segment,
         split,
         coalesce,
         choose_subtree_overlap,
         forced_reinsert,
-    })
+    };
+    config
+        .validate()
+        .map_err(|e| StorageError::Decode(format!("invalid tree config: {e}")))?;
+    Ok(config)
 }
 
 #[cfg(test)]
@@ -601,12 +610,7 @@ mod tests {
         dir.join(name)
     }
 
-    fn build_tree(segment: bool, n: u64) -> Tree<2> {
-        let config = if segment {
-            IndexConfig::srtree()
-        } else {
-            IndexConfig::rtree()
-        };
+    fn build_tree(config: IndexConfig, n: u64) -> Tree<2> {
         let mut t: Tree<2> = Tree::new(config);
         for i in 0..n {
             let x = ((i * 37) % 5_000) as f64;
@@ -619,9 +623,9 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_structure_and_results() {
-        for segment in [false, true] {
-            let tree = build_tree(segment, 2_000);
-            let disk = DiskManager::create(temp(&format!("rt-{segment}.db"))).unwrap();
+        for config in [IndexConfig::rtree(), IndexConfig::srtree()] {
+            let disk = DiskManager::create(temp(&format!("rt-{}.db", config.segment))).unwrap();
+            let tree = build_tree(config, 2_000);
             let meta = save(&tree, &disk).unwrap();
             disk.sync().unwrap();
             let back: Tree<2> = load(&disk, meta).unwrap();
@@ -637,7 +641,7 @@ mod tests {
 
     #[test]
     fn page_sizes_follow_level_ladder() {
-        let tree = build_tree(false, 3_000);
+        let tree = build_tree(IndexConfig::rtree(), 3_000);
         let disk = DiskManager::create(temp("ladder.db")).unwrap();
         let _ = save(&tree, &disk).unwrap();
         // Leaf pages are 1 KB; at least one larger page exists for the
@@ -645,11 +649,41 @@ mod tests {
         let classes: Vec<u8> = disk.pages().iter().map(|(_, c)| c.raw()).collect();
         assert!(classes.contains(&0), "leaf pages at 1 KB");
         assert!(classes.iter().any(|&c| c >= 1), "larger upper-level pages");
+        // Every node sits at least on its level's rung, however few entries
+        // it holds (the meta page is not a node image).
+        for (id, class) in disk.pages() {
+            let page = disk.read_page(id).unwrap();
+            if let Ok(node) = decode_node::<2>(page.payload()) {
+                assert!(u32::from(class.raw()) >= node.level, "{id:?}");
+            }
+        }
+    }
+
+    /// The meta page of a 40-record tree under two presets, byte for byte
+    /// as the encoder wrote it while `max_size_doublings`, `entry_bytes` and
+    /// `min_fill_ratio` were fields: the constants kept their slots.
+    #[test]
+    fn meta_page_bytes_are_format_1() {
+        const HEADER: &str = "5254475301000000020000000200000000000000\
+                              2800000000000000280000000000000000040000\
+                              00000000010a28000000000000009a9999999999\
+                              d93f555555555555e53f";
+        for (config, tail) in [
+            (IndexConfig::srtree(), "0100000000"),
+            (IndexConfig::rstar(), "0002000101333333333333d33f"),
+        ] {
+            let tree = build_tree(config, 40);
+            let disk = DiskManager::create(temp(&format!("golden-{tail}.db"))).unwrap();
+            let meta = save(&tree, &disk).unwrap();
+            let page = disk.read_page(meta).unwrap();
+            let hex: String = page.payload().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, format!("{HEADER}{tail}"));
+        }
     }
 
     #[test]
     fn wrong_dimension_rejected() {
-        let tree = build_tree(false, 100);
+        let tree = build_tree(IndexConfig::rtree(), 100);
         let disk = DiskManager::create(temp("dims.db")).unwrap();
         let meta = save(&tree, &disk).unwrap();
         let err = load::<3>(&disk, meta).unwrap_err();
@@ -670,7 +704,7 @@ mod tests {
     #[test]
     fn commit_sets_root_and_survives_reopen() {
         let path = temp("commit.db");
-        let tree = build_tree(true, 500);
+        let tree = build_tree(IndexConfig::srtree(), 500);
         {
             let disk = DiskManager::create(&path).unwrap();
             let meta = commit(&tree, &disk).unwrap();
@@ -687,13 +721,13 @@ mod tests {
     fn commit_replaces_previous_tree_without_leaking_pages() {
         let path = temp("recommit.db");
         let disk = DiskManager::create(&path).unwrap();
-        let first = build_tree(false, 1_000);
+        let first = build_tree(IndexConfig::rtree(), 1_000);
         commit(&first, &disk).unwrap();
         let pages_after_first = disk.pages().len();
         // Re-committing a same-sized tree frees the old one; the page count
         // must not grow commit over commit.
         for _ in 0..3 {
-            let again = build_tree(false, 1_000);
+            let again = build_tree(IndexConfig::rtree(), 1_000);
             commit(&again, &disk).unwrap();
             assert_eq!(disk.pages().len(), pages_after_first);
         }
@@ -704,7 +738,7 @@ mod tests {
         use segidx_storage::{DiskManagerConfig, ScriptedFault};
         use std::sync::Arc;
         let path = temp("crash-commit.db");
-        let small = build_tree(true, 200);
+        let small = build_tree(IndexConfig::srtree(), 200);
         let observe = Arc::new(ScriptedFault::observer());
         {
             let cfg = DiskManagerConfig {
@@ -725,7 +759,7 @@ mod tests {
             };
             let disk = DiskManager::create_with(temp("crash-commit-b.db"), cfg).unwrap();
             commit(&small, &disk).unwrap();
-            let bigger = build_tree(true, 2_000);
+            let bigger = build_tree(IndexConfig::srtree(), 2_000);
             assert!(commit(&bigger, &disk).is_err(), "power cut mid-commit");
             drop(disk);
             let (disk, report) = DiskManager::open_repair(
@@ -747,7 +781,7 @@ mod tests {
         use std::io::{Seek, SeekFrom, Write};
 
         let path = temp("recover.db");
-        let tree = build_tree(true, 1_500);
+        let tree = build_tree(IndexConfig::srtree(), 1_500);
         {
             let disk = DiskManager::create(&path).unwrap();
             commit(&tree, &disk).unwrap();

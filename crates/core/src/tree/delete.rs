@@ -87,7 +87,7 @@ impl<const D: usize> Tree<D> {
     /// Condenses an under-full leaf: its remaining entries are queued for
     /// reinsertion and the leaf is unlinked (unless it is the root).
     fn condense_leaf(&mut self, leaf: NodeId) {
-        let min_fill = self.config.min_fill(0, true);
+        let min_fill = self.config.min_fill(0);
         let node = self.node(leaf);
         if node.parent.is_none() || node.entries().len() >= min_fill {
             return;

@@ -206,11 +206,7 @@ impl<const D: usize> Tree<D> {
                 self.node_mut(n).entries_mut().assign(entries);
                 return None;
             }
-            let min_fill = self
-                .config
-                .min_fill(level, true)
-                .min(entries.len() / 2)
-                .max(1);
+            let min_fill = self.config.min_fill(level).min(entries.len() / 2).max(1);
             let (g1, g2) = split_items(entries, |e| e.rect, min_fill, self.config.split);
             self.node_mut(n).entries_mut().assign(g1);
             let mut sib = self.new_leaf();
@@ -223,11 +219,7 @@ impl<const D: usize> Tree<D> {
                 self.node_mut(n).branches_mut().assign(branches);
                 return None;
             }
-            let min_fill = self
-                .config
-                .min_fill(level, false)
-                .min(branches.len() / 2)
-                .max(1);
+            let min_fill = self.config.min_fill(level).min(branches.len() / 2).max(1);
             let (b1, b2) = split_items(branches, |b| b.rect, min_fill, self.config.split);
             // Spanning records are "carried over" with the branch they are
             // linked to (paper §3.1.2, Figure 4).
@@ -402,14 +394,21 @@ pub(crate) fn split_items<T, const D: usize>(
     algorithm: SplitAlgorithm,
 ) -> (Vec<T>, Vec<T>) {
     debug_assert!(items.len() >= 2);
-    if algorithm == SplitAlgorithm::RStar {
-        return rstar_split(items, rect_of, min_fill);
+    match algorithm {
+        SplitAlgorithm::Quadratic => quadratic_split(items, rect_of, min_fill),
+        SplitAlgorithm::RStar => rstar_split(items, rect_of, min_fill),
     }
-    let (seed1, seed2) = match algorithm {
-        SplitAlgorithm::Quadratic => pick_seeds_quadratic(&items, &rect_of),
-        SplitAlgorithm::Linear => pick_seeds_linear(&items, &rect_of),
-        SplitAlgorithm::RStar => unreachable!("handled above"),
-    };
+}
+
+/// Guttman's quadratic split: seed the two groups with the pair wasting the
+/// most area, then repeatedly assign the entry with the greatest preference
+/// for one group.
+fn quadratic_split<T, const D: usize>(
+    items: Vec<T>,
+    rect_of: impl Fn(&T) -> Rect<D>,
+    min_fill: usize,
+) -> (Vec<T>, Vec<T>) {
+    let (seed1, seed2) = pick_seeds_quadratic(&items, &rect_of);
 
     let total = items.len();
     let mut g1: Vec<T> = Vec::with_capacity(total);
@@ -445,27 +444,17 @@ pub(crate) fn split_items<T, const D: usize>(
             break;
         }
 
-        // PickNext: the entry with the greatest preference for one group
-        // (quadratic); linear split just takes them in arbitrary order.
-        let pick = match algorithm {
-            SplitAlgorithm::RStar => unreachable!("RStar split handled separately"),
-            SplitAlgorithm::Quadratic => {
-                let mut best = 0;
-                let mut best_diff = -1.0;
-                for (i, item) in rest.iter().enumerate() {
-                    let r = rect_of(item);
-                    let d1 = mbr1.enlargement(&r);
-                    let d2 = mbr2.enlargement(&r);
-                    let diff = (d1 - d2).abs();
-                    if diff > best_diff {
-                        best_diff = diff;
-                        best = i;
-                    }
-                }
-                best
+        // PickNext: the entry with the greatest preference for one group.
+        let mut pick = 0;
+        let mut best_diff = -1.0;
+        for (i, item) in rest.iter().enumerate() {
+            let r = rect_of(item);
+            let diff = (mbr1.enlargement(&r) - mbr2.enlargement(&r)).abs();
+            if diff > best_diff {
+                best_diff = diff;
+                pick = i;
             }
-            SplitAlgorithm::Linear => rest.len() - 1,
-        };
+        }
         let item = rest.swap_remove(pick);
         let r = rect_of(&item);
         let d1 = mbr1.enlargement(&r);
@@ -512,45 +501,6 @@ fn pick_seeds_quadratic<T, const D: usize>(
         }
     }
     best
-}
-
-/// Guttman's linear PickSeeds: per dimension, the entry with the highest low
-/// side and the entry with the lowest high side; take the dimension with the
-/// greatest separation normalized by the total width.
-fn pick_seeds_linear<T, const D: usize>(
-    items: &[T],
-    rect_of: &impl Fn(&T) -> Rect<D>,
-) -> (usize, usize) {
-    let mut best: Option<(usize, usize)> = None;
-    let mut best_norm = f64::NEG_INFINITY;
-    for d in 0..D {
-        let mut highest_low = (0, f64::NEG_INFINITY);
-        let mut lowest_high = (0, f64::INFINITY);
-        let mut min_lo = f64::INFINITY;
-        let mut max_hi = f64::NEG_INFINITY;
-        for (i, item) in items.iter().enumerate() {
-            let r = rect_of(item);
-            if r.lo(d) > highest_low.1 {
-                highest_low = (i, r.lo(d));
-            }
-            if r.hi(d) < lowest_high.1 {
-                lowest_high = (i, r.hi(d));
-            }
-            min_lo = min_lo.min(r.lo(d));
-            max_hi = max_hi.max(r.hi(d));
-        }
-        let width = max_hi - min_lo;
-        if width <= 0.0 || highest_low.0 == lowest_high.0 {
-            continue;
-        }
-        let norm = (highest_low.1 - lowest_high.1) / width;
-        if norm > best_norm {
-            best_norm = norm;
-            best = Some((lowest_high.0, highest_low.0));
-        }
-    }
-    // Degenerate inputs (all rects identical): fall back to the first pair.
-    best.unwrap_or((0, 1))
 }
 
 /// The R\*-Tree topological split: pick the axis with minimum total margin
@@ -675,21 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_separates_clusters() {
-        let items = vec![
-            r(0.0, 1.0, 0.0, 1.0),
-            r(0.5, 1.5, 0.0, 1.0),
-            r(100.0, 101.0, 0.0, 1.0),
-            r(100.5, 101.5, 0.0, 1.0),
-        ];
-        let (g1, g2) = split_items(items, |x| *x, 2, SplitAlgorithm::Linear);
-        assert_eq!(g1.len() + g2.len(), 4);
-        assert!(g1.len() >= 2 - 1 && !g2.is_empty());
-        let mbr = |g: &[Rect<2>]| g.iter().skip(1).fold(g[0], |a, b| a.union(b));
-        assert!(mbr(&g1).overlap_area(&mbr(&g2)) < 1.0);
-    }
-
-    #[test]
     fn min_fill_respected() {
         // One far-away outlier: min fill forces balanced-enough groups.
         let mut items = vec![r(1000.0, 1001.0, 0.0, 1.0)];
@@ -697,7 +632,7 @@ mod tests {
             let x = i as f64;
             items.push(r(x, x + 0.5, 0.0, 1.0));
         }
-        for algo in [SplitAlgorithm::Quadratic, SplitAlgorithm::Linear] {
+        for algo in [SplitAlgorithm::Quadratic, SplitAlgorithm::RStar] {
             let (g1, g2) = split_items(items.clone(), |x| *x, 3, algo);
             assert!(g1.len() >= 3, "{algo:?}: {} < 3", g1.len());
             assert!(g2.len() >= 3, "{algo:?}: {} < 3", g2.len());
@@ -708,7 +643,7 @@ mod tests {
     #[test]
     fn identical_rects_still_split() {
         let items = vec![r(0.0, 1.0, 0.0, 1.0); 6];
-        for algo in [SplitAlgorithm::Quadratic, SplitAlgorithm::Linear] {
+        for algo in [SplitAlgorithm::Quadratic, SplitAlgorithm::RStar] {
             let (g1, g2) = split_items(items.clone(), |x| *x, 2, algo);
             assert!(g1.len() >= 2 && g2.len() >= 2, "{algo:?}");
             assert_eq!(g1.len() + g2.len(), 6);

@@ -4,7 +4,8 @@
 use segidx_core::{persist, IndexConfig, PagedSearcher, RecordId, Tree};
 use segidx_geom::Rect;
 use segidx_storage::{
-    BufferPool, DiskManager, DiskManagerConfig, PageId, ScriptedFault, SizeClass,
+    BufferPool, DiskManager, DiskManagerConfig, Page, PageId, ScriptedFault, SizeClass,
+    StorageError,
 };
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -207,4 +208,60 @@ fn save_load_is_idempotent_across_multiple_trees_in_one_file() {
     let q = Rect::new([0.0, 0.0], [5_000.0, 5_000.0]);
     assert_eq!(la.search(&q), a.search(&q));
     assert_eq!(lb.search(&q), b.search(&q));
+}
+
+/// An edit of a meta page payload.
+type MetaEdit = fn(&mut Vec<u8>);
+
+/// A meta page whose config this build cannot honour (split tag 1, the
+/// deleted linear split; 48 in the folded `entry_bytes` slot; a
+/// `check_interval` of 0) is a typed error for `load`, `PagedSearcher::open`
+/// and a clean `recover`, and a salvaging `recover` rebuilds under its
+/// fallback config instead of panicking. The page is rewritten through
+/// `write_page`, so its checksum stays valid. Payload offsets: a 36-byte
+/// header, then the config (`entry_bytes` at 46, split tag 71, coalesce
+/// tag 72).
+#[test]
+fn meta_config_this_build_cannot_honour_is_a_typed_error() {
+    let cases: [(&str, MetaEdit); 3] = [
+        ("split-tag-1.db", |p| p[71] = 1),
+        ("entry-bytes-48.db", |p| {
+            p[46..54].copy_from_slice(&48u64.to_le_bytes())
+        }),
+        ("check-interval-0.db", |p| {
+            let coalesce = [&[1][..], &0u64.to_le_bytes(), &10u64.to_le_bytes()].concat();
+            p.splice(72..73, coalesce);
+        }),
+    ];
+    for (name, edit) in cases {
+        let path = temp(name);
+        let disk = Arc::new(DiskManager::create(&path).unwrap());
+        let meta = persist::commit(&sample_tree(500), &disk).unwrap();
+        let mut payload = disk.read_page(meta).unwrap().payload().to_vec();
+        edit(&mut payload);
+        let mut page = Page::new(meta, disk.size_class_of(meta).unwrap());
+        page.set_payload(&payload).unwrap();
+        disk.write_page(&page).unwrap();
+        disk.sync().unwrap();
+        let decode = |e: StorageError| assert!(matches!(e, StorageError::Decode(_)), "{name}: {e}");
+        decode(persist::load::<2>(&disk, meta).unwrap_err());
+        decode(PagedSearcher::<2>::open(&BufferPool::new(Arc::clone(&disk)), meta).unwrap_err());
+        drop(disk);
+
+        let (disk, report) = DiskManager::open_repair(&path, Default::default(), None).unwrap();
+        assert!(report.is_clean(), "{name}");
+        decode(persist::recover::<2>(&disk, &report, None).unwrap_err());
+        drop(disk);
+        // Corrupt the first node page (slot 0, past its header): the repair
+        // quarantines it, and `recover` salvages.
+        let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.seek(SeekFrom::Start(30)).unwrap();
+        f.write_all(&[0xAB; 16]).unwrap();
+        drop(f);
+        let (disk, report) = DiskManager::open_repair(&path, Default::default(), None).unwrap();
+        let (tree, rr) = persist::recover::<2>(&disk, &report, None).unwrap();
+        assert!(rr.rebuilt, "{name}");
+        assert_eq!(tree.config(), &IndexConfig::srtree(), "{name}");
+        tree.assert_invariants();
+    }
 }

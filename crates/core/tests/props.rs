@@ -58,9 +58,11 @@ fn configs() -> Vec<(&'static str, IndexConfig)> {
             },
         ),
         (
-            "rtree-linear",
+            "srtree-rstar",
             IndexConfig {
-                split: segidx_core::SplitAlgorithm::Linear,
+                segment: true,
+                split: segidx_core::SplitAlgorithm::RStar,
+                forced_reinsert: Some(0.3),
                 ..small.clone()
             },
         ),
