@@ -1,10 +1,11 @@
-//! Search-latency benches: intersection queries across the QAR sweep, and
-//! the stabbing queries central to historical-data workloads.
+//! Search-latency benches: intersection queries across the QAR sweep, the
+//! stabbing queries central to historical-data workloads, and the time per
+//! node a paper-sweep search visits.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use segidx_bench::Variant;
-use segidx_core::{IntervalIndex, Skeleton};
-use segidx_geom::{Point, Rect};
+use segidx_core::{IndexConfig, IntervalIndex, Skeleton, Tree};
+use segidx_geom::{Point, Rect, PAPER_QAR_SWEEP};
 use segidx_workloads::{queries_for_qar, DataDistribution};
 use std::hint::black_box;
 
@@ -68,5 +69,40 @@ fn bench_stab(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_qar_sweep, bench_stab);
+/// Time per node visited: the paper's QAR sweep (20 windows per ratio) on a
+/// dynamic `IndexConfig::srtree()` tree of `I3` records, built record by
+/// record, at a cache-resident 20 000 records and a spilled 200 000. The
+/// throughput is the sweep's node accesses, so `median_ns` divided by
+/// `throughput_per_iter` is the time per node visited.
+fn bench_node_visit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("node_visit");
+    group
+        .sample_size(20)
+        .measurement_time(std::time::Duration::from_secs(3));
+
+    let sweep: Vec<Rect<2>> = PAPER_QAR_SWEEP
+        .iter()
+        .flat_map(|&qar| queries_for_qar(qar, 20, 1).queries)
+        .collect();
+    for n in [20_000, 200_000] {
+        let mut tree = Tree::new(IndexConfig::srtree());
+        for (rect, id) in DataDistribution::I3.generate(n, 1).records {
+            tree.insert(rect, id);
+        }
+        let nodes: u64 = sweep.iter().map(|q| tree.count_search_accesses(q)).sum();
+        group.throughput(Throughput::Elements(nodes));
+        group.bench_function(BenchmarkId::new("srtree_i3", n), |b| {
+            b.iter(|| {
+                let mut found = 0;
+                for q in &sweep {
+                    found += tree.search(black_box(q)).len();
+                }
+                black_box(found)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_qar_sweep, bench_stab, bench_node_visit);
 criterion_main!(benches);

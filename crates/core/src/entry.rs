@@ -4,7 +4,8 @@
 //! Nodes do **not** store `Vec<LeafEntry>` etc. directly. Each store keeps
 //! its entries in **one contiguous block** (the private `Block` type): the
 //! rectangles as per-dimension `lo`/`hi` coordinate planes followed by the
-//! payload columns, all at one fixed stride inside a single allocation. The
+//! payload columns, laid back to back at a stride that follows the live
+//! entry count, inside a single capacity-sized allocation. The
 //! search hot loops hand the planes as contiguous `&[f64]` slices straight
 //! to the branchless scan kernels in `segidx_geom`, a traversal can prefetch
 //! a child's whole contents through one pointer, and copying a node under a
@@ -97,26 +98,46 @@ impl Slot for NodeId {
     }
 }
 
-/// One store's single heap block: `cols` columns of `stride` slots each,
-/// column `c` occupying `buf[c * stride..][..stride]` with its first `len`
-/// slots live.
+/// Slots a block's stride is rounded up to. A stride of exactly `len`
+/// would move the higher columns on every push and remove; rounding up to
+/// an even count moves them on every other one and leaves at most one dead
+/// slot between planes.
+const STRIDE_QUANTUM: usize = 2;
+
+/// The stride a block of `len` live entries is laid at: `len` rounded up
+/// to [`STRIDE_QUANTUM`], but never past the capacity `cap`.
+#[inline]
+fn stride_for(len: usize, cap: usize) -> usize {
+    len.next_multiple_of(STRIDE_QUANTUM).min(cap)
+}
+
+/// One store's single heap block: room for `capacity` entries in each of
+/// `cols` columns, laid out at the *live* count rather than the capacity.
+/// Column `c` occupies `buf[c * stride..][..stride]` with its first `len`
+/// slots live, and `stride` is `len` rounded up to [`STRIDE_QUANTUM`], so
+/// the columns sit back to back and the spare capacity is one tail after
+/// the last column.
 ///
 /// ```text
-///          ┌──────── stride ────────┐
-/// buf ───▶ │ lo[0]  ▮▮▮▮▮▮▮▮▮░░░░░░ │  coordinate planes: lo[0..D], hi[0..D]
-///          │ lo[1]  ▮▮▮▮▮▮▮▮▮░░░░░░ │
-///          │ hi[0]  ▮▮▮▮▮▮▮▮▮░░░░░░ │  ▮ live (`len`)   ░ dead capacity
-///          │ hi[1]  ▮▮▮▮▮▮▮▮▮░░░░░░ │
-///          │ record ▮▮▮▮▮▮▮▮▮░░░░░░ │  payload columns (ids as bit patterns)
-///          └────────────────────────┘
+///          ┌─ stride ─┐
+/// buf ───▶ │ lo[0]  ▮▮▮▮▮▮▮▮▮░ │  coordinate planes: lo[0..D], hi[0..D]
+///          │ lo[1]  ▮▮▮▮▮▮▮▮▮░ │
+///          │ hi[0]  ▮▮▮▮▮▮▮▮▮░ │  ▮ live (`len`)   ░ rounding slot
+///          │ hi[1]  ▮▮▮▮▮▮▮▮▮░ │
+///          │ record ▮▮▮▮▮▮▮▮▮░ │  payload columns (ids as bit patterns)
+///          │ spare  ░░░░░░░░░░░░░░░░░░░░░░░░░░  (capacity − stride) · cols slots
 /// ```
 ///
 /// Columns `0..D` are the `lo` planes, `D..2D` the `hi` planes, the rest
-/// payload. The stride is fixed when the block is allocated — the tree
+/// payload. The capacity is fixed when the block is allocated — the tree
 /// sizes it from the level's node capacity, so a node's block is allocated
 /// once — and doubles only when a push finds the block full (elastic
-/// overflow, stores built without a capacity).
-#[derive(Clone)]
+/// overflow, stores built without a capacity). The stride follows `len`:
+/// a push that finds `len == stride` moves columns `1..` up, and removals
+/// move them back down, so a scan or a prefetch of the block reads the live
+/// entries plus at most one slot per column.
+///
+/// The capacity is not stored: it is `buf.len() / cols`.
 struct Block<const D: usize> {
     buf: Box<[Coord]>,
     len: u32,
@@ -124,17 +145,23 @@ struct Block<const D: usize> {
 }
 
 impl<const D: usize> Block<D> {
-    fn with_stride(stride: usize, cols: usize) -> Self {
+    fn with_capacity(cap: usize, cols: usize) -> Self {
+        assert!(u32::try_from(cap).is_ok(), "store capacity fits u32");
         Self {
-            buf: vec![0.0; stride * cols].into_boxed_slice(),
+            buf: vec![0.0; cap * cols].into_boxed_slice(),
             len: 0,
-            stride: u32::try_from(stride).expect("store capacity fits u32"),
+            stride: 0,
         }
     }
 
     #[inline]
     fn len(&self) -> usize {
         self.len as usize
+    }
+
+    #[inline]
+    fn capacity(&self, cols: usize) -> usize {
+        self.buf.len() / cols
     }
 
     /// The live slots of column `c`.
@@ -166,26 +193,85 @@ impl<const D: usize> Block<D> {
         }
     }
 
-    /// Opens slot `len` for writing, growing the block first when full.
+    /// Opens slot `len` for writing, making room first when the stride is
+    /// full.
     #[inline]
     fn push_slot(&mut self, cols: usize) -> usize {
         if self.len == self.stride {
-            self.grow(cols);
+            self.reserve(1, cols);
         }
         self.len += 1;
         self.len as usize - 1
     }
 
-    /// Re-strides into a block of twice the capacity: one allocation, one
-    /// copy per column.
+    /// Lays the columns out for `len + extra` entries: grows the block when
+    /// the capacity is short, else widens the stride in place.
+    fn reserve(&mut self, extra: usize, cols: usize) {
+        let want = self.len() + extra;
+        let cap = self.capacity(cols);
+        if want > cap {
+            self.grow(want, cols);
+        } else if want > self.stride as usize {
+            self.restride(stride_for(want, cap), cols);
+        }
+    }
+
+    /// Narrows the stride to the live count after entries left.
+    #[inline]
+    fn fit(&mut self, cols: usize) {
+        let stride = stride_for(self.len(), self.capacity(cols));
+        if stride != self.stride as usize {
+            self.restride(stride, cols);
+        }
+    }
+
+    /// Moves columns `1..cols` to `stride`, each carrying its live slots.
+    /// Widening walks the columns from the top down and narrowing from the
+    /// bottom up, so no column lands on one that has not moved yet.
+    fn restride(&mut self, stride: usize, cols: usize) {
+        let (old, len) = (self.stride as usize, self.len());
+        debug_assert!(len <= stride && stride * cols <= self.buf.len());
+        let mut shift = |c: usize| self.buf.copy_within(c * old..c * old + len, c * stride);
+        if stride > old {
+            (1..cols).rev().for_each(&mut shift);
+        } else {
+            (1..cols).for_each(&mut shift);
+        }
+        self.stride = stride as u32;
+    }
+
+    /// Moves into a block of at least twice the capacity, holding `want`
+    /// entries: one allocation, one copy of each column's live slots.
     #[cold]
-    fn grow(&mut self, cols: usize) {
-        let mut wider = Self::with_stride((self.stride as usize * 2).max(4), cols);
+    fn grow(&mut self, want: usize, cols: usize) {
+        let cap = want.max(2 * self.capacity(cols)).max(4);
+        let mut wider = Self::with_capacity(cap, cols);
         wider.len = self.len;
+        wider.stride = stride_for(want, cap) as u32;
         for c in 0..cols {
             wider.col_mut(c).copy_from_slice(self.col(c));
         }
         *self = wider;
+    }
+
+    /// Slots from the start of the block to the last live slot of column
+    /// `cols - 1`: all a reader of the live entries can touch.
+    #[inline]
+    fn used(&self, cols: usize) -> usize {
+        (cols - 1) * self.stride as usize + self.len()
+    }
+
+    /// A copy with the same capacity that copies only the used prefix.
+    fn clone_used(&self, cols: usize) -> Self {
+        let used = self.used(cols);
+        let mut buf = Vec::with_capacity(self.buf.len());
+        buf.extend_from_slice(&self.buf[..used]);
+        buf.resize(self.buf.len(), 0.0);
+        Self {
+            buf: buf.into_boxed_slice(),
+            len: self.len,
+            stride: self.stride,
+        }
     }
 
     /// Moves the last entry into slot `i` and drops the last slot.
@@ -197,11 +283,13 @@ impl<const D: usize> Block<D> {
             col[i] = col[last];
         }
         self.len -= 1;
+        self.fit(cols);
     }
 
     #[inline]
-    fn truncate(&mut self, len: usize) {
+    fn truncate(&mut self, len: usize, cols: usize) {
         self.len = self.len.min(u32::try_from(len).unwrap_or(u32::MAX));
+        self.fit(cols);
     }
 
     #[inline]
@@ -226,13 +314,15 @@ impl<const D: usize> Block<D> {
         Some(Rect::new(lo, hi))
     }
 
-    /// Prefetches the block up to the last live slot of column `cols - 1`:
-    /// everything a scan plus a gather of its matches can touch.
+    /// Prefetches the used prefix of the block: everything a scan plus a
+    /// gather of its matches can touch.
     #[inline]
     fn prefetch(&self, cols: usize) {
         if self.len > 0 {
-            let slots = (cols - 1) * self.stride as usize + self.len as usize;
-            prefetch_range(self.buf.as_ptr(), slots * std::mem::size_of::<Coord>());
+            prefetch_range(
+                self.buf.as_ptr(),
+                self.used(cols) * std::mem::size_of::<Coord>(),
+            );
         }
     }
 }
@@ -248,7 +338,6 @@ macro_rules! soa_store {
         { $( $field:ident : $fty:ty = $col:expr ),+ $(,)? }
     ) => {
         $(#[$doc])*
-        #[derive(Clone)]
         pub struct $store<const D: usize> {
             block: Block<D>,
         }
@@ -265,7 +354,7 @@ macro_rules! soa_store {
             /// An empty store whose block already holds `slots` entries.
             pub fn with_capacity(slots: usize) -> Self {
                 Self {
-                    block: Block::with_stride(slots, Self::COLS),
+                    block: Block::with_capacity(slots, Self::COLS),
                 }
             }
 
@@ -284,7 +373,7 @@ macro_rules! soa_store {
             /// Entries the block holds before it must grow.
             #[inline]
             pub fn capacity(&self) -> usize {
-                self.block.stride as usize
+                self.block.capacity(Self::COLS)
             }
 
             /// Entry `i` as a by-value view.
@@ -332,7 +421,7 @@ macro_rules! soa_store {
 
             /// Drops all entries, keeping the block.
             pub fn clear(&mut self) {
-                self.block.truncate(0);
+                self.block.truncate(0, Self::COLS);
             }
 
             /// Iterates entry views in storage order.
@@ -357,7 +446,7 @@ macro_rules! soa_store {
 
             /// Shortens the store to `len` entries.
             pub fn truncate(&mut self, len: usize) {
-                self.block.truncate(len);
+                self.block.truncate(len, Self::COLS);
             }
 
             /// Moves all entries out into a `Vec` of views (for
@@ -394,6 +483,16 @@ macro_rules! soa_store {
             }
         }
 
+        /// A copy with the same capacity; only the used prefix of the
+        /// block is copied.
+        impl<const D: usize> Clone for $store<D> {
+            fn clone(&self) -> Self {
+                Self {
+                    block: self.block.clone_used(Self::COLS),
+                }
+            }
+        }
+
         impl<const D: usize> Default for $store<D> {
             fn default() -> Self {
                 Self::new()
@@ -415,10 +514,15 @@ macro_rules! soa_store {
         }
 
         impl<const D: usize> Extend<$entry<D>> for $store<D> {
+            /// Lays the columns out once for the iterator's lower size
+            /// bound, so a batch moves them at most once.
             fn extend<I: IntoIterator<Item = $entry<D>>>(&mut self, iter: I) {
+                let iter = iter.into_iter();
+                self.block.reserve(iter.size_hint().0, Self::COLS);
                 for e in iter {
                     self.push(e);
                 }
+                self.block.fit(Self::COLS);
             }
         }
 

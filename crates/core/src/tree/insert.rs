@@ -6,6 +6,19 @@ use crate::entry::{LeafEntry, SpanningEntry};
 use crate::id::{NodeId, RecordId};
 use segidx_geom::{scan_first_spanned, scan_min_enlargement, Rect};
 
+/// Whether `rect` meets `region` only on a face: in some dimension where
+/// `rect` has extent, it lies wholly on the far side of one of `region`'s
+/// faces. [`Rect::cut`] would then clip it to a zero-width slice of that
+/// face, beside remnants that already cover all of it (the first of them
+/// the whole rectangle when no earlier dimension was cut). Such a
+/// rectangle is never cut, so a stored portion equal to a record's
+/// rectangle always means the record is uncut.
+pub(super) fn touches_only<const D: usize>(rect: &Rect<D>, region: &Rect<D>) -> bool {
+    (0..D).any(|d| {
+        rect.lo(d) < rect.hi(d) && (rect.hi(d) <= region.lo(d) || rect.lo(d) >= region.hi(d))
+    })
+}
+
 impl<const D: usize> Tree<D> {
     /// Inserts a record.
     ///
@@ -56,8 +69,13 @@ impl<const D: usize> Tree<D> {
             }
             if self.config.segment && allow_spanning {
                 if let Some(branch_idx) = self.find_spanned_branch(n, &rect) {
-                    if self.can_host_spanning(n, &rect) {
-                        self.insert_spanning(n, branch_idx, rect, record);
+                    // A record meeting `n`'s region only on a face is never
+                    // cut: it descends instead.
+                    let region = self.region_of(n);
+                    if !region.is_some_and(|r| touches_only(&rect, &r))
+                        && self.can_host_spanning(n, &rect)
+                    {
+                        self.insert_spanning(n, branch_idx, region, rect, record);
                         return;
                     }
                     // The node is full of larger spanning records: this one
@@ -145,10 +163,18 @@ impl<const D: usize> Tree<D> {
     }
 
     /// Stores a spanning index record on `n`, linked to branch
-    /// `branch_idx`, cutting it first if it exceeds `n`'s own region.
-    fn insert_spanning(&mut self, n: NodeId, branch_idx: usize, rect: Rect<D>, record: RecordId) {
+    /// `branch_idx`, cutting it first if it exceeds `n`'s own `region`
+    /// (`None` on the root).
+    fn insert_spanning(
+        &mut self,
+        n: NodeId,
+        branch_idx: usize,
+        region: Option<Rect<D>>,
+        rect: Rect<D>,
+        record: RecordId,
+    ) {
         let linked_child = self.node(n).branches().child(branch_idx);
-        let stored_rect = match self.region_of(n) {
+        let stored_rect = match region {
             Some(region) if !region.contains_rect(&rect) => {
                 // Cut into a spanning portion (clipped to n's region, so the
                 // containment invariant holds) and remnant portions that are

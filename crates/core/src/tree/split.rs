@@ -2,11 +2,12 @@
 //! §3.1.2: spanning records are carried over with their branches, and are
 //! promoted to the parent when they span one of the two result nodes.
 
+use super::insert::touches_only;
 use super::Tree;
 use crate::config::SplitAlgorithm;
 use crate::entry::Branch;
 use crate::id::NodeId;
-use segidx_geom::Rect;
+use segidx_geom::{CutResult, Rect};
 
 impl<const D: usize> Tree<D> {
     /// Whether `n` exceeds its capacity: "every entry in use and an attempt
@@ -350,8 +351,18 @@ impl<const D: usize> Tree<D> {
                 i += 1;
                 continue;
             }
-            let cut = s.rect.cut(&region);
-            self.stats.cuts += 1;
+            // A record meeting the region only on a face is never cut: it
+            // is demoted whole.
+            let touch = touches_only(&s.rect, &region);
+            let cut = if touch {
+                CutResult {
+                    spanning: Some(s.rect),
+                    remnants: Vec::new(),
+                }
+            } else {
+                self.stats.cuts += 1;
+                s.rect.cut(&region)
+            };
             // Split-time remnants reinsert at the leaf level only: letting
             // them re-enter spanning placement lets a shrink-cut-readmit
             // loop amplify one record into thousands of portions.
@@ -364,14 +375,17 @@ impl<const D: usize> Tree<D> {
                 .branch_index_of(s.linked_child)
                 .map(|bi| self.node(node).branches().rect(bi));
             match (cut.spanning, linked_rect) {
-                (Some(clipped), Some(branch_rect)) if clipped.spans_any_dim(&branch_rect) => {
+                (Some(clipped), Some(branch_rect))
+                    if !touch && clipped.spans_any_dim(&branch_rect) =>
+                {
                     self.node_mut(node).spanning_mut().set_rect(i, &clipped);
                     i += 1;
                 }
                 _ => {
-                    // The clipped portion lost its spanning relationship;
-                    // demote it to the leaf level instead of keeping a
-                    // dangling record (or re-entering spanning placement).
+                    // The clipped portion lost its spanning relationship,
+                    // or the record only touched the region: demote it to
+                    // the leaf level instead of keeping a dangling record
+                    // (or re-entering spanning placement).
                     self.node_mut(node).spanning_mut().swap_remove(i);
                     self.entry_count -= 1;
                     self.stats.demotions += 1;

@@ -155,6 +155,36 @@ fn run_ops(name: &str, mut tree: Tree<2>, ops: &[Op]) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// Integer-grid rectangles in `[0, 10]²`: horizontal and vertical
+/// segments and small boxes. On so coarse a grid, records often meet a
+/// node's region only on a face — the case a cut must not split.
+fn grid_rect_strategy() -> impl Strategy<Value = Rect<2>> {
+    let grid = |x0: u8, y0: u8, x1: u8, y1: u8| {
+        Rect::new(
+            [f64::from(x0), f64::from(y0)],
+            [f64::from(x1.min(10)), f64::from(y1.min(10))],
+        )
+    };
+    prop_oneof![
+        (0u8..10, 0u8..=10, 1u8..6).prop_map(move |(x, y, len)| grid(x, y, x + len, y)),
+        (0u8..=10, 0u8..10, 1u8..6).prop_map(move |(x, y, len)| grid(x, y, x, y + len)),
+        (0u8..10, 0u8..10, 1u8..6, 1u8..6).prop_map(move |(x, y, w, h)| grid(x, y, x + w, y + h)),
+    ]
+}
+
+/// Live records stored as several portions, one of which equals the
+/// original rectangle: what a cut that only touched a region left behind.
+fn cut_records_with_a_whole_portion(tree: &Tree<2>, live: &[(Rect<2>, RecordId)]) -> Vec<RecordId> {
+    let mut portions: std::collections::HashMap<RecordId, Vec<Rect<2>>> = Default::default();
+    for (rect, id) in tree.iter_entries() {
+        portions.entry(id).or_default().push(rect);
+    }
+    live.iter()
+        .filter(|(rect, id)| portions[id].len() > 1 && portions[id].contains(rect))
+        .map(|(_, id)| *id)
+        .collect()
+}
+
 /// Packs `items` with both bulk loaders under every configuration and
 /// checks each tree against the brute-force model: length, structural
 /// invariants, three windows and a stab.
@@ -212,6 +242,41 @@ proptest! {
     fn random_ops_match_model(ops in vec(op_strategy(), 1..300)) {
         for (name, config) in configs() {
             run_ops(name, Tree::new(config), &ops)?;
+        }
+    }
+
+    /// On the segment configurations, build from two thirds of the grid
+    /// records, delete every other one, insert the rest: no record stored
+    /// as several portions keeps one equal to its original rectangle.
+    #[test]
+    fn no_cut_record_keeps_a_whole_portion(records in vec(grid_rect_strategy(), 1500..3000)) {
+        for (name, config) in configs().into_iter().filter(|(_, c)| c.segment) {
+            let mut tree = Tree::new(config);
+            let all: Vec<(Rect<2>, RecordId)> = records
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (*r, RecordId(i as u64)))
+                .collect();
+            let built = 2 * all.len() / 3;
+            for (rect, id) in &all[..built] {
+                tree.insert(*rect, *id);
+            }
+            let mut live: Vec<(Rect<2>, RecordId)> = Vec::new();
+            for (i, (rect, id)) in all[..built].iter().enumerate() {
+                if i % 2 == 0 {
+                    prop_assert!(tree.delete(rect, *id), "{}: delete {:?}", name, id);
+                } else {
+                    live.push((*rect, *id));
+                }
+            }
+            for (rect, id) in &all[built..] {
+                tree.insert(*rect, *id);
+                live.push((*rect, *id));
+            }
+            let issues = tree.check_invariants();
+            prop_assert!(issues.is_empty(), "{name}: {issues:?}");
+            let whole = cut_records_with_a_whole_portion(&tree, &live);
+            prop_assert!(whole.is_empty(), "{}: {:?} kept a whole portion", name, whole);
         }
     }
 

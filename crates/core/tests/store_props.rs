@@ -4,8 +4,10 @@
 //! through its entry views, through the coordinate planes the scan kernels
 //! read, and through `union_all` / `PartialEq`, whatever the block's
 //! stride and however much dead capacity earlier operations left behind.
-//! Plus the copy-on-write contract of the node arena: a fixed example at
-//! store level, and a model-based test of its chunked slot table under
+//! After every step the block's layout is checked as well: its planes lie
+//! back to back at the live count, not the capacity. Plus the
+//! copy-on-write contract of the node arena: a fixed example at store
+//! level, and a model-based test of its chunked slot table under
 //! interleaved snapshots.
 
 use proptest::collection::vec;
@@ -194,11 +196,58 @@ impl_store!(
     |e| e.record.raw() ^ u64::from(e.linked_child.raw())
 );
 
+/// The block lays its planes at the live count: consecutive planes start
+/// exactly `stride` slots apart, with `len ≤ stride < len + 2`, read from
+/// the addresses of the slices `planes()` returns.
+fn check_layout<S: Store>(store: &S, step: usize) -> Result<(), TestCaseError> {
+    let (los, his) = store.planes();
+    let starts: Vec<usize> = los
+        .iter()
+        .chain(his.iter())
+        .map(|p| p.as_ptr() as usize)
+        .collect();
+    let slot = std::mem::size_of::<f64>();
+    let gap = starts[1].checked_sub(starts[0]);
+    prop_assert!(gap.is_some(), "planes out of order at step {}", step);
+    let stride_bytes = gap.unwrap();
+    prop_assert_eq!(
+        stride_bytes % slot,
+        0,
+        "plane gap not whole slots, step {}",
+        step
+    );
+    for (p, w) in starts.windows(2).enumerate() {
+        prop_assert_eq!(
+            w[1].checked_sub(w[0]),
+            Some(stride_bytes),
+            "planes {} and {} apart by other than the stride, step {}",
+            p,
+            p + 1,
+            step
+        );
+    }
+    let (stride, len) = (stride_bytes / slot, store.len());
+    prop_assert!(
+        len <= stride && stride < len + 2,
+        "stride {} for {} entries at step {}",
+        stride,
+        len,
+        step
+    );
+    prop_assert!(
+        stride <= store.capacity(),
+        "stride past capacity at step {}",
+        step
+    );
+    Ok(())
+}
+
 /// Everything the store exposes must equal the model, and nothing it
 /// exposes may come from a slot past `len`.
 fn check<S: Store>(store: &S, model: &[S::Entry], step: usize) -> Result<(), TestCaseError> {
     prop_assert_eq!(store.len(), model.len(), "len at step {}", step);
     prop_assert!(store.capacity() >= store.len(), "capacity at step {}", step);
+    check_layout(store, step)?;
     prop_assert_eq!(store.to_vec(), model.to_vec(), "views at step {}", step);
 
     let (los, his) = store.planes();
@@ -286,8 +335,11 @@ fn run<S: Store>(initial_slots: usize, ops: &[Op], pool: &[NodeId]) -> Result<()
         }
         check(&store, &model, step + 1)?;
     }
-    // A clone is an independent block: mutating it leaves the original be.
+    // A clone is an independent block that reads back equal, laid out the
+    // same: mutating it leaves the original be.
     let mut copy = store.clone();
+    check(&copy, &model, usize::MAX)?;
+    prop_assert_eq!(copy.capacity(), store.capacity());
     copy.truncate(model.len() / 2);
     copy.push(S::entry(
         &Raw {
@@ -314,6 +366,55 @@ proptest! {
         run::<LeafStore<2>>(slots, &ops, &pool)?;
         run::<BranchStore<2>>(slots, &ops, &pool)?;
         run::<SpanningStore<2>>(slots, &ops, &pool)?;
+    }
+}
+
+/// Pushes one entry at a time across the capacity boundary (the block
+/// grows), then `assign`s and `extend`s batches of every size from 0 to
+/// twice the capacity onto stores at several fills: the layout holds after
+/// each step, and each batch matches the model.
+fn batches_across_capacity<S: Store>(cap: usize, pool: &[NodeId]) -> Result<(), TestCaseError> {
+    let raw = |i: usize| Raw {
+        rect: Rect::new([i as f64, 0.0], [i as f64 + 0.5, 1.0]),
+        id: i as u64,
+        node: i % POOL,
+    };
+    let mut store = S::with_capacity(cap);
+    let mut model = Vec::new();
+    for i in 0..2 * cap + 3 {
+        let e = S::entry(&raw(i), pool);
+        store.push(e);
+        model.push(e);
+        check(&store, &model, i)?;
+    }
+    for fill in [0, 1, cap / 2, cap] {
+        for n in 0..=2 * cap {
+            let head: Vec<S::Entry> = (0..fill).map(|i| S::entry(&raw(i), pool)).collect();
+            let batch: Vec<S::Entry> = (0..n).map(|i| S::entry(&raw(100 + i), pool)).collect();
+
+            let mut assigned = S::with_capacity(cap);
+            assigned.assign(head.clone());
+            check(&assigned, &head, fill)?;
+            assigned.assign(batch.clone());
+            check(&assigned, &batch, n)?;
+
+            let mut extended = S::with_capacity(cap);
+            extended.extend(head.iter().copied());
+            extended.extend(batch.iter().copied());
+            let both: Vec<S::Entry> = head.iter().chain(&batch).copied().collect();
+            check(&extended, &both, fill + n)?;
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn layout_follows_len_across_capacity_and_batches() {
+    let pool = node_pool();
+    for cap in [0, 1, 2, 3, 4, 7, 26, 27] {
+        batches_across_capacity::<LeafStore<2>>(cap, &pool).unwrap();
+        batches_across_capacity::<BranchStore<2>>(cap, &pool).unwrap();
+        batches_across_capacity::<SpanningStore<2>>(cap, &pool).unwrap();
     }
 }
 
@@ -382,6 +483,46 @@ fn arena_copy_on_write_is_per_node_and_leaves_the_snapshot_alone() {
     arena.dealloc(ids[2]);
     assert_eq!(snapshot.shared_nodes(), 2);
     assert_eq!(snapshot.get(ids[2]).entries().len(), 3);
+}
+
+#[test]
+fn copy_on_write_clone_of_a_restrided_node_reads_back_equal() {
+    // A 27-slot leaf (the paper's 26 plus the overflow slot) that has been
+    // widened and narrowed: 17 entries sit at stride 18 inside the block.
+    let mut arena: Arena<2> = Arena::new();
+    let mut node = Node::leaf(27);
+    for i in 0..21 {
+        node.entries_mut().push(leaf(i as f64, i));
+    }
+    for i in [3, 0, 11, 5] {
+        node.entries_mut().swap_remove(i);
+    }
+    let id = arena.alloc(node);
+    let snapshot = arena.clone();
+    let before: Vec<LeafEntry<2>> = snapshot.get(id).entries().iter().collect();
+
+    // `get_mut` under the snapshot copies the node; the copy reads back
+    // equal to the original, plane for plane, before anything changes.
+    let copy = arena.get_mut(id).entries().clone();
+    assert_eq!(arena.shared_nodes(), 0);
+    let (original, copied) = (snapshot.get(id).entries(), arena.get(id).entries());
+    assert_eq!(copied, original);
+    assert_eq!(copied.planes(), original.planes());
+    assert_eq!(copied.capacity(), 27);
+    assert_eq!(copy, *original);
+    check_layout(copied, 0).unwrap();
+
+    // Restriding the copy up and down leaves the snapshot's node alone.
+    let entries = arena.get_mut(id).entries_mut();
+    entries.push(leaf(50.0, 50));
+    entries.push(leaf(51.0, 51));
+    entries.swap_remove(2);
+    assert_eq!(
+        snapshot.get(id).entries().iter().collect::<Vec<_>>(),
+        before
+    );
+    check_layout(snapshot.get(id).entries(), 1).unwrap();
+    check_layout(arena.get(id).entries(), 2).unwrap();
 }
 
 /// Slots per chunk of the arena's slot table (a private constant of

@@ -496,6 +496,27 @@ mod tests {
     }
 
     #[test]
+    fn cut_touching_only_a_face_keeps_the_whole_rect_as_remnant() {
+        // [0, 10] meets [10, 20] only at 10: the clip is a zero-width
+        // slice, and the one remnant is the whole interval. A caller that
+        // stored both would keep a portion equal to the original beside a
+        // slice, so the segment tree never cuts such a record.
+        let seg = Rect::new([0.0], [10.0]);
+        let cut = seg.cut(&Rect::new([10.0], [20.0]));
+        assert_eq!(cut.spanning, Some(Rect::new([10.0], [10.0])));
+        assert_eq!(cut.remnants, vec![seg]);
+
+        // In two dimensions the slice is cut further along the face.
+        let r = r2(0.0, 10.0, 0.0, 10.0);
+        let cut = r.cut(&r2(10.0, 20.0, 4.0, 6.0));
+        assert_eq!(cut.spanning, Some(r2(10.0, 10.0, 4.0, 6.0)));
+        assert_eq!(
+            cut.remnants,
+            vec![r, r2(10.0, 10.0, 0.0, 4.0), r2(10.0, 10.0, 6.0, 10.0)]
+        );
+    }
+
+    #[test]
     fn expand_to_cover() {
         let mut r = r2(0.0, 1.0, 0.0, 1.0);
         r.expand_to_cover(&r2(5.0, 6.0, -2.0, 0.5));
