@@ -1,66 +1,61 @@
-//! Validates a `reproduce --metrics-out` JSON file.
+//! Validates an exported metrics JSON file against the metric families the
+//! workspace declares.
 //!
-//! CI runs this after the smoke reproduction to guarantee the exported
-//! metrics are well-formed: the file parses, is non-empty, every graph
-//! carries the paper's four variant labels, and every (graph, variant)
-//! pair carries search/insert latency percentiles, the logical
-//! node-access counters, and a buffer-pool hit rate. Metrics carrying a
-//! `component` label instead are service families and are validated
-//! separately:
+//! Each emitting crate declares its families once, as a `const` table of
+//! (name, kind) beside the collector that emits them: the paper families
+//! (`segidx_bench::metrics::METRICS`), the index service's
+//! (`segidx_concurrent::METRICS`), the tracer's
+//! (`segidx_obs::trace::METRICS`), the server's
+//! (`segidx_server::telemetry::METRICS`) and the temporal tier's
+//! (`segidx_temporal::lsm::telemetry::METRICS`). One pass checks a file
+//! against those tables:
 //!
-//! * `component="concurrent"` — the index service must export
-//!   the epoch/queue-depth/retired-snapshot gauges, commit counters,
-//!   and non-empty queue-wait and commit latency histograms.
-//! * `component="trace"` — the tracer's health families
-//!   (`segidx_trace_*` counters and gauges) must all be present.
+//! * every metric is a declared family, exported as its declared kind;
+//! * every gauge is finite and ≥ 0;
+//! * a group (one table) that appears at all appears whole, per (graph,
+//!   variant) — and every graph of the paper group carries the paper's
+//!   four variants;
+//! * the groups the mode names are present, and the histograms it names
+//!   hold at least one observation, with `p50`/`p95`/`p99`.
 //!
-//! Finally, the top-level `flight_recorder` object (slowest retained
-//! trace per op class) must exist and each entry must carry a positive
-//! `retained` count and a `slowest` trace with duration, span count, and
-//! profile.
+//! Modes:
 //!
-//! With `--server`, the file is instead a `segidx_server` `METRICS`
-//! snapshot (what `loadgen --metrics-out` saves): every
-//! `segidx_server_*` per-connection family must be present —
-//! `requests_total` across all twelve statement forms, `frames_total`
-//! for both framing modes, the connection/error/byte counters, and
-//! non-empty read *and* write latency histograms — alongside the full
-//! index-service family of the index it fronts
-//! (`component="concurrent"`, checked as in the default mode, histograms
-//! non-empty) and the temporal tier's
-//! gauges/counters (`component="temporal"`, which the server registers
-//! for its `RECORD`/`AS OF`/`WITHIN` table).
+//! * default — a `reproduce --metrics-out` export: the paper families;
+//!   search and insert latency non-empty.
+//! * `--server` — a `segidx_server` `METRICS` snapshot (what `loadgen
+//!   --metrics-out` saves): the server's, the index service's, its
+//!   tracer's and the temporal tier's families; the server's read and
+//!   write latency and the index's queue-wait and commit latency
+//!   non-empty (a smoke run need not seal a temporal tier).
+//! * `--temporal` — a `temporal_bench --metrics-out` snapshot: the
+//!   temporal tier's families; seal and merge latency non-empty (the
+//!   gated ingest seals and merges many times over).
 //!
-//! With `--temporal`, the file is a registry snapshot from an ingest
-//! run (`temporal_bench --metrics-out`): the full `segidx_temporal_*`
-//! family must be present and typed — the four tier-state gauges, the
-//! seven lifecycle and search counters, and non-empty seal *and* merge latency
-//! histograms (the ingest is sized so both fire).
-//!
-//! Usage: `metrics_check <path/to/metrics.json>`,
-//! `metrics_check --server <path/to/server_metrics.json>`, or
-//! `metrics_check --temporal <path/to/temporal_metrics.json>`. Exits
+//! Usage: `metrics_check [--server | --temporal] <metrics.json>`. Exits
 //! non-zero with a description of the first problem found.
 
+use segidx_bench::{metrics as paper, Variant};
 use segidx_obs::json::{self, Value};
-use std::collections::BTreeSet;
+use segidx_obs::{trace, Family, MetricKind};
+use segidx_server::telemetry as server;
+use segidx_temporal::lsm::telemetry as temporal;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mode, path) = match args.as_slice() {
-        [path] => ("", path.clone()),
-        [flag, path] if flag == "--server" || flag == "--temporal" => (flag.as_str(), path.clone()),
+        [path] => (&PAPER, path),
+        [flag, path] if flag == "--server" => (&SERVER, path),
+        [flag, path] if flag == "--temporal" => (&TEMPORAL, path),
         _ => {
             eprintln!("usage: metrics_check [--server | --temporal] <metrics.json>");
             return ExitCode::from(2);
         }
     };
-    let checked = match mode {
-        "--server" => check_server_file(&path),
-        "--temporal" => check_temporal_file(&path),
-        _ => check(&path),
-    };
+    let checked = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| check(mode, &text));
     match checked {
         Ok(summary) => {
             println!("{summary}");
@@ -73,532 +68,332 @@ fn main() -> ExitCode {
     }
 }
 
-/// Metrics every (graph, variant) pair must export. Histograms must carry
-/// non-null p50/p95/p99 when non-empty.
-const REQUIRED_HISTOGRAMS: [&str; 2] =
-    ["segidx_search_latency_nanos", "segidx_insert_latency_nanos"];
-const REQUIRED_COUNTERS: [&str; 3] = [
-    "segidx_search_node_accesses_total",
-    "segidx_searches_total",
-    "segidx_maintenance_node_accesses_total",
-];
-const REQUIRED_GAUGES: [&str; 1] = ["segidx_buffer_pool_hit_rate"];
-
-/// Variant labels every graph must export: the paper's four.
-const EXPECTED_VARIANTS: [&str; 4] = ["R-Tree", "SR-Tree", "Skeleton R-Tree", "Skeleton SR-Tree"];
-
-/// The index-service family.
-const SERVICE_GAUGES: [&str; 3] = [
-    "segidx_concurrent_epoch",
-    "segidx_concurrent_queue_depth",
-    "segidx_concurrent_retired_snapshots",
-];
-const SERVICE_COUNTERS: [&str; 3] = [
-    "segidx_concurrent_commits_total",
-    "segidx_concurrent_ops_applied_total",
-    "segidx_concurrent_overloads_total",
-];
-const SERVICE_HISTOGRAMS: [&str; 2] = [
-    "segidx_concurrent_queue_wait_nanos",
-    "segidx_concurrent_commit_latency_nanos",
+/// Every declared family, by the collector (group) that emits it.
+const GROUPS: [(&str, &[Family]); 5] = [
+    ("paper", paper::METRICS),
+    ("concurrent", segidx_concurrent::METRICS),
+    ("trace", trace::METRICS),
+    ("server", server::METRICS),
+    ("temporal", temporal::METRICS),
 ];
 
-/// Tracer health families, required under `component="trace"`.
-const TRACE_COUNTERS: [&str; 3] = [
-    "segidx_trace_started_total",
-    "segidx_trace_sampled_total",
-    "segidx_trace_spans_dropped_total",
-];
-const TRACE_GAUGES: [&str; 2] = ["segidx_trace_spans_dropped", "segidx_trace_flight_retained"];
-
-/// The per-connection server families (`--server` mode), all labeled
-/// `component="server"`.
-const SERVER_OPS: [&str; 12] = [
-    "search", "stab", "nearest", "insert", "delete", "record", "as_of", "within", "flush", "ping",
-    "stats", "metrics",
-];
-const SERVER_MODES: [&str; 2] = ["binary", "line"];
-const SERVER_COUNTERS: [&str; 6] = [
-    "segidx_server_connections_total",
-    "segidx_server_parse_errors_total",
-    "segidx_server_protocol_errors_total",
-    "segidx_server_busy_total",
-    "segidx_server_bytes_read_total",
-    "segidx_server_bytes_written_total",
-];
-const SERVER_GAUGES: [&str; 1] = ["segidx_server_connections_active"];
-const SERVER_HISTOGRAMS: [&str; 2] = [
-    "segidx_server_read_latency_nanos",
-    "segidx_server_write_latency_nanos",
-];
-
-/// The tiered temporal index's family (`component="temporal"`): tier-state
-/// gauges, lifecycle counters, and seal/merge latency histograms.
-const TEMPORAL_GAUGES: [&str; 4] = [
-    "segidx_temporal_tiers",
-    "segidx_temporal_memtable_entries",
-    "segidx_temporal_sealed_entries",
-    "segidx_temporal_tombstones",
-];
-const TEMPORAL_COUNTERS: [&str; 7] = [
-    "segidx_temporal_seals_total",
-    "segidx_temporal_merges_total",
-    "segidx_temporal_sealed_entries_total",
-    "segidx_temporal_merged_entries_total",
-    "segidx_temporal_merge_dropped_total",
-    "segidx_temporal_pins_total",
-    "segidx_temporal_tiers_pinned_total",
-];
-const TEMPORAL_HISTOGRAMS: [&str; 2] = [
-    "segidx_temporal_seal_latency_nanos",
-    "segidx_temporal_merge_latency_nanos",
-];
-
-fn is_gauge(name: &str) -> bool {
-    SERVICE_GAUGES.contains(&name) || TRACE_GAUGES.contains(&name)
+/// What one kind of file must carry.
+struct Mode {
+    /// Groups that must appear.
+    groups: &'static [&'static str],
+    /// Histograms that must hold at least one observation.
+    non_empty: &'static [Family],
 }
 
-fn is_counter(name: &str) -> bool {
-    SERVICE_COUNTERS.contains(&name) || TRACE_COUNTERS.contains(&name)
-}
+const PAPER: Mode = Mode {
+    groups: &["paper"],
+    non_empty: &[paper::SEARCH_LATENCY_NANOS, paper::INSERT_LATENCY_NANOS],
+};
 
-fn check(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let value = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let metrics = value
+const SERVER: Mode = Mode {
+    groups: &["server", "concurrent", "trace", "temporal"],
+    non_empty: &[
+        server::READ_LATENCY_NANOS,
+        server::WRITE_LATENCY_NANOS,
+        segidx_concurrent::QUEUE_WAIT_NANOS,
+        segidx_concurrent::COMMIT_LATENCY_NANOS,
+    ],
+};
+
+const TEMPORAL: Mode = Mode {
+    groups: &["temporal"],
+    non_empty: &[temporal::SEAL_LATENCY_NANOS, temporal::MERGE_LATENCY_NANOS],
+};
+
+/// Checks one exported document; returns a one-line summary.
+fn check(mode: &Mode, text: &str) -> Result<String, String> {
+    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let metrics = doc
         .get("metrics")
         .and_then(Value::as_array)
         .ok_or("missing top-level \"metrics\" array")?;
-    if metrics.is_empty() {
-        return Err("\"metrics\" array is empty".into());
-    }
 
-    // Group by (graph, variant), remembering which names each pair exported.
-    // Metrics labeled with `component` instead belong to a service family
-    // and are keyed by (component, name).
-    let mut pairs: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
-    let mut components: BTreeSet<String> = BTreeSet::new();
-    let mut component_seen: BTreeSet<(String, String)> = BTreeSet::new();
+    // The families seen per (group, graph, variant).
+    let mut seen: BTreeMap<(&str, String, String), BTreeSet<&str>> = BTreeMap::new();
     for m in metrics {
         let name = m
             .get("name")
             .and_then(Value::as_str)
             .ok_or("metric without a \"name\"")?;
-        let labels = m.get("labels").ok_or("metric without \"labels\"")?;
-        if let Some(component) = labels.get("component").and_then(Value::as_str) {
-            validate_component_metric(name, component, m)?;
-            components.insert(component.to_string());
-            component_seen.insert((component.to_string(), name.to_string()));
-            continue;
-        }
-        let graph = labels.get("graph").and_then(Value::as_str).unwrap_or("");
-        let variant = labels.get("variant").and_then(Value::as_str).unwrap_or("");
-        if graph.is_empty() || variant.is_empty() {
-            return Err(format!("{name}: missing graph/variant labels"));
-        }
-        validate_metric(name, variant, m)?;
-        pairs.insert((graph.to_string(), variant.to_string()));
-        seen.insert((graph.to_string(), variant.to_string(), name.to_string()));
-    }
-
-    let graphs: BTreeSet<&String> = pairs.iter().map(|(g, _)| g).collect();
-    for graph in graphs {
-        for v in EXPECTED_VARIANTS {
-            if !pairs.contains(&(graph.clone(), v.to_string())) {
-                return Err(format!(
-                    "graph {graph}: missing variant \"{v}\" \
-                     (expected the four paper variants)"
-                ));
-            }
-        }
-    }
-    for (graph, variant) in &pairs {
-        for name in REQUIRED_HISTOGRAMS
+        let (group, family) = GROUPS
             .iter()
-            .chain(&REQUIRED_COUNTERS)
-            .chain(&REQUIRED_GAUGES)
-        {
-            if !seen.contains(&(graph.clone(), variant.clone(), name.to_string())) {
-                return Err(format!("graph {graph} / {variant}: missing {name}"));
-            }
-        }
-    }
-
-    let concurrent: BTreeSet<String> = component_seen
-        .iter()
-        .filter(|(component, _)| component == "concurrent")
-        .map(|(_, name)| name.clone())
-        .collect();
-    check_concurrent(&concurrent)?;
-    check_trace(&components, &component_seen)?;
-    let flight_classes = check_flight_recorder(&value)?;
-
-    Ok(format!(
-        "ok: {} metrics across {} (graph, variant) pairs + {} service component(s), \
-         {} flight-recorder class(es)",
-        metrics.len(),
-        pairs.len(),
-        components.len(),
-        flight_classes
-    ))
-}
-
-/// `--server` mode: a `segidx_server` `METRICS` snapshot. Every
-/// per-connection family must be present and typed correctly, the
-/// request counter must cover all twelve statement forms and the frame
-/// counter both framing modes, both latency histograms must be non-empty
-/// (the smoke workload always performs reads *and* writes), and the index
-/// service behind the wire must have exported its own family, its
-/// queue-wait and commit histograms non-empty (the writes fill both).
-fn check_server_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let value = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let metrics = value
-        .get("metrics")
-        .and_then(Value::as_array)
-        .ok_or("missing top-level \"metrics\" array")?;
-    if metrics.is_empty() {
-        return Err("\"metrics\" array is empty".into());
-    }
-
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut ops: BTreeSet<String> = BTreeSet::new();
-    let mut modes: BTreeSet<String> = BTreeSet::new();
-    let mut service_seen: BTreeSet<String> = BTreeSet::new();
-    let mut temporal_seen: BTreeSet<String> = BTreeSet::new();
-    for m in metrics {
-        let name = m
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("metric without a \"name\"")?;
-        let labels = m.get("labels").ok_or("metric without \"labels\"")?;
-        let component = labels
-            .get("component")
-            .and_then(Value::as_str)
-            .unwrap_or("");
-        if name.starts_with("segidx_server_") {
-            if component != "server" {
-                return Err(format!("{name}: expected component=\"server\" label"));
-            }
-            let kind = m.get("type").and_then(Value::as_str).unwrap_or("");
-            if SERVER_HISTOGRAMS.contains(&name) {
-                if kind != "histogram" {
-                    return Err(format!("{name}: expected histogram, got {kind}"));
-                }
-                let count = m.get("count").and_then(Value::as_i64).unwrap_or(0);
-                if count <= 0 {
-                    return Err(format!("{name}: empty histogram"));
-                }
-            } else if SERVER_GAUGES.contains(&name) && kind != "gauge" {
-                return Err(format!("{name}: expected gauge, got {kind}"));
-            } else if (SERVER_COUNTERS.contains(&name)
-                || name == "segidx_server_requests_total"
-                || name == "segidx_server_frames_total")
-                && kind != "counter"
-            {
-                return Err(format!("{name}: expected counter, got {kind}"));
-            }
-            match name {
-                "segidx_server_requests_total" => {
-                    let op = labels.get("op").and_then(Value::as_str).unwrap_or("");
-                    if op.is_empty() {
-                        return Err(format!("{name}: missing op label"));
-                    }
-                    ops.insert(op.to_string());
-                }
-                "segidx_server_frames_total" => {
-                    let mode = labels.get("mode").and_then(Value::as_str).unwrap_or("");
-                    if mode.is_empty() {
-                        return Err(format!("{name}: missing mode label"));
-                    }
-                    modes.insert(mode.to_string());
-                }
-                _ => {}
-            }
-            seen.insert(name.to_string());
-        } else if component == "concurrent" {
-            validate_component_metric(name, component, m)?;
-            service_seen.insert(name.to_string());
-        } else if component == "temporal" {
-            temporal_seen.insert(name.to_string());
-        }
-    }
-
-    for name in SERVER_COUNTERS
-        .iter()
-        .chain(&SERVER_GAUGES)
-        .chain(&SERVER_HISTOGRAMS)
-    {
-        if !seen.contains(*name) {
-            return Err(format!("missing {name}"));
-        }
-    }
-    for op in SERVER_OPS {
-        if !ops.contains(op) {
-            return Err(format!(
-                "segidx_server_requests_total: missing op=\"{op}\" \
-                 (all twelve statement forms must be exported, zeros included)"
-            ));
-        }
-    }
-    for mode in SERVER_MODES {
-        if !modes.contains(mode) {
-            return Err(format!(
-                "segidx_server_frames_total: missing mode=\"{mode}\""
-            ));
-        }
-    }
-
-    // The index's own service family must ride along in the same
-    // snapshot.
-    check_concurrent(&service_seen)?;
-
-    // The temporal tier behind RECORD/AS OF/WITHIN registers its family on
-    // the same registry; histograms may be empty (a smoke workload need
-    // not seal) but every name must be exported.
-    for name in TEMPORAL_GAUGES
-        .iter()
-        .chain(&TEMPORAL_COUNTERS)
-        .chain(&TEMPORAL_HISTOGRAMS)
-    {
-        if !temporal_seen.contains(*name) {
-            return Err(format!(
-                "missing temporal-tier metric {name} (component=\"temporal\")"
-            ));
-        }
-    }
-
-    Ok(format!(
-        "ok: {} metrics, {} server families, {} ops, index service present",
-        metrics.len(),
-        seen.len(),
-        ops.len()
-    ))
-}
-
-/// `--temporal` mode: a registry snapshot from a tiered ingest run
-/// (`temporal_bench --metrics-out`). The full `segidx_temporal_*` family
-/// must be present under `component="temporal"` and correctly typed, and
-/// both latency histograms non-empty — the gated ingest seals and merges
-/// many times over.
-fn check_temporal_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let value = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let metrics = value
-        .get("metrics")
-        .and_then(Value::as_array)
-        .ok_or("missing top-level \"metrics\" array")?;
-    if metrics.is_empty() {
-        return Err("\"metrics\" array is empty".into());
-    }
-
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    for m in metrics {
-        let name = m
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("metric without a \"name\"")?;
-        if !name.starts_with("segidx_temporal_") {
-            continue;
-        }
-        let labels = m.get("labels").ok_or("metric without \"labels\"")?;
-        let component = labels
-            .get("component")
-            .and_then(Value::as_str)
-            .unwrap_or("");
-        if component != "temporal" {
-            return Err(format!("{name}: expected component=\"temporal\" label"));
-        }
+            .find_map(|(group, families)| {
+                families
+                    .iter()
+                    .find(|f| f.name == name)
+                    .map(|f| (*group, *f))
+            })
+            .ok_or_else(|| format!("{name}: not a declared family"))?;
         let kind = m.get("type").and_then(Value::as_str).unwrap_or("");
-        if TEMPORAL_HISTOGRAMS.contains(&name) {
-            if kind != "histogram" {
-                return Err(format!("{name}: expected histogram, got {kind}"));
-            }
-            let count = m.get("count").and_then(Value::as_i64).unwrap_or(0);
-            if count <= 0 {
-                return Err(format!(
-                    "{name}: empty histogram (the ingest must seal and merge)"
-                ));
-            }
-        } else if TEMPORAL_COUNTERS.contains(&name) {
-            if kind != "counter" {
-                return Err(format!("{name}: expected counter, got {kind}"));
-            }
-        } else if TEMPORAL_GAUGES.contains(&name) {
-            if kind != "gauge" {
-                return Err(format!("{name}: expected gauge, got {kind}"));
-            }
-            let v = m
-                .get("value")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{name}: non-numeric value"))?;
-            if v < 0.0 {
-                return Err(format!("{name}: negative gauge {v}"));
+        if kind != family.kind.name() {
+            return Err(format!(
+                "{name}: declared a {}, exported as {kind:?}",
+                family.kind.name()
+            ));
+        }
+        if family.kind == MetricKind::Gauge {
+            match m.get("value").and_then(Value::as_f64) {
+                Some(v) if v.is_finite() && v >= 0.0 => {}
+                v => return Err(format!("{name}: gauge must be finite and >= 0, got {v:?}")),
             }
         }
-        seen.insert(name.to_string());
+        if mode.non_empty.contains(&family) {
+            if m.get("count").and_then(Value::as_i64).unwrap_or(0) <= 0 {
+                return Err(format!("{name}: empty histogram"));
+            }
+            for q in ["p50", "p95", "p99"] {
+                if m.get(q).and_then(Value::as_i64).is_none() {
+                    return Err(format!("{name}: missing {q}"));
+                }
+            }
+        }
+        let label = |key: &str| {
+            let v = m.get("labels").and_then(|l| l.get(key));
+            v.and_then(Value::as_str).unwrap_or("").to_string()
+        };
+        seen.entry((group, label("graph"), label("variant")))
+            .or_default()
+            .insert(family.name);
     }
-    for name in TEMPORAL_GAUGES
-        .iter()
-        .chain(&TEMPORAL_COUNTERS)
-        .chain(&TEMPORAL_HISTOGRAMS)
-    {
-        if !seen.contains(*name) {
-            return Err(format!("missing {name}"));
+
+    for ((group, graph, variant), names) in &seen {
+        let (_, families) = GROUPS
+            .iter()
+            .find(|(g, _)| g == group)
+            .expect("every group seen is one of GROUPS");
+        if let Some(f) = families.iter().find(|f| !names.contains(f.name)) {
+            return Err(format!(
+                "{group} group (graph {graph:?}, variant {variant:?}): missing {}",
+                f.name
+            ));
+        }
+    }
+    for group in mode.groups {
+        if !seen.keys().any(|(g, ..)| g == group) {
+            return Err(format!("no {group} families"));
+        }
+    }
+    let variants: BTreeSet<&str> = Variant::ALL.iter().map(Variant::name).collect();
+    let mut graphs: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for (_, graph, variant) in seen.keys().filter(|(g, ..)| *g == "paper") {
+        graphs.entry(graph).or_default().insert(variant);
+    }
+    for (graph, seen_variants) in graphs {
+        if seen_variants != variants {
+            return Err(format!(
+                "graph {graph:?}: variants {seen_variants:?}, expected the paper's four {variants:?}"
+            ));
         }
     }
 
+    let groups: BTreeSet<&str> = seen.keys().map(|(g, ..)| *g).collect();
     Ok(format!(
-        "ok: {} metrics, {} temporal families ({} gauges, {} counters, {} non-empty histograms)",
+        "ok: {} metrics, {} declared groups present {groups:?}",
         metrics.len(),
-        seen.len(),
-        TEMPORAL_GAUGES.len(),
-        TEMPORAL_COUNTERS.len(),
-        TEMPORAL_HISTOGRAMS.len()
+        groups.len()
     ))
 }
 
-/// The tracer's health families under `component="trace"`.
-fn check_trace(
-    components: &BTreeSet<String>,
-    component_seen: &BTreeSet<(String, String)>,
-) -> Result<(), String> {
-    if !components.contains("trace") {
-        return Err("missing component=\"trace\" tracer metrics".into());
-    }
-    for name in TRACE_COUNTERS.iter().chain(&TRACE_GAUGES) {
-        if !component_seen.contains(&("trace".to_string(), name.to_string())) {
-            return Err(format!("component trace: missing {name}"));
-        }
-    }
-    Ok(())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use segidx_obs::{LatencyHistogram, Metric, MetricValue, MetricsSnapshot};
 
-/// The top-level `flight_recorder` summary: at least one op class, each
-/// entry a positive `retained` count plus a `slowest` trace carrying
-/// duration, span count, and profile. Returns the class count.
-fn check_flight_recorder(value: &Value) -> Result<usize, String> {
-    let flight = value
-        .get("flight_recorder")
-        .ok_or("missing top-level \"flight_recorder\" object")?;
-    let Value::Object(classes) = flight else {
-        return Err("\"flight_recorder\" is not an object".into());
-    };
-    if classes.is_empty() {
-        return Err("\"flight_recorder\" retained no traces".into());
-    }
-    for (class, entry) in classes {
-        let retained = entry
-            .get("retained")
-            .and_then(Value::as_i64)
-            .ok_or_else(|| format!("flight_recorder.{class}: missing retained count"))?;
-        if retained < 1 {
-            return Err(format!("flight_recorder.{class}: retained {retained} < 1"));
-        }
-        let slowest = entry
-            .get("slowest")
-            .ok_or_else(|| format!("flight_recorder.{class}: missing slowest trace"))?;
-        for field in ["trace_id", "duration_nanos", "spans"] {
-            let v = slowest
-                .get(field)
-                .and_then(Value::as_i64)
-                .ok_or_else(|| format!("flight_recorder.{class}.slowest: missing {field}"))?;
-            if v < 0 {
-                return Err(format!("flight_recorder.{class}.slowest: negative {field}"));
+    /// A well-formed metric of family `f`.
+    fn metric(f: &Family, labels: &[(&str, &str)]) -> Metric {
+        match f.kind {
+            MetricKind::Counter => Metric::counter(f.name, labels, 7),
+            MetricKind::Gauge => Metric::gauge(f.name, labels, 0.5),
+            MetricKind::Histogram => {
+                let h = LatencyHistogram::new();
+                h.record(1_000);
+                Metric::histogram(f.name, labels, h.snapshot())
             }
         }
-        if slowest.get("profile").is_none() {
-            return Err(format!("flight_recorder.{class}.slowest: missing profile"));
-        }
     }
-    Ok(classes.len())
-}
 
-/// The index service's full family, given the names exported under
-/// `component="concurrent"` (each already type-checked, histograms
-/// non-empty, by [`validate_component_metric`]).
-fn check_concurrent(seen: &BTreeSet<String>) -> Result<(), String> {
-    if seen.is_empty() {
-        return Err("missing component=\"concurrent\" service metrics".into());
+    fn render(metrics: Vec<Metric>) -> String {
+        MetricsSnapshot { metrics }.to_json()
     }
-    for name in SERVICE_GAUGES
-        .iter()
-        .chain(&SERVICE_COUNTERS)
-        .chain(&SERVICE_HISTOGRAMS)
-    {
-        if !seen.contains(*name) {
-            return Err(format!("component concurrent: missing {name}"));
-        }
-    }
-    Ok(())
-}
 
-fn validate_component_metric(name: &str, component: &str, m: &Value) -> Result<(), String> {
-    let kind = m.get("type").and_then(Value::as_str).unwrap_or("");
-    if SERVICE_HISTOGRAMS.contains(&name) {
-        if kind != "histogram" {
-            return Err(format!(
-                "{name} ({component}): expected histogram, got {kind}"
-            ));
-        }
-        let count = m.get("count").and_then(Value::as_i64).unwrap_or(0);
-        if count <= 0 {
-            return Err(format!("{name} ({component}): empty histogram"));
-        }
-    } else if is_counter(name) && kind != "counter" {
-        return Err(format!(
-            "{name} ({component}): expected counter, got {kind}"
-        ));
-    } else if is_gauge(name) {
-        if kind != "gauge" {
-            return Err(format!("{name} ({component}): expected gauge, got {kind}"));
-        }
-        let v = m
-            .get("value")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{name} ({component}): non-numeric value"))?;
-        if v < 0.0 {
-            return Err(format!("{name} ({component}): negative gauge {v}"));
-        }
+    fn family(table: &[Family], suffix: &str) -> Family {
+        *table.iter().find(|f| f.name.ends_with(suffix)).unwrap()
     }
-    Ok(())
-}
 
-fn validate_metric(name: &str, variant: &str, m: &Value) -> Result<(), String> {
-    let kind = m.get("type").and_then(Value::as_str).unwrap_or("");
-    if REQUIRED_HISTOGRAMS.contains(&name) {
-        if kind != "histogram" {
-            return Err(format!(
-                "{name} ({variant}): expected histogram, got {kind}"
-            ));
-        }
-        let count = m.get("count").and_then(Value::as_i64).unwrap_or(0);
-        if count <= 0 {
-            return Err(format!("{name} ({variant}): empty histogram"));
-        }
-        for q in ["p50", "p95", "p99"] {
-            let v = m
-                .get(q)
-                .and_then(Value::as_i64)
-                .ok_or_else(|| format!("{name} ({variant}): missing {q}"))?;
-            if v < 0 {
-                return Err(format!("{name} ({variant}): negative {q}"));
-            }
-        }
-    } else if REQUIRED_COUNTERS.contains(&name) && kind != "counter" {
-        return Err(format!("{name} ({variant}): expected counter, got {kind}"));
-    } else if REQUIRED_GAUGES.contains(&name) {
-        if kind != "gauge" {
-            return Err(format!("{name} ({variant}): expected gauge, got {kind}"));
-        }
-        let v = m
-            .get("value")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{name} ({variant}): non-numeric value"))?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{name} ({variant}): hit rate {v} outside [0, 1]"));
+    fn set(metrics: &mut [Metric], f: Family, value: MetricValue) {
+        for m in metrics.iter_mut().filter(|m| m.name == f.name) {
+            m.value = value.clone();
         }
     }
-    Ok(())
+
+    /// What `reproduce --metrics-out` exports for one graph.
+    fn paper_export() -> Vec<Metric> {
+        Variant::ALL
+            .iter()
+            .flat_map(|v| {
+                let labels = [("graph", "3"), ("variant", v.name())];
+                paper::METRICS.iter().map(move |f| metric(f, &labels))
+            })
+            .collect()
+    }
+
+    /// What the server's `METRICS` statement returns: its own families,
+    /// the index service's and its tracer's, and the temporal tier's.
+    fn server_snapshot() -> Vec<Metric> {
+        let mut out = Vec::new();
+        let concurrent = [("component", "concurrent")];
+        for f in segidx_concurrent::METRICS.iter().chain(trace::METRICS) {
+            out.push(metric(f, &concurrent));
+        }
+        for f in server::METRICS {
+            out.push(metric(f, &[("component", "server")]));
+        }
+        for f in temporal::METRICS {
+            out.push(metric(f, &[("component", "temporal")]));
+        }
+        out
+    }
+
+    fn temporal_snapshot() -> Vec<Metric> {
+        let labels = [("component", "temporal")];
+        temporal::METRICS
+            .iter()
+            .map(|f| metric(f, &labels))
+            .collect()
+    }
+
+    fn err(mode: &Mode, metrics: Vec<Metric>) -> String {
+        check(mode, &render(metrics)).unwrap_err()
+    }
+
+    #[test]
+    fn well_formed_exports_pass() {
+        check(&PAPER, &render(paper_export())).unwrap();
+        check(&SERVER, &render(server_snapshot())).unwrap();
+        check(&TEMPORAL, &render(temporal_snapshot())).unwrap();
+    }
+
+    #[test]
+    fn an_undeclared_family_fails() {
+        let mut metrics = paper_export();
+        let undeclared = format!("{}_extra", paper::METRICS[0].name);
+        metrics.push(Metric::counter(undeclared, &[("graph", "3")], 1));
+        assert!(err(&PAPER, metrics).contains("_extra: not a declared family"));
+    }
+
+    /// A server snapshot whose temporal tier count is typed a histogram
+    /// and that lacks the tracer's families: each fault fails on its own.
+    #[test]
+    fn a_mistyped_temporal_family_or_a_missing_tracer_fails_the_server_check() {
+        let tiers = family(temporal::METRICS, "_temporal_tiers");
+        assert_eq!(tiers.kind, MetricKind::Gauge);
+        let mistyped = |mut metrics: Vec<Metric>| {
+            set(
+                &mut metrics,
+                tiers,
+                MetricValue::Histogram(LatencyHistogram::new().snapshot()),
+            );
+            metrics
+        };
+        let untraced = |mut metrics: Vec<Metric>| {
+            metrics.retain(|m| !trace::METRICS.iter().any(|f| f.name == m.name));
+            metrics
+        };
+        let e = err(&SERVER, mistyped(untraced(server_snapshot())));
+        assert!(
+            e.contains("declared a gauge, exported as \"histogram\""),
+            "{e}"
+        );
+        let e = err(&SERVER, mistyped(server_snapshot()));
+        assert!(e.starts_with(tiers.name), "{e}");
+        assert_eq!(
+            err(&SERVER, untraced(server_snapshot())),
+            "no trace families"
+        );
+    }
+
+    /// A paper export whose `segidx_cuts_total` is typed a gauge and
+    /// reads −3.5: the kind check stops it before the value is read.
+    #[test]
+    fn a_negative_counter_exported_as_a_gauge_fails() {
+        let cuts = family(paper::METRICS, "_cuts_total");
+        let mut metrics = paper_export();
+        set(&mut metrics, cuts, MetricValue::Gauge(-3.5));
+        let e = err(&PAPER, metrics);
+        assert!(
+            e.contains("declared a counter, exported as \"gauge\""),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn a_negative_or_non_finite_gauge_fails() {
+        let hit_rate = family(paper::METRICS, "_hit_rate");
+        for bad in [-0.25, f64::NAN] {
+            let mut metrics = paper_export();
+            set(&mut metrics, hit_rate, MetricValue::Gauge(bad));
+            let e = err(&PAPER, metrics);
+            assert!(e.contains("gauge must be finite and >= 0"), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_family_missing_from_a_present_group_fails() {
+        let epoch = segidx_concurrent::METRICS[0];
+        let mut metrics = server_snapshot();
+        metrics.retain(|m| m.name != epoch.name);
+        let e = err(&SERVER, metrics);
+        assert!(
+            e.starts_with("concurrent group") && e.ends_with(epoch.name),
+            "{e}"
+        );
+
+        // Per (graph, variant): one variant short of one family.
+        let mut metrics = paper_export();
+        let last = metrics.len() - 1;
+        metrics.remove(last);
+        assert!(err(&PAPER, metrics).starts_with("paper group (graph \"3\""));
+    }
+
+    #[test]
+    fn an_empty_required_histogram_fails() {
+        let mut metrics = server_snapshot();
+        let empty = MetricValue::Histogram(LatencyHistogram::new().snapshot());
+        set(&mut metrics, server::WRITE_LATENCY_NANOS, empty.clone());
+        let e = err(&SERVER, metrics);
+        assert_eq!(
+            e,
+            format!("{}: empty histogram", server::WRITE_LATENCY_NANOS.name)
+        );
+
+        // The temporal tier's histograms may be empty behind the server,
+        // not in the gated ingest.
+        let mut metrics = server_snapshot();
+        set(&mut metrics, temporal::SEAL_LATENCY_NANOS, empty.clone());
+        check(&SERVER, &render(metrics)).unwrap();
+        let mut metrics = temporal_snapshot();
+        set(&mut metrics, temporal::SEAL_LATENCY_NANOS, empty);
+        assert!(err(&TEMPORAL, metrics).ends_with("empty histogram"));
+    }
+
+    #[test]
+    fn a_missing_paper_variant_fails() {
+        let last = Variant::ALL[3].name();
+        let mut metrics = paper_export();
+        metrics.retain(|m| !m.labels.iter().any(|(_, v)| v == last));
+        let e = err(&PAPER, metrics);
+        assert!(e.starts_with("graph \"3\": variants"), "{e}");
+    }
+
+    #[test]
+    fn a_file_without_its_mode_groups_fails() {
+        assert_eq!(err(&PAPER, server_snapshot()), "no paper families");
+        assert_eq!(err(&TEMPORAL, paper_export()), "no temporal families");
+        assert!(check(&PAPER, "{}").is_err());
+    }
 }

@@ -324,7 +324,7 @@ fn main() -> ExitCode {
     // ---- 1. Tiered ingest (memtable -> sealed packed tiers) -----------
     let registry = MetricsRegistry::new();
     let telemetry = Arc::new(TieredTelemetry::new());
-    telemetry.register(&registry, &[]);
+    telemetry.register(&registry);
     let mut tiered = TieredTemporalIndex::<2>::new(TieredConfig::default());
     tiered.set_telemetry(Some(Arc::clone(&telemetry)));
     let start = Instant::now();

@@ -24,17 +24,14 @@
 pub mod crash;
 mod experiment;
 pub mod interleave;
-mod metrics;
+pub mod metrics;
 mod report;
 mod runner;
 mod shape;
 pub mod temporal_crash;
 
 pub use experiment::{Experiment, Graph, Variant, PAPER_PREDICTION_BUFFER};
-pub use metrics::{
-    concurrent_service_metrics, metrics_registry, metrics_snapshot, traced_service_metrics,
-    write_metrics_json,
-};
+pub use metrics::{metrics_snapshot, write_metrics_json};
 pub use report::{hardware_note, median, median_ratio, render_table, today, write_csv};
 pub use runner::{inspect_variants, run_experiment, BuildInfo, GraphResult, Series, SweepPoint};
 pub use shape::{check_exponential_lower, check_paper_shape, render_checks, ShapeCheck};

@@ -55,13 +55,41 @@ use segidx_core::tree::Tree;
 use segidx_core::{persist, IntervalIndex, RecordId};
 use segidx_geom::Rect;
 use segidx_obs::trace::{self, Tracer};
-use segidx_obs::{LatencyHistogram, Metric, MetricsRegistry};
+use segidx_obs::{Family, LatencyHistogram, Metric, MetricsRegistry};
 use segidx_storage::{DiskManager, StorageError};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+const EPOCH: Family = Family::gauge("segidx_concurrent_epoch");
+const QUEUE_DEPTH: Family = Family::gauge("segidx_concurrent_queue_depth");
+const RETIRED_SNAPSHOTS: Family = Family::gauge("segidx_concurrent_retired_snapshots");
+const COMMITS_TOTAL: Family = Family::counter("segidx_concurrent_commits_total");
+const OPS_APPLIED_TOTAL: Family = Family::counter("segidx_concurrent_ops_applied_total");
+const OVERLOADS_TOTAL: Family = Family::counter("segidx_concurrent_overloads_total");
+/// Time each operation waited in the queue before its batch was drained.
+pub const QUEUE_WAIT_NANOS: Family = Family::histogram("segidx_concurrent_queue_wait_nanos");
+/// Wall time of each group commit.
+pub const COMMIT_LATENCY_NANOS: Family =
+    Family::histogram("segidx_concurrent_commit_latency_nanos");
+
+/// The index service's metric families, emitted by
+/// [`IndexHandle::register_metrics`].
+pub const METRICS: &[Family] = &[
+    EPOCH,
+    QUEUE_DEPTH,
+    RETIRED_SNAPSHOTS,
+    COMMITS_TOTAL,
+    OPS_APPLIED_TOTAL,
+    OVERLOADS_TOTAL,
+    QUEUE_WAIT_NANOS,
+    COMMIT_LATENCY_NANOS,
+];
+
+/// The label on every metric the service emits.
+const LABELS: &[(&str, &str)] = &[("component", "concurrent")];
 
 /// Writer-side counters and latency distributions, shared with every
 /// [`IndexHandle`].
@@ -569,78 +597,56 @@ impl<const D: usize, E> IndexHandle<D, E> {
         Arc::clone(&self.shared.telemetry)
     }
 
-    /// Registers gauges, counters, and latency histograms for this index
-    /// under the given labels (add e.g. `("component", "concurrent")`):
-    ///
-    /// * `segidx_concurrent_epoch`, `segidx_concurrent_queue_depth`,
-    ///   `segidx_concurrent_retired_snapshots` — gauges;
-    /// * `segidx_concurrent_commits_total`,
-    ///   `segidx_concurrent_ops_applied_total`,
-    ///   `segidx_concurrent_overloads_total` — counters;
-    /// * `segidx_concurrent_queue_wait_nanos`,
-    ///   `segidx_concurrent_commit_latency_nanos` — histograms.
-    ///
-    /// When the index was built with [`Builder::tracer`], the tracer's
-    /// `segidx_trace_*` series are registered under the same labels.
-    pub fn register_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)])
+    /// Registers this index's [`METRICS`] families on `registry`, labelled
+    /// `component="concurrent"`. When the index was built with
+    /// [`Builder::tracer`], the tracer's families
+    /// ([`trace::METRICS`]) ride along under the same label.
+    pub fn register_metrics(&self, registry: &MetricsRegistry)
     where
         E: Send + Sync + 'static,
     {
         if let Some(tracer) = &self.shared.tracer {
-            registry.register_tracer(tracer, labels);
+            let tracer = Arc::clone(tracer);
+            registry.register(
+                trace::METRICS,
+                Box::new(move |out| tracer.collect_metrics(LABELS, out)),
+            );
         }
         let shared = Arc::clone(&self.shared);
-        let labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        registry.register(Box::new(move |out| {
-            let l: Vec<(&str, &str)> = labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            let t = &shared.telemetry;
-            out.push(Metric::gauge(
-                "segidx_concurrent_epoch",
-                &l,
-                shared.epoch() as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_concurrent_queue_depth",
-                &l,
-                shared.queue.depth() as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_concurrent_retired_snapshots",
-                &l,
-                shared.retired_snapshots() as f64,
-            ));
-            out.push(Metric::counter(
-                "segidx_concurrent_commits_total",
-                &l,
-                t.commits(),
-            ));
-            out.push(Metric::counter(
-                "segidx_concurrent_ops_applied_total",
-                &l,
-                t.ops_applied(),
-            ));
-            out.push(Metric::counter(
-                "segidx_concurrent_overloads_total",
-                &l,
-                t.overloads(),
-            ));
-            out.push(Metric::histogram(
-                "segidx_concurrent_queue_wait_nanos",
-                &l,
-                t.queue_wait.snapshot(),
-            ));
-            out.push(Metric::histogram(
-                "segidx_concurrent_commit_latency_nanos",
-                &l,
-                t.commit_latency.snapshot(),
-            ));
-        }));
+        registry.register(
+            METRICS,
+            Box::new(move |out| {
+                let t = &shared.telemetry;
+                out.push(Metric::gauge(EPOCH.name, LABELS, shared.epoch() as f64));
+                out.push(Metric::gauge(
+                    QUEUE_DEPTH.name,
+                    LABELS,
+                    shared.queue.depth() as f64,
+                ));
+                out.push(Metric::gauge(
+                    RETIRED_SNAPSHOTS.name,
+                    LABELS,
+                    shared.retired_snapshots() as f64,
+                ));
+                out.push(Metric::counter(COMMITS_TOTAL.name, LABELS, t.commits()));
+                out.push(Metric::counter(
+                    OPS_APPLIED_TOTAL.name,
+                    LABELS,
+                    t.ops_applied(),
+                ));
+                out.push(Metric::counter(OVERLOADS_TOTAL.name, LABELS, t.overloads()));
+                out.push(Metric::histogram(
+                    QUEUE_WAIT_NANOS.name,
+                    LABELS,
+                    t.queue_wait.snapshot(),
+                ));
+                out.push(Metric::histogram(
+                    COMMIT_LATENCY_NANOS.name,
+                    LABELS,
+                    t.commit_latency.snapshot(),
+                ));
+            }),
+        );
     }
 }
 
@@ -845,5 +851,42 @@ mod tests {
         let snap = index.snapshot();
         assert_eq!((snap.epoch(), snap.len(), index.epoch()), (1, 1, 1));
         assert_eq!(index.retired_snapshots(), 0);
+    }
+
+    /// What a snapshot emits is what [`METRICS`] and, for a traced index,
+    /// [`trace::METRICS`] declare: no family more, none less, each of its
+    /// declared kind.
+    #[test]
+    fn registered_metrics_are_the_declared_families() {
+        use std::collections::BTreeSet;
+        let emitted = |index: &ConcurrentIndex<2>| {
+            let registry = MetricsRegistry::new();
+            index.handle().register_metrics(&registry);
+            let snap = registry.snapshot();
+            assert!(snap
+                .metrics
+                .iter()
+                .all(|m| m.labels == [("component".to_string(), "concurrent".to_string())]));
+            snap.metrics
+                .iter()
+                .map(|m| (m.name.clone(), m.value.kind()))
+                .collect::<BTreeSet<_>>()
+        };
+        let declared = |tables: &[&[Family]]| {
+            tables
+                .iter()
+                .flat_map(|t| t.iter())
+                .map(|f| (f.name.to_string(), f.kind))
+                .collect::<BTreeSet<_>>()
+        };
+        let plain = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
+            .start()
+            .unwrap();
+        assert_eq!(emitted(&plain), declared(&[METRICS]));
+        let traced = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
+            .tracer(Arc::new(Tracer::new()))
+            .start()
+            .unwrap();
+        assert_eq!(emitted(&traced), declared(&[METRICS, trace::METRICS]));
     }
 }

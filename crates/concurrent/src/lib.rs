@@ -67,6 +67,7 @@ mod queue;
 
 pub use index::{
     Builder, CommitHook, ConcurrentIndex, ConcurrentTelemetry, IndexHandle, SnapshotGuard,
+    COMMIT_LATENCY_NANOS, METRICS, QUEUE_WAIT_NANOS,
 };
 pub use queue::{CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, SubmitError};
 

@@ -10,10 +10,12 @@
 //!    with `p50`/`p95`/`p99`/`max` extraction, recorded per operation
 //!    (`search`, `stab`, `nearest`, `insert`, `delete`, `bulk_load`) and
 //!    per physical page read/write.
-//! 2. [`MetricsRegistry`] — collector-based aggregation of every counter
-//!    and histogram behind one [`MetricsRegistry::snapshot`] /
-//!    [`MetricsSnapshot::diff`] API, exporting pretty text, JSON, and
-//!    Prometheus text exposition format.
+//! 2. [`MetricsRegistry`] — collector-based aggregation of every counter,
+//!    gauge and histogram behind one [`MetricsRegistry::snapshot`],
+//!    exported as JSON. Each collector registers with the `const` table of
+//!    [`Family`]s (name and [`MetricKind`]) it emits, declared once beside
+//!    it in the crate that owns the counters; the tracer's own table is
+//!    [`trace::METRICS`].
 //! 3. [`trace`] — sampled hierarchical query traces: RAII spans with
 //!    parent ids, a per-trace [`QueryProfile`] access breakdown, a
 //!    [`FlightRecorder`] slow-op log, and exporters to text trees and
@@ -38,7 +40,9 @@ mod registry;
 pub mod trace;
 
 pub use hist::{bucket_index, bucket_upper_bound, HistogramSnapshot, LatencyHistogram, BUCKETS};
-pub use registry::{Collector, Metric, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use registry::{
+    Collector, Family, Metric, MetricKind, MetricValue, MetricsRegistry, MetricsSnapshot,
+};
 pub use trace::{
     chrome_trace_json, CompletedTrace, FlightRecorder, OpClass, QueryProfile, SpanRecord,
     TraceContext, TraceGuard, Tracer,

@@ -28,6 +28,7 @@
 //! hierarchical profile wants).
 
 use crate::json::Value;
+use crate::registry::{Family, Metric};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -38,6 +39,21 @@ use std::time::Instant;
 /// Number of tree levels tracked individually in [`QueryProfile`]; deeper
 /// levels accumulate into the last slot. Paper-scale trees are ≤ 10 levels.
 pub const MAX_LEVELS: usize = 32;
+
+const STARTED: Family = Family::counter("segidx_trace_started_total");
+const SAMPLED: Family = Family::counter("segidx_trace_sampled_total");
+const SPANS_DROPPED_TOTAL: Family = Family::counter("segidx_trace_spans_dropped_total");
+const SPANS_DROPPED: Family = Family::gauge("segidx_trace_spans_dropped");
+const FLIGHT_RETAINED: Family = Family::gauge("segidx_trace_flight_retained");
+
+/// The tracer's health families, emitted by [`Tracer::collect_metrics`].
+pub const METRICS: &[Family] = &[
+    STARTED,
+    SAMPLED,
+    SPANS_DROPPED_TOTAL,
+    SPANS_DROPPED,
+    FLIGHT_RETAINED,
+];
 
 /// Hard cap on spans retained per trace; further spans are counted in
 /// [`CompletedTrace::dropped_spans`] instead of growing without bound.
@@ -372,28 +388,6 @@ impl CompletedTrace {
             let _ = writeln!(out, "profile  {dims}");
         }
         out
-    }
-
-    /// The trace as a JSON object (used by flight-recorder summaries).
-    pub fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("trace_id".to_string(), Value::Int(self.id as i64)),
-            (
-                "class".to_string(),
-                Value::Str(self.class.name().to_string()),
-            ),
-            ("name".to_string(), Value::Str(self.name.to_string())),
-            (
-                "duration_nanos".to_string(),
-                Value::Int(self.duration_nanos as i64),
-            ),
-            ("spans".to_string(), Value::Int(self.spans.len() as i64)),
-            (
-                "dropped_spans".to_string(),
-                Value::Int(self.dropped_spans as i64),
-            ),
-            ("profile".to_string(), self.profile.to_json_value()),
-        ])
     }
 }
 
@@ -837,28 +831,6 @@ impl FlightRecorder {
     pub fn offered(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed)
     }
-
-    /// Per-class summaries (slowest trace per class, with profile) as JSON:
-    /// `{"search": {"count": 3, "slowest": {...}}, ...}`.
-    pub fn summary_json(&self) -> Value {
-        let slots = self.slots.lock().unwrap();
-        let mut fields = Vec::new();
-        for class in OpClass::ALL {
-            if let Some(bucket) = slots.get(&class) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                fields.push((
-                    class.name().to_string(),
-                    Value::Object(vec![
-                        ("retained".to_string(), Value::Int(bucket.len() as i64)),
-                        ("slowest".to_string(), bucket[0].to_json_value()),
-                    ]),
-                ));
-            }
-        }
-        Value::Object(fields)
-    }
 }
 
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
@@ -989,6 +961,32 @@ impl Tracer {
     /// The flight recorder holding the slowest completed traces.
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
+    }
+
+    /// Appends the tracer's health families ([`METRICS`]) under `labels`:
+    /// operations offered and traces recorded (counters), spans dropped to
+    /// the per-trace buffer cap (counter **and** gauge, so the current loss
+    /// level is visible without diffing), and the traces the flight
+    /// recorder retains (gauge). A tracer has no component of its own; the
+    /// service it traces registers this under its labels.
+    pub fn collect_metrics(&self, labels: &[(&str, &str)], out: &mut Vec<Metric>) {
+        out.push(Metric::counter(STARTED.name, labels, self.started()));
+        out.push(Metric::counter(SAMPLED.name, labels, self.sampled()));
+        out.push(Metric::counter(
+            SPANS_DROPPED_TOTAL.name,
+            labels,
+            self.spans_dropped(),
+        ));
+        out.push(Metric::gauge(
+            SPANS_DROPPED.name,
+            labels,
+            self.spans_dropped() as f64,
+        ));
+        out.push(Metric::gauge(
+            FLIGHT_RETAINED.name,
+            labels,
+            self.flight.retained() as f64,
+        ));
     }
 
     /// The most recently completed trace, if any.
@@ -1220,16 +1218,6 @@ mod tests {
         );
         assert_eq!(fr.retained(), 3);
         assert_eq!(fr.offered(), 5);
-        let summary = fr.summary_json();
-        assert!(summary.get("search").is_some());
-        assert_eq!(
-            summary
-                .get("search")
-                .and_then(|s| s.get("slowest"))
-                .and_then(|s| s.get("duration_nanos"))
-                .and_then(Value::as_i64),
-            Some(900)
-        );
     }
 
     #[test]
@@ -1295,5 +1283,22 @@ mod tests {
         assert!(tracer.force(OpClass::Search, "inner").is_none());
         drop(g);
         assert_eq!(tracer.completed(), 1);
+    }
+
+    #[test]
+    fn collected_metrics_are_the_declared_families() {
+        use std::collections::BTreeSet;
+        let tracer = Arc::new(Tracer::new());
+        let registry = crate::MetricsRegistry::new();
+        let t = Arc::clone(&tracer);
+        registry.register(METRICS, Box::new(move |out| t.collect_metrics(&[], out)));
+        let snap = registry.snapshot();
+        let emitted: BTreeSet<_> = snap
+            .metrics
+            .iter()
+            .map(|m| (m.name.as_str(), m.value.kind()))
+            .collect();
+        let declared: BTreeSet<_> = METRICS.iter().map(|f| (f.name, f.kind)).collect();
+        assert_eq!(emitted, declared);
     }
 }

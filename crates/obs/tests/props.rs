@@ -1,6 +1,6 @@
 //! Property and concurrency tests for the telemetry crate: histogram
 //! totals under multi-threaded recording, percentile correctness against
-//! exact quantiles, and exporter round-trips.
+//! exact quantiles, and the JSON export round-trip.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -137,96 +137,6 @@ fn sample_snapshot() -> MetricsSnapshot {
     }
 }
 
-/// One parsed Prometheus sample: (name, labels, value).
-type PromSample = (String, Vec<(String, String)>, f64);
-
-/// Parses one Prometheus exposition line into (name, labels, value).
-fn parse_prom_line(line: &str) -> Option<PromSample> {
-    let (id, value) = line.rsplit_once(' ')?;
-    let value: f64 = value.parse().ok()?;
-    let (name, labels) = match id.split_once('{') {
-        None => (id.to_string(), Vec::new()),
-        Some((name, rest)) => {
-            let body = rest.strip_suffix('}')?;
-            let labels = body
-                .split(',')
-                .map(|pair| {
-                    let (k, v) = pair.split_once('=')?;
-                    Some((k.to_string(), v.trim_matches('"').to_string()))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            (name.to_string(), labels)
-        }
-    };
-    Some((name, labels, value))
-}
-
-#[test]
-fn prometheus_output_parses_line_by_line() {
-    let prom = sample_snapshot().to_prometheus();
-    let mut type_headers = 0;
-    let mut samples = Vec::new();
-    for line in prom.lines() {
-        assert!(!line.trim().is_empty(), "no blank lines emitted");
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split_whitespace();
-            let name = parts.next().expect("type header has a name");
-            let kind = parts.next().expect("type header has a kind");
-            assert!(
-                ["counter", "gauge", "histogram"].contains(&kind),
-                "unexpected kind {kind}"
-            );
-            assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-            type_headers += 1;
-        } else {
-            let (name, labels, value) =
-                parse_prom_line(line).unwrap_or_else(|| panic!("unparseable line: {line}"));
-            assert!(!name.is_empty());
-            assert!(value.is_finite());
-            samples.push((name, labels, value));
-        }
-    }
-    assert_eq!(type_headers, 3, "one # TYPE per metric family");
-
-    // Counter sample carries its labels and value.
-    let counter = samples
-        .iter()
-        .find(|(n, ..)| n == "segidx_search_node_accesses_total")
-        .expect("counter present");
-    assert_eq!(counter.2, 12_345.0);
-    assert!(counter
-        .1
-        .contains(&("variant".to_string(), "Skeleton SR-Tree".to_string())));
-
-    // Histogram: cumulative buckets end at +Inf == count, and _count/_sum
-    // agree with the recorded data.
-    let buckets: Vec<&PromSample> = samples
-        .iter()
-        .filter(|(n, ..)| n == "segidx_search_latency_nanos_bucket")
-        .collect();
-    assert!(buckets.len() >= 2);
-    let mut last = -1.0;
-    for b in &buckets {
-        assert!(b.2 >= last, "bucket counts are cumulative");
-        last = b.2;
-    }
-    let inf = buckets
-        .iter()
-        .find(|(_, labels, _)| labels.iter().any(|(k, v)| k == "le" && v == "+Inf"))
-        .expect("+Inf bucket");
-    assert_eq!(inf.2, 5.0);
-    let count = samples
-        .iter()
-        .find(|(n, ..)| n == "segidx_search_latency_nanos_count")
-        .unwrap();
-    assert_eq!(count.2, 5.0);
-    let sum = samples
-        .iter()
-        .find(|(n, ..)| n == "segidx_search_latency_nanos_sum")
-        .unwrap();
-    assert_eq!(sum.2 as u64, 50 + 900 + 900 + 40_000 + 7_000_000);
-}
-
 #[test]
 fn json_round_trips_through_the_parser() {
     let snap = sample_snapshot();
@@ -256,21 +166,4 @@ fn json_round_trips_through_the_parser() {
         Some(50 + 900 + 900 + 40_000 + 7_000_000)
     );
     assert!(hist.get("p50").unwrap().as_i64().unwrap() >= 900);
-}
-
-#[test]
-fn diff_of_snapshots_exports_cleanly() {
-    let earlier = sample_snapshot();
-    let mut later = sample_snapshot();
-    if let segidx_obs::MetricValue::Counter(v) = &mut later.metrics[0].value {
-        *v += 55;
-    }
-    let d = later.diff(&earlier);
-    let parsed = json::parse(&d.to_json()).unwrap();
-    let metrics = parsed.get("metrics").unwrap().as_array().unwrap();
-    assert_eq!(metrics[0].get("value").unwrap().as_i64(), Some(55));
-    // The histogram window is empty → percentiles are null.
-    let hist = &metrics[2];
-    assert_eq!(hist.get("count").unwrap().as_i64(), Some(0));
-    assert_eq!(hist.get("p99").unwrap(), &json::Value::Null);
 }

@@ -117,7 +117,7 @@ fn prepare(text: &str, stats: &ConnStats) -> Prepared {
             return Prepared::Reply(format!("ERR parse {e}"));
         }
     };
-    stats.count_request(stmt.op_name());
+    stats.count_request(stmt.op());
     let validated = match stmt {
         Statement::Insert { lo, hi, id } => rect2(&lo, &hi).map(|rect| {
             Prepared::Write(IndexOp::Insert {

@@ -106,22 +106,29 @@ pub enum Statement {
     Metrics,
 }
 
+/// The statement kinds, as `segidx_server_requests_total` labels them
+/// (`op`), in export order; [`Statement::op`] indexes it.
+pub const OPS: [&str; 12] = [
+    "search", "stab", "nearest", "insert", "delete", "record", "as_of", "within", "flush", "ping",
+    "stats", "metrics",
+];
+
 impl Statement {
-    /// Stable lowercase operation name for metrics labels.
-    pub fn op_name(&self) -> &'static str {
+    /// This statement's kind: its index into [`OPS`].
+    pub fn op(&self) -> usize {
         match self {
-            Statement::Insert { .. } => "insert",
-            Statement::Delete { .. } => "delete",
-            Statement::Search { .. } => "search",
-            Statement::Stab { .. } => "stab",
-            Statement::Nearest { .. } => "nearest",
-            Statement::Record { .. } => "record",
-            Statement::AsOf { .. } => "as_of",
-            Statement::Within { .. } => "within",
-            Statement::Flush => "flush",
-            Statement::Ping => "ping",
-            Statement::Stats => "stats",
-            Statement::Metrics => "metrics",
+            Statement::Search { .. } => 0,
+            Statement::Stab { .. } => 1,
+            Statement::Nearest { .. } => 2,
+            Statement::Insert { .. } => 3,
+            Statement::Delete { .. } => 4,
+            Statement::Record { .. } => 5,
+            Statement::AsOf { .. } => 6,
+            Statement::Within { .. } => 7,
+            Statement::Flush => 8,
+            Statement::Ping => 9,
+            Statement::Stats => 10,
+            Statement::Metrics => 11,
         }
     }
 
@@ -682,5 +689,36 @@ mod tests {
             let printed = stmt.to_string();
             assert_eq!(parse(&printed).unwrap(), stmt, "via `{printed}`");
         }
+    }
+
+    /// Every statement form books its requests under its own `op` label,
+    /// and together they cover [`OPS`].
+    #[test]
+    fn every_statement_form_has_its_own_op_label() {
+        let forms = [
+            ("SEARCH WINDOW (0, 0) (1, 1)", "search"),
+            ("STAB POINT (0, 0)", "stab"),
+            ("NEAREST POINT (0, 0) K 1", "nearest"),
+            ("INSERT RECT (0, 0) (1, 1) ID 1", "insert"),
+            ("DELETE ID 1 RECT (0, 0) (1, 1)", "delete"),
+            ("RECORD 1 VALUE 2 AT 3", "record"),
+            ("AS OF 1", "as_of"),
+            ("WITHIN (0, 1) DURATION 0 1", "within"),
+            ("FLUSH", "flush"),
+            ("PING", "ping"),
+            ("STATS", "stats"),
+            ("METRICS", "metrics"),
+        ];
+        let mut ops: Vec<usize> = forms
+            .iter()
+            .map(|(text, label)| {
+                let op = parse(text).unwrap().op();
+                assert_eq!(OPS[op], *label, "{text}");
+                op
+            })
+            .collect();
+        ops.sort_unstable();
+        ops.dedup();
+        assert_eq!(ops.len(), OPS.len());
     }
 }

@@ -114,18 +114,14 @@ impl Server {
 
         let registry = MetricsRegistry::new();
         let stats = Arc::new(ServerStats::new());
-        stats.register_metrics(&registry, &[]);
-        // The `component` label is what the workspace's metrics tooling
-        // keys the index service's families on.
-        index
-            .handle()
-            .register_metrics(&registry, &[("component", "concurrent")]);
+        stats.register_metrics(&registry);
+        index.handle().register_metrics(&registry);
 
         // The temporal table rides the append-optimized tiered index; its
         // seal/merge telemetry joins the same registry.
         let mut table = TemporalTable::new(TemporalConfig::default());
         let temporal_telemetry = Arc::new(segidx_temporal::TieredTelemetry::new());
-        temporal_telemetry.register(&registry, &[]);
+        temporal_telemetry.register(&registry);
         table
             .tiered_index_mut()
             .set_telemetry(Some(temporal_telemetry));

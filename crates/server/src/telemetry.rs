@@ -9,20 +9,45 @@
 //! [`OpenConnection`] drops, so one whose thread unwinds is folded in like
 //! any other and no counter ever goes backwards.
 
-use segidx_obs::{HistogramSnapshot, LatencyHistogram, Metric, MetricsRegistry};
+use crate::parser::OPS;
+use segidx_obs::{Family, HistogramSnapshot, LatencyHistogram, Metric, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
-/// Operations counted in `segidx_server_requests_total{op=…}`, in export
-/// order.
-pub const OPS: [&str; 12] = [
-    "search", "stab", "nearest", "insert", "delete", "record", "as_of", "within", "flush", "ping",
-    "stats", "metrics",
+const CONNECTIONS_TOTAL: Family = Family::counter("segidx_server_connections_total");
+const CONNECTIONS_ACTIVE: Family = Family::gauge("segidx_server_connections_active");
+const REQUESTS_TOTAL: Family = Family::counter("segidx_server_requests_total");
+const FRAMES_TOTAL: Family = Family::counter("segidx_server_frames_total");
+const PARSE_ERRORS_TOTAL: Family = Family::counter("segidx_server_parse_errors_total");
+const PROTOCOL_ERRORS_TOTAL: Family = Family::counter("segidx_server_protocol_errors_total");
+const BUSY_TOTAL: Family = Family::counter("segidx_server_busy_total");
+const BYTES_READ_TOTAL: Family = Family::counter("segidx_server_bytes_read_total");
+const BYTES_WRITTEN_TOTAL: Family = Family::counter("segidx_server_bytes_written_total");
+/// Reads, frame decode to response enqueued, nanoseconds.
+pub const READ_LATENCY_NANOS: Family = Family::histogram("segidx_server_read_latency_nanos");
+/// Writes, frame decode to commit callback, nanoseconds.
+pub const WRITE_LATENCY_NANOS: Family = Family::histogram("segidx_server_write_latency_nanos");
+
+/// The server's per-connection families, emitted by
+/// [`ServerStats::register_metrics`]. `segidx_server_requests_total`
+/// carries one series per [`OPS`] entry (`op`), and
+/// `segidx_server_frames_total` one per framing mode (`mode`).
+pub const METRICS: &[Family] = &[
+    CONNECTIONS_TOTAL,
+    CONNECTIONS_ACTIVE,
+    REQUESTS_TOTAL,
+    FRAMES_TOTAL,
+    PARSE_ERRORS_TOTAL,
+    PROTOCOL_ERRORS_TOTAL,
+    BUSY_TOTAL,
+    BYTES_READ_TOTAL,
+    BYTES_WRITTEN_TOTAL,
+    READ_LATENCY_NANOS,
+    WRITE_LATENCY_NANOS,
 ];
 
-fn op_index(op: &str) -> usize {
-    OPS.iter().position(|&o| o == op).unwrap_or(OPS.len() - 1)
-}
+/// The label on every metric the server emits.
+const COMPONENT: (&str, &str) = ("component", "server");
 
 /// Wait-free counters for one connection.
 #[derive(Debug, Default)]
@@ -48,9 +73,10 @@ impl ConnStats {
         Self::default()
     }
 
-    /// Counts one request of operation `op` (see [`OPS`]).
-    pub fn count_request(&self, op: &str) {
-        self.requests[op_index(op)].fetch_add(1, Relaxed);
+    /// Counts one request of kind `op`, an index into [`OPS`]
+    /// ([`Statement::op`](crate::Statement::op)).
+    pub fn count_request(&self, op: usize) {
+        self.requests[op].fetch_add(1, Relaxed);
     }
 
     /// Counts one decoded frame in `mode`.
@@ -217,71 +243,64 @@ impl ServerStats {
         )
     }
 
-    /// Registers the `segidx_server_*` families on `registry`, labeled
-    /// `component="server"` (plus any extra labels given).
-    pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
+    /// Registers the [`METRICS`] families on `registry`, labelled
+    /// `component="server"`.
+    pub fn register_metrics(self: &Arc<Self>, registry: &MetricsRegistry) {
         let stats = Arc::clone(self);
-        let mut base: Vec<(String, String)> = vec![("component".to_string(), "server".to_string())];
-        base.extend(labels.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-        registry.register(Box::new(move |out| {
-            let l: Vec<(&str, &str)> = base.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-            let t = stats.totals();
-            out.push(Metric::counter(
-                "segidx_server_connections_total",
-                &l,
-                stats.connections_total(),
-            ));
-            out.push(Metric::gauge(
-                "segidx_server_connections_active",
-                &l,
-                stats.connections_active() as f64,
-            ));
-            for (op, n) in OPS.iter().zip(t.requests.iter()) {
-                let mut with_op = l.clone();
-                with_op.push(("op", op));
+        registry.register(
+            METRICS,
+            Box::new(move |out| {
+                let l = &[COMPONENT];
+                let t = stats.totals();
                 out.push(Metric::counter(
-                    "segidx_server_requests_total",
-                    &with_op,
-                    *n,
+                    CONNECTIONS_TOTAL.name,
+                    l,
+                    stats.connections_total(),
                 ));
-            }
-            for (mode, n) in [("binary", t.frames_binary), ("line", t.frames_line)] {
-                let mut with_mode = l.clone();
-                with_mode.push(("mode", mode));
-                out.push(Metric::counter("segidx_server_frames_total", &with_mode, n));
-            }
-            out.push(Metric::counter(
-                "segidx_server_parse_errors_total",
-                &l,
-                t.parse_errors,
-            ));
-            out.push(Metric::counter(
-                "segidx_server_protocol_errors_total",
-                &l,
-                t.protocol_errors,
-            ));
-            out.push(Metric::counter("segidx_server_busy_total", &l, t.busy));
-            out.push(Metric::counter(
-                "segidx_server_bytes_read_total",
-                &l,
-                t.bytes_read,
-            ));
-            out.push(Metric::counter(
-                "segidx_server_bytes_written_total",
-                &l,
-                t.bytes_written,
-            ));
-            out.push(Metric::histogram(
-                "segidx_server_read_latency_nanos",
-                &l,
-                t.read_latency,
-            ));
-            out.push(Metric::histogram(
-                "segidx_server_write_latency_nanos",
-                &l,
-                t.write_latency,
-            ));
-        }));
+                out.push(Metric::gauge(
+                    CONNECTIONS_ACTIVE.name,
+                    l,
+                    stats.connections_active() as f64,
+                ));
+                for (op, n) in OPS.iter().zip(t.requests) {
+                    out.push(Metric::counter(
+                        REQUESTS_TOTAL.name,
+                        &[COMPONENT, ("op", op)],
+                        n,
+                    ));
+                }
+                for (mode, n) in [("binary", t.frames_binary), ("line", t.frames_line)] {
+                    out.push(Metric::counter(
+                        FRAMES_TOTAL.name,
+                        &[COMPONENT, ("mode", mode)],
+                        n,
+                    ));
+                }
+                out.push(Metric::counter(PARSE_ERRORS_TOTAL.name, l, t.parse_errors));
+                out.push(Metric::counter(
+                    PROTOCOL_ERRORS_TOTAL.name,
+                    l,
+                    t.protocol_errors,
+                ));
+                out.push(Metric::counter(BUSY_TOTAL.name, l, t.busy));
+                out.push(Metric::counter(BYTES_READ_TOTAL.name, l, t.bytes_read));
+                out.push(Metric::counter(
+                    BYTES_WRITTEN_TOTAL.name,
+                    l,
+                    t.bytes_written,
+                ));
+                out.push(Metric::histogram(
+                    READ_LATENCY_NANOS.name,
+                    l,
+                    t.read_latency,
+                ));
+                out.push(Metric::histogram(
+                    WRITE_LATENCY_NANOS.name,
+                    l,
+                    t.write_latency,
+                ));
+            }),
+        );
     }
 }
 
@@ -289,71 +308,76 @@ impl ServerStats {
 mod tests {
     use super::*;
     use crate::frame::Mode;
+    use segidx_obs::MetricValue;
+    use std::collections::BTreeSet;
+
+    fn op(name: &str) -> usize {
+        OPS.iter().position(|&o| o == name).unwrap()
+    }
 
     #[test]
     fn retired_connections_keep_counting() {
         let server = Arc::new(ServerStats::new());
         let a = server.open_connection();
-        a.count_request("search");
-        a.count_request("insert");
+        a.count_request(op("search"));
+        a.count_request(op("insert"));
         a.count_frame(Mode::Binary);
         a.read_latency.record(1_000);
         drop(a);
 
         let b = server.open_connection();
-        b.count_request("search");
+        b.count_request(op("search"));
         b.count_frame(Mode::Line);
         b.count_busy();
 
         let registry = MetricsRegistry::new();
-        server.register_metrics(&registry, &[]);
+        server.register_metrics(&registry);
         let snap = registry.snapshot();
-        let l = [("component", "server")];
-        let with = |extra: (&'static str, &'static str)| -> Vec<(&str, &str)> { vec![l[0], extra] };
+        let value = |f: Family, extra: &[(&str, &str)]| {
+            let labels: Vec<_> = [COMPONENT].iter().chain(extra).copied().collect();
+            snap.get(f.name, &labels).unwrap().value.clone()
+        };
         assert_eq!(
-            snap.get("segidx_server_requests_total", &with(("op", "search")))
-                .unwrap()
-                .value,
-            segidx_obs::MetricValue::Counter(2),
+            value(REQUESTS_TOTAL, &[("op", "search")]),
+            MetricValue::Counter(2),
             "one live + one retired search"
         );
         assert_eq!(
-            snap.get("segidx_server_requests_total", &with(("op", "insert")))
-                .unwrap()
-                .value,
-            segidx_obs::MetricValue::Counter(1)
+            value(REQUESTS_TOTAL, &[("op", "insert")]),
+            MetricValue::Counter(1)
         );
         assert_eq!(
-            snap.get("segidx_server_frames_total", &with(("mode", "line")))
-                .unwrap()
-                .value,
-            segidx_obs::MetricValue::Counter(1)
+            value(FRAMES_TOTAL, &[("mode", "line")]),
+            MetricValue::Counter(1)
         );
-        assert_eq!(
-            snap.get("segidx_server_busy_total", &l).unwrap().value,
-            segidx_obs::MetricValue::Counter(1)
-        );
-        assert_eq!(
-            snap.get("segidx_server_connections_total", &l)
-                .unwrap()
-                .value,
-            segidx_obs::MetricValue::Counter(2)
-        );
-        assert_eq!(
-            snap.get("segidx_server_connections_active", &l)
-                .unwrap()
-                .value,
-            segidx_obs::MetricValue::Gauge(1.0)
-        );
-        match &snap
-            .get("segidx_server_read_latency_nanos", &l)
-            .unwrap()
-            .value
-        {
-            segidx_obs::MetricValue::Histogram(h) => assert_eq!(h.count, 1),
+        assert_eq!(value(BUSY_TOTAL, &[]), MetricValue::Counter(1));
+        assert_eq!(value(CONNECTIONS_TOTAL, &[]), MetricValue::Counter(2));
+        assert_eq!(value(CONNECTIONS_ACTIVE, &[]), MetricValue::Gauge(1.0));
+        match value(READ_LATENCY_NANOS, &[]) {
+            MetricValue::Histogram(h) => assert_eq!(h.count, 1),
             other => panic!("expected histogram, got {other:?}"),
         }
         assert!(server.summary_line().contains("requests=3"));
+    }
+
+    /// A snapshot emits exactly the declared families, each of its declared
+    /// kind, with one `requests_total` series per op and one
+    /// `frames_total` series per framing mode.
+    #[test]
+    fn registered_metrics_are_the_declared_families() {
+        let registry = MetricsRegistry::new();
+        Arc::new(ServerStats::new()).register_metrics(&registry);
+        let snap = registry.snapshot();
+        let emitted: BTreeSet<_> = snap
+            .metrics
+            .iter()
+            .map(|m| (m.name.as_str(), m.value.kind()))
+            .collect();
+        let declared: BTreeSet<_> = METRICS.iter().map(|f| (f.name, f.kind)).collect();
+        assert_eq!(emitted, declared);
+        let series = |f: Family| snap.metrics.iter().filter(|m| m.name == f.name).count();
+        assert_eq!(series(REQUESTS_TOTAL), OPS.len());
+        assert_eq!(series(FRAMES_TOTAL), 2);
     }
 
     #[test]
@@ -363,8 +387,8 @@ mod tests {
             let server = Arc::clone(&server);
             move || {
                 let conn = server.open_connection();
-                conn.count_request("search");
-                conn.count_request("insert");
+                conn.count_request(op("search"));
+                conn.count_request(op("insert"));
                 conn.add_bytes_read(100);
                 panic!("an index bug on the connection thread");
             }
@@ -379,7 +403,7 @@ mod tests {
         );
 
         let next = server.open_connection();
-        next.count_request("ping");
+        next.count_request(op("ping"));
         assert_eq!(server.connections_active(), 1);
         drop(next);
         let line = server.summary_line();

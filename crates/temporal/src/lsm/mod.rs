@@ -52,7 +52,7 @@
 
 mod memtable;
 mod merge;
-mod telemetry;
+pub mod telemetry;
 mod tier;
 
 pub use telemetry::TieredTelemetry;
@@ -1225,15 +1225,5 @@ mod tests {
         );
         assert!(!telemetry.seal_latency.is_empty());
         assert!(!telemetry.merge_latency.is_empty());
-
-        let registry = segidx_obs::MetricsRegistry::new();
-        telemetry.register(&registry, &[]);
-        let snap = registry.snapshot();
-        assert!(snap
-            .get("segidx_temporal_tiers", &[("component", "temporal")])
-            .is_some());
-        assert!(snap
-            .get("segidx_temporal_seals_total", &[("component", "temporal")])
-            .is_some());
     }
 }

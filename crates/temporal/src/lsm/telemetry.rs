@@ -1,13 +1,50 @@
 //! Observability for the tiered temporal index.
 //!
 //! One [`TieredTelemetry`] is shared by the index and every reader of its
-//! registry; [`TieredTelemetry::register`] exports it as the
-//! `segidx_temporal_*` metric family (labelled `component="temporal"`), the
-//! same registry scheme the concurrent service and server use.
+//! registry; [`TieredTelemetry::register`] exports it as the [`METRICS`]
+//! families (labelled `component="temporal"`), the same registry scheme
+//! the concurrent service and server use.
 
-use segidx_obs::{LatencyHistogram, Metric, MetricsRegistry};
+use segidx_obs::{Family, LatencyHistogram, Metric, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+const TIERS: Family = Family::gauge("segidx_temporal_tiers");
+const MEMTABLE_ENTRIES: Family = Family::gauge("segidx_temporal_memtable_entries");
+const SEALED_ENTRIES: Family = Family::gauge("segidx_temporal_sealed_entries");
+const TOMBSTONES: Family = Family::gauge("segidx_temporal_tombstones");
+const SEALS_TOTAL: Family = Family::counter("segidx_temporal_seals_total");
+const MERGES_TOTAL: Family = Family::counter("segidx_temporal_merges_total");
+const SEALED_ENTRIES_TOTAL: Family = Family::counter("segidx_temporal_sealed_entries_total");
+const MERGED_ENTRIES_TOTAL: Family = Family::counter("segidx_temporal_merged_entries_total");
+const MERGE_DROPPED_TOTAL: Family = Family::counter("segidx_temporal_merge_dropped_total");
+const PINS_TOTAL: Family = Family::counter("segidx_temporal_pins_total");
+const TIERS_PINNED_TOTAL: Family = Family::counter("segidx_temporal_tiers_pinned_total");
+/// Seal wall time, nanoseconds.
+pub const SEAL_LATENCY_NANOS: Family = Family::histogram("segidx_temporal_seal_latency_nanos");
+/// Merge wall time, nanoseconds.
+pub const MERGE_LATENCY_NANOS: Family = Family::histogram("segidx_temporal_merge_latency_nanos");
+
+/// The tiered index's metric families, emitted by
+/// [`TieredTelemetry::register`].
+pub const METRICS: &[Family] = &[
+    TIERS,
+    MEMTABLE_ENTRIES,
+    SEALED_ENTRIES,
+    TOMBSTONES,
+    SEALS_TOTAL,
+    MERGES_TOTAL,
+    SEALED_ENTRIES_TOTAL,
+    MERGED_ENTRIES_TOTAL,
+    MERGE_DROPPED_TOTAL,
+    PINS_TOTAL,
+    TIERS_PINNED_TOTAL,
+    SEAL_LATENCY_NANOS,
+    MERGE_LATENCY_NANOS,
+];
+
+/// The label on every metric the tier emits.
+const LABELS: &[(&str, &str)] = &[("component", "temporal")];
 
 /// Counters, gauges, and latency histograms for the tier lifecycle.
 #[derive(Debug, Default)]
@@ -51,86 +88,59 @@ impl TieredTelemetry {
         Self::default()
     }
 
-    /// Registers a collector exporting the `segidx_temporal_*` family.
-    ///
-    /// `labels` is appended to the implicit `component="temporal"` label on
-    /// every metric (use it to distinguish multiple tiered indexes).
-    pub fn register(self: &Arc<Self>, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
+    /// Registers a collector exporting the [`METRICS`] families, labelled
+    /// `component="temporal"`.
+    pub fn register(self: &Arc<Self>, registry: &MetricsRegistry) {
         let t = Arc::clone(self);
-        let extra: Vec<(String, String)> = labels
+        registry.register(
+            METRICS,
+            Box::new(move |out: &mut Vec<Metric>| {
+                let gauge = |f: Family, v: &AtomicU64| {
+                    Metric::gauge(f.name, LABELS, v.load(Ordering::Relaxed) as f64)
+                };
+                let counter = |f: Family, v: &AtomicU64| {
+                    Metric::counter(f.name, LABELS, v.load(Ordering::Relaxed))
+                };
+                out.extend([
+                    gauge(TIERS, &t.tier_count),
+                    gauge(MEMTABLE_ENTRIES, &t.memtable_entries),
+                    gauge(SEALED_ENTRIES, &t.sealed_entries),
+                    gauge(TOMBSTONES, &t.tombstones),
+                    counter(SEALS_TOTAL, &t.seals_total),
+                    counter(MERGES_TOTAL, &t.merges_total),
+                    counter(SEALED_ENTRIES_TOTAL, &t.sealed_entries_total),
+                    counter(MERGED_ENTRIES_TOTAL, &t.merged_entries_total),
+                    counter(MERGE_DROPPED_TOTAL, &t.merge_dropped_total),
+                    counter(PINS_TOTAL, &t.pins_total),
+                    counter(TIERS_PINNED_TOTAL, &t.tiers_pinned_total),
+                    Metric::histogram(SEAL_LATENCY_NANOS.name, LABELS, t.seal_latency.snapshot()),
+                    Metric::histogram(MERGE_LATENCY_NANOS.name, LABELS, t.merge_latency.snapshot()),
+                ]);
+            }),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn registered_metrics_are_the_declared_families() {
+        let registry = MetricsRegistry::new();
+        Arc::new(TieredTelemetry::new()).register(&registry);
+        let snap = registry.snapshot();
+        assert!(snap
+            .metrics
             .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .all(|m| m.labels == [("component".to_string(), "temporal".to_string())]));
+        let emitted: BTreeSet<_> = snap
+            .metrics
+            .iter()
+            .map(|m| (m.name.as_str(), m.value.kind()))
             .collect();
-        registry.register(Box::new(move |out: &mut Vec<Metric>| {
-            let mut l: Vec<(&str, &str)> = vec![("component", "temporal")];
-            for (k, v) in &extra {
-                l.push((k.as_str(), v.as_str()));
-            }
-            out.push(Metric::gauge(
-                "segidx_temporal_tiers",
-                &l,
-                t.tier_count.load(Ordering::Relaxed) as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_temporal_memtable_entries",
-                &l,
-                t.memtable_entries.load(Ordering::Relaxed) as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_temporal_sealed_entries",
-                &l,
-                t.sealed_entries.load(Ordering::Relaxed) as f64,
-            ));
-            out.push(Metric::gauge(
-                "segidx_temporal_tombstones",
-                &l,
-                t.tombstones.load(Ordering::Relaxed) as f64,
-            ));
-            out.push(Metric::counter(
-                "segidx_temporal_seals_total",
-                &l,
-                t.seals_total.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "segidx_temporal_merges_total",
-                &l,
-                t.merges_total.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "segidx_temporal_sealed_entries_total",
-                &l,
-                t.sealed_entries_total.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "segidx_temporal_merged_entries_total",
-                &l,
-                t.merged_entries_total.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "segidx_temporal_merge_dropped_total",
-                &l,
-                t.merge_dropped_total.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "segidx_temporal_pins_total",
-                &l,
-                t.pins_total.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::counter(
-                "segidx_temporal_tiers_pinned_total",
-                &l,
-                t.tiers_pinned_total.load(Ordering::Relaxed),
-            ));
-            out.push(Metric::histogram(
-                "segidx_temporal_seal_latency_nanos",
-                &l,
-                t.seal_latency.snapshot(),
-            ));
-            out.push(Metric::histogram(
-                "segidx_temporal_merge_latency_nanos",
-                &l,
-                t.merge_latency.snapshot(),
-            ));
-        }));
+        let declared: BTreeSet<_> = METRICS.iter().map(|f| (f.name, f.kind)).collect();
+        assert_eq!(emitted, declared);
     }
 }
