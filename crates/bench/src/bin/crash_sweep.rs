@@ -6,17 +6,17 @@
 //! report (seed, cut index, detail) under `--out` so the artifact upload
 //! carries everything needed to reproduce with `--seed <n>`.
 //!
-//! With `--temporal`, the sweep instead power-cuts the tiered temporal
-//! index's seal-and-merge commits ([`segidx_bench::temporal_crash`]) and
-//! checks recovery to exactly the last committed tier set.
+//! With `--temporal`, the same driver instead power-cuts the tiered
+//! temporal index's seal-and-merge commits ([`segidx_bench::temporal_crash`])
+//! and checks recovery to exactly the last committed tier set.
 //!
 //! Usage:
 //!   crash_sweep [--seeds N] [--seed S] [--ops N] [--checkpoint-every N]
 //!               [--corruption-trials N] [--temporal] [--out DIR]
 
 use segidx_bench::crash::{corruption_trials, crash_sweep, SweepFailure, TraceConfig};
-use segidx_bench::temporal_crash::{temporal_crash_sweep, TemporalTraceConfig};
-use std::path::PathBuf;
+use segidx_bench::temporal_crash::temporal_crash_sweep;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
@@ -69,7 +69,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn report_failures(out: &PathBuf, seed: u64, kind: &str, failures: &[SweepFailure]) {
+fn report_failures(out: &Path, seed: u64, kind: &str, failures: &[SweepFailure]) {
     std::fs::create_dir_all(out).expect("create output dir");
     let path = out.join(format!("seed-{seed}-{kind}.txt"));
     let mut body = String::new();
@@ -99,67 +99,45 @@ fn main() -> ExitCode {
     };
     let mut total_cuts = 0u64;
     let mut failed_seeds = 0u64;
-    if args.temporal {
-        let cfg = TemporalTraceConfig {
-            ops: args.trace.ops,
-            seal_every: args.trace.checkpoint_every,
-            delete_fraction: args.trace.delete_fraction,
+    for &seed in &seeds {
+        let (kind, outcome) = if args.temporal {
+            (
+                "temporal",
+                temporal_crash_sweep(seed, &scratch, &args.trace),
+            )
+        } else {
+            ("powercut", crash_sweep(seed, &scratch, &args.trace))
         };
-        for &seed in &seeds {
-            let outcome = temporal_crash_sweep(seed, &scratch, &cfg);
-            total_cuts += outcome.writes + 1;
-            if outcome.failures.is_empty() {
-                println!("seed {seed:>3}: ok ({} cuts, temporal)", outcome.writes + 1);
-            } else {
-                failed_seeds += 1;
-                report_failures(&args.out, seed, "temporal", &outcome.failures);
-                println!(
-                    "seed {seed:>3}: FAILED ({} temporal power-cut mismatches)",
-                    outcome.failures.len()
-                );
+        // The bit-rot trials run on the spatial subject only.
+        let rot = if args.temporal {
+            Vec::new()
+        } else {
+            corruption_trials(seed, &scratch, args.corruption_trials)
+        };
+        let cuts = outcome.writes + 1;
+        total_cuts += cuts;
+        for (kind, failures) in [(kind, &outcome.failures), ("bitrot", &rot)] {
+            if !failures.is_empty() {
+                report_failures(&args.out, seed, kind, failures);
             }
         }
-        let _ = std::fs::remove_dir_all(&scratch);
-        println!(
-            "crash_sweep --temporal: {} seeds, {} cut points, {} failing seeds",
-            seeds.len(),
-            total_cuts,
-            failed_seeds
-        );
-        return if failed_seeds > 0 {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
-    }
-    for &seed in &seeds {
-        let outcome = crash_sweep(seed, &scratch, &args.trace);
-        total_cuts += outcome.writes + 1;
-        let rot = corruption_trials(seed, &scratch, args.corruption_trials);
-        if !outcome.failures.is_empty() {
-            report_failures(&args.out, seed, "powercut", &outcome.failures);
-        }
-        if !rot.is_empty() {
-            report_failures(&args.out, seed, "bitrot", &rot);
-        }
-        if outcome.failures.is_empty() && rot.is_empty() {
-            println!(
-                "seed {seed:>3}: ok ({} cuts, {} corruption trials)",
-                outcome.writes + 1,
+        let (power, rot) = (outcome.failures.len(), rot.len());
+        let verdict = match (power + rot == 0, args.temporal) {
+            (true, true) => format!("ok ({cuts} cuts, temporal)"),
+            (true, false) => format!(
+                "ok ({cuts} cuts, {} corruption trials)",
                 args.corruption_trials
-            );
-        } else {
-            failed_seeds += 1;
-            println!(
-                "seed {seed:>3}: FAILED ({} power-cut, {} bit-rot mismatches)",
-                outcome.failures.len(),
-                rot.len()
-            );
-        }
+            ),
+            (false, true) => format!("FAILED ({power} temporal power-cut mismatches)"),
+            (false, false) => format!("FAILED ({power} power-cut, {rot} bit-rot mismatches)"),
+        };
+        println!("seed {seed:>3}: {verdict}");
+        failed_seeds += u64::from(power + rot > 0);
     }
     let _ = std::fs::remove_dir_all(&scratch);
     println!(
-        "crash_sweep: {} seeds, {} cut points, {} failing seeds",
+        "crash_sweep{}: {} seeds, {} cut points, {} failing seeds",
+        if args.temporal { " --temporal" } else { "" },
         seeds.len(),
         total_cuts,
         failed_seeds

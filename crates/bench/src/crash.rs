@@ -1,37 +1,48 @@
-//! Crash-sweep differential harness: power-cut a build/insert/delete trace
-//! at every write boundary and prove the recovered index answers exactly
-//! like a model rebuilt from the durable prefix.
+//! Crash-sweep differential harness: power-cut a deterministic trace at
+//! every write boundary and prove the recovered index answers exactly like
+//! a model rebuilt from the durable prefix.
+//!
+//! One driver, `power_cut_sweep`, serves two subjects: the spatial tree
+//! committed by [`persist::commit`] (here, [`crash_sweep`]) and the tiered
+//! temporal index sealed into tiers ([`crate::temporal_crash`]). Both write
+//! pages one way, through [`DiskManager::write_page`] and a durable
+//! [`DiskManager::sync`], and that is the path the driver cuts.
 //!
 //! The sweep exploits determinism end to end. A *dry run* executes the
 //! trace with an observing [`ScriptedFault`] to learn the total number of
-//! physical writes `W` and the disk epoch reached after each checkpoint.
-//! Because page allocation and serialization are deterministic, a faulted
-//! run is byte-for-byte a prefix of the dry run up to its cut, so the epoch
-//! found on reopen identifies precisely which checkpoint survived — and
-//! therefore which operation prefix the recovered tree must answer for.
+//! physical writes `W` and the disk epoch each commit reaches. Because page
+//! allocation and serialization are deterministic, a faulted run is
+//! byte-for-byte a prefix of the dry run up to its cut, so the epoch found
+//! on reopen identifies precisely which commit survived — and therefore
+//! which operation prefix the recovered index must answer for.
 //!
-//! Per cut `c in 0..=W` the harness asserts:
+//! Per cut `c in 0..=W`, torn and clean cuts alternating, the driver
+//! asserts:
 //!
-//! 1. [`DiskManager::open_repair`] succeeds (or, for cuts before the very
-//!    first meta commit, fails with a *typed* error — never a panic or a
-//!    silent half-state);
+//! 1. [`DiskManager::open_repair`] succeeds — or, while no commit has been
+//!    acknowledged, fails with a *typed* error, never a panic or a silent
+//!    half-state;
 //! 2. the repair report is clean — a pure power cut must never surface as
 //!    page corruption, because extents freed since the last durable commit
 //!    are not recycled;
-//! 3. [`persist::recover`] reloads the committed tree without a rebuild;
-//! 4. every probe query returns exactly the records the model (the op
-//!    prefix up to the surviving checkpoint, replayed on a sorted list)
-//!    says intersect it.
+//! 3. the reopened epoch is a commit's, and no acknowledged commit is lost;
+//! 4. the subject's own recovery check passes: every probe query returns
+//!    exactly the records the model (the op prefix up to the surviving
+//!    commit, replayed on a flat list) says intersect it.
 //!
-//! [`corruption_trials`] covers the non-power-cut half: flip bytes in the
-//! page file, then require either a typed corruption error or a truthful
-//! rebuild whose answers are a subset of the uncorrupted model's.
+//! The spatial subject also requires [`persist::recover`] to reload the
+//! committed tree without a rebuild. [`corruption_trials`] covers the
+//! non-power-cut half: flip bytes in the page file, then require either a
+//! typed corruption error or a truthful rebuild whose answers are a subset
+//! of the uncorrupted model's.
 
 use segidx_core::persist;
 use segidx_core::{IndexConfig, RecordId, Tree};
 use segidx_geom::Rect;
-use segidx_storage::{DiskManager, DiskManagerConfig, FaultInjector, ScriptedFault, StorageError};
-use std::path::{Path, PathBuf};
+use segidx_storage::{
+    DiskManager, DiskManagerConfig, FaultInjector, RepairReport, ScriptedFault, StorageError,
+};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Deterministic 64-bit generator (SplitMix64) so the harness needs no RNG
@@ -67,11 +78,12 @@ pub enum Op {
     Insert(Rect<2>, RecordId),
     /// Delete a previously inserted interval.
     Delete(Rect<2>, RecordId),
-    /// Commit the in-memory tree to disk ([`persist::commit`]).
+    /// Make the operations so far durable: [`persist::commit`] the tree, or
+    /// seal the temporal memtable into a tier.
     Checkpoint,
 }
 
-/// Shape of a generated trace.
+/// Shape of a generated trace (either subject's).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// Total insert/delete operations.
@@ -169,55 +181,37 @@ pub fn model_answer(ops_prefix: &[Op], query: &Rect<2>) -> Vec<RecordId> {
 
 /// How a trace run against a (possibly fault-injected) disk ended.
 #[derive(Debug)]
-pub struct RunOutcome {
-    /// Checkpoints that completed their commit without error.
-    pub checkpoints_done: usize,
+struct RunOutcome {
+    /// Commits that completed without error.
+    commits_done: usize,
     /// The first error hit, if any (the simulated crash point).
-    pub error: Option<StorageError>,
+    error: Option<StorageError>,
 }
 
-/// Replays `ops` against a fresh disk at `path`, committing on every
-/// [`Op::Checkpoint`]. Stops at the first storage error (the simulated
-/// power cut).
-pub fn run_trace(path: &Path, injector: Option<Arc<dyn FaultInjector>>, ops: &[Op]) -> RunOutcome {
-    let config = DiskManagerConfig {
-        fault_injector: injector,
-        ..DiskManagerConfig::default()
-    };
-    let disk = match DiskManager::create_with(path, config) {
-        Ok(d) => d,
-        Err(e) => {
-            return RunOutcome {
-                checkpoints_done: 0,
-                error: Some(e),
-            }
-        }
-    };
-    let mut tree: Tree<2> = Tree::new(IndexConfig::srtree());
-    let mut checkpoints_done = 0;
-    for op in ops {
-        match op {
-            Op::Insert(rect, record) => {
-                tree.insert(*rect, *record);
-            }
-            Op::Delete(rect, record) => {
-                tree.delete(rect, *record);
-            }
-            Op::Checkpoint => match persist::commit(&tree, &disk) {
-                Ok(_) => checkpoints_done += 1,
-                Err(e) => {
-                    return RunOutcome {
-                        checkpoints_done,
-                        error: Some(e),
-                    }
-                }
-            },
+/// The end (exclusive) of the op prefix each [`Op::Checkpoint`] covers.
+pub(crate) fn checkpoint_ends(ops: &[Op]) -> impl Iterator<Item = usize> + '_ {
+    ops.iter()
+        .enumerate()
+        .filter(|(_, o)| matches!(o, Op::Checkpoint))
+        .map(|(i, _)| i + 1)
+}
+
+/// Compares `search`'s answer to the model's for every probe.
+pub(crate) fn check_probes(
+    probes: &[Rect<2>],
+    prefix: &[Op],
+    search: impl Fn(&Rect<2>) -> Vec<RecordId>,
+) -> Result<(), String> {
+    for probe in probes {
+        let expected = model_answer(prefix, probe);
+        let got = search(probe);
+        if got != expected {
+            return Err(format!(
+                "probe {probe:?}: expected {expected:?}, got {got:?}"
+            ));
         }
     }
-    RunOutcome {
-        checkpoints_done,
-        error: None,
-    }
+    Ok(())
 }
 
 /// One differential failure found by the sweep — a cut (or corruption
@@ -243,42 +237,73 @@ pub struct SweepOutcome {
     pub failures: Vec<SweepFailure>,
 }
 
-/// Power-cuts the trace for `seed` at every write boundary and checks
-/// recovery against the model. `scratch` is a directory the sweep may
-/// fill with (and delete) page files.
-pub fn crash_sweep(seed: u64, scratch: &Path, cfg: &TraceConfig) -> SweepOutcome {
-    let ops = trace(seed, cfg);
-    let probe_set = probes(seed, 16);
+/// One trace the driver power-cuts: how it runs, which op prefix each of
+/// its durable commits covers, and how a recovered file is judged.
+pub(crate) trait Subject {
+    /// Replays the trace on a freshly created `disk`, counting each commit
+    /// that completes in `commits_done`, and stops at the first storage
+    /// error.
+    fn run(&self, disk: DiskManager, commits_done: &mut usize) -> Result<(), StorageError>;
+
+    /// The end (exclusive) of the op prefix the `k`-th durable commit
+    /// covers, at index `k - 1`, one entry per commit of an uncut run.
+    fn commit_prefixes(&self) -> Vec<usize>;
+
+    /// Checks a file reopened at a durable commit against the model of the
+    /// first `prefix` ops.
+    fn check_recovered(
+        &self,
+        disk: DiskManager,
+        report: &RepairReport,
+        prefix: usize,
+    ) -> Result<(), String>;
+}
+
+/// Creates a disk at `path`, its first meta commit included, and runs
+/// `subject`'s trace on it.
+fn run_fresh(
+    subject: &impl Subject,
+    path: &Path,
+    injector: Option<Arc<dyn FaultInjector>>,
+) -> RunOutcome {
+    let config = DiskManagerConfig {
+        fault_injector: injector,
+        ..DiskManagerConfig::default()
+    };
+    let mut commits_done = 0;
+    let error = DiskManager::create_with(path, config)
+        .and_then(|disk| subject.run(disk, &mut commits_done))
+        .err();
+    RunOutcome {
+        commits_done,
+        error,
+    }
+}
+
+/// Power-cuts `subject`'s trace at every write boundary and checks each
+/// recovery. `scratch` is a directory the sweep may fill with (and
+/// delete) page files.
+pub(crate) fn power_cut_sweep(subject: &impl Subject, seed: u64, scratch: &Path) -> SweepOutcome {
     std::fs::create_dir_all(scratch).expect("scratch dir");
 
-    // Dry run: learn the write count, the epoch before any checkpoint, and
-    // the epoch after each checkpoint.
+    // Dry run: learn the write count and the epoch before the first commit.
     let observer = Arc::new(ScriptedFault::observer());
     let dry_path = scratch.join(format!("dry-{seed:016x}.db"));
-    let outcome = run_trace(&dry_path, Some(observer.clone() as Arc<_>), &ops);
+    let outcome = run_fresh(subject, &dry_path, Some(observer.clone() as Arc<_>));
     assert!(
         outcome.error.is_none(),
         "dry run must not fail: {:?}",
         outcome.error
     );
     let writes = observer.writes_seen();
-    let (base_epoch, checkpoint_epochs) = {
-        let disk = DiskManager::open(&dry_path).expect("reopen dry run");
-        let final_epoch = disk.epoch();
-        let total_checkpoints = ops.iter().filter(|o| matches!(o, Op::Checkpoint)).count();
-        // commit() syncs exactly once per checkpoint, so epochs count back
-        // deterministically from the final one.
-        let base = final_epoch - total_checkpoints as u64;
-        let epochs: Vec<u64> = (1..=total_checkpoints as u64).map(|k| base + k).collect();
-        (base, epochs)
-    };
-    // Op index (exclusive) covered by the k-th checkpoint (1-based).
-    let checkpoint_prefix: Vec<usize> = ops
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| matches!(o, Op::Checkpoint))
-        .map(|(i, _)| i + 1)
-        .collect();
+    let prefixes = subject.commit_prefixes();
+    assert_eq!(prefixes.len(), outcome.commits_done, "every commit counted");
+    // Each commit syncs exactly once, so epochs count back deterministically
+    // from the final one: commit k reopens at `base_epoch + k`.
+    let base_epoch = DiskManager::open(&dry_path)
+        .expect("reopen dry run")
+        .epoch()
+        - prefixes.len() as u64;
     remove_db(&dry_path);
 
     let mut failures = Vec::new();
@@ -293,16 +318,7 @@ pub fn crash_sweep(seed: u64, scratch: &Path, cfg: &TraceConfig) -> SweepOutcome
             None
         };
         let path = scratch.join(format!("cut-{seed:016x}-{cut}.db"));
-        if let Err(detail) = check_one_cut(
-            &path,
-            &ops,
-            &probe_set,
-            cut,
-            torn,
-            base_epoch,
-            &checkpoint_epochs,
-            &checkpoint_prefix,
-        ) {
+        if let Err(detail) = check_one_cut(subject, &path, cut, torn, base_epoch, &prefixes) {
             failures.push(SweepFailure {
                 seed,
                 cut_at: cut,
@@ -314,41 +330,31 @@ pub fn crash_sweep(seed: u64, scratch: &Path, cfg: &TraceConfig) -> SweepOutcome
     SweepOutcome { writes, failures }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn check_one_cut(
+    subject: &impl Subject,
     path: &Path,
-    ops: &[Op],
-    probe_set: &[Rect<2>],
     cut: u64,
     torn: Option<usize>,
     base_epoch: u64,
-    checkpoint_epochs: &[u64],
-    checkpoint_prefix: &[usize],
+    prefixes: &[usize],
 ) -> Result<(), String> {
     let fault = Arc::new(ScriptedFault::power_cut(cut, torn));
-    let outcome = run_trace(path, Some(fault.clone() as Arc<_>), ops);
-    match &outcome.error {
-        None => {
-            // The cut landed past the last write; nothing to check beyond a
-            // clean reopen below.
-        }
-        Some(e) if e.is_injected() => {}
-        Some(e) => return Err(format!("non-injected error during faulted run: {e}")),
+    let outcome = run_fresh(subject, path, Some(fault as Arc<_>));
+    if let Some(e) = outcome.error.as_ref().filter(|e| !e.is_injected()) {
+        return Err(format!("non-injected error during faulted run: {e}"));
     }
 
     let (disk, report) = match DiskManager::open_repair(path, DiskManagerConfig::default(), None) {
         Ok(v) => v,
-        Err(e) => {
-            // Only acceptable when the very first meta commit never
-            // became durable — there is no database yet.
-            return if outcome.checkpoints_done == 0 && e.is_corruption()
-                || matches!(e, StorageError::Io(_))
-            {
-                Ok(())
-            } else {
-                Err(format!("reopen failed after {cut}: {e}"))
-            };
+        // Only acceptable while no commit has been acknowledged: there is
+        // no database yet.
+        Err(e)
+            if outcome.commits_done == 0
+                && (e.is_corruption() || matches!(e, StorageError::Io(_))) =>
+        {
+            return Ok(())
         }
+        Err(e) => return Err(format!("reopen failed after cut {cut}: {e}")),
     };
     if !report.is_clean() {
         return Err(format!(
@@ -357,58 +363,102 @@ fn check_one_cut(
         ));
     }
 
-    // The durable epoch pins which checkpoint survived.
+    // The durable epoch pins which commit survived.
     let epoch = disk.epoch();
-    let k = match checkpoint_epochs.iter().position(|&e| e == epoch) {
-        Some(i) => i + 1,
-        None if epoch == base_epoch => 0,
-        None => return Err(format!("epoch {epoch} matches no checkpoint")),
+    let k = match epoch.checked_sub(base_epoch) {
+        Some(k) if k as usize <= prefixes.len() => k as usize,
+        _ => return Err(format!("epoch {epoch} matches no commit")),
     };
-    if k < outcome.checkpoints_done {
+    if k < outcome.commits_done {
         return Err(format!(
-            "commit {} reported success but reopened at checkpoint {k}",
-            outcome.checkpoints_done
+            "commit {} reported success but reopened at commit {k}",
+            outcome.commits_done
         ));
     }
     if k == 0 {
         return match disk.root() {
             None => Ok(()),
-            Some(r) => Err(format!("no checkpoint durable yet root = {r:?}")),
+            Some(r) => Err(format!("no commit durable yet root = {r:?}")),
         };
     }
-    let (tree, rr) = persist::recover::<2>(&disk, &report, None)
-        .map_err(|e| format!("recover failed at checkpoint {k}: {e}"))?;
-    if rr.rebuilt {
-        return Err("power cut forced a rebuild (should reload committed tree)".into());
-    }
-    let prefix = &ops[..checkpoint_prefix[k - 1]];
-    for probe in probe_set {
-        let expected = model_answer(prefix, probe);
-        let mut got = tree.search(probe);
-        got.sort_unstable();
-        got.dedup();
-        if got != expected {
-            return Err(format!(
-                "probe {probe:?} after checkpoint {k}: expected {expected:?}, got {got:?}"
-            ));
+    subject
+        .check_recovered(disk, &report, prefixes[k - 1])
+        .map_err(|e| format!("after commit {k}: {e}"))
+}
+
+/// The spatial subject: an SR-Tree, committed by [`persist::commit`] at
+/// every [`Op::Checkpoint`].
+struct Spatial {
+    ops: Vec<Op>,
+    probes: Vec<Rect<2>>,
+}
+
+impl Subject for Spatial {
+    fn run(&self, disk: DiskManager, commits_done: &mut usize) -> Result<(), StorageError> {
+        let mut tree: Tree<2> = Tree::new(IndexConfig::srtree());
+        for op in &self.ops {
+            match op {
+                Op::Insert(rect, record) => tree.insert(*rect, *record),
+                Op::Delete(rect, record) => {
+                    tree.delete(rect, *record);
+                }
+                Op::Checkpoint => {
+                    persist::commit(&tree, &disk)?;
+                    *commits_done += 1;
+                }
+            }
         }
+        Ok(())
     }
-    Ok(())
+
+    fn commit_prefixes(&self) -> Vec<usize> {
+        checkpoint_ends(&self.ops).collect()
+    }
+
+    fn check_recovered(
+        &self,
+        disk: DiskManager,
+        report: &RepairReport,
+        prefix: usize,
+    ) -> Result<(), String> {
+        let (tree, rr) = persist::recover::<2>(&disk, report, None)
+            .map_err(|e| format!("recover failed: {e}"))?;
+        if rr.rebuilt {
+            return Err("power cut forced a rebuild (should reload committed tree)".into());
+        }
+        check_probes(&self.probes, &self.ops[..prefix], |probe| {
+            let mut got = tree.search(probe);
+            got.sort_unstable();
+            got.dedup();
+            got
+        })
+    }
+}
+
+/// Power-cuts the spatial trace for `seed` at every write boundary and
+/// checks recovery against the model.
+pub fn crash_sweep(seed: u64, scratch: &Path, cfg: &TraceConfig) -> SweepOutcome {
+    let subject = Spatial {
+        ops: trace(seed, cfg),
+        probes: probes(seed, 16),
+    };
+    power_cut_sweep(&subject, seed, scratch)
 }
 
 /// Flips bytes in a committed page file and checks recovery stays truthful:
 /// every trial must end in a typed corruption error or a rebuilt tree whose
 /// answers are a subset of the uncorrupted model's. Returns failures.
 pub fn corruption_trials(seed: u64, scratch: &Path, trials: usize) -> Vec<SweepFailure> {
-    let cfg = TraceConfig::default();
-    let ops = trace(seed, &cfg);
-    let probe_set = probes(seed, 16);
+    let subject = Spatial {
+        ops: trace(seed, &TraceConfig::default()),
+        probes: probes(seed, 16),
+    };
     std::fs::create_dir_all(scratch).expect("scratch dir");
     let mut rng = SplitMix64::new(seed ^ 0xBAD5_EED5);
     let mut failures = Vec::new();
     for trial in 0..trials {
         let path = scratch.join(format!("rot-{seed:016x}-{trial}.db"));
-        let outcome = run_trace(&path, None, &ops);
+        let outcome = run_fresh(&subject, &path, None);
         assert!(outcome.error.is_none(), "clean run failed: {outcome:?}");
         let len = std::fs::metadata(&path).expect("page file").len();
         let offset = rng.next_u64() % len.max(1);
@@ -425,7 +475,7 @@ pub fn corruption_trials(seed: u64, scratch: &Path, trials: usize) -> Vec<SweepF
             f.seek(SeekFrom::Start(offset)).unwrap();
             f.write_all(&[b[0] ^ (1 << (rng.next_u64() % 8))]).unwrap();
         }
-        if let Err(detail) = check_one_corruption(&path, &ops, &probe_set) {
+        if let Err(detail) = check_one_corruption(&path, &subject) {
             failures.push(SweepFailure {
                 seed,
                 cut_at: offset,
@@ -437,7 +487,7 @@ pub fn corruption_trials(seed: u64, scratch: &Path, trials: usize) -> Vec<SweepF
     failures
 }
 
-fn check_one_corruption(path: &Path, ops: &[Op], probe_set: &[Rect<2>]) -> Result<(), String> {
+fn check_one_corruption(path: &Path, subject: &Spatial) -> Result<(), String> {
     let (disk, report) = match DiskManager::open_repair(path, DiskManagerConfig::default(), None) {
         Ok(v) => v,
         Err(e) if e.is_corruption() => return Ok(()), // typed, truthful
@@ -448,8 +498,8 @@ fn check_one_corruption(path: &Path, ops: &[Op], probe_set: &[Rect<2>]) -> Resul
         Err(e) if e.is_corruption() => return Ok(()),
         Err(e) => return Err(format!("untyped recover failure: {e}")),
     };
-    for probe in probe_set {
-        let expected = model_answer(ops, probe);
+    for probe in &subject.probes {
+        let expected = model_answer(&subject.ops, probe);
         let mut got = tree.search(probe);
         got.sort_unstable();
         got.dedup();
@@ -464,18 +514,22 @@ fn check_one_corruption(path: &Path, ops: &[Op], probe_set: &[Rect<2>]) -> Resul
     Ok(())
 }
 
-fn remove_db(path: &PathBuf) {
+fn remove_db(path: &Path) {
     let _ = std::fs::remove_file(path);
-    let mut meta = path.clone().into_os_string();
+    let _ = std::fs::remove_file(meta_path(path));
+}
+
+fn meta_path(path: &Path) -> std::path::PathBuf {
+    let mut meta = path.to_path_buf().into_os_string();
     meta.push(".meta");
-    let _ = std::fs::remove_file(PathBuf::from(meta));
+    meta.into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
+    fn scratch(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("segidx-crash-{}-{name}", std::process::id()))
     }
 
@@ -517,6 +571,56 @@ mod tests {
             "differential failures: {:#?}",
             outcome.failures
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The spatial subject, except that every run ends by deleting the
+    /// file's `.meta` sidecar — an acknowledged commit lost after the fact.
+    struct LosesMeta(Spatial);
+
+    impl Subject for LosesMeta {
+        fn run(&self, disk: DiskManager, commits_done: &mut usize) -> Result<(), StorageError> {
+            let meta = meta_path(disk.path());
+            let result = self.0.run(disk, commits_done);
+            std::fs::remove_file(meta).expect("meta file written");
+            result
+        }
+
+        fn commit_prefixes(&self) -> Vec<usize> {
+            self.0.commit_prefixes()
+        }
+
+        fn check_recovered(
+            &self,
+            disk: DiskManager,
+            report: &RepairReport,
+            prefix: usize,
+        ) -> Result<(), String> {
+            self.0.check_recovered(disk, report, prefix)
+        }
+    }
+
+    #[test]
+    fn a_reopen_failure_after_an_acknowledged_commit_is_reported() {
+        let dir = scratch("lost-meta");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = TraceConfig {
+            ops: 8,
+            checkpoint_every: 8,
+            delete_fraction: 0.25,
+        };
+        let subject = LosesMeta(Spatial {
+            ops: trace(3, &cfg),
+            probes: probes(3, 4),
+        });
+        // No cut fires: the one commit is acknowledged, then its meta file
+        // disappears, and the reopen fails with an I/O error before the
+        // epoch ladder is consulted.
+        let path = dir.join("lost.db");
+        let prefixes = subject.commit_prefixes();
+        let detail = check_one_cut(&subject, &path, u64::MAX, None, 0, &prefixes).unwrap_err();
+        assert!(detail.starts_with("reopen failed"), "{detail}");
+        remove_db(&path);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

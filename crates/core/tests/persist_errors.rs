@@ -4,8 +4,7 @@
 use segidx_core::{persist, IndexConfig, PagedSearcher, RecordId, Tree};
 use segidx_geom::Rect;
 use segidx_storage::{
-    BufferPool, DiskManager, DiskManagerConfig, Page, PageId, ScriptedFault, SizeClass,
-    StorageError,
+    BufferPool, DiskManager, DiskManagerConfig, Page, PageId, ScriptedFault, StorageError,
 };
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -156,33 +155,6 @@ fn failed_sync_surfaces_and_commit_does_not_advance() {
     assert_eq!(disk.root(), Some(meta));
     let back: Tree<2> = persist::load(&disk, meta).unwrap();
     assert_eq!(back.entry_count(), tree.entry_count());
-}
-
-#[test]
-fn buffer_pool_flush_on_drop_reports_write_errors() {
-    let path = temp("dropflush.db");
-    // Writes: #0 = create's meta image, #1 = the page write-back attempted
-    // by the pool's Drop — fail it.
-    let fault = Arc::new(ScriptedFault::fail_nth_write(1));
-    let cfg = DiskManagerConfig {
-        fault_injector: Some(fault as Arc<_>),
-        ..DiskManagerConfig::default()
-    };
-    let disk = Arc::new(DiskManager::create_with(&path, cfg).unwrap());
-    {
-        let pool = BufferPool::new(Arc::clone(&disk));
-        let id = pool.allocate(SizeClass::new(0)).unwrap();
-        pool.with_page_mut(id, |p| p.set_payload(b"dirty at drop"))
-            .unwrap()
-            .unwrap();
-        assert_eq!(disk.stats().snapshot().write_errors, 0);
-        // No flush_all: the pool's Drop must attempt the write-back.
-    }
-    let after = disk.stats().snapshot();
-    assert_eq!(
-        after.write_errors, 1,
-        "flush-on-drop must count the failed write-back"
-    );
 }
 
 #[test]

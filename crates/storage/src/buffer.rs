@@ -1,10 +1,11 @@
-//! An LRU buffer pool with pin counting and write-back.
+//! A read-through LRU page cache.
 
 use crate::disk::DiskManager;
-use crate::error::{Result, StorageError};
-use crate::page::{Page, PageId, SizeClass};
+use crate::error::Result;
+use crate::page::{Page, PageId};
 use crate::stats::{IoLatency, IoStats};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -28,8 +29,6 @@ impl Default for BufferPoolConfig {
 #[derive(Debug)]
 struct Frame {
     page: Page,
-    dirty: bool,
-    pins: usize,
     last_used: u64,
 }
 
@@ -40,11 +39,14 @@ struct PoolInner {
     clock: u64,
 }
 
-/// A byte-budgeted LRU buffer pool over a [`DiskManager`].
+/// A byte-budgeted, read-through LRU cache of the pages of a
+/// [`DiskManager`].
 ///
-/// Access is closure-based: [`BufferPool::with_page`] /
-/// [`BufferPool::with_page_mut`] pin the page for the duration of the
-/// closure, so eviction can never observe an in-use frame.
+/// The pool only reads: pages reach the disk through
+/// [`DiskManager::write_page`] and [`DiskManager::sync`], the one write
+/// path the crash sweeps cut. Access is closure-based —
+/// [`BufferPool::with_page`] runs the closure under the pool's lock, so no
+/// frame can be evicted while it is in use.
 #[derive(Debug)]
 pub struct BufferPool {
     disk: Arc<DiskManager>,
@@ -74,11 +76,6 @@ impl BufferPool {
         }
     }
 
-    /// The underlying disk manager.
-    pub fn disk(&self) -> &Arc<DiskManager> {
-        &self.disk
-    }
-
     /// Shared I/O statistics (same counters as the disk manager's).
     pub fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
@@ -95,240 +92,49 @@ impl BufferPool {
         self.inner.lock().cached_bytes
     }
 
-    /// Number of cached pages.
-    pub fn cached_pages(&self) -> usize {
-        self.inner.lock().frames.len()
-    }
-
-    /// Allocates a fresh page of `size_class`, caches it (dirty), and
-    /// returns its id.
-    pub fn allocate(&self, size_class: SizeClass) -> Result<PageId> {
-        let id = self.disk.allocate(size_class)?;
-        let mut inner = self.inner.lock();
-        let page = Page::new(id, size_class);
-        inner.cached_bytes += size_class.page_size();
-        let clock = bump(&mut inner.clock);
-        inner.frames.insert(
-            id,
-            Frame {
-                page,
-                dirty: true,
-                pins: 0,
-                last_used: clock,
-            },
-        );
-        drop(inner);
-        self.make_room()?;
-        Ok(id)
-    }
-
-    /// Frees a page, dropping any cached copy.
-    pub fn free(&self, id: PageId) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if let Some(frame) = inner.frames.remove(&id) {
-            if frame.pins > 0 {
-                // Re-insert and refuse: the caller is freeing a page that is
-                // concurrently in use.
-                inner.frames.insert(id, frame);
-                return Err(StorageError::PoolExhausted);
-            }
-            inner.cached_bytes -= frame.page.size_class().page_size();
-        }
-        drop(inner);
-        self.disk.free(id)
-    }
-
     /// Runs `f` with shared access to the page, faulting it in if needed.
+    ///
+    /// A miss reads the page outside the lock, then inserts it (or adopts
+    /// the copy a racing miss inserted first), runs `f`, and evicts
+    /// least-recently-used pages until the pool is back inside its budget —
+    /// the page just read included, if it alone exceeds the budget.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
-        self.pin(id)?;
-        let result = {
-            let inner = self.inner.lock();
-            let frame = inner.frames.get(&id).expect("pinned frame present");
-            f(&frame.page)
-        };
-        self.unpin(id, false);
-        self.make_room()?;
-        Ok(result)
-    }
-
-    /// Runs `f` with exclusive access to the page, marking it dirty.
-    pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
-        self.pin(id)?;
-        let result = {
-            let mut inner = self.inner.lock();
-            let frame = inner.frames.get_mut(&id).expect("pinned frame present");
-            f(&mut frame.page)
-        };
-        self.unpin(id, true);
-        self.make_room()?;
-        Ok(result)
-    }
-
-    /// Writes all dirty pages back to disk and syncs metadata.
-    pub fn flush_all(&self) -> Result<()> {
-        let dirty: Vec<PageId> = {
-            let inner = self.inner.lock();
-            inner
-                .frames
-                .iter()
-                .filter(|(_, fr)| fr.dirty)
-                .map(|(&id, _)| id)
-                .collect()
-        };
-        for id in dirty {
-            // Copy the page out under the lock, write it outside any frame
-            // borrow, then clear the dirty bit.
-            let page = {
-                let inner = self.inner.lock();
-                match inner.frames.get(&id) {
-                    Some(fr) if fr.dirty => fr.page.clone(),
-                    _ => continue,
-                }
-            };
-            if let Err(e) = self.disk.write_page(&page) {
-                self.report_write_error(id, &e);
-                return Err(e);
-            }
-            let mut inner = self.inner.lock();
-            if let Some(fr) = inner.frames.get_mut(&id) {
-                fr.dirty = false;
-            }
-        }
-        self.disk.sync()
-    }
-
-    /// Records a failed write-back in the shared counters and logs it to
-    /// stderr — the error is *reported* even when (as in `Drop`) it cannot
-    /// be returned.
-    fn report_write_error(&self, id: PageId, e: &StorageError) {
-        self.stats.record_write_error();
-        eprintln!("segidx-storage: write-back of page {id:?} failed: {e}");
-    }
-
-    fn pin(&self, id: PageId) -> Result<()> {
         {
-            let mut inner = self.inner.lock();
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
             if let Some(frame) = inner.frames.get_mut(&id) {
-                frame.pins += 1;
-                let clock = bump(&mut inner.clock);
-                inner.frames.get_mut(&id).unwrap().last_used = clock;
+                frame.last_used = bump(&mut inner.clock);
                 self.stats.record_hit();
                 segidx_obs::trace::add(segidx_obs::trace::Dim::BufferPoolHits, 1);
-                return Ok(());
+                return Ok(f(&frame.page));
             }
         }
-        // Miss: fault in from disk (outside the lock), then insert.
         self.stats.record_miss();
         segidx_obs::trace::add(segidx_obs::trace::Dim::BufferPoolMisses, 1);
         let page = self.disk.read_page(id)?;
-        let mut inner = self.inner.lock();
-        let entry = inner.frames.entry(id);
-        use std::collections::hash_map::Entry;
-        match entry {
-            Entry::Occupied(mut e) => {
-                // Raced with another fault-in; keep the existing frame.
-                e.get_mut().pins += 1;
-            }
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let last_used = bump(&mut inner.clock);
+        let frame = match inner.frames.entry(id) {
+            Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                e.insert(Frame {
-                    dirty: false,
-                    pins: 1,
-                    last_used: 0,
-                    page,
-                });
-                let id_size = inner.frames[&id].page.size_class().page_size();
-                inner.cached_bytes += id_size;
+                inner.cached_bytes += page.size_class().page_size();
+                e.insert(Frame { page, last_used })
             }
-        }
-        let clock = bump(&mut inner.clock);
-        inner.frames.get_mut(&id).unwrap().last_used = clock;
-        Ok(())
-    }
-
-    fn unpin(&self, id: PageId, dirty: bool) {
-        let mut inner = self.inner.lock();
-        if let Some(frame) = inner.frames.get_mut(&id) {
-            debug_assert!(frame.pins > 0);
-            frame.pins -= 1;
-            frame.dirty |= dirty;
-        }
-    }
-
-    /// Evicts least-recently-used unpinned frames until within budget.
-    fn make_room(&self) -> Result<()> {
-        loop {
-            let victim = {
-                let inner = self.inner.lock();
-                if inner.cached_bytes <= self.config.capacity_bytes {
-                    return Ok(());
-                }
-                let candidate = inner
-                    .frames
-                    .iter()
-                    .filter(|(_, fr)| fr.pins == 0)
-                    .min_by_key(|(_, fr)| fr.last_used)
-                    .map(|(&id, fr)| (id, fr.dirty));
-                match candidate {
-                    Some(v) => v,
-                    // Everything pinned while over budget: tolerate the
-                    // overshoot rather than failing closure-based accessors;
-                    // the budget is restored at the next unpinned access.
-                    None => return Ok(()),
-                }
-            };
-            let (id, dirty) = victim;
-            if dirty {
-                let page = {
-                    let inner = self.inner.lock();
-                    match inner.frames.get(&id) {
-                        Some(fr) if fr.pins == 0 => fr.page.clone(),
-                        _ => continue,
-                    }
-                };
-                self.disk.write_page(&page)?;
-            }
-            let mut inner = self.inner.lock();
-            if let Some(fr) = inner.frames.get(&id).filter(|fr| fr.pins == 0) {
-                let size = fr.page.size_class().page_size();
-                inner.frames.remove(&id);
-                inner.cached_bytes -= size;
-                self.stats.record_eviction();
-            }
-        }
-    }
-}
-
-/// Dropping the pool writes dirty pages back and syncs, so an index that
-/// goes out of scope without an explicit [`BufferPool::flush_all`] is not
-/// silently lost. Failures cannot be returned from `Drop`; they are
-/// *reported* instead — counted in [`IoStats`] `write_errors` and logged
-/// to stderr. Callers that
-/// need failures as errors must call [`BufferPool::flush_all`] themselves.
-impl Drop for BufferPool {
-    fn drop(&mut self) {
-        let dirty: Vec<(PageId, Page)> = {
-            let inner = self.inner.lock();
-            inner
+        };
+        frame.last_used = last_used;
+        let result = f(&frame.page);
+        while inner.cached_bytes > self.config.capacity_bytes {
+            let (&victim, _) = inner
                 .frames
                 .iter()
-                .filter(|(_, fr)| fr.dirty)
-                .map(|(&id, fr)| (id, fr.page.clone()))
-                .collect()
-        };
-        let mut failed = false;
-        for (id, page) in dirty {
-            if let Err(e) = self.disk.write_page(&page) {
-                self.report_write_error(id, &e);
-                failed = true;
-            }
+                .min_by_key(|(_, fr)| fr.last_used)
+                .expect("bytes are cached, so pages are");
+            let evicted = inner.frames.remove(&victim).expect("victim is cached");
+            inner.cached_bytes -= evicted.page.size_class().page_size();
+            self.stats.record_eviction();
         }
-        if let Err(e) = self.disk.sync() {
-            if !failed {
-                // Count the sync failure once if no write already did.
-                self.stats.record_write_error();
-            }
-            eprintln!("segidx-storage: sync on buffer-pool drop failed: {e}");
-        }
+        Ok(result)
     }
 }
 
@@ -340,140 +146,130 @@ fn bump(clock: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::disk::DiskManagerConfig;
+    use crate::fault::ScriptedFault;
+    use crate::page::SizeClass;
 
-    fn pool(name: &str, capacity_bytes: usize) -> BufferPool {
+    /// A fresh file holding one page per entry of `pages` (its size class
+    /// and payload), written and synced through the disk manager.
+    fn disk_with(
+        name: &str,
+        config: DiskManagerConfig,
+        pages: &[(u8, &[u8])],
+    ) -> (Arc<DiskManager>, Vec<PageId>) {
         let dir = std::env::temp_dir().join(format!(
             "segidx-pool-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path: PathBuf = dir.join(name);
-        let disk = Arc::new(DiskManager::create(&path).unwrap());
-        BufferPool::with_config(disk, BufferPoolConfig { capacity_bytes })
-    }
-
-    #[test]
-    fn read_your_writes_through_cache() {
-        let pool = pool("ryw.db", 1 << 20);
-        let id = pool.allocate(SizeClass::new(0)).unwrap();
-        pool.with_page_mut(id, |p| p.set_payload(b"cached").unwrap())
-            .unwrap();
-        let payload = pool.with_page(id, |p| p.payload().to_vec()).unwrap();
-        assert_eq!(payload, b"cached");
-        // Never written to disk yet.
-        assert_eq!(pool.stats().snapshot().writes, 0);
-    }
-
-    #[test]
-    fn eviction_writes_back_dirty_pages() {
-        // Budget of 2 KB holds two 1 KB pages; the third allocation evicts.
-        let pool = pool("evict.db", 2 * 1024);
-        let ids: Vec<_> = (0..3)
-            .map(|i| {
-                let id = pool.allocate(SizeClass::new(0)).unwrap();
-                pool.with_page_mut(id, |p| p.set_payload(&[i as u8; 64]).unwrap())
-                    .unwrap();
+        let disk = Arc::new(DiskManager::create_with(dir.join(name), config).unwrap());
+        let ids = pages
+            .iter()
+            .map(|&(class, payload)| {
+                let id = disk.allocate(SizeClass::new(class)).unwrap();
+                let mut page = Page::new(id, SizeClass::new(class));
+                page.set_payload(payload).unwrap();
+                disk.write_page(&page).unwrap();
                 id
             })
             .collect();
-        assert!(pool.cached_bytes() <= 2 * 1024);
-        let snap = pool.stats().snapshot();
-        assert!(snap.evictions >= 1);
-        assert!(snap.writes >= 1, "dirty eviction wrote back");
-        // Evicted page reads back correctly (from disk).
-        for (i, id) in ids.iter().enumerate() {
-            let payload = pool.with_page(*id, |p| p.payload().to_vec()).unwrap();
-            assert_eq!(payload, vec![i as u8; 64]);
-        }
+        disk.sync().unwrap();
+        (disk, ids)
     }
 
-    #[test]
-    fn flush_all_persists() {
-        let dir = std::env::temp_dir().join(format!("segidx-flush-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("flush.db");
-        let id;
-        {
-            let disk = Arc::new(DiskManager::create(&path).unwrap());
-            let pool = BufferPool::new(disk);
-            id = pool.allocate(SizeClass::new(2)).unwrap();
-            pool.with_page_mut(id, |p| p.set_payload(b"durable").unwrap())
-                .unwrap();
-            pool.flush_all().unwrap();
-        }
-        let disk = DiskManager::open(&path).unwrap();
-        assert_eq!(disk.read_page(id).unwrap().payload(), b"durable");
+    fn pool_over(
+        name: &str,
+        capacity_bytes: usize,
+        pages: &[(u8, &[u8])],
+    ) -> (BufferPool, Vec<PageId>) {
+        let (disk, ids) = disk_with(name, DiskManagerConfig::default(), pages);
+        (
+            BufferPool::with_config(disk, BufferPoolConfig { capacity_bytes }),
+            ids,
+        )
+    }
+
+    fn payload(pool: &BufferPool, id: PageId) -> Vec<u8> {
+        pool.with_page(id, |p| p.payload().to_vec()).unwrap()
     }
 
     #[test]
     fn lru_order_respected() {
-        let pool = pool("lru.db", 2 * 1024);
-        let a = pool.allocate(SizeClass::new(0)).unwrap();
-        let b = pool.allocate(SizeClass::new(0)).unwrap();
-        pool.with_page_mut(a, |p| p.set_payload(b"a").unwrap())
-            .unwrap();
-        pool.with_page_mut(b, |p| p.set_payload(b"b").unwrap())
-            .unwrap();
+        let (pool, ids) = pool_over("lru.db", 2 * 1024, &[(0, b"a"), (0, b"b"), (0, b"c")]);
+        let (a, b, c) = (ids[0], ids[1], ids[2]);
+        payload(&pool, a);
+        payload(&pool, b);
         // Touch `a` so `b` is the LRU victim.
-        pool.with_page(a, |_| ()).unwrap();
-        let c = pool.allocate(SizeClass::new(0)).unwrap();
-        pool.with_page_mut(c, |p| p.set_payload(b"c").unwrap())
-            .unwrap();
+        payload(&pool, a);
+        assert_eq!(payload(&pool, c), b"c");
         let inner = pool.inner.lock();
         assert!(inner.frames.contains_key(&a), "recently used page kept");
         assert!(!inner.frames.contains_key(&b), "LRU page evicted");
+        assert!(inner.frames.contains_key(&c), "page just read kept");
     }
 
     #[test]
     fn hit_and_miss_accounting() {
-        let pool = pool("hits.db", 1 << 20);
-        let id = pool.allocate(SizeClass::new(0)).unwrap();
-        pool.with_page_mut(id, |p| p.set_payload(b"x").unwrap())
-            .unwrap();
-        pool.with_page(id, |_| ()).unwrap();
-        pool.with_page(id, |_| ()).unwrap();
+        let (pool, ids) = pool_over("hits.db", 1 << 20, &[(0, b"x")]);
+        for _ in 0..3 {
+            assert_eq!(payload(&pool, ids[0]), b"x");
+        }
         let snap = pool.stats().snapshot();
-        assert_eq!(snap.pool_misses, 0, "page was cached from allocation");
-        assert_eq!(snap.pool_hits, 3);
-    }
-
-    #[test]
-    fn free_drops_cached_copy() {
-        let pool = pool("freec.db", 1 << 20);
-        let id = pool.allocate(SizeClass::new(0)).unwrap();
-        pool.with_page_mut(id, |p| p.set_payload(b"x").unwrap())
-            .unwrap();
-        pool.free(id).unwrap();
-        assert_eq!(pool.cached_pages(), 0);
-        assert!(pool.with_page(id, |_| ()).is_err());
+        assert_eq!(snap.pool_misses, 1, "first access faults the page in");
+        assert_eq!(snap.pool_hits, 2);
+        assert_eq!(snap.reads, 1, "hits read nothing from disk");
+        assert_eq!(snap.evictions, 0);
     }
 
     #[test]
     fn page_io_latency_recorded() {
-        let pool = pool("iolat.db", 1 << 20);
-        let id = pool.allocate(SizeClass::new(0)).unwrap();
-        pool.with_page_mut(id, |p| p.set_payload(b"timed").unwrap())
-            .unwrap();
-        pool.flush_all().unwrap();
+        let (pool, ids) = pool_over("iolat.db", 1 << 20, &[(0, b"timed")]);
+        assert_eq!(payload(&pool, ids[0]), b"timed");
         let lat = pool.latency().snapshot();
-        assert!(lat.write.count >= 1, "flush recorded a write latency");
-        assert!(lat.write.p50().is_some());
+        assert!(lat.read.count >= 1, "the fault-in recorded a read latency");
+        assert!(lat.read.p50().is_some());
+        assert!(lat.write.count >= 1, "the disk's own write was recorded");
     }
 
     #[test]
     fn variable_size_budget_accounting() {
-        // An 8 KB page plus a 1 KB page exceed a 8 KB budget → eviction.
-        let pool = pool("varsize.db", 8 * 1024);
-        let big = pool.allocate(SizeClass::new(3)).unwrap();
-        pool.with_page_mut(big, |p| p.set_payload(b"big").unwrap())
-            .unwrap();
-        let small = pool.allocate(SizeClass::new(0)).unwrap();
-        pool.with_page_mut(small, |p| p.set_payload(b"small").unwrap())
-            .unwrap();
-        assert!(pool.cached_bytes() <= 8 * 1024);
-        let payload = pool.with_page(big, |p| p.payload().to_vec()).unwrap();
-        assert_eq!(payload, b"big");
+        // An 8 KB page plus a 1 KB page exceed an 8 KB budget → eviction.
+        let (pool, ids) = pool_over("varsize.db", 8 * 1024, &[(3, b"big"), (0, b"small")]);
+        assert_eq!(payload(&pool, ids[0]), b"big");
+        assert_eq!(pool.cached_bytes(), 8 * 1024);
+        assert_eq!(payload(&pool, ids[1]), b"small");
+        assert_eq!(pool.cached_bytes(), 1024, "the big page was the LRU victim");
+        assert_eq!(payload(&pool, ids[0]), b"big");
+        assert_eq!(pool.cached_bytes(), 8 * 1024);
+        assert_eq!(pool.stats().snapshot().evictions, 2);
+    }
+
+    #[test]
+    fn a_read_only_pool_never_syncs() {
+        let observer = Arc::new(ScriptedFault::observer());
+        let config = DiskManagerConfig {
+            fault_injector: Some(observer.clone()),
+            ..DiskManagerConfig::default()
+        };
+        let (disk, ids) = disk_with("readonly.db", config, &[(0, b"a"), (1, b"b"), (0, b"c")]);
+        let (syncs, writes) = (observer.syncs_seen(), observer.writes_seen());
+        let io_writes = disk.stats().snapshot().writes;
+        {
+            let pool = BufferPool::with_config(
+                Arc::clone(&disk),
+                BufferPoolConfig {
+                    capacity_bytes: 2 * 1024,
+                },
+            );
+            for &id in ids.iter().chain(&ids) {
+                pool.with_page(id, |p| assert!(!p.payload().is_empty()))
+                    .unwrap();
+            }
+            assert!(pool.stats().snapshot().evictions > 0);
+        }
+        assert_eq!(observer.syncs_seen(), syncs, "dropping the pool synced");
+        assert_eq!(observer.writes_seen(), writes, "the pool wrote a page");
+        assert_eq!(disk.stats().snapshot().writes, io_writes);
     }
 }

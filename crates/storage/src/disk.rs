@@ -188,8 +188,8 @@ impl DiskManager {
     /// read and validated, and pages that fail (torn writes, bit rot,
     /// extents past a truncated end-of-file) are *quarantined* — removed
     /// from the page directory so no later read can return their bytes.
-    /// Quarantined extents are deliberately not recycled (their contents
-    /// are unknown); [`DiskManager::compact`] reclaims them offline.
+    /// Quarantined extents are deliberately never recycled: their contents
+    /// are unknown.
     ///
     /// Each quarantined page is listed, with the reason, in the returned
     /// [`RepairReport`]; the third argument is always `None` and only keeps
@@ -376,64 +376,6 @@ impl DiskManager {
         sp.items(size as u64);
         segidx_obs::trace::add(segidx_obs::trace::Dim::PageReads, 1);
         Page::from_disk_bytes(id, loc.size_class, &buf)
-    }
-
-    /// Rewrites all live pages contiguously at the front of the file,
-    /// truncating freed space. Page ids are preserved; only their physical
-    /// extents move. Returns the number of bytes reclaimed.
-    ///
-    /// Intended for offline maintenance after heavy frees (an index rebuilt
-    /// many times into one file); readers must not hold stale page data
-    /// across a compaction (the [`crate::BufferPool`] must be flushed and
-    /// dropped first). Unlike normal operation, compaction is **not**
-    /// crash-atomic: it moves pages in place, so a crash mid-compact can
-    /// lose pages. Take a copy first if the file matters.
-    pub fn compact(&self) -> Result<u64> {
-        let mut inner = self.inner.lock();
-        let old_end = inner.next_slot * BASE_PAGE_SIZE as u64;
-
-        // Relocate pages in slot order so moves never overwrite unread data.
-        let mut pages: Vec<(PageId, PageLoc)> = inner
-            .directory
-            .iter()
-            .map(|(&id, &loc)| (id, loc))
-            .collect();
-        pages.sort_by_key(|(_, loc)| loc.slot);
-
-        let mut cursor: u64 = 0;
-        for (id, loc) in pages {
-            let size = loc.size_class.page_size();
-            if loc.slot != cursor {
-                debug_assert!(cursor < loc.slot, "compaction moves pages backwards only");
-                let mut buf = vec![0u8; size];
-                inner
-                    .file
-                    .seek(SeekFrom::Start(loc.slot * BASE_PAGE_SIZE as u64))?;
-                inner.file.read_exact(&mut buf)?;
-                write_extent(
-                    &mut inner.file,
-                    self.config.fault_injector.as_deref(),
-                    cursor * BASE_PAGE_SIZE as u64,
-                    &buf,
-                )?;
-                self.stats.record_read(size);
-                self.stats.record_write(size);
-                inner.directory.get_mut(&id).expect("live page").slot = cursor;
-            }
-            cursor += loc.size_class.slots();
-        }
-        for list in inner.free_lists.iter_mut() {
-            list.clear();
-        }
-        // Compaction invalidates every freed extent, committed or pending.
-        inner.pending_free.clear();
-        inner.next_slot = cursor;
-        inner.dirty_meta = true;
-        let new_end = cursor * BASE_PAGE_SIZE as u64;
-        inner.file.set_len(new_end)?;
-        drop(inner);
-        self.sync()?;
-        Ok(old_end.saturating_sub(new_end))
     }
 
     /// Reads and validates every live page, returning the list of pages
@@ -841,62 +783,6 @@ mod tests {
             Err(StorageError::PageNotFound(PageId(99)))
         ));
         assert!(dm.free(PageId(99)).is_err());
-    }
-
-    #[test]
-    fn compact_reclaims_space_and_preserves_pages() {
-        let path = tempdir().join("compact.db");
-        let dm = DiskManager::create(&path).unwrap();
-        // Interleave allocations of different sizes, then free every other
-        // page to fragment the file.
-        let mut live = Vec::new();
-        let mut dead = Vec::new();
-        for i in 0..40u8 {
-            let class = SizeClass::new(i % 3);
-            let id = dm.allocate(class).unwrap();
-            dm.write_page(&page_with(id, class, &[i; 200])).unwrap();
-            if i % 2 == 0 {
-                live.push((id, class, [i; 200]));
-            } else {
-                dead.push(id);
-            }
-        }
-        for id in dead {
-            dm.free(id).unwrap();
-        }
-        let reclaimed = dm.compact().unwrap();
-        assert!(reclaimed > 0, "fragmented file must shrink");
-        // File size equals the sum of live extents.
-        let live_bytes: u64 = live.iter().map(|(_, c, _)| c.page_size() as u64).sum();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), live_bytes);
-        // Every live page still reads back intact…
-        for (id, _, payload) in &live {
-            assert_eq!(dm.read_page(*id).unwrap().payload(), &payload[..]);
-        }
-        assert!(dm.verify_all().is_empty());
-        // …and survives a reopen.
-        dm.sync().unwrap();
-        drop(dm);
-        let dm = DiskManager::open(&path).unwrap();
-        for (id, _, payload) in &live {
-            assert_eq!(dm.read_page(*id).unwrap().payload(), &payload[..]);
-        }
-        // New allocations extend past the compacted end, damaging nothing.
-        let id = dm.allocate(SizeClass::new(2)).unwrap();
-        dm.write_page(&page_with(id, SizeClass::new(2), b"post-compact"))
-            .unwrap();
-        assert!(dm.verify_all().is_empty());
-    }
-
-    #[test]
-    fn compact_empty_and_unfragmented_files() {
-        let dm = DiskManager::create(tempdir().join("compact-empty.db")).unwrap();
-        assert_eq!(dm.compact().unwrap(), 0);
-        let a = dm.allocate(SizeClass::new(0)).unwrap();
-        dm.write_page(&page_with(a, SizeClass::new(0), b"x"))
-            .unwrap();
-        assert_eq!(dm.compact().unwrap(), 0, "contiguous file: nothing to do");
-        assert_eq!(dm.read_page(a).unwrap().payload(), b"x");
     }
 
     #[test]

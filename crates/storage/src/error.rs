@@ -32,8 +32,6 @@ pub enum StorageError {
     },
     /// A metadata file is malformed or from an incompatible version.
     BadMeta(String),
-    /// The buffer pool cannot evict anything (every frame is pinned).
-    PoolExhausted,
     /// A decoding operation ran past the end of its input.
     Decode(String),
 }
@@ -76,7 +74,6 @@ impl fmt::Display for StorageError {
                 "payload of {requested} bytes exceeds {capacity}-byte capacity of {size_class:?}"
             ),
             StorageError::BadMeta(msg) => write!(f, "bad metadata: {msg}"),
-            StorageError::PoolExhausted => write!(f, "buffer pool exhausted (all pages pinned)"),
             StorageError::Decode(msg) => write!(f, "decode error: {msg}"),
         }
     }

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Which file write is about to happen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteKind {
-    /// A page image written to the data file (including compaction moves).
+    /// A page image written to the data file.
     Page,
     /// The serialized metadata written to the temporary sidecar file.
     Meta,

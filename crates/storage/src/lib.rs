@@ -12,10 +12,10 @@
 //! * [`Page`] — a checksummed page with a fixed header and a payload.
 //! * [`DiskManager`] — a slotted page file supporting allocation, free lists,
 //!   reads, writes, and crash-consistent metadata via atomic rename.
-//! * [`BufferPool`] — an LRU buffer pool with pin counting, dirty tracking,
-//!   and write-back, sized in bytes (so one 8 KB root page costs the same as
-//!   eight 1 KB leaves, exactly the trade the paper's variable node sizes
-//!   make).
+//! * [`BufferPool`] — a read-through LRU page cache sized in bytes (so one
+//!   8 KB root page costs the same as eight 1 KB leaves, exactly the trade
+//!   the paper's variable node sizes make). Pages reach the disk one way
+//!   only: [`DiskManager::write_page`], made durable by [`DiskManager::sync`].
 //! * [`ByteReader`] / [`ByteWriter`] — bounds-checked little-endian codecs
 //!   used by `segidx-core` to serialize index nodes into pages.
 //! * [`IoStats`] — physical I/O counters (reads, writes, hits, misses,
@@ -26,22 +26,32 @@
 //! persisted index.
 //!
 //! ```
-//! use segidx_storage::{BufferPool, DiskManager, SizeClass};
+//! use segidx_storage::{BufferPool, DiskManager, Page, SizeClass};
 //! use std::sync::Arc;
 //!
 //! let dir = std::env::temp_dir().join("segidx-doc-example");
 //! std::fs::create_dir_all(&dir)?;
 //! let disk = Arc::new(DiskManager::create(dir.join("doc.db"))?);
+//!
+//! // A 1 KB leaf page and a 2 KB level-1 page, per the paper's ladder,
+//! // written through the disk manager and made durable by one sync.
+//! let mut ids = Vec::new();
+//! for (class, bytes) in [(0, &b"leaf node bytes"[..]), (1, b"internal node bytes")] {
+//!     let id = disk.allocate(SizeClass::new(class))?;
+//!     let mut page = Page::new(id, SizeClass::new(class));
+//!     page.set_payload(bytes)?;
+//!     disk.write_page(&page)?;
+//!     ids.push(id);
+//! }
+//! disk.sync()?;
+//!
+//! // Reads go through the pool: the first access faults the page in, the
+//! // second is served from memory.
 //! let pool = BufferPool::new(Arc::clone(&disk));
-//!
-//! // A 1 KB leaf page and a 2 KB level-1 page, per the paper's ladder.
-//! let leaf = pool.allocate(SizeClass::new(0))?;
-//! let upper = pool.allocate(SizeClass::new(1))?;
-//! pool.with_page_mut(leaf, |p| p.set_payload(b"leaf node bytes"))??;
-//! pool.with_page_mut(upper, |p| p.set_payload(b"internal node bytes"))??;
-//! pool.flush_all()?;
-//!
-//! assert_eq!(disk.page_count(), 2);
+//! assert_eq!(pool.with_page(ids[0], |p| p.payload().to_vec())?, b"leaf node bytes");
+//! assert_eq!(pool.with_page(ids[0], |p| p.payload().len())?, 15);
+//! assert_eq!(pool.stats().snapshot().pool_hits, 1);
+//! assert_eq!(pool.cached_bytes(), 1024);
 //! assert!(disk.verify_all().is_empty());
 //! # Ok::<(), segidx_storage::StorageError>(())
 //! ```

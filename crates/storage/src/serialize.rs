@@ -30,11 +30,6 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
-    /// Appends a `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -53,12 +48,6 @@ impl ByteWriter {
     /// Appends raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a length-prefixed byte string (`u32` length).
-    pub fn put_len_prefixed(&mut self, v: &[u8]) {
-        self.put_u32(v.len() as u32);
-        self.put_bytes(v);
     }
 
     /// Bytes written so far.
@@ -113,11 +102,6 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a `u16`.
-    pub fn get_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
     /// Reads a `u32`.
     pub fn get_u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -135,12 +119,6 @@ impl<'a> ByteReader<'a> {
 
     /// Reads `n` raw bytes.
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
-    }
-
-    /// Reads a `u32`-length-prefixed byte string.
-    pub fn get_len_prefixed(&mut self) -> Result<&'a [u8]> {
-        let n = self.get_u32()? as usize;
         self.take(n)
     }
 
@@ -163,20 +141,16 @@ mod tests {
     fn roundtrip_scalars() {
         let mut w = ByteWriter::new();
         w.put_u8(7);
-        w.put_u16(65_500);
         w.put_u32(4_000_000_000);
         w.put_u64(u64::MAX - 1);
         w.put_f64(-12.5);
-        w.put_len_prefixed(b"abc");
 
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 65_500);
         assert_eq!(r.get_u32().unwrap(), 4_000_000_000);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_f64().unwrap(), -12.5);
-        assert_eq!(r.get_len_prefixed().unwrap(), b"abc");
         assert!(r.is_exhausted());
     }
 
@@ -188,16 +162,6 @@ mod tests {
         // Position unchanged after failed read.
         assert_eq!(r.remaining(), 3);
         assert_eq!(r.get_u8().unwrap(), 1);
-    }
-
-    #[test]
-    fn len_prefix_overrun_errors() {
-        let mut w = ByteWriter::new();
-        w.put_u32(100); // claims 100 bytes follow
-        w.put_bytes(b"short");
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert!(r.get_len_prefixed().is_err());
     }
 
     #[test]

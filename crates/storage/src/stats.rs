@@ -20,7 +20,6 @@ pub struct IoStats {
     evictions: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    write_errors: AtomicU64,
 }
 
 /// A point-in-time copy of [`IoStats`].
@@ -44,9 +43,6 @@ pub struct IoStatsSnapshot {
     pub bytes_read: u64,
     /// Total bytes written to disk.
     pub bytes_written: u64,
-    /// Page write-backs that failed (including failures during the buffer
-    /// pool's flush-on-drop, which cannot return an error to a caller).
-    pub write_errors: u64,
 }
 
 impl IoStats {
@@ -86,10 +82,6 @@ impl IoStats {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_write_error(&self) {
-        self.write_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Copies the current counter values.
     pub fn snapshot(&self) -> IoStatsSnapshot {
         IoStatsSnapshot {
@@ -102,7 +94,6 @@ impl IoStats {
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
         }
     }
 }
@@ -128,7 +119,6 @@ impl IoStatsSnapshot {
             evictions: self.evictions.saturating_sub(earlier.evictions),
             bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
             bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            write_errors: self.write_errors.saturating_sub(earlier.write_errors),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Concurrency and integrity tests for the storage substrate.
 
-use segidx_storage::{BufferPool, BufferPoolConfig, DiskManager, SizeClass};
+use segidx_storage::{BufferPool, BufferPoolConfig, DiskManager, Page, SizeClass};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -12,64 +12,60 @@ fn temp(name: &str) -> PathBuf {
 }
 
 #[test]
-fn concurrent_readers_and_writers_through_the_pool() {
+fn concurrent_readers_through_the_pool() {
     let disk = Arc::new(DiskManager::create(temp("mt.db")).unwrap());
+    let capacity_bytes = 16 * 1024; // small: force constant eviction
+    let write = |class: u8, tag: u8, len: usize| {
+        let id = disk.allocate(SizeClass::new(class)).unwrap();
+        let mut page = Page::new(id, SizeClass::new(class));
+        page.set_payload(&vec![tag; len]).unwrap();
+        disk.write_page(&page).unwrap();
+        id
+    };
+    // 64 one-slot pages, each tagged with its index, and one 32 KB page —
+    // twice the pool's whole budget — tagged 0xFF.
+    let mut ids: Vec<_> = (0..64u8).map(|i| write(0, i, 100)).collect();
+    ids.push(write(5, 0xFF, 20_000));
+    disk.sync().unwrap();
     let pool = Arc::new(BufferPool::with_config(
         Arc::clone(&disk),
-        BufferPoolConfig {
-            capacity_bytes: 16 * 1024, // small: force constant eviction
-        },
+        BufferPoolConfig { capacity_bytes },
     ));
 
-    // Pre-allocate 64 pages, each tagged with its index.
-    let ids: Vec<_> = (0..64u8)
-        .map(|i| {
-            let id = pool.allocate(SizeClass::new(0)).unwrap();
-            pool.with_page_mut(id, |p| p.set_payload(&[i; 100]).unwrap())
-                .unwrap();
-            id
-        })
-        .collect();
-    pool.flush_all().unwrap();
-
     std::thread::scope(|scope| {
-        // Four readers hammering random pages; two writers rewriting their
-        // own disjoint slices. Readers must always observe a page whose
-        // bytes are self-consistent (all equal to one tag value).
+        // Four readers hammering overlapping pages. Every read must see a
+        // page whose bytes are self-consistent (all equal to its tag), and
+        // the pool must be inside its budget after every access.
         for t in 0..4 {
             let pool = Arc::clone(&pool);
             let ids = ids.clone();
             scope.spawn(move || {
                 for round in 0..300usize {
-                    let id = ids[(round * 7 + t * 13) % ids.len()];
-                    let ok = pool
-                        .with_page(id, |p| {
+                    let idx = (round * 7 + t * 13) % ids.len();
+                    let tag = pool
+                        .with_page(ids[idx], |p| {
                             let bytes = p.payload();
-                            !bytes.is_empty() && bytes.iter().all(|&b| b == bytes[0])
+                            assert!(!bytes.is_empty(), "empty page read");
+                            assert!(bytes.iter().all(|&b| b == bytes[0]), "torn page read");
+                            bytes[0]
                         })
                         .unwrap();
-                    assert!(ok, "torn page observed");
-                }
-            });
-        }
-        for w in 0..2 {
-            let pool = Arc::clone(&pool);
-            let ids = ids.clone();
-            scope.spawn(move || {
-                for round in 0..150usize {
-                    let idx = w * 32 + (round % 32);
-                    let tag = (200 + idx % 50) as u8;
-                    pool.with_page_mut(ids[idx], |p| {
-                        p.set_payload(&[tag; 100]).unwrap();
-                    })
-                    .unwrap();
+                    let want = if idx == 64 { 0xFF } else { idx as u8 };
+                    assert_eq!(tag, want, "page {idx} read another page's bytes");
+                    assert!(pool.cached_bytes() <= capacity_bytes, "pool over budget");
                 }
             });
         }
     });
 
-    pool.flush_all().unwrap();
-    assert!(disk.verify_all().is_empty(), "file clean after churn");
+    // The oversized page was read, and never stayed: nothing it displaced
+    // can make room for it.
+    let snap = pool.stats().snapshot();
+    assert!(snap.pool_hits > 0 && snap.evictions > 0);
+    let big = pool.with_page(ids[64], |p| p.payload().len()).unwrap();
+    assert_eq!(big, 20_000);
+    assert_eq!(pool.cached_bytes(), 0, "the oversized page was evicted");
+    assert!(disk.verify_all().is_empty(), "readers left the file clean");
 }
 
 #[test]
@@ -79,7 +75,7 @@ fn verify_all_detects_on_disk_corruption() {
     let ids: Vec<_> = (0..8)
         .map(|i| {
             let id = disk.allocate(SizeClass::new(0)).unwrap();
-            let mut page = segidx_storage::Page::new(id, SizeClass::new(0));
+            let mut page = Page::new(id, SizeClass::new(0));
             page.set_payload(&[i as u8; 64]).unwrap();
             disk.write_page(&page).unwrap();
             id
