@@ -32,11 +32,11 @@ fn mixed_queries() -> Vec<Rect<2>> {
 }
 
 fn report_accesses(label: &str, tree: &Tree<2>, queries: &[Rect<2>]) {
-    tree.reset_search_stats();
+    let before = tree.stats();
     for q in queries {
         let _ = tree.search(q);
     }
-    let snap = tree.stats();
+    let snap = tree.stats().diff(&before);
     eprintln!(
         "[ablation] {label}: nodes={} height={} avg_accesses={:.1}",
         tree.node_count(),

@@ -13,7 +13,7 @@
 //!    site when no trace is active. Interleaved paired rounds compare the
 //!    instrumented [`Tree::search_with`] (tracing compiled in, no active
 //!    trace) against [`Tree::bench_search_untraced`] (the monomorphized
-//!    no-telemetry kernel instantiation); `--check` gates the median
+//!    untraced kernel instantiation); `--check` gates the median
 //!    per-round ratio at ≤ 1.05.
 //!
 //! Results land in `results/BENCH_trace.json`, stamped with
@@ -104,7 +104,7 @@ fn record_example_trace() -> Result<CompletedTrace, String> {
     let dataset = DataDistribution::I3.generate(n, 7);
 
     // The index service: one SR-Tree behind a group-commit writer.
-    let tracer = Arc::new(Tracer::with_config(1, 2, 4096));
+    let tracer = Arc::new(Tracer::new(1));
     let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
         .max_batch(512)
         .start()

@@ -268,7 +268,6 @@ fn run_fresh(
 ) -> RunOutcome {
     let config = DiskManagerConfig {
         fault_injector: injector,
-        ..DiskManagerConfig::default()
     };
     let mut commits_done = 0;
     let error = DiskManager::create_with(path, config)

@@ -2,10 +2,9 @@
 //!
 //! Every [`GraphResult`] series contributes one labeled set of the
 //! [`METRICS`] families (`graph` and `variant` labels), covering the
-//! latency histograms recorded by the per-variant
-//! [`TreeTelemetry`](segidx_core::TreeTelemetry), the logical node-access
-//! counters, the structural maintenance counters, and the buffer-pool hit
-//! rate. The resulting [`MetricsSnapshot`] is what `reproduce
+//! per-insert and per-search latency histograms the runner records around
+//! each call, the logical node-access counters, the structural maintenance
+//! counters, and the buffer-pool hit rate. The resulting [`MetricsSnapshot`] is what `reproduce
 //! --metrics-out` writes as JSON.
 
 use crate::runner::GraphResult;

@@ -2,11 +2,10 @@
 //! range, collect the paper's metric.
 
 use crate::experiment::{Experiment, Graph, Variant};
-use segidx_core::{IntervalIndex, Skeleton, StatsSnapshot, TreeTelemetry};
-use segidx_obs::HistogramSnapshot;
+use segidx_core::{IntervalIndex, Skeleton, StatsSnapshot};
+use segidx_obs::{HistogramSnapshot, LatencyHistogram};
 use segidx_storage::IoStatsSnapshot;
 use segidx_workloads::{paper_query_sweep, queries_for_qar};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One point of a series: the average nodes accessed per search at one QAR.
@@ -54,7 +53,9 @@ pub struct Series {
     pub stats: StatsSnapshot,
     /// Per-search wall-time distribution over the whole sweep (nanoseconds).
     pub search_latency: HistogramSnapshot,
-    /// Per-insert wall-time distribution over the build (nanoseconds).
+    /// Per-insert wall-time distribution over the build (nanoseconds). For
+    /// the Skeleton variants it includes the buffered inserts, and its max
+    /// is the one insert that builds the skeleton and replays the buffer.
     pub insert_latency: HistogramSnapshot,
     /// Physical I/O counters (zero for these in-memory experiment runs;
     /// populated when a variant runs over the paged storage substrate).
@@ -141,16 +142,15 @@ pub fn run_variant(
     records: &[(segidx_geom::Rect<2>, segidx_core::RecordId)],
     experiment: &Experiment,
 ) -> Series {
-    let telemetry = Arc::new(TreeTelemetry::new());
+    let insert_latency = LatencyHistogram::new();
     let start = Instant::now();
     let mut index = variant.build_index(experiment.tuples);
-    index.set_telemetry(Some(Arc::clone(&telemetry)));
     for (rect, id) in records {
-        index.insert(*rect, *id);
+        insert_latency.time(|| index.insert(*rect, *id));
     }
     let build_ms = start.elapsed().as_millis() as u64;
-    let insert_latency = telemetry.snapshot().insert;
-    let points = sweep(&index, experiment);
+    let search_latency = LatencyHistogram::new();
+    let points = sweep(&index, experiment, &search_latency);
     let snap = index.stats();
     Series {
         variant,
@@ -166,14 +166,19 @@ pub fn run_variant(
             build_ms,
         },
         stats: snap,
-        search_latency: telemetry.snapshot().search,
-        insert_latency,
+        search_latency: search_latency.snapshot(),
+        insert_latency: insert_latency.snapshot(),
         io: IoStatsSnapshot::default(),
     }
 }
 
-/// Sweeps the paper's thirteen QAR values over a built index.
-pub fn sweep(index: &dyn IntervalIndex<2>, experiment: &Experiment) -> Vec<SweepPoint> {
+/// Sweeps the paper's thirteen QAR values over a built index, recording
+/// each search's wall time into `latency`.
+pub fn sweep(
+    index: &dyn IntervalIndex<2>,
+    experiment: &Experiment,
+    latency: &LatencyHistogram,
+) -> Vec<SweepPoint> {
     let sets = if experiment.queries_per_qar == segidx_workloads::QUERIES_PER_QAR {
         paper_query_sweep(experiment.query_seed)
     } else {
@@ -189,7 +194,7 @@ pub fn sweep(index: &dyn IntervalIndex<2>, experiment: &Experiment) -> Vec<Sweep
             // (and any concurrent observer of it) survives the sweep.
             let before = index.stats();
             for q in &qs.queries {
-                let _ = index.search(q);
+                latency.time(|| index.search(q));
             }
             let window = index.stats().diff(&before);
             SweepPoint {
@@ -256,7 +261,12 @@ mod tests {
                 "cumulative history survives the sweep (no resets)"
             );
             assert_eq!(s.search_latency.count, 13 * 10, "every search timed");
-            assert!(s.insert_latency.count > 0, "build inserts timed");
+            assert_eq!(
+                s.insert_latency.count,
+                exp.tuples as u64,
+                "{}: every insert timed, buffered ones included",
+                s.variant.name()
+            );
             assert!(s.search_latency.p99().is_some());
         }
         // Deterministic: same experiment, same numbers.

@@ -36,7 +36,6 @@ fn sweep_config(cfg: &TraceConfig) -> TieredConfig {
         seal_threshold: cfg.ops + 1,
         level_fanout: 2,
         tombstone_limit: usize::MAX,
-        ..TieredConfig::default()
     }
 }
 

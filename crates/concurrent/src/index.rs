@@ -884,7 +884,7 @@ mod tests {
             .unwrap();
         assert_eq!(emitted(&plain), declared(&[METRICS]));
         let traced = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
-            .tracer(Arc::new(Tracer::new()))
+            .tracer(Arc::new(Tracer::new(0)))
             .start()
             .unwrap();
         assert_eq!(emitted(&traced), declared(&[METRICS, trace::METRICS]));

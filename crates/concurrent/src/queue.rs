@@ -282,13 +282,14 @@ impl CommitTicket {
     /// finish "now", which is when the waiter observed completion) plus
     /// the matching profile counters.
     fn record_phases(&self) {
-        let Some(ctx) = trace::current() else { return };
+        let Some(now) = trace::now_nanos() else {
+            return;
+        };
         let Some(p) = self.phases() else { return };
         trace::add(Dim::QueueWaitNanos, p.queue_wait_nanos);
         trace::add(Dim::ApplyNanos, p.apply_nanos);
         trace::add(Dim::CheckpointNanos, p.checkpoint_nanos);
         trace::add(Dim::PublishNanos, p.publish_nanos);
-        let now = ctx.now_nanos();
         let mut t = now.saturating_sub(p.total_nanos());
         for (name, dur) in [
             ("commit.queue_wait", p.queue_wait_nanos),
@@ -297,7 +298,7 @@ impl CommitTicket {
             ("commit.publish", p.publish_nanos),
         ] {
             if dur > 0 {
-                ctx.record_interval(name, t, t.saturating_add(dur), 0);
+                trace::record_interval(name, t, t.saturating_add(dur), 0);
             }
             t = t.saturating_add(dur);
         }

@@ -191,7 +191,6 @@ fn power_cut_recovers_exactly_last_durable_epoch() {
     let baseline_path = temp("observe.db");
     let cfg = DiskManagerConfig {
         fault_injector: Some(observer.clone() as Arc<_>),
-        ..DiskManagerConfig::default()
     };
     let disk = Arc::new(DiskManager::create_with(&baseline_path, cfg).unwrap());
     let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
@@ -215,7 +214,6 @@ fn power_cut_recovers_exactly_last_durable_epoch() {
         let path = temp(&format!("cut-{frac}.db"));
         let cfg = DiskManagerConfig {
             fault_injector: Some(Arc::new(ScriptedFault::power_cut(cut_at, Some(64))) as Arc<_>),
-            ..DiskManagerConfig::default()
         };
         let disk = Arc::new(DiskManager::create_with(&path, cfg).unwrap());
         let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
@@ -262,7 +260,6 @@ fn failed_commit_is_invisible_and_typed() {
         // The initial empty-tree checkpoint takes a handful of writes;
         // cut shortly after it.
         fault_injector: Some(Arc::new(ScriptedFault::power_cut(6, Some(64))) as Arc<_>),
-        ..DiskManagerConfig::default()
     };
     let disk = Arc::new(DiskManager::create_with(&path, cfg).unwrap());
     let index = match ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::rtree()))

@@ -4,7 +4,7 @@
 //! slot table to fill up, no backlog waiting for the next commit.
 
 use segidx_concurrent::{ConcurrentIndex, IndexOp};
-use segidx_core::{IntervalIndex, RecordId, StatsSnapshot, TreeTelemetry};
+use segidx_core::{IntervalIndex, RecordId, StatsSnapshot};
 use segidx_geom::{Point, Rect};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
@@ -87,7 +87,6 @@ impl IntervalIndex<2> for Counted {
     fn variant_name(&self) -> &'static str {
         "counted"
     }
-    fn set_telemetry(&mut self, _: Option<Arc<TreeTelemetry>>) {}
 }
 
 #[test]

@@ -99,7 +99,7 @@ proptest! {
         items in vec((0.0..DOMAIN, 0.0..DOMAIN, 0.0..120.0f64, 0.0..120.0f64), 1..80),
         queries in vec((0.0..DOMAIN, 0.0..DOMAIN, 0.0..150.0f64, 0.0..150.0f64), 1..8),
     ) {
-        let tracer = Arc::new(Tracer::with_config(1, 4, 4096));
+        let tracer = Arc::new(Tracer::new(1));
         let windows: Vec<Rect<2>> = queries
             .iter()
             .map(|(x, y, w, h)| Rect::new([*x, *y], [*x + *w, *y + *h]))
@@ -132,7 +132,7 @@ proptest! {
         inserts in vec((0.0..DOMAIN, 0.0..DOMAIN), 40..120),
         windows in vec((0.0..DOMAIN, 0.0..DOMAIN, 20.0..400.0f64), 2..6),
     ) {
-        let tracer = Arc::new(Tracer::with_config(1, 16, 4096));
+        let tracer = Arc::new(Tracer::new(1));
         let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
             .max_batch(16)
             .tracer(Arc::clone(&tracer))

@@ -19,10 +19,8 @@
 
 use crate::id::RecordId;
 use crate::stats::StatsSnapshot;
-use crate::telemetry::TreeTelemetry;
 use crate::tree::Tree;
 use segidx_geom::{Point, Rect};
-use std::sync::Arc;
 
 /// An index over `D`-dimensional interval data: the paper's four variants,
 /// [`Tree`] and [`Skeleton`](crate::Skeleton).
@@ -70,8 +68,6 @@ pub trait IntervalIndex<const D: usize> {
     fn check_invariants(&self) -> Vec<String>;
     /// The paper's name for the variant.
     fn variant_name(&self) -> &'static str;
-    /// Installs (or clears) wall-clock telemetry (see [`crate::telemetry`]).
-    fn set_telemetry(&mut self, telemetry: Option<Arc<TreeTelemetry>>);
 }
 
 impl<const D: usize> IntervalIndex<D> for Tree<D> {
@@ -116,9 +112,6 @@ impl<const D: usize> IntervalIndex<D> for Tree<D> {
     }
     fn variant_name(&self) -> &'static str {
         self.config().variant_name()
-    }
-    fn set_telemetry(&mut self, telemetry: Option<Arc<TreeTelemetry>>) {
-        Tree::set_telemetry(self, telemetry);
     }
 }
 

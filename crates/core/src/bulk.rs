@@ -42,34 +42,6 @@ use segidx_geom::{Coord, Rect};
 /// `segment` flag of `config` is ignored during packing (all records go to
 /// leaves, as \[ROUS85\] prescribes); subsequent inserts honor it.
 pub fn bulk_load<const D: usize>(config: IndexConfig, items: Vec<(Rect<D>, RecordId)>) -> Tree<D> {
-    bulk_load_inner(config, items, None)
-}
-
-/// Like [`bulk_load`], but installs `telemetry` on the result and records
-/// the packing wall time into its `bulk_load` histogram.
-pub fn bulk_load_with_telemetry<const D: usize>(
-    config: IndexConfig,
-    items: Vec<(Rect<D>, RecordId)>,
-    telemetry: std::sync::Arc<crate::telemetry::TreeTelemetry>,
-) -> Tree<D> {
-    bulk_load_inner(config, items, Some(telemetry))
-}
-
-fn bulk_load_inner<const D: usize>(
-    config: IndexConfig,
-    items: Vec<(Rect<D>, RecordId)>,
-    telemetry: Option<std::sync::Arc<crate::telemetry::TreeTelemetry>>,
-) -> Tree<D> {
-    let t0 = telemetry.as_ref().map(|_| std::time::Instant::now());
-    let mut tree = pack(config, items);
-    if let (Some(obs), Some(t0)) = (telemetry, t0) {
-        obs.bulk_load.record_duration(t0.elapsed());
-        tree.set_telemetry(Some(obs));
-    }
-    tree
-}
-
-fn pack<const D: usize>(config: IndexConfig, items: Vec<(Rect<D>, RecordId)>) -> Tree<D> {
     validated(&config);
     // Pack leaves at ~100% of leaf capacity, then tile every upper level
     // the same way.

@@ -44,6 +44,8 @@
 //!
 //! See [`api`] for the one index trait, [`tree`] for the engine, and
 //! [`skeleton`] for pre-construction, prediction, and coalescing.
+//! Every operation counts the paper's metric, node accesses, in [`stats`];
+//! the engine reads no clock, so wall time is measured by whoever calls it.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +63,6 @@ pub mod persist;
 mod prefetch;
 pub mod skeleton;
 pub mod stats;
-pub mod telemetry;
 pub mod tree;
 
 pub use api::IntervalIndex;
@@ -70,5 +71,4 @@ pub use id::{NodeId, RecordId};
 pub use paged::PagedSearcher;
 pub use skeleton::{build_skeleton, Histogram, Skeleton, SkeletonSpec};
 pub use stats::StatsSnapshot;
-pub use telemetry::{TreeTelemetry, TreeTelemetrySnapshot};
 pub use tree::{finish_ids, RadixId, SearchCursor, Tree};

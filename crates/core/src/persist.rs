@@ -743,7 +743,6 @@ mod tests {
         {
             let cfg = DiskManagerConfig {
                 fault_injector: Some(observe.clone() as Arc<_>),
-                ..DiskManagerConfig::default()
             };
             let disk = DiskManager::create_with(&path, cfg).unwrap();
             commit(&small, &disk).unwrap();
@@ -755,7 +754,6 @@ mod tests {
             let cut = Arc::new(ScriptedFault::power_cut(committed_writes + 3, Some(64)));
             let cfg = DiskManagerConfig {
                 fault_injector: Some(cut as Arc<_>),
-                ..DiskManagerConfig::default()
             };
             let disk = DiskManager::create_with(temp("crash-commit-b.db"), cfg).unwrap();
             commit(&small, &disk).unwrap();

@@ -13,10 +13,8 @@ use crate::id::RecordId;
 use crate::skeleton::build::{build_skeleton, SkeletonSpec};
 use crate::skeleton::histogram::Histogram;
 use crate::stats::StatsSnapshot;
-use crate::telemetry::TreeTelemetry;
 use crate::tree::Tree;
 use segidx_geom::{Point, Rect};
-use std::sync::Arc;
 
 /// Histogram bins computed from the buffered prefix. The Skeleton builder
 /// resamples to each level's partition count, so this only bounds the
@@ -50,9 +48,6 @@ pub enum Skeleton<const D: usize> {
         target: usize,
         /// The buffered records, in arrival order.
         buffered: Vec<(Rect<D>, RecordId)>,
-        /// Telemetry installed before the build, attached to the tree it
-        /// builds (buffer scans are not index operations and are not timed).
-        telemetry: Option<Arc<TreeTelemetry>>,
     },
     /// Built: every operation goes to the tree.
     Built(Tree<D>),
@@ -82,7 +77,6 @@ impl<const D: usize> Skeleton<D> {
             expected_tuples,
             target: buffer,
             buffered: Vec::with_capacity(buffer),
-            telemetry: None,
         }
     }
 
@@ -94,7 +88,6 @@ impl<const D: usize> Skeleton<D> {
             domain,
             expected_tuples,
             buffered,
-            telemetry,
             ..
         } = self
         else {
@@ -102,7 +95,6 @@ impl<const D: usize> Skeleton<D> {
         };
         let spec = predicted_spec(*domain, *expected_tuples, buffered);
         let mut tree = build_skeleton(config.clone(), &spec);
-        tree.set_telemetry(telemetry.take());
         for (rect, record) in std::mem::take(buffered) {
             tree.insert(rect, record);
         }
@@ -232,12 +224,6 @@ impl<const D: usize> IntervalIndex<D> for Skeleton<D> {
         match self {
             Skeleton::Built(tree) => tree.config().variant_name(),
             Skeleton::Buffering { config, .. } => config.variant_name(),
-        }
-    }
-    fn set_telemetry(&mut self, t: Option<Arc<TreeTelemetry>>) {
-        match self {
-            Skeleton::Built(tree) => tree.set_telemetry(t),
-            Skeleton::Buffering { telemetry, .. } => *telemetry = t,
         }
     }
 }

@@ -152,15 +152,6 @@ impl TreeStats {
             forced_reinserts: self.forced_reinserts,
         }
     }
-
-    /// Resets the search-side counters (searches and their node accesses),
-    /// leaving maintenance history intact. The experiment harness calls this
-    /// between QAR sweeps.
-    pub fn reset_search_counters(&self) {
-        self.search_node_accesses.store(0, Ordering::Relaxed);
-        self.searches.store(0, Ordering::Relaxed);
-        self.search_results.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Cloning copies the current counter values into fresh (unshared)
@@ -199,8 +190,7 @@ impl StatsSnapshot {
 
     /// The activity since `earlier` was taken (saturating per-counter
     /// subtraction). Lets the experiment harness measure one QAR sweep
-    /// without destroying the tree's cumulative history the way
-    /// [`TreeStats::reset_search_counters`] does.
+    /// without touching the tree's cumulative history.
     pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             search_node_accesses: self
@@ -277,19 +267,5 @@ mod tests {
         assert_eq!(d.avg_nodes_per_search(), Some(4.0));
         // The cumulative history is untouched.
         assert_eq!(s.snapshot().searches, 3);
-    }
-
-    #[test]
-    fn reset_clears_only_search_side() {
-        let mut s = TreeStats::default();
-        s.flush_search(1, 3);
-        s.leaf_splits = 7;
-        s.reset_search_counters();
-        let snap = s.snapshot();
-        assert_eq!(snap.searches, 0);
-        assert_eq!(snap.search_node_accesses, 0);
-        assert_eq!(snap.search_results, 0);
-        assert_eq!(snap.leaf_splits, 7);
-        assert_eq!(snap.avg_nodes_per_search(), None);
     }
 }

@@ -24,7 +24,6 @@ impl<const D: usize> Tree<D> {
     /// Returns `true` if any portion of the record was found and removed.
     /// All physical portions (spanning and remnant) are removed in one call.
     pub fn delete(&mut self, rect: &Rect<D>, record: RecordId) -> bool {
-        let t0 = self.obs_start();
         let _sp = segidx_obs::trace::span("tree.delete");
         self.reinsert_armed = self.config.forced_reinsert.is_some();
         let mut removed = 0usize;
@@ -69,7 +68,6 @@ impl<const D: usize> Tree<D> {
             };
         }
         if removed == 0 {
-            self.obs_record(|o| &o.delete, t0);
             return false;
         }
         self.entry_count -= removed;
@@ -80,7 +78,6 @@ impl<const D: usize> Tree<D> {
         }
         self.collapse_root();
         self.drain_pending();
-        self.obs_record(|o| &o.delete, t0);
         true
     }
 

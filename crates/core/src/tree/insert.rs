@@ -28,7 +28,6 @@ impl<const D: usize> Tree<D> {
     /// portion and remnant portions (paper §3.1.1, Figures 2–3). Otherwise
     /// it descends to a leaf by Guttman's least-enlargement rule.
     pub fn insert(&mut self, rect: Rect<D>, record: RecordId) {
-        let t0 = self.obs_start();
         let _sp = segidx_obs::trace::span("tree.insert");
         self.len += 1;
         self.reinsert_armed = self.config.forced_reinsert.is_some();
@@ -41,7 +40,6 @@ impl<const D: usize> Tree<D> {
                 self.coalesce_pass(cfg);
             }
         }
-        self.obs_record(|o| &o.insert, t0);
     }
 
     /// Inserts one physical record portion (no pending drain, no coalesce

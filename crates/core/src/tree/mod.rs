@@ -35,11 +35,7 @@ use crate::config::IndexConfig;
 use crate::id::{NodeId, RecordId};
 use crate::node::{Arena, Node};
 use crate::stats::{StatsSnapshot, TreeStats};
-use crate::telemetry::TreeTelemetry;
 use segidx_geom::Rect;
-use segidx_obs::LatencyHistogram;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A record portion queued for reinsertion.
 #[derive(Clone, Copy, Debug)]
@@ -77,9 +73,6 @@ pub struct Tree<const D: usize> {
     /// current mutating operation (re-armed by each public mutation).
     pub(crate) reinsert_armed: bool,
     pub(crate) stats: TreeStats,
-    /// Opt-in wall-clock telemetry; `None` (the default) costs one null
-    /// check per operation and skips all clock reads.
-    pub(crate) obs: Option<Arc<TreeTelemetry>>,
 }
 
 /// Cloning a tree is a *snapshot*: the arena shares every node with the
@@ -104,7 +97,6 @@ impl<const D: usize> Clone for Tree<D> {
             inserts_since_coalesce: self.inserts_since_coalesce,
             reinsert_armed: self.reinsert_armed,
             stats: self.stats.clone(),
-            obs: self.obs.clone(),
         }
     }
 }
@@ -130,7 +122,6 @@ impl<const D: usize> Tree<D> {
             inserts_since_coalesce: 0,
             reinsert_armed: false,
             stats: TreeStats::default(),
-            obs: None,
         }
     }
 
@@ -147,7 +138,6 @@ impl<const D: usize> Tree<D> {
             inserts_since_coalesce: 0,
             reinsert_armed: false,
             stats: TreeStats::default(),
-            obs: None,
         }
     }
 
@@ -197,42 +187,6 @@ impl<const D: usize> Tree<D> {
     /// node-access metric.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// Resets search-side counters (see
-    /// [`TreeStats::reset_search_counters`]).
-    pub fn reset_search_stats(&self) {
-        self.stats.reset_search_counters();
-    }
-
-    /// Installs (or clears) wall-clock telemetry. See [`crate::telemetry`].
-    pub fn set_telemetry(&mut self, telemetry: Option<Arc<TreeTelemetry>>) {
-        self.obs = telemetry;
-    }
-
-    /// The installed telemetry, if any.
-    pub fn telemetry(&self) -> Option<&Arc<TreeTelemetry>> {
-        self.obs.as_ref()
-    }
-
-    /// Starts a latency measurement iff telemetry is installed: the disabled
-    /// path is a single null check with no clock read.
-    #[inline]
-    pub(crate) fn obs_start(&self) -> Option<Instant> {
-        self.obs.as_ref().map(|_| Instant::now())
-    }
-
-    /// Completes a latency measurement started by [`Tree::obs_start`],
-    /// recording into the histogram `pick` selects.
-    #[inline]
-    pub(crate) fn obs_record(
-        &self,
-        pick: fn(&TreeTelemetry) -> &LatencyHistogram,
-        start: Option<Instant>,
-    ) {
-        if let (Some(obs), Some(t0)) = (&self.obs, start) {
-            pick(obs).record_duration(t0.elapsed());
-        }
     }
 
     /// An empty leaf with its block sized for this tree's leaf capacity.

@@ -69,13 +69,11 @@ impl<const D: usize> Tree<D> {
     /// rectangles), nearest first. Ties are broken arbitrarily. Counts node
     /// accesses like a search.
     pub fn nearest(&self, p: &Point<D>, k: usize) -> Vec<Neighbor<D>> {
-        let t0 = self.obs_start();
         let sp = segidx_obs::trace::span("tree.nearest");
         // `k` can come straight off the wire: size for what exists.
         let mut out: Vec<Neighbor<D>> = Vec::with_capacity(k.min(self.len()));
         if k == 0 {
             self.stats.flush_search(0, 0);
-            self.obs_record(|o| &o.nearest, t0);
             return out;
         }
         // Node accesses accumulate locally and flush to the shared counters
@@ -161,8 +159,6 @@ impl<const D: usize> Tree<D> {
         }
         self.stats.flush_search(accesses, out.len() as u64);
         sp.items(out.len() as u64);
-        drop(sp);
-        self.obs_record(|o| &o.nearest, t0);
         out
     }
 }

@@ -298,19 +298,16 @@ impl<const D: usize> Tree<D> {
         cursor: &'c mut SearchCursor<D>,
         query: &Rect<D>,
     ) -> &'c [RecordId] {
-        let t0 = self.obs_start();
         let sp = trace::span("tree.search");
         self.collect_ids(query.lo_coords(), query.hi_coords(), cursor);
         sp.items(cursor.ids.len() as u64);
         trace::add(Dim::ResultRecords, cursor.ids.len() as u64);
-        drop(sp);
-        self.obs_record(|o| &o.search, t0);
         &cursor.ids
     }
 
-    /// [`Tree::search_with`] minus every telemetry touch point — the
-    /// no-telemetry baseline the `trace_profile` overhead gate compares
-    /// the instrumented path against. Not part of the public API.
+    /// [`Tree::search_with`] minus every tracing touch point — the
+    /// untraced baseline the `trace_profile` overhead gate compares the
+    /// instrumented path against. Not part of the public API.
     #[doc(hidden)]
     pub fn bench_search_untraced<'c>(
         &self,
@@ -335,13 +332,10 @@ impl<const D: usize> Tree<D> {
     /// Like [`Tree::stab`], but reuses `cursor`'s buffers — zero heap
     /// allocation after warm-up.
     pub fn stab_with<'c>(&self, cursor: &'c mut SearchCursor<D>, p: &Point<D>) -> &'c [RecordId] {
-        let t0 = self.obs_start();
         let sp = trace::span("tree.stab");
         self.collect_ids(p.coords(), p.coords(), cursor);
         sp.items(cursor.ids.len() as u64);
         trace::add(Dim::ResultRecords, cursor.ids.len() as u64);
-        drop(sp);
-        self.obs_record(|o| &o.stab, t0);
         &cursor.ids
     }
 
@@ -395,10 +389,8 @@ impl<const D: usize> Tree<D> {
     /// it (it is *not* derived by diffing the shared counter).
     pub fn count_search_accesses(&self, query: &Rect<D>) -> u64 {
         let mut cursor = self.cursor();
-        let t0 = self.obs_start();
         let (accesses, raw) = self.kernel(query.lo_coords(), query.hi_coords(), &mut cursor);
         self.stats.flush_search(accesses, raw);
-        self.obs_record(|o| &o.search, t0);
         accesses
     }
 }
@@ -509,11 +501,11 @@ mod tests {
         for i in 0..200u64 {
             t.insert(seg(i as f64, i as f64 + 1.0, i as f64), RecordId(i));
         }
-        t.reset_search_stats();
+        let before = t.stats();
         let q = Rect::new([0.0, 0.0], [10.0, 10.0]);
         let a1 = t.count_search_accesses(&q);
         assert!(a1 >= 2, "multi-level tree visits more than the root");
-        let snap = t.stats();
+        let snap = t.stats().diff(&before);
         assert_eq!(snap.searches, 1);
         assert_eq!(snap.search_node_accesses, a1);
     }
@@ -568,14 +560,14 @@ mod tests {
     fn batch_stats_aggregate_like_serial() {
         let t = build(true, 1_500);
         let qs = queries(40);
-        t.reset_search_stats();
+        let before = t.stats();
         let serial: Vec<Vec<RecordId>> = qs.iter().map(|q| t.search(q)).collect();
-        let serial_snap = t.stats();
+        let serial_snap = t.stats().diff(&before);
         assert_eq!(serial_snap.searches, 40);
 
-        t.reset_search_stats();
+        let before = t.stats();
         let batched = t.search_batch(&qs);
-        let batch_snap = t.stats();
+        let batch_snap = t.stats().diff(&before);
         assert_eq!(batched, serial);
         assert_eq!(batch_snap.searches, serial_snap.searches);
         assert_eq!(

@@ -135,7 +135,6 @@ fn failed_sync_surfaces_and_commit_does_not_advance() {
     let fault = Arc::new(ScriptedFault::fail_nth_sync(2));
     let cfg = DiskManagerConfig {
         fault_injector: Some(fault as Arc<_>),
-        ..DiskManagerConfig::default()
     };
     let disk = DiskManager::create_with(&path, cfg).unwrap();
     let epoch_before = disk.epoch();

@@ -222,18 +222,6 @@ impl HistogramSnapshot {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
-
-    /// The observations recorded since `earlier` was taken (saturating
-    /// bucket-wise subtraction). `max` cannot be un-merged, so the later
-    /// maximum is kept.
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: std::array::from_fn(|i| self.counts[i].saturating_sub(earlier.counts[i])),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -287,19 +275,6 @@ mod tests {
         h.reset();
         assert!(h.is_empty());
         assert_eq!(h.snapshot().sum, 0);
-    }
-
-    #[test]
-    fn diff_isolates_a_window() {
-        let h = LatencyHistogram::new();
-        h.record(10);
-        h.record(20);
-        let earlier = h.snapshot();
-        h.record(1_000);
-        let d = h.snapshot().diff(&earlier);
-        assert_eq!(d.count, 1);
-        assert_eq!(d.sum, 1_000);
-        assert_eq!(d.p50(), Some(1_000), "only the new observation remains");
     }
 
     #[test]

@@ -45,5 +45,5 @@ pub use registry::{
 };
 pub use trace::{
     chrome_trace_json, CompletedTrace, FlightRecorder, OpClass, QueryProfile, SpanRecord,
-    TraceContext, TraceGuard, Tracer,
+    TraceGuard, Tracer,
 };

@@ -6,15 +6,16 @@
 //! vs subtree descent); flat histograms cannot attribute a p99 spike to
 //! queue wait vs commit vs page I/O. This module adds the structure:
 //!
-//! * A [`Tracer`] decides per-operation whether to record a trace
-//!   (`sample_every`, default off). When it declines — the common case —
+//! * A [`Tracer`] decides per-operation whether to record a trace (every
+//!   `sample_every`-th op; 0 = off). When it declines — the common case —
 //!   the instrumented hot paths cost **one thread-local boolean check**
-//!   ([`active`]), preserving the PR 3 "None = one null check" contract.
+//!   ([`active`]).
 //! * While a trace is active on a thread, [`span`] opens a child span that
 //!   closes on drop, and [`add`] / [`level_visit`] bump profile counters.
-//!   Recording is buffered: spans append to a thread-local scratch vector
-//!   (no locks, no allocation after warm-up) and are flushed into the
-//!   trace's shared buffer when the trace finishes.
+//!   A trace is a plain thread-local record owned by the thread that
+//!   started it: closed spans go straight into one bounded vector (no
+//!   locks, no atomics), and [`record_interval`] adds an interval measured
+//!   elsewhere, such as a writer's commit phases, under the open span.
 //! * Completed traces ([`CompletedTrace`]) carry the span tree plus a
 //!   [`QueryProfile`] and are offered to the tracer's [`FlightRecorder`],
 //!   which keeps the N slowest per [`OpClass`] (a slow-op log).
@@ -32,7 +33,8 @@ use crate::registry::{Family, Metric};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -55,9 +57,12 @@ pub const METRICS: &[Family] = &[
     FLIGHT_RETAINED,
 ];
 
-/// Hard cap on spans retained per trace; further spans are counted in
-/// [`CompletedTrace::dropped_spans`] instead of growing without bound.
-pub const DEFAULT_MAX_SPANS: usize = 4096;
+/// Hard cap on spans retained per trace, the root included; further spans
+/// are counted in [`CompletedTrace::dropped_spans`] instead.
+pub const MAX_SPANS: usize = 4096;
+
+/// Slowest traces a [`Tracer`]'s flight recorder keeps per [`OpClass`].
+pub const FLIGHT_PER_CLASS: usize = 8;
 
 /// The operation class a trace belongs to; the flight recorder keeps the
 /// slowest traces per class.
@@ -479,74 +484,6 @@ pub fn chrome_trace_json(traces: &[CompletedTrace]) -> String {
 // Recording machinery
 // ---------------------------------------------------------------------------
 
-/// One live trace: what the recording thread and its [`TraceContext`]s share.
-struct TraceShared {
-    id: u64,
-    class: OpClass,
-    name: &'static str,
-    start: Instant,
-    next_span: AtomicU64,
-    max_spans: usize,
-    finished: AtomicBool,
-    spans: Mutex<Vec<SpanRecord>>,
-    dropped: AtomicU64,
-    dims: [AtomicU64; DIMS],
-    level_visits: [AtomicU64; MAX_LEVELS],
-}
-
-impl TraceShared {
-    fn new(id: u64, class: OpClass, name: &'static str, max_spans: usize) -> Self {
-        Self {
-            id,
-            class,
-            name,
-            start: Instant::now(),
-            next_span: AtomicU64::new(1),
-            max_spans,
-            finished: AtomicBool::new(false),
-            spans: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-            dims: std::array::from_fn(|_| AtomicU64::new(0)),
-            level_visits: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn now_nanos(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    /// Flushes a thread's scratch spans into the shared buffer, bounded by
-    /// `max_spans`; overflow and post-finish stragglers count as dropped.
-    fn flush(&self, scratch: &mut Vec<SpanRecord>) {
-        if scratch.is_empty() {
-            return;
-        }
-        if self.finished.load(Ordering::Acquire) {
-            self.dropped
-                .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-            scratch.clear();
-            return;
-        }
-        let mut spans = self.spans.lock().unwrap();
-        let room = self.max_spans.saturating_sub(spans.len());
-        // The root span (id 0) must always land for well-formedness, even
-        // when the buffer filled with its descendants first.
-        let keep = scratch.len().min(room);
-        if keep < scratch.len() {
-            self.dropped
-                .fetch_add((scratch.len() - keep) as u64, Ordering::Relaxed);
-            if let Some(root_at) = scratch.iter().position(|s| s.id == 0) {
-                if root_at >= keep {
-                    let root = scratch[root_at].clone();
-                    spans.push(root);
-                }
-            }
-        }
-        spans.extend(scratch.drain(..keep));
-        scratch.clear();
-    }
-}
-
 /// An open span on a thread's stack.
 struct OpenSpan {
     id: u64,
@@ -556,11 +493,49 @@ struct OpenSpan {
     items: u64,
 }
 
-/// Per-thread recording state for the trace this thread started.
+impl OpenSpan {
+    fn close(self, end_nanos: u64) -> SpanRecord {
+        SpanRecord {
+            id: self.id,
+            parent: self.parent,
+            name: self.name,
+            start_nanos: self.start_nanos,
+            end_nanos,
+            items: self.items,
+        }
+    }
+}
+
+/// The trace this thread started: everything it records, owned by the
+/// thread alone.
 struct ThreadTrace {
-    shared: Arc<TraceShared>,
+    id: u64,
+    class: OpClass,
+    name: &'static str,
+    start: Instant,
+    next_span: u64,
     stack: Vec<OpenSpan>,
-    scratch: Vec<SpanRecord>,
+    /// Closed spans, at most [`MAX_SPANS`] with the root.
+    spans: Vec<SpanRecord>,
+    dropped: u64,
+    dims: [u64; DIMS],
+    level_visits: [u64; MAX_LEVELS],
+}
+
+impl ThreadTrace {
+    fn now_nanos(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    /// Keeps a closed non-root span if the buffer has room, leaving the
+    /// last slot for the root; counts it as dropped otherwise.
+    fn keep(&mut self, span: SpanRecord) {
+        if self.spans.len() + 1 < MAX_SPANS {
+            self.spans.push(span);
+        } else {
+            self.dropped += 1;
+        }
+    }
 }
 
 thread_local! {
@@ -576,33 +551,29 @@ pub fn active() -> bool {
     ACTIVE.with(|a| a.get())
 }
 
+/// Runs `f` on this thread's live trace; no-op when untraced.
+#[inline]
+fn with_trace<R>(f: impl FnOnce(&mut ThreadTrace) -> R) -> Option<R> {
+    if !active() {
+        return None;
+    }
+    CURRENT.with(|c| c.borrow_mut().as_mut().map(f))
+}
+
 /// Bumps a profile counter on the active trace; no-op when untraced.
 #[inline]
 pub fn add(dim: Dim, n: u64) {
-    if !active() || n == 0 {
-        return;
+    if n > 0 {
+        with_trace(|t| t.dims[dim as usize] += n);
     }
-    CURRENT.with(|c| {
-        if let Some(t) = c.borrow().as_ref() {
-            t.shared.dims[dim as usize].fetch_add(n, Ordering::Relaxed);
-        }
-    });
 }
 
 /// Records `visits[level]` node visits per tree level on the active trace.
 /// Callers accumulate locally during a kernel loop and flush once here.
 pub fn level_visits(visits: &[u64]) {
-    if !active() {
-        return;
-    }
-    CURRENT.with(|c| {
-        if let Some(t) = c.borrow().as_ref() {
-            for (l, &v) in visits.iter().enumerate() {
-                if v > 0 {
-                    let slot = l.min(MAX_LEVELS - 1);
-                    t.shared.level_visits[slot].fetch_add(v, Ordering::Relaxed);
-                }
-            }
+    with_trace(|t| {
+        for (l, &v) in visits.iter().enumerate() {
+            t.level_visits[l.min(MAX_LEVELS - 1)] += v;
         }
     });
 }
@@ -610,42 +581,29 @@ pub fn level_visits(visits: &[u64]) {
 /// Records `n` visits at one tree level on the active trace.
 #[inline]
 pub fn level_visit(level: u32, n: u64) {
-    if !active() {
-        return;
-    }
-    CURRENT.with(|c| {
-        if let Some(t) = c.borrow().as_ref() {
-            let slot = (level as usize).min(MAX_LEVELS - 1);
-            t.shared.level_visits[slot].fetch_add(n, Ordering::Relaxed);
-        }
-    });
+    with_trace(|t| t.level_visits[(level as usize).min(MAX_LEVELS - 1)] += n);
 }
 
 /// Opens a child span under the thread's current span; closes on drop.
 /// When no trace is active this is a no-op costing the [`active`] check.
 #[inline]
 pub fn span(name: &'static str) -> SpanScope {
-    if !active() {
-        return SpanScope { open: false };
+    let open = with_trace(|t| {
+        let id = t.next_span;
+        t.next_span += 1;
+        let parent = t.stack.last().map_or(0, |s| s.id);
+        let start_nanos = t.now_nanos();
+        t.stack.push(OpenSpan {
+            id,
+            parent,
+            name,
+            start_nanos,
+            items: 0,
+        });
+    });
+    SpanScope {
+        open: open.is_some(),
     }
-    CURRENT.with(|c| {
-        let mut cur = c.borrow_mut();
-        if let Some(t) = cur.as_mut() {
-            let id = t.shared.next_span.fetch_add(1, Ordering::Relaxed);
-            let parent = t.stack.last().map(|s| s.id).unwrap_or(0);
-            let start_nanos = t.shared.now_nanos();
-            t.stack.push(OpenSpan {
-                id,
-                parent,
-                name,
-                start_nanos,
-                items: 0,
-            });
-            SpanScope { open: true }
-        } else {
-            SpanScope { open: false }
-        }
-    })
 }
 
 /// RAII guard returned by [`span`]; closing order must mirror opening order
@@ -658,107 +616,53 @@ pub struct SpanScope {
 impl SpanScope {
     /// Attaches an item count (results merged, pages read, …) to the span.
     pub fn items(&self, n: u64) {
-        if !self.open {
-            return;
-        }
-        CURRENT.with(|c| {
-            if let Some(t) = c.borrow_mut().as_mut() {
+        if self.open {
+            with_trace(|t| {
                 if let Some(top) = t.stack.last_mut() {
                     top.items = n;
                 }
-            }
-        });
+            });
+        }
     }
 }
 
 impl Drop for SpanScope {
     fn drop(&mut self) {
-        if !self.open {
-            return;
-        }
-        CURRENT.with(|c| {
-            if let Some(t) = c.borrow_mut().as_mut() {
+        if self.open {
+            with_trace(|t| {
                 if let Some(open) = t.stack.pop() {
-                    let end_nanos = t.shared.now_nanos();
-                    t.scratch.push(SpanRecord {
-                        id: open.id,
-                        parent: open.parent,
-                        name: open.name,
-                        start_nanos: open.start_nanos,
-                        end_nanos,
-                        items: open.items,
-                    });
+                    t.keep(open.close(t.now_nanos()));
                 }
-            }
-        });
+            });
+        }
     }
 }
 
-/// A handle to the thread's live trace, for recording intervals that were
-/// measured elsewhere under the span open when it was taken.
-pub struct TraceContext {
-    shared: Arc<TraceShared>,
-    /// The span recorded intervals will hang under.
-    parent: u64,
-    /// When that span opened, for clamping synthetic intervals into it.
-    parent_start: u64,
+/// Nanoseconds since the active trace's root opened; `None` when untraced.
+pub fn now_nanos() -> Option<u64> {
+    with_trace(|t| t.now_nanos())
 }
 
-impl std::fmt::Debug for TraceContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceContext")
-            .field("trace_id", &self.shared.id)
-            .field("parent", &self.parent)
-            .finish()
-    }
-}
-
-/// The current thread's live trace. Intervals recorded through it become
-/// children of the span open here now.
-pub fn current() -> Option<TraceContext> {
-    if !active() {
-        return None;
-    }
-    CURRENT.with(|c| {
-        c.borrow().as_ref().map(|t| TraceContext {
-            shared: Arc::clone(&t.shared),
-            parent: t.stack.last().map(|s| s.id).unwrap_or(0),
-            parent_start: t.stack.last().map(|s| s.start_nanos).unwrap_or(0),
-        })
-    })
-}
-
-impl TraceContext {
-    /// Records an already-measured interval as a closed child span of the
-    /// context's parent — used when the measuring thread is not the traced
-    /// thread (e.g. the writer measuring commit phases for a submitter).
-    /// Offsets are clamped into the parent span's elapsed window.
-    pub fn record_interval(
-        &self,
-        name: &'static str,
-        start_nanos: u64,
-        end_nanos: u64,
-        items: u64,
-    ) {
-        let now = self.shared.now_nanos();
-        let start = start_nanos.clamp(self.parent_start, now);
-        let end = end_nanos.clamp(start, now);
-        let id = self.shared.next_span.fetch_add(1, Ordering::Relaxed);
-        let mut one = vec![SpanRecord {
+/// Records an already-measured interval (trace-relative nanoseconds, see
+/// [`now_nanos`]) as a closed child of the span open now — e.g. the commit
+/// phases a writer measured for the op this thread waited on. Offsets are
+/// clamped into that span's elapsed window. No-op when untraced.
+pub fn record_interval(name: &'static str, start_nanos: u64, end_nanos: u64, items: u64) {
+    with_trace(|t| {
+        let (parent, parent_start) = t.stack.last().map_or((0, 0), |s| (s.id, s.start_nanos));
+        let now = t.now_nanos();
+        let start = start_nanos.clamp(parent_start, now);
+        let id = t.next_span;
+        t.next_span += 1;
+        t.keep(SpanRecord {
             id,
-            parent: self.parent,
+            parent,
             name,
             start_nanos: start,
-            end_nanos: end,
+            end_nanos: end_nanos.clamp(start, now),
             items,
-        }];
-        self.shared.flush(&mut one);
-    }
-
-    /// Nanoseconds since the trace root started.
-    pub fn now_nanos(&self) -> u64 {
-        self.shared.now_nanos()
-    }
+        });
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -769,7 +673,6 @@ impl TraceContext {
 pub struct FlightRecorder {
     per_class: usize,
     slots: Mutex<HashMap<OpClass, Vec<CompletedTrace>>>,
-    recorded: AtomicU64,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -787,14 +690,12 @@ impl FlightRecorder {
         Self {
             per_class: per_class.max(1),
             slots: Mutex::new(HashMap::new()),
-            recorded: AtomicU64::new(0),
         }
     }
 
     /// Offers a completed trace; it is kept if it ranks among the slowest
     /// of its class.
     pub fn offer(&self, trace: CompletedTrace) {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
         let mut slots = self.slots.lock().unwrap();
         let bucket = slots.entry(trace.class).or_default();
         bucket.push(trace);
@@ -826,27 +727,21 @@ impl FlightRecorder {
     pub fn retained(&self) -> usize {
         self.slots.lock().unwrap().values().map(Vec::len).sum()
     }
-
-    /// Traces offered since construction.
-    pub fn offered(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
 }
 
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Decides which operations get traced and collects what they record.
 ///
-/// `sample_every = 0` (the default) disables tracing: [`Tracer::start`]
-/// returns `None` and instrumented paths cost one boolean check.
-/// `sample_every = n` traces every n-th started operation.
+/// `sample_every = 0` disables tracing: [`Tracer::start`] returns `None`
+/// and instrumented paths cost one boolean check. `sample_every = n`
+/// traces every n-th started operation.
 pub struct Tracer {
-    sample_every: AtomicU64,
+    sample_every: u64,
     started: AtomicU64,
     sampled: AtomicU64,
     completed: AtomicU64,
     spans_dropped: AtomicU64,
-    max_spans: usize,
     flight: FlightRecorder,
     last: Mutex<Option<CompletedTrace>>,
 }
@@ -854,43 +749,25 @@ pub struct Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("sample_every", &self.sample_every.load(Ordering::Relaxed))
+            .field("sample_every", &self.sample_every)
             .field("sampled", &self.sampled.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Tracer {
-    /// A tracer with sampling off and an 8-per-class flight recorder.
-    pub fn new() -> Self {
-        Self::with_config(0, 8, DEFAULT_MAX_SPANS)
-    }
-
     /// A tracer sampling every `sample_every`-th op (0 = off), retaining
-    /// `flight_per_class` slowest traces per class, capping each trace at
-    /// `max_spans` spans.
-    pub fn with_config(sample_every: u64, flight_per_class: usize, max_spans: usize) -> Self {
+    /// the [`FLIGHT_PER_CLASS`] slowest traces per class.
+    pub fn new(sample_every: u64) -> Self {
         Self {
-            sample_every: AtomicU64::new(sample_every),
+            sample_every,
             started: AtomicU64::new(0),
             sampled: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             spans_dropped: AtomicU64::new(0),
-            max_spans: max_spans.max(2),
-            flight: FlightRecorder::new(flight_per_class),
+            flight: FlightRecorder::new(FLIGHT_PER_CLASS),
             last: Mutex::new(None),
         }
-    }
-
-    /// Changes the sampling rate (0 disables).
-    pub fn set_sample_every(&self, n: u64) {
-        self.sample_every.store(n, Ordering::Relaxed);
     }
 
     /// Starts a trace for this operation if sampling selects it and no
@@ -898,12 +775,11 @@ impl Tracer {
     /// the operation's duration; dropping it completes the trace.
     #[inline]
     pub fn start(self: &Arc<Self>, class: OpClass, name: &'static str) -> Option<TraceGuard> {
-        let every = self.sample_every.load(Ordering::Relaxed);
-        if every == 0 {
+        if self.sample_every == 0 {
             return None;
         }
         let n = self.started.fetch_add(1, Ordering::Relaxed);
-        if n % every != 0 {
+        if n % self.sample_every != 0 {
             return None;
         }
         self.force(class, name)
@@ -916,11 +792,13 @@ impl Tracer {
             return None;
         }
         self.sampled.fetch_add(1, Ordering::Relaxed);
-        let id = NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(TraceShared::new(id, class, name, self.max_spans));
         CURRENT.with(|c| {
             *c.borrow_mut() = Some(ThreadTrace {
-                shared: Arc::clone(&shared),
+                id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
+                class,
+                name,
+                start: Instant::now(),
+                next_span: 1,
                 stack: vec![OpenSpan {
                     id: 0,
                     parent: 0,
@@ -928,13 +806,16 @@ impl Tracer {
                     start_nanos: 0,
                     items: 0,
                 }],
-                scratch: Vec::new(),
+                spans: Vec::new(),
+                dropped: 0,
+                dims: [0; DIMS],
+                level_visits: [0; MAX_LEVELS],
             });
         });
         ACTIVE.with(|a| a.set(true));
         Some(TraceGuard {
             tracer: Arc::clone(self),
-            shared,
+            _thread_bound: PhantomData,
         })
     }
 
@@ -994,53 +875,37 @@ impl Tracer {
         self.last.lock().unwrap().clone()
     }
 
-    fn finish(&self, shared: Arc<TraceShared>) {
-        // Close this thread's spans (root included) and flush.
-        let taken = CURRENT.with(|c| c.borrow_mut().take());
-        ACTIVE.with(|a| a.set(false));
-        if let Some(mut t) = taken {
-            while let Some(open) = t.stack.pop() {
-                let end_nanos = t.shared.now_nanos();
-                t.scratch.push(SpanRecord {
-                    id: open.id,
-                    parent: open.parent,
-                    name: open.name,
-                    start_nanos: open.start_nanos,
-                    end_nanos,
-                    items: open.items,
-                });
-            }
-            t.shared.flush(&mut t.scratch);
-        }
-        let duration_nanos = shared.now_nanos();
-        shared.finished.store(true, Ordering::Release);
-        let mut spans = std::mem::take(&mut *shared.spans.lock().unwrap());
-        spans.sort_by_key(|s| (s.start_nanos, s.id));
-        let dropped_spans = shared.dropped.load(Ordering::Relaxed);
-        let profile = QueryProfile {
-            level_visits: shared
-                .level_visits
-                .iter()
-                .map(|v| v.load(Ordering::Relaxed))
-                .collect(),
-            dims: shared
-                .dims
-                .iter()
-                .map(|v| v.load(Ordering::Relaxed))
-                .collect(),
+    fn finish(&self) {
+        let Some(mut t) = CURRENT.with(|c| c.borrow_mut().take()) else {
+            return;
         };
+        ACTIVE.with(|a| a.set(false));
+        // Close the spans still open, the root last: it is always kept.
+        let duration_nanos = t.now_nanos();
+        while let Some(open) = t.stack.pop() {
+            let span = open.close(duration_nanos);
+            if span.id == 0 {
+                t.spans.push(span);
+            } else {
+                t.keep(span);
+            }
+        }
+        t.spans.sort_by_key(|s| (s.start_nanos, s.id));
         let trace = CompletedTrace {
-            id: shared.id,
-            class: shared.class,
-            name: shared.name,
+            id: t.id,
+            class: t.class,
+            name: t.name,
             duration_nanos,
-            spans,
-            dropped_spans,
-            profile,
+            spans: t.spans,
+            dropped_spans: t.dropped,
+            profile: QueryProfile {
+                level_visits: t.level_visits.to_vec(),
+                dims: t.dims.to_vec(),
+            },
         };
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.spans_dropped
-            .fetch_add(dropped_spans, Ordering::Relaxed);
+            .fetch_add(trace.dropped_spans, Ordering::Relaxed);
         *self.last.lock().unwrap() = Some(trace.clone());
         self.flight.offer(trace);
     }
@@ -1048,22 +913,24 @@ impl Tracer {
 
 /// Root guard of a live trace; dropping it completes the trace and offers
 /// it to the flight recorder.
+///
+/// The trace lives in the starting thread's locals, so the guard cannot
+/// leave that thread:
+///
+/// ```compile_fail,E0277
+/// fn finish_elsewhere(guard: segidx_obs::trace::TraceGuard) {
+///     std::thread::spawn(move || drop(guard));
+/// }
+/// ```
 #[must_use = "dropping the guard completes the trace"]
 pub struct TraceGuard {
     tracer: Arc<Tracer>,
-    shared: Arc<TraceShared>,
-}
-
-impl TraceGuard {
-    /// The trace id being recorded.
-    pub fn trace_id(&self) -> u64 {
-        self.shared.id
-    }
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        self.tracer.finish(Arc::clone(&self.shared));
+        self.tracer.finish();
     }
 }
 
@@ -1072,7 +939,7 @@ mod tests {
     use super::*;
 
     fn traced<F: FnOnce()>(f: F) -> CompletedTrace {
-        let tracer = Arc::new(Tracer::with_config(1, 4, DEFAULT_MAX_SPANS));
+        let tracer = Arc::new(Tracer::new(1));
         {
             let _g = tracer.start(OpClass::Search, "test.root").unwrap();
             f();
@@ -1082,7 +949,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let tracer = Arc::new(Tracer::new());
+        let tracer = Arc::new(Tracer::new(0));
         assert!(tracer.start(OpClass::Search, "op").is_none());
         assert!(!active());
         // Instrumented paths are no-ops.
@@ -1095,7 +962,7 @@ mod tests {
 
     #[test]
     fn sampling_selects_every_nth() {
-        let tracer = Arc::new(Tracer::with_config(3, 4, DEFAULT_MAX_SPANS));
+        let tracer = Arc::new(Tracer::new(3));
         let mut taken = 0;
         for _ in 0..9 {
             if let Some(g) = tracer.start(OpClass::Stab, "op") {
@@ -1157,8 +1024,7 @@ mod tests {
     fn record_interval_lands_under_parent() {
         let t = traced(|| {
             let outer = span("commit_wait");
-            let ctx = current().unwrap();
-            ctx.record_interval("apply", 10, 20, 4);
+            record_interval("apply", 10, 20, 4);
             drop(outer);
         });
         assert!(
@@ -1174,16 +1040,16 @@ mod tests {
 
     #[test]
     fn span_buffer_is_bounded_and_keeps_the_root() {
-        let tracer = Arc::new(Tracer::with_config(1, 2, 8));
+        let tracer = Arc::new(Tracer::new(1));
         {
             let _g = tracer.force(OpClass::Other, "root").unwrap();
-            for _ in 0..50 {
+            for _ in 0..MAX_SPANS + 50 {
                 let _s = span("leaf");
             }
         }
         let t = tracer.last_completed().unwrap();
-        assert!(t.spans.len() <= 8 + 1);
-        assert!(t.dropped_spans > 0);
+        assert_eq!(t.spans.len(), MAX_SPANS);
+        assert_eq!(t.dropped_spans, 51);
         assert!(t.root().is_some(), "root must survive overflow");
         assert_eq!(tracer.spans_dropped(), t.dropped_spans);
     }
@@ -1217,7 +1083,6 @@ mod tests {
             vec![900, 700]
         );
         assert_eq!(fr.retained(), 3);
-        assert_eq!(fr.offered(), 5);
     }
 
     #[test]
@@ -1278,7 +1143,7 @@ mod tests {
 
     #[test]
     fn nested_start_is_absorbed() {
-        let tracer = Arc::new(Tracer::with_config(1, 4, DEFAULT_MAX_SPANS));
+        let tracer = Arc::new(Tracer::new(1));
         let g = tracer.force(OpClass::Search, "outer").unwrap();
         assert!(tracer.force(OpClass::Search, "inner").is_none());
         drop(g);
@@ -1288,7 +1153,7 @@ mod tests {
     #[test]
     fn collected_metrics_are_the_declared_families() {
         use std::collections::BTreeSet;
-        let tracer = Arc::new(Tracer::new());
+        let tracer = Arc::new(Tracer::new(0));
         let registry = crate::MetricsRegistry::new();
         let t = Arc::clone(&tracer);
         registry.register(METRICS, Box::new(move |out| t.collect_metrics(&[], out)));

@@ -88,19 +88,6 @@ proptest! {
         prop_assert!(*ps.last().unwrap() <= snap.max);
     }
 
-    #[test]
-    fn merge_then_diff_restores_the_window(
-        a in pvec(0u64..1u64 << 30, 0..100),
-        b in pvec(0u64..1u64 << 30, 0..100),
-    ) {
-        let ha = LatencyHistogram::new();
-        for &v in &a { ha.record(v); }
-        let earlier = ha.snapshot();
-        for &v in &b { ha.record(v); }
-        let d = ha.snapshot().diff(&earlier);
-        prop_assert_eq!(d.count, b.len() as u64);
-        prop_assert_eq!(d.sum, b.iter().sum::<u64>());
-    }
 }
 
 #[test]

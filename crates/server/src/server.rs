@@ -105,7 +105,7 @@ impl Server {
 
         // The tracer rides the index builder so slow commits land in the
         // flight recorder.
-        let tracer = Arc::new(Tracer::with_config(config.trace_sample, 8, 4096));
+        let tracer = Arc::new(Tracer::new(config.trace_sample));
         let index = rig(ConcurrentIndex::builder(Tree::new(IndexConfig::srtree()))
             .queue_capacity(config.queue_capacity)
             .tracer(Arc::clone(&tracer)))

@@ -250,7 +250,6 @@ mod tests {
         let observer = Arc::new(ScriptedFault::observer());
         let config = DiskManagerConfig {
             fault_injector: Some(observer.clone()),
-            ..DiskManagerConfig::default()
         };
         let (disk, ids) = disk_with("readonly.db", config, &[(0, b"a"), (1, b"b"), (0, b"c")]);
         let (syncs, writes) = (observer.syncs_seen(), observer.writes_seen());

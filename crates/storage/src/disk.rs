@@ -22,23 +22,12 @@ const META_CHECKSUM_SEED: u64 = 0x5347_4d45_5347_4d45;
 const NO_ROOT: u64 = u64::MAX;
 
 /// Configuration for [`DiskManager`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DiskManagerConfig {
-    /// Whether to fsync the data file on [`DiskManager::sync`].
-    pub fsync: bool,
     /// Optional deterministic fault injector consulted before every write
     /// and durability barrier (see [`crate::ScriptedFault`]). `None` — the
     /// production default — performs all I/O unconditionally.
     pub fault_injector: Option<Arc<dyn FaultInjector>>,
-}
-
-impl Default for DiskManagerConfig {
-    fn default() -> Self {
-        Self {
-            fsync: true,
-            fault_injector: None,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -391,7 +380,7 @@ impl DiskManager {
         bad
     }
 
-    /// Persists metadata (atomically) and optionally fsyncs the data file.
+    /// Fsyncs the data file and persists metadata (atomically).
     ///
     /// The commit protocol: (1) barrier the data file; (2) serialize the
     /// metadata — with the epoch bumped — to `<path>.meta.tmp`, fsync it;
@@ -402,13 +391,7 @@ impl DiskManager {
         let mut inner = self.inner.lock();
         let injector = self.config.fault_injector.clone();
         match consult_sync(injector.as_deref(), SyncKind::Data) {
-            SyncFault::Allow => {
-                if self.config.fsync {
-                    inner.file.sync_all()?;
-                } else {
-                    inner.file.flush()?;
-                }
-            }
+            SyncFault::Allow => inner.file.sync_all()?,
             SyncFault::Drop => {}
             SyncFault::Fail => return Err(injected_error("data fsync failed").into()),
         }
@@ -639,7 +622,6 @@ mod tests {
     fn with_injector(f: Arc<ScriptedFault>) -> DiskManagerConfig {
         DiskManagerConfig {
             fault_injector: Some(f),
-            ..DiskManagerConfig::default()
         }
     }
 

@@ -106,7 +106,6 @@ pub(crate) fn injected_error(what: &str) -> io::Error {
 /// let fault = Arc::new(ScriptedFault::power_cut(2, None));
 /// let config = DiskManagerConfig {
 ///     fault_injector: Some(fault.clone()),
-///     ..DiskManagerConfig::default()
 /// };
 /// let dm = DiskManager::create_with(dir.join("doc.db"), config)?;
 /// let a = dm.allocate(SizeClass::new(0))?;

@@ -59,7 +59,7 @@ pub use telemetry::TieredTelemetry;
 
 use memtable::Memtable;
 use merge::{plan_run, MergeJob, MergeOutcome, MergeWorker};
-use segidx_core::{persist, IndexConfig, RecordId};
+use segidx_core::{persist, RecordId};
 use segidx_geom::Rect;
 use segidx_storage::{DiskManager, PageId, Result, StorageError};
 use std::collections::HashMap;
@@ -97,9 +97,6 @@ impl<const D: usize, P> Row<D, P> {
 /// Tuning for a [`TieredTemporalIndex`].
 #[derive(Clone, Debug)]
 pub struct TieredConfig {
-    /// Configuration of the packed tree a checkpoint writes each tier as
-    /// (its page format on disk; in memory a tier is a HINT).
-    pub index: IndexConfig,
     /// Memtable entries that trigger a seal.
     pub seal_threshold: usize,
     /// Number of equal-level tiers that triggers a merge into the next
@@ -113,7 +110,6 @@ pub struct TieredConfig {
 impl Default for TieredConfig {
     fn default() -> Self {
         Self {
-            index: IndexConfig::srtree(),
             seal_threshold: 8_192,
             level_fanout: 4,
             tombstone_limit: 4_096,
@@ -485,7 +481,7 @@ impl<const D: usize, P: Payload> TieredTemporalIndex<D, P> {
         }
         for t in &mut self.tiers {
             if t.meta.is_none() {
-                let tree = t.pack(self.config.index.clone());
+                let tree = t.pack();
                 t.meta = Some(persist::save(&tree, &disk)?);
             }
         }
@@ -753,7 +749,7 @@ fn merge_two<T: Copy>(mut a: &[T], mut b: &[T], id: impl Fn(&T) -> RecordId, out
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segidx_core::Tree;
+    use segidx_core::{IndexConfig, Tree};
     use segidx_storage::{DiskManagerConfig, ScriptedFault};
     use std::path::PathBuf;
 
@@ -1169,7 +1165,6 @@ mod tests {
         {
             let dcfg = DiskManagerConfig {
                 fault_injector: Some(observe.clone() as Arc<_>),
-                ..DiskManagerConfig::default()
             };
             let disk = Arc::new(DiskManager::create_with(&path_a, dcfg).unwrap());
             let mut tiered = TieredTemporalIndex::<2>::create(cfg(32), disk).unwrap();
@@ -1184,7 +1179,6 @@ mod tests {
             let cut = Arc::new(ScriptedFault::power_cut(committed + 2, Some(64)));
             let dcfg = DiskManagerConfig {
                 fault_injector: Some(cut as Arc<_>),
-                ..DiskManagerConfig::default()
             };
             let disk = Arc::new(DiskManager::create_with(&path_b, dcfg).unwrap());
             let mut tiered = TieredTemporalIndex::<2>::create(cfg(32), disk).unwrap();

@@ -150,10 +150,10 @@ impl<const D: usize, P: Payload> Tier<D, P> {
         run.rows.capacity() * std::mem::size_of::<Row<D, P>>() + run.hint.heap_bytes()
     }
 
-    /// The page-format tree of this tier's entries (what a checkpoint
-    /// persists; payloads stay behind).
-    pub(crate) fn pack(&self, config: IndexConfig) -> Tree<D> {
-        bulk::bulk_load_run(config, self.entries().collect())
+    /// The page-format tree of this tier's entries, a packed SR-Tree (what
+    /// a checkpoint persists; payloads stay behind).
+    pub(crate) fn pack(&self) -> Tree<D> {
+        bulk::bulk_load_run(IndexConfig::srtree(), self.entries().collect())
     }
 
     /// Record ids of every entry intersecting `query`, ascending.

@@ -53,7 +53,6 @@ fn tier_configs() -> [TieredConfig; 2] {
             seal_threshold: 6,
             level_fanout: 2,
             tombstone_limit: 8,
-            ..TieredConfig::default()
         },
     ]
 }

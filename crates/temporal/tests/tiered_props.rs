@@ -90,7 +90,6 @@ fn tiered_config(seal_threshold: usize) -> TieredConfig {
         seal_threshold,
         level_fanout: 2,
         tombstone_limit: 16,
-        ..TieredConfig::default()
     }
 }
 

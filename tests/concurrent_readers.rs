@@ -98,16 +98,16 @@ fn search_batch_equals_serial_search_for_all_variants() {
         ("Skeleton SR-Tree", built(&sk_sr)),
     ];
     for (name, tree) in trees {
-        tree.reset_search_stats();
+        let before = tree.stats();
         let serial: Vec<Vec<RecordId>> = queries.iter().map(|q| tree.search(q)).collect();
-        let serial_snap = tree.stats();
+        let serial_snap = tree.stats().diff(&before);
         assert!(
             serial.iter().any(|ids| !ids.is_empty()),
             "{name}: degenerate workload"
         );
-        tree.reset_search_stats();
+        let before = tree.stats();
         assert_eq!(tree.search_batch(&queries), serial, "{name}");
-        let snap = tree.stats();
+        let snap = tree.stats().diff(&before);
         assert_eq!(
             snap.searches,
             queries.len() as u64,
@@ -154,9 +154,9 @@ fn tree_level_batches_match_serial() {
             .flat_map(|&q| queries_for_qar(q, 40, 11).queries)
             .collect();
         let serial: Vec<Vec<RecordId>> = queries.iter().map(|q| tree.search(q)).collect();
-        tree.reset_search_stats();
+        let before = tree.stats();
         assert_eq!(tree.search_batch(&queries), serial);
-        assert_eq!(tree.stats().searches, queries.len() as u64);
+        assert_eq!(tree.stats().diff(&before).searches, queries.len() as u64);
 
         let points: Vec<Point<2>> = (0..60)
             .map(|i| Point::new([((i * 1_999) % 100_000) as f64, ((i * 733) % 100_000) as f64]))
