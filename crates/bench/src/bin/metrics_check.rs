@@ -20,8 +20,8 @@
 //!
 //! Modes:
 //!
-//! * default — a `reproduce --metrics-out` export: the paper families;
-//!   search and insert latency non-empty.
+//! * default — a `reproduce --metrics-out` export: the paper families
+//!   (exact counts; `reproduce` times nothing, so no histogram).
 //! * `--server` — a `segidx_server` `METRICS` snapshot (what `loadgen
 //!   --metrics-out` saves): the server's, the index service's, its
 //!   tracer's and the temporal tier's families; the server's read and
@@ -87,7 +87,7 @@ struct Mode {
 
 const PAPER: Mode = Mode {
     groups: &["paper"],
-    non_empty: &[paper::SEARCH_LATENCY_NANOS, paper::INSERT_LATENCY_NANOS],
+    non_empty: &[],
 };
 
 const SERVER: Mode = Mode {
@@ -333,10 +333,10 @@ mod tests {
 
     #[test]
     fn a_negative_or_non_finite_gauge_fails() {
-        let hit_rate = family(paper::METRICS, "_hit_rate");
+        let avg_nodes = family(paper::METRICS, "_avg_nodes_per_search");
         for bad in [-0.25, f64::NAN] {
             let mut metrics = paper_export();
-            set(&mut metrics, hit_rate, MetricValue::Gauge(bad));
+            set(&mut metrics, avg_nodes, MetricValue::Gauge(bad));
             let e = err(&PAPER, metrics);
             assert!(e.contains("gauge must be finite and >= 0"), "{e}");
         }

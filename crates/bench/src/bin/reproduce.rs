@@ -3,14 +3,18 @@
 //! ```text
 //! reproduce [--graph N | --graph all] [--tuples N] [--queries N]
 //!           [--seed N] [--csv DIR] [--metrics-out FILE] [--quick]
+//!           [--ablate split|branch_fraction|node_size|build]
 //! ```
 //!
 //! Defaults match the paper: 200,000 tuples, 100 queries per QAR value.
-//! `--quick` scales everything down for a fast smoke run.
+//! `--quick` scales everything down for a fast smoke run. Every number it
+//! prints is a count or a ratio of counts, exact per seed: two runs print
+//! the same bytes.
 
 use segidx_bench::{
-    check_exponential_lower, check_paper_shape, render_checks, render_table, run_experiment,
-    write_csv, write_metrics_json, Experiment, Graph, GraphResult,
+    ablation_csv, check_exponential_lower, check_paper_shape, graph_csv, render_ablation,
+    render_checks, render_table, run_ablation, run_experiment, write_csv, write_metrics_json, Axis,
+    Experiment, Graph, GraphResult,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,6 +28,7 @@ struct Args {
     dump_data: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     inspect: bool,
+    ablate: Option<Axis>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -35,6 +40,7 @@ fn parse_args() -> Result<Args, String> {
     let mut dump_data = None;
     let mut metrics_out = None;
     let mut inspect = false;
+    let mut ablate = None;
 
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -86,6 +92,10 @@ fn parse_args() -> Result<Args, String> {
             "--inspect" => {
                 inspect = true;
             }
+            "--ablate" => {
+                let v = next(&mut i)?;
+                ablate = Some(Axis::from_name(&v).ok_or(format!("no ablation axis {v}"))?);
+            }
             "--quick" => {
                 tuples = 20_000;
                 queries = 25;
@@ -99,9 +109,12 @@ fn parse_args() -> Result<Args, String> {
                      --seed N             data-generation seed\n\
                      --csv DIR            also write one CSV per graph into DIR\n\
                      --dump-data DIR      export each graph's generated dataset as CSV\n\
-                     --metrics-out FILE   write telemetry (latency percentiles, node-access\n\
-                                          counters, buffer-pool hit rate) as JSON to FILE\n\
+                     --metrics-out FILE   write the node-access and maintenance counters as JSON\n\
                      --inspect            print per-level structure reports per variant\n\
+                     --ablate AXIS        rerun the variants at each value of split,\n\
+                     \x20                    branch_fraction, node_size or build; print each\n\
+                     \x20                    value's ratio to the preset and its shape checks;\n\
+                     \x20                    --csv DIR writes DIR/ablation_AXIS.csv\n\
                      --quick              20K tuples, 25 queries (smoke run)"
                 );
                 std::process::exit(0);
@@ -109,6 +122,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other}")),
         }
         i += 1;
+    }
+    if ablate.is_some() && (inspect || metrics_out.is_some()) {
+        return Err("--ablate writes ablation rows only: no --inspect or --metrics-out".into());
     }
     Ok(Args {
         graphs: graphs.unwrap_or_else(|| Graph::PAPER.to_vec()),
@@ -119,6 +135,7 @@ fn parse_args() -> Result<Args, String> {
         dump_data,
         metrics_out,
         inspect,
+        ablate,
     })
 }
 
@@ -132,6 +149,7 @@ fn main() -> ExitCode {
     };
 
     let mut results: Vec<GraphResult> = Vec::new();
+    let mut ablations: Vec<GraphResult> = Vec::new();
     let mut any_critical_miss = false;
     for graph in &args.graphs {
         let experiment = Experiment {
@@ -159,6 +177,12 @@ fn main() -> ExitCode {
                 Err(e) => eprintln!("warning: dataset dump failed: {e}"),
             }
         }
+        if let Some(axis) = args.ablate {
+            let runs = run_ablation(axis, &experiment);
+            println!("{}", render_ablation(axis, &runs));
+            ablations.extend(runs);
+            continue;
+        }
         let result = run_experiment(&experiment);
         println!("{}", render_table(&result));
         if args.inspect {
@@ -171,13 +195,22 @@ fn main() -> ExitCode {
         any_critical_miss |= checks.iter().any(|c| c.critical && !c.passed);
         if let Some(dir) = &args.csv_dir {
             let path = dir.join(format!("graph{}.csv", graph.number()));
-            if let Err(e) = write_csv(&result, &path) {
+            if let Err(e) = write_csv(&graph_csv(&result), &path) {
                 eprintln!("error: could not write {}: {e}", path.display());
                 return ExitCode::FAILURE;
             }
             eprintln!("wrote {}", path.display());
         }
         results.push(result);
+    }
+
+    if let (Some(axis), Some(dir)) = (args.ablate, &args.csv_dir) {
+        let path = dir.join(format!("ablation_{}.csv", axis.name()));
+        if let Err(e) = write_csv(&ablation_csv(axis, &ablations), &path) {
+            eprintln!("error: could not write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!("wrote {}", path.display());
     }
 
     if let Some(path) = &args.metrics_out {

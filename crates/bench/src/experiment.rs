@@ -1,6 +1,6 @@
 //! Experiment descriptors: which graph, which distribution, which variants.
 
-use segidx_core::{IndexConfig, Skeleton, Tree};
+use segidx_core::{IndexConfig, Skeleton, SplitAlgorithm, Tree};
 use segidx_geom::Rect;
 use segidx_workloads::{domain, DataDistribution, Dataset};
 
@@ -135,12 +135,26 @@ impl Variant {
         self.config().variant_name()
     }
 
+    /// How the paper constructs this variant: a Skeleton variant (the one
+    /// that coalesces) from a predicted skeleton, the other two by dynamic
+    /// insertion from empty.
+    pub fn construction(&self) -> Construction {
+        if self.config().coalesce.is_some() {
+            Construction::Skeleton
+        } else {
+            Construction::Dynamic
+        }
+    }
+
     /// An empty index of this variant with the paper's parameters, sized
     /// for `expected_tuples` over the paper's domain: the skeletons predict
     /// theirs from the first `min(10 000, expected_tuples / 10)` tuples.
     pub fn build_index(&self, expected_tuples: usize) -> Skeleton<2> {
-        let buffer = PAPER_PREDICTION_BUFFER.min((expected_tuples / 10).max(1));
-        self.index(domain(), expected_tuples, buffer)
+        self.index(
+            domain(),
+            expected_tuples,
+            prediction_buffer(expected_tuples),
+        )
     }
 
     /// An empty index of this variant, one type for all four so that
@@ -149,12 +163,170 @@ impl Variant {
     /// `expected_tuples` over `domain`, a dynamic one built from the start
     /// (`Skeleton::Built` around an empty tree).
     pub fn index(&self, domain: Rect<2>, expected_tuples: usize, buffer: usize) -> Skeleton<2> {
-        let config = self.config();
-        if config.coalesce.is_some() {
-            Skeleton::new(config, domain, expected_tuples, buffer)
-        } else {
-            Skeleton::Built(Tree::new(config))
+        empty_index(
+            self.config(),
+            self.construction(),
+            domain,
+            expected_tuples,
+            buffer,
+        )
+    }
+}
+
+/// The prediction buffer for an input of `expected_tuples`: the paper's
+/// 10 000, or a tenth of a smaller input.
+pub(crate) fn prediction_buffer(expected_tuples: usize) -> usize {
+    PAPER_PREDICTION_BUFFER.min((expected_tuples / 10).max(1))
+}
+
+/// An empty index with `config`, to be filled by insertion: a predicted
+/// skeleton, or a tree grown from empty. A packed index has no empty form.
+pub(crate) fn empty_index(
+    config: IndexConfig,
+    construction: Construction,
+    domain: Rect<2>,
+    expected_tuples: usize,
+    buffer: usize,
+) -> Skeleton<2> {
+    match construction {
+        Construction::Skeleton => Skeleton::new(config, domain, expected_tuples, buffer),
+        Construction::Dynamic | Construction::Packed => Skeleton::Built(Tree::new(config)),
+    }
+}
+
+/// How an index is put together from its input.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Construction {
+    /// Inserted one record at a time into a tree grown from empty.
+    Dynamic,
+    /// Inserted one record at a time into a skeleton predicted from the
+    /// first tuples (paper §4).
+    Skeleton,
+    /// Packed from the whole input at once (`bulk_load`, \[ROUS85\]).
+    Packed,
+}
+
+/// A design question `reproduce --ablate` asks: one choice, varied over
+/// the paper's four variants with everything else as the paper has it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Axis {
+    /// The split and its R\* companions (`split`).
+    Split,
+    /// The branch reservation of a segment node (`branch_fraction`).
+    BranchFraction,
+    /// Node size doubling per level or fixed (`node_size`).
+    NodeSize,
+    /// Dynamic, predicted-skeleton or packed construction (`build`).
+    Build,
+}
+
+impl Axis {
+    /// Every axis, in the order the ablations are numbered.
+    pub const ALL: [Axis; 4] = [
+        Axis::Split,
+        Axis::BranchFraction,
+        Axis::NodeSize,
+        Axis::Build,
+    ];
+
+    /// The name `--ablate` takes and `ablation_<name>.csv` carries.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Axis::Split => "split",
+            Axis::BranchFraction => "branch_fraction",
+            Axis::NodeSize => "node_size",
+            Axis::Build => "build",
         }
+    }
+
+    /// Parses an axis [`name`](Axis::name).
+    pub fn from_name(name: &str) -> Option<Axis> {
+        Axis::ALL.into_iter().find(|a| a.name() == name)
+    }
+
+    /// The values this axis takes, the paper's among them.
+    pub fn values(&self) -> &'static [Ablation] {
+        use Ablation::*;
+        match self {
+            Axis::Split => &[QuadraticSplit, RStarSplit, RStar],
+            Axis::BranchFraction => &[
+                BranchFraction(1, 2),
+                BranchFraction(2, 3),
+                BranchFraction(3, 4),
+            ],
+            Axis::NodeSize => &[NodeSize { doubling: true }, NodeSize { doubling: false }],
+            Axis::Build => &[
+                Build(Construction::Dynamic),
+                Build(Construction::Skeleton),
+                Build(Construction::Packed),
+            ],
+        }
+    }
+}
+
+/// One value on one [`Axis`], applied to every variant alike.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Ablation {
+    /// Guttman's quadratic split, the paper's.
+    QuadraticSplit,
+    /// The R\* split alone.
+    RStarSplit,
+    /// The three fields [`IndexConfig::rstar`] sets: the R\* split,
+    /// overlap-aware ChooseSubtree and forced reinsertion.
+    RStar,
+    /// `n/d` of a segment node's entries reserved for branches.
+    BranchFraction(u8, u8),
+    /// Node size doubling per level (the paper's), or 1 KB at every level.
+    NodeSize {
+        /// Whether the node size doubles per level.
+        doubling: bool,
+    },
+    /// Every variant constructed this way.
+    Build(Construction),
+}
+
+impl Ablation {
+    /// The value's name in `ablation_<axis>.csv`.
+    pub fn name(&self) -> String {
+        match self {
+            Ablation::QuadraticSplit => "quadratic".into(),
+            Ablation::RStarSplit => "rstar_split".into(),
+            Ablation::RStar => "rstar".into(),
+            Ablation::BranchFraction(n, d) => format!("{n}/{d}"),
+            Ablation::NodeSize { doubling: true } => "doubling".into(),
+            Ablation::NodeSize { doubling: false } => "fixed".into(),
+            Ablation::Build(Construction::Dynamic) => "dynamic".into(),
+            Ablation::Build(Construction::Skeleton) => "skeleton".into(),
+            Ablation::Build(Construction::Packed) => "packed".into(),
+        }
+    }
+
+    /// `variant`'s configuration and construction with this value applied.
+    pub fn apply(&self, variant: Variant) -> (IndexConfig, Construction) {
+        let mut config = variant.config();
+        let mut construction = variant.construction();
+        match *self {
+            Ablation::QuadraticSplit => config.split = SplitAlgorithm::Quadratic,
+            Ablation::RStarSplit => config.split = SplitAlgorithm::RStar,
+            Ablation::RStar => {
+                let rstar = IndexConfig::rstar();
+                config.split = rstar.split;
+                config.choose_subtree_overlap = rstar.choose_subtree_overlap;
+                config.forced_reinsert = rstar.forced_reinsert;
+            }
+            Ablation::BranchFraction(n, d) => {
+                config.branch_fraction = f64::from(n) / f64::from(d);
+            }
+            Ablation::NodeSize { doubling } => config.vary_node_size = doubling,
+            Ablation::Build(c) => construction = c,
+        }
+        (config, construction)
+    }
+
+    /// Whether this value leaves `variant` as the paper builds it: the
+    /// preset its other values are measured against.
+    pub fn is_preset(&self, variant: Variant) -> bool {
+        self.apply(variant) == (variant.config(), variant.construction())
     }
 }
 
@@ -171,6 +343,9 @@ pub struct Experiment {
     pub query_seed: u64,
     /// Queries per QAR value (the paper uses 100).
     pub queries_per_qar: usize,
+    /// A design choice varied away from the paper's (`reproduce
+    /// --ablate`); `None` builds every variant as the paper does.
+    pub ablation: Option<Ablation>,
 }
 
 impl Experiment {
@@ -187,6 +362,7 @@ impl Experiment {
             data_seed: 7,
             query_seed: 0x5153_4554,
             queries_per_qar: 100,
+            ablation: None,
         }
     }
 

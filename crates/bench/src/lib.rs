@@ -16,6 +16,12 @@
 //! 5. prints the series the paper plots and checks the qualitative shape
 //!    claims.
 //!
+//! `reproduce --ablate <axis>` asks the design questions the same way: it
+//! reruns the four variants at each value of one [`Axis`] (split, branch
+//! fraction, node size, construction) and writes the rows as
+//! `ablation_<axis>.csv`. Every number is a count or a ratio of counts,
+//! exact per seed; the reproduction times nothing.
+//!
 //! Run `cargo run --release -p segidx-bench --bin reproduce -- --help`.
 
 #![warn(missing_docs)]
@@ -30,8 +36,15 @@ mod runner;
 mod shape;
 pub mod temporal_crash;
 
-pub use experiment::{Experiment, Graph, Variant, PAPER_PREDICTION_BUFFER};
+pub use experiment::{
+    Ablation, Axis, Construction, Experiment, Graph, Variant, PAPER_PREDICTION_BUFFER,
+};
 pub use metrics::{metrics_snapshot, write_metrics_json};
-pub use report::{hardware_note, median, median_ratio, render_table, today, write_csv};
-pub use runner::{inspect_variants, run_experiment, BuildInfo, GraphResult, Series, SweepPoint};
+pub use report::{
+    ablation_csv, graph_csv, hardware_note, median, median_ratio, render_ablation, render_table,
+    today, write_csv,
+};
+pub use runner::{
+    inspect_variants, run_ablation, run_experiment, BuildInfo, GraphResult, Series, SweepPoint,
+};
 pub use shape::{check_exponential_lower, check_paper_shape, render_checks, ShapeCheck};

@@ -1,10 +1,10 @@
 //! Maps experiment results onto the `segidx-obs` metrics model.
 //!
 //! Every [`GraphResult`] series contributes one labeled set of the
-//! [`METRICS`] families (`graph` and `variant` labels), covering the
-//! per-insert and per-search latency histograms the runner records around
-//! each call, the logical node-access counters, the structural maintenance
-//! counters, and the buffer-pool hit rate. The resulting [`MetricsSnapshot`] is what `reproduce
+//! [`METRICS`] families (`graph` and `variant` labels): the logical
+//! node-access counters, the structural maintenance counters and the node
+//! count — exact per seed, like the rest of `reproduce`'s output, which
+//! times nothing. The resulting [`MetricsSnapshot`] is what `reproduce
 //! --metrics-out` writes as JSON.
 
 use crate::runner::GraphResult;
@@ -12,10 +12,6 @@ use segidx_obs::{Family, Metric, MetricsSnapshot};
 use std::io::Write as _;
 use std::path::Path;
 
-/// Wall time of each timed search, nanoseconds.
-pub const SEARCH_LATENCY_NANOS: Family = Family::histogram("segidx_search_latency_nanos");
-/// Wall time of each timed insert, nanoseconds.
-pub const INSERT_LATENCY_NANOS: Family = Family::histogram("segidx_insert_latency_nanos");
 const SEARCH_NODE_ACCESSES_TOTAL: Family = Family::counter("segidx_search_node_accesses_total");
 const SEARCHES_TOTAL: Family = Family::counter("segidx_searches_total");
 const MAINTENANCE_NODE_ACCESSES_TOTAL: Family =
@@ -24,16 +20,12 @@ const LEAF_SPLITS_TOTAL: Family = Family::counter("segidx_leaf_splits_total");
 const INTERNAL_SPLITS_TOTAL: Family = Family::counter("segidx_internal_splits_total");
 const CUTS_TOTAL: Family = Family::counter("segidx_cuts_total");
 const COALESCES_TOTAL: Family = Family::counter("segidx_coalesces_total");
-const BUFFER_POOL_HIT_RATE: Family = Family::gauge("segidx_buffer_pool_hit_rate");
 const AVG_NODES_PER_SEARCH: Family = Family::gauge("segidx_avg_nodes_per_search");
-const BUILD_MS: Family = Family::counter("segidx_build_ms");
 const NODE_COUNT: Family = Family::counter("segidx_node_count");
 
 /// The paper families, one set per (graph, variant), emitted by
 /// [`metrics_snapshot`].
 pub const METRICS: &[Family] = &[
-    SEARCH_LATENCY_NANOS,
-    INSERT_LATENCY_NANOS,
     SEARCH_NODE_ACCESSES_TOTAL,
     SEARCHES_TOTAL,
     MAINTENANCE_NODE_ACCESSES_TOTAL,
@@ -41,9 +33,7 @@ pub const METRICS: &[Family] = &[
     INTERNAL_SPLITS_TOTAL,
     CUTS_TOTAL,
     COALESCES_TOTAL,
-    BUFFER_POOL_HIT_RATE,
     AVG_NODES_PER_SEARCH,
-    BUILD_MS,
     NODE_COUNT,
 ];
 
@@ -55,10 +45,7 @@ pub fn metrics_snapshot(results: &[GraphResult]) -> MetricsSnapshot {
         for series in &result.series {
             let l: &[(&str, &str)] = &[("graph", &graph), ("variant", series.variant.name())];
             let s = &series.stats;
-            let build = &series.build;
             metrics.extend([
-                Metric::histogram(SEARCH_LATENCY_NANOS.name, l, series.search_latency),
-                Metric::histogram(INSERT_LATENCY_NANOS.name, l, series.insert_latency),
                 Metric::counter(SEARCH_NODE_ACCESSES_TOTAL.name, l, s.search_node_accesses),
                 Metric::counter(SEARCHES_TOTAL.name, l, s.searches),
                 Metric::counter(
@@ -70,14 +57,12 @@ pub fn metrics_snapshot(results: &[GraphResult]) -> MetricsSnapshot {
                 Metric::counter(INTERNAL_SPLITS_TOTAL.name, l, s.internal_splits),
                 Metric::counter(CUTS_TOTAL.name, l, s.cuts),
                 Metric::counter(COALESCES_TOTAL.name, l, s.coalesces),
-                Metric::gauge(BUFFER_POOL_HIT_RATE.name, l, series.buffer_pool_hit_rate()),
                 Metric::gauge(
                     AVG_NODES_PER_SEARCH.name,
                     l,
                     s.avg_nodes_per_search().unwrap_or(0.0),
                 ),
-                Metric::counter(BUILD_MS.name, l, build.build_ms),
-                Metric::counter(NODE_COUNT.name, l, build.node_count as u64),
+                Metric::counter(NODE_COUNT.name, l, series.build.node_count as u64),
             ]);
         }
     }
@@ -117,7 +102,7 @@ mod tests {
     }
 
     /// Every (graph, variant) series emits exactly the declared families,
-    /// each of its declared kind, and its search latencies were timed.
+    /// each of its declared kind, and its sweep's searches were counted.
     #[test]
     fn snapshot_covers_every_variant_and_metric() {
         let results = tiny_results();
@@ -136,12 +121,9 @@ mod tests {
                 .collect();
             assert_eq!(emitted, declared, "{}", series.variant.name());
             let l = [("graph", "3"), ("variant", series.variant.name())];
-            match &snap.get(SEARCH_LATENCY_NANOS.name, &l).unwrap().value {
-                MetricValue::Histogram(h) => {
-                    assert!(h.count > 0, "searches were timed");
-                    assert!(h.p99().is_some());
-                }
-                other => panic!("expected histogram, got {other:?}"),
+            match &snap.get(SEARCHES_TOTAL.name, &l).unwrap().value {
+                MetricValue::Counter(n) => assert_eq!(*n, 13 * 5, "every search counted"),
+                other => panic!("expected counter, got {other:?}"),
             }
         }
         assert_eq!(snap.metrics.len(), results[0].series.len() * METRICS.len());

@@ -1,8 +1,9 @@
 //! Rendering results: paper-style tables and CSV files, plus what the
 //! timing binaries share when they write a `results/BENCH_*.json`.
 
+use crate::experiment::{Ablation, Axis};
 use crate::runner::GraphResult;
-use std::io::Write;
+use crate::shape::{check_paper_shape, render_checks};
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -81,12 +82,12 @@ pub fn render_table(result: &GraphResult) -> String {
     }
     out.push('\n');
     out.push_str(&format!(
-        "{:>18}  {:>8}  {:>6}  {:>9}  {:>9}  {:>7}  {:>9}  {:>9}\n",
-        "variant", "nodes", "height", "entries", "spanning", "cuts", "coalesces", "build ms"
+        "{:>18}  {:>8}  {:>6}  {:>9}  {:>9}  {:>7}  {:>9}\n",
+        "variant", "nodes", "height", "entries", "spanning", "cuts", "coalesces"
     ));
     for s in &result.series {
         out.push_str(&format!(
-            "{:>18}  {:>8}  {:>6}  {:>9}  {:>9}  {:>7}  {:>9}  {:>9}\n",
+            "{:>18}  {:>8}  {:>6}  {:>9}  {:>9}  {:>7}  {:>9}\n",
             s.variant.name(),
             s.build.node_count,
             s.build.height,
@@ -94,67 +95,125 @@ pub fn render_table(result: &GraphResult) -> String {
             s.build.spanning_stores,
             s.build.cuts,
             s.build.coalesces,
-            s.build.build_ms
-        ));
-    }
-    out.push('\n');
-    out.push_str(&format!(
-        "{:>18}  {:>24}  {:>24}  {:>8}\n",
-        "variant", "search p50/p95/p99 (us)", "insert p50/p95/p99 (us)", "bp hit"
-    ));
-    for s in &result.series {
-        out.push_str(&format!(
-            "{:>18}  {:>24}  {:>24}  {:>8}\n",
-            s.variant.name(),
-            percentile_cell(&s.search_latency),
-            percentile_cell(&s.insert_latency),
-            hit_rate_cell(s)
         ));
     }
     out
 }
 
-/// `p50/p95/p99` in microseconds (one decimal), or `-` when untimed.
-fn percentile_cell(h: &segidx_obs::HistogramSnapshot) -> String {
-    match (h.p50(), h.p95(), h.p99()) {
-        (Some(p50), Some(p95), Some(p99)) => {
-            let us = |n: u64| n as f64 / 1_000.0;
-            format!("{:.1}/{:.1}/{:.1}", us(p50), us(p95), us(p99))
+/// Renders one graph's ablation runs (one per value of `axis`, in
+/// [`Axis::values`] order): per value, each variant's median ratio over
+/// the sweep against its preset, then which paper-shape checks still hold.
+pub fn render_ablation(axis: Axis, results: &[GraphResult]) -> String {
+    let exp = &results[0].experiment;
+    let mut out = format!(
+        "Ablation {} on graph {} ({}, {} tuples, seed {})\n\
+         median over the sweep of nodes accessed per search ÷ the preset's\n\n{:>12}",
+        axis.name(),
+        exp.graph.number(),
+        exp.graph.distribution().name(),
+        exp.tuples,
+        exp.data_seed,
+        axis.name()
+    );
+    for s in &results[0].series {
+        out.push_str(&format!("  {:>17}", s.variant.name()));
+    }
+    out.push('\n');
+    for result in results {
+        out.push_str(&format!("{:>12}", ablation_of(result).name()));
+        for s in &result.series {
+            let preset = results
+                .iter()
+                .find(|r| ablation_of(r).is_preset(s.variant))
+                .expect("every axis holds each variant's preset")
+                .series_for(s.variant);
+            let mut ratios: Vec<f64> = s
+                .points
+                .iter()
+                .zip(&preset.points)
+                .map(|(p, q)| p.avg_nodes / q.avg_nodes)
+                .collect();
+            ratios.sort_unstable_by(f64::total_cmp);
+            out.push_str(&format!("  {:>17.3}", ratios[ratios.len() / 2]));
         }
-        _ => "-".to_string(),
+        out.push('\n');
     }
+    for result in results {
+        out.push_str(&format!(
+            "paper-shape checks at {} = {}:\n",
+            axis.name(),
+            ablation_of(result).name()
+        ));
+        out.push_str(&render_checks(&check_paper_shape(result)));
+    }
+    out
 }
 
-/// Buffer-pool hit rate as a percentage, or `-` for purely in-memory runs.
-fn hit_rate_cell(s: &crate::runner::Series) -> String {
-    match s.io.hit_rate() {
-        Some(rate) => format!("{:.1}%", rate * 100.0),
-        None => "-".to_string(),
-    }
+fn ablation_of(result: &GraphResult) -> Ablation {
+    result
+        .experiment
+        .ablation
+        .expect("an ablation run carries its value")
 }
 
-/// Writes a graph's series as CSV:
-/// `qar,log10_qar,<variant columns...>`.
-pub fn write_csv(result: &GraphResult, path: &Path) -> std::io::Result<()> {
+/// A graph's series as CSV: `qar,log10_qar,<variant columns...>`.
+pub fn graph_csv(result: &GraphResult) -> String {
+    let mut out = csv_header(result);
+    for i in 0..result.series[0].points.len() {
+        out.push_str(&csv_row(result, i));
+    }
+    out
+}
+
+/// Ablation runs as CSV, one row per (graph, value, QAR):
+/// `graph,<axis>,qar,log10_qar,<variant columns...>`. Past its first two
+/// columns a row reads like a `graph_csv` row, so a preset's cells equal
+/// the graph's.
+pub fn ablation_csv(axis: Axis, results: &[GraphResult]) -> String {
+    let Some(first) = results.first() else {
+        return String::new();
+    };
+    let mut out = format!("graph,{},{}", axis.name(), csv_header(first));
+    for result in results {
+        let prefix = format!(
+            "{},{},",
+            result.experiment.graph.number(),
+            ablation_of(result).name()
+        );
+        for i in 0..result.series[0].points.len() {
+            out.push_str(&prefix);
+            out.push_str(&csv_row(result, i));
+        }
+    }
+    out
+}
+
+fn csv_header(result: &GraphResult) -> String {
+    let mut out = "qar,log10_qar".to_string();
+    for s in &result.series {
+        out.push(',');
+        out.push_str(&s.variant.name().replace(' ', "_"));
+    }
+    out.push('\n');
+    out
+}
+
+fn csv_row(result: &GraphResult, i: usize) -> String {
+    let p0 = result.series[0].points[i];
+    let mut out = format!("{},{}", p0.qar, p0.log10_qar);
+    for s in &result.series {
+        out.push_str(&format!(",{}", s.points[i].avg_nodes));
+    }
+    out.push('\n');
+    out
+}
+
+/// Writes `csv` to `path`, creating its directory.
+pub fn write_csv(csv: &str, path: &Path) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write!(f, "qar,log10_qar")?;
-    for s in &result.series {
-        write!(f, ",{}", s.variant.name().replace(' ', "_"))?;
-    }
-    writeln!(f)?;
-    let n_points = result.series[0].points.len();
-    for i in 0..n_points {
-        let p0 = result.series[0].points[i];
-        write!(f, "{},{}", p0.qar, p0.log10_qar)?;
-        for s in &result.series {
-            write!(f, ",{}", s.points[i].avg_nodes)?;
-        }
-        writeln!(f)?;
-    }
-    f.flush()
+    std::fs::write(path, csv)
 }
 
 #[cfg(test)]
@@ -174,21 +233,11 @@ mod tests {
             series: Variant::ALL
                 .iter()
                 .enumerate()
-                .map(|(i, &variant)| {
-                    let mut search_latency = segidx_obs::HistogramSnapshot::default();
-                    search_latency.counts[11] = 3; // three ~1.3 us searches
-                    search_latency.count = 3;
-                    search_latency.sum = 4_000;
-                    search_latency.max = 1_500;
-                    Series {
-                        variant,
-                        points: vec![point(i as f64 + 1.5)],
-                        build: BuildInfo::default(),
-                        stats: segidx_core::StatsSnapshot::default(),
-                        search_latency,
-                        insert_latency: segidx_obs::HistogramSnapshot::default(),
-                        io: segidx_storage::IoStatsSnapshot::default(),
-                    }
+                .map(|(i, &variant)| Series {
+                    variant,
+                    points: vec![point(i as f64 + 1.5)],
+                    build: BuildInfo::default(),
+                    stats: segidx_core::StatsSnapshot::default(),
                 })
                 .collect(),
         }
@@ -215,27 +264,35 @@ mod tests {
         assert!(table.contains("1.50"));
         assert!(table.contains("4.50"));
         assert!(table.contains("Graph 1"));
-        assert!(table.contains("search p50/p95/p99"));
-        // The seeded histogram renders percentiles; untimed inserts render
-        // `-`, as does the in-memory buffer-pool column.
-        assert!(table.contains("/"));
-        assert!(table.contains("-"));
+        assert!(table.contains("coalesces"));
     }
 
     #[test]
-    fn csv_roundtrip_shape() {
-        let dir = std::env::temp_dir().join(format!("segidx-csv-{}", std::process::id()));
-        let path = dir.join("g1.csv");
-        write_csv(&tiny_result(), &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines = text.lines();
-        let header = lines.next().unwrap();
+    fn csv_shapes() {
+        let variants = "R-Tree,SR-Tree,Skeleton_R-Tree,Skeleton_SR-Tree";
         assert_eq!(
-            header,
-            "qar,log10_qar,R-Tree,SR-Tree,Skeleton_R-Tree,Skeleton_SR-Tree"
+            graph_csv(&tiny_result()),
+            format!("qar,log10_qar,{variants}\n1,0,1.5,2.5,3.5,4.5\n")
         );
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("1,0,1.5,2.5,3.5,4.5"));
-        assert_eq!(lines.count(), 0);
+        let ablated = |a: Ablation| {
+            let mut r = tiny_result();
+            r.experiment.ablation = Some(a);
+            r
+        };
+        let runs: Vec<_> = Axis::Build.values().iter().copied().map(ablated).collect();
+        assert_eq!(
+            ablation_csv(Axis::Build, &runs[..2]),
+            format!(
+                "graph,build,qar,log10_qar,{variants}\n\
+                 1,dynamic,1,0,1.5,2.5,3.5,4.5\n\
+                 1,skeleton,1,0,1.5,2.5,3.5,4.5\n"
+            )
+        );
+        // Identical runs: every ratio is 1 and the preset is found per
+        // variant (dynamic for the first two, skeleton for the others).
+        let text = render_ablation(Axis::Build, &runs);
+        assert!(text.contains("Ablation build on graph 1"), "{text}");
+        assert!(text.contains("      packed              1.000"), "{text}");
+        assert!(text.contains("paper-shape checks at build = packed:"));
     }
 }

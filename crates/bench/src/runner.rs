@@ -1,12 +1,13 @@
 //! Experiment execution: build the paper's four variants, sweep the QAR
 //! range, collect the paper's metric.
 
-use crate::experiment::{Experiment, Graph, Variant};
-use segidx_core::{IntervalIndex, Skeleton, StatsSnapshot};
-use segidx_obs::{HistogramSnapshot, LatencyHistogram};
-use segidx_storage::IoStatsSnapshot;
-use segidx_workloads::{paper_query_sweep, queries_for_qar};
-use std::time::Instant;
+use crate::experiment::{
+    empty_index, prediction_buffer, Axis, Construction, Experiment, Graph, Variant,
+};
+use segidx_core::bulk::bulk_load;
+use segidx_core::{IntervalIndex, RecordId, Skeleton, StatsSnapshot};
+use segidx_geom::Rect;
+use segidx_workloads::{domain, paper_query_sweep, queries_for_qar};
 
 /// One point of a series: the average nodes accessed per search at one QAR.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,8 +37,6 @@ pub struct BuildInfo {
     pub coalesces: u64,
     /// Leaf + internal splits.
     pub splits: u64,
-    /// Wall-clock build time in milliseconds.
-    pub build_ms: u64,
 }
 
 /// The full sweep for one variant.
@@ -51,23 +50,6 @@ pub struct Series {
     pub build: BuildInfo,
     /// Cumulative logical statistics after build + sweep.
     pub stats: StatsSnapshot,
-    /// Per-search wall-time distribution over the whole sweep (nanoseconds).
-    pub search_latency: HistogramSnapshot,
-    /// Per-insert wall-time distribution over the build (nanoseconds). For
-    /// the Skeleton variants it includes the buffered inserts, and its max
-    /// is the one insert that builds the skeleton and replays the buffer.
-    pub insert_latency: HistogramSnapshot,
-    /// Physical I/O counters (zero for these in-memory experiment runs;
-    /// populated when a variant runs over the paged storage substrate).
-    pub io: IoStatsSnapshot,
-}
-
-impl Series {
-    /// Buffer-pool hit rate in `[0, 1]`; 0.0 when the run performed no
-    /// buffered I/O (purely in-memory experiments).
-    pub fn buffer_pool_hit_rate(&self) -> f64 {
-        self.io.hit_rate().unwrap_or(0.0)
-    }
 }
 
 impl Series {
@@ -113,7 +95,8 @@ impl GraphResult {
 
 /// Runs one experiment: generates the data once, then builds and sweeps
 /// every variant in parallel (one thread per variant — they are independent
-/// indexes over the same input).
+/// indexes over the same input, and nothing is timed, so they cannot
+/// disturb each other's numbers).
 pub fn run_experiment(experiment: &Experiment) -> GraphResult {
     let dataset = experiment.dataset();
     let mut series: Vec<Option<Series>> = vec![None; Variant::ALL.len()];
@@ -136,21 +119,28 @@ pub fn run_experiment(experiment: &Experiment) -> GraphResult {
     }
 }
 
+/// Runs `experiment` once per value of `axis` (`reproduce --ablate`), in
+/// [`Axis::values`] order.
+pub fn run_ablation(axis: Axis, experiment: &Experiment) -> Vec<GraphResult> {
+    axis.values()
+        .iter()
+        .map(|&a| {
+            run_experiment(&Experiment {
+                ablation: Some(a),
+                ..*experiment
+            })
+        })
+        .collect()
+}
+
 /// Builds one variant over `records` and sweeps the QAR range.
 pub fn run_variant(
     variant: Variant,
-    records: &[(segidx_geom::Rect<2>, segidx_core::RecordId)],
+    records: &[(Rect<2>, RecordId)],
     experiment: &Experiment,
 ) -> Series {
-    let insert_latency = LatencyHistogram::new();
-    let start = Instant::now();
-    let mut index = variant.build_index(experiment.tuples);
-    for (rect, id) in records {
-        insert_latency.time(|| index.insert(*rect, *id));
-    }
-    let build_ms = start.elapsed().as_millis() as u64;
-    let search_latency = LatencyHistogram::new();
-    let points = sweep(&index, experiment, &search_latency);
+    let index = build_variant(variant, records, experiment);
+    let points = sweep(&index, experiment);
     let snap = index.stats();
     Series {
         variant,
@@ -163,22 +153,41 @@ pub fn run_variant(
             cuts: snap.cuts,
             coalesces: snap.coalesces,
             splits: snap.leaf_splits + snap.internal_splits,
-            build_ms,
         },
         stats: snap,
-        search_latency: search_latency.snapshot(),
-        insert_latency: insert_latency.snapshot(),
-        io: IoStatsSnapshot::default(),
     }
 }
 
-/// Sweeps the paper's thirteen QAR values over a built index, recording
-/// each search's wall time into `latency`.
-pub fn sweep(
-    index: &dyn IntervalIndex<2>,
+/// Builds `variant` over `records` as the experiment says: the paper's
+/// way, or with its ablation applied.
+fn build_variant(
+    variant: Variant,
+    records: &[(Rect<2>, RecordId)],
     experiment: &Experiment,
-    latency: &LatencyHistogram,
-) -> Vec<SweepPoint> {
+) -> Skeleton<2> {
+    let (config, construction) = match experiment.ablation {
+        Some(ablation) => ablation.apply(variant),
+        None => (variant.config(), variant.construction()),
+    };
+    if construction == Construction::Packed {
+        return Skeleton::Built(bulk_load(config, records.to_vec()));
+    }
+    let tuples = experiment.tuples;
+    let mut index = empty_index(
+        config,
+        construction,
+        domain(),
+        tuples,
+        prediction_buffer(tuples),
+    );
+    for (rect, id) in records {
+        index.insert(*rect, *id);
+    }
+    index
+}
+
+/// Sweeps the paper's thirteen QAR values over a built index.
+pub fn sweep(index: &dyn IntervalIndex<2>, experiment: &Experiment) -> Vec<SweepPoint> {
     let sets = if experiment.queries_per_qar == segidx_workloads::QUERIES_PER_QAR {
         paper_query_sweep(experiment.query_seed)
     } else {
@@ -194,7 +203,7 @@ pub fn sweep(
             // (and any concurrent observer of it) survives the sweep.
             let before = index.stats();
             for q in &qs.queries {
-                latency.time(|| index.search(q));
+                index.search(q);
             }
             let window = index.stats().diff(&before);
             SweepPoint {
@@ -212,11 +221,8 @@ pub fn inspect_variants(experiment: &Experiment) -> Vec<String> {
     let dataset = experiment.dataset();
     Variant::ALL
         .iter()
-        .map(|variant| {
-            let mut index = variant.build_index(experiment.tuples);
-            for (r, id) in &dataset.records {
-                index.insert(*r, *id);
-            }
+        .map(|&variant| {
+            let index = build_variant(variant, &dataset.records, experiment);
             let Skeleton::Built(tree) = index else {
                 panic!("{}: prediction buffer never filled", variant.name());
             };
@@ -228,6 +234,7 @@ pub fn inspect_variants(experiment: &Experiment) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::ablation_csv;
 
     #[test]
     fn quick_experiment_produces_full_series() {
@@ -260,22 +267,36 @@ mod tests {
                 13 * 10,
                 "cumulative history survives the sweep (no resets)"
             );
-            assert_eq!(s.search_latency.count, 13 * 10, "every search timed");
-            assert_eq!(
-                s.insert_latency.count,
-                exp.tuples as u64,
-                "{}: every insert timed, buffered ones included",
-                s.variant.name()
-            );
-            assert!(s.search_latency.p99().is_some());
         }
-        // Deterministic: same experiment, same numbers.
-        let again = run_experiment(&exp);
-        for (a, b) in result.series.iter().zip(again.series.iter()) {
-            assert_eq!(a.points.len(), b.points.len());
-            for (pa, pb) in a.points.iter().zip(b.points.iter()) {
-                assert_eq!(pa.avg_nodes, pb.avg_nodes);
+        // Every axis's preset value reproduces the paper's build bit for
+        // bit, once per variant; a second ablation run writes the same
+        // bytes, so the committed `ablation_*.csv` are a diff.
+        for axis in Axis::ALL {
+            let first = run_ablation(axis, &exp);
+            for s in &result.series {
+                let presets: Vec<&Series> = first
+                    .iter()
+                    .filter(|r| r.experiment.ablation.unwrap().is_preset(s.variant))
+                    .map(|r| r.series_for(s.variant))
+                    .collect();
+                assert_eq!(presets.len(), 1, "{} {}", axis.name(), s.variant.name());
+                let bits = |s: &Series| {
+                    s.points
+                        .iter()
+                        .map(|p| p.avg_nodes.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(presets[0]),
+                    bits(s),
+                    "{} {}",
+                    axis.name(),
+                    s.variant.name()
+                );
+                assert_eq!(presets[0].stats, s.stats);
             }
+            let again = run_ablation(axis, &exp);
+            assert_eq!(ablation_csv(axis, &first), ablation_csv(axis, &again));
         }
     }
 
@@ -297,9 +318,6 @@ mod tests {
             ],
             build: BuildInfo::default(),
             stats: StatsSnapshot::default(),
-            search_latency: HistogramSnapshot::default(),
-            insert_latency: HistogramSnapshot::default(),
-            io: IoStatsSnapshot::default(),
         };
         assert_eq!(s.mean_where(|p| p.log10_qar < 0.0), 10.0);
         assert_eq!(s.mean_where(|p| p.log10_qar > 0.0), 30.0);
