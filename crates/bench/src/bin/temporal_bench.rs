@@ -1,9 +1,9 @@
 //! Append-optimized temporal ingest: the tiered LSM index (sealed tiers are
 //! record-sorted runs plus a frozen HINT over time) against in-place inserts into one flat SR-Tree, on a monotone
 //! end-time version stream (the shape a temporal table's archive tier
-//! sees: every closed version's end time is the current clock). Results
-//! land in `results/BENCH_temporal.json`, stamped with
-//! [`segidx_bench::hardware_note`].
+//! sees: every closed version's end time is the current clock). Each
+//! measurement is printed and gated; the run exits non-zero when any gate
+//! fails.
 //!
 //! Four measurements:
 //!
@@ -11,7 +11,8 @@
 //!    index absorbs writes into a bounded memtable and turns them into
 //!    immutable tiers with one HINT build each, so its per-insert cost
 //!    stays flat while the in-place tree pays ever-deeper traversals and
-//!    node splits. `--check` asserts ≥ 3× at ≥ 1M intervals.
+//!    node splits. The gate asserts ≥ [`INGEST_GATE`]× at [`RECORDS`]
+//!    intervals.
 //! 2. **Query equivalence**: a window-query probe set must return
 //!    bit-identical id sets from both indexes — speed must not change
 //!    answers.
@@ -20,28 +21,28 @@
 //!    run ends with, its entries, the mean HINT partitions a stab at `t`
 //!    touches in it (exact counts, no timing) and the bytes it holds in
 //!    memory per entry. A stab touches at most one partition per level,
-//!    so the count may grow with the levels, not with the entries:
-//!    `--check` fails when the largest tier touches more than 1.5× what
+//!    so the count may grow with the levels, not with the entries: the
+//!    gate fails when the largest tier touches more than
+//!    [`PARTITIONS_GATE`]× what
 //!    the smallest tier of at least [`LONGEST_LIFETIME`] versions does, or
 //!    when any tier holds more than [`RESIDENT_BYTES_GATE`] bytes per
 //!    entry (what guards the served process's peak RSS).
 //!
-//! 4. **Each sealed tier against a tree** (reported, not gated on speed): on
+//! 4. **Each sealed tier against a tree** (printed, not gated on speed): on
 //!    a stream shaped like `serve-temporal`'s, each sealed tier answers
 //!    `AS OF` and `WITHIN` through its HINT next to a `bulk_load_run` tree
 //!    packed from the same entries — ns per query, the tree-to-HINT ratio,
 //!    each one's build cost per entry, and HINT's stored copies per
-//!    interval. `--check` fails on any id the two disagree on.
+//!    interval. The gate fails on any id the two disagree on.
 //!
 //! With `--metrics-out FILE` the run also snapshots the
 //! `segidx_temporal_*` telemetry family for `metrics_check --temporal`.
 //!
 //! Usage:
-//!   temporal_bench [--records N] [--queries N] [--out FILE]
-//!                  [--metrics-out FILE] [--check]
+//!   temporal_bench [--metrics-out FILE]
 
 use segidx_bench::crash::SplitMix64;
-use segidx_bench::{hardware_note, median, median_ratio, today};
+use segidx_bench::{median, median_ratio};
 use segidx_core::hint::FrozenHint;
 use segidx_core::{bulk, IndexConfig, RecordId, SearchCursor, Tree};
 use segidx_geom::Rect;
@@ -53,49 +54,30 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Args {
-    records: usize,
-    queries: usize,
-    out: PathBuf,
-    metrics_out: Option<PathBuf>,
-    check: bool,
-}
+/// Intervals in the ingest stream. 1M is where the in-place tree's depth
+/// and split costs are fully developed; at toy sizes both sides fit in
+/// cache and the ingest ratio is noise.
+const RECORDS: usize = 1_000_000;
 
-fn parse_args() -> Result<Args, String> {
-    // 1M intervals is where the in-place tree's depth and split costs are
-    // fully developed; the `--check` gate refuses smaller runs because at
-    // toy sizes both sides fit in cache and the ratio is noise.
-    let mut args = Args {
-        records: 1_000_000,
-        queries: 256,
-        out: PathBuf::from("results/BENCH_temporal.json"),
-        metrics_out: None,
-        check: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--records" => {
-                args.records = value("--records")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--queries" => {
-                args.queries = value("--queries")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--check" => args.check = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: temporal_bench [--records N] [--queries N] [--out FILE] \
-                     [--metrics-out FILE] [--check]"
-                        .into(),
-                )
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
+/// Window probes compared between the tiered and the in-place index.
+const QUERIES: usize = 256;
+
+/// Least tiered-over-in-place ingest speedup at [`RECORDS`] intervals.
+const INGEST_GATE: f64 = 3.0;
+
+/// Most HINT partitions an `AS OF` may touch in the largest tier, as a
+/// multiple of what it touches in the smallest tier of at least
+/// [`LONGEST_LIFETIME`] versions.
+const PARTITIONS_GATE: f64 = 1.5;
+
+/// The one flag: `--metrics-out FILE`, or none.
+fn parse_args() -> Result<Option<PathBuf>, String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => Ok(None),
+        [flag, path] if flag == "--metrics-out" => Ok(Some(PathBuf::from(path))),
+        _ => Err("usage: temporal_bench [--metrics-out FILE]".into()),
     }
-    Ok(args)
 }
 
 /// The longest a version of [`version_stream`] lives, in ticks — and, one
@@ -307,19 +289,15 @@ fn tiers_against_trees() -> (Vec<HintRow>, usize) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let metrics_out = match parse_args() {
+        Ok(path) => path,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::from(2);
         }
     };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let stream = version_stream(args.records, 17);
-    println!(
-        "temporal ingest: {} monotone end-time versions",
-        args.records
-    );
+    let stream = version_stream(RECORDS, 17);
+    println!("temporal ingest: {RECORDS} monotone end-time versions");
 
     // ---- 1. Tiered ingest (memtable -> sealed packed tiers) -----------
     let registry = MetricsRegistry::new();
@@ -338,8 +316,8 @@ fn main() -> ExitCode {
     tiered.assert_invariants();
     println!(
         "  tiered:  {:>7.0} ns/insert ({:.2} M inserts/s, {} tiers)",
-        tiered_nanos as f64 / args.records as f64,
-        args.records as f64 * 1e3 / tiered_nanos as f64,
+        tiered_nanos as f64 / RECORDS as f64,
+        RECORDS as f64 * 1e3 / tiered_nanos as f64,
         tiered.tier_count()
     );
 
@@ -352,14 +330,14 @@ fn main() -> ExitCode {
     let flat_nanos = start.elapsed().as_nanos() as u64;
     println!(
         "  in-place: {:>6.0} ns/insert ({:.2} M inserts/s)",
-        flat_nanos as f64 / args.records as f64,
-        args.records as f64 * 1e3 / flat_nanos as f64
+        flat_nanos as f64 / RECORDS as f64,
+        RECORDS as f64 * 1e3 / flat_nanos as f64
     );
     let speedup = flat_nanos as f64 / tiered_nanos as f64;
     println!("  speedup: {speedup:.2}x");
 
     // ---- 3. Query equivalence -----------------------------------------
-    let probes = probe_windows(args.queries, args.records as f64, 29);
+    let probes = probe_windows(QUERIES, RECORDS as f64, 29);
     let mut mismatches = 0usize;
     let mut total_hits = 0usize;
     for q in &probes {
@@ -374,7 +352,7 @@ fn main() -> ExitCode {
     }
     println!(
         "  queries: {} probes, {} hits, {} mismatches",
-        args.queries, total_hits, mismatches
+        QUERIES, total_hits, mismatches
     );
 
     // ---- 4. AS OF cost per sealed tier (exact partition counts) ---------
@@ -439,7 +417,7 @@ fn main() -> ExitCode {
         HINT_PROBES
     );
 
-    if let Some(path) = &args.metrics_out {
+    if let Some(path) = &metrics_out {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).expect("create metrics dir");
         }
@@ -447,157 +425,48 @@ fn main() -> ExitCode {
         println!("temporal_bench: wrote {}", path.display());
     }
 
-    // ---- JSON ----------------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(
-        "  \"benchmark\": \"append-optimized tiered temporal ingest vs in-place SR-Tree\",\n",
-    );
-    json.push_str(&format!("  \"date\": \"{}\",\n", today()));
-    json.push_str(
-        "  \"method\": \"crates/bench/src/bin/temporal_bench.rs; one monotone end-time \
-         version stream (short durations, sparse long tail) inserted once into the tiered \
-         LSM index (default config: 8192-entry seals into record-sorted runs plus a frozen \
-         HINT, fanout-4 leveled merges on the merge worker, flushed before the clock stops) \
-         and once into a flat SR-Tree via in-place \
-         inserts; wall-clock over each full pass, then a window-query probe set compared \
-         for bit-identical id sets\",\n",
-    );
-    json.push_str(&format!(
-        "  \"hardware_note\": \"{}\",\n",
-        hardware_note(
-            cores,
-            "single-threaded ingest passes - the speedup ratio is the signal, absolute \
-             latencies vary with the runner"
-        )
-    ));
-    json.push_str(&format!("  \"n_records\": {},\n", args.records));
-    json.push_str(&format!("  \"cores\": {cores},\n"));
-    json.push_str("  \"tiered_ingest\": {\n");
-    json.push_str(&format!("    \"total_nanos\": {tiered_nanos},\n"));
-    json.push_str(&format!(
-        "    \"nanos_per_insert\": {:.1},\n",
-        tiered_nanos as f64 / args.records as f64
-    ));
-    json.push_str(&format!(
-        "    \"inserts_per_sec\": {:.0},\n",
-        args.records as f64 * 1e9 / tiered_nanos as f64
-    ));
-    json.push_str(&format!("    \"tiers\": {},\n", tiered.tier_count()));
-    json.push_str(&format!("    \"len\": {}\n  }},\n", tiered.len()));
-    json.push_str("  \"inplace_ingest\": {\n");
-    json.push_str(&format!("    \"total_nanos\": {flat_nanos},\n"));
-    json.push_str(&format!(
-        "    \"nanos_per_insert\": {:.1},\n",
-        flat_nanos as f64 / args.records as f64
-    ));
-    json.push_str(&format!(
-        "    \"inserts_per_sec\": {:.0}\n  }},\n",
-        args.records as f64 * 1e9 / flat_nanos as f64
-    ));
-    json.push_str(&format!("  \"speedup\": {speedup:.2},\n"));
-    json.push_str(&format!(
-        "  \"as_of_probes_per_tier\": {AS_OF_PROBES},\n  \"sealed_tiers\": [\n"
-    ));
-    for (i, t) in tier_costs.iter().enumerate() {
-        let comma = if i + 1 < tier_costs.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"seq\": {}, \"level\": {}, \"entries\": {}, \
-             \"hint_partitions_per_as_of\": {:.2}, \"resident_bytes_per_entry\": {:.1}}}{comma}\n",
-            t.seq, t.level, t.entries, t.partitions_per_as_of, t.resident_bytes_per_entry
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"tiers_against_trees\": {{\n    \"stream\": \"serve-temporal shape: {SERVED_KEYS} keys, \
-         exponential gaps of mean {SERVED_MEAN_GAP}, a version closes at its key's next record\",\n    \
-         \"versions\": {SERVED_VERSIONS},\n    \"probes_per_tier\": {HINT_PROBES},\n    \
-         \"within_width\": {WITHIN_WIDTH},\n    \"id_mismatches\": {hint_mismatches},\n    \
-         \"tiers\": [\n"
-    ));
-    for (i, r) in hint_rows.iter().enumerate() {
-        let comma = if i + 1 < hint_rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "      {{\"entries\": {}, \"as_of_tree_ns\": {:.0}, \"as_of_hint_ns\": {:.0}, \
-             \"as_of_ratio\": {:.2}, \"within_tree_ns\": {:.0}, \"within_hint_ns\": {:.0}, \
-             \"within_ratio\": {:.2}, \"tree_build_ns_per_entry\": {:.0}, \
-             \"hint_build_ns_per_entry\": {:.0}, \"hint_copies_per_interval\": {:.3}}}{comma}\n",
-            r.entries,
-            r.as_of.0,
-            r.as_of.1,
-            r.as_of.2,
-            r.within.0,
-            r.within.1,
-            r.within.2,
-            r.build.0,
-            r.build.1,
-            r.copies_per_interval
-        ));
-    }
-    json.push_str("    ]\n  },\n");
-    json.push_str("  \"query_verification\": {\n");
-    json.push_str(&format!("    \"probes\": {},\n", args.queries));
-    json.push_str(&format!("    \"total_hits\": {total_hits},\n"));
-    json.push_str(&format!("    \"mismatches\": {mismatches}\n  }}\n"));
-    json.push_str("}\n");
-    if let Some(dir) = args.out.parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&args.out, json).expect("write results");
-    println!("temporal_bench: wrote {}", args.out.display());
-
     // ---- Acceptance gates ----------------------------------------------
-    if args.check {
-        let mut problems = Vec::new();
-        if args.records < 1_000_000 {
-            problems.push(format!(
-                "--check requires --records >= 1000000 (got {})",
-                args.records
-            ));
-        }
-        if speedup < 3.0 {
-            problems.push(format!(
-                "tiered ingest speedup {speedup:.2}x is below the 3x gate"
-            ));
-        }
-        if largest > 1.5 * baseline {
-            problems.push(format!(
-                "the largest tier touches {largest:.1} HINT partitions per AS OF, more than \
-                 1.5x the {baseline:.1} of the smallest tier longer than a lifetime"
-            ));
-        }
-        if bytes_per_entry > RESIDENT_BYTES_GATE {
-            problems.push(format!(
-                "a sealed tier holds {bytes_per_entry:.1} B per entry, more than \
-                 {RESIDENT_BYTES_GATE} B"
-            ));
-        }
-        if mismatches > 0 {
-            problems.push(format!(
-                "{mismatches} of {} probe queries returned different id sets",
-                args.queries
-            ));
-        }
-        if hint_mismatches > 0 {
-            problems.push(format!(
-                "{hint_mismatches} AS OF / WITHIN probes got different ids from a tier's \
-                 HINT than from a tree of the same entries"
-            ));
-        }
-        if !problems.is_empty() {
-            for p in &problems {
-                eprintln!("temporal_bench: CHECK FAILED: {p}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "temporal_bench: checks passed (ingest {speedup:.2}x >= 3x, {} probes bit-identical, \
-             AS OF {largest:.1} HINT partitions on the largest tier <= 1.5x {baseline:.1}, \
-             {bytes_per_entry:.1} B per tier entry <= {RESIDENT_BYTES_GATE}, HINT ids equal \
-             the trees' on {} probes)",
-            args.queries,
-            2 * HINT_PROBES * hint_rows.len()
-        );
+    let mut problems = Vec::new();
+    if speedup < INGEST_GATE {
+        problems.push(format!(
+            "tiered ingest speedup {speedup:.2}x is below the {INGEST_GATE}x gate"
+        ));
     }
+    if largest > PARTITIONS_GATE * baseline {
+        problems.push(format!(
+            "the largest tier touches {largest:.1} HINT partitions per AS OF, more than \
+             {PARTITIONS_GATE}x the {baseline:.1} of the smallest tier longer than a lifetime"
+        ));
+    }
+    if bytes_per_entry > RESIDENT_BYTES_GATE {
+        problems.push(format!(
+            "a sealed tier holds {bytes_per_entry:.1} B per entry, more than \
+             {RESIDENT_BYTES_GATE} B"
+        ));
+    }
+    if mismatches > 0 {
+        problems.push(format!(
+            "{mismatches} of {QUERIES} probe queries returned different id sets"
+        ));
+    }
+    if hint_mismatches > 0 {
+        problems.push(format!(
+            "{hint_mismatches} AS OF / WITHIN probes got different ids from a tier's \
+             HINT than from a tree of the same entries"
+        ));
+    }
+    if !problems.is_empty() {
+        for p in &problems {
+            eprintln!("temporal_bench: CHECK FAILED: {p}");
+        }
+        return ExitCode::FAILURE;
+    }
+    println!(
+        "temporal_bench: checks passed (ingest {speedup:.2}x >= {INGEST_GATE}x, {QUERIES} \
+         probes bit-identical, AS OF {largest:.1} HINT partitions on the largest tier <= \
+         {PARTITIONS_GATE}x {baseline:.1}, {bytes_per_entry:.1} B per tier entry <= \
+         {RESIDENT_BYTES_GATE}, HINT ids equal the trees' on {} probes)",
+        2 * HINT_PROBES * hint_rows.len()
+    );
     ExitCode::SUCCESS
 }

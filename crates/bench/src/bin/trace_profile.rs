@@ -6,35 +6,31 @@
 //!    pinned [`ConcurrentIndex`] snapshot of an SR-Tree (what the server
 //!    runs) plus a persisted replica read through a deliberately small
 //!    [`BufferPool`], so a single trace spans per-level node visits →
-//!    buffer-pool / page I/O. The trace is printed as a text tree
-//!    and exported as Chrome `trace_event` JSON (`results/trace_example.json`
-//!    by default, loadable in `chrome://tracing` / Perfetto).
+//!    buffer-pool / page I/O. The trace is printed as a text tree and
+//!    exported as Chrome `trace_event` JSON to [`TRACE_OUT`], loadable in
+//!    `chrome://tracing` / Perfetto.
 //! 2. **Overhead**: the tracing hooks cost one thread-local branch per span
 //!    site when no trace is active. Interleaved paired rounds compare the
 //!    instrumented [`Tree::search_with`] (tracing compiled in, no active
 //!    trace) against [`Tree::bench_search_untraced`] (the monomorphized
-//!    untraced kernel instantiation); `--check` gates the median
-//!    per-round ratio at ≤ 1.05.
-//!
-//! Results land in `results/BENCH_trace.json`, stamped with
-//! [`segidx_bench::hardware_note`].
+//!    untraced kernel instantiation); the gate fails the run when the
+//!    median per-round ratio exceeds [`OVERHEAD_GATE`].
 //!
 //! Usage:
-//!   trace_profile [--records N] [--queries N] [--rounds N] [--out FILE]
-//!                 [--trace-out FILE] [--check]
+//!   trace_profile
 
 use segidx_bench::crash::SplitMix64;
-use segidx_bench::{hardware_note, median, median_ratio, today};
+use segidx_bench::{median, median_ratio};
 use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
 use segidx_core::tree::Tree;
 use segidx_core::{persist, IndexConfig, PagedSearcher, SearchCursor};
 use segidx_geom::Rect;
-use segidx_obs::json::{self, Value};
+use segidx_obs::json;
 use segidx_obs::trace::{chrome_trace_json, CompletedTrace, Dim, OpClass, Tracer};
 use segidx_storage::{BufferPool, BufferPoolConfig, DiskManager};
 use segidx_workloads::{DataDistribution, DOMAIN_MAX};
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,50 +46,13 @@ use std::time::Instant;
 /// kernel costs far more than 5% and still trips it.
 const OVERHEAD_GATE: f64 = 1.05;
 
-struct Args {
-    records: usize,
-    queries: usize,
-    rounds: usize,
-    out: PathBuf,
-    trace_out: PathBuf,
-    check: bool,
-}
+/// Records in the overhead tree, windows per round, and paired rounds.
+const RECORDS: usize = 200_000;
+const QUERIES: usize = 400;
+const ROUNDS: usize = 9;
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        records: 200_000,
-        queries: 400,
-        rounds: 9,
-        out: PathBuf::from("results/BENCH_trace.json"),
-        trace_out: PathBuf::from("results/trace_example.json"),
-        check: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--records" => {
-                args.records = value("--records")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--queries" => {
-                args.queries = value("--queries")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--rounds" => args.rounds = value("--rounds")?.parse().map_err(|e| format!("{e}"))?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--trace-out" => args.trace_out = PathBuf::from(value("--trace-out")?),
-            "--check" => args.check = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: trace_profile [--records N] [--queries N] [--rounds N] \
-                     [--out FILE] [--trace-out FILE] [--check]"
-                        .into(),
-                )
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(args)
-}
+/// Where the Chrome export of the example trace goes.
+const TRACE_OUT: &str = "results/trace_example.json";
 
 /// Forces one fully-instrumented 2-D window search and returns the trace:
 /// a pinned snapshot of the index service answers the window, then a
@@ -231,14 +190,10 @@ fn time_overhead_rounds(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if std::env::args().len() > 1 {
+        eprintln!("usage: trace_profile (no flags: it always runs its gate)");
+        return ExitCode::from(2);
+    }
 
     // ---- 1. The example trace ------------------------------------------
     let trace = match record_example_trace() {
@@ -263,20 +218,21 @@ fn main() -> ExitCode {
         eprintln!("trace_profile: chrome export is not valid JSON: {e}");
         return ExitCode::FAILURE;
     }
-    if let Some(dir) = args.trace_out.parent() {
+    let trace_out = Path::new(TRACE_OUT);
+    if let Some(dir) = trace_out.parent() {
         std::fs::create_dir_all(dir).expect("create trace output dir");
     }
-    std::fs::write(&args.trace_out, &chrome).expect("write chrome trace");
-    println!("trace_profile: wrote {}", args.trace_out.display());
+    std::fs::write(trace_out, &chrome).expect("write chrome trace");
+    println!("trace_profile: wrote {TRACE_OUT}");
 
     // ---- 2. Untraced overhead ------------------------------------------
-    let dataset = DataDistribution::I3.generate(args.records, 11);
+    let dataset = DataDistribution::I3.generate(RECORDS, 11);
     let mut tree: Tree<2> = Tree::new(IndexConfig::srtree());
     for (rect, record) in &dataset.records {
         tree.insert(*rect, *record);
     }
     let mut rng = SplitMix64::new(23);
-    let queries: Vec<Rect<2>> = (0..args.queries)
+    let queries: Vec<Rect<2>> = (0..QUERIES)
         .map(|_| {
             let x = rng.next_f64() * DOMAIN_MAX * 0.9;
             let y = rng.next_f64() * DOMAIN_MAX * 0.9;
@@ -287,111 +243,36 @@ fn main() -> ExitCode {
         .collect();
     // Warm-up round outside the measurement (first touch faults pages in).
     let (_, _) = time_overhead_rounds(&tree, &queries, 1);
-    let (mut instrumented, mut baseline) =
-        time_overhead_rounds(&tree, &queries, args.rounds.max(3));
+    let (mut instrumented, mut baseline) = time_overhead_rounds(&tree, &queries, ROUNDS);
     let ratio = median_ratio(&instrumented, &baseline);
-    let instrumented_nanos = median(&mut instrumented) / args.queries as u64;
-    let baseline_nanos = median(&mut baseline) / args.queries as u64;
+    let instrumented_nanos = median(&mut instrumented) / QUERIES as u64;
+    let baseline_nanos = median(&mut baseline) / QUERIES as u64;
     println!(
         "untraced overhead over {} records, {} windows: instrumented {} ns/op, \
          baseline {} ns/op, median per-round ratio {:.4} ({:+.2}%)",
-        args.records,
-        args.queries,
+        RECORDS,
+        QUERIES,
         instrumented_nanos,
         baseline_nanos,
         ratio,
         (ratio - 1.0) * 100.0
     );
 
-    // ---- JSON ----------------------------------------------------------
-    let body = Value::Object(vec![
-        (
-            "benchmark".to_string(),
-            Value::Str("hierarchical tracing: untraced overhead + full-stack example trace".into()),
-        ),
-        ("date".to_string(), Value::Str(today())),
-        (
-            "method".to_string(),
-            Value::Str(
-                "crates/bench/src/bin/trace_profile.rs; (1) one forced trace of a 2-D window \
-                 search over an SR-Tree index service plus a persisted replica behind a 64 KB \
-                 buffer pool, checked well-formed and exported as Chrome trace_event JSON; \
-                 (2) interleaved paired rounds of Tree::search_with (tracing inactive) vs \
-                 Tree::bench_search_untraced, scored by the median per-round ratio"
-                    .into(),
-            ),
-        ),
-        (
-            "hardware_note".to_string(),
-            Value::Str(hardware_note(
-                cores,
-                &format!(
-                    "single-threaded microbench, {} interleaved rounds (median of paired \
-                     per-round ratios) - relative ratios are the signal, absolute latencies \
-                     vary with the runner",
-                    args.rounds.max(3)
-                ),
-            )),
-        ),
-        ("n_records".to_string(), Value::Int(args.records as i64)),
-        ("n_queries".to_string(), Value::Int(args.queries as i64)),
-        (
-            "overhead".to_string(),
-            Value::Object(vec![
-                (
-                    "instrumented_nanos_per_op".to_string(),
-                    Value::Int(instrumented_nanos as i64),
-                ),
-                (
-                    "baseline_nanos_per_op".to_string(),
-                    Value::Int(baseline_nanos as i64),
-                ),
-                ("median_ratio".to_string(), Value::Float(ratio)),
-                ("gate_ratio".to_string(), Value::Float(OVERHEAD_GATE)),
-            ]),
-        ),
-        (
-            "example_trace".to_string(),
-            Value::Object(vec![
-                ("trace_id".to_string(), Value::Int(trace.id as i64)),
-                ("class".to_string(), Value::Str(trace.class.name().into())),
-                (
-                    "duration_nanos".to_string(),
-                    Value::Int(trace.duration_nanos as i64),
-                ),
-                ("spans".to_string(), Value::Int(trace.spans.len() as i64)),
-                (
-                    "dropped_spans".to_string(),
-                    Value::Int(trace.dropped_spans as i64),
-                ),
-                ("profile".to_string(), trace.profile.to_json_value()),
-            ]),
-        ),
-    ])
-    .render();
-    if let Some(dir) = args.out.parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&args.out, body).expect("write results");
-    println!("trace_profile: wrote {}", args.out.display());
-
     // ---- Acceptance gate -----------------------------------------------
-    if args.check {
-        if ratio > OVERHEAD_GATE {
-            eprintln!(
-                "trace_profile: CHECK FAILED: untraced overhead ratio {:.4} exceeds the \
-                 {:.2} gate",
-                ratio, OVERHEAD_GATE
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "trace_profile: checks passed (overhead ratio {:.4} <= {:.2}, trace \
-             well-formed across {} spans)",
-            ratio,
-            OVERHEAD_GATE,
-            trace.spans.len()
+    if ratio > OVERHEAD_GATE {
+        eprintln!(
+            "trace_profile: CHECK FAILED: untraced overhead ratio {:.4} exceeds the \
+             {:.2} gate",
+            ratio, OVERHEAD_GATE
         );
+        return ExitCode::FAILURE;
     }
+    println!(
+        "trace_profile: checks passed (overhead ratio {:.4} <= {:.2}, trace \
+         well-formed across {} spans)",
+        ratio,
+        OVERHEAD_GATE,
+        trace.spans.len()
+    );
     ExitCode::SUCCESS
 }

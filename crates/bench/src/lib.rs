@@ -41,8 +41,7 @@ pub use experiment::{
 };
 pub use metrics::{metrics_snapshot, write_metrics_json};
 pub use report::{
-    ablation_csv, graph_csv, hardware_note, median, median_ratio, render_ablation, render_table,
-    today, write_csv,
+    ablation_csv, graph_csv, median, median_ratio, render_ablation, render_table, write_csv,
 };
 pub use runner::{
     inspect_variants, run_ablation, run_experiment, BuildInfo, GraphResult, Series, SweepPoint,

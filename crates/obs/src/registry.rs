@@ -42,7 +42,7 @@ impl MetricKind {
 /// beside its collector; that table is the one place the name is written.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Family {
-    /// Metric name, e.g. `segidx_search_latency_nanos`.
+    /// Metric name, e.g. `segidx_server_requests_total`.
     pub name: &'static str,
     /// What every metric of the family carries.
     pub kind: MetricKind,
@@ -103,7 +103,7 @@ impl MetricValue {
 /// One named, labeled metric.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Metric {
-    /// Metric name, e.g. `segidx_search_latency_nanos`.
+    /// Metric name, e.g. `segidx_server_requests_total`.
     pub name: String,
     /// Label pairs, e.g. `[("variant", "SR-Tree"), ("graph", "3")]`.
     pub labels: Vec<(String, String)>,

@@ -13,22 +13,21 @@
 //! loadgen [--addr HOST:PORT]      target a running server (default:
 //!                                 self-host one in-process on a free port)
 //!         [--connections N]       concurrent client connections (4)
-//!         [--pipeline N]          in-flight frames per connection (256)
 //!         [--ops N]               measured statements per connection (100000)
-//!         [--preload N]           warm-up inserts per connection (2000)
 //!         [--seed N]              workload seed (1)
-//!         [--out PATH]            results JSON (results/BENCH_server.json)
 //!         [--metrics-out PATH]    save the server's METRICS snapshot
 //!         [--check]               gate on floors/ceilings (CI mode)
 //!         [--min-qps N]           --check: sustained QPS floor (50000)
 //!         [--max-p99-ms N]        --check: read+write p99 ceiling (50)
 //! ```
 //!
-//! `--check` fails (exit 1) on: a protocol error, a verification
-//! mismatch, QPS under the floor, or p99 over the ceiling.
+//! Each connection keeps [`PIPELINE`] frames in flight after a
+//! [`PRELOAD`]-insert warm-up. The run fails (exit 1) on a protocol error
+//! or a verification mismatch; `--check` also fails it on QPS under the
+//! floor or p99 over the ceiling. Throughput across versions is
+//! segbench's `serve-mixed` to compare; this is a gate.
 
 use segidx_geom::{Point, Rect};
-use segidx_obs::json::Value;
 use segidx_obs::{HistogramSnapshot, LatencyHistogram};
 use segidx_server::{encode_request, FrameDecoder, Mode, Server, ServerConfig};
 use std::collections::HashMap;
@@ -42,14 +41,17 @@ const DIMS: usize = segidx_server::DIMS;
 /// Coordinate domain the workload draws from.
 const DOMAIN: [f64; 2] = [1_000_000.0, 1_000_000.0];
 
+/// In-flight frames per connection.
+const PIPELINE: usize = 256;
+
+/// Warm-up inserts per connection, before the measured phase.
+const PRELOAD: usize = 2_000;
+
 struct Args {
     addr: Option<String>,
     connections: usize,
-    pipeline: usize,
     ops: usize,
-    preload: usize,
     seed: u64,
-    out: String,
     metrics_out: Option<String>,
     check: bool,
     min_qps: f64,
@@ -61,11 +63,8 @@ impl Default for Args {
         Self {
             addr: None,
             connections: 4,
-            pipeline: 256,
             ops: 100_000,
-            preload: 2_000,
             seed: 1,
-            out: "results/BENCH_server.json".to_string(),
             metrics_out: None,
             check: false,
             min_qps: 50_000.0,
@@ -87,19 +86,16 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.addr = Some(value),
             "--connections" => args.connections = value.parse().map_err(|e| bad(&e))?,
-            "--pipeline" => args.pipeline = value.parse().map_err(|e| bad(&e))?,
             "--ops" => args.ops = value.parse().map_err(|e| bad(&e))?,
-            "--preload" => args.preload = value.parse().map_err(|e| bad(&e))?,
             "--seed" => args.seed = value.parse().map_err(|e| bad(&e))?,
-            "--out" => args.out = value,
             "--metrics-out" => args.metrics_out = Some(value),
             "--min-qps" => args.min_qps = value.parse().map_err(|e| bad(&e))?,
             "--max-p99-ms" => args.max_p99_ms = value.parse().map_err(|e| bad(&e))?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.connections == 0 || args.pipeline == 0 {
-        return Err("--connections and --pipeline must be positive".into());
+    if args.connections == 0 {
+        return Err("--connections must be positive".into());
     }
     Ok(args)
 }
@@ -330,8 +326,8 @@ fn run_connection(addr: &str, conn_id: usize, args: &Args) -> Result<ConnResult,
 
     // Preload: a confirmed-live pool so the measured phase can delete
     // from the first statement.
-    for _ in 0..args.preload {
-        if client.inflight.len() >= args.pipeline {
+    for _ in 0..PRELOAD {
+        if client.inflight.len() >= PIPELINE {
             client.pump().map_err(fail)?;
         }
         let rect = random_rect(&mut rng, 200.0);
@@ -350,7 +346,7 @@ fn run_connection(addr: &str, conn_id: usize, args: &Args) -> Result<ConnResult,
     let started = Instant::now();
     let mut text = String::with_capacity(128);
     for _ in 0..args.ops {
-        if client.inflight.len() >= args.pipeline {
+        if client.inflight.len() >= PIPELINE {
             client.pump().map_err(fail)?;
         }
         text.clear();
@@ -505,27 +501,6 @@ fn fetch_metrics(addr: &str) -> Result<String, String> {
     }
 }
 
-fn hist_json(h: &HistogramSnapshot) -> Value {
-    let opt = |v: Option<u64>| match v {
-        Some(v) => Value::Int(v as i64),
-        None => Value::Null,
-    };
-    Value::Object(vec![
-        ("count".into(), Value::Int(h.count as i64)),
-        ("p50_nanos".into(), opt(h.p50())),
-        ("p95_nanos".into(), opt(h.p95())),
-        ("p99_nanos".into(), opt(h.p99())),
-        ("max_nanos".into(), Value::Int(h.max as i64)),
-    ])
-}
-
-fn write_out(path: &str, value: &Value) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(path, value.render()).expect("write results");
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -554,8 +529,8 @@ fn main() -> ExitCode {
         (None, None) => unreachable!(),
     };
     eprintln!(
-        "loadgen: driving {addr} with {} connections x {} ops (pipeline {})",
-        args.connections, args.ops, args.pipeline
+        "loadgen: driving {addr} with {} connections x {} ops (pipeline {PIPELINE})",
+        args.connections, args.ops
     );
 
     // Fan the connections out, one thread each.
@@ -632,62 +607,6 @@ fn main() -> ExitCode {
     let clean = protocol_errors.is_empty();
     let passed = verified && clean && (!args.check || (qps_ok && p99_ok));
 
-    let result = Value::Object(vec![
-        (
-            "config".into(),
-            Value::Object(vec![
-                ("addr".into(), Value::Str(addr.clone())),
-                ("self_hosted".into(), Value::Bool(hosted.is_some())),
-                ("connections".into(), Value::Int(args.connections as i64)),
-                ("pipeline".into(), Value::Int(args.pipeline as i64)),
-                ("ops_per_connection".into(), Value::Int(args.ops as i64)),
-                (
-                    "preload_per_connection".into(),
-                    Value::Int(args.preload as i64),
-                ),
-                ("seed".into(), Value::Int(args.seed as i64)),
-            ]),
-        ),
-        ("duration_secs".into(), Value::Float(duration.as_secs_f64())),
-        ("total_ops".into(), Value::Int(total_ops as i64)),
-        ("sustained_qps".into(), Value::Float(qps)),
-        ("busy_rejections".into(), Value::Int(busy as i64)),
-        (
-            "protocol_errors".into(),
-            Value::Int(protocol_errors.len() as i64),
-        ),
-        ("read_latency".into(), hist_json(&read_latency)),
-        ("write_latency".into(), hist_json(&write_latency)),
-        (
-            "verify".into(),
-            Value::Object(vec![
-                ("queries".into(), Value::Int(verify_queries as i64)),
-                ("committed_records".into(), Value::Int(model.len() as i64)),
-                ("mismatches".into(), Value::Int(mismatches.len() as i64)),
-                ("passed".into(), Value::Bool(verified)),
-            ]),
-        ),
-        (
-            "check".into(),
-            Value::Object(vec![
-                ("enabled".into(), Value::Bool(args.check)),
-                ("min_qps".into(), Value::Float(args.min_qps)),
-                ("max_p99_ms".into(), Value::Float(args.max_p99_ms)),
-                ("worst_p99_ms".into(), Value::Float(worst_p99_ms)),
-                ("passed".into(), Value::Bool(passed)),
-            ]),
-        ),
-        (
-            "hardware_note".into(),
-            Value::Str(
-                "QPS and tail latency depend on the runner; CI floors are set \
-                 for the shared runner, not peak hardware"
-                    .into(),
-            ),
-        ),
-    ]);
-    write_out(&args.out, &result);
-
     eprintln!(
         "loadgen: {total_ops} ops in {:.2}s = {qps:.0} QPS | read p50/p99 {}us/{}us | \
          write p50/p99 {}us/{}us | busy {busy} | verify {}/{} matched",
@@ -731,7 +650,6 @@ fn main() -> ExitCode {
             mismatches.len()
         );
     }
-    eprintln!("loadgen: wrote {}", args.out);
 
     if let Some(s) = hosted {
         s.shutdown();
