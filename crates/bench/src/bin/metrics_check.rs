@@ -23,8 +23,8 @@
 //! * default — a `reproduce --metrics-out` export: the paper families
 //!   (exact counts; `reproduce` times nothing, so no histogram).
 //! * `--server` — a `segidx_server` `METRICS` snapshot (what `loadgen
-//!   --metrics-out` saves): the server's, the index service's, its
-//!   tracer's and the temporal tier's families; the server's read and
+//!   --metrics-out` saves): the server's, its tracer's, the index
+//!   service's and the temporal tier's families; the server's read and
 //!   write latency and the index's queue-wait and commit latency
 //!   non-empty (a smoke run need not seal a temporal tier).
 //! * `--temporal` — a `temporal_bench --metrics-out` snapshot: the
@@ -242,15 +242,14 @@ mod tests {
             .collect()
     }
 
-    /// What the server's `METRICS` statement returns: its own families,
-    /// the index service's and its tracer's, and the temporal tier's.
+    /// What the server's `METRICS` statement returns: its own families and
+    /// its tracer's, the index service's, and the temporal tier's.
     fn server_snapshot() -> Vec<Metric> {
         let mut out = Vec::new();
-        let concurrent = [("component", "concurrent")];
-        for f in segidx_concurrent::METRICS.iter().chain(trace::METRICS) {
-            out.push(metric(f, &concurrent));
+        for f in segidx_concurrent::METRICS {
+            out.push(metric(f, &[("component", "concurrent")]));
         }
-        for f in server::METRICS {
+        for f in server::METRICS.iter().chain(trace::METRICS) {
             out.push(metric(f, &[("component", "server")]));
         }
         for f in temporal::METRICS {

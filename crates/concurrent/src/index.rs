@@ -36,6 +36,16 @@
 //! A [`Skeleton`] still filling its prediction buffer copies the buffer
 //! instead; the commit that fills it builds the tree.
 //!
+//! # One owner, any number of handles
+//!
+//! Every method of the service is [`IndexHandle`]'s, over one
+//! `Arc<Shared>`: the published snapshot, the queue and the writer's
+//! counters. [`ConcurrentIndex`] owns the writer thread and nothing else
+//! of its own; it dereferences to its handle, and shutting it down (or
+//! dropping it) closes the queue, lets the writer commit what is queued,
+//! and joins it. A handle that outlives its owner reads on, and every
+//! submission it makes is refused with [`SubmitError::Closed`].
+//!
 //! # Durability = visibility
 //!
 //! When a `Tree` is served over a [`DiskManager`] ([`Builder::durable`]),
@@ -49,13 +59,11 @@
 
 use crate::queue::{
     lock, CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, QueueItem,
-    SubmissionQueue, SubmitError, TicketState,
+    SubmissionQueue, SubmitError,
 };
 use segidx_core::tree::Tree;
-use segidx_core::{persist, IntervalIndex, RecordId};
-use segidx_geom::Rect;
-use segidx_obs::trace::{self, Tracer};
-use segidx_obs::{Family, LatencyHistogram, Metric, MetricsRegistry};
+use segidx_core::{persist, IntervalIndex};
+use segidx_obs::{trace, Family, LatencyHistogram, Metric, MetricsRegistry};
 use segidx_storage::{DiskManager, StorageError};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -91,37 +99,6 @@ pub const METRICS: &[Family] = &[
 /// The label on every metric the service emits.
 const LABELS: &[(&str, &str)] = &[("component", "concurrent")];
 
-/// Writer-side counters and latency distributions, shared with every
-/// [`IndexHandle`].
-#[derive(Debug, Default)]
-pub struct ConcurrentTelemetry {
-    /// Time each operation spent queued before its batch was drained.
-    pub queue_wait: LatencyHistogram,
-    /// Wall-clock duration of each group commit (apply + checkpoint +
-    /// publish).
-    pub commit_latency: LatencyHistogram,
-    commits: AtomicU64,
-    ops_applied: AtomicU64,
-    overloads: AtomicU64,
-}
-
-impl ConcurrentTelemetry {
-    /// Group commits published.
-    pub fn commits(&self) -> u64 {
-        self.commits.load(SeqCst)
-    }
-
-    /// Operations applied across all group commits.
-    pub fn ops_applied(&self) -> u64 {
-        self.ops_applied.load(SeqCst)
-    }
-
-    /// Submissions rejected by admission control.
-    pub fn overloads(&self) -> u64 {
-        self.overloads.load(SeqCst)
-    }
-}
-
 /// One published, immutable snapshot: the engine plus its epoch identity.
 struct SnapshotInner<const D: usize, E = Tree<D>> {
     epoch: u64,
@@ -150,8 +127,8 @@ impl<const D: usize, E> Drop for SnapshotInner<D, E> {
     }
 }
 
-/// State shared by the writer thread, the owner, and every handle.
-struct Shared<const D: usize, E = Tree<D>> {
+/// State shared by the writer thread and every [`IndexHandle`].
+struct Shared<const D: usize, E> {
     /// The current snapshot. Held only to clone or swap the `Arc`, which
     /// no panic can leave half-written: every site takes it through
     /// [`lock`], so a thread that died holding it stops no one.
@@ -160,65 +137,14 @@ struct Shared<const D: usize, E = Tree<D>> {
     /// every other live one was replaced and is kept by a reader.
     live_snapshots: Arc<AtomicUsize>,
     queue: SubmissionQueue<D>,
-    telemetry: Arc<ConcurrentTelemetry>,
-    /// Tracer whose flight recorder / drop counters this index's metrics
-    /// should carry.
-    tracer: Option<Arc<Tracer>>,
-}
-
-impl<const D: usize, E> Shared<D, E> {
-    fn snapshot(&self) -> SnapshotGuard<D, E> {
-        SnapshotGuard {
-            inner: Arc::clone(&lock(&self.published)),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        lock(&self.published).epoch
-    }
-
-    fn retired_snapshots(&self) -> usize {
-        self.live_snapshots.load(SeqCst) - 1
-    }
-
-    fn submit(&self, op: IndexOp<D>) -> Result<CommitTicket, SubmitError> {
-        let _sp = trace::span("index.submit");
-        let state = Arc::new(TicketState::default());
-        match self.queue.push_op(op, Arc::clone(&state)) {
-            Ok(()) => Ok(CommitTicket { state }),
-            Err(err) => {
-                if let SubmitError::Overloaded { .. } = err {
-                    self.telemetry.overloads.fetch_add(1, SeqCst);
-                }
-                Err(err)
-            }
-        }
-    }
-
-    fn submit_batch(&self, ops: Vec<IndexOp<D>>) -> Vec<Result<CommitTicket, SubmitError>> {
-        let _sp = trace::span("index.submit_batch");
-        self.queue
-            .push_ops(ops)
-            .into_iter()
-            .map(|r| match r {
-                Ok(state) => Ok(CommitTicket { state }),
-                Err(err) => {
-                    if let SubmitError::Overloaded { .. } = err {
-                        self.telemetry.overloads.fetch_add(1, SeqCst);
-                    }
-                    Err(err)
-                }
-            })
-            .collect()
-    }
-
-    fn flush(&self) -> Result<CommitReceipt, CommitError> {
-        let state = Arc::new(TicketState::default());
-        match self.queue.push_barrier(Arc::clone(&state)) {
-            Ok(()) => CommitTicket { state }.wait(),
-            Err(_) => Err(CommitError::WriterExited),
-        }
-    }
+    /// Time each operation spent queued before its batch was drained.
+    queue_wait: LatencyHistogram,
+    /// Wall time of each group commit (apply + checkpoint + publish).
+    commit_latency: LatencyHistogram,
+    /// Group commits published.
+    commits: AtomicU64,
+    /// Operations applied across all group commits.
+    ops_applied: AtomicU64,
 }
 
 /// A pinned, immutable view of one published snapshot.
@@ -293,7 +219,6 @@ pub struct Builder<const D: usize, E = Tree<D>> {
     durability: Option<Durability<E>>,
     queue_capacity: usize,
     max_batch: usize,
-    tracer: Option<Arc<Tracer>>,
     commit_hook: Option<CommitHook>,
 }
 
@@ -324,14 +249,6 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
         self
     }
 
-    /// Associates a [`Tracer`] with this index: its sampling counters,
-    /// trace-buffer drop counter, and flight-recorder depth ride along in
-    /// [`IndexHandle::register_metrics`].
-    pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
     /// Installs a [`CommitHook`] (test seam for in-flight commits).
     pub fn commit_hook(mut self, hook: CommitHook) -> Self {
         self.commit_hook = Some(hook);
@@ -348,7 +265,6 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
             durability,
             queue_capacity,
             max_batch,
-            tracer,
             commit_hook,
         } = self;
         let durable_epoch = match &durability {
@@ -364,29 +280,34 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
             published: Mutex::new(Arc::new(initial)),
             live_snapshots,
             queue: SubmissionQueue::new(queue_capacity),
-            telemetry: Arc::new(ConcurrentTelemetry::default()),
-            tracer,
+            queue_wait: LatencyHistogram::new(),
+            commit_latency: LatencyHistogram::new(),
+            commits: AtomicU64::new(0),
+            ops_applied: AtomicU64::new(0),
         });
         let writer_shared = Arc::clone(&shared);
         let writer = std::thread::Builder::new()
             .name("segidx-writer".into())
-            .spawn(move || writer_loop(writer_shared, tree, durability, max_batch, commit_hook))
+            .spawn(move || writer_loop(&writer_shared, tree, durability, max_batch, commit_hook))
             .expect("spawn writer thread");
         Ok(ConcurrentIndex {
-            shared,
+            handle: IndexHandle { shared },
             writer: Some(writer),
         })
     }
 }
 
-/// An index served concurrently: any number of snapshot readers, one
-/// writer thread applying submitted mutations in group commits.
+/// The owner of an index served concurrently: any number of snapshot
+/// readers, one writer thread applying submitted mutations in group
+/// commits.
 ///
 /// Construct with [`ConcurrentIndex::builder`] from any engine the
 /// [`Builder`] accepts: a [`Tree`] of any of the four paper
-/// configurations, or a predicted `Skeleton` still buffering. Cheap cloneable
-/// [`IndexHandle`]s (from [`handle`](Self::handle)) give other threads the
-/// same read/submit API.
+/// configurations, or a predicted `Skeleton` still buffering. The owner
+/// holds the writer thread, and dropping it (or [`shutdown`](Self::shutdown))
+/// commits what is queued and stops the writer. Everything else — reads,
+/// submissions, flushes, metrics — is [`IndexHandle`]'s, which the owner
+/// dereferences to; [`handle`](Self::handle) clones one for another thread.
 ///
 /// ```
 /// use segidx_concurrent::{ConcurrentIndex, IndexOp};
@@ -410,7 +331,7 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
 /// assert_eq!(snap.search(&Rect::new([5.0, 0.0], [6.0, 2.0])), vec![RecordId(1)]);
 /// ```
 pub struct ConcurrentIndex<const D: usize, E = Tree<D>> {
-    shared: Arc<Shared<D, E>>,
+    handle: IndexHandle<D, E>,
     writer: Option<JoinHandle<()>>,
 }
 
@@ -422,61 +343,13 @@ impl<const D: usize, E> ConcurrentIndex<D, E> {
             durability: None,
             queue_capacity: 1024,
             max_batch: 128,
-            tracer: None,
             commit_hook: None,
         }
     }
 
-    /// A cloneable handle sharing this index's read/submit API.
+    /// A cloneable handle to this index, for another thread.
     pub fn handle(&self) -> IndexHandle<D, E> {
-        IndexHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Pins and returns the current published snapshot: one `Arc` clone
-    /// under a lock nothing holds for longer than a pointer operation.
-    pub fn snapshot(&self) -> SnapshotGuard<D, E> {
-        self.shared.snapshot()
-    }
-
-    /// Submits one mutation; see [`IndexHandle::submit`].
-    pub fn submit(&self, op: IndexOp<D>) -> Result<CommitTicket, SubmitError> {
-        self.shared.submit(op)
-    }
-
-    /// Submits a run of mutations under one queue lock; see
-    /// [`IndexHandle::submit_batch`].
-    pub fn submit_batch(&self, ops: Vec<IndexOp<D>>) -> Vec<Result<CommitTicket, SubmitError>> {
-        self.shared.submit_batch(ops)
-    }
-
-    /// Blocks until everything submitted before this call is committed and
-    /// published, returning that commit's receipt.
-    pub fn flush(&self) -> Result<CommitReceipt, CommitError> {
-        self.shared.flush()
-    }
-
-    /// Writer-side telemetry.
-    pub fn telemetry(&self) -> Arc<ConcurrentTelemetry> {
-        Arc::clone(&self.shared.telemetry)
-    }
-
-    /// The latest published epoch.
-    pub fn epoch(&self) -> u64 {
-        self.shared.epoch()
-    }
-
-    /// Operations currently queued for the writer.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.depth()
-    }
-
-    /// Snapshots that were replaced by a later commit but are still held
-    /// by a reader — the alerting signal for a reader pinning snapshots
-    /// longer than it should.
-    pub fn retired_snapshots(&self) -> usize {
-        self.shared.retired_snapshots()
+        self.handle.clone()
     }
 
     /// Shuts down gracefully: already-queued operations still commit, then
@@ -486,10 +359,18 @@ impl<const D: usize, E> ConcurrentIndex<D, E> {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.queue.close();
+        self.handle.shared.queue.close();
         if let Some(writer) = self.writer.take() {
             let _ = writer.join();
         }
+    }
+}
+
+impl<const D: usize, E> Deref for ConcurrentIndex<D, E> {
+    type Target = IndexHandle<D, E>;
+
+    fn deref(&self) -> &IndexHandle<D, E> {
+        &self.handle
     }
 }
 
@@ -501,20 +382,17 @@ impl<const D: usize, E> Drop for ConcurrentIndex<D, E> {
 
 impl<const D: usize, E> std::fmt::Debug for ConcurrentIndex<D, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConcurrentIndex")
-            .field("epoch", &self.epoch())
-            .field("queue_depth", &self.queue_depth())
-            .field("retired_snapshots", &self.retired_snapshots())
-            .finish()
+        self.handle.fmt(f)
     }
 }
 
-/// A cloneable, `Send + Sync` handle to a [`ConcurrentIndex`].
+/// A cloneable, `Send + Sync` handle to a [`ConcurrentIndex`]: the
+/// service's whole read/submit surface.
 ///
-/// Handles share the index's snapshot/submit API; they do not keep the
-/// writer alive — once the owning `ConcurrentIndex` shuts down, submissions
-/// fail with [`SubmitError::Closed`] while snapshots continue to serve the
-/// last published state.
+/// Handles do not keep the writer alive — once the owning
+/// `ConcurrentIndex` shuts down, submissions fail with
+/// [`SubmitError::Closed`] while snapshots continue to serve the last
+/// published state.
 pub struct IndexHandle<const D: usize, E = Tree<D>> {
     shared: Arc<Shared<D, E>>,
 }
@@ -531,14 +409,19 @@ impl<const D: usize, E> IndexHandle<D, E> {
     /// Pins and returns the current published snapshot: one `Arc` clone
     /// under a lock nothing holds for longer than a pointer operation.
     pub fn snapshot(&self) -> SnapshotGuard<D, E> {
-        self.shared.snapshot()
+        SnapshotGuard {
+            inner: Arc::clone(&lock(&self.shared.published)),
+        }
     }
 
-    /// Submits one mutation. Returns immediately with a [`CommitTicket`],
-    /// or rejects with [`SubmitError::Overloaded`] (queue full — the op was
-    /// *not* enqueued) or [`SubmitError::Closed`].
+    /// Submits one mutation: a one-element
+    /// [`submit_batch`](Self::submit_batch). Returns immediately with a
+    /// [`CommitTicket`], or rejects with [`SubmitError::Overloaded`]
+    /// (queue full — the op was *not* enqueued) or [`SubmitError::Closed`].
     pub fn submit(&self, op: IndexOp<D>) -> Result<CommitTicket, SubmitError> {
-        self.shared.submit(op)
+        self.submit_batch(vec![op])
+            .pop()
+            .expect("one result per op")
     }
 
     /// Submits a run of mutations under **one** queue lock acquisition,
@@ -553,98 +436,59 @@ impl<const D: usize, E> IndexHandle<D, E> {
     /// [`wait`](CommitTicket::wait)s on the tickets when it needs the
     /// outcomes — typically to find them already resolved.
     pub fn submit_batch(&self, ops: Vec<IndexOp<D>>) -> Vec<Result<CommitTicket, SubmitError>> {
-        self.shared.submit_batch(ops)
+        let _sp = trace::span("index.submit");
+        self.shared.queue.push(ops)
     }
 
-    /// Convenience: submit an insert.
-    pub fn insert(&self, rect: Rect<D>, record: RecordId) -> Result<CommitTicket, SubmitError> {
-        self.submit(IndexOp::Insert { rect, record })
-    }
-
-    /// Convenience: submit a delete.
-    pub fn delete(&self, rect: Rect<D>, record: RecordId) -> Result<CommitTicket, SubmitError> {
-        self.submit(IndexOp::Delete { rect, record })
-    }
-
-    /// Blocks until everything submitted before this call is committed.
+    /// Blocks until everything submitted before this call is committed and
+    /// published, returning that commit's receipt.
     pub fn flush(&self) -> Result<CommitReceipt, CommitError> {
-        self.shared.flush()
+        match self.shared.queue.push_barrier() {
+            Ok(ticket) => ticket.wait(),
+            Err(_) => Err(CommitError::WriterExited),
+        }
     }
 
     /// The latest published epoch.
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch()
+        lock(&self.shared.published).epoch
     }
 
-    /// Operations currently queued for the writer.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.depth()
-    }
-
-    /// The admission-control limit on queued operations.
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.queue.capacity()
-    }
-
-    /// Replaced snapshots a reader still holds (see
-    /// [`ConcurrentIndex::retired_snapshots`]).
+    /// Snapshots that were replaced by a later commit but are still held
+    /// by a reader — the alerting signal for a reader pinning snapshots
+    /// longer than it should.
     pub fn retired_snapshots(&self) -> usize {
-        self.shared.retired_snapshots()
-    }
-
-    /// Writer-side telemetry.
-    pub fn telemetry(&self) -> Arc<ConcurrentTelemetry> {
-        Arc::clone(&self.shared.telemetry)
+        self.shared.live_snapshots.load(SeqCst) - 1
     }
 
     /// Registers this index's [`METRICS`] families on `registry`, labelled
-    /// `component="concurrent"`. When the index was built with
-    /// [`Builder::tracer`], the tracer's families
-    /// ([`trace::METRICS`]) ride along under the same label.
+    /// `component="concurrent"`.
     pub fn register_metrics(&self, registry: &MetricsRegistry)
     where
         E: Send + Sync + 'static,
     {
-        if let Some(tracer) = &self.shared.tracer {
-            let tracer = Arc::clone(tracer);
-            registry.register(
-                trace::METRICS,
-                Box::new(move |out| tracer.collect_metrics(LABELS, out)),
-            );
-        }
-        let shared = Arc::clone(&self.shared);
+        let handle = self.clone();
         registry.register(
             METRICS,
             Box::new(move |out| {
-                let t = &shared.telemetry;
-                out.push(Metric::gauge(EPOCH.name, LABELS, shared.epoch() as f64));
-                out.push(Metric::gauge(
-                    QUEUE_DEPTH.name,
-                    LABELS,
-                    shared.queue.depth() as f64,
-                ));
-                out.push(Metric::gauge(
-                    RETIRED_SNAPSHOTS.name,
-                    LABELS,
-                    shared.retired_snapshots() as f64,
-                ));
-                out.push(Metric::counter(COMMITS_TOTAL.name, LABELS, t.commits()));
-                out.push(Metric::counter(
-                    OPS_APPLIED_TOTAL.name,
-                    LABELS,
-                    t.ops_applied(),
-                ));
-                out.push(Metric::counter(OVERLOADS_TOTAL.name, LABELS, t.overloads()));
-                out.push(Metric::histogram(
-                    QUEUE_WAIT_NANOS.name,
-                    LABELS,
-                    t.queue_wait.snapshot(),
-                ));
-                out.push(Metric::histogram(
-                    COMMIT_LATENCY_NANOS.name,
-                    LABELS,
-                    t.commit_latency.snapshot(),
-                ));
+                let s = &handle.shared;
+                let gauge = |f: Family, v: f64| Metric::gauge(f.name, LABELS, v);
+                let counter =
+                    |f: Family, n: &AtomicU64| Metric::counter(f.name, LABELS, n.load(SeqCst));
+                out.extend([
+                    gauge(EPOCH, handle.epoch() as f64),
+                    gauge(QUEUE_DEPTH, s.queue.depth() as f64),
+                    gauge(RETIRED_SNAPSHOTS, handle.retired_snapshots() as f64),
+                    counter(COMMITS_TOTAL, &s.commits),
+                    counter(OPS_APPLIED_TOTAL, &s.ops_applied),
+                    counter(OVERLOADS_TOTAL, &s.queue.overloads),
+                    Metric::histogram(QUEUE_WAIT_NANOS.name, LABELS, s.queue_wait.snapshot()),
+                    Metric::histogram(
+                        COMMIT_LATENCY_NANOS.name,
+                        LABELS,
+                        s.commit_latency.snapshot(),
+                    ),
+                ]);
             }),
         );
     }
@@ -654,7 +498,8 @@ impl<const D: usize, E> std::fmt::Debug for IndexHandle<D, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexHandle")
             .field("epoch", &self.epoch())
-            .field("queue_depth", &self.queue_depth())
+            .field("queue_depth", &self.shared.queue.depth())
+            .field("retired_snapshots", &self.retired_snapshots())
             .finish()
     }
 }
@@ -672,18 +517,12 @@ struct Drained<'a, const D: usize, E> {
 }
 
 impl<const D: usize, E> Drained<'_, D, E> {
-    fn tickets(&self) -> impl Iterator<Item = &Arc<TicketState>> {
-        self.batch.iter().map(|item| match item {
-            QueueItem::Op { ticket, .. } | QueueItem::Barrier(ticket) => ticket,
-        })
-    }
-
     /// Fails the batch and everything queued behind it; the writer is
     /// about to exit and nothing submitted can commit any more.
     fn fail(&self, err: &CommitError) {
         self.shared.queue.close();
-        for ticket in self.tickets() {
-            ticket.complete(Err(err.clone()));
+        for item in &self.batch {
+            item.ticket().complete(Err(err.clone()), None);
         }
         self.shared.queue.fail_remaining(err);
     }
@@ -699,24 +538,14 @@ impl<const D: usize, E> Drop for Drained<'_, D, E> {
 
 /// The single writer: drain → apply → checkpoint → publish.
 fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
-    shared: Arc<Shared<D, E>>,
+    shared: &Shared<D, E>,
     mut tree: E,
     durability: Option<Durability<E>>,
     max_batch: usize,
     mut hook: Option<CommitHook>,
 ) {
-    loop {
-        let (batch, closed) = shared.queue.drain(max_batch);
-        if batch.is_empty() {
-            if closed {
-                return;
-            }
-            continue;
-        }
-        let drained = Drained {
-            shared: &shared,
-            batch,
-        };
+    while let Some(batch) = shared.queue.drain(max_batch) {
+        let drained = Drained { shared, batch };
         let commit_start = Instant::now();
         // Each ticket keeps its own queue wait; the apply/checkpoint/
         // publish phases below are shared by the whole group commit.
@@ -726,7 +555,7 @@ fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
             match item {
                 QueueItem::Op { op, enqueued, .. } => {
                     let waited = enqueued.elapsed();
-                    shared.telemetry.queue_wait.record_duration(waited);
+                    shared.queue_wait.record_duration(waited);
                     match *op {
                         IndexOp::Insert { rect, record } => tree.insert(rect, record),
                         IndexOp::Delete { rect, record } => {
@@ -740,23 +569,24 @@ fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
             }
         }
         let apply_nanos = commit_start.elapsed().as_nanos() as u64;
+        let (epoch, durable_epoch) = {
+            let current = lock(&shared.published);
+            (current.epoch, current.durable_epoch)
+        };
         if applied == 0 {
             // Barrier-only batch: the published snapshot already covers
             // everything submitted before it.
-            let receipt = {
-                let current = lock(&shared.published);
-                Ok(CommitReceipt {
-                    epoch: current.epoch,
-                    durable_epoch: current.durable_epoch,
-                    ops_in_commit: 0,
-                })
-            };
-            for ticket in drained.tickets() {
-                ticket.complete(receipt.clone());
+            let receipt = Ok(CommitReceipt {
+                epoch,
+                durable_epoch,
+                ops_in_commit: 0,
+            });
+            for item in &drained.batch {
+                item.ticket().complete(receipt.clone(), None);
             }
             continue;
         }
-        let next_epoch = shared.epoch() + 1;
+        let next_epoch = epoch + 1;
         if let Some(hook) = hook.as_mut() {
             hook(next_epoch);
         }
@@ -792,28 +622,24 @@ fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
         // snapshot this frees its tree, and no reader waits while it does.
         drop(replaced);
         shared
-            .telemetry
             .commit_latency
             .record_duration(commit_start.elapsed());
-        shared.telemetry.commits.fetch_add(1, SeqCst);
-        shared
-            .telemetry
-            .ops_applied
-            .fetch_add(applied as u64, SeqCst);
+        shared.commits.fetch_add(1, SeqCst);
+        shared.ops_applied.fetch_add(applied as u64, SeqCst);
         let receipt = Ok(CommitReceipt {
             epoch: next_epoch,
             durable_epoch,
             ops_in_commit: applied,
         });
         let publish_nanos = publish_start.elapsed().as_nanos() as u64;
-        for (ticket, queue_wait_nanos) in drained.tickets().zip(queue_waits) {
-            ticket.set_phases(CommitPhases {
+        for (item, queue_wait_nanos) in drained.batch.iter().zip(queue_waits) {
+            let phases = CommitPhases {
                 queue_wait_nanos,
                 apply_nanos,
                 checkpoint_nanos,
                 publish_nanos,
-            });
-            ticket.complete(receipt.clone());
+            };
+            item.ticket().complete(receipt.clone(), Some(phases));
         }
     }
 }
@@ -821,7 +647,8 @@ fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segidx_core::IndexConfig;
+    use segidx_core::{IndexConfig, RecordId};
+    use segidx_geom::Rect;
 
     #[test]
     fn a_reader_that_dies_holding_a_guard_and_the_lock_stops_no_one() {
@@ -853,40 +680,31 @@ mod tests {
         assert_eq!(index.retired_snapshots(), 0);
     }
 
-    /// What a snapshot emits is what [`METRICS`] and, for a traced index,
-    /// [`trace::METRICS`] declare: no family more, none less, each of its
-    /// declared kind.
+    /// What a snapshot emits is what [`METRICS`] declares: no family more,
+    /// none less, each of its declared kind, all labelled
+    /// `component="concurrent"`.
     #[test]
     fn registered_metrics_are_the_declared_families() {
         use std::collections::BTreeSet;
-        let emitted = |index: &ConcurrentIndex<2>| {
-            let registry = MetricsRegistry::new();
-            index.handle().register_metrics(&registry);
-            let snap = registry.snapshot();
-            assert!(snap
-                .metrics
-                .iter()
-                .all(|m| m.labels == [("component".to_string(), "concurrent".to_string())]));
-            snap.metrics
-                .iter()
-                .map(|m| (m.name.clone(), m.value.kind()))
-                .collect::<BTreeSet<_>>()
-        };
-        let declared = |tables: &[&[Family]]| {
-            tables
-                .iter()
-                .flat_map(|t| t.iter())
-                .map(|f| (f.name.to_string(), f.kind))
-                .collect::<BTreeSet<_>>()
-        };
-        let plain = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
+        let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
             .start()
             .unwrap();
-        assert_eq!(emitted(&plain), declared(&[METRICS]));
-        let traced = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
-            .tracer(Arc::new(Tracer::new(0)))
-            .start()
-            .unwrap();
-        assert_eq!(emitted(&traced), declared(&[METRICS, trace::METRICS]));
+        let registry = MetricsRegistry::new();
+        index.register_metrics(&registry);
+        let snap = registry.snapshot();
+        assert!(snap
+            .metrics
+            .iter()
+            .all(|m| m.labels == [("component".to_string(), "concurrent".to_string())]));
+        let emitted: BTreeSet<_> = snap
+            .metrics
+            .iter()
+            .map(|m| (m.name.clone(), m.value.kind()))
+            .collect();
+        let declared: BTreeSet<_> = METRICS
+            .iter()
+            .map(|f| (f.name.to_string(), f.kind))
+            .collect();
+        assert_eq!(emitted, declared);
     }
 }

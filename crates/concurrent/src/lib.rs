@@ -25,8 +25,12 @@
 //!   could have observed.
 //!
 //! Start from any engine's current contents (see [`Builder`] for what an
-//! engine has to be), then talk to the service through [`ConcurrentIndex`]
-//! or its cloneable [`IndexHandle`]s:
+//! engine has to be). The service has one surface, [`IndexHandle`]:
+//! `snapshot`, `submit`, `submit_batch`, `flush`, `epoch`,
+//! `retired_snapshots` and `register_metrics`. The [`ConcurrentIndex`]
+//! that `start` returns is its owner — it holds the writer thread, stops
+//! it on `shutdown` or drop, and dereferences to its handle — and
+//! [`ConcurrentIndex::handle`] clones the handle for other threads:
 //!
 //! ```
 //! use segidx_concurrent::{ConcurrentIndex, IndexOp};
@@ -66,8 +70,8 @@ mod index;
 mod queue;
 
 pub use index::{
-    Builder, CommitHook, ConcurrentIndex, ConcurrentTelemetry, IndexHandle, SnapshotGuard,
-    COMMIT_LATENCY_NANOS, METRICS, QUEUE_WAIT_NANOS,
+    Builder, CommitHook, ConcurrentIndex, IndexHandle, SnapshotGuard, COMMIT_LATENCY_NANOS,
+    METRICS, QUEUE_WAIT_NANOS,
 };
 pub use queue::{CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, SubmitError};
 
@@ -77,6 +81,7 @@ mod tests {
     use segidx_core::tree::Tree;
     use segidx_core::{IndexConfig, RecordId};
     use segidx_geom::Rect;
+    use segidx_obs::{MetricValue, MetricsRegistry};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -85,6 +90,22 @@ mod tests {
         let y = ((i * 113) % 2_000) as f64;
         let len = if i % 7 == 0 { 600.0 } else { 20.0 };
         Rect::new([x, y], [x + len, y + 1.0])
+    }
+
+    /// `segidx_concurrent_overloads_total` as the index exports it.
+    fn exported_overloads(index: &ConcurrentIndex<2>) -> u64 {
+        let family = METRICS
+            .iter()
+            .find(|f| f.name.ends_with("_overloads_total"))
+            .unwrap();
+        let registry = MetricsRegistry::new();
+        index.register_metrics(&registry);
+        let snap = registry.snapshot();
+        let exported = snap.metrics.iter().find(|m| m.name == family.name);
+        match exported.map(|m| &m.value) {
+            Some(MetricValue::Counter(n)) => *n,
+            other => panic!("{}: {other:?}", family.name),
+        }
     }
 
     fn start_empty() -> ConcurrentIndex<2> {
@@ -208,7 +229,7 @@ mod tests {
             overloaded,
             "bounded queue must reject under a stalled writer"
         );
-        assert_eq!(index.telemetry().overloads(), 1);
+        assert_eq!(exported_overloads(&index), 1);
         // The batch path (the only one the server uses) rejects every op of
         // a batch into the full queue, and counts each one.
         let batch = index.submit_batch((100..105).map(insert).collect());
@@ -216,7 +237,7 @@ mod tests {
         for r in &batch {
             assert!(matches!(r, Err(SubmitError::Overloaded { depth: 4 })));
         }
-        assert_eq!(index.telemetry().overloads(), 1 + 5);
+        assert_eq!(exported_overloads(&index), 1 + 5);
         drop(gate);
         index.flush().unwrap();
     }
@@ -282,26 +303,40 @@ mod tests {
         assert_eq!(index.snapshot().len(), 64);
     }
 
+    /// A handle outlives its owner: after `shutdown()` — or a drop — every
+    /// submission is refused typed, a flush says the writer is gone, and
+    /// reads keep serving the last published snapshot.
     #[test]
-    fn submissions_after_shutdown_are_closed() {
-        let index = start_empty();
-        let handle = index.handle();
-        index
-            .submit(IndexOp::Insert {
-                rect: rect(1),
-                record: RecordId(1),
-            })
-            .unwrap();
-        index.shutdown();
-        assert!(matches!(
-            handle.submit(IndexOp::Insert {
-                rect: rect(2),
-                record: RecordId(2),
-            }),
-            Err(SubmitError::Closed)
-        ));
-        // Graceful shutdown flushed the queued insert; reads still serve.
-        assert_eq!(handle.snapshot().len(), 1);
+    fn a_handle_that_outlives_its_owner_is_closed_but_still_reads() {
+        let insert = |i: u64| IndexOp::Insert {
+            rect: rect(i),
+            record: RecordId(i),
+        };
+        for explicit in [true, false] {
+            let index = start_empty();
+            let handle = index.handle();
+            let pinned = handle.snapshot();
+            index.submit(insert(1)).unwrap();
+            if explicit {
+                index.shutdown();
+            } else {
+                drop(index);
+            }
+            assert_eq!(handle.submit(insert(2)).unwrap_err(), SubmitError::Closed);
+            let batch = handle.submit_batch((3..6).map(insert).collect());
+            assert_eq!(batch.len(), 3);
+            assert!(batch
+                .iter()
+                .all(|r| r.as_ref().unwrap_err() == &SubmitError::Closed));
+            assert_eq!(handle.flush(), Err(CommitError::WriterExited));
+            // Graceful shutdown committed the queued insert; reads still
+            // serve it, and the snapshot pinned before it is now retired.
+            let snap = handle.snapshot();
+            assert_eq!((snap.epoch(), snap.len(), handle.epoch()), (1, 1, 1));
+            assert_eq!((pinned.epoch(), handle.retired_snapshots()), (0, 1));
+            drop(pinned);
+            assert_eq!(handle.retired_snapshots(), 0);
+        }
     }
 
     #[test]

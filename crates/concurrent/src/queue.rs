@@ -10,7 +10,7 @@
 //! capacity check because they carry no work, only a rendezvous.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -132,88 +132,65 @@ impl CommitPhases {
 
 /// The lock, poisoned or not. Every connection thread and the writer share
 /// this crate's mutexes, and each critical section — the queue's and the
-/// tickets' below, the published snapshot's in `index.rs` and
-/// `global_epoch.rs` — moves its fields together and cannot panic
-/// part-way, so a thread that died holding one left nothing half-written:
-/// recover the guard rather than take every other submitter, reader — or
-/// the writer — down with it.
+/// tickets' below, the published snapshot's in `index.rs` — moves its
+/// fields together and cannot panic part-way, so a thread that died holding
+/// one left nothing half-written: recover the guard rather than take every
+/// other submitter, reader — or the writer — down with it.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Shared completion state behind a [`CommitTicket`].
-#[derive(Default)]
-pub(crate) struct TicketState {
-    result: Mutex<Option<Result<CommitReceipt, CommitError>>>,
-    done: Condvar,
-    /// Phase breakdown, set by the writer just before `complete`. A side
-    /// channel rather than receipt fields so [`CommitReceipt`] stays a
-    /// pure value type (tests compare receipts with `Eq`).
-    phases: Mutex<Option<CommitPhases>>,
-}
+/// What a ticket resolves to: the commit's outcome, plus the phases of the
+/// group commit that published it (none for a failure or an idle flush).
+type Outcome = (Result<CommitReceipt, CommitError>, Option<CommitPhases>);
 
-impl std::fmt::Debug for TicketState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TicketState")
-            .field("result", &*lock(&self.result))
-            .finish()
-    }
+/// Shared completion state behind a [`CommitTicket`].
+#[derive(Debug, Default)]
+pub(crate) struct TicketState {
+    /// Set once. The phases ride beside the receipt rather than in it so
+    /// [`CommitReceipt`] stays a pure value type (tests compare receipts
+    /// with `Eq`).
+    outcome: Mutex<Option<Outcome>>,
+    done: Condvar,
 }
 
 impl TicketState {
     /// Resolves the ticket; the first outcome wins, later ones are ignored.
-    pub(crate) fn complete(&self, result: Result<CommitReceipt, CommitError>) {
-        let mut slot = lock(&self.result);
+    pub(crate) fn complete(
+        &self,
+        result: Result<CommitReceipt, CommitError>,
+        phases: Option<CommitPhases>,
+    ) {
+        let mut slot = lock(&self.outcome);
         if slot.is_none() {
-            *slot = Some(result);
+            *slot = Some((result, phases));
             self.done.notify_all();
         }
     }
 
-    pub(crate) fn set_phases(&self, phases: CommitPhases) {
-        *lock(&self.phases) = Some(phases);
-    }
-
-    fn wait(&self) -> Result<CommitReceipt, CommitError> {
-        let mut slot = lock(&self.result);
+    /// The result, once known, waiting at most `timeout` for it (`None`,
+    /// or a deadline no `Instant` can represent, waits untimed). The
+    /// deadline is absolute, so a spurious wakeup re-waits only for what
+    /// is left of it, never the whole timeout again.
+    fn wait(&self, timeout: Option<Duration>) -> Option<Result<CommitReceipt, CommitError>> {
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        let mut slot = lock(&self.outcome);
         loop {
-            if let Some(result) = slot.as_ref() {
-                return result.clone();
+            if let Some((result, _)) = slot.as_ref() {
+                return Some(result.clone());
             }
-            slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
+            slot = match deadline {
+                None => self.done.wait(slot).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return None;
+                    }
+                    let waited = self.done.wait_timeout(slot, remaining);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
-    }
-
-    fn wait_timeout(&self, timeout: Duration) -> Option<Result<CommitReceipt, CommitError>> {
-        // An unrepresentable deadline (e.g. `Duration::MAX`) degrades to an
-        // untimed wait instead of overflowing.
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Some(self.wait());
-        };
-        let mut slot = lock(&self.result);
-        while slot.is_none() {
-            // Recompute the remaining budget from the *absolute* deadline
-            // on every pass, so spurious condvar wakeups near the deadline
-            // never extend the wait (each wakeup re-waits only for what is
-            // left, not the original timeout).
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (next, timed_out) = self
-                .done
-                .wait_timeout(slot, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = next;
-            if timed_out.timed_out() && slot.is_none() {
-                return None;
-            }
-        }
-        slot.clone()
-    }
-
-    fn peek(&self) -> Option<Result<CommitReceipt, CommitError>> {
-        lock(&self.result).clone()
     }
 }
 
@@ -224,7 +201,7 @@ impl TicketState {
 /// operation committed — or why it never will.
 #[derive(Clone, Debug)]
 pub struct CommitTicket {
-    pub(crate) state: Arc<TicketState>,
+    state: Arc<TicketState>,
 }
 
 impl CommitTicket {
@@ -235,16 +212,8 @@ impl CommitTicket {
     /// phase breakdown (queue wait, apply, checkpoint, publish) measured
     /// on the writer thread.
     pub fn wait(&self) -> Result<CommitReceipt, CommitError> {
-        if !trace::active() {
-            return self.state.wait();
-        }
-        let sp = trace::span("commit.wait");
-        let result = self.state.wait();
-        if let Ok(receipt) = &result {
-            sp.items(receipt.ops_in_commit as u64);
-        }
-        self.record_phases();
-        result
+        self.wait_for(None)
+            .expect("an untimed wait ends with the outcome")
     }
 
     /// Blocks for at most `timeout`, returning `None` if the commit is
@@ -253,28 +222,29 @@ impl CommitTicket {
     /// harnesses avoid parking forever on a dead writer — bound the
     /// wait, then inspect the index instead of hanging.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<CommitReceipt, CommitError>> {
-        if !trace::active() {
-            return self.state.wait_timeout(timeout);
-        }
-        let sp = trace::span("commit.wait");
-        let result = self.state.wait_timeout(timeout);
-        if let Some(Ok(receipt)) = &result {
-            sp.items(receipt.ops_in_commit as u64);
-        }
-        if result.is_some() {
-            self.record_phases();
-        }
-        result
+        self.wait_for(Some(timeout))
     }
 
     /// The commit outcome if it is already known, without blocking.
     pub fn try_receipt(&self) -> Option<Result<CommitReceipt, CommitError>> {
-        self.state.peek()
+        lock(&self.state.outcome).as_ref().map(|(r, _)| r.clone())
     }
 
     /// The commit's phase breakdown, if the writer has completed it.
     pub fn phases(&self) -> Option<CommitPhases> {
-        *lock(&self.state.phases)
+        lock(&self.state.outcome).as_ref().and_then(|(_, p)| *p)
+    }
+
+    /// The one body of [`wait`](Self::wait) and
+    /// [`wait_timeout`](Self::wait_timeout).
+    fn wait_for(&self, timeout: Option<Duration>) -> Option<Result<CommitReceipt, CommitError>> {
+        let sp = trace::span("commit.wait");
+        let result = self.state.wait(timeout)?;
+        if let Ok(receipt) = &result {
+            sp.items(receipt.ops_in_commit as u64);
+        }
+        self.record_phases();
+        Some(result)
     }
 
     /// Attributes the completed commit's phases to the active trace: one
@@ -315,6 +285,14 @@ pub(crate) enum QueueItem<const D: usize> {
     Barrier(Arc<TicketState>),
 }
 
+impl<const D: usize> QueueItem<D> {
+    pub(crate) fn ticket(&self) -> &TicketState {
+        match self {
+            QueueItem::Op { ticket, .. } | QueueItem::Barrier(ticket) => ticket,
+        }
+    }
+}
+
 struct QueueInner<const D: usize> {
     items: VecDeque<QueueItem<D>>,
     /// Queued operations (barriers excluded) — the number admission control
@@ -328,8 +306,8 @@ pub(crate) struct SubmissionQueue<const D: usize> {
     inner: Mutex<QueueInner<D>>,
     nonempty: Condvar,
     capacity: usize,
-    /// Mirror of `inner.ops` readable without the lock (metrics gauge).
-    depth: AtomicUsize,
+    /// Operations rejected as [`SubmitError::Overloaded`].
+    pub(crate) overloads: AtomicU64,
 }
 
 impl<const D: usize> SubmissionQueue<D> {
@@ -342,117 +320,83 @@ impl<const D: usize> SubmissionQueue<D> {
             }),
             nonempty: Condvar::new(),
             capacity: capacity.max(1),
-            depth: AtomicUsize::new(0),
+            overloads: AtomicU64::new(0),
         }
     }
 
-    /// Queued operations right now (lock-free; may lag by a moment).
+    /// Operations queued right now.
     pub(crate) fn depth(&self) -> usize {
-        self.depth.load(SeqCst)
+        lock(&self.inner).ops
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Enqueues an operation, or rejects it under admission control.
-    pub(crate) fn push_op(
-        &self,
-        op: IndexOp<D>,
-        ticket: Arc<TicketState>,
-    ) -> Result<(), SubmitError> {
+    /// Enqueues a run of operations under **one** lock acquisition — the
+    /// only way work enters the queue — applying admission control per
+    /// operation: each op is either admitted (and gets its ticket) or
+    /// rejected typed, and a rejection does not stop later ops in the run
+    /// from being admitted. One condvar signal covers the whole run.
+    pub(crate) fn push(&self, ops: Vec<IndexOp<D>>) -> Vec<Result<CommitTicket, SubmitError>> {
         let mut inner = lock(&self.inner);
-        if inner.closed {
-            return Err(SubmitError::Closed);
-        }
-        if inner.ops >= self.capacity {
-            return Err(SubmitError::Overloaded { depth: inner.ops });
-        }
-        inner.items.push_back(QueueItem::Op {
-            op,
-            ticket,
-            enqueued: Instant::now(),
-        });
-        inner.ops += 1;
-        self.depth.store(inner.ops, SeqCst);
-        drop(inner);
-        self.nonempty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues a run of operations under **one** lock acquisition,
-    /// applying admission control per operation: each op is either
-    /// admitted (its fresh ticket state is returned) or rejected typed,
-    /// and a rejection does not stop later ops in the run from being
-    /// admitted. One condvar signal covers the whole run — this is the
-    /// batch half of backpressure-aware submission, amortizing the
-    /// per-op lock/notify cost a pipelined front-end would otherwise pay.
-    pub(crate) fn push_ops(
-        &self,
-        ops: impl IntoIterator<Item = IndexOp<D>>,
-    ) -> Vec<Result<Arc<TicketState>, SubmitError>> {
-        let mut inner = lock(&self.inner);
-        let now = Instant::now();
-        let mut admitted = 0usize;
-        let out: Vec<Result<Arc<TicketState>, SubmitError>> = ops
+        let (before, enqueued) = (inner.ops, Instant::now());
+        let out = ops
             .into_iter()
             .map(|op| {
                 if inner.closed {
                     return Err(SubmitError::Closed);
                 }
                 if inner.ops >= self.capacity {
+                    self.overloads.fetch_add(1, SeqCst);
                     return Err(SubmitError::Overloaded { depth: inner.ops });
                 }
-                let ticket = Arc::new(TicketState::default());
+                let state = Arc::new(TicketState::default());
                 inner.items.push_back(QueueItem::Op {
                     op,
-                    ticket: Arc::clone(&ticket),
-                    enqueued: now,
+                    ticket: Arc::clone(&state),
+                    enqueued,
                 });
                 inner.ops += 1;
-                admitted += 1;
-                Ok(ticket)
+                Ok(CommitTicket { state })
             })
             .collect();
-        self.depth.store(inner.ops, SeqCst);
+        let admitted = inner.ops > before;
         drop(inner);
-        if admitted > 0 {
+        if admitted {
             self.nonempty.notify_one();
         }
         out
     }
 
     /// Enqueues a flush barrier (not subject to the capacity limit).
-    pub(crate) fn push_barrier(&self, ticket: Arc<TicketState>) -> Result<(), SubmitError> {
+    pub(crate) fn push_barrier(&self) -> Result<CommitTicket, SubmitError> {
         let mut inner = lock(&self.inner);
         if inner.closed {
             return Err(SubmitError::Closed);
         }
-        inner.items.push_back(QueueItem::Barrier(ticket));
+        let state = Arc::new(TicketState::default());
+        inner
+            .items
+            .push_back(QueueItem::Barrier(Arc::clone(&state)));
         drop(inner);
         self.nonempty.notify_one();
-        Ok(())
+        Ok(CommitTicket { state })
     }
 
     /// Writer side: blocks until work is available, then takes up to
-    /// `max_batch` items. Returns `(batch, closed)`; an empty batch with
-    /// `closed == true` means the queue drained after shutdown — exit.
-    pub(crate) fn drain(&self, max_batch: usize) -> (Vec<QueueItem<D>>, bool) {
+    /// `max_batch` items. `None` means the queue drained after shutdown —
+    /// exit.
+    pub(crate) fn drain(&self, max_batch: usize) -> Option<Vec<QueueItem<D>>> {
         let mut inner = lock(&self.inner);
         loop {
             if !inner.items.is_empty() {
                 let take = inner.items.len().min(max_batch.max(1));
                 let batch: Vec<QueueItem<D>> = inner.items.drain(..take).collect();
-                let ops = batch
+                inner.ops -= batch
                     .iter()
                     .filter(|item| matches!(item, QueueItem::Op { .. }))
                     .count();
-                inner.ops -= ops;
-                self.depth.store(inner.ops, SeqCst);
-                return (batch, false);
+                return Some(batch);
             }
             if inner.closed {
-                return (Vec::new(), true);
+                return None;
             }
             inner = self
                 .nonempty
@@ -464,28 +408,20 @@ impl<const D: usize> SubmissionQueue<D> {
     /// Closes the queue: future submissions fail with [`SubmitError::Closed`];
     /// already-queued items still drain (graceful shutdown flushes).
     pub(crate) fn close(&self) {
-        let mut inner = lock(&self.inner);
-        inner.closed = true;
-        drop(inner);
+        lock(&self.inner).closed = true;
         self.nonempty.notify_all();
     }
 
     /// Empties the queue, failing every pending ticket with `err`. Used on
-    /// the writer's storage-error exit path, where queued work can never
-    /// commit.
+    /// the writer's exit paths, where queued work can never commit.
     pub(crate) fn fail_remaining(&self, err: &CommitError) {
         let drained: Vec<QueueItem<D>> = {
             let mut inner = lock(&self.inner);
             inner.ops = 0;
-            self.depth.store(0, SeqCst);
             inner.items.drain(..).collect()
         };
         for item in drained {
-            match item {
-                QueueItem::Op { ticket, .. } | QueueItem::Barrier(ticket) => {
-                    ticket.complete(Err(err.clone()));
-                }
-            }
+            item.ticket().complete(Err(err.clone()), None);
         }
     }
 }
@@ -501,108 +437,107 @@ mod tests {
         }
     }
 
+    fn push(q: &SubmissionQueue<2>, ids: std::ops::Range<u64>) -> Vec<CommitTicket> {
+        q.push(ids.map(op).collect())
+            .into_iter()
+            .map(|r| r.expect("admitted"))
+            .collect()
+    }
+
+    /// A ticket with no queue behind it, and its state to complete.
+    fn ticket() -> (CommitTicket, Arc<TicketState>) {
+        let state = Arc::new(TicketState::default());
+        let ticket = CommitTicket {
+            state: Arc::clone(&state),
+        };
+        (ticket, state)
+    }
+
+    fn receipt(epoch: u64, ops_in_commit: usize) -> CommitReceipt {
+        CommitReceipt {
+            epoch,
+            durable_epoch: None,
+            ops_in_commit,
+        }
+    }
+
     #[test]
     fn overload_is_typed_and_nondestructive() {
         let q: SubmissionQueue<2> = SubmissionQueue::new(2);
-        q.push_op(op(0), Arc::new(TicketState::default())).unwrap();
-        q.push_op(op(1), Arc::new(TicketState::default())).unwrap();
-        let err = q
-            .push_op(op(2), Arc::new(TicketState::default()))
-            .unwrap_err();
-        assert_eq!(err, SubmitError::Overloaded { depth: 2 });
+        push(&q, 0..2);
+        assert_eq!(
+            q.push(vec![op(2)]).pop().unwrap().unwrap_err(),
+            SubmitError::Overloaded { depth: 2 }
+        );
         assert_eq!(q.depth(), 2, "rejected op was not enqueued");
+        assert_eq!(q.overloads.load(SeqCst), 1);
         // Barriers are exempt from capacity.
-        q.push_barrier(Arc::new(TicketState::default())).unwrap();
-        let (batch, closed) = q.drain(16);
+        q.push_barrier().unwrap();
+        let batch = q.drain(16).unwrap();
         assert_eq!(batch.len(), 3);
-        assert!(!closed);
         assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn drain_respects_batch_limit() {
         let q: SubmissionQueue<2> = SubmissionQueue::new(64);
-        for i in 0..10 {
-            q.push_op(op(i), Arc::new(TicketState::default())).unwrap();
-        }
-        let (batch, _) = q.drain(4);
-        assert_eq!(batch.len(), 4);
+        push(&q, 0..10);
+        assert_eq!(q.drain(4).unwrap().len(), 4);
         assert_eq!(q.depth(), 6);
     }
 
     #[test]
     fn close_drains_then_reports_closed() {
         let q: SubmissionQueue<2> = SubmissionQueue::new(8);
-        q.push_op(op(0), Arc::new(TicketState::default())).unwrap();
+        push(&q, 0..1);
         q.close();
         assert_eq!(
-            q.push_op(op(1), Arc::new(TicketState::default())),
-            Err(SubmitError::Closed)
+            q.push(vec![op(1)]).pop().unwrap().unwrap_err(),
+            SubmitError::Closed
         );
-        let (batch, closed) = q.drain(16);
-        assert_eq!(
-            (batch.len(), closed),
-            (1, false),
-            "queued work survives close"
-        );
-        let (batch, closed) = q.drain(16);
-        assert_eq!((batch.len(), closed), (0, true));
+        assert_eq!(q.push_barrier().unwrap_err(), SubmitError::Closed);
+        let batch = q.drain(16).expect("queued work survives close");
+        assert_eq!(batch.len(), 1);
+        assert!(q.drain(16).is_none());
     }
 
     #[test]
     fn tickets_complete_once() {
-        let state = Arc::new(TicketState::default());
-        let ticket = CommitTicket {
-            state: Arc::clone(&state),
-        };
+        let (ticket, state) = ticket();
         assert!(ticket.try_receipt().is_none());
-        let receipt = CommitReceipt {
-            epoch: 7,
-            durable_epoch: None,
-            ops_in_commit: 3,
+        let phases = CommitPhases {
+            apply_nanos: 5,
+            ..CommitPhases::default()
         };
-        state.complete(Ok(receipt.clone()));
-        state.complete(Err(CommitError::WriterExited)); // ignored: already done
-        assert_eq!(ticket.wait(), Ok(receipt));
+        state.complete(Ok(receipt(7, 3)), Some(phases));
+        // Ignored: already done.
+        state.complete(Err(CommitError::WriterExited), None);
+        assert_eq!(ticket.wait(), Ok(receipt(7, 3)));
+        assert_eq!(ticket.phases(), Some(phases));
     }
 
     #[test]
     fn wait_timeout_expires_without_consuming_the_ticket() {
-        let state = Arc::new(TicketState::default());
-        let ticket = CommitTicket {
-            state: Arc::clone(&state),
-        };
+        let (ticket, state) = ticket();
         assert_eq!(ticket.wait_timeout(Duration::from_millis(10)), None);
         // The timeout did not poison anything: a later completion is
         // observed by both polling styles.
-        let receipt = CommitReceipt {
-            epoch: 1,
-            durable_epoch: None,
-            ops_in_commit: 1,
-        };
-        state.complete(Ok(receipt.clone()));
+        state.complete(Ok(receipt(1, 1)), None);
         assert_eq!(
             ticket.wait_timeout(Duration::from_millis(10)),
-            Some(Ok(receipt.clone()))
+            Some(Ok(receipt(1, 1)))
         );
-        assert_eq!(ticket.try_receipt(), Some(Ok(receipt)));
+        assert_eq!(ticket.try_receipt(), Some(Ok(receipt(1, 1))));
+        assert_eq!(ticket.phases(), None);
     }
 
     #[test]
     fn wait_timeout_wakes_on_completion() {
-        let state = Arc::new(TicketState::default());
-        let ticket = CommitTicket {
-            state: Arc::clone(&state),
-        };
+        let (ticket, state) = ticket();
         let waiter = std::thread::spawn(move || ticket.wait_timeout(Duration::from_secs(30)));
         std::thread::sleep(Duration::from_millis(20));
-        let receipt = CommitReceipt {
-            epoch: 9,
-            durable_epoch: Some(9),
-            ops_in_commit: 2,
-        };
-        state.complete(Ok(receipt.clone()));
-        assert_eq!(waiter.join().unwrap(), Some(Ok(receipt)));
+        state.complete(Ok(receipt(9, 2)), None);
+        assert_eq!(waiter.join().unwrap(), Some(Ok(receipt(9, 2))));
     }
 
     /// Regression: spurious condvar wakeups near the deadline must not
@@ -615,10 +550,7 @@ mod tests {
     /// returned, and not meaningfully later than the requested timeout.
     #[test]
     fn wait_timeout_is_immune_to_spurious_wakeups_near_the_deadline() {
-        let state = Arc::new(TicketState::default());
-        let ticket = CommitTicket {
-            state: Arc::clone(&state),
-        };
+        let (ticket, state) = ticket();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let hammer = {
             let state = Arc::clone(&state);
@@ -649,11 +581,7 @@ mod tests {
             "wakeup storm drifted the deadline: waited {waited:?}"
         );
         // The ticket survived the storm: completion still resolves it.
-        state.complete(Ok(CommitReceipt {
-            epoch: 3,
-            durable_epoch: None,
-            ops_in_commit: 1,
-        }));
+        state.complete(Ok(receipt(3, 1)), None);
         assert!(matches!(ticket.try_receipt(), Some(Ok(_))));
     }
 
@@ -661,19 +589,11 @@ mod tests {
     /// degrades to an untimed wait that completion resolves.
     #[test]
     fn wait_timeout_with_unrepresentable_deadline_waits_untimed() {
-        let state = Arc::new(TicketState::default());
-        let ticket = CommitTicket {
-            state: Arc::clone(&state),
-        };
+        let (ticket, state) = ticket();
         let waiter = std::thread::spawn(move || ticket.wait_timeout(Duration::MAX));
         std::thread::sleep(Duration::from_millis(20));
-        let receipt = CommitReceipt {
-            epoch: 1,
-            durable_epoch: None,
-            ops_in_commit: 1,
-        };
-        state.complete(Ok(receipt.clone()));
-        assert_eq!(waiter.join().unwrap(), Some(Ok(receipt)));
+        state.complete(Ok(receipt(1, 1)), None);
+        assert_eq!(waiter.join().unwrap(), Some(Ok(receipt(1, 1))));
     }
 
     #[test]
@@ -683,86 +603,67 @@ mod tests {
         // under either made every later submit, drain, complete and wait
         // panic in turn.
         let q: Arc<SubmissionQueue<2>> = Arc::new(SubmissionQueue::new(8));
-        let state = Arc::new(TicketState::default());
+        let queued = push(&q, 0..3);
+        let state = Arc::clone(&queued[2].state);
         let (held_q, held_t) = (Arc::clone(&q), Arc::clone(&state));
         let panicked = std::thread::spawn(move || {
             let _queue = held_q.inner.lock().unwrap();
-            let _ticket = held_t.result.lock().unwrap();
+            let _ticket = held_t.outcome.lock().unwrap();
             panic!("poisoning the queue and a ticket on purpose");
         })
         .join();
-        assert!(panicked.is_err() && q.inner.is_poisoned() && state.result.is_poisoned());
+        assert!(panicked.is_err() && q.inner.is_poisoned() && state.outcome.is_poisoned());
 
-        assert!(q.push_ops((0..2).map(op)).iter().all(Result::is_ok));
-        q.push_op(op(2), Arc::clone(&state)).unwrap();
-        q.push_barrier(Arc::new(TicketState::default())).unwrap();
-        assert_eq!(q.depth(), 3);
-        let (batch, closed) = q.drain(16);
-        assert_eq!((batch.len(), closed), (4, false));
+        assert!(q.push((3..5).map(op).collect()).iter().all(Result::is_ok));
+        q.push_barrier().unwrap();
+        assert_eq!(q.depth(), 5);
+        assert_eq!(q.drain(16).unwrap().len(), 6);
 
-        let ticket = CommitTicket {
-            state: Arc::clone(&state),
-        };
+        let ticket = &queued[2];
         assert_eq!(ticket.wait_timeout(Duration::from_millis(10)), None);
         let waiting = ticket.clone();
         let waiter = std::thread::spawn(move || waiting.wait_timeout(Duration::from_secs(30)));
-        let receipt = CommitReceipt {
-            epoch: 4,
-            durable_epoch: None,
-            ops_in_commit: 3,
-        };
-        state.complete(Ok(receipt.clone()));
-        assert_eq!(waiter.join().unwrap(), Some(Ok(receipt.clone())));
-        assert_eq!(ticket.wait(), Ok(receipt.clone()));
-        assert_eq!(ticket.try_receipt(), Some(Ok(receipt)));
+        state.complete(Ok(receipt(4, 3)), None);
+        assert_eq!(waiter.join().unwrap(), Some(Ok(receipt(4, 3))));
+        assert_eq!(ticket.wait(), Ok(receipt(4, 3)));
+        assert_eq!(ticket.try_receipt(), Some(Ok(receipt(4, 3))));
 
         // The shutdown path goes through the same lock.
-        let last = Arc::new(TicketState::default());
-        q.push_op(op(3), Arc::clone(&last)).unwrap();
+        let last = push(&q, 5..6);
         q.close();
         q.fail_remaining(&CommitError::WriterExited);
-        assert_eq!(
-            CommitTicket { state: last }.wait(),
-            Err(CommitError::WriterExited)
-        );
-        assert!(q.drain(16).1, "closed and drained");
+        assert_eq!(last[0].wait(), Err(CommitError::WriterExited));
+        assert!(q.drain(16).is_none(), "closed and drained");
     }
 
     #[test]
-    fn push_ops_admits_per_op_under_one_lock() {
+    fn push_admits_per_op_under_one_lock() {
         let q: SubmissionQueue<2> = SubmissionQueue::new(2);
-        let results = q.push_ops((0..4).map(op));
+        let results = q.push((0..4).map(op).collect());
         assert_eq!(results.len(), 4);
         assert!(results[0].is_ok() && results[1].is_ok());
-        assert_eq!(
-            results[2].as_ref().unwrap_err(),
-            &SubmitError::Overloaded { depth: 2 }
-        );
-        assert_eq!(
-            results[3].as_ref().unwrap_err(),
-            &SubmitError::Overloaded { depth: 2 }
-        );
+        for rejected in &results[2..] {
+            assert_eq!(
+                rejected.as_ref().unwrap_err(),
+                &SubmitError::Overloaded { depth: 2 }
+            );
+        }
         assert_eq!(q.depth(), 2, "rejected ops were not enqueued");
+        assert_eq!(q.overloads.load(SeqCst), 2);
         // Draining frees capacity for a later batch.
-        let (batch, _) = q.drain(16);
-        assert_eq!(batch.len(), 2);
-        assert!(q.push_ops((0..1).map(op)).pop().unwrap().is_ok());
+        assert_eq!(q.drain(16).unwrap().len(), 2);
+        assert!(q.push(vec![op(0)]).pop().unwrap().is_ok());
     }
 
     #[test]
     fn fail_remaining_completes_all_tickets() {
         let q: SubmissionQueue<2> = SubmissionQueue::new(8);
-        let t1 = Arc::new(TicketState::default());
-        let t2 = Arc::new(TicketState::default());
-        q.push_op(op(0), Arc::clone(&t1)).unwrap();
-        q.push_barrier(Arc::clone(&t2)).unwrap();
+        let op = push(&q, 0..1).remove(0);
+        let barrier = q.push_barrier().unwrap();
         q.fail_remaining(&CommitError::WriterExited);
         assert_eq!(q.depth(), 0);
-        for t in [t1, t2] {
-            assert_eq!(
-                CommitTicket { state: t }.wait(),
-                Err(CommitError::WriterExited)
-            );
+        for t in [op, barrier] {
+            assert_eq!(t.wait(), Err(CommitError::WriterExited));
         }
     }
 }

@@ -135,7 +135,6 @@ proptest! {
         let tracer = Arc::new(Tracer::new(1));
         let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
             .max_batch(16)
-            .tracer(Arc::clone(&tracer))
             .start()
             .expect("memory-only start cannot fail");
 

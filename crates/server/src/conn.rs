@@ -8,11 +8,11 @@
 //! after each `FLUSH`, and a segment runs in four steps:
 //!
 //! 1. **Pin.** If the segment holds a `SEARCH`/`STAB`/`NEAREST`, one
-//!    snapshot is pinned ([`ConcurrentIndex::snapshot`]) and every one of
+//!    snapshot is pinned ([`IndexHandle::snapshot`]) and every one of
 //!    them is answered from it. There is no unpinned read — a read that
 //!    pinned for itself could see writes the reads around it did not.
 //! 2. **Submit.** All of its `INSERT`/`DELETE` go to
-//!    [`ConcurrentIndex::submit_batch`] as one call, in request order: one
+//!    [`IndexHandle::submit_batch`] as one call, in request order: one
 //!    queue lock, one writer wake-up, and — unless the writer was already
 //!    busy — one group commit.
 //! 3. **Read.** The statements execute in request order. Each reply the
@@ -42,8 +42,8 @@
 //! `write_all` is not draining its socket. The writer thread runs no
 //! connection code; it completes tickets and nothing else.
 //!
-//! [`ConcurrentIndex::snapshot`]: segidx_concurrent::ConcurrentIndex::snapshot
-//! [`ConcurrentIndex::submit_batch`]: segidx_concurrent::ConcurrentIndex::submit_batch
+//! [`IndexHandle::snapshot`]: segidx_concurrent::IndexHandle::snapshot
+//! [`IndexHandle::submit_batch`]: segidx_concurrent::IndexHandle::submit_batch
 
 use crate::frame::{
     begin_response, finish_response, put_f64, put_u64, put_vers_row, FrameDecoder, Mode,

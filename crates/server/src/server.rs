@@ -3,10 +3,10 @@
 
 use crate::conn;
 use crate::frame::DEFAULT_MAX_FRAME;
-use crate::telemetry::ServerStats;
+use crate::telemetry::{ServerStats, COMPONENT};
 use segidx_concurrent::{Builder, ConcurrentIndex};
 use segidx_core::{IndexConfig, Tree};
-use segidx_obs::{MetricsRegistry, Tracer};
+use segidx_obs::{trace, MetricsRegistry, Tracer};
 use segidx_temporal::{TemporalConfig, TemporalTable};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -103,19 +103,23 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
-        // The tracer rides the index builder so slow commits land in the
-        // flight recorder.
-        let tracer = Arc::new(Tracer::new(config.trace_sample));
         let index = rig(ConcurrentIndex::builder(Tree::new(IndexConfig::srtree()))
-            .queue_capacity(config.queue_capacity)
-            .tracer(Arc::clone(&tracer)))
+            .queue_capacity(config.queue_capacity))
         .start()
         .map_err(|e| io::Error::other(format!("index start failed: {e:?}")))?;
 
         let registry = MetricsRegistry::new();
         let stats = Arc::new(ServerStats::new());
         stats.register_metrics(&registry);
-        index.handle().register_metrics(&registry);
+        index.register_metrics(&registry);
+        // The tracer is the server's: its health families carry the
+        // server's label.
+        let tracer = Arc::new(Tracer::new(config.trace_sample));
+        let traced = Arc::clone(&tracer);
+        registry.register(
+            trace::METRICS,
+            Box::new(move |out| traced.collect_metrics(&[COMPONENT], out)),
+        );
 
         // The temporal table rides the append-optimized tiered index; its
         // seal/merge telemetry joins the same registry.
@@ -223,6 +227,34 @@ mod tests {
             line.push(byte[0]);
         }
         String::from_utf8(line).unwrap()
+    }
+
+    /// `METRICS` carries the tracer's families under the server's label
+    /// and the index service's under its own, each family whole.
+    #[test]
+    fn metrics_label_the_tracer_server_and_the_index_concurrent() {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let snap = server.registry().snapshot();
+        for (families, component) in [
+            (trace::METRICS, "server"),
+            (segidx_concurrent::METRICS, "concurrent"),
+        ] {
+            for f in families {
+                let labels: Vec<_> = snap
+                    .metrics
+                    .iter()
+                    .filter(|m| m.name == f.name)
+                    .map(|m| m.labels.clone())
+                    .collect();
+                assert_eq!(
+                    labels,
+                    [vec![("component".to_string(), component.to_string())]],
+                    "{}",
+                    f.name
+                );
+            }
+        }
+        server.shutdown();
     }
 
     #[test]

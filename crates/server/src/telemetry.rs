@@ -47,7 +47,7 @@ pub const METRICS: &[Family] = &[
 ];
 
 /// The label on every metric the server emits.
-const COMPONENT: (&str, &str) = ("component", "server");
+pub(crate) const COMPONENT: (&str, &str) = ("component", "server");
 
 /// Wait-free counters for one connection.
 #[derive(Debug, Default)]

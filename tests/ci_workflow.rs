@@ -234,7 +234,7 @@ fn uploaded_results_are_written_or_tracked() {
 /// does not count.
 #[test]
 fn uploads_of_unwritten_untracked_results_are_flagged() {
-    let tracked = |path: &str| path == "results/trace_example.json";
+    let tracked = |path: &str| path == "results/fleet_monitoring.txt";
     let yaml = "\
 jobs:
   lint:
@@ -249,7 +249,7 @@ jobs:
           path: |
             results/metrics.json
             results/temporal_metrics.json
-            results/trace_example.json
+            results/fleet_monitoring.txt
             results/BENCH_trace.json
   stress:
     steps:
