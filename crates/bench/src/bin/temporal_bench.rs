@@ -7,12 +7,13 @@
 //!
 //! Four measurements:
 //!
-//! 1. **Ingest throughput**: wall-clock over the full stream. The tiered
+//! 1. **Ingest throughput**: wall-clock over the full stream, in
+//!    [`INGEST_ROUNDS`] alternating rounds of each index. The tiered
 //!    index absorbs writes into a bounded memtable and turns them into
 //!    immutable tiers with one HINT build each, so its per-insert cost
 //!    stays flat while the in-place tree pays ever-deeper traversals and
-//!    node splits. The gate asserts ≥ [`INGEST_GATE`]× at [`RECORDS`]
-//!    intervals.
+//!    node splits. The gate asserts a median ratio ≥ [`INGEST_GATE`]× at
+//!    [`RECORDS`] intervals.
 //! 2. **Query equivalence**: a window-query probe set must return
 //!    bit-identical id sets from both indexes — speed must not change
 //!    answers.
@@ -36,7 +37,8 @@
 //!    interval. The gate fails on any id the two disagree on.
 //!
 //! With `--metrics-out FILE` the run also snapshots the
-//! `segidx_temporal_*` telemetry family for `metrics_check --temporal`.
+//! `segidx_temporal_*` telemetry family, which `gates lint` validates
+//! (its `TEMPORAL` metrics check).
 //!
 //! Usage:
 //!   temporal_bench [--metrics-out FILE]
@@ -62,8 +64,12 @@ const RECORDS: usize = 1_000_000;
 /// Window probes compared between the tiered and the in-place index.
 const QUERIES: usize = 256;
 
-/// Least tiered-over-in-place ingest speedup at [`RECORDS`] intervals.
+/// Least tiered-over-in-place ingest speedup at [`RECORDS`] intervals: the
+/// median ratio of [`INGEST_ROUNDS`] alternating rounds.
 const INGEST_GATE: f64 = 3.0;
+
+/// Timed rounds of each ingest, alternating tiered and in-place.
+const INGEST_ROUNDS: usize = 3;
 
 /// Most HINT partitions an `AS OF` may touch in the largest tier, as a
 /// multiple of what it touches in the smallest tier of at least
@@ -299,42 +305,49 @@ fn main() -> ExitCode {
     let stream = version_stream(RECORDS, 17);
     println!("temporal ingest: {RECORDS} monotone end-time versions");
 
-    // ---- 1. Tiered ingest (memtable -> sealed packed tiers) -----------
+    // ---- 1-2. Tiered ingest against in-place inserts, alternating -------
+    // The gate is the median of the rounds' ratios: one timed pass of each
+    // read 3.2-4.5x idle on a 2-vCPU box, and 2.84x beside a build.
     let registry = MetricsRegistry::new();
     let telemetry = Arc::new(TieredTelemetry::new());
     telemetry.register(&registry);
-    let mut tiered = TieredTemporalIndex::<2>::new(TieredConfig::default());
-    tiered.set_telemetry(Some(Arc::clone(&telemetry)));
-    let start = Instant::now();
-    for (rect, id) in &stream {
-        tiered.insert(*rect, *id).expect("tiered insert");
+    let (mut tiered_rounds, mut flat_rounds) = (Vec::new(), Vec::new());
+    let mut built = None;
+    for round in 1..=INGEST_ROUNDS {
+        drop(built.take());
+        let mut tiered = TieredTemporalIndex::<2>::new(TieredConfig::default());
+        // Only the kept round reports to the telemetry.
+        tiered.set_telemetry((round == INGEST_ROUNDS).then(|| Arc::clone(&telemetry)));
+        let start = Instant::now();
+        for (rect, id) in &stream {
+            tiered.insert(*rect, *id).expect("tiered insert");
+        }
+        // The last seal's merge is still on the worker: the timed pass ends
+        // once it is spliced in, so it pays for every merge it started.
+        tiered.flush_merges().expect("flush merges");
+        let tiered_nanos = start.elapsed().as_nanos() as u64;
+        let mut flat = Tree::<2>::new(IndexConfig::srtree());
+        let start = Instant::now();
+        for (rect, id) in &stream {
+            flat.insert(*rect, *id);
+        }
+        let flat_nanos = start.elapsed().as_nanos() as u64;
+        println!(
+            "  round {round}: tiered {:>4.0} ns/insert ({} tiers), in-place {:>5.0} ns/insert, \
+             {:.2}x",
+            tiered_nanos as f64 / RECORDS as f64,
+            tiered.tier_count(),
+            flat_nanos as f64 / RECORDS as f64,
+            flat_nanos as f64 / tiered_nanos as f64
+        );
+        tiered_rounds.push(tiered_nanos);
+        flat_rounds.push(flat_nanos);
+        built = Some((tiered, flat));
     }
-    // The last seal's merge is still on the worker: the timed pass ends
-    // once it is spliced in, so it pays for every merge it started.
-    tiered.flush_merges().expect("flush merges");
-    let tiered_nanos = start.elapsed().as_nanos() as u64;
+    let (tiered, flat) = built.expect("at least one round");
     tiered.assert_invariants();
-    println!(
-        "  tiered:  {:>7.0} ns/insert ({:.2} M inserts/s, {} tiers)",
-        tiered_nanos as f64 / RECORDS as f64,
-        RECORDS as f64 * 1e3 / tiered_nanos as f64,
-        tiered.tier_count()
-    );
-
-    // ---- 2. In-place baseline (one flat SR-Tree) ----------------------
-    let mut flat = Tree::<2>::new(IndexConfig::srtree());
-    let start = Instant::now();
-    for (rect, id) in &stream {
-        flat.insert(*rect, *id);
-    }
-    let flat_nanos = start.elapsed().as_nanos() as u64;
-    println!(
-        "  in-place: {:>6.0} ns/insert ({:.2} M inserts/s)",
-        flat_nanos as f64 / RECORDS as f64,
-        RECORDS as f64 * 1e3 / flat_nanos as f64
-    );
-    let speedup = flat_nanos as f64 / tiered_nanos as f64;
-    println!("  speedup: {speedup:.2}x");
+    let speedup = median_ratio(&flat_rounds, &tiered_rounds);
+    println!("  speedup: {speedup:.2}x (median of {INGEST_ROUNDS} rounds)");
 
     // ---- 3. Query equivalence -----------------------------------------
     let probes = probe_windows(QUERIES, RECORDS as f64, 29);

@@ -29,8 +29,10 @@
 
 pub mod crash;
 mod experiment;
+pub mod gates;
 pub mod interleave;
 pub mod metrics;
+mod metrics_check;
 mod report;
 mod runner;
 mod shape;

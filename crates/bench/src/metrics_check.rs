@@ -1,5 +1,5 @@
-//! Validates an exported metrics JSON file against the metric families the
-//! workspace declares.
+//! Validates an exported metrics JSON document against the metric families
+//! the workspace declares.
 //!
 //! Each emitting crate declares its families once, as a `const` table of
 //! (name, kind) beside the collector that emits them: the paper families
@@ -18,55 +18,16 @@
 //! * the groups the mode names are present, and the histograms it names
 //!   hold at least one observation, with `p50`/`p95`/`p99`.
 //!
-//! Modes:
-//!
-//! * default — a `reproduce --metrics-out` export: the paper families
-//!   (exact counts; `reproduce` times nothing, so no histogram).
-//! * `--server` — a `segidx_server` `METRICS` snapshot (what `loadgen
-//!   --metrics-out` saves): the server's, its tracer's, the index
-//!   service's and the temporal tier's families; the server's read and
-//!   write latency and the index's queue-wait and commit latency
-//!   non-empty (a smoke run need not seal a temporal tier).
-//! * `--temporal` — a `temporal_bench --metrics-out` snapshot: the
-//!   temporal tier's families; seal and merge latency non-empty (the
-//!   gated ingest seals and merges many times over).
-//!
-//! Usage: `metrics_check [--server | --temporal] <metrics.json>`. Exits
-//! non-zero with a description of the first problem found.
+//! What each kind of file must carry is a [`Mode`]: [`PAPER`], [`SERVER`]
+//! or [`TEMPORAL`]. `gates` checks each export right after the step that
+//! writes it ([`crate::gates`]).
 
-use segidx_bench::{metrics as paper, Variant};
+use crate::{metrics as paper, Variant};
 use segidx_obs::json::{self, Value};
 use segidx_obs::{trace, Family, MetricKind};
 use segidx_server::telemetry as server;
 use segidx_temporal::lsm::telemetry as temporal;
 use std::collections::{BTreeMap, BTreeSet};
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, path) = match args.as_slice() {
-        [path] => (&PAPER, path),
-        [flag, path] if flag == "--server" => (&SERVER, path),
-        [flag, path] if flag == "--temporal" => (&TEMPORAL, path),
-        _ => {
-            eprintln!("usage: metrics_check [--server | --temporal] <metrics.json>");
-            return ExitCode::from(2);
-        }
-    };
-    let checked = std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| check(mode, &text));
-    match checked {
-        Ok(summary) => {
-            println!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("metrics_check: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
 
 /// Every declared family, by the collector (group) that emits it.
 const GROUPS: [(&str, &[Family]); 5] = [
@@ -78,19 +39,26 @@ const GROUPS: [(&str, &[Family]); 5] = [
 ];
 
 /// What one kind of file must carry.
-struct Mode {
+pub(crate) struct Mode {
     /// Groups that must appear.
     groups: &'static [&'static str],
     /// Histograms that must hold at least one observation.
     non_empty: &'static [Family],
 }
 
-const PAPER: Mode = Mode {
+/// A `reproduce --metrics-out` export: the paper families (exact counts;
+/// `reproduce` times nothing, so no histogram).
+pub(crate) const PAPER: Mode = Mode {
     groups: &["paper"],
     non_empty: &[],
 };
 
-const SERVER: Mode = Mode {
+/// A `segidx_server` `METRICS` snapshot (what `loadgen --metrics-out`
+/// saves): the server's, its tracer's, the index service's and the temporal
+/// tier's families; the server's read and write latency and the index's
+/// queue-wait and commit latency non-empty (a smoke run need not seal a
+/// temporal tier).
+pub(crate) const SERVER: Mode = Mode {
     groups: &["server", "concurrent", "trace", "temporal"],
     non_empty: &[
         server::READ_LATENCY_NANOS,
@@ -100,13 +68,17 @@ const SERVER: Mode = Mode {
     ],
 };
 
-const TEMPORAL: Mode = Mode {
+/// A `temporal_bench --metrics-out` snapshot: the temporal tier's
+/// families; seal and merge latency non-empty (the gated ingest seals and
+/// merges many times over).
+pub(crate) const TEMPORAL: Mode = Mode {
     groups: &["temporal"],
     non_empty: &[temporal::SEAL_LATENCY_NANOS, temporal::MERGE_LATENCY_NANOS],
 };
 
-/// Checks one exported document; returns a one-line summary.
-fn check(mode: &Mode, text: &str) -> Result<String, String> {
+/// Checks one exported document; returns a one-line summary, or a
+/// description of the first problem found.
+pub(crate) fn check(mode: &Mode, text: &str) -> Result<String, String> {
     let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let metrics = doc
         .get("metrics")

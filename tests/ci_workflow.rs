@@ -4,10 +4,12 @@
 //! line by line for the faults that have made a workflow fail to parse or
 //! to run: a plain (unquoted, non-block) scalar holding `": "` or `" #"`,
 //! a tab in the indentation, a `--bin`, `--example`, `--bench` or
-//! `--test` naming a target no package has, and an artifact upload
-//! listing a `results/` file that nothing in its job writes and git does
-//! not track.
+//! `--test` naming a target no package has, a `gates <job>` naming a job
+//! `segidx_bench::gates::JOBS` does not have, and an artifact upload
+//! listing a `results/` file that neither a `run:` of its job nor the
+//! outputs of that job's `gates` call name and git does not track.
 
+use segidx_bench::gates::{self, JOBS};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -73,38 +75,39 @@ fn key_end(item: &str) -> Option<usize> {
 }
 
 /// Every `--bin NAME`, `--example NAME`, `--bench NAME` and `--test NAME`
-/// on a line, quotes stripped from the name.
+/// on a line, quotes stripped from the name, and `("gates", JOB)` for a
+/// `gates -- JOB` call.
 fn target_flags(line: &str) -> Vec<(&str, &str)> {
     let words: Vec<&str> = line.split_whitespace().collect();
-    words
+    let mut flags: Vec<(&str, &str)> = words
         .windows(2)
         .filter(|w| ["--bin", "--example", "--bench", "--test"].contains(&w[0]))
         .map(|w| (w[0], w[1].trim_matches(['"', '\''])))
-        .collect()
+        .collect();
+    flags.extend(gates_job(line).map(|job| ("gates", job)));
+    flags
 }
 
-/// The file stems under every `dir` of the root package and of each
-/// package in `crates/`.
-fn stems(dir: &str) -> BTreeSet<String> {
-    let crates = std::fs::read_dir(root().join("crates")).expect("crates/ exists");
-    let packages = std::iter::once(root()).chain(crates.map(|e| e.unwrap().path()));
-    packages
-        .filter_map(|p| std::fs::read_dir(p.join(dir)).ok())
-        .flatten()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+/// The job a `gates -- JOB` call on `line` runs.
+fn gates_job(line: &str) -> Option<&str> {
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let call = words.windows(3).find(|w| w[0] == "gates" && w[1] == "--");
+    call.map(|w| w[2])
+}
+
+/// What the `gates` calls among `runs` declare they write.
+fn gates_outputs(runs: &str) -> BTreeSet<&'static str> {
+    let jobs = runs.lines().filter_map(gates_job);
+    jobs.flat_map(|name| JOBS.iter().filter(move |j| j.name == name))
+        .flat_map(|j| j.outputs.iter().copied())
         .collect()
 }
 
 fn target_exists(flag: &str, name: &str) -> bool {
-    let dir = match flag {
-        "--bin" => "src/bin",
-        "--example" => "examples",
-        "--bench" => "benches",
-        _ => "tests",
-    };
-    stems(dir).contains(name)
+    match flag {
+        "gates" => JOBS.iter().any(|j| j.name == name),
+        _ => gates::target_exists(flag, name),
+    }
 }
 
 /// What one job of the workflow runs and uploads.
@@ -117,10 +120,8 @@ struct Job {
     uploads: Vec<(usize, String)>,
 }
 
-/// Each `results/…` path an `upload-artifact` step lists that no `run:` of
-/// the same job names (and so writes) and that `tracked` says git does not
-/// track: a file the upload would silently miss.
-fn unwritten_uploads(yaml: &str, tracked: impl Fn(&str) -> bool) -> Vec<String> {
+/// The jobs of a workflow, with what each runs and uploads.
+fn jobs(yaml: &str) -> Vec<Job> {
     let mut jobs: Vec<Job> = Vec::new();
     let mut in_jobs = false;
     let mut uploading = false;
@@ -142,7 +143,8 @@ fn unwritten_uploads(yaml: &str, tracked: impl Fn(&str) -> bool) -> Vec<String> 
             }
         }
         block = None;
-        if indent == 0 {
+        // A blank line between jobs does not end the `jobs:` map.
+        if indent == 0 && !body.is_empty() {
             in_jobs = body == "jobs:";
             continue;
         }
@@ -179,10 +181,20 @@ fn unwritten_uploads(yaml: &str, tracked: impl Fn(&str) -> bool) -> Vec<String> 
             job.runs.push('\n');
         }
     }
+    jobs
+}
+
+/// Each `results/…` path an `upload-artifact` step lists that no `run:` of
+/// the same job names (and so writes), that its `gates` call does not
+/// declare as an output, and that `tracked` says git does not track: a
+/// file the upload would silently miss.
+fn unwritten_uploads(yaml: &str, tracked: impl Fn(&str) -> bool) -> Vec<String> {
     let mut problems = Vec::new();
-    for job in &jobs {
+    for job in &jobs(yaml) {
+        let declared = gates_outputs(&job.runs);
         for (n, path) in &job.uploads {
-            let written = job.runs.contains(path.trim_end_matches('/'));
+            let written =
+                job.runs.contains(path.trim_end_matches('/')) || declared.contains(path.as_str());
             if path.starts_with("results/") && !written && !tracked(path) {
                 problems.push(format!(
                     "line {n}: job {} uploads {path}, which no run: of it writes \
@@ -220,6 +232,18 @@ fn ci_workflow_parses_and_names_real_targets() {
     assert!(problems.is_empty(), "ci.yml:\n{}", problems.join("\n"));
 }
 
+/// A CI job that calls `gates <job>` uploads exactly what that job
+/// declares it writes.
+#[test]
+fn gates_outputs_are_what_ci_uploads() {
+    for job in jobs(&workflow(&root().join(".github/workflows/ci.yml"))) {
+        if gates_job(&job.runs).is_some() {
+            let uploads: BTreeSet<&str> = job.uploads.iter().map(|(_, p)| p.as_str()).collect();
+            assert_eq!(uploads, gates_outputs(&job.runs), "job {}", job.name);
+        }
+    }
+}
+
 #[test]
 fn uploaded_results_are_written_or_tracked() {
     let problems = unwritten_uploads(
@@ -230,8 +254,8 @@ fn uploaded_results_are_written_or_tracked() {
 }
 
 /// An upload finds its file when a `run:` of its own job names it, in a
-/// plain or block scalar, or when git tracks it; a `run:` of another job
-/// does not count.
+/// plain or block scalar, when that job's `gates` call declares it, or
+/// when git tracks it; a `run:` of another job does not count.
 #[test]
 fn uploads_of_unwritten_untracked_results_are_flagged() {
     let tracked = |path: &str| path == "results/fleet_monitoring.txt";
@@ -261,6 +285,15 @@ jobs:
       - uses: actions/upload-artifact@v4
         with:
           path: results/metrics.json
+
+  smoke:
+    steps:
+      - run: cargo run --bin gates -- server
+      - uses: actions/upload-artifact@v4
+        with:
+          path: |
+            results/server.log
+            results/nothing.json
 ";
     assert_eq!(
         unwritten_uploads(yaml, tracked),
@@ -268,6 +301,8 @@ jobs:
             "line 15: job lint uploads results/BENCH_trace.json, which no run: of it \
              writes and git does not track",
             "line 25: job stress uploads results/metrics.json, which no run: of it \
+             writes and git does not track",
+            "line 34: job smoke uploads results/nothing.json, which no run: of it \
              writes and git does not track",
         ]
     );
@@ -303,6 +338,9 @@ jobs:
     assert_eq!(lint(comment, only_real).len(), 1);
     let tab = "jobs:\n\t  lint: x\n";
     assert_eq!(lint(tab, only_real), ["line 2: tab in the indentation"]);
+    let misspelt = "        run: cargo run --bin gates -- lnit\n";
+    let real = |_: &str, name: &str| ["gates", "lint"].contains(&name);
+    assert_eq!(lint(misspelt, real), ["line 1: gates lnit names nothing"]);
     let missing = "        run: cargo bench --bench ablation --test gone\n";
     assert_eq!(
         lint(missing, only_real),
