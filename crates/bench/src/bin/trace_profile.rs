@@ -10,11 +10,11 @@
 //!    exported as Chrome `trace_event` JSON to [`TRACE_OUT`], loadable in
 //!    `chrome://tracing` / Perfetto.
 //! 2. **Overhead**: the tracing hooks cost one thread-local branch per span
-//!    site when no trace is active. Interleaved paired rounds compare the
-//!    instrumented [`Tree::search_with`] (tracing compiled in, no active
-//!    trace) against [`Tree::bench_search_untraced`] (the monomorphized
-//!    untraced kernel instantiation); the gate fails the run when the
-//!    median per-round ratio exceeds [`OVERHEAD_GATE`].
+//!    site when no trace is active. Paired rounds, alternating which side
+//!    runs first, compare the instrumented [`Tree::search_with`] (tracing
+//!    compiled in, no active trace) against [`Tree::bench_search_untraced`]
+//!    (the monomorphized untraced kernel instantiation); the gate fails the
+//!    run when the median per-round ratio exceeds [`OVERHEAD_GATE`].
 //!
 //! Usage:
 //!   trace_profile
@@ -163,30 +163,38 @@ fn record_example_trace() -> Result<CompletedTrace, String> {
 
 /// Interleaved per-round wall times for the instrumented search path with
 /// tracing inactive vs the monomorphized untraced kernel, over the same
-/// tree and query batch (a, b, a, b, ... so clock noise hits both sides).
+/// tree and query batch. The side that runs first alternates by round
+/// (a b, b a, a b, ...), so drift within a round lands on each side in turn.
 fn time_overhead_rounds(
     tree: &Tree<2>,
     queries: &[Rect<2>],
     rounds: usize,
 ) -> (Vec<u64>, Vec<u64>) {
     let mut cursor = SearchCursor::new();
+    let mut time = |instrumented: bool| {
+        let start = Instant::now();
+        let mut found = 0usize;
+        if instrumented {
+            for q in queries {
+                found += tree.search_with(&mut cursor, q).len();
+            }
+        } else {
+            for q in queries {
+                found += tree.bench_search_untraced(&mut cursor, q).len();
+            }
+        }
+        black_box(found);
+        start.elapsed().as_nanos() as u64
+    };
     let (mut instrumented, mut baseline) = (Vec::new(), Vec::new());
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let mut found = 0usize;
-        for q in queries {
-            found += tree.search_with(&mut cursor, q).len();
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            instrumented.push(time(true));
+            baseline.push(time(false));
+        } else {
+            baseline.push(time(false));
+            instrumented.push(time(true));
         }
-        black_box(found);
-        instrumented.push(start.elapsed().as_nanos() as u64);
-
-        let start = Instant::now();
-        let mut found = 0usize;
-        for q in queries {
-            found += tree.bench_search_untraced(&mut cursor, q).len();
-        }
-        black_box(found);
-        baseline.push(start.elapsed().as_nanos() as u64);
     }
     (instrumented, baseline)
 }

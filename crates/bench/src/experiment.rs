@@ -1,8 +1,9 @@
 //! Experiment descriptors: which graph, which distribution, which variants.
 
-use segidx_core::{IndexConfig, Skeleton, SplitAlgorithm, Tree};
+use segidx_core::bulk::bulk_load;
+use segidx_core::{build_skeleton, IndexConfig, RecordId, SkeletonSpec, SplitAlgorithm, Tree};
 use segidx_geom::Rect;
-use segidx_workloads::{domain, DataDistribution, Dataset};
+use segidx_workloads::{DataDistribution, Dataset};
 
 /// The paper buffers the first 10,000 tuples for distribution prediction
 /// (§5); smaller runs scale this down to 10% of the input.
@@ -145,53 +146,12 @@ impl Variant {
             Construction::Dynamic
         }
     }
-
-    /// An empty index of this variant with the paper's parameters, sized
-    /// for `expected_tuples` over the paper's domain: the skeletons predict
-    /// theirs from the first `min(10 000, expected_tuples / 10)` tuples.
-    pub fn build_index(&self, expected_tuples: usize) -> Skeleton<2> {
-        self.index(
-            domain(),
-            expected_tuples,
-            prediction_buffer(expected_tuples),
-        )
-    }
-
-    /// An empty index of this variant, one type for all four so that
-    /// whatever sweeps them can also serve them: a skeleton variant
-    /// predicted from the first `buffer` tuples and sized for
-    /// `expected_tuples` over `domain`, a dynamic one built from the start
-    /// (`Skeleton::Built` around an empty tree).
-    pub fn index(&self, domain: Rect<2>, expected_tuples: usize, buffer: usize) -> Skeleton<2> {
-        empty_index(
-            self.config(),
-            self.construction(),
-            domain,
-            expected_tuples,
-            buffer,
-        )
-    }
 }
 
 /// The prediction buffer for an input of `expected_tuples`: the paper's
 /// 10 000, or a tenth of a smaller input.
 pub(crate) fn prediction_buffer(expected_tuples: usize) -> usize {
     PAPER_PREDICTION_BUFFER.min((expected_tuples / 10).max(1))
-}
-
-/// An empty index with `config`, to be filled by insertion: a predicted
-/// skeleton, or a tree grown from empty. A packed index has no empty form.
-pub(crate) fn empty_index(
-    config: IndexConfig,
-    construction: Construction,
-    domain: Rect<2>,
-    expected_tuples: usize,
-    buffer: usize,
-) -> Skeleton<2> {
-    match construction {
-        Construction::Skeleton => Skeleton::new(config, domain, expected_tuples, buffer),
-        Construction::Dynamic | Construction::Packed => Skeleton::Built(Tree::new(config)),
-    }
 }
 
 /// How an index is put together from its input.
@@ -204,6 +164,34 @@ pub enum Construction {
     Skeleton,
     /// Packed from the whole input at once (`bulk_load`, \[ROUS85\]).
     Packed,
+}
+
+impl Construction {
+    /// A tree with `config` over `records`, put together this way. A
+    /// skeleton is predicted from the first `prefix` records (paper §4)
+    /// and sized for all of them over `domain`; the prefix and the rest
+    /// are then inserted in arrival order.
+    pub fn build(
+        self,
+        config: IndexConfig,
+        domain: Rect<2>,
+        prefix: usize,
+        records: &[(Rect<2>, RecordId)],
+    ) -> Tree<2> {
+        let mut tree = match self {
+            Construction::Packed => return bulk_load(config, records.to_vec()),
+            Construction::Dynamic => Tree::new(config),
+            Construction::Skeleton => {
+                let sample = &records[..prefix.min(records.len())];
+                let spec = SkeletonSpec::predict(domain, records.len(), sample);
+                build_skeleton(config, &spec)
+            }
+        };
+        for (rect, id) in records {
+            tree.insert(*rect, *id);
+        }
+        tree
+    }
 }
 
 /// A design question `reproduce --ablate` asks: one choice, varied over
@@ -386,7 +374,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segidx_core::IntervalIndex;
+    use segidx_workloads::domain;
 
     #[test]
     fn graph_numbering_roundtrips() {
@@ -406,12 +394,11 @@ mod tests {
 
     #[test]
     fn variants_build_and_accept_data() {
+        let ds = DataDistribution::I3.generate(1_000, 1);
         for v in Variant::ALL {
-            let mut idx = v.build_index(1_000);
-            let ds = DataDistribution::I3.generate(1_000, 1);
-            for (r, id) in &ds.records {
-                idx.insert(*r, *id);
-            }
+            let idx =
+                v.construction()
+                    .build(v.config(), domain(), prediction_buffer(1_000), &ds.records);
             assert_eq!(idx.len(), 1_000, "{}", v.name());
             assert!(idx.check_invariants().is_empty(), "{}", v.name());
         }
@@ -419,12 +406,9 @@ mod tests {
 
     #[test]
     fn prediction_buffer_scales_down() {
-        // 1,000 tuples → 100-tuple buffer, so the skeleton gets built.
-        let mut idx = Variant::SkeletonSRTree.build_index(1_000);
-        let ds = DataDistribution::I1.generate(1_000, 2);
-        for (r, id) in &ds.records {
-            idx.insert(*r, *id);
-        }
-        assert!(idx.node_count() > 0, "skeleton was built");
+        // 1,000 tuples → a 100-tuple prefix.
+        assert_eq!(prediction_buffer(1_000), 100);
+        assert_eq!(prediction_buffer(200_000), PAPER_PREDICTION_BUFFER);
+        assert_eq!(prediction_buffer(5), 1);
     }
 }

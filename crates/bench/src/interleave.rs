@@ -23,13 +23,14 @@
 //! reader saw a half-applied batch or a stale epoch after a newer one),
 //! not a flaky schedule. All four paper variants are
 //! exercised, since each has distinct node layouts and split/coalesce
-//! machinery behind the same `Tree` engine; each is served as the
-//! experiment harness builds it ([`Variant::index`]).
+//! machinery behind the same `Tree` type; each is built the way the
+//! experiment harness builds it
+//! ([`Construction::build`](crate::experiment::Construction::build)).
 
 use crate::crash::SplitMix64;
 use crate::experiment::Variant;
 use segidx_concurrent::{CommitTicket, ConcurrentIndex, IndexOp, SubmitError};
-use segidx_core::{IntervalIndex, RecordId, Skeleton};
+use segidx_core::{RecordId, Tree};
 use segidx_geom::Rect;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -154,15 +155,13 @@ pub fn probe_rects(seed: u64, count: usize) -> Vec<Rect<2>> {
 }
 
 /// Builds one paper variant over `records`, sized for them over the
-/// generator's domain.
-fn build_variant(variant: Variant, records: &[(Rect<2>, RecordId)]) -> Skeleton<2> {
-    let n = records.len().max(1);
+/// generator's domain; a skeleton is predicted from the first tenth.
+fn build_variant(variant: Variant, records: &[(Rect<2>, RecordId)]) -> Tree<2> {
     let domain = Rect::new([0.0, 0.0], [7_000.0, 7_000.0]);
-    let mut index = variant.index(domain, n, n / 10 + 1);
-    for (r, id) in records {
-        index.insert(*r, *id);
-    }
-    index
+    let prefix = records.len() / 10 + 1;
+    variant
+        .construction()
+        .build(variant.config(), domain, prefix, records)
 }
 
 /// One reader observation: at pinned epoch `epoch`, probe `probe` returned
@@ -190,12 +189,12 @@ fn stress_variant(
     let initial = initial_records(seed, cfg.initial);
     let ops = mutation_stream(seed, cfg, &initial);
     let probes = probe_rects(seed, cfg.probes);
-    let engine = build_variant(variant, &initial);
+    let tree = build_variant(variant, &initial);
 
     // Batching parameters vary with the seed so different seeds exercise
     // different commit groupings.
     let max_batch = 8 + (seed as usize % 5) * 24;
-    let index = ConcurrentIndex::builder(engine)
+    let index = ConcurrentIndex::builder(tree)
         .queue_capacity(256)
         .max_batch(max_batch)
         .start()

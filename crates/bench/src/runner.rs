@@ -1,11 +1,8 @@
 //! Experiment execution: build the paper's four variants, sweep the QAR
 //! range, collect the paper's metric.
 
-use crate::experiment::{
-    empty_index, prediction_buffer, Axis, Construction, Experiment, Graph, Variant,
-};
-use segidx_core::bulk::bulk_load;
-use segidx_core::{IntervalIndex, RecordId, Skeleton, StatsSnapshot};
+use crate::experiment::{prediction_buffer, Axis, Experiment, Graph, Variant};
+use segidx_core::{RecordId, StatsSnapshot, Tree};
 use segidx_geom::Rect;
 use segidx_workloads::{domain, paper_query_sweep, queries_for_qar};
 
@@ -164,30 +161,17 @@ fn build_variant(
     variant: Variant,
     records: &[(Rect<2>, RecordId)],
     experiment: &Experiment,
-) -> Skeleton<2> {
+) -> Tree<2> {
     let (config, construction) = match experiment.ablation {
         Some(ablation) => ablation.apply(variant),
         None => (variant.config(), variant.construction()),
     };
-    if construction == Construction::Packed {
-        return Skeleton::Built(bulk_load(config, records.to_vec()));
-    }
-    let tuples = experiment.tuples;
-    let mut index = empty_index(
-        config,
-        construction,
-        domain(),
-        tuples,
-        prediction_buffer(tuples),
-    );
-    for (rect, id) in records {
-        index.insert(*rect, *id);
-    }
-    index
+    let prefix = prediction_buffer(experiment.tuples);
+    construction.build(config, domain(), prefix, records)
 }
 
 /// Sweeps the paper's thirteen QAR values over a built index.
-pub fn sweep(index: &dyn IntervalIndex<2>, experiment: &Experiment) -> Vec<SweepPoint> {
+pub fn sweep(index: &Tree<2>, experiment: &Experiment) -> Vec<SweepPoint> {
     let sets = if experiment.queries_per_qar == segidx_workloads::QUERIES_PER_QAR {
         paper_query_sweep(experiment.query_seed)
     } else {
@@ -222,10 +206,7 @@ pub fn inspect_variants(experiment: &Experiment) -> Vec<String> {
     Variant::ALL
         .iter()
         .map(|&variant| {
-            let index = build_variant(variant, &dataset.records, experiment);
-            let Skeleton::Built(tree) = index else {
-                panic!("{}: prediction buffer never filled", variant.name());
-            };
+            let tree = build_variant(variant, &dataset.records, experiment);
             format!("structure of {}:\n{}", variant.name(), tree.report())
         })
         .collect()

@@ -1,6 +1,5 @@
 //! The concurrent index service: `Arc`-published snapshots over a
-//! copy-on-write engine — a [`Tree`], a [`Skeleton`], any
-//! [`IntervalIndex`] whose clone is a cheap snapshot — fed by a single
+//! copy-on-write [`Tree`], whose clone is a cheap snapshot, fed by a single
 //! writer thread running group commits.
 //!
 //! # Architecture
@@ -9,8 +8,8 @@
 //!  readers                    writer thread
 //!  ───────                    ─────────────
 //!  snapshot() ──Arc::clone──►  drain ≤ max_batch ops from the queue
-//!  search / stab on an        apply them to the private engine
-//!  immutable engine           (durable: persist::commit + sync)
+//!  search / stab on an        apply them to the private tree
+//!  immutable tree             (durable: persist::commit + sync)
 //!  drop guard ──Arc drop──►   publish: swap the Arc under the lock,
 //!                             drop the replaced one outside it
 //!                             complete tickets with the commit epoch
@@ -27,14 +26,12 @@
 //!
 //! Readers never observe a half-applied batch: they hold a
 //! [`SnapshotGuard`] and run any read — including
-//! `search_batch`/`stab_batch` — against an engine no one will ever mutate.
-//! A [`Tree`]'s private copy shares all untouched nodes with the published
+//! `search_batch`/`stab_batch` — against a tree no one will ever mutate.
+//! The writer's private copy shares all untouched nodes with the published
 //! snapshots (see `Arena` in `segidx-core`), so publishing epoch *n+1*
 //! costs one `Arc` bump per 16-slot chunk of the node table, and the batch
 //! before it copied only the chunks and nodes it changed; dropping a
 //! snapshot walks the chunk table once more and frees what it owned alone.
-//! A [`Skeleton`] still filling its prediction buffer copies the buffer
-//! instead; the commit that fills it builds the tree.
 //!
 //! # One owner, any number of handles
 //!
@@ -48,21 +45,19 @@
 //!
 //! # Durability = visibility
 //!
-//! When a `Tree` is served over a [`DiskManager`] ([`Builder::durable`]),
+//! When the tree is served over a [`DiskManager`] ([`Builder::durable`]),
 //! every group commit runs [`persist::commit`] **before** the snapshot is
 //! published. A snapshot can therefore never be observed that is not
 //! already durable: the chain of published epochs maps 1:1 onto the chain
 //! of durable checkpoints, and a crash at any point recovers exactly the
 //! tree of the last epoch any reader could have seen.
-//!
-//! [`Skeleton`]: segidx_core::Skeleton
 
 use crate::queue::{
     lock, CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, QueueItem,
     SubmissionQueue, SubmitError,
 };
+use segidx_core::persist;
 use segidx_core::tree::Tree;
-use segidx_core::{persist, IntervalIndex};
 use segidx_obs::{trace, Family, LatencyHistogram, Metric, MetricsRegistry};
 use segidx_storage::{DiskManager, StorageError};
 use std::ops::Deref;
@@ -99,18 +94,18 @@ pub const METRICS: &[Family] = &[
 /// The label on every metric the service emits.
 const LABELS: &[(&str, &str)] = &[("component", "concurrent")];
 
-/// One published, immutable snapshot: the engine plus its epoch identity.
-struct SnapshotInner<const D: usize, E = Tree<D>> {
+/// One published, immutable snapshot: the tree plus its epoch identity.
+struct SnapshotInner<const D: usize> {
     epoch: u64,
     durable_epoch: Option<u64>,
-    /// The frozen engine.
-    tree: E,
+    /// The frozen tree.
+    tree: Tree<D>,
     /// Snapshots of this index not yet dropped, this one included.
     live: Arc<AtomicUsize>,
 }
 
-impl<const D: usize, E> SnapshotInner<D, E> {
-    fn new(epoch: u64, durable_epoch: Option<u64>, tree: E, live: &Arc<AtomicUsize>) -> Self {
+impl<const D: usize> SnapshotInner<D> {
+    fn new(epoch: u64, durable_epoch: Option<u64>, tree: Tree<D>, live: &Arc<AtomicUsize>) -> Self {
         live.fetch_add(1, SeqCst);
         Self {
             epoch,
@@ -121,18 +116,18 @@ impl<const D: usize, E> SnapshotInner<D, E> {
     }
 }
 
-impl<const D: usize, E> Drop for SnapshotInner<D, E> {
+impl<const D: usize> Drop for SnapshotInner<D> {
     fn drop(&mut self) {
         self.live.fetch_sub(1, SeqCst);
     }
 }
 
 /// State shared by the writer thread and every [`IndexHandle`].
-struct Shared<const D: usize, E> {
+struct Shared<const D: usize> {
     /// The current snapshot. Held only to clone or swap the `Arc`, which
     /// no panic can leave half-written: every site takes it through
     /// [`lock`], so a thread that died holding it stops no one.
-    published: Mutex<Arc<SnapshotInner<D, E>>>,
+    published: Mutex<Arc<SnapshotInner<D>>>,
     /// Feeds `retired_snapshots`: the published snapshot is always live,
     /// every other live one was replaced and is kept by a reader.
     live_snapshots: Arc<AtomicUsize>,
@@ -149,16 +144,15 @@ struct Shared<const D: usize, E> {
 
 /// A pinned, immutable view of one published snapshot.
 ///
-/// Dereferences to the snapshot's engine, so every read-side method —
-/// a [`Tree`]'s `search`, `stab`, `search_batch`, `nearest`,
-/// `assert_invariants`, or any engine's [`IntervalIndex`] surface — works
-/// unchanged. A guard is one `Arc` reference: holding it keeps exactly its
+/// Dereferences to the snapshot's [`Tree`], so every read-side method —
+/// `search`, `stab`, `search_batch`, `nearest`, `assert_invariants` —
+/// works unchanged. A guard is one `Arc` reference: holding it keeps exactly its
 /// own snapshot's memory alive, and dropping the last one frees it.
-pub struct SnapshotGuard<const D: usize, E = Tree<D>> {
-    inner: Arc<SnapshotInner<D, E>>,
+pub struct SnapshotGuard<const D: usize> {
+    inner: Arc<SnapshotInner<D>>,
 }
 
-impl<const D: usize, E> SnapshotGuard<D, E> {
+impl<const D: usize> SnapshotGuard<D> {
     /// The epoch this snapshot was published at. Monotone across
     /// re-pins: a later `snapshot()` call never observes a smaller epoch.
     pub fn epoch(&self) -> u64 {
@@ -172,15 +166,15 @@ impl<const D: usize, E> SnapshotGuard<D, E> {
     }
 }
 
-impl<const D: usize, E> Deref for SnapshotGuard<D, E> {
-    type Target = E;
+impl<const D: usize> Deref for SnapshotGuard<D> {
+    type Target = Tree<D>;
 
-    fn deref(&self) -> &E {
+    fn deref(&self) -> &Tree<D> {
         &self.inner.tree
     }
 }
 
-impl<const D: usize, E: IntervalIndex<D>> std::fmt::Debug for SnapshotGuard<D, E> {
+impl<const D: usize> std::fmt::Debug for SnapshotGuard<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotGuard")
             .field("epoch", &self.epoch())
@@ -195,47 +189,28 @@ impl<const D: usize, E: IntervalIndex<D>> std::fmt::Debug for SnapshotGuard<D, E
 /// seam: lets a test hold a commit "in flight" deterministically.
 pub type CommitHook = Box<dyn FnMut(u64) + Send>;
 
-/// Where a durable index checkpoints, and how. Only
-/// [`Builder::durable`] sets one, and only for a [`Tree`], so no engine
-/// needs a checkpoint it cannot keep.
-struct Durability<E> {
-    disk: Arc<DiskManager>,
-    checkpoint: fn(&E, &DiskManager) -> Result<(), StorageError>,
-}
-
 /// Configures and starts a [`ConcurrentIndex`].
 ///
-/// The engine `E` is any [`IntervalIndex`] that is `Clone + Send + Sync`,
-/// and its clone must be cheap and structurally sharing: the writer clones
-/// its private engine once per group commit to publish a frozen snapshot,
-/// and readers run every query against such clones, from any thread. A
-/// [`Tree`] clones in one `Arc` bump per 16 node slots; a [`Skeleton`]
-/// clones its tree once built, and copies its prediction buffer (at most
-/// the buffer size it was given) while filling it.
-///
-/// [`Skeleton`]: segidx_core::Skeleton
-pub struct Builder<const D: usize, E = Tree<D>> {
-    tree: E,
-    durability: Option<Durability<E>>,
+/// The writer clones its private [`Tree`] once per group commit to publish
+/// a frozen snapshot, and readers run every query against such clones,
+/// from any thread; a clone is one `Arc` bump per 16 node slots.
+pub struct Builder<const D: usize> {
+    tree: Tree<D>,
+    /// Where every group commit is checkpointed, if the index is durable.
+    disk: Option<Arc<DiskManager>>,
     queue_capacity: usize,
     max_batch: usize,
     commit_hook: Option<CommitHook>,
 }
 
-impl<const D: usize> Builder<D, Tree<D>> {
+impl<const D: usize> Builder<D> {
     /// Backs the index with `disk`: every group commit is checkpointed via
-    /// `persist::commit` before its snapshot is published. Durability is a
-    /// `Tree`'s alone; other engines serve from memory.
+    /// `persist::commit` before its snapshot is published.
     pub fn durable(mut self, disk: Arc<DiskManager>) -> Self {
-        self.durability = Some(Durability {
-            disk,
-            checkpoint: |tree, disk| persist::commit(tree, disk).map(|_| ()),
-        });
+        self.disk = Some(disk);
         self
     }
-}
 
-impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builder<D, E> {
     /// Maximum queued (unapplied) operations before submissions are
     /// rejected with [`SubmitError::Overloaded`]. Default 1024.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
@@ -259,18 +234,18 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
     /// 0). For a durable index the initial tree is checkpointed first, so
     /// even epoch 0 is recoverable; that checkpoint is the only way this
     /// returns an error.
-    pub fn start(self) -> Result<ConcurrentIndex<D, E>, StorageError> {
+    pub fn start(self) -> Result<ConcurrentIndex<D>, StorageError> {
         let Builder {
             tree,
-            durability,
+            disk,
             queue_capacity,
             max_batch,
             commit_hook,
         } = self;
-        let durable_epoch = match &durability {
-            Some(d) => {
-                (d.checkpoint)(&tree, &d.disk)?;
-                Some(d.disk.epoch())
+        let durable_epoch = match &disk {
+            Some(disk) => {
+                persist::commit(&tree, disk)?;
+                Some(disk.epoch())
             }
             None => None,
         };
@@ -288,7 +263,7 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
         let writer_shared = Arc::clone(&shared);
         let writer = std::thread::Builder::new()
             .name("segidx-writer".into())
-            .spawn(move || writer_loop(&writer_shared, tree, durability, max_batch, commit_hook))
+            .spawn(move || writer_loop(&writer_shared, tree, disk, max_batch, commit_hook))
             .expect("spawn writer thread");
         Ok(ConcurrentIndex {
             handle: IndexHandle { shared },
@@ -301,9 +276,8 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
 /// readers, one writer thread applying submitted mutations in group
 /// commits.
 ///
-/// Construct with [`ConcurrentIndex::builder`] from any engine the
-/// [`Builder`] accepts: a [`Tree`] of any of the four paper
-/// configurations, or a predicted `Skeleton` still buffering. The owner
+/// Construct with [`ConcurrentIndex::builder`] from a [`Tree`] of any of
+/// the four paper configurations. The owner
 /// holds the writer thread, and dropping it (or [`shutdown`](Self::shutdown))
 /// commits what is queued and stops the writer. Everything else — reads,
 /// submissions, flushes, metrics — is [`IndexHandle`]'s, which the owner
@@ -330,17 +304,17 @@ impl<const D: usize, E: IntervalIndex<D> + Clone + Send + Sync + 'static> Builde
 /// assert!(snap.epoch() >= receipt.epoch);
 /// assert_eq!(snap.search(&Rect::new([5.0, 0.0], [6.0, 2.0])), vec![RecordId(1)]);
 /// ```
-pub struct ConcurrentIndex<const D: usize, E = Tree<D>> {
-    handle: IndexHandle<D, E>,
+pub struct ConcurrentIndex<const D: usize> {
+    handle: IndexHandle<D>,
     writer: Option<JoinHandle<()>>,
 }
 
-impl<const D: usize, E> ConcurrentIndex<D, E> {
-    /// A builder over the engine's current contents.
-    pub fn builder(tree: E) -> Builder<D, E> {
+impl<const D: usize> ConcurrentIndex<D> {
+    /// A builder over the tree's current contents.
+    pub fn builder(tree: Tree<D>) -> Builder<D> {
         Builder {
             tree,
-            durability: None,
+            disk: None,
             queue_capacity: 1024,
             max_batch: 128,
             commit_hook: None,
@@ -348,7 +322,7 @@ impl<const D: usize, E> ConcurrentIndex<D, E> {
     }
 
     /// A cloneable handle to this index, for another thread.
-    pub fn handle(&self) -> IndexHandle<D, E> {
+    pub fn handle(&self) -> IndexHandle<D> {
         self.handle.clone()
     }
 
@@ -366,21 +340,21 @@ impl<const D: usize, E> ConcurrentIndex<D, E> {
     }
 }
 
-impl<const D: usize, E> Deref for ConcurrentIndex<D, E> {
-    type Target = IndexHandle<D, E>;
+impl<const D: usize> Deref for ConcurrentIndex<D> {
+    type Target = IndexHandle<D>;
 
-    fn deref(&self) -> &IndexHandle<D, E> {
+    fn deref(&self) -> &IndexHandle<D> {
         &self.handle
     }
 }
 
-impl<const D: usize, E> Drop for ConcurrentIndex<D, E> {
+impl<const D: usize> Drop for ConcurrentIndex<D> {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
 }
 
-impl<const D: usize, E> std::fmt::Debug for ConcurrentIndex<D, E> {
+impl<const D: usize> std::fmt::Debug for ConcurrentIndex<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.handle.fmt(f)
     }
@@ -393,11 +367,11 @@ impl<const D: usize, E> std::fmt::Debug for ConcurrentIndex<D, E> {
 /// `ConcurrentIndex` shuts down, submissions fail with
 /// [`SubmitError::Closed`] while snapshots continue to serve the last
 /// published state.
-pub struct IndexHandle<const D: usize, E = Tree<D>> {
-    shared: Arc<Shared<D, E>>,
+pub struct IndexHandle<const D: usize> {
+    shared: Arc<Shared<D>>,
 }
 
-impl<const D: usize, E> Clone for IndexHandle<D, E> {
+impl<const D: usize> Clone for IndexHandle<D> {
     fn clone(&self) -> Self {
         Self {
             shared: Arc::clone(&self.shared),
@@ -405,10 +379,10 @@ impl<const D: usize, E> Clone for IndexHandle<D, E> {
     }
 }
 
-impl<const D: usize, E> IndexHandle<D, E> {
+impl<const D: usize> IndexHandle<D> {
     /// Pins and returns the current published snapshot: one `Arc` clone
     /// under a lock nothing holds for longer than a pointer operation.
-    pub fn snapshot(&self) -> SnapshotGuard<D, E> {
+    pub fn snapshot(&self) -> SnapshotGuard<D> {
         SnapshotGuard {
             inner: Arc::clone(&lock(&self.shared.published)),
         }
@@ -463,10 +437,7 @@ impl<const D: usize, E> IndexHandle<D, E> {
 
     /// Registers this index's [`METRICS`] families on `registry`, labelled
     /// `component="concurrent"`.
-    pub fn register_metrics(&self, registry: &MetricsRegistry)
-    where
-        E: Send + Sync + 'static,
-    {
+    pub fn register_metrics(&self, registry: &MetricsRegistry) {
         let handle = self.clone();
         registry.register(
             METRICS,
@@ -494,7 +465,7 @@ impl<const D: usize, E> IndexHandle<D, E> {
     }
 }
 
-impl<const D: usize, E> std::fmt::Debug for IndexHandle<D, E> {
+impl<const D: usize> std::fmt::Debug for IndexHandle<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexHandle")
             .field("epoch", &self.epoch())
@@ -506,17 +477,17 @@ impl<const D: usize, E> std::fmt::Debug for IndexHandle<D, E> {
 
 /// The batch the writer has drained and not yet answered. Nothing else can
 /// reach these tickets any more, so a writer that unwinds while holding them
-/// (a panicking [`CommitHook`], a bug in an engine's `insert`) would leave
+/// (a panicking [`CommitHook`], a bug in the tree's `insert`) would leave
 /// `FLUSH`, [`CommitTicket::wait`] and every connection waiting on one
 /// parked forever. Dropped during a panic, this answers them — and whatever
 /// is still queued — with [`CommitError::WriterExited`] and closes the
 /// queue; dropped normally it does nothing.
-struct Drained<'a, const D: usize, E> {
-    shared: &'a Shared<D, E>,
+struct Drained<'a, const D: usize> {
+    shared: &'a Shared<D>,
     batch: Vec<QueueItem<D>>,
 }
 
-impl<const D: usize, E> Drained<'_, D, E> {
+impl<const D: usize> Drained<'_, D> {
     /// Fails the batch and everything queued behind it; the writer is
     /// about to exit and nothing submitted can commit any more.
     fn fail(&self, err: &CommitError) {
@@ -528,7 +499,7 @@ impl<const D: usize, E> Drained<'_, D, E> {
     }
 }
 
-impl<const D: usize, E> Drop for Drained<'_, D, E> {
+impl<const D: usize> Drop for Drained<'_, D> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.fail(&CommitError::WriterExited);
@@ -537,10 +508,10 @@ impl<const D: usize, E> Drop for Drained<'_, D, E> {
 }
 
 /// The single writer: drain → apply → checkpoint → publish.
-fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
-    shared: &Shared<D, E>,
-    mut tree: E,
-    durability: Option<Durability<E>>,
+fn writer_loop<const D: usize>(
+    shared: &Shared<D>,
+    mut tree: Tree<D>,
+    disk: Option<Arc<DiskManager>>,
     max_batch: usize,
     mut hook: Option<CommitHook>,
 ) {
@@ -591,9 +562,9 @@ fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
             hook(next_epoch);
         }
         let checkpoint_start = Instant::now();
-        let durable_epoch = match &durability {
-            Some(d) => match (d.checkpoint)(&tree, &d.disk) {
-                Ok(()) => Some(d.disk.epoch()),
+        let durable_epoch = match &disk {
+            Some(disk) => match persist::commit(&tree, disk) {
+                Ok(_) => Some(disk.epoch()),
                 Err(err) => {
                     // Cannot make this batch durable; publishing it would
                     // break the durability == visibility invariant. Fail
@@ -605,7 +576,7 @@ fn writer_loop<const D: usize, E: IntervalIndex<D> + Clone>(
             },
             None => None,
         };
-        let checkpoint_nanos = if durability.is_some() {
+        let checkpoint_nanos = if disk.is_some() {
             checkpoint_start.elapsed().as_nanos() as u64
         } else {
             0

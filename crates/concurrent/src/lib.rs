@@ -2,30 +2,29 @@
 //!
 //! The paper's index variants (`segidx-core`) are single-threaded data
 //! structures: mutation requires `&mut`. This crate turns any of them — a
-//! `Tree` of any of the four configurations, or a predicted `Skeleton` —
-//! into a shared service with two properties the single-threaded API cannot
-//! offer:
+//! `Tree` of any of the four configurations — into a shared service with
+//! two properties the single-threaded API cannot offer:
 //!
 //! * **Readers never see partial mutations and never wait on the
 //!   writer's work.** Reads run against an immutable published *snapshot*
 //!   held as an `Arc`: pinning is one `Arc::clone` under a mutex that is
 //!   only ever held for a pointer clone or swap, any number of guards can
 //!   be alive at once, and whoever drops the last reference frees the
-//!   snapshot. The snapshot itself is a copy-on-write clone of the engine;
-//!   a [`Tree`](segidx_core::tree::Tree)'s shares all untouched nodes with
+//!   snapshot. The snapshot itself is a copy-on-write clone of the
+//!   [`Tree`](segidx_core::tree::Tree) that shares all untouched nodes with
 //!   its predecessor.
 //! * **Writes are batched into group commits with admission control.**
 //!   A single writer thread drains a bounded submission queue; a full
 //!   queue rejects new work immediately with the typed
 //!   [`SubmitError::Overloaded`] instead of blocking the submitter. When
-//!   a `Tree` is served over a `DiskManager`, every group commit is
+//!   the tree is served over a `DiskManager`, every group commit is
 //!   checkpointed through `persist::commit` *before* its snapshot is
 //!   published, so the published epoch chain maps 1:1 onto the durable
 //!   checkpoint chain — a crash recovers exactly the last epoch any reader
 //!   could have observed.
 //!
-//! Start from any engine's current contents (see [`Builder`] for what an
-//! engine has to be). The service has one surface, [`IndexHandle`]:
+//! Start from a tree's current contents ([`ConcurrentIndex::builder`]).
+//! The service has one surface, [`IndexHandle`]:
 //! `snapshot`, `submit`, `submit_batch`, `flush`, `epoch`,
 //! `retired_snapshots` and `register_metrics`. The [`ConcurrentIndex`]
 //! that `start` returns is its owner — it holds the writer thread, stops

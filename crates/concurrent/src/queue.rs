@@ -114,7 +114,7 @@ pub struct CommitReceipt {
 pub struct CommitPhases {
     /// Time this operation spent queued before its batch was drained.
     pub queue_wait_nanos: u64,
-    /// Time the writer spent applying the batch to its private engine.
+    /// Time the writer spent applying the batch to its private tree.
     pub apply_nanos: u64,
     /// Time spent in the durable checkpoint (0 for memory-only indexes).
     pub checkpoint_nanos: u64,

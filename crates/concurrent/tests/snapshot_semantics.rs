@@ -1,14 +1,13 @@
 //! Snapshot semantics: a reader pinned at epoch *N* continues to observe
 //! exactly epoch *N*'s index — same results, same invariants — no matter
 //! how many later epochs the writer publishes, for all four paper
-//! variants, including delete-heavy streams. The two skeletons are served
-//! while still filling their prediction buffer, so one of the later
-//! commits builds them under the pinned reader.
+//! variants, including delete-heavy streams. The two skeletons are
+//! predicted from a tenth of the input and coalesce under group commit.
 
-use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
+use segidx_concurrent::{ConcurrentIndex, IndexOp, SnapshotGuard, SubmitError};
 use segidx_core::tree::Tree;
-use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton};
-use segidx_geom::Rect;
+use segidx_core::{build_skeleton, IndexConfig, RecordId, SkeletonSpec};
+use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution, Dataset, DOMAIN_MAX};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,37 +15,48 @@ use std::sync::Arc;
 
 const N: usize = 4_000;
 
-/// `engine` with the first half of `dataset` loaded.
-fn preload<E: IntervalIndex<2>>(mut engine: E, dataset: &Dataset) -> E {
+/// `tree` with the first half of `dataset` loaded.
+fn preload(mut tree: Tree<2>, dataset: &Dataset) -> Tree<2> {
     for (r, id) in &dataset.records[..N / 2] {
-        engine.insert(*r, *id);
+        tree.insert(*r, *id);
     }
-    engine
+    tree
 }
 
-/// The two dynamic variants, served as `Tree`s.
-fn trees(dataset: &Dataset) -> [(&'static str, Tree<2>); 2] {
+/// The four paper variants with the first half of `dataset` loaded; the
+/// skeletons are predicted from its first N/10 records.
+fn variants(dataset: &Dataset) -> [(&'static str, Tree<2>); 4] {
+    let domain = Rect::new([0.0, 0.0], [DOMAIN_MAX, DOMAIN_MAX]);
+    let spec = SkeletonSpec::predict(domain, N, &dataset.records[..N / 10]);
+    let skeleton = |config| preload(build_skeleton(config, &spec), dataset);
     [
         ("R-Tree", preload(Tree::new(IndexConfig::rtree()), dataset)),
         (
             "SR-Tree",
             preload(Tree::new(IndexConfig::srtree()), dataset),
         ),
-    ]
-}
-
-/// The two skeleton variants, served as `Skeleton`s whose 3N/4 prediction
-/// buffer outlasts the N/2 preload: they start serving while buffering.
-fn skeletons(dataset: &Dataset) -> [(&'static str, Skeleton<2>); 2] {
-    let domain = Rect::new([0.0, 0.0], [DOMAIN_MAX, DOMAIN_MAX]);
-    let skeleton = |config| preload(Skeleton::new(config, domain, N, 3 * N / 4), dataset);
-    [
         ("Skeleton R-Tree", skeleton(IndexConfig::skeleton_rtree())),
         ("Skeleton SR-Tree", skeleton(IndexConfig::skeleton_srtree())),
     ]
 }
 
-fn submit_all<E>(index: &ConcurrentIndex<2, E>, ops: impl IntoIterator<Item = IndexOp<2>>) {
+/// Checks `snap.nearest(p, 7)` at a few probe points against brute force
+/// over `live`: the distances of its seven nearest records, nearest first.
+fn assert_nearest(name: &str, snap: &SnapshotGuard<2>, live: &[(Rect<2>, RecordId)]) {
+    for i in 0..8u64 {
+        let p = Point::new([(i * 12_347 % 100_000) as f64, (i * 31_337 % 100_000) as f64]);
+        let got: Vec<f64> = snap.nearest(&p, 7).iter().map(|n| n.distance).collect();
+        let mut want: Vec<f64> = live.iter().map(|(r, _)| r.min_dist(&p)).collect();
+        want.sort_by(f64::total_cmp);
+        want.truncate(7);
+        assert_eq!(got.len(), want.len(), "{name}: nearest at {p:?}");
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() < 1e-9, "{name}: nearest at {p:?}: {g} vs {w}");
+        }
+    }
+}
+
+fn submit_all(index: &ConcurrentIndex<2>, ops: impl IntoIterator<Item = IndexOp<2>>) {
     for op in ops {
         loop {
             match index.submit(op) {
@@ -65,28 +75,17 @@ fn pinned_snapshot_is_immutable_across_later_epochs_all_variants() {
         .iter()
         .flat_map(|&q| queries_for_qar(q, 10, 7).queries)
         .collect();
-    for (name, tree) in trees(&dataset) {
-        pinned_sees_epoch_n(name, tree, &dataset, &queries, false);
-    }
-    for (name, skeleton) in skeletons(&dataset) {
-        pinned_sees_epoch_n(name, skeleton, &dataset, &queries, true);
+    for (name, tree) in variants(&dataset) {
+        pinned_sees_epoch_n(name, tree, &dataset, &queries);
     }
 }
 
-/// Serves `engine`, pins epoch N, publishes N+1 (the second half of the
+/// Serves `tree`, pins epoch N, publishes N+1 (the second half of the
 /// dataset) and N+2 (deletes of a third of the first half), and checks the
-/// pinned reader still sees exactly epoch N. A `buffering` engine has no
-/// nodes at N; the inserts of N+1 fill its buffer and build it.
-fn pinned_sees_epoch_n<E>(
-    name: &str,
-    engine: E,
-    dataset: &Dataset,
-    queries: &[Rect<2>],
-    buffering: bool,
-) where
-    E: IntervalIndex<2> + Clone + Send + Sync + 'static,
-{
-    let index = ConcurrentIndex::builder(engine).start().unwrap();
+/// pinned reader still sees exactly epoch N, and both it and a fresh
+/// snapshot answer `nearest` as brute force does over their records.
+fn pinned_sees_epoch_n(name: &str, tree: Tree<2>, dataset: &Dataset, queries: &[Rect<2>]) {
+    let index = ConcurrentIndex::builder(tree).start().unwrap();
 
     // Pin epoch N and record everything it answers.
     let pinned = index.snapshot();
@@ -127,16 +126,13 @@ fn pinned_sees_epoch_n<E>(
         assert_eq!(&pinned.search(q), expect, "{name}: results frozen");
     }
     assert_eq!(pinned.check_invariants(), Vec::<String>::new(), "{name}");
+    assert_nearest(name, &pinned, &dataset.records[..N / 2]);
 
     // A fresh snapshot sees the new world, also valid.
     let fresh = index.snapshot();
     assert_eq!(fresh.len(), N - N / 6, "{name}");
     assert_eq!(fresh.check_invariants(), Vec::<String>::new(), "{name}");
-    // A skeleton served while buffering was built by a group commit the
-    // pinned reader never saw: the fresh snapshot has nodes, the pinned
-    // one still has none.
-    assert!(fresh.node_count() > 0, "{name}: fresh snapshot is built");
-    assert_eq!(pinned.node_count() == 0, buffering, "{name}: pinned state");
+    assert_nearest(name, &fresh, &dataset.records[N / 6..]);
     drop(pinned);
     drop(fresh);
 
@@ -147,23 +143,16 @@ fn pinned_sees_epoch_n<E>(
 #[test]
 fn delete_heavy_stream_keeps_pinned_snapshot_intact() {
     let dataset = DataDistribution::R1.generate(N, 5);
-    for (name, tree) in trees(&dataset) {
+    for (name, tree) in variants(&dataset) {
         pinned_survives_deleting_everything(name, tree, &dataset);
-    }
-    // These never fill their buffer: every delete lands in it.
-    for (name, skeleton) in skeletons(&dataset) {
-        pinned_survives_deleting_everything(name, skeleton, &dataset);
     }
 }
 
-/// Serves `engine`, pins it, deletes everything it holds across several
+/// Serves `tree`, pins it, deletes everything it holds across several
 /// group commits, and checks the pinned snapshot still answers with every
 /// deleted record.
-fn pinned_survives_deleting_everything<E>(name: &str, engine: E, dataset: &Dataset)
-where
-    E: IntervalIndex<2> + Clone + Send + Sync + 'static,
-{
-    let index = ConcurrentIndex::builder(engine)
+fn pinned_survives_deleting_everything(name: &str, tree: Tree<2>, dataset: &Dataset) {
+    let index = ConcurrentIndex::builder(tree)
         .max_batch(64)
         .start()
         .unwrap();

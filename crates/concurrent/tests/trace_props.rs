@@ -15,7 +15,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
-use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
+use segidx_core::{build_skeleton, IndexConfig, RecordId, SkeletonSpec, Tree};
 use segidx_geom::{Point, Rect};
 use segidx_obs::trace::{OpClass, Tracer};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,45 +23,31 @@ use std::sync::Arc;
 
 const DOMAIN: f64 = 1000.0;
 
-/// Every query engine, empty, as trait objects. The bool
-/// says whether a query always emits an engine span — the skeletons
-/// linear-scan a plain buffer until their build threshold, so small
-/// sequences legitimately record only the root.
-fn engines_2d() -> Vec<(&'static str, bool, Box<dyn IntervalIndex<2>>)> {
+/// The four paper variants, empty; the skeletons are predicted from
+/// `sample`, the first records of the stream they will index.
+fn engines_2d(sample: &[(Rect<2>, RecordId)]) -> Vec<(&'static str, Tree<2>)> {
     let domain = Rect::new([-10.0, -10.0], [DOMAIN * 1.6, DOMAIN * 1.6]);
-    let skeleton = |config| Box::new(Skeleton::<2>::new(config, domain, 256, 32));
+    let spec = SkeletonSpec::predict(domain, 256, sample);
     vec![
-        (
-            "r-tree",
-            true,
-            Box::new(Tree::<2>::new(IndexConfig::rtree())),
-        ),
-        (
-            "sr-tree",
-            true,
-            Box::new(Tree::<2>::new(IndexConfig::srtree())),
-        ),
+        ("r-tree", Tree::new(IndexConfig::rtree())),
+        ("sr-tree", Tree::new(IndexConfig::srtree())),
         (
             "skeleton-r-tree",
-            false,
-            skeleton(IndexConfig::skeleton_rtree()),
+            build_skeleton(IndexConfig::skeleton_rtree(), &spec),
         ),
         (
             "skeleton-sr-tree",
-            false,
-            skeleton(IndexConfig::skeleton_srtree()),
+            build_skeleton(IndexConfig::skeleton_srtree(), &spec),
         ),
     ]
 }
 
 /// Forces one search and one stab per query through a fresh trace and
-/// checks each is a well-formed tree (with an engine span under the root
-/// where `always_spans`).
+/// checks each is a well-formed tree with an engine span under the root.
 fn check_traces(
     tracer: &Arc<Tracer>,
     name: &str,
-    always_spans: bool,
-    engine: &dyn IntervalIndex<2>,
+    engine: &Tree<2>,
     queries: &[Rect<2>],
 ) -> Result<(), TestCaseError> {
     for q in queries {
@@ -77,7 +63,7 @@ fn check_traces(
             let problems = t.check_well_formed();
             prop_assert!(problems.is_empty(), "{name} {class:?}: {problems:?}");
             prop_assert!(
-                !always_spans || t.spans.len() >= 2,
+                t.spans.len() >= 2,
                 "{name} {class:?} recorded no engine span"
             );
         }
@@ -104,14 +90,16 @@ proptest! {
             .iter()
             .map(|(x, y, w, h)| Rect::new([*x, *y], [*x + *w, *y + *h]))
             .collect();
-        for (name, always_spans, mut engine) in engines_2d() {
-            for (i, (x, y, w, h)) in items.iter().enumerate() {
-                engine.insert(
-                    Rect::new([*x, *y], [*x + *w, *y + *h]),
-                    RecordId(i as u64),
-                );
+        let records: Vec<(Rect<2>, RecordId)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, (x, y, w, h))| (Rect::new([*x, *y], [*x + *w, *y + *h]), RecordId(i as u64)))
+            .collect();
+        for (name, mut engine) in engines_2d(&records[..records.len().min(32)]) {
+            for (rect, record) in &records {
+                engine.insert(*rect, *record);
             }
-            check_traces(&tracer, name, always_spans, &*engine, &windows)?;
+            check_traces(&tracer, name, &engine, &windows)?;
         }
         prop_assert_eq!(tracer.sampled(), tracer.completed());
     }

@@ -126,8 +126,8 @@ impl IndexConfig {
     /// The paper's Skeleton R-Tree configuration: the R-Tree's, plus
     /// coalescing every 1,000 insertions among the 10
     /// least-frequently-modified nodes (§4, §5). Build it with
-    /// [`build_skeleton`](crate::build_skeleton) or
-    /// [`Skeleton::new`](crate::Skeleton::new).
+    /// [`build_skeleton`](crate::build_skeleton), from a spec written or
+    /// [predicted](crate::SkeletonSpec::predict) from the first tuples.
     pub fn skeleton_rtree() -> Self {
         Self {
             coalesce: Some(CoalesceConfig::default()),
@@ -264,6 +264,15 @@ mod tests {
         // Non-segment: branches get the whole node.
         assert_eq!(c.branch_capacity(1), c.capacity(1));
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn variant_names_match_paper() {
+        let name = |config: IndexConfig| config.variant_name();
+        assert_eq!(name(IndexConfig::rtree()), "R-Tree");
+        assert_eq!(name(IndexConfig::srtree()), "SR-Tree");
+        assert_eq!(name(IndexConfig::skeleton_rtree()), "Skeleton R-Tree");
+        assert_eq!(name(IndexConfig::skeleton_srtree()), "Skeleton SR-Tree");
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //!    the input) and then adapts by splitting and coalescing (§4).
 //!
 //! The four index variants evaluated in the paper are all here, as
-//! configurations of one engine, [`Tree`], plus the predicted-skeleton
-//! wrapper [`Skeleton`]:
+//! configurations of one type, [`Tree`]. The skeletons are pre-built by
+//! [`build_skeleton`] from a [`SkeletonSpec`], which
+//! [`SkeletonSpec::predict`] derives from a prefix of the input:
 //!
 //! ```
-//! use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
+//! use segidx_core::{build_skeleton, IndexConfig, RecordId, SkeletonSpec, Tree};
 //! use segidx_geom::Rect;
 //!
 //! let mut index = Tree::<2>::new(IndexConfig::srtree());
@@ -37,13 +38,17 @@
 //!
 //! // The paper's winner predicts its skeleton from the first tuples.
 //! let domain = Rect::new([1900.0, 0.0], [2100.0, 1e6]);
-//! let mut winner = Skeleton::<2>::new(IndexConfig::skeleton_srtree(), domain, 1_000, 100);
-//! winner.insert(Rect::new([1986.0, 55_000.0], [1988.5, 55_000.0]), RecordId(2));
+//! let prefix = [(Rect::new([1986.0, 55_000.0], [1988.5, 55_000.0]), RecordId(2))];
+//! let spec = SkeletonSpec::predict(domain, 1_000, &prefix);
+//! let mut winner = build_skeleton(IndexConfig::skeleton_srtree(), &spec);
+//! for (rect, id) in prefix {
+//!     winner.insert(rect, id);
+//! }
 //! assert_eq!(winner.search(&window), vec![RecordId(2)]);
 //! ```
 //!
-//! See [`api`] for the one index trait, [`tree`] for the engine, and
-//! [`skeleton`] for pre-construction, prediction, and coalescing.
+//! See [`tree`] for the engine and [`skeleton`] for pre-construction,
+//! prediction, and coalescing.
 //! Every operation counts the paper's metric, node accesses, in [`stats`];
 //! the engine reads no clock, so wall time is measured by whoever calls it.
 
@@ -51,7 +56,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod api;
 pub mod bulk;
 pub mod config;
 pub mod entry;
@@ -65,10 +69,9 @@ pub mod skeleton;
 pub mod stats;
 pub mod tree;
 
-pub use api::IntervalIndex;
 pub use config::{CoalesceConfig, IndexConfig, SplitAlgorithm};
 pub use id::{NodeId, RecordId};
 pub use paged::PagedSearcher;
-pub use skeleton::{build_skeleton, Histogram, Skeleton, SkeletonSpec};
+pub use skeleton::{build_skeleton, Histogram, SkeletonSpec};
 pub use stats::StatsSnapshot;
 pub use tree::{finish_ids, RadixId, SearchCursor, Tree};

@@ -3,10 +3,10 @@
 //! A Skeleton index pre-partitions the domain into a regular grid of empty
 //! nodes from an estimate of the input size and distribution, then adapts to
 //! the actual data through conventional node splitting plus coalescing of
-//! sparse adjacent nodes. When the distribution is known,
-//! [`build_skeleton`] pre-constructs the tree from a [`SkeletonSpec`]; when
-//! it is not, a [`Skeleton`] buffers the first `T` tuples and derives the
-//! histograms from them.
+//! sparse adjacent nodes. [`build_skeleton`] pre-constructs the tree from a
+//! [`SkeletonSpec`]: one written from a known distribution, or one that
+//! [`SkeletonSpec::predict`] derives from the histograms of the first `T`
+//! tuples when the distribution is unknown.
 
 mod build;
 mod coalesce;
@@ -15,4 +15,3 @@ mod predict;
 
 pub use build::{build_skeleton, SkeletonSpec};
 pub use histogram::Histogram;
-pub use predict::Skeleton;

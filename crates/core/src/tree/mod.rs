@@ -51,9 +51,9 @@ pub(crate) struct PendingInsert<const D: usize> {
 ///
 /// See the [module documentation](self) for how configuration flags map to
 /// the paper's index variants: `Tree::new(IndexConfig::srtree())` is an
-/// SR-Tree, [`build_skeleton`](crate::build_skeleton) pre-constructs a
-/// Skeleton tree, and [`Skeleton`](crate::Skeleton) predicts one from a
-/// buffered prefix.
+/// SR-Tree, and [`build_skeleton`](crate::build_skeleton) pre-constructs a
+/// Skeleton tree from a spec, written or
+/// [predicted](crate::SkeletonSpec::predict) from a prefix of the input.
 #[derive(Debug)]
 pub struct Tree<const D: usize> {
     pub(crate) arena: Arena<D>,

@@ -264,7 +264,7 @@ fn render_commit(buf: &mut Vec<u8>, epoch: Result<u64, CommitError>) {
 /// on index *contents*, never on tree shape — the property the load
 /// generator's serial model replay checks bit-for-bit. The ids come from
 /// `search_batch`/`stab_batch`, which return them sorted and deduplicated
-/// (the [`IntervalIndex`](segidx_core::IntervalIndex) contract).
+/// ([`Tree::search_batch`](segidx_core::Tree::search_batch)).
 fn render_rows(buf: &mut Vec<u8>, ids: Vec<RecordId>) {
     debug_assert!(
         ids.windows(2).all(|w| w[0].0 < w[1].0),

@@ -3,16 +3,14 @@
 //!
 //! Builds three Skeleton SR-Trees over the same heavily skewed dataset:
 //! one pre-partitioned assuming a uniform distribution, one given the true
-//! histogram, and one using distribution prediction (buffering the first 5%
-//! of tuples) — then compares structure and search cost.
+//! histogram, and one using distribution prediction (from the first 5% of
+//! tuples) — then compares structure and search cost.
 //!
 //! ```sh
 //! cargo run --release --example adaptive_skeleton
 //! ```
 
-use segment_indexes::core::{
-    build_skeleton, Histogram, IndexConfig, IntervalIndex, Skeleton, SkeletonSpec,
-};
+use segment_indexes::core::{build_skeleton, Histogram, IndexConfig, SkeletonSpec, Tree};
 use segment_indexes::geom::Rect;
 use segment_indexes::workloads::{queries_for_qar, DataDistribution};
 
@@ -29,14 +27,15 @@ fn main() {
     let true_x: Vec<f64> = dataset.records.iter().map(|(r, _)| r.center()[0]).collect();
 
     let config = IndexConfig::skeleton_srtree;
-    let mut variants: Vec<(&str, Box<dyn IntervalIndex<2>>)> = vec![
+    let predicted = SkeletonSpec::predict(domain, N, &dataset.records[..N / 20]);
+    let mut variants: Vec<(&str, Tree<2>)> = vec![
         (
             "uniform assumption",
-            Box::new(build_skeleton(config(), &SkeletonSpec::uniform(domain, N))),
+            build_skeleton(config(), &SkeletonSpec::uniform(domain, N)),
         ),
         (
             "true histogram",
-            Box::new(build_skeleton(
+            build_skeleton(
                 config(),
                 &SkeletonSpec {
                     domain,
@@ -46,11 +45,11 @@ fn main() {
                         Histogram::equi_depth(true_y, domain.interval(1), 64),
                     ],
                 },
-            )),
+            ),
         ),
         (
             "distribution prediction (5%)",
-            Box::new(Skeleton::<2>::new(config(), domain, N, N / 20)),
+            build_skeleton(config(), &predicted),
         ),
     ];
 

@@ -4,33 +4,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use segment_indexes::core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
+use segment_indexes::core::{build_skeleton, IndexConfig, RecordId, SkeletonSpec, Tree};
 use segment_indexes::geom::Rect;
 
 fn main() {
     // The domain: time on the X axis (years), measurement on the Y axis.
     let domain = Rect::new([1900.0, 0.0], [2100.0, 1000.0]);
-
-    // The four index variants of the paper share one trait: two
-    // configurations of the tree, and two Skeletons, which pre-construct
-    // the index — here from the first 50 tuples, buffered for
-    // distribution prediction (paper §4).
-    let mut indexes: Vec<Box<dyn IntervalIndex<2>>> = vec![
-        Box::new(Tree::<2>::new(IndexConfig::rtree())),
-        Box::new(Tree::<2>::new(IndexConfig::srtree())),
-        Box::new(Skeleton::<2>::new(
-            IndexConfig::skeleton_rtree(),
-            domain,
-            1_000,
-            50,
-        )),
-        Box::new(Skeleton::<2>::new(
-            IndexConfig::skeleton_srtree(),
-            domain,
-            1_000,
-            50,
-        )),
-    ];
 
     // Historical interval data: horizontal segments — a value that held
     // during a time range (paper Figure 1).
@@ -46,6 +25,16 @@ fn main() {
         })
         .collect();
 
+    // The four index variants of the paper are one type, `Tree`: two
+    // configurations grown from empty, and two Skeletons, pre-constructed
+    // from a distribution predicted from the first 50 tuples (paper §4).
+    let spec = SkeletonSpec::predict(domain, 1_000, &records[..50]);
+    let mut indexes: Vec<Tree<2>> = vec![
+        Tree::new(IndexConfig::rtree()),
+        Tree::new(IndexConfig::srtree()),
+        build_skeleton(IndexConfig::skeleton_rtree(), &spec),
+        build_skeleton(IndexConfig::skeleton_srtree(), &spec),
+    ];
     for index in indexes.iter_mut() {
         for (rect, id) in &records {
             index.insert(*rect, *id);
@@ -61,7 +50,7 @@ fn main() {
         let accesses = index.count_search_accesses(&query);
         println!(
             "{:>18}: {} results, {} index nodes accessed, {} nodes total, height {}",
-            index.variant_name(),
+            index.config().variant_name(),
             hits.len(),
             accesses,
             index.node_count(),

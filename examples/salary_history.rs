@@ -9,7 +9,7 @@
 //! cargo run --release --example salary_history
 //! ```
 
-use segment_indexes::core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
+use segment_indexes::core::{build_skeleton, IndexConfig, RecordId, SkeletonSpec, Tree};
 use segment_indexes::geom::{Point, Rect};
 
 /// One salary period of one employee.
@@ -128,9 +128,8 @@ fn main() {
 
     // A realistic scale: 50,000 periods across 5,000 employees, with a
     // skewed duration distribution, indexed by a Skeleton SR-Tree with
-    // distribution prediction.
-    let domain = Rect::new([1970.0, 15_000.0], [2026.0, 250_000.0]);
-    let mut big = Skeleton::<2>::new(IndexConfig::skeleton_srtree(), domain, 50_000, 2_500);
+    // distribution prediction from the first 2,500 periods.
+    let mut records: Vec<(Rect<2>, RecordId)> = Vec::new();
     let mut periods = 0u64;
     for emp in 0..5_000u64 {
         let mut year = 1970.0 + (emp % 30) as f64;
@@ -143,7 +142,7 @@ fn main() {
                 _ => 1.0 + ((emp + periods) % 3) as f64,
             };
             let to = (year + dur).min(2026.0);
-            big.insert(Rect::new([year, salary], [to, salary]), RecordId(periods));
+            records.push((Rect::new([year, salary], [to, salary]), RecordId(periods)));
             periods += 1;
             year = to;
             salary *= 1.07;
@@ -151,6 +150,12 @@ fn main() {
                 salary = 240_000.0;
             }
         }
+    }
+    let domain = Rect::new([1970.0, 15_000.0], [2026.0, 250_000.0]);
+    let spec = SkeletonSpec::predict(domain, 50_000, &records[..2_500]);
+    let mut big = build_skeleton(IndexConfig::skeleton_srtree(), &spec);
+    for (rect, id) in records {
+        big.insert(rect, id);
     }
     println!("\nindexed {periods} salary periods for 5,000 employees");
     let q = Rect::new([1999.5, 60_000.0], [2000.5, 90_000.0]);

@@ -9,7 +9,7 @@
 //! cargo run --release --example spatial_gis
 //! ```
 
-use segment_indexes::core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
+use segment_indexes::core::{build_skeleton, IndexConfig, RecordId, SkeletonSpec, Tree};
 use segment_indexes::geom::Rect;
 
 /// Deterministic pseudo-random stream (keeps the example dependency-free).
@@ -58,12 +58,12 @@ fn main() {
         })
         .collect();
 
-    let skeleton = |config| Box::new(Skeleton::<2>::new(config, domain, N as usize, 2_000));
-    let mut indexes: Vec<Box<dyn IntervalIndex<2>>> = vec![
-        Box::new(Tree::<2>::new(IndexConfig::rtree())),
-        Box::new(Tree::<2>::new(IndexConfig::srtree())),
-        skeleton(IndexConfig::skeleton_rtree()),
-        skeleton(IndexConfig::skeleton_srtree()),
+    let spec = SkeletonSpec::predict(domain, N as usize, &features[..2_000]);
+    let mut indexes: Vec<Tree<2>> = vec![
+        Tree::new(IndexConfig::rtree()),
+        Tree::new(IndexConfig::srtree()),
+        build_skeleton(IndexConfig::skeleton_rtree(), &spec),
+        build_skeleton(IndexConfig::skeleton_srtree(), &spec),
     ];
     for index in indexes.iter_mut() {
         for (rect, id) in &features {
@@ -94,10 +94,11 @@ fn main() {
         for index in &indexes {
             let accesses = index.count_search_accesses(window);
             let hits = index.search(window);
-            assert_eq!(hits, expected, "{} disagrees", index.variant_name());
+            let name = index.config().variant_name();
+            assert_eq!(hits, expected, "{name} disagrees");
             println!(
                 "  {:>18}: {:>5} features, {:>4} node accesses ({} nodes total)",
-                index.variant_name(),
+                name,
                 hits.len(),
                 accesses,
                 index.node_count()

@@ -38,3 +38,8 @@ pub use segidx_server as server;
 pub use segidx_storage as storage;
 pub use segidx_temporal as temporal;
 pub use segidx_workloads as workloads;
+
+/// The README's Rust blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

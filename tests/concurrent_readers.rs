@@ -3,7 +3,7 @@
 //! joined against it — and a batch of queries on one thread returns what
 //! the serial loop does, counters included.
 
-use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
+use segidx_core::{build_skeleton, IndexConfig, RecordId, SkeletonSpec, Tree};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution, DOMAIN_MAX};
 use std::sync::Arc;
@@ -58,14 +58,6 @@ fn parallel_searches_agree_with_serial() {
     assert_eq!(snap.searches, 90 + 6 * 91);
 }
 
-/// The tree a skeleton built once its prediction buffer filled.
-fn built(skeleton: &Skeleton<2>) -> &Tree<2> {
-    match skeleton {
-        Skeleton::Built(tree) => tree,
-        Skeleton::Buffering { .. } => panic!("the buffer fills at n / 10"),
-    }
-}
-
 #[test]
 fn search_batch_equals_serial_search_for_all_variants() {
     // Property: `search_batch` ≡ per-query `search` — same ids, same order —
@@ -77,8 +69,9 @@ fn search_batch_equals_serial_search_for_all_variants() {
 
     let mut rtree = Tree::<2>::new(IndexConfig::rtree());
     let mut srtree = Tree::<2>::new(IndexConfig::srtree());
-    let mut sk_r = Skeleton::<2>::new(IndexConfig::skeleton_rtree(), domain, n, n / 10);
-    let mut sk_sr = Skeleton::<2>::new(IndexConfig::skeleton_srtree(), domain, n, n / 10);
+    let spec = SkeletonSpec::predict(domain, n, &dataset.records[..n / 10]);
+    let mut sk_r = build_skeleton(IndexConfig::skeleton_rtree(), &spec);
+    let mut sk_sr = build_skeleton(IndexConfig::skeleton_srtree(), &spec);
     for (r, id) in &dataset.records {
         rtree.insert(*r, *id);
         srtree.insert(*r, *id);
@@ -94,8 +87,8 @@ fn search_batch_equals_serial_search_for_all_variants() {
     let trees: Vec<(&str, &Tree<2>)> = vec![
         ("R-Tree", &rtree),
         ("SR-Tree", &srtree),
-        ("Skeleton R-Tree", built(&sk_r)),
-        ("Skeleton SR-Tree", built(&sk_sr)),
+        ("Skeleton R-Tree", &sk_r),
+        ("Skeleton SR-Tree", &sk_sr),
     ];
     for (name, tree) in trees {
         let before = tree.stats();
@@ -120,23 +113,6 @@ fn search_batch_equals_serial_search_for_all_variants() {
         assert_eq!(
             snap.search_results, serial_snap.search_results,
             "{name}: the batch flushes the serial loop's result total"
-        );
-    }
-
-    // The object-safe trait surface batches too.
-    let boxed: Vec<Box<dyn IntervalIndex<2>>> = vec![
-        Box::new(rtree),
-        Box::new(srtree),
-        Box::new(sk_r),
-        Box::new(sk_sr),
-    ];
-    for v in &boxed {
-        let serial: Vec<Vec<RecordId>> = queries.iter().map(|q| v.search(q)).collect();
-        assert_eq!(
-            v.search_batch(&queries),
-            serial,
-            "{}: trait-level batch",
-            v.variant_name()
         );
     }
 }

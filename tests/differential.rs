@@ -2,9 +2,9 @@
 //! return exactly the same answers as a brute-force scan, across workloads,
 //! query shapes, and interleaved deletions.
 
-use segidx_bench::Variant;
+use segidx_bench::{Construction, Variant};
 use segidx_core::bulk::bulk_load;
-use segidx_core::{IndexConfig, IntervalIndex, RecordId, Skeleton, Tree};
+use segidx_core::{build_skeleton, IndexConfig, RecordId, SkeletonSpec, Tree};
 use segidx_geom::{Point, Rect};
 use segidx_workloads::{queries_for_qar, DataDistribution};
 
@@ -36,35 +36,74 @@ fn query_mix(seed: u64) -> Vec<Rect<2>> {
     queries
 }
 
+/// Every variant on every distribution; a skeleton is predicted from a
+/// prefix of none, one, a tenth and all of the input, and each answers as
+/// brute force does.
 #[test]
 fn variants_match_brute_force_on_all_distributions() {
     for dist in DataDistribution::ALL {
         let dataset = dist.generate(N, 21);
         let queries = query_mix(4);
         for variant in Variant::ALL {
-            let mut index = variant.build_index(N);
-            for (r, id) in &dataset.records {
-                index.insert(*r, *id);
-            }
-            assert!(
-                index.check_invariants().is_empty(),
-                "{} on {}: {:?}",
-                variant.name(),
-                dist.name(),
-                index.check_invariants()
-            );
-            for query in &queries {
-                let expected = brute_force(&dataset.records, query);
-                let got = index.search(query);
-                assert_eq!(
-                    got,
-                    expected,
-                    "{} on {} disagrees for {query:?}",
-                    variant.name(),
-                    dist.name()
+            let construction = variant.construction();
+            let prefixes: &[usize] = match construction {
+                Construction::Skeleton => &[0, 1, N / 10, N],
+                _ => &[0],
+            };
+            for &prefix in prefixes {
+                let index =
+                    construction.build(variant.config(), domain(), prefix, &dataset.records);
+                let at = format!("{} on {}, prefix {prefix}", variant.name(), dist.name());
+                assert!(
+                    index.check_invariants().is_empty(),
+                    "{at}: {:?}",
+                    index.check_invariants()
                 );
+                for query in &queries {
+                    let expected = brute_force(&dataset.records, query);
+                    assert_eq!(
+                        index.search(query),
+                        expected,
+                        "{at} disagrees for {query:?}"
+                    );
+                }
             }
         }
+    }
+}
+
+/// Segments with every thirteenth one long: the four variants hold them
+/// all, stay consistent, and answer a window alike.
+#[test]
+fn all_variants_agree_on_results() {
+    let records: Vec<(Rect<2>, RecordId)> = (0..3_000u64)
+        .map(|i| {
+            let x = ((i * 37) % 90_000) as f64;
+            let y = ((i * 113) % 90_000) as f64;
+            let len = if i % 13 == 0 { 15_000.0 } else { 60.0 };
+            let rect = Rect::new([x, y], [(x + len).min(100_000.0), y]);
+            (rect, RecordId(i))
+        })
+        .collect();
+    let variants: Vec<Tree<2>> = Variant::ALL
+        .iter()
+        .map(|v| v.construction().build(v.config(), domain(), 300, &records))
+        .collect();
+    for v in &variants {
+        let name = v.config().variant_name();
+        assert_eq!(v.len(), 3_000, "{name}");
+        assert!(
+            v.check_invariants().is_empty(),
+            "{name}: {:?}",
+            v.check_invariants()
+        );
+    }
+    let query = Rect::new([10_000.0, 10_000.0], [30_000.0, 40_000.0]);
+    let expected = variants[0].search(&query);
+    assert!(!expected.is_empty());
+    for v in &variants[1..] {
+        let name = v.config().variant_name();
+        assert_eq!(v.search(&query), expected, "{name} disagrees with R-Tree");
     }
 }
 
@@ -95,7 +134,8 @@ fn variants_agree_at_paper_node_widths() {
         )
         .collect();
     for leaf_node_bytes in [256, 1024] {
-        let mut indexes: Vec<Skeleton<2>> = Variant::ALL
+        let spec = SkeletonSpec::predict(domain(), records.len(), &records[..30]);
+        let mut indexes: Vec<Tree<2>> = Variant::ALL
             .iter()
             .map(|v| {
                 let config = IndexConfig {
@@ -103,9 +143,9 @@ fn variants_agree_at_paper_node_widths() {
                     ..v.config()
                 };
                 if config.coalesce.is_some() {
-                    Skeleton::new(config, domain(), records.len(), 30)
+                    build_skeleton(config, &spec)
                 } else {
-                    Skeleton::Built(Tree::new(config))
+                    Tree::new(config)
                 }
             })
             .collect();
@@ -120,7 +160,7 @@ fn variants_agree_at_paper_node_widths() {
             for index in indexes.iter_mut() {
                 let (r, id) = live[n - 1];
                 index.insert(r, id);
-                let name = index.variant_name();
+                let name = index.config().variant_name();
                 let at = format!("{name}, {leaf_node_bytes} B leaves, {n} records");
                 let searched: Vec<Vec<RecordId>> =
                     queries.iter().map(|q| index.search(q)).collect();
@@ -142,19 +182,20 @@ fn variants_agree_at_paper_node_widths() {
             assert!(
                 index.check_invariants().is_empty(),
                 "{}",
-                index.variant_name()
+                index.config().variant_name()
             );
             let accesses: Vec<u64> = queries
                 .iter()
                 .map(|q| index.count_search_accesses(q))
                 .collect();
-            assert!(accesses.iter().all(|&a| a >= 1), "{}", index.variant_name());
+            let name = index.config().variant_name();
+            assert!(accesses.iter().all(|&a| a >= 1), "{name}");
         }
         for sr in [&indexes[1], &indexes[3]] {
             assert!(
                 sr.stats().spanning_stores > 0,
                 "{} at {leaf_node_bytes} B stores no spanning record",
-                sr.variant_name()
+                sr.config().variant_name()
             );
         }
     }
@@ -178,10 +219,8 @@ fn bulk_loaded_tree_matches_brute_force() {
 fn deletions_keep_variants_consistent() {
     let dataset = DataDistribution::I3.generate(N, 55);
     for variant in Variant::ALL {
-        let mut index = variant.build_index(N);
-        for (r, id) in &dataset.records {
-            index.insert(*r, *id);
-        }
+        let construction = variant.construction();
+        let mut index = construction.build(variant.config(), domain(), N / 10, &dataset.records);
         // Delete every third record.
         let mut remaining: Vec<(Rect<2>, RecordId)> = Vec::new();
         for (i, (r, id)) in dataset.records.iter().enumerate() {
@@ -212,7 +251,8 @@ fn deletions_keep_variants_consistent() {
 #[test]
 fn interleaved_insert_delete_search() {
     let dataset = DataDistribution::I4.generate(2_000, 77);
-    let mut index = Variant::SkeletonSRTree.build_index(2_000);
+    let spec = SkeletonSpec::predict(domain(), 2_000, &dataset.records[..200]);
+    let mut index = build_skeleton(IndexConfig::skeleton_srtree(), &spec);
     let mut live: Vec<(Rect<2>, RecordId)> = Vec::new();
     for (i, (r, id)) in dataset.records.iter().enumerate() {
         index.insert(*r, *id);
