@@ -1,9 +1,27 @@
 //! Deep structural invariant checking, used heavily by tests.
 
 use super::Tree;
-use crate::id::NodeId;
+use crate::id::{NodeId, RecordId};
 use crate::node::NodeKind;
+use segidx_geom::Rect;
 use std::collections::HashSet;
+
+/// Notes a portion of `record` stored on `n` that escapes one of `regions`
+/// (the stored regions of `n` and its ancestors).
+fn escapes<const D: usize>(
+    issues: &mut Vec<String>,
+    n: NodeId,
+    record: RecordId,
+    portion: &Rect<D>,
+    regions: &[Rect<D>],
+) {
+    if let Some(depth) = regions.iter().position(|r| !r.contains_rect(portion)) {
+        issues.push(format!(
+            "portion of {record:?} on {n:?} escapes the region of its ancestor at depth {}",
+            depth + 1
+        ));
+    }
+}
 
 impl<const D: usize> Tree<D> {
     /// Checks every structural invariant of the tree and returns the list of
@@ -23,7 +41,12 @@ impl<const D: usize> Tree<D> {
     ///    recorded;
     /// 7. the physical entry count matches `entry_count()`, and the pending
     ///    reinsertion queue is empty;
-    /// 8. every arena node is reachable from the root exactly once.
+    /// 8. every arena node is reachable from the root exactly once;
+    /// 9. every stored portion (leaf entry or spanning record) lies inside
+    ///    the stored region of its node and of every ancestor. With the
+    ///    spanning half of 3 (what `enforce_spanning_containment` restores
+    ///    after a split), this is what lets a delete find an uncut record
+    ///    by descending only the branches that contain it.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut issues = Vec::new();
         let mut seen: HashSet<NodeId> = HashSet::new();
@@ -34,8 +57,10 @@ impl<const D: usize> Tree<D> {
             issues.push("root has a parent pointer".into());
         }
 
-        let mut stack: Vec<(NodeId, u32)> = vec![(self.root, 0)];
-        while let Some((n, depth)) = stack.pop() {
+        // Each node travels with the stored regions of itself and of its
+        // ancestors (the root has none), for invariant 9.
+        let mut stack: Vec<(NodeId, u32, Vec<Rect<D>>)> = vec![(self.root, 0, Vec::new())];
+        while let Some((n, depth, regions)) = stack.pop() {
             if !seen.insert(n) {
                 issues.push(format!("{n:?} reachable via multiple paths"));
                 continue;
@@ -55,6 +80,9 @@ impl<const D: usize> Tree<D> {
                     }
                     leaf_depths.insert(depth);
                     physical_entries += entries.len();
+                    for e in entries.iter() {
+                        escapes(&mut issues, n, e.record, &e.rect, &regions);
+                    }
                 }
                 NodeKind::Internal { branches, spanning } => {
                     if branches.is_empty() {
@@ -97,9 +125,12 @@ impl<const D: usize> Tree<D> {
                                 ));
                             }
                         }
-                        stack.push((b.child, depth + 1));
+                        let mut child_regions = regions.clone();
+                        child_regions.push(b.rect);
+                        stack.push((b.child, depth + 1, child_regions));
                     }
                     for (si, s) in spanning.iter().enumerate() {
+                        escapes(&mut issues, n, s.record, &s.rect, &regions);
                         match node.branch_index_of(s.linked_child) {
                             None => issues.push(format!(
                                 "spanning record {si} on {n:?} linked to absent branch {:?}",

@@ -21,8 +21,8 @@ fn delete_under_a_snapshot_copies_what_it_changes_not_what_it_visits() {
         .flat_map(|&qar| queries_for_qar(qar, 8, 5).queries)
         .collect();
 
-    // The widest record: a search with its rectangle visits the same nodes
-    // the delete's constrained traversal does.
+    // The widest record: a search with its rectangle visits every node
+    // whose region meets it, which bounds what the delete visits.
     let (rect, id) = *dataset
         .records
         .iter()

@@ -86,7 +86,7 @@ fn interval_churn_keeps_its_shape() {
             demotions: 25,
             relinks: 8,
             spanning_evictions: 0,
-            maintenance_node_accesses: 276_976,
+            maintenance_node_accesses: 262_191,
             level_profile: vec![1208, 36, 1],
         }
     );
@@ -106,7 +106,7 @@ fn rectangle_churn_keeps_its_shape() {
             demotions: 413,
             relinks: 466,
             spanning_evictions: 742,
-            maintenance_node_accesses: 476_551,
+            maintenance_node_accesses: 296_558,
             level_profile: vec![1164, 51, 1],
         }
     );
