@@ -1,5 +1,5 @@
-//! Which SR-Tree configuration to serve: the split step, and the two other
-//! R\* options on top of it, on `serve-mixed`'s shape.
+//! Which split the served SR-Tree uses: Guttman's quadratic split (the
+//! paper's) against the R\* split, on `serve-mixed`'s shape.
 //!
 //! Each configuration preloads R2 records (200 000 by default), then runs
 //! the served spatial mix — 40 % window search (QAR 0.01, 1 and 100 at the
@@ -170,25 +170,13 @@ fn main() {
         seed,
     };
 
-    let rstar = IndexConfig {
-        split: SplitAlgorithm::RStar,
-        ..IndexConfig::srtree()
-    };
     let configs = [
         ("quadratic (paper)", IndexConfig::srtree()),
-        ("R* split (served)", rstar.clone()),
         (
-            "R* split + overlap chooser",
+            "R* split (served)",
             IndexConfig {
-                choose_subtree_overlap: true,
-                ..rstar.clone()
-            },
-        ),
-        (
-            "R* split + forced reinsert",
-            IndexConfig {
-                forced_reinsert: Some(0.3),
-                ..rstar
+                split: SplitAlgorithm::RStar,
+                ..IndexConfig::srtree()
             },
         ),
     ];

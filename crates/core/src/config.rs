@@ -25,10 +25,11 @@ pub enum SplitAlgorithm {
     Quadratic,
     /// The R\*-Tree topological split (Beckmann et al. 1990, cited by the
     /// paper as \[BECK90\]): choose the split axis by minimum margin sum,
-    /// then the distribution by minimum overlap. Beyond the paper: on an
-    /// SR-Tree with forced reinsertion it reads 17–75 % fewer nodes than the
-    /// quadratic split on the paper's six distributions, for 1.2–1.9× the
-    /// insert cost (EXPERIMENTS.md, "IndexConfig keeps only what is used").
+    /// then the distribution by minimum overlap. Beyond the paper, and the
+    /// split the server serves: on `serve-mixed`'s shape the SR-Tree with it
+    /// reads 12–17 % fewer window nodes than with the quadratic split, for
+    /// 1.07× the build (EXPERIMENTS.md, "The served split and the two-phase
+    /// delete").
     RStar,
 }
 
@@ -82,15 +83,6 @@ pub struct IndexConfig {
     pub split: SplitAlgorithm,
     /// Node coalescing (Skeleton indexes only; `None` disables).
     pub coalesce: Option<CoalesceConfig>,
-    /// R\*-style ChooseSubtree: at the level directly above the leaves,
-    /// pick the branch with least *overlap* enlargement instead of least
-    /// area enlargement.
-    pub choose_subtree_overlap: bool,
-    /// R\*-style forced reinsertion: on the first leaf overflow per
-    /// mutating operation, reinsert this fraction of the leaf's entries
-    /// (those farthest from the node center) instead of splitting.
-    /// `None` disables (the paper's setting).
-    pub forced_reinsert: Option<f64>,
 }
 
 impl Default for IndexConfig {
@@ -102,8 +94,6 @@ impl Default for IndexConfig {
             segment: false,
             split: SplitAlgorithm::Quadratic,
             coalesce: None,
-            choose_subtree_overlap: false,
-            forced_reinsert: None,
         }
     }
 }
@@ -153,20 +143,6 @@ impl IndexConfig {
             (true, false) => "SR-Tree",
             (false, true) => "Skeleton R-Tree",
             (true, true) => "Skeleton SR-Tree",
-        }
-    }
-
-    /// An R\*-Tree configuration (Beckmann et al. 1990): topological split,
-    /// overlap-aware ChooseSubtree, 30% forced reinsertion, on the paper's
-    /// node sizes. A stronger modern baseline than the paper's R-Tree, for
-    /// ablations; set `segment` on it for the segment tactic on the R\*
-    /// split.
-    pub fn rstar() -> Self {
-        Self {
-            split: SplitAlgorithm::RStar,
-            choose_subtree_overlap: true,
-            forced_reinsert: Some(0.3),
-            ..Self::default()
         }
     }
 
@@ -241,11 +217,6 @@ impl IndexConfig {
                 return Err("coalesce parameters must be positive".into());
             }
         }
-        if let Some(p) = self.forced_reinsert {
-            if !(0.0..=0.45).contains(&p) || p == 0.0 {
-                return Err(format!("forced_reinsert fraction {p} outside (0, 0.45]"));
-            }
-        }
         Ok(())
     }
 }
@@ -310,30 +281,6 @@ mod tests {
         };
         c.validate().unwrap();
         assert_eq!(c.min_fill(0), 2); // floor(4 * 0.4) = 1, raised to 2
-    }
-
-    #[test]
-    fn rstar_preset() {
-        let c = IndexConfig::rstar();
-        c.validate().unwrap();
-        assert_eq!(c.split, SplitAlgorithm::RStar);
-        assert!(c.choose_subtree_overlap);
-        assert_eq!(c.forced_reinsert, Some(0.3));
-        assert!(!c.segment);
-    }
-
-    #[test]
-    fn forced_reinsert_fraction_validated() {
-        let c = IndexConfig {
-            forced_reinsert: Some(0.6),
-            ..IndexConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = IndexConfig {
-            forced_reinsert: Some(0.0),
-            ..IndexConfig::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]

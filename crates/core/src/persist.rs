@@ -504,7 +504,9 @@ fn size_class_for(config: &IndexConfig, level: u32, payload_len: usize) -> Resul
 
 /// Writes the config in the format-1 layout. The entry size, minimum fill
 /// ratio and size-doubling cap are constants, still written in their slots
-/// so the layout keeps its bytes and older readers keep reading it.
+/// so the layout keeps its bytes and older readers keep reading it. The
+/// last two slots, the R\* overlap chooser and forced reinsertion, are
+/// retired: both are written as 0, "off".
 fn encode_config(w: &mut ByteWriter, c: &IndexConfig) {
     w.put_u64(c.leaf_node_bytes as u64);
     w.put_u8(u8::from(c.vary_node_size));
@@ -525,23 +527,21 @@ fn encode_config(w: &mut ByteWriter, c: &IndexConfig) {
             w.put_u64(cc.lfm_candidates as u64);
         }
     }
-    w.put_u8(u8::from(c.choose_subtree_overlap));
-    match c.forced_reinsert {
-        None => w.put_u8(0),
-        Some(p) => {
-            w.put_u8(1);
-            w.put_f64(p);
-        }
-    }
+    w.put_u8(0);
+    w.put_u8(0);
 }
 
+/// The two retired slots at the end of the config, in order.
+const RETIRED_SLOTS: [&str; 2] = ["choose_subtree_overlap", "forced_reinsert"];
+
 /// Reads what [`encode_config`] wrote, and validates it. A folded slot
-/// holding anything but its constant, an unknown split tag (1, the deleted
-/// linear split, included) or a config [`IndexConfig::validate`] rejects is
-/// a [`StorageError::Decode`]: this build cannot honour the tree's layout.
+/// holding anything but its constant, a one-byte flag or tag other than 0
+/// or 1, a retired slot set, an unknown split tag (1, the deleted linear
+/// split, included) or a config [`IndexConfig::validate`] rejects is a
+/// [`StorageError::Decode`]: this build cannot honour the tree's layout.
 fn decode_config(r: &mut ByteReader<'_>) -> Result<IndexConfig> {
     let leaf_node_bytes = r.get_u64()? as usize;
-    let vary_node_size = r.get_u8()? == 1;
+    let vary_node_size = get_flag(r, "vary_node_size")?;
     let folded = [
         (
             "max_size_doublings",
@@ -557,7 +557,7 @@ fn decode_config(r: &mut ByteReader<'_>) -> Result<IndexConfig> {
         )));
     }
     let branch_fraction = r.get_f64()?;
-    let segment = r.get_u8()? == 1;
+    let segment = get_flag(r, "segment")?;
     let split = match r.get_u8()? {
         0 => SplitAlgorithm::Quadratic,
         2 => SplitAlgorithm::RStar,
@@ -567,18 +567,21 @@ fn decode_config(r: &mut ByteReader<'_>) -> Result<IndexConfig> {
             )))
         }
     };
-    let coalesce = match r.get_u8()? {
-        0 => None,
-        _ => Some(CoalesceConfig {
+    let coalesce = if get_flag(r, "coalesce")? {
+        Some(CoalesceConfig {
             check_interval: r.get_u64()?,
             lfm_candidates: r.get_u64()? as usize,
-        }),
+        })
+    } else {
+        None
     };
-    let choose_subtree_overlap = r.get_u8()? == 1;
-    let forced_reinsert = match r.get_u8()? {
-        0 => None,
-        _ => Some(r.get_f64()?),
-    };
+    for slot in RETIRED_SLOTS {
+        if get_flag(r, slot)? {
+            return Err(StorageError::Decode(format!(
+                "tree config sets {slot}, which this build no longer implements"
+            )));
+        }
+    }
     let config = IndexConfig {
         leaf_node_bytes,
         vary_node_size,
@@ -586,13 +589,23 @@ fn decode_config(r: &mut ByteReader<'_>) -> Result<IndexConfig> {
         segment,
         split,
         coalesce,
-        choose_subtree_overlap,
-        forced_reinsert,
     };
     config
         .validate()
         .map_err(|e| StorageError::Decode(format!("invalid tree config: {e}")))?;
     Ok(config)
+}
+
+/// Reads a one-byte flag or tag of the config: 0 or 1, and anything else
+/// is a [`StorageError::Decode`] naming its `slot`.
+fn get_flag(r: &mut ByteReader<'_>, slot: &str) -> Result<bool> {
+    match r.get_u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(StorageError::Decode(format!(
+            "tree config has {slot} {other}, not 0 or 1"
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -619,6 +632,81 @@ mod tests {
             t.insert(Rect::new([x, y], [x + len, y]), RecordId(i));
         }
         t
+    }
+
+    /// The config the server builds its index with.
+    fn served() -> IndexConfig {
+        IndexConfig {
+            split: SplitAlgorithm::RStar,
+            ..IndexConfig::srtree()
+        }
+    }
+
+    /// [`served`]'s config slots as [`encode_config`] writes them: one byte
+    /// each for the flags and tags at offsets 8 (`vary_node_size`), 34
+    /// (`segment`), 35 (split), 36 (`coalesce`, 0: no parameters follow),
+    /// 37 and 38 (the retired slots).
+    fn served_config_bytes() -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_config(&mut w, &served());
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 39);
+        assert_eq!(
+            decode_config(&mut ByteReader::new(&bytes)).unwrap(),
+            served()
+        );
+        bytes
+    }
+
+    /// The message of the [`StorageError::Decode`] that `bytes` must raise.
+    fn decode_error(bytes: &[u8]) -> String {
+        match decode_config(&mut ByteReader::new(bytes)) {
+            Err(StorageError::Decode(message)) => message,
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn config_flag_other_than_0_or_1_refused() {
+        for (offset, slot) in [
+            (8, "vary_node_size"),
+            (34, "segment"),
+            (36, "coalesce"),
+            (37, RETIRED_SLOTS[0]),
+            (38, RETIRED_SLOTS[1]),
+        ] {
+            let mut bytes = served_config_bytes();
+            bytes[offset] = 2;
+            let message = decode_error(&bytes);
+            assert!(message.contains(slot), "{slot}: {message}");
+        }
+    }
+
+    #[test]
+    fn config_with_a_retired_slot_set_refused() {
+        for (offset, slot) in [(37, RETIRED_SLOTS[0]), (38, RETIRED_SLOTS[1])] {
+            let mut bytes = served_config_bytes();
+            bytes[offset] = 1;
+            let message = decode_error(&bytes);
+            assert!(message.contains(slot), "{slot}: {message}");
+        }
+    }
+
+    /// The tail the removed R\*-Tree preset wrote (split 2, both retired
+    /// slots set, reinsertion fraction 0.3) is refused, not read back as a
+    /// plain R\* split.
+    #[test]
+    fn old_rstar_config_refused() {
+        let mut bytes = served_config_bytes();
+        bytes.truncate(34);
+        let tail = "0002000101333333333333d33f";
+        bytes.extend(
+            (0..tail.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&tail[i..i + 2], 16).unwrap()),
+        );
+        let message = decode_error(&bytes);
+        assert!(message.contains(RETIRED_SLOTS[0]), "{message}");
     }
 
     #[test]
@@ -659,9 +747,10 @@ mod tests {
         }
     }
 
-    /// The meta page of a 40-record tree under two presets, byte for byte
-    /// as the encoder wrote it while `max_size_doublings`, `entry_bytes` and
-    /// `min_fill_ratio` were fields: the constants kept their slots.
+    /// The meta page of a 40-record tree under two configs, byte for byte
+    /// as the encoder wrote it while `max_size_doublings`, `entry_bytes`,
+    /// `min_fill_ratio` and the two retired R\* options were fields: the
+    /// constants kept their slots, and the retired slots read "off".
     #[test]
     fn meta_page_bytes_are_format_1() {
         const HEADER: &str = "5254475301000000020000000200000000000000\
@@ -670,7 +759,7 @@ mod tests {
                               d93f555555555555e53f";
         for (config, tail) in [
             (IndexConfig::srtree(), "0100000000"),
-            (IndexConfig::rstar(), "0002000101333333333333d33f"),
+            (served(), "0102000000"),
         ] {
             let tree = build_tree(config, 40);
             let disk = DiskManager::create(temp(&format!("golden-{tail}.db"))).unwrap();

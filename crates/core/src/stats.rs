@@ -50,8 +50,6 @@ pub struct TreeStats {
     /// Leaf entries moved to an adjacent sibling instead of splitting
     /// (Skeleton deferred splitting).
     pub(crate) redistributions: u64,
-    /// Entries removed by R\*-style forced reinsertion.
-    pub(crate) forced_reinserts: u64,
 }
 
 /// A point-in-time copy of [`TreeStats`].
@@ -90,8 +88,6 @@ pub struct StatsSnapshot {
     pub spanning_evictions: u64,
     /// Leaf entries moved to an adjacent sibling instead of splitting.
     pub redistributions: u64,
-    /// Entries removed by R\*-style forced reinsertion.
-    pub forced_reinserts: u64,
 }
 
 impl TreeStats {
@@ -149,7 +145,6 @@ impl TreeStats {
             coalesces: self.coalesces,
             spanning_evictions: self.spanning_evictions,
             redistributions: self.redistributions,
-            forced_reinserts: self.forced_reinserts,
         }
     }
 }
@@ -176,7 +171,6 @@ impl Clone for TreeStats {
             coalesces: self.coalesces,
             spanning_evictions: self.spanning_evictions,
             redistributions: self.redistributions,
-            forced_reinserts: self.forced_reinserts,
         }
     }
 }
@@ -219,9 +213,6 @@ impl StatsSnapshot {
                 .spanning_evictions
                 .saturating_sub(earlier.spanning_evictions),
             redistributions: self.redistributions.saturating_sub(earlier.redistributions),
-            forced_reinserts: self
-                .forced_reinserts
-                .saturating_sub(earlier.forced_reinserts),
         }
     }
 }

@@ -51,7 +51,6 @@ impl<const D: usize> Tree<D> {
     }
 
     fn delete_from(&mut self, rect: &Rect<D>, record: RecordId, contained_first: bool) -> bool {
-        self.reinsert_armed = self.config.forced_reinsert.is_some();
         let mut touched_leaves: Vec<NodeId> = Vec::new();
         let uncut = if contained_first {
             self.find_uncut(rect, record)

@@ -30,7 +30,6 @@ impl<const D: usize> Tree<D> {
     pub fn insert(&mut self, rect: Rect<D>, record: RecordId) {
         let _sp = segidx_obs::trace::span("tree.insert");
         self.len += 1;
-        self.reinsert_armed = self.config.forced_reinsert.is_some();
         self.insert_portion(rect, record);
         self.drain_pending();
         self.inserts_since_coalesce += 1;
@@ -114,49 +113,17 @@ impl<const D: usize> Tree<D> {
     }
 
     /// Guttman's ChooseLeaf step: the branch needing least area enlargement
-    /// to cover the record, ties broken by smallest area. With
-    /// `choose_subtree_overlap` set (R\* mode), the level directly above
-    /// the leaves instead minimizes *overlap* enlargement.
+    /// to cover the record, ties broken by smallest area.
     ///
     /// Runs [`scan_min_enlargement`] over the branch store's coordinate
     /// planes — one straight-line arithmetic pass, no per-branch `Rect`
     /// reconstruction.
     pub(crate) fn choose_branch(&self, n: NodeId, rect: &Rect<D>) -> NodeId {
-        if self.config.choose_subtree_overlap && self.node(n).level == 1 {
-            return self.choose_branch_min_overlap(n, rect);
-        }
         let branches = self.node(n).branches();
         debug_assert!(!branches.is_empty(), "internal node without branches");
         let (los, his) = branches.planes();
         let (best, _, _) =
             scan_min_enlargement(rect, los, his).expect("internal node without branches");
-        branches.child(best)
-    }
-
-    /// R\* ChooseSubtree at the leaf level: the branch whose expansion to
-    /// cover the record increases its overlap with the sibling branches
-    /// least; ties by least area enlargement, then smallest area.
-    fn choose_branch_min_overlap(&self, n: NodeId, rect: &Rect<D>) -> NodeId {
-        let branches = self.node(n).branches();
-        debug_assert!(!branches.is_empty(), "internal node without branches");
-        let mut best = 0;
-        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for i in 0..branches.len() {
-            let b_rect = branches.rect(i);
-            let expanded = b_rect.union(rect);
-            let mut overlap_delta = 0.0;
-            for j in 0..branches.len() {
-                if i != j {
-                    let other = branches.rect(j);
-                    overlap_delta += expanded.overlap_area(&other) - b_rect.overlap_area(&other);
-                }
-            }
-            let key = (overlap_delta, b_rect.enlargement(rect), b_rect.area());
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
         branches.child(best)
     }
 

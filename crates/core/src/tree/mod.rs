@@ -69,9 +69,6 @@ pub struct Tree<const D: usize> {
     pub(crate) pending: Vec<PendingInsert<D>>,
     /// Insertions since the last coalescing pass.
     pub(crate) inserts_since_coalesce: u64,
-    /// Whether R\*-style forced reinsertion may still fire during the
-    /// current mutating operation (re-armed by each public mutation).
-    pub(crate) reinsert_armed: bool,
     pub(crate) stats: TreeStats,
 }
 
@@ -95,7 +92,6 @@ impl<const D: usize> Clone for Tree<D> {
             entry_count: self.entry_count,
             pending: self.pending.clone(),
             inserts_since_coalesce: self.inserts_since_coalesce,
-            reinsert_armed: self.reinsert_armed,
             stats: self.stats.clone(),
         }
     }
@@ -120,7 +116,6 @@ impl<const D: usize> Tree<D> {
             entry_count: 0,
             pending: Vec::new(),
             inserts_since_coalesce: 0,
-            reinsert_armed: false,
             stats: TreeStats::default(),
         }
     }
@@ -136,7 +131,6 @@ impl<const D: usize> Tree<D> {
             entry_count: 0,
             pending: Vec::new(),
             inserts_since_coalesce: 0,
-            reinsert_armed: false,
             stats: TreeStats::default(),
         }
     }

@@ -43,9 +43,6 @@ impl<const D: usize> Tree<D> {
             if self.shed_spanning_pressure(n) {
                 continue;
             }
-            if self.try_forced_reinsert(n) {
-                continue;
-            }
             if self.config.coalesce.is_some() && self.try_redistribute_leaf(n) {
                 continue;
             }
@@ -57,47 +54,6 @@ impl<const D: usize> Tree<D> {
                 }
             }
         }
-    }
-
-    /// R\*-style forced reinsertion: on the *first* leaf overflow of the
-    /// current mutating operation, remove the configured fraction of the
-    /// leaf's entries — those whose centers lie farthest from the node's
-    /// center — and queue them for reinsertion instead of splitting
-    /// (Beckmann et al. 1990 §4.3; disabled in the paper's configurations).
-    fn try_forced_reinsert(&mut self, n: NodeId) -> bool {
-        let Some(fraction) = self.config.forced_reinsert else {
-            return false;
-        };
-        if !self.reinsert_armed || !self.node(n).is_leaf() {
-            return false;
-        }
-        let Some(mbr) = self.node(n).content_mbr() else {
-            return false;
-        };
-        self.reinsert_armed = false;
-        let center = mbr.center();
-        let count = ((self.config.capacity(0) as f64 * fraction).ceil() as usize)
-            .min(self.node(n).entries().len().saturating_sub(1))
-            .max(1);
-        // Sort indices by descending distance from the node center.
-        let mut order: Vec<(f64, usize)> = self
-            .node(n)
-            .entries()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.rect.center().distance(&center), i))
-            .collect();
-        order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
-        let mut victims: Vec<usize> = order.iter().take(count).map(|&(_, i)| i).collect();
-        victims.sort_unstable_by(|a, b| b.cmp(a)); // remove from the back
-        for i in victims {
-            let e = self.node_mut(n).entries_mut().swap_remove(i);
-            self.entry_count -= 1;
-            self.stats.forced_reinserts += 1;
-            self.queue_reinsert(e.rect, e.record);
-        }
-        self.node_mut(n).touch_modified();
-        true
     }
 
     /// Deferred splitting for Skeleton indexes: before splitting an

@@ -57,12 +57,13 @@ fn configs() -> Vec<(&'static str, IndexConfig)> {
                 ..small.clone()
             },
         ),
+        // The served config (the SR-Tree with the R* split) and the R-Tree
+        // with the R* split, on the same small nodes.
         (
             "srtree-rstar",
             IndexConfig {
                 segment: true,
                 split: segidx_core::SplitAlgorithm::RStar,
-                forced_reinsert: Some(0.3),
                 ..small.clone()
             },
         ),
@@ -70,8 +71,6 @@ fn configs() -> Vec<(&'static str, IndexConfig)> {
             "rstar",
             IndexConfig {
                 split: segidx_core::SplitAlgorithm::RStar,
-                choose_subtree_overlap: true,
-                forced_reinsert: Some(0.3),
                 ..small.clone()
             },
         ),

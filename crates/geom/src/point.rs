@@ -84,16 +84,6 @@ impl<const D: usize> Point<D> {
     pub fn to_rect(self) -> Rect<D> {
         Rect::new(self.coords, self.coords)
     }
-
-    /// Euclidean distance to another point.
-    pub fn distance(&self, other: &Point<D>) -> Coord {
-        self.coords
-            .iter()
-            .zip(other.coords.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<Coord>()
-            .sqrt()
-    }
 }
 
 impl<const D: usize> Index<usize> for Point<D> {
@@ -136,13 +126,6 @@ mod tests {
         assert!(r.is_point());
         assert!(r.contains_point(&p));
         assert_eq!(r.area(), 0.0);
-    }
-
-    #[test]
-    fn distance() {
-        let a = Point::new([0.0, 0.0]);
-        let b = Point::new([3.0, 4.0]);
-        assert_eq!(a.distance(&b), 5.0);
     }
 
     #[test]

@@ -22,8 +22,7 @@ pub const DIMS: usize = 2;
 /// (Beckmann et al. 1990) in place of Guttman's quadratic split — a
 /// deviation from the paper's preset (DESIGN.md, "The served split"). On a
 /// churned 200 k R2 index it reads 12–17 % fewer nodes per window, for a
-/// build within 7 % of the quadratic split's. Only the split step is R\*:
-/// the overlap chooser and forced reinsertion stay off.
+/// build within 7 % of the quadratic split's.
 fn served_index_config() -> IndexConfig {
     IndexConfig {
         split: SplitAlgorithm::RStar,
