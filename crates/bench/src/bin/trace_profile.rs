@@ -15,6 +15,9 @@
 //!    compiled in, no active trace) against [`Tree::bench_search_untraced`]
 //!    (the monomorphized untraced kernel instantiation); the gate fails the
 //!    run when the median per-round ratio exceeds [`OVERHEAD_GATE`].
+//!    Beside that timing gate sits an exact one: over the same queries the
+//!    two return identical ids and add identical `search_node_accesses`,
+//!    so the ratio compares the same work.
 //!
 //! Usage:
 //!   trace_profile
@@ -199,6 +202,32 @@ fn time_overhead_rounds(
     (instrumented, baseline)
 }
 
+/// The untraced kernel's answers against the instrumented path's, query
+/// by query: the same ids, and the same search node accesses added to the
+/// tree's counters. Returns the accesses of one pass, or the first query
+/// on which the two differ.
+fn untraced_agrees(tree: &Tree<2>, queries: &[Rect<2>]) -> Result<u64, String> {
+    let mut cursor = SearchCursor::new();
+    let accesses = || tree.stats().search_node_accesses;
+    let mut total = 0;
+    for (i, q) in queries.iter().enumerate() {
+        let before = accesses();
+        let instrumented = tree.search_with(&mut cursor, q).to_vec();
+        let between = accesses();
+        let untraced = tree.bench_search_untraced(&mut cursor, q);
+        let (a, b) = (between - before, accesses() - between);
+        if instrumented != untraced || a != b {
+            return Err(format!(
+                "query {i}: instrumented {} ids in {a} node accesses, untraced {} ids in {b}",
+                instrumented.len(),
+                untraced.len()
+            ));
+        }
+        total += a;
+    }
+    Ok(total)
+}
+
 fn main() -> ExitCode {
     if std::env::args().len() > 1 {
         eprintln!("usage: trace_profile (no flags: it always runs its gate)");
@@ -251,6 +280,13 @@ fn main() -> ExitCode {
             Rect::new([x, y], [x + w, y + h])
         })
         .collect();
+    let accesses = match untraced_agrees(&tree, &queries) {
+        Ok(n) => n,
+        Err(msg) => {
+            eprintln!("trace_profile: CHECK FAILED: untraced search differs: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     // Warm-up round outside the measurement (first touch faults pages in).
     let (_, _) = time_overhead_rounds(&tree, &queries, 1);
     let (mut instrumented, mut baseline) = time_overhead_rounds(&tree, &queries, ROUNDS);
@@ -278,10 +314,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "trace_profile: checks passed (overhead ratio {:.4} <= {:.2}, trace \
-         well-formed across {} spans)",
+        "trace_profile: checks passed (overhead ratio {:.4} <= {:.2}, both sides equal \
+         in ids and {} node accesses on {} windows, trace well-formed across {} spans)",
         ratio,
         OVERHEAD_GATE,
+        accesses,
+        QUERIES,
         trace.spans.len()
     );
     ExitCode::SUCCESS

@@ -1,38 +1,23 @@
-//! Static bulk loading: two packers over one Sort-Tile-Recursive step.
+//! Static bulk loading: one Sort-Tile-Recursive packer.
 //!
 //! The paper contrasts its *dynamic* Skeleton approach with static packing
 //! algorithms "such as that suggested by \[ROUS85\]", which require all data
-//! up front (§4). This module provides such packed R-Tree builders: fully
-//! packed, balanced trees with near-100% node utilization. They differ in
-//! what they assume about the input, and so in how they tile it:
-//!
-//! * [`bulk_load`] assumes **nothing**. It sorts by centre and tiles the
-//!   whole input √P × √P, level by level — the baseline the paper's
-//!   dynamic structures are measured against, and the loader for input and
-//!   queries of any shape (the differential tests, segbench's `core.bulk`
-//!   rows). A query that spans all of one dimension, whichever, crosses a
-//!   whole slab: ~√N nodes.
-//! * [`bulk_load_run`] is for input that is a **run along dimension 0** —
-//!   records that arrive ordered by `hi(0)`, as the closed versions of a
-//!   temporal tier do — read mostly by queries that are short in that
-//!   dimension (`AS OF`, `WITHIN`). It keeps the order above the leaves,
-//!   so every upper node is a band of end times and such a query reads a
-//!   number of nodes set by how long records live, not by N (on
-//!   `serve-temporal`'s stream 36–40 nodes per `AS OF` at 8 k, 131 k and
-//!   524 k entries, where the global tiling reads 47, 101 and 181).
-//!
-//! Neither subsumes the other. Bands pay where a query is long in
-//! dimension 0: it reads every band it crosses, so a window 200 records
-//! wide and a twentieth of the values high reads 14 nodes against 10, and
-//! one value band over a whole 524 k tier 4 175 against 389. The caller
-//! knows its input and its queries; nothing here guesses.
+//! up front (§4). [`bulk_load`] is such a packer: it sorts by centre and
+//! tiles the whole input √P × √P, level by level, into a fully packed,
+//! balanced tree with near-100% node utilization. It is the baseline the
+//! paper's dynamic structures are measured against (`--ablate build`,
+//! segbench's `core.bulk` rows), the loader of the differential tests, and
+//! the page layout of a sealed temporal tier on disk, which nothing
+//! searches. It assumes nothing about the input or the queries; a query
+//! that spans all of one dimension, whichever, crosses a whole slab: ~√N
+//! nodes.
 
 use crate::config::IndexConfig;
 use crate::entry::{Branch, LeafEntry};
 use crate::id::{NodeId, RecordId};
 use crate::node::{Arena, Node};
 use crate::tree::Tree;
-use segidx_geom::{Coord, Rect};
+use segidx_geom::Rect;
 
 /// Builds a packed R-Tree over `items` (Sort-Tile-Recursive).
 ///
@@ -42,103 +27,22 @@ use segidx_geom::{Coord, Rect};
 /// `segment` flag of `config` is ignored during packing (all records go to
 /// leaves, as \[ROUS85\] prescribes); subsequent inserts honor it.
 pub fn bulk_load<const D: usize>(config: IndexConfig, items: Vec<(Rect<D>, RecordId)>) -> Tree<D> {
-    validated(&config);
-    // Pack leaves at ~100% of leaf capacity, then tile every upper level
-    // the same way.
-    let leaves = str_chunks(items, config.capacity(0), entry_rect, 0);
-    build(config, leaves, |nodes, cap| {
-        str_chunks(nodes, cap, entry_rect, 0)
-    })
-}
-
-/// Builds a packed tree over `items` that form a **run along dimension 0**:
-/// they arrived (nearly) ordered by `hi(0)`, the way closed versions reach
-/// a temporal tier — end times follow the clock.
-///
-/// [`bulk_load`] throws that order away: it sorts by centre and tiles the
-/// whole input √P × √P, so a line query across dimension 1 (an `AS OF`)
-/// crosses a whole slab and reads ~√N nodes. This tiler keeps it. It
-/// sorts by `hi(0)`, ties in arrival order (linear on a run), cuts it into
-/// *pieces* of about one level-1 node's worth of leaves, tiles each piece
-/// on its own with the same Sort-Tile-Recursive step, and groups every
-/// upper level from consecutive nodes. Every node above the leaves then
-/// covers one band of `hi(0)`, a query at `t` meets only the bands that
-/// end at or after `t` and hold something that began by `t`, and how many
-/// nodes it reads depends on how long records live — not on how many the
-/// tree holds.
-///
-/// Same `Tree`, same invariants, same answers as [`bulk_load`], whatever
-/// order `items` come in; what differs is the cost, of packing (the sort
-/// is only cheap on a run) and of queries long in dimension 0 (see the
-/// [module docs](self)). As there, the `segment` flag of `config` is
-/// ignored while packing.
-pub fn bulk_load_run<const D: usize>(
-    config: IndexConfig,
-    items: Vec<(Rect<D>, RecordId)>,
-) -> Tree<D> {
-    validated(&config);
-    let leaves = run_leaves(&config, items);
-    build(config, leaves, runs)
-}
-
-/// The leaves of [`bulk_load_run`]: `items` ordered by `hi(0)`, cut into
-/// pieces, each piece tiled on its own.
-fn run_leaves<const D: usize>(
-    config: &IndexConfig,
-    items: Vec<(Rect<D>, RecordId)>,
-) -> Vec<Vec<(Rect<D>, RecordId)>> {
-    // Sort 16-byte keys, not 40-byte entries: a merge hands over tiers
-    // whose pieces are each tiled out of order, and moving whole entries
-    // through that sort cost more than the tiling. Ties go to arrival
-    // order, so the result is the stable sort's.
-    let mut order: Vec<(Coord, usize)> = items
-        .iter()
-        .enumerate()
-        .map(|(i, (rect, _))| (rect.hi(0), i))
-        .collect();
-    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let leaf_cap = config.capacity(0);
-    let piece = run_piece_leaves::<D>(config.branch_capacity(1)) * leaf_cap;
-    let mut leaves = Vec::with_capacity(items.len().div_ceil(leaf_cap));
-    for piece in order.chunks(piece) {
-        let piece = piece.iter().map(|&(_, i)| items[i]).collect();
-        leaves.extend(str_chunks(piece, leaf_cap, entry_rect, 0));
-    }
-    leaves
-}
-
-/// Leaves per piece of a run: `s^D` for the smallest `s` with `s^D` at
-/// least a level-1 node's fanout. Sort-Tile-Recursive cuts a piece of
-/// `s^D` full leaves into `s` equal slabs per dimension, each a whole
-/// number of leaves; any other count leaves the last leaf of every slab
-/// part empty (34 leaves of 25 tile as 6 slabs of 5 full leaves and one of
-/// 17: 36 leaves where 34 would do).
-fn run_piece_leaves<const D: usize>(fanout: usize) -> usize {
-    let mut side = 1usize;
-    while side.pow(D as u32) < fanout {
-        side += 1;
-    }
-    side.pow(D as u32)
-}
-
-fn validated(config: &IndexConfig) {
     config
         .validate()
         .unwrap_or_else(|e| panic!("invalid index config: {e}"));
+    // Pack leaves at ~100% of leaf capacity, then tile every upper level
+    // the same way.
+    let leaves = str_chunks(items, config.capacity(0), entry_rect, 0);
+    build(config, leaves)
 }
 
 fn entry_rect<T, const D: usize>(entry: &(Rect<D>, T)) -> Rect<D> {
     entry.0
 }
 
-/// Builds the tree whose leaves hold `leaves`, in that order, grouping
-/// each upper level's nodes with `group(nodes, branch capacity)` until a
-/// single root remains.
-fn build<const D: usize>(
-    config: IndexConfig,
-    leaves: Vec<Vec<(Rect<D>, RecordId)>>,
-    group: impl Fn(Vec<(Rect<D>, NodeId)>, usize) -> Vec<Vec<(Rect<D>, NodeId)>>,
-) -> Tree<D> {
+/// Builds the tree whose leaves hold `leaves`, tiling each upper level's
+/// nodes with [`str_chunks`] until a single root remains.
+fn build<const D: usize>(config: IndexConfig, leaves: Vec<Vec<(Rect<D>, RecordId)>>) -> Tree<D> {
     let total: usize = leaves.iter().map(Vec::len).sum();
     if total == 0 {
         return Tree::new(config);
@@ -160,7 +64,7 @@ fn build<const D: usize>(
     // Pack upper levels until a single root remains.
     let mut level: u32 = 1;
     while level_nodes.len() > 1 {
-        let chunks = group(level_nodes, config.branch_capacity(level));
+        let chunks = str_chunks(level_nodes, config.branch_capacity(level), entry_rect, 0);
         level_nodes = chunks
             .into_iter()
             .map(|chunk| {
@@ -279,25 +183,6 @@ mod tests {
             leaves <= min_leaves + min_leaves / 10,
             "packed tree uses {leaves} leaves, optimum {min_leaves}"
         );
-    }
-
-    #[test]
-    fn run_packing_keeps_leaves_full() {
-        // 2 750 entries ending at 0, 1, 2, ...: three whole pieces (36
-        // leaves of 25 under the SR-Tree configuration) and two leaves'
-        // worth more. No leaf is left part empty, so the count is the
-        // optimum (a piece of 34 leaves' worth tiles into 36).
-        let run: Vec<(Rect<2>, RecordId)> = (0..2_750u64)
-            .map(|i| {
-                let (end, y) = (i as f64, ((i * 29) % 1000) as f64);
-                (Rect::new([end - 40.0, y], [end, y]), RecordId(i))
-            })
-            .collect();
-        assert_eq!(run_piece_leaves::<2>(34), 36);
-        let t = bulk_load_run(IndexConfig::srtree(), run);
-        t.assert_invariants();
-        assert_eq!(t.level_profile(), [110, 4, 1]);
-        assert!(bulk_load_run::<2>(IndexConfig::srtree(), vec![]).is_empty());
     }
 
     #[test]

@@ -184,49 +184,38 @@ fn cut_records_with_a_whole_portion(tree: &Tree<2>, live: &[(Rect<2>, RecordId)]
         .collect()
 }
 
-/// Packs `items` with both bulk loaders under every configuration and
+/// Packs `items` with the bulk loader under every configuration and
 /// checks each tree against the brute-force model: length, structural
 /// invariants, three windows and a stab.
 fn check_packers(items: &[(Rect<2>, RecordId)]) -> Result<(), TestCaseError> {
-    use segidx_core::bulk::{bulk_load, bulk_load_run};
-    type Packer = fn(IndexConfig, Vec<(Rect<2>, RecordId)>) -> Tree<2>;
-    let packers: [(&str, Packer); 2] = [("str", bulk_load), ("run", bulk_load_run)];
+    use segidx_core::bulk::bulk_load;
     let queries = [
         Rect::new([0.0, 0.0], [1400.0, 1400.0]),
         Rect::new([200.0, 100.0], [450.0, 350.0]),
         Rect::new([990.0, 990.0], [1000.0, 1000.0]),
     ];
-    for (packer, pack) in packers {
-        for (name, config) in configs() {
-            let tree = pack(config, items.to_vec());
-            prop_assert_eq!(tree.len(), items.len(), "{} {}: len", packer, name);
-            let issues = tree.check_invariants();
-            prop_assert!(issues.is_empty(), "{packer} {name}: {issues:?}");
-            for q in &queries {
-                let mut expected: Vec<RecordId> = items
-                    .iter()
-                    .filter(|(r, _)| r.intersects(q))
-                    .map(|(_, id)| *id)
-                    .collect();
-                expected.sort_unstable();
-                prop_assert_eq!(
-                    tree.search(q),
-                    expected,
-                    "{} {}: search {:?}",
-                    packer,
-                    name,
-                    q
-                );
-            }
-            let p = Point::new([500.0, 500.0]);
+    for (name, config) in configs() {
+        let tree = bulk_load(config, items.to_vec());
+        prop_assert_eq!(tree.len(), items.len(), "{}: len", name);
+        let issues = tree.check_invariants();
+        prop_assert!(issues.is_empty(), "{name}: {issues:?}");
+        for q in &queries {
             let mut expected: Vec<RecordId> = items
                 .iter()
-                .filter(|(r, _)| r.contains_point(&p))
+                .filter(|(r, _)| r.intersects(q))
                 .map(|(_, id)| *id)
                 .collect();
             expected.sort_unstable();
-            prop_assert_eq!(tree.stab(&p), expected, "{} {}: stab", packer, name);
+            prop_assert_eq!(tree.search(q), expected, "{}: search {:?}", name, q);
         }
+        let p = Point::new([500.0, 500.0]);
+        let mut expected: Vec<RecordId> = items
+            .iter()
+            .filter(|(r, _)| r.contains_point(&p))
+            .map(|(_, id)| *id)
+            .collect();
+        expected.sort_unstable();
+        prop_assert_eq!(tree.stab(&p), expected, "{}: stab", name);
     }
     Ok(())
 }
@@ -311,13 +300,13 @@ proptest! {
     }
 
     #[test]
-    fn run_packing_matches_model_on_runs_with_ties(
+    fn packed_runs_with_ties_match_model(
         versions in vec((0u32..24, 0.0..90.0f64, 0.0..1000.0f64), 1..300),
         swaps in vec((any::<usize>(), any::<usize>()), 0..300),
     ) {
         // What a tier is built from: end times that ascend, here drawn
-        // from 24 values so equal `hi(0)` sits on every cut between
-        // pieces and leaves. In order, shuffled by `swaps`, and cut down
+        // from 24 values so equal `hi(0)` straddles the cuts between
+        // slabs and leaves. In order, shuffled by `swaps`, and cut down
         // to what fits one leaf (capacity 8 in every configuration).
         let mut items: Vec<(Rect<2>, RecordId)> = versions
             .iter()

@@ -16,15 +16,13 @@
 //!         [--ops N]               measured statements per connection (100000)
 //!         [--seed N]              workload seed (1)
 //!         [--metrics-out PATH]    save the server's METRICS snapshot
-//!         [--check]               gate on floors/ceilings (CI mode)
-//!         [--min-qps N]           --check: sustained QPS floor (50000)
-//!         [--max-p99-ms N]        --check: read+write p99 ceiling (50)
+//!         [--check]               gate on MIN_QPS and MAX_P99_MS (CI mode)
 //! ```
 //!
 //! Each connection keeps [`PIPELINE`] frames in flight after a
 //! [`PRELOAD`]-insert warm-up. The run fails (exit 1) on a protocol error
-//! or a verification mismatch; `--check` also fails it on QPS under the
-//! floor or p99 over the ceiling. Throughput across versions is
+//! or a verification mismatch; `--check` also fails it on QPS under
+//! [`MIN_QPS`] or p99 over [`MAX_P99_MS`]. Throughput across versions is
 //! segbench's `serve-mixed` to compare; this is a gate.
 
 use segidx_geom::{Point, Rect};
@@ -47,6 +45,12 @@ const PIPELINE: usize = 256;
 /// Warm-up inserts per connection, before the measured phase.
 const PRELOAD: usize = 2_000;
 
+/// `--check`'s sustained QPS floor.
+const MIN_QPS: f64 = 50_000.0;
+
+/// `--check`'s ceiling on the worse of the read and write p99, in ms.
+const MAX_P99_MS: f64 = 50.0;
+
 struct Args {
     addr: Option<String>,
     connections: usize,
@@ -54,8 +58,6 @@ struct Args {
     seed: u64,
     metrics_out: Option<String>,
     check: bool,
-    min_qps: f64,
-    max_p99_ms: f64,
 }
 
 impl Default for Args {
@@ -67,8 +69,6 @@ impl Default for Args {
             seed: 1,
             metrics_out: None,
             check: false,
-            min_qps: 50_000.0,
-            max_p99_ms: 50.0,
         }
     }
 }
@@ -89,8 +89,6 @@ fn parse_args() -> Result<Args, String> {
             "--ops" => args.ops = value.parse().map_err(|e| bad(&e))?,
             "--seed" => args.seed = value.parse().map_err(|e| bad(&e))?,
             "--metrics-out" => args.metrics_out = Some(value),
-            "--min-qps" => args.min_qps = value.parse().map_err(|e| bad(&e))?,
-            "--max-p99-ms" => args.max_p99_ms = value.parse().map_err(|e| bad(&e))?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -602,8 +600,8 @@ fn main() -> ExitCode {
     let p99_ms = |h: &HistogramSnapshot| h.p99().unwrap_or(0) as f64 / 1e6;
     let worst_p99_ms = p99_ms(&read_latency).max(p99_ms(&write_latency));
     let verified = mismatches.is_empty();
-    let qps_ok = qps >= args.min_qps;
-    let p99_ok = worst_p99_ms <= args.max_p99_ms;
+    let qps_ok = qps >= MIN_QPS;
+    let p99_ok = worst_p99_ms <= MAX_P99_MS;
     let clean = protocol_errors.is_empty();
     let passed = verified && clean && (!args.check || (qps_ok && p99_ok));
 
@@ -626,15 +624,11 @@ fn main() -> ExitCode {
     }
     if args.check {
         if !qps_ok {
-            eprintln!(
-                "loadgen: CHECK FAILED: {qps:.0} QPS under the {:.0} floor",
-                args.min_qps
-            );
+            eprintln!("loadgen: CHECK FAILED: {qps:.0} QPS under the {MIN_QPS:.0} floor");
         }
         if !p99_ok {
             eprintln!(
-                "loadgen: CHECK FAILED: p99 {worst_p99_ms:.2}ms over the {:.1}ms ceiling",
-                args.max_p99_ms
+                "loadgen: CHECK FAILED: p99 {worst_p99_ms:.2}ms over the {MAX_P99_MS:.1}ms ceiling"
             );
         }
     }

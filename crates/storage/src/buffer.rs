@@ -3,7 +3,7 @@
 use crate::disk::DiskManager;
 use crate::error::Result;
 use crate::page::{Page, PageId};
-use crate::stats::{IoLatency, IoStats};
+use crate::stats::IoStats;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -79,12 +79,6 @@ impl BufferPool {
     /// Shared I/O statistics (same counters as the disk manager's).
     pub fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// Shared page read/write latency histograms (same as the disk
-    /// manager's).
-    pub fn latency(&self) -> Arc<IoLatency> {
-        self.disk.latency()
     }
 
     /// Bytes currently cached.
@@ -220,16 +214,6 @@ mod tests {
         assert_eq!(snap.pool_hits, 2);
         assert_eq!(snap.reads, 1, "hits read nothing from disk");
         assert_eq!(snap.evictions, 0);
-    }
-
-    #[test]
-    fn page_io_latency_recorded() {
-        let (pool, ids) = pool_over("iolat.db", 1 << 20, &[(0, b"timed")]);
-        assert_eq!(payload(&pool, ids[0]), b"timed");
-        let lat = pool.latency().snapshot();
-        assert!(lat.read.count >= 1, "the fault-in recorded a read latency");
-        assert!(lat.read.p50().is_some());
-        assert!(lat.write.count >= 1, "the disk's own write was recorded");
     }
 
     #[test]

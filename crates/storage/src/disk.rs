@@ -4,7 +4,7 @@ use crate::checksum::xxh64;
 use crate::error::{Result, StorageError};
 use crate::fault::{injected_error, FaultInjector, SyncFault, SyncKind, WriteFault, WriteKind};
 use crate::page::{Page, PageId, SizeClass, BASE_PAGE_SIZE, MAX_SIZE_CLASS};
-use crate::stats::{IoLatency, IoStats};
+use crate::stats::IoStats;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -105,7 +105,6 @@ pub struct DiskManager {
     config: DiskManagerConfig,
     inner: Mutex<DiskInner>,
     stats: Arc<IoStats>,
-    latency: Arc<IoLatency>,
 }
 
 impl DiskManager {
@@ -138,7 +137,6 @@ impl DiskManager {
                 dirty_meta: true,
             }),
             stats: Arc::new(IoStats::new()),
-            latency: Arc::new(IoLatency::new()),
         };
         mgr.sync()?;
         Ok(mgr)
@@ -169,7 +167,6 @@ impl DiskManager {
                 dirty_meta: false,
             }),
             stats: Arc::new(IoStats::new()),
-            latency: Arc::new(IoLatency::new()),
         })
     }
 
@@ -211,11 +208,6 @@ impl DiskManager {
     /// Shared physical I/O counters.
     pub fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// Shared page read/write latency histograms.
-    pub fn latency(&self) -> Arc<IoLatency> {
-        Arc::clone(&self.latency)
     }
 
     /// The data-file path.
@@ -331,14 +323,12 @@ impl DiskManager {
         }
         let bytes = page.to_disk_bytes();
         let sp = segidx_obs::trace::span("disk.write_page");
-        let t0 = std::time::Instant::now();
         write_extent(
             &mut inner.file,
             self.config.fault_injector.as_deref(),
             loc.slot * BASE_PAGE_SIZE as u64,
             &bytes,
         )?;
-        self.latency.write.record_duration(t0.elapsed());
         self.stats.record_write(bytes.len());
         sp.items(bytes.len() as u64);
         segidx_obs::trace::add(segidx_obs::trace::Dim::PageWrites, 1);
@@ -355,12 +345,10 @@ impl DiskManager {
         let size = loc.size_class.page_size();
         let mut buf = vec![0u8; size];
         let sp = segidx_obs::trace::span("disk.read_page");
-        let t0 = std::time::Instant::now();
         inner
             .file
             .seek(SeekFrom::Start(loc.slot * BASE_PAGE_SIZE as u64))?;
         inner.file.read_exact(&mut buf)?;
-        self.latency.read.record_duration(t0.elapsed());
         self.stats.record_read(size);
         sp.items(size as u64);
         segidx_obs::trace::add(segidx_obs::trace::Dim::PageReads, 1);

@@ -77,4 +77,4 @@ pub use fault::{
 };
 pub use page::{Page, PageId, SizeClass, BASE_PAGE_SIZE, MAX_SIZE_CLASS, PAGE_HEADER_LEN};
 pub use serialize::{ByteReader, ByteWriter};
-pub use stats::{IoLatency, IoLatencySnapshot, IoStats, IoStatsSnapshot};
+pub use stats::{IoStats, IoStatsSnapshot};

@@ -1,6 +1,5 @@
-//! Physical I/O statistics and page-latency telemetry.
+//! Physical I/O statistics.
 
-use segidx_obs::{HistogramSnapshot, LatencyHistogram};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -123,44 +122,6 @@ impl IoStatsSnapshot {
     }
 }
 
-/// Wall-clock latency of physical page I/O, recorded by
-/// [`DiskManager`](crate::DiskManager) around every page read and write.
-///
-/// Timing is always on: the two `Instant` reads are noise next to the
-/// seek + syscall they bracket, unlike the in-memory index hot paths (which
-/// gate their timing behind opt-in telemetry).
-#[derive(Debug, Default)]
-pub struct IoLatency {
-    /// Per-page-read wall time, in nanoseconds.
-    pub read: LatencyHistogram,
-    /// Per-page-write wall time, in nanoseconds.
-    pub write: LatencyHistogram,
-}
-
-impl IoLatency {
-    /// Empty histograms.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A point-in-time copy of both histograms.
-    pub fn snapshot(&self) -> IoLatencySnapshot {
-        IoLatencySnapshot {
-            read: self.read.snapshot(),
-            write: self.write.snapshot(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`IoLatency`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoLatencySnapshot {
-    /// Page-read latency distribution.
-    pub read: HistogramSnapshot,
-    /// Page-write latency distribution.
-    pub write: HistogramSnapshot,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,17 +169,5 @@ mod tests {
         assert_eq!(d.pool_hits, 0);
         assert_eq!(d.pool_misses, 1);
         assert_eq!(d.hit_rate(), Some(0.0), "window saw only the miss");
-    }
-
-    #[test]
-    fn latency_snapshot_carries_both_sides() {
-        let lat = IoLatency::new();
-        lat.read.record(1_000);
-        lat.read.record(3_000);
-        lat.write.record(20_000);
-        let snap = lat.snapshot();
-        assert_eq!(snap.read.count, 2);
-        assert_eq!(snap.write.count, 1);
-        assert!(snap.read.p50().unwrap() >= 1_000);
     }
 }

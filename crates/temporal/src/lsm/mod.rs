@@ -16,8 +16,8 @@
 //!   With a disk attached, every seal commits a manifest page under the
 //!   storage layer's atomic root-pointer flip, so each seal is a
 //!   crash-consistent checkpoint; on disk a tier is the packed tree
-//!   [`bulk_load_run`](segidx_core::bulk::bulk_load_run) writes, a page
-//!   format and nothing more.
+//!   [`bulk_load`](segidx_core::bulk::bulk_load) writes, a page format and
+//!   nothing more.
 //! * **Merge** — a leveled policy folds runs of equal-level tiers into one
 //!   tier a level up, on the merge worker (`merge`) while the next seal
 //!   fills: a linear k-way merge of record-sorted inputs and one HINT

@@ -76,9 +76,12 @@ pub struct TieredTelemetry {
     /// whose fence met the query. Per pin, against the `tier_count` gauge,
     /// this is what the fences save.
     pub tiers_pinned_total: AtomicU64,
-    /// Seal wall time (pack + commit), nanoseconds.
+    /// Seal wall time, nanoseconds: sort the memtable by id and build its
+    /// HINT, wait for and splice in the previous merge, hand the worker the
+    /// next, and, with a disk attached, pack and commit the checkpoint.
     pub seal_latency: LatencyHistogram,
-    /// Merge wall time (gather + filter + pack), nanoseconds.
+    /// Merge wall time on the worker, nanoseconds: the k-way merge of the
+    /// record-sorted inputs, dropping shadowed copies, and one HINT build.
     pub merge_latency: LatencyHistogram,
 }
 

@@ -151,9 +151,10 @@ impl<const D: usize, P: Payload> Tier<D, P> {
     }
 
     /// The page-format tree of this tier's entries, a packed SR-Tree (what
-    /// a checkpoint persists; payloads stay behind).
+    /// a checkpoint persists; payloads stay behind). Nothing searches it:
+    /// [`load_tiers`] reads its entries back and re-sorts them by id.
     pub(crate) fn pack(&self) -> Tree<D> {
-        bulk::bulk_load_run(IndexConfig::srtree(), self.entries().collect())
+        bulk::bulk_load(IndexConfig::srtree(), self.entries().collect())
     }
 
     /// Record ids of every entry intersecting `query`, ascending.

@@ -66,7 +66,7 @@ fn no_arch_intrinsics_outside_prefetch() {
 /// measured by whoever calls it (runner, service, server, segbench).
 #[test]
 fn the_engine_reads_no_clock() {
-    let found = offending_lines(&["geom", "core"], |_, line| {
+    let found = offending_lines(&["geom", "core", "storage"], |_, line| {
         line.contains("Instant") || line.contains("SystemTime")
     });
     assert!(found.is_empty(), "clock reads:\n{}", found.join("\n"));
