@@ -254,11 +254,6 @@ impl FrozenHint {
         (self.lo, self.hi)
     }
 
-    /// Stored copies, all levels together.
-    pub fn copies(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Heap bytes the planes and the partition table hold.
     pub fn heap_bytes(&self) -> usize {
         self.parts.capacity() * std::mem::size_of::<Part>()
@@ -657,7 +652,7 @@ mod tests {
         // One original and one `in` copy per interval, whatever its cover.
         assert_eq!((starts, ends), (data.len(), data.len()));
         let covers: usize = data.iter().map(|&(s, e)| cover_size(&h, s, e)).sum();
-        assert_eq!(h.copies(), covers);
+        assert_eq!(h.handles.len(), covers);
         let mut seen = vec![0usize; data.len()];
         for &x in &h.handles {
             seen[x as usize] += 1;
@@ -687,7 +682,7 @@ mod tests {
     #[test]
     fn an_empty_build_answers_nothing() {
         let h = FrozenHint::over_starts(0, |_| unreachable!());
-        assert_eq!(h.copies(), 0);
+        assert_eq!(h.handles.len(), 0);
         assert!(query_sorted(&h, -1.0, 1.0).is_empty());
         assert_eq!(h.count_accesses(0.0, 0.0), 0);
     }
