@@ -23,6 +23,8 @@ const PROTOCOL_ERRORS_TOTAL: Family = Family::counter("segidx_server_protocol_er
 const BUSY_TOTAL: Family = Family::counter("segidx_server_busy_total");
 const BYTES_READ_TOTAL: Family = Family::counter("segidx_server_bytes_read_total");
 const BYTES_WRITTEN_TOTAL: Family = Family::counter("segidx_server_bytes_written_total");
+/// Socket writes, one per settled batch of replies.
+pub(crate) const WRITES_TOTAL: Family = Family::counter("segidx_server_writes_total");
 /// Reads, frame decode to response enqueued, nanoseconds.
 pub const READ_LATENCY_NANOS: Family = Family::histogram("segidx_server_read_latency_nanos");
 /// Writes, frame decode to commit callback, nanoseconds.
@@ -42,6 +44,7 @@ pub const METRICS: &[Family] = &[
     BUSY_TOTAL,
     BYTES_READ_TOTAL,
     BYTES_WRITTEN_TOTAL,
+    WRITES_TOTAL,
     READ_LATENCY_NANOS,
     WRITE_LATENCY_NANOS,
 ];
@@ -65,6 +68,7 @@ pub struct ConnStats {
     busy: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
+    writes: AtomicU64,
 }
 
 impl ConnStats {
@@ -111,6 +115,11 @@ impl ConnStats {
     pub fn add_bytes_written(&self, n: u64) {
         self.bytes_written.fetch_add(n, Relaxed);
     }
+
+    /// Counts one socket write, as it is made.
+    pub fn count_write(&self) {
+        self.writes.fetch_add(1, Relaxed);
+    }
 }
 
 /// Scalar + histogram totals folded out of [`ConnStats`].
@@ -124,6 +133,7 @@ struct Totals {
     busy: u64,
     bytes_read: u64,
     bytes_written: u64,
+    writes: u64,
     read_latency: HistogramSnapshot,
     write_latency: HistogramSnapshot,
 }
@@ -140,6 +150,7 @@ impl Totals {
         self.busy += stats.busy.load(Relaxed);
         self.bytes_read += stats.bytes_read.load(Relaxed);
         self.bytes_written += stats.bytes_written.load(Relaxed);
+        self.writes += stats.writes.load(Relaxed);
         self.read_latency.merge(&stats.read_latency.snapshot());
         self.write_latency.merge(&stats.write_latency.snapshot());
     }
@@ -289,6 +300,7 @@ impl ServerStats {
                     l,
                     t.bytes_written,
                 ));
+                out.push(Metric::counter(WRITES_TOTAL.name, l, t.writes));
                 out.push(Metric::histogram(
                     READ_LATENCY_NANOS.name,
                     l,
@@ -323,6 +335,7 @@ mod tests {
         a.count_request(op("insert"));
         a.count_frame(Mode::Binary);
         a.read_latency.record(1_000);
+        a.count_write();
         drop(a);
 
         let b = server.open_connection();
@@ -351,6 +364,7 @@ mod tests {
             MetricValue::Counter(1)
         );
         assert_eq!(value(BUSY_TOTAL, &[]), MetricValue::Counter(1));
+        assert_eq!(value(WRITES_TOTAL, &[]), MetricValue::Counter(1));
         assert_eq!(value(CONNECTIONS_TOTAL, &[]), MetricValue::Counter(2));
         assert_eq!(value(CONNECTIONS_ACTIVE, &[]), MetricValue::Gauge(1.0));
         match value(READ_LATENCY_NANOS, &[]) {
