@@ -15,7 +15,8 @@
 //! write as one batch, answers the reads from the pin while the group
 //! commit runs on the index writer thread, then waits on the commit
 //! tickets ([`CommitTicket::wait`]), splices `OK epoch=…` into the holes
-//! the writes left, and sends every reply with one `write`. A connection
+//! the writes left, and sends every reply with one `write` (a long burst
+//! without writes, one per 128 replies). A connection
 //! with thousands of in-flight writes is still one thread, never one per
 //! write, and the writer thread runs no connection code. See the `conn`
 //! module for the burst rule and what a client may rely on, and [`frame`]
