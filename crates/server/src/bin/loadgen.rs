@@ -27,7 +27,7 @@
 
 use segidx_geom::{Point, Rect};
 use segidx_obs::{HistogramSnapshot, LatencyHistogram};
-use segidx_server::{encode_request, FrameDecoder, Mode, Server, ServerConfig};
+use segidx_server::{encode_request, FrameDecoder, Mode, Server, ServerConfig, Statement};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -140,11 +140,6 @@ fn random_point(rng: &mut Rng) -> Point<DIMS> {
     Point::new([rng.f64() * DOMAIN[0], rng.f64() * DOMAIN[1]])
 }
 
-fn fmt_rect(r: &Rect<DIMS>) -> String {
-    let (lo, hi) = (r.lo_coords(), r.hi_coords());
-    format!("({:?}, {:?}) ({:?}, {:?})", lo[0], lo[1], hi[0], hi[1])
-}
-
 /// What one pipelined statement was, so its response can be classified.
 enum Sent {
     Insert { id: u64, rect: Rect<DIMS> },
@@ -205,8 +200,8 @@ impl Client {
         })
     }
 
-    fn send(&mut self, sent: Sent, text: &str) {
-        encode_request(text, &mut self.outbuf);
+    fn send(&mut self, sent: Sent, stmt: &Statement) {
+        encode_request(&stmt.to_string(), &mut self.outbuf);
         self.inflight.push_back((sent, Instant::now()));
     }
 
@@ -331,54 +326,42 @@ fn run_connection(addr: &str, conn_id: usize, args: &Args) -> Result<ConnResult,
         let rect = random_rect(&mut rng, 200.0);
         let id = next_id;
         next_id += 1;
-        client.send(
-            Sent::Insert { id, rect },
-            &format!("INSERT RECT {} ID {id}", fmt_rect(&rect)),
-        );
+        client.send(Sent::Insert { id, rect }, &Statement::Insert { rect, id });
     }
-    client.send(Sent::Flush, "FLUSH");
+    client.send(Sent::Flush, &Statement::Flush);
     client.drain_all().map_err(fail)?;
 
     // Measured phase: 40% search, 20% stab, 5% nearest, 20% insert,
     // 15% delete.
     let started = Instant::now();
-    let mut text = String::with_capacity(128);
     for _ in 0..args.ops {
         if client.inflight.len() >= PIPELINE {
             client.pump().map_err(fail)?;
         }
-        text.clear();
         let roll = rng.next() % 100;
-        let sent = if roll < 40 {
-            let w = random_rect(&mut rng, 500.0);
-            text.push_str(&format!("SEARCH WINDOW {}", fmt_rect(&w)));
-            Sent::Read
+        let (sent, stmt) = if roll < 40 {
+            let window = random_rect(&mut rng, 500.0);
+            (Sent::Read, Statement::Search { window })
         } else if roll < 60 {
-            let p = random_point(&mut rng);
-            let c = p.coords();
-            text.push_str(&format!("STAB POINT ({:?}, {:?})", c[0], c[1]));
-            Sent::Read
+            let point = random_point(&mut rng);
+            (Sent::Read, Statement::Stab { point })
         } else if roll < 65 {
-            let p = random_point(&mut rng);
-            let c = p.coords();
-            text.push_str(&format!("NEAREST POINT ({:?}, {:?}) K 4", c[0], c[1]));
-            Sent::Read
+            let point = random_point(&mut rng);
+            (Sent::Read, Statement::Nearest { point, k: 4 })
         } else if roll < 85 || client.live.is_empty() {
             let rect = random_rect(&mut rng, 200.0);
             let id = next_id;
             next_id += 1;
-            text.push_str(&format!("INSERT RECT {} ID {id}", fmt_rect(&rect)));
-            Sent::Insert { id, rect }
+            (Sent::Insert { id, rect }, Statement::Insert { rect, id })
         } else {
             let slot = rng.below(client.live.len());
             let id = client.live.swap_remove(slot);
             // The rect it was committed with; deletes always target a
             // record the model knows is live.
             let rect = client.committed[&id];
-            text.push_str(&format!("DELETE ID {id} RECT {}", fmt_rect(&rect)));
-            Sent::Delete { id }
+            (Sent::Delete { id }, Statement::Delete { id, rect })
         };
-        client.send(sent, &text);
+        client.send(sent, &stmt);
     }
     client.drain_all().map_err(fail)?;
     let finished = Instant::now();
@@ -404,7 +387,7 @@ fn verify(
 ) -> Result<(usize, Vec<String>), String> {
     let fail = |e: std::io::Error| format!("verify connection: {e}");
     let mut client = Client::connect(addr).map_err(fail)?;
-    client.send(Sent::Flush, "FLUSH");
+    client.send(Sent::Flush, &Statement::Flush);
     client.drain_all().map_err(fail)?;
 
     // Deterministic scan order for the model.
@@ -431,10 +414,9 @@ fn verify(
                 .map(|(id, _)| *id)
                 .collect(),
         );
-        queries.push((format!("SEARCH WINDOW {}", fmt_rect(&w)), expected));
+        queries.push((Statement::Search { window: w }.to_string(), expected));
 
         let p = random_point(&mut rng);
-        let c = p.coords();
         let expected = expect_rows(
             entries
                 .iter()
@@ -442,7 +424,7 @@ fn verify(
                 .map(|(id, _)| *id)
                 .collect(),
         );
-        queries.push((format!("STAB POINT ({:?}, {:?})", c[0], c[1]), expected));
+        queries.push((Statement::Stab { point: p }.to_string(), expected));
     }
 
     let mut mismatches = Vec::new();
@@ -480,7 +462,7 @@ fn fetch_metrics(addr: &str) -> Result<String, String> {
     let fail = |e: std::io::Error| format!("metrics connection: {e}");
     let mut stream = TcpStream::connect(addr).map_err(fail)?;
     let mut out = Vec::new();
-    encode_request("METRICS", &mut out);
+    encode_request(&Statement::Metrics.to_string(), &mut out);
     stream.write_all(&out).map_err(fail)?;
     let mut decoder = FrameDecoder::with_max_frame(16 << 20);
     let mut buf = vec![0u8; 64 * 1024];

@@ -57,10 +57,9 @@ use crate::server::{Shared, DIMS};
 use crate::telemetry::ConnStats;
 use segidx_concurrent::{CommitError, CommitTicket, IndexOp, SubmitError};
 use segidx_core::RecordId;
-use segidx_geom::{Interval, Point, Rect};
+use segidx_geom::Interval;
 use segidx_obs::OpClass;
 use segidx_temporal::{PinnedQuery, TemporalError, TemporalTable, Version, VersionId};
-use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -80,94 +79,11 @@ const DIRECT_WRITE_BYTES: usize = 256 * 1024;
 /// at most this many statements. A bound, not a knob.
 const DIRECT_WRITE_REPLIES: usize = 128;
 
-/// A statement validated against the index dimensionality, ready to
-/// execute (or an error response ready to send).
-enum Prepared {
-    Search(Rect<DIMS>),
-    Stab(Point<DIMS>),
-    Write(IndexOp<DIMS>),
-    Nearest(Point<DIMS>, usize),
-    Record {
-        key: u64,
-        value: f64,
-        at: f64,
-    },
-    AsOf(f64),
-    Within {
-        t1: f64,
-        t2: f64,
-        lo: f64,
-        hi: f64,
-    },
-    Flush,
-    Stats,
-    Metrics,
-    /// Response already decided: PONG, parse errors, validation errors.
-    Reply(Cow<'static, str>),
-}
-
-fn point2(p: &[f64]) -> Result<Point<DIMS>, String> {
-    if p.len() != DIMS {
-        return Err(format!("expected {DIMS} coordinates, got {}", p.len()));
-    }
-    Ok(Point::new([p[0], p[1]]))
-}
-
-fn rect2(lo: &[f64], hi: &[f64]) -> Result<Rect<DIMS>, String> {
-    let lo = point2(lo)?;
-    let hi = point2(hi)?;
-    Rect::checked(*lo.coords(), *hi.coords())
-        .ok_or_else(|| "invalid rectangle: each lo must be <= the matching hi".to_string())
-}
-
-fn prepare(text: &str, stats: &ConnStats) -> Prepared {
-    let stmt = match parse(text) {
-        Ok(s) => s,
-        Err(e) => {
-            stats.count_parse_error();
-            return Prepared::Reply(format!("ERR parse {e}").into());
-        }
-    };
-    stats.count_request(stmt.op());
-    let validated = match stmt {
-        Statement::Insert { lo, hi, id } => rect2(&lo, &hi).map(|rect| {
-            Prepared::Write(IndexOp::Insert {
-                rect,
-                record: RecordId(id),
-            })
-        }),
-        Statement::Delete { id, lo, hi } => rect2(&lo, &hi).map(|rect| {
-            Prepared::Write(IndexOp::Delete {
-                rect,
-                record: RecordId(id),
-            })
-        }),
-        Statement::Search { lo, hi } => rect2(&lo, &hi).map(Prepared::Search),
-        Statement::Stab { point } => point2(&point).map(Prepared::Stab),
-        Statement::Nearest { point, k } => point2(&point).map(|p| Prepared::Nearest(p, k)),
-        Statement::Record { key, value, at } => Ok(Prepared::Record { key, value, at }),
-        Statement::AsOf { t } => Ok(Prepared::AsOf(t)),
-        Statement::Within { t1, t2, lo, hi } => {
-            if t2 < t1 {
-                Err(format!("invalid time window: {t1} > {t2}"))
-            } else if hi < lo {
-                Err(format!("invalid duration band: {lo} > {hi}"))
-            } else {
-                Ok(Prepared::Within { t1, t2, lo, hi })
-            }
-        }
-        Statement::Flush => Ok(Prepared::Flush),
-        Statement::Ping => Ok(Prepared::Reply(Cow::Borrowed("PONG"))),
-        Statement::Stats => Ok(Prepared::Stats),
-        Statement::Metrics => Ok(Prepared::Metrics),
-    };
-    validated.unwrap_or_else(|msg| Prepared::Reply(format!("ERR exec {msg}").into()))
-}
-
 struct Pending {
     mode: Mode,
     t0: Instant,
-    prepared: Prepared,
+    /// The statement, or the `ERR parse` reply refusing it.
+    parsed: Result<Statement, String>,
 }
 
 /// Where an admitted write's reply goes once its commit is known.
@@ -356,11 +272,11 @@ fn temporal_read(
 fn run_of<T>(
     items: &[Pending],
     i: usize,
-    pick: impl Fn(&Prepared) -> Option<T>,
+    pick: impl Fn(&Statement) -> Option<T>,
 ) -> (Vec<T>, usize) {
     let run: Vec<T> = items[i..]
         .iter()
-        .map_while(|item| pick(&item.prepared))
+        .map_while(|item| item.parsed.as_ref().ok().and_then(&pick))
         .collect();
     let end = i + run.len();
     (run, end)
@@ -376,8 +292,8 @@ fn execute_segment(
 ) {
     let reads_index = |item: &Pending| {
         matches!(
-            item.prepared,
-            Prepared::Search(_) | Prepared::Stab(_) | Prepared::Nearest(..)
+            item.parsed,
+            Ok(Statement::Search { .. } | Statement::Stab { .. } | Statement::Nearest { .. })
         )
     };
     let pin = items
@@ -388,8 +304,15 @@ fn execute_segment(
 
     let writes: Vec<IndexOp<DIMS>> = items
         .iter()
-        .filter_map(|item| match item.prepared {
-            Prepared::Write(op) => Some(op),
+        .filter_map(|item| match item.parsed {
+            Ok(Statement::Insert { rect, id }) => Some(IndexOp::Insert {
+                rect,
+                record: RecordId(id),
+            }),
+            Ok(Statement::Delete { id, rect }) => Some(IndexOp::Delete {
+                rect,
+                record: RecordId(id),
+            }),
             _ => None,
         })
         .collect();
@@ -404,10 +327,11 @@ fn execute_segment(
     while i < items.len() {
         let item = &items[i];
         let mode = item.mode;
-        match &item.prepared {
-            Prepared::Search(_) => {
-                let (queries, j) = run_of(items, i, |p| match p {
-                    Prepared::Search(r) => Some(*r),
+        match &item.parsed {
+            Err(reply) => replies.put_text(mode, reply),
+            Ok(Statement::Search { .. }) => {
+                let (queries, j) = run_of(items, i, |s| match s {
+                    Statement::Search { window } => Some(*window),
                     _ => None,
                 });
                 let _trace = shared.tracer.start(OpClass::Search, "server.search_batch");
@@ -419,9 +343,9 @@ fn execute_segment(
                 i = j;
                 continue;
             }
-            Prepared::Stab(_) => {
-                let (points, j) = run_of(items, i, |p| match p {
-                    Prepared::Stab(p) => Some(*p),
+            Ok(Statement::Stab { .. }) => {
+                let (points, j) = run_of(items, i, |s| match s {
+                    Statement::Stab { point } => Some(*point),
                     _ => None,
                 });
                 let _trace = shared.tracer.start(OpClass::Stab, "server.stab_batch");
@@ -433,7 +357,7 @@ fn execute_segment(
                 i = j;
                 continue;
             }
-            Prepared::Write(_) => {
+            Ok(Statement::Insert { .. } | Statement::Delete { .. }) => {
                 // Its latency is taken when the commit is observed.
                 match submitted.next().expect("one outcome per write") {
                     Ok(ticket) => replies.hole(mode, item.t0, ticket),
@@ -451,17 +375,17 @@ fn execute_segment(
                 i += 1;
                 continue;
             }
-            Prepared::Nearest(p, k) => {
+            Ok(Statement::Nearest { point, k }) => {
                 let _trace = shared.tracer.start(OpClass::Nearest, "server.nearest");
                 let mut hits: Vec<NearHit> = pinned()
-                    .nearest(p, *k)
+                    .nearest(point, *k)
                     .into_iter()
                     .map(|n| (n.record, n.distance))
                     .collect();
                 sort_nearest(&mut hits);
                 replies.put(mode, |buf| render_near(buf, &hits));
             }
-            Prepared::Record { key, value, at } => {
+            Ok(Statement::Record { key, value, at }) => {
                 // A writer that panicked under the lock may have left the
                 // table half-written: refuse to write on top of that.
                 let recorded = match shared.temporal.lock() {
@@ -480,19 +404,20 @@ fn execute_segment(
                     ),
                 }
             }
-            Prepared::AsOf(t) => {
+            Ok(Statement::AsOf { t }) => {
                 temporal_read(shared, replies, mode, |table| table.pin_as_of(*t));
             }
-            Prepared::Within { t1, t2, lo, hi } => {
+            Ok(Statement::Within { t1, t2, lo, hi }) => {
                 temporal_read(shared, replies, mode, |table| {
                     table.pin_within(Interval::new(*t1, *t2), *lo, *hi)
                 });
             }
-            Prepared::Flush => {
+            Ok(Statement::Flush) => {
                 let epoch = shared.index.flush().map(|r| r.epoch);
                 replies.put(mode, |buf| render_commit(buf, epoch));
             }
-            Prepared::Stats => replies.put(mode, |buf| {
+            Ok(Statement::Ping) => replies.put_text(mode, "PONG"),
+            Ok(Statement::Stats) => replies.put(mode, |buf| {
                 buf.extend_from_slice(b"STATS ");
                 buf.extend_from_slice(shared.stats.summary_line().as_bytes());
                 buf.extend_from_slice(b" records=");
@@ -500,15 +425,14 @@ fn execute_segment(
                 buf.extend_from_slice(b" epoch=");
                 put_u64(buf, shared.index.epoch());
             }),
-            Prepared::Metrics => {
+            Ok(Statement::Metrics) => {
                 replies.put_text(mode, &shared.registry.snapshot().to_json());
             }
-            Prepared::Reply(text) => replies.put_text(mode, text),
         }
         // The single-statement arms end here (the others have timed their
         // items, or left that to `settle`, and moved `i` themselves).
-        let latency = match item.prepared {
-            Prepared::Record { .. } => &stats.write_latency,
+        let latency = match item.parsed {
+            Ok(Statement::Record { .. }) => &stats.write_latency,
             _ => &stats.read_latency,
         };
         latency.record_duration(item.t0.elapsed());
@@ -550,11 +474,20 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
                 Ok(Some(frame)) => {
                     stats.count_frame(frame.mode);
                     let t0 = Instant::now();
-                    let prepared = prepare(&frame.text, &stats);
+                    let parsed = match parse(&frame.text) {
+                        Ok(stmt) => {
+                            stats.count_request(stmt.op());
+                            Ok(stmt)
+                        }
+                        Err(e) => {
+                            stats.count_parse_error();
+                            Err(format!("ERR parse {e}"))
+                        }
+                    };
                     items.push(Pending {
                         mode: frame.mode,
                         t0,
-                        prepared,
+                        parsed,
                     });
                 }
                 Ok(None) => break None,
@@ -564,7 +497,7 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
                 }
             }
         };
-        for segment in items.split_inclusive(|item| matches!(item.prepared, Prepared::Flush)) {
+        for segment in items.split_inclusive(|item| matches!(item.parsed, Ok(Statement::Flush))) {
             execute_segment(&shared, &stats, &mut replies, segment);
         }
         if let Some(e) = &fatal {
@@ -583,7 +516,8 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::server::{Server, ServerConfig};
-    use crate::telemetry::{COMPONENT, WRITES_TOTAL};
+    use crate::telemetry::{COMPONENT, PARSE_ERRORS_TOTAL, REQUESTS_TOTAL, WRITES_TOTAL};
+    use segidx_obs::Family;
     use segidx_obs::MetricValue;
     use std::time::Duration;
 
@@ -625,19 +559,21 @@ mod tests {
         /// connection's 64 KiB buffer) and returns their replies and the
         /// socket writes the server made to answer them.
         fn burst(&mut self, server: &Server, statements: &[String]) -> (Vec<String>, u64) {
-            let before = writes_total(server);
+            let before = counter(server, WRITES_TOTAL, &[]);
             self.send(&statements.concat());
             let replies = statements.iter().map(|_| self.line()).collect();
-            (replies, writes_total(server) - before)
+            (replies, counter(server, WRITES_TOTAL, &[]) - before)
         }
     }
 
-    /// `segidx_server_writes_total`, as `METRICS` exports it.
-    fn writes_total(server: &Server) -> u64 {
+    /// The server's counter `family` with the `extra` labels, as `METRICS`
+    /// exports it.
+    fn counter(server: &Server, family: Family, extra: &[(&str, &str)]) -> u64 {
         let snap = server.registry().snapshot();
-        match snap.get(WRITES_TOTAL.name, &[COMPONENT]).map(|m| &m.value) {
+        let labels: Vec<_> = [COMPONENT].iter().chain(extra).copied().collect();
+        match snap.get(family.name, &labels).map(|m| &m.value) {
             Some(MetricValue::Counter(n)) => *n,
-            other => panic!("no writes counter: {other:?}"),
+            other => panic!("no counter {} {extra:?}: {other:?}", family.name),
         }
     }
 
@@ -736,13 +672,36 @@ mod tests {
         server.shutdown();
     }
 
+    /// A statement of the wrong shape is a parse error, answered in its
+    /// place in the burst; the connection stays up and the rest execute.
     #[test]
-    fn ping_is_answered_without_building_a_string() {
-        let stats = ConnStats::new();
-        assert!(matches!(
-            prepare("PING", &stats),
-            Prepared::Reply(Cow::Borrowed("PONG"))
-        ));
+    fn statements_of_the_wrong_shape_are_refused_in_place() {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let mut c = Client::connect(&server);
+        let parse_errors = || counter(&server, PARSE_ERRORS_TOTAL, &[]);
+        let inserts = || counter(&server, REQUESTS_TOTAL, &[("op", "insert")]);
+        let before = (parse_errors(), inserts());
+        let statements = [
+            "INSERT RECT (1, 1) (2, 2) ID 7\n",
+            "INSERT RECT (2, 2) (1, 1) ID 5\n",
+            "SEARCH WINDOW (0, 0) (3, 3)\n",
+            "STAB POINT (1, 2, 3)\n",
+            "PING\n",
+        ]
+        .map(String::from);
+        let (replies, _) = c.burst(&server, &statements);
+        assert!(replies[0].starts_with("OK epoch="), "{}", replies[0]);
+        assert_eq!(
+            replies[1],
+            "ERR parse 12..25 invalid rectangle: each lo must be <= the matching hi"
+        );
+        assert!(replies[2].starts_with("ROWS "), "{}", replies[2]);
+        assert_eq!(replies[3], "ERR parse 11..20 expected 2 coordinates, got 3");
+        assert_eq!(replies[4], "PONG");
+        assert!(c.ask("FLUSH\n").starts_with("OK epoch="));
+        assert_eq!(c.ask("SEARCH WINDOW (0, 0) (3, 3)\n"), "ROWS 1 7");
+        assert_eq!((parse_errors(), inserts()), (before.0 + 2, before.1 + 1));
+        server.shutdown();
     }
 
     #[test]

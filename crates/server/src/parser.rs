@@ -14,62 +14,57 @@
 //! record    := "RECORD" integer "VALUE" number "AT" number
 //! asof      := "AS" "OF" number
 //! within    := "WITHIN" "(" number "," number ")" "DURATION" number number
-//! point     := "(" number { "," number } ")"
+//! point     := "(" number { "," number } ")"       -- DIMS numbers
 //! ```
 //!
 //! Keywords are case-insensitive; an optional trailing `;` is accepted.
-//! Points are dimension-agnostic at parse time (`Vec<f64>`); arity is
-//! validated when the statement is executed against a `D`-dimensional
-//! index, so the same parser serves every instantiation.
+//! A statement parses into what the connection executes: a point has the
+//! server's [`DIMS`] coordinates, a rectangle's corners are ordered on
+//! every axis, and a `WITHIN` window and duration band are ordered. A
+//! statement of the wrong shape — a point of another arity, an inverted
+//! rectangle, window or band — is refused with the span of the offending
+//! point(s) or numbers, but only once the rest of it has parsed, so a
+//! syntax or lex error anywhere in the statement wins over its shape.
 //!
 //! The parser pulls borrowed tokens from a [`Lexer`] one at a time, so a
-//! statement parses without allocating: a point's coordinates are the
-//! only heap memory a parsed statement holds, and error paths alone build
-//! strings.
+//! statement parses without allocating: only error paths build strings.
 
 use crate::lexer::{LexError, Lexer, Span, Token, TokenKind};
+use crate::server::DIMS;
+use segidx_geom::{Point, Rect};
 use std::fmt;
-
-/// A parsed point: one coordinate per dimension.
-pub type Point = Vec<f64>;
 
 /// One parsed statement of the query language.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Statement {
-    /// `INSERT RECT (lo…) (hi…) ID n`
+    /// `INSERT RECT (x, y) (x, y) ID n`
     Insert {
-        /// Low corner of the rectangle.
-        lo: Point,
-        /// High corner of the rectangle.
-        hi: Point,
+        /// The record's rectangle.
+        rect: Rect<DIMS>,
         /// Caller-assigned record id.
         id: u64,
     },
-    /// `DELETE ID n RECT (lo…) (hi…)`
+    /// `DELETE ID n RECT (x, y) (x, y)`
     Delete {
         /// Record id to delete.
         id: u64,
-        /// Low corner the record was inserted with.
-        lo: Point,
-        /// High corner the record was inserted with.
-        hi: Point,
+        /// The rectangle the record was inserted with.
+        rect: Rect<DIMS>,
     },
-    /// `SEARCH WINDOW (lo…) (hi…)`
+    /// `SEARCH WINDOW (x, y) (x, y)`
     Search {
-        /// Low corner of the query window.
-        lo: Point,
-        /// High corner of the query window.
-        hi: Point,
+        /// The query window.
+        window: Rect<DIMS>,
     },
-    /// `STAB POINT (p…)`
+    /// `STAB POINT (x, y)`
     Stab {
         /// The stabbing point.
-        point: Point,
+        point: Point<DIMS>,
     },
-    /// `NEAREST POINT (p…) K n`
+    /// `NEAREST POINT (x, y) K n`
     Nearest {
         /// The query point.
-        point: Point,
+        point: Point<DIMS>,
         /// How many neighbours to return.
         k: usize,
     },
@@ -136,17 +131,9 @@ impl Statement {
             Statement::Metrics => 11,
         }
     }
-
-    /// Whether this statement mutates the index (or the temporal table).
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Statement::Insert { .. } | Statement::Delete { .. } | Statement::Record { .. }
-        )
-    }
 }
 
-fn write_point(f: &mut fmt::Formatter<'_>, p: &[f64]) -> fmt::Result {
+fn write_point(f: &mut fmt::Formatter<'_>, p: &[f64; DIMS]) -> fmt::Result {
     write!(f, "(")?;
     for (i, c) in p.iter().enumerate() {
         if i > 0 {
@@ -159,36 +146,36 @@ fn write_point(f: &mut fmt::Formatter<'_>, p: &[f64]) -> fmt::Result {
     write!(f, ")")
 }
 
+fn write_rect(f: &mut fmt::Formatter<'_>, r: &Rect<DIMS>) -> fmt::Result {
+    write_point(f, r.lo_coords())?;
+    write!(f, " ")?;
+    write_point(f, r.hi_coords())
+}
+
 impl fmt::Display for Statement {
     /// Prints the canonical form, which re-parses to an equal statement.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Statement::Insert { lo, hi, id } => {
+            Statement::Insert { rect, id } => {
                 write!(f, "INSERT RECT ")?;
-                write_point(f, lo)?;
-                write!(f, " ")?;
-                write_point(f, hi)?;
+                write_rect(f, rect)?;
                 write!(f, " ID {id}")
             }
-            Statement::Delete { id, lo, hi } => {
+            Statement::Delete { id, rect } => {
                 write!(f, "DELETE ID {id} RECT ")?;
-                write_point(f, lo)?;
-                write!(f, " ")?;
-                write_point(f, hi)
+                write_rect(f, rect)
             }
-            Statement::Search { lo, hi } => {
+            Statement::Search { window } => {
                 write!(f, "SEARCH WINDOW ")?;
-                write_point(f, lo)?;
-                write!(f, " ")?;
-                write_point(f, hi)
+                write_rect(f, window)
             }
             Statement::Stab { point } => {
                 write!(f, "STAB POINT ")?;
-                write_point(f, point)
+                write_point(f, point.coords())
             }
             Statement::Nearest { point, k } => {
                 write!(f, "NEAREST POINT ")?;
-                write_point(f, point)?;
+                write_point(f, point.coords())?;
                 write!(f, " K {k}")
             }
             Statement::Record { key, value, at } => {
@@ -224,11 +211,13 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Pulls tokens from the lexer one at a time; nothing but the points'
-/// coordinate vectors is allocated.
+/// Pulls tokens from the lexer one at a time, allocating nothing.
 struct Parser<'a> {
     tokens: Lexer<'a>,
     eof: usize,
+    /// The first shape error met (see the module docs), reported once the
+    /// statement has otherwise parsed.
+    shape: Option<ParseError>,
 }
 
 impl<'a> Parser<'a> {
@@ -261,11 +250,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_kind(&mut self, kind: TokenKind<'_>, what: &str) -> Result<(), ParseError> {
+    fn expect_kind(&mut self, kind: TokenKind<'_>, what: &str) -> Result<Span, ParseError> {
         match self.next()? {
-            Some(t) if t.kind == kind => Ok(()),
+            Some(t) if t.kind == kind => Ok(t.span),
             found => Err(self.unexpected(what, found)),
         }
+    }
+
+    /// Records a shape error over `span`, unless an earlier one stands.
+    fn refuse_shape(&mut self, span: Span, message: String) {
+        self.shape.get_or_insert(ParseError { span, message });
     }
 
     /// A number: its value, its exact integer if it is a plain decimal
@@ -301,8 +295,9 @@ impl<'a> Parser<'a> {
         Ok(v as u64)
     }
 
-    /// A number that must be finite (timestamps, values, durations).
-    fn finite(&mut self, what: &str) -> Result<f64, ParseError> {
+    /// A number that must be finite (timestamps, values, durations), and
+    /// its span.
+    fn finite(&mut self, what: &str) -> Result<(f64, Span), ParseError> {
         let (v, _, span) = self.number(what)?;
         if !v.is_finite() {
             return Err(ParseError {
@@ -310,13 +305,17 @@ impl<'a> Parser<'a> {
                 message: format!("{what} must be finite"),
             });
         }
-        Ok(v)
+        Ok((v, span))
     }
 
-    fn point(&mut self) -> Result<Point, ParseError> {
-        self.expect_kind(TokenKind::LParen, "`(`")?;
-        let mut coords = Vec::new();
-        loop {
+    /// A point and its span, parentheses included. A list of other than
+    /// [`DIMS`] coordinates is read to its `)` and refused as a shape
+    /// error.
+    fn point(&mut self) -> Result<(Point<DIMS>, Span), ParseError> {
+        let open = self.expect_kind(TokenKind::LParen, "`(`")?;
+        let mut coords = [0.0; DIMS];
+        let mut n = 0;
+        let close = loop {
             let (v, _, span) = self.number("coordinate")?;
             if !v.is_finite() {
                 return Err(ParseError {
@@ -324,7 +323,10 @@ impl<'a> Parser<'a> {
                     message: "coordinates must be finite".to_string(),
                 });
             }
-            coords.push(v);
+            if let Some(c) = coords.get_mut(n) {
+                *c = v;
+            }
+            n += 1;
             match self.next()? {
                 Some(Token {
                     kind: TokenKind::Comma,
@@ -332,12 +334,31 @@ impl<'a> Parser<'a> {
                 }) => continue,
                 Some(Token {
                     kind: TokenKind::RParen,
-                    ..
-                }) => break,
+                    span,
+                }) => break span,
                 found => return Err(self.unexpected("`,` or `)`", found)),
             }
+        };
+        let span = Span::new(open.start, close.end);
+        if n != DIMS {
+            self.refuse_shape(span, format!("expected {DIMS} coordinates, got {n}"));
         }
-        Ok(coords)
+        Ok((Point::new(coords), span))
+    }
+
+    /// Two points, the low corner and the high, ordered on every axis.
+    fn rect(&mut self) -> Result<Rect<DIMS>, ParseError> {
+        let (lo, lo_span) = self.point()?;
+        let (hi, hi_span) = self.point()?;
+        Ok(
+            Rect::checked(*lo.coords(), *hi.coords()).unwrap_or_else(|| {
+                self.refuse_shape(
+                    Span::new(lo_span.start, hi_span.end),
+                    "invalid rectangle: each lo must be <= the matching hi".to_string(),
+                );
+                Rect::from_point(lo) // never returned: the statement is refused
+            }),
+        )
     }
 
     fn statement(&mut self) -> Result<Statement, ParseError> {
@@ -362,53 +383,58 @@ impl<'a> Parser<'a> {
         let is = |kw: &str| head.eq_ignore_ascii_case(kw);
         let stmt = if is("INSERT") {
             self.expect_word("RECT")?;
-            let lo = self.point()?;
-            let hi = self.point()?;
+            let rect = self.rect()?;
             self.expect_word("ID")?;
             let id = self.integer("record id")?;
-            Statement::Insert { lo, hi, id }
+            Statement::Insert { rect, id }
         } else if is("DELETE") {
             self.expect_word("ID")?;
             let id = self.integer("record id")?;
             self.expect_word("RECT")?;
-            let lo = self.point()?;
-            let hi = self.point()?;
-            Statement::Delete { id, lo, hi }
+            let rect = self.rect()?;
+            Statement::Delete { id, rect }
         } else if is("SEARCH") {
             self.expect_word("WINDOW")?;
-            let lo = self.point()?;
-            let hi = self.point()?;
-            Statement::Search { lo, hi }
+            let window = self.rect()?;
+            Statement::Search { window }
         } else if is("STAB") {
             self.expect_word("POINT")?;
-            let point = self.point()?;
+            let (point, _) = self.point()?;
             Statement::Stab { point }
         } else if is("NEAREST") {
             self.expect_word("POINT")?;
-            let point = self.point()?;
+            let (point, _) = self.point()?;
             self.expect_word("K")?;
             let k = self.integer("neighbour count")? as usize;
             Statement::Nearest { point, k }
         } else if is("RECORD") {
             let key = self.integer("key")?;
             self.expect_word("VALUE")?;
-            let value = self.finite("value")?;
+            let (value, _) = self.finite("value")?;
             self.expect_word("AT")?;
-            let at = self.finite("timestamp")?;
+            let (at, _) = self.finite("timestamp")?;
             Statement::Record { key, value, at }
         } else if is("AS") {
             self.expect_word("OF")?;
-            let t = self.finite("timestamp")?;
+            let (t, _) = self.finite("timestamp")?;
             Statement::AsOf { t }
         } else if is("WITHIN") {
-            self.expect_kind(TokenKind::LParen, "`(`")?;
-            let t1 = self.finite("window start")?;
+            let open = self.expect_kind(TokenKind::LParen, "`(`")?;
+            let (t1, _) = self.finite("window start")?;
             self.expect_kind(TokenKind::Comma, "`,`")?;
-            let t2 = self.finite("window end")?;
-            self.expect_kind(TokenKind::RParen, "`)`")?;
+            let (t2, _) = self.finite("window end")?;
+            let close = self.expect_kind(TokenKind::RParen, "`)`")?;
             self.expect_word("DURATION")?;
-            let lo = self.finite("minimum duration")?;
-            let hi = self.finite("maximum duration")?;
+            let (lo, lo_span) = self.finite("minimum duration")?;
+            let (hi, hi_span) = self.finite("maximum duration")?;
+            if t2 < t1 {
+                let window = Span::new(open.start, close.end);
+                self.refuse_shape(window, format!("invalid time window: {t1} > {t2}"));
+            }
+            if hi < lo {
+                let band = Span::new(lo_span.start, hi_span.end);
+                self.refuse_shape(band, format!("invalid duration band: {lo} > {hi}"));
+            }
             Statement::Within { t1, t2, lo, hi }
         } else if is("FLUSH") {
             Statement::Flush
@@ -435,7 +461,10 @@ impl<'a> Parser<'a> {
                 message: format!("trailing {} after statement", t.kind.describe()),
             });
         }
-        Ok(stmt)
+        match self.shape.take() {
+            Some(e) => Err(e),
+            None => Ok(stmt),
+        }
     }
 }
 
@@ -452,11 +481,13 @@ impl From<LexError> for ParseError {
 ///
 /// A statement that does not lex is refused for its first bad token, even
 /// where the grammar went wrong earlier: the error is the one a whole-text
-/// lex would report first.
+/// lex would report first. A statement of the wrong shape is refused only
+/// once it has otherwise parsed (module docs).
 pub fn parse(text: &str) -> Result<Statement, ParseError> {
     let mut p = Parser {
         tokens: Lexer::new(text),
         eof: text.len(),
+        shape: None,
     };
     p.statement()
         .map_err(|e| p.tokens.find_map(Result::err).map_or(e, ParseError::from))
@@ -471,8 +502,7 @@ mod tests {
         assert_eq!(
             parse("INSERT RECT (1.0, 2.0) (3.0, 4.0) ID 7").unwrap(),
             Statement::Insert {
-                lo: vec![1.0, 2.0],
-                hi: vec![3.0, 4.0],
+                rect: Rect::new([1.0, 2.0], [3.0, 4.0]),
                 id: 7
             }
         );
@@ -480,27 +510,25 @@ mod tests {
             parse("delete id 7 rect (1, 2) (3, 4);").unwrap(),
             Statement::Delete {
                 id: 7,
-                lo: vec![1.0, 2.0],
-                hi: vec![3.0, 4.0]
+                rect: Rect::new([1.0, 2.0], [3.0, 4.0])
             }
         );
         assert_eq!(
             parse("SEARCH WINDOW (0,0) (10,10)").unwrap(),
             Statement::Search {
-                lo: vec![0.0, 0.0],
-                hi: vec![10.0, 10.0]
+                window: Rect::new([0.0, 0.0], [10.0, 10.0])
             }
         );
         assert_eq!(
             parse("STAB POINT (5.5, -2e3)").unwrap(),
             Statement::Stab {
-                point: vec![5.5, -2e3]
+                point: Point::new([5.5, -2e3])
             }
         );
         assert_eq!(
             parse("NEAREST POINT (1, 1) K 3").unwrap(),
             Statement::Nearest {
-                point: vec![1.0, 1.0],
+                point: Point::new([1.0, 1.0]),
                 k: 3
             }
         );
@@ -580,20 +608,19 @@ mod tests {
         // Above 2^53 the lexer's f64 token value rounds; the parser must
         // recover the exact id from the raw digits.
         let id = u64::MAX - 1403;
-        let stmt = parse(&format!("DELETE ID {id} RECT (0) (1)")).unwrap();
+        let stmt = parse(&format!("DELETE ID {id} RECT (0, 0) (1, 1)")).unwrap();
         assert_eq!(
             stmt,
             Statement::Delete {
                 id,
-                lo: vec![0.0],
-                hi: vec![1.0]
+                rect: Rect::new([0.0, 0.0], [1.0, 1.0])
             }
         );
         // Non-literal integer forms still go through the f64 path.
         assert_eq!(
-            parse("NEAREST POINT (0) K 1e3").unwrap(),
+            parse("NEAREST POINT (0, 0) K 1e3").unwrap(),
             Statement::Nearest {
-                point: vec![0.0],
+                point: Point::origin(),
                 k: 1000
             }
         );
@@ -612,10 +639,10 @@ mod tests {
             "9007199254740992.0",
         ] {
             for text in [
-                format!("INSERT RECT (0) (1) ID {literal}"),
-                format!("DELETE ID {literal} RECT (0) (1)"),
+                format!("INSERT RECT (0, 0) (1, 1) ID {literal}"),
+                format!("DELETE ID {literal} RECT (0, 0) (1, 1)"),
                 format!("RECORD {literal} VALUE 1 AT 11"),
-                format!("NEAREST POINT (0) K {literal}"),
+                format!("NEAREST POINT (0, 0) K {literal}"),
             ] {
                 let err = parse(&text).unwrap_err();
                 assert!(
@@ -642,6 +669,101 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// A statement of the wrong shape is refused with the span of what is
+    /// wrong and the message execution used to answer it with.
+    #[test]
+    fn statements_of_the_wrong_shape_are_refused_with_their_span() {
+        for (text, span, message) in [
+            ("STAB POINT (1)", (11, 14), "expected 2 coordinates, got 1"),
+            (
+                "STAB POINT (1, 2, 3)",
+                (11, 20),
+                "expected 2 coordinates, got 3",
+            ),
+            (
+                "NEAREST POINT (1, 2, 3) K 4",
+                (14, 23),
+                "expected 2 coordinates, got 3",
+            ),
+            (
+                "INSERT RECT (0, 0) (1) ID 1",
+                (19, 22),
+                "expected 2 coordinates, got 1",
+            ),
+            // The first point of the wrong arity wins over the second.
+            (
+                "SEARCH WINDOW (0) (1, 1, 1)",
+                (14, 17),
+                "expected 2 coordinates, got 1",
+            ),
+            // Arity is judged before order.
+            (
+                "SEARCH WINDOW (5, 5) (1)",
+                (21, 24),
+                "expected 2 coordinates, got 1",
+            ),
+            (
+                "INSERT RECT (2, 0) (1, 1) ID 5",
+                (12, 25),
+                "invalid rectangle: each lo must be <= the matching hi",
+            ),
+            (
+                "DELETE ID 5 RECT (0, 2) (1, 1)",
+                (17, 30),
+                "invalid rectangle: each lo must be <= the matching hi",
+            ),
+            (
+                "search window (0, 0.5) (-1, 0.25);",
+                (14, 33),
+                "invalid rectangle: each lo must be <= the matching hi",
+            ),
+            (
+                "WITHIN (5, 1) DURATION 0 1",
+                (7, 13),
+                "invalid time window: 5 > 1",
+            ),
+            (
+                "WITHIN (1, 5) DURATION 2.5 0.5",
+                (23, 30),
+                "invalid duration band: 2.5 > 0.5",
+            ),
+            // The window is judged before the band.
+            (
+                "WITHIN (5, 1) DURATION 2 1",
+                (7, 13),
+                "invalid time window: 5 > 1",
+            ),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.span, Span::new(span.0, span.1), "{text}");
+            assert_eq!(err.message, message, "{text}");
+        }
+        // A degenerate rectangle is not an inverted one.
+        assert!(parse("SEARCH WINDOW (1, 1) (1, 1)").is_ok());
+    }
+
+    /// A shape error is reported only once the rest of the statement has
+    /// parsed: any syntax or lex error in it wins.
+    #[test]
+    fn syntax_and_lex_errors_win_over_the_shape() {
+        let err = parse("INSERT RECT (1, 1) (0, 0) ID -1").unwrap_err();
+        assert_eq!(err.span, Span::new(29, 31));
+        assert!(
+            err.message.contains("expected non-negative integer"),
+            "{}",
+            err.message
+        );
+        let err = parse("SEARCH WINDOW (1, 1) (0, 0) @").unwrap_err();
+        assert_eq!(err.span, Span::new(28, 29));
+        assert_eq!(err.message, "unexpected character `@`");
+        let err = parse("STAB POINT (1, 2, 3) (4, 5)").unwrap_err();
+        assert!(err.message.contains("trailing"), "{}", err.message);
+        let err = parse("WITHIN (5, 1) DURATION 0").unwrap_err();
+        assert!(err.message.contains("end of statement"), "{}", err.message);
+        let err = parse("STAB POINT (1, 2, 1e999)").unwrap_err();
+        assert!(err.message.contains("finite"), "{}", err.message);
     }
 
     #[test]

@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// The server's index dimensionality. The wire grammar is
-/// dimension-agnostic; execution validates point arity against this.
+/// The server's index dimensionality: the number of coordinates the
+/// parser reads for every point of the wire grammar.
 pub const DIMS: usize = 2;
 
 /// The index the server serves: the paper's SR-Tree with the R\* split

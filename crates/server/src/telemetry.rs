@@ -16,9 +16,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 const CONNECTIONS_TOTAL: Family = Family::counter("segidx_server_connections_total");
 const CONNECTIONS_ACTIVE: Family = Family::gauge("segidx_server_connections_active");
-const REQUESTS_TOTAL: Family = Family::counter("segidx_server_requests_total");
+pub(crate) const REQUESTS_TOTAL: Family = Family::counter("segidx_server_requests_total");
 const FRAMES_TOTAL: Family = Family::counter("segidx_server_frames_total");
-const PARSE_ERRORS_TOTAL: Family = Family::counter("segidx_server_parse_errors_total");
+pub(crate) const PARSE_ERRORS_TOTAL: Family = Family::counter("segidx_server_parse_errors_total");
 const PROTOCOL_ERRORS_TOTAL: Family = Family::counter("segidx_server_protocol_errors_total");
 const BUSY_TOTAL: Family = Family::counter("segidx_server_busy_total");
 const BYTES_READ_TOTAL: Family = Family::counter("segidx_server_bytes_read_total");

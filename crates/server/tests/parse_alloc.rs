@@ -1,8 +1,8 @@
-//! The parse layer's heap use, counted by a global allocator: a statement
-//! without points parses without allocating, and one with points makes
-//! exactly one allocation per point. Error paths may allocate.
+//! The parse layer's heap use, counted by a global allocator: every
+//! statement form parses without allocating. Error paths may allocate.
 
 use segidx_server::parse;
+use segidx_server::parser::OPS;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -42,42 +42,46 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations `parse(text)` makes, the statement's drop aside.
-fn allocations(text: &str) -> u64 {
+/// Heap allocations `parse(text)` makes, and the kind it parsed to.
+fn allocations(text: &str) -> (u64, &'static str) {
     let before = ALLOCATIONS.with(Cell::get);
     let parsed = parse(text);
     let made = ALLOCATIONS.with(Cell::get) - before;
-    assert!(parsed.is_ok(), "{text}: {parsed:?}");
-    made
+    let op = OPS[parsed.unwrap_or_else(|e| panic!("{text}: {e}")).op()];
+    (made, op)
 }
 
 #[test]
-fn statements_without_points_parse_without_allocating() {
-    for text in [
-        "RECORD 7 VALUE 41000.5 AT 1979.25",
-        "record 18446744073709551615 value -3e2 at 1e3;",
+fn every_statement_form_parses_without_allocating() {
+    let forms = [
+        "SEARCH WINDOW (-5.5, -5.5) (5.5, 5.5)",
+        "STAB POINT (0.1, 0.2)",
+        "NEAREST POINT (7, 8) K 12",
+        "INSERT RECT (1.0, 2.0) (3.0, 4.0) ID 7",
+        "DELETE ID 9007199254740993 RECT (0, 0) (1, 1)",
+        "RECORD 18446744073709551615 VALUE -3e2 AT 1979.25",
         "AS OF 1977.5",
-        "as of 12;",
         "WITHIN (1975.0, 1980.0) DURATION 0.5 4",
         "FLUSH",
-        "ping;",
         "PING",
         "STATS",
         "METRICS",
-    ] {
-        assert_eq!(allocations(text), 0, "{text}");
+    ];
+    let mut seen = Vec::new();
+    for form in forms {
+        for text in [
+            form.to_string(),
+            form.to_ascii_lowercase(),
+            format!("{form};"),
+        ] {
+            let (made, op) = allocations(&text);
+            assert_eq!(made, 0, "{text}");
+            seen.push(op);
+        }
     }
-}
-
-#[test]
-fn statements_with_points_allocate_once_per_point() {
-    for (text, points) in [
-        ("INSERT RECT (1.0, 2.0) (3.0, 4.0) ID 7", 2),
-        ("delete id 9007199254740993 rect (0, 0) (1, 1);", 2),
-        ("SEARCH WINDOW (-5.5, -5.5) (5.5, 5.5)", 2),
-        ("STAB POINT (0.1, 0.2)", 1),
-        ("NEAREST POINT (7, 8) K 12", 1),
-    ] {
-        assert_eq!(allocations(text), points, "{text}");
-    }
+    seen.sort_unstable();
+    seen.dedup();
+    let mut ops = OPS.to_vec();
+    ops.sort_unstable();
+    assert_eq!(seen, ops, "every form in OPS is covered");
 }

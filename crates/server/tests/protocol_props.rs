@@ -11,11 +11,13 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use segidx_geom::{Point, Rect};
 use segidx_server::frame::{
     encode_request, encode_response, put_f64, put_u64, put_vers_row, FrameDecoder, FrameError, Mode,
 };
+use segidx_server::lexer::Span;
 use segidx_server::parser::{parse, Statement};
-use segidx_server::{Server, ServerConfig};
+use segidx_server::{Server, ServerConfig, DIMS};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,40 +37,48 @@ fn coord() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Any statement of the language, over 1–4 dimensional points (the
-/// grammar is dimension-agnostic; arity is checked at execution). Two
-/// coordinate pools are drawn at maximum width and truncated to the
-/// drawn dimensionality, which sidesteps the need for a dependent
-/// (`flat_map`) strategy.
+/// A rectangle of the server's dimensionality, its corners ordered on
+/// every axis (degenerate on an axis where the two draws tie).
+fn rect() -> impl Strategy<Value = Rect<DIMS>> {
+    (vec(coord(), DIMS..DIMS + 1), vec(coord(), DIMS..DIMS + 1)).prop_map(|(a, b)| {
+        let (mut lo, mut hi) = ([0.0; DIMS], [0.0; DIMS]);
+        for d in 0..DIMS {
+            (lo[d], hi[d]) = (a[d].min(b[d]), a[d].max(b[d]));
+        }
+        Rect::new(lo, hi)
+    })
+}
+
+/// Any statement of the language: points of the server's `DIMS`, ordered
+/// rectangles, and ordered `WITHIN` windows and duration bands — the
+/// shapes `parse` accepts.
 fn statement() -> impl Strategy<Value = Statement> {
     (
         0usize..12,         // which statement form
-        1usize..5,          // dimensionality of the points
-        vec(coord(), 4..5), // low corner / point pool
-        vec(coord(), 4..5), // high corner pool
+        rect(),             // rectangle, or its low corner as a point
+        vec(coord(), 4..5), // temporal numbers
         any::<u64>(),       // record id / temporal key
         0usize..1000,       // NEAREST's K
     )
-        .prop_map(|(form, dims, a, b, id, k)| {
-            let lo: Vec<f64> = a[..dims].to_vec();
-            let hi: Vec<f64> = b[..dims].to_vec();
+        .prop_map(|(form, rect, a, id, k)| {
+            let point = Point::new(*rect.lo_coords());
             match form {
-                0 => Statement::Insert { lo, hi, id },
-                1 => Statement::Delete { id, lo, hi },
-                2 => Statement::Search { lo, hi },
-                3 => Statement::Stab { point: lo },
-                4 => Statement::Nearest { point: lo, k },
+                0 => Statement::Insert { rect, id },
+                1 => Statement::Delete { id, rect },
+                2 => Statement::Search { window: rect },
+                3 => Statement::Stab { point },
+                4 => Statement::Nearest { point, k },
                 5 => Statement::Record {
                     key: id,
                     value: a[0],
-                    at: b[0],
+                    at: a[1],
                 },
                 6 => Statement::AsOf { t: a[0] },
                 7 => Statement::Within {
-                    t1: a[0],
-                    t2: a[1],
-                    lo: b[0],
-                    hi: b[1],
+                    t1: a[0].min(a[1]),
+                    t2: a[0].max(a[1]),
+                    lo: a[2].min(a[3]),
+                    hi: a[2].max(a[3]),
                 },
                 8 => Statement::Flush,
                 9 => Statement::Ping,
@@ -639,6 +649,38 @@ proptest! {
         let reparsed = parse(&printed)
             .unwrap_or_else(|e| panic!("`{printed}` failed to re-parse: {e}"));
         prop_assert_eq!(reparsed, stmt, "via `{}`", printed);
+    }
+
+    /// A rectangle's corners swapped are refused wherever the rectangle is
+    /// not degenerate on every axis, with the span of both points, in every
+    /// statement that carries one.
+    #[test]
+    fn swapped_corners_are_refused_with_the_span_of_both_points(
+        rect in rect(),
+        id in any::<u64>(),
+    ) {
+        let point = |c: &[f64; DIMS]| {
+            let coords: Vec<String> = c.iter().map(|v| format!("{v:?}")).collect();
+            format!("({})", coords.join(", "))
+        };
+        let corners = format!("{} {}", point(rect.hi_coords()), point(rect.lo_coords()));
+        for (text, start) in [
+            (format!("INSERT RECT {corners} ID {id}"), "INSERT RECT ".len()),
+            (format!("DELETE ID {id} RECT {corners}"), format!("DELETE ID {id} RECT ").len()),
+            (format!("SEARCH WINDOW {corners}"), "SEARCH WINDOW ".len()),
+        ] {
+            let parsed = parse(&text);
+            if rect.lo_coords() == rect.hi_coords() {
+                prop_assert!(parsed.is_ok(), "{}: {:?}", text, parsed);
+                continue;
+            }
+            let err = parsed.expect_err(&text);
+            prop_assert_eq!(err.span, Span::new(start, start + corners.len()), "{}", text);
+            prop_assert_eq!(
+                err.message.as_str(),
+                "invalid rectangle: each lo must be <= the matching hi"
+            );
+        }
     }
 
     /// A pipeline of binary frames survives any chunking of the byte
