@@ -1,13 +1,14 @@
 //! Reproduces the evaluation graphs of *Segment Indexes* (SIGMOD 1991).
 //!
 //! ```text
-//! reproduce [--graph N | --graph all] [--tuples N] [--queries N]
-//!           [--seed N] [--csv DIR] [--metrics-out FILE] [--quick]
+//! reproduce [--graph N|all|paper] [--tuples N] [--seed N] [--csv DIR]
+//!           [--metrics-out FILE] [--quick]
 //!           [--ablate split|branch_fraction|node_size|build]
 //! ```
 //!
 //! Defaults match the paper: 200,000 tuples, 100 queries per QAR value.
-//! `--quick` scales everything down for a fast smoke run. Every number it
+//! `--quick` runs 20,000 tuples and 25 queries per QAR value, a fast smoke
+//! run. Every number it
 //! prints is a count or a ratio of counts, exact per seed: two runs print
 //! the same bytes.
 
@@ -25,9 +26,7 @@ struct Args {
     queries: usize,
     data_seed: u64,
     csv_dir: Option<PathBuf>,
-    dump_data: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
-    inspect: bool,
     ablate: Option<Axis>,
 }
 
@@ -37,9 +36,7 @@ fn parse_args() -> Result<Args, String> {
     let mut queries = 100usize;
     let mut data_seed = Experiment::paper(Graph::G1).data_seed;
     let mut csv_dir = None;
-    let mut dump_data = None;
     let mut metrics_out = None;
-    let mut inspect = false;
     let mut ablate = None;
 
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -52,7 +49,7 @@ fn parse_args() -> Result<Args, String> {
     };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--graph" | "-g" => {
+            "--graph" => {
                 let v = next(&mut i)?;
                 if v == "all" {
                     graphs = Some(Graph::ALL.to_vec());
@@ -64,16 +61,11 @@ fn parse_args() -> Result<Args, String> {
                     graphs.get_or_insert_with(Vec::new).push(g);
                 }
             }
-            "--tuples" | "-n" => {
+            "--tuples" => {
                 tuples = next(&mut i)?
                     .replace('_', "")
                     .parse()
                     .map_err(|e| format!("bad tuple count: {e}"))?;
-            }
-            "--queries" | "-q" => {
-                queries = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad query count: {e}"))?;
             }
             "--seed" => {
                 data_seed = next(&mut i)?
@@ -83,14 +75,8 @@ fn parse_args() -> Result<Args, String> {
             "--csv" => {
                 csv_dir = Some(PathBuf::from(next(&mut i)?));
             }
-            "--dump-data" => {
-                dump_data = Some(PathBuf::from(next(&mut i)?));
-            }
             "--metrics-out" => {
                 metrics_out = Some(PathBuf::from(next(&mut i)?));
-            }
-            "--inspect" => {
-                inspect = true;
             }
             "--ablate" => {
                 let v = next(&mut i)?;
@@ -105,17 +91,14 @@ fn parse_args() -> Result<Args, String> {
                     "reproduce — regenerate the Segment Indexes evaluation graphs\n\n\
                      --graph N|all|paper  which graph(s) to run (default: paper = 1-6)\n\
                      --tuples N           input size (default 200000, paper setting)\n\
-                     --queries N          queries per QAR value (default 100)\n\
                      --seed N             data-generation seed\n\
                      --csv DIR            also write one CSV per graph into DIR\n\
-                     --dump-data DIR      export each graph's generated dataset as CSV\n\
                      --metrics-out FILE   write the node-access and maintenance counters as JSON\n\
-                     --inspect            print per-level structure reports per variant\n\
                      --ablate AXIS        rerun the variants at each value of split,\n\
                      \x20                    branch_fraction, node_size or build; print each\n\
                      \x20                    value's ratio to the preset and its shape checks;\n\
                      \x20                    --csv DIR writes DIR/ablation_AXIS.csv\n\
-                     --quick              20K tuples, 25 queries (smoke run)"
+                     --quick              20K tuples, 25 queries per QAR value (smoke run)"
                 );
                 std::process::exit(0);
             }
@@ -123,8 +106,8 @@ fn parse_args() -> Result<Args, String> {
         }
         i += 1;
     }
-    if ablate.is_some() && (inspect || metrics_out.is_some()) {
-        return Err("--ablate writes ablation rows only: no --inspect or --metrics-out".into());
+    if ablate.is_some() && metrics_out.is_some() {
+        return Err("--ablate writes ablation rows only: no --metrics-out".into());
     }
     Ok(Args {
         graphs: graphs.unwrap_or_else(|| Graph::PAPER.to_vec()),
@@ -132,9 +115,7 @@ fn parse_args() -> Result<Args, String> {
         queries,
         data_seed,
         csv_dir,
-        dump_data,
         metrics_out,
-        inspect,
         ablate,
     })
 }
@@ -164,19 +145,6 @@ fn main() -> ExitCode {
             graph.distribution().name(),
             args.tuples
         );
-        if let Some(dir) = &args.dump_data {
-            let dataset = experiment.dataset();
-            let path = dir.join(format!(
-                "{}-{}-seed{}.csv",
-                dataset.distribution.name(),
-                args.tuples,
-                args.data_seed
-            ));
-            match dataset.write_csv(&path) {
-                Ok(()) => eprintln!("dumped dataset to {}", path.display()),
-                Err(e) => eprintln!("warning: dataset dump failed: {e}"),
-            }
-        }
         if let Some(axis) = args.ablate {
             let runs = run_ablation(axis, &experiment);
             println!("{}", render_ablation(axis, &runs));
@@ -185,11 +153,6 @@ fn main() -> ExitCode {
         }
         let result = run_experiment(&experiment);
         println!("{}", render_table(&result));
-        if args.inspect {
-            for report in segidx_bench::inspect_variants(&experiment) {
-                println!("{report}");
-            }
-        }
         let checks = check_paper_shape(&result);
         println!("paper-shape checks:\n{}", render_checks(&checks));
         any_critical_miss |= checks.iter().any(|c| c.critical && !c.passed);

@@ -8,9 +8,10 @@
 //! artifact upload carries everything needed to reproduce with
 //! `--seed <n>`.
 //!
+//! Every seed runs [`StressConfig::default`].
+//!
 //! Usage:
-//!   stress_concurrent [--seeds N] [--seed S] [--ops N] [--readers N]
-//!                     [--initial N] [--out DIR]
+//!   stress_concurrent [--seeds N] [--seed S] [--out DIR]
 
 use segidx_bench::interleave::{stress_seed, StressConfig, StressFailure};
 use std::path::PathBuf;
@@ -19,7 +20,6 @@ use std::process::ExitCode;
 struct Args {
     seeds: u64,
     single_seed: Option<u64>,
-    cfg: StressConfig,
     out: PathBuf,
 }
 
@@ -27,7 +27,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         seeds: 8,
         single_seed: None,
-        cfg: StressConfig::default(),
         out: PathBuf::from("results/concurrent_stress"),
     };
     let mut it = std::env::args().skip(1);
@@ -38,18 +37,9 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => {
                 args.single_seed = Some(value("--seed")?.parse().map_err(|e| format!("{e}"))?)
             }
-            "--ops" => args.cfg.ops = value("--ops")?.parse().map_err(|e| format!("{e}"))?,
-            "--readers" => {
-                args.cfg.readers = value("--readers")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--initial" => {
-                args.cfg.initial = value("--initial")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--help" | "-h" => {
-                return Err("usage: stress_concurrent [--seeds N] [--seed S] [--ops N] \
-                     [--readers N] [--initial N] [--out DIR]"
-                    .into())
+                return Err("usage: stress_concurrent [--seeds N] [--seed S] [--out DIR]".into())
             }
             other => return Err(format!("unknown flag {other}")),
         }
@@ -84,11 +74,12 @@ fn main() -> ExitCode {
         Some(s) => vec![s],
         None => (0..args.seeds).collect(),
     };
+    let cfg = StressConfig::default();
     let mut total_observations = 0u64;
     let mut total_epochs = 0u64;
     let mut failed_seeds = 0u64;
     for &seed in &seeds {
-        let outcome = stress_seed(seed, &args.cfg);
+        let outcome = stress_seed(seed, &cfg);
         total_observations += outcome.observations;
         total_epochs += outcome.epochs;
         if outcome.failures.is_empty() {

@@ -90,8 +90,8 @@ pub const JOBS: &[Job] = &[
         name: "crash",
         steps: &[
             Run("cargo test --workspace --release"),
-            Run("cargo run --release -p segidx-bench --bin crash_sweep -- --seeds 64 --ops 96 --corruption-trials 8 --out results/crash_sweep"),
-            Run("cargo run --release -p segidx-bench --bin crash_sweep -- --temporal --seeds 32 --ops 48 --checkpoint-every 8 --out results/crash_sweep"),
+            Run("cargo run --release -p segidx-bench --bin crash_sweep -- --seeds 64 --out results/crash_sweep"),
+            Run("cargo run --release -p segidx-bench --bin crash_sweep -- --temporal --seeds 32 --out results/crash_sweep"),
         ],
         outputs: &["results/crash_sweep/"],
     },

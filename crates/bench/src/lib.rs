@@ -45,7 +45,5 @@ pub use metrics::{metrics_snapshot, write_metrics_json};
 pub use report::{
     ablation_csv, graph_csv, median, median_ratio, render_ablation, render_table, write_csv,
 };
-pub use runner::{
-    inspect_variants, run_ablation, run_experiment, BuildInfo, GraphResult, Series, SweepPoint,
-};
+pub use runner::{run_ablation, run_experiment, BuildInfo, GraphResult, Series, SweepPoint};
 pub use shape::{check_exponential_lower, check_paper_shape, render_checks, ShapeCheck};

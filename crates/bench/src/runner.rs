@@ -199,19 +199,6 @@ pub fn sweep(index: &Tree<2>, experiment: &Experiment) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Builds each variant over the experiment's dataset and renders its
-/// per-level structure report (`reproduce --inspect`).
-pub fn inspect_variants(experiment: &Experiment) -> Vec<String> {
-    let dataset = experiment.dataset();
-    Variant::ALL
-        .iter()
-        .map(|&variant| {
-            let tree = build_variant(variant, &dataset.records, experiment);
-            format!("structure of {}:\n{}", variant.name(), tree.report())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,8 +10,7 @@
 //! model, exactly mirroring what the server refused to apply.
 //!
 //! ```text
-//! loadgen [--addr HOST:PORT]      target a running server (default:
-//!                                 self-host one in-process on a free port)
+//! loadgen --addr HOST:PORT        the running server to drive
 //!         [--connections N]       concurrent client connections (4)
 //!         [--ops N]               measured statements per connection (100000)
 //!         [--seed N]              workload seed (1)
@@ -27,9 +26,10 @@
 
 use segidx_geom::{Point, Rect};
 use segidx_obs::{HistogramSnapshot, LatencyHistogram};
-use segidx_server::{encode_request, FrameDecoder, Mode, Server, ServerConfig, Statement};
+use segidx_server::frame::MAX_FRAME_CEILING;
+use segidx_server::{encode_request, Frame, FrameDecoder, Mode, Statement};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -52,7 +52,7 @@ const MIN_QPS: f64 = 50_000.0;
 const MAX_P99_MS: f64 = 50.0;
 
 struct Args {
-    addr: Option<String>,
+    addr: String,
     connections: usize,
     ops: usize,
     seed: u64,
@@ -63,7 +63,7 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         Self {
-            addr: None,
+            addr: String::new(),
             connections: 4,
             ops: 100_000,
             seed: 1,
@@ -84,13 +84,16 @@ fn parse_args() -> Result<Args, String> {
         let value = iter.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let bad = |e: &dyn std::fmt::Display| format!("{flag} {value}: {e}");
         match flag.as_str() {
-            "--addr" => args.addr = Some(value),
+            "--addr" => args.addr = value,
             "--connections" => args.connections = value.parse().map_err(|e| bad(&e))?,
             "--ops" => args.ops = value.parse().map_err(|e| bad(&e))?,
             "--seed" => args.seed = value.parse().map_err(|e| bad(&e))?,
             "--metrics-out" => args.metrics_out = Some(value),
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    if args.addr.is_empty() {
+        return Err("--addr is required".into());
     }
     if args.connections == 0 {
         return Err("--connections must be positive".into());
@@ -182,12 +185,14 @@ struct Client {
 }
 
 impl Client {
-    fn connect(addr: &str) -> std::io::Result<Self> {
+    fn connect(addr: &str) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Self {
             stream,
-            decoder: FrameDecoder::new(),
+            // A reply is the server's, not untrusted input: a `METRICS`
+            // snapshot may outgrow the cap on requests.
+            decoder: FrameDecoder::with_max_frame(MAX_FRAME_CEILING),
             outbuf: Vec::with_capacity(64 * 1024),
             inbuf: vec![0u8; 64 * 1024],
             inflight: std::collections::VecDeque::new(),
@@ -205,7 +210,7 @@ impl Client {
         self.inflight.push_back((sent, Instant::now()));
     }
 
-    fn flush_socket(&mut self) -> std::io::Result<()> {
+    fn flush_socket(&mut self) -> io::Result<()> {
         if !self.outbuf.is_empty() {
             self.stream.write_all(&self.outbuf)?;
             self.outbuf.clear();
@@ -213,41 +218,40 @@ impl Client {
         Ok(())
     }
 
-    /// Blocks until at least one response arrives, processing everything
-    /// decodable. Returns how many responses were consumed.
-    fn pump(&mut self) -> std::io::Result<usize> {
-        self.flush_socket()?;
-        let mut consumed = self.drain_decoded()?;
-        while consumed == 0 {
+    /// The next reply if the bytes read so far hold one whole.
+    fn buffered_reply(&mut self) -> io::Result<Option<Frame>> {
+        self.decoder
+            .next_frame()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame decode: {e}")))
+    }
+
+    /// The next reply, reading the socket until one is whole.
+    fn reply(&mut self) -> io::Result<Frame> {
+        loop {
+            if let Some(frame) = self.buffered_reply()? {
+                return Ok(frame);
+            }
             let n = self.stream.read(&mut self.inbuf)?;
             if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
                     "server closed the connection mid-pipeline",
                 ));
             }
-            let chunk = self.inbuf[..n].to_vec();
-            self.decoder.feed(&chunk);
-            consumed = self.drain_decoded()?;
+            self.decoder.feed(&self.inbuf[..n]);
         }
-        Ok(consumed)
     }
 
-    fn drain_decoded(&mut self) -> std::io::Result<usize> {
-        let mut consumed = 0;
-        loop {
-            match self.decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    self.on_response(&frame.text, frame.mode);
-                    consumed += 1;
-                }
-                Ok(None) => return Ok(consumed),
-                Err(e) => {
-                    self.errors.push(format!("frame decode: {e}"));
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "x"));
-                }
-            }
+    /// Sends what is queued, then blocks for one reply and takes it with
+    /// every other reply already whole.
+    fn pump(&mut self) -> io::Result<()> {
+        self.flush_socket()?;
+        let frame = self.reply()?;
+        self.on_response(&frame.text, frame.mode);
+        while let Some(frame) = self.buffered_reply()? {
+            self.on_response(&frame.text, frame.mode);
         }
+        Ok(())
     }
 
     fn on_response(&mut self, text: &str, mode: Mode) {
@@ -299,7 +303,7 @@ impl Client {
     }
 
     /// Drains every in-flight response.
-    fn drain_all(&mut self) -> std::io::Result<()> {
+    fn drain_all(&mut self) -> io::Result<()> {
         while !self.inflight.is_empty() {
             self.pump()?;
         }
@@ -309,7 +313,7 @@ impl Client {
 
 /// Runs one connection's workload: preload, flush, measured mixed phase.
 fn run_connection(addr: &str, conn_id: usize, args: &Args) -> Result<ConnResult, String> {
-    let fail = |e: std::io::Error| format!("connection {conn_id}: {e}");
+    let fail = |e: io::Error| format!("connection {conn_id}: {e}");
     let mut client = Client::connect(addr).map_err(fail)?;
     let mut rng = Rng::new(args.seed ^ ((conn_id as u64 + 1) << 32));
     // Connection-disjoint id space: ids never collide across connections,
@@ -385,7 +389,7 @@ fn verify(
     model: &HashMap<u64, Rect<DIMS>>,
     seed: u64,
 ) -> Result<(usize, Vec<String>), String> {
-    let fail = |e: std::io::Error| format!("verify connection: {e}");
+    let fail = |e: io::Error| format!("verify connection: {e}");
     let mut client = Client::connect(addr).map_err(fail)?;
     client.send(Sent::Flush, &Statement::Flush);
     client.drain_all().map_err(fail)?;
@@ -429,23 +433,9 @@ fn verify(
 
     let mut mismatches = Vec::new();
     for (query, expected) in &queries {
-        let mut out = Vec::new();
-        encode_request(query, &mut out);
-        client.stream.write_all(&out).map_err(fail)?;
-        let reply = loop {
-            match client.decoder.next_frame() {
-                Ok(Some(f)) => break f.text,
-                Ok(None) => {
-                    let n = client.stream.read(&mut client.inbuf).map_err(fail)?;
-                    if n == 0 {
-                        return Err("verify: server closed".into());
-                    }
-                    let chunk = client.inbuf[..n].to_vec();
-                    client.decoder.feed(&chunk);
-                }
-                Err(e) => return Err(format!("verify: frame decode: {e}")),
-            }
-        };
+        encode_request(query, &mut client.outbuf);
+        client.flush_socket().map_err(fail)?;
+        let reply = client.reply().map_err(fail)?.text;
         if &reply != expected {
             mismatches.push(format!(
                 "`{query}`: server `{}…` != model `{}…`",
@@ -459,26 +449,13 @@ fn verify(
 
 /// Fetches the server's METRICS snapshot (raw JSON text).
 fn fetch_metrics(addr: &str) -> Result<String, String> {
-    let fail = |e: std::io::Error| format!("metrics connection: {e}");
-    let mut stream = TcpStream::connect(addr).map_err(fail)?;
-    let mut out = Vec::new();
-    encode_request(&Statement::Metrics.to_string(), &mut out);
-    stream.write_all(&out).map_err(fail)?;
-    let mut decoder = FrameDecoder::with_max_frame(16 << 20);
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        match decoder.next_frame() {
-            Ok(Some(f)) => return Ok(f.text),
-            Ok(None) => {
-                let n = stream.read(&mut buf).map_err(fail)?;
-                if n == 0 {
-                    return Err("metrics: server closed".into());
-                }
-                decoder.feed(&buf[..n]);
-            }
-            Err(e) => return Err(format!("metrics: frame decode: {e}")),
-        }
-    }
+    let fetch = || {
+        let mut client = Client::connect(addr)?;
+        encode_request(&Statement::Metrics.to_string(), &mut client.outbuf);
+        client.flush_socket()?;
+        Ok(client.reply()?.text)
+    };
+    fetch().map_err(|e: io::Error| format!("metrics connection: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -490,24 +467,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // Self-host unless pointed at a live server. The self-hosted server
-    // still goes through real TCP sockets — same code path CI smokes.
-    let hosted = if args.addr.is_none() {
-        match Server::start(ServerConfig::default()) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("loadgen: self-host failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-    let addr = match (&args.addr, &hosted) {
-        (Some(a), _) => a.clone(),
-        (None, Some(s)) => s.local_addr().to_string(),
-        (None, None) => unreachable!(),
-    };
+    let addr = &args.addr;
     eprintln!(
         "loadgen: driving {addr} with {} connections x {} ops (pipeline {PIPELINE})",
         args.connections, args.ops
@@ -517,7 +477,6 @@ fn main() -> ExitCode {
     let results: Vec<Result<ConnResult, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..args.connections)
             .map(|conn_id| {
-                let addr = addr.as_str();
                 let args = &args;
                 scope.spawn(move || run_connection(addr, conn_id, args))
             })
@@ -555,7 +514,7 @@ fn main() -> ExitCode {
     }
 
     // Differential verification against the committed-prefix model.
-    let (verify_queries, mismatches) = match verify(&addr, &model, args.seed) {
+    let (verify_queries, mismatches) = match verify(addr, &model, args.seed) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("loadgen: {e}");
@@ -564,7 +523,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &args.metrics_out {
-        match fetch_metrics(&addr) {
+        match fetch_metrics(addr) {
             Ok(json) => {
                 if let Some(dir) = std::path::Path::new(path).parent() {
                     std::fs::create_dir_all(dir).expect("create output dir");
@@ -627,9 +586,6 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(s) = hosted {
-        s.shutdown();
-    }
     if passed {
         ExitCode::SUCCESS
     } else {

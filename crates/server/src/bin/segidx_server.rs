@@ -1,8 +1,7 @@
 //! The server binary: bind, print `READY <addr>`, serve until killed.
 //!
 //! ```text
-//! segidx_server [--addr HOST:PORT] [--queue-capacity N]
-//!               [--max-frame BYTES] [--trace-sample N]
+//! segidx_server [--addr HOST:PORT] [--trace-sample N]
 //! ```
 //!
 //! `READY <addr>` on stdout (flushed) is the machine-readable signal CI
@@ -13,10 +12,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: segidx_server [--addr HOST:PORT] [--queue-capacity N] \
-         [--max-frame BYTES] [--trace-sample N]"
-    );
+    eprintln!("usage: segidx_server [--addr HOST:PORT] [--trace-sample N]");
     ExitCode::from(2)
 }
 
@@ -35,8 +31,6 @@ fn main() -> ExitCode {
                 config.addr = value;
                 Ok(())
             }
-            "--queue-capacity" => value.parse().map(|v| config.queue_capacity = v),
-            "--max-frame" => value.parse().map(|v| config.max_frame = v),
             "--trace-sample" => value.parse().map(|v| config.trace_sample = v),
             _ => return usage(),
         };

@@ -455,7 +455,7 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
         waiting: 0,
         dead: false,
     };
-    let mut decoder = FrameDecoder::with_max_frame(shared.max_frame);
+    let mut decoder = FrameDecoder::new();
     let mut buf = vec![0u8; 64 * 1024];
     let mut items = Vec::new();
     loop {
@@ -515,8 +515,11 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::DEFAULT_MAX_FRAME;
     use crate::server::{Server, ServerConfig};
-    use crate::telemetry::{COMPONENT, PARSE_ERRORS_TOTAL, REQUESTS_TOTAL, WRITES_TOTAL};
+    use crate::telemetry::{
+        COMPONENT, PARSE_ERRORS_TOTAL, PROTOCOL_ERRORS_TOTAL, REQUESTS_TOTAL, WRITES_TOTAL,
+    };
     use segidx_obs::Family;
     use segidx_obs::MetricValue;
     use std::time::Duration;
@@ -793,6 +796,40 @@ mod tests {
             stats.contains(&format!(" bytes_out={received} ")),
             "{received} bytes received, but {stats}"
         );
+        server.shutdown();
+    }
+
+    /// The server holds every connection to [`DEFAULT_MAX_FRAME`]: a binary
+    /// length prefix one past it, or an unterminated line longer than it,
+    /// is answered `ERR protocol …` in line mode and the connection closed
+    /// — one protocol error each — while a neighbour is served throughout.
+    #[test]
+    fn a_frame_past_the_cap_closes_its_connection_and_no_other() {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let mut neighbour = Client::connect(&server);
+        assert!(neighbour
+            .ask("INSERT RECT (1, 1) (2, 2) ID 7\n")
+            .starts_with("OK epoch="));
+        let cap = DEFAULT_MAX_FRAME;
+        let prefix = u32::try_from(cap + 1).unwrap().to_be_bytes().to_vec();
+        let line = vec![b'P'; cap + 1];
+        for wire in [prefix, line] {
+            let before = counter(&server, PROTOCOL_ERRORS_TOTAL, &[]);
+            let mut c = Client::connect(&server);
+            c.0.write_all(&wire).unwrap();
+            assert_eq!(
+                c.line(),
+                format!(
+                    "ERR protocol frame of {} bytes exceeds the {cap}-byte cap",
+                    cap + 1
+                )
+            );
+            let mut rest = Vec::new();
+            c.0.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "{} bytes after the error", rest.len());
+            assert_eq!(counter(&server, PROTOCOL_ERRORS_TOTAL, &[]), before + 1);
+            assert_eq!(neighbour.ask("STAB POINT (1.5, 1.5)\n"), "ROWS 1 7");
+        }
         server.shutdown();
     }
 }

@@ -2,7 +2,6 @@
 //! connections share (index, telemetry, metrics registry, tracer).
 
 use crate::conn;
-use crate::frame::DEFAULT_MAX_FRAME;
 use crate::telemetry::{ServerStats, COMPONENT};
 use segidx_concurrent::{Builder, ConcurrentIndex};
 use segidx_core::{IndexConfig, SplitAlgorithm, Tree};
@@ -17,6 +16,10 @@ use std::thread::JoinHandle;
 /// The server's index dimensionality: the number of coordinates the
 /// parser reads for every point of the wire grammar.
 pub const DIMS: usize = 2;
+
+/// Submission-queue capacity: how many writes wait for the group commit
+/// before a connection answers `BUSY` (admission control).
+const QUEUE_CAPACITY: usize = 4096;
 
 /// The index the server serves: the paper's SR-Tree with the R\* split
 /// (Beckmann et al. 1990) in place of Guttman's quadratic split — a
@@ -40,8 +43,6 @@ pub(crate) struct Shared {
     pub registry: MetricsRegistry,
     /// Samples slow operations into the flight recorder.
     pub tracer: Arc<Tracer>,
-    /// Per-connection inbound frame-size cap.
-    pub max_frame: usize,
     /// The temporal table behind `RECORD` / `AS OF` / `WITHIN`, backed by
     /// the append-optimized tiered index. `RECORD` executes inline under
     /// this lock (temporal writes are not routed through the commit
@@ -68,10 +69,6 @@ pub struct ServerConfig {
     /// Address to bind; port `0` picks a free one (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Submission-queue capacity (admission-control depth).
-    pub queue_capacity: usize,
-    /// Inbound frame-size cap per connection.
-    pub max_frame: usize,
     /// Trace 1-in-N operations into the flight recorder (`0` disables
     /// sampling; forced traces still work).
     pub trace_sample: u64,
@@ -81,8 +78,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            queue_capacity: 4096,
-            max_frame: DEFAULT_MAX_FRAME,
             trace_sample: 0,
         }
     }
@@ -116,7 +111,7 @@ impl Server {
         let addr = listener.local_addr()?;
 
         let index = rig(ConcurrentIndex::builder(Tree::new(served_index_config()))
-            .queue_capacity(config.queue_capacity))
+            .queue_capacity(QUEUE_CAPACITY))
         .start()
         .map_err(|e| io::Error::other(format!("index start failed: {e:?}")))?;
 
@@ -147,7 +142,6 @@ impl Server {
             stats,
             registry,
             tracer,
-            max_frame: config.max_frame,
             temporal: Mutex::new(table),
         });
 
@@ -224,7 +218,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_request, FrameDecoder, Mode};
+    use crate::frame::{encode_request, Frame, FrameDecoder, Mode};
     use std::io::{Read, Write};
 
     fn read_line(stream: &mut TcpStream) -> String {
@@ -350,6 +344,95 @@ mod tests {
         server.shutdown();
     }
 
+    /// Reads until `decoder` yields `n` replies.
+    fn read_replies(conn: &mut TcpStream, decoder: &mut FrameDecoder, n: usize) -> Vec<Frame> {
+        let mut replies = Vec::with_capacity(n);
+        let mut buf = [0u8; 4096];
+        while replies.len() < n {
+            while let Some(frame) = decoder.next_frame().unwrap() {
+                replies.push(frame);
+            }
+            if replies.len() < n {
+                let got = conn.read(&mut buf).unwrap();
+                assert!(
+                    got > 0,
+                    "server closed with {} of {n} replies",
+                    replies.len()
+                );
+                decoder.feed(&buf[..got]);
+            }
+        }
+        replies
+    }
+
+    /// With four queue slots and 64 writes in one packet, most are refused:
+    /// every reply still comes back in its place — `PONG`s mark every fifth —
+    /// and once `FLUSH`ed the index holds the acknowledged writes and no other.
+    #[test]
+    fn a_full_queue_answers_busy_in_place_and_applies_what_it_acknowledged() {
+        let server =
+            Server::start_with(ServerConfig::default(), |index| index.queue_capacity(4)).unwrap();
+        let encode = |statement: &str, mode: Mode, wire: &mut Vec<u8>| match mode {
+            Mode::Binary => encode_request(statement, wire),
+            Mode::Line => {
+                wire.extend_from_slice(statement.as_bytes());
+                wire.push(b'\n');
+            }
+        };
+        let mut packet = Vec::new();
+        let mut sent = Vec::new();
+        for i in 0..64u64 {
+            let mode = if i % 3 == 0 { Mode::Line } else { Mode::Binary };
+            encode(
+                &format!("INSERT RECT ({i}, 0) ({i}.5, 1) ID {i}"),
+                mode,
+                &mut packet,
+            );
+            sent.push(Some(i));
+            if i % 4 == 3 {
+                encode("PING", mode, &mut packet);
+                sent.push(None);
+            }
+        }
+        encode("FLUSH", Mode::Binary, &mut packet);
+        encode("SEARCH WINDOW (0, 0) (100, 1)", Mode::Binary, &mut packet);
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
+        conn.write_all(&packet).unwrap();
+        let replies: Vec<String> =
+            read_replies(&mut conn, &mut FrameDecoder::new(), sent.len() + 2)
+                .into_iter()
+                .map(|frame| frame.text)
+                .collect();
+
+        let mut acknowledged = Vec::new();
+        let mut refused = 0;
+        for (what, reply) in sent.iter().zip(&replies) {
+            match what {
+                None => assert_eq!(reply, "PONG"),
+                Some(id) if reply.starts_with("OK epoch=") => acknowledged.push(*id),
+                Some(id) => {
+                    assert!(reply.starts_with("BUSY depth="), "INSERT {id} -> {reply}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(
+            refused > 0 && !acknowledged.is_empty(),
+            "{refused} refused of 64"
+        );
+        assert!(replies[sent.len()].starts_with("OK epoch="));
+        let ids: Vec<String> = acknowledged.iter().map(|id| format!(" {id}")).collect();
+        assert_eq!(
+            replies[sent.len() + 1],
+            format!("ROWS {}{}", ids.len(), ids.concat())
+        );
+        let summary = server.stats().summary_line();
+        assert!(summary.contains(&format!(" busy={refused} ")), "{summary}");
+        server.shutdown();
+    }
+
     #[test]
     fn binary_frames_pipeline() {
         let server = Server::start(ServerConfig::default()).unwrap();
@@ -362,18 +445,13 @@ mod tests {
         encode_request("STAB POINT (10.25, 0.5)", &mut out);
         c.write_all(&out).unwrap();
 
-        let mut dec = FrameDecoder::new();
-        let mut responses = Vec::new();
-        let mut buf = [0u8; 4096];
-        while responses.len() < 34 {
-            let n = c.read(&mut buf).unwrap();
-            assert!(n > 0);
-            dec.feed(&buf[..n]);
-            while let Some(f) = dec.next_frame().unwrap() {
+        let responses: Vec<String> = read_replies(&mut c, &mut FrameDecoder::new(), 34)
+            .into_iter()
+            .map(|f| {
                 assert_eq!(f.mode, Mode::Binary);
-                responses.push(f.text);
-            }
-        }
+                f.text
+            })
+            .collect();
         for r in &responses[..33] {
             assert!(r.starts_with("OK epoch="), "{r}");
         }

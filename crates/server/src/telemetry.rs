@@ -19,7 +19,8 @@ const CONNECTIONS_ACTIVE: Family = Family::gauge("segidx_server_connections_acti
 pub(crate) const REQUESTS_TOTAL: Family = Family::counter("segidx_server_requests_total");
 const FRAMES_TOTAL: Family = Family::counter("segidx_server_frames_total");
 pub(crate) const PARSE_ERRORS_TOTAL: Family = Family::counter("segidx_server_parse_errors_total");
-const PROTOCOL_ERRORS_TOTAL: Family = Family::counter("segidx_server_protocol_errors_total");
+pub(crate) const PROTOCOL_ERRORS_TOTAL: Family =
+    Family::counter("segidx_server_protocol_errors_total");
 const BUSY_TOTAL: Family = Family::counter("segidx_server_busy_total");
 const BYTES_READ_TOTAL: Family = Family::counter("segidx_server_bytes_read_total");
 const BYTES_WRITTEN_TOTAL: Family = Family::counter("segidx_server_bytes_written_total");

@@ -6,8 +6,9 @@
 //! kernel must print what `fmt` prints, and — over real sockets — a
 //! pipeline's replies must come back in request order and show exactly
 //! what the burst rule promises a client (module docs of `conn.rs`): in
-//! either framing, however the bytes are chunked, with the queue full, and
-//! with a neighbour that hangs up mid-pipeline.
+//! either framing, however the bytes are chunked, and with a neighbour
+//! that hangs up mid-pipeline. (The full-queue case needs a four-slot
+//! queue; it is a unit test in `server.rs`.)
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -427,66 +428,6 @@ fn eventually(what: &str, probe: impl Fn() -> bool) {
         assert!(Instant::now() < deadline, "timed out waiting until {what}");
         std::thread::sleep(Duration::from_millis(5));
     }
-}
-
-/// With four queue slots and 64 writes in one packet, most are refused:
-/// every reply still comes back in its place — `PONG`s mark every fifth —
-/// and once `FLUSH`ed the index holds the acknowledged writes and no other.
-#[test]
-fn a_full_queue_answers_busy_in_place_and_applies_what_it_acknowledged() {
-    let server = Server::start(ServerConfig {
-        queue_capacity: 4,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut packet = Vec::new();
-    let mut sent = Vec::new();
-    for i in 0..64u64 {
-        let mode = if i % 3 == 0 { Mode::Line } else { Mode::Binary };
-        encode(
-            &format!("INSERT RECT ({i}, 0) ({i}.5, 1) ID {i}"),
-            mode,
-            &mut packet,
-        );
-        sent.push(Some(i));
-        if i % 4 == 3 {
-            encode("PING", mode, &mut packet);
-            sent.push(None);
-        }
-    }
-    encode("FLUSH", Mode::Binary, &mut packet);
-    encode("SEARCH WINDOW (0, 0) (100, 1)", Mode::Binary, &mut packet);
-    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(20)))
-        .unwrap();
-    conn.write_all(&packet).unwrap();
-    let replies = read_replies(&mut conn, &mut FrameDecoder::new(), sent.len() + 2);
-
-    let mut acknowledged = Vec::new();
-    let mut refused = 0;
-    for (what, (_, reply)) in sent.iter().zip(&replies) {
-        match what {
-            None => assert_eq!(reply, "PONG"),
-            Some(id) if reply.starts_with("OK epoch=") => acknowledged.push(*id),
-            Some(id) => {
-                assert!(reply.starts_with("BUSY depth="), "INSERT {id} -> {reply}");
-                refused += 1;
-            }
-        }
-    }
-    assert!(
-        refused > 0 && !acknowledged.is_empty(),
-        "{refused} refused of 64"
-    );
-    assert!(replies[sent.len()].1.starts_with("OK epoch="));
-    let ids: Vec<String> = acknowledged.iter().map(|id| format!(" {id}")).collect();
-    assert_eq!(
-        replies[sent.len() + 1].1,
-        format!("ROWS {}{}", ids.len(), ids.concat())
-    );
-    let summary = server.stats().summary_line();
-    assert!(summary.contains(&format!(" busy={refused} ")), "{summary}");
-    server.shutdown();
 }
 
 /// An id, key or `K` the statement's number cannot carry exactly is a

@@ -38,12 +38,10 @@
 
 mod datasets;
 mod dist;
-mod io;
 mod queries;
 
 pub use datasets::{DataDistribution, Dataset};
 pub use dist::{Exponential, Sampler, Uniform};
-pub use io::DatasetIoError;
 pub use queries::{paper_query_sweep, queries_for_qar, QuerySet};
 
 use segidx_geom::Rect;
