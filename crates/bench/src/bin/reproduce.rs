@@ -8,9 +8,8 @@
 //!
 //! Defaults match the paper: 200,000 tuples, 100 queries per QAR value.
 //! `--quick` runs 20,000 tuples and 25 queries per QAR value, a fast smoke
-//! run. Every number it
-//! prints is a count or a ratio of counts, exact per seed: two runs print
-//! the same bytes.
+//! run. Every number it prints is a count or a ratio of counts, exact per
+//! seed: two runs print the same bytes.
 
 use segidx_bench::{
     ablation_csv, check_exponential_lower, check_paper_shape, graph_csv, render_ablation,
